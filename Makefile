@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-engine bench-catalog bench-trace bench-serve bench-serve-smoke bench-router bench-mutate bench-costmodel check docs-check stress fuzz experiments examples clean
+.PHONY: all build vet test race bench bench-build bench-engine bench-catalog bench-trace bench-serve bench-serve-smoke bench-router bench-mutate bench-costmodel check docs-check stress fuzz experiments examples clean
 
 all: build vet test
 
@@ -93,14 +93,24 @@ bench-serve-smoke:
 	$(GO) test -run 'TestServeWorkloadSmoke|TestServeWorkloadsExpandDeterministically|TestServeStallInjectionTripsGate' \
 		-count=1 ./cmd/ssspd
 
-# Fast pre-merge gate: static checks, the documentation linter, the race
-# detector over the concurrent traversal core, the query engine, the graph
-# catalog and snapshot format, the tracing layer, the daemon middleware,
-# and the routing tier, and the seeded stress sweep.
+# The repo benchmark (bench/, BENCHMARK.json) is its own module compiled
+# against this one's internal packages: vet it and run its short tests, so an
+# API change that would stop it building fails here and not in the driver.
+bench-build:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test -short ./...
+
+# Fast pre-merge gate: static checks, the documentation linter, the
+# out-of-module benchmark's build, the race detector over the concurrent
+# traversal core, the delta-stepping kernel and the runtime under it, the
+# query engine, the graph catalog and snapshot format, the tracing layer, the
+# daemon middleware, and the routing tier, and the seeded stress sweep.
 check:
 	$(GO) vet ./...
 	$(MAKE) docs-check
-	$(GO) test -race ./internal/core/... ./internal/engine/... \
+	$(MAKE) bench-build
+	$(GO) test -race ./internal/core/... ./internal/deltastep/... \
+		./internal/par/... ./internal/engine/... \
 		./internal/catalog/... ./internal/snapshot/... ./internal/trace/... \
 		./internal/loadgen/... ./internal/router/... ./internal/mutate/... \
 		./internal/costmodel/... ./cmd/ssspd/... ./cmd/ssspr/...

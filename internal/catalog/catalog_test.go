@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -152,6 +154,37 @@ func TestLoadFailureAndRetry(t *testing.T) {
 	}
 	if err := c.WaitReady("g", waitFor); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A drained generation's memory is most of the live heap; the catalog asks
+// for a collection when one drains instead of leaving the pacer to find out.
+func TestDrainStartsCollection(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // no cycle but a requested one
+	c := testCatalog(t, Config{})
+	if err := c.Load("g", Source{Loader: loaderFor(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WaitReady("g", waitFor); err != nil {
+		t.Fatal(err)
+	}
+	g1, release, err := c.Acquire("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Unload("g"); err != nil {
+		t.Fatal(err)
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.NumGC
+	release()
+	<-g1.Drained()
+	for deadline := time.Now().Add(waitFor); ms.NumGC == before; runtime.ReadMemStats(&ms) {
+		if time.Now().After(deadline) {
+			t.Fatal("no collection followed the drain")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -339,9 +372,17 @@ func TestMemoryBudgetEvictsLRU(t *testing.T) {
 		}
 		release()
 	}
-	// An evicted graph reloads on demand from its remembered source.
-	if err := c.Load("a", Source{Loader: loaderFor(1)}); err != nil {
-		t.Fatal(err)
+	// An evicted graph reloads on demand from its remembered source. Load
+	// refuses while the draining→evicted edge, which the catalog takes on its
+	// own goroutine, is still ahead; nothing else may fail here.
+	for deadline := time.Now().Add(waitFor); ; time.Sleep(time.Millisecond) {
+		err := c.Load("a", Source{Loader: loaderFor(1)})
+		if err == nil {
+			break
+		}
+		if !strings.Contains(err.Error(), "is draining") || time.Now().After(deadline) {
+			t.Fatal(err)
+		}
 	}
 	if err := c.WaitReady("a", waitFor); err != nil {
 		t.Fatal(err)

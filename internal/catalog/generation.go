@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -167,6 +168,14 @@ func (g *Generation) finishDrain() {
 			g.parent.release()
 		}
 		close(g.drained)
+		// A drained generation takes its engine's whole result cache (and
+		// often a CSR and hierarchy copy) with it — commonly most of the
+		// live heap — but the pacer keeps its goal at twice the live heap of
+		// the previous cycle, so without a collection here the heap may
+		// grow as if the dead generation were still in use. Concurrent
+		// callers of runtime.GC share a cycle, so a burst of drains costs
+		// one or two. DESIGN.md §9 has the measurements.
+		go runtime.GC()
 	})
 }
 

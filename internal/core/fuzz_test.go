@@ -65,27 +65,39 @@ func FuzzThorupVsDijkstra(f *testing.F) {
 // FuzzDeltaStepVsDijkstra cross-checks delta-stepping against Dijkstra on
 // fuzz-decoded multigraphs. The byte after the edge triples (when present)
 // picks the bucket width, so the fuzzer also explores degenerate deltas —
-// width 1 (pure Dijkstra-like) through widths far above the weight range.
+// width 1 (pure Dijkstra-like) through widths far above the weight range —
+// and the bytes after that name up to three more sources for a source-set
+// run (repeats allowed).
 func FuzzDeltaStepVsDijkstra(f *testing.F) {
 	f.Add([]byte{4, 0, 1, 1, 1, 2, 2, 2, 3, 4})
 	f.Add([]byte{2, 0, 0, 200, 7})
 	f.Add([]byte{10})
 	f.Add([]byte{7, 0, 1, 255, 1, 2, 1, 2, 0, 128, 3, 3, 3, 0})
+	f.Add([]byte{9, 0, 1, 9, 1, 2, 9, 4, 5, 1, 7, 8, 30, 2, 6, 8, 6})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
 		g, rest := decodeGraph(data)
+		n := g.NumVertices()
 		delta := deltastep.DefaultDelta(g)
+		srcs := []int32{0}
 		if len(rest) > 0 {
 			delta = int64(rest[0])%300 + 1
+			for _, b := range rest[1:min(len(rest), 4)] {
+				srcs = append(srcs, int32(int(b)%n))
+			}
 		}
-		rt := par.NewExec(2)
-		want := dijkstra.SSSP(g, 0)
-		got := deltastep.SSSP(rt, g, 0, delta)
+		want := dijkstra.SSSP(g, srcs[0])
+		for _, s := range srcs[1:] {
+			for v, d := range dijkstra.SSSP(g, s) {
+				want[v] = min(want[v], d)
+			}
+		}
+		got, _ := deltastep.NewState().RunFromSources(par.NewExec(2), g, srcs, delta)
 		for v := range want {
 			if got[v] != want[v] {
-				t.Fatalf("delta=%d: d[%d]=%d, dijkstra %d (n=%d)", delta, v, got[v], want[v], g.NumVertices())
+				t.Fatalf("delta=%d srcs=%v: d[%d]=%d, dijkstra %d (n=%d)", delta, srcs, v, got[v], want[v], n)
 			}
 		}
 	})

@@ -1,19 +1,25 @@
 package deltastep
 
 import (
-	"sync/atomic"
-
 	"repro/internal/graph"
 	"repro/internal/par"
 )
 
 // Stats reports the phase structure of one run (useful for analysis and for
-// the road-network experiment, where the number of phases explodes).
+// the road-network experiment, where the number of phases explodes). A
+// relaxation counts when it lowers a distance, as light iff its arc weighs
+// less than Delta. The fields mean the same in both modes, but the counts
+// differ between them, because the kernels relax in different orders: in
+// exec mode a bucket or phase counts only if it relaxed at least one vertex
+// (the sim kernel also counts one holding nothing but outdated entries), so
+// Buckets there is the number of distinct buckets among the final distances;
+// and a vertex relaxes its heavy arcs every time it is taken, not once when
+// its bucket closes, so HeavyRelax is higher.
 type Stats struct {
 	Buckets     int   // non-empty buckets processed
-	Phases      int   // light sub-phases
-	LightRelax  int64 // light edge relaxation requests
-	HeavyRelax  int64 // heavy edge relaxation requests
+	Phases      int   // sub-phases of those buckets
+	LightRelax  int64 // successful light edge relaxations
+	HeavyRelax  int64 // successful heavy edge relaxations
 	Reinsertion int64 // vertices rescanned within one bucket
 }
 
@@ -49,194 +55,68 @@ func Run(rt *par.Runtime, g *graph.Graph, src int32, delta int64) ([]int64, Stat
 }
 
 // State is reusable delta-stepping query state: the distance vector, the
-// bucket structure, and every per-phase scratch array. Reusing a State across
+// bucket ring, and every per-phase scratch array. Reusing a State across
 // queries amortizes all per-query allocations (a pooled serving layer's hot
-// path); buffers grow to the largest graph served and are resliced for
-// smaller ones. A State is not safe for concurrent use — the parallelism is
-// inside one run, not across runs.
+// path: a warm exec-mode run allocates nothing); buffers grow to the largest
+// graph served and are resliced for smaller ones. A State is not safe for
+// concurrent use.
 type State struct {
-	dist      []int64
-	buckets   [][]int32
-	frontier  []int32 // deduplicated current-bucket members
-	removed   []int32 // everything removed from the current bucket
-	scanned   []int64 // bucket epoch when last light-scanned, per vertex
-	inRemoved []int64 // bucket index when last appended to removed, per vertex
-	touched   []int32 // relax-phase output, filled via atomic cursor
+	dist []int64
+
+	// Exec-mode kernel (exec.go).
+	bins     [][]entry // the cyclic bucket ring
+	frontier []entry   // the entries of the bucket phase being relaxed
+
+	sim *simState // sim-mode kernel scratch (sim.go)
 }
 
 // NewState returns an empty State; buffers are grown on first use.
 func NewState() *State { return &State{} }
 
 // Reset scrubs the state so nothing leaks to the next user across a pool
-// boundary. Not required between runs — Run reinitialises everything it
+// boundary. Not required between runs — a run reinitialises everything it
 // reads.
 func (st *State) Reset() {
 	clear(st.dist)
-	clear(st.scanned)
-	clear(st.inRemoved)
-	for i := range st.buckets {
-		st.buckets[i] = st.buckets[i][:0]
+	clear(st.frontier[:cap(st.frontier)])
+	for _, b := range st.bins[:cap(st.bins)] {
+		clear(b[:cap(b)])
 	}
-	st.frontier = st.frontier[:0]
-	st.removed = st.removed[:0]
-}
-
-// grow sizes the per-vertex arrays for n vertices, reusing capacity, and
-// empties the bucket structure (keeping each bucket's backing array).
-func (st *State) grow(n int) {
-	if cap(st.dist) < n {
-		st.dist = make([]int64, n)
-		st.scanned = make([]int64, n)
-		st.inRemoved = make([]int64, n)
-	}
-	st.dist = st.dist[:n]
-	st.scanned = st.scanned[:n]
-	st.inRemoved = st.inRemoved[:n]
-	for i := range st.buckets {
-		st.buckets[i] = st.buckets[i][:0]
-	}
+	st.sim = nil
 }
 
 // Run computes single-source shortest path distances from src with bucket
 // width delta, reusing the state's buffers. The returned slice aliases the
-// state and is valid until the next Run.
+// state and is valid until the next run.
 func (st *State) Run(rt *par.Runtime, g *graph.Graph, src int32, delta int64) ([]int64, Stats) {
+	return st.RunFromSources(rt, g, []int32{src}, delta)
+}
+
+// RunFromSources computes, for every vertex, the distance to the nearest of
+// srcs in one run: every source is seeded at distance 0 in bucket 0.
+// Duplicate sources are harmless; an empty set leaves every vertex at
+// graph.Inf. Sources must be in range. The returned slice aliases the state
+// and is valid until the next run.
+//
+// A simulated runtime takes the cost-model kernel (sim.go), a real one the
+// exec kernel (exec.go); both return the same distances.
+func (st *State) RunFromSources(rt *par.Runtime, g *graph.Graph, srcs []int32, delta int64) ([]int64, Stats) {
 	if delta < 1 {
 		panic("deltastep: delta must be >= 1")
 	}
 	n := g.NumVertices()
-	st.grow(n)
-	dist := st.dist
-	for i := range dist {
-		dist[i] = graph.Inf
+	if cap(st.dist) < n {
+		st.dist = make([]int64, n)
 	}
-	var stats Stats
+	st.dist = st.dist[:n]
+	for i := range st.dist {
+		st.dist[i] = graph.Inf
+	}
 	if n == 0 {
-		return dist, stats
+		return st.dist, Stats{}
 	}
-
-	buckets := st.buckets
-	if len(buckets) == 0 {
-		buckets = make([][]int32, 1, 64)
+	if rt.IsSim() {
+		return st.runSim(rt, g, srcs, delta)
 	}
-	addBucket := func(v int32, idx int64) {
-		for int64(len(buckets)) <= idx {
-			buckets = append(buckets, nil)
-		}
-		buckets[idx] = append(buckets[idx], v)
-	}
-
-	dist[src] = 0
-	addBucket(src, 0)
-
-	frontier := st.frontier[:0]
-	removed := st.removed[:0]
-	scanned := st.scanned
-	for i := range scanned {
-		scanned[i] = -1
-	}
-	inRemoved := st.inRemoved
-	for i := range inRemoved {
-		inRemoved[i] = -1
-	}
-
-	// touched is the shared output array of one relax phase: improved
-	// vertices are appended with an atomic cursor (the MTA int_fetch_add
-	// reduction idiom) and distributed into buckets afterwards.
-	touched := st.touched
-	var cursor int64
-
-	relaxPhase := func(sources []int32, light bool, i int64) {
-		// Size the output by the total degree of the sources.
-		total := 0
-		for _, v := range sources {
-			total += g.Degree(v)
-		}
-		if cap(touched) < total {
-			touched = make([]int32, total)
-		}
-		touched = touched[:total]
-		atomic.StoreInt64(&cursor, 0)
-		rt.ForAuto(par.DefaultThresholds, len(sources), func(k int) {
-			v := sources[k]
-			dv := atomic.LoadInt64(&dist[v])
-			ts, ws := g.Neighbors(v)
-			rt.Charge(int64(len(ts)))
-			for e, u := range ts {
-				w := int64(ws[e])
-				if light != (w < delta) {
-					continue
-				}
-				nd := dv + w
-				if par.CASMin(&dist[u], nd) {
-					slot := atomic.AddInt64(&cursor, 1) - 1
-					touched[slot] = u
-				}
-			}
-		})
-		cnt := atomic.LoadInt64(&cursor)
-		if light {
-			stats.LightRelax += cnt
-		} else {
-			stats.HeavyRelax += cnt
-		}
-		// Distribute improved vertices into their (new) buckets. Duplicates
-		// are fine: the scan filters lazily by current distance.
-		// A relaxation never lands below the bucket being processed (all
-		// sources have distance >= i*delta and weights are positive), so
-		// idx >= i: light requests may re-enter bucket i, heavy ones always
-		// land strictly above it.
-		rt.ChargeLoop(rt.ModeFor(par.DefaultThresholds, int(cnt)), int(cnt), 2)
-		for _, u := range touched[:cnt] {
-			addBucket(u, dist[u]/delta)
-		}
-	}
-
-	for i := int64(0); i < int64(len(buckets)); i++ {
-		if len(buckets[i]) == 0 {
-			continue
-		}
-		stats.Buckets++
-		removed = removed[:0]
-		for len(buckets[i]) > 0 {
-			// Collect the sub-phase frontier: members whose current distance
-			// really lies in this bucket and that were not already scanned
-			// at this distance.
-			cand := buckets[i]
-			buckets[i] = nil
-			frontier = frontier[:0]
-			rt.ChargeLoop(rt.ModeFor(par.DefaultThresholds, len(cand)), len(cand), 2)
-			for _, v := range cand {
-				if dist[v]/delta != i {
-					continue // stale entry
-				}
-				if scanned[v] == dist[v] {
-					continue // already light-scanned at this distance
-				}
-				if scanned[v] >= 0 {
-					stats.Reinsertion++
-				}
-				scanned[v] = dist[v]
-				frontier = append(frontier, v)
-				if inRemoved[v] != i {
-					inRemoved[v] = i
-					removed = append(removed, v)
-				}
-			}
-			if len(frontier) == 0 {
-				continue
-			}
-			stats.Phases++
-			relaxPhase(frontier, true, i)
-		}
-		if len(removed) > 0 {
-			relaxPhase(removed, false, i)
-		}
-	}
-	// Hand the (possibly grown) buffers back to the state for the next run.
-	st.buckets = buckets
-	st.frontier = frontier
-	st.removed = removed
-	st.touched = touched
-	return dist, stats
+	return st.runExec(g, srcs, delta)
 }

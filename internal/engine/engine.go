@@ -384,14 +384,13 @@ func (e *Engine) solve(parent *trace.Span, name string, srcs []int32, key string
 		start := time.Now()
 		defer func() { e.cost.ObservePrediction(pred, time.Since(start)) }()
 	}
-	var dist []int64
+	res := &Result{Solver: name, e: e, key: key}
 	switch name {
 	case "thorup":
 		pc := sp.StartChild("pool_checkout")
 		q := e.qpool.Get().(*core.Query)
 		pc.End()
-		d := q.RunFromSources(srcs)
-		dist = append(make([]int64, 0, len(d)), d...)
+		res.detach(q.RunFromSources(srcs))
 		if tr := q.Trace(); tr != nil {
 			snap := tr.Snapshot()
 			e.traceAgg.Merge(snap)
@@ -410,7 +409,7 @@ func (e *Engine) solve(parent *trace.Span, name string, srcs []int32, key string
 		pc := sp.StartChild("pool_checkout")
 		sc := e.dpool.Get().(*dijkstra.Scratch)
 		pc.End()
-		dist = foldPooled(func(s int32) []int64 { return sc.SSSP(e.in.G, s) }, srcs)
+		res.adopt(foldPooled(func(s int32) []int64 { return sc.SSSP(e.in.G, s) }, srcs))
 		if !e.cfg.DisablePool {
 			sc.Reset()
 			e.dpool.Put(sc)
@@ -419,10 +418,8 @@ func (e *Engine) solve(parent *trace.Span, name string, srcs []int32, key string
 		pc := sp.StartChild("pool_checkout")
 		st := e.spool.Get().(*deltastep.State)
 		pc.End()
-		dist = foldPooled(func(s int32) []int64 {
-			d, _ := st.Run(e.in.RT, e.in.G, s, e.delta)
-			return d
-		}, srcs)
+		d, _ := st.RunFromSources(e.in.RT, e.in.G, srcs, e.delta)
+		res.detach(d)
 		if !e.cfg.DisablePool {
 			st.Reset()
 			e.spool.Put(st)
@@ -437,20 +434,37 @@ func (e *Engine) solve(parent *trace.Span, name string, srcs []int32, key string
 			// race on it.
 			e.coreSolver()
 		}
-		dist = s.Solve(e.in, srcs)
-	}
-
-	res := &Result{Solver: name, Dist: dist, e: e, key: key}
-	for _, d := range dist {
-		if d < graph.Inf {
-			res.Reached++
-			if d > res.Eccentricity {
-				res.Eccentricity = d
-			}
-		}
+		res.adopt(s.Solve(e.in, srcs))
 	}
 	e.cache.add(key, res)
 	return res
+}
+
+// detach copies a pooled solver's distance vector into the result and tallies
+// Reached and Eccentricity in the same pass.
+func (r *Result) detach(pooled []int64) {
+	r.Dist = make([]int64, len(pooled))
+	for v, d := range pooled {
+		r.Dist[v] = d
+		r.count(d)
+	}
+}
+
+// adopt takes a vector nothing else references as the result's own.
+func (r *Result) adopt(dist []int64) {
+	r.Dist = dist
+	for _, d := range dist {
+		r.count(d)
+	}
+}
+
+func (r *Result) count(d int64) {
+	if d < graph.Inf {
+		r.Reached++
+		if d > r.Eccentricity {
+			r.Eccentricity = d
+		}
+	}
 }
 
 // foldPooled answers a multi-source query with a pooled single-source run:

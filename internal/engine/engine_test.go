@@ -162,6 +162,39 @@ func TestPolicySelection(t *testing.T) {
 	}
 }
 
+// The static ladder still sends an auto multi-source query on a weighted
+// graph to Thorup even though delta-stepping now answers a source set in one
+// run: re-routing it is a separate, measured decision (ROADMAP item 3). An
+// explicit ?solver=delta with k sources costs one run.
+func TestMultiSourceRouting(t *testing.T) {
+	in := testInstance(t, 300, 1200)
+	e := New(in, Config{})
+	srcs := []int32{4, 90, 170, 251}
+	auto, _, err := e.Query(context.Background(), Request{Sources: srcs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if auto.Solver != "thorup" {
+		t.Fatalf("auto 4-source query ran %s, want thorup", auto.Solver)
+	}
+	forced, _, err := e.Query(context.Background(), Request{Sources: srcs, Solver: "delta"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs := e.SolverRuns(); runs["thorup"] != 1 || runs["delta"] != 1 {
+		t.Fatalf("solver runs %v, want one thorup and one delta", runs)
+	}
+	for v := range auto.Dist {
+		if forced.Dist[v] != auto.Dist[v] {
+			t.Fatalf("delta d[%d] = %d, thorup %d", v, forced.Dist[v], auto.Dist[v])
+		}
+	}
+	if forced.Reached != auto.Reached || forced.Eccentricity != auto.Eccentricity {
+		t.Fatalf("delta reached/ecc %d/%d, thorup %d/%d",
+			forced.Reached, forced.Eccentricity, auto.Reached, auto.Eccentricity)
+	}
+}
+
 // --- LRU cache -------------------------------------------------------------
 
 func cacheRes(key string, n int) *Result {

@@ -25,9 +25,11 @@ const ModelOverrideMargin = 1.25
 //
 //   - unit-weight graphs: BFS — a unit-weight traversal is the cheapest
 //     exact solver and parallelizes on the instance runtime;
-//   - multi-source queries: Thorup — the only solver here that answers a
-//     source set natively in one run over the shared hierarchy (everything
-//     else pays one full run per source);
+//   - multi-source queries: Thorup — it answers a source set natively in
+//     one run over the shared hierarchy. Delta-stepping seeds a source set
+//     natively too (dijkstra, mlb and bfs still pay one full run per
+//     source); whether it should take these queries is a measured decision
+//     this ladder has not made yet (ROADMAP item 3);
 //   - single-source: delta-stepping when the instance's heuristic bucket
 //     width exceeds 1 (weight range admits real buckets, so phases batch
 //     work), Thorup otherwise (delta = 1 degenerates into a serial-grade

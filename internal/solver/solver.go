@@ -113,13 +113,12 @@ func All() []Solver {
 			},
 		},
 		{
-			Name:     "delta",
-			Parallel: true,
+			Name:              "delta",
+			NativeMultiSource: true,
+			Parallel:          true,
 			Solve: func(in *Instance, sources []int32) []int64 {
-				delta := deltastep.DefaultDelta(in.G)
-				return foldSingle(func(s int32) []int64 {
-					return deltastep.SSSP(in.RT, in.G, s, delta)
-				}, sources)
+				d, _ := deltastep.NewState().RunFromSources(in.RT, in.G, sources, deltastep.DefaultDelta(in.G))
+				return d
 			},
 		},
 		{

@@ -45,8 +45,8 @@ func checkMetamorphic(cfg Config, rt *par.Runtime, name string, g *graph.Graph, 
 	}
 	// Source merging: the multi-source labelling must equal the elementwise
 	// minimum of the single-source labellings. Native multi-source solvers
-	// (Thorup) take the merged query in one run; folding solvers re-derive
-	// it, so both sides of the property get exercised.
+	// (Thorup, delta-stepping) take the merged query in one run; folding
+	// solvers re-derive it, so both sides of the property get exercised.
 	if len(sources) > 1 {
 		in := solver.NewInstance(g, rt)
 		want := elementwiseMinSingles(in, cfg.Solvers, sources)
