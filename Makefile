@@ -19,7 +19,7 @@ test:
 # The concurrency-sensitive packages under the race detector.
 race:
 	$(GO) test -race ./internal/core ./internal/cc ./internal/deltastep \
-		./internal/par ./internal/bfs ./internal/mta ./internal/digraph \
+		./internal/par ./internal/bfs ./internal/mta \
 		./internal/obs ./internal/engine ./internal/catalog ./internal/snapshot \
 		./internal/trace ./internal/loadgen ./internal/router ./internal/mutate \
 		./internal/costmodel ./cmd/ssspd ./cmd/ssspr .
@@ -34,9 +34,9 @@ bench-engine:
 		$(GO) test -run TestWriteEngineBenchJSON -count=1 -v ./cmd/ssspd
 
 # Catalog comparison benchmarks (the graph-activation ladder: text parse +
-# CH rebuild, v1/v2 snapshot copy loads, cold and warm mmap loads; plus
-# warmed vs cold first query after a swap), written to BENCH_catalog.json.
-# Gates: v2 copy load >= 10x over text, warm mmap >= 50x over v1 copy.
+# CH rebuild, snapshot copy load, cold and warm mmap loads; plus warmed vs
+# cold first query after a swap), written to BENCH_catalog.json.
+# Gates: copy load >= 10x over text, warm mmap >= 50x over the copy load.
 bench-catalog:
 	BENCH_CATALOG_OUT=$(CURDIR)/BENCH_catalog.json \
 		$(GO) test -run TestWriteCatalogBenchJSON -count=1 -v ./internal/catalog

@@ -8,7 +8,6 @@
 package repro
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -410,37 +409,6 @@ func BenchmarkCertify(b *testing.B) {
 	b.Run("RerunDijkstra", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			dijkstra.SSSP(g, 0)
-		}
-	})
-}
-
-// BenchmarkHierarchySerialization measures CH save/load round trips.
-func BenchmarkHierarchySerialization(b *testing.B) {
-	g := benchFamilies()[0].Generate()
-	h := ch.BuildKruskal(g)
-	var buf bytes.Buffer
-	if _, err := h.WriteTo(&buf); err != nil {
-		b.Fatal(err)
-	}
-	raw := buf.Bytes()
-	b.Run("Write", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			var w bytes.Buffer
-			if _, err := h.WriteTo(&w); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("Read", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := ch.ReadFrom(bytes.NewReader(raw), g); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("RebuildInstead", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ch.BuildKruskal(g)
 		}
 	})
 }

@@ -8,7 +8,6 @@
 //	sssp -gen rmat -logn 14 -algo all -certify
 //	sssp -gen rand -logn 14 -sources q.ss -algo thorup    # batch, shared CH
 //	sssp -gen grid -logn 14 -st 12345                     # point-to-point
-//	sssp -gen rand -logn 16 -ch cache.chb -algo thorup    # persist the CH
 //
 // Algorithms: thorup, thorup-serial, delta, dijkstra, mlb, bfs (unit
 // weights), all.
@@ -48,7 +47,6 @@ func main() {
 		workers   = flag.Int("workers", 4, "goroutines for parallel solvers")
 		certify   = flag.Bool("certify", false, "certify results in linear time (feasibility+tightness)")
 		delta     = flag.Int64("delta", 0, "delta-stepping bucket width (0 = heuristic)")
-		chFile    = flag.String("ch", "", "component hierarchy cache file (loaded if present, else built and saved)")
 	)
 	flag.Parse()
 
@@ -87,29 +85,9 @@ func main() {
 		if h != nil {
 			return h
 		}
-		if *chFile != "" {
-			if f, err := os.Open(*chFile); err == nil {
-				loaded, lerr := ch.ReadFrom(f, g)
-				f.Close()
-				if lerr == nil {
-					fmt.Printf("component hierarchy: %d nodes loaded from %s\n", loaded.NumNodes(), *chFile)
-					h = loaded
-					return h
-				}
-				fmt.Fprintf(os.Stderr, "sssp: ignoring cache %s: %v\n", *chFile, lerr)
-			}
-		}
 		start := time.Now()
 		h = ch.BuildKruskal(g)
 		fmt.Printf("component hierarchy: %d nodes built in %v\n", h.NumNodes(), time.Since(start).Round(time.Microsecond))
-		if *chFile != "" {
-			if f, err := os.Create(*chFile); err == nil {
-				if _, werr := h.WriteTo(f); werr != nil {
-					fmt.Fprintf(os.Stderr, "sssp: cache write: %v\n", werr)
-				}
-				f.Close()
-			}
-		}
 		return h
 	}
 

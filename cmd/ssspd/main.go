@@ -7,7 +7,7 @@
 // Usage:
 //
 //	ssspd -gen rand -logn 16 -addr :8080
-//	ssspd -graph city.gr -ch city.chb -workers 8 -max-inflight 64 -timeout 10s
+//	ssspd -graph city.gr -workers 8 -max-inflight 64 -timeout 10s
 //	ssspd -snapshot city.snap -mem-budget 2147483648
 //
 // Endpoints (all return JSON; query endpoints take ?graph=<name>, default
@@ -35,10 +35,11 @@
 // Graphs live in an internal/catalog: background workers build hierarchies
 // off the request path, swaps are atomic (in-flight queries finish on the
 // generation they acquired), and a -mem-budget evicts idle graphs LRU-first.
-// Format-v2 snapshots are served zero-copy straight from an mmap of the
-// file (-mmap, default on); v1 snapshots and mmap-less platforms fall back
-// to the copy read, and an unmap happens only after a retired generation's
-// last in-flight query has released.
+// Snapshots (gengraph -snap, from a generator or a DIMACS file) are served
+// zero-copy straight from an mmap of the file (-mmap, default on); mmap-less
+// and big-endian hosts fall back to the copy read, and an unmap happens only
+// after a retired generation's last in-flight query has released. Text and
+// generator sources rebuild their hierarchy on every start.
 // Query execution runs through the internal/engine query plane: pooled
 // solver state, singleflight deduplication of concurrent identical queries,
 // a bounded LRU result cache (-cache-entries / -cache-bytes), and a
@@ -109,7 +110,6 @@ func main() {
 		seed         = flag.Uint64("seed", 1, "generator seed")
 		workers      = flag.Int("workers", 4, "query workers")
 		addr         = flag.String("addr", ":8080", "listen address")
-		chFile       = flag.String("ch", "", "component hierarchy cache file")
 		timeout      = flag.Duration("timeout", 30*time.Second, "per-request deadline for query endpoints (0 disables)")
 		maxInflight  = flag.Int("max-inflight", 64, "concurrent query admission limit; excess load is shed with 503")
 		drain        = flag.Duration("drain", 15*time.Second, "graceful shutdown drain budget")
@@ -117,7 +117,7 @@ func main() {
 		cacheBytes   = flag.Int64("cache-bytes", 64<<20, "result cache byte budget per graph (0 = entry-bounded only)")
 		memBudget    = flag.Int64("mem-budget", 0, "memory budget in bytes for ready graphs; idle graphs are evicted LRU-first beyond it (0 = unlimited)")
 		buildWorkers = flag.Int("build-workers", 2, "background graph build workers")
-		useMmap      = flag.Bool("mmap", true, "serve v2 snapshots zero-copy via mmap (v1 snapshots and mmap-less platforms fall back to the copy read)")
+		useMmap      = flag.Bool("mmap", true, "serve snapshots zero-copy via mmap (mmap-less and big-endian hosts fall back to the copy read)")
 		traceSample  = flag.Int("trace-sample", 100, "tail-sample 1 in N finished query traces into /debug/traces (0 disables tracing)")
 		traceRing    = flag.Int("trace-ring", 256, "retained-trace ring buffer capacity for /debug/traces")
 		slowQuery    = flag.Duration("slow-query", 0, "log and always retain query traces at least this slow (0 disables the slow-query log)")
@@ -153,8 +153,8 @@ func main() {
 		spec := cli.Spec{File: *graphFile, Class: *genClass, LogN: *logN, LogC: *logC, Seed: *seed}
 		g, name, err = spec.Load()
 		if err == nil {
-			h = catalog.LoadOrBuildCH(g, *chFile, log.Printf)
-			src = catalog.Source{Spec: spec, CHCache: *chFile}
+			h = ch.BuildKruskal(g)
+			src = catalog.Source{Spec: spec}
 		}
 	}
 	if err != nil {
@@ -797,7 +797,8 @@ func (s *server) handleGraphs(w http.ResponseWriter, r *http.Request) {
 }
 
 // loadRequest is the /graphs/load body: a name plus a source — a snapshot
-// path, a DIMACS file, or a generator spec (with an optional CH cache file).
+// path, a DIMACS file, or a generator spec. No field names a file the daemon
+// writes.
 type loadRequest struct {
 	Name     string `json:"name"`
 	Snapshot string `json:"snapshot,omitempty"`
@@ -807,7 +808,6 @@ type loadRequest struct {
 	LogC     int    `json:"logc,omitempty"`
 	PWD      bool   `json:"pwd,omitempty"`
 	Seed     uint64 `json:"seed,omitempty"`
-	CH       string `json:"ch,omitempty"`
 }
 
 func decodeAdminBody(w http.ResponseWriter, r *http.Request, v any) bool {
@@ -846,7 +846,6 @@ func (s *server) handleGraphLoad(w http.ResponseWriter, r *http.Request) {
 	src := catalog.Source{
 		Snapshot: req.Snapshot,
 		Spec:     cli.Spec{File: req.File, Class: req.Class, LogN: req.LogN, LogC: req.LogC, PWD: req.PWD, Seed: req.Seed},
-		CHCache:  req.CH,
 	}
 	if err := s.cat.Load(req.Name, src); err != nil {
 		adminError(w, err)

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -581,6 +582,8 @@ func TestGraphAdminValidation(t *testing.T) {
 		{"/graphs/load", `{"snapshot":"x.snap"}`, http.StatusBadRequest},                 // no name
 		{"/graphs/load", `{"name":"x"}`, http.StatusBadRequest},                          // no source
 		{"/graphs/load", `{"name":"test-instance","class":"rand"}`, http.StatusConflict}, // already loaded
+		// The removed CH-cache field: refused at decode, so no HTTP body names a file to write.
+		{"/graphs/load", `{"name":"x","class":"rand","logn":8,"ch":"/tmp/x.chb"}`, http.StatusBadRequest},
 		{"/graphs/reload", `{"name":"nope"}`, http.StatusNotFound},
 		{"/graphs/unload", `{"name":"nope"}`, http.StatusNotFound},
 	} {
@@ -590,6 +593,9 @@ func TestGraphAdminValidation(t *testing.T) {
 		} else if e["error"] == "" {
 			t.Errorf("%s %s: missing error message", tc.path, tc.body)
 		}
+	}
+	if _, _, err := srv.cat.Acquire("x"); !errors.Is(err, catalog.ErrUnknownGraph) {
+		t.Errorf("a 400 load still registered the graph: Acquire = %v", err)
 	}
 
 	// A generator-described source loads in the background and serves.

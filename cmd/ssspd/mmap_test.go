@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"testing"
 	"time"
@@ -11,6 +14,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/ch"
 	"repro/internal/dijkstra"
+	"repro/internal/dimacs"
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -152,4 +156,49 @@ func TestServeFromMmapSnapshot(t *testing.T) {
 	if genC.Mapped() || genC.HeapBytes == 0 || genC.MappedBytes != 0 {
 		t.Fatalf("copy-loaded generation claims mmap residency: %+v", genC)
 	}
+}
+
+// TestServeConvertedDIMACS walks the one way a DIMACS file reaches the mmap
+// fast path: the real `gengraph -in … -snap` converts it, the daemon starts
+// on the snapshot as main does under -snapshot, and the served distances
+// equal Dijkstra's on the graph parsed from the text.
+func TestServeConvertedDIMACS(t *testing.T) {
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skipf("no go tool to run cmd/gengraph with: %v", err)
+	}
+	dir := t.TempDir()
+	gr := filepath.Join(dir, "city.gr")
+	var text bytes.Buffer
+	if err := dimacs.WriteGraph(&text, gen.Random(400, 1600, 1<<10, gen.UWD, 33), "e2e"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(gr, text.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap := filepath.Join(dir, "city.snap")
+	if out, err := exec.Command(goTool, "run", "repro/cmd/gengraph", "-in", gr, "-snap", snap).CombinedOutput(); err != nil {
+		t.Fatalf("gengraph -in: %v\n%s", err, out)
+	}
+
+	g, h, mapping, err := snapshot.Map(snap)
+	if errors.Is(err, snapshot.ErrNotMappable) {
+		g, h, err = snapshot.ReadFile(snap)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(g, h, snap, catalog.Source{Snapshot: snap}, serverOptions{
+		workers: 2, maxInflight: 8, timeout: 30 * time.Second,
+		mmap: true, mapping: mapping,
+	})
+	t.Cleanup(srv.cat.Close)
+	ts := httptest.NewServer(srv.mux())
+	t.Cleanup(ts.Close)
+
+	parsed, err := dimacs.ReadGraph(bytes.NewReader(text.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkServedDistances(t, ts.URL, "", 7, parsed)
 }

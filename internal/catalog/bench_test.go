@@ -19,12 +19,12 @@ import (
 
 // TestWriteCatalogBenchJSON emits BENCH_catalog.json when BENCH_CATALOG_OUT
 // is set (see `make bench-catalog`): the ladder of graph-activation costs a
-// catalog can pay — text parse plus hierarchy rebuild, v1 copy load, v2 copy
-// load, cold mmap (first map of a file: full verification), warm mmap
-// (re-map of a verified file: O(1)) — and the first-query latency of a
-// warmed versus a cold engine, the cost the warming phase hides from the
-// first client after a swap. Gates: v2 copy load >= 10x over text, and warm
-// mmap >= 50x over the v1 copy load it replaces.
+// catalog can pay — text parse plus hierarchy rebuild, snapshot copy load,
+// cold mmap (first map of a file: full verification), warm mmap (re-map of a
+// verified file: O(1)) — and the first-query latency of a warmed versus a
+// cold engine, the cost the warming phase hides from the first client after
+// a swap. Gates: copy load >= 10x over text, and warm mmap >= 50x over the
+// copy load.
 func TestWriteCatalogBenchJSON(t *testing.T) {
 	out := os.Getenv("BENCH_CATALOG_OUT")
 	if out == "" {
@@ -48,17 +48,6 @@ func TestWriteCatalogBenchJSON(t *testing.T) {
 	}
 	snapPath := filepath.Join(dir, "g.snap")
 	if err := snapshot.WriteFile(snapPath, g, h); err != nil {
-		t.Fatal(err)
-	}
-	v1Path := filepath.Join(dir, "g.v1.snap")
-	v1f, err := os.Create(v1Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := snapshot.WriteV1(v1f, g, h); err != nil {
-		t.Fatal(err)
-	}
-	if err := v1f.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -85,11 +74,6 @@ func TestWriteCatalogBenchJSON(t *testing.T) {
 			t.Fatal(err)
 		}
 		ch.BuildKruskal(g2)
-	})
-	v1Load := avg(10, func() {
-		if _, _, err := snapshot.ReadFile(v1Path); err != nil {
-			t.Fatal(err)
-		}
 	})
 	snapLoad := avg(10, func() {
 		if _, _, err := snapshot.ReadFile(snapPath); err != nil {
@@ -170,22 +154,21 @@ func TestWriteCatalogBenchJSON(t *testing.T) {
 	grInfo, _ := os.Stat(grPath)
 	snapInfo, _ := os.Stat(snapPath)
 	speedup := float64(textLoad) / float64(snapLoad)
-	mmapSpeedup := float64(v1Load) / float64(mmapWarm)
+	mmapSpeedup := float64(snapLoad) / float64(mmapWarm)
 	doc := map[string]any{
-		"vertices":            g.NumVertices(),
-		"edges":               g.NumEdges(),
-		"gr_bytes":            grInfo.Size(),
-		"snapshot_bytes":      snapInfo.Size(),
-		"text_load_ns":        textLoad.Nanoseconds(),
-		"snapshot_v1_load_ns": v1Load.Nanoseconds(),
-		"snapshot_load_ns":    snapLoad.Nanoseconds(),
-		"snapshot_speedup":    speedup,
-		"mmap_first_load_ns":  mmapCold.Nanoseconds(),
-		"mmap_load_ns":        mmapWarm.Nanoseconds(),
-		"mmap_speedup_vs_v1":  mmapSpeedup,
-		"cold_first_query_ns": cold.Nanoseconds(),
-		"warm_first_query_ns": warmed.Nanoseconds(),
-		"warm_speedup":        float64(cold) / float64(warmed),
+		"vertices":             g.NumVertices(),
+		"edges":                g.NumEdges(),
+		"gr_bytes":             grInfo.Size(),
+		"snapshot_bytes":       snapInfo.Size(),
+		"text_load_ns":         textLoad.Nanoseconds(),
+		"snapshot_load_ns":     snapLoad.Nanoseconds(),
+		"snapshot_speedup":     speedup,
+		"mmap_first_load_ns":   mmapCold.Nanoseconds(),
+		"mmap_load_ns":         mmapWarm.Nanoseconds(),
+		"mmap_speedup_vs_copy": mmapSpeedup,
+		"cold_first_query_ns":  cold.Nanoseconds(),
+		"warm_first_query_ns":  warmed.Nanoseconds(),
+		"warm_speedup":         float64(cold) / float64(warmed),
 	}
 	buf, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -194,12 +177,12 @@ func TestWriteCatalogBenchJSON(t *testing.T) {
 	if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("wrote %s: loads text %s / v1 copy %s / v2 copy %s / mmap cold %s / mmap warm %s (copy %.1fx, mmap %.0fx vs v1); first query warm %s vs cold %s",
-		out, textLoad, v1Load, snapLoad, mmapCold, mmapWarm, speedup, mmapSpeedup, warmed, cold)
+	t.Logf("wrote %s: loads text %s / copy %s / mmap cold %s / mmap warm %s (copy %.1fx vs text, mmap %.0fx vs copy); first query warm %s vs cold %s",
+		out, textLoad, snapLoad, mmapCold, mmapWarm, speedup, mmapSpeedup, warmed, cold)
 	if speedup < 10 {
 		t.Errorf("snapshot load speedup %.1fx, want >= 10x over text parse + CH rebuild", speedup)
 	}
 	if mmapSpeedup < 50 {
-		t.Errorf("warm mmap load speedup %.1fx over v1 copy load, want >= 50x", mmapSpeedup)
+		t.Errorf("warm mmap load speedup %.1fx over copy load, want >= 50x", mmapSpeedup)
 	}
 }

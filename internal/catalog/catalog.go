@@ -45,7 +45,7 @@ func (e *NotReadyError) Error() string {
 // Source says where a graph comes from, in priority order: an in-process
 // Loader (tests, stress harnesses), a binary snapshot (graph + prebuilt
 // hierarchy in one read), or a cli.Spec (DIMACS file or generator, with the
-// hierarchy built here — optionally through a CHCache file).
+// hierarchy built here on every load).
 type Source struct {
 	// Loader produces the instance directly; it wins over the other fields.
 	Loader func() (*graph.Graph, *ch.Hierarchy, error)
@@ -53,10 +53,6 @@ type Source struct {
 	Snapshot string
 	// Spec is a DIMACS file or generator description.
 	Spec cli.Spec
-	// CHCache is a hierarchy cache file used (read and written) when the
-	// graph comes from Spec. A cache whose fingerprint does not match the
-	// loaded graph is refused and the hierarchy rebuilt.
-	CHCache string
 }
 
 func (s Source) String() string {
@@ -73,9 +69,9 @@ func (s Source) String() string {
 }
 
 // load resolves the source. The hierarchy may be nil (Spec sources build it
-// in the Building phase); logf narrates cache decisions. With mmap set,
-// snapshot sources are mapped zero-copy when the file format and platform
-// allow it, falling back to the copy read otherwise; a non-nil mapping is
+// in the Building phase). With mmap set, snapshot sources are mapped
+// zero-copy when the platform allows it, falling back to the copy read
+// (logged through logf) otherwise; a non-nil mapping is
 // returned exactly when the instance's arrays alias it, and the caller owns
 // its lifetime.
 func (s Source) load(mmap bool, logf func(string, ...any)) (*graph.Graph, *ch.Hierarchy, *snapshot.Mapping, error) {
@@ -120,8 +116,8 @@ type Config struct {
 	// per generation with "name@gen|".
 	Engine engine.Config
 	// MMap serves snapshot sources zero-copy from mmap'd files when the
-	// format and platform allow it (v1 snapshots and mmap-less platforms
-	// silently fall back to the copy read).
+	// platform allows it (mmap-less and big-endian hosts fall back to the
+	// copy read).
 	MMap bool
 	// MutateThreshold is the maximum fraction of vertices a mutation batch
 	// may touch and still take the incremental repair path; larger deltas
@@ -509,7 +505,7 @@ func (c *Catalog) runJob(name string) {
 		// Replay the accepted-mutation log so the rebuilt generation carries
 		// the graph's logical state, not the base source. The hierarchy is
 		// rebuilt from scratch afterwards (a snapshot-carried one matches the
-		// base graph, and the CH cache belongs to the base fingerprint).
+		// base graph).
 		base := g
 		for i, b := range deltas {
 			g2, _, aerr := mutate.Apply(g, b)
@@ -526,7 +522,7 @@ func (c *Catalog) runJob(name string) {
 			m = nil
 		}
 	} else if h == nil {
-		h = LoadOrBuildCH(g, src.CHCache, c.logf)
+		h = ch.BuildKruskal(g)
 	}
 	c.counters.C(cBuilds).Inc()
 

@@ -1,6 +1,8 @@
 package ch
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -315,6 +317,57 @@ func TestQuickConstructionsAgree(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Two builds of one graph must produce identical arrays, not merely
+// isomorphic trees: snapshot files are byte-compared across conversions.
+func TestBuildDeterministic(t *testing.T) {
+	g := gen.Random(400, 1600, 1<<10, gen.UWD, 8)
+	if a, b := BuildKruskal(g).Raw(), BuildKruskal(g).Raw(); !reflect.DeepEqual(a, b) {
+		t.Fatal("BuildKruskal nondeterministic")
+	}
+}
+
+// The next three pin the deep validation every snapshot read path runs
+// (FromRaw with deep set): arrays paired with a graph they were not built
+// for are refused here even when no stored fingerprint is there to catch it.
+
+func TestReadRejectsWrongGraph(t *testing.T) {
+	raw := BuildKruskal(gen.Random(200, 800, 256, gen.UWD, 3)).Raw()
+	// Different vertex count: the O(1) shape checks reject, deep or not.
+	other := gen.Random(100, 400, 256, gen.UWD, 3)
+	for _, deep := range []bool{false, true} {
+		if _, err := FromRaw(other, raw, deep); err == nil {
+			t.Fatalf("deep=%v: accepted hierarchy for a graph of different size", deep)
+		}
+	}
+}
+
+func TestReadRejectsFingerprintMismatch(t *testing.T) {
+	raw := BuildKruskal(gen.Random(200, 800, 256, gen.UWD, 3)).Raw()
+	// Same n and m, different content: every shape check passes, so the
+	// sampled separation check is what must trip.
+	sameSize := gen.Random(200, 800, 256, gen.UWD, 99)
+	_, err := FromRaw(sameSize, raw, true)
+	if err == nil || !strings.Contains(err.Error(), "does not match") {
+		t.Fatalf("want a does-not-match rejection, got %v", err)
+	}
+}
+
+func TestReadRejectsCrossComponentGraph(t *testing.T) {
+	// Hierarchy built for two separate components, then paired with a graph
+	// that joins them: the sampled edge check must reject, not panic.
+	b1 := graph.NewBuilder(4)
+	b1.MustAddEdge(0, 1, 2)
+	b1.MustAddEdge(2, 3, 2)
+	raw := BuildKruskal(b1.Build()).Raw()
+	b2 := graph.NewBuilder(4)
+	b2.MustAddEdge(0, 1, 2)
+	b2.MustAddEdge(2, 3, 2)
+	b2.MustAddEdge(1, 2, 2) // crosses the stored components... same sizes
+	if _, err := FromRaw(b2.Build(), raw, true); err == nil {
+		t.Fatal("accepted hierarchy whose components the graph bridges")
 	}
 }
 

@@ -26,5 +26,10 @@
 //
 // All three produce the identical hierarchy.
 //
+// A hierarchy is persisted only as part of an internal/snapshot file: Raw
+// exposes the flat arrays that format stores verbatim, and FromRaw rebuilds
+// a hierarchy over them (aliasing an mmap'd file without a decode pass),
+// refusing arrays that do not fit the graph they are paired with.
+//
 // See DESIGN.md §3 ("System inventory") for how this package fits the system.
 package ch

@@ -36,11 +36,12 @@ func (h *Hierarchy) Raw() Raw {
 //
 // Shape checks (array lengths against each other and g, root bounds, child
 // array bookends) always run in O(1). With deep set, the full load-time
-// validation of ReadFrom also runs: childStart monotonicity, ValidateStructure
-// (tree shape, levels, vertex counts — O(nodes)), and a deterministic sample
-// of edge separation properties. Callers may pass deep=false only for arrays
-// whose bytes a checksum proves identical to a previously deep-validated
-// load, mirroring graph.FromCSRTrusted's contract.
+// validation also runs: childStart monotonicity, ValidateStructure (tree
+// shape, levels, vertex counts — O(nodes)), and a deterministic sample of
+// edge separation properties, which is what refuses arrays paired with the
+// wrong graph; run Validate for the full O(m log C) cross-check. Callers may
+// pass deep=false only for arrays whose bytes a checksum proves identical to
+// a previously deep-validated load, mirroring graph.FromCSRTrusted's contract.
 func FromRaw(g *graph.Graph, r Raw, deep bool) (*Hierarchy, error) {
 	n := g.NumVertices()
 	nodes := len(r.Level)
@@ -96,4 +97,31 @@ func FromRaw(g *graph.Graph, r Raw, deep bool) (*Hierarchy, error) {
 		}
 	}
 	return h, nil
+}
+
+// sampleEdgeCheck verifies the separation property on up to limit edges,
+// spread deterministically across the vertex range.
+func (h *Hierarchy) sampleEdgeCheck(limit int) error {
+	n := h.g.NumVertices()
+	if n == 0 {
+		return nil
+	}
+	step := n/limit + 1
+	checked := 0
+	for v := 0; v < n && checked < limit; v += step {
+		ts, ws := h.g.Neighbors(int32(v))
+		for k, u := range ts {
+			if u == int32(v) {
+				continue
+			}
+			if err := h.CheckEdge(int32(v), u, ws[k]); err != nil {
+				return err
+			}
+			checked++
+			if checked >= limit {
+				break
+			}
+		}
+	}
+	return nil
 }

@@ -78,7 +78,7 @@ func (h *Hierarchy) CheckEdge(v, u int32, w uint32) error {
 }
 
 // ValidateStructure checks the O(nodes) invariants only (tree shape, levels,
-// vertex counts) without the connected-components cross-check; ReadFrom uses
+// vertex counts) without the connected-components cross-check; FromRaw uses
 // it together with edge sampling for fast loads.
 func (h *Hierarchy) ValidateStructure() error {
 	n := h.g.NumVertices()

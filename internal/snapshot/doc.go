@@ -1,11 +1,12 @@
 // Package snapshot persists a (graph, Component Hierarchy) pair as one
 // versioned binary artifact — the compiled form of an instance in the serving
 // stack. The paper's pipeline is two-phase (build the hierarchy once, answer
-// many queries); a snapshot makes the first phase a one-time compile step.
-// Format v2 goes further: its graph section is laid out byte-for-byte as the
-// in-memory CSR arrays, page-aligned, so Map can mmap the file and serve the
-// arrays zero-copy — load is a page mapping plus validation, and resident
-// graphs cost page cache instead of heap.
+// many queries); a snapshot makes the first phase a one-time compile step,
+// and it is the only persisted form of the pair: gengraph -snap writes one
+// from a generator or (with -in) from a DIMACS file. The graph section is
+// laid out byte-for-byte as the in-memory CSR arrays, page-aligned, so Map
+// can mmap the file and serve the arrays zero-copy — load is a page mapping
+// plus validation, and resident graphs cost page cache instead of heap.
 //
 // # Format v2 (all little-endian)
 //
@@ -53,7 +54,7 @@
 //
 // # Read paths
 //
-// Map (v2 only) mmaps the file and hands out graph/hierarchy arrays aliasing
+// Map mmaps the file and hands out graph/hierarchy arrays aliasing
 // the mapping via unsafe.Slice. The first Map of a file verifies everything —
 // header CRC and geometry, zero padding, both section CRCs, the O(n+m) CSR
 // validation scan, structural hierarchy checks — then records the file's
@@ -61,25 +62,22 @@
 // same unchanged file skips straight to O(1) shape checks. The returned
 // Mapping owns the mapped bytes and must outlive the graph.
 //
-// Read/ReadFile decode either version into fresh heap arrays (the fallback
-// for v1 files and platforms without mmap). Declared section lengths are
-// bounded by the remaining file size — or read chunk-by-chunk when the size
-// is unknown — so a corrupt header cannot force a giant allocation, and a
-// header vertex count above MaxInt32 is rejected outright.
+// Read/ReadFile decode into fresh heap arrays (the fallback for platforms
+// without mmap and big-endian hosts). Declared section lengths are bounded by
+// the remaining file size — or read chunk-by-chunk when the size is unknown —
+// so a corrupt header cannot force a giant allocation, and a header vertex
+// count above MaxInt32 is rejected outright.
 //
-// # Format v1 (legacy, read-only in practice)
+// Both sections are independently checksummed, so corruption is localized in
+// error reports and detected before any derived structure is built. The
+// leading fingerprint identifies the instance without reading the arrays
+// (ReadFingerprint) and is cross-checked against the decoded graph.
 //
-// The same 32-byte header prefix (version 1, no fields past fpCRC), then two
-// framed sections, each tag[4] + length uint64 + payload + crc uint64: tag
-// "GRPH" (n uint32, arcs uint64, then the three CSR arrays) and tag "CHIE"
-// (the ch.WriteTo byte stream, which carries its own fingerprint binding).
-// v1 payloads are unaligned, so Map refuses them with ErrNotMappable;
-// WriteV1 remains available for migration tests and benchmarks.
+// # Format v1 (removed)
 //
-// Every section in both formats is independently checksummed, so corruption
-// is localized in error reports and detected before any derived structure is
-// built. The leading fingerprint identifies the instance without reading the
-// arrays (ReadFingerprint) and is cross-checked against the decoded graph.
+// v1 was a tagged stream sharing the first 32 header bytes (version 1, no
+// fields past fpCRC). Every entry point refuses it with ErrV1 on the strength
+// of that prefix alone, before reading or allocating anything else.
 //
 // See DESIGN.md §9 ("Graph catalog & snapshots") for how this package fits the system.
 package snapshot

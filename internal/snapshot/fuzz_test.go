@@ -55,28 +55,28 @@ func FuzzSnapshotRead(f *testing.F) {
 	})
 }
 
-// fuzzSeeds builds the structured starting points: valid v2 and v1 files,
-// their truncations, and degenerate prefixes. The committed corpus under
-// testdata/fuzz/FuzzSnapshotRead is generated from the same list (see
-// TestSeedFuzzCorpus), so plain `go test` replays it even without -fuzz.
+// fuzzSeeds builds the structured starting points: valid files, a v1 header
+// prefix with a tail (refused with ErrV1), their truncations, and degenerate
+// prefixes. The committed corpus under testdata/fuzz/FuzzSnapshotRead was
+// generated from this list (see TestSeedFuzzCorpus) while it still held
+// complete v1 files, which stay there as rejection seeds; plain `go test`
+// replays it even without -fuzz.
 func fuzzSeeds() [][]byte {
 	var seeds [][]byte
 	add := func(b []byte) { seeds = append(seeds, append([]byte(nil), b...)) }
 	for _, s := range []uint64{1, 2} {
 		g := gen.Random(60, 200, 32, gen.UWD, s)
 		h := ch.BuildKruskal(g)
-		var v2, v1 bytes.Buffer
+		var v2 bytes.Buffer
 		if _, err := Write(&v2, g, h); err != nil {
 			panic(err)
 		}
-		if _, err := WriteV1(&v1, g, h); err != nil {
-			panic(err)
-		}
+		v1 := append(v1Prefix(g.Fingerprint()), v2.Bytes()[pageAlign:]...)
 		add(v2.Bytes())
-		add(v1.Bytes())
+		add(v1)
 		add(v2.Bytes()[:headerSize])
 		add(v2.Bytes()[:v2.Len()/2])
-		add(v1.Bytes()[:v1.Len()/2])
+		add(v1[:prefixSize/2])
 	}
 	add(nil)
 	add(magic[:])

@@ -13,9 +13,9 @@ import (
 )
 
 // ErrNotMappable reports that a snapshot cannot be served zero-copy — the
-// file is the legacy v1 stream format, the platform has no mmap, or the host
-// byte order rules out aliasing the little-endian file bytes. Callers detect
-// it with errors.Is and fall back to the copy path (ReadFile).
+// platform has no mmap, or the host byte order rules out aliasing the
+// little-endian file bytes. Callers detect it with errors.Is and fall back to
+// the copy path (ReadFile).
 var ErrNotMappable = errors.New("snapshot: not mappable")
 
 var isLittleEndian = func() bool {
@@ -102,7 +102,7 @@ func verifiedStore(k vkey, crc uint64) {
 	verified[k] = crc
 }
 
-// Map opens a v2 snapshot zero-copy: the file is mmap'd and the returned
+// Map opens a snapshot zero-copy: the file is mmap'd and the returned
 // graph and hierarchy arrays alias the mapping directly, so load cost is a
 // page mapping plus validation instead of a full decode-and-copy, and the
 // arrays are backed by page cache rather than heap.
@@ -114,9 +114,9 @@ func verifiedStore(k vkey, crc uint64) {
 // the same unchanged file — the common case across catalog reloads and
 // process restarts within one run — is O(1) validation on top of the mmap.
 //
-// Files the zero-copy path cannot serve (v1 snapshots, platforms without
-// mmap, big-endian hosts) fail with an error matching ErrNotMappable;
-// callers then fall back to ReadFile. On success the caller owns the
+// Hosts the zero-copy path cannot serve (platforms without mmap, big-endian
+// byte order) fail with an error matching ErrNotMappable; callers then fall
+// back to ReadFile. On success the caller owns the
 // returned Mapping and must keep it open while the graph or hierarchy is in
 // use.
 func Map(path string) (*graph.Graph, *ch.Hierarchy, *Mapping, error) {
@@ -137,23 +137,23 @@ func Map(path string) (*graph.Graph, *ch.Hierarchy, *Mapping, error) {
 		return nil, nil, nil, err
 	}
 	size := fi.Size()
-	if size < headerSize {
-		return nil, nil, nil, fmt.Errorf("snapshot: %s: file too small to be a snapshot (%d bytes)", path, size)
-	}
 	if size != int64(int(size)) {
 		return nil, nil, nil, fmt.Errorf("%w: file size %d exceeds address space", ErrNotMappable, size)
 	}
 	var hbuf [headerSize]byte
-	if _, err := f.ReadAt(hbuf[:], 0); err != nil {
+	head := hbuf[:min(size, headerSize)]
+	if _, err := f.ReadAt(head, 0); err != nil {
 		return nil, nil, nil, fmt.Errorf("snapshot: read header: %w", err)
 	}
-	version, _, err := decodePrefix(hbuf[:32])
-	if err != nil {
-		return nil, nil, nil, err
+	// The prefix is judged before the size: a v1 file can be shorter than a
+	// v2 header and must still get ErrV1.
+	if len(head) >= prefixSize {
+		if _, err := decodePrefix(head[:prefixSize]); err != nil {
+			return nil, nil, nil, err
+		}
 	}
-	if version == 1 {
-		return nil, nil, nil, fmt.Errorf("%w: %s is a v1 snapshot (rewrite it with gengraph -snap for zero-copy serving)",
-			ErrNotMappable, path)
+	if len(head) < headerSize {
+		return nil, nil, nil, fmt.Errorf("snapshot: %s: file too small to be a snapshot (%d bytes)", path, size)
 	}
 	hd, err := decodeV2Header(hbuf[:])
 	if err != nil {

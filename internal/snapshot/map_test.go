@@ -99,27 +99,18 @@ func TestMapRoundTrip(t *testing.T) {
 	}
 }
 
+// Map must refuse a v1 file with ErrV1 and not ErrNotMappable: the copy-read
+// fallback that error sends callers to can no longer succeed.
 func TestMapRefusesV1(t *testing.T) {
 	requireMmap(t)
-	g, h := buildPair(t, gen.Random(100, 400, 16, gen.UWD, 3))
-	path := filepath.Join(t.TempDir(), "v1.snap")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := WriteV1(f, g, h); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, _, _, err = Map(path)
-	if !errors.Is(err, ErrNotMappable) {
-		t.Fatalf("Map(v1) = %v, want ErrNotMappable", err)
-	}
-	// The fallback the catalog takes must work on the same file.
-	if _, _, err := ReadFile(path); err != nil {
-		t.Fatalf("ReadFile(v1) fallback: %v", err)
+	for name, data := range v1Files() {
+		path := filepath.Join(t.TempDir(), "v1.snap")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := Map(path); !errors.Is(err, ErrV1) || errors.Is(err, ErrNotMappable) {
+			t.Errorf("%s: Map = %v, want ErrV1 and not ErrNotMappable", name, err)
+		}
 	}
 }
 

@@ -19,11 +19,10 @@ import (
 var magic = [8]byte{'S', 'S', 'S', 'P', 'S', 'N', 'A', 'P'}
 
 const (
-	// Version is the snapshot format version Write emits. Read also accepts
-	// the legacy v1 stream format (see legacy.go); only v2 files can be
-	// served zero-copy via Map.
+	// Version is the one snapshot format version written and read.
 	Version = 2
 
+	prefixSize     = 32
 	headerSize     = 96
 	pageAlign      = 4096
 	chieHeaderSize = 40
@@ -35,6 +34,11 @@ const (
 )
 
 var crcTab = crc64.MakeTable(crc64.ECMA)
+
+// ErrV1 is returned by every entry point (Read, ReadFile, Map,
+// ReadFingerprint) for a file whose header declares the removed v1 stream
+// format, before any section is read or allocated.
+var ErrV1 = errors.New("snapshot: format v1 is no longer supported; regenerate with gengraph -snap")
 
 // v2Header is the decoded fixed-size v2 file header. The graph section's
 // payload is exactly the byte string the graph fingerprint hashes (offsets,
@@ -79,12 +83,9 @@ func decodeV2Header(b []byte) (*v2Header, error) {
 	if sum := crc64.Checksum(b[:88], crcTab); sum != stored {
 		return nil, errors.New("snapshot: header checksum mismatch (corrupted file)")
 	}
-	version, fp, err := decodePrefix(b[:32])
+	fp, err := decodePrefix(b[:prefixSize])
 	if err != nil {
 		return nil, err
-	}
-	if version != Version {
-		return nil, fmt.Errorf("snapshot: v2 decoder handed version %d", version)
 	}
 	return &v2Header{
 		fp:        fp,
@@ -221,79 +222,68 @@ func encodeChie(r ch.Raw, leaves int, fp graph.Fingerprint) []byte {
 	return b
 }
 
-// decodePrefix parses the 32-byte header prefix shared by v1 and v2: magic,
-// version, and the graph fingerprint. A vertex count above MaxInt32 is
-// rejected here — narrowing it silently used to hand negative vertex counts
-// to everything downstream.
-func decodePrefix(b []byte) (uint32, graph.Fingerprint, error) {
+// decodePrefix parses the 32-byte header prefix: magic, version, and the
+// graph fingerprint. The prefix is decoded on its own, ahead of the rest of
+// the header, so that a v1 file — whose header ends here — is refused with
+// ErrV1 rather than as a short or corrupt v2 header. A vertex count above
+// MaxInt32 is rejected here — narrowing it silently used to hand negative
+// vertex counts to everything downstream.
+func decodePrefix(b []byte) (graph.Fingerprint, error) {
 	le := binary.LittleEndian
 	var m [8]byte
 	copy(m[:], b[:8])
 	if m != magic {
-		return 0, graph.Fingerprint{}, errors.New("snapshot: not a snapshot file (bad magic)")
+		return graph.Fingerprint{}, errors.New("snapshot: not a snapshot file (bad magic)")
 	}
-	version := le.Uint32(b[8:])
-	if version != 1 && version != Version {
-		return 0, graph.Fingerprint{}, fmt.Errorf("snapshot: unsupported version %d (want 1 or %d)", version, Version)
+	switch version := le.Uint32(b[8:]); version {
+	case Version:
+	case 1:
+		return graph.Fingerprint{}, ErrV1
+	default:
+		return graph.Fingerprint{}, fmt.Errorf("snapshot: unsupported version %d (want %d)", version, Version)
 	}
 	n := le.Uint32(b[12:])
 	if n > math.MaxInt32 {
-		return 0, graph.Fingerprint{}, fmt.Errorf("snapshot: header vertex count %d exceeds int32 (corrupt header)", n)
+		return graph.Fingerprint{}, fmt.Errorf("snapshot: header vertex count %d exceeds int32 (corrupt header)", n)
 	}
 	fm := le.Uint64(b[16:])
 	if fm > math.MaxInt64 {
-		return 0, graph.Fingerprint{}, fmt.Errorf("snapshot: header edge count %d exceeds int64 (corrupt header)", fm)
+		return graph.Fingerprint{}, fmt.Errorf("snapshot: header edge count %d exceeds int64 (corrupt header)", fm)
 	}
-	return version, graph.Fingerprint{N: int32(n), M: int64(fm), CRC: le.Uint64(b[24:])}, nil
+	return graph.Fingerprint{N: int32(n), M: int64(fm), CRC: le.Uint64(b[24:])}, nil
 }
 
 // ReadFingerprint decodes only the header prefix, identifying the stored
-// instance without loading the arrays. It accepts both format versions.
+// instance without loading the arrays.
 func ReadFingerprint(r io.Reader) (graph.Fingerprint, error) {
-	var prefix [32]byte
+	var prefix [prefixSize]byte
 	if _, err := io.ReadFull(r, prefix[:]); err != nil {
 		return graph.Fingerprint{}, fmt.Errorf("snapshot: read header: %w", err)
 	}
-	_, fp, err := decodePrefix(prefix[:])
-	return fp, err
+	return decodePrefix(prefix[:])
 }
 
-// Read decodes a snapshot (either format version) into freshly allocated
-// arrays. Both section checksums are verified before any structure is built,
-// the header fingerprint's counts must match the decoded arrays, and the
-// hierarchy is validated against the decoded graph — so a corrupted or
-// truncated file, or sections spliced from two different snapshots, is
-// refused rather than served. For mapped, zero-copy loading of v2 files use
-// Map instead.
+// Read decodes a snapshot into freshly allocated arrays. Both section
+// checksums are verified before any structure is built, the header
+// fingerprint's counts must match the decoded arrays, and the hierarchy is
+// validated against the decoded graph — so a corrupted or truncated file, or
+// sections spliced from two different snapshots, is refused rather than
+// served. For mapped, zero-copy loading use Map instead.
 func Read(r io.Reader) (*graph.Graph, *ch.Hierarchy, error) {
 	return readWithSize(r, -1)
 }
 
 func readWithSize(r io.Reader, fileSize int64) (*graph.Graph, *ch.Hierarchy, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
-	var prefix [32]byte
-	if _, err := io.ReadFull(br, prefix[:]); err != nil {
+	var hbuf [headerSize]byte
+	if _, err := io.ReadFull(br, hbuf[:prefixSize]); err != nil {
 		return nil, nil, fmt.Errorf("snapshot: read header: %w", err)
 	}
-	version, fp, err := decodePrefix(prefix[:])
-	if err != nil {
+	if _, err := decodePrefix(hbuf[:prefixSize]); err != nil {
 		return nil, nil, err
 	}
-	if version == 1 {
-		rem := int64(-1)
-		if fileSize >= 0 {
-			rem = fileSize - 32
-		}
-		return readV1(br, fp, rem)
-	}
-	return readV2(br, prefix, fileSize)
-}
-
-func readV2(br *bufio.Reader, prefix [32]byte, fileSize int64) (*graph.Graph, *ch.Hierarchy, error) {
-	var hbuf [headerSize]byte
-	copy(hbuf[:32], prefix[:])
-	if _, err := io.ReadFull(br, hbuf[32:]); err != nil {
-		return nil, nil, fmt.Errorf("snapshot: read v2 header: %w", err)
+	if _, err := io.ReadFull(br, hbuf[prefixSize:]); err != nil {
+		return nil, nil, fmt.Errorf("snapshot: read header: %w", err)
 	}
 	hd, err := decodeV2Header(hbuf[:])
 	if err != nil {

@@ -48,6 +48,7 @@ import (
 	"repro/internal/mlb"
 	"repro/internal/mta"
 	"repro/internal/par"
+	"repro/internal/snapshot"
 	"repro/internal/verify"
 )
 
@@ -266,17 +267,18 @@ func ShortestPath(dist []int64, parent []int32, v int32) []int32 {
 	return verify.Path(dist, parent, v)
 }
 
-// SaveHierarchy persists a Component Hierarchy in the compact binary format
-// (checksummed), so the expensive preprocessing can be reused across runs.
-func SaveHierarchy(w io.Writer, h *Hierarchy) error {
-	_, err := h.WriteTo(w)
+// SaveSnapshot persists g and its Component Hierarchy h as one checksummed
+// binary snapshot, so the expensive preprocessing can be reused across runs.
+// h must have been built for g.
+func SaveSnapshot(w io.Writer, g *Graph, h *Hierarchy) error {
+	_, err := snapshot.Write(w, g, h)
 	return err
 }
 
-// LoadHierarchy restores a hierarchy for g, validating the checksum and every
-// structural invariant against the graph.
-func LoadHierarchy(r io.Reader, g *Graph) (*Hierarchy, error) {
-	return ch.ReadFrom(r, g)
+// LoadSnapshot restores a (graph, hierarchy) pair, validating both section
+// checksums and every structural invariant of the hierarchy against the graph.
+func LoadSnapshot(r io.Reader) (*Graph, *Hierarchy, error) {
+	return snapshot.Read(r)
 }
 
 // GeometricGraph generates a random geometric graph (points in the unit

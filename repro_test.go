@@ -165,18 +165,21 @@ func TestPublicAPIHierarchyPersistence(t *testing.T) {
 	g := RandomGraph(400, 1600, 1<<8, PWD, 3)
 	h := BuildHierarchy(g)
 	var buf bytes.Buffer
-	if err := SaveHierarchy(&buf, h); err != nil {
+	if err := SaveSnapshot(&buf, g, h); err != nil {
 		t.Fatal(err)
 	}
-	h2, err := LoadHierarchy(&buf, g)
+	g2, h2, err := LoadSnapshot(&buf)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if g2.Fingerprint() != g.Fingerprint() {
+		t.Fatal("loaded snapshot holds a different graph")
 	}
 	a := NewSolver(h, NewExecRuntime(2)).SSSP(0)
 	b := NewSolver(h2, NewExecRuntime(2)).SSSP(0)
 	for v := range a {
 		if a[v] != b[v] {
-			t.Fatalf("loaded hierarchy gives different distances at %d", v)
+			t.Fatalf("loaded snapshot gives different distances at %d", v)
 		}
 	}
 }
