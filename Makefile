@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-build bench-engine bench-catalog bench-trace bench-serve bench-serve-smoke bench-router bench-mutate bench-costmodel check docs-check stress fuzz experiments examples clean
+.PHONY: all build vet test race bench bench-build bench-engine bench-catalog bench-trace bench-serve bench-serve-smoke bench-router bench-mutate bench-costmodel check docs-check stress fuzz experiments sim-csv-check examples clean
 
 all: build vet test
 
@@ -149,6 +149,18 @@ fuzz:
 # Regenerate every table and figure of the paper at the default scale.
 experiments:
 	$(GO) run ./cmd/experiments -all -csv results/csv | tee results/experiments-logn16.txt
+
+# The committed tables that do not depend on the clock — simulated MTA-2
+# cycles, counts and sizes — must regenerate byte-identical: the sim-mode
+# kernels under them are frozen (DESIGN.md §5, decisions 9 and 11). Every
+# experiment is regenerated into a temporary directory and compared with
+# results/csv, except the four files that hold wall-clock timings and differ
+# between any two runs.
+sim-csv-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/experiments -all -csv "$$tmp" >/dev/null && \
+	diff -r -x table1.csv -x ablation-buckets.csv -x ablation-ch.csv -x portfolio.csv results/csv "$$tmp" && \
+	echo "sim-csv-check: results/csv regenerates byte-identical"
 
 examples:
 	$(GO) run ./examples/quickstart

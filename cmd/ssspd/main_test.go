@@ -22,6 +22,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/mta"
 	"repro/internal/par"
 	"repro/internal/snapshot"
 )
@@ -108,6 +109,11 @@ func TestStatsInstanceBytesMatchesQuery(t *testing.T) {
 	defer release()
 	if want := core.NewSolver(gen1.H, par.NewExec(1)).Query().InstanceBytes(); stats.InstanceBytes != want {
 		t.Fatalf("instanceBytes %d, want %d", stats.InstanceBytes, want)
+	}
+	// The daemon runs the exec kernel, so it must not report the (larger)
+	// instance of the sim kernel that Table 2 prints.
+	if sim := core.NewSolver(gen1.H, par.NewSim(mta.MTA2(1))).InstanceBytes(); stats.InstanceBytes >= sim {
+		t.Fatalf("instanceBytes %d is not below the sim kernel's %d", stats.InstanceBytes, sim)
 	}
 }
 

@@ -1,0 +1,232 @@
+package core
+
+import (
+	"repro/internal/ch"
+	"repro/internal/graph"
+)
+
+// execNode is the per-query state of one internal CH node.
+type execNode struct {
+	// next collects, while the node is being visited, the least minD among
+	// its live children that are not in the bucket being emptied: the value
+	// its own minD takes when that bucket is done. Outside a visit it holds
+	// nothing anyone reads.
+	next int64
+	live int32 // children not yet fully settled, reached or not
+	cnt  int32 // length of the node's active list
+}
+
+const execNodeBytes = 16 // size of an execNode
+
+// execState is the per-query state of the kernel a real runtime takes: one
+// goroutine, plain loads and stores on flat arrays, no closures, no runtime
+// calls, nothing allocated once it exists. It differs from the paper's
+// formulation (sim.go) in three places, each the cache-machine side of a
+// trade the paper made for 5,120 hardware streams:
+//
+//   - A leaf has one word. minD[:n] are the vertices' distances; there is no
+//     separate d array and no per-leaf settled flag (a relaxation cannot
+//     lower a settled vertex, whose distance is already exact).
+//   - Liveness is counted in children. live is decremented where a child is
+//     found settled — in its parent's scan — so settling a vertex walks no
+//     further up the tree than the recursion unwinds.
+//   - Buckets are found from lists, not scans. Node x keeps its reached,
+//     unsettled children in act[childStart[x-n]:][:cnt], appended to the
+//     first time a child's minD becomes finite and swap-compacted as children
+//     settle. One pass over that list empties the current bucket and yields
+//     the next bucket's start, where §3.2's virtual buckets scan every child
+//     once to find the bucket's members and again to advance.
+type execState struct {
+	h          *ch.Hierarchy
+	n          int32   // leaves; node x >= n is internal, with state node[x-n]
+	parent     []int32 // per CH node
+	childStart []int32 // per internal node, into act
+
+	// The graph's CSR.
+	offs []int64
+	tgts []int32
+	wts  []uint32
+
+	minD []int64    // per CH node; minD[:n] are the distances
+	node []execNode // per internal node
+	act  []int32    // per child link: the active lists
+
+	tr Trace // this run's counters, plain words
+}
+
+func newExecState(h *ch.Hierarchy) *execState {
+	raw, g := h.Raw(), h.Graph()
+	return &execState{
+		h:          h,
+		n:          int32(h.NumLeaves()),
+		parent:     raw.Parent,
+		childStart: raw.ChildStart,
+		offs:       g.AdjOffsets(),
+		tgts:       g.Targets(),
+		wts:        g.Weights(),
+		minD:       make([]int64, h.NumNodes()),
+		node:       make([]execNode, h.NumInternal()),
+		act:        make([]int32, h.NumChildLinks()),
+	}
+}
+
+// execBytes is the footprint of an execState's per-query arrays over h.
+func execBytes(h *ch.Hierarchy) int64 {
+	return int64(h.NumNodes())*8 + int64(h.NumInternal())*execNodeBytes + int64(h.NumChildLinks())*4
+}
+
+// bytes is the same footprint counted from the arrays held.
+func (st *execState) bytes() int64 {
+	return int64(len(st.minD))*8 + int64(len(st.node))*execNodeBytes + int64(len(st.act))*4
+}
+
+func (st *execState) dist() []int64 { return st.minD[:st.n:st.n] }
+
+func (st *execState) reset() {
+	clear(st.minD)
+	clear(st.node)
+	clear(st.act)
+	st.tr = Trace{}
+}
+
+// run is the traversal from validated sources on a non-empty hierarchy.
+func (st *execState) run(sources []int32) []int64 {
+	for i := range st.minD {
+		st.minD[i] = graph.Inf
+	}
+	for i := range st.node {
+		st.node[i] = execNode{live: st.childStart[i+1] - st.childStart[i]}
+	}
+	st.tr = Trace{}
+	for _, src := range sources {
+		// Every word on the path is Inf or, above where an earlier source's
+		// path joined it, already 0.
+		for x := src; x >= 0 && st.minD[x] != 0; x = st.parent[x] {
+			st.minD[x] = 0
+			if p := st.parent[x]; p >= 0 {
+				st.push(p, x)
+			}
+		}
+	}
+	if root := st.h.Root(); root < st.n {
+		st.settle(root) // a single vertex
+	} else {
+		st.visit(root, graph.Inf)
+	}
+	return st.dist()
+}
+
+// push appends child k, whose minD has just become finite, to p's active
+// list.
+func (st *execState) push(p, k int32) {
+	i := p - st.n
+	nd := &st.node[i]
+	st.act[st.childStart[i]+nd.cnt] = k
+	nd.cnt++
+}
+
+// visit empties buckets of internal node c, lowest first, while c's minimum
+// unsettled tentative distance stays below bound (the exclusive end of the
+// parent's current bucket). On return either c is fully settled (live == 0)
+// or minD[c] >= bound and is exact.
+//
+// While c is being visited minD[c] stays at the value that opened the
+// current bucket, a lower bound on every distance assigned beneath c in the
+// meantime. So a relaxation's walk up the tree (lower) always ends at or
+// below the lowest common ancestor of the settled vertex and the relaxed
+// one, and what it leaves there in next is exactly the news that ancestor's
+// scan cannot see for itself: a child already scanned, or not yet listed,
+// has come nearer.
+func (st *execState) visit(c int32, bound int64) {
+	ci := c - st.n
+	nd := &st.node[ci]
+	off := st.childStart[ci]
+	shift := st.h.Shift(c)
+	for nd.live > 0 {
+		m := st.minD[c]
+		if m >= bound {
+			return
+		}
+		// Children in [m, end) are in the lowest occupied bucket and safe to
+		// visit in any order: an edge between two children of c weighs at
+		// least 1<<shift, so nothing they relax in a sibling lands below end,
+		// and one pass leaves the bucket empty.
+		end := (m>>shift + 1) << shift
+		nd.next = graph.Inf
+		var scanned, taken int64
+		for i := int32(0); i < nd.cnt; scanned++ {
+			k := st.act[off+i]
+			mk := st.minD[k]
+			if mk < end {
+				taken++
+				settled := true
+				if k < st.n {
+					st.settle(k)
+				} else {
+					st.visit(k, end)
+					settled = st.node[k-st.n].live == 0
+					mk = st.minD[k]
+				}
+				if settled { // k's slot goes to the last entry, examined next
+					nd.cnt--
+					st.act[off+i] = st.act[off+nd.cnt]
+					nd.live--
+					continue
+				}
+			}
+			if mk < nd.next {
+				nd.next = mk
+			}
+			i++
+		}
+		st.tr.Gathers++
+		st.tr.GatherScanned += scanned
+		st.tr.GatherTaken += taken
+		if taken > st.tr.MaxTovisit {
+			st.tr.MaxTovisit = taken
+		}
+		if nd.live > 0 {
+			st.tr.BucketAdvances++
+		}
+		st.minD[c] = nd.next
+	}
+}
+
+// settle relaxes the edges of vertex v, whose distance is final.
+func (st *execState) settle(v int32) {
+	st.tr.Settled++
+	minD, tgts, wts := st.minD, st.tgts, st.wts
+	dv := minD[v]
+	for e, end := st.offs[v], st.offs[v+1]; e < end; e++ {
+		u := tgts[e]
+		if d := dv + int64(wts[e]); d < minD[u] {
+			st.lower(u, d)
+		}
+	}
+}
+
+// lower sets the distance of vertex u to d, which is below it, and carries d
+// up the tree while it lowers minD, listing each node whose minD was Inf in
+// its parent. The walk ends at the first ancestor already as low: a node
+// with a nearer vertex beneath it, or the node being visited that holds both
+// ends of the edge (see visit), where d goes into next. That ancestor is
+// never above the root, which is being visited for the whole run.
+func (st *execState) lower(u int32, d int64) {
+	x := u
+	minD, parent := st.minD, st.parent
+	hops := int64(0)
+	for d < minD[x] {
+		p := parent[x]
+		if minD[x] == graph.Inf {
+			st.push(p, x)
+		}
+		minD[x] = d
+		x = p
+		hops++
+	}
+	if nd := &st.node[x-st.n]; d < nd.next {
+		nd.next = d
+	}
+	st.tr.PropagationHops += hops
+	st.tr.Relaxations++
+}

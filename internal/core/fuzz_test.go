@@ -31,12 +31,17 @@ func decodeGraph(data []byte) (*graph.Graph, []byte) {
 // FuzzThorupVsDijkstra decodes arbitrary bytes into a small multigraph and
 // cross-checks every Thorup variant against Dijkstra. This hunts for CH or
 // traversal bugs on degenerate shapes the structured generators never emit.
+// pick names the source set: its low two bits give the size, 1 to 4, and five
+// bits apiece above them the sources (repeats allowed). The serving kernel
+// and the serial traversal run the whole set, and the kernel's invariants
+// are checked after it; the physical-bucket ablation is single-source and
+// runs the first.
 func FuzzThorupVsDijkstra(f *testing.F) {
-	f.Add([]byte{4, 0, 1, 1, 1, 2, 2, 2, 3, 4})
-	f.Add([]byte{2, 0, 0, 200})
-	f.Add([]byte{10})
-	f.Add([]byte{7, 0, 1, 255, 1, 2, 1, 2, 0, 128, 3, 3, 3})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add([]byte{4, 0, 1, 1, 1, 2, 2, 2, 3, 4}, uint32(0))
+	f.Add([]byte{2, 0, 0, 200}, uint32(0b00001_00000_01))
+	f.Add([]byte{10}, uint32(0b01001_00011_00011_00000_11))
+	f.Add([]byte{7, 0, 1, 255, 1, 2, 1, 2, 0, 128, 3, 3, 3}, uint32(0b00110_00101_00000_10))
+	f.Fuzz(func(t *testing.T, data []byte, pick uint32) {
 		if len(data) == 0 {
 			return
 		}
@@ -46,17 +51,29 @@ func FuzzThorupVsDijkstra(f *testing.F) {
 		if err := h.Validate(); err != nil {
 			t.Fatalf("hierarchy invalid: %v", err)
 		}
-		src := int32(0)
-		want := dijkstra.SSSP(g, src)
+		srcs := make([]int32, pick%4+1)
+		for i := range srcs {
+			srcs[i] = int32(pick>>(2+5*i)%32) % int32(n)
+		}
+		want := nearest(g, srcs)
+		q := NewSolver(h, par.NewExec(2)).Query()
 		for name, got := range map[string][]int64{
-			"serial":   SerialSSSP(h, src),
-			"physical": SerialSSSPPhysical(h, src),
-			"parallel": NewSolver(h, par.NewExec(2)).SSSP(src),
+			"serial": SerialSSSPFromSources(h, srcs),
+			"exec":   q.RunFromSources(srcs),
 		} {
 			for v := range want {
 				if got[v] != want[v] {
-					t.Fatalf("%s: d[%d]=%d, dijkstra %d (n=%d)", name, v, got[v], want[v], n)
+					t.Fatalf("%s srcs=%v: d[%d]=%d, dijkstra %d (n=%d)", name, srcs, v, got[v], want[v], n)
 				}
+			}
+		}
+		if err := q.CheckInvariants(); err != nil {
+			t.Fatalf("srcs=%v: %v", srcs, err)
+		}
+		want = dijkstra.SSSP(g, srcs[0])
+		for v, d := range SerialSSSPPhysical(h, srcs[0]) {
+			if d != want[v] {
+				t.Fatalf("physical src=%d: d[%d]=%d, dijkstra %d (n=%d)", srcs[0], v, d, want[v], n)
 			}
 		}
 	})

@@ -10,9 +10,24 @@ import (
 // Hierarchy after a completed Run/RunFromSources. It is an invariant hook for
 // differential harnesses (internal/stress): a traversal bug that happens to
 // produce plausible distances still tends to leave the bookkeeping arrays
-// inconsistent, and this check catches it without a reference solver.
+// inconsistent, and this check catches it without a reference solver. Each
+// kernel keeps different books, so each has its own list.
 //
-// Checked post-run invariants:
+// Exec kernel (exec.go), post-run:
+//
+//  1. Distances are in [0, Inf].
+//  2. Every active list is empty and every internal node's minD is Inf. A
+//     child that is live with a finite minD sits in its parent's list, and a
+//     list that is not empty keeps its owner's minD finite and the owner in
+//     its own parent's list, up to the root, whose visit does not end until
+//     its minD is Inf; so anything reached and left behind shows here.
+//  3. Child-count liveness drained exactly once: a node's live count equals
+//     the number of its children that are not fully settled — leaves still at
+//     Inf, internal nodes with a live count of their own.
+//  4. Components settle all-or-nothing: a real (non-virtual-root) CH node is
+//     internally connected, so its live count is 0 or all of its children.
+//
+// Sim kernel (sim.go), post-run:
 //
 //  1. Distances are in [0, Inf] and every leaf's settled flag matches its
 //     distance: unsettled == 0 iff the vertex was reached (dist < Inf).
@@ -20,20 +35,60 @@ import (
 //     that was never reached was never lowered.
 //  3. For every internal node, unsettled equals the number of unreachable
 //     leaves in its subtree (the counters drained exactly once per settle).
-//  4. Components settle all-or-nothing: a real (non-virtual-root) CH node is
-//     internally connected, so after a run its unsettled count is either 0
-//     or its full vertex count. A node that was never touched (fully
+//  4. Components settle all-or-nothing, as above in vertices: unsettled is 0
+//     or the full vertex count. A node that was never touched (fully
 //     unreachable) must still have minD == Inf.
 //
-// minD of settled internal nodes is deliberately unconstrained: the visit
-// loop exits on unsettled == 0 without a final refresh, so a stale finite
-// value there is normal.
+// There minD of settled internal nodes is deliberately unconstrained: the
+// visit loop exits on unsettled == 0 without a final refresh, so a stale
+// finite value is normal.
 func (q *Query) CheckInvariants() error {
-	h := q.s.h
-	n := h.NumLeaves()
-	if n == 0 {
+	if q.s.h.NumLeaves() == 0 {
 		return nil
 	}
+	if q.sim != nil {
+		return q.sim.checkInvariants()
+	}
+	return q.exec.checkInvariants()
+}
+
+func (st *execState) checkInvariants() error {
+	h := st.h
+	for v, d := range st.dist() {
+		if d < 0 || d > graph.Inf {
+			return fmt.Errorf("core: invariant: dist[%d] = %d out of [0, Inf]", v, d)
+		}
+	}
+	for i, nd := range st.node {
+		x := st.n + int32(i)
+		if nd.cnt != 0 {
+			return fmt.Errorf("core: invariant: node %d still lists %d reached children", x, nd.cnt)
+		}
+		if st.minD[x] != graph.Inf {
+			return fmt.Errorf("core: invariant: node %d minD %d not raised to Inf", x, st.minD[x])
+		}
+		children := h.Children(x)
+		var live int32
+		for _, k := range children {
+			if (k < st.n && st.minD[k] == graph.Inf) || (k >= st.n && st.node[k-st.n].live > 0) {
+				live++
+			}
+		}
+		if nd.live != live {
+			return fmt.Errorf("core: invariant: node %d live count %d, but %d unsettled children", x, nd.live, live)
+		}
+		virtual := h.HasVirtualRoot() && x == h.Root()
+		if !virtual && live != 0 && int(live) != len(children) {
+			return fmt.Errorf("core: invariant: component %d settled partially (%d of %d children live)",
+				x, live, len(children))
+		}
+	}
+	return nil
+}
+
+func (q *simState) checkInvariants() error {
+	h := q.s.h
+	n := h.NumLeaves()
 	nodes := h.NumNodes()
 	infUnder := make([]int32, nodes)
 	for v := 0; v < n; v++ {

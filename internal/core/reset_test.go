@@ -1,10 +1,12 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/ch"
 	"repro/internal/gen"
+	"repro/internal/mta"
 	"repro/internal/par"
 )
 
@@ -41,40 +43,33 @@ func TestQueryResetReuseMatchesFresh(t *testing.T) {
 }
 
 // Reset must restore exactly the zero state of a fresh allocation, trace
-// counters included.
+// counters included, whichever kernel's state the query holds.
 func TestQueryResetRestoresPristineState(t *testing.T) {
 	g := gen.Random(200, 800, 1<<8, gen.UWD, 5)
-	s := NewSolver(ch.BuildKruskal(g), par.NewExec(2))
+	h := ch.BuildKruskal(g)
+	for name, rt := range map[string]*par.Runtime{"exec": par.NewExec(2), "sim": par.NewSim(mta.MTA2(4))} {
+		s := NewSolver(h, rt)
+		q := s.Query()
+		tr := q.EnableTrace()
+		q.Run(7)
+		q.RunFromSources([]int32{1, 2, 3})
+		if tr.Settled == 0 {
+			t.Fatalf("%s: trace did not record the run", name)
+		}
+		q.Reset()
 
-	q := s.Query()
-	tr := q.EnableTrace()
-	q.Run(7)
-	if tr.Settled == 0 {
-		t.Fatal("trace did not record the run")
-	}
-	q.Reset()
-
-	fresh := s.Query()
-	check := func(name string, got, want []int64) {
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s[%d] = %d after Reset, fresh has %d", name, i, got[i], want[i])
+		fresh := s.Query()
+		if q.exec != nil {
+			if !reflect.DeepEqual(q.exec.minD, fresh.exec.minD) || !reflect.DeepEqual(q.exec.node, fresh.exec.node) ||
+				!reflect.DeepEqual(q.exec.act, fresh.exec.act) || q.exec.tr != (Trace{}) {
+				t.Fatalf("%s: state after Reset differs from a fresh query's", name)
 			}
+		} else if !reflect.DeepEqual(q.sim.dist, fresh.sim.dist) || !reflect.DeepEqual(q.sim.minD, fresh.sim.minD) ||
+			!reflect.DeepEqual(q.sim.unsettled, fresh.sim.unsettled) || !reflect.DeepEqual(q.sim.scratch, fresh.sim.scratch) {
+			t.Fatalf("%s: state after Reset differs from a fresh query's", name)
 		}
-	}
-	check("dist", q.dist, fresh.dist)
-	check("minD", q.minD, fresh.minD)
-	for i := range fresh.unsettled {
-		if q.unsettled[i] != fresh.unsettled[i] {
-			t.Fatalf("unsettled[%d] = %d after Reset, fresh has %d", i, q.unsettled[i], fresh.unsettled[i])
+		if *tr != (Trace{}) {
+			t.Fatalf("%s: trace not cleared by Reset: %+v", name, *tr)
 		}
-	}
-	for i := range fresh.scratch {
-		if q.scratch[i] != 0 {
-			t.Fatalf("scratch[%d] = %d after Reset, want 0", i, q.scratch[i])
-		}
-	}
-	if *tr != (Trace{}) {
-		t.Fatalf("trace not cleared by Reset: %+v", *tr)
 	}
 }

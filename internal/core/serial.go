@@ -5,12 +5,22 @@ import (
 	"repro/internal/graph"
 )
 
+// This file is the paper-faithful serial pair, not a serving kernel: Thorup's
+// traversal with the paper's virtual buckets (§3.2: a bucket's members are
+// found by scanning all children) and, beside it, with the physical bucket
+// lists the paper rejects. results/csv/table1.csv times the first against
+// the DIMACS reference solver and ablation-buckets.csv times the two against
+// each other, which is why both keep per-vertex unsettled counts, two words
+// per leaf and a fresh allocation per call; tests use them as references
+// written independently of the kernels in sim.go and exec.go. What ssspd
+// serves is exec.go.
+
 // SerialSSSP is a straightforward single-threaded implementation of Thorup's
 // algorithm over the Component Hierarchy, written independently of the
 // parallel solver: no atomics, recursion plus the virtual-bucket child scan.
 // It is the configuration measured in the paper's Table 1 (sequential Thorup
 // vs the DIMACS reference solver) and a differential-testing partner for the
-// parallel solver.
+// two kernels.
 func SerialSSSP(h *ch.Hierarchy, src int32) []int64 {
 	return SerialSSSPFromSources(h, []int32{src})
 }

@@ -2,39 +2,44 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/ch"
 	"repro/internal/mta"
 	"repro/internal/par"
 )
 
-// RunMany executes one SSSP query per source concurrently against the shared
-// Component Hierarchy — the paper's Figure 5 workload. Each query gets its
-// own state; they share the hierarchy, the graph, and the runtime's worker
-// pool. Results are indexed like sources.
+// RunMany executes one SSSP query per source against the shared Component
+// Hierarchy — the paper's Figure 5 workload — and returns the distance
+// vectors indexed like sources; no two alias. On a real runtime
+// min(rt.Workers(), len(sources)) goroutines each reuse one Query, taking
+// sources from a shared counter: the parallelism is across queries, none
+// inside one.
 //
-// With a sim-mode runtime the queries are executed sequentially (a sim
-// runtime is single-threaded by design); use SimultaneousCost to model their
-// co-scheduled makespan.
+// A sim-mode runtime has one worker, so its queries run one after another (a
+// sim runtime is single-threaded by design); use SimultaneousCost to model
+// their co-scheduled makespan.
 func (s *Solver) RunMany(sources []int32) [][]int64 {
 	out := make([][]int64, len(sources))
-	if s.rt.IsSim() {
-		for i, src := range sources {
-			q := s.Query()
-			q.Run(src)
-			out[i] = q.dist
-		}
+	if len(sources) == 0 || s.h.NumLeaves() == 0 {
 		return out
 	}
+	s.checkSources(sources) // on the caller's goroutine, where a panic can be recovered
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i, src := range sources {
+	for w := min(s.rt.Workers(), len(sources)); w > 0; w-- {
 		wg.Add(1)
-		go func(i int, src int32) {
+		go func() {
 			defer wg.Done()
 			q := s.Query()
-			q.Run(src)
-			out[i] = q.dist
-		}(i, src)
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(sources) {
+					return
+				}
+				out[i] = append([]int64(nil), q.Run(sources[i])...)
+			}
+		}()
 	}
 	wg.Wait()
 	return out
@@ -55,9 +60,7 @@ func SimultaneousCost(h *ch.Hierarchy, machine mta.Machine, sources []int32, opt
 	for i, src := range sources {
 		rt := par.NewSim(machine)
 		s := NewSolver(h, rt, opts...)
-		q := s.Query()
-		q.Run(src)
-		out[i] = q.dist
+		out[i] = s.SSSP(src)
 		costs[i] = rt.SimCost()
 	}
 	return machine.CoSchedule(costs), out

@@ -24,7 +24,7 @@ func (s *Solver) DistanceTable(sources, targets []int32) [][]int64 {
 // source's (weighted) eccentricity.
 func (q *Query) Eccentricity() int64 {
 	var max int64
-	for _, d := range q.dist {
+	for _, d := range q.Dist() {
 		if d < graph.Inf && d > max {
 			max = d
 		}
@@ -35,7 +35,7 @@ func (q *Query) Eccentricity() int64 {
 // Reached returns how many vertices the last Run reached.
 func (q *Query) Reached() int {
 	n := 0
-	for _, d := range q.dist {
+	for _, d := range q.Dist() {
 		if d < graph.Inf {
 			n++
 		}

@@ -2,15 +2,13 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/ch"
 	"repro/internal/graph"
-	"repro/internal/mta"
 	"repro/internal/par"
 )
 
-// Strategy selects how toVisit-set loops are parallelized.
+// Strategy selects how the sim kernel parallelizes toVisit-set loops.
 type Strategy int
 
 const (
@@ -32,7 +30,10 @@ func (s Strategy) String() string {
 	}
 }
 
-// Solver runs Thorup SSSP queries over a shared Component Hierarchy.
+// Solver runs Thorup SSSP queries over a shared Component Hierarchy. The
+// runtime's mode picks the kernel once, for every query the solver hands out:
+// a simulated runtime gets the cost-model kernel (sim.go), a real one the
+// serving kernel (exec.go). Both return the same distances.
 type Solver struct {
 	h          *ch.Hierarchy
 	rt         *par.Runtime
@@ -43,12 +44,14 @@ type Solver struct {
 // Option configures a Solver.
 type Option func(*Solver)
 
-// WithStrategy selects the toVisit strategy (default Selective).
+// WithStrategy selects the toVisit strategy (default Selective). Sim-only:
+// the exec kernel runs each query on one goroutine and has no such loops.
 func WithStrategy(s Strategy) Option {
 	return func(sv *Solver) { sv.strategy = s }
 }
 
 // WithThresholds overrides the selective-parallelization thresholds.
+// Sim-only, like WithStrategy.
 func WithThresholds(t par.Thresholds) Option {
 	return func(sv *Solver) { sv.thresholds = t }
 }
@@ -68,40 +71,45 @@ func (s *Solver) Hierarchy() *ch.Hierarchy { return s.h }
 // Query holds the per-query state of one SSSP computation. Queries are cheap
 // relative to the graph ("it is more memory efficient to allocate a new
 // instance of the CH than to create a copy of the entire graph", paper §5.2)
-// and reusable: Run resets all state.
+// and reusable: Run resets all state. A Query is not safe for concurrent
+// use; concurrency is across queries, each on its own goroutine.
 type Query struct {
-	s         *Solver
-	dist      []int64 // per vertex, atomic
-	minD      []int64 // per CH node, atomic
-	unsettled []int32 // per CH node: unsettled vertices in subtree, atomic
-	scratch   []int32 // per child link: toVisit build space, one region per node
-	trace     *Trace  // optional event counters, nil unless EnableTrace
+	s     *Solver
+	trace *Trace     // optional event counters, nil unless EnableTrace
+	exec  *execState // a real runtime's state, else nil
+	sim   *simState  // a simulated runtime's state, else nil
 }
 
-// Query allocates per-query state bound to this solver.
+// Query allocates per-query state bound to this solver: the state of the
+// kernel its runtime takes, and only that.
 func (s *Solver) Query() *Query {
-	nodes := s.h.NumNodes()
-	return &Query{
-		s:         s,
-		dist:      make([]int64, s.h.NumLeaves()),
-		minD:      make([]int64, nodes),
-		unsettled: make([]int32, nodes),
-		scratch:   make([]int32, s.h.NumChildLinks()),
+	q := &Query{s: s}
+	if s.rt.IsSim() {
+		q.sim = newSimState(s)
+	} else {
+		q.exec = newExecState(s.h)
 	}
+	return q
 }
 
-// InstanceBytes is the memory footprint of one query instance — the paper's
-// Table 2 "instance" column. It is a pure function of the hierarchy's
-// dimensions, so callers reporting it need not allocate a Query.
+// InstanceBytes is the memory footprint of one query instance on this
+// solver's runtime; on a simulated one it is the paper's Table 2 "instance"
+// column. It is a pure function of the hierarchy's dimensions, so callers
+// reporting it need not allocate a Query.
 func (s *Solver) InstanceBytes() int64 {
-	nodes := int64(s.h.NumNodes())
-	return int64(s.h.NumLeaves())*8 + nodes*8 + nodes*4 + int64(s.h.NumChildLinks())*4
+	if s.rt.IsSim() {
+		return simBytes(s.h)
+	}
+	return execBytes(s.h)
 }
 
-// InstanceBytes is the memory footprint of this query instance.
+// InstanceBytes is the memory footprint of this query instance, counted from
+// the arrays it holds.
 func (q *Query) InstanceBytes() int64 {
-	return int64(len(q.dist))*8 + int64(len(q.minD))*8 +
-		int64(len(q.unsettled))*4 + int64(len(q.scratch))*4
+	if q.sim != nil {
+		return q.sim.bytes()
+	}
+	return q.exec.bytes()
 }
 
 // SSSP is a convenience one-shot: build a query, run it, return distances.
@@ -110,10 +118,14 @@ func (s *Solver) SSSP(src int32) []int64 {
 }
 
 // EnableTrace turns on event counting for this query and returns the counter
-// block (reset on every Run). Tracing costs a few atomic increments per
-// event.
+// block (reset on every Run). The exec kernel always counts in plain
+// per-query words and copies them here when a run ends, so tracing costs it
+// nothing; the sim kernel pays a few atomic increments per event.
 func (q *Query) EnableTrace() *Trace {
 	q.trace = &Trace{}
+	if q.sim != nil {
+		q.sim.trace = q.trace
+	}
 	return q.trace
 }
 
@@ -122,18 +134,19 @@ func (q *Query) EnableTrace() *Trace {
 func (q *Query) Trace() *Trace { return q.trace }
 
 // Reset scrubs the query back to the state of a freshly allocated instance:
-// all distance, minD, unsettled, and scratch words zeroed, and any enabled
-// trace cleared (tracing itself stays on). Run resets everything it reads, so
-// Reset is not required between runs; it exists so pooled instances
-// (sync.Pool reuse in a serving layer) carry no residue of the previous
-// query across requests, and so tests can prove reuse is indistinguishable
-// from a fresh allocation. It runs serially and charges nothing to the
-// runtime, making it safe to call outside any parallel region.
+// every word of per-query state zeroed, and any enabled trace cleared
+// (tracing itself stays on). Run resets everything it reads, so Reset is not
+// required between runs; it exists so pooled instances (sync.Pool reuse in a
+// serving layer) carry no residue of the previous query across requests, and
+// so tests can prove reuse is indistinguishable from a fresh allocation. It
+// runs serially and charges nothing to the runtime, making it safe to call
+// outside any parallel region.
 func (q *Query) Reset() {
-	clear(q.dist)
-	clear(q.minD)
-	clear(q.unsettled)
-	clear(q.scratch)
+	if q.sim != nil {
+		q.sim.reset()
+	} else {
+		q.exec.reset()
+	}
 	if q.trace != nil {
 		*q.trace = Trace{}
 	}
@@ -151,42 +164,31 @@ func (q *Query) Run(src int32) []int64 {
 // by several distance-zero leaves. The returned slice aliases the query's
 // internal state and is valid until the next Run.
 func (q *Query) RunFromSources(sources []int32) []int64 {
-	s := q.s
-	h := s.h
-	n := h.NumLeaves()
-	if n == 0 {
-		return q.dist
+	if q.s.h.NumLeaves() == 0 {
+		return q.Dist()
 	}
+	q.s.checkSources(sources)
+	if q.sim != nil {
+		return q.sim.run(sources)
+	}
+	d := q.exec.run(sources)
+	if q.trace != nil {
+		*q.trace = q.exec.tr
+	}
+	return d
+}
+
+// checkSources panics unless sources is a non-empty set of vertex ids.
+func (s *Solver) checkSources(sources []int32) {
 	if len(sources) == 0 {
 		panic("core: no source vertices")
 	}
+	n := s.h.NumLeaves()
 	for _, src := range sources {
 		if src < 0 || int(src) >= n {
 			panic(fmt.Sprintf("core: source %d out of range [0,%d)", src, n))
 		}
 	}
-	rt := s.rt
-
-	// Reset.
-	rt.For(n, func(i int) { q.dist[i] = graph.Inf })
-	rt.For(h.NumNodes(), func(i int) {
-		q.minD[i] = graph.Inf
-		q.unsettled[i] = h.VertexCount(int32(i))
-	})
-	if q.trace != nil {
-		*q.trace = Trace{}
-	}
-
-	for _, src := range sources {
-		q.dist[src] = 0
-		for x := src; x >= 0; x = h.Parent(x) {
-			q.minD[x] = 0
-		}
-	}
-	rt.Charge(int64(h.MaxLevel()) * int64(len(sources)))
-
-	q.visit(h.Root(), graph.Inf)
-	return q.dist
 }
 
 // Parents derives shortest-path-tree parent pointers from the distances of
@@ -197,18 +199,19 @@ func (q *Query) Parents() []int32 {
 	h := q.s.h
 	g := h.Graph()
 	n := h.NumLeaves()
+	dist := q.Dist()
 	parent := make([]int32, n)
 	q.s.rt.For(n, func(vi int) {
 		v := int32(vi)
 		parent[v] = -1
-		dv := q.dist[v]
+		dv := dist[v]
 		if dv == graph.Inf || dv == 0 {
 			return
 		}
 		ts, ws := g.Neighbors(v)
 		q.s.rt.Charge(int64(len(ts)))
 		for i, u := range ts {
-			if u != v && q.dist[u]+int64(ws[i]) == dv {
+			if u != v && dist[u]+int64(ws[i]) == dv {
 				parent[v] = u
 				return
 			}
@@ -218,188 +221,9 @@ func (q *Query) Parents() []int32 {
 }
 
 // Dist returns the distance slice of the last Run.
-func (q *Query) Dist() []int64 { return q.dist }
-
-// visit processes component c while its minimum unsettled tentative distance
-// stays below bound (the exclusive end of the parent's current bucket). On
-// return, either the component is fully settled or minD(c) >= bound and the
-// stored minD is up to date.
-func (q *Query) visit(c int32, bound int64) {
-	h := q.s.h
-	if h.IsLeaf(c) {
-		q.visitLeaf(c)
-		return
+func (q *Query) Dist() []int64 {
+	if q.sim != nil {
+		return q.sim.dist
 	}
-	shift := h.Shift(c)
-	children := h.Children(c)
-	for {
-		if atomic.LoadInt32(&q.unsettled[c]) == 0 {
-			return
-		}
-		m := atomic.LoadInt64(&q.minD[c])
-		if m >= bound {
-			return
-		}
-		j := m >> shift
-		childBound := (j + 1) << shift
-
-		// Build the toVisit set: all children (virtually) in bucket j — the
-		// paper's Figure 3 loop, run with the configured strategy.
-		toVisit := q.gather(c, children, j, shift)
-		if q.trace != nil {
-			q.trace.addGather(len(children), len(toVisit))
-		}
-		if len(toVisit) == 0 {
-			// Bucket j exhausted: advance by recomputing minD from the
-			// children. If nothing is left below bound the caller takes over.
-			if q.trace != nil {
-				q.trace.addAdvance()
-			}
-			q.refreshMinD(c, children)
-			continue
-		}
-		// Visit everything in the lowest bucket, in parallel (safe by
-		// Thorup's Lemma: crossing edges weigh >= 2^shift, one full bucket).
-		// Child visits are spawned as lightweight threads (MTA futures), not
-		// team-forked loops: the set is often tiny but the bodies are whole
-		// subtree traversals.
-		q.s.rt.ForMode(mta.Futures, len(toVisit), func(i int) {
-			q.visit(toVisit[i], childBound)
-		})
-	}
-}
-
-// visitLeaf settles the vertex of leaf c and relaxes its edges.
-func (q *Query) visitLeaf(c int32) {
-	// Only one visitor can win the settle; concurrent duplicates back off.
-	if !atomic.CompareAndSwapInt32(&q.unsettled[c], 1, 0) {
-		return
-	}
-	if q.trace != nil {
-		q.trace.addSettled()
-	}
-	h := q.s.h
-	rt := q.s.rt
-	g := h.Graph()
-	v := c // leaf id == vertex id
-	dv := atomic.LoadInt64(&q.dist[v])
-	atomic.StoreInt64(&q.minD[c], graph.Inf)
-
-	// Account for the settled vertex up the tree.
-	for x := h.Parent(c); x >= 0; x = h.Parent(x) {
-		atomic.AddInt32(&q.unsettled[x], -1)
-	}
-
-	ts, ws := g.Neighbors(v)
-	rt.Charge(int64(len(ts)) * 3)
-	for i, u := range ts {
-		if u == v {
-			continue
-		}
-		if atomic.LoadInt32(&q.unsettled[u]) == 0 {
-			continue // already settled; its distance cannot improve
-		}
-		nd := dv + int64(ws[i])
-		if par.CASMin(&q.dist[u], nd) {
-			q.propagate(u, nd)
-		}
-	}
-}
-
-// propagate pushes a lowered leaf distance up the minD chain, stopping at the
-// first ancestor that is already at least as low (whoever lowered that
-// ancestor is responsible for the rest of the chain).
-func (q *Query) propagate(leaf int32, nd int64) {
-	h := q.s.h
-	hops := int64(0)
-	for x := leaf; x >= 0; x = h.Parent(x) {
-		if !par.CASMin(&q.minD[x], nd) {
-			break // plain read: CASMin only writes when improving
-		}
-		// A successful minD update on a component is the synchronized write
-		// the paper protects with a lock ("our implementation must lock the
-		// value of minD during an update", §3.2); contention is modelled per
-		// CH-node word. A leaf's minD is just its own d(v) — no shared lock.
-		if !h.IsLeaf(x) {
-			q.s.rt.ChargeContended(uint64(x))
-		}
-		hops++
-	}
-	q.s.rt.Charge(hops + 1)
-	if q.trace != nil {
-		q.trace.addRelax(hops)
-	}
-}
-
-// gather collects the children currently in bucket j (minD >> shift == j and
-// not fully settled) using the solver's strategy — the selective
-// parallelization of the paper's §3.3. The toVisit set is built in node c's
-// region of the query's flat scratch buffer instead of a fresh allocation:
-// the region is private to c (ChildOffset ranges are disjoint) and c's
-// gathers never overlap in time (a node is visited by one goroutine, and its
-// bucket loop is sequential), so the returned slice stays valid until c's
-// next gather — after its consumers have finished.
-func (q *Query) gather(c int32, children []int32, j int64, shift uint) []int32 {
-	out := q.scratch[q.s.h.ChildOffset(c):][:len(children)]
-	var cursor int64
-	q.forStrategy(len(children), func(i int) {
-		k := children[i]
-		q.s.rt.Charge(2)
-		if atomic.LoadInt32(&q.unsettled[k]) == 0 {
-			return
-		}
-		if atomic.LoadInt64(&q.minD[k])>>shift == j {
-			out[atomic.AddInt64(&cursor, 1)-1] = k
-		}
-	})
-	return out[:cursor]
-}
-
-// forStrategy runs a toVisit-shaped loop under the configured strategy.
-func (q *Query) forStrategy(n int, body func(i int)) {
-	switch q.s.strategy {
-	case Naive:
-		q.s.rt.ForMode(mta.MultiPar, n, body)
-	default:
-		q.s.rt.ForAuto(q.s.thresholds, n, body)
-	}
-}
-
-// refreshMinD recomputes minD(c) from the children, raising it at a quiescent
-// point. A rescan after the raise closes the race with concurrent CAS-min
-// decreases (decreases always update the child before the parent, so either
-// the rescan sees the lower child value or the decreaser's own parent update
-// lands after the raise).
-func (q *Query) refreshMinD(c int32, children []int32) {
-	rt := q.s.rt
-	scan := func() int64 {
-		min := graph.Inf
-		// The scan is itself a toVisit-shaped loop over the children.
-		var amin int64 = graph.Inf
-		q.forStrategy(len(children), func(i int) {
-			k := children[i]
-			rt.Charge(2)
-			if atomic.LoadInt32(&q.unsettled[k]) == 0 {
-				return
-			}
-			par.CASMin(&amin, atomic.LoadInt64(&q.minD[k]))
-		})
-		if amin < min {
-			min = amin
-		}
-		return min
-	}
-	for {
-		cur := atomic.LoadInt64(&q.minD[c])
-		newv := scan()
-		if newv <= cur {
-			return // already low enough; nothing to raise
-		}
-		if atomic.CompareAndSwapInt64(&q.minD[c], cur, newv) {
-			if again := scan(); again < newv {
-				par.CASMin(&q.minD[c], again)
-			}
-			return
-		}
-	}
+	return q.exec.dist()
 }

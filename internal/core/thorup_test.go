@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/cc"
 	"repro/internal/ch"
@@ -305,9 +306,20 @@ func BenchmarkThorupParallelExec(b *testing.B) {
 // with the footprint of an actually-allocated Query.
 func TestInstanceBytesArithmetic(t *testing.T) {
 	g := gen.Random(700, 2800, 1<<10, gen.UWD, 17)
-	s := NewSolver(ch.BuildKruskal(g), par.NewExec(2))
-	if got, want := s.InstanceBytes(), s.Query().InstanceBytes(); got != want {
-		t.Fatalf("Solver.InstanceBytes=%d, Query.InstanceBytes=%d", got, want)
+	h := ch.BuildKruskal(g)
+	exec, sim := NewSolver(h, par.NewExec(2)), NewSolver(h, par.NewSim(mta.MTA2(2)))
+	for name, s := range map[string]*Solver{"exec": exec, "sim": sim} {
+		if got, want := s.InstanceBytes(), s.Query().InstanceBytes(); got != want {
+			t.Errorf("%s: Solver.InstanceBytes=%d, Query.InstanceBytes=%d", name, got, want)
+		}
+	}
+	// Each mode reports what it allocates: one word per leaf and no toVisit
+	// scratch make the serving kernel's instance the smaller one.
+	if exec.InstanceBytes() >= sim.InstanceBytes() {
+		t.Errorf("exec instance %d bytes not below sim %d", exec.InstanceBytes(), sim.InstanceBytes())
+	}
+	if got := int64(unsafe.Sizeof(execNode{})); got != execNodeBytes {
+		t.Errorf("execNodeBytes = %d, an execNode is %d bytes", execNodeBytes, got)
 	}
 }
 

@@ -130,11 +130,13 @@ func (c Config) Table2() (*Table, error) {
 		g := in.Generate()
 		h := ch.BuildKruskal(g)
 		st := h.ComputeStats()
-		q := core.NewSolver(h, par.NewExec(1)).Query()
+		// The instance of the paper's formulation, which is the sim kernel's;
+		// the serving kernel's differs (DESIGN.md §5, decision 11).
+		instance := core.NewSolver(h, par.NewSim(mta.MTA2(c.Procs))).InstanceBytes()
 		t.AddRow(in.Name(),
 			st.Components,
 			fmt.Sprintf("%.2f", st.AvgChildren),
-			fmtBytes(q.InstanceBytes()),
+			fmtBytes(instance),
 			fmtBytes(st.CHBytes),
 			fmtBytes(g.MemoryBytes()))
 	}

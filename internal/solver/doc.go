@@ -3,9 +3,10 @@
 // stress testing, experiments, the CLI) can enumerate and run "all solvers"
 // without hard-coding each package's entry point.
 //
-// Six full solvers are registered — the parallel Thorup core, the serial
-// Thorup reference, Dijkstra, delta-stepping, Goldberg's multi-level buckets
-// and BFS — plus bidirectional Dijkstra as a point-to-point solver (it
+// Six full solvers are registered — the Thorup core (internal/core's kernel
+// for the instance's runtime), the serial Thorup reference, Dijkstra,
+// delta-stepping, Goldberg's multi-level buckets and BFS — plus
+// bidirectional Dijkstra as a point-to-point solver (it
 // computes one s-t distance, not a distance vector). Both Thorup variants
 // and delta-stepping take a source set in one run (NativeMultiSource); the
 // solvers that natively handle only a single source answer multi-source

@@ -14,10 +14,10 @@
 //     uniform weight scaling, vertex relabeling, edge splitting, and merging
 //     sources into one multi-source query (internal/stress/metamorphic.go).
 //   - structural: the Component Hierarchy passes ch.Validate after
-//     construction and core.Query.CheckInvariants after traversal, and
-//     concurrent queries over one shared hierarchy (the paper's Figure 5
-//     workload) reproduce the serial answers — run under -race by `make
-//     stress`.
+//     construction and core.Query.CheckInvariants after traversal by each
+//     of core's two kernels (which must also agree), and concurrent queries
+//     over one shared hierarchy (the paper's Figure 5 workload) reproduce
+//     the serial answers — run under -race by `make stress`.
 //   - engine: the query-execution plane (internal/engine) answers a
 //     concurrent mixed workload — singleflight races, cache hits, explicit
 //     solvers, batches — identically to Dijkstra (engine.go).

@@ -8,6 +8,7 @@ import (
 	"repro/internal/deltastep"
 	"repro/internal/dijkstra"
 	"repro/internal/graph"
+	"repro/internal/mta"
 	"repro/internal/mutate"
 	"repro/internal/par"
 	"repro/internal/rng"
@@ -216,11 +217,21 @@ func CheckInstance(cfg Config, rt *par.Runtime, name string, g *graph.Graph, sou
 		return nil // empty solver pool: nothing further to cross-check
 	}
 
-	// Thorup traversal invariants (minD/unsettled bookkeeping) after a run.
-	q := core.NewSolver(h, rt).Query()
-	q.RunFromSources(sources)
-	if err := q.CheckInvariants(); err != nil {
-		return fail("ch-traversal-invariant", "sources %v: %v", sources, err)
+	// Thorup traversal invariants after a run, for the serving kernel's books
+	// (active lists, child-count liveness) and the cost-model kernel's
+	// (per-vertex unsettled counts) alike; the two must also agree.
+	var exec []int64
+	for _, krt := range []*par.Runtime{rt, par.NewSim(mta.MTA2(8))} {
+		q := core.NewSolver(h, krt).Query()
+		d := q.RunFromSources(sources)
+		if err := q.CheckInvariants(); err != nil {
+			return fail("ch-traversal-invariant", "sources %v (sim=%v): %v", sources, krt.IsSim(), err)
+		}
+		if exec == nil {
+			exec = d
+		} else if v := firstDiff(d, exec); v >= 0 {
+			return fail("ch-traversal-kernels", "sources %v: sim d[%d] = %d, exec %d", sources, v, d[v], exec[v])
+		}
 	}
 
 	// Point-to-point solvers against the reference vector on sampled targets.
