@@ -102,14 +102,16 @@ bench-build:
 
 # Fast pre-merge gate: static checks, the documentation linter, the
 # out-of-module benchmark's build, the race detector over the concurrent
-# traversal core, the delta-stepping kernel and the runtime under it, the
-# query engine, the graph catalog and snapshot format, the tracing layer, the
-# daemon middleware, and the routing tier, and the seeded stress sweep.
+# traversal core, the delta-stepping kernel, the Dijkstra-family and BFS
+# kernels (source-set seeding) and the runtime under them, the query engine,
+# the graph catalog and snapshot format, the tracing layer, the daemon
+# middleware, and the routing tier, and the seeded stress sweep.
 check:
 	$(GO) vet ./...
 	$(MAKE) docs-check
 	$(MAKE) bench-build
 	$(GO) test -race ./internal/core/... ./internal/deltastep/... \
+		./internal/bfs/... ./internal/dijkstra/... ./internal/mlb/... \
 		./internal/par/... ./internal/engine/... \
 		./internal/catalog/... ./internal/snapshot/... ./internal/trace/... \
 		./internal/loadgen/... ./internal/router/... ./internal/mutate/... \

@@ -142,7 +142,7 @@ func TestWriteEngineBenchJSON(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cold := engine.New(in, engine.Config{DisablePool: true})
+	cold, _ := solver.ByName("dijkstra") // fresh state per query: the registry's Solve
 	pooled := engine.New(in, engine.Config{})
 	cached := engine.New(in, engine.Config{CacheEntries: 16})
 	query(cached, 17, "thorup") // warm the hot entry
@@ -150,7 +150,7 @@ func TestWriteEngineBenchJSON(t *testing.T) {
 	results := map[string]engineBenchResult{
 		"engine_cold_query": measure(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				query(cold, int32(i%g.NumVertices()), "dijkstra")
+				cold.Solve(in, []int32{int32(i % g.NumVertices())})
 			}
 		}),
 		"engine_pooled_query": measure(func(b *testing.B) {

@@ -9,16 +9,33 @@ import (
 
 // Serial computes BFS levels from src (-1 for unreachable vertices).
 func Serial(g *graph.Graph, src int32) []int32 {
-	n := g.NumVertices()
-	level := make([]int32, n)
+	return SerialFromSources(g, []int32{src})
+}
+
+// seed returns the level vector with every source at 0 and the rest at -1,
+// and the level-0 frontier: a duplicate source enters it once, and an empty
+// set (or graph) leaves it empty.
+func seed(g *graph.Graph, sources []int32) (level, frontier []int32) {
+	level = make([]int32, g.NumVertices())
 	for i := range level {
 		level[i] = -1
 	}
-	if n == 0 {
-		return level
+	if len(level) == 0 {
+		return level, nil
 	}
-	level[src] = 0
-	frontier := []int32{src}
+	for _, src := range sources {
+		if level[src] < 0 {
+			level[src] = 0
+			frontier = append(frontier, src)
+		}
+	}
+	return level, frontier
+}
+
+// SerialFromSources computes each vertex's BFS level from the nearest of
+// sources (in range; see seed) in one traversal.
+func SerialFromSources(g *graph.Graph, sources []int32) []int32 {
+	level, frontier := seed(g, sources)
 	for depth := int32(1); len(frontier) > 0; depth++ {
 		var next []int32
 		for _, v := range frontier {
@@ -38,16 +55,13 @@ func Serial(g *graph.Graph, src int32) []int32 {
 // Parallel computes the same levels with level-synchronous parallel frontier
 // expansion on the given runtime.
 func Parallel(rt *par.Runtime, g *graph.Graph, src int32) []int32 {
-	n := g.NumVertices()
-	level := make([]int32, n)
-	for i := range level {
-		level[i] = -1
-	}
-	if n == 0 {
-		return level
-	}
-	level[src] = 0
-	frontier := []int32{src}
+	return ParallelFromSources(rt, g, []int32{src})
+}
+
+// ParallelFromSources is SerialFromSources with level-synchronous parallel
+// frontier expansion on the given runtime.
+func ParallelFromSources(rt *par.Runtime, g *graph.Graph, sources []int32) []int32 {
+	level, frontier := seed(g, sources)
 	var next []int32
 	for depth := int32(1); len(frontier) > 0; depth++ {
 		// Size the output by the frontier's total degree, then compact with

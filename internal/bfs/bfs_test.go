@@ -72,6 +72,25 @@ func TestParallelMatchesSerial(t *testing.T) {
 				t.Errorf("graph %d %s: parallel BFS differs", gi, name)
 			}
 		}
+		// A source set (with a duplicate) is one traversal whose levels are
+		// the elementwise minimum of the single-source ones.
+		last := int32(g.NumVertices() - 1)
+		srcs := []int32{last / 2, 0, last, last / 2}
+		for _, s := range srcs[1:] {
+			for v, l := range Serial(g, s) {
+				if l >= 0 && (want[v] < 0 || l < want[v]) {
+					want[v] = l
+				}
+			}
+		}
+		if got := SerialFromSources(g, srcs); !sameLevels(got, want) {
+			t.Errorf("graph %d: multi-source serial BFS is not the min of single-source runs", gi)
+		}
+		for name, rt := range rts {
+			if got := ParallelFromSources(rt, g, srcs); !sameLevels(got, want) {
+				t.Errorf("graph %d %s: multi-source parallel BFS differs", gi, name)
+			}
+		}
 	}
 }
 

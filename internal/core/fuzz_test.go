@@ -32,10 +32,11 @@ func decodeGraph(data []byte) (*graph.Graph, []byte) {
 // cross-checks every Thorup variant against Dijkstra. This hunts for CH or
 // traversal bugs on degenerate shapes the structured generators never emit.
 // pick names the source set: its low two bits give the size, 1 to 4, and five
-// bits apiece above them the sources (repeats allowed). The serving kernel
-// and the serial traversal run the whole set, and the kernel's invariants
-// are checked after it; the physical-bucket ablation is single-source and
-// runs the first.
+// bits apiece above them the sources (repeats allowed). The serving kernel,
+// the serial traversal and Dijkstra seeded with every source run the whole
+// set against the minimum of single-source Dijkstra runs, and the kernel's
+// invariants are checked after it; the physical-bucket ablation is
+// single-source and runs the first.
 func FuzzThorupVsDijkstra(f *testing.F) {
 	f.Add([]byte{4, 0, 1, 1, 1, 2, 2, 2, 3, 4}, uint32(0))
 	f.Add([]byte{2, 0, 0, 200}, uint32(0b00001_00000_01))
@@ -58,8 +59,9 @@ func FuzzThorupVsDijkstra(f *testing.F) {
 		want := nearest(g, srcs)
 		q := NewSolver(h, par.NewExec(2)).Query()
 		for name, got := range map[string][]int64{
-			"serial": SerialSSSPFromSources(h, srcs),
-			"exec":   q.RunFromSources(srcs),
+			"serial":   SerialSSSPFromSources(h, srcs),
+			"exec":     q.RunFromSources(srcs),
+			"dijkstra": dijkstra.SSSPFromSources(g, srcs), // the seeded run vs the min of single-source runs
 		} {
 			for v := range want {
 				if got[v] != want[v] {

@@ -7,31 +7,13 @@ import (
 // SSSP computes single-source shortest path distances from src with a lazy
 // binary heap. Unreachable vertices get graph.Inf.
 func SSSP(g *graph.Graph, src int32) []int64 {
-	n := g.NumVertices()
-	dist := make([]int64, n)
-	for i := range dist {
-		dist[i] = graph.Inf
-	}
-	if n == 0 {
-		return dist
-	}
-	dist[src] = 0
-	h := lazyHeap{{v: src, d: 0}}
-	for len(h) > 0 {
-		top := h.pop()
-		if top.d > dist[top.v] {
-			continue // stale entry
-		}
-		ts, ws := g.Neighbors(top.v)
-		for i, u := range ts {
-			nd := top.d + int64(ws[i])
-			if nd < dist[u] {
-				dist[u] = nd
-				h.push(entry{v: u, d: nd})
-			}
-		}
-	}
-	return dist
+	return SSSPFromSources(g, []int32{src})
+}
+
+// SSSPFromSources computes, for every vertex, the distance to the nearest of
+// sources in one run on a fresh Scratch (see Scratch.SSSPFromSources).
+func SSSPFromSources(g *graph.Graph, sources []int32) []int64 {
+	return NewScratch().SSSPFromSources(g, sources)
 }
 
 // SSSPWithParents additionally returns the shortest-path tree: parent[v] is

@@ -17,10 +17,17 @@ type Scratch struct {
 // NewScratch returns an empty Scratch; buffers are grown on first use.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// SSSP computes the same distances as the package-level SSSP but reuses the
-// scratch buffers. The returned slice aliases the scratch state and is valid
-// until the next call.
+// SSSP is SSSPFromSources from the one source src.
 func (sc *Scratch) SSSP(g *graph.Graph, src int32) []int64 {
+	return sc.SSSPFromSources(g, []int32{src})
+}
+
+// SSSPFromSources computes, for every vertex, the distance to the nearest of
+// sources in one run: every source enters the heap at distance 0. Duplicate
+// sources are harmless; an empty set leaves every vertex at graph.Inf.
+// Sources must be in range. The returned slice aliases the scratch state and
+// is valid until the next call.
+func (sc *Scratch) SSSPFromSources(g *graph.Graph, sources []int32) []int64 {
 	n := g.NumVertices()
 	if cap(sc.dist) < n {
 		sc.dist = make([]int64, n)
@@ -33,8 +40,13 @@ func (sc *Scratch) SSSP(g *graph.Graph, src int32) []int64 {
 	if n == 0 {
 		return dist
 	}
-	dist[src] = 0
-	h := append(sc.heap[:0], entry{v: src, d: 0})
+	h := sc.heap[:0]
+	for _, src := range sources {
+		if dist[src] != 0 {
+			dist[src] = 0
+			h = append(h, entry{v: src}) // equal keys: any order is a heap
+		}
+	}
 	for len(h) > 0 {
 		top := h.pop()
 		if top.d > dist[top.v] {
@@ -54,7 +66,7 @@ func (sc *Scratch) SSSP(g *graph.Graph, src int32) []int64 {
 }
 
 // Reset scrubs the scratch so no distances leak to the next user across a
-// pool boundary. Not required between calls — SSSP reinitialises everything
+// pool boundary. Not required between calls — a run reinitialises everything
 // it reads.
 func (sc *Scratch) Reset() {
 	clear(sc.dist)

@@ -19,17 +19,14 @@ func benchInstance(b *testing.B) *solver.Instance {
 	return in
 }
 
-// Cold: every query allocates fresh solver state.
+// Cold: every query allocates fresh solver state — the registry's Solve.
 func BenchmarkEngineColdQuery(b *testing.B) {
-	e := New(benchInstance(b), Config{DisablePool: true})
-	ctx := context.Background()
+	in := benchInstance(b)
+	reg, _ := solver.ByName("thorup")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		src := int32(i % 4096)
-		if _, _, err := e.Query(ctx, Request{Sources: []int32{src}, Solver: "thorup"}); err != nil {
-			b.Fatal(err)
-		}
+		reg.Solve(in, []int32{int32(i % 4096)})
 	}
 }
 

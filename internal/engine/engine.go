@@ -11,8 +11,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/costmodel"
-	"repro/internal/deltastep"
-	"repro/internal/dijkstra"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/solver"
@@ -40,9 +38,6 @@ type Config struct {
 	// Solvers overrides the solver pool (default solver.All()). Tests and
 	// harnesses may append instrumented or fault-injected variants.
 	Solvers []solver.Solver
-	// DisablePool bypasses query-state reuse so every solve allocates fresh
-	// state — the benchmark baseline for measuring what pooling saves.
-	DisablePool bool
 	// KeyPrefix is prepended to every cache/singleflight key. A catalog
 	// serving several graphs (or several generations of one graph) sets this
 	// to "name@gen|" so results can never alias across instances even if
@@ -61,17 +56,10 @@ type Config struct {
 // Engine executes SSSP queries against one shared solver.Instance with
 // pooling, deduplication, caching, and batching. Safe for concurrent use.
 type Engine struct {
-	in       *solver.Instance
-	cfg      Config
-	solvers  []solver.Solver
-	core     *core.Solver // Thorup solver over the shared hierarchy
-	coreOnce sync.Once
-	delta    int64 // precomputed delta-stepping bucket width
-	unitW    bool  // all edge weights are 1 (BFS is exact)
-
-	qpool sync.Pool // *core.Query        (thorup)
-	dpool sync.Pool // *dijkstra.Scratch  (dijkstra)
-	spool sync.Pool // *deltastep.State   (delta)
+	in      *solver.Instance
+	cfg     Config
+	solvers []solver.Solver
+	exec    map[string]*pooled // per solver: its state pool and run count
 
 	cache  *lru
 	flight flightGroup
@@ -79,11 +67,25 @@ type Engine struct {
 	cost     *costmodel.Provider // may be nil (static policy only)
 	baseFeat costmodel.Features  // graph-level features; Sources set per query
 
-	counters   *obs.Group
-	solverRuns map[string]*obs.Counter
+	counters *obs.Group
 
 	traceAgg   core.Trace  // aggregate of pooled Thorup query traces
 	thorupRuns obs.Counter // Thorup runs folded into traceAgg
+}
+
+// pooled is how the engine executes one solver: a pool of the states its
+// registry entry constructs, and how many runs they have served.
+type pooled struct {
+	states sync.Pool // solver.State
+	runs   obs.Counter
+}
+
+// tracer is what a pooled state that keeps core.Trace phase counters (a
+// Thorup query) has beyond solver.State; the engine asks by type assertion,
+// so execution names no solver (DESIGN.md §5, decision 12).
+type tracer interface {
+	EnableTrace() *core.Trace
+	Trace() *core.Trace
 }
 
 // Counter names of Engine.Counters, in snapshot order.
@@ -113,43 +115,30 @@ func New(in *solver.Instance, cfg Config) *Engine {
 		in:      in,
 		cfg:     cfg,
 		solvers: solvers,
-		delta:   deltastep.DefaultDelta(in.G),
+		exec:    make(map[string]*pooled, len(solvers)),
 		counters: obs.NewGroup(cSolves, cDedupHits, cCacheHits, cCacheMisses,
 			cCacheEvictions, cBatchRequests, cBatchItems, cFullJSONBuilt, cFullBytesFromCache),
-		solverRuns: make(map[string]*obs.Counter, len(solvers)),
-		cost:       cfg.CostModel,
+		cost: cfg.CostModel,
 		baseFeat: costmodel.Features{
 			N:         in.G.NumVertices(),
 			M:         in.G.NumEdges(),
 			MaxWeight: in.G.MaxWeight(),
 		},
 	}
-	if bfs, ok := e.byName("bfs"); ok {
-		e.unitW = bfs.Applicable(in.G)
-	}
 	for _, s := range solvers {
-		e.solverRuns[s.Name] = &obs.Counter{}
+		p := &pooled{}
+		p.states.New = func() any {
+			st := s.NewState(in)
+			if t, ok := st.(tracer); ok {
+				t.EnableTrace()
+			}
+			return st
+		}
+		e.exec[s.Name] = p
 	}
 	e.cache = newLRU(cfg.CacheEntries, cfg.CacheBytes, e.counters.C(cCacheEvictions))
 	e.flight.calls = make(map[string]*flightCall)
-	e.qpool.New = func() any {
-		q := e.coreSolver().Query()
-		q.EnableTrace()
-		return q
-	}
-	e.dpool.New = func() any { return dijkstra.NewScratch() }
-	e.spool.New = func() any { return deltastep.NewState() }
 	return e
-}
-
-// coreSolver lazily creates the shared Thorup solver (building the hierarchy
-// on first use, exactly once). Safe for concurrent first use — pool New
-// functions may race here.
-func (e *Engine) coreSolver() *core.Solver {
-	e.coreOnce.Do(func() {
-		e.core = core.NewSolver(e.in.Hierarchy(), e.in.RT)
-	})
-	return e.core
 }
 
 func (e *Engine) byName(name string) (solver.Solver, bool) {
@@ -362,16 +351,16 @@ func (e *Engine) PredictCost(req Request) (solverName string, cost time.Duration
 	return name, d, ok, nil
 }
 
-// solve runs the named solver on the canonical source set with pooled state,
-// detaches the result, and caches it. parent is the singleflight leader's
-// trace position (nil when untraced): the execution is recorded as a "solve"
-// span with a nested "pool_checkout", annotated with the solver name, source
-// count, and — for Thorup — the solver-phase counters of core.Trace.
+// solve runs the named solver on the canonical source set — state checkout,
+// one run, detach, Reset, put back, cache: the same steps for every solver in
+// the pool. parent is the singleflight leader's trace position (nil when
+// untraced): the execution is recorded as a "solve" span with a nested
+// "pool_checkout", annotated with the solver name, source count, and — for a
+// tracer state — the solver-phase counters of core.Trace.
 func (e *Engine) solve(parent *trace.Span, name string, srcs []int32, key string) *Result {
 	e.counters.C(cSolves).Inc()
-	if c, ok := e.solverRuns[name]; ok {
-		c.Inc()
-	}
+	p := e.exec[name]
+	p.runs.Inc()
 	sp := parent.StartChild("solve")
 	sp.SetAttr("solver", name)
 	sp.SetAttr("sources", len(srcs))
@@ -384,76 +373,33 @@ func (e *Engine) solve(parent *trace.Span, name string, srcs []int32, key string
 		start := time.Now()
 		defer func() { e.cost.ObservePrediction(pred, time.Since(start)) }()
 	}
+	pc := sp.StartChild("pool_checkout")
+	st := p.states.Get().(solver.State)
+	pc.End()
 	res := &Result{Solver: name, e: e, key: key}
-	switch name {
-	case "thorup":
-		pc := sp.StartChild("pool_checkout")
-		q := e.qpool.Get().(*core.Query)
-		pc.End()
-		res.detach(q.RunFromSources(srcs))
-		if tr := q.Trace(); tr != nil {
-			snap := tr.Snapshot()
-			e.traceAgg.Merge(snap)
-			e.thorupRuns.Inc()
-			if sp != nil {
-				for k, v := range snap.AttrMap() {
-					sp.SetAttr(k, v)
-				}
+	res.detach(st.RunFromSources(srcs))
+	if t, ok := st.(tracer); ok {
+		snap := t.Trace().Snapshot()
+		e.traceAgg.Merge(snap)
+		e.thorupRuns.Inc()
+		if sp != nil {
+			for k, v := range snap.AttrMap() {
+				sp.SetAttr(k, v)
 			}
 		}
-		if !e.cfg.DisablePool {
-			q.Reset()
-			e.qpool.Put(q)
-		}
-	case "dijkstra":
-		pc := sp.StartChild("pool_checkout")
-		sc := e.dpool.Get().(*dijkstra.Scratch)
-		pc.End()
-		res.adopt(foldPooled(func(s int32) []int64 { return sc.SSSP(e.in.G, s) }, srcs))
-		if !e.cfg.DisablePool {
-			sc.Reset()
-			e.dpool.Put(sc)
-		}
-	case "delta":
-		pc := sp.StartChild("pool_checkout")
-		st := e.spool.Get().(*deltastep.State)
-		pc.End()
-		d, _ := st.RunFromSources(e.in.RT, e.in.G, srcs, e.delta)
-		res.detach(d)
-		if !e.cfg.DisablePool {
-			st.Reset()
-			e.spool.Put(st)
-		}
-	default:
-		// Registry solvers without a pooled fast path (thorup-serial, mlb,
-		// bfs) allocate per run; their Solve already returns detached state.
-		s, _ := e.byName(name)
-		if s.NeedsCH {
-			// Instance.Hierarchy memoizes without a lock; route the first
-			// build through the engine's once so concurrent queries don't
-			// race on it.
-			e.coreSolver()
-		}
-		res.adopt(s.Solve(e.in, srcs))
 	}
+	st.Reset()
+	p.states.Put(st)
 	e.cache.add(key, res)
 	return res
 }
 
-// detach copies a pooled solver's distance vector into the result and tallies
+// detach copies a pooled state's distance vector into the result and tallies
 // Reached and Eccentricity in the same pass.
 func (r *Result) detach(pooled []int64) {
 	r.Dist = make([]int64, len(pooled))
 	for v, d := range pooled {
 		r.Dist[v] = d
-		r.count(d)
-	}
-}
-
-// adopt takes a vector nothing else references as the result's own.
-func (r *Result) adopt(dist []int64) {
-	r.Dist = dist
-	for _, d := range dist {
 		r.count(d)
 	}
 }
@@ -467,24 +413,9 @@ func (r *Result) count(d int64) {
 	}
 }
 
-// foldPooled answers a multi-source query with a pooled single-source run:
-// the elementwise minimum over per-source labellings, detached from the
-// pooled buffer.
-func foldPooled(run func(src int32) []int64, srcs []int32) []int64 {
-	out := append([]int64(nil), run(srcs[0])...)
-	for _, s := range srcs[1:] {
-		for v, d := range run(s) {
-			if d < out[v] {
-				out[v] = d
-			}
-		}
-	}
-	return out
-}
-
 // InstanceBytes is the memory footprint of one Thorup query instance over
 // the shared hierarchy (arithmetic only; no allocation).
-func (e *Engine) InstanceBytes() int64 { return e.coreSolver().InstanceBytes() }
+func (e *Engine) InstanceBytes() int64 { return e.in.Thorup().InstanceBytes() }
 
 // Counter returns the named engine counter's value (see the c* constants'
 // snapshot names: "solves", "dedup_hits", "cache_hits", ...). Unknown names
@@ -493,9 +424,9 @@ func (e *Engine) Counter(name string) int64 { return e.counters.C(name).Value() 
 
 // SolverRuns returns how many executions each solver performed.
 func (e *Engine) SolverRuns() map[string]int64 {
-	out := make(map[string]int64, len(e.solverRuns))
-	for name, c := range e.solverRuns {
-		out[name] = c.Value()
+	out := make(map[string]int64, len(e.exec))
+	for name, p := range e.exec {
+		out[name] = p.runs.Value()
 	}
 	return out
 }

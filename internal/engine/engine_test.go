@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/gen"
@@ -32,17 +33,19 @@ type gatedSolver struct {
 func (s *gatedSolver) register() solver.Solver {
 	return solver.Solver{
 		Name: "gated",
-		Solve: func(in *solver.Instance, sources []int32) []int64 {
-			s.once.Do(func() { close(s.started) })
-			<-s.release
-			out := make([]int64, in.G.NumVertices())
-			for i := range out {
-				out[i] = graph.Inf
-			}
-			for _, src := range sources {
-				out[src] = 0
-			}
-			return out
+		NewState: func(in *solver.Instance) solver.State {
+			return solver.StateFunc(func(sources []int32) []int64 {
+				s.once.Do(func() { close(s.started) })
+				<-s.release
+				out := make([]int64, in.G.NumVertices())
+				for i := range out {
+					out[i] = graph.Inf
+				}
+				for _, src := range sources {
+					out[src] = 0
+				}
+				return out
+			})
 		},
 	}
 }
@@ -53,34 +56,94 @@ func newGated() *gatedSolver {
 
 // --- pooled execution correctness -----------------------------------------
 
-// Every pooled fast path must match the registry's fresh-allocation solve,
-// including across reuse, and pooling on/off must agree with each other.
+// Every solver's pooled execution must match the registry's fresh-state
+// Solve, including across reuse of one pooled state: the weighted instance
+// covers the five weighted solvers, the unit-weight one adds bfs.
 func TestQueryPooledMatchesFresh(t *testing.T) {
-	in := testInstance(t, 300, 1200)
-	e := New(in, Config{})
-	fresh := New(in, Config{DisablePool: true})
+	unit := solver.NewInstance(gen.Random(300, 1200, 1, gen.UWD, 7), par.NewExec(2))
+	for _, in := range []*solver.Instance{testInstance(t, 300, 1200), unit} {
+		e := New(in, Config{})
+		for _, name := range solver.Names() {
+			reg, _ := solver.ByName(name)
+			if !reg.Applicable(in.G) {
+				continue
+			}
+			for _, srcs := range [][]int32{{0}, {5}, {1, 100, 299}, {5}} { // repeat 5: pool reuse
+				want := reg.Solve(in, srcs)
+				got, _, err := e.Query(context.Background(), Request{Sources: srcs, Solver: name})
+				if err != nil {
+					t.Fatalf("%s %v: %v", name, srcs, err)
+				}
+				for v := range want {
+					if got.Dist[v] != want[v] {
+						t.Fatalf("%s %v: dist[%d] = %d, want %d", name, srcs, v, got.Dist[v], want[v])
+					}
+				}
+			}
+		}
+	}
+}
 
-	for _, name := range []string{"thorup", "dijkstra", "delta", "mlb"} {
-		reg, _ := solver.ByName(name)
-		for _, srcs := range [][]int32{{0}, {5}, {1, 100, 299}, {5}} { // repeat 5: pool reuse
-			want := reg.Solve(in, srcs)
-			got, via, err := e.Query(context.Background(), Request{Sources: srcs, Solver: name})
-			if err != nil {
-				t.Fatalf("%s %v: %v", name, srcs, err)
-			}
-			gotFresh, _, err := fresh.Query(context.Background(), Request{Sources: srcs, Solver: name})
-			if err != nil {
-				t.Fatalf("%s %v (no pool): %v", name, srcs, err)
-			}
-			_ = via
-			for v := range want {
-				if got.Dist[v] != want[v] {
-					t.Fatalf("%s %v: dist[%d] = %d, want %d", name, srcs, v, got.Dist[v], want[v])
+// countingState wraps a solver's state to count what the engine does to it.
+type countingState struct {
+	solver.State
+	runs, resets *atomic.Int64
+}
+
+func (c countingState) RunFromSources(sources []int32) []int64 {
+	c.runs.Add(1)
+	return c.State.RunFromSources(sources)
+}
+
+func (c countingState) Reset() {
+	c.resets.Add(1)
+	c.State.Reset()
+}
+
+// Injected solvers ride the same pool code as the registry's, and a k-source
+// query is one kernel run whatever the solver: the entry under test is
+// replaced by a counting wrapper under its own name, and a 4-source query —
+// explicit dijkstra, mlb, delta, and the bfs the ladder picks on a
+// unit-weight graph — must run its state once, Reset it once, and match the
+// Dijkstra oracle.
+func TestOneRunPerQueryThroughPool(t *testing.T) {
+	srcs := []int32{4, 90, 170, 251}
+	weighted := testInstance(t, 300, 1200)
+	unit := solver.NewInstance(gen.Random(300, 1200, 1, gen.UWD, 7), par.NewExec(2))
+	dj, _ := solver.ByName("dijkstra")
+	for _, tc := range []struct {
+		in           *solver.Instance
+		request, ran string // Request.Solver, and the solver it must resolve to
+	}{
+		{weighted, "dijkstra", "dijkstra"},
+		{weighted, "mlb", "mlb"},
+		{weighted, "delta", "delta"},
+		{unit, "", "bfs"},
+	} {
+		var runs, resets atomic.Int64
+		pool := solver.All()
+		for i, s := range pool {
+			if s.Name == tc.ran {
+				pool[i].NewState = func(in *solver.Instance) solver.State {
+					return countingState{s.NewState(in), &runs, &resets}
 				}
-				if gotFresh.Dist[v] != want[v] {
-					t.Fatalf("%s %v (no pool): dist[%d] = %d, want %d", name, srcs, v, gotFresh.Dist[v], want[v])
-				}
 			}
+		}
+		e := New(tc.in, Config{Solvers: pool})
+		got, _, err := e.Query(context.Background(), Request{Sources: srcs, Solver: tc.request})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Solver != tc.ran {
+			t.Fatalf("solver %q resolved to %s, want %s", tc.request, got.Solver, tc.ran)
+		}
+		for v, want := range dj.Solve(tc.in, srcs) {
+			if got.Dist[v] != want {
+				t.Fatalf("%s: dist[%d] = %d, want %d", tc.ran, v, got.Dist[v], want)
+			}
+		}
+		if r, z, sr := runs.Load(), resets.Load(), e.SolverRuns()[tc.ran]; r != 1 || z != 1 || sr != 1 {
+			t.Fatalf("%s, 4 sources: %d state runs, %d resets, solver_runs %d, want 1 each", tc.ran, r, z, sr)
 		}
 	}
 }
@@ -154,7 +217,7 @@ func TestPolicySelection(t *testing.T) {
 	// delta = 1 (max weight 1... use a tiny-weight graph where C/d floors to 1)
 	dense := gen.Random(64, 1024, 4, gen.UWD, 7) // avgDeg 32 > maxW 4 -> delta 1
 	ed := New(solver.NewInstance(dense, par.NewExec(2)), Config{})
-	if ed.unitW {
+	if dense.MaxWeight() == 1 {
 		t.Skip("dense graph happened to be unit-weight")
 	}
 	if got := pick(ed, "", []int32{3}); got != "thorup" {

@@ -25,11 +25,11 @@ const ModelOverrideMargin = 1.25
 //
 //   - unit-weight graphs: BFS — a unit-weight traversal is the cheapest
 //     exact solver and parallelizes on the instance runtime;
-//   - multi-source queries: Thorup — it answers a source set natively in
-//     one run over the shared hierarchy. Delta-stepping seeds a source set
-//     natively too (dijkstra, mlb and bfs still pay one full run per
-//     source); whether it should take these queries is a measured decision
-//     this ladder has not made yet (ROADMAP item 3);
+//   - multi-source queries: Thorup — it answers a source set in one run
+//     over the shared hierarchy. So does every other solver in the registry
+//     (each seeds all sources at distance 0); whether one of them should
+//     take these queries is a measured decision this ladder has not made
+//     yet (ROADMAP item 3);
 //   - single-source: delta-stepping when the instance's heuristic bucket
 //     width exceeds 1 (weight range admits real buckets, so phases batch
 //     work), Thorup otherwise (delta = 1 degenerates into a serial-grade
@@ -69,13 +69,13 @@ func (e *Engine) pickSolver(name string, srcs []int32, record bool) (string, err
 
 // staticPick is the heuristic ladder documented on pickSolver.
 func (e *Engine) staticPick(srcs []int32) string {
-	if e.unitW {
+	if s, ok := e.byName("bfs"); ok && s.Applicable(e.in.G) {
 		return "bfs"
 	}
 	if len(srcs) > 1 {
 		return "thorup"
 	}
-	if _, ok := e.byName("delta"); ok && e.delta > 1 {
+	if _, ok := e.byName("delta"); ok && e.in.Delta > 1 {
 		return "delta"
 	}
 	return "thorup"

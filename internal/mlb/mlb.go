@@ -7,16 +7,23 @@ import (
 // SSSP computes single-source shortest path distances from src using
 // multi-level buckets with the caliber heuristic.
 func SSSP(g *graph.Graph, src int32) []int64 {
-	return run(g, src, true)
+	return run(g, []int32{src}, true)
 }
 
 // SSSPNoCaliber is SSSP without the caliber heuristic (pure multi-level
 // buckets).
 func SSSPNoCaliber(g *graph.Graph, src int32) []int64 {
-	return run(g, src, false)
+	return run(g, []int32{src}, false)
 }
 
-func run(g *graph.Graph, src int32, useCaliber bool) []int64 {
+// SSSPFromSources is SSSP from the nearest of sources (in range) in one run:
+// each starts on the exact list at distance 0. Duplicates are harmless; an
+// empty set leaves every vertex at graph.Inf.
+func SSSPFromSources(g *graph.Graph, sources []int32) []int64 {
+	return run(g, sources, true)
+}
+
+func run(g *graph.Graph, sources []int32, useCaliber bool) []int64 {
 	n := g.NumVertices()
 	dist := make([]int64, n)
 	for i := range dist {
@@ -43,11 +50,13 @@ func run(g *graph.Graph, src int32, useCaliber bool) []int64 {
 
 	h := newRadixHeap(n)
 	settled := make([]bool, n)
-	dist[src] = 0
 
 	// exact holds vertices proven settled but not yet scanned.
 	exact := make([]int32, 0, 64)
-	exact = append(exact, src)
+	for _, src := range sources {
+		dist[src] = 0
+		exact = append(exact, src)
+	}
 
 	scan := func(v int32) {
 		if settled[v] {

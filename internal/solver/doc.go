@@ -1,18 +1,21 @@
 // Package solver is a small registry unifying every SSSP implementation in
-// the repository behind one interface, so that harnesses (differential
-// stress testing, experiments, the CLI) can enumerate and run "all solvers"
-// without hard-coding each package's entry point.
+// the repository behind one interface, so that everything that runs "solver
+// X" — the query engine, the differential stress harness, the CLI, the e2e
+// oracles — is a client of one description and cannot disagree about what
+// that means.
 //
 // Six full solvers are registered — the Thorup core (internal/core's kernel
 // for the instance's runtime), the serial Thorup reference, Dijkstra,
 // delta-stepping, Goldberg's multi-level buckets and BFS — plus
-// bidirectional Dijkstra as a point-to-point solver (it
-// computes one s-t distance, not a distance vector). Both Thorup variants
-// and delta-stepping take a source set in one run (NativeMultiSource); the
-// solvers that natively handle only a single source answer multi-source
-// queries by folding the per-source runs with an elementwise minimum, which
-// is the definition of multi-source shortest paths and therefore a valid
-// differential oracle.
+// bidirectional Dijkstra as a point-to-point solver (it computes one s-t
+// distance, not a distance vector).
 //
-// See DESIGN.md §3 ("System inventory") for how this package fits the system.
+// An entry's NewState constructs reusable per-query State over an Instance.
+// The contract is State's: a whole source set in one run (every solver seeds
+// each source at distance 0), a result that may alias the state until the
+// next run or Reset, any number of runs per state, no concurrent use.
+// Solver.Solve is defined on top of it as fresh state, one run, detached copy.
+//
+// See DESIGN.md §3 ("System inventory") and §5 decision 12 for how this
+// package fits the system.
 package solver

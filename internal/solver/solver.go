@@ -1,6 +1,8 @@
 package solver
 
 import (
+	"sync"
+
 	"repro/internal/bfs"
 	"repro/internal/ch"
 	"repro/internal/core"
@@ -11,42 +13,73 @@ import (
 	"repro/internal/par"
 )
 
-// Instance bundles a graph with the runtime and the lazily-built Component
-// Hierarchy the CH-based solvers share. Build one Instance per graph and run
-// any number of solvers against it; the hierarchy is constructed at most once.
+// Instance bundles a graph with the runtime and the per-graph values its
+// solvers share: the lazily-built Component Hierarchy (with the Thorup solver
+// over it) and the delta-stepping bucket width. Build one per graph and run
+// any number of solvers on it, from any number of goroutines.
 type Instance struct {
 	G  *graph.Graph
 	RT *par.Runtime
-	h  *ch.Hierarchy
+	// Delta is the delta-stepping bucket width, deltastep.DefaultDelta(G)
+	// unless the caller overrides it before the first run.
+	Delta int64
+
+	once   sync.Once
+	h      *ch.Hierarchy
+	thorup *core.Solver
 }
 
 // NewInstance wraps a graph for the registry's solvers.
 func NewInstance(g *graph.Graph, rt *par.Runtime) *Instance {
-	return &Instance{G: g, RT: rt}
+	return NewInstanceWithHierarchy(g, rt, nil)
 }
 
 // NewInstanceWithHierarchy wraps a graph together with an already-built
-// hierarchy (e.g. loaded from a cache file), skipping the lazy construction.
+// hierarchy (e.g. loaded from a snapshot), skipping the lazy construction.
 func NewInstanceWithHierarchy(g *graph.Graph, rt *par.Runtime, h *ch.Hierarchy) *Instance {
-	return &Instance{G: g, RT: rt, h: h}
+	return &Instance{G: g, RT: rt, Delta: deltastep.DefaultDelta(g), h: h}
 }
 
-// Hierarchy returns the instance's Component Hierarchy, building it on first
-// use (Kruskal construction; all constructions yield the same hierarchy).
-func (in *Instance) Hierarchy() *ch.Hierarchy {
-	if in.h == nil {
-		in.h = ch.BuildKruskal(in.G)
-	}
-	return in.h
+// Thorup returns the instance's shared Thorup solver, building the hierarchy
+// at most once, on first use (Kruskal construction; all constructions yield
+// the same hierarchy). Safe for concurrent first use.
+func (in *Instance) Thorup() *core.Solver {
+	in.once.Do(func() {
+		if in.h == nil {
+			in.h = ch.BuildKruskal(in.G)
+		}
+		in.thorup = core.NewSolver(in.h, in.RT)
+	})
+	return in.thorup
 }
+
+// Hierarchy returns the instance's Component Hierarchy (see Thorup).
+func (in *Instance) Hierarchy() *ch.Hierarchy { return in.Thorup().Hierarchy() }
+
+// State is one solver's reusable per-query state, bound to an Instance. It is
+// not safe for concurrent use; concurrency is across states.
+type State interface {
+	// RunFromSources returns the distance from the nearest source for every
+	// vertex (graph.Inf where unreachable). Sources must be in range and may
+	// repeat; an empty set leaves every vertex at graph.Inf. The result may
+	// alias the state and is valid until the next run or Reset.
+	RunFromSources(sources []int32) []int64
+	// Reset scrubs the state so nothing of the last run leaks to the next
+	// user across a pool boundary. Not required between runs.
+	Reset()
+}
+
+// StateFunc adapts a kernel that allocates everything per run to State: it
+// keeps nothing between runs, so Reset has nothing to scrub.
+type StateFunc func(sources []int32) []int64
+
+func (f StateFunc) RunFromSources(sources []int32) []int64 { return f(sources) }
+func (StateFunc) Reset()                                   {}
 
 // Solver is one registered full-distance-vector SSSP implementation.
 type Solver struct {
 	// Name is the registry key, matching the cmd/sssp -algo spelling.
 	Name string
-	// NativeMultiSource reports whether Solve handles len(sources) > 1 in a
-	// single run (rather than by the registry's per-source min fold).
-	NativeMultiSource bool
 	// UnitWeightsOnly marks solvers whose output equals shortest-path
 	// distances only when every edge weighs 1 (BFS).
 	UnitWeightsOnly bool
@@ -55,9 +88,16 @@ type Solver struct {
 	Parallel bool
 	// NeedsCH marks solvers that consume the Component Hierarchy.
 	NeedsCH bool
-	// Solve returns the distance from the nearest source for every vertex
-	// (graph.Inf where unreachable). sources must be non-empty and in range.
-	Solve func(in *Instance, sources []int32) []int64
+	// NewState allocates per-query state over the instance: the one
+	// description of how the solver executes. A serving layer pools the
+	// states; everything else goes through Solve.
+	NewState func(in *Instance) State
+}
+
+// Solve is a fresh state, one run, and a copy of the result that nothing
+// else references.
+func (s Solver) Solve(in *Instance, sources []int32) []int64 {
+	return append([]int64(nil), s.NewState(in).RunFromSources(sources)...)
 }
 
 // PointToPoint is a solver that answers a single s-t distance query.
@@ -66,19 +106,41 @@ type PointToPoint struct {
 	Dist func(in *Instance, s, t int32) int64
 }
 
-// foldSingle answers a multi-source query with a single-source solver: the
-// distance to the nearest of several sources is the elementwise minimum of
-// the individual single-source labellings.
-func foldSingle(run func(src int32) []int64, sources []int32) []int64 {
-	out := run(sources[0])
-	for _, s := range sources[1:] {
-		for v, d := range run(s) {
-			if d < out[v] {
-				out[v] = d
-			}
-		}
+// thorupState is a core.Query answering the empty source set, which core
+// rejects, the way every other solver does.
+type thorupState struct{ *core.Query }
+
+func (q thorupState) RunFromSources(sources []int32) []int64 {
+	if len(sources) > 0 {
+		return q.Query.RunFromSources(sources)
 	}
-	return out
+	d := q.Dist()
+	for i := range d {
+		d[i] = graph.Inf
+	}
+	return d
+}
+
+// dijkstraState binds a dijkstra.Scratch to the instance's graph.
+type dijkstraState struct {
+	*dijkstra.Scratch
+	g *graph.Graph
+}
+
+func (s dijkstraState) RunFromSources(sources []int32) []int64 {
+	return s.SSSPFromSources(s.g, sources)
+}
+
+// deltaState binds a deltastep.State to the instance's runtime, graph and
+// bucket width.
+type deltaState struct {
+	*deltastep.State
+	in *Instance
+}
+
+func (s deltaState) RunFromSources(sources []int32) []int64 {
+	d, _ := s.State.RunFromSources(s.in.RT, s.in.G, sources, s.in.Delta)
+	return d
 }
 
 // All returns the registry of full solvers, in a stable order. The returned
@@ -86,55 +148,42 @@ func foldSingle(run func(src int32) []int64, sources []int32) []int64 {
 func All() []Solver {
 	return []Solver{
 		{
-			Name:              "thorup",
-			NativeMultiSource: true,
-			Parallel:          true,
-			NeedsCH:           true,
-			Solve: func(in *Instance, sources []int32) []int64 {
-				q := core.NewSolver(in.Hierarchy(), in.RT).Query()
-				d := q.RunFromSources(sources)
-				out := make([]int64, len(d))
-				copy(out, d) // detach from the query's reusable state
-				return out
+			Name:     "thorup",
+			Parallel: true,
+			NeedsCH:  true,
+			NewState: func(in *Instance) State { return thorupState{in.Thorup().Query()} },
+		},
+		{
+			Name:    "thorup-serial",
+			NeedsCH: true,
+			NewState: func(in *Instance) State {
+				h := in.Hierarchy()
+				return StateFunc(func(srcs []int32) []int64 { return core.SerialSSSPFromSources(h, srcs) })
 			},
 		},
 		{
-			Name:              "thorup-serial",
-			NativeMultiSource: true,
-			NeedsCH:           true,
-			Solve: func(in *Instance, sources []int32) []int64 {
-				return core.SerialSSSPFromSources(in.Hierarchy(), sources)
-			},
+			Name:     "dijkstra",
+			NewState: func(in *Instance) State { return dijkstraState{dijkstra.NewScratch(), in.G} },
 		},
 		{
-			Name: "dijkstra",
-			Solve: func(in *Instance, sources []int32) []int64 {
-				return foldSingle(func(s int32) []int64 { return dijkstra.SSSP(in.G, s) }, sources)
-			},
-		},
-		{
-			Name:              "delta",
-			NativeMultiSource: true,
-			Parallel:          true,
-			Solve: func(in *Instance, sources []int32) []int64 {
-				d, _ := deltastep.NewState().RunFromSources(in.RT, in.G, sources, deltastep.DefaultDelta(in.G))
-				return d
-			},
+			Name:     "delta",
+			Parallel: true,
+			NewState: func(in *Instance) State { return deltaState{deltastep.NewState(), in} },
 		},
 		{
 			Name: "mlb",
-			Solve: func(in *Instance, sources []int32) []int64 {
-				return foldSingle(func(s int32) []int64 { return mlb.SSSP(in.G, s) }, sources)
+			NewState: func(in *Instance) State {
+				return StateFunc(func(srcs []int32) []int64 { return mlb.SSSPFromSources(in.G, srcs) })
 			},
 		},
 		{
 			Name:            "bfs",
 			UnitWeightsOnly: true,
 			Parallel:        true,
-			Solve: func(in *Instance, sources []int32) []int64 {
-				return foldSingle(func(s int32) []int64 {
-					return bfs.Distances(bfs.Parallel(in.RT, in.G, s))
-				}, sources)
+			NewState: func(in *Instance) State {
+				return StateFunc(func(srcs []int32) []int64 {
+					return bfs.Distances(bfs.ParallelFromSources(in.RT, in.G, srcs))
+				})
 			},
 		},
 	}

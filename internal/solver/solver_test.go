@@ -1,8 +1,11 @@
 package solver
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
+	"repro/internal/ch"
 	"repro/internal/dijkstra"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -30,9 +33,11 @@ func TestRegistryNames(t *testing.T) {
 	if len(Names()) != len(All()) {
 		t.Fatalf("Names() has %d entries, All() has %d", len(Names()), len(All()))
 	}
-	want := 6 // thorup, thorup-serial, dijkstra, delta, mlb, bfs
-	if len(All()) != want {
-		t.Fatalf("registry has %d solvers, want %d", len(All()), want)
+	// The names and their order are an interface: bench/metrics.go and
+	// BENCHMARK.json carry one engine.solver_share row per entry.
+	want := []string{"thorup", "thorup-serial", "dijkstra", "delta", "mlb", "bfs"}
+	if got := Names(); !slices.Equal(got, want) {
+		t.Fatalf("Names() = %v, want %v", got, want)
 	}
 }
 
@@ -107,5 +112,125 @@ func TestInstanceHierarchyLazyAndCached(t *testing.T) {
 	}
 	if h2 := in.Hierarchy(); h2 != h1 {
 		t.Fatal("Hierarchy not cached")
+	}
+}
+
+// Two CH solvers' first Solve on one fresh instance, from two goroutines,
+// must build one hierarchy and both see it (run under -race by `make stress`).
+func TestInstanceHierarchyConcurrentFirstUse(t *testing.T) {
+	g := gen.Random(128, 512, 64, gen.UWD, 3)
+	in := NewInstance(g, par.NewExec(2))
+	want := dijkstra.SSSP(g, 5)
+	seen := make([]*ch.Hierarchy, 2)
+	var wg sync.WaitGroup
+	for i, name := range []string{"thorup", "thorup-serial"} {
+		s, _ := ByName(name)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := s.Solve(in, []int32{5}); !slices.Equal(got, want) {
+				t.Errorf("%s: wrong distances on a concurrently built hierarchy", name)
+			}
+			seen[i] = in.Hierarchy()
+		}()
+	}
+	wg.Wait()
+	if seen[0] == nil || seen[0] != seen[1] {
+		t.Fatalf("two hierarchies observed: %p and %p", seen[0], seen[1])
+	}
+}
+
+// conformanceGraphs are the instance shapes every registered solver must
+// agree on; the unit-weight ones are where BFS joins.
+func conformanceGraphs() map[string]*graph.Graph {
+	two := graph.NewBuilder(9) // a weighted path 0..4, a triangle 5..7, and isolated 8
+	for v := int32(0); v < 4; v++ {
+		two.MustAddEdge(v, v+1, uint32(3+v))
+	}
+	two.MustAddEdge(5, 6, 2)
+	two.MustAddEdge(6, 7, 9)
+	two.MustAddEdge(5, 7, 4)
+	return map[string]*graph.Graph{
+		"rand":          gen.Random(96, 384, 1<<10, gen.UWD, 11),
+		"rmat":          gen.RMATGraph(64, 256, 1<<6, gen.PWD, 12),
+		"grid":          gen.GridGraph(8, 9, 16, gen.UWD, 13),
+		"star":          gen.Star(33, 7),
+		"two-component": two.Build(),
+		"unit-grid":     gen.GridGraph(7, 7, 1, gen.UWD, 14),
+		"unit-rand":     gen.Random(80, 200, 1, gen.UWD, 15),
+		"n=0":           graph.NewBuilder(0).Build(),
+		"n=1":           graph.NewBuilder(1).Build(),
+	}
+}
+
+// sourceSets draws source sets of 1-4 vertices of an n-vertex graph, with
+// duplicates and both ends of the id range.
+func sourceSets(n int) [][]int32 {
+	if n == 0 {
+		return nil
+	}
+	last := int32(n - 1)
+	return [][]int32{{0}, {last}, {last / 2, 0}, {last / 3, last, last / 3}, {0, last / 2, last, 0}, {last, last, last, last}}
+}
+
+// TestConformance is the contract of a registry entry, checked for every
+// solver in All() — a seventh is covered by registering it. For each
+// applicable solver, graph shape and source set: a k-source run equals the
+// elementwise minimum of that solver's own single-source runs and Dijkstra's
+// answer; an empty source set (and an empty graph) reaches nothing; and one
+// state answers different source sets, before and after a Reset, exactly as
+// a fresh state does.
+func TestConformance(t *testing.T) {
+	rt := par.NewExec(2)
+	for gname, g := range conformanceGraphs() {
+		in := NewInstance(g, rt)
+		n := g.NumVertices()
+		for _, s := range All() {
+			if !s.Applicable(g) {
+				continue
+			}
+			check := func(what string, got, want []int64) {
+				t.Helper()
+				if !slices.Equal(got, want) {
+					t.Errorf("%s/%s %s: got %v, want %v", gname, s.Name, what, got, want)
+				}
+			}
+			unreached := make([]int64, n)
+			for i := range unreached {
+				unreached[i] = graph.Inf
+			}
+			reused := s.NewState(in)
+			check("empty source set", s.Solve(in, nil), unreached)
+			check("empty source set, reused state", reused.RunFromSources(nil), unreached)
+			for i, srcs := range sourceSets(n) {
+				want := dijkstra.SSSPFromSources(g, srcs)
+				singles := slices.Clone(unreached)
+				for _, src := range srcs {
+					for v, d := range s.Solve(in, []int32{src}) {
+						singles[v] = min(singles[v], d)
+					}
+				}
+				check("min of single-source runs", singles, want)
+				check("fresh state", s.Solve(in, srcs), want)
+				// reused has by now answered every earlier, different set.
+				check("reused state", reused.RunFromSources(srcs), want)
+				if i%2 == 1 {
+					reused.Reset()
+				}
+			}
+		}
+	}
+}
+
+// A warm dijkstra state answers a 4-source query in one run that allocates
+// nothing (it was four runs and a copy).
+func TestWarmDijkstraStateAllocatesNothing(t *testing.T) {
+	g := gen.Random(256, 1024, 1<<10, gen.UWD, 21)
+	s, _ := ByName("dijkstra")
+	st := s.NewState(NewInstance(g, par.NewExec(1)))
+	srcs := []int32{3, 77, 140, 255}
+	st.RunFromSources(srcs) // grow the buffers
+	if a := testing.AllocsPerRun(20, func() { st.RunFromSources(srcs) }); a != 0 {
+		t.Fatalf("warm 4-source dijkstra run: %v allocs, want 0", a)
 	}
 }

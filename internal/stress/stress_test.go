@@ -53,22 +53,17 @@ func TestSweepDeterministic(t *testing.T) {
 func brokenDijkstra() solver.Solver {
 	return solver.Solver{
 		Name: "broken",
-		Solve: func(in *solver.Instance, sources []int32) []int64 {
-			d := dijkstra.SSSP(in.G, sources[0])
-			for _, s := range sources[1:] {
-				for v, dv := range dijkstra.SSSP(in.G, s) {
-					if dv < d[v] {
-						d[v] = dv
+		NewState: func(in *solver.Instance) solver.State {
+			return solver.StateFunc(func(sources []int32) []int64 {
+				d := dijkstra.SSSPFromSources(in.G, sources)
+				for v := len(d) - 1; v >= 0; v-- {
+					if d[v] != 0 && d[v] != graph.Inf {
+						d[v]++ // the injected off-by-one
+						break
 					}
 				}
-			}
-			for v := len(d) - 1; v >= 0; v-- {
-				if d[v] != 0 && d[v] != graph.Inf {
-					d[v]++ // the injected off-by-one
-					break
-				}
-			}
-			return d
+				return d
+			})
 		},
 	}
 }
