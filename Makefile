@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-build bench-engine bench-catalog bench-trace bench-serve bench-serve-smoke bench-router bench-mutate bench-costmodel check docs-check stress fuzz experiments sim-csv-check examples clean
+.PHONY: all build vet test race bench bench-build bench-engine bench-catalog bench-trace bench-serve bench-serve-smoke bench-router bench-mutate bench-costmodel check flake docs-check stress fuzz experiments sim-csv-check examples clean
 
 all: build vet test
 
@@ -16,13 +16,30 @@ vet:
 test:
 	$(GO) test ./...
 
-# The concurrency-sensitive packages under the race detector.
+# The concurrency-sensitive packages, run under the race detector by both
+# `race` and `check`: the concurrent traversal core, the delta-stepping,
+# Dijkstra-family and BFS kernels (source-set seeding) and the runtime under
+# them, the query engine, the graph catalog and snapshot format, the tracing
+# and metrics layers, the shared HTTP skeleton, both daemons and the routing
+# tier, and the root package.
+RACE_PKGS = ./internal/core ./internal/cc ./internal/deltastep ./internal/bfs \
+	./internal/dijkstra ./internal/mlb ./internal/par ./internal/mta \
+	./internal/obs ./internal/engine ./internal/catalog ./internal/snapshot \
+	./internal/trace ./internal/loadgen ./internal/router ./internal/httpx \
+	./internal/mutate ./internal/costmodel ./cmd/ssspd ./cmd/ssspr .
+
 race:
-	$(GO) test -race ./internal/core ./internal/cc ./internal/deltastep \
-		./internal/par ./internal/bfs ./internal/mta \
-		./internal/obs ./internal/engine ./internal/catalog ./internal/snapshot \
-		./internal/trace ./internal/loadgen ./internal/router ./internal/mutate \
-		./internal/costmodel ./cmd/ssspd ./cmd/ssspr .
+	$(GO) test -race $(RACE_PKGS)
+
+# Flake hunt over the lifecycle/concurrency set (ROADMAP 8a): many plain
+# repetitions, then fewer under the race detector. Run before merging a change
+# to any of these packages.
+FLAKE_PKGS = ./internal/catalog ./internal/engine ./internal/router \
+	./internal/httpx ./cmd/ssspd ./cmd/ssspr
+
+flake:
+	$(GO) test -count=25 $(FLAKE_PKGS)
+	$(GO) test -race -count=5 $(FLAKE_PKGS)
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -101,21 +118,13 @@ bench-build:
 	$(GO) -C bench test -short ./...
 
 # Fast pre-merge gate: static checks, the documentation linter, the
-# out-of-module benchmark's build, the race detector over the concurrent
-# traversal core, the delta-stepping kernel, the Dijkstra-family and BFS
-# kernels (source-set seeding) and the runtime under them, the query engine,
-# the graph catalog and snapshot format, the tracing layer, the daemon
-# middleware, and the routing tier, and the seeded stress sweep.
+# out-of-module benchmark's build, the race detector over RACE_PKGS, the
+# serving smoke slice, and the seeded stress sweep.
 check:
 	$(GO) vet ./...
 	$(MAKE) docs-check
 	$(MAKE) bench-build
-	$(GO) test -race ./internal/core/... ./internal/deltastep/... \
-		./internal/bfs/... ./internal/dijkstra/... ./internal/mlb/... \
-		./internal/par/... ./internal/engine/... \
-		./internal/catalog/... ./internal/snapshot/... ./internal/trace/... \
-		./internal/loadgen/... ./internal/router/... ./internal/mutate/... \
-		./internal/costmodel/... ./cmd/ssspd/... ./cmd/ssspr/...
+	$(GO) test -race $(RACE_PKGS)
 	$(MAKE) bench-serve-smoke
 	$(MAKE) stress
 

@@ -94,6 +94,7 @@ import (
 	"repro/internal/dijkstra"
 	"repro/internal/engine"
 	"repro/internal/graph"
+	"repro/internal/httpx"
 	"repro/internal/mutate"
 	"repro/internal/obs"
 	"repro/internal/snapshot"
@@ -181,57 +182,15 @@ func main() {
 		go servePprof(*pprofAddr)
 	}
 
-	hs := &http.Server{
-		Addr:              *addr,
-		Handler:           srv.mux(),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       10 * time.Second,
-		// The write timeout must outlive the slowest admitted query plus the
-		// serialisation of a full=1 distance vector.
-		WriteTimeout: writeTimeout(*timeout),
-		IdleTimeout:  2 * time.Minute,
-	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	log.Printf("ssspd: serving %s (n=%d m=%d, CH %d nodes) on %s (workers=%d max-inflight=%d timeout=%s cache=%d/%dB mem-budget=%d)",
 		name, g.NumVertices(), g.NumEdges(), h.NumNodes(), *addr, *workers, *maxInflight, *timeout, *cacheEntries, *cacheBytes, *memBudget)
-	if err := serve(ctx, hs, *drain); err != nil {
+	if err := httpx.Serve(ctx, *addr, srv.mux(), *timeout, *drain, "ssspd"); err != nil {
 		log.Fatalf("ssspd: %v", err)
 	}
 	log.Printf("ssspd: drained, bye")
-}
-
-// serve runs the HTTP server until ctx is cancelled, then shuts it down
-// gracefully, giving in-flight requests up to drain to complete.
-func serve(ctx context.Context, hs *http.Server, drain time.Duration) error {
-	errc := make(chan error, 1)
-	go func() {
-		if err := hs.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-			errc <- err
-			return
-		}
-		errc <- nil
-	}()
-	select {
-	case err := <-errc:
-		return err // listen failed before any shutdown signal
-	case <-ctx.Done():
-	}
-	log.Printf("ssspd: shutdown signal, draining in-flight requests (budget %s)", drain)
-	sctx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	if err := hs.Shutdown(sctx); err != nil {
-		return fmt.Errorf("drain: %w", err)
-	}
-	return <-errc
-}
-
-func writeTimeout(queryTimeout time.Duration) time.Duration {
-	if queryTimeout <= 0 {
-		return 0 // unlimited queries: let Shutdown/drain bound them instead
-	}
-	return queryTimeout + 30*time.Second
 }
 
 // maxBatchItems caps one /batch request; larger workloads should paginate
@@ -382,94 +341,70 @@ func newServer(g *graph.Graph, h *ch.Hierarchy, name string, src catalog.Source,
 	}
 }
 
+// mux routes every endpoint through the shared middleware (httpx: metrics,
+// access log, and — for query endpoints — tracing and the -timeout deadline);
+// query endpoints additionally sit behind admit.
 func (s *server) mux() *http.ServeMux {
+	mw := &httpx.Middleware{Metrics: s.metrics, Tracer: s.tracer, Timeout: s.timeout, AccessLog: accessLog}
 	m := http.NewServeMux()
-	m.HandleFunc("GET /healthz", s.instrument("healthz", false, func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, map[string]string{"status": "ok"})
-	}))
-	m.HandleFunc("GET /stats", s.instrument("stats", false, s.handleStats))
-	m.HandleFunc("GET /metrics", s.instrument("metrics", false, s.handleMetrics))
-	m.HandleFunc("GET /sssp", s.instrument("sssp", true, s.handleSSSP))
-	m.HandleFunc("GET /dist", s.instrument("dist", true, s.handleDist))
-	m.HandleFunc("GET /st", s.instrument("st", true, s.handleST))
-	m.HandleFunc("GET /table", s.instrument("table", true, s.handleTable))
-	m.HandleFunc("POST /batch", s.instrument("batch", true, s.handleBatch))
-	m.HandleFunc("GET /graphs", s.instrument("graphs", false, s.handleGraphs))
-	m.HandleFunc("POST /graphs/load", s.instrument("graphs_load", false, s.handleGraphLoad))
-	m.HandleFunc("POST /graphs/reload", s.instrument("graphs_reload", false, s.handleGraphReload))
-	m.HandleFunc("POST /graphs/unload", s.instrument("graphs_unload", false, s.handleGraphUnload))
-	m.HandleFunc("POST /graphs/{name}/mutate", s.instrument("graphs_mutate", false, s.handleGraphMutate))
-	m.HandleFunc("GET /debug/traces", s.instrument("debug_traces", false, s.handleDebugTraces))
-	m.HandleFunc("GET /debug/costmodel/dataset", s.instrument("costmodel_dataset", false, s.handleCostModelDataset))
-	m.HandleFunc("POST /debug/costmodel/reload", s.instrument("costmodel_reload", false, s.handleCostModelReload))
+	plain := func(pattern, name string, h http.HandlerFunc) {
+		m.HandleFunc(pattern, mw.Wrap(name, false, h))
+	}
+	query := func(pattern, name string, h http.HandlerFunc) {
+		m.HandleFunc(pattern, mw.Wrap(name, true, s.admit(name, h)))
+	}
+	plain("GET /healthz", "healthz", func(w http.ResponseWriter, r *http.Request) {
+		httpx.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	})
+	plain("GET /stats", "stats", s.handleStats)
+	plain("GET /metrics", "metrics", s.handleMetrics)
+	query("GET /sssp", "sssp", s.handleSSSP)
+	query("GET /dist", "dist", s.handleDist)
+	query("GET /st", "st", s.handleST)
+	query("GET /table", "table", s.handleTable)
+	query("POST /batch", "batch", s.handleBatch)
+	plain("GET /graphs", "graphs", s.handleGraphs)
+	plain("POST /graphs/load", "graphs_load", s.handleGraphLoad)
+	plain("POST /graphs/reload", "graphs_reload", s.handleGraphReload)
+	plain("POST /graphs/unload", "graphs_unload", s.handleGraphUnload)
+	plain("POST /graphs/{name}/mutate", "graphs_mutate", s.handleGraphMutate)
+	plain("GET /debug/traces", "debug_traces", s.handleDebugTraces)
+	plain("GET /debug/costmodel/dataset", "costmodel_dataset", s.handleCostModelDataset)
+	plain("POST /debug/costmodel/reload", "costmodel_reload", s.handleCostModelReload)
 	return m
 }
 
-// instrument wraps a handler with the daemon's middleware: in-flight gauge,
-// request counting, latency histogram, status classing, structured access
-// logging, and — for query endpoints (admit=true) — request tracing,
-// semaphore admission control, and the per-request context deadline.
-//
-// Tracing covers query endpoints only: a trace is started per request (under
-// the client's X-Trace-Id when one is supplied; the resolved ID is echoed in
-// the response header either way), the admission decision is recorded as an
-// "admission_wait" span, and the finished trace is handed to the tracer for
-// tail sampling, slow-query logging, and the stage histograms.
-func (s *server) instrument(name string, admit bool, h http.HandlerFunc) http.HandlerFunc {
+// admit is the query endpoints' inner handler, inside the shared middleware
+// (so the request already carries its trace and deadline): semaphore
+// admission control. The decision is recorded as an "admission_wait" span, and
+// a shed here is the only thing the endpoint's shed counter counts — a 503 for
+// a graph that is still loading is not load shedding.
+func (s *server) admit(name string, h http.HandlerFunc) http.HandlerFunc {
 	ep := s.metrics.Endpoint(name)
 	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		ep.InFlight.Inc()
-		defer ep.InFlight.Dec()
-		rw := &statusWriter{ResponseWriter: w}
-
-		var tr *trace.Trace
-		if admit {
-			tr = s.tracer.StartRequest(r.Header.Get("X-Trace-Id"), name)
-			if tr != nil {
-				rw.Header().Set("X-Trace-Id", tr.ID())
-				r = r.WithContext(trace.NewContext(r.Context(), tr))
-			}
-			adm := tr.StartSpan("admission_wait")
-			select {
-			case s.sem <- struct{}{}:
-				adm.End()
-				defer func() { <-s.sem }()
-			default:
-				// Saturated: shed instead of queueing unboundedly. The client
-				// is told when to come back; a well-behaved one backs off.
-				adm.SetAttr("shed", true)
-				adm.End()
-				ep.Shed.Inc()
-				rw.Header().Set("Retry-After", "1")
-				httpError(rw, http.StatusServiceUnavailable, "overloaded: query admission limit reached")
-				s.finish(name, ep, rw, r, start, tr)
-				return
-			}
-			if s.timeout > 0 {
-				ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
-				defer cancel()
-				r = r.WithContext(ctx)
-			}
+		adm := trace.FromContext(r.Context()).StartSpan("admission_wait")
+		select {
+		case s.sem <- struct{}{}:
+			adm.End()
+			defer func() { <-s.sem }()
+		default:
+			// Saturated: shed instead of queueing unboundedly. The client
+			// is told when to come back; a well-behaved one backs off.
+			adm.SetAttr("shed", true)
+			adm.End()
+			ep.Shed.Inc()
+			w.Header().Set("Retry-After", "1")
+			httpx.Error(w, http.StatusServiceUnavailable, "overloaded: query admission limit reached")
+			return
 		}
-		h(rw, r)
-		s.finish(name, ep, rw, r, start, tr)
+		h(w, r)
 	}
 }
 
-// finish records the completed request in the endpoint metrics, seals its
-// trace, and emits one structured access-log line.
-func (s *server) finish(name string, ep *obs.Endpoint, rw *statusWriter, r *http.Request, start time.Time, tr *trace.Trace) {
-	d := time.Since(start)
-	ep.Requests.Inc()
-	ep.Latency.Observe(d)
-	ep.RecordStatus(rw.Status())
-	if rw.Status() == http.StatusGatewayTimeout {
-		ep.Timeout.Inc()
-	}
-	s.tracer.Finish(tr, rw.Status())
+// accessLog emits one structured line per finished request.
+func accessLog(name string, r *http.Request, w *httpx.Recorder, d time.Duration) {
 	log.Printf("ssspd: access endpoint=%s method=%s path=%q status=%d bytes=%d dur=%s remote=%s",
-		name, r.Method, truncate(r.URL.RequestURI(), 256), rw.Status(), rw.bytes, d.Round(time.Microsecond), r.RemoteAddr)
+		name, r.Method, truncate(r.URL.RequestURI(), 256), w.Status(), w.Bytes(), d.Round(time.Microsecond), r.RemoteAddr)
 }
 
 // truncate caps a logged string: a /table request can carry a multi-kilobyte
@@ -479,36 +414,6 @@ func truncate(s string, max int) string {
 		return s
 	}
 	return s[:max] + fmt.Sprintf("...(%d bytes)", len(s))
-}
-
-// statusWriter captures the status code and body size of a response.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-	bytes  int64
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	n, err := w.ResponseWriter.Write(p)
-	w.bytes += int64(n)
-	return n, err
-}
-
-func (w *statusWriter) Status() int {
-	if w.status == 0 {
-		return http.StatusOK
-	}
-	return w.status
 }
 
 // graphFor resolves ?graph= (default: the startup graph) to an acquired
@@ -527,14 +432,14 @@ func (s *server) graphFor(w http.ResponseWriter, r *http.Request) (*catalog.Gene
 	var nr *catalog.NotReadyError
 	switch {
 	case errors.Is(err, catalog.ErrUnknownGraph):
-		httpError(w, http.StatusNotFound, err.Error())
+		httpx.Error(w, http.StatusNotFound, err.Error())
 	case errors.As(err, &nr) && nr.State == catalog.StateFailed:
-		httpError(w, http.StatusInternalServerError, err.Error())
+		httpx.Error(w, http.StatusInternalServerError, err.Error())
 	case errors.As(err, &nr):
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, err.Error())
+		httpx.Error(w, http.StatusServiceUnavailable, err.Error())
 	default:
-		httpError(w, http.StatusInternalServerError, err.Error())
+		httpx.Error(w, http.StatusInternalServerError, err.Error())
 	}
 	return nil, nil, false
 }
@@ -570,7 +475,7 @@ func errResp(err error) any {
 func runWithDeadline(w http.ResponseWriter, r *http.Request, release func(), fn func() any) {
 	if err := r.Context().Err(); err != nil {
 		release()
-		httpError(w, http.StatusGatewayTimeout, "deadline exceeded before query start")
+		httpx.Error(w, http.StatusGatewayTimeout, "deadline exceeded before query start")
 		return
 	}
 	done := make(chan any, 1)
@@ -581,12 +486,12 @@ func runWithDeadline(w http.ResponseWriter, r *http.Request, release func(), fn 
 	select {
 	case resp := <-done:
 		if qe, ok := resp.(queryError); ok {
-			httpError(w, qe.code, qe.msg)
+			httpx.Error(w, qe.code, qe.msg)
 			return
 		}
-		writeJSON(w, resp)
+		httpx.WriteJSON(w, http.StatusOK, resp)
 	case <-r.Context().Done():
-		httpError(w, http.StatusGatewayTimeout, "query deadline exceeded")
+		httpx.Error(w, http.StatusGatewayTimeout, "query deadline exceeded")
 	}
 }
 
@@ -618,7 +523,7 @@ func (s *server) admitPredicted(w http.ResponseWriter, r *http.Request, gen *cat
 			sp.End()
 			release()
 			w.Header().Set("Retry-After", "1")
-			httpError(w, http.StatusServiceUnavailable, fmt.Sprintf(
+			httpx.Error(w, http.StatusServiceUnavailable, fmt.Sprintf(
 				"predicted cost %s exceeds admission limit %s (solver %s): retry later or narrow the query",
 				cost.Round(time.Microsecond), limit.Round(time.Microsecond), name))
 			return false
@@ -650,7 +555,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	st := gen.H.ComputeStats()
-	writeJSON(w, map[string]any{
+	httpx.WriteJSON(w, http.StatusOK, map[string]any{
 		"instance":      gen.Name,
 		"generation":    gen.Gen,
 		"vertices":      gen.G.NumVertices(),
@@ -701,7 +606,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		release()
 	}
-	writeJSON(w, doc)
+	httpx.WriteJSON(w, http.StatusOK, doc)
 }
 
 // costModelSnapshot is the /metrics cost-model section: provider state
@@ -716,34 +621,15 @@ func (s *server) costModelSnapshot() map[string]any {
 	return doc
 }
 
-// handleDebugTraces serves the retained request traces, newest first.
-// Filters: ?min_ms= keeps traces at least that slow, ?graph= and ?solver=
-// match the trace's resolved graph and solver, ?limit= caps the count
-// (default 50).
+// handleDebugTraces serves the retained request traces, newest first:
+// httpx.TraceFilter's parameters plus ?solver= on the trace's resolved solver.
 func (s *server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	f := trace.Filter{Graph: q.Get("graph"), Solver: q.Get("solver"), Limit: 50}
-	if raw := q.Get("min_ms"); raw != "" {
-		ms, err := strconv.ParseFloat(raw, 64)
-		if err != nil || ms < 0 {
-			httpError(w, http.StatusBadRequest, "min_ms must be a non-negative number of milliseconds")
-			return
-		}
-		f.MinDur = time.Duration(ms * float64(time.Millisecond))
+	f, ok := httpx.TraceFilter(w, r)
+	if !ok {
+		return
 	}
-	if raw := q.Get("limit"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil || n < 1 {
-			httpError(w, http.StatusBadRequest, "limit must be a positive integer")
-			return
-		}
-		f.Limit = n
-	}
-	writeJSON(w, map[string]any{
-		"enabled": s.tracer.Enabled(),
-		"held":    s.tracer.Retained(),
-		"traces":  s.tracer.Traces(f),
-	})
+	f.Solver = r.URL.Query().Get("solver")
+	httpx.WriteTraces(w, s.tracer, f)
 }
 
 // handleCostModelDataset streams the training-sample ring as JSON lines
@@ -769,7 +655,7 @@ type costModelReloadRequest struct {
 // stale version) is a 400 and the previous model keeps serving.
 func (s *server) handleCostModelReload(w http.ResponseWriter, r *http.Request) {
 	var req costModelReloadRequest
-	if !decodeAdminBody(w, r, &req) {
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	path := req.Path
@@ -777,20 +663,20 @@ func (s *server) handleCostModelReload(w http.ResponseWriter, r *http.Request) {
 		path = s.costProv.Path()
 	}
 	if path == "" {
-		httpError(w, http.StatusBadRequest, "no cost-model path: pass {\"path\": ...} or start with -cost-model")
+		httpx.Error(w, http.StatusBadRequest, "no cost-model path: pass {\"path\": ...} or start with -cost-model")
 		return
 	}
 	if err := s.costProv.LoadFile(path); err != nil {
-		httpError(w, http.StatusBadRequest, "cost model not reloaded (previous model keeps serving): "+err.Error())
+		httpx.Error(w, http.StatusBadRequest, "cost model not reloaded (previous model keeps serving): "+err.Error())
 		return
 	}
 	m := s.costProv.Model()
 	log.Printf("ssspd: cost model reloaded from %s (%d solvers)", path, len(m.Solvers()))
-	writeJSON(w, map[string]any{"status": "reloaded", "path": path, "solvers": m.Solvers()})
+	httpx.WriteJSON(w, http.StatusOK, map[string]any{"status": "reloaded", "path": path, "solvers": m.Solvers()})
 }
 
 func (s *server) handleGraphs(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, map[string]any{
+	httpx.WriteJSON(w, http.StatusOK, map[string]any{
 		"default": s.defaultGraph,
 		"graphs":  s.cat.Status(),
 	})
@@ -810,11 +696,13 @@ type loadRequest struct {
 	Seed     uint64 `json:"seed,omitempty"`
 }
 
-func decodeAdminBody(w http.ResponseWriter, r *http.Request, v any) bool {
+// decodeBody decodes a POST body (admin requests and /batch): at most 1 MiB,
+// unknown fields refused. On failure the 400 is already written.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		httpError(w, http.StatusBadRequest, "bad body: "+err.Error())
+		httpx.Error(w, http.StatusBadRequest, "bad body: "+err.Error())
 		return false
 	}
 	return true
@@ -824,23 +712,23 @@ func decodeAdminBody(w http.ResponseWriter, r *http.Request, v any) bool {
 // conflicts (already loaded, mid-build, draining) are 409.
 func adminError(w http.ResponseWriter, err error) {
 	if errors.Is(err, catalog.ErrUnknownGraph) {
-		httpError(w, http.StatusNotFound, err.Error())
+		httpx.Error(w, http.StatusNotFound, err.Error())
 		return
 	}
-	httpError(w, http.StatusConflict, err.Error())
+	httpx.Error(w, http.StatusConflict, err.Error())
 }
 
 func (s *server) handleGraphLoad(w http.ResponseWriter, r *http.Request) {
 	var req loadRequest
-	if !decodeAdminBody(w, r, &req) {
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Name == "" {
-		httpError(w, http.StatusBadRequest, "name required")
+		httpx.Error(w, http.StatusBadRequest, "name required")
 		return
 	}
 	if req.Snapshot == "" && req.File == "" && req.Class == "" {
-		httpError(w, http.StatusBadRequest, "source required: snapshot, file, or class")
+		httpx.Error(w, http.StatusBadRequest, "source required: snapshot, file, or class")
 		return
 	}
 	src := catalog.Source{
@@ -851,8 +739,7 @@ func (s *server) handleGraphLoad(w http.ResponseWriter, r *http.Request) {
 		adminError(w, err)
 		return
 	}
-	w.WriteHeader(http.StatusAccepted)
-	writeJSON(w, map[string]string{"status": "loading", "name": req.Name})
+	httpx.WriteJSON(w, http.StatusAccepted, map[string]string{"status": "loading", "name": req.Name})
 }
 
 type nameRequest struct {
@@ -861,7 +748,7 @@ type nameRequest struct {
 
 func (s *server) handleGraphReload(w http.ResponseWriter, r *http.Request) {
 	var req nameRequest
-	if !decodeAdminBody(w, r, &req) {
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	gen, err := s.cat.Reload(req.Name)
@@ -869,20 +756,19 @@ func (s *server) handleGraphReload(w http.ResponseWriter, r *http.Request) {
 		adminError(w, err)
 		return
 	}
-	w.WriteHeader(http.StatusAccepted)
-	writeJSON(w, map[string]any{"status": "reloading", "name": req.Name, "gen": gen})
+	httpx.WriteJSON(w, http.StatusAccepted, map[string]any{"status": "reloading", "name": req.Name, "gen": gen})
 }
 
 func (s *server) handleGraphUnload(w http.ResponseWriter, r *http.Request) {
 	var req nameRequest
-	if !decodeAdminBody(w, r, &req) {
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if err := s.cat.Unload(req.Name); err != nil {
 		adminError(w, err)
 		return
 	}
-	writeJSON(w, map[string]string{"status": "unloading", "name": req.Name})
+	httpx.WriteJSON(w, http.StatusOK, map[string]string{"status": "unloading", "name": req.Name})
 }
 
 // handleGraphMutate applies a JSON batch of edge mutations (set_weight,
@@ -896,27 +782,26 @@ func (s *server) handleGraphMutate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	b, err := mutate.ParseRequest(r.Body)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad mutation batch: "+err.Error())
+		httpx.Error(w, http.StatusBadRequest, "bad mutation batch: "+err.Error())
 		return
 	}
 	res, err := s.cat.Mutate(name, b)
 	if err != nil {
 		if errors.Is(err, mutate.ErrInvalid) {
-			httpError(w, http.StatusBadRequest, err.Error())
+			httpx.Error(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		adminError(w, err)
 		return
 	}
 	if res.Fallback {
-		w.WriteHeader(http.StatusAccepted)
-		writeJSON(w, map[string]any{
+		httpx.WriteJSON(w, http.StatusAccepted, map[string]any{
 			"status": "rebuilding", "name": name, "gen": res.Gen,
 			"fallback": true, "touched": res.Touched,
 		})
 		return
 	}
-	writeJSON(w, map[string]any{
+	httpx.WriteJSON(w, http.StatusOK, map[string]any{
 		"status": "mutated", "name": name, "gen": res.Gen,
 		"touched": res.Touched, "aliased": res.Aliased,
 	})
@@ -1020,7 +905,7 @@ func (s *server) handleTable(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(sources)*len(targets) > 1<<20 {
 		release()
-		httpError(w, http.StatusBadRequest, "table too large")
+		httpx.Error(w, http.StatusBadRequest, "table too large")
 		return
 	}
 	// One engine query per row: rows flow through the worker pool, the cache,
@@ -1071,21 +956,18 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var breq batchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&breq); err != nil {
+	if !decodeBody(w, r, &breq) {
 		release()
-		httpError(w, http.StatusBadRequest, "bad batch body: "+err.Error())
 		return
 	}
 	if len(breq.Queries) == 0 {
 		release()
-		httpError(w, http.StatusBadRequest, "batch has no queries")
+		httpx.Error(w, http.StatusBadRequest, "batch has no queries")
 		return
 	}
 	if len(breq.Queries) > maxBatchItems {
 		release()
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("batch too large: %d queries (max %d)", len(breq.Queries), maxBatchItems))
+		httpx.Error(w, http.StatusBadRequest, fmt.Sprintf("batch too large: %d queries (max %d)", len(breq.Queries), maxBatchItems))
 		return
 	}
 	reqs := make([]engine.Request, len(breq.Queries))
@@ -1132,7 +1014,7 @@ func vertexParam(w http.ResponseWriter, r *http.Request, name string, g *graph.G
 	raw := r.URL.Query().Get(name)
 	v, err := strconv.ParseInt(raw, 10, 32)
 	if err != nil || v < 0 || int(v) >= g.NumVertices() {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("parameter %q must be a vertex in [0,%d)", name, g.NumVertices()))
+		httpx.Error(w, http.StatusBadRequest, fmt.Sprintf("parameter %q must be a vertex in [0,%d)", name, g.NumVertices()))
 		return 0, false
 	}
 	return int32(v), true
@@ -1141,7 +1023,7 @@ func vertexParam(w http.ResponseWriter, r *http.Request, name string, g *graph.G
 func vertexListParam(w http.ResponseWriter, r *http.Request, name string, g *graph.Graph) ([]int32, bool) {
 	raw := r.URL.Query().Get(name)
 	if raw == "" {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("parameter %q required (comma-separated vertices)", name))
+		httpx.Error(w, http.StatusBadRequest, fmt.Sprintf("parameter %q required (comma-separated vertices)", name))
 		return nil, false
 	}
 	parts := strings.Split(raw, ",")
@@ -1149,7 +1031,7 @@ func vertexListParam(w http.ResponseWriter, r *http.Request, name string, g *gra
 	for _, p := range parts {
 		v, err := strconv.ParseInt(strings.TrimSpace(p), 10, 32)
 		if err != nil || v < 0 || int(v) >= g.NumVertices() {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("bad vertex %q in %q", p, name))
+			httpx.Error(w, http.StatusBadRequest, fmt.Sprintf("bad vertex %q in %q", p, name))
 			return nil, false
 		}
 		out = append(out, int32(v))
@@ -1162,17 +1044,4 @@ func jsonDist(d int64) int64 {
 		return -1
 	}
 	return d
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		log.Printf("ssspd: encode: %v", err)
-	}
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }

@@ -685,48 +685,3 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		t.Fatalf("serve: %v", err)
 	}
 }
-
-// The production serve() helper: clean drain returns nil.
-func TestServeHelperShutsDownCleanly(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, h := testGraph()
-	srv := newServer(g, h, "drain-test", catalog.Source{},
-		serverOptions{workers: 2, maxInflight: 8, timeout: time.Minute})
-	t.Cleanup(srv.cat.Close)
-	// serve() uses hs.ListenAndServe; grab a free port for it.
-	addr := ln.Addr().String()
-	ln.Close()
-	hs := &http.Server{Addr: addr, Handler: srv.mux()}
-	ctx, cancel := context.WithCancel(context.Background())
-
-	done := make(chan error, 1)
-	go func() {
-		done <- serve(ctx, hs, 5*time.Second)
-	}()
-	// Wait until the server answers, proving ListenAndServe is up.
-	url := "http://" + hs.Addr + "/healthz"
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err := http.Get(url)
-		if err == nil {
-			resp.Body.Close()
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("server never came up: %v", err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("serve returned %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("serve did not return after cancel")
-	}
-}

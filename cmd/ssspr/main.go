@@ -22,16 +22,14 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
-	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
+	"repro/internal/httpx"
 	"repro/internal/router"
 	"repro/internal/trace"
 )
@@ -75,27 +73,13 @@ func main() {
 			SlowQuery: *slowQuery,
 			Logf:      log.Printf,
 		},
-		Logf: func(format string, args ...any) {
-			// Access lines are debug-volume; keep transitions and errors only.
-			if len(format) >= 22 && format[:22] == "router: access endpoin" {
-				return
-			}
-			log.Printf(format, args...)
-		},
+		Logf: log.Printf,
 	})
 	if err != nil {
 		log.Fatalf("ssspr: %v", err)
 	}
 	defer rt.Close()
 
-	hs := &http.Server{
-		Addr:              *addr,
-		Handler:           rt.Mux(),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       10 * time.Second,
-		WriteTimeout:      writeTimeout(*timeout),
-		IdleTimeout:       2 * time.Minute,
-	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -107,7 +91,7 @@ func main() {
 
 	log.Printf("ssspr: routing %d backends on %s (replicas=%d health-interval=%s retry=%v timeout=%s)",
 		len(tbl.Backends), *addr, tbl.ReplicaCount(""), *healthInterval, *retry, *timeout)
-	if err := serve(ctx, hs, *drain); err != nil {
+	if err := httpx.Serve(ctx, *addr, rt.Mux(), *timeout, *drain, "ssspr"); err != nil {
 		log.Fatalf("ssspr: %v", err)
 	}
 	log.Printf("ssspr: drained, bye")
@@ -128,38 +112,4 @@ func reloadLoop(sig <-chan os.Signal, rt *router.Router, path string) {
 		}
 		log.Printf("ssspr: table reloaded from %s (%d backends)", path, len(tbl.Backends))
 	}
-}
-
-// serve runs the HTTP server until ctx is cancelled, then shuts it down
-// gracefully, giving in-flight proxied requests up to drain to complete.
-func serve(ctx context.Context, hs *http.Server, drain time.Duration) error {
-	errc := make(chan error, 1)
-	go func() {
-		if err := hs.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-			errc <- err
-			return
-		}
-		errc <- nil
-	}()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	log.Printf("ssspr: shutdown signal, draining in-flight requests (budget %s)", drain)
-	sctx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	if err := hs.Shutdown(sctx); err != nil {
-		return fmt.Errorf("drain: %w", err)
-	}
-	return <-errc
-}
-
-// writeTimeout bounds response writes: the proxied query deadline plus body
-// streaming headroom (a full=1 distance vector is megabytes).
-func writeTimeout(queryTimeout time.Duration) time.Duration {
-	if queryTimeout <= 0 {
-		return 0
-	}
-	return queryTimeout + 30*time.Second
 }

@@ -227,7 +227,7 @@ func TestPolicySelection(t *testing.T) {
 
 // The static ladder still sends an auto multi-source query on a weighted
 // graph to Thorup even though delta-stepping now answers a source set in one
-// run: re-routing it is a separate, measured decision (ROADMAP item 3). An
+// run: re-routing it is a separate, measured decision (ROADMAP item 1). An
 // explicit ?solver=delta with k sources costs one run.
 func TestMultiSourceRouting(t *testing.T) {
 	in := testInstance(t, 300, 1200)

@@ -29,7 +29,7 @@ const ModelOverrideMargin = 1.25
 //     over the shared hierarchy. So does every other solver in the registry
 //     (each seeds all sources at distance 0); whether one of them should
 //     take these queries is a measured decision this ladder has not made
-//     yet (ROADMAP item 3);
+//     yet (ROADMAP item 1);
 //   - single-source: delta-stepping when the instance's heuristic bucket
 //     width exceeds 1 (weight range admits real buckets, so phases batch
 //     work), Thorup otherwise (delta = 1 degenerates into a serial-grade

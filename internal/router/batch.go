@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 
+	"repro/internal/httpx"
 	"repro/internal/trace"
 )
 
@@ -43,12 +45,12 @@ type batchResults struct {
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	graph := rt.graphOf(r)
 	if graph == "" {
-		httpError(w, http.StatusBadRequest, "parameter \"graph\" required (the router has no default graph)")
+		httpx.Error(w, http.StatusBadRequest, "parameter \"graph\" required (the router has no default graph)")
 		return
 	}
 	body, env, err := readBatch(w, r)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		httpx.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	eligible, ok := rt.routeSpan(r, graph)
@@ -61,7 +63,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		shards = max
 	}
 	if shards < 2 {
-		rt.batchSingle(w, r, eligible, body)
+		rt.forward(w, r, eligible, body)
 		return
 	}
 	rt.batchFanout(w, r, eligible, env, shards)
@@ -88,45 +90,6 @@ func readBatch(w http.ResponseWriter, r *http.Request) ([]byte, *batchEnvelope, 
 		return nil, nil, fmt.Errorf("batch has %d queries, limit %d", len(env.Queries), maxBatchItems)
 	}
 	return buf.Bytes(), &env, nil
-}
-
-// batchSingle sends the whole batch to one replica, retrying once on another
-// under the same policy as single reads.
-func (rt *Router) batchSingle(w http.ResponseWriter, r *http.Request, eligible []*backendState, body []byte) {
-	first := pick(eligible)
-	resp, err := rt.attempt(r, first, "backend_wait", body)
-	maxRA := 0
-	if err == nil && resp.StatusCode == http.StatusServiceUnavailable {
-		maxRA = retryAfterOf(resp)
-	}
-	if retryable(resp, err) && r.Context().Err() == nil {
-		if second := rt.retryTarget(eligible, first); second != nil {
-			if resp != nil {
-				drain(resp)
-			}
-			rt.counters.C(cRetries).Inc()
-			retryResp, retryErr := rt.attempt(r, second, "retry", body)
-			if retryErr == nil {
-				if retryResp.StatusCode < 500 {
-					rt.counters.C(cRetrySuccess).Inc()
-				}
-				if retryResp.StatusCode == http.StatusServiceUnavailable {
-					if ra := retryAfterOf(retryResp); ra > maxRA {
-						maxRA = ra
-					}
-					rt.counters.C(cAllShedding).Inc()
-				}
-				rt.writeProxied(w, retryResp, second.name, maxRA)
-				return
-			}
-			resp, err = nil, retryErr
-		}
-	}
-	if err != nil {
-		httpError(w, http.StatusBadGateway, fmt.Sprintf("backend %s: %v", first.name, err))
-		return
-	}
-	rt.writeProxied(w, resp, first.name, maxRA)
 }
 
 // shardOutcome is one sub-batch's result: either results (len == item count)
@@ -185,7 +148,7 @@ func (rt *Router) batchFanout(w http.ResponseWriter, r *http.Request, eligible [
 	if allShed {
 		rt.counters.C(cAllShedding).Inc()
 		w.Header().Set("Retry-After", strconv.Itoa(maxRA))
-		httpError(w, http.StatusServiceUnavailable, "all replicas shedding")
+		httpx.Error(w, http.StatusServiceUnavailable, "all replicas shedding")
 		return
 	}
 
@@ -200,8 +163,8 @@ func (rt *Router) batchFanout(w http.ResponseWriter, r *http.Request, eligible [
 		msg, _ := json.Marshal(map[string]any{"error": o.errMsg, "status": o.status})
 		out[i] = msg
 	}
-	w.Header().Set("X-Backend", joinNames(backends))
-	writeJSON(w, batchResults{Results: out})
+	w.Header().Set("X-Backend", strings.Join(backends, ","))
+	httpx.WriteJSON(w, http.StatusOK, batchResults{Results: out})
 	rt.counters.C(cRouted).Inc()
 }
 
@@ -213,24 +176,14 @@ func (rt *Router) sendShard(r *http.Request, eligible []*backendState, first *ba
 	if err != nil {
 		return shardOutcome{backend: first.name, errMsg: err.Error(), status: http.StatusInternalServerError}
 	}
+	o := rt.send(r, eligible, first, body)
 	rt.counters.C(cFanoutSubrequests).Inc()
-	resp, err := rt.attempt(r, first, "backend_wait", body)
-	out := rt.shardOutcomeOf(first, resp, err, len(sub.Queries))
-	if out.errMsg != "" && retryable(resp, err) && r.Context().Err() == nil {
-		if second := rt.retryTarget(eligible, first); second != nil {
-			rt.counters.C(cRetries).Inc()
-			rt.counters.C(cFanoutSubrequests).Inc()
-			resp2, err2 := rt.attempt(r, second, "retry", body)
-			out2 := rt.shardOutcomeOf(second, resp2, err2, len(sub.Queries))
-			if out2.errMsg == "" {
-				rt.counters.C(cRetrySuccess).Inc()
-				return out2
-			}
-			if out2.shed > out.shed {
-				out.shed = out2.shed
-			}
-			out.errMsg, out.status, out.backend = out2.errMsg, out2.status, out2.backend
-		}
+	if o.retried {
+		rt.counters.C(cFanoutSubrequests).Inc()
+	}
+	out := rt.shardOutcomeOf(o.backend, o.resp, o.err, len(sub.Queries))
+	if out.results == nil {
+		out.shed = o.retryAfter
 	}
 	return out
 }
@@ -247,9 +200,6 @@ func (rt *Router) shardOutcomeOf(b *backendState, resp *http.Response, err error
 	if resp.StatusCode != http.StatusOK {
 		o.errMsg = fmt.Sprintf("backend %s: status %d", b.name, resp.StatusCode)
 		o.status = resp.StatusCode
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			o.shed = retryAfterOf(resp)
-		}
 		return o
 	}
 	var br batchResults
@@ -264,15 +214,4 @@ func (rt *Router) shardOutcomeOf(b *backendState, resp *http.Response, err error
 	}
 	o.results = br.Results
 	return o
-}
-
-func joinNames(names []string) string {
-	var b bytes.Buffer
-	for i, n := range names {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(n)
-	}
-	return b.String()
 }

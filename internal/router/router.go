@@ -1,8 +1,8 @@
 package router
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/httpx"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -49,7 +50,7 @@ type Config struct {
 	// pooled connections and no client-level timeout — the request context
 	// carries the deadline).
 	Client *http.Client
-	// Logf receives health transitions and access lines (default: drop).
+	// Logf receives health transitions and table reloads (default: drop).
 	Logf func(format string, args ...any)
 }
 
@@ -302,60 +303,36 @@ func (tb *tokenBucket) take() bool {
 }
 
 // Mux returns the router's HTTP handler: the ssspd query surface proxied by
-// graph, plus the router's own health/metrics/introspection endpoints.
+// graph, plus the router's own health/metrics/introspection endpoints, all
+// behind the shared middleware (httpx). Proxied endpoints are traced and
+// carry the Timeout deadline.
 func (rt *Router) Mux() *http.ServeMux {
+	mw := &httpx.Middleware{Metrics: rt.metrics, Tracer: rt.tracer, Timeout: rt.cfg.Timeout}
 	m := http.NewServeMux()
-	m.HandleFunc("GET /healthz", rt.instrument("healthz", false, func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, map[string]string{"status": "ok"})
+	m.HandleFunc("GET /healthz", mw.Wrap("healthz", false, func(w http.ResponseWriter, r *http.Request) {
+		httpx.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	}))
-	m.HandleFunc("GET /metrics", rt.instrument("metrics", false, rt.handleMetrics))
-	m.HandleFunc("GET /fleet", rt.instrument("fleet", false, rt.handleFleet))
-	m.HandleFunc("GET /route", rt.instrument("route", false, rt.handleRoute))
-	m.HandleFunc("GET /debug/traces", rt.instrument("debug_traces", false, rt.handleDebugTraces))
+	m.HandleFunc("GET /metrics", mw.Wrap("metrics", false, rt.handleMetrics))
+	m.HandleFunc("GET /fleet", mw.Wrap("fleet", false, rt.handleFleet))
+	m.HandleFunc("GET /route", mw.Wrap("route", false, rt.handleRoute))
+	m.HandleFunc("GET /debug/traces", mw.Wrap("debug_traces", false, rt.handleDebugTraces))
 	for _, ep := range []string{"sssp", "dist", "st", "table"} {
-		m.HandleFunc("GET /"+ep, rt.instrument(ep, true, rt.proxyRead(ep)))
+		m.HandleFunc("GET /"+ep, mw.Wrap(ep, true, rt.countShed(ep, rt.proxyRead)))
 	}
-	m.HandleFunc("POST /batch", rt.instrument("batch", true, rt.handleBatch))
+	m.HandleFunc("POST /batch", mw.Wrap("batch", true, rt.countShed("batch", rt.handleBatch)))
 	return m
 }
 
-// instrument wraps a handler with the router's middleware: request counting,
-// latency histogram, status classing, and — for proxied query endpoints
-// (traced=true) — request tracing and the per-request deadline.
-func (rt *Router) instrument(name string, traced bool, h http.HandlerFunc) http.HandlerFunc {
+// countShed is the proxied endpoints' inner handler: every 503 the router
+// answers — a backend's shed passed through, no eligible replica, all
+// replicas shedding — counts as shed on the endpoint, whoever decided it.
+func (rt *Router) countShed(name string, h http.HandlerFunc) http.HandlerFunc {
 	ep := rt.metrics.Endpoint(name)
 	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		ep.InFlight.Inc()
-		defer ep.InFlight.Dec()
-		rw := &statusWriter{ResponseWriter: w}
-		var tr *trace.Trace
-		if traced {
-			tr = rt.tracer.StartRequest(r.Header.Get("X-Trace-Id"), name)
-			if tr != nil {
-				rw.Header().Set("X-Trace-Id", tr.ID())
-				r = r.WithContext(trace.NewContext(r.Context(), tr))
-			}
-			if rt.cfg.Timeout > 0 {
-				ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.Timeout)
-				defer cancel()
-				r = r.WithContext(ctx)
-			}
-		}
-		h(rw, r)
-		d := time.Since(start)
-		ep.Requests.Inc()
-		ep.Latency.Observe(d)
-		ep.RecordStatus(rw.Status())
-		switch rw.Status() {
-		case http.StatusServiceUnavailable:
+		h(w, r)
+		if w.(*httpx.Recorder).Status() == http.StatusServiceUnavailable {
 			ep.Shed.Inc()
-		case http.StatusGatewayTimeout:
-			ep.Timeout.Inc()
 		}
-		rt.tracer.Finish(tr, rw.Status())
-		rt.logf("router: access endpoint=%s status=%d backend=%s dur=%s",
-			name, rw.Status(), rw.Header().Get("X-Backend"), d.Round(time.Microsecond))
 	}
 }
 
@@ -379,9 +356,13 @@ func (rt *Router) attempt(r *http.Request, b *backendState, spanName string, bod
 	defer b.inflight.Add(-1)
 	var rd io.Reader
 	if body != nil {
-		rd = strings.NewReader(string(body))
+		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, b.url+r.URL.Path+"?"+r.URL.RawQuery, rd)
+	url := b.url + r.URL.Path
+	if r.URL.RawQuery != "" {
+		url += "?" + r.URL.RawQuery
+	}
+	req, err := http.NewRequestWithContext(r.Context(), r.Method, url, rd)
 	if err != nil {
 		sp.SetAttr("error", err.Error())
 		sp.End()
@@ -422,11 +403,12 @@ func retryable(resp *http.Response, err error) bool {
 	return false
 }
 
-// retryAfterOf extracts a backend 503's Retry-After in seconds (1 when
-// absent or unparseable, so the router never propagates a blank header).
+// retryAfterOf is how long an attempt's outcome asks the client to stay away:
+// a backend 503's Retry-After in seconds (1 when absent or unparseable, so the
+// router never propagates a blank header), 0 for any other outcome.
 func retryAfterOf(resp *http.Response) int {
-	if resp == nil {
-		return 1
+	if resp == nil || resp.StatusCode != http.StatusServiceUnavailable {
+		return 0
 	}
 	if n, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && n >= 1 {
 		return n
@@ -434,58 +416,91 @@ func retryAfterOf(resp *http.Response) int {
 	return 1
 }
 
-// proxyRead builds the handler for one idempotent GET query endpoint: route
-// by graph, pick a replica (power-of-two-choices), proxy, and retry once on
-// a different replica when the attempt fails and the budget allows.
-func (rt *Router) proxyRead(endpoint string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		graph := rt.graphOf(r)
-		if graph == "" {
-			httpError(w, http.StatusBadRequest, "parameter \"graph\" required (the router has no default graph)")
-			return
-		}
-		eligible, ok := rt.routeSpan(r, graph)
-		if !ok {
-			rt.shedNoReplica(w, graph)
-			return
-		}
-		first := pick(eligible)
-		resp, err := rt.attempt(r, first, "backend_wait", nil)
-		maxRA := 0
-		if err == nil && resp.StatusCode == http.StatusServiceUnavailable {
-			maxRA = retryAfterOf(resp)
-		}
-		if retryable(resp, err) && r.Context().Err() == nil {
-			if second := rt.retryTarget(eligible, first); second != nil {
-				if resp != nil {
-					drain(resp)
-				}
-				retryResp, retryErr := rt.retryOn(r, second)
-				if retryErr == nil {
-					if retryResp.StatusCode < 500 {
-						rt.counters.C(cRetrySuccess).Inc()
-					}
-					if retryResp.StatusCode == http.StatusServiceUnavailable {
-						if ra := retryAfterOf(retryResp); ra > maxRA {
-							maxRA = ra
-						}
-						// Every replica we reached is shedding: the graph is
-						// overloaded tier-wide, tell the client the longest
-						// back-off any replica asked for.
-						rt.counters.C(cAllShedding).Inc()
-					}
-					rt.writeProxied(w, retryResp, second.name, maxRA)
-					return
-				}
-				resp, err = nil, retryErr
-			}
-		}
-		if err != nil {
-			httpError(w, http.StatusBadGateway, fmt.Sprintf("backend %s: %v", first.name, err))
-			return
-		}
-		rt.writeProxied(w, resp, first.name, maxRA)
+// proxyRead handles the idempotent GET query endpoints: route by graph, then
+// forward.
+func (rt *Router) proxyRead(w http.ResponseWriter, r *http.Request) {
+	graph := rt.graphOf(r)
+	if graph == "" {
+		httpx.Error(w, http.StatusBadRequest, "parameter \"graph\" required (the router has no default graph)")
+		return
 	}
+	eligible, ok := rt.routeSpan(r, graph)
+	if !ok {
+		rt.shedNoReplica(w, graph)
+		return
+	}
+	rt.forward(w, r, eligible, nil)
+}
+
+// sent is the outcome of send: the replica that produced the final resp (body
+// unread) or err, whether a second attempt was made, and the largest
+// Retry-After any contacted replica shed with (0 when none did).
+type sent struct {
+	backend    *backendState
+	resp       *http.Response
+	err        error
+	retried    bool
+	retryAfter int
+}
+
+// send is the router's one retry-once sequence: attempt on first; if that
+// outcome is retryable, the deadline is alive and the policy and budget allow,
+// abandon it, back off (RetryBackoff clipped to half the remaining deadline)
+// and attempt on a different replica.
+func (rt *Router) send(r *http.Request, eligible []*backendState, first *backendState, body []byte) sent {
+	o := sent{backend: first}
+	o.resp, o.err = rt.attempt(r, first, "backend_wait", body)
+	o.retryAfter = retryAfterOf(o.resp)
+	if !retryable(o.resp, o.err) || r.Context().Err() != nil {
+		return o
+	}
+	second := rt.retryTarget(eligible, first)
+	if second == nil {
+		return o
+	}
+	if o.resp != nil {
+		drain(o.resp)
+	}
+	rt.counters.C(cRetries).Inc()
+	backoff := rt.cfg.RetryBackoff
+	if dl, ok := r.Context().Deadline(); ok {
+		if rem := time.Until(dl) / 2; rem < backoff {
+			backoff = rem
+		}
+	}
+	if backoff > 0 {
+		select {
+		case <-time.After(backoff):
+		case <-r.Context().Done():
+			o.resp, o.err = nil, r.Context().Err()
+			return o
+		}
+	}
+	o.backend, o.retried = second, true
+	o.resp, o.err = rt.attempt(r, second, "retry", body)
+	o.retryAfter = max(o.retryAfter, retryAfterOf(o.resp))
+	if o.err == nil && o.resp.StatusCode < 500 {
+		rt.counters.C(cRetrySuccess).Inc()
+	}
+	return o
+}
+
+// forward proxies a request (a GET, or a /batch small enough for one
+// replica) to a power-of-two-choices pick of eligible and copies the outcome
+// to the client.
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, eligible []*backendState, body []byte) {
+	o := rt.send(r, eligible, pick(eligible), body)
+	if o.err != nil {
+		httpx.Error(w, http.StatusBadGateway, fmt.Sprintf("backend %s: %v", o.backend.name, o.err))
+		return
+	}
+	if o.retried && o.resp.StatusCode == http.StatusServiceUnavailable {
+		// Every replica we reached is shedding: the graph is overloaded
+		// tier-wide, and the client is told the longest back-off any replica
+		// asked for.
+		rt.counters.C(cAllShedding).Inc()
+	}
+	rt.writeProxied(w, o.resp, o.backend.name, o.retryAfter)
 }
 
 // routeSpan resolves the replica set under a "route" span. ok is false when
@@ -521,25 +536,6 @@ func (rt *Router) retryTarget(eligible []*backendState, first *backendState) *ba
 	return pick(rest)
 }
 
-// retryOn waits the backoff (clipped to the deadline) and re-attempts on b.
-func (rt *Router) retryOn(r *http.Request, b *backendState) (*http.Response, error) {
-	rt.counters.C(cRetries).Inc()
-	backoff := rt.cfg.RetryBackoff
-	if dl, ok := r.Context().Deadline(); ok {
-		if rem := time.Until(dl) / 2; rem < backoff {
-			backoff = rem
-		}
-	}
-	if backoff > 0 {
-		select {
-		case <-time.After(backoff):
-		case <-r.Context().Done():
-			return nil, r.Context().Err()
-		}
-	}
-	return rt.attempt(r, b, "retry", nil)
-}
-
 // shedNoReplica answers a request whose graph has no eligible replica: 503
 // with a Retry-After covering one health interval, since that is how long a
 // recovering backend takes to come back into the ring.
@@ -547,23 +543,20 @@ func (rt *Router) shedNoReplica(w http.ResponseWriter, graph string) {
 	rt.counters.C(cNoReplica).Inc()
 	ra := int(rt.cfg.HealthInterval.Seconds() + 1)
 	w.Header().Set("Retry-After", strconv.Itoa(ra))
-	httpError(w, http.StatusServiceUnavailable,
+	httpx.Error(w, http.StatusServiceUnavailable,
 		fmt.Sprintf("no healthy replica for graph %q", graph))
 }
 
 // writeProxied copies a backend response to the client: status, content
-// type, backend identity, and — for 503s — a Retry-After that is the maximum
-// any contacted replica asked for (never blank).
-func (rt *Router) writeProxied(w http.ResponseWriter, resp *http.Response, backend string, maxRA int) {
+// type, backend identity, and — for 503s — retryAfter, the maximum
+// Retry-After any contacted replica asked for (never blank).
+func (rt *Router) writeProxied(w http.ResponseWriter, resp *http.Response, backend string, retryAfter int) {
 	defer resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
 	}
 	if resp.StatusCode == http.StatusServiceUnavailable {
-		if ra := retryAfterOf(resp); ra > maxRA {
-			maxRA = ra
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(maxRA))
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
 	} else if ra := resp.Header.Get("Retry-After"); ra != "" {
 		w.Header().Set("Retry-After", ra)
 	}
@@ -591,7 +584,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		views = append(views, v)
 	}
-	writeJSON(w, map[string]any{
+	httpx.WriteJSON(w, http.StatusOK, map[string]any{
 		"uptime_seconds": rt.metrics.UptimeSeconds(),
 		"fleet": map[string]any{
 			"backends":         len(fv.backends),
@@ -613,7 +606,7 @@ func (rt *Router) handleFleet(w http.ResponseWriter, r *http.Request) {
 	for _, b := range fv.backends {
 		views = append(views, b.snapshot())
 	}
-	writeJSON(w, map[string]any{
+	httpx.WriteJSON(w, http.StatusOK, map[string]any{
 		"backends":         views,
 		"vnodes":           fv.table.vnodes(),
 		"replicas_default": fv.table.ReplicaCount(""),
@@ -627,7 +620,7 @@ func (rt *Router) handleFleet(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleRoute(w http.ResponseWriter, r *http.Request) {
 	graph := rt.graphOf(r)
 	if graph == "" {
-		httpError(w, http.StatusBadRequest, "parameter \"graph\" required")
+		httpx.Error(w, http.StatusBadRequest, "parameter \"graph\" required")
 		return
 	}
 	replicas, eligible := rt.replicasFor(graph)
@@ -635,7 +628,7 @@ func (rt *Router) handleRoute(w http.ResponseWriter, r *http.Request) {
 	for i, b := range eligible {
 		names[i] = b.name
 	}
-	writeJSON(w, map[string]any{
+	httpx.WriteJSON(w, http.StatusOK, map[string]any{
 		"graph":    graph,
 		"replicas": replicas,
 		"eligible": names,
@@ -643,68 +636,13 @@ func (rt *Router) handleRoute(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDebugTraces mirrors ssspd's /debug/traces for the router's own
-// spans, with an extra ?backend= filter on the backend the request was
-// routed to.
+// spans: httpx.TraceFilter's parameters plus ?backend= on the backend the
+// request was routed to.
 func (rt *Router) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	f := trace.Filter{Graph: q.Get("graph"), Backend: q.Get("backend"), Limit: 50}
-	if raw := q.Get("min_ms"); raw != "" {
-		ms, err := strconv.ParseFloat(raw, 64)
-		if err != nil || ms < 0 {
-			httpError(w, http.StatusBadRequest, "min_ms must be a non-negative number of milliseconds")
-			return
-		}
-		f.MinDur = time.Duration(ms * float64(time.Millisecond))
+	f, ok := httpx.TraceFilter(w, r)
+	if !ok {
+		return
 	}
-	if raw := q.Get("limit"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil || n < 1 {
-			httpError(w, http.StatusBadRequest, "limit must be a positive integer")
-			return
-		}
-		f.Limit = n
-	}
-	writeJSON(w, map[string]any{
-		"enabled": rt.tracer.Enabled(),
-		"held":    rt.tracer.Retained(),
-		"traces":  rt.tracer.Traces(f),
-	})
-}
-
-// statusWriter captures the status code of a response.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(p)
-}
-
-func (w *statusWriter) Status() int {
-	if w.status == 0 {
-		return http.StatusOK
-	}
-	return w.status
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg})
+	f.Backend = r.URL.Query().Get("backend")
+	httpx.WriteTraces(w, rt.tracer, f)
 }

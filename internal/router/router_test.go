@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/httpx"
 	"repro/internal/trace"
 )
 
@@ -228,13 +229,26 @@ func TestMissingGraphParam400(t *testing.T) {
 	if w := get(t, rt2.Mux(), "/dist?s=0&t=1"); w.Code != http.StatusOK {
 		t.Fatalf("status %d, want 200 via default graph", w.Code)
 	}
+
+	// A request with no query string at all reaches the backend without a
+	// dangling "?".
+	var upstream string
+	a.setQuery(func(w http.ResponseWriter, r *http.Request) {
+		upstream = r.RequestURI
+		echoBatch("a")(w, r)
+	})
+	w := httptest.NewRecorder()
+	rt2.Mux().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/batch", bytes.NewReader([]byte(`{"queries":[{"source":1}]}`))))
+	if w.Code != http.StatusOK || upstream != "/batch" {
+		t.Fatalf("status %d, upstream request URI %q, want 200 and /batch", w.Code, upstream)
+	}
 }
 
 func TestRetryOnOtherReplica(t *testing.T) {
 	a := newFakeBackend(t, "a", "g")
 	b := newFakeBackend(t, "b", "g")
 	a.setQuery(func(w http.ResponseWriter, r *http.Request) {
-		httpError(w, http.StatusInternalServerError, "boom")
+		httpx.Error(w, http.StatusInternalServerError, "boom")
 	})
 	rt := newTestRouter(t, Config{Retry: true, RetryBudget: 1000, RetryBackoff: time.Microsecond}, a, b)
 	mux := rt.Mux()
@@ -253,9 +267,96 @@ func TestRetryOnOtherReplica(t *testing.T) {
 	}
 }
 
+// There is one retry-once sequence, so every proxied shape retries the same
+// way: a GET, a /batch small enough for one replica and one shard of a
+// fanned-out /batch each wait RetryBackoff after a first-replica 503, land the
+// second attempt on a different replica, and count one retry.
+func TestRetryBacksOffOnEveryProxiedShape(t *testing.T) {
+	const backoff = 40 * time.Millisecond
+	big := struct {
+		Queries []map[string]int `json:"queries"`
+	}{}
+	for i := 0; i < 32; i++ {
+		big.Queries = append(big.Queries, map[string]int{"source": i})
+	}
+	bigBody, _ := json.Marshal(big)
+	for _, tc := range []struct {
+		name, path string
+		body       []byte
+		attempts   int // backend hits the request must cause
+	}{
+		{"dist", "/dist?graph=g&s=0&t=1", nil, 2},
+		{"small batch", "/batch?graph=g", []byte(`{"queries":[{"source":1}]}`), 2},
+		{"fanned-out batch", "/batch?graph=g", bigBody, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			type hit struct {
+				backend, body string
+				at            time.Time
+			}
+			var mu sync.Mutex
+			var hits []hit
+			// Whichever replica is asked first sheds; every later attempt
+			// succeeds.
+			script := func(name string) func(w http.ResponseWriter, r *http.Request) {
+				return func(w http.ResponseWriter, r *http.Request) {
+					body, _ := io.ReadAll(r.Body)
+					mu.Lock()
+					first := len(hits) == 0
+					hits = append(hits, hit{name, string(body), time.Now()})
+					mu.Unlock()
+					if first {
+						httpx.Error(w, http.StatusServiceUnavailable, "shedding")
+						return
+					}
+					if r.Method == http.MethodGet {
+						json.NewEncoder(w).Encode(map[string]string{"backend": name})
+						return
+					}
+					r.Body = io.NopCloser(bytes.NewReader(body))
+					echoBatch(name)(w, r)
+				}
+			}
+			a := newFakeBackend(t, "a", "g")
+			b := newFakeBackend(t, "b", "g")
+			a.setQuery(script("a"))
+			b.setQuery(script("b"))
+			rt := newTestRouter(t, Config{Retry: true, RetryBudget: 1000, RetryBackoff: backoff}, a, b)
+			method := http.MethodGet
+			if tc.body != nil {
+				method = http.MethodPost
+			}
+			w := httptest.NewRecorder()
+			rt.Mux().ServeHTTP(w, httptest.NewRequest(method, tc.path, bytes.NewReader(tc.body)))
+			if w.Code != http.StatusOK {
+				t.Fatalf("status %d, want 200 (the retry masks the 503): %s", w.Code, w.Body)
+			}
+			if len(hits) != tc.attempts {
+				t.Fatalf("%d backend attempts, want %d", len(hits), tc.attempts)
+			}
+			// The retry is the later attempt carrying the shed attempt's body.
+			shed, retry := hits[0], hit{}
+			for _, h := range hits[1:] {
+				if h.body == shed.body {
+					retry = h
+				}
+			}
+			if retry.backend == "" || retry.backend == shed.backend {
+				t.Fatalf("shed by %q, retried on %q: want a different replica", shed.backend, retry.backend)
+			}
+			if gap := retry.at.Sub(shed.at); gap < backoff {
+				t.Fatalf("retry started %s after the first attempt, want >= RetryBackoff %s", gap, backoff)
+			}
+			if got := rt.Counter(cRetries); got != 1 {
+				t.Fatalf("retries=%d, want exactly 1", got)
+			}
+		})
+	}
+}
+
 func TestRetryBudgetExhaustion(t *testing.T) {
 	fail := func(w http.ResponseWriter, r *http.Request) {
-		httpError(w, http.StatusInternalServerError, "boom")
+		httpx.Error(w, http.StatusInternalServerError, "boom")
 	}
 	a := newFakeBackend(t, "a", "g")
 	b := newFakeBackend(t, "b", "g")
@@ -286,7 +387,7 @@ func TestAllReplicasSheddingMaxRetryAfter(t *testing.T) {
 			if ra != "" {
 				w.Header().Set("Retry-After", ra)
 			}
-			httpError(w, http.StatusServiceUnavailable, "shedding")
+			httpx.Error(w, http.StatusServiceUnavailable, "shedding")
 		}
 	}
 	a := newFakeBackend(t, "a", "g")
@@ -331,7 +432,7 @@ func TestErrorStatusPropagation(t *testing.T) {
 				if tc.retryAfter != "" {
 					w.Header().Set("Retry-After", tc.retryAfter)
 				}
-				httpError(w, tc.status, "scripted")
+				httpx.Error(w, tc.status, "scripted")
 			})
 			rt := newTestRouter(t, Config{Retry: true}, a)
 			w := get(t, rt.Mux(), "/dist?graph=g&s=0&t=1")
@@ -433,7 +534,7 @@ func TestBatchShardFailureIsPartial(t *testing.T) {
 	b := newFakeBackend(t, "b", "g")
 	a.setQuery(echoBatch("a"))
 	b.setQuery(func(w http.ResponseWriter, r *http.Request) {
-		httpError(w, http.StatusInternalServerError, "shard down")
+		httpx.Error(w, http.StatusInternalServerError, "shard down")
 	})
 	rt := newTestRouter(t, Config{}, a, b) // no retry: the failure must surface
 	const items = 32
@@ -482,7 +583,7 @@ func TestBatchAllShardsShedding(t *testing.T) {
 	shed := func(ra string) func(w http.ResponseWriter, r *http.Request) {
 		return func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Retry-After", ra)
-			httpError(w, http.StatusServiceUnavailable, "shedding")
+			httpx.Error(w, http.StatusServiceUnavailable, "shedding")
 		}
 	}
 	a := newFakeBackend(t, "a", "g")
