@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-build bench-engine bench-catalog bench-trace bench-serve bench-serve-smoke bench-router bench-mutate bench-costmodel check flake docs-check stress fuzz experiments sim-csv-check examples clean
+.PHONY: all build vet test race bench bench-build bench-engine bench-catalog bench-trace bench-serve bench-serve-smoke bench-router bench-mutate bench-costmodel check flake docs-check loc stress fuzz experiments sim-csv-check examples clean
 
 all: build vet test
 
@@ -132,6 +132,16 @@ check:
 # internal/* package must carry a package comment (see cmd/docscheck).
 docs-check:
 	$(GO) run ./cmd/docscheck
+
+# The line counts ROADMAP.md quotes, so a simplicity PR's before/after is one
+# command on each commit (find and wc -l only): non-test Go in the root
+# module and in bench/, test Go, then non-test Go per package directory.
+loc:
+	@echo "root non-test Go  $$(find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)"
+	@echo "bench non-test Go $$(find bench -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@echo "test Go           $$(find . -name '*_test.go' | xargs cat | wc -l)"
+	@for d in $$(find . -name '*.go' ! -name '*_test.go' | xargs -n1 dirname | sort -u); do \
+		printf '%7d %s\n' $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $$d; done
 
 # Deterministic differential/metamorphic stress sweep, race-enabled: every
 # graph family x every solver, cross-checked pairwise, certified, transformed,

@@ -145,7 +145,7 @@ func reportErrors(stdout io.Writer, m *costmodel.Model, samples []costmodel.Samp
 		if s.DurUS <= 0 {
 			continue
 		}
-		pred, ok := m.PredictFor(s.Graph, s.Solver, s.Features())
+		pred, ok := m.PredictFor(s.Graph, s.Solver, s.Features)
 		if !ok {
 			continue
 		}

@@ -42,12 +42,14 @@ func synthetic() []costmodel.Sample {
 		srcs := 1 + i%4
 		// dijkstra: 100 + 0.01·s·m µs; thorup: 3000 + 0.05·m µs.
 		out = append(out, costmodel.Sample{
-			Solver: "dijkstra", N: n, M: m, MaxWeight: 1 << 10, Sources: srcs,
-			DurUS: int64(100 + 0.01*float64(srcs)*float64(m)),
+			Solver:   "dijkstra",
+			Features: costmodel.Features{N: n, M: m, MaxWeight: 1 << 10, Sources: srcs},
+			DurUS:    int64(100 + 0.01*float64(srcs)*float64(m)),
 		})
 		out = append(out, costmodel.Sample{
-			Solver: "thorup", N: n, M: m, MaxWeight: 1 << 10, Sources: srcs,
-			DurUS: int64(3000 + 0.05*float64(m)),
+			Solver:   "thorup",
+			Features: costmodel.Features{N: n, M: m, MaxWeight: 1 << 10, Sources: srcs},
+			DurUS:    int64(3000 + 0.05*float64(m)),
 		})
 	}
 	return out

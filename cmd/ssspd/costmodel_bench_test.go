@@ -100,8 +100,8 @@ func TestWriteCostModelBenchJSON(t *testing.T) {
 				durs = append(durs, dur)
 				samples = append(samples, costmodel.Sample{
 					Graph: sp.Name(), Solver: sv.Name,
-					N: g.NumVertices(), M: g.NumEdges(), MaxWeight: g.MaxWeight(), Sources: 1,
-					DurUS: dur.Microseconds(),
+					Features: costmodel.Features{N: g.NumVertices(), M: g.NumEdges(), MaxWeight: g.MaxWeight(), Sources: 1},
+					DurUS:    dur.Microseconds(),
 				})
 			}
 			it.medians[sv.Name] = medianDur(durs)
@@ -136,7 +136,7 @@ func TestWriteCostModelBenchJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prov := costmodel.NewProvider()
+	prov := costmodel.NewProvider(0)
 	prov.SetModel(costmodel.NewModel(file))
 
 	pick := func(e *engine.Engine, sp stress.Spec, n int) string {

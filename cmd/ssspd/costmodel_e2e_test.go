@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"log"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,6 +20,7 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/engine"
 	"repro/internal/loadgen"
+	"repro/internal/solver"
 	"repro/internal/trace"
 )
 
@@ -50,13 +53,20 @@ func writeModelFile(t *testing.T, coef map[string][]float64) string {
 // Every executed solve — and nothing else — becomes a training sample:
 // cache hits contribute nothing, multi-source queries carry their source
 // count, and the export round-trips through the same reader cmd/costfit
-// uses.
+// uses. Collection belongs to the engine, not the trace layer, so a daemon
+// with tracing off (-trace-sample 0) collects the same rows.
 func TestCostModelDatasetCollection(t *testing.T) {
+	for _, sampleN := range []int{1, 0} {
+		t.Run(fmt.Sprintf("trace-sample=%d", sampleN), func(t *testing.T) { testDatasetCollection(t, sampleN) })
+	}
+}
+
+func testDatasetCollection(t *testing.T, sampleN int) {
 	g, h := testGraph()
 	srv := newServer(g, h, "test-instance", catalog.Source{}, serverOptions{
 		workers: 4, maxInflight: 64, timeout: 30 * time.Second,
 		engine: engine.Config{CacheEntries: 64, CacheBytes: 8 << 20},
-		trace:  trace.Config{SampleN: 1, RingSize: 64},
+		trace:  trace.Config{SampleN: sampleN, RingSize: 64},
 	})
 	t.Cleanup(srv.cat.Close)
 	ts := httptest.NewServer(srv.mux())
@@ -124,6 +134,71 @@ func TestCostModelDatasetCollection(t *testing.T) {
 	}
 	if cm["enabled"].(bool) {
 		t.Fatal("no model loaded, but costmodel reports enabled")
+	}
+}
+
+// A sample is labelled by the engine that ran the solve, so it carries that
+// generation's number and edge count even when a mutation swaps the graph
+// while the solve is in flight. (Harvesting at trace-finish time joined the
+// row with whatever generation was serving by then.)
+func TestCostModelSampleKeepsSolveGeneration(t *testing.T) {
+	g, h := testGraph()
+	started, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	dj, _ := solver.ByName("dijkstra")
+	gated := solver.Solver{Name: "gated", NewState: func(in *solver.Instance) solver.State {
+		return solver.StateFunc(func(sources []int32) []int64 {
+			once.Do(func() { close(started) })
+			<-release
+			return dj.Solve(in, sources)
+		})
+	}}
+	srv := newServer(g, h, "test-instance", catalog.Source{}, serverOptions{
+		workers: 4, maxInflight: 64, timeout: 30 * time.Second,
+		engine: engine.Config{CacheEntries: 64, Solvers: append(solver.All(), gated)},
+		trace:  trace.Config{SampleN: 1, RingSize: 64},
+	})
+	t.Cleanup(srv.cat.Close)
+	ts := httptest.NewServer(srv.mux())
+	t.Cleanup(ts.Close)
+
+	queryDone := make(chan int, 1)
+	go func() {
+		resp, err := http.Get(ts.URL + "/sssp?src=1&solver=gated")
+		if err != nil {
+			t.Error(err)
+			queryDone <- 0
+			return
+		}
+		resp.Body.Close()
+		queryDone <- resp.StatusCode
+	}()
+	<-started // the solve is running on gen 1
+
+	var mres map[string]any
+	body := `{"ops":[{"op":"insert","u":0,"v":250,"w":3}]}`
+	if code := postJSON(t, ts.URL+"/graphs/test-instance/mutate", body, &mres); code != 200 || mres["gen"].(float64) != 2 {
+		t.Fatalf("mutate during solve: code %d %v", code, mres)
+	}
+	close(release)
+	if code := <-queryDone; code != 200 {
+		t.Fatalf("in-flight query across the swap: code %d", code)
+	}
+
+	hr, err := http.Get(ts.URL + "/debug/costmodel/dataset")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hr.Body.Close()
+	samples, err := costmodel.ReadSamples(hr.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(samples) != 1 || samples[0].Solver != "gated" {
+		t.Fatalf("samples: %+v", samples)
+	}
+	if s := samples[0]; s.Gen != 1 || s.M != g.NumEdges() {
+		t.Fatalf("sample labelled gen %d m=%d; the solve ran on gen 1, m=%d", s.Gen, s.M, g.NumEdges())
 	}
 }
 

@@ -61,11 +61,11 @@
 //
 // A learned cost model (internal/costmodel) can replace the static solver
 // ladder: -cost-model points at a coefficients file fitted offline by
-// cmd/costfit from this daemon's own traces. Finished traces feed a bounded
-// ring of training samples (-cost-samples) exported as JSON lines from
-// GET /debug/costmodel/dataset; POST /debug/costmodel/reload swaps in new
-// coefficients without a restart, and a missing, corrupt, or stale file
-// degrades to the static policy rather than failing. With -admit-headroom
+// cmd/costfit from this daemon's own solves. Every executed solve adds one
+// row to a bounded ring of training samples (-cost-samples) exported as JSON
+// lines from GET /debug/costmodel/dataset; POST /debug/costmodel/reload swaps
+// in new coefficients without a restart, and a missing, corrupt, or stale
+// file degrades to the static policy rather than failing. With -admit-headroom
 // set, the model also gates admission: a query whose predicted cost exceeds
 // -timeout times the headroom factor is shed with 503 + Retry-After before
 // it ever occupies a worker.
@@ -126,40 +126,20 @@ func main() {
 		mutateThresh = flag.Float64("mutate-threshold", 0, "max fraction of vertices a mutation batch may touch and still repair the hierarchy incrementally; larger deltas rebuild in the background (0 = default 0.05, negative = always rebuild)")
 		costModel    = flag.String("cost-model", "", "learned cost-model coefficients file (cmd/costfit output) driving solver selection; empty, missing, or stale keeps the static policy")
 		admitHead    = flag.Float64("admit-headroom", 0, "predictive admission: shed queries whose model-predicted cost exceeds -timeout times this factor with 503 before they occupy a worker (0 disables)")
-		costSamples  = flag.Int("cost-samples", 4096, "cost-model training-sample ring capacity exported by /debug/costmodel/dataset")
+		costSamples  = flag.Int("cost-samples", costmodel.DefaultSamples, "cost-model training-sample ring capacity exported by /debug/costmodel/dataset")
 	)
 	flag.Parse()
 
-	var (
-		g       *graph.Graph
-		h       *ch.Hierarchy
-		mapping *snapshot.Mapping
-		name    string
-		src     catalog.Source
-		err     error
-	)
+	src := catalog.Source{Spec: cli.Spec{File: *graphFile, Class: *genClass, LogN: *logN, LogC: *logC, Seed: *seed}}
 	if *snapFile != "" {
-		if *useMmap {
-			g, h, mapping, err = snapshot.Map(*snapFile)
-			if errors.Is(err, snapshot.ErrNotMappable) {
-				log.Printf("ssspd: %s not mappable, falling back to copy read: %v", *snapFile, err)
-				g, h, err = snapshot.ReadFile(*snapFile)
-			}
-		} else {
-			g, h, err = snapshot.ReadFile(*snapFile)
-		}
-		name = *snapFile
 		src = catalog.Source{Snapshot: *snapFile}
-	} else {
-		spec := cli.Spec{File: *graphFile, Class: *genClass, LogN: *logN, LogC: *logC, Seed: *seed}
-		g, name, err = spec.Load()
-		if err == nil {
-			h = ch.BuildKruskal(g)
-			src = catalog.Source{Spec: spec}
-		}
 	}
+	g, h, mapping, name, err := src.Load(*useMmap, log.Printf)
 	if err != nil {
 		log.Fatalf("ssspd: %v", err)
+	}
+	if h == nil {
+		h = ch.BuildKruskal(g)
 	}
 	srv := newServer(g, h, name, src, serverOptions{
 		workers:      *workers,
@@ -217,7 +197,7 @@ type serverOptions struct {
 	// costModel is the coefficients file loaded at startup (empty or
 	// unloadable keeps the static policy); admitHead is the predictive
 	// admission headroom factor (0 disables); costSamples sizes the
-	// training-sample ring (<=0 = default 4096).
+	// training-sample ring (<=0 = costmodel.DefaultSamples).
 	costModel   string
 	admitHead   float64
 	costSamples int
@@ -254,12 +234,11 @@ type server struct {
 	sem     chan struct{} // admission: one token per in-flight query
 	timeout time.Duration
 
-	// costProv serves cost predictions to every generation's engine and is
-	// the hot-reload point for new coefficients; collector rings the training
-	// samples harvested from finished traces; admitHead > 0 turns on
+	// costProv serves cost predictions to every generation's engine, is the
+	// hot-reload point for new coefficients, and holds the training samples
+	// those engines hand it, one per executed solve; admitHead > 0 turns on
 	// predictive admission against timeout*admitHead.
 	costProv  *costmodel.Provider
-	collector *costmodel.Collector
 	admitHead float64
 }
 
@@ -275,7 +254,7 @@ func newServer(g *graph.Graph, h *ch.Hierarchy, name string, src catalog.Source,
 	// reload, and mutation — prices solvers through the same hot-reloadable
 	// model. An unloadable file is a warning, not a fatal: the provider stays
 	// empty and the static policy serves.
-	costProv := costmodel.NewProvider()
+	costProv := costmodel.NewProvider(opts.costSamples)
 	if opts.costModel != "" {
 		if err := costProv.LoadFile(opts.costModel); err != nil {
 			log.Printf("ssspd: cost model %s not loaded (static policy stays): %v", opts.costModel, err)
@@ -301,29 +280,9 @@ func newServer(g *graph.Graph, h *ch.Hierarchy, name string, src catalog.Source,
 	if _, err := cat.AddPrebuilt(name, src, g, h, opts.mapping); err != nil {
 		panic(err) // fresh catalog: the only failure is a duplicate name
 	}
-	if opts.costSamples <= 0 {
-		opts.costSamples = 4096
-	}
-	collector := costmodel.NewCollector(opts.costSamples)
 	tcfg := opts.trace
 	if tcfg.Logf == nil {
 		tcfg.Logf = func(format string, args ...any) { log.Printf("ssspd: "+format, args...) }
-	}
-	// Every finished trace — retained by the sampler or not — contributes its
-	// executed solves as training samples, joined with the serving
-	// generation's graph features at harvest time.
-	tcfg.OnFinish = func(tr *trace.Trace) {
-		for _, rec := range tr.SolveRecords() {
-			f, genNum, ok := cat.Features(rec.Graph)
-			if !ok {
-				continue // unloaded or mid-swap: no features to join against
-			}
-			collector.Add(costmodel.Sample{
-				Graph: rec.Graph, Gen: genNum, Solver: rec.Solver,
-				N: f.N, M: f.M, MaxWeight: f.MaxWeight,
-				Sources: rec.Sources, DurUS: rec.DurUS, Counters: rec.Counters,
-			})
-		}
 	}
 	return &server{
 		cat:          cat,
@@ -336,7 +295,6 @@ func newServer(g *graph.Graph, h *ch.Hierarchy, name string, src catalog.Source,
 		sem:       make(chan struct{}, opts.maxInflight),
 		timeout:   opts.timeout,
 		costProv:  costProv,
-		collector: collector,
 		admitHead: opts.admitHead,
 	}
 }
@@ -610,14 +568,11 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // costModelSnapshot is the /metrics cost-model section: provider state
-// (model identity, prediction counters and error histograms) plus the
-// training-sample collector's fill level.
+// (model identity, prediction counters and error histograms, the
+// training-sample ring's fill level) plus the admission setting.
 func (s *server) costModelSnapshot() map[string]any {
 	doc := s.costProv.StatsSnapshot()
 	doc["admission_headroom"] = s.admitHead
-	doc["samples_held"] = s.collector.Len()
-	doc["samples_collected"] = s.collector.Total()
-	doc["dataset_version"] = costmodel.DatasetVersion
 	return doc
 }
 
@@ -639,7 +594,7 @@ func (s *server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 func (s *server) handleCostModelDataset(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Dataset-Version", strconv.Itoa(costmodel.DatasetVersion))
-	if _, err := s.collector.WriteJSONL(w); err != nil {
+	if _, err := s.costProv.Samples().WriteJSONL(w); err != nil {
 		log.Printf("ssspd: dataset write: %v", err)
 	}
 }

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/ch"
 	"repro/internal/cli"
-	"repro/internal/costmodel"
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/mutate"
@@ -68,36 +67,34 @@ func (s Source) String() string {
 	}
 }
 
-// load resolves the source. The hierarchy may be nil (Spec sources build it
-// in the Building phase). With mmap set, snapshot sources are mapped
-// zero-copy when the platform allows it, falling back to the copy read
-// (logged through logf) otherwise; a non-nil mapping is
-// returned exactly when the instance's arrays alias it, and the caller owns
-// its lifetime.
-func (s Source) load(mmap bool, logf func(string, ...any)) (*graph.Graph, *ch.Hierarchy, *snapshot.Mapping, error) {
+// Load resolves the source — the one loader behind background builds and a
+// daemon's startup graph alike. The hierarchy is nil when the source carries
+// none (Spec sources: the caller builds it). With mmap set, snapshot sources
+// are mapped zero-copy when the platform allows it, falling back to the copy
+// read (logged through logf) otherwise; a non-nil mapping is returned exactly
+// when the instance's arrays alias it, and the caller owns its lifetime.
+// name is what the source itself calls the graph — the snapshot or DIMACS
+// path, or the generator's instance name; empty for a Loader.
+func (s Source) Load(mmap bool, logf func(string, ...any)) (g *graph.Graph, h *ch.Hierarchy, m *snapshot.Mapping, name string, err error) {
 	switch {
 	case s.Loader != nil:
-		g, h, err := s.Loader()
-		return g, h, nil, err
+		g, h, err = s.Loader()
 	case s.Snapshot != "":
+		name = s.Snapshot
 		if mmap {
-			g, h, m, err := snapshot.Map(s.Snapshot)
-			if err == nil {
-				return g, h, m, nil
-			}
+			g, h, m, err = snapshot.Map(s.Snapshot)
 			if !errors.Is(err, snapshot.ErrNotMappable) {
-				return nil, nil, nil, err
+				return g, h, m, name, err
 			}
 			logf("catalog: %s not mappable, falling back to copy read: %v", s.Snapshot, err)
 		}
-		g, h, err := snapshot.ReadFile(s.Snapshot)
-		return g, h, nil, err
+		g, h, err = snapshot.ReadFile(s.Snapshot)
 	case s.Spec != (cli.Spec{}):
-		g, _, err := s.Spec.Load()
-		return g, nil, nil, err
+		g, name, err = s.Spec.Load()
 	default:
-		return nil, nil, nil, errors.New("catalog: empty source (need Loader, Snapshot, or Spec)")
+		err = errors.New("catalog: empty source (need Loader, Snapshot, or Spec)")
 	}
+	return g, h, m, name, err
 }
 
 // Config parameterizes a Catalog.
@@ -112,8 +109,8 @@ type Config struct {
 	// WarmQueries is how many spread-out single-source queries prime a fresh
 	// engine before it goes ready (default 4; 0 disables warming).
 	WarmQueries int
-	// Engine is the template engine configuration; KeyPrefix is overwritten
-	// per generation with "name@gen|".
+	// Engine is the template engine configuration; Graph and Gen are
+	// overwritten per generation.
 	Engine engine.Config
 	// MMap serves snapshot sources zero-copy from mmap'd files when the
 	// platform allows it (mmap-less and big-endian hosts fall back to the
@@ -275,14 +272,27 @@ func (c *Catalog) AddPrebuilt(name string, src Source, g *graph.Graph, h *ch.Hie
 		gen.retire()
 		return nil, fmt.Errorf("catalog: graph %q already exists", name)
 	}
-	c.clock++
-	c.entries[name] = &entry{
-		name: name, state: StateReady, src: src,
-		gen: gen, genSeq: 1, lastUsed: c.clock,
-	}
-	c.counters.C(cSwaps).Inc()
-	c.evictLocked(name)
+	e := &entry{name: name, state: StateReady, src: src, genSeq: 1}
+	c.entries[name] = e
+	c.installLocked(e, gen)
 	return gen, nil
+}
+
+// installLocked is the swap: gen becomes e's serving generation, the pending
+// build (if any) is over, the name counts as just used, and the memory
+// budget is re-checked with this name exempt. It returns the generation gen
+// replaced (nil for a first install), which the caller retires once it has
+// dropped the lock.
+func (c *Catalog) installLocked(e *entry, gen *Generation) (old *Generation) {
+	old = e.gen
+	e.gen = gen
+	e.err = nil
+	e.pending = false
+	c.clock++
+	e.lastUsed = c.clock
+	c.counters.C(cSwaps).Inc()
+	c.evictLocked(e.name)
+	return old
 }
 
 // Load brings a named graph into service in the background. Loading an
@@ -456,27 +466,6 @@ func (c *Catalog) AcquireTraced(ctx context.Context, name string) (*Generation, 
 	return gen, release, err
 }
 
-// Features returns the cost-model feature description of a graph's current
-// serving generation (its vertex/edge counts and weight class, plus the
-// generation number so dataset rows can be tied to the exact graph version
-// they were measured on). ok is false when the graph is unknown or not
-// ready. It reads under the catalog lock without acquiring a reference —
-// callers want O(1) metadata, not a pinned generation.
-func (c *Catalog) Features(name string) (costmodel.Features, uint64, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[name]
-	if !ok || e.state != StateReady || e.gen == nil {
-		return costmodel.Features{}, 0, false
-	}
-	g := e.gen.G
-	return costmodel.Features{
-		N:         g.NumVertices(),
-		M:         g.NumEdges(),
-		MaxWeight: g.MaxWeight(),
-	}, e.gen.Gen, true
-}
-
 // runJob executes one background build: load the source, build the
 // hierarchy if the source did not carry one, construct and warm a fresh
 // engine, then swap it in. Initial loads walk the entry through
@@ -495,7 +484,7 @@ func (c *Catalog) runJob(name string) {
 	c.mu.Unlock()
 
 	start := time.Now()
-	g, h, m, err := src.load(c.cfg.MMap, c.logf)
+	g, h, m, _, err := src.Load(c.cfg.MMap, c.logf)
 	if err != nil {
 		c.failJob(name, fmt.Errorf("load %s: %w", src, err))
 		return
@@ -540,17 +529,10 @@ func (c *Catalog) runJob(name string) {
 		gen.retire()
 		return
 	}
-	old := e.gen
-	e.gen = gen
-	e.err = nil
-	e.pending = false
 	if e.state != StateReady {
 		e.setState(StateReady)
 	}
-	c.clock++
-	e.lastUsed = c.clock
-	c.counters.C(cSwaps).Inc()
-	c.evictLocked(name)
+	old := c.installLocked(e, gen)
 	c.mu.Unlock()
 	if old != nil {
 		old.retire()
@@ -594,13 +576,12 @@ func (c *Catalog) failJob(name string, err error) {
 	}
 }
 
-// newEngine builds the per-generation query plane. The key prefix makes
-// cache and singleflight keys unique per (name, generation), so a stale
-// generation's results can never be served for a new one.
+// newEngine builds the per-generation query plane. The engine keys its cache
+// and singleflight by (name, generation), so a stale generation's results
+// can never be served for a new one.
 func (c *Catalog) newEngine(name string, gen uint64, g *graph.Graph, h *ch.Hierarchy) *engine.Engine {
 	ecfg := c.cfg.Engine
-	ecfg.KeyPrefix = fmt.Sprintf("%s@%d|", name, gen)
-	ecfg.Graph = name
+	ecfg.Graph, ecfg.Gen = name, gen
 	in := solver.NewInstanceWithHierarchy(g, par.NewExec(c.cfg.QueryWorkers), h)
 	return engine.New(in, ecfg)
 }

@@ -121,15 +121,8 @@ func (c *Catalog) Mutate(name string, b *mutate.Batch) (MutateResult, error) {
 
 	c.mu.Lock()
 	e.deltas = append(e.deltas, b)
-	old := e.gen
-	e.gen = gen
-	e.err = nil
-	e.pending = false
-	c.clock++
-	e.lastUsed = c.clock
-	c.counters.C(cSwaps).Inc()
+	old := c.installLocked(e, gen)
 	c.counters.C(cMutateIncremental).Inc()
-	c.evictLocked(name)
 	c.mu.Unlock()
 	old.retire() // old == parent: our pin keeps it readable until released
 	if !needPin {

@@ -107,11 +107,6 @@ func levelOf(w uint32) int32 {
 	return int32(bits.Len32(w)) // w >= 1, so Len32(w) = floor(log2 w)+1
 }
 
-// LevelOf exposes the weight→level mapping (the smallest i with w < 2^i) as
-// an invariant hook: an edge of weight w may only cross the children of CH
-// nodes at levels <= LevelOf(w), which is what Hierarchy.CheckEdge verifies.
-func LevelOf(w uint32) int32 { return levelOf(w) }
-
 // HasVirtualRoot reports whether the root is an artificial super-root joining
 // the components of a disconnected graph (such a root is not itself a
 // component, which matters to invariant checkers: its children need not be

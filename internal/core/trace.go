@@ -40,12 +40,13 @@ func (t Trace) HopsPerRelaxation() float64 {
 	return float64(t.PropagationHops) / float64(t.Relaxations)
 }
 
-// AttrMap shapes the counters as span attributes for a request-tracing
-// layer: the solver-phase breakdown (settled vertices, relaxations, upward
-// minD propagation, toVisit gathers, bucket expansions) of one traversal,
-// keyed like the /metrics "thorup" section.
-func (t Trace) AttrMap() map[string]any {
-	return map[string]any{
+// AttrMap shapes the counters as named integers — span attributes for a
+// request-tracing layer, and the counters of a cost-model training sample:
+// the solver-phase breakdown (settled vertices, relaxations, upward minD
+// propagation, toVisit gathers, bucket expansions) of one traversal, keyed
+// like the /metrics "thorup" section.
+func (t Trace) AttrMap() map[string]int64 {
+	return map[string]int64{
 		"settled":          t.Settled,
 		"relaxations":      t.Relaxations,
 		"propagation_hops": t.PropagationHops,

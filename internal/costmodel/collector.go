@@ -8,32 +8,24 @@ import (
 	"sync"
 )
 
-// Sample is one dataset record: the instance features the prediction would
-// have been made from, the solver that actually ran, the per-phase trace
-// counters, and the measured solve-stage duration (the label). It is the
-// JSON-lines schema of /debug/costmodel/dataset, stamped with
-// DatasetVersion so readers can refuse lines they don't understand.
+// Sample is one dataset record: the instance features the prediction was
+// made from, the solver that actually ran on which generation of which graph,
+// the per-phase trace counters, and the measured solve-stage duration (the
+// label). It is the JSON-lines schema of /debug/costmodel/dataset, stamped
+// with DatasetVersion so readers can refuse lines they don't understand.
 type Sample struct {
-	V         int              `json:"v"`
-	Graph     string           `json:"graph,omitempty"`
-	Gen       uint64           `json:"gen,omitempty"`
-	Solver    string           `json:"solver"`
-	N         int              `json:"n"`
-	M         int64            `json:"m"`
-	MaxWeight uint32           `json:"max_weight"`
-	Sources   int              `json:"sources"`
-	DurUS     int64            `json:"dur_us"`
-	Counters  map[string]int64 `json:"counters,omitempty"`
+	V      int    `json:"v"`
+	Graph  string `json:"graph,omitempty"`
+	Gen    uint64 `json:"gen,omitempty"`
+	Solver string `json:"solver"`
+	Features
+	DurUS    int64            `json:"dur_us"`
+	Counters map[string]int64 `json:"counters,omitempty"`
 }
 
-// Features projects the sample onto the model's feature space.
-func (s Sample) Features() Features {
-	return Features{N: s.N, M: s.M, MaxWeight: s.MaxWeight, Sources: s.Sources}
-}
-
-// Collector is the bounded in-memory sample ring the daemon fills from the
-// trace layer. When full, the oldest sample is dropped — the dataset is a
-// sliding window over recent traffic, which is exactly what a retrain
+// Collector is the bounded in-memory sample ring behind a Provider, filled
+// by Provider.Observe. When full, the oldest sample is dropped — the dataset
+// is a sliding window over recent traffic, which is exactly what a retrain
 // wants.
 type Collector struct {
 	mu    sync.Mutex

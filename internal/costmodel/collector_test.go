@@ -2,6 +2,7 @@ package costmodel
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"strings"
 	"testing"
@@ -20,7 +21,7 @@ func TestCollectorRing(t *testing.T) {
 		t.Fatal("fresh collector not empty")
 	}
 	for i := 1; i <= 6; i++ {
-		c.Add(Sample{Solver: "dijkstra", N: i, DurUS: int64(i)})
+		c.Add(Sample{Solver: "dijkstra", Features: Features{N: i}, DurUS: int64(i)})
 	}
 	if c.Len() != 4 || c.Total() != 6 {
 		t.Fatalf("len=%d total=%d", c.Len(), c.Total())
@@ -38,9 +39,9 @@ func TestCollectorRing(t *testing.T) {
 
 func TestDatasetRoundTrip(t *testing.T) {
 	c := NewCollector(16)
-	c.Add(Sample{Graph: "g", Gen: 3, Solver: "delta", N: 100, M: 400, MaxWeight: 255, Sources: 2, DurUS: 1234,
-		Counters: map[string]int64{"relaxations": 800}})
-	c.Add(Sample{Graph: "g", Gen: 3, Solver: "bfs", N: 100, M: 400, MaxWeight: 1, Sources: 1, DurUS: 77})
+	c.Add(Sample{Graph: "g", Gen: 3, Solver: "delta", Features: Features{N: 100, M: 400, MaxWeight: 255, Sources: 2},
+		DurUS: 1234, Counters: map[string]int64{"relaxations": 800}})
+	c.Add(Sample{Graph: "g", Gen: 3, Solver: "bfs", Features: Features{N: 100, M: 400, MaxWeight: 1, Sources: 1}, DurUS: 77})
 	var buf bytes.Buffer
 	n, err := c.WriteJSONL(&buf)
 	if err != nil || n != 2 {
@@ -53,9 +54,14 @@ func TestDatasetRoundTrip(t *testing.T) {
 	if len(got) != 2 || got[0].Counters["relaxations"] != 800 || got[1].Solver != "bfs" {
 		t.Fatalf("round trip: %+v", got)
 	}
-	f := got[0].Features()
-	if f.N != 100 || f.M != 400 || f.MaxWeight != 255 || f.Sources != 2 {
-		t.Fatalf("features projection: %+v", f)
+	if f := got[0].Features; f != (Features{N: 100, M: 400, MaxWeight: 255, Sources: 2}) {
+		t.Fatalf("features did not round-trip: %+v", f)
+	}
+	// The embedded Features must flatten into the version-1 line layout.
+	line, _ := json.Marshal(got[0])
+	const want = `{"v":1,"graph":"g","gen":3,"solver":"delta","n":100,"m":400,"max_weight":255,"sources":2,"dur_us":1234,"counters":{"relaxations":800}}`
+	if string(line) != want {
+		t.Fatalf("dataset line:\n got %s\nwant %s", line, want)
 	}
 }
 

@@ -14,8 +14,8 @@
 //
 //   - Features/Sample/Collector: the pre-solve feature vector (n, m,
 //     n·log₂n, source count, source·m cross term, weight class), the
-//     versioned dataset record, and the bounded in-memory ring the daemon
-//     fills from the trace layer's per-query solve records.
+//     versioned dataset record, and the bounded in-memory ring behind the
+//     Provider, which the engine fills with one Sample per executed solve.
 //   - File: the versioned, CRC-64/ECMA-checksummed coefficients artifact
 //     cmd/costfit writes and ssspd loads (-cost-model). Parse refuses
 //     corruption, version mismatches, and feature-schema drift, so a stale

@@ -29,16 +29,17 @@ const NumFeatures = 7
 
 // Features is the pre-solve instance description a prediction is made from.
 // Everything here is known before the solver runs — O(1) reads off the graph
-// header plus the query's source count.
+// header plus the query's source count. A Sample embeds it, so the JSON tags
+// are the dataset's feature keys: a feature is declared here, once.
 type Features struct {
 	// N is the vertex count.
-	N int
+	N int `json:"n"`
 	// M is the edge count.
-	M int64
+	M int64 `json:"m"`
 	// MaxWeight is the largest edge weight (the weight class is its log).
-	MaxWeight uint32
+	MaxWeight uint32 `json:"max_weight"`
 	// Sources is the canonical (deduplicated) source-set size.
-	Sources int
+	Sources int `json:"sources"`
 }
 
 // Vector expands the features into the FeatureNames basis.

@@ -100,7 +100,7 @@ func calibrate(f *File, samples []Sample) {
 		if _, ok := f.Solvers[s.Solver]; !ok {
 			continue
 		}
-		pred, ok := m.Predict(s.Solver, s.Features())
+		pred, ok := m.Predict(s.Solver, s.Features)
 		if !ok {
 			continue
 		}
@@ -137,7 +137,7 @@ func fitOne(rows []Sample, ridge float64) ([]float64, error) {
 	var scale [k]float64
 	xs := make([][k]float64, len(rows))
 	for i, s := range rows {
-		xs[i] = s.Features().Vector()
+		xs[i] = s.Features.Vector()
 		for j, v := range xs[i] {
 			if a := math.Abs(v); a > scale[j] {
 				scale[j] = a

@@ -25,10 +25,7 @@ func synthSamples(truth map[string][]float64, rng *rand.Rand, perSolver int) []S
 			for j := range x {
 				us += coef[j] * x[j]
 			}
-			out = append(out, Sample{
-				Solver: name, N: f.N, M: f.M, MaxWeight: f.MaxWeight, Sources: f.Sources,
-				DurUS: int64(math.Max(1, us)),
-			})
+			out = append(out, Sample{Solver: name, Features: f, DurUS: int64(math.Max(1, us))})
 		}
 	}
 	return out
@@ -123,14 +120,14 @@ func TestFitPerGraphCalibration(t *testing.T) {
 		for j := range x {
 			us += truth[j] * x[j]
 		}
-		base := Sample{Solver: "dijkstra", N: f.N, M: f.M, MaxWeight: f.MaxWeight, Sources: f.Sources}
+		base := Sample{Solver: "dijkstra", Features: f}
 		cold, hot := base, base
 		cold.Graph, cold.DurUS = "cold", int64(math.Max(1, us))
 		hot.Graph, hot.DurUS = "hot", int64(math.Max(1, 2*us))
 		samples = append(samples, cold, hot)
 	}
 	// Below MinSamplesPerGraph: no factor for this graph.
-	samples = append(samples, Sample{Graph: "sparse", Solver: "dijkstra", N: 64, M: 128, Sources: 1, DurUS: 50})
+	samples = append(samples, Sample{Graph: "sparse", Solver: "dijkstra", Features: Features{N: 64, M: 128, Sources: 1}, DurUS: 50})
 	f, err := Fit(samples, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -179,9 +176,9 @@ func TestFitThresholds(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	samples := synthSamples(map[string][]float64{"dijkstra": {100, 0, 0, 0.08, 0, 0.004, 0}}, rng, 20)
 	// A solver below MinSamplesPerSolver is omitted, not fitted badly.
-	samples = append(samples, Sample{Solver: "rare", N: 10, M: 20, Sources: 1, DurUS: 5})
+	samples = append(samples, Sample{Solver: "rare", Features: Features{N: 10, M: 20, Sources: 1}, DurUS: 5})
 	// Non-positive durations are discarded.
-	samples = append(samples, Sample{Solver: "dijkstra", N: 10, M: 20, Sources: 1, DurUS: 0})
+	samples = append(samples, Sample{Solver: "dijkstra", Features: Features{N: 10, M: 20, Sources: 1}, DurUS: 0})
 	f, err := Fit(samples, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -209,8 +206,8 @@ func TestFitDegenerateSingleInstance(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		samples = append(samples, Sample{
 			Graph: "only", Solver: "dijkstra",
-			N: 16384, M: 65536, MaxWeight: 16384, Sources: 1,
-			DurUS: 3_000_000 + int64(i%2)*200_000, // ~3s per solve
+			Features: Features{N: 16384, M: 65536, MaxWeight: 16384, Sources: 1},
+			DurUS:    3_000_000 + int64(i%2)*200_000, // ~3s per solve
 		})
 	}
 	f, err := Fit(samples, 0)

@@ -263,16 +263,19 @@ func TestModelPredictFor(t *testing.T) {
 
 func TestProviderFallbackAndReload(t *testing.T) {
 	var nilP *Provider
-	if _, ok := nilP.Predict("dijkstra", Features{N: 10}); ok {
+	if _, ok := nilP.PredictFor("", "dijkstra", Features{N: 10}); ok {
 		t.Fatal("nil provider must not predict")
 	}
 	nilP.CountModelPick() // must not panic
-	nilP.ObservePrediction(time.Millisecond, time.Millisecond)
+	nilP.Observe(Sample{Solver: "dijkstra", DurUS: 1000}, time.Millisecond, true)
+	if nilP.Samples() != nil {
+		t.Fatal("nil provider holds samples")
+	}
 	if s := nilP.StatsSnapshot(); s["enabled"] != false {
 		t.Fatalf("nil provider snapshot: %v", s)
 	}
 
-	p := NewProvider()
+	p := NewProvider(0)
 	if p.Enabled() {
 		t.Fatal("fresh provider should be disabled")
 	}
@@ -306,11 +309,14 @@ func TestProviderFallbackAndReload(t *testing.T) {
 	}
 }
 
+// Observe is the one place a solve is accounted: every call joins the sample
+// ring; only priced ones feed the drift counters and histograms.
 func TestObservePredictionAccounting(t *testing.T) {
-	p := NewProvider()
-	p.ObservePrediction(2*time.Millisecond, time.Millisecond)   // over, rel err 1.0
-	p.ObservePrediction(time.Millisecond, 4*time.Millisecond)   // under, rel err 0.75
-	p.ObservePrediction(3*time.Millisecond, 3*time.Millisecond) // exact
+	p := NewProvider(2)
+	p.Observe(Sample{Solver: "a", DurUS: 1000}, 2*time.Millisecond, true) // over, rel err 1.0
+	p.Observe(Sample{Solver: "b", DurUS: 4000}, time.Millisecond, true)   // under, rel err 0.75
+	p.Observe(Sample{Solver: "c", DurUS: 3000}, 3*time.Millisecond, true) // exact
+	p.Observe(Sample{Solver: "d", DurUS: 5000}, 0, false)                 // unpriced: sample only
 	ctrs := p.Counters().Snapshot()
 	if ctrs[CtrPredictions] != 3 || ctrs[CtrPredictionOver] != 2 || ctrs[CtrPredictionUnder] != 1 {
 		t.Fatalf("counters: %v", ctrs)
@@ -327,5 +333,14 @@ func TestObservePredictionAccounting(t *testing.T) {
 	}
 	if math.Abs(rel.Sum-(1.0+0.75+0)) > 1e-12 {
 		t.Fatalf("rel_error sum = %v", rel.Sum)
+	}
+	// The ring is sized by NewProvider's argument and slides.
+	held := p.Samples().Snapshot()
+	if len(held) != 2 || held[0].Solver != "c" || held[1].Solver != "d" || p.Samples().Total() != 4 {
+		t.Fatalf("ring: %+v total=%d", held, p.Samples().Total())
+	}
+	snap := p.StatsSnapshot()
+	if snap["samples_held"] != 2 || snap["samples_collected"] != uint64(4) || snap["dataset_version"] != DatasetVersion {
+		t.Fatalf("snapshot sample keys: %v", snap)
 	}
 }

@@ -42,12 +42,23 @@ type Provider struct {
 	AbsError *obs.Histogram
 	// RelError is |predicted - actual| / actual per observed solve.
 	RelError *obs.FloatHistogram
+
+	samples *Collector // the training-sample ring Observe fills
 }
 
+// DefaultSamples is the training-sample ring capacity when the caller does
+// not choose one.
+const DefaultSamples = 4096
+
 // NewProvider returns an empty provider (no model loaded; everything falls
-// back to the static policy until LoadFile or SetModel succeeds).
-func NewProvider() *Provider {
+// back to the static policy until LoadFile or SetModel succeeds) whose
+// training-sample ring holds at most samples entries (<= 0: DefaultSamples).
+func NewProvider(samples int) *Provider {
+	if samples <= 0 {
+		samples = DefaultSamples
+	}
 	return &Provider{
+		samples: NewCollector(samples),
 		counters: obs.NewGroup(
 			CtrPredictions, CtrModelPicks, CtrStaticFallbacks,
 			CtrAdmissionRejected, CtrPredictionOver, CtrPredictionUnder,
@@ -108,14 +119,10 @@ func (p *Provider) Path() string {
 	return p.path
 }
 
-// Predict prices solver name on features f with the current model.
-// ok is false with no model, an unknown solver, or all-zero coefficients.
-func (p *Provider) Predict(name string, f Features) (time.Duration, bool) {
-	return p.PredictFor("", name, f)
-}
-
-// PredictFor is Predict with the model's per-graph calibration applied
-// when the training traces covered graph (Model.PredictFor).
+// PredictFor prices solver name on features f with the current model, with
+// its per-graph calibration applied when the training samples covered graph
+// (Model.PredictFor). ok is false with no model, an unknown solver, or
+// all-zero coefficients.
 func (p *Provider) PredictFor(graph, name string, f Features) (time.Duration, bool) {
 	m := p.Model()
 	if m == nil {
@@ -146,13 +153,21 @@ func (p *Provider) CountAdmissionRejected() {
 	}
 }
 
-// ObservePrediction records one prediction-vs-actual pair: exactly one call
-// per executed solve that had a prediction (cache hits and dedup joiners
-// never reach it).
-func (p *Provider) ObservePrediction(predicted, actual time.Duration) {
+// Observe takes one executed solve from the engine that measured it — exactly
+// one call per solver execution; cache hits and dedup joiners never reach it.
+// The sample joins the training ring; when the model priced the solve
+// beforehand (havePred), predicted against the sample's measured duration
+// also feeds the drift counters and histograms, so the label and the drift
+// observation are one measurement.
+func (p *Provider) Observe(s Sample, predicted time.Duration, havePred bool) {
 	if p == nil {
 		return
 	}
+	p.samples.Add(s)
+	if !havePred {
+		return
+	}
+	actual := time.Duration(s.DurUS) * time.Microsecond
 	p.counters.C(CtrPredictions).Inc()
 	p.PredictedCost.Observe(predicted)
 	diff := predicted - actual
@@ -168,6 +183,15 @@ func (p *Provider) ObservePrediction(predicted, actual time.Duration) {
 	}
 }
 
+// Samples exposes the training-sample ring, the /debug/costmodel/dataset
+// export (nil-safe; nil when the provider is nil).
+func (p *Provider) Samples() *Collector {
+	if p == nil {
+		return nil
+	}
+	return p.samples
+}
+
 // Counters exposes the provider's counter group (nil-safe; nil when the
 // provider is nil).
 func (p *Provider) Counters() *obs.Group {
@@ -178,7 +202,8 @@ func (p *Provider) Counters() *obs.Group {
 }
 
 // StatsSnapshot is the /metrics "costmodel" payload: model identity,
-// selection/admission counters, and the drift histograms.
+// selection/admission counters, the drift histograms, and the sample ring's
+// fill level.
 func (p *Provider) StatsSnapshot() map[string]any {
 	if p == nil {
 		return map[string]any{"enabled": false}
@@ -190,6 +215,9 @@ func (p *Provider) StatsSnapshot() map[string]any {
 		"predicted_cost":       p.PredictedCost.Snapshot(),
 		"prediction_abs_error": p.AbsError.Snapshot(),
 		"prediction_rel_error": p.RelError.Snapshot(),
+		"samples_held":         p.samples.Len(),
+		"samples_collected":    p.samples.Total(),
+		"dataset_version":      DatasetVersion,
 	}
 	if m := p.Model(); m != nil {
 		f := m.File()

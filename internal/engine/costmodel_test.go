@@ -30,7 +30,7 @@ func testModel(tb testing.TB, coef map[string][]float64) *costmodel.Provider {
 	if err := f.Validate(); err != nil {
 		tb.Fatal(err)
 	}
-	p := costmodel.NewProvider()
+	p := costmodel.NewProvider(0)
 	p.SetModel(costmodel.NewModel(f))
 	return p
 }

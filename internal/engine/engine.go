@@ -38,28 +38,30 @@ type Config struct {
 	// Solvers overrides the solver pool (default solver.All()). Tests and
 	// harnesses may append instrumented or fault-injected variants.
 	Solvers []solver.Solver
-	// KeyPrefix is prepended to every cache/singleflight key. A catalog
-	// serving several graphs (or several generations of one graph) sets this
-	// to "name@gen|" so results can never alias across instances even if
-	// engines were ever to share storage.
-	KeyPrefix string
 	// CostModel supplies learned per-solver latency predictions for solver
-	// selection (predicted-cost argmin) and admission pricing. nil — or a
-	// provider with no model loaded — keeps the static policy.
+	// selection (predicted-cost argmin) and admission pricing, and receives
+	// one training sample per executed solve. nil — or, for selection and
+	// pricing, a provider with no model loaded — keeps the static policy.
 	CostModel *costmodel.Provider
 	// Graph is the name this instance is served under (the catalog's graph
 	// name). It keys the cost model's per-graph calibration; empty means
 	// uncalibrated global predictions.
 	Graph string
+	// Gen is which generation of Graph this instance is (set by the catalog,
+	// not a user option). Every cache/singleflight key starts "Graph@Gen|",
+	// so results can never alias across instances even if engines were ever
+	// to share storage, and every training sample is stamped with it.
+	Gen uint64
 }
 
 // Engine executes SSSP queries against one shared solver.Instance with
 // pooling, deduplication, caching, and batching. Safe for concurrent use.
 type Engine struct {
-	in      *solver.Instance
-	cfg     Config
-	solvers []solver.Solver
-	exec    map[string]*pooled // per solver: its state pool and run count
+	in        *solver.Instance
+	cfg       Config
+	keyPrefix string // "Graph@Gen|"
+	solvers   []solver.Solver
+	exec      map[string]*pooled // per solver: its state pool and run count
 
 	cache  *lru
 	flight flightGroup
@@ -112,10 +114,11 @@ func New(in *solver.Instance, cfg Config) *Engine {
 		solvers = solver.All()
 	}
 	e := &Engine{
-		in:      in,
-		cfg:     cfg,
-		solvers: solvers,
-		exec:    make(map[string]*pooled, len(solvers)),
+		in:        in,
+		cfg:       cfg,
+		keyPrefix: cfg.Graph + "@" + strconv.FormatUint(cfg.Gen, 10) + "|",
+		solvers:   solvers,
+		exec:      make(map[string]*pooled, len(solvers)),
 		counters: obs.NewGroup(cSolves, cDedupHits, cCacheHits, cCacheMisses,
 			cCacheEvictions, cBatchRequests, cBatchItems, cFullJSONBuilt, cFullBytesFromCache),
 		cost: cfg.CostModel,
@@ -317,8 +320,8 @@ func (e *Engine) plan(req Request, record bool) (name string, srcs []int32, key 
 		return "", nil, "", err
 	}
 
-	kb := make([]byte, 0, len(e.cfg.KeyPrefix)+len(name)+8*len(srcs))
-	kb = append(kb, e.cfg.KeyPrefix...)
+	kb := make([]byte, 0, len(e.keyPrefix)+len(name)+8*len(srcs))
+	kb = append(kb, e.keyPrefix...)
 	kb = append(kb, name...)
 	for _, s := range srcs {
 		kb = append(kb, '|')
@@ -357,22 +360,30 @@ func (e *Engine) PredictCost(req Request) (solverName string, cost time.Duration
 // untraced): the execution is recorded as a "solve" span with a nested
 // "pool_checkout", annotated with the solver name, source count, and — for a
 // tracer state — the solver-phase counters of core.Trace.
+//
+// The same measurement is the cost model's training sample. Cache hits and
+// singleflight joiners never reach this function, so the provider gets
+// exactly one Observe per executed solve, traced or not, labelled with this
+// engine's own graph, generation and features — whatever the catalog swaps in
+// while the solve runs.
 func (e *Engine) solve(parent *trace.Span, name string, srcs []int32, key string) *Result {
+	start := time.Now()
 	e.counters.C(cSolves).Inc()
 	p := e.exec[name]
 	p.runs.Inc()
 	sp := parent.StartChild("solve")
 	sp.SetAttr("solver", name)
 	sp.SetAttr("sources", len(srcs))
-	defer sp.End()
-	// Exactly one prediction-vs-actual observation per executed solve: cache
-	// hits and singleflight joiners never reach this function, so the drift
-	// histograms measure real model error, once per label.
-	if pred, havePred := e.cost.PredictFor(e.cfg.Graph, name, e.features(len(srcs))); havePred {
+	sample := costmodel.Sample{Graph: e.cfg.Graph, Gen: e.cfg.Gen, Solver: name, Features: e.features(len(srcs))}
+	pred, havePred := e.cost.PredictFor(sample.Graph, name, sample.Features)
+	if havePred {
 		sp.SetAttr("predicted_us", pred.Microseconds())
-		start := time.Now()
-		defer func() { e.cost.ObservePrediction(pred, time.Since(start)) }()
 	}
+	defer func() {
+		sp.End()
+		sample.DurUS = time.Since(start).Microseconds()
+		e.cost.Observe(sample, pred, havePred)
+	}()
 	pc := sp.StartChild("pool_checkout")
 	st := p.states.Get().(solver.State)
 	pc.End()
@@ -382,8 +393,9 @@ func (e *Engine) solve(parent *trace.Span, name string, srcs []int32, key string
 		snap := t.Trace().Snapshot()
 		e.traceAgg.Merge(snap)
 		e.thorupRuns.Inc()
-		if sp != nil {
-			for k, v := range snap.AttrMap() {
+		if sp != nil || e.cost != nil { // someone to show them to
+			sample.Counters = snap.AttrMap()
+			for k, v := range sample.Counters {
 				sp.SetAttr(k, v)
 			}
 		}

@@ -9,11 +9,13 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/costmodel"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/solver"
+	"repro/internal/trace"
 )
 
 func testInstance(tb testing.TB, n, m int) *solver.Instance {
@@ -145,6 +147,89 @@ func TestOneRunPerQueryThroughPool(t *testing.T) {
 		if r, z, sr := runs.Load(), resets.Load(), e.SolverRuns()[tc.ran]; r != 1 || z != 1 || sr != 1 {
 			t.Fatalf("%s, 4 sources: %d state runs, %d resets, solver_runs %d, want 1 each", tc.ran, r, z, sr)
 		}
+	}
+}
+
+// One provider call per executed solve, carrying the engine's own identity
+// and measurement: a cache hit and singleflight joiners add nothing, a traced
+// and an untraced solve sample alike, and only a tracer state (Thorup)
+// attaches phase counters — core.Trace's, never span annotations such as
+// predicted_us. (Carries the cases of the trace-harvesting test this replaced.)
+func TestOneSamplePerSolve(t *testing.T) {
+	in := testInstance(t, 300, 1200)
+	gs := newGated()
+	p := testModel(t, map[string][]float64{"thorup": {500, 0, 0, 0, 0, 0, 0}})
+	e := New(in, Config{CacheEntries: 8, CostModel: p, Graph: "road", Gen: 7,
+		Solvers: append(solver.All(), gs.register())})
+	tr := trace.New(trace.Config{SampleN: 1}).StartRequest("", "sssp")
+	traced := trace.NewContext(context.Background(), tr)
+
+	for _, q := range []struct {
+		ctx context.Context
+		req Request
+	}{
+		{traced, Request{Sources: []int32{9, 3, 9}, Solver: "thorup"}},
+		{traced, Request{Sources: []int32{3, 9}, Solver: "thorup"}}, // cache hit
+		{context.Background(), Request{Sources: []int32{5}, Solver: "dijkstra"}},
+	} {
+		if _, _, err := e.Query(q.ctx, q.req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const joiners = 4
+	var wg sync.WaitGroup
+	for i := 0; i < joiners; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, _, err := e.Query(context.Background(), Request{Sources: []int32{1}, Solver: "gated"}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	<-gs.started
+	for e.Counter("cache_misses") < 2+joiners { // all four are past the cache, in the held flight
+	}
+	close(gs.release)
+	wg.Wait()
+
+	got := p.Samples().Snapshot()
+	if len(got) != 3 || p.Samples().Total() != 3 || e.Counter("solves") != 3 {
+		t.Fatalf("%d samples (%d ever) for %d solves, want 3 each: %+v", len(got), p.Samples().Total(), e.Counter("solves"), got)
+	}
+	feat := costmodel.Features{N: 300, M: in.G.NumEdges(), MaxWeight: in.G.MaxWeight()}
+	for i, want := range []struct {
+		solver  string
+		sources int
+	}{{"thorup", 2}, {"dijkstra", 1}, {"gated", 1}} {
+		s := got[i]
+		feat.Sources = want.sources
+		if s.V != costmodel.DatasetVersion || s.Graph != "road" || s.Gen != 7 || s.Solver != want.solver ||
+			s.Features != feat || s.DurUS < 0 {
+			t.Fatalf("sample %d: %+v", i, s)
+		}
+	}
+	c := got[0].Counters
+	if len(c) != 8 || c["settled"] != 300 || c["relaxations"] == 0 {
+		t.Fatalf("thorup counters: %v", c)
+	}
+	if got[1].Counters != nil || got[2].Counters != nil {
+		t.Fatalf("non-tracer states grew counters: %+v", got[1:])
+	}
+	// Only the priced solve is a drift observation; all three are samples.
+	if n := p.Counters().Snapshot()[costmodel.CtrPredictions]; n != 1 {
+		t.Fatalf("predictions = %d, want 1", n)
+	}
+	// The solve span shows what the sample holds, plus the prediction.
+	var solve *trace.SpanJSON
+	for _, sp := range tr.Export().Spans.Children {
+		if sp.Name == "solve" {
+			solve = sp
+		}
+	}
+	if solve == nil || solve.Attrs["solver"] != "thorup" || solve.Attrs["sources"] != 2 ||
+		solve.Attrs["predicted_us"] != int64(500) || solve.Attrs["settled"] != int64(300) {
+		t.Fatalf("solve span: %+v", solve)
 	}
 }
 

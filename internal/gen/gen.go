@@ -256,9 +256,3 @@ func Complete(n int, c uint32, seed uint64) *graph.Graph {
 	}
 	return b.Build()
 }
-
-// RandomConnected generates a Random-family graph guaranteed connected (the
-// cycle base does this already); exported separately for test readability.
-func RandomConnected(n, m int, c uint32, seed uint64) *graph.Graph {
-	return Random(n, m, c, UWD, seed)
-}

@@ -58,17 +58,6 @@ type GraphState struct {
 	State string `json:"state"`
 }
 
-// GraphStateOf returns the scraped state of the named graph ("" when the
-// daemon does not serve it).
-func (m *MetricsSnapshot) GraphStateOf(name string) string {
-	for _, g := range m.Catalog.GraphStates {
-		if g.Name == name {
-			return g.State
-		}
-	}
-	return ""
-}
-
 // ScrapeMetrics fetches and decodes baseURL's GET /metrics into the counter
 // subset. Unknown keys in the document are ignored: the scrape contract is
 // "at least these counters", so the daemon may grow metrics freely.

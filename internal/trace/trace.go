@@ -253,71 +253,6 @@ func (s *Span) export() *SpanJSON {
 	return out
 }
 
-// SolveRecord is one executed solve extracted from a finished trace: the
-// solver that ran, the source-set size, the measured solve-stage duration
-// (the cost model's training label), and any integer counters the solver
-// attached to its span (Thorup's core.Trace phase counters). The graph is
-// the trace-level graph name; per-graph features (n, m, weight class) are
-// resolved from the catalog by the consumer.
-type SolveRecord struct {
-	Graph    string
-	Solver   string
-	Sources  int
-	DurUS    int64
-	Counters map[string]int64
-}
-
-// SolveRecords extracts every "solve" span from the trace — one per solver
-// execution this request led (cache hits and singleflight joiners record no
-// solve span). Safe on finished traces; nil-safe.
-func (t *Trace) SolveRecords() []SolveRecord {
-	if t == nil {
-		return nil
-	}
-	var out []SolveRecord
-	t.mu.Lock()
-	graph := t.graph
-	t.mu.Unlock()
-	t.visit(func(s *Span) {
-		if s.name != "solve" {
-			return
-		}
-		rec := SolveRecord{Graph: graph, DurUS: s.durUS}
-		for k, v := range s.attrs {
-			switch k {
-			case "solver":
-				if name, ok := v.(string); ok {
-					rec.Solver = name
-				}
-			case "sources":
-				if n, ok := v.(int); ok {
-					rec.Sources = n
-				}
-			case "predicted_us":
-				// Already a model output, not a training feature.
-			default:
-				var c int64
-				switch n := v.(type) {
-				case int:
-					c = int64(n)
-				case int64:
-					c = n
-				default:
-					continue // non-integer attr: not a phase counter
-				}
-				if rec.Counters == nil {
-					rec.Counters = make(map[string]int64, 8)
-				}
-				rec.Counters[k] = c
-			}
-		}
-		if rec.Solver != "" {
-			out = append(out, rec)
-		}
-	})
-	return out
-}
-
 // visit walks the attached span tree under the trace lock. Used by the tracer
 // to feed stage histograms at finish time.
 func (t *Trace) visit(f func(s *Span)) {

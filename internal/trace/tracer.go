@@ -28,11 +28,6 @@ type Config struct {
 	SlowQuery time.Duration
 	// Logf receives slow-query lines (default: drop them).
 	Logf func(format string, args ...any)
-	// OnFinish, when set, receives every finished trace exactly once —
-	// retained or not — after it is sealed. The cost-model collector hooks
-	// here to harvest SolveRecords. Runs synchronously on the request
-	// goroutine, so it must be cheap and must not block.
-	OnFinish func(*Trace)
 }
 
 // Counter names of Tracer.StatsSnapshot, in snapshot order.
@@ -164,9 +159,6 @@ func (t *Tracer) Finish(tr *Trace, status int) {
 	if slow || sampled || tr.explicit {
 		t.counters.C(cRetained).Inc()
 		t.ring.put(tr)
-	}
-	if t.cfg.OnFinish != nil {
-		t.cfg.OnFinish(tr)
 	}
 }
 
