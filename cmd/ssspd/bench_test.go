@@ -29,11 +29,14 @@ import (
 const benchQueries = 64
 
 func benchServer(tb testing.TB) (*httptest.Server, func()) {
+	return benchServerWith(tb, engine.Config{CacheEntries: 0}) // uncached: both sides pay every solve
+}
+
+func benchServerWith(tb testing.TB, cfg engine.Config) (*httptest.Server, func()) {
 	tb.Helper()
 	g := gen.Random(1<<7, 1<<9, 1<<10, gen.UWD, 99)
 	srv := newServer(g, ch.BuildKruskal(g), "bench", catalog.Source{}, serverOptions{
-		workers: 2, maxInflight: 256, timeout: time.Minute,
-		engine: engine.Config{CacheEntries: 0}, // uncached: both sides pay every solve
+		workers: 2, maxInflight: 256, timeout: time.Minute, engine: cfg,
 	})
 	ts := httptest.NewServer(srv.mux())
 	old := log.Writer()
@@ -210,5 +213,45 @@ func TestWriteEngineBenchJSON(t *testing.T) {
 	}
 	if s := doc["batch_speedup"].(float64); s < 2 {
 		t.Errorf("batch speedup %.2fx, want >= 2x", s)
+	}
+}
+
+// BenchmarkHitPath sizes what ROADMAP item 7(a) can still win: a cached
+// /sssp answer against a bare net/http handler that writes the same bytes,
+// through the same client over loopback. The gap between the two is all the
+// handler stack (mux, admission, catalog acquire, engine cache, trace, access
+// log) costs a hit; the rest is the round trip.
+func BenchmarkHitPath(b *testing.B) {
+	ts, done := benchServerWith(b, engine.Config{CacheEntries: 16})
+	defer done()
+	client := ts.Client()
+	get := func(url string) []byte {
+		resp, err := client.Get(url)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != 200 {
+			b.Fatalf("status %d, %v", resp.StatusCode, err)
+		}
+		return body
+	}
+	hit := ts.URL + "/sssp?src=7"
+	body := get(hit) // the miss that fills the cache
+	if !bytes.Contains(get(hit), []byte(`"via":"cache"`)) {
+		b.Fatalf("second /sssp was not a cache hit: %s", get(hit))
+	}
+	echo := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(body)
+	}))
+	defer echo.Close()
+	for _, c := range []struct{ name, url string }{{"sssp_hit", hit}, {"echo", echo.URL}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				get(c.url)
+			}
+		})
 	}
 }

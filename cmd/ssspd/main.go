@@ -134,13 +134,19 @@ func main() {
 	if *snapFile != "" {
 		src = catalog.Source{Snapshot: *snapFile}
 	}
+	// The two start-up phases are timed apart so that a slow cold start can
+	// be put down to the load (parse, or snapshot map and verify) or to the
+	// hierarchy build from the log alone.
+	start := time.Now()
 	g, h, mapping, name, err := src.Load(*useMmap, log.Printf)
 	if err != nil {
 		log.Fatalf("ssspd: %v", err)
 	}
+	loaded := time.Now()
 	if h == nil {
 		h = ch.BuildKruskal(g)
 	}
+	built := time.Now()
 	srv := newServer(g, h, name, src, serverOptions{
 		workers:      *workers,
 		maxInflight:  *maxInflight,
@@ -165,8 +171,9 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	log.Printf("ssspd: serving %s (n=%d m=%d, CH %d nodes) on %s (workers=%d max-inflight=%d timeout=%s cache=%d/%dB mem-budget=%d)",
-		name, g.NumVertices(), g.NumEdges(), h.NumNodes(), *addr, *workers, *maxInflight, *timeout, *cacheEntries, *cacheBytes, *memBudget)
+	log.Printf("ssspd: serving %s (n=%d m=%d, CH %d nodes, load_ms=%.1f ch_build_ms=%.1f) on %s (workers=%d max-inflight=%d timeout=%s cache=%d/%dB mem-budget=%d)",
+		name, g.NumVertices(), g.NumEdges(), h.NumNodes(), loaded.Sub(start).Seconds()*1e3, built.Sub(loaded).Seconds()*1e3,
+		*addr, *workers, *maxInflight, *timeout, *cacheEntries, *cacheBytes, *memBudget)
 	if err := httpx.Serve(ctx, *addr, srv.mux(), *timeout, *drain, "ssspd"); err != nil {
 		log.Fatalf("ssspd: %v", err)
 	}

@@ -23,8 +23,9 @@ import (
 // cold mmap (first map of a file: full verification), warm mmap (re-map of a
 // verified file: O(1)) — and the first-query latency of a warmed versus a
 // cold engine, the cost the warming phase hides from the first client after
-// a swap. Gates: copy load >= 10x over text, and warm mmap >= 50x over the
-// copy load.
+// a swap. Gates: a snapshot copy load is faster than a text start (>= 2x; the
+// text parse is no longer the slow part, the hierarchy rebuild is what a
+// snapshot saves), and warm mmap >= 50x over the copy load.
 func TestWriteCatalogBenchJSON(t *testing.T) {
 	out := os.Getenv("BENCH_CATALOG_OUT")
 	if out == "" {
@@ -179,8 +180,8 @@ func TestWriteCatalogBenchJSON(t *testing.T) {
 	}
 	t.Logf("wrote %s: loads text %s / copy %s / mmap cold %s / mmap warm %s (copy %.1fx vs text, mmap %.0fx vs copy); first query warm %s vs cold %s",
 		out, textLoad, snapLoad, mmapCold, mmapWarm, speedup, mmapSpeedup, warmed, cold)
-	if speedup < 10 {
-		t.Errorf("snapshot load speedup %.1fx, want >= 10x over text parse + CH rebuild", speedup)
+	if speedup < 2 {
+		t.Errorf("snapshot load speedup %.1fx, want >= 2x over text parse + CH rebuild", speedup)
 	}
 	if mmapSpeedup < 50 {
 		t.Errorf("warm mmap load speedup %.1fx over copy load, want >= 50x", mmapSpeedup)

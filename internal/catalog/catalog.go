@@ -489,6 +489,7 @@ func (c *Catalog) runJob(name string) {
 		c.failJob(name, fmt.Errorf("load %s: %w", src, err))
 		return
 	}
+	loaded := time.Now()
 	c.advance(name, StateBuilding, isReload)
 	if len(deltas) > 0 {
 		// Replay the accepted-mutation log so the rebuilt generation carries
@@ -513,6 +514,7 @@ func (c *Catalog) runJob(name string) {
 	} else if h == nil {
 		h = ch.BuildKruskal(g)
 	}
+	built := time.Now() // delta replay counts towards the build
 	c.counters.C(cBuilds).Inc()
 
 	eng := c.newEngine(name, genNum, g, h)
@@ -541,8 +543,9 @@ func (c *Catalog) runJob(name string) {
 	if gen.Mapped() {
 		residence = "mmap"
 	}
-	c.logf("catalog: %s gen %d ready from %s (n=%d m=%d, %d bytes %s, %s)",
-		name, genNum, src, g.NumVertices(), g.NumEdges(), gen.Bytes, residence, time.Since(start).Round(time.Millisecond))
+	c.logf("catalog: %s gen %d ready from %s (n=%d m=%d, %d bytes %s, load_ms=%.1f ch_build_ms=%.1f, %s)",
+		name, genNum, src, g.NumVertices(), g.NumEdges(), gen.Bytes, residence,
+		loaded.Sub(start).Seconds()*1e3, built.Sub(loaded).Seconds()*1e3, time.Since(start).Round(time.Millisecond))
 }
 
 // advance moves an initial load to its next lifecycle phase; reloads keep

@@ -10,107 +10,6 @@ import (
 	"repro/internal/graph"
 )
 
-// ReadGraph parses a .gr file into an undirected graph. Arcs that appear in
-// both directions with equal weight are collapsed into a single undirected
-// edge; an arc that appears in only one direction is kept as one undirected
-// edge.
-func ReadGraph(r io.Reader) (*graph.Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
-	var (
-		b        *graph.Builder
-		nVerts   int64
-		declared int64
-		seen     int64
-		line     int
-		// pending counts each (min,max,w) arc; a reverse arc cancels one.
-		pending map[[3]int64]int64
-	)
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || text[0] == 'c' {
-			continue
-		}
-		fields := strings.Fields(text)
-		switch fields[0] {
-		case "p":
-			if b != nil {
-				return nil, fmt.Errorf("dimacs: line %d: duplicate problem line", line)
-			}
-			if len(fields) != 4 || fields[1] != "sp" {
-				return nil, fmt.Errorf("dimacs: line %d: malformed problem line %q", line, text)
-			}
-			n, err := strconv.ParseInt(fields[2], 10, 32)
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("dimacs: line %d: bad vertex count %q", line, fields[2])
-			}
-			m, err := strconv.ParseInt(fields[3], 10, 64)
-			if err != nil || m < 0 {
-				return nil, fmt.Errorf("dimacs: line %d: bad arc count %q", line, fields[3])
-			}
-			nVerts = n
-			declared = m
-			b = graph.NewBuilder(int(n))
-			pending = make(map[[3]int64]int64)
-		case "a":
-			if b == nil {
-				return nil, fmt.Errorf("dimacs: line %d: arc before problem line", line)
-			}
-			if len(fields) != 4 {
-				return nil, fmt.Errorf("dimacs: line %d: malformed arc %q", line, text)
-			}
-			u, err1 := strconv.ParseInt(fields[1], 10, 32)
-			v, err2 := strconv.ParseInt(fields[2], 10, 32)
-			w, err3 := strconv.ParseInt(fields[3], 10, 64)
-			if err1 != nil || err2 != nil || err3 != nil {
-				return nil, fmt.Errorf("dimacs: line %d: malformed arc %q", line, text)
-			}
-			// Explicit 1-based range check, phrased in the file's own
-			// coordinates. Vertex 0 and ids past the problem line's count are
-			// the classic off-by-one corruptions; without this guard the
-			// builder's 0-based error message would misreport them.
-			if u < 1 || v < 1 {
-				return nil, fmt.Errorf("dimacs: line %d: vertex ids are 1-based, got %d %d", line, u, v)
-			}
-			if u > nVerts || v > nVerts {
-				return nil, fmt.Errorf("dimacs: line %d: arc (%d,%d) references a vertex beyond the declared count %d", line, u, v, nVerts)
-			}
-			if w < 1 || w > int64(graph.MaxWeight) {
-				return nil, fmt.Errorf("dimacs: line %d: weight %d out of [1,%d]", line, w, graph.MaxWeight)
-			}
-			seen++
-			lo, hi := u-1, v-1
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			key := [3]int64{lo, hi, w}
-			if pending[key] > 0 && lo != hi {
-				// Reverse of an arc we already have: same undirected edge.
-				pending[key]--
-				continue
-			}
-			pending[key]++
-			if err := b.AddEdge(int32(u-1), int32(v-1), uint32(w)); err != nil {
-				return nil, fmt.Errorf("dimacs: line %d: %v", line, err)
-			}
-		default:
-			return nil, fmt.Errorf("dimacs: line %d: unknown record %q", line, fields[0])
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("dimacs: read: %v", err)
-	}
-	if b == nil {
-		return nil, fmt.Errorf("dimacs: no problem line")
-	}
-	if declared != 0 && seen != declared {
-		return nil, fmt.Errorf("dimacs: problem line declares %d arcs, file has %d", declared, seen)
-	}
-	g := b.Build()
-	return g, nil
-}
-
 // WriteGraph emits g as a .gr file using the Challenge convention of two arcs
 // per undirected edge (one for self-loops). Output is buffered (1 MiB) and
 // arc lines are formatted with strconv into a reused scratch buffer rather

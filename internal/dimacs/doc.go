@@ -6,8 +6,15 @@
 //   - .ss source files:  "c <comment>", "p aux sp ss <k>", "s <v>"
 //
 // Vertices are 1-based in the files and 0-based in memory. The Challenge's
-// .gr files list each undirected edge as two arcs; ReadGraph accepts both
-// that convention (pairs are collapsed) and single-arc-per-edge files.
+// .gr files list each undirected edge as two arcs, other files list one.
+// ReadGraph takes both with one direction-blind rule: among the arcs with
+// the same undirected key (min(u,v), max(u,v), w) every second one in file
+// order is dropped — whichever way it points — and the others become edges,
+// so k parallel edges written as 2k arcs stay k edges and an unmatched arc
+// stays an edge. Self-loops are always kept. White space is ASCII, a line has
+// no length limit, at most 2^28 vertices are accepted, and an error quotes at
+// most 64 bytes of the line it blames. DESIGN.md §5 decision 10 has what a
+// text start costs.
 //
 // See DESIGN.md §3 ("System inventory") for how this package fits the system.
 package dimacs
