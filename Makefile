@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-build bench-engine bench-catalog bench-trace bench-serve bench-serve-smoke bench-router bench-mutate bench-costmodel check flake docs-check loc stress fuzz experiments sim-csv-check examples clean
+.PHONY: all build vet test race bench bench-build bench-kernels bench-engine bench-catalog bench-trace bench-serve bench-serve-smoke bench-router bench-mutate bench-costmodel check flake docs-check loc stress fuzz experiments sim-csv-check examples clean
 
 all: build vet test
 
@@ -43,6 +43,29 @@ flake:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The serving kernels side by side (EXPERIMENTS.md, "Bucket width from the
+# weights"): BenchmarkKernel of internal/core — exec Thorup beside
+# delta-stepping with the bucket width measured from the weights (arm delta)
+# and with the paper's C/d (delta-paper), one process, so a cell's three arms
+# run seconds apart — and of internal/deltastep (the two delta arms alone),
+# on the seven families at logn 16 and 19, one source and nearest-of-4, warm,
+# one goroutine. Five passes over all of it, five iterations a cell each, so
+# that a cell's five readings are minutes apart on a host whose speed drifts;
+# the CSV holds each cell's median, minimum and maximum in ms. ~20 minutes.
+bench-kernels:
+	for pass in 1 2 3 4 5; do \
+		$(GO) test -run '^$$' -bench 'Kernel/logn=/./k=/^(exec|delta|delta-paper)$$' -benchtime 5x -cpu 1 -timeout 90m ./internal/core | sed 's/^Benchmark/core Benchmark/' && \
+		$(GO) test -run '^$$' -bench 'Kernel' -benchtime 5x -cpu 1 -timeout 90m ./internal/deltastep | sed 's/^Benchmark/deltastep Benchmark/' || exit 1; \
+	done \
+	| awk -F'[/ \t]+' '$$2 == "BenchmarkKernel" { print $$1 "," substr($$3,6) "," $$4 "," substr($$5,3) "," $$6 "," $$8/1e6 }' \
+	| sort -t, -k1,1 -k2,2n -k3,3 -k4,4n -k5,5 -k6,6n \
+	| awk -F, 'BEGIN { print "bench,logn,family,k,arm,median_ms,min_ms,max_ms" } \
+		{ key = $$1 "," $$2 "," $$3 "," $$4 "," $$5; if (key != last) { flush(); last = key; n = 0 } v[++n] = $$6 } \
+		END { flush() } \
+		function flush() { if (n) printf "%s,%.2f,%.2f,%.2f\n", last, v[int((n+1)/2)], v[1], v[n] }' \
+	> results/bench-kernels.csv
+	@cat results/bench-kernels.csv
 
 # Query-engine comparison benchmarks (pooled vs cold, cache hit vs miss,
 # batch-64 vs 64 sequential HTTP queries), written to BENCH_engine.json.

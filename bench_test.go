@@ -136,7 +136,7 @@ func BenchmarkTable5(b *testing.B) {
 			var cycles int64
 			for i := 0; i < b.N; i++ {
 				rt := par.NewSim(m)
-				deltastep.SSSP(rt, g, 0, deltastep.DefaultDelta(g))
+				deltastep.SSSP(rt, g, 0, deltastep.PaperDelta(g))
 				cycles = rt.SimCost().Span
 			}
 			b.ReportMetric(float64(cycles), "simCycles")
@@ -243,7 +243,7 @@ func BenchmarkFigure5(b *testing.B) {
 				cycles = 0
 				for range sources {
 					rt := par.NewSim(m)
-					deltastep.SSSP(rt, g, 0, deltastep.DefaultDelta(g))
+					deltastep.SSSP(rt, g, 0, deltastep.PaperDelta(g))
 					cycles += rt.SimCost().Span
 				}
 			}

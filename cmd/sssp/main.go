@@ -51,7 +51,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		st        = fs.Int("st", -1, "target vertex: print the s-t distance (bidirectional Dijkstra) and exit")
 		workers   = fs.Int("workers", 4, "goroutines for parallel solvers")
 		certify   = fs.Bool("certify", false, "certify results in linear time (feasibility+tightness)")
-		delta     = fs.Int64("delta", 0, "delta-stepping bucket width (0 = heuristic)")
+		delta     = fs.Int64("delta", 0, "delta-stepping bucket width (0 = measured from the weights)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2

@@ -526,6 +526,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"vertices":      gen.G.NumVertices(),
 		"edges":         gen.G.NumEdges(),
 		"maxWeight":     gen.G.MaxWeight(),
+		"delta":         gen.Engine.Delta(),
 		"chNodes":       st.Components,
 		"chHeight":      st.Height,
 		"chAvgChildren": st.AvgChildren,
@@ -568,6 +569,12 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			"gather_taken":        agg.GatherTaken,
 			"bucket_advances":     agg.BucketAdvances,
 			"max_tovisit":         agg.MaxTovisit,
+		}
+		refills, scanned := gen.Engine.DeltaRing()
+		doc["deltastep"] = map[string]any{
+			"delta":            gen.Engine.Delta(),
+			"refills":          refills,
+			"overflow_scanned": scanned,
 		}
 		release()
 	}

@@ -18,6 +18,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/ch"
 	"repro/internal/core"
+	"repro/internal/deltastep"
 	"repro/internal/dijkstra"
 	"repro/internal/engine"
 	"repro/internal/gen"
@@ -82,6 +83,9 @@ func TestHealthAndStats(t *testing.T) {
 	}
 	if stats["instanceBytes"].(float64) <= 0 {
 		t.Fatalf("instanceBytes %v", stats["instanceBytes"])
+	}
+	if got, want := stats["delta"].(float64), float64(deltastep.DefaultDelta(g)); got != want || stats["maxWeight"].(float64) != float64(g.MaxWeight()) {
+		t.Fatalf("stats delta %v maxWeight %v, want %v and %d", got, stats["maxWeight"], want, g.MaxWeight())
 	}
 	cat, ok := stats["catalog"].(map[string]any)
 	if !ok {
@@ -521,9 +525,11 @@ func TestMultiGraphServing(t *testing.T) {
 	var listing struct {
 		Default string `json:"default"`
 		Graphs  []struct {
-			Name  string `json:"name"`
-			State string `json:"state"`
-			Gen   uint64 `json:"gen"`
+			Name      string `json:"name"`
+			State     string `json:"state"`
+			Gen       uint64 `json:"gen"`
+			MaxWeight uint32 `json:"max_weight"`
+			Delta     int64  `json:"delta"`
 		} `json:"graphs"`
 	}
 	if code := getJSON(t, ts.URL+"/graphs", &listing); code != 200 {
@@ -535,6 +541,10 @@ func TestMultiGraphServing(t *testing.T) {
 	for _, gs := range listing.Graphs {
 		if gs.State != "ready" {
 			t.Fatalf("graph %s state %s, want ready", gs.Name, gs.State)
+		}
+		// Each row says which bucket width its serving generation measured.
+		if gs.MaxWeight == 0 || gs.Delta < 2 || gs.Delta > 2*int64(gs.MaxWeight) {
+			t.Fatalf("graph %s: max_weight %d, delta %d", gs.Name, gs.MaxWeight, gs.Delta)
 		}
 	}
 

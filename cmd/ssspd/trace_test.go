@@ -169,6 +169,52 @@ func TestTraceSpanTreeCoversStages(t *testing.T) {
 	}
 }
 
+// An auto multi-source query runs delta-stepping, and /debug/traces alone says
+// with which bucket width and what its overflow list cost; /metrics sums the
+// latter next to the serving generation's width.
+func TestTraceSolveSpanSaysWhichDelta(t *testing.T) {
+	ts, srv, _ := tracedServer(t, 1, time.Nanosecond)
+	var out map[string]any
+	if code := postJSON(t, ts.URL+"/batch", `{"queries":[{"srcs":[5,90,300]}]}`, &out); code != 200 {
+		t.Fatalf("batch: %d", code)
+	}
+	traces := getTraces(t, ts, "")
+	if len(traces) != 1 {
+		t.Fatalf("retained %d traces, want 1", len(traces))
+	}
+	var solve *trace.SpanJSON
+	var walk func(s *trace.SpanJSON)
+	walk = func(s *trace.SpanJSON) {
+		if s.Name == "solve" {
+			solve = s
+		}
+		for _, c := range s.Children {
+			walk(c)
+		}
+	}
+	walk(traces[0].Spans)
+	gen, release, err := srv.cat.Acquire(srv.defaultGraph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	if solve == nil || solve.Attrs["solver"] != "delta" || solve.Attrs["sources"] != float64(3) ||
+		solve.Attrs["delta"] != float64(gen.Engine.Delta()) {
+		t.Fatalf("solve span %+v, serving delta %d", solve, gen.Engine.Delta())
+	}
+	for _, attr := range []string{"refills", "overflow_scanned"} {
+		if _, ok := solve.Attrs[attr]; !ok {
+			t.Errorf("solve span missing %q (have %v)", attr, solve.Attrs)
+		}
+	}
+	var m struct {
+		Deltastep map[string]int64 `json:"deltastep"`
+	}
+	if code := getJSON(t, ts.URL+"/metrics", &m); code != 200 || m.Deltastep["delta"] != gen.Engine.Delta() {
+		t.Fatalf("metrics deltastep section: %d %v", code, m.Deltastep)
+	}
+}
+
 func TestBatchItemsCarryParentTraceID(t *testing.T) {
 	ts, _, _ := tracedServer(t, 1, 0)
 	body := `{"queries":[{"src":1},{"src":2},{"src":-9}]}`

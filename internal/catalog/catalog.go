@@ -680,7 +680,11 @@ type GraphStatus struct {
 	Source   string `json:"source"`
 	Vertices int    `json:"vertices,omitempty"`
 	Edges    int64  `json:"edges,omitempty"`
-	Bytes    int64  `json:"bytes,omitempty"`
+	// MaxWeight is the serving generation's heaviest edge and Delta the
+	// delta-stepping bucket width measured from its weights.
+	MaxWeight uint32 `json:"max_weight,omitempty"`
+	Delta     int64  `json:"delta,omitempty"`
+	Bytes     int64  `json:"bytes,omitempty"`
 	// HeapBytes/MappedBytes split Bytes by residence: process heap for
 	// copy-loaded generations, mmap'd page cache for zero-copy ones.
 	HeapBytes   int64 `json:"heap_bytes,omitempty"`
@@ -713,6 +717,8 @@ func (c *Catalog) Status() []GraphStatus {
 			gs.Gen = e.gen.Gen
 			gs.Vertices = e.gen.G.NumVertices()
 			gs.Edges = e.gen.G.NumEdges()
+			gs.MaxWeight = e.gen.G.MaxWeight()
+			gs.Delta = e.gen.Engine.Delta()
 			gs.Bytes = e.gen.Bytes
 			gs.HeapBytes = e.gen.HeapBytes
 			gs.MappedBytes = e.gen.MappedBytes

@@ -27,66 +27,74 @@ var benchFamilies = []struct {
 	{"grid-pwd", func(l int) *graph.Graph { return gen.GridGraph(1<<(l/2), 1<<(l-l/2), 1<<l, gen.PWD, 7) }},
 }
 
-// BenchmarkKernel times nearest-of-4 source sets (the shape the engine sends
-// to Thorup) on each family at logn 16 and 19, three ways: the paper-faithful
-// serial traversal of serial.go, a warm exec-kernel Query, and one warm
-// delta-stepping run over the same sets. Select with e.g.
-// -bench 'Kernel/logn=16/rand-uwd/exec'.
+// BenchmarkKernel times one source (k=1) and nearest-of-4 source sets (k=4)
+// on each family at logn 16 and 19, four ways: the paper-faithful serial
+// traversal of serial.go, a warm exec-kernel Query, and one warm
+// delta-stepping run over the same sets with the bucket width the serving
+// stack measures ("delta") and with the paper's C/d ("delta-paper"). Select
+// with e.g. -bench 'Kernel/logn=16/rand-uwd/k=4/exec'; make bench-kernels
+// runs the exec arm beside internal/deltastep's two into
+// results/bench-kernels.csv.
 func BenchmarkKernel(b *testing.B) {
 	rt := par.NewExec(1)
 	for _, logn := range []int{16, 19} {
 		for _, fam := range benchFamilies {
 			var (
-				g     *graph.Graph
-				h     *ch.Hierarchy
-				q     *Query
-				delta int64
+				g *graph.Graph
+				h *ch.Hierarchy
+				q *Query
 			)
 			setup := func() {
 				if g == nil {
 					g = fam.make(logn)
 					h = ch.BuildKruskal(g)
 					q = NewSolver(h, rt).Query()
-					delta = deltastep.DefaultDelta(g)
 				}
 			}
-			var set [4]int32
-			srcs := func(i int) []int32 {
-				n := g.NumVertices()
-				for k := range set {
-					set[k] = int32((i + k*n/4) % n)
+			for _, k := range []int{1, 4} {
+				set := make([]int32, k)
+				srcs := func(i int) []int32 {
+					n := g.NumVertices()
+					for j := range set {
+						set[j] = int32((i + j*n/k) % n)
+					}
+					return set
 				}
-				return set[:]
+				prefix := fmt.Sprintf("logn=%d/%s/k=%d/", logn, fam.name, k)
+				b.Run(prefix+"serial", func(b *testing.B) {
+					setup()
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						SerialSSSPFromSources(h, srcs(i))
+					}
+				})
+				b.Run(prefix+"exec", func(b *testing.B) {
+					setup()
+					q.RunFromSources(srcs(0))
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						q.Reset()
+						q.RunFromSources(srcs(i))
+					}
+				})
+				for _, arm := range []struct {
+					name  string
+					delta func(*graph.Graph) int64
+				}{{"delta", deltastep.DefaultDelta}, {"delta-paper", deltastep.PaperDelta}} {
+					b.Run(prefix+arm.name, func(b *testing.B) {
+						setup()
+						delta, st := arm.delta(g), deltastep.NewState()
+						st.RunFromSources(rt, g, srcs(0), delta)
+						b.ReportAllocs()
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							st.RunFromSources(rt, g, srcs(i), delta)
+						}
+					})
+				}
 			}
-			prefix := fmt.Sprintf("logn=%d/%s/", logn, fam.name)
-			b.Run(prefix+"serial", func(b *testing.B) {
-				setup()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					SerialSSSPFromSources(h, srcs(i))
-				}
-			})
-			b.Run(prefix+"exec", func(b *testing.B) {
-				setup()
-				q.RunFromSources(srcs(0))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					q.Reset()
-					q.RunFromSources(srcs(i))
-				}
-			})
-			b.Run(prefix+"delta", func(b *testing.B) {
-				setup()
-				st := deltastep.NewState()
-				st.RunFromSources(rt, g, srcs(0), delta)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					st.RunFromSources(rt, g, srcs(i), delta)
-				}
-			})
 		}
 	}
 }

@@ -13,15 +13,21 @@ import (
 
 // decodeGraph turns arbitrary fuzz bytes into a small multigraph: first byte
 // picks n in [1,30], then each (u, v, w) triple adds one edge. Shared by the
-// differential fuzz targets so their corpora cross-pollinate.
+// differential fuzz targets so their corpora cross-pollinate. A first byte of
+// 128 or more makes the weights PWD-like, 2^(w mod 31) — up to
+// graph.MaxWeight, where a narrow bucket width leaves most of a
+// delta-stepping run to its overflow list.
 func decodeGraph(data []byte) (*graph.Graph, []byte) {
-	n := int(data[0])%30 + 1
+	n, pwd := int(data[0])%30+1, data[0] >= 128
 	data = data[1:]
 	b := graph.NewBuilder(n)
 	for len(data) >= 3 {
 		u := int32(int(data[0]) % n)
 		v := int32(int(data[1]) % n)
 		w := uint32(data[2])%255 + 1
+		if pwd {
+			w = 1 << (data[2] % 31)
+		}
 		b.MustAddEdge(u, v, w)
 		data = data[3:]
 	}
@@ -84,35 +90,40 @@ func FuzzThorupVsDijkstra(f *testing.F) {
 // FuzzDeltaStepVsDijkstra cross-checks delta-stepping against Dijkstra on
 // fuzz-decoded multigraphs. The byte after the edge triples (when present)
 // picks the bucket width, so the fuzzer also explores degenerate deltas —
-// width 1 (pure Dijkstra-like) through widths far above the weight range —
-// and the bytes after that name up to three more sources for a source-set
-// run (repeats allowed).
+// width 1 (pure Dijkstra-like, and on PWD-like weights a run that lives in
+// the overflow list) through widths far above the weight range; without it
+// the width is the measured one. pick names the source set as in
+// FuzzThorupVsDijkstra: one to four sources, repeats allowed.
 func FuzzDeltaStepVsDijkstra(f *testing.F) {
-	f.Add([]byte{4, 0, 1, 1, 1, 2, 2, 2, 3, 4})
-	f.Add([]byte{2, 0, 0, 200, 7})
-	f.Add([]byte{10})
-	f.Add([]byte{7, 0, 1, 255, 1, 2, 1, 2, 0, 128, 3, 3, 3, 0})
-	f.Add([]byte{9, 0, 1, 9, 1, 2, 9, 4, 5, 1, 7, 8, 30, 2, 6, 8, 6})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add([]byte{4, 0, 1, 1, 1, 2, 2, 2, 3, 4}, uint32(0))
+	f.Add([]byte{2, 0, 0, 200, 7}, uint32(0))
+	f.Add([]byte{10}, uint32(0b01001_00011_00011_00000_11))
+	f.Add([]byte{7, 0, 1, 255, 1, 2, 1, 2, 0, 128, 3, 3, 3, 0}, uint32(0b00110_00101_00000_10))
+	f.Add([]byte{9, 0, 1, 9, 1, 2, 9, 4, 5, 1, 7, 8, 30, 2, 6, 8, 6}, uint32(0b00111_00000_01))
+	// PWD-like weights up to 2^30 at width 1: two components (0-1-2-3 and
+	// 5-6-7 of 17 vertices), one source and then sources in both.
+	f.Add([]byte{128 + 8, 0, 1, 30, 1, 2, 3, 2, 3, 29, 3, 0, 17, 5, 6, 30, 6, 7, 1, 0}, uint32(0))
+	f.Add([]byte{128 + 8, 0, 1, 30, 1, 2, 3, 2, 3, 29, 3, 0, 17, 5, 6, 30, 6, 7, 1, 0}, uint32(0b00110_00010_00110_00010_11))
+	// The same weights on a 6-cycle with chords: the measured width, width 1,
+	// width 256.
+	f.Add([]byte{128 + 11, 0, 1, 1, 1, 2, 30, 2, 3, 2, 3, 4, 29, 4, 5, 3, 5, 0, 28, 0, 3, 15, 1, 4, 22}, uint32(0b00100_00001_01))
+	f.Add([]byte{128 + 11, 0, 1, 1, 1, 2, 30, 2, 3, 2, 3, 4, 29, 4, 5, 3, 5, 0, 28, 0, 3, 15, 1, 4, 22, 0}, uint32(0b00100_00001_01))
+	f.Add([]byte{128 + 11, 0, 1, 1, 1, 2, 30, 2, 3, 2, 3, 4, 29, 4, 5, 3, 5, 0, 28, 0, 3, 15, 1, 4, 22, 255}, uint32(0))
+	f.Fuzz(func(t *testing.T, data []byte, pick uint32) {
 		if len(data) == 0 {
 			return
 		}
 		g, rest := decodeGraph(data)
 		n := g.NumVertices()
 		delta := deltastep.DefaultDelta(g)
-		srcs := []int32{0}
 		if len(rest) > 0 {
 			delta = int64(rest[0])%300 + 1
-			for _, b := range rest[1:min(len(rest), 4)] {
-				srcs = append(srcs, int32(int(b)%n))
-			}
 		}
-		want := dijkstra.SSSP(g, srcs[0])
-		for _, s := range srcs[1:] {
-			for v, d := range dijkstra.SSSP(g, s) {
-				want[v] = min(want[v], d)
-			}
+		srcs := make([]int32, pick%4+1)
+		for i := range srcs {
+			srcs[i] = int32(pick>>(2+5*i)%32) % int32(n)
 		}
+		want := nearest(g, srcs)
 		got, _ := deltastep.NewState().RunFromSources(par.NewExec(2), g, srcs, delta)
 		for v := range want {
 			if got[v] != want[v] {

@@ -24,23 +24,42 @@ var benchFamilies = []struct {
 	{"grid-pwd", func(l int) *graph.Graph { return gen.GridGraph(1<<(l/2), 1<<(l-l/2), 1<<l, gen.PWD, 7) }},
 }
 
-// BenchmarkKernel times a warm State on each family at logn 16 and 19.
-// Select with e.g. -bench 'Kernel/logn=16/rand-uwd'.
+// BenchmarkKernel times a warm State on each family at logn 16 and 19, on one
+// source and on nearest-of-4 sets, with the bucket width the serving stack
+// uses (DefaultDelta, arm "delta") and with the paper's C/d ("delta-paper").
+// Select with e.g. -bench 'Kernel/logn=16/rand-uwd/k=1/delta$'; make
+// bench-kernels runs all of it into results/bench-kernels.csv.
 func BenchmarkKernel(b *testing.B) {
 	rt := par.NewExec(1)
 	for _, logn := range []int{16, 19} {
 		for _, fam := range benchFamilies {
-			b.Run(fmt.Sprintf("logn=%d/%s", logn, fam.name), func(b *testing.B) {
-				g := fam.make(logn)
-				delta := DefaultDelta(g)
-				st := NewState()
-				st.Run(rt, g, 0, delta)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					st.Run(rt, g, int32(i%g.NumVertices()), delta)
+			var g *graph.Graph // built by the first arm that runs
+			for _, k := range []int{1, 4} {
+				for _, arm := range []struct {
+					name  string
+					delta func(*graph.Graph) int64
+				}{{"delta", DefaultDelta}, {"delta-paper", PaperDelta}} {
+					b.Run(fmt.Sprintf("logn=%d/%s/k=%d/%s", logn, fam.name, k, arm.name), func(b *testing.B) {
+						if g == nil {
+							g = fam.make(logn)
+						}
+						n, delta, srcs := g.NumVertices(), arm.delta(g), make([]int32, k)
+						set := func(i int) []int32 {
+							for j := range srcs {
+								srcs[j] = int32((i + j*n/k) % n)
+							}
+							return srcs
+						}
+						st := NewState()
+						st.RunFromSources(rt, g, set(0), delta)
+						b.ReportAllocs()
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							st.RunFromSources(rt, g, set(i), delta)
+						}
+					})
 				}
-			})
+			}
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package deltastep
 
 import (
+	"math/bits"
+
 	"repro/internal/graph"
 	"repro/internal/par"
 )
@@ -21,12 +23,49 @@ type Stats struct {
 	LightRelax  int64 // successful light edge relaxations
 	HeavyRelax  int64 // successful heavy edge relaxations
 	Reinsertion int64 // vertices rescanned within one bucket
+
+	// Exec mode only: how often the bounded bucket ring came to reach entries
+	// queued on the overflow list and was refilled from it, and how many
+	// overflow entries those refills looked at.
+	Refills         int
+	OverflowScanned int64
 }
 
-// DefaultDelta returns the standard heuristic bucket width Delta = C/d, where
-// C is the maximum edge weight and d the average degree (at least 1). For
-// d >= C this degenerates to Dijkstra-like width 1.
+// DefaultDelta measures the bucket width from the weights: the power of two
+// with about one arc per vertex below it, found in one pass that counts arcs
+// per power-of-two weight class. A run then relaxes about one light arc per
+// vertex it takes, whatever the distribution: on uniform weights this is
+// within a factor of two of the paper's C/d (PaperDelta); on weights skewed
+// toward small values (PWD) it is far below it, where C/d calls nearly every
+// arc light and the run degenerates into Bellman-Ford in one bucket. A graph
+// with fewer arcs than vertices gets one bucket (the power of two above its
+// heaviest arc), an arcless one width 1.
 func DefaultDelta(g *graph.Graph) int64 {
+	var class [33]int64 // class[j]: arcs with bits.Len32(w) == j, i.e. 2^(j-1) <= w < 2^j
+	for _, w := range g.Weights() {
+		class[bits.Len32(w)]++
+	}
+	// The smallest 2^j with at least n arcs below it, or the one above C.
+	n, j, below := int64(g.NumVertices()), 0, int64(0)
+	for top := bits.Len32(g.MaxWeight()); j < top && below < n; {
+		j++
+		below += class[j]
+	}
+	// 2^(j-1) has fewer than n below it; take it if that count is the closer
+	// of the two to n in ratio, so that a family sitting on a class boundary
+	// (UWD at average degree 8: 0.999n against 2n) does not flip on noise.
+	if prev := below - class[j]; below >= n && float64(n)*float64(n) < float64(prev)*float64(below) {
+		j--
+	}
+	return 1 << j
+}
+
+// PaperDelta returns the paper's bucket width Delta = C/d, where C is the
+// maximum edge weight and d the average degree (at least 1); for d >= C this
+// degenerates to Dijkstra-like width 1. It sees only the largest weight, so
+// the serving stack uses DefaultDelta; the paper's tables (internal/harness)
+// are reproduced with this one.
+func PaperDelta(g *graph.Graph) int64 {
 	if g.NumVertices() == 0 || g.NumEdges() == 0 {
 		return 1
 	}
@@ -55,17 +94,19 @@ func Run(rt *par.Runtime, g *graph.Graph, src int32, delta int64) ([]int64, Stat
 }
 
 // State is reusable delta-stepping query state: the distance vector, the
-// bucket ring, and every per-phase scratch array. Reusing a State across
-// queries amortizes all per-query allocations (a pooled serving layer's hot
-// path: a warm exec-mode run allocates nothing); buffers grow to the largest
-// graph served and are resliced for smaller ones. A State is not safe for
-// concurrent use.
+// bucket ring with its overflow list, and every per-phase scratch array.
+// Reusing a State across queries amortizes all per-query allocations (a pooled
+// serving layer's hot path: a warm exec-mode run allocates nothing); buffers
+// grow to the largest graph served and are resliced for smaller ones. A State
+// is not safe for concurrent use.
 type State struct {
 	dist []int64
 
 	// Exec-mode kernel (exec.go).
-	bins     [][]entry // the cyclic bucket ring
+	bins     [][]entry // the cyclic bucket ring, at most ringBins long
 	frontier []entry   // the entries of the bucket phase being relaxed
+	overflow []entry   // entries queued for buckets beyond the ring
+	least    int64     // a lower bound on those buckets
 
 	sim *simState // sim-mode kernel scratch (sim.go)
 }
@@ -79,6 +120,7 @@ func NewState() *State { return &State{} }
 func (st *State) Reset() {
 	clear(st.dist)
 	clear(st.frontier[:cap(st.frontier)])
+	clear(st.overflow[:cap(st.overflow)])
 	for _, b := range st.bins[:cap(st.bins)] {
 		clear(b[:cap(b)])
 	}

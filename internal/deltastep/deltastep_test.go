@@ -63,13 +63,59 @@ func TestInvalidDeltaPanics(t *testing.T) {
 	SSSP(par.NewExec(1), gen.Path(3, 1), 0, 0)
 }
 
+// The chooser reads the weights, not only the largest one: about one arc per
+// vertex lies below the width it returns.
 func TestDefaultDelta(t *testing.T) {
-	g := gen.Random(1000, 4000, 1<<10, gen.UWD, 1)
-	d := DefaultDelta(g)
-	if d < 1 || d > int64(g.MaxWeight()) {
-		t.Fatalf("DefaultDelta = %d", d)
+	sparse := graph.NewBuilder(10) // 3 edges = 6 arcs under 10 vertices
+	sparse.MustAddEdge(0, 1, 3)
+	sparse.MustAddEdge(1, 2, 700)
+	sparse.MustAddEdge(4, 5, 9)
+	cases := []struct {
+		name   string
+		g      *graph.Graph
+		lo, hi int64
+	}{
+		// Uniform weights: the paper's C/d = 2^16/8, give or take a factor of 2.
+		{"uwd", gen.Random(1<<12, 4<<12, 1<<16, gen.UWD, 1), 1 << 12, 1 << 14},
+		{"uwd rmat", gen.RMATGraph(1<<12, 4<<12, 1<<16, gen.UWD, 2), 1 << 12, 1 << 14},
+		{"uwd grid", gen.GridGraph(64, 64, 1<<16, gen.UWD, 3), 1 << 13, 1 << 15}, // d = 4
+		// PWD, C 2^16, d 8: 16 classes of n/2 arcs each, where C/d says 8192.
+		{"pwd", gen.Random(1<<12, 4<<12, 1<<16, gen.PWD, 4), 4, 64},
+		{"pwd rmat", gen.RMATGraph(1<<12, 4<<12, 1<<16, gen.PWD, 5), 4, 64},
+		{"all weights 5", gen.Cycle(64, 5), 8, 8}, // one class, every arc in it
+		{"unit weights", gen.Cycle(64, 1), 2, 2},
+		{"fewer arcs than vertices", sparse.Build(), 1024, 1024}, // one bucket above C = 700
+		{"no edges", graph.NewBuilder(5).Build(), 1, 1},
+		{"empty graph", graph.NewBuilder(0).Build(), 1, 1},
 	}
-	if DefaultDelta(graph.NewBuilder(0).Build()) != 1 {
+	for _, c := range cases {
+		d := DefaultDelta(c.g)
+		if d < c.lo || d > c.hi || d&(d-1) != 0 {
+			t.Errorf("%s: DefaultDelta = %d, want a power of two in [%d, %d] (C/d = %d)", c.name, d, c.lo, c.hi, PaperDelta(c.g))
+		}
+		// A generation made by a batch that changes nothing measures the same.
+		if edges := c.g.Edges(); len(edges) > 0 {
+			same, _, err := c.g.Overlay([]graph.Edge{edges[0]}, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := DefaultDelta(same); got != d {
+				t.Errorf("%s: DefaultDelta = %d after a no-op overlay, %d before", c.name, got, d)
+			}
+		}
+	}
+}
+
+// PaperDelta is the paper's C/d, floored at 1.
+func TestPaperDelta(t *testing.T) {
+	g := gen.Random(1000, 4000, 1<<10, gen.UWD, 1)
+	if d, want := PaperDelta(g), int64(g.MaxWeight())/(g.NumArcs()/1000); d != want {
+		t.Fatalf("PaperDelta = %d, want %d", d, want)
+	}
+	if d := PaperDelta(gen.Random(64, 1024, 4, gen.UWD, 7)); d != 1 { // d 32 > C 4
+		t.Fatalf("PaperDelta = %d on d > C, want 1", d)
+	}
+	if PaperDelta(graph.NewBuilder(0).Build()) != 1 {
 		t.Fatal("empty-graph delta")
 	}
 }

@@ -1,8 +1,9 @@
 // Package deltastep implements delta-stepping (Meyer & Sanders), the parallel
 // Dijkstra variant of Madduri et al. that the paper compares Thorup's
 // algorithm against (Table 5 and Figure 5) — and, because that comparison
-// comes out in its favour for one source, the kernel the serving engine sends
-// single-source queries to.
+// comes out in its favour once the bucket width is measured from the weights
+// (DefaultDelta) rather than taken as the paper's C/d (PaperDelta), the kernel
+// the serving engine sends every query on a weighted graph to.
 //
 // Delta-stepping groups queued vertices into buckets of width Delta and
 // empties the smallest non-empty bucket in phases; within a phase all
@@ -25,10 +26,12 @@
 //     marks and no deduplication. A live entry has all its arcs relaxed in
 //     one pass over the raw CSR; improved vertices are appended straight to
 //     their bins. Buckets live in a cyclic ring of ceil(maxW/Delta)+2 bins,
-//     so a State's size does not depend on the graph's diameter. The
-//     runtime's workers are not used: a per-phase parallel arm (the paper's
-//     §3.3 selective parallelization with a host threshold) was measured and
-//     left out, see DESIGN.md §5 decision 9.
+//     at most 1024, with one overflow list for what lands beyond them, so a
+//     State's size depends neither on the graph's diameter nor on how far
+//     below the largest weight the measured Delta lies. The runtime's workers
+//     are not used: a per-phase parallel arm (the paper's §3.3 selective
+//     parallelization with a host threshold) was measured and left out, see
+//     DESIGN.md §5 decision 9.
 //
 // Bucket membership is lazy in both kernels: insertions append and the scan
 // filters, which avoids the concurrent-deletion problem the paper notes

@@ -1,6 +1,7 @@
 package deltastep
 
 import (
+	"math"
 	"math/bits"
 
 	"repro/internal/graph"
@@ -20,13 +21,21 @@ type entry struct {
 	d uint32
 }
 
-// ringSize is the number of bins that holds every live bucket of a run:
-// ceil(maxW/delta)+2, rounded up to a power of two so indexing is a mask.
-// Bucket i lives in bins[i&(ringSize-1)]; a relaxation out of bucket i lands
-// in [i, i+ceil(maxW/delta)], so two live buckets never share a bin.
+// ringBins bounds the bucket ring. A run's bins hold the buckets
+// [cur, cur+size), bucket i in bins[i&(size-1)], where size is
+// ceil(maxW/delta)+2 rounded up to a power of two — every bucket a relaxation
+// out of cur can land in, so two live buckets never share a bin — but at most
+// ringBins: a width measured from the weights does not bound maxW/delta
+// (DefaultDelta says 8 at C = 2^19 on PWD). A relaxation landing beyond the
+// ring goes to the overflow list, and before cur moves past the least bucket
+// queued there the overflow entries still live are re-bucketed (Dhulipala,
+// Blelloch & Shun's few open buckets plus an overflow), so buckets are still
+// emptied in increasing order. With delta near C/d the list stays empty.
+const ringBins = 1024
+
 func ringSize(maxW uint32, delta int64) int {
 	need := (int64(maxW)+delta-1)/delta + 2
-	return 1 << bits.Len64(uint64(need-1))
+	return min(1<<bits.Len64(uint64(need-1)), ringBins)
 }
 
 // runExec is the kernel real runtimes take: a plain serial bucket loop over
@@ -49,6 +58,7 @@ func (st *State) runExec(g *graph.Graph, srcs []int32, delta int64) ([]int64, St
 		bins[i] = bins[i][:0]
 	}
 	st.bins = bins
+	st.overflow, st.least = st.overflow[:0], math.MaxInt64
 
 	dist := st.dist
 	offs, tgts, wts := g.AdjOffsets(), g.Targets(), g.Weights()
@@ -73,15 +83,24 @@ func (st *State) runExec(g *graph.Graph, srcs []int32, delta int64) ([]int64, St
 		frontier = append(frontier[:0], bins[slot]...)
 		bins[slot] = bins[slot][:0]
 		if len(frontier) == 0 {
-			// Advance to the next non-empty bin; one empty lap ends the run.
-			step := int64(1)
-			for step <= mask && len(bins[(cur+step)&mask]) == 0 {
-				step++
+			// Advance to the next non-empty bin, or to the least overflow
+			// bucket if that comes first; neither ends the run.
+			next := int64(math.MaxInt64)
+			for step := int64(1); step <= mask; step++ {
+				if len(bins[(cur+step)&mask]) > 0 {
+					next = cur + step
+					break
+				}
 			}
-			if step > mask {
+			if st.least <= next && len(st.overflow) > 0 {
+				stats.Refills++
+				stats.OverflowScanned += int64(len(st.overflow))
+				next = st.refill(delta, next)
+			}
+			if next == math.MaxInt64 {
 				break
 			}
-			cur, counted = cur+step, false
+			cur, counted = next, false
 			continue
 		}
 		before := taken
@@ -108,8 +127,12 @@ func (st *State) runExec(g *graph.Graph, srcs []int32, delta int64) ([]int64, St
 				} else {
 					stats.HeavyRelax++
 				}
-				b := (nd / delta) & mask
-				bins[b] = append(bins[b], entry{u, uint32(nd)})
+				if b := nd / delta; b-cur <= mask {
+					bins[b&mask] = append(bins[b&mask], entry{u, uint32(nd)})
+				} else {
+					st.overflow = append(st.overflow, entry{u, uint32(nd)})
+					st.least = min(st.least, b)
+				}
 			}
 		}
 		if taken > before {
@@ -125,4 +148,28 @@ func (st *State) runExec(g *graph.Graph, srcs []int32, delta int64) ([]int64, St
 	stats.Reinsertion = taken - reached
 	st.frontier = frontier
 	return dist, stats
+}
+
+// refill moves the ring on to bucket next or to the least bucket of a live
+// overflow entry, whichever is less, and re-buckets the live entries that the
+// ring now reaches; dead ones are dropped. It returns where the ring starts.
+func (st *State) refill(delta, next int64) int64 {
+	live := st.overflow[:0]
+	for _, en := range st.overflow {
+		if d := st.dist[en.v]; uint32(d) == en.d {
+			live = append(live, en)
+			next = min(next, d/delta)
+		}
+	}
+	st.overflow, st.least = live[:0], math.MaxInt64
+	mask := int64(len(st.bins) - 1)
+	for _, en := range live {
+		if b := st.dist[en.v] / delta; b-next <= mask {
+			st.bins[b&mask] = append(st.bins[b&mask], en)
+		} else {
+			st.overflow = append(st.overflow, en)
+			st.least = min(st.least, b)
+		}
+	}
+	return next
 }

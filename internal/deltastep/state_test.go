@@ -13,7 +13,7 @@ import (
 // graphs of different sizes and weight distributions.
 func TestStateReuseMatchesFresh(t *testing.T) {
 	rt := par.NewExec(4)
-	big := gen.Random(400, 1600, 1<<10, gen.UWD, 9)
+	big := gen.Random(400, 1600, 1<<12, gen.UWD, 9)
 	small := gen.Random(50, 200, 1<<4, gen.PWD, 10)
 
 	st := NewState()
@@ -30,17 +30,20 @@ func TestStateReuseMatchesFresh(t *testing.T) {
 		}
 	}
 
-	// Stats from a reused state must match a fresh run's stats exactly
-	// (the phase structure is deterministic for a fixed runtime).
-	wantDist, wantStats := Run(rt, big, 7, DefaultDelta(big))
-	gotDist, gotStats := st.Run(rt, big, 7, DefaultDelta(big))
-	for v := range wantDist {
-		if gotDist[v] != wantDist[v] {
-			t.Fatalf("stats-run dist[%d] = %d, want %d", v, gotDist[v], wantDist[v])
+	// Stats from a reused state must match a fresh run's stats exactly (the
+	// phase structure is deterministic), with the measured width and with one
+	// that goes through the overflow list, whatever the state ran before.
+	for _, delta := range []int64{DefaultDelta(big), 1, DefaultDelta(big)} {
+		wantDist, wantStats := Run(rt, big, 7, delta)
+		gotDist, gotStats := st.Run(rt, big, 7, delta)
+		for v := range wantDist {
+			if gotDist[v] != wantDist[v] {
+				t.Fatalf("delta=%d: stats-run dist[%d] = %d, want %d", delta, v, gotDist[v], wantDist[v])
+			}
 		}
-	}
-	if gotStats.Buckets != wantStats.Buckets || gotStats.Phases != wantStats.Phases {
-		t.Fatalf("reused stats %+v, fresh %+v", gotStats, wantStats)
+		if gotStats != wantStats || (delta == 1) != (gotStats.Refills > 0) {
+			t.Fatalf("delta=%d: reused stats %+v, fresh %+v", delta, gotStats, wantStats)
+		}
 	}
 
 	// Reset leaves a scrubbed, still-working state.

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/costmodel"
+	"repro/internal/deltastep"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/solver"
@@ -73,6 +74,9 @@ type Engine struct {
 
 	traceAgg   core.Trace  // aggregate of pooled Thorup query traces
 	thorupRuns obs.Counter // Thorup runs folded into traceAgg
+
+	// Bucket-ring activity summed over the delta-stepping runs.
+	deltaRefills, deltaOverflowScanned obs.Counter
 }
 
 // pooled is how the engine executes one solver: a pool of the states its
@@ -89,6 +93,10 @@ type tracer interface {
 	EnableTrace() *core.Trace
 	Trace() *core.Trace
 }
+
+// bucketed is what a pooled delta-stepping state has beyond solver.State: the
+// phase statistics of its last run.
+type bucketed interface{ LastStats() deltastep.Stats }
 
 // Counter names of Engine.Counters, in snapshot order.
 const (
@@ -400,6 +408,16 @@ func (e *Engine) solve(parent *trace.Span, name string, srcs []int32, key string
 			}
 		}
 	}
+	if b, ok := st.(bucketed); ok {
+		stats := b.LastStats()
+		e.deltaRefills.Add(int64(stats.Refills))
+		e.deltaOverflowScanned.Add(stats.OverflowScanned)
+		if sp != nil {
+			sp.SetAttr("delta", e.in.Delta)
+			sp.SetAttr("refills", stats.Refills)
+			sp.SetAttr("overflow_scanned", stats.OverflowScanned)
+		}
+	}
 	st.Reset()
 	p.states.Put(st)
 	e.cache.add(key, res)
@@ -428,6 +446,16 @@ func (r *Result) count(d int64) {
 // InstanceBytes is the memory footprint of one Thorup query instance over
 // the shared hierarchy (arithmetic only; no allocation).
 func (e *Engine) InstanceBytes() int64 { return e.in.Thorup().InstanceBytes() }
+
+// Delta is the bucket width delta-stepping runs with on this instance.
+func (e *Engine) Delta() int64 { return e.in.Delta }
+
+// DeltaRing returns how often the delta-stepping runs so far refilled their
+// bucket ring from the overflow list, and how many overflow entries that
+// scanned.
+func (e *Engine) DeltaRing() (refills, overflowScanned int64) {
+	return e.deltaRefills.Value(), e.deltaOverflowScanned.Value()
+}
 
 // Counter returns the named engine counter's value (see the c* constants'
 // snapshot names: "solves", "dedup_hits", "cache_hits", ...). Unknown names

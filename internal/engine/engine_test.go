@@ -233,6 +233,45 @@ func TestOneSamplePerSolve(t *testing.T) {
 	}
 }
 
+// A delta-stepping solve says on its span which bucket width it ran with and
+// what the bounded ring's overflow list cost it, and the engine sums the
+// latter: a width far below the weights (here forced to 1 under C = 2^14,
+// most arcs beyond the ring's reach) is visible as refills and scanned
+// entries, the measured width as none.
+func TestDeltaSolveSpanSaysWhichDelta(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		override int64
+		overflow bool
+	}{{"measured", 0, false}, {"delta one", 1, true}} {
+		in := solver.NewInstance(gen.Random(300, 1200, 1<<14, gen.UWD, 7), par.NewExec(2))
+		if tc.override > 0 {
+			in.Delta = tc.override
+		}
+		e := New(in, Config{})
+		tr := trace.New(trace.Config{SampleN: 1}).StartRequest("", "sssp")
+		if _, _, err := e.Query(trace.NewContext(context.Background(), tr), Request{Sources: []int32{3, 200}}); err != nil {
+			t.Fatal(err)
+		}
+		var solve *trace.SpanJSON
+		for _, sp := range tr.Export().Spans.Children {
+			if sp.Name == "solve" {
+				solve = sp
+			}
+		}
+		if solve == nil || solve.Attrs["solver"] != "delta" || solve.Attrs["delta"] != in.Delta || e.Delta() != in.Delta {
+			t.Fatalf("%s: solve span %+v, engine delta %d, instance delta %d", tc.name, solve, e.Delta(), in.Delta)
+		}
+		refills, scanned := e.DeltaRing()
+		if solve.Attrs["refills"] != int(refills) || solve.Attrs["overflow_scanned"] != scanned {
+			t.Fatalf("%s: span %+v, engine sums %d/%d", tc.name, solve.Attrs, refills, scanned)
+		}
+		if (refills > 0) != tc.overflow || (scanned > 0) != tc.overflow {
+			t.Fatalf("%s: %d refills, %d overflow entries scanned", tc.name, refills, scanned)
+		}
+	}
+}
+
 func TestQueryValidation(t *testing.T) {
 	in := testInstance(t, 50, 200)
 	e := New(in, Config{})
@@ -270,7 +309,7 @@ func TestQueryCanonicalSourceSet(t *testing.T) {
 // --- policy ----------------------------------------------------------------
 
 func TestPolicySelection(t *testing.T) {
-	weighted := testInstance(t, 200, 800) // maxW 1024, avgDeg 8 -> delta 128
+	weighted := testInstance(t, 200, 800) // maxW 1024
 	e := New(weighted, Config{})
 	pick := func(e *Engine, name string, srcs []int32) string {
 		t.Helper()
@@ -283,8 +322,8 @@ func TestPolicySelection(t *testing.T) {
 	if got := pick(e, "", []int32{3}); got != "delta" {
 		t.Fatalf("weighted single-source auto = %s, want delta", got)
 	}
-	if got := pick(e, "auto", []int32{1, 2}); got != "thorup" {
-		t.Fatalf("multi-source auto = %s, want thorup", got)
+	if got := pick(e, "auto", []int32{1, 2}); got != "delta" {
+		t.Fatalf("multi-source auto = %s, want delta", got)
 	}
 	if got := pick(e, "mlb", []int32{3}); got != "mlb" {
 		t.Fatalf("explicit override = %s, want mlb", got)
@@ -299,21 +338,32 @@ func TestPolicySelection(t *testing.T) {
 		t.Fatalf("unit-weight auto = %s, want bfs", got)
 	}
 
-	// delta = 1 (max weight 1... use a tiny-weight graph where C/d floors to 1)
-	dense := gen.Random(64, 1024, 4, gen.UWD, 7) // avgDeg 32 > maxW 4 -> delta 1
+	// A tiny weight range under a high degree (C/d floors to 1) used to go to
+	// Thorup; the rule no longer looks at the bucket width.
+	dense := gen.Random(64, 1024, 4, gen.UWD, 7) // avgDeg 32 > maxW 4
 	ed := New(solver.NewInstance(dense, par.NewExec(2)), Config{})
 	if dense.MaxWeight() == 1 {
 		t.Skip("dense graph happened to be unit-weight")
 	}
-	if got := pick(ed, "", []int32{3}); got != "thorup" {
-		t.Fatalf("delta=1 single-source auto = %s, want thorup", got)
+	if got := pick(ed, "", []int32{3}); got != "delta" {
+		t.Fatalf("narrow-weights single-source auto = %s, want delta", got)
+	}
+
+	// Thorup is the default only where delta-stepping is not in the pool.
+	var noDelta []solver.Solver
+	for _, s := range solver.All() {
+		if s.Name != "delta" {
+			noDelta = append(noDelta, s)
+		}
+	}
+	if got := pick(New(weighted, Config{Solvers: noDelta}), "", []int32{1, 2}); got != "thorup" {
+		t.Fatalf("auto without delta in the pool = %s, want thorup", got)
 	}
 }
 
-// The static ladder still sends an auto multi-source query on a weighted
-// graph to Thorup even though delta-stepping now answers a source set in one
-// run: re-routing it is a separate, measured decision (ROADMAP item 1). An
-// explicit ?solver=delta with k sources costs one run.
+// An auto multi-source query on a weighted graph goes where a single-source
+// one goes, to delta-stepping, and costs one run; Thorup stays reachable by
+// name and answers the same.
 func TestMultiSourceRouting(t *testing.T) {
 	in := testInstance(t, 300, 1200)
 	e := New(in, Config{})
@@ -322,10 +372,13 @@ func TestMultiSourceRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if auto.Solver != "thorup" {
-		t.Fatalf("auto 4-source query ran %s, want thorup", auto.Solver)
+	if auto.Solver != "delta" {
+		t.Fatalf("auto 4-source query ran %s, want delta", auto.Solver)
 	}
-	forced, _, err := e.Query(context.Background(), Request{Sources: srcs, Solver: "delta"})
+	if runs := e.SolverRuns(); runs["delta"] != 1 || runs["thorup"] != 0 {
+		t.Fatalf("solver runs %v after the auto query, want one delta", runs)
+	}
+	forced, _, err := e.Query(context.Background(), Request{Sources: srcs, Solver: "thorup"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,11 +387,11 @@ func TestMultiSourceRouting(t *testing.T) {
 	}
 	for v := range auto.Dist {
 		if forced.Dist[v] != auto.Dist[v] {
-			t.Fatalf("delta d[%d] = %d, thorup %d", v, forced.Dist[v], auto.Dist[v])
+			t.Fatalf("thorup d[%d] = %d, delta %d", v, forced.Dist[v], auto.Dist[v])
 		}
 	}
 	if forced.Reached != auto.Reached || forced.Eccentricity != auto.Eccentricity {
-		t.Fatalf("delta reached/ecc %d/%d, thorup %d/%d",
+		t.Fatalf("thorup reached/ecc %d/%d, delta %d/%d",
 			forced.Reached, forced.Eccentricity, auto.Reached, auto.Eccentricity)
 	}
 }

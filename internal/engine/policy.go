@@ -8,11 +8,11 @@ import (
 )
 
 // ModelOverrideMargin is how decisively the learned cost model must beat
-// the static ladder's choice before it overrides it: the argmin solver's
+// the static rule's choice before it overrides it: the argmin solver's
 // predicted cost must be at least this factor below the static choice's
 // own predicted cost. Linear per-solver regressions carry family-level
 // error the feature basis cannot see, so near-tie rankings are noise; the
-// ladder keeps those, and the model only claims the decisive wins
+// static rule keeps those, and the model only claims the decisive wins
 // (DESIGN.md §14).
 const ModelOverrideMargin = 1.25
 
@@ -21,21 +21,20 @@ const ModelOverrideMargin = 1.25
 // non-unit weights is rejected, not silently wrong). Empty or "auto" selects
 // by the learned cost model when one is loaded — predicted-cost argmin over
 // the applicable solvers, subject to ModelOverrideMargin against the static
-// choice (DESIGN.md §14) — and otherwise by the static heuristic:
+// choice (DESIGN.md §14) — and otherwise by the static rule, which is
+// applicability plus one default:
 //
 //   - unit-weight graphs: BFS — a unit-weight traversal is the cheapest
 //     exact solver and parallelizes on the instance runtime;
-//   - multi-source queries: Thorup — it answers a source set in one run
-//     over the shared hierarchy. So does every other solver in the registry
-//     (each seeds all sources at distance 0); whether one of them should
-//     take these queries is a measured decision this ladder has not made
-//     yet (ROADMAP item 1);
-//   - single-source: delta-stepping when the instance's heuristic bucket
-//     width exceeds 1 (weight range admits real buckets, so phases batch
-//     work), Thorup otherwise (delta = 1 degenerates into a serial-grade
-//     Dijkstra ordering, while Thorup keeps traversal cost near-linear).
+//   - everything else: delta-stepping, for one source or a set. With the
+//     bucket width measured from the weights (deltastep.DefaultDelta) it was
+//     the fastest kernel on every family and source-set size measured
+//     (EXPERIMENTS.md, "Bucket width from the weights"), so there is no
+//     property of a query or graph left on which the rule prefers Thorup;
+//     Thorup is the default only in a pool without delta-stepping, and stays
+//     reachable by name and through a loaded model.
 //
-// The static ladder also backstops the model: no model loaded, a model with
+// The static rule also backstops the model: no model loaded, a model with
 // zero coefficients for every applicable solver, or a nil provider all land
 // here (counted as static_fallbacks when record is set). Both paths consult
 // only precomputed instance stats, so selection stays O(1).
@@ -54,7 +53,7 @@ func (e *Engine) pickSolver(name string, srcs []int32, record bool) (string, err
 		}
 		return name, nil
 	}
-	static := e.staticPick(srcs)
+	static := e.staticPick()
 	if best, ok := e.argminSolver(len(srcs), static); ok {
 		if record {
 			e.cost.CountModelPick()
@@ -67,15 +66,12 @@ func (e *Engine) pickSolver(name string, srcs []int32, record bool) (string, err
 	return static, nil
 }
 
-// staticPick is the heuristic ladder documented on pickSolver.
-func (e *Engine) staticPick(srcs []int32) string {
+// staticPick is the static rule documented on pickSolver.
+func (e *Engine) staticPick() string {
 	if s, ok := e.byName("bfs"); ok && s.Applicable(e.in.G) {
 		return "bfs"
 	}
-	if len(srcs) > 1 {
-		return "thorup"
-	}
-	if _, ok := e.byName("delta"); ok && e.in.Delta > 1 {
+	if _, ok := e.byName("delta"); ok {
 		return "delta"
 	}
 	return "thorup"
@@ -86,9 +82,9 @@ func (e *Engine) staticPick(srcs []int32) string {
 // predicted solver if it beats the static choice's own prediction by
 // ModelOverrideMargin (or the static choice has no prediction at all),
 // otherwise the static choice itself — still a model pick, the model was
-// consulted and endorsed the ladder. ok is false when no model is loaded
+// consulted and endorsed the static rule. ok is false when no model is loaded
 // or no applicable solver has usable (non-zero) coefficients — the caller
-// falls back to the static ladder uncounted as a model decision. Ties
+// falls back to the static rule uncounted as a model decision. Ties
 // break toward the earlier solver in the pool (the registry order), which
 // is deterministic.
 func (e *Engine) argminSolver(sources int, static string) (string, bool) {

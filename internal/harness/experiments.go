@@ -183,7 +183,7 @@ func thorupCycles(h *ch.Hierarchy, p int, strategy core.Strategy) int64 {
 // machine.
 func deltaCycles(g *graph.Graph, p int) int64 {
 	rt := par.NewSim(mta.MTA2(p))
-	deltastep.SSSP(rt, g, 0, deltastep.DefaultDelta(g))
+	deltastep.SSSP(rt, g, 0, deltastep.PaperDelta(g))
 	return rt.SimCost().Span
 }
 
@@ -427,7 +427,7 @@ func (c Config) RoadNetwork() (*Table, error) {
 	g := in.Generate()
 	h := ch.BuildKruskal(g)
 	rtD := par.NewSim(m)
-	_, st := deltastep.Run(rtD, g, 0, deltastep.DefaultDelta(g))
+	_, st := deltastep.Run(rtD, g, 0, deltastep.PaperDelta(g))
 	t.AddRow(in.Name(),
 		fmtSecs(m.Seconds(rtD.SimCost().Span)),
 		fmtSecs(m.Seconds(thorupCycles(h, c.Procs, core.Selective))),

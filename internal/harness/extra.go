@@ -122,7 +122,7 @@ func (c Config) AblationDelta() (*Table, error) {
 	m := mta.MTA2(c.Procs)
 	in := c.Families()[0]
 	g := in.Generate()
-	d0 := deltastep.DefaultDelta(g)
+	d0 := deltastep.PaperDelta(g)
 	run := func(delta int64) (int64, deltastep.Stats) {
 		rt := par.NewSim(m)
 		_, st := deltastep.Run(rt, g, 0, delta)

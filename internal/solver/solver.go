@@ -20,8 +20,9 @@ import (
 type Instance struct {
 	G  *graph.Graph
 	RT *par.Runtime
-	// Delta is the delta-stepping bucket width, deltastep.DefaultDelta(G)
-	// unless the caller overrides it before the first run.
+	// Delta is the delta-stepping bucket width, measured from G's weights
+	// (deltastep.DefaultDelta) unless the caller overrides it before the
+	// first run.
 	Delta int64
 
 	once   sync.Once
@@ -132,16 +133,20 @@ func (s dijkstraState) RunFromSources(sources []int32) []int64 {
 }
 
 // deltaState binds a deltastep.State to the instance's runtime, graph and
-// bucket width.
+// bucket width, and keeps the phase statistics of its last run.
 type deltaState struct {
 	*deltastep.State
-	in *Instance
+	in   *Instance
+	last deltastep.Stats
 }
 
-func (s deltaState) RunFromSources(sources []int32) []int64 {
-	d, _ := s.State.RunFromSources(s.in.RT, s.in.G, sources, s.in.Delta)
+func (s *deltaState) RunFromSources(sources []int32) (d []int64) {
+	d, s.last = s.State.RunFromSources(s.in.RT, s.in.G, sources, s.in.Delta)
 	return d
 }
+
+// LastStats returns the statistics of the state's last run.
+func (s *deltaState) LastStats() deltastep.Stats { return s.last }
 
 // All returns the registry of full solvers, in a stable order. The returned
 // slice is fresh; callers may append (e.g. fault-injected variants in tests).
@@ -168,7 +173,7 @@ func All() []Solver {
 		{
 			Name:     "delta",
 			Parallel: true,
-			NewState: func(in *Instance) State { return deltaState{deltastep.NewState(), in} },
+			NewState: func(in *Instance) State { return &deltaState{State: deltastep.NewState(), in: in} },
 		},
 		{
 			Name: "mlb",

@@ -190,8 +190,8 @@ func DijkstraTree(g *Graph, src int32) ([]int64, []int32) {
 }
 
 // DeltaStepping computes SSSP with parallel delta-stepping (Meyer–Sanders),
-// the paper's comparison algorithm. Delta <= 0 selects the standard C/degree
-// heuristic.
+// the paper's comparison algorithm. Delta <= 0 selects the bucket width
+// measured from the graph's weights (about one arc per vertex below it).
 func DeltaStepping(rt *Runtime, g *Graph, src int32, delta int64) []int64 {
 	if delta <= 0 {
 		delta = deltastep.DefaultDelta(g)
