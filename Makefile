@@ -74,10 +74,10 @@ bench-engine:
 		$(GO) test -run TestWriteEngineBenchJSON -count=1 -v ./cmd/ssspd
 
 # Catalog comparison benchmarks (the graph-activation ladder: text parse +
-# CH rebuild, snapshot copy load, cold and warm mmap loads; plus warmed vs
-# cold first query after a swap), written to BENCH_catalog.json.
-# Gates: copy load faster than a text start (>= 2x), warm mmap >= 50x over
-# the copy load.
+# background CH build, snapshot copy load, cold and warm mmap loads; plus
+# warmed vs cold first query after a swap), written to BENCH_catalog.json.
+# Gates: copy load faster than a text activation's parse + build (>= 2x),
+# warm mmap >= 50x over the copy load.
 bench-catalog:
 	BENCH_CATALOG_OUT=$(CURDIR)/BENCH_catalog.json \
 		$(GO) test -run TestWriteCatalogBenchJSON -count=1 -v ./internal/catalog

@@ -10,11 +10,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/ch"
+	"repro/internal/cli"
+	"repro/internal/dimacs"
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/par"
@@ -254,4 +257,54 @@ func BenchmarkHitPath(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkFirstAnswer is a text cold start in one process, split the way the
+// daemon's log line used to split it: Source.Load of a 2^16 .gr file
+// (load_ms), newServer and the first /dist through the full handler stack
+// (first_answer_ms, from the start of the load), and the moment the
+// background hierarchy build has landed (hierarchy_ready_ms, likewise).
+func BenchmarkFirstAnswer(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "rand16.gr")
+	f, err := os.Create(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := dimacs.WriteGraph(f, gen.Random(1<<16, 1<<18, 1<<16, gen.UWD, 1), ""); err != nil {
+		b.Fatal(err)
+	}
+	f.Close()
+	src := catalog.Source{Spec: cli.Spec{File: path}}
+	old := log.Writer()
+	log.SetOutput(io.Discard)
+	defer log.SetOutput(old)
+	var loadMS, firstMS, readyMS float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		g, h, m, name, err := src.Load(true, b.Logf)
+		if err != nil {
+			b.Fatal(err)
+		}
+		loadMS += time.Since(start).Seconds() * 1e3
+		srv := newServer(g, h, name, src, serverOptions{
+			workers: 4, maxInflight: 64, timeout: 30 * time.Second, mapping: m,
+			engine: engine.Config{CacheEntries: 256, CacheBytes: 64 << 20},
+		})
+		rec := httptest.NewRecorder()
+		srv.mux().ServeHTTP(rec, httptest.NewRequest("GET", fmt.Sprintf("/dist?src=%d&dst=9", i%g.NumVertices()), nil))
+		if rec.Code != 200 {
+			b.Fatalf("first /dist: %d %s", rec.Code, rec.Body)
+		}
+		firstMS += time.Since(start).Seconds() * 1e3
+		for srv.cat.Status()[0].Hierarchy != "built" {
+			time.Sleep(100 * time.Microsecond)
+		}
+		readyMS += time.Since(start).Seconds() * 1e3
+		srv.cat.Close()
+	}
+	n := float64(b.N)
+	b.ReportMetric(loadMS/n, "load_ms")
+	b.ReportMetric(firstMS/n, "first_answer_ms")
+	b.ReportMetric(readyMS/n, "hierarchy_ready_ms")
 }

@@ -32,14 +32,16 @@
 //	POST /debug/costmodel/reload   admin: hot-reload the -cost-model coefficients file
 //	GET  /healthz                  liveness
 //
-// Graphs live in an internal/catalog: background workers build hierarchies
-// off the request path, swaps are atomic (in-flight queries finish on the
+// Graphs live in an internal/catalog: background workers load graphs off the
+// request path, swaps are atomic (in-flight queries finish on the
 // generation they acquired), and a -mem-budget evicts idle graphs LRU-first.
 // Snapshots (gengraph -snap, from a generator or a DIMACS file) are served
 // zero-copy straight from an mmap of the file (-mmap, default on); mmap-less
 // and big-endian hosts fall back to the copy read, and an unmap happens only
 // after a retired generation's last in-flight query has released. Text and
-// generator sources rebuild their hierarchy on every start.
+// generator sources carry no hierarchy: they serve as soon as the graph is
+// loaded and build one in the background, which a solver=thorup query, a
+// mutation or /stats waits for if it arrives first.
 // Query execution runs through the internal/engine query plane: pooled
 // solver state, singleflight deduplication of concurrent identical queries,
 // a bounded LRU result cache (-cache-entries / -cache-bytes), and a
@@ -134,19 +136,15 @@ func main() {
 	if *snapFile != "" {
 		src = catalog.Source{Snapshot: *snapFile}
 	}
-	// The two start-up phases are timed apart so that a slow cold start can
-	// be put down to the load (parse, or snapshot map and verify) or to the
-	// hierarchy build from the log alone.
+	// The load (parse, or snapshot map and verify) is all a start waits for:
+	// a source without a hierarchy serves at once and the catalog builds one
+	// in the background, logging its own line when it lands.
 	start := time.Now()
 	g, h, mapping, name, err := src.Load(*useMmap, log.Printf)
 	if err != nil {
 		log.Fatalf("ssspd: %v", err)
 	}
-	loaded := time.Now()
-	if h == nil {
-		h = ch.BuildKruskal(g)
-	}
-	built := time.Now()
+	loadMS := time.Since(start).Seconds() * 1e3
 	srv := newServer(g, h, name, src, serverOptions{
 		workers:      *workers,
 		maxInflight:  *maxInflight,
@@ -171,9 +169,8 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	log.Printf("ssspd: serving %s (n=%d m=%d, CH %d nodes, load_ms=%.1f ch_build_ms=%.1f) on %s (workers=%d max-inflight=%d timeout=%s cache=%d/%dB mem-budget=%d)",
-		name, g.NumVertices(), g.NumEdges(), h.NumNodes(), loaded.Sub(start).Seconds()*1e3, built.Sub(loaded).Seconds()*1e3,
-		*addr, *workers, *maxInflight, *timeout, *cacheEntries, *cacheBytes, *memBudget)
+	log.Printf("ssspd: serving %s (n=%d m=%d, load_ms=%.1f) on %s (workers=%d max-inflight=%d timeout=%s cache=%d/%dB mem-budget=%d)",
+		name, g.NumVertices(), g.NumEdges(), loadMS, *addr, *workers, *maxInflight, *timeout, *cacheEntries, *cacheBytes, *memBudget)
 	if err := httpx.Serve(ctx, *addr, srv.mux(), *timeout, *drain, "ssspd"); err != nil {
 		log.Fatalf("ssspd: %v", err)
 	}
@@ -249,6 +246,9 @@ type server struct {
 	admitHead float64
 }
 
+// newServer starts a catalog serving (g, h) as name. h is nil when the source
+// carried no hierarchy; the startup generation then builds it in the
+// background (catalog.AddPrebuilt).
 func newServer(g *graph.Graph, h *ch.Hierarchy, name string, src catalog.Source, opts serverOptions) *server {
 	if opts.maxInflight < 1 {
 		opts.maxInflight = 1
@@ -279,12 +279,14 @@ func newServer(g *graph.Graph, h *ch.Hierarchy, name string, src catalog.Source,
 		MutateThreshold: opts.mutateThresh,
 		Logf:            log.Printf,
 	})
+	var first *catalog.Generation
 	if src.Loader == nil && src.Snapshot == "" && src.Spec == (cli.Spec{}) {
 		// No reloadable source (tests, programmatic construction): reloads
-		// reinstall the same prebuilt instance.
-		src = catalog.Source{Loader: func() (*graph.Graph, *ch.Hierarchy, error) { return g, h, nil }}
+		// reinstall the same instance, hierarchy included.
+		src = catalog.Source{Loader: func() (*graph.Graph, *ch.Hierarchy, error) { return g, first.H(), nil }}
 	}
-	if _, err := cat.AddPrebuilt(name, src, g, h, opts.mapping); err != nil {
+	first, err := cat.AddPrebuilt(name, src, g, h, opts.mapping)
+	if err != nil {
 		panic(err) // fresh catalog: the only failure is a duplicate name
 	}
 	tcfg := opts.trace
@@ -519,7 +521,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	st := gen.H.ComputeStats()
+	st := gen.Stats() // waits for a hierarchy still being built
 	httpx.WriteJSON(w, http.StatusOK, map[string]any{
 		"instance":      gen.Name,
 		"generation":    gen.Gen,

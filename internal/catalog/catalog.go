@@ -15,9 +15,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mutate"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/snapshot"
-	"repro/internal/solver"
 	"repro/internal/trace"
 )
 
@@ -43,8 +41,8 @@ func (e *NotReadyError) Error() string {
 
 // Source says where a graph comes from, in priority order: an in-process
 // Loader (tests, stress harnesses), a binary snapshot (graph + prebuilt
-// hierarchy in one read), or a cli.Spec (DIMACS file or generator, with the
-// hierarchy built here on every load).
+// hierarchy in one read), or a cli.Spec (DIMACS file or generator, whose
+// hierarchy is built in the background once the generation serves).
 type Source struct {
 	// Loader produces the instance directly; it wins over the other fields.
 	Loader func() (*graph.Graph, *ch.Hierarchy, error)
@@ -69,10 +67,11 @@ func (s Source) String() string {
 
 // Load resolves the source — the one loader behind background builds and a
 // daemon's startup graph alike. The hierarchy is nil when the source carries
-// none (Spec sources: the caller builds it). With mmap set, snapshot sources
-// are mapped zero-copy when the platform allows it, falling back to the copy
-// read (logged through logf) otherwise; a non-nil mapping is returned exactly
-// when the instance's arrays alias it, and the caller owns its lifetime.
+// none (Spec sources: the generation's solver instance builds it). With mmap
+// set, snapshot sources are mapped zero-copy when the platform allows it,
+// falling back to the copy read (logged through logf) otherwise; a non-nil
+// mapping is returned exactly when the instance's arrays alias it, and the
+// caller owns its lifetime.
 // name is what the source itself calls the graph — the snapshot or DIMACS
 // path, or the generator's instance name; empty for a Loader.
 func (s Source) Load(mmap bool, logf func(string, ...any)) (g *graph.Graph, h *ch.Hierarchy, m *snapshot.Mapping, name string, err error) {
@@ -256,14 +255,14 @@ func (c *Catalog) enqueue(name string) {
 	}
 }
 
-// AddPrebuilt installs an already-built instance synchronously as generation
-// 1 — the path for a daemon's startup graph, which is built before the
-// listener opens. src is remembered for later reloads. When the instance was
-// loaded via snapshot.Map, pass its mapping (nil otherwise): the generation
-// takes ownership and unmaps it after its last query drains.
+// AddPrebuilt installs an already-loaded instance synchronously as generation
+// 1 — the path for a daemon's startup graph, which is loaded before the
+// listener opens. A nil h is built in the background while the generation
+// serves. src is remembered for later reloads. When the instance was loaded
+// via snapshot.Map, pass its mapping (nil otherwise): the generation takes
+// ownership and unmaps it after its last query drains.
 func (c *Catalog) AddPrebuilt(name string, src Source, g *graph.Graph, h *ch.Hierarchy, m *snapshot.Mapping) (*Generation, error) {
-	eng := c.newEngine(name, 1, g, h)
-	gen := newGeneration(name, 1, g, h, eng, m)
+	gen := c.newGeneration(name, 1, g, h, m)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -280,9 +279,10 @@ func (c *Catalog) AddPrebuilt(name string, src Source, g *graph.Graph, h *ch.Hie
 
 // installLocked is the swap: gen becomes e's serving generation, the pending
 // build (if any) is over, the name counts as just used, and the memory
-// budget is re-checked with this name exempt. It returns the generation gen
-// replaced (nil for a first install), which the caller retires once it has
-// dropped the lock.
+// budget is re-checked with this name exempt. A generation installed without
+// a hierarchy starts building it now, off the serving path. It returns the
+// generation gen replaced (nil for a first install), which the caller retires
+// once it has dropped the lock.
 func (c *Catalog) installLocked(e *entry, gen *Generation) (old *Generation) {
 	old = e.gen
 	e.gen = gen
@@ -292,7 +292,29 @@ func (c *Catalog) installLocked(e *entry, gen *Generation) (old *Generation) {
 	e.lastUsed = c.clock
 	c.counters.C(cSwaps).Inc()
 	c.evictLocked(e.name)
+	if gen.hierarchy == "building" {
+		gen.acquire() // the build reads the graph, which may alias a mapping
+		go c.finishHierarchy(gen)
+	}
 	return old
+}
+
+// finishHierarchy is the goroutine of a generation installed without a
+// hierarchy: it starts the instance's one build — or joins it, when a Thorup
+// query, a mutation or /stats got there first — then charges the result to the
+// memory budget. A generation retired meanwhile lets it finish into garbage.
+func (c *Catalog) finishHierarchy(gen *Generation) {
+	start := time.Now()
+	h := gen.H()
+	ms := time.Since(start).Seconds() * 1e3
+	gen.release()
+	c.mu.Lock()
+	gen.hierarchy, gen.hierBuildMS = "built", ms
+	gen.HeapBytes += h.Bytes()
+	gen.Bytes += h.Bytes()
+	c.evictLocked(gen.Name)
+	c.mu.Unlock()
+	c.logf("catalog: hierarchy for %s gen %d: %d nodes in %.1f ms", gen.Name, gen.Gen, h.NumNodes(), ms)
 }
 
 // Load brings a named graph into service in the background. Loading an
@@ -466,10 +488,11 @@ func (c *Catalog) AcquireTraced(ctx context.Context, name string) (*Generation, 
 	return gen, release, err
 }
 
-// runJob executes one background build: load the source, build the
-// hierarchy if the source did not carry one, construct and warm a fresh
-// engine, then swap it in. Initial loads walk the entry through
-// loading→building→warming→ready; reloads leave the serving state alone.
+// runJob executes one background build: load the source, replay the delta
+// log, construct and warm a fresh engine, then swap it in — with the source's
+// hierarchy if it carried one that still fits, else without (installLocked).
+// Initial loads walk the entry through loading→building→warming→ready;
+// reloads leave the serving state alone.
 func (c *Catalog) runJob(name string) {
 	c.mu.Lock()
 	e, ok := c.entries[name]
@@ -493,9 +516,8 @@ func (c *Catalog) runJob(name string) {
 	c.advance(name, StateBuilding, isReload)
 	if len(deltas) > 0 {
 		// Replay the accepted-mutation log so the rebuilt generation carries
-		// the graph's logical state, not the base source. The hierarchy is
-		// rebuilt from scratch afterwards (a snapshot-carried one matches the
-		// base graph).
+		// the graph's logical state, not the base source. A snapshot-carried
+		// hierarchy matches the base graph and is dropped.
 		base := g
 		for i, b := range deltas {
 			g2, _, aerr := mutate.Apply(g, b)
@@ -505,22 +527,19 @@ func (c *Catalog) runJob(name string) {
 			}
 			g = g2
 		}
-		h = ch.BuildKruskal(g)
+		h = nil
 		if m != nil && !g.AliasesArrays(base) {
 			// The replay produced fresh arrays; the mapping backs nothing.
 			m.Close()
 			m = nil
 		}
-	} else if h == nil {
-		h = ch.BuildKruskal(g)
 	}
-	built := time.Now() // delta replay counts towards the build
 	c.counters.C(cBuilds).Inc()
 
-	eng := c.newEngine(name, genNum, g, h)
-	gen := newGeneration(name, genNum, g, h, eng, m)
+	gen := c.newGeneration(name, genNum, g, h, m)
+	bytes := gen.Bytes // as installed; a background hierarchy build adds to it
 	c.advance(name, StateWarming, isReload)
-	c.warm(eng, g)
+	c.warm(gen.Engine, g)
 
 	c.mu.Lock()
 	e, ok = c.entries[name]
@@ -543,9 +562,9 @@ func (c *Catalog) runJob(name string) {
 	if gen.Mapped() {
 		residence = "mmap"
 	}
-	c.logf("catalog: %s gen %d ready from %s (n=%d m=%d, %d bytes %s, load_ms=%.1f ch_build_ms=%.1f, %s)",
-		name, genNum, src, g.NumVertices(), g.NumEdges(), gen.Bytes, residence,
-		loaded.Sub(start).Seconds()*1e3, built.Sub(loaded).Seconds()*1e3, time.Since(start).Round(time.Millisecond))
+	c.logf("catalog: %s gen %d ready from %s (n=%d m=%d, %d bytes %s, load_ms=%.1f, %s)",
+		name, genNum, src, g.NumVertices(), g.NumEdges(), bytes, residence,
+		loaded.Sub(start).Seconds()*1e3, time.Since(start).Round(time.Millisecond))
 }
 
 // advance moves an initial load to its next lifecycle phase; reloads keep
@@ -579,19 +598,10 @@ func (c *Catalog) failJob(name string, err error) {
 	}
 }
 
-// newEngine builds the per-generation query plane. The engine keys its cache
-// and singleflight by (name, generation), so a stale generation's results
-// can never be served for a new one.
-func (c *Catalog) newEngine(name string, gen uint64, g *graph.Graph, h *ch.Hierarchy) *engine.Engine {
-	ecfg := c.cfg.Engine
-	ecfg.Graph, ecfg.Gen = name, gen
-	in := solver.NewInstanceWithHierarchy(g, par.NewExec(c.cfg.QueryWorkers), h)
-	return engine.New(in, ecfg)
-}
-
 // warm primes a fresh engine with spread-out single-source queries so the
-// query pools, the Thorup solver, and the result cache are hot before the
-// generation takes real traffic.
+// state pool of the solver the policy picks (delta-stepping on weighted
+// graphs; no default query touches the hierarchy) and the result cache are
+// hot before the generation takes real traffic.
 func (c *Catalog) warm(eng *engine.Engine, g *graph.Graph) {
 	n := g.NumVertices()
 	k := c.cfg.WarmQueries
@@ -699,6 +709,10 @@ type GraphStatus struct {
 	InFlight  int64  `json:"in_flight,omitempty"`
 	Pending   bool   `json:"pending,omitempty"`
 	Error     string `json:"error,omitempty"`
+	// Hierarchy is "carried" when the serving generation came with one (snapshot,
+	// mutation repair), else "building", then "built" in HierarchyBuildMS.
+	Hierarchy        string  `json:"hierarchy,omitempty"`
+	HierarchyBuildMS float64 `json:"hierarchy_build_ms,omitempty"`
 }
 
 // Status lists every known graph, sorted by name.
@@ -725,6 +739,7 @@ func (c *Catalog) Status() []GraphStatus {
 			gs.ParentGen = e.gen.ParentGen
 			gs.DeltaSize = e.gen.DeltaSize
 			gs.InFlight = e.gen.InFlight()
+			gs.Hierarchy, gs.HierarchyBuildMS = e.gen.hierarchy, e.gen.hierBuildMS
 		}
 		gs.Deltas = len(e.deltas)
 		if e.err != nil {
@@ -752,7 +767,11 @@ func (c *Catalog) StatsSnapshot() map[string]any {
 	var bytes, heapBytes, mappedBytes int64
 	states := make([]obs.GraphState, 0, len(c.entries))
 	for _, e := range c.entries {
-		states = append(states, obs.GraphState{Name: e.name, State: e.state.String()})
+		gs := obs.GraphState{Name: e.name, State: e.state.String()}
+		if e.gen != nil {
+			gs.Hierarchy, gs.HierarchyBuildMS = e.gen.hierarchy, e.gen.hierBuildMS
+		}
+		states = append(states, gs)
 		if e.state == StateReady && e.gen != nil {
 			ready++
 			bytes += e.gen.Bytes

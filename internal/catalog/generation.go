@@ -9,7 +9,9 @@ import (
 	"repro/internal/ch"
 	"repro/internal/engine"
 	"repro/internal/graph"
+	"repro/internal/par"
 	"repro/internal/snapshot"
+	"repro/internal/solver"
 )
 
 // State is a graph's position in the catalog lifecycle:
@@ -27,8 +29,9 @@ const (
 	// StateLoading: the graph source (snapshot, DIMACS file, or generator) is
 	// being read.
 	StateLoading State = iota
-	// StateBuilding: the Component Hierarchy is being constructed (skipped in
-	// effect when a snapshot carried one).
+	// StateBuilding: the delta log is replayed and the engine constructed. A
+	// Component Hierarchy the source did not carry is built after ready, in
+	// the background (Catalog.finishHierarchy).
 	StateBuilding
 	// StateWarming: the fresh engine is primed with a few queries so the
 	// first real request does not pay pool and cache cold-start costs.
@@ -81,8 +84,9 @@ var validNext = map[State]map[State]bool{
 }
 
 // Generation is one immutable (graph, hierarchy, engine) triple installed
-// under a name. Queries acquire a generation, run against it, and release it;
-// a swap retires the old generation, which stays fully usable until its last
+// under a name; the hierarchy may still be under construction (see H).
+// Queries acquire a generation, run against it, and release it; a swap
+// retires the old generation, which stays fully usable until its last
 // in-flight query releases, then reports itself drained. Nothing is ever
 // mutated in place — a reload installs a new Generation.
 type Generation struct {
@@ -90,13 +94,13 @@ type Generation struct {
 	Name string
 	// Gen is the monotonically increasing generation number within the name.
 	Gen uint64
-	// G and H are the instance; Engine is its private query plane (its cache
-	// keys carry Name@Gen, so results can never alias across generations).
+	// G is the graph; Engine is its private query plane (its cache keys carry
+	// Name@Gen, so results can never alias across generations).
 	G      *graph.Graph
-	H      *ch.Hierarchy
 	Engine *engine.Engine
 	// Bytes is the resident footprint charged against the memory budget:
-	// HeapBytes + MappedBytes.
+	// HeapBytes + MappedBytes. A hierarchy built in the background is added,
+	// under the catalog lock, when it lands; until then read it via Status.
 	Bytes int64
 	// HeapBytes is what the instance costs in process heap (CSR plus
 	// hierarchy arrays for copy-loaded generations; zero for mapped ones,
@@ -127,29 +131,60 @@ type Generation struct {
 	// The reference is released in finishDrain, chaining transitively.
 	parent *Generation
 
+	// in is the solver instance under Engine, the hierarchy's one builder.
+	// hierarchy is "carried" when the generation was made with one, else
+	// "building", then (finishHierarchy, catalog lock) "built" in hierBuildMS.
+	in          *solver.Instance
+	hierarchy   string
+	hierBuildMS float64
+	statsOnce   sync.Once
+	stats       ch.Stats
+
 	refs        atomic.Int64
 	retired     atomic.Bool
 	drainedOnce sync.Once
 	drained     chan struct{}
 }
 
-func newGeneration(name string, gen uint64, g *graph.Graph, h *ch.Hierarchy, eng *engine.Engine, m *snapshot.Mapping) *Generation {
+// newGeneration wraps (g, h) and a fresh engine over them; h is nil when the
+// hierarchy is still to be built.
+func (c *Catalog) newGeneration(name string, gen uint64, g *graph.Graph, h *ch.Hierarchy, m *snapshot.Mapping) *Generation {
+	ecfg := c.cfg.Engine
+	ecfg.Graph, ecfg.Gen = name, gen // cache and singleflight keys: no result crosses generations
+	in := solver.NewInstanceWithHierarchy(g, par.NewExec(c.cfg.QueryWorkers), h)
 	gn := &Generation{
-		Name:    name,
-		Gen:     gen,
-		G:       g,
-		H:       h,
-		Engine:  eng,
-		mapping: m,
-		drained: make(chan struct{}),
+		Name:      name,
+		Gen:       gen,
+		G:         g,
+		Engine:    engine.New(in, ecfg),
+		mapping:   m,
+		in:        in,
+		hierarchy: "carried",
+		drained:   make(chan struct{}),
 	}
 	if m != nil {
 		gn.MappedBytes = m.Bytes()
 	} else {
-		gn.HeapBytes = g.MemoryBytes() + h.ComputeStats().CHBytes
+		gn.HeapBytes = g.MemoryBytes()
+	}
+	if h == nil {
+		gn.hierarchy = "building" // finishHierarchy charges its bytes when it lands
+	} else if m == nil {
+		gn.HeapBytes += h.Bytes()
 	}
 	gn.Bytes = gn.HeapBytes + gn.MappedBytes
 	return gn
+}
+
+// H returns the Component Hierarchy, waiting for the instance's one build
+// when the generation was installed without it.
+func (g *Generation) H() *ch.Hierarchy { return g.in.Hierarchy() }
+
+// Stats returns the hierarchy's Table 2 statistics, walked once per
+// generation. Like H, it waits for a hierarchy still being built.
+func (g *Generation) Stats() ch.Stats {
+	g.statsOnce.Do(func() { g.stats = g.H().ComputeStats() })
+	return g.stats
 }
 
 // Mapped reports whether this generation serves straight from an mmap'd

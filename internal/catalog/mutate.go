@@ -69,7 +69,8 @@ func (c *Catalog) Mutate(name string, b *mutate.Batch) (MutateResult, error) {
 	c.mu.Unlock()
 
 	start := time.Now()
-	mres, err := mutate.Mutate(parent.G, parent.H, b, mutate.Options{Threshold: threshold})
+	// parent.H waits for a hierarchy still being built: a repair needs it.
+	mres, err := mutate.Mutate(parent.G, parent.H(), b, mutate.Options{Threshold: threshold})
 	if err != nil {
 		c.mu.Lock()
 		e.pending = false
@@ -105,8 +106,7 @@ func (c *Catalog) Mutate(name string, b *mutate.Batch) (MutateResult, error) {
 	e.genSeq++
 	genNum := e.genSeq
 	c.mu.Unlock()
-	eng := c.newEngine(name, genNum, mres.G, mres.H)
-	gen := newGeneration(name, genNum, mres.G, mres.H, eng, nil)
+	gen := c.newGeneration(name, genNum, mres.G, mres.H, nil)
 	gen.ParentGen = parent.Gen
 	gen.DeltaSize = len(b.Ops)
 	// When the overlay shares offset/target arrays with a parent whose

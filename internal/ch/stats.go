@@ -59,12 +59,14 @@ func (h *Hierarchy) ComputeStats() Stats {
 		}
 	}
 	st.Height = int(maxDepth)
-	st.CHBytes = int64(len(h.level))*4 + // level
-		int64(len(h.parent))*4 +
-		int64(len(h.childStart))*4 +
-		int64(len(h.children))*4 +
-		int64(len(h.vertexCount))*4
+	st.CHBytes = h.Bytes()
 	return st
+}
+
+// Bytes is the memory footprint of the hierarchy arrays, from their lengths
+// alone (Stats.CHBytes without the walks).
+func (h *Hierarchy) Bytes() int64 {
+	return 4 * int64(len(h.level)+len(h.parent)+len(h.childStart)+len(h.children)+len(h.vertexCount))
 }
 
 func (s Stats) String() string {

@@ -444,7 +444,8 @@ func (r *Result) count(d int64) {
 }
 
 // InstanceBytes is the memory footprint of one Thorup query instance over
-// the shared hierarchy (arithmetic only; no allocation).
+// the shared hierarchy (arithmetic on its dimensions, no allocation; waits
+// for a hierarchy that is still being built).
 func (e *Engine) InstanceBytes() int64 { return e.in.Thorup().InstanceBytes() }
 
 // Delta is the bucket width delta-stepping runs with on this instance.

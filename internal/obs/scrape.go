@@ -52,10 +52,14 @@ type CatalogCounters struct {
 	GraphStates []GraphState `json:"graph_states,omitempty"`
 }
 
-// GraphState is one graph's lifecycle state as exposed by /metrics.
+// GraphState is one graph's lifecycle state as exposed by /metrics, with the
+// state of its serving generation's Component Hierarchy ("carried",
+// "building", "built") and what a background build of it took.
 type GraphState struct {
-	Name  string `json:"name"`
-	State string `json:"state"`
+	Name             string  `json:"name"`
+	State            string  `json:"state"`
+	Hierarchy        string  `json:"hierarchy,omitempty"`
+	HierarchyBuildMS float64 `json:"hierarchy_build_ms,omitempty"`
 }
 
 // ScrapeMetrics fetches and decodes baseURL's GET /metrics into the counter

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bfs"
 	"repro/internal/ch"
@@ -41,13 +42,28 @@ func NewInstanceWithHierarchy(g *graph.Graph, rt *par.Runtime, h *ch.Hierarchy) 
 	return &Instance{G: g, RT: rt, Delta: deltastep.DefaultDelta(g), h: h}
 }
 
+// buildHierarchy is the one hierarchy construction of the serving stack
+// (Kruskal; all constructions yield the same hierarchy): a variable, swapped
+// atomically, so that tests can hold a build open.
+var buildHierarchy atomic.Value // func(*graph.Graph) *ch.Hierarchy
+
+func init() { buildHierarchy.Store(ch.BuildKruskal) }
+
+// HoldHierarchyBuilds makes every hierarchy build that starts from now on wait
+// until release is called: for tests of what must work without a hierarchy.
+func HoldHierarchyBuilds() (release func()) {
+	gate := make(chan struct{})
+	buildHierarchy.Store(func(g *graph.Graph) *ch.Hierarchy { <-gate; return ch.BuildKruskal(g) })
+	return sync.OnceFunc(func() { buildHierarchy.Store(ch.BuildKruskal); close(gate) })
+}
+
 // Thorup returns the instance's shared Thorup solver, building the hierarchy
-// at most once, on first use (Kruskal construction; all constructions yield
-// the same hierarchy). Safe for concurrent first use.
+// at most once, on first use. Safe for concurrent first use: every caller
+// blocks until the one build is done.
 func (in *Instance) Thorup() *core.Solver {
 	in.once.Do(func() {
 		if in.h == nil {
-			in.h = ch.BuildKruskal(in.G)
+			in.h = buildHierarchy.Load().(func(*graph.Graph) *ch.Hierarchy)(in.G)
 		}
 		in.thorup = core.NewSolver(in.h, in.RT)
 	})

@@ -3,7 +3,9 @@ package solver
 import (
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/ch"
 	"repro/internal/dijkstra"
@@ -137,6 +139,59 @@ func TestInstanceHierarchyConcurrentFirstUse(t *testing.T) {
 	wg.Wait()
 	if seen[0] == nil || seen[0] != seen[1] {
 		t.Fatalf("two hierarchies observed: %p and %p", seen[0], seen[1])
+	}
+}
+
+// With the build held open, every solver that does not need the hierarchy
+// answers; the ones that do, and Hierarchy itself, wait for one and the same
+// build — counted through the seam — and an instance given a hierarchy never
+// builds.
+func TestHeldBuildBlocksOnlyHierarchyUsers(t *testing.T) {
+	g := gen.Random(128, 512, 64, gen.UWD, 4)
+	want := dijkstra.SSSP(g, 9)
+	release := HoldHierarchyBuilds()
+	defer release()
+	held := buildHierarchy.Load().(func(*graph.Graph) *ch.Hierarchy)
+	var builds atomic.Int32
+	buildHierarchy.Store(func(g *graph.Graph) *ch.Hierarchy { builds.Add(1); return held(g) })
+
+	in := NewInstance(g, par.NewExec(2))
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for _, s := range All() {
+		if !s.Applicable(g) {
+			continue
+		}
+		if !s.NeedsCH {
+			if got := s.Solve(in, []int32{9}); !slices.Equal(got, want) {
+				t.Fatalf("%s: wrong distances with the hierarchy unbuilt", s.Name)
+			}
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := s.Solve(in, []int32{9}); !slices.Equal(got, want) {
+				t.Errorf("%s: wrong distances after waiting for the build", s.Name)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() { defer wg.Done(); in.Hierarchy() }()
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+		t.Fatal("hierarchy users finished while the build was held")
+	case <-time.After(20 * time.Millisecond):
+	}
+	release()
+	<-done
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("%d builds for one instance, want 1", n)
+	}
+	carried := NewInstanceWithHierarchy(g, par.NewExec(1), in.Hierarchy())
+	if carried.Hierarchy() != in.Hierarchy() || builds.Load() != 1 {
+		t.Fatal("an instance that came with its hierarchy built another")
 	}
 }
 
