@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-build bench-kernels bench-engine bench-catalog bench-trace bench-serve bench-serve-smoke bench-router bench-mutate bench-costmodel check flake docs-check loc stress fuzz experiments sim-csv-check examples clean
+.PHONY: all build vet test race bench bench-build bench-kernels bench-p2p bench-engine bench-catalog bench-trace bench-serve bench-serve-smoke bench-router bench-mutate bench-costmodel check flake docs-check loc stress fuzz experiments sim-csv-check examples clean
 
 all: build vet test
 
@@ -66,6 +66,31 @@ bench-kernels:
 		function flush() { if (n) printf "%s,%.2f,%.2f,%.2f\n", last, v[int((n+1)/2)], v[1], v[n] }' \
 	> results/bench-kernels.csv
 	@cat results/bench-kernels.csv
+
+# The table behind the targeted-query budget (EXPERIMENTS.md, "Answer the
+# question that was asked"; DESIGN.md §5, decision 16): BenchmarkST of
+# internal/dijkstra on the seven families at logn 16 — the balanced
+# bidirectional search, the min-key alternation it replaced, a first-touch
+# targeted query (search under the n/32 budget, full delta-stepping solve if it
+# gives up) and the full solve alone, 400 random pairs a cell, one goroutine.
+# Three passes, interleaved like bench-kernels; a cell's row is the median,
+# minimum and maximum of its per-pair mean in ms, then the median of its
+# settled_p50, settled_p95 and bail share (empty for the arms that do not
+# search without a budget). ~2 minutes.
+bench-p2p:
+	for pass in 1 2 3; do \
+		$(GO) test -run '^$$' -bench 'ST/' -benchtime 400x -cpu 1 -timeout 30m ./internal/dijkstra || exit 1; \
+	done \
+	| awk -F'[/ \t]+' '$$1 == "BenchmarkST" { p50 = p95 = bail = ""; \
+		for (i = 7; i < NF; i++) { if ($$(i+1) == "settled_p50") p50 = $$i; if ($$(i+1) == "settled_p95") p95 = $$i; if ($$(i+1) == "bail_share@n") bail = $$i } \
+		print "dijkstra," substr($$2,6) "," $$3 "," substr($$4,3) "," $$5 "," $$7/1e6 "," p50 "," p95 "," bail }' \
+	| sort -t, -k1,1 -k2,2n -k3,3 -k4,4n -k5,5 -k6,6n \
+	| awk -F, 'BEGIN { print "bench,logn,family,k,arm,median_ms,min_ms,max_ms,settled_p50,settled_p95,bail_share" } \
+		{ key = $$1 "," $$2 "," $$3 "," $$4 "," $$5; if (key != last) { flush(); last = key; n = 0 } n++; v[n] = $$6; a[n] = $$7; b[n] = $$8; c[n] = $$9 } \
+		END { flush() } \
+		function flush() { if (n) { m = int((n+1)/2); printf "%s,%.3f,%.3f,%.3f,%s,%s,%s\n", last, v[m], v[1], v[n], a[m], b[m], c[m] } }' \
+	> results/bench-p2p.csv
+	@cat results/bench-p2p.csv
 
 # Query-engine comparison benchmarks (pooled vs cold, cache hit vs miss,
 # batch-64 vs 64 sequential HTTP queries), written to BENCH_engine.json.

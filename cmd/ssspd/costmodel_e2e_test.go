@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/ch"
 	"repro/internal/costmodel"
+	"repro/internal/dijkstra"
 	"repro/internal/engine"
 	"repro/internal/loadgen"
 	"repro/internal/solver"
@@ -340,14 +342,31 @@ func TestPredictiveAdmission503BeforeWorker(t *testing.T) {
 // every small-graph request answered, with the daemon's
 // admission_rejected_predicted counter matching the client's observed
 // shed count exactly.
+//
+// Admission prices the plan that will run. A /dist or /st is a search and then,
+// as often as this graph's searches have given up, the full solve: with a model
+// that prices "bidirectional" like the rest it is shed on wl-a with the rest;
+// with a model lacking that row it has no prediction on wl-a while no search
+// has given up, which admits it, answered correctly, and it is shed there once
+// most have — while every other wl-a request is shed throughout. A /table row
+// of several targets is priced as the full solve either way.
 func TestPredictiveAdmissionUnderLoad(t *testing.T) {
+	t.Run("model prices every plan", func(t *testing.T) { testPredictiveAdmission(t, true) })
+	t.Run("model without the targeted plan", func(t *testing.T) { testPredictiveAdmission(t, false) })
+}
+
+func testPredictiveAdmission(t *testing.T, pricesTargeted bool) {
 	// Cost = 400µs·n: wl-a (n=512) → 204.8ms over the 180ms limit,
 	// wl-b (n=384) → 153.6ms under it.
-	path := writeModelFile(t, map[string][]float64{
+	coef := map[string][]float64{
 		"dijkstra": {0, 400, 0, 0, 0, 0, 0},
 		"delta":    {0, 400, 0, 0, 0, 0, 0},
 		"thorup":   {0, 400, 0, 0, 0, 0, 0},
-	})
+	}
+	if pricesTargeted {
+		coef["bidirectional"] = coef["delta"]
+	}
+	path := writeModelFile(t, coef)
 	graphs := serveWorkloadGraphs()
 	ga := graphs["wl-a"]
 	srv := newServer(ga, ch.BuildKruskal(ga), "wl-a", catalog.Source{}, serverOptions{
@@ -367,6 +386,27 @@ func TestPredictiveAdmissionUnderLoad(t *testing.T) {
 		srv.cat.Close()
 		log.SetOutput(old)
 	})
+
+	// /st is priced like /dist: shed with it, admitted with it.
+	var got struct{ Dist int64 }
+	probes := 0 // predictive 503s outside the loadgen run
+	code := getJSON(t, ts.URL+"/st?graph=wl-a&s=400&t=17", &got)
+	if pricesTargeted && code != 503 {
+		t.Fatalf("/st on wl-a: status %d, want 503 (its plan is priced over the limit)", code)
+	}
+	if want := dijkstra.SSSP(ga, 400)[17]; !pricesTargeted && (code != 200 || got.Dist != want) {
+		t.Fatalf("/st on wl-a: status %d dist %d, want 200 and %d (no prediction for its plan)", code, got.Dist, want)
+	}
+	if pricesTargeted {
+		probes++
+	}
+	for graph, want := range map[string]int{"wl-a": 503, "wl-b": 200} {
+		var row map[string]any
+		if code := getJSON(t, ts.URL+"/table?graph="+graph+"&src=350&dst=17,18,19,300,301", &row); code != want {
+			t.Fatalf("/table row of five targets on %s: status %d, want %d (priced as the full solve)", graph, code, want)
+		}
+	}
+	probes++
 
 	w := &loadgen.Workload{Spec: loadgen.Spec{
 		Name: "predictive", Version: 1, Seed: 17, Requests: 80,
@@ -389,12 +429,16 @@ func TestPredictiveAdmissionUnderLoad(t *testing.T) {
 	}
 	rep := loadgen.BuildReport(w, out)
 
-	var shedA, okB int
+	var shedA, okB, admittedDistA int
 	for i := range out.Results {
 		res := &out.Results[i]
 		req := &w.Requests[i]
 		switch req.Graph {
 		case "wl-a":
+			if !pricesTargeted && req.Endpoint == loadgen.EndpointDist && res.Status == 200 {
+				admittedDistA++
+				continue
+			}
 			if res.Status != 503 {
 				t.Fatalf("request %d on wl-a: status %d, want 503 (predicted 204.8ms > 180ms limit)",
 					i, res.Status)
@@ -404,6 +448,12 @@ func TestPredictiveAdmissionUnderLoad(t *testing.T) {
 			}
 			shedA++
 		case "wl-b":
+			// Its searches give up too; where the search has a price, that and
+			// the share of a solve come to more than the limit in time.
+			if pricesTargeted && req.Endpoint == loadgen.EndpointDist && res.Status == 503 {
+				shedA++
+				continue
+			}
 			if res.Status != 200 {
 				t.Fatalf("request %d on wl-b: status %d err %q, want 200 (predicted 153.6ms < limit)",
 					i, res.Status, res.Err)
@@ -411,14 +461,32 @@ func TestPredictiveAdmissionUnderLoad(t *testing.T) {
 			okB++
 		}
 	}
-	if shedA == 0 || okB == 0 {
-		t.Fatalf("workload split shedA=%d okB=%d, want both > 0", shedA, okB)
+	if shedA == 0 || okB == 0 || (admittedDistA > 0) == pricesTargeted {
+		t.Fatalf("workload split shedA=%d okB=%d admittedDistA=%d", shedA, okB, admittedDistA)
 	}
 	if rep.Shed != shedA {
 		t.Fatalf("report shed = %d, client counted %d", rep.Shed, shedA)
 	}
+	// Without a price for the search: far targets on distinct sources until
+	// most of wl-a's searches have given up; then the plan is priced as the
+	// solve it will become, and shed.
+	for src := 0; !pricesTargeted; src++ {
+		if src == 256 {
+			t.Fatal("256 searches for a farthest vertex on wl-a, and /dist is still admitted")
+		}
+		want := dijkstra.SSSP(ga, int32(src))
+		far := slices.Index(want, slices.Max(want))
+		code := getJSON(t, fmt.Sprintf("%s/dist?graph=wl-a&src=%d&dst=%d", ts.URL, src, far), &got)
+		if code == 503 {
+			probes++
+			break
+		}
+		if code != 200 || got.Dist != want[far] {
+			t.Fatalf("/dist?src=%d&dst=%d on wl-a: status %d dist %d, want %d", src, far, code, got.Dist, want[far])
+		}
+	}
 	ctrs := srv.costProv.Counters().Snapshot()
-	if got := ctrs[costmodel.CtrAdmissionRejected]; got != int64(shedA) {
-		t.Fatalf("daemon admission_rejected_predicted = %d, client observed %d predictive 503s", got, shedA)
+	if got := ctrs[costmodel.CtrAdmissionRejected]; got != int64(shedA+probes) {
+		t.Fatalf("daemon admission_rejected_predicted = %d, client observed %d predictive 503s", got, shedA+probes)
 	}
 }

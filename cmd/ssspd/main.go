@@ -16,8 +16,8 @@
 //	GET  /sssp?src=17              distances summary + optional full vector
 //	GET  /sssp?src=17&full=1       include the distance vector
 //	GET  /sssp?src=17&solver=delta force a specific solver (default: policy)
-//	GET  /dist?src=17&dst=99       one source-target distance
-//	GET  /st?s=17&t=99             one s-t distance (bidirectional Dijkstra)
+//	GET  /dist?src=17&dst=99       one source-target distance (a targeted query: the engine picks the plan)
+//	GET  /st?s=17&t=99             the same query under the s-t names
 //	GET  /table?src=1,2&dst=3,4    many-to-many distance table
 //	POST /batch                    many queries in one request (JSON body)
 //	GET  /graphs                   catalog listing: every graph's lifecycle state
@@ -93,7 +93,6 @@ import (
 	"repro/internal/ch"
 	"repro/internal/cli"
 	"repro/internal/costmodel"
-	"repro/internal/dijkstra"
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/httpx"
@@ -812,50 +811,47 @@ func (s *server) handleSSSP(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// handleDist answers GET /dist?src=&dst=: one distance and the plan behind it.
 func (s *server) handleDist(w http.ResponseWriter, r *http.Request) {
-	gen, release, ok := s.graphFor(w, r)
-	if !ok {
-		return
-	}
-	src, ok := vertexParam(w, r, "src", gen.G)
-	if !ok {
-		release()
-		return
-	}
-	dst, ok := vertexParam(w, r, "dst", gen.G)
-	if !ok {
-		release()
-		return
-	}
-	req := engine.Request{Sources: []int32{src}, Solver: r.URL.Query().Get("solver")}
-	s.query(w, r, gen, release, req, func(res *engine.Result, via engine.Via) any {
-		d := res.Dist[dst]
-		return map[string]any{
-			"src": src, "dst": dst,
-			"dist": jsonDist(d), "reachable": d < graph.Inf,
-			"solver": res.Solver, "via": via.String(),
-		}
-	})
+	s.pointQuery(w, r, "src", "dst", true)
 }
 
+// handleST answers GET /st?s=&t=: /dist under the s-t names, without the plan.
 func (s *server) handleST(w http.ResponseWriter, r *http.Request) {
+	s.pointQuery(w, r, "s", "t", false)
+}
+
+// pointQuery is the one s-t query path. The engine is told which distance is
+// wanted and chooses how much to compute for it. from and to name the two
+// vertices in the query string and in the response.
+func (s *server) pointQuery(w http.ResponseWriter, r *http.Request, from, to string, withPlan bool) {
 	gen, release, ok := s.graphFor(w, r)
 	if !ok {
 		return
 	}
-	src, ok := vertexParam(w, r, "s", gen.G)
+	src, ok := vertexParam(w, r, from, gen.G)
 	if !ok {
 		release()
 		return
 	}
-	dst, ok := vertexParam(w, r, "t", gen.G)
+	dst, ok := vertexParam(w, r, to, gen.G)
 	if !ok {
 		release()
 		return
 	}
-	runWithDeadline(w, r, release, func() any {
-		d := dijkstra.STDistance(gen.G, src, dst)
-		return map[string]any{"s": src, "t": dst, "dist": jsonDist(d), "reachable": d < graph.Inf}
+	req := engine.Request{Sources: []int32{src}, Solver: r.URL.Query().Get("solver"), Targets: []int32{dst}}
+	s.query(w, r, gen, release, req, func(res *engine.Result, via engine.Via) any {
+		var d int64
+		if res.Dist != nil {
+			d = res.Dist[dst]
+		} else {
+			d = res.TargetDist[0]
+		}
+		resp := map[string]any{from: src, to: dst, "dist": jsonDist(d), "reachable": d < graph.Inf}
+		if withPlan {
+			resp["solver"], resp["via"] = res.Solver, via.String()
+		}
+		return resp
 	})
 }
 
@@ -880,11 +876,12 @@ func (s *server) handleTable(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// One engine query per row: rows flow through the worker pool, the cache,
-	// and the deduplicator like any other query, so a hot row is free.
+	// and the deduplicator like any other query, so a hot row is free; each
+	// names the columns, so a row of few targets need not be a full solve.
 	solverName := r.URL.Query().Get("solver")
 	reqs := make([]engine.Request, len(sources))
 	for i, src := range sources {
-		reqs[i] = engine.Request{Sources: []int32{src}, Solver: solverName}
+		reqs[i] = engine.Request{Sources: []int32{src}, Solver: solverName, Targets: targets}
 	}
 	if !s.admitPredicted(w, r, gen, release, reqs...) {
 		return
@@ -898,7 +895,11 @@ func (s *server) handleTable(w http.ResponseWriter, r *http.Request) {
 			}
 			out[i] = make([]int64, len(targets))
 			for j, t := range targets {
-				out[i][j] = jsonDist(br.Res.Dist[t])
+				if br.Res.Dist != nil {
+					out[i][j] = jsonDist(br.Res.Dist[t])
+				} else {
+					out[i][j] = jsonDist(br.Res.TargetDist[j])
+				}
 			}
 		}
 		return map[string]any{"src": sources, "dst": targets, "dist": out}

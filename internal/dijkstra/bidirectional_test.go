@@ -1,11 +1,17 @@
 package dijkstra
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/deltastep"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/par"
+	"repro/internal/rng"
 )
 
 func TestSTBasics(t *testing.T) {
@@ -67,17 +73,201 @@ func TestQuickSTMatchesDijkstra(t *testing.T) {
 	}
 }
 
-func BenchmarkSTGrid(b *testing.B) {
-	g := gen.GridGraph(128, 128, 64, gen.UWD, 42)
+// One scratch answers a run of pairs — reachable, unreachable, abandoned at
+// every budget, s = t — exactly as a fresh one does, and is back at its
+// between-runs state after each: the reset of what a run touched is complete.
+func TestSTScratchReuseMatchesFresh(t *testing.T) {
+	b := graph.NewBuilder(40)
+	for v := int32(0); v < 29; v++ {
+		b.MustAddEdge(v, v+1, uint32(1+v%5))
+		b.MustAddEdge(v, (v*7+3)%30, uint32(2+v%11))
+	}
+	b.MustAddEdge(0, 5, 9)
+	b.MustAddEdge(0, 5, 2) // parallel arcs: the lighter one counts
+	b.MustAddEdge(30, 31, 4)
+	b.MustAddEdge(12, 32, 1<<20) // a pendant behind one very heavy arc
+	g := b.Build()               // 33..39 are isolated
 	n := int32(g.NumVertices())
-	b.Run("Bidirectional", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			STDistance(g, 0, n-1)
+	sc := new(STScratch)
+	clean := func(what string) {
+		t.Helper()
+		for _, sd := range []*stSide{&sc.fwd, &sc.bwd} {
+			if len(sd.heap) != 0 || len(sd.touched) != 0 || slices.ContainsFunc(sd.dist, func(d int64) bool { return d != graph.Inf }) {
+				t.Fatalf("%s: scratch not restored (heap %d, touched %d)", what, len(sd.heap), len(sd.touched))
+			}
 		}
-	})
-	b.Run("FullDijkstra", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = SSSP(g, 0)[n-1]
+	}
+	for s := int32(0); s < n; s += 3 {
+		want := SSSP(g, s)
+		for tgt := int32(0); tgt < n; tgt++ {
+			for _, budget := range []int{0, 1, 3, 8, math.MaxInt} {
+				what := fmt.Sprintf("st(%d,%d) budget %d", s, tgt, budget)
+				got, settled, ok := sc.Distance(g, s, tgt, budget)
+				clean(what)
+				fd, fsettled, fok := new(STScratch).Distance(g, s, tgt, budget)
+				if got != fd || settled != fsettled || ok != fok {
+					t.Fatalf("%s: reused (%d,%d,%v), fresh (%d,%d,%v)", what, got, settled, ok, fd, fsettled, fok)
+				}
+				if settled > budget {
+					t.Fatalf("%s: settled %d", what, settled)
+				}
+				if ok && got != want[tgt] {
+					t.Fatalf("%s = %d, want %d", what, got, want[tgt])
+				}
+				if !ok && budget == math.MaxInt {
+					t.Fatalf("%s: gave up without a budget", what)
+				}
+			}
 		}
-	})
+	}
+}
+
+// A warm scratch allocates nothing, whatever the outcome.
+func TestWarmSTScratchAllocatesNothing(t *testing.T) {
+	g := gen.Random(2048, 8192, 1<<11, gen.PWD, 9)
+	sc := new(STScratch)
+	for tgt := int32(1); tgt < 2048; tgt++ {
+		sc.Distance(g, 0, tgt, math.MaxInt) // grow the heaps and touched lists
+	}
+	tgt := int32(0)
+	if a := testing.AllocsPerRun(200, func() { tgt++; sc.Distance(g, 0, tgt, 64) }); a != 0 {
+		t.Fatalf("warm s-t query: %v allocs, want 0", a)
+	}
+}
+
+// minKeySTDistance is STDistance as it was before STScratch — two fresh
+// distance arrays a call, pop the side with the smaller frontier key — kept as
+// BenchmarkST's comparison arm. It returns the number of vertices it settled
+// beside the distance.
+func minKeySTDistance(g *graph.Graph, s, t int32) (int64, int) {
+	if s == t {
+		return 0, 0
+	}
+	type search struct {
+		dist []int64
+		heap lazyHeap
+	}
+	newSearch := func(src int32) *search {
+		sr := &search{dist: make([]int64, g.NumVertices()), heap: lazyHeap{{v: src}}}
+		for i := range sr.dist {
+			sr.dist[i] = graph.Inf
+		}
+		sr.dist[src] = 0
+		return sr
+	}
+	topKey := func(h lazyHeap) int64 {
+		if len(h) == 0 {
+			return graph.Inf
+		}
+		return h[0].d
+	}
+	fwd, bwd := newSearch(s), newSearch(t)
+	best, settled := graph.Inf, 0
+	for topKey(fwd.heap)+topKey(bwd.heap) < best {
+		side, other := fwd, bwd
+		if topKey(bwd.heap) < topKey(fwd.heap) {
+			side, other = bwd, fwd
+		}
+		top := side.heap.pop()
+		if top.d > side.dist[top.v] {
+			continue
+		}
+		settled++
+		ts, ws := g.Neighbors(top.v)
+		for i, u := range ts {
+			nd := top.d + int64(ws[i])
+			if nd < side.dist[u] {
+				side.dist[u] = nd
+				side.heap.push(entry{v: u, d: nd})
+			}
+			if cand := nd + other.dist[u]; cand < best {
+				best = cand
+			}
+		}
+	}
+	return best, settled
+}
+
+func TestMinKeyArmMatchesDijkstra(t *testing.T) {
+	g := gen.RMATGraph(512, 2048, 1<<8, gen.PWD, 3)
+	want := SSSP(g, 7)
+	for tgt := int32(0); tgt < 512; tgt += 17 {
+		if got, _ := minKeySTDistance(g, 7, tgt); got != want[tgt] {
+			t.Fatalf("min-key st(7,%d) = %d, want %d", tgt, got, want[tgt])
+		}
+	}
+}
+
+// stFamilies are BenchmarkKernel's seven instance shapes (internal/core,
+// internal/deltastep): m = 4n, C = n unless the name says otherwise.
+var stFamilies = []struct {
+	name string
+	make func(logn int) *graph.Graph
+}{
+	{"rand-uwd", func(l int) *graph.Graph { return gen.Random(1<<l, 4<<l, 1<<l, gen.UWD, 1) }},
+	{"rand-pwd", func(l int) *graph.Graph { return gen.Random(1<<l, 4<<l, 1<<l, gen.PWD, 2) }},
+	{"rand-c4", func(l int) *graph.Graph { return gen.Random(1<<l, 4<<l, 4, gen.UWD, 3) }},
+	{"rmat-uwd", func(l int) *graph.Graph { return gen.RMATGraph(1<<l, 4<<l, 1<<l, gen.UWD, 4) }},
+	{"rmat-pwd", func(l int) *graph.Graph { return gen.RMATGraph(1<<l, 4<<l, 1<<l, gen.PWD, 5) }},
+	{"grid-uwd", func(l int) *graph.Graph { return gen.GridGraph(1<<(l/2), 1<<(l-l/2), 1<<l, gen.UWD, 6) }},
+	{"grid-pwd", func(l int) *graph.Graph { return gen.GridGraph(1<<(l/2), 1<<(l-l/2), 1<<l, gen.PWD, 7) }},
+}
+
+// BenchmarkST is the table behind the engine's targeted-query budget of n/32
+// settled vertices (DESIGN.md §5, decision 16): on each family at logn 16,
+// over the same random pairs, a warm STScratch without a budget ("balanced"),
+// the min-key alternation it replaced ("min-key"), what a first-touch targeted
+// query costs — the search under the budget, then a full delta-stepping solve
+// if it gave up ("targeted") — and the full solve alone ("delta"). ns/op is
+// the mean per pair; the search arms also report the median and 95th
+// percentile of vertices settled and the share of pairs that outgrow n/32.
+// make bench-p2p runs all of it into results/bench-p2p.csv.
+func BenchmarkST(b *testing.B) {
+	const logn = 16
+	rt := par.NewExec(1)
+	for _, fam := range stFamilies {
+		var g *graph.Graph // built by the first arm that runs
+		for _, arm := range []string{"balanced", "min-key", "targeted", "delta"} {
+			b.Run(fmt.Sprintf("logn=%d/%s/k=1/%s", logn, fam.name, arm), func(b *testing.B) {
+				if g == nil {
+					g = fam.make(logn)
+				}
+				n := g.NumVertices()
+				budget, delta := n/32, deltastep.DefaultDelta(g)
+				sc, full := new(STScratch), deltastep.NewState()
+				full.RunFromSources(rt, g, []int32{0}, delta)
+				sc.Distance(g, 0, int32(n-1), math.MaxInt)
+				r := rng.New(26)
+				settled := make([]int, 0, b.N)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					s, t := int32(r.Intn(n)), int32(r.Intn(n))
+					switch arm {
+					case "balanced":
+						_, k, _ := sc.Distance(g, s, t, math.MaxInt)
+						settled = append(settled, k)
+					case "min-key":
+						_, k := minKeySTDistance(g, s, t)
+						settled = append(settled, k)
+					case "targeted":
+						if _, _, ok := sc.Distance(g, s, t, budget); !ok {
+							full.RunFromSources(rt, g, []int32{s}, delta)
+						}
+					case "delta":
+						full.RunFromSources(rt, g, []int32{s}, delta)
+					}
+				}
+				b.StopTimer()
+				if len(settled) == 0 {
+					return
+				}
+				slices.Sort(settled)
+				over, _ := slices.BinarySearch(settled, budget+1)
+				b.ReportMetric(float64(settled[len(settled)/2]), "settled_p50")
+				b.ReportMetric(float64(settled[len(settled)*95/100]), "settled_p95")
+				b.ReportMetric(float64(len(settled)-over)/float64(len(settled)), "bail_share@n/32")
+			})
+		}
+	}
 }

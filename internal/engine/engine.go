@@ -67,6 +67,11 @@ type Engine struct {
 	cache  *lru
 	flight flightGroup
 
+	// Targeted requests (Query): the point-to-point entry, and the vertices
+	// one request's searches may settle between them.
+	p2p          solver.PointToPoint
+	targetBudget int
+
 	cost     *costmodel.Provider // may be nil (static policy only)
 	baseFeat costmodel.Features  // graph-level features; Sources set per query
 
@@ -82,9 +87,13 @@ type Engine struct {
 // pooled is how the engine executes one solver: a pool of the states its
 // registry entry constructs, and how many runs they have served.
 type pooled struct {
-	states sync.Pool // solver.State
+	states sync.Pool // solver.State; solver.PointSearch for the point-to-point entry
 	runs   obs.Counter
 }
+
+// A targeted request's searches may settle n/targetBudgetShare vertices
+// between them before it becomes a full solve (DESIGN.md §5, decision 16).
+const targetBudgetShare = 32
 
 // tracer is what a pooled state that keeps core.Trace phase counters (a
 // Thorup query) has beyond solver.State; the engine asks by type assertion,
@@ -109,6 +118,7 @@ const (
 	cBatchItems         = "batch_items"
 	cFullJSONBuilt      = "full_json_built"
 	cFullBytesFromCache = "full_bytes_from_cache"
+	cTargetedBailouts   = "targeted_bailouts"
 )
 
 // New creates an engine over the instance. The hierarchy is built on first
@@ -128,14 +138,18 @@ func New(in *solver.Instance, cfg Config) *Engine {
 		solvers:   solvers,
 		exec:      make(map[string]*pooled, len(solvers)),
 		counters: obs.NewGroup(cSolves, cDedupHits, cCacheHits, cCacheMisses,
-			cCacheEvictions, cBatchRequests, cBatchItems, cFullJSONBuilt, cFullBytesFromCache),
+			cCacheEvictions, cBatchRequests, cBatchItems, cFullJSONBuilt, cFullBytesFromCache,
+			cTargetedBailouts),
 		cost: cfg.CostModel,
 		baseFeat: costmodel.Features{
 			N:         in.G.NumVertices(),
 			M:         in.G.NumEdges(),
 			MaxWeight: in.G.MaxWeight(),
 		},
+		p2p:          solver.PointToPoints()[0],
+		targetBudget: in.G.NumVertices() / targetBudgetShare,
 	}
+	e.exec[e.p2p.Name] = &pooled{states: sync.Pool{New: func() any { return e.p2p.NewState(in) }}}
 	for _, s := range solvers {
 		p := &pooled{}
 		p.states.New = func() any {
@@ -166,6 +180,9 @@ func (e *Engine) byName(name string) (solver.Solver, bool) {
 type Request struct {
 	Sources []int32
 	Solver  string
+	// Targets are the only vertices whose distances the caller will read (empty:
+	// the full vector); the engine then chooses how much to compute (see Query).
+	Targets []int32
 }
 
 // Via reports how a query was answered.
@@ -204,6 +221,9 @@ type Result struct {
 	Reached int
 	// Eccentricity is the largest finite distance.
 	Eccentricity int64
+	// TargetDist is set on a partial result only (Dist nil): the distance to
+	// each of the request's Targets, in request order. Never cached or shared.
+	TargetDist []int64
 
 	e        *Engine
 	key      string
@@ -251,6 +271,11 @@ func (r *Result) DistJSON() []byte {
 // is not cancellable (a Thorup traversal cannot stop mid-flight), so the
 // leader always completes and caches its result even if its own ctx expires.
 //
+// A request with Targets, one source and no solver override that misses the
+// cache is answered by point-to-point searches instead (a partial Result by
+// "bidirectional", ViaSolve, nothing cached), unless they outgrow their budget
+// — the full solve is then the cheaper plan, and the request takes that path.
+//
 // When the context carries a request trace (internal/trace), the stages are
 // recorded as spans under the context's current span: "cache_lookup" (with a
 // hit attribute), then either "solve" (this caller was the singleflight
@@ -275,6 +300,11 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Result, Via, error) {
 		return res, ViaCache, nil
 	}
 	e.counters.C(cCacheMisses).Inc()
+	if targeted(req, srcs) {
+		if res := e.search(parent, srcs[0], req.Targets); res != nil {
+			return res, ViaSolve, nil
+		}
+	}
 	// The wait span is only attached when this caller actually waited on
 	// another's execution; a leader's time is the solve span instead.
 	wait := parent.StartChild("singleflight_wait")
@@ -312,6 +342,11 @@ func (e *Engine) plan(req Request, record bool) (name string, srcs []int32, key 
 			return "", nil, "", fmt.Errorf("%w: source %d out of range [0,%d)", ErrBadQuery, s, n)
 		}
 	}
+	for _, t := range req.Targets {
+		if t < 0 || int(t) >= n {
+			return "", nil, "", fmt.Errorf("%w: target %d out of range [0,%d)", ErrBadQuery, t, n)
+		}
+	}
 	srcs = append(make([]int32, 0, len(req.Sources)), req.Sources...)
 	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
 	w := 1
@@ -346,54 +381,118 @@ func (e *Engine) features(sources int) costmodel.Features {
 	return f
 }
 
-// PredictCost resolves the solver req would run under the current policy
-// and prices it with the loaded cost model, without executing anything and
-// without touching the selection counters — the serving layer calls it to
-// decide predictive admission before committing a worker. ok is false when
-// no model is loaded or it has no usable coefficients for the resolved
-// solver. err carries the same ErrBadQuery validation errors Query would
-// return, so callers can skip admission and let Query surface the 4xx.
+// targeted reports whether req, already planned, is for the point-to-point
+// searches when it misses the cache: targets, one source, no solver named.
+func targeted(req Request, srcs []int32) bool {
+	return len(req.Targets) > 0 && len(srcs) == 1 && (req.Solver == "" || req.Solver == "auto")
+}
+
+// PredictCost resolves the plan Query would run for req right now and prices it
+// with the loaded cost model, without executing anything or touching the
+// selection counters: the serving layer calls it to decide predictive admission
+// before committing a worker. A cached vector costs nothing. A targeted request
+// is searches and then, if they give up, the full solve: several targets are
+// priced at that upper bound; one target at the search plus the solve's price
+// times the share of this engine's searches that have given up (counted with
+// one more that did not: a first bail alone closes no door). ok is false when
+// the model has no usable coefficients for the plan. err carries the ErrBadQuery
+// errors Query would return, so callers can let Query surface the 4xx.
 func (e *Engine) PredictCost(req Request) (solverName string, cost time.Duration, ok bool, err error) {
-	name, srcs, _, err := e.plan(req, false)
+	name, srcs, key, err := e.plan(req, false)
 	if err != nil {
 		return "", 0, false, err
 	}
-	d, ok := e.cost.PredictFor(e.cfg.Graph, name, e.features(len(srcs)))
-	return name, d, ok, nil
+	if _, hit := e.cache.get(key); hit {
+		return name, 0, true, nil
+	}
+	cost, ok = e.cost.PredictFor(e.cfg.Graph, name, e.features(len(srcs)))
+	if !targeted(req, srcs) || len(req.Targets) > 1 {
+		return name, cost, ok, nil
+	}
+	bailed := float64(e.Counter(cTargetedBailouts)) / float64(e.exec[e.p2p.Name].runs.Value()+1)
+	fall := time.Duration(float64(cost) * bailed) // 0 while the solve has no price
+	cost, ok = e.cost.PredictFor(e.cfg.Graph, e.p2p.Name, e.features(1))
+	return e.p2p.Name, cost + fall, ok || fall > 0, nil
+}
+
+// execution is the books of one executed plan: its solver's pool, its "solve"
+// span, and the cost model's training sample beside the model's prediction.
+type execution struct {
+	p      *pooled
+	sp     *trace.Span
+	sample costmodel.Sample
+	pred   time.Duration
+	priced bool
+	start  time.Time
+}
+
+// begin opens an execution — counted, its span (nil when untraced) naming
+// solver, source count and prediction — and end closes it. Cache hits and
+// singleflight joiners never get here: the provider gets one Observe per
+// execution, labelled with this engine's own graph, generation and features.
+func (e *Engine) begin(parent *trace.Span, name string, sources int) execution {
+	x := execution{p: e.exec[name], sp: parent.StartChild("solve"), start: time.Now(),
+		sample: costmodel.Sample{Graph: e.cfg.Graph, Gen: e.cfg.Gen, Solver: name, Features: e.features(sources)}}
+	e.counters.C(cSolves).Inc()
+	x.p.runs.Inc()
+	x.sp.SetAttr("solver", name)
+	x.sp.SetAttr("sources", sources)
+	if x.pred, x.priced = e.cost.PredictFor(x.sample.Graph, name, x.sample.Features); x.priced {
+		x.sp.SetAttr("predicted_us", x.pred.Microseconds())
+	}
+	return x
+}
+
+func (x *execution) end(e *Engine) {
+	x.sp.End()
+	x.sample.DurUS = time.Since(x.start).Microseconds()
+	e.cost.Observe(x.sample, x.pred, x.priced)
+}
+
+// search answers a targeted request with one point-to-point search per target
+// on one pooled state under one budget, or returns nil once a search outgrows
+// what is left. Either way one execution: its span says targets, settled, bailed.
+func (e *Engine) search(parent *trace.Span, src int32, targets []int32) *Result {
+	x := e.begin(parent, e.p2p.Name, 1)
+	defer x.end(e)
+	st := x.p.states.Get().(solver.PointSearch)
+	res := &Result{Solver: e.p2p.Name, TargetDist: make([]int64, len(targets))}
+	settled := 0
+	for i, t := range targets {
+		d, k, ok := st(src, t, e.targetBudget-settled)
+		settled += k
+		if !ok {
+			e.counters.C(cTargetedBailouts).Inc()
+			if e.cost != nil { // tagged: the dearest search there is
+				x.sample.Counters = map[string]int64{"bailed": 1}
+			}
+			res = nil
+			break
+		}
+		res.TargetDist[i] = d
+	}
+	x.p.states.Put(st)
+	x.sp.SetAttr("targets", len(targets))
+	x.sp.SetAttr("settled", settled)
+	x.sp.SetAttr("bailed", res == nil)
+	if res != nil {
+		parent.Trace().SetSolver(res.Solver)
+	}
+	return res
 }
 
 // solve runs the named solver on the canonical source set — state checkout,
 // one run, detach, Reset, put back, cache: the same steps for every solver in
-// the pool. parent is the singleflight leader's trace position (nil when
-// untraced): the execution is recorded as a "solve" span with a nested
-// "pool_checkout", annotated with the solver name, source count, and — for a
-// tracer state — the solver-phase counters of core.Trace.
-//
-// The same measurement is the cost model's training sample. Cache hits and
-// singleflight joiners never reach this function, so the provider gets
-// exactly one Observe per executed solve, traced or not, labelled with this
-// engine's own graph, generation and features — whatever the catalog swaps in
-// while the solve runs.
+// the pool. parent is the singleflight leader's trace position: the execution
+// is begin's "solve" span with a nested "pool_checkout" and, for a tracer
+// state, the solver-phase counters of core.Trace, which the training sample
+// carries too.
 func (e *Engine) solve(parent *trace.Span, name string, srcs []int32, key string) *Result {
-	start := time.Now()
-	e.counters.C(cSolves).Inc()
-	p := e.exec[name]
-	p.runs.Inc()
-	sp := parent.StartChild("solve")
-	sp.SetAttr("solver", name)
-	sp.SetAttr("sources", len(srcs))
-	sample := costmodel.Sample{Graph: e.cfg.Graph, Gen: e.cfg.Gen, Solver: name, Features: e.features(len(srcs))}
-	pred, havePred := e.cost.PredictFor(sample.Graph, name, sample.Features)
-	if havePred {
-		sp.SetAttr("predicted_us", pred.Microseconds())
-	}
-	defer func() {
-		sp.End()
-		sample.DurUS = time.Since(start).Microseconds()
-		e.cost.Observe(sample, pred, havePred)
-	}()
+	x := e.begin(parent, name, len(srcs))
+	defer x.end(e)
+	sp := x.sp
 	pc := sp.StartChild("pool_checkout")
-	st := p.states.Get().(solver.State)
+	st := x.p.states.Get().(solver.State)
 	pc.End()
 	res := &Result{Solver: name, e: e, key: key}
 	res.detach(st.RunFromSources(srcs))
@@ -402,8 +501,8 @@ func (e *Engine) solve(parent *trace.Span, name string, srcs []int32, key string
 		e.traceAgg.Merge(snap)
 		e.thorupRuns.Inc()
 		if sp != nil || e.cost != nil { // someone to show them to
-			sample.Counters = snap.AttrMap()
-			for k, v := range sample.Counters {
+			x.sample.Counters = snap.AttrMap()
+			for k, v := range x.sample.Counters {
 				sp.SetAttr(k, v)
 			}
 		}
@@ -419,7 +518,7 @@ func (e *Engine) solve(parent *trace.Span, name string, srcs []int32, key string
 		}
 	}
 	st.Reset()
-	p.states.Put(st)
+	x.p.states.Put(st)
 	e.cache.add(key, res)
 	return res
 }

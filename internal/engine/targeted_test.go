@@ -1,0 +1,254 @@
+package engine
+
+import (
+	"context"
+	"errors"
+	"math"
+	"runtime"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/costmodel"
+	"repro/internal/dijkstra"
+	"repro/internal/trace"
+)
+
+// distTo reads the i-th target t of the request res answered, partial or not.
+func distTo(res *Result, i int, t int32) int64 {
+	if res.Dist == nil {
+		return res.TargetDist[i]
+	}
+	return res.Dist[t]
+}
+
+// targetedQuery runs one request and checks every target's answer against the
+// full vector from Dijkstra, whichever plan answered.
+func targetedQuery(t *testing.T, e *Engine, ctx context.Context, req Request) (*Result, Via) {
+	t.Helper()
+	res, via, err := e.Query(ctx, req)
+	if err != nil {
+		t.Fatalf("%+v: %v", req, err)
+	}
+	want := dijkstra.SSSPFromSources(e.in.G, req.Sources)
+	for i, tgt := range req.Targets {
+		if got := distTo(res, i, tgt); got != want[tgt] {
+			t.Fatalf("%+v by %s: target %d = %d, want %d", req, res.Solver, tgt, got, want[tgt])
+		}
+	}
+	return res, via
+}
+
+// A targeted miss is a point-to-point search however often its source comes
+// back, and caches nothing: a full-vector query for the same source never sees
+// the partial Result, and the vector it leaves behind answers later targets.
+func TestTargetedSearchCachesNothing(t *testing.T) {
+	e := New(testInstance(t, 300, 1200), Config{CacheEntries: 8})
+	e.SetTargetBudget(math.MaxInt)
+	ctx := context.Background()
+	req := Request{Sources: []int32{7}, Targets: []int32{250, 7, 250, 31}}
+
+	for touch := 1; touch <= 2; touch++ {
+		res, via := targetedQuery(t, e, ctx, req)
+		if res.Solver != "bidirectional" || via != ViaSolve || res.Dist != nil || len(res.TargetDist) != 4 {
+			t.Fatalf("touch %d: %s via %v, Dist %d, TargetDist %v", touch, res.Solver, via, len(res.Dist), res.TargetDist)
+		}
+	}
+	if entries, _ := e.cache.size(); entries != 0 {
+		t.Fatalf("a partial result was cached (%d entries)", entries)
+	}
+	if res, via := targetedQuery(t, e, ctx, Request{Sources: []int32{7}}); res.Solver != "delta" || via != ViaSolve || len(res.Dist) != 300 {
+		t.Fatalf("full-vector query after a partial answer: %s via %v, %d distances", res.Solver, via, len(res.Dist))
+	}
+	if res, via := targetedQuery(t, e, ctx, req); res.Solver != "delta" || via != ViaCache || res.TargetDist != nil {
+		t.Fatalf("targeted query of a cached source: %s via %v", res.Solver, via)
+	}
+	runs := e.SolverRuns()
+	if runs["bidirectional"] != 2 || runs["delta"] != 1 || e.Counter("solves") != 3 || e.Counter(cTargetedBailouts) != 0 {
+		t.Fatalf("runs %v, counters %v", runs, e.counters.Snapshot())
+	}
+}
+
+// The requests that take the full path: an explicit
+// solver, a source set, and — by outgrowing the budget — a search that would
+// settle more than the request may. The bail leaves a cached vector behind.
+func TestTargetedFallsThroughToFullSolve(t *testing.T) {
+	e := New(testInstance(t, 300, 1200), Config{CacheEntries: 8})
+	ctx := context.Background()
+	for _, req := range []Request{
+		{Sources: []int32{4}, Targets: []int32{9}, Solver: "dijkstra"},
+		{Sources: []int32{4, 5}, Targets: []int32{9}},
+	} {
+		if res, via := targetedQuery(t, e, ctx, req); res.Dist == nil || via != ViaSolve || e.SolverRuns()["bidirectional"] != 0 {
+			t.Fatalf("%+v: %s via %v", req, res.Solver, via)
+		}
+	}
+
+	e.SetTargetBudget(1)
+	tr := trace.New(trace.Config{SampleN: 1}).StartRequest("", "dist")
+	res, via := targetedQuery(t, e, trace.NewContext(ctx, tr), Request{Sources: []int32{6}, Targets: []int32{200, 100}})
+	if res.Solver != "delta" || via != ViaSolve || res.Dist == nil {
+		t.Fatalf("bailed query: %s via %v", res.Solver, via)
+	}
+	if e.Counter(cTargetedBailouts) != 1 || e.SolverRuns()["bidirectional"] != 1 {
+		t.Fatalf("counters %v runs %v", e.counters.Snapshot(), e.SolverRuns())
+	}
+	var solves []*trace.SpanJSON
+	for _, sp := range tr.Export().Spans.Children {
+		if sp.Name == "solve" {
+			solves = append(solves, sp)
+		}
+	}
+	if len(solves) != 2 || solves[0].Attrs["solver"] != "bidirectional" || solves[0].Attrs["targets"] != 2 ||
+		solves[0].Attrs["settled"] != 1 || solves[0].Attrs["bailed"] != true || solves[1].Attrs["solver"] != "delta" {
+		t.Fatalf("solve spans of a bailed query: %+v", solves)
+	}
+	if _, via = targetedQuery(t, e, ctx, Request{Sources: []int32{6}, Targets: []int32{3}}); via != ViaCache {
+		t.Fatalf("after a bail: via %v, want the cached vector", via)
+	}
+
+	if _, _, err := e.Query(ctx, Request{Sources: []int32{1}, Targets: []int32{300}}); !errors.Is(err, ErrBadQuery) {
+		t.Fatalf("out-of-range target: %v", err)
+	}
+}
+
+// One budget for the whole request: targets are searched in order until their
+// searches together have settled it, so a long target list is a full solve by
+// itself.
+func TestTargetedBudgetIsSharedByTheTargets(t *testing.T) {
+	in := testInstance(t, 2048, 8192)
+	e := New(in, Config{})
+	e.SetTargetBudget(math.MaxInt)
+	tr := trace.New(trace.Config{SampleN: 1}).StartRequest("", "table")
+	targets := []int32{900, 1500, 33, 2000}
+	targetedQuery(t, e, trace.NewContext(context.Background(), tr), Request{Sources: []int32{5}, Targets: targets})
+	need := tr.Export().Spans.Children[1].Attrs["settled"].(int)
+
+	for _, tc := range []struct {
+		budget int
+		solver string
+	}{{need, "bidirectional"}, {need - 1, "delta"}} {
+		e.SetTargetBudget(tc.budget)
+		if res, _ := targetedQuery(t, e, context.Background(), Request{Sources: []int32{5}, Targets: targets}); res.Solver != tc.solver {
+			t.Fatalf("budget %d of %d needed: %s, want %s", tc.budget, need, res.Solver, tc.solver)
+		}
+	}
+}
+
+// Bound: a warm targeted query allocates the request's bookkeeping — the
+// canonical source set, the cache key, the Result and its per-target answers:
+// at most 8 objects, and 4 KB in the mean with the odd growth of a pooled heap
+// — and nothing that grows with n; a full solve's detached vector alone would
+// be 8n = 64 KB.
+func TestWarmTargetedQueryAllocatesNothingOfSizeN(t *testing.T) {
+	if raceDetector {
+		t.Skip("under the race detector sync.Pool drops a quarter of what is put back: no warm path to measure")
+	}
+	e := New(testInstance(t, 8192, 32768), Config{})
+	e.SetTargetBudget(math.MaxInt)
+	ctx := context.Background()
+	req := Request{Sources: []int32{0}, Targets: []int32{0}}
+	query := func() {
+		req.Sources[0] = (req.Sources[0] + 1) % 8192
+		req.Targets[0] = (req.Targets[0] + 977) % 8192
+		if res, _, err := e.Query(ctx, req); err != nil || res.Solver != "bidirectional" {
+			t.Fatalf("%v by %s", err, res.Solver)
+		}
+	}
+	for i := 0; i < 500; i++ { // grow the pooled state's heaps
+		query()
+	}
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, query)
+	runtime.ReadMemStats(&after)
+	if bytes := (after.TotalAlloc - before.TotalAlloc) / (runs + 1); allocs > 8 || bytes > 4096 {
+		t.Fatalf("warm targeted query: %v allocs, %d B; want <= 8 and <= 4096", allocs, bytes)
+	}
+}
+
+// PredictCost prices the plan Query would run — a search, plus the full solve
+// as often as this engine's searches have given up; a list of targets at the
+// full solve — and each executed plan is one training sample under its own
+// name: a bail is two, the first tagged.
+func TestPredictCostAndSamplesFollowThePlan(t *testing.T) {
+	in := testInstance(t, 300, 1200)
+	p := testModel(t, map[string][]float64{
+		"delta":         {9000, 0, 0, 0, 0, 0, 0},
+		"bidirectional": {200, 0, 0, 0, 0, 0, 0},
+	})
+	e := New(in, Config{CacheEntries: 8, CostModel: p})
+	e.SetTargetBudget(math.MaxInt)
+	ctx := context.Background()
+	req := Request{Sources: []int32{7}, Targets: []int32{250}}
+	price := func(e *Engine, what string, req Request, solver string, want time.Duration) {
+		t.Helper()
+		if name, cost, ok, err := e.PredictCost(req); err != nil || !ok || name != solver || cost != want {
+			t.Fatalf("%s: PredictCost = %s %v ok=%v err=%v, want %s %v", what, name, cost, ok, err, solver, want)
+		}
+	}
+	price(e, "one target", req, "bidirectional", 200*time.Microsecond)
+	price(e, "named solver", Request{Sources: []int32{7}, Targets: []int32{250}, Solver: "delta"}, "delta", 9*time.Millisecond)
+	price(e, "full vector", Request{Sources: []int32{7}}, "delta", 9*time.Millisecond)
+	price(e, "a row of targets", Request{Sources: []int32{7}, Targets: []int32{250, 31, 4}}, "delta", 9*time.Millisecond)
+	targetedQuery(t, e, ctx, req)
+	price(e, "after a search that finished", req, "bidirectional", 200*time.Microsecond)
+	targetedQuery(t, e, ctx, Request{Sources: []int32{7}})
+	price(e, "cached", req, "delta", 0)
+
+	// Searches that give up: 1 of 2 (+1), then 2 of 3 (+1), of a 9 ms solve.
+	e.SetTargetBudget(1)
+	other := Request{Sources: []int32{8}, Targets: []int32{250}}
+	targetedQuery(t, e, ctx, Request{Sources: []int32{9}, Targets: []int32{250}})
+	price(e, "after one bail", other, "bidirectional", 200*time.Microsecond+9*time.Millisecond/3)
+	targetedQuery(t, e, ctx, Request{Sources: []int32{10}, Targets: []int32{250}})
+	price(e, "after two bails", other, "bidirectional", 200*time.Microsecond+9*time.Millisecond/2)
+
+	var got []string
+	for _, s := range p.Samples().Snapshot() {
+		got = append(got, s.Solver)
+		if s.Features.Sources != 1 || s.DurUS < 0 || (s.Counters["bailed"] == 1) != (s.Solver == "bidirectional" && len(got) > 2) {
+			t.Fatalf("sample %d: %+v", len(got), s)
+		}
+	}
+	if want := []string{"bidirectional", "delta", "bidirectional", "delta", "bidirectional", "delta"}; !slices.Equal(got, want) {
+		t.Fatalf("samples %v, want %v", got, want)
+	}
+	if n := p.Counters().Snapshot()[costmodel.CtrPredictions]; n != 6 {
+		t.Fatalf("predictions = %d, want 6", n)
+	}
+
+	// A model that does not price the search has no prediction for a single
+	// target until searches have given up; what is known of the plan then is
+	// the full solve's share.
+	e2 := New(in, Config{CacheEntries: 8, CostModel: testModel(t, map[string][]float64{"delta": {9000, 0, 0, 0, 0, 0, 0}})})
+	if name, _, ok, err := e2.PredictCost(req); err != nil || ok || name != "bidirectional" {
+		t.Fatalf("unpriced plan: %s ok=%v err=%v", name, ok, err)
+	}
+	price(e2, "a row of targets, search unpriced", Request{Sources: []int32{7}, Targets: []int32{250, 31}}, "delta", 9*time.Millisecond)
+	e2.SetTargetBudget(1)
+	for src := int32(20); src < 28; src++ {
+		targetedQuery(t, e2, ctx, Request{Sources: []int32{src}, Targets: []int32{250}})
+	}
+	price(e2, "search unpriced, 8 of 8 bailed", req, "bidirectional", 8*time.Millisecond)
+}
+
+// Batch rows carry their targets like single queries do (the /table path).
+func TestBatchCarriesTargets(t *testing.T) {
+	e := New(testInstance(t, 300, 1200), Config{CacheEntries: 8})
+	e.SetTargetBudget(math.MaxInt)
+	targets := []int32{1, 299}
+	reqs := []Request{{Sources: []int32{10}, Targets: targets}, {Sources: []int32{20}, Targets: targets}, {Sources: []int32{10}, Targets: targets}}
+	for i, br := range e.Batch(context.Background(), reqs) {
+		if br.Err != nil {
+			t.Fatal(br.Err)
+		}
+		want := dijkstra.SSSP(e.in.G, reqs[i].Sources[0])
+		for j, tgt := range targets {
+			if got := distTo(br.Res, j, tgt); got != want[tgt] {
+				t.Fatalf("row %d target %d = %d, want %d", i, tgt, got, want[tgt])
+			}
+		}
+	}
+}

@@ -8,7 +8,8 @@
 // for the instance's runtime), the serial Thorup reference, Dijkstra,
 // delta-stepping, Goldberg's multi-level buckets and BFS — plus
 // bidirectional Dijkstra as a point-to-point solver (it computes one s-t
-// distance, not a distance vector).
+// distance, not a distance vector; its NewState gives a reusable PointSearch
+// that the engine pools like any State and runs under a settle budget).
 //
 // An entry's NewState constructs reusable per-query State over an Instance.
 // The contract is State's: a whole source set in one run (every solver seeds

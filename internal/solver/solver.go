@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -117,10 +118,23 @@ func (s Solver) Solve(in *Instance, sources []int32) []int64 {
 	return append([]int64(nil), s.NewState(in).RunFromSources(sources)...)
 }
 
+// PointSearch is one point-to-point solver's reusable per-query state, bound
+// to an Instance like a State, but keeping nothing of a run (no Reset). It
+// returns the s-t distance (graph.Inf: unreachable), or ok false once that
+// would take settling more than budget vertices. Not safe for concurrent use.
+type PointSearch func(s, t int32, budget int) (dist int64, settled int, ok bool)
+
 // PointToPoint is a solver that answers a single s-t distance query.
 type PointToPoint struct {
 	Name string
-	Dist func(in *Instance, s, t int32) int64
+	// NewState allocates per-query state over the instance, as Solver's does.
+	NewState func(in *Instance) PointSearch
+}
+
+// Dist is a fresh state and one search without a budget.
+func (p PointToPoint) Dist(in *Instance, s, t int32) int64 {
+	d, _, _ := p.NewState(in)(s, t, math.MaxInt)
+	return d
 }
 
 // thorupState is a core.Query answering the empty source set, which core
@@ -215,8 +229,9 @@ func PointToPoints() []PointToPoint {
 	return []PointToPoint{
 		{
 			Name: "bidirectional",
-			Dist: func(in *Instance, s, t int32) int64 {
-				return dijkstra.STDistance(in.G, s, t)
+			NewState: func(in *Instance) PointSearch {
+				sc := new(dijkstra.STScratch)
+				return func(s, t int32, budget int) (int64, int, bool) { return sc.Distance(in.G, s, t, budget) }
 			},
 		},
 	}

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -229,12 +230,15 @@ func sourceSets(n int) [][]int32 {
 }
 
 // TestConformance is the contract of a registry entry, checked for every
-// solver in All() — a seventh is covered by registering it. For each
+// solver in All() and PointToPoints() — another is covered by registering it. For each
 // applicable solver, graph shape and source set: a k-source run equals the
 // elementwise minimum of that solver's own single-source runs and Dijkstra's
 // answer; an empty source set (and an empty graph) reaches nothing; and one
 // state answers different source sets, before and after a Reset, exactly as
-// a fresh state does.
+// a fresh state does. For each point-to-point solver and pair of vertices: one
+// state, reused across pairs and budgets, answers as a fresh one does; never
+// settles more than its budget; without one never gives up; and an answer it
+// does give is Dijkstra's.
 func TestConformance(t *testing.T) {
 	rt := par.NewExec(2)
 	for gname, g := range conformanceGraphs() {
@@ -271,6 +275,26 @@ func TestConformance(t *testing.T) {
 				check("reused state", reused.RunFromSources(srcs), want)
 				if i%2 == 1 {
 					reused.Reset()
+				}
+			}
+		}
+		for _, pp := range PointToPoints() {
+			reused := pp.NewState(in)
+			for src := int32(0); int(src) < n; src += 5 {
+				want := dijkstra.SSSP(g, src)
+				for dst := int32(0); int(dst) < n; dst += 3 {
+					for _, budget := range []int{0, 2, 9, math.MaxInt} {
+						d, settled, ok := reused(src, dst, budget)
+						fd, fsettled, fok := pp.NewState(in)(src, dst, budget)
+						if d != fd || settled != fsettled || ok != fok {
+							t.Fatalf("%s/%s st(%d,%d) budget %d: reused (%d,%d,%v), fresh (%d,%d,%v)",
+								gname, pp.Name, src, dst, budget, d, settled, ok, fd, fsettled, fok)
+						}
+						if settled > budget || (!ok && budget == math.MaxInt) || (ok && d != want[dst]) {
+							t.Fatalf("%s/%s st(%d,%d) budget %d = (%d,%d,%v), want %d",
+								gname, pp.Name, src, dst, budget, d, settled, ok, want[dst])
+						}
+					}
 				}
 			}
 		}

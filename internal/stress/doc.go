@@ -2,7 +2,7 @@
 // for every SSSP solver in the repository. It is the correctness gate behind
 // `make stress` and cmd/stress.
 //
-// One instance check layers four independent oracles:
+// One instance check layers these independent oracles:
 //
 //   - differential: every registered solver (internal/solver) computes the
 //     same distance vector, compared pairwise; bidirectional Dijkstra is
@@ -21,6 +21,13 @@
 //   - engine: the query-execution plane (internal/engine) answers a
 //     concurrent mixed workload — singleflight races, cache hits, explicit
 //     solvers, batches — identically to Dijkstra (engine.go).
+//   - targeted: whatever the engine decides to compute for a request that
+//     names its targets — bidirectional searches, a full solve after they
+//     outgrew their budget, a cached vector — every answer is Dijkstra's, on
+//     the instance and on the instance plus an isolated vertex, a two-vertex
+//     component, a parallel arc and a pendant behind one very heavy arc, both
+//     where n/32 starves the searches and, padded, where it never does; the
+//     pooled search state alone at budgets of 1 and none (targeted.go).
 //   - catalog: the multi-graph catalog (internal/catalog) survives reloads,
 //     loads, and unloads racing beneath live queries without ever failing an
 //     acquire on a ready graph or serving a stale generation's distances

@@ -247,6 +247,11 @@ func CheckInstance(cfg Config, rt *par.Runtime, name string, g *graph.Graph, sou
 		}
 	}
 
+	// The engine's targeted plans against Dijkstra's full vector (targeted.go).
+	if f := checkTargeted(cfg, rt, name, g, sources); f != nil {
+		return f
+	}
+
 	// Metamorphic transformations.
 	if f := checkMetamorphic(cfg, rt, name, g, sources, ref); f != nil {
 		return f
