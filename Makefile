@@ -136,9 +136,10 @@ bench-router:
 
 # Mutation benchmark: a small additive delta's incremental hierarchy repair
 # vs a from-scratch rebuild on the same mutated graph, plus the end-to-end
-# generation step and a delete-bearing (general-repair) delta, written to
-# BENCH_mutate.json. FAILS if the additive repair is not >= 10x faster than
-# the rebuild.
+# generation step, a delete-bearing (general-repair) delta, and Catalog.Mutate
+# for both deltas on a lineage that has demanded its hierarchy and on one that
+# has not (catalog_mutate_*), written to BENCH_mutate.json. FAILS if the
+# additive repair is not >= 10x faster than the rebuild.
 bench-mutate:
 	BENCH_MUTATE_OUT=$(CURDIR)/BENCH_mutate.json \
 		$(GO) test -run TestWriteMutateBenchJSON -count=1 -v ./internal/mutate

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -13,43 +15,49 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/ch"
+	"repro/internal/cli"
 	"repro/internal/dijkstra"
+	"repro/internal/dimacs"
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mutate"
-	"repro/internal/solver"
 )
 
-// lazyServer serves a graph that came without a hierarchy, the way a text or
-// generator start does, with every hierarchy build held until release.
-func lazyServer(t *testing.T) (ts *httptest.Server, srv *server, g *graph.Graph, release func()) {
+// lazyServer serves a graph that came without a hierarchy as "lazy". With
+// fromText the graph goes through a DIMACS file first and the server is made
+// the way main makes one for -graph, so a reload parses the file again;
+// otherwise the server has no source and a reload reinstalls what it was given.
+func lazyServer(t *testing.T, fromText bool) (ts *httptest.Server, srv *server, g *graph.Graph) {
 	t.Helper()
-	release = solver.HoldHierarchyBuilds()
-	t.Cleanup(release)
 	g = gen.Random(500, 2000, 1<<10, gen.UWD, 7)
-	srv = newServer(g, nil, "lazy", catalog.Source{}, serverOptions{
+	var src catalog.Source
+	if fromText {
+		path := filepath.Join(t.TempDir(), "lazy.gr")
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dimacs.WriteGraph(f, g, "lazy"); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		src = catalog.Source{Spec: cli.Spec{File: path}}
+		var h *ch.Hierarchy
+		if g, h, _, _, err = src.Load(true, t.Logf); err != nil || h != nil {
+			t.Fatalf("text load: hierarchy %p, err %v", h, err)
+		}
+	}
+	srv = newServer(g, nil, "lazy", src, serverOptions{
 		workers: 4, maxInflight: 64, timeout: 30 * time.Second,
 		engine: engine.Config{CacheEntries: 64, CacheBytes: 8 << 20},
 	})
 	t.Cleanup(srv.cat.Close)
 	ts = httptest.NewServer(srv.mux())
 	t.Cleanup(ts.Close)
-	return ts, srv, g, release
-}
-
-// waitStatus polls the one graph's catalog row until ok accepts it.
-func waitStatus(t *testing.T, srv *server, what string, ok func(catalog.GraphStatus) bool) catalog.GraphStatus {
-	t.Helper()
-	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
-		st := srv.cat.Status()[0]
-		if ok(st) {
-			return st
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("never saw %s; last row %+v", what, st)
-		}
-	}
+	return ts, srv, g
 }
 
 // wantDist is a Dijkstra vector in the wire's spelling (unreachable = -1).
@@ -96,16 +104,74 @@ func sameDist(t *testing.T, what string, got, want []int64) {
 	}
 }
 
-// The point of the change: with the hierarchy build held open, every default
-// query answers, and correctly; what needs the hierarchy — Thorup by name,
-// /stats, a mutation's repair — waits for the one build and is then correct.
-func TestAnswersBeforeHierarchy(t *testing.T) {
-	ts, srv, g, release := lazyServer(t)
+// hierarchyView is what the three reporting routes say about one graph's
+// hierarchy, and how many the catalog has built.
+type hierarchyView struct {
+	Stats   map[string]any
+	Graphs  hierarchyRow
+	Metrics hierarchyRow
+	Builds  float64
+}
 
-	// Default-policy queries: no hierarchy, no wait. A /dist is a targeted
-	// query: to the far end of its source's lightest arc the search is inside
-	// the budget even at n = 500 (15 settled vertices); the source's second
-	// touch is the policy's full solve.
+type hierarchyRow struct {
+	Gen              uint64  `json:"gen"`
+	Hierarchy        string  `json:"hierarchy"`
+	HierarchyBuildMS float64 `json:"hierarchy_build_ms"`
+}
+
+func viewHierarchy(t *testing.T, base string) (v hierarchyView) {
+	t.Helper()
+	var l struct {
+		Graphs []hierarchyRow `json:"graphs"`
+	}
+	var m struct {
+		Catalog struct {
+			GraphStates     []hierarchyRow `json:"graph_states"`
+			HierarchyBuilds *float64       `json:"hierarchy_builds"`
+		} `json:"catalog"`
+	}
+	if code := getJSON(t, base+"/stats", &v.Stats); code != 200 {
+		t.Fatalf("/stats: %d %v", code, v.Stats)
+	}
+	if code := getJSON(t, base+"/graphs", &l); code != 200 || len(l.Graphs) != 1 {
+		t.Fatalf("/graphs: %d %+v", code, l)
+	}
+	if code := getJSON(t, base+"/metrics", &m); code != 200 || len(m.Catalog.GraphStates) != 1 || m.Catalog.HierarchyBuilds == nil {
+		t.Fatalf("/metrics: %d %+v", code, m)
+	}
+	return hierarchyView{v.Stats, l.Graphs[0], m.Catalog.GraphStates[0], *m.Catalog.HierarchyBuilds}
+}
+
+// chKeys are the /stats fields that describe a hierarchy: all there when the
+// generation has one, none when it has none.
+var chKeys = []string{"chNodes", "chHeight", "chAvgChildren", "chBytes", "instanceBytes"}
+
+func (v hierarchyView) check(t *testing.T, when, state string, builds float64) {
+	t.Helper()
+	if v.Stats["hierarchy"] != state || v.Graphs.Hierarchy != state || v.Metrics.Hierarchy != state || v.Builds != builds {
+		t.Fatalf("%s: hierarchy %v (/stats) %s (/graphs) %s (/metrics), %v builds; want %s, %v",
+			when, v.Stats["hierarchy"], v.Graphs.Hierarchy, v.Metrics.Hierarchy, v.Builds, state, builds)
+	}
+	for _, k := range chKeys {
+		if _, has := v.Stats[k]; has != (state != "unbuilt") {
+			t.Fatalf("%s: /stats has %q: %v, with the hierarchy %s", when, k, has, state)
+		}
+	}
+	if wantMS := state == "built"; (v.Graphs.HierarchyBuildMS > 0) != wantMS || v.Metrics.HierarchyBuildMS != v.Graphs.HierarchyBuildMS {
+		t.Fatalf("%s: hierarchy_build_ms %v (/graphs) %v (/metrics), with the hierarchy %s", when, v.Graphs.HierarchyBuildMS, v.Metrics.HierarchyBuildMS, state)
+	}
+}
+
+// A text start, then every route a default client uses — /dist, /st, /sssp,
+// /table, /batch, ten mutations of every kind and width, a reload, /stats,
+// /graphs, /metrics — and at the end no hierarchy has been built: the answers
+// are right and the three reporting routes say unbuilt.
+func TestNoRouteBuildsHierarchy(t *testing.T) {
+	ts, srv, g := lazyServer(t, true)
+
+	// A /dist is a targeted query: to the far end of its source's lightest arc
+	// the search is inside the budget even at n = 500; the other is the
+	// policy's full solve.
 	var dist struct {
 		Dist   int64  `json:"dist"`
 		Solver string `json:"solver"`
@@ -121,134 +187,160 @@ func TestAnswersBeforeHierarchy(t *testing.T) {
 			t.Fatalf("/dist to %d = %d by %s, want %d by %s", dst, dist.Dist, dist.Solver, want, solver)
 		}
 	}
-	checkServedDistances(t, ts.URL, "lazy", 5, g)
+	if code := getJSON(t, ts.URL+"/st?s=12&t=400", &dist); code != 200 || dist.Dist != wantDist(g, 12)[400] {
+		t.Fatalf("/st: %d, dist %d, want %d", code, dist.Dist, wantDist(g, 12)[400])
+	}
+	checkServedDistances(t, ts.URL, "lazy", 5, g) // /sssp
+	var table struct {
+		Dist [][]int64 `json:"dist"`
+	}
+	if code := getJSON(t, ts.URL+"/table?src=1,2&dst=30,31,32", &table); code != 200 || table.Dist[1][2] != wantDist(g, 2)[32] {
+		t.Fatalf("/table: %d %v", code, table)
+	}
 	var batch batchResp
 	if code := postJSON(t, ts.URL+"/batch", `{"queries":[{"src":11},{"srcs":[11,200,407]}],"full":true}`, &batch); code != 200 {
 		t.Fatalf("/batch: %d", code)
 	}
 	sameDist(t, "/batch item 0", batch.Results[0].Dist, wantDist(g, 11))
 	sameDist(t, "/batch item 1", batch.Results[1].Dist, wantDist(g, 11, 200, 407))
-	if st := srv.cat.Status()[0]; st.Hierarchy != "building" || st.HierarchyBuildMS != 0 {
-		t.Fatalf("status with the build held: %+v", st)
-	}
 
-	// What needs the hierarchy. The Thorup query and /stats take their
-	// references on generation 1 (the background build holds one too) before
-	// the mutation is sent, and the mutation is pending before anything is
-	// released, so each provably waited on the same build.
-	var (
-		wg     sync.WaitGroup
-		thorup struct {
-			Solver string  `json:"solver"`
-			Dist   []int64 `json:"dist"`
+	// Ten writes: re-weightings up and down, inserts, a delete, and a batch
+	// wide enough (> 5% of the vertices) that a repair would have fallen back.
+	var wide mutate.Batch
+	for i := 0; i < 40; i++ {
+		wide.Ops = append(wide.Ops, mutate.Op{Op: mutate.OpInsert, U: 0, V: int32(100 + 10*i), W: 2})
+	}
+	want := g
+	for i := 0; i < 10; i++ {
+		var b *mutate.Batch
+		switch i % 5 {
+		case 0:
+			b = pickEdges(want, 4, uint32(i+1)) // heavier: a general repair, were there one
+		case 1:
+			b = &mutate.Batch{Ops: []mutate.Op{{Op: mutate.OpInsert, U: int32(i), V: int32(300 + i), W: 1}}}
+		case 2:
+			b = &mutate.Batch{Ops: []mutate.Op{{Op: mutate.OpDelete, U: int32(i - 1), V: int32(300 + i - 1)}}}
+		case 3:
+			b = &wide
+		case 4:
+			e := want.Edges()[i]
+			b = &mutate.Batch{Ops: []mutate.Op{{Op: mutate.OpSetWeight, U: e.U, V: e.V, W: 1}}} // lighter: additive
 		}
-		stats   map[string]any
-		mutated map[string]any
-		codes   [3]int
-		done    = make(chan struct{})
-	)
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		codes[0] = fetch(t, "GET", ts.URL+"/sssp?src=7&solver=thorup&full=1", "", &thorup)
-	}()
-	go func() { defer wg.Done(); codes[1] = fetch(t, "GET", ts.URL+"/stats", "", &stats) }()
-	waitStatus(t, srv, "three references on generation 1", func(st catalog.GraphStatus) bool { return st.InFlight == 3 })
-	b := pickEdges(g, 4, 11)
-	body := mutateBody(t, b)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		codes[2] = fetch(t, "POST", ts.URL+"/graphs/lazy/mutate", body, &mutated)
-	}()
-	waitStatus(t, srv, "the mutation pending", func(st catalog.GraphStatus) bool { return st.Pending })
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-		t.Fatal("a request that needs the hierarchy finished while its build was held")
-	case <-time.After(50 * time.Millisecond):
-	}
-	if st := srv.cat.Status()[0]; st.Gen != 1 || st.Hierarchy != "building" {
-		t.Fatalf("status while waiting: %+v", st)
-	}
-
-	release()
-	<-done
-	if codes != [3]int{200, 200, 200} {
-		t.Fatalf("status codes thorup/stats/mutate = %v (%v)", codes, mutated)
-	}
-	if thorup.Solver != "thorup" {
-		t.Fatalf("solver=thorup ran %q", thorup.Solver)
-	}
-	sameDist(t, "solver=thorup", thorup.Dist, wantDist(g, 7))
-	if got, want := stats["chNodes"].(float64), float64(ch.BuildKruskal(g).NumNodes()); got != want {
-		t.Fatalf("/stats chNodes = %v, want %v", got, want)
-	}
-	if mutated["status"] != "mutated" || mutated["gen"].(float64) != 2 {
-		t.Fatalf("mutate response %v", mutated)
-	}
-	want, err := mutate.ReferenceApply(g, b)
-	if err != nil {
-		t.Fatal(err)
+		var resp map[string]any
+		if code := postJSON(t, ts.URL+"/graphs/lazy/mutate", mutateBody(t, b), &resp); code != 200 || resp["status"] != "mutated" || resp["gen"].(float64) != float64(i+2) {
+			t.Fatalf("mutation %d: %d %v", i, code, resp)
+		}
+		var err error
+		if want, err = mutate.ReferenceApply(want, b); err != nil {
+			t.Fatal(err)
+		}
 	}
 	checkServedDistances(t, ts.URL, "lazy", 3, want)
-	// The repaired hierarchy came with generation 2.
-	if st := srv.cat.Status()[0]; st.Gen != 2 || st.Hierarchy != "carried" {
-		t.Fatalf("status after the mutation: %+v", st)
-	}
-}
+	viewHierarchy(t, ts.URL).check(t, "after ten mutations", "unbuilt", 0)
 
-// GET /graphs and /metrics say where a graph's hierarchy is: building, then
-// built with what the build took; carried when the instance came with one;
-// and a reload of a source-less server reinstalls the instance, hierarchy
-// included, instead of building a second one.
-func TestGraphsReportHierarchy(t *testing.T) {
-	type row struct {
-		Name             string  `json:"name"`
-		Gen              uint64  `json:"gen"`
-		Hierarchy        string  `json:"hierarchy"`
-		HierarchyBuildMS float64 `json:"hierarchy_build_ms"`
-	}
-	listing := func(ts *httptest.Server) (graphs, metrics row) {
-		var l struct {
-			Graphs []row `json:"graphs"`
-		}
-		var m struct {
-			Catalog struct {
-				GraphStates []row `json:"graph_states"`
-			} `json:"catalog"`
-		}
-		if code := getJSON(t, ts.URL+"/graphs", &l); code != 200 || len(l.Graphs) != 1 {
-			t.Fatalf("/graphs: %d %+v", code, l)
-		}
-		if code := getJSON(t, ts.URL+"/metrics", &m); code != 200 || len(m.Catalog.GraphStates) != 1 {
-			t.Fatalf("/metrics: %d %+v", code, m)
-		}
-		return l.Graphs[0], m.Catalog.GraphStates[0]
-	}
-
-	ts, srv, _, release := lazyServer(t)
-	if g, m := listing(ts); g.Hierarchy != "building" || m.Hierarchy != "building" || g.HierarchyBuildMS != 0 {
-		t.Fatalf("with the build held: /graphs %+v, /metrics %+v", g, m)
-	}
-	release()
-	waitStatus(t, srv, "hierarchy built", func(st catalog.GraphStatus) bool { return st.Hierarchy == "built" })
-	if g, m := listing(ts); g.Hierarchy != "built" || m.Hierarchy != "built" || g.HierarchyBuildMS <= 0 || m.HierarchyBuildMS != g.HierarchyBuildMS {
-		t.Fatalf("after the build: /graphs %+v, /metrics %+v", g, m)
-	}
-	var reloaded map[string]any
-	if code := postJSON(t, ts.URL+"/graphs/reload", `{"name":"lazy"}`, &reloaded); code != 202 {
-		t.Fatalf("reload: %d %v", code, reloaded)
+	if code := postJSON(t, ts.URL+"/graphs/reload", `{"name":"lazy"}`, &map[string]any{}); code != 202 {
+		t.Fatalf("reload: %d", code)
 	}
 	if err := srv.cat.WaitReady("lazy", 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if g, _ := listing(ts); g.Gen != 2 || g.Hierarchy != "carried" {
-		t.Fatalf("after the reload: %+v", g)
+	checkServedDistances(t, ts.URL, "lazy", 9, want) // the file again, and the ten deltas over it
+	v := viewHierarchy(t, ts.URL)
+	v.check(t, "after the reload", "unbuilt", 0)
+	if v.Graphs.Gen != 12 {
+		t.Fatalf("serving generation %d at the end, want 12", v.Graphs.Gen)
+	}
+}
+
+// What does need the hierarchy gets it, in its own request and once: eight
+// concurrent first solver=thorup / thorup-serial queries on a generation that
+// an un-demanded mutation made share one build — over the mutated graph — and
+// from then on a mutation repairs it and hands it to its child.
+func TestAnswersBeforeHierarchy(t *testing.T) {
+	ts, _, g := lazyServer(t, false)
+	b1 := pickEdges(g, 4, 11)
+	var mutated map[string]any
+	if code := postJSON(t, ts.URL+"/graphs/lazy/mutate", mutateBody(t, b1), &mutated); code != 200 || mutated["gen"].(float64) != 2 {
+		t.Fatalf("mutation of an un-demanded graph: %d %v", code, mutated)
+	}
+	g2, err := mutate.ReferenceApply(g, b1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viewHierarchy(t, ts.URL).check(t, "before any demand", "unbuilt", 0)
+
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var resp struct {
+				Solver string  `json:"solver"`
+				Dist   []int64 `json:"dist"`
+			}
+			name := []string{"thorup", "thorup-serial"}[i%2]
+			if code := fetch(t, "GET", fmt.Sprintf("%s/sssp?src=%d&solver=%s&full=1", ts.URL, 7+i, name), "", &resp); code != 200 || resp.Solver != name {
+				t.Errorf("solver=%s: %d, ran %q", name, code, resp.Solver)
+				return
+			}
+			if !slices.Equal(resp.Dist, wantDist(g2, int32(7+i))) {
+				t.Errorf("solver=%s from %d: wrong distances over the demanded hierarchy", name, 7+i)
+			}
+		}()
+	}
+	wg.Wait()
+	v := viewHierarchy(t, ts.URL)
+	v.check(t, "after eight concurrent first demands", "built", 1)
+	if got, want := v.Stats["chNodes"].(float64), float64(ch.BuildKruskal(g2).NumNodes()); got != want {
+		t.Fatalf("/stats chNodes = %v, want %v", got, want)
+	}
+
+	b2 := &mutate.Batch{Ops: []mutate.Op{{Op: mutate.OpInsert, U: 1, V: 400, W: 1}}}
+	if code := postJSON(t, ts.URL+"/graphs/lazy/mutate", mutateBody(t, b2), &mutated); code != 200 || mutated["gen"].(float64) != 3 {
+		t.Fatalf("mutation of a demanded graph: %d %v", code, mutated)
+	}
+	g3, err := mutate.ReferenceApply(g2, b2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkServedDistances(t, ts.URL, "lazy", 3, g3)
+	var thorup struct {
+		Dist []int64 `json:"dist"`
+	}
+	if code := getJSON(t, ts.URL+"/sssp?src=1&solver=thorup&full=1", &thorup); code != 200 {
+		t.Fatalf("solver=thorup over the repaired hierarchy: %d", code)
+	}
+	sameDist(t, "solver=thorup over the repaired hierarchy", thorup.Dist, wantDist(g3, 1))
+	viewHierarchy(t, ts.URL).check(t, "after the repair", "carried", 1)
+}
+
+// GET /graphs, /metrics and /stats say where a graph's hierarchy is: unbuilt,
+// then built with what the demand build took; a reload of a source-less server
+// reinstalls what the server was given — no hierarchy, so unbuilt again; and an
+// instance that came with one says carried, used or not, and never builds.
+func TestGraphsReportHierarchy(t *testing.T) {
+	ts, srv, _ := lazyServer(t, false)
+	viewHierarchy(t, ts.URL).check(t, "at the start", "unbuilt", 0)
+	if code := getJSON(t, ts.URL+"/sssp?src=1&solver=thorup", &map[string]any{}); code != 200 {
+		t.Fatalf("solver=thorup: %d", code)
+	}
+	viewHierarchy(t, ts.URL).check(t, "after the demand", "built", 1)
+	if code := postJSON(t, ts.URL+"/graphs/reload", `{"name":"lazy"}`, &map[string]any{}); code != 202 {
+		t.Fatalf("reload: %d", code)
+	}
+	if err := srv.cat.WaitReady("lazy", 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	v := viewHierarchy(t, ts.URL)
+	v.check(t, "after the reload", "unbuilt", 1)
+	if v.Graphs.Gen != 2 {
+		t.Fatalf("after the reload: generation %d, want 2", v.Graphs.Gen)
 	}
 
 	carried, _ := testServer(t)
-	if g, m := listing(carried); g.Hierarchy != "carried" || m.Hierarchy != "carried" || g.HierarchyBuildMS != 0 {
-		t.Fatalf("prebuilt instance: /graphs %+v, /metrics %+v", g, m)
+	viewHierarchy(t, carried.URL).check(t, "prebuilt instance", "carried", 0)
+	if code := getJSON(t, carried.URL+"/sssp?src=1&solver=thorup", &map[string]any{}); code != 200 {
+		t.Fatalf("solver=thorup: %d", code)
 	}
+	viewHierarchy(t, carried.URL).check(t, "prebuilt instance, used", "carried", 0)
 }

@@ -1,5 +1,5 @@
 // Command ssspd is a shortest-path query daemon: it serves a catalog of
-// graphs, each with a Component Hierarchy built once and queried many times
+// graphs, each with at most one Component Hierarchy queried many times
 // concurrently — the service shape the paper's shared-CH design is made for
 // (one immutable hierarchy, many simultaneous traversals, cheap per-query
 // state).
@@ -39,9 +39,8 @@
 // zero-copy straight from an mmap of the file (-mmap, default on); mmap-less
 // and big-endian hosts fall back to the copy read, and an unmap happens only
 // after a retired generation's last in-flight query has released. Text and
-// generator sources carry no hierarchy: they serve as soon as the graph is
-// loaded and build one in the background, which a solver=thorup query, a
-// mutation or /stats waits for if it arrives first.
+// generator sources carry no hierarchy and nothing builds one until a query
+// names a solver that reads it (solver=thorup); that request builds it, once.
 // Query execution runs through the internal/engine query plane: pooled
 // solver state, singleflight deduplication of concurrent identical queries,
 // a bounded LRU result cache (-cache-entries / -cache-bytes), and a
@@ -124,7 +123,7 @@ func main() {
 		traceRing    = flag.Int("trace-ring", 256, "retained-trace ring buffer capacity for /debug/traces")
 		slowQuery    = flag.Duration("slow-query", 0, "log and always retain query traces at least this slow (0 disables the slow-query log)")
 		pprofAddr    = flag.String("pprof-addr", "", "serve net/http/pprof on this separate listener (empty disables profiling)")
-		mutateThresh = flag.Float64("mutate-threshold", 0, "max fraction of vertices a mutation batch may touch and still repair the hierarchy incrementally; larger deltas rebuild in the background (0 = default 0.05, negative = always rebuild)")
+		mutateThresh = flag.Float64("mutate-threshold", 0, "max fraction of vertices a mutation batch may touch and still repair the hierarchy incrementally; larger deltas rebuild in the background (0 = default 0.05, negative = always rebuild); judges only graphs whose hierarchy a query has demanded")
 		costModel    = flag.String("cost-model", "", "learned cost-model coefficients file (cmd/costfit output) driving solver selection; empty, missing, or stale keeps the static policy")
 		admitHead    = flag.Float64("admit-headroom", 0, "predictive admission: shed queries whose model-predicted cost exceeds -timeout times this factor with 503 before they occupy a worker (0 disables)")
 		costSamples  = flag.Int("cost-samples", costmodel.DefaultSamples, "cost-model training-sample ring capacity exported by /debug/costmodel/dataset")
@@ -136,8 +135,7 @@ func main() {
 		src = catalog.Source{Snapshot: *snapFile}
 	}
 	// The load (parse, or snapshot map and verify) is all a start waits for:
-	// a source without a hierarchy serves at once and the catalog builds one
-	// in the background, logging its own line when it lands.
+	// a source without a hierarchy serves without one.
 	start := time.Now()
 	g, h, mapping, name, err := src.Load(*useMmap, log.Printf)
 	if err != nil {
@@ -246,8 +244,7 @@ type server struct {
 }
 
 // newServer starts a catalog serving (g, h) as name. h is nil when the source
-// carried no hierarchy; the startup generation then builds it in the
-// background (catalog.AddPrebuilt).
+// carried no hierarchy.
 func newServer(g *graph.Graph, h *ch.Hierarchy, name string, src catalog.Source, opts serverOptions) *server {
 	if opts.maxInflight < 1 {
 		opts.maxInflight = 1
@@ -278,14 +275,12 @@ func newServer(g *graph.Graph, h *ch.Hierarchy, name string, src catalog.Source,
 		MutateThreshold: opts.mutateThresh,
 		Logf:            log.Printf,
 	})
-	var first *catalog.Generation
 	if src.Loader == nil && src.Snapshot == "" && src.Spec == (cli.Spec{}) {
 		// No reloadable source (tests, programmatic construction): reloads
-		// reinstall the same instance, hierarchy included.
-		src = catalog.Source{Loader: func() (*graph.Graph, *ch.Hierarchy, error) { return g, first.H(), nil }}
+		// reinstall what the server was given.
+		src = catalog.Source{Loader: func() (*graph.Graph, *ch.Hierarchy, error) { return g, h, nil }}
 	}
-	first, err := cat.AddPrebuilt(name, src, g, h, opts.mapping)
-	if err != nil {
+	if _, err := cat.AddPrebuilt(name, src, g, h, opts.mapping); err != nil {
 		panic(err) // fresh catalog: the only failure is a duplicate name
 	}
 	tcfg := opts.trace
@@ -520,25 +515,27 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	st := gen.Stats() // waits for a hierarchy still being built
-	httpx.WriteJSON(w, http.StatusOK, map[string]any{
-		"instance":      gen.Name,
-		"generation":    gen.Gen,
-		"vertices":      gen.G.NumVertices(),
-		"edges":         gen.G.NumEdges(),
-		"maxWeight":     gen.G.MaxWeight(),
-		"delta":         gen.Engine.Delta(),
-		"chNodes":       st.Components,
-		"chHeight":      st.Height,
-		"chAvgChildren": st.AvgChildren,
-		"chBytes":       st.CHBytes,
-		// Arithmetic from the hierarchy's dimensions — no query allocation.
-		"instanceBytes":   gen.Engine.InstanceBytes(),
+	h, state, _ := gen.Hierarchy()
+	doc := map[string]any{
+		"instance":        gen.Name,
+		"generation":      gen.Gen,
+		"vertices":        gen.G.NumVertices(),
+		"edges":           gen.G.NumEdges(),
+		"maxWeight":       gen.G.MaxWeight(),
+		"delta":           gen.Engine.Delta(),
+		"hierarchy":       state,
 		"cacheMaxEntries": s.ecfg.CacheEntries,
 		"cacheMaxBytes":   s.ecfg.CacheBytes,
 		"batchWorkers":    s.ecfg.BatchWorkers,
 		"catalog":         s.cat.StatsSnapshot(),
-	})
+	}
+	if h != nil { // /stats describes a hierarchy that is there; it never builds one
+		st := h.ComputeStats()
+		doc["chNodes"], doc["chHeight"], doc["chAvgChildren"], doc["chBytes"] = st.Components, st.Height, st.AvgChildren, st.CHBytes
+		// Arithmetic from the hierarchy's dimensions — no query allocation.
+		doc["instanceBytes"] = gen.Engine.InstanceBytes()
+	}
+	httpx.WriteJSON(w, http.StatusOK, doc)
 }
 
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -742,9 +739,9 @@ func (s *server) handleGraphUnload(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleGraphMutate applies a JSON batch of edge mutations (set_weight,
-// insert, delete) to the named graph. Small deltas repair the hierarchy
-// incrementally and answer 200 with the new generation already serving;
-// deltas over the threshold answer 202 and rebuild in the background. A
+// insert, delete) to the named graph and answers 200 with the new generation
+// already serving; where a query has demanded the hierarchy the batch repairs
+// it too, or answers 202 and rebuilds in the background past the threshold. A
 // malformed or invalid batch is 400, an unknown graph 404, and a graph
 // mid-build (or otherwise not ready) 409 — nothing is applied in that case,
 // so the client can simply retry after the build completes.

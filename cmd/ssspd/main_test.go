@@ -111,12 +111,13 @@ func TestStatsInstanceBytesMatchesQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer release()
-	if want := core.NewSolver(gen1.H(), par.NewExec(1)).Query().InstanceBytes(); stats.InstanceBytes != want {
+	h, _, _ := gen1.Hierarchy()
+	if want := core.NewSolver(h, par.NewExec(1)).Query().InstanceBytes(); stats.InstanceBytes != want {
 		t.Fatalf("instanceBytes %d, want %d", stats.InstanceBytes, want)
 	}
 	// The daemon runs the exec kernel, so it must not report the (larger)
 	// instance of the sim kernel that Table 2 prints.
-	if sim := core.NewSolver(gen1.H(), par.NewSim(mta.MTA2(1))).InstanceBytes(); stats.InstanceBytes >= sim {
+	if sim := core.NewSolver(h, par.NewSim(mta.MTA2(1))).InstanceBytes(); stats.InstanceBytes >= sim {
 		t.Fatalf("instanceBytes %d is not below the sim kernel's %d", stats.InstanceBytes, sim)
 	}
 }

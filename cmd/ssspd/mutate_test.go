@@ -65,12 +65,16 @@ func checkServedDistances(t *testing.T, base, graphName string, src int32, want 
 	}
 }
 
-// TestGraphMutateEndpoint drives the full HTTP mutation path: a small batch
-// takes the incremental path (200, generation already serving), an over-
-// threshold batch falls back to a background rebuild (202), and the served
-// distances after each swap match Dijkstra on a reference-applied graph.
+// TestGraphMutateEndpoint drives the full HTTP mutation path on a graph whose
+// hierarchy a query has demanded: a small batch takes the incremental path
+// (200, generation already serving), an over-threshold batch falls back to a
+// background rebuild (202), and the served distances after each swap match
+// Dijkstra on a reference-applied graph.
 func TestGraphMutateEndpoint(t *testing.T) {
 	ts, srv, g := testServerOpts(t, 64, 30*time.Second)
+	if code := getJSON(t, ts.URL+"/sssp?src=1&solver=thorup", &map[string]any{}); code != 200 {
+		t.Fatalf("solver=thorup: code %d", code)
+	}
 
 	b1 := pickEdges(g, 4, 11)
 	var ok map[string]any

@@ -23,9 +23,9 @@ import (
 // cold mmap (first map of a file: full verification), warm mmap (re-map of a
 // verified file: O(1)) — and the first-query latency of a warmed versus a
 // cold engine, the cost the warming phase hides from the first client after
-// a swap. A text activation serves after the parse alone and builds its
-// hierarchy in the background; text_load_ns stays the sum of the two, the
-// work a snapshot saves. Gates: a snapshot copy load is faster than that sum
+// a swap. A text activation serves after the parse alone and builds a
+// hierarchy only when a query demands one; text_load_ns stays the sum of the
+// two, the work a snapshot saves. Gates: a snapshot copy load is faster than that sum
 // (>= 2x), and warm mmap >= 50x over the copy load.
 func TestWriteCatalogBenchJSON(t *testing.T) {
 	out := os.Getenv("BENCH_CATALOG_OUT")
@@ -64,7 +64,7 @@ func TestWriteCatalogBenchJSON(t *testing.T) {
 	}
 
 	// The work of a text activation: parse DIMACS (what the first answer
-	// waits for), then build the Component Hierarchy (in the background).
+	// waits for), then build the Component Hierarchy (the first Thorup query).
 	textLoad := avg(3, func() {
 		rf, err := os.Open(grPath)
 		if err != nil {

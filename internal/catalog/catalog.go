@@ -41,8 +41,8 @@ func (e *NotReadyError) Error() string {
 
 // Source says where a graph comes from, in priority order: an in-process
 // Loader (tests, stress harnesses), a binary snapshot (graph + prebuilt
-// hierarchy in one read), or a cli.Spec (DIMACS file or generator, whose
-// hierarchy is built in the background once the generation serves).
+// hierarchy in one read), or a cli.Spec (DIMACS file or generator: no
+// hierarchy until a query demands one).
 type Source struct {
 	// Loader produces the instance directly; it wins over the other fields.
 	Loader func() (*graph.Graph, *ch.Hierarchy, error)
@@ -67,7 +67,7 @@ func (s Source) String() string {
 
 // Load resolves the source — the one loader behind background builds and a
 // daemon's startup graph alike. The hierarchy is nil when the source carries
-// none (Spec sources: the generation's solver instance builds it). With mmap
+// none (Spec sources). With mmap
 // set, snapshot sources are mapped zero-copy when the platform allows it,
 // falling back to the copy read (logged through logf) otherwise; a non-nil
 // mapping is returned exactly when the instance's arrays alias it, and the
@@ -116,9 +116,9 @@ type Config struct {
 	// copy read).
 	MMap bool
 	// MutateThreshold is the maximum fraction of vertices a mutation batch
-	// may touch and still take the incremental repair path; larger deltas
-	// fall back to a background full rebuild. 0 means mutate.DefaultThreshold;
-	// a negative value forces fallback for every mutation.
+	// may touch and still have the hierarchy repaired; larger deltas fall back
+	// to a background full rebuild. 0 means mutate.DefaultThreshold; a negative
+	// value forces the fallback. Only a batch that would repair is judged.
 	MutateThreshold float64
 	// Logf receives progress lines (default log.Printf).
 	Logf func(string, ...any)
@@ -184,6 +184,7 @@ const (
 	cMutations         = "mutations"
 	cMutateIncremental = "mutate_incremental"
 	cMutateFallback    = "mutate_fallback"
+	cHierarchyBuilds   = "hierarchy_builds"
 )
 
 // New creates a catalog and starts its build workers. Call Close to stop
@@ -210,7 +211,7 @@ func New(cfg Config) *Catalog {
 		done:    make(chan struct{}),
 		counters: obs.NewGroup(cLoads, cReloads, cUnloads, cBuilds, cSwaps,
 			cEvictions, cLoadFailures, cAcquires, cNotReady, cWarmQueries,
-			cMutations, cMutateIncremental, cMutateFallback),
+			cMutations, cMutateIncremental, cMutateFallback, cHierarchyBuilds),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		c.wg.Add(1)
@@ -257,8 +258,8 @@ func (c *Catalog) enqueue(name string) {
 
 // AddPrebuilt installs an already-loaded instance synchronously as generation
 // 1 — the path for a daemon's startup graph, which is loaded before the
-// listener opens. A nil h is built in the background while the generation
-// serves. src is remembered for later reloads. When the instance was loaded
+// listener opens. A nil h stays unbuilt until a query demands a hierarchy.
+// src is remembered for later reloads. When the instance was loaded
 // via snapshot.Map, pass its mapping (nil otherwise): the generation takes
 // ownership and unmaps it after its last query drains.
 func (c *Catalog) AddPrebuilt(name string, src Source, g *graph.Graph, h *ch.Hierarchy, m *snapshot.Mapping) (*Generation, error) {
@@ -279,10 +280,9 @@ func (c *Catalog) AddPrebuilt(name string, src Source, g *graph.Graph, h *ch.Hie
 
 // installLocked is the swap: gen becomes e's serving generation, the pending
 // build (if any) is over, the name counts as just used, and the memory
-// budget is re-checked with this name exempt. A generation installed without
-// a hierarchy starts building it now, off the serving path. It returns the
-// generation gen replaced (nil for a first install), which the caller retires
-// once it has dropped the lock.
+// budget is re-checked with this name exempt. It returns the generation gen
+// replaced (nil for a first install), which the caller retires once it has
+// dropped the lock.
 func (c *Catalog) installLocked(e *entry, gen *Generation) (old *Generation) {
 	old = e.gen
 	e.gen = gen
@@ -292,29 +292,18 @@ func (c *Catalog) installLocked(e *entry, gen *Generation) (old *Generation) {
 	e.lastUsed = c.clock
 	c.counters.C(cSwaps).Inc()
 	c.evictLocked(e.name)
-	if gen.hierarchy == "building" {
-		gen.acquire() // the build reads the graph, which may alias a mapping
-		go c.finishHierarchy(gen)
-	}
 	return old
 }
 
-// finishHierarchy is the goroutine of a generation installed without a
-// hierarchy: it starts the instance's one build — or joins it, when a Thorup
-// query, a mutation or /stats got there first — then charges the result to the
-// memory budget. A generation retired meanwhile lets it finish into garbage.
-func (c *Catalog) finishHierarchy(gen *Generation) {
-	start := time.Now()
-	h := gen.H()
-	ms := time.Since(start).Seconds() * 1e3
-	gen.release()
+// hierarchyBuilt is every generation's solver.Instance.OnBuild: a query that
+// named a hierarchy solver has just built name@gen's, in its own request. The
+// bytes count from now (Bytes reads them live): the budget is re-checked here.
+func (c *Catalog) hierarchyBuilt(name string, gen uint64, h *ch.Hierarchy, ms float64) {
+	c.counters.C(cHierarchyBuilds).Inc()
 	c.mu.Lock()
-	gen.hierarchy, gen.hierBuildMS = "built", ms
-	gen.HeapBytes += h.Bytes()
-	gen.Bytes += h.Bytes()
-	c.evictLocked(gen.Name)
+	c.evictLocked(name)
 	c.mu.Unlock()
-	c.logf("catalog: hierarchy for %s gen %d: %d nodes in %.1f ms", gen.Name, gen.Gen, h.NumNodes(), ms)
+	c.logf("catalog: hierarchy for %s gen %d built on demand: %d nodes in %.1f ms", name, gen, h.NumNodes(), ms)
 }
 
 // Load brings a named graph into service in the background. Loading an
@@ -490,7 +479,7 @@ func (c *Catalog) AcquireTraced(ctx context.Context, name string) (*Generation, 
 
 // runJob executes one background build: load the source, replay the delta
 // log, construct and warm a fresh engine, then swap it in — with the source's
-// hierarchy if it carried one that still fits, else without (installLocked).
+// hierarchy if it carried one that still fits, else without.
 // Initial loads walk the entry through loading→building→warming→ready;
 // reloads leave the serving state alone.
 func (c *Catalog) runJob(name string) {
@@ -537,7 +526,6 @@ func (c *Catalog) runJob(name string) {
 	c.counters.C(cBuilds).Inc()
 
 	gen := c.newGeneration(name, genNum, g, h, m)
-	bytes := gen.Bytes // as installed; a background hierarchy build adds to it
 	c.advance(name, StateWarming, isReload)
 	c.warm(gen.Engine, g)
 
@@ -563,7 +551,7 @@ func (c *Catalog) runJob(name string) {
 		residence = "mmap"
 	}
 	c.logf("catalog: %s gen %d ready from %s (n=%d m=%d, %d bytes %s, load_ms=%.1f, %s)",
-		name, genNum, src, g.NumVertices(), g.NumEdges(), bytes, residence,
+		name, genNum, src, g.NumVertices(), g.NumEdges(), gen.Bytes(), residence,
 		loaded.Sub(start).Seconds()*1e3, time.Since(start).Round(time.Millisecond))
 }
 
@@ -634,7 +622,7 @@ func (c *Catalog) evictLocked(except string) {
 			if e.state != StateReady || e.gen == nil {
 				continue
 			}
-			total += e.gen.Bytes
+			total += e.gen.Bytes()
 			if e.name == except || e.gen.InFlight() > 0 {
 				continue
 			}
@@ -647,7 +635,7 @@ func (c *Catalog) evictLocked(except string) {
 		}
 		c.counters.C(cEvictions).Inc()
 		c.logf("catalog: evicting %s (LRU, %d bytes; ready total %d > budget %d)",
-			victim.name, victim.gen.Bytes, total, c.cfg.MemoryBudget)
+			victim.name, victim.gen.Bytes(), total, c.cfg.MemoryBudget)
 		c.retireLocked(victim)
 	}
 }
@@ -709,8 +697,9 @@ type GraphStatus struct {
 	InFlight  int64  `json:"in_flight,omitempty"`
 	Pending   bool   `json:"pending,omitempty"`
 	Error     string `json:"error,omitempty"`
-	// Hierarchy is "carried" when the serving generation came with one (snapshot,
-	// mutation repair), else "building", then "built" in HierarchyBuildMS.
+	// Hierarchy is "unbuilt" until a query names a solver that reads one, then
+	// "built" in HierarchyBuildMS; "carried" when the serving generation came
+	// with one (snapshot, repair on a lineage that has demanded it).
 	Hierarchy        string  `json:"hierarchy,omitempty"`
 	HierarchyBuildMS float64 `json:"hierarchy_build_ms,omitempty"`
 }
@@ -733,13 +722,13 @@ func (c *Catalog) Status() []GraphStatus {
 			gs.Edges = e.gen.G.NumEdges()
 			gs.MaxWeight = e.gen.G.MaxWeight()
 			gs.Delta = e.gen.Engine.Delta()
-			gs.Bytes = e.gen.Bytes
-			gs.HeapBytes = e.gen.HeapBytes
+			gs.HeapBytes = e.gen.HeapBytes()
 			gs.MappedBytes = e.gen.MappedBytes
+			gs.Bytes = gs.HeapBytes + gs.MappedBytes
 			gs.ParentGen = e.gen.ParentGen
 			gs.DeltaSize = e.gen.DeltaSize
 			gs.InFlight = e.gen.InFlight()
-			gs.Hierarchy, gs.HierarchyBuildMS = e.gen.hierarchy, e.gen.hierBuildMS
+			_, gs.Hierarchy, gs.HierarchyBuildMS = e.gen.Hierarchy()
 		}
 		gs.Deltas = len(e.deltas)
 		if e.err != nil {
@@ -764,18 +753,17 @@ func (c *Catalog) StatsSnapshot() map[string]any {
 	}
 	c.mu.Lock()
 	var ready int
-	var bytes, heapBytes, mappedBytes int64
+	var heapBytes, mappedBytes int64
 	states := make([]obs.GraphState, 0, len(c.entries))
 	for _, e := range c.entries {
 		gs := obs.GraphState{Name: e.name, State: e.state.String()}
 		if e.gen != nil {
-			gs.Hierarchy, gs.HierarchyBuildMS = e.gen.hierarchy, e.gen.hierBuildMS
+			_, gs.Hierarchy, gs.HierarchyBuildMS = e.gen.Hierarchy()
 		}
 		states = append(states, gs)
 		if e.state == StateReady && e.gen != nil {
 			ready++
-			bytes += e.gen.Bytes
-			heapBytes += e.gen.HeapBytes
+			heapBytes += e.gen.HeapBytes()
 			mappedBytes += e.gen.MappedBytes
 		}
 	}
@@ -783,7 +771,7 @@ func (c *Catalog) StatsSnapshot() map[string]any {
 	out["graph_states"] = states
 	out["graphs"] = len(c.entries)
 	out["ready"] = ready
-	out["ready_bytes"] = bytes
+	out["ready_bytes"] = heapBytes + mappedBytes
 	out["ready_heap_bytes"] = heapBytes
 	out["ready_mapped_bytes"] = mappedBytes
 	c.mu.Unlock()

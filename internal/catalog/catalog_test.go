@@ -218,6 +218,30 @@ func TestDrainStartsCollection(t *testing.T) {
 	}
 }
 
+// A generation nothing refers to any more is garbage in the very next
+// collection, result cache and all — although the solver states its engine
+// pooled outlive it by up to two (sync.Pool keeps them as victims), and those
+// hold the solver instance: the instance's build hook must not lead back to the
+// generation. (It once did: churn's peak RSS rose by a quarter.)
+func TestGenerationIsGarbageInOneCollection(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // no cycle but the one below
+	c := testCatalog(t, Config{})
+	collected := make(chan struct{})
+	func() {
+		g, _, _ := lazyLoader(4)()
+		gn := c.newGeneration("g", 1, g, nil, nil)
+		checkDistances(t, gn, g) // default queries: delta-stepping states go to the pool
+		demandOn(t, gn)          // and a Thorup one, over a hierarchy built on demand
+		runtime.SetFinalizer(gn, func(*Generation) { close(collected) })
+	}()
+	runtime.GC()
+	select {
+	case <-collected:
+	case <-time.After(10 * time.Second):
+		t.Fatal("an unreferenced generation survived a collection: something its pooled solver states reach holds it")
+	}
+}
+
 func TestUnloadDrainsInFlight(t *testing.T) {
 	c := testCatalog(t, Config{})
 	if err := c.Load("g", Source{Loader: loaderFor(1)}); err != nil {

@@ -29,9 +29,9 @@ const (
 	// StateLoading: the graph source (snapshot, DIMACS file, or generator) is
 	// being read.
 	StateLoading State = iota
-	// StateBuilding: the delta log is replayed and the engine constructed. A
-	// Component Hierarchy the source did not carry is built after ready, in
-	// the background (Catalog.finishHierarchy).
+	// StateBuilding: the delta log is replayed and the engine constructed. No
+	// Component Hierarchy is: one the source did not carry is built by the
+	// first query that names a solver which reads it.
 	StateBuilding
 	// StateWarming: the fresh engine is primed with a few queries so the
 	// first real request does not pay pool and cache cold-start costs.
@@ -83,8 +83,8 @@ var validNext = map[State]map[State]bool{
 	StateFailed:   {StateLoading: true},
 }
 
-// Generation is one immutable (graph, hierarchy, engine) triple installed
-// under a name; the hierarchy may still be under construction (see H).
+// Generation is one immutable (graph, engine) pair installed under a name,
+// with the Component Hierarchy its source carried or a query has built, if any.
 // Queries acquire a generation, run against it, and release it; a swap
 // retires the old generation, which stays fully usable until its last
 // in-flight query releases, then reports itself drained. Nothing is ever
@@ -98,14 +98,6 @@ type Generation struct {
 	// Name@Gen, so results can never alias across generations).
 	G      *graph.Graph
 	Engine *engine.Engine
-	// Bytes is the resident footprint charged against the memory budget:
-	// HeapBytes + MappedBytes. A hierarchy built in the background is added,
-	// under the catalog lock, when it lands; until then read it via Status.
-	Bytes int64
-	// HeapBytes is what the instance costs in process heap (CSR plus
-	// hierarchy arrays for copy-loaded generations; zero for mapped ones,
-	// whose arrays alias the file mapping).
-	HeapBytes int64
 	// MappedBytes is the size of the mmap'd snapshot backing the instance
 	// (zero for copy-loaded generations). Mapped pages are reclaimable page
 	// cache, not heap, but still count against the budget: they are the
@@ -131,14 +123,11 @@ type Generation struct {
 	// The reference is released in finishDrain, chaining transitively.
 	parent *Generation
 
-	// in is the solver instance under Engine, the hierarchy's one builder.
-	// hierarchy is "carried" when the generation was made with one, else
-	// "building", then (finishHierarchy, catalog lock) "built" in hierBuildMS.
-	in          *solver.Instance
-	hierarchy   string
-	hierBuildMS float64
-	statsOnce   sync.Once
-	stats       ch.Stats
+	// in is the solver instance under Engine: it alone knows whether a
+	// hierarchy exists. heap is what the generation was made with on the
+	// process heap (nothing of a mapped snapshot).
+	in   *solver.Instance
+	heap int64
 
 	refs        atomic.Int64
 	retired     atomic.Bool
@@ -146,46 +135,49 @@ type Generation struct {
 	drained     chan struct{}
 }
 
-// newGeneration wraps (g, h) and a fresh engine over them; h is nil when the
-// hierarchy is still to be built.
+// newGeneration wraps g, the hierarchy that came with it (nil: none, and none
+// is built until a query demands it) and a fresh engine over them. A demand
+// build reports to hierarchyBuilt.
 func (c *Catalog) newGeneration(name string, gen uint64, g *graph.Graph, h *ch.Hierarchy, m *snapshot.Mapping) *Generation {
 	ecfg := c.cfg.Engine
 	ecfg.Graph, ecfg.Gen = name, gen // cache and singleflight keys: no result crosses generations
 	in := solver.NewInstanceWithHierarchy(g, par.NewExec(c.cfg.QueryWorkers), h)
 	gn := &Generation{
-		Name:      name,
-		Gen:       gen,
-		G:         g,
-		Engine:    engine.New(in, ecfg),
-		mapping:   m,
-		in:        in,
-		hierarchy: "carried",
-		drained:   make(chan struct{}),
+		Name:    name,
+		Gen:     gen,
+		G:       g,
+		Engine:  engine.New(in, ecfg),
+		mapping: m,
+		in:      in,
+		drained: make(chan struct{}),
 	}
+	// Pooled solver states outlive a drained generation by up to two GC cycles
+	// (sync.Pool), and they hold in: the hook must not hold gn and its cache.
+	in.OnBuild = func(h *ch.Hierarchy, ms float64) { c.hierarchyBuilt(name, gen, h, ms) }
 	if m != nil {
 		gn.MappedBytes = m.Bytes()
-	} else {
-		gn.HeapBytes = g.MemoryBytes()
+	} else if gn.heap = g.MemoryBytes(); h != nil {
+		gn.heap += h.Bytes()
 	}
-	if h == nil {
-		gn.hierarchy = "building" // finishHierarchy charges its bytes when it lands
-	} else if m == nil {
-		gn.HeapBytes += h.Bytes()
-	}
-	gn.Bytes = gn.HeapBytes + gn.MappedBytes
 	return gn
 }
 
-// H returns the Component Hierarchy, waiting for the instance's one build
-// when the generation was installed without it.
-func (g *Generation) H() *ch.Hierarchy { return g.in.Hierarchy() }
+// Hierarchy is solver.Instance.HierarchyState: the hierarchy as it stands, its
+// state ("unbuilt", "carried", "built") and build ms; it never builds or waits.
+func (g *Generation) Hierarchy() (*ch.Hierarchy, string, float64) { return g.in.HierarchyState() }
 
-// Stats returns the hierarchy's Table 2 statistics, walked once per
-// generation. Like H, it waits for a hierarchy still being built.
-func (g *Generation) Stats() ch.Stats {
-	g.statsOnce.Do(func() { g.stats = g.H().ComputeStats() })
-	return g.stats
+// HeapBytes is what the generation costs in process heap right now: the CSR
+// and hierarchy arrays that do not alias a file mapping. A hierarchy built on
+// demand counts from the moment the build lands.
+func (g *Generation) HeapBytes() int64 {
+	if h, state, _ := g.Hierarchy(); state == "built" {
+		return g.heap + h.Bytes()
+	}
+	return g.heap
 }
+
+// Bytes is what the memory budget is charged: HeapBytes + MappedBytes.
+func (g *Generation) Bytes() int64 { return g.HeapBytes() + g.MappedBytes }
 
 // Mapped reports whether this generation serves straight from an mmap'd
 // snapshot.

@@ -1,27 +1,22 @@
 package catalog
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/ch"
+	"repro/internal/dijkstra"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/solver"
+	"repro/internal/mutate"
 )
-
-// holdBuilds holds every hierarchy build until the returned release (also run
-// at cleanup, so a failing test never leaves one blocked).
-func holdBuilds(t *testing.T) (release func()) {
-	t.Helper()
-	release = solver.HoldHierarchyBuilds()
-	t.Cleanup(release)
-	return release
-}
 
 // lazyLoader yields loaderFor's graph without a hierarchy, the way a text or
 // generator source does.
@@ -75,12 +70,35 @@ func (l *logSink) count(substr string) (n int) {
 	return n
 }
 
+// demand runs one solver=thorup query on name's serving generation — the one
+// thing that builds a hierarchy — and checks its answer.
+func demand(t *testing.T, c *Catalog, name string) {
+	t.Helper()
+	gn, rel, err := c.Acquire(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rel()
+	demandOn(t, gn)
+}
+
+func demandOn(t *testing.T, gn *Generation) {
+	t.Helper()
+	res, _, err := gn.Engine.Query(context.Background(), engine.Request{Sources: []int32{7}, Solver: "thorup"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := dijkstra.SSSP(gn.G, 7); res.Solver != "thorup" || !slices.Equal(res.Dist, want) {
+		t.Fatalf("gen %d: solver=thorup answered by %s, equal to Dijkstra: %v", gn.Gen, res.Solver, slices.Equal(res.Dist, want))
+	}
+}
+
 // A background load walks loading→building→warming→ready, warm-up queries
-// included, while the hierarchy build has not even started; the generation
-// answers correctly, is charged for the graph alone, and grows by exactly the
-// hierarchy's bytes when the build lands.
+// included, and no hierarchy is built on the way or by default queries after:
+// the generation answers correctly and is charged for the graph alone. The
+// first solver=thorup query builds one, in its own call, and the generation
+// grows by exactly the hierarchy's bytes; the second builds nothing.
 func TestLoadReadyBeforeHierarchy(t *testing.T) {
-	release := holdBuilds(t)
 	c := testCatalog(t, Config{})
 	if err := c.Load("g", Source{Loader: lazyLoader(3)}); err != nil {
 		t.Fatal(err)
@@ -98,26 +116,25 @@ func TestLoadReadyBeforeHierarchy(t *testing.T) {
 	defer rel()
 	checkDistances(t, gn, gn.G)
 	st := row(t, c, "g")
-	if st.State != "ready" || st.Hierarchy != "building" || st.Bytes != gn.G.MemoryBytes() || st.HeapBytes != st.Bytes {
-		t.Fatalf("ready without a hierarchy: %+v (graph is %d bytes)", st, gn.G.MemoryBytes())
+	if st.State != "ready" || st.Hierarchy != "unbuilt" || st.Bytes != gn.G.MemoryBytes() || st.HeapBytes != st.Bytes || c.Counter(cHierarchyBuilds) != 0 {
+		t.Fatalf("ready without a hierarchy: %+v (graph is %d bytes), %d builds", st, gn.G.MemoryBytes(), c.Counter(cHierarchyBuilds))
 	}
 
-	release()
-	built := waitRow(t, c, "g", "hierarchy built", func(st GraphStatus) bool { return st.Hierarchy == "built" })
-	hb := ch.BuildKruskal(gn.G).Bytes()
-	if built.Bytes != st.Bytes+hb || built.HeapBytes != built.Bytes || built.HierarchyBuildMS <= 0 {
-		t.Fatalf("after the build: %+v, want %d + %d bytes", built, st.Bytes, hb)
+	demandOn(t, gn)
+	built, hb := row(t, c, "g"), ch.BuildKruskal(gn.G).Bytes()
+	if built.Hierarchy != "built" || built.Bytes != st.Bytes+hb || built.HeapBytes != built.Bytes || built.HierarchyBuildMS <= 0 {
+		t.Fatalf("after the demand: %+v, want %d + %d bytes", built, st.Bytes, hb)
 	}
-	if got := gn.H().Bytes(); got != hb || gn.Stats().CHBytes != hb {
-		t.Fatalf("hierarchy is %d bytes (stats say %d), want %d", got, gn.Stats().CHBytes, hb)
+	demandOn(t, gn)
+	if h, _, _ := gn.Hierarchy(); h.Bytes() != hb || gn.in.Demanded() != h || c.Counter(cHierarchyBuilds) != 1 {
+		t.Fatalf("hierarchy of %d bytes (want %d), %d builds (want 1)", h.Bytes(), hb, c.Counter(cHierarchyBuilds))
 	}
 }
 
-// The memory budget is re-checked when a background build lands: two graphs
-// that fit while one has no hierarchy stop fitting when it gets one, and the
-// idle one is evicted then, not before.
+// The memory budget is re-checked when a demand build lands, by the request
+// that demanded it: two graphs that fit while one has no hierarchy stop fitting
+// when it gets one, and the idle one is evicted then, not before.
 func TestBudgetRecheckedWhenHierarchyLands(t *testing.T) {
-	release := holdBuilds(t)
 	ga, ha, _ := loaderFor(1)()
 	gb, _, _ := lazyLoader(2)()
 	hb := ch.BuildKruskal(gb).Bytes()
@@ -135,27 +152,25 @@ func TestBudgetRecheckedWhenHierarchyLands(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := c.Counter(cEvictions); n != 0 {
-		t.Fatalf("%d evictions with b's hierarchy still unbuilt", n)
+		t.Fatalf("%d evictions with b's hierarchy unbuilt", n)
 	}
-	release()
-	waitRow(t, c, "b", "hierarchy built", func(st GraphStatus) bool { return st.Hierarchy == "built" })
-	// finishHierarchy charges and evicts under one hold of the lock.
+	demand(t, c, "b")
+	// hierarchyBuilt evicts before the query that built returns.
 	if n := c.Counter(cEvictions); n != 1 {
 		t.Fatalf("%d evictions after b's hierarchy landed, want 1", n)
 	}
 	waitRow(t, c, "a", "evicted", func(st GraphStatus) bool { return st.State == "evicted" })
-	if st := row(t, c, "b"); st.State != "ready" {
+	if st := row(t, c, "b"); st.State != "ready" || st.Hierarchy != "built" {
 		t.Fatalf("b should have survived: %+v", st)
 	}
 }
 
-// Generations retired while their hierarchy is still being built — replaced
-// by a reload, then unloaded — stay readable until the build is done, let it
-// finish into garbage, and their goroutines run to their last statement. The
-// instance is a mapped snapshot carrying a weight-only delta, so the graph
-// the build reads aliases the mapping: unmapping it early would fault.
+// A demand build on a generation that has been retired — replaced by a reload,
+// then unloaded — needs nothing but the demanding request's own reference: the
+// generation stays readable until that is released, then drains. The instance
+// is a mapped snapshot carrying a weight-only delta, so the graph the build
+// reads aliases the mapping: unmapping it early would fault.
 func TestRetiredMidBuild(t *testing.T) {
-	release := holdBuilds(t)
 	path := filepath.Join(t.TempDir(), "g.snap")
 	base := writeMappedSnap(t, path, 300, 5)
 	requireCatalogMmap(t, path)
@@ -167,10 +182,11 @@ func TestRetiredMidBuild(t *testing.T) {
 	if err := c.WaitReady("g", waitFor); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Mutate("g", weightBatch(base, 4, 3)); err != nil { // the snapshot carried its hierarchy: no wait
+	if _, err := c.Mutate("g", weightBatch(base, 4, 3)); err != nil {
 		t.Fatal(err)
 	}
 	var gens []*Generation
+	var rels []func()
 	for want := uint64(3); want <= 4; want++ {
 		// Each reload maps the file again, replays the delta over it, drops
 		// the carried hierarchy and installs a generation without one.
@@ -180,45 +196,121 @@ func TestRetiredMidBuild(t *testing.T) {
 		if err := c.WaitReady("g", waitFor); err != nil {
 			t.Fatal(err)
 		}
-		gn, rel, err := c.Acquire("g")
+		gn, rel, err := c.Acquire("g") // the request that will demand, admitted before the swap
 		if err != nil {
 			t.Fatal(err)
 		}
-		rel()
-		if gn.Gen != want || !gn.Mapped() {
-			t.Fatalf("reload installed gen %d (mapped %v), want mapped gen %d", gn.Gen, gn.Mapped(), want)
+		if _, state, _ := gn.Hierarchy(); gn.Gen != want || !gn.Mapped() || state != "unbuilt" {
+			t.Fatalf("reload installed gen %d (mapped %v, hierarchy %s), want mapped gen %d without one", gn.Gen, gn.Mapped(), state, want)
 		}
-		gens = append(gens, gn)
+		gens, rels = append(gens, gn), append(rels, rel)
 	}
 	if err := c.Unload("g"); err != nil {
 		t.Fatal(err)
 	}
-	for _, gn := range gens {
+	if st := row(t, c, "g"); st.State != "draining" || st.Hierarchy != "unbuilt" {
+		t.Fatalf("unloaded with a request in flight: %+v", st)
+	}
+	for i, gn := range gens {
+		demandOn(t, gn)
 		select {
 		case <-gn.Drained():
-			t.Fatalf("gen %d drained (and unmapped) with its hierarchy build still to run", gn.Gen)
+			t.Fatalf("gen %d drained (and unmapped) under its request's reference", gn.Gen)
 		default:
 		}
-	}
-	if st := row(t, c, "g"); st.State != "draining" || st.Hierarchy != "building" {
-		t.Fatalf("unloaded mid-build: %+v", st)
-	}
-
-	release()
-	for _, gn := range gens {
+		rels[i]()
 		select {
 		case <-gn.Drained():
 		case <-time.After(waitFor):
-			t.Fatalf("gen %d never drained after its build was released", gn.Gen)
+			t.Fatalf("gen %d never drained after its request released", gn.Gen)
 		}
-		if got := gn.H().NumLeaves(); got != base.NumVertices() { // the graph itself is unmapped by now
-			t.Fatalf("gen %d: hierarchy over %d vertices, want %d", gn.Gen, got, base.NumVertices())
+		if h, state, _ := gn.Hierarchy(); state != "built" || h.NumLeaves() != base.NumVertices() { // the graph itself is unmapped by now
+			t.Fatalf("gen %d: hierarchy %s, want one built over %d vertices", gn.Gen, state, base.NumVertices())
 		}
 	}
 	waitRow(t, c, "g", "evicted", func(st GraphStatus) bool { return st.State == "evicted" })
-	for deadline := time.Now().Add(waitFor); sink.count("catalog: hierarchy for g gen") != 2; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("build goroutines never finished; log:\n%s", strings.Join(sink.lines, "\n"))
-		}
+	if n, lines := c.Counter(cHierarchyBuilds), sink.count("catalog: hierarchy for g gen"); n != 2 || lines != 2 {
+		t.Fatalf("%d hierarchy builds, %d log lines, want 2 and 2", n, lines)
+	}
+}
+
+// Who pays for a hierarchy on a write: nobody, on a lineage no query has
+// demanded one on — the child has none, whatever the batch touches and whatever
+// the threshold, and a hierarchy the parent carried unused is dropped; on a
+// demanded lineage every child comes with the repaired hierarchy and the
+// demand, and the threshold judges its batches.
+func TestMutateRepairsOnlyDemandedLineage(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		loader func() (*graph.Graph, *ch.Hierarchy, error)
+		start  string
+	}{{"text", lazyLoader(6), "unbuilt"}, {"snapshot", loaderFor(6), "carried"}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := testCatalog(t, Config{MutateThreshold: 0.05})
+			base, _, _ := tc.loader()
+			if err := c.Load("g", Source{Loader: tc.loader}); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.WaitReady("g", waitFor); err != nil {
+				t.Fatal(err)
+			}
+			if st := row(t, c, "g"); st.Hierarchy != tc.start {
+				t.Fatalf("loaded: %+v, want hierarchy %s", st, tc.start)
+			}
+			wide := weightBatch(base, 40, 2) // touches > 5% of 400 vertices
+			batches := []*mutate.Batch{weightBatch(base, 3, 1), {Ops: []mutate.Op{{Op: mutate.OpInsert, U: 1, V: 399, W: 2}}}, wide}
+			for i, b := range batches {
+				res, err := c.Mutate("g", b)
+				if err != nil || res.Fallback {
+					t.Fatalf("un-demanded batch %d: %+v, %v; want an overlay", i, res, err)
+				}
+				if st := row(t, c, "g"); st.Hierarchy != "unbuilt" || st.HeapBytes != st.Bytes || st.Gen != uint64(i+2) {
+					t.Fatalf("after un-demanded batch %d: %+v", i, st)
+				}
+			}
+			want, err := mutate.ReferenceApply(base, batches...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			demand(t, c, "g") // fresh build over the mutated graph
+			if st := row(t, c, "g"); st.Hierarchy != "built" || c.Counter(cHierarchyBuilds) != 1 {
+				t.Fatalf("after the demand: %+v, %d builds", st, c.Counter(cHierarchyBuilds))
+			}
+			for i, b := range []*mutate.Batch{weightBatch(want, 3, 1), {Ops: []mutate.Op{{Op: mutate.OpDelete, U: 1, V: 399}}}} {
+				res, err := c.Mutate("g", b)
+				if err != nil || res.Fallback {
+					t.Fatalf("demanded batch %d: %+v, %v; want a repair", i, res, err)
+				}
+				gn, rel, err := c.Acquire("g")
+				if err != nil {
+					t.Fatal(err)
+				}
+				h, state, _ := gn.Hierarchy()
+				if state != "carried" || gn.in.Demanded() != h || h.Graph() != gn.G {
+					t.Fatalf("child %d of a demanded lineage: %s %p over %p, demanded %p", i, state, h, h.Graph(), gn.in.Demanded())
+				}
+				if err := h.Validate(); err != nil {
+					t.Fatalf("child %d: repaired hierarchy: %v", i, err)
+				}
+				if want, err = mutate.ReferenceApply(want, b); err != nil {
+					t.Fatal(err)
+				}
+				checkDistances(t, gn, want)
+				demandOn(t, gn)
+				rel()
+			}
+			if n := c.Counter(cHierarchyBuilds); n != 1 {
+				t.Fatalf("%d builds on a lineage that repairs, want 1", n)
+			}
+			if res, err := c.Mutate("g", weightBatch(want, 40, 2)); err != nil || !res.Fallback {
+				t.Fatalf("wide batch on a demanded lineage: %+v, %v; want the fallback", res, err)
+			}
+			if err := c.WaitReady("g", waitFor); err != nil {
+				t.Fatal(err)
+			}
+			if st := row(t, c, "g"); st.Hierarchy != "unbuilt" { // a rebuild from source starts over
+				t.Fatalf("after the fallback rebuild: %+v", st)
+			}
+		})
 	}
 }

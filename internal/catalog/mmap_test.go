@@ -76,9 +76,9 @@ func TestMmapHotSwapChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g0.Mapped() || g0.MappedBytes == 0 || g0.HeapBytes != 0 {
+	if !g0.Mapped() || g0.MappedBytes == 0 || g0.HeapBytes() != 0 {
 		t.Fatalf("generation not served from mmap: mapped=%v mappedBytes=%d heapBytes=%d",
-			g0.Mapped(), g0.MappedBytes, g0.HeapBytes)
+			g0.Mapped(), g0.MappedBytes, g0.HeapBytes())
 	}
 	release()
 
@@ -230,8 +230,8 @@ func TestMmapEvictionUnmaps(t *testing.T) {
 	if !genA.Mapped() {
 		t.Fatal("graph a not mapped")
 	}
-	if genA.Bytes != fi.Size() {
-		t.Fatalf("mapped generation charges %d bytes, file is %d", genA.Bytes, fi.Size())
+	if genA.Bytes() != fi.Size() {
+		t.Fatalf("mapped generation charges %d bytes, file is %d", genA.Bytes(), fi.Size())
 	}
 	// Loading b must push a out (a is idle, LRU-first).
 	if err := c.Load("b", Source{Snapshot: pathB}); err != nil {

@@ -9,15 +9,15 @@ import (
 )
 
 // MutateResult reports an accepted mutation. Gen is the generation the batch
-// produced: already serving when Fallback is false (the incremental repair
-// path installed it synchronously), or pre-assigned to a queued background
+// produced: already serving when Fallback is false (the incremental path
+// installed it synchronously), or pre-assigned to a queued background
 // rebuild when Fallback is true (poll /graphs or WaitReady for readiness).
 type MutateResult struct {
 	// Gen is the generation number the mutation produced (or will produce,
 	// on the fallback path).
 	Gen uint64
-	// Fallback reports that the delta exceeded the incremental threshold and
-	// a background full rebuild (source + delta replay) was queued instead.
+	// Fallback reports that the delta exceeded the repair threshold and a
+	// background full rebuild (source + delta replay) was queued instead.
 	Fallback bool
 	// Touched is the distinct mutated-endpoint count; Frac is it as a
 	// fraction of the vertex set — the number the threshold judged.
@@ -30,12 +30,14 @@ type MutateResult struct {
 }
 
 // Mutate applies a validated mutation batch to a ready graph and installs the
-// result as a new generation. Small deltas (touched-vertex fraction within
-// Config.MutateThreshold) take the incremental path — copy-on-write CSR
-// overlay plus hierarchy repair — and swap in synchronously, typically
-// milliseconds. Larger deltas fall back to a queued background full rebuild
-// that replays the accepted-delta log on top of the source, exactly like a
-// reload; the old generation keeps serving until the rebuild swaps in.
+// result as a new generation: a copy-on-write CSR overlay, swapped in
+// synchronously. Only a lineage on which a query has demanded the hierarchy
+// pays for one: there the overlay comes with a repair and the child inherits
+// the demand — unless the delta is large (touched-vertex fraction over
+// Config.MutateThreshold), which falls back to a queued background rebuild
+// that replays the accepted-delta log on top of the source, like a reload,
+// while the old generation keeps serving. Anywhere else the child has no
+// hierarchy: one the parent carried unused is dropped, not repaired.
 //
 // Errors: validation failures wrap mutate.ErrInvalid (map to 400); unknown
 // names wrap ErrUnknownGraph (404); a graph mid-build or not ready is a
@@ -63,20 +65,21 @@ func (c *Catalog) Mutate(name string, b *mutate.Batch) (MutateResult, error) {
 		return res, &NotReadyError{Name: name, State: e.state, Err: e.err}
 	}
 	parent := e.gen
-	parent.acquire() // pin the parent arrays across the off-lock compute
-	e.pending = true // serialize: no reload/unload/mutation until we finish
+	parent.acquire()       // pin the parent arrays across the off-lock compute
+	e.pending = true       // serialize: no reload/unload/mutation until we finish
+	res.Gen = e.genSeq + 1 // what this batch will produce; pending keeps genSeq ours
 	threshold := c.cfg.MutateThreshold
 	c.mu.Unlock()
 
 	start := time.Now()
-	// parent.H waits for a hierarchy still being built: a repair needs it.
-	mres, err := mutate.Mutate(parent.G, parent.H(), b, mutate.Options{Threshold: threshold})
+	// Without a hierarchy in use the batch is an overlay, whatever parent carries.
+	mres, err := mutate.Mutate(parent.G, parent.in.Demanded(), b, mutate.Options{Threshold: threshold})
 	if err != nil {
 		c.mu.Lock()
 		e.pending = false
 		c.mu.Unlock()
 		parent.release()
-		return res, err
+		return MutateResult{}, err
 	}
 	c.counters.C(cMutations).Inc() // accepted batches only; a rejected delta changes nothing
 	res.Touched, res.Frac = mres.Touched, mres.Frac
@@ -87,8 +90,7 @@ func (c *Catalog) Mutate(name string, b *mutate.Batch) (MutateResult, error) {
 		// owns the pending flag from here.
 		c.mu.Lock()
 		e.deltas = append(e.deltas, b)
-		e.genSeq++ // pre-assign the generation the rebuild will install
-		res.Gen = e.genSeq
+		e.genSeq = res.Gen // pre-assign the generation the rebuild will install
 		res.Fallback = true
 		c.counters.C(cMutateFallback).Inc()
 		c.mu.Unlock()
@@ -100,13 +102,12 @@ func (c *Catalog) Mutate(name string, b *mutate.Batch) (MutateResult, error) {
 	}
 
 	// Incremental: build the generation and swap synchronously. No warming —
-	// the parent's arrays are hot and the repair reused most of the
-	// hierarchy; the first queries pay only a cold result cache.
-	c.mu.Lock()
-	e.genSeq++
-	genNum := e.genSeq
-	c.mu.Unlock()
-	gen := c.newGeneration(name, genNum, mres.G, mres.H, nil)
+	// the parent's arrays are hot; the first queries pay only a cold result
+	// cache.
+	gen := c.newGeneration(name, res.Gen, mres.G, mres.H, nil)
+	if mres.H != nil {
+		gen.in.Thorup() // over the repaired hierarchy: the child inherits the demand
+	}
 	gen.ParentGen = parent.Gen
 	gen.DeltaSize = len(b.Ops)
 	// When the overlay shares offset/target arrays with a parent whose
@@ -120,6 +121,7 @@ func (c *Catalog) Mutate(name string, b *mutate.Batch) (MutateResult, error) {
 	}
 
 	c.mu.Lock()
+	e.genSeq = res.Gen
 	e.deltas = append(e.deltas, b)
 	old := c.installLocked(e, gen)
 	c.counters.C(cMutateIncremental).Inc()
@@ -129,9 +131,8 @@ func (c *Catalog) Mutate(name string, b *mutate.Batch) (MutateResult, error) {
 		parent.release() // the parent pin has no further use
 	}
 	c.logf("catalog: %s gen %d mutated from gen %d (%d ops, %d touched, reused %d/%d nodes, aliased=%v, %s)",
-		name, genNum, parent.Gen, len(b.Ops), res.Touched, mres.Stats.ReusedNodes,
+		name, res.Gen, parent.Gen, len(b.Ops), res.Touched, mres.Stats.ReusedNodes,
 		mres.Stats.ReusedNodes+mres.Stats.NewNodes, mres.Aliased, time.Since(start).Round(time.Microsecond))
-	res.Gen = genNum
 	res.Aliased = mres.Aliased
 	return res, nil
 }

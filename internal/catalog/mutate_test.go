@@ -169,6 +169,7 @@ func TestMutateFallbackRebuild(t *testing.T) {
 	}
 	base := g1.G
 	rel1()
+	demand(t, c, "g") // the threshold judges repairs: only a demanded lineage has any
 
 	b := weightBatch(base, 6, 5)
 	res, err := c.Mutate("g", b)

@@ -542,10 +542,14 @@ func (r *Result) count(d int64) {
 	}
 }
 
-// InstanceBytes is the memory footprint of one Thorup query instance over
-// the shared hierarchy (arithmetic on its dimensions, no allocation; waits
-// for a hierarchy that is still being built).
-func (e *Engine) InstanceBytes() int64 { return e.in.Thorup().InstanceBytes() }
+// InstanceBytes is the memory footprint of one Thorup query instance over the
+// hierarchy held (arithmetic on its dimensions), 0 with none: nothing is built.
+func (e *Engine) InstanceBytes() int64 {
+	if h, _, _ := e.in.HierarchyState(); h != nil {
+		return core.NewSolver(h, e.in.RT).InstanceBytes()
+	}
+	return 0
+}
 
 // Delta is the bucket width delta-stepping runs with on this instance.
 func (e *Engine) Delta() int64 { return e.in.Delta }

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -103,10 +104,7 @@ func sampleWeight(r *rng.Xoshiro256, c uint32, dist WeightDist) uint32 {
 	case UWD:
 		return uint32(r.Uint64n(uint64(c))) + 1
 	case PWD:
-		logC := 0
-		for (uint32(1) << (logC + 1)) <= c {
-			logC++
-		}
+		logC := bits.Len32(c) - 1 // floor(log2 c); a shift loop wraps at c >= 2^31
 		if logC < 1 {
 			return 1
 		}

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/graph"
+	"repro/internal/rng"
 )
 
 // isConnected checks connectivity with a simple BFS (self-contained so the
@@ -110,6 +111,28 @@ func TestPWDWeightsArePowersOfTwo(t *testing.T) {
 		}
 		if e.W < 2 || e.W > 1<<8 {
 			t.Fatalf("PWD weight %d out of [2, 256]", e.W)
+		}
+	}
+}
+
+// sampleWeight's PWD arm takes floor(log2 C) without a shift that wraps: the
+// loop it replaced never ended at C >= 2^31. (No graph carries such weights —
+// graph.MaxWeight is 2^30 — so the table is on the sampler itself.)
+func TestPWDSampleWeightAtEveryC(t *testing.T) {
+	for _, tc := range []struct{ c, lo, hi uint32 }{
+		{1, 1, 1}, {2, 2, 2}, {3, 2, 2}, {1 << 30, 2, 1 << 30}, {1 << 31, 2, 1 << 31}, {1<<32 - 1, 2, 1 << 31},
+	} {
+		r := rng.New(uint64(tc.c))
+		var top uint32
+		for i := 0; i < 4096; i++ {
+			w := sampleWeight(r, tc.c, PWD)
+			if w&(w-1) != 0 || w < tc.lo || w > tc.hi {
+				t.Fatalf("C=%d: PWD weight %d, want a power of two in [%d, %d]", tc.c, w, tc.lo, tc.hi)
+			}
+			top = max(top, w)
+		}
+		if top != tc.hi { // 4096 draws over at most 31 classes reach the top one
+			t.Errorf("C=%d: largest weight drawn %d, want %d", tc.c, top, tc.hi)
 		}
 	}
 }

@@ -1,15 +1,21 @@
-package mutate
+package mutate_test
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"testing"
 	"time"
 
+	"repro/internal/catalog"
 	"repro/internal/ch"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	. "repro/internal/mutate"
 )
+
+func pairKey(u, v int32) [2]int32 { return [2]int32{min(u, v), max(u, v)} }
 
 // TestWriteMutateBenchJSON emits BENCH_mutate.json when BENCH_MUTATE_OUT is
 // set (see `make bench-mutate`). The headline number is the cost of repairing
@@ -26,6 +32,11 @@ import (
 // A delete-bearing delta is measured alongside and reported un-gated
 // (mixed_*): deletes can split components, so they take the general repair,
 // whose level re-sweep is near O(m) on this family's high-fanout hierarchy.
+//
+// The catalog_mutate_* row is the whole write as the daemon performs it —
+// Catalog.Mutate: overlay, repair if any, a new generation's engine, the swap —
+// for both deltas on a lineage no query has demanded a hierarchy on (overlay
+// only) and on one where a solver=thorup query has (overlay plus repair).
 func TestWriteMutateBenchJSON(t *testing.T) {
 	out := os.Getenv("BENCH_MUTATE_OUT")
 	if out == "" {
@@ -138,6 +149,35 @@ func TestWriteMutateBenchJSON(t *testing.T) {
 		ch.BuildKruskal(ag)
 	})
 
+	// Catalog.Mutate, one fresh single-generation catalog per timed call.
+	catalogMutate := func(b *Batch, demanded bool) time.Duration {
+		var total time.Duration
+		const reps = 20
+		for i := 0; i < reps; i++ {
+			cat := catalog.New(catalog.Config{MutateThreshold: 1, Logf: func(string, ...any) {}})
+			gn, err := cat.AddPrebuilt("g", catalog.Source{}, g, h, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if demanded {
+				if _, _, err := gn.Engine.Query(context.Background(), engine.Request{Sources: []int32{1}, Solver: "thorup"}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			start := time.Now()
+			res, err := cat.Mutate("g", b)
+			total += time.Since(start)
+			if err != nil || res.Fallback {
+				t.Fatalf("Catalog.Mutate: %+v, %v", res, err)
+			}
+			if got := cat.Status()[0].Hierarchy; (got == "carried") != demanded {
+				t.Fatalf("child of a lineage demanded=%v has its hierarchy %s", demanded, got)
+			}
+			cat.Close()
+		}
+		return total / reps
+	}
+
 	speedup := float64(build) / float64(repair)
 	doc := map[string]any{
 		"vertices":             g.NumVertices(),
@@ -154,6 +194,11 @@ func TestWriteMutateBenchJSON(t *testing.T) {
 		"mixed_delta_ops":      len(mixed.Ops),
 		"mixed_incremental_ns": mixedInc.Nanoseconds(),
 		"mixed_speedup":        float64(applyBuild) / float64(mixedInc),
+
+		"catalog_mutate_undemanded_additive_ns": catalogMutate(additive, false).Nanoseconds(),
+		"catalog_mutate_demanded_additive_ns":   catalogMutate(additive, true).Nanoseconds(),
+		"catalog_mutate_undemanded_general_ns":  catalogMutate(mixed, false).Nanoseconds(),
+		"catalog_mutate_demanded_general_ns":    catalogMutate(mixed, true).Nanoseconds(),
 	}
 	buf, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {

@@ -260,9 +260,9 @@ func ReferenceApply(g *graph.Graph, batches ...*Batch) (*graph.Graph, error) {
 // Options tunes Mutate.
 type Options struct {
 	// Threshold is the maximum fraction of vertices a batch may touch and
-	// still take the incremental repair path; larger deltas signal fallback.
-	// 0 means DefaultThreshold; a negative value forces fallback always
-	// (stress and operational escape hatch).
+	// still have the hierarchy repaired; larger deltas signal fallback. 0 means
+	// DefaultThreshold; a negative value forces fallback always (stress and
+	// operational escape hatch). Without a hierarchy it judges nothing.
 	Threshold float64
 	// InjectFault, for tests only, makes the incremental path mis-apply the
 	// first weighted op by one — the planted repair bug the stress harness
@@ -273,8 +273,8 @@ type Options struct {
 // Result is an accepted mutation. With Fallback set, the batch validated but
 // exceeded the threshold: G/H are nil and the caller should rebuild in the
 // background from its source plus replay log. Otherwise G is the overlay
-// graph, H the incrementally repaired hierarchy, and Aliased reports whether
-// G shares arrays with the parent graph.
+// graph, H the incrementally repaired hierarchy (nil when Mutate was given
+// none), and Aliased reports whether G shares arrays with the parent graph.
 type Result struct {
 	G       *graph.Graph
 	H       *ch.Hierarchy
@@ -292,10 +292,11 @@ type Result struct {
 }
 
 // Mutate validates the batch against g and either performs the incremental
-// path — copy-on-write overlay plus hierarchy repair — or reports that the
-// delta is too large and the caller should fall back to a full rebuild.
-// Validation errors wrap ErrInvalid; any other error means the incremental
-// machinery itself failed and a full rebuild is the safe recovery.
+// path — copy-on-write overlay plus repair of h; the overlay alone, whatever
+// the threshold, when h is nil — or reports that the delta is too large to
+// repair and the caller should fall back to a full rebuild. Validation errors
+// wrap ErrInvalid; any other error means the incremental machinery itself
+// failed and a full rebuild is the safe recovery.
 func Mutate(g *graph.Graph, h *ch.Hierarchy, b *Batch, opts Options) (*Result, error) {
 	if err := b.Validate(g); err != nil {
 		return nil, err
@@ -309,7 +310,7 @@ func Mutate(g *graph.Graph, h *ch.Hierarchy, b *Batch, opts Options) (*Result, e
 	if threshold == 0 {
 		threshold = DefaultThreshold
 	}
-	if res.Frac > threshold {
+	if h != nil && res.Frac > threshold {
 		res.Fallback = true
 		return res, nil
 	}
@@ -319,14 +320,13 @@ func Mutate(g *graph.Graph, h *ch.Hierarchy, b *Batch, opts Options) (*Result, e
 		applied = corruptForTest(b)
 	}
 	set, ins, del := applied.Split()
-	g2, aliased, err := g.Overlay(set, ins, del)
-	if err != nil {
+	var err error
+	if res.G, res.Aliased, err = g.Overlay(set, ins, del); err != nil {
 		return nil, fmt.Errorf("mutate: overlay: %v", err)
 	}
-	var (
-		h2    *ch.Hierarchy
-		stats ch.RepairStats
-	)
+	if h == nil {
+		return res, nil
+	}
 	if len(del) == 0 && setsNonIncreasing(g, set) {
 		// Connectivity can only grow: every insert adds an edge and every
 		// set_weight lowers one, so the additive repair can replay the old
@@ -334,15 +334,14 @@ func Mutate(g *graph.Graph, h *ch.Hierarchy, b *Batch, opts Options) (*Result, e
 		added := make([]graph.Edge, 0, len(ins)+len(set))
 		added = append(added, ins...)
 		added = append(added, set...)
-		h2, stats, err = ch.RepairAdditive(h, g2, added)
+		res.H, res.Stats, err = ch.RepairAdditive(h, res.G, added)
 		res.Additive = true
 	} else {
-		h2, stats, err = ch.Repair(h, g2, touched)
+		res.H, res.Stats, err = ch.Repair(h, res.G, touched)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("mutate: repair: %v", err)
 	}
-	res.G, res.H, res.Aliased, res.Stats = g2, h2, aliased, stats
 	return res, nil
 }
 

@@ -53,8 +53,8 @@ type CatalogCounters struct {
 }
 
 // GraphState is one graph's lifecycle state as exposed by /metrics, with the
-// state of its serving generation's Component Hierarchy ("carried",
-// "building", "built") and what a background build of it took.
+// state of its serving generation's Component Hierarchy ("unbuilt",
+// "carried", "built") and what the query that demanded it spent building it.
 type GraphState struct {
 	Name             string  `json:"name"`
 	State            string  `json:"state"`

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/bfs"
 	"repro/internal/ch"
@@ -16,9 +17,10 @@ import (
 )
 
 // Instance bundles a graph with the runtime and the per-graph values its
-// solvers share: the lazily-built Component Hierarchy (with the Thorup solver
-// over it) and the delta-stepping bucket width. Build one per graph and run
-// any number of solvers on it, from any number of goroutines.
+// solvers share: the Component Hierarchy (with the Thorup solver over it),
+// built only by a solver that needs one, and the delta-stepping bucket width.
+// Build one per graph and run any number of solvers on it, from any number of
+// goroutines.
 type Instance struct {
 	G  *graph.Graph
 	RT *par.Runtime
@@ -26,10 +28,15 @@ type Instance struct {
 	// (deltastep.DefaultDelta) unless the caller overrides it before the
 	// first run.
 	Delta int64
+	// OnBuild, set before the first run, is told of the instance's one
+	// hierarchy build once it has landed, on the goroutine that ran it.
+	OnBuild func(h *ch.Hierarchy, ms float64)
 
-	once   sync.Once
-	h      *ch.Hierarchy
-	thorup *core.Solver
+	carried  *ch.Hierarchy // what the instance was made with; never written after
+	once     sync.Once
+	buildMS  float64
+	thorup   *core.Solver
+	demanded atomic.Pointer[ch.Hierarchy] // thorup's, once the first Thorup call is done
 }
 
 // NewInstance wraps a graph for the registry's solvers.
@@ -38,41 +45,54 @@ func NewInstance(g *graph.Graph, rt *par.Runtime) *Instance {
 }
 
 // NewInstanceWithHierarchy wraps a graph together with an already-built
-// hierarchy (e.g. loaded from a snapshot), skipping the lazy construction.
+// hierarchy (e.g. loaded from a snapshot), which the instance then never
+// builds.
 func NewInstanceWithHierarchy(g *graph.Graph, rt *par.Runtime, h *ch.Hierarchy) *Instance {
-	return &Instance{G: g, RT: rt, Delta: deltastep.DefaultDelta(g), h: h}
+	return &Instance{G: g, RT: rt, Delta: deltastep.DefaultDelta(g), carried: h}
 }
 
-// buildHierarchy is the one hierarchy construction of the serving stack
-// (Kruskal; all constructions yield the same hierarchy): a variable, swapped
-// atomically, so that tests can hold a build open.
-var buildHierarchy atomic.Value // func(*graph.Graph) *ch.Hierarchy
-
-func init() { buildHierarchy.Store(ch.BuildKruskal) }
-
-// HoldHierarchyBuilds makes every hierarchy build that starts from now on wait
-// until release is called: for tests of what must work without a hierarchy.
-func HoldHierarchyBuilds() (release func()) {
-	gate := make(chan struct{})
-	buildHierarchy.Store(func(g *graph.Graph) *ch.Hierarchy { <-gate; return ch.BuildKruskal(g) })
-	return sync.OnceFunc(func() { buildHierarchy.Store(ch.BuildKruskal); close(gate) })
-}
-
-// Thorup returns the instance's shared Thorup solver, building the hierarchy
-// at most once, on first use. Safe for concurrent first use: every caller
-// blocks until the one build is done.
+// Thorup returns the instance's shared Thorup solver. The first call makes it,
+// building the hierarchy there and then (Kruskal; all constructions yield the
+// same one) unless the instance carries one; concurrent first callers block
+// until that build is done. Nothing else builds a hierarchy.
 func (in *Instance) Thorup() *core.Solver {
+	built := false
 	in.once.Do(func() {
-		if in.h == nil {
-			in.h = buildHierarchy.Load().(func(*graph.Graph) *ch.Hierarchy)(in.G)
+		h := in.carried
+		if h == nil {
+			start := time.Now()
+			h, built = ch.BuildKruskal(in.G), true
+			in.buildMS = time.Since(start).Seconds() * 1e3
 		}
-		in.thorup = core.NewSolver(in.h, in.RT)
+		in.thorup = core.NewSolver(h, in.RT)
+		in.demanded.Store(h)
 	})
+	if built && in.OnBuild != nil { // the builder alone, and not under the once
+		in.OnBuild(in.thorup.Hierarchy(), in.buildMS)
+	}
 	return in.thorup
 }
 
 // Hierarchy returns the instance's Component Hierarchy (see Thorup).
 func (in *Instance) Hierarchy() *ch.Hierarchy { return in.Thorup().Hierarchy() }
+
+// Demanded returns the hierarchy if a Thorup solver has been made over it —
+// something asked for it — and nil otherwise, a build in progress included:
+// what a mutation asks, without building or waiting, before it repairs one.
+func (in *Instance) Demanded() *ch.Hierarchy { return in.demanded.Load() }
+
+// HierarchyState reports, like Demanded without building or waiting, what the
+// instance holds: "unbuilt" (nil), "carried" (what it was made with, used or
+// not) or "built" (by the first Thorup call, in buildMS).
+func (in *Instance) HierarchyState() (h *ch.Hierarchy, state string, buildMS float64) {
+	switch h := in.Demanded(); {
+	case in.carried != nil:
+		return in.carried, "carried", 0
+	case h != nil:
+		return h, "built", in.buildMS
+	}
+	return nil, "unbuilt", 0
+}
 
 // State is one solver's reusable per-query state, bound to an Instance. It is
 // not safe for concurrent use; concurrency is across states.

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/ch"
 	"repro/internal/dijkstra"
@@ -143,56 +142,62 @@ func TestInstanceHierarchyConcurrentFirstUse(t *testing.T) {
 	}
 }
 
-// With the build held open, every solver that does not need the hierarchy
-// answers; the ones that do, and Hierarchy itself, wait for one and the same
-// build — counted through the seam — and an instance given a hierarchy never
-// builds.
-func TestHeldBuildBlocksOnlyHierarchyUsers(t *testing.T) {
+// Only a solver that reads the hierarchy builds one: every other solver
+// answers and leaves the instance unbuilt; the ones that do need it, first used
+// concurrently, share one build — counted through OnBuild, which only a build
+// calls — and HierarchyState and Demanded report each stage without ever
+// building. An instance given a hierarchy never builds, and is demanded only
+// once a Thorup solver has been made over it.
+func TestOnlyHierarchySolversBuild(t *testing.T) {
 	g := gen.Random(128, 512, 64, gen.UWD, 4)
 	want := dijkstra.SSSP(g, 9)
-	release := HoldHierarchyBuilds()
-	defer release()
-	held := buildHierarchy.Load().(func(*graph.Graph) *ch.Hierarchy)
 	var builds atomic.Int32
-	buildHierarchy.Store(func(g *graph.Graph) *ch.Hierarchy { builds.Add(1); return held(g) })
-
 	in := NewInstance(g, par.NewExec(2))
+	in.OnBuild = func(h *ch.Hierarchy, ms float64) {
+		builds.Add(1)
+		if got, state, gotMS := in.HierarchyState(); got != h || state != "built" || gotMS != ms || in.Demanded() != h {
+			t.Errorf("OnBuild(%p, %v) with state %p %s %v, demanded %p", h, ms, got, state, gotMS, in.Demanded())
+		}
+	}
 	var wg sync.WaitGroup
-	done := make(chan struct{})
 	for _, s := range All() {
-		if !s.Applicable(g) {
+		if !s.Applicable(g) || s.NeedsCH {
 			continue
 		}
+		if got := s.Solve(in, []int32{9}); !slices.Equal(got, want) {
+			t.Fatalf("%s: wrong distances with the hierarchy unbuilt", s.Name)
+		}
+	}
+	if h, state, ms := in.HierarchyState(); h != nil || state != "unbuilt" || ms != 0 || in.Demanded() != nil || builds.Load() != 0 {
+		t.Fatalf("after every solver that needs no hierarchy: %p %s %v, %d builds", h, state, ms, builds.Load())
+	}
+	for _, s := range All() {
 		if !s.NeedsCH {
-			if got := s.Solve(in, []int32{9}); !slices.Equal(got, want) {
-				t.Fatalf("%s: wrong distances with the hierarchy unbuilt", s.Name)
-			}
 			continue
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if got := s.Solve(in, []int32{9}); !slices.Equal(got, want) {
-				t.Errorf("%s: wrong distances after waiting for the build", s.Name)
-			}
-		}()
+		for range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if got := s.Solve(in, []int32{9}); !slices.Equal(got, want) {
+					t.Errorf("%s: wrong distances over the demanded hierarchy", s.Name)
+				}
+			}()
+		}
 	}
-	wg.Add(1)
-	go func() { defer wg.Done(); in.Hierarchy() }()
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-		t.Fatal("hierarchy users finished while the build was held")
-	case <-time.After(20 * time.Millisecond):
+	wg.Wait()
+	h, state, ms := in.HierarchyState()
+	if n := builds.Load(); n != 1 || state != "built" || h != in.Hierarchy() || in.Demanded() != h || ms <= 0 {
+		t.Fatalf("%d builds for one instance (want 1), state %p %s %v", n, h, state, ms)
 	}
-	release()
-	<-done
-	if n := builds.Load(); n != 1 {
-		t.Fatalf("%d builds for one instance, want 1", n)
+
+	carried := NewInstanceWithHierarchy(g, par.NewExec(1), h)
+	carried.OnBuild = func(*ch.Hierarchy, float64) { t.Error("an instance that came with its hierarchy built another") }
+	if got, state, ms := carried.HierarchyState(); got != h || state != "carried" || ms != 0 || carried.Demanded() != nil {
+		t.Fatalf("carried, unused: %p %s %v, demanded %p", got, state, ms, carried.Demanded())
 	}
-	carried := NewInstanceWithHierarchy(g, par.NewExec(1), in.Hierarchy())
-	if carried.Hierarchy() != in.Hierarchy() || builds.Load() != 1 {
-		t.Fatal("an instance that came with its hierarchy built another")
+	if _, state, _ := carried.HierarchyState(); carried.Hierarchy() != h || carried.Demanded() != h || state != "carried" {
+		t.Fatalf("carried, used: Hierarchy() %p, demanded %p, want %p; state %s", carried.Hierarchy(), carried.Demanded(), h, state)
 	}
 }
 

@@ -6,22 +6,25 @@ import (
 	"sort"
 
 	"repro/internal/ch"
-	"repro/internal/core"
 	"repro/internal/dijkstra"
 	"repro/internal/graph"
 	"repro/internal/mutate"
 	"repro/internal/par"
 	"repro/internal/rng"
+	"repro/internal/solver"
 )
 
 // checkMutate is the dynamic-graph oracle: a deterministic random mutation
 // sequence (weight changes, inserts, deletes) is driven through the
-// production incremental path — copy-on-write overlay plus hierarchy repair,
-// with the fallback full-rebuild path forced periodically — and the end state
-// is differenced against an implementation-disjoint replay
+// production incremental path on both lineages a served graph can be on —
+// one whose hierarchy a query has demanded (copy-on-write overlay plus
+// hierarchy repair, with the fallback full-rebuild path forced periodically)
+// and one where nothing has (overlay alone, whatever the threshold; the
+// hierarchy built at the end, as the first solver=thorup would) — and each end
+// state is differenced against an implementation-disjoint replay
 // (mutate.ReferenceApply) of the same batches onto a fresh copy of the base
 // graph: edge multisets must match exactly, and Thorup queries over the
-// repaired hierarchy must agree with Dijkstra on the replayed graph.
+// lineage's hierarchy must agree with Dijkstra on the replayed graph.
 func checkMutate(cfg Config, rt *par.Runtime, name string, g *graph.Graph, sources []int32) *Failure {
 	if cfg.MutateRounds < 0 || g.NumVertices() < 2 || len(sources) == 0 {
 		return nil
@@ -111,56 +114,70 @@ func checkMutationSequence(cfg Config, rt *par.Runtime, name string, base *graph
 		return &Failure{Check: check, Inst: name, Detail: fmt.Sprintf(format, args...),
 			G: base, Sources: sources, Mutations: batches, MutateFault: fault}
 	}
-	cur := base
-	h := ch.BuildKruskal(base)
-	for i, b := range batches {
-		threshold := 1.0
-		if i%3 == 2 {
-			threshold = -1 // periodically force the fallback full-rebuild path
-		}
-		res, err := mutate.Mutate(cur, h, b, mutate.Options{Threshold: threshold, InjectFault: fault})
-		if err != nil {
-			if errors.Is(err, mutate.ErrInvalid) {
-				return nil
-			}
-			return fail("mutate-internal", "batch %d/%d: %v", i+1, len(batches), err)
-		}
-		if res.Fallback {
-			// What the background rebuild replays (source + delta log).
-			g2, _, err := mutate.Apply(cur, b)
-			if err != nil {
-				if errors.Is(err, mutate.ErrInvalid) {
-					return nil
-				}
-				return fail("mutate-internal", "fallback batch %d/%d: %v", i+1, len(batches), err)
-			}
-			cur, h = g2, ch.BuildKruskal(g2)
-			continue
-		}
-		if err := res.H.Validate(); err != nil {
-			return fail("mutate-ch-validate", "batch %d/%d: %v", i+1, len(batches), err)
-		}
-		cur, h = res.G, res.H
-	}
-
 	ref, err := mutate.ReferenceApply(base, batches...)
 	if err != nil {
 		return nil // invalid candidate sequence
 	}
-	if err := cur.Validate(); err != nil {
-		return fail("mutate-graph-validate", "after %d batches: %v", len(batches), err)
-	}
-	if diff := edgeMultisetDiff(cur, ref); diff != "" {
-		return fail("mutate-oracle-edges", "after %d batches: %s", len(batches), diff)
-	}
-	// Thorup queries over the repaired hierarchy vs Dijkstra on the
-	// independently replayed graph.
-	res := core.NewSolver(h, rt).RunMany(sources)
-	for i, s := range sources {
-		want := dijkstra.SSSP(ref, s)
-		if v := firstDiff(res[i], want); v >= 0 {
-			return fail("mutate-oracle", "after %d batches, src %d: d[%d] = %d, replayed reference %d",
-				len(batches), s, v, res[i][v], want[v])
+	for _, lineage := range []string{"demanded", "undemanded"} {
+		cur := base
+		var h *ch.Hierarchy // stays nil on the lineage nothing has demanded one on
+		if lineage == "demanded" {
+			h = ch.BuildKruskal(base)
+		}
+		for i, b := range batches {
+			threshold := 1.0
+			if i%3 == 2 {
+				threshold = -1 // periodically force the fallback full-rebuild path
+			}
+			res, err := mutate.Mutate(cur, h, b, mutate.Options{Threshold: threshold, InjectFault: fault})
+			if err != nil {
+				if errors.Is(err, mutate.ErrInvalid) {
+					return nil
+				}
+				return fail("mutate-internal", "%s batch %d/%d: %v", lineage, i+1, len(batches), err)
+			}
+			if h == nil {
+				if res.Fallback || res.H != nil {
+					return fail("mutate-undemanded", "batch %d/%d at threshold %v: fallback %v, hierarchy %p; want a bare overlay",
+						i+1, len(batches), threshold, res.Fallback, res.H)
+				}
+				cur = res.G
+				continue
+			}
+			if res.Fallback {
+				// What the background rebuild replays (source + delta log); the
+				// next solver=thorup builds over it.
+				g2, _, err := mutate.Apply(cur, b)
+				if err != nil {
+					if errors.Is(err, mutate.ErrInvalid) {
+						return nil
+					}
+					return fail("mutate-internal", "fallback batch %d/%d: %v", i+1, len(batches), err)
+				}
+				cur, h = g2, ch.BuildKruskal(g2)
+				continue
+			}
+			if err := res.H.Validate(); err != nil {
+				return fail("mutate-ch-validate", "batch %d/%d: %v", i+1, len(batches), err)
+			}
+			cur, h = res.G, res.H
+		}
+
+		if err := cur.Validate(); err != nil {
+			return fail("mutate-graph-validate", "%s, after %d batches: %v", lineage, len(batches), err)
+		}
+		if diff := edgeMultisetDiff(cur, ref); diff != "" {
+			return fail("mutate-oracle-edges", "%s, after %d batches: %s", lineage, len(batches), diff)
+		}
+		// Thorup queries over the repaired — or only now built — hierarchy vs
+		// Dijkstra on the independently replayed graph.
+		res := solver.NewInstanceWithHierarchy(cur, rt, h).Thorup().RunMany(sources)
+		for i, s := range sources {
+			want := dijkstra.SSSP(ref, s)
+			if v := firstDiff(res[i], want); v >= 0 {
+				return fail("mutate-oracle", "%s, after %d batches, src %d: d[%d] = %d, replayed reference %d",
+					lineage, len(batches), s, v, res[i][v], want[v])
+			}
 		}
 	}
 	return nil

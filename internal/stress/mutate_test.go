@@ -2,12 +2,19 @@ package stress
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/catalog"
+	"repro/internal/ch"
+	"repro/internal/dijkstra"
+	"repro/internal/engine"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/mutate"
 	"repro/internal/par"
 )
@@ -41,6 +48,132 @@ func TestMutationOracleClean(t *testing.T) {
 	cfg := Config{Seed: 5, MutateRounds: 6}.withDefaults()
 	if f := checkMutate(cfg, rt, "clean", g, []int32{0, 50, 100}); f != nil {
 		t.Fatalf("oracle tripped on correct machinery: %v", f)
+	}
+}
+
+// TestMutationOracleBothLineages drives 100 batches through a live catalog on
+// both lineages, from each kind of start — a text source (no hierarchy), a
+// snapshot-like one (a hierarchy carried, never used) and a catalog whose
+// threshold forces every repair to fall back. Un-demanded, every batch is an
+// overlay, nothing builds, and the first solver=thorup — one build, over the
+// 100th generation — agrees with Dijkstra on the reference replay. Demanded,
+// each batch repairs (reusing nodes every time) or, past the threshold, falls
+// back to a rebuild that the next solver=thorup builds over; same answers.
+func TestMutationOracleBothLineages(t *testing.T) {
+	base := gen.Random(200, 800, 1<<10, gen.UWD, 21)
+	batches := genMutationSequence(base, 100, 77)
+	if len(batches) != 100 {
+		t.Fatalf("%d batches generated, want 100", len(batches))
+	}
+	ref, err := mutate.ReferenceApply(base, batches...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	thorup := func(t *testing.T, cat *catalog.Catalog, g *graph.Graph) {
+		t.Helper()
+		gn, release, err := cat.Acquire("g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer release()
+		for _, src := range []int32{0, 50, 199} {
+			res, _, err := gn.Engine.Query(context.Background(), engine.Request{Sources: []int32{src}, Solver: "thorup"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v := firstDiff(res.Dist, dijkstra.SSSP(g, src)); v >= 0 {
+				t.Fatalf("gen %d, solver=thorup from %d: d[%d] = %d, reference says otherwise", gn.Gen, src, v, res.Dist[v])
+			}
+		}
+		if h, state, _ := gn.Hierarchy(); h.Graph() != gn.G || h.Validate() != nil {
+			t.Fatalf("gen %d after solver=thorup: hierarchy %s, Validate: %v", gn.Gen, state, h.Validate())
+		}
+	}
+	for _, start := range []struct {
+		name      string
+		carried   bool
+		threshold float64
+	}{{"text", false, 1}, {"snapshot-carried", true, 1}, {"forced-fallback", false, -1}} {
+		load := func(t *testing.T) *catalog.Catalog {
+			cat := catalog.New(catalog.Config{QueryWorkers: 2, MutateThreshold: start.threshold, Logf: func(string, ...any) {}})
+			t.Cleanup(cat.Close)
+			loader := func() (*graph.Graph, *ch.Hierarchy, error) {
+				if start.carried {
+					return base, ch.BuildKruskal(base), nil
+				}
+				return base, nil, nil
+			}
+			if err := cat.Load("g", catalog.Source{Loader: loader}); err != nil {
+				t.Fatal(err)
+			}
+			if err := cat.WaitReady("g", 30*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			return cat
+		}
+		t.Run(start.name+"/undemanded", func(t *testing.T) {
+			cat := load(t)
+			for i, b := range batches {
+				if res, err := cat.Mutate("g", b); err != nil || res.Fallback || res.Gen != uint64(i+2) {
+					t.Fatalf("batch %d: %+v, %v; want an overlay as gen %d", i, res, err, i+2)
+				}
+				if st := cat.Status()[0]; st.Hierarchy != "unbuilt" {
+					t.Fatalf("after batch %d: hierarchy %s", i, st.Hierarchy)
+				}
+			}
+			if n := cat.Counter("hierarchy_builds"); n != 0 {
+				t.Fatalf("%d hierarchy builds over 100 un-demanded mutations", n)
+			}
+			thorup(t, cat, ref)
+			if n := cat.Counter("hierarchy_builds"); n != 1 {
+				t.Fatalf("%d hierarchy builds after the first solver=thorup, want 1", n)
+			}
+		})
+		t.Run(start.name+"/demanded", func(t *testing.T) {
+			cat := load(t)
+			cur, h := base, ch.BuildKruskal(base) // the same lineage at the mutate level, for its RepairStats
+			var builds int64
+			demanded := false
+			for i, b := range batches {
+				// A fallback rebuild starts over without a hierarchy; ask again
+				// now and then, so that some batches meet a demanded generation.
+				if !demanded && i%10 == 0 {
+					if cat.Status()[0].Hierarchy == "unbuilt" {
+						builds++
+					}
+					thorup(t, cat, cur)
+					demanded = true
+				}
+				res, err := cat.Mutate("g", b)
+				if err != nil || res.Fallback != (demanded && start.threshold < 0) {
+					t.Fatalf("batch %d (demanded %v): %+v, %v", i, demanded, res, err)
+				}
+				if res.Fallback {
+					if err := cat.WaitReady("g", 30*time.Second); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if st, want := cat.Status()[0], map[bool]string{true: "carried", false: "unbuilt"}[demanded && !res.Fallback]; st.Hierarchy != want || st.Gen != uint64(i+2) {
+					t.Fatalf("after batch %d (demanded %v): %+v, want hierarchy %s", i, demanded, st, want)
+				}
+				m, err := mutate.Mutate(cur, h, b, mutate.Options{Threshold: 1})
+				if err != nil || m.Stats.ReusedNodes <= 0 {
+					t.Fatalf("batch %d: repair reused %d nodes, err %v", i, m.Stats.ReusedNodes, err)
+				}
+				if err := m.H.Validate(); err != nil {
+					t.Fatalf("batch %d: repaired hierarchy: %v", i, err)
+				}
+				cur, h = m.G, m.H
+				demanded = demanded && !res.Fallback
+			}
+			if !demanded {
+				builds++
+			}
+			thorup(t, cat, ref)
+			if got := cat.Counter("hierarchy_builds"); got != builds {
+				t.Fatalf("%d hierarchy builds, want %d", got, builds)
+			}
+		})
 	}
 }
 
