@@ -21,12 +21,13 @@ test:
 # traversal core, the delta-stepping, Dijkstra-family and BFS kernels
 # (source-set seeding) and the runtime under them, the query engine, the graph
 # catalog and snapshot format, the tracing and metrics layers, the shared HTTP
-# skeleton, both daemons and the routing tier, and the root package.
+# skeleton, both daemons and the routing tier, the stress oracles (queries in
+# flight on a generation while its answers are inherited), and the root package.
 RACE_PKGS = ./internal/dimacs ./internal/core ./internal/cc ./internal/deltastep \
 	./internal/bfs ./internal/dijkstra ./internal/mlb ./internal/par ./internal/mta \
 	./internal/obs ./internal/engine ./internal/catalog ./internal/snapshot \
 	./internal/trace ./internal/loadgen ./internal/router ./internal/httpx \
-	./internal/mutate ./internal/costmodel ./cmd/ssspd ./cmd/ssspr .
+	./internal/mutate ./internal/costmodel ./internal/stress ./cmd/ssspd ./cmd/ssspr .
 
 race:
 	$(GO) test -race $(RACE_PKGS)
@@ -34,8 +35,8 @@ race:
 # Flake hunt over the lifecycle/concurrency set (ROADMAP 8a): many plain
 # repetitions, then fewer under the race detector. Run before merging a change
 # to any of these packages.
-FLAKE_PKGS = ./internal/catalog ./internal/engine ./internal/router \
-	./internal/httpx ./cmd/ssspd ./cmd/ssspr
+FLAKE_PKGS = ./internal/catalog ./internal/engine ./internal/stress \
+	./internal/router ./internal/httpx ./cmd/ssspd ./cmd/ssspr
 
 flake:
 	$(GO) test -count=25 $(FLAKE_PKGS)

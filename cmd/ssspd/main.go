@@ -838,12 +838,7 @@ func (s *server) pointQuery(w http.ResponseWriter, r *http.Request, from, to str
 	}
 	req := engine.Request{Sources: []int32{src}, Solver: r.URL.Query().Get("solver"), Targets: []int32{dst}}
 	s.query(w, r, gen, release, req, func(res *engine.Result, via engine.Via) any {
-		var d int64
-		if res.Dist != nil {
-			d = res.Dist[dst]
-		} else {
-			d = res.TargetDist[0]
-		}
+		d := res.Target(0, dst)
 		resp := map[string]any{from: src, to: dst, "dist": jsonDist(d), "reachable": d < graph.Inf}
 		if withPlan {
 			resp["solver"], resp["via"] = res.Solver, via.String()
@@ -892,11 +887,7 @@ func (s *server) handleTable(w http.ResponseWriter, r *http.Request) {
 			}
 			out[i] = make([]int64, len(targets))
 			for j, t := range targets {
-				if br.Res.Dist != nil {
-					out[i][j] = jsonDist(br.Res.Dist[t])
-				} else {
-					out[i][j] = jsonDist(br.Res.TargetDist[j])
-				}
+				out[i][j] = jsonDist(br.Res.Target(j, t))
 			}
 		}
 		return map[string]any{"src": sources, "dst": targets, "dist": out}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/dijkstra"
 	"repro/internal/graph"
 	"repro/internal/mutate"
+	"repro/internal/trace"
 )
 
 // mutateBody renders a batch as the endpoint's JSON request body.
@@ -196,4 +198,101 @@ func TestGraphMutateErrors(t *testing.T) {
 		t.Fatalf("mid-build error message: %q", e["error"])
 	}
 	_ = srv.cat.WaitReady("big", 60*time.Second) // let the build finish before teardown
+}
+
+// TestAnswersSurviveMutation: over HTTP, a source asked before a write is
+// answered from the cache after it — corrected first where the write shortened
+// a path, under a resume span inside cache_lookup — on every route that reads a
+// vector, and /metrics says what the swap carried.
+func TestAnswersSurviveMutation(t *testing.T) {
+	ts, _, _ := tracedServer(t, 1, 0)
+	g, _ := testGraph()
+	for _, src := range []int{5, 9} {
+		if code := getJSON(t, fmt.Sprintf("%s/sssp?src=%d", ts.URL, src), &map[string]any{}); code != 200 {
+			t.Fatalf("/sssp?src=%d: %d", src, code)
+		}
+	}
+	// One arc from 5 to the vertex furthest from it, a unit shorter than the path.
+	d5, far := dijkstra.SSSP(g, 5), 0
+	for v, d := range d5 {
+		if d < graph.Inf && d > d5[far] {
+			far = v
+		}
+	}
+	b := &mutate.Batch{Ops: []mutate.Op{{Op: mutate.OpInsert, U: 5, V: int32(far), W: uint32(d5[far] - 1)}}}
+	if code := postJSON(t, ts.URL+"/graphs/test-instance/mutate", mutateBody(t, b), &map[string]any{}); code != 200 {
+		t.Fatalf("mutate: %d", code)
+	}
+	want, err := mutate.ReferenceApply(g, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	req, _ := http.NewRequest("GET", ts.URL+"/sssp?src=5&full=1", nil)
+	req.Header.Set("X-Trace-Id", "resumed-hit")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var full struct {
+		Via     string  `json:"via"`
+		Reached int     `json:"reached"`
+		Dist    []int64 `json:"dist"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&full); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	exp := dijkstra.SSSP(want, 5)
+	if full.Via != "cache" || full.Dist[far] != d5[far]-1 || full.Reached != reachedOf(exp) {
+		t.Fatalf("/sssp?src=5 after the write: via %s, dist[%d] = %d, reached %d", full.Via, far, full.Dist[far], full.Reached)
+	}
+	for v, d := range exp {
+		if d == graph.Inf {
+			d = -1
+		}
+		if full.Dist[v] != d {
+			t.Fatalf("resumed dist[%d] = %d, want %d", v, full.Dist[v], d)
+		}
+	}
+	var resume *trace.SpanJSON
+	for _, tr := range getTraces(t, ts, "") {
+		if tr.ID != "resumed-hit" {
+			continue
+		}
+		for _, sp := range tr.Spans.Children {
+			if sp.Name == "cache_lookup" && len(sp.Children) == 1 {
+				resume = sp.Children[0]
+			}
+		}
+	}
+	if resume == nil || resume.Name != "resume" || resume.Attrs["seeds"] != 1.0 || resume.Attrs["resettled"].(float64) < 1 {
+		t.Fatalf("resume span of the traced hit: %+v", resume)
+	}
+
+	var dist struct {
+		Dist int64  `json:"dist"`
+		Via  string `json:"via"`
+	}
+	if code := getJSON(t, fmt.Sprintf("%s/dist?src=5&dst=%d", ts.URL, far), &dist); code != 200 || dist.Via != "cache" || dist.Dist != d5[far]-1 {
+		t.Fatalf("/dist over the new arc: %d %+v", code, dist)
+	}
+	var table struct {
+		Dist [][]int64 `json:"dist"`
+	}
+	if code := getJSON(t, fmt.Sprintf("%s/table?src=9,5&dst=%d,0", ts.URL, far), &table); code != 200 ||
+		table.Dist[0][0] != dijkstra.SSSP(want, 9)[far] || table.Dist[1][0] != d5[far]-1 || table.Dist[1][1] != exp[0] {
+		t.Fatalf("/table: %d %v", code, table.Dist)
+	}
+	var m struct {
+		Engine map[string]any `json:"engine"`
+	}
+	if code := getJSON(t, ts.URL+"/metrics", &m); code != 200 {
+		t.Fatalf("/metrics: %d", code)
+	}
+	e := m.Engine
+	if e["inherited_stale"].(float64) < 1 || e["inherited_exact"].(float64)+e["inherited_stale"].(float64) < 2 ||
+		e["resumed"].(float64) < 1 || e["resettled"].(float64) < 1 || e["solves"] != 0.0 {
+		t.Fatalf("engine counters after the write: %v", e)
+	}
 }

@@ -17,6 +17,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/mutate"
 	"repro/internal/snapshot"
 )
 
@@ -63,8 +64,8 @@ func TestInitialLoadLifecycle(t *testing.T) {
 	}
 	want := dijkstra.SSSP(gen1.G, 0)
 	for v := range want {
-		if res.Dist[v] != want[v] {
-			t.Fatalf("distance mismatch at %d: %d vs %d", v, res.Dist[v], want[v])
+		if res.At(v) != want[v] {
+			t.Fatalf("distance mismatch at %d: %d vs %d", v, res.At(v), want[v])
 		}
 	}
 	st := c.Status()
@@ -222,23 +223,59 @@ func TestDrainStartsCollection(t *testing.T) {
 // collection, result cache and all — although the solver states its engine
 // pooled outlive it by up to two (sync.Pool keeps them as victims), and those
 // hold the solver instance: the instance's build hook must not lead back to the
-// generation. (It once did: churn's peak RSS rose by a quarter.)
+// generation. (It once did: churn's peak RSS rose by a quarter.) Nor must the
+// child a mutation made of it: the answers the child inherited, exact ones and
+// a stale one nothing has resolved yet, are the parent's vectors and nothing
+// else of it.
 func TestGenerationIsGarbageInOneCollection(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // no cycle but the one below
-	c := testCatalog(t, Config{})
-	collected := make(chan struct{})
-	func() {
+	c := testCatalog(t, Config{Engine: engine.Config{CacheEntries: 16}})
+	collected, engineCollected := make(chan struct{}), make(chan struct{})
+	child := func() *Generation {
 		g, _, _ := lazyLoader(4)()
 		gn := c.newGeneration("g", 1, g, nil, nil)
 		checkDistances(t, gn, g) // default queries: delta-stepping states go to the pool
 		demandOn(t, gn)          // and a Thorup one, over a hierarchy built on demand
 		runtime.SetFinalizer(gn, func(*Generation) { close(collected) })
+		// The engine is on a cycle with its cached results, and a finalizer there
+		// never runs; the graph under it is not, and goes when the engine has.
+		runtime.SetFinalizer(g, func(*graph.Graph) { close(engineCollected) })
+
+		// An arc from 0 to the vertex furthest from it, one shorter than the
+		// path there: 0's answer goes stale, and hardly another.
+		d0, far := dijkstra.SSSP(g, 0), 0
+		for v, d := range d0 {
+			if d < graph.Inf && d > d0[far] {
+				far = v
+			}
+		}
+		b := &mutate.Batch{Ops: []mutate.Op{{Op: mutate.OpInsert, U: 0, V: int32(far), W: uint32(d0[far] - 1)}}}
+		g2, _, err := mutate.Apply(g, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		child := c.newGeneration("g", 2, g2, nil, nil)
+		if exact, stale, _ := child.Engine.Inherit(gn.Engine, mutate.Changes(g, g2, b)); exact == 0 || stale == 0 {
+			t.Fatalf("the child inherited %d exact and %d stale answers, want some of each", exact, stale)
+		}
+		return child
 	}()
 	runtime.GC()
 	select {
 	case <-collected:
 	case <-time.After(10 * time.Second):
 		t.Fatal("an unreferenced generation survived a collection: something its pooled solver states reach holds it")
+	}
+	runtime.GC() // the pooled states, which hold the instance and its graph,
+	runtime.GC() // are pool victims for one cycle more
+	select {
+	case <-engineCollected:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the parent's engine outlives its pooled states: an answer its child inherited holds more than the vector")
+	}
+	checkDistances(t, child, child.G) // resolving the stale answer needs nothing of the parent
+	if child.Engine.Counter("resumed") == 0 {
+		t.Fatal("no inherited answer was resumed")
 	}
 }
 

@@ -195,13 +195,14 @@ func (g *Generation) finishDrain() {
 			g.parent.release()
 		}
 		close(g.drained)
-		// A drained generation takes its engine's whole result cache (and
-		// often a CSR and hierarchy copy) with it — commonly most of the
-		// live heap — but the pacer keeps its goal at twice the live heap of
-		// the previous cycle, so without a collection here the heap may
-		// grow as if the dead generation were still in use. Concurrent
-		// callers of runtime.GC share a cycle, so a burst of drains costs
-		// one or two. DESIGN.md §9 has the measurements.
+		// A drained generation takes its engine with it (and often a CSR and
+		// hierarchy copy) — the cached vectors a mutation's child did not
+		// inherit, the pooled solver states: commonly most of the live heap —
+		// but the pacer keeps its goal at twice the live heap of the previous
+		// cycle, so without a collection here the heap may grow as if the
+		// dead generation were still in use. Concurrent callers of runtime.GC
+		// share a cycle, so a burst of drains costs one or two. DESIGN.md §9
+		// has the measurements.
 		go runtime.GC()
 	})
 }

@@ -92,10 +92,10 @@ func TestHotSwapZeroFailedQueries(t *testing.T) {
 				// disagree (weights differ per version).
 				want := dijkstra.SSSP(gen1.G, src)
 				for v := range want {
-					if res.Dist[v] != want[v] {
+					if res.At(v) != want[v] {
 						release()
 						fail(fmt.Errorf("querier %d: stale answer on gen %d at vertex %d: %d vs %d",
-							q, gen1.Gen, v, res.Dist[v], want[v]))
+							q, gen1.Gen, v, res.At(v), want[v]))
 						return
 					}
 				}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -88,8 +87,13 @@ func demandOn(t *testing.T, gn *Generation) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := dijkstra.SSSP(gn.G, 7); res.Solver != "thorup" || !slices.Equal(res.Dist, want) {
-		t.Fatalf("gen %d: solver=thorup answered by %s, equal to Dijkstra: %v", gn.Gen, res.Solver, slices.Equal(res.Dist, want))
+	if res.Solver != "thorup" {
+		t.Fatalf("gen %d: solver=thorup answered by %s", gn.Gen, res.Solver)
+	}
+	for v, want := range dijkstra.SSSP(gn.G, 7) {
+		if res.At(v) != want {
+			t.Fatalf("gen %d: solver=thorup d[%d] = %d, Dijkstra %d", gn.Gen, v, res.At(v), want)
+		}
 	}
 }
 

@@ -124,7 +124,7 @@ func TestMmapHotSwapChurn(t *testing.T) {
 				// live right up until release.
 				want := dijkstra.SSSP(gen1.G, src)
 				for v := range want {
-					if res.Dist[v] != want[v] {
+					if res.At(v) != want[v] {
 						release()
 						fail(fmt.Errorf("querier %d: stale answer on gen %d at vertex %d",
 							q, gen1.Gen, v))
@@ -273,7 +273,7 @@ func TestMmapEvictionUnmaps(t *testing.T) {
 	}
 	want := dijkstra.SSSP(genB.G, 0)
 	for v := range want {
-		if res.Dist[v] != want[v] {
+		if res.At(v) != want[v] {
 			t.Fatalf("post-eviction distance mismatch at %d", v)
 		}
 	}

@@ -31,9 +31,9 @@ type MutateResult struct {
 
 // Mutate applies a validated mutation batch to a ready graph and installs the
 // result as a new generation: a copy-on-write CSR overlay, swapped in
-// synchronously. Only a lineage on which a query has demanded the hierarchy
-// pays for one: there the overlay comes with a repair and the child inherits
-// the demand — unless the delta is large (touched-vertex fraction over
+// synchronously, its result cache seeded from the parent's. Only a lineage on
+// which a query has demanded the hierarchy pays for one: there the overlay
+// comes with a repair and the child inherits the demand — unless the delta is large (touched-vertex fraction over
 // Config.MutateThreshold), which falls back to a queued background rebuild
 // that replays the accepted-delta log on top of the source, like a reload,
 // while the old generation keeps serving. Anywhere else the child has no
@@ -102,9 +102,11 @@ func (c *Catalog) Mutate(name string, b *mutate.Batch) (MutateResult, error) {
 	}
 
 	// Incremental: build the generation and swap synchronously. No warming —
-	// the parent's arrays are hot; the first queries pay only a cold result
-	// cache.
+	// the parent's arrays are hot, and the answers it was asked for come along:
+	// all but those the batch may have made longer (engine.Inherit). A reload
+	// and the rebuild above start with an empty result cache instead.
 	gen := c.newGeneration(name, res.Gen, mres.G, mres.H, nil)
+	exact, stale, dropped := gen.Engine.Inherit(parent.Engine, mutate.Changes(parent.G, mres.G, b))
 	if mres.H != nil {
 		gen.in.Thorup() // over the repaired hierarchy: the child inherits the demand
 	}
@@ -130,9 +132,9 @@ func (c *Catalog) Mutate(name string, b *mutate.Batch) (MutateResult, error) {
 	if !needPin {
 		parent.release() // the parent pin has no further use
 	}
-	c.logf("catalog: %s gen %d mutated from gen %d (%d ops, %d touched, reused %d/%d nodes, aliased=%v, %s)",
+	c.logf("catalog: %s gen %d mutated from gen %d (%d ops, %d touched, reused %d/%d nodes, aliased=%v, answers inherited %d exact + %d stale, %d dropped, %s)",
 		name, res.Gen, parent.Gen, len(b.Ops), res.Touched, mres.Stats.ReusedNodes,
-		mres.Stats.ReusedNodes+mres.Stats.NewNodes, mres.Aliased, time.Since(start).Round(time.Microsecond))
+		mres.Stats.ReusedNodes+mres.Stats.NewNodes, mres.Aliased, exact, stale, dropped, time.Since(start).Round(time.Microsecond))
 	res.Aliased = mres.Aliased
 	return res, nil
 }

@@ -54,8 +54,8 @@ func checkDistances(t *testing.T, gn *Generation, want *graph.Graph) {
 		}
 		exp := dijkstra.SSSP(want, src)
 		for v := range exp {
-			if res.Dist[v] != exp[v] {
-				t.Fatalf("gen %d source %d: dist[%d]=%d, want %d", gn.Gen, src, v, res.Dist[v], exp[v])
+			if res.At(v) != exp[v] {
+				t.Fatalf("gen %d source %d: dist[%d]=%d, want %d", gn.Gen, src, v, res.At(v), exp[v])
 			}
 		}
 	}
@@ -459,9 +459,9 @@ func TestMutateUnderLoad(t *testing.T) {
 				}
 				exp := dijkstra.SSSP(gn.G, src)
 				for v := range exp {
-					if res.Dist[v] != exp[v] {
+					if res.At(v) != exp[v] {
 						rel()
-						fail("gen %d source %d: dist[%d]=%d want %d", gn.Gen, src, v, res.Dist[v], exp[v])
+						fail("gen %d source %d: dist[%d]=%d want %d", gn.Gen, src, v, res.At(v), exp[v])
 						return
 					}
 				}
@@ -504,4 +504,140 @@ func TestMutateUnderLoad(t *testing.T) {
 		t.Fatal("no queries completed under mutation load")
 	}
 	t.Logf("mutate under load: %d queries across 8 mutations", queries.Load())
+}
+
+// A mutation on the incremental path hands the child generation the answers its
+// parent was asked for — exact, stale or dropped by what the batch did to each —
+// and says so in its log line; a reload and a threshold fallback start empty.
+func TestMutateCarriesAnswersOnIncrementalPathOnly(t *testing.T) {
+	var mu sync.Mutex
+	var lines []string
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	mutatedLine := func() string {
+		mu.Lock()
+		defer mu.Unlock()
+		for i := len(lines) - 1; i >= 0; i-- {
+			if strings.Contains(lines[i], "mutated from gen") {
+				return lines[i]
+			}
+		}
+		return ""
+	}
+	sources := []int32{3, 90, 250}
+	// ask queries every source on the current generation and holds the answers
+	// to Dijkstra on want; it returns how many came from the cache.
+	ask := func(c *Catalog, want *graph.Graph) (gn *Generation, cached int) {
+		t.Helper()
+		gn, rel, err := c.Acquire("g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rel()
+		for _, src := range sources {
+			res, via, err := gn.Engine.Query(context.Background(), engine.Request{Sources: []int32{src}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if via == engine.ViaCache {
+				cached++
+			}
+			exp := dijkstra.SSSP(want, src)
+			for v := range exp {
+				if res.At(v) != exp[v] {
+					t.Fatalf("gen %d source %d (via %v): dist[%d]=%d, want %d", gn.Gen, src, via, v, res.At(v), exp[v])
+				}
+			}
+		}
+		return gn, cached
+	}
+	inherited := func(gn *Generation) [3]int64 {
+		return [3]int64{gn.Engine.Counter("inherited_exact"), gn.Engine.Counter("inherited_stale"), gn.Engine.Counter("inherit_dropped")}
+	}
+
+	c := testCatalog(t, Config{Engine: engine.Config{CacheEntries: 16}, WarmQueries: -1, Logf: logf})
+	if err := c.Load("g", Source{Loader: lazyLoader(5)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WaitReady("g", waitFor); err != nil {
+		t.Fatal(err)
+	}
+	base, _, _ := lazyLoader(5)()
+	ask(c, base)
+
+	// A self-loop changes no distance: everything asked for crosses as it is.
+	loop := &mutate.Batch{Ops: []mutate.Op{{Op: mutate.OpInsert, U: 8, V: 8, W: 1}}}
+	if _, err := c.Mutate("g", loop); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := mutate.ReferenceApply(base, loop)
+	g2, cached := ask(c, want)
+	if got := inherited(g2); got != [3]int64{3, 0, 0} || cached != 3 {
+		t.Fatalf("after a self-loop: inherited %v, %d of 3 answered from the cache", got, cached)
+	}
+	if line := mutatedLine(); !strings.Contains(line, "answers inherited 3 exact + 0 stale, 0 dropped") {
+		t.Fatalf("log line %q", line)
+	}
+
+	// Cut the first arc of a shortest path from 3 (tight for 3 at least) and
+	// hang a far vertex one step from 90 (an improvement for 90 at least).
+	d3, d90 := dijkstra.SSSP(want, 3), dijkstra.SSSP(want, 90)
+	var cut, far int32 = -1, 0
+	ts, ws := want.Neighbors(3)
+	for i, v := range ts {
+		if d3[v] == int64(ws[i]) && v != 3 {
+			cut = v
+		}
+	}
+	for v := range d90 {
+		if d90[v] < graph.Inf && d90[v] > d90[far] {
+			far = int32(v)
+		}
+	}
+	mixed := &mutate.Batch{Ops: []mutate.Op{{Op: mutate.OpDelete, U: 3, V: cut}, {Op: mutate.OpInsert, U: 90, V: far, W: 1}}}
+	if _, err := c.Mutate("g", mixed); err != nil {
+		t.Fatal(err)
+	}
+	want, _ = mutate.ReferenceApply(want, mixed)
+	g3, cached := ask(c, want)
+	got := inherited(g3)
+	if got[0]+got[1]+got[2] != 3 || got[2] == 0 || got[1] == 0 || int64(cached) != got[0]+got[1] || g3.Engine.Counter("resumed") != got[1] {
+		t.Fatalf("after a cut and a shortcut: inherited %v, %d from the cache, %d resumed", got, cached, g3.Engine.Counter("resumed"))
+	}
+	if line := mutatedLine(); !strings.Contains(line, fmt.Sprintf("answers inherited %d exact + %d stale, %d dropped", got[0], got[1], got[2])) {
+		t.Fatalf("log line %q, counters %v", line, got)
+	}
+
+	// A reload replays the log over the source and starts with an empty cache.
+	if _, err := c.Reload("g"); err != nil {
+		t.Fatal(err)
+	}
+	waitRow(t, c, "g", "the reloaded generation", func(st GraphStatus) bool { return st.Gen == 4 && st.State == "ready" })
+	if g4, cached := ask(c, want); inherited(g4) != [3]int64{} || cached != 0 {
+		t.Fatalf("after a reload: inherited %v, %d answered from the cache", inherited(g4), cached)
+	}
+
+	// So does the rebuild a repair past the threshold falls back to.
+	fb := testCatalog(t, Config{Engine: engine.Config{CacheEntries: 16}, WarmQueries: -1, MutateThreshold: -1, Logf: logf})
+	if err := fb.Load("g", Source{Loader: lazyLoader(5)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := fb.WaitReady("g", waitFor); err != nil {
+		t.Fatal(err)
+	}
+	ask(fb, base)
+	demand(t, fb, "g")
+	if res, err := fb.Mutate("g", loop); err != nil || !res.Fallback {
+		t.Fatalf("forced fallback: %+v, %v", res, err)
+	}
+	if err := fb.WaitReady("g", waitFor); err != nil {
+		t.Fatal(err)
+	}
+	want, _ = mutate.ReferenceApply(base, loop)
+	if g2, cached := ask(fb, want); g2.Gen != 2 || inherited(g2) != [3]int64{} || cached != 0 {
+		t.Fatalf("after a fallback rebuild: gen %d inherited %v, %d answered from the cache", g2.Gen, inherited(g2), cached)
+	}
 }

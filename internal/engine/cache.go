@@ -26,6 +26,10 @@ type cacheEntry struct {
 	key   string
 	res   *Result
 	bytes int64
+	// asked: a query was answered with this entry, or solved it, while this
+	// cache served. Only such entries cross a mutation (Engine.Inherit), so one
+	// inherited and never read goes no further.
+	asked bool
 }
 
 func newLRU(maxEntries int, maxBytes int64, evictions *obs.Counter) *lru {
@@ -39,12 +43,14 @@ func newLRU(maxEntries int, maxBytes int64, evictions *obs.Counter) *lru {
 }
 
 // entryBytes is the byte charge for a result at insertion time (before any
-// JSON materialization): the distance vector, the key, and bookkeeping.
+// JSON materialization): the distance vector at its width, the key, and
+// bookkeeping. A stale inherited entry is charged the vector it shares with the
+// parent generation's cache: resolving it swaps that for a copy of the same size.
 func entryBytes(key string, res *Result) int64 {
-	return 8*int64(len(res.Dist)) + int64(len(key)) + 64
+	return res.vectorBytes() + int64(len(key)) + 64
 }
 
-// get returns the cached result and marks it most recently used.
+// get returns the cached result, marks it most recently used and asked for.
 func (c *lru) get(key string) (*Result, bool) {
 	if c.maxEntries == 0 {
 		return nil, false
@@ -56,13 +62,27 @@ func (c *lru) get(key string) (*Result, bool) {
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
+	ent := el.Value.(*cacheEntry)
+	ent.asked = true
+	return ent.res, true
 }
 
-// add inserts (or refreshes) a result and evicts from the LRU end until both
-// budgets hold. An entry larger than the whole byte budget is evicted
-// immediately, leaving the cache empty rather than over budget.
-func (c *lru) add(key string, res *Result) {
+// peek reports whether key is cached and changes nothing: an advisory read
+// neither refreshes the entry nor counts as having asked for it.
+func (c *lru) peek(key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.index[key]
+	return ok
+}
+
+// add inserts (or refreshes) a result a query solved and evicts from the LRU
+// end until both budgets hold. An entry larger than the whole byte budget is
+// evicted immediately, leaving the cache empty rather than over budget.
+func (c *lru) add(key string, res *Result) { c.insert(key, res, true) }
+
+// insert is add for any entry: asked is false for one Engine.Inherit carries over.
+func (c *lru) insert(key string, res *Result, asked bool) {
 	if c.maxEntries == 0 {
 		return
 	}
@@ -73,10 +93,23 @@ func (c *lru) add(key string, res *Result) {
 		// cache evicted, second solve started). Keep the newer result.
 		c.removeLocked(el, false)
 	}
-	ent := &cacheEntry{key: key, res: res, bytes: entryBytes(key, res)}
+	ent := &cacheEntry{key: key, res: res, bytes: entryBytes(key, res), asked: asked}
 	c.index[key] = c.ll.PushFront(ent)
 	c.bytes += ent.bytes
 	c.evictLocked()
+}
+
+// askedFor returns the results that were asked for, least recently used first.
+func (c *lru) askedFor() []*Result {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []*Result
+	for el := c.ll.Back(); el != nil; el = el.Prev() {
+		if ent := el.Value.(*cacheEntry); ent.asked {
+			out = append(out, ent.res)
+		}
+	}
+	return out
 }
 
 // grow charges extra bytes to an existing entry (JSON materialization) and

@@ -18,8 +18,9 @@
 //     query (BFS on unit weights, delta-stepping vs Thorup by instance
 //     shape), overridable per request.
 //
-// Results are immutable and shared between the cache and all callers: never
-// mutate Result.Dist.
+// Results are immutable and shared between the cache and all callers — and,
+// after a mutation, between a generation's cache and its parent's
+// (Engine.Inherit): the vector is read through Result.At and Result.Len only.
 //
 // See DESIGN.md §8 ("Query engine") for how this package fits the system.
 package engine

@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/deltastep"
-	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/solver"
 	"repro/internal/trace"
@@ -119,6 +118,11 @@ const (
 	cFullJSONBuilt      = "full_json_built"
 	cFullBytesFromCache = "full_bytes_from_cache"
 	cTargetedBailouts   = "targeted_bailouts"
+	cInheritedExact     = "inherited_exact"
+	cInheritedStale     = "inherited_stale"
+	cInheritDropped     = "inherit_dropped"
+	cResumed            = "resumed"
+	cResettled          = "resettled"
 )
 
 // New creates an engine over the instance. The hierarchy is built on first
@@ -139,7 +143,7 @@ func New(in *solver.Instance, cfg Config) *Engine {
 		exec:      make(map[string]*pooled, len(solvers)),
 		counters: obs.NewGroup(cSolves, cDedupHits, cCacheHits, cCacheMisses,
 			cCacheEvictions, cBatchRequests, cBatchItems, cFullJSONBuilt, cFullBytesFromCache,
-			cTargetedBailouts),
+			cTargetedBailouts, cInheritedExact, cInheritedStale, cInheritDropped, cResumed, cResettled),
 		cost: cfg.CostModel,
 		baseFeat: costmodel.Features{
 			N:         in.G.NumVertices(),
@@ -210,62 +214,6 @@ func (v Via) String() string {
 	}
 }
 
-// Result is one immutable query answer, shared between the cache and every
-// caller that received it. Dist must not be mutated.
-type Result struct {
-	// Solver is the registry name of the solver that produced the vector.
-	Solver string
-	// Dist is the distance vector (graph.Inf for unreachable vertices).
-	Dist []int64
-	// Reached is the number of vertices with finite distance.
-	Reached int
-	// Eccentricity is the largest finite distance.
-	Eccentricity int64
-	// TargetDist is set on a partial result only (Dist nil): the distance to
-	// each of the request's Targets, in request order. Never cached or shared.
-	TargetDist []int64
-
-	e        *Engine
-	key      string
-	jsonOnce sync.Once
-	distJSON []byte
-}
-
-// DistJSON returns the JSON array form of the distance vector, with
-// unreachable vertices encoded as -1. It is built at most once per Result;
-// later calls — cache hits included — reuse the serialized bytes, which the
-// engine counts as full_bytes_from_cache. The returned slice is immutable.
-func (r *Result) DistJSON() []byte {
-	first := false
-	r.jsonOnce.Do(func() {
-		first = true
-		buf := make([]byte, 0, 4*len(r.Dist)+2)
-		buf = append(buf, '[')
-		for i, d := range r.Dist {
-			if i > 0 {
-				buf = append(buf, ',')
-			}
-			if d >= graph.Inf {
-				buf = append(buf, '-', '1')
-			} else {
-				buf = strconv.AppendInt(buf, d, 10)
-			}
-		}
-		buf = append(buf, ']')
-		r.distJSON = buf
-		if r.e != nil {
-			r.e.counters.C(cFullJSONBuilt).Inc()
-			// The serialized form now lives alongside the vector; charge it
-			// against the cache's byte budget.
-			r.e.cache.grow(r, int64(len(buf)))
-		}
-	})
-	if !first && r.e != nil {
-		r.e.counters.C(cFullBytesFromCache).Add(int64(len(r.distJSON)))
-	}
-	return r.distJSON
-}
-
 // Query answers one request: cache lookup, then singleflight coalescing,
 // then a pooled solver execution. Waiters honour ctx; the execution itself
 // is not cancellable (a Thorup traversal cannot stop mid-flight), so the
@@ -278,7 +226,8 @@ func (r *Result) DistJSON() []byte {
 //
 // When the context carries a request trace (internal/trace), the stages are
 // recorded as spans under the context's current span: "cache_lookup" (with a
-// hit attribute), then either "solve" (this caller was the singleflight
+// hit attribute; a hit on a stale inherited entry nests its "resume" there,
+// see Inherit), then either "solve" (this caller was the singleflight
 // leader; pool checkout and solver-phase counters nest under it) or
 // "singleflight_wait" (this caller joined a leader's execution).
 func (e *Engine) Query(ctx context.Context, req Request) (*Result, Via, error) {
@@ -294,6 +243,9 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Result, Via, error) {
 	lk := parent.StartChild("cache_lookup")
 	res, ok := e.cache.get(key)
 	lk.SetAttr("hit", ok)
+	if ok {
+		res.resolve(lk)
+	}
 	lk.End()
 	if ok {
 		e.counters.C(cCacheHits).Inc()
@@ -402,7 +354,7 @@ func (e *Engine) PredictCost(req Request) (solverName string, cost time.Duration
 	if err != nil {
 		return "", 0, false, err
 	}
-	if _, hit := e.cache.get(key); hit {
+	if e.cache.peek(key) {
 		return name, 0, true, nil
 	}
 	cost, ok = e.cost.PredictFor(e.cfg.Graph, name, e.features(len(srcs)))
@@ -521,25 +473,6 @@ func (e *Engine) solve(parent *trace.Span, name string, srcs []int32, key string
 	x.p.states.Put(st)
 	e.cache.add(key, res)
 	return res
-}
-
-// detach copies a pooled state's distance vector into the result and tallies
-// Reached and Eccentricity in the same pass.
-func (r *Result) detach(pooled []int64) {
-	r.Dist = make([]int64, len(pooled))
-	for v, d := range pooled {
-		r.Dist[v] = d
-		r.count(d)
-	}
-}
-
-func (r *Result) count(d int64) {
-	if d < graph.Inf {
-		r.Reached++
-		if d > r.Eccentricity {
-			r.Eccentricity = d
-		}
-	}
 }
 
 // InstanceBytes is the memory footprint of one Thorup query instance over the

@@ -77,8 +77,8 @@ func TestQueryPooledMatchesFresh(t *testing.T) {
 					t.Fatalf("%s %v: %v", name, srcs, err)
 				}
 				for v := range want {
-					if got.Dist[v] != want[v] {
-						t.Fatalf("%s %v: dist[%d] = %d, want %d", name, srcs, v, got.Dist[v], want[v])
+					if got.At(v) != want[v] {
+						t.Fatalf("%s %v: dist[%d] = %d, want %d", name, srcs, v, got.At(v), want[v])
 					}
 				}
 			}
@@ -140,8 +140,8 @@ func TestOneRunPerQueryThroughPool(t *testing.T) {
 			t.Fatalf("solver %q resolved to %s, want %s", tc.request, got.Solver, tc.ran)
 		}
 		for v, want := range dj.Solve(tc.in, srcs) {
-			if got.Dist[v] != want {
-				t.Fatalf("%s: dist[%d] = %d, want %d", tc.ran, v, got.Dist[v], want)
+			if got.At(v) != want {
+				t.Fatalf("%s: dist[%d] = %d, want %d", tc.ran, v, got.At(v), want)
 			}
 		}
 		if r, z, sr := runs.Load(), resets.Load(), e.SolverRuns()[tc.ran]; r != 1 || z != 1 || sr != 1 {
@@ -385,9 +385,9 @@ func TestMultiSourceRouting(t *testing.T) {
 	if runs := e.SolverRuns(); runs["thorup"] != 1 || runs["delta"] != 1 {
 		t.Fatalf("solver runs %v, want one thorup and one delta", runs)
 	}
-	for v := range auto.Dist {
-		if forced.Dist[v] != auto.Dist[v] {
-			t.Fatalf("thorup d[%d] = %d, delta %d", v, forced.Dist[v], auto.Dist[v])
+	for v := 0; v < auto.Len(); v++ {
+		if forced.At(v) != auto.At(v) {
+			t.Fatalf("thorup d[%d] = %d, delta %d", v, forced.At(v), auto.At(v))
 		}
 	}
 	if forced.Reached != auto.Reached || forced.Eccentricity != auto.Eccentricity {
@@ -399,7 +399,7 @@ func TestMultiSourceRouting(t *testing.T) {
 // --- LRU cache -------------------------------------------------------------
 
 func cacheRes(key string, n int) *Result {
-	return &Result{key: key, Dist: make([]int64, n)}
+	return &Result{key: key, wide: make([]int64, n)}
 }
 
 func TestLRUEvictionOrder(t *testing.T) {
@@ -577,8 +577,8 @@ func TestBatchMatchesIndividualQueries(t *testing.T) {
 		}
 		want := reg.Solve(in, reqs[i].Sources)
 		for v := range want {
-			if br.Res.Dist[v] != want[v] {
-				t.Fatalf("item %d dist[%d] = %d, want %d", i, v, br.Res.Dist[v], want[v])
+			if br.Res.At(v) != want[v] {
+				t.Fatalf("item %d dist[%d] = %d, want %d", i, v, br.Res.At(v), want[v])
 			}
 		}
 	}

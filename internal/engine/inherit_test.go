@@ -1,0 +1,330 @@
+package engine
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"sync"
+	"testing"
+
+	"repro/internal/dijkstra"
+	"repro/internal/graph"
+	"repro/internal/mutate"
+	"repro/internal/par"
+	"repro/internal/solver"
+	"repro/internal/trace"
+)
+
+func engineOn(g *graph.Graph, gen uint64, cfg Config) *Engine {
+	cfg.Graph, cfg.Gen = "g", gen
+	return New(solver.NewInstanceWithHierarchy(g, par.NewExec(2), nil), cfg)
+}
+
+// sameAsCold holds every face of an answer — At, Len, Reached, Eccentricity,
+// DistJSON — to Dijkstra on g.
+func sameAsCold(t *testing.T, what string, res *Result, g *graph.Graph, srcs ...int32) {
+	t.Helper()
+	want := dijkstra.SSSPFromSources(g, srcs)
+	if res.Len() != len(want) {
+		t.Fatalf("%s: Len %d, want %d", what, res.Len(), len(want))
+	}
+	cold := &Result{}
+	for v, d := range want {
+		if res.At(v) != d {
+			t.Fatalf("%s: d[%d] = %d, Dijkstra %d", what, v, res.At(v), d)
+		}
+		cold.count(d)
+		if d == graph.Inf {
+			want[v] = -1
+		}
+	}
+	if res.Reached != cold.Reached || res.Eccentricity != cold.Eccentricity {
+		t.Fatalf("%s: reached %d eccentricity %d, want %d and %d", what, res.Reached, res.Eccentricity, cold.Reached, cold.Eccentricity)
+	}
+	if js, _ := json.Marshal(want); !bytes.Equal(res.DistJSON(), js) {
+		t.Fatalf("%s: DistJSON %s, want %s", what, res.DistJSON(), js)
+	}
+}
+
+// keyOf is the cache key e plans for a query from srcs.
+func keyOf(t *testing.T, e *Engine, srcs ...int32) string {
+	t.Helper()
+	_, _, key, err := e.plan(Request{Sources: srcs}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return key
+}
+
+func ask(t *testing.T, e *Engine, srcs ...int32) (*Result, Via) {
+	t.Helper()
+	res, via, err := e.Query(context.Background(), Request{Sources: srcs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, via
+}
+
+// The three rules of Inherit on a graph small enough to read: from 0 the
+// distances are [0 2 4 7 ∞ ∞]; 0–2 (10 and 30) is on no shortest path, 1–2 and
+// the lighter 2–3 copy are on one, 4–5 is out of reach.
+func TestInheritClassifies(t *testing.T) {
+	base := graph.FromEdges(6, []graph.Edge{
+		{U: 0, V: 1, W: 2}, {U: 1, V: 2, W: 2}, {U: 0, V: 2, W: 10}, {U: 0, V: 2, W: 30},
+		{U: 2, V: 3, W: 3}, {U: 2, V: 3, W: 9}, {U: 4, V: 5, W: 1},
+	})
+	set, ins, del := mutate.OpSetWeight, mutate.OpInsert, mutate.OpDelete
+	for _, tc := range []struct {
+		name      string
+		ops       []mutate.Op
+		want      string // of the entry for source 0
+		resettled int64
+	}{
+		{"delete untight", []mutate.Op{{Op: del, U: 0, V: 2}}, "exact", 0},
+		{"raise untight", []mutate.Op{{Op: set, U: 2, V: 0, W: 40}}, "exact", 0},
+		{"delete tight", []mutate.Op{{Op: del, U: 1, V: 2}}, "dropped", 0},
+		{"raise tight", []mutate.Op{{Op: set, U: 0, V: 1, W: 3}}, "dropped", 0},
+		{"lower one copy and raise the other, tight", []mutate.Op{{Op: set, U: 2, V: 3, W: 5}}, "dropped", 0},
+		{"lower one copy and raise the other, untight", []mutate.Op{{Op: set, U: 0, V: 2, W: 20}}, "exact", 0},
+		{"cheaper, improving nothing", []mutate.Op{{Op: set, U: 0, V: 2, W: 4}}, "exact", 0},
+		{"cheaper, improving", []mutate.Op{{Op: set, U: 0, V: 2, W: 3}}, "stale", 2},
+		{"lighter parallel copy", []mutate.Op{{Op: ins, U: 1, V: 0, W: 1}}, "stale", 3},
+		{"heavier parallel copy", []mutate.Op{{Op: ins, U: 0, V: 1, W: 7}}, "exact", 0},
+		{"self-loop", []mutate.Op{{Op: ins, U: 2, V: 2, W: 1}}, "exact", 0},
+		{"into another component", []mutate.Op{{Op: ins, U: 3, V: 4, W: 1}}, "stale", 2},
+		{"inside the other component", []mutate.Op{{Op: set, U: 4, V: 5, W: 9}}, "exact", 0},
+		{"raise untight beside an improvement", []mutate.Op{{Op: del, U: 0, V: 2}, {Op: ins, U: 0, V: 3, W: 1}}, "stale", 1},
+		{"raise tight beside an improvement", []mutate.Op{{Op: del, U: 2, V: 3}, {Op: ins, U: 0, V: 3, W: 1}}, "dropped", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			parent := engineOn(base, 1, Config{CacheEntries: 8})
+			for _, srcs := range [][]int32{{0}, {1, 5}, {4}} {
+				ask(t, parent, srcs...)
+			}
+			b := &mutate.Batch{Ops: tc.ops}
+			g, _, err := mutate.Apply(base, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			child := engineOn(g, 2, Config{CacheEntries: 8})
+			exact, stale, dropped := child.Inherit(parent, mutate.Changes(base, g, b))
+			if exact+stale+dropped != 3 {
+				t.Fatalf("%d exact + %d stale + %d dropped, want 3 entries accounted for", exact, stale, dropped)
+			}
+			if s := child.StatsSnapshot(); s["inherited_exact"] != int64(exact) || s["inherited_stale"] != int64(stale) || s["inherit_dropped"] != int64(dropped) {
+				t.Fatalf("counters %v, returned %d/%d/%d", s, exact, stale, dropped)
+			}
+			ent, held := child.cache.index[keyOf(t, child, 0)]
+			got := "dropped"
+			if held && ent.Value.(*cacheEntry).res.stale != nil {
+				got = "stale"
+			} else if held {
+				got = "exact"
+			}
+			if got != tc.want {
+				t.Fatalf("source 0's entry is %s, want %s", got, tc.want)
+			}
+			for _, srcs := range [][]int32{{0}, {1, 5}, {4}} {
+				held := child.cache.peek(keyOf(t, child, srcs...))
+				res, via := ask(t, child, srcs...)
+				if held != (via == ViaCache) {
+					t.Fatalf("sources %v: inherited %v, answered via %v", srcs, held, via)
+				}
+				sameAsCold(t, fmt.Sprint("sources ", srcs), res, g, srcs...)
+			}
+			if n := child.Counter(cResettled); tc.want == "stale" && n < tc.resettled {
+				t.Fatalf("resettled %d vertices, want at least source 0's %d", n, tc.resettled)
+			}
+			if child.Counter(cResumed) != int64(stale) {
+				t.Fatalf("%d resumes for %d stale entries", child.Counter(cResumed), stale)
+			}
+		})
+	}
+}
+
+// Only what the parent was asked for crosses, so an entry inherited and never
+// read is gone a generation later; and an advisory read asks for nothing.
+func TestInheritOnlyWhatWasAskedFor(t *testing.T) {
+	g1 := testInstance(t, 200, 800).G
+	far := &mutate.Batch{Ops: []mutate.Op{{Op: mutate.OpInsert, U: 5, V: 5, W: 1}}} // changes no distance
+	g2, _, _ := mutate.Apply(g1, far)
+	g3, _, _ := mutate.Apply(g2, far)
+
+	e1 := engineOn(g1, 1, Config{CacheEntries: 2})
+	ask(t, e1, 10)
+	ask(t, e1, 11)
+	// PredictCost sees 10 cached, and must not make it the more recent one.
+	if _, cost, ok, err := e1.PredictCost(Request{Sources: []int32{10}}); err != nil || !ok || cost != 0 {
+		t.Fatalf("PredictCost on a cached key: cost %v ok %v err %v", cost, ok, err)
+	}
+	ask(t, e1, 12)
+	if e1.cache.peek(keyOf(t, e1, 10)) || !e1.cache.peek(keyOf(t, e1, 11)) {
+		t.Fatal("PredictCost refreshed the entry it looked at: 11 was evicted instead of 10")
+	}
+
+	e2 := engineOn(g2, 2, Config{CacheEntries: 2})
+	if exact, stale, dropped := e2.Inherit(e1, mutate.Changes(g1, g2, far)); exact != 2 || stale+dropped != 0 {
+		t.Fatalf("gen 2 inherited %d exact, %d stale, dropped %d; want 11 and 12", exact, stale, dropped)
+	}
+	if _, via := ask(t, e2, 12); via != ViaCache {
+		t.Fatalf("12 answered via %v on gen 2", via)
+	}
+	if _, cost, ok, _ := e2.PredictCost(Request{Sources: []int32{11}}); !ok || cost != 0 {
+		t.Fatal("PredictCost does not see the inherited entry")
+	}
+	e3 := engineOn(g3, 3, Config{CacheEntries: 2})
+	if exact, _, _ := e3.Inherit(e2, mutate.Changes(g2, g3, far)); exact != 1 || !e3.cache.peek(keyOf(t, e3, 12)) {
+		t.Fatalf("gen 3 inherited %d entries; want 12 alone: 11 was only priced on gen 2, never read", exact)
+	}
+}
+
+// A stale entry is charged as the vector it will own from the moment it is
+// inserted; resolving it, and serializing it, charge nothing twice. The hit that
+// resolves records the resume under its cache_lookup span.
+func TestStaleEntryAccountingAndSpan(t *testing.T) {
+	g1 := testInstance(t, 300, 1200).G
+	b := &mutate.Batch{Ops: []mutate.Op{{Op: mutate.OpInsert, U: 0, V: 299, W: 1}}}
+	g2, _, _ := mutate.Apply(g1, b)
+	e1 := engineOn(g1, 1, Config{CacheEntries: 4})
+	cold, _ := ask(t, e1, 0)
+	e2 := engineOn(g2, 2, Config{CacheEntries: 4})
+	if _, stale, _ := e2.Inherit(e1, mutate.Changes(g1, g2, b)); stale != 1 {
+		t.Fatalf("%d stale entries, want 1", stale)
+	}
+	_, charged := e2.cache.size()
+	if want := entryBytes(keyOf(t, e2, 0), cold); charged != want || want != 4*300+int64(len("g@2|delta|0"))+64 {
+		t.Fatalf("stale entry charged %d bytes, a solved one %d", charged, want)
+	}
+
+	tracer := trace.New(trace.Config{SampleN: 1})
+	tr := tracer.StartRequest("", "sssp")
+	res, via, err := e2.Query(trace.NewContext(context.Background(), tr), Request{Sources: []int32{0}})
+	tracer.Finish(tr, 200)
+	if err != nil || via != ViaCache {
+		t.Fatalf("via %v, err %v", via, err)
+	}
+	sameAsCold(t, "resumed", res, g2, 0)
+	if _, now := e2.cache.size(); now != charged+int64(len(res.DistJSON())) {
+		t.Fatalf("cache holds %d bytes after the resolve and the JSON, want %d + %d", now, charged, len(res.DistJSON()))
+	}
+	if &res.narrow[0] == &cold.narrow[0] || cold.At(299) == res.At(299) {
+		t.Fatal("the resume wrote into the vector the parent generation still serves")
+	}
+	lk := tr.Export().Spans.Children[0]
+	if lk.Name != "cache_lookup" || len(lk.Children) != 1 || lk.Children[0].Name != "resume" {
+		t.Fatalf("spans under the request: %+v", lk)
+	}
+	if a := lk.Children[0].Attrs; a["seeds"] != 1 || a["resettled"] != int(e2.Counter(cResettled)) || e2.Counter(cResettled) == 0 {
+		t.Fatalf("resume span %v, resettled counter %d", a, e2.Counter(cResettled))
+	}
+	ask(t, e2, 0)
+	if e2.Counter(cResumed) != 1 {
+		t.Fatalf("%d resumes after two hits", e2.Counter(cResumed))
+	}
+}
+
+// Past 2^32 a vector is stored wide and read the same way — solved, inherited
+// exact, dropped — and a narrow one that a resume pushes past 2^32 widens (and
+// is charged for it).
+func TestWideVectors(t *testing.T) {
+	const heavy = graph.MaxWeight // 2^30: five arcs pass 2^32
+	edges := []graph.Edge{{U: 6, V: 7, W: 3}, {U: 7, V: 8, W: 4}}
+	for v := int32(0); v < 5; v++ {
+		edges = append(edges, graph.Edge{U: v, V: v + 1, W: heavy})
+	}
+	g1 := graph.FromEdges(9, edges)
+	e1 := engineOn(g1, 1, Config{CacheEntries: 8})
+	chain, _ := ask(t, e1, 0)
+	island, _ := ask(t, e1, 6)
+	if chain.wide == nil || island.narrow == nil || chain.Eccentricity != 5<<30 {
+		t.Fatalf("widths: chain wide %v (eccentricity %d), island narrow %v", chain.wide != nil, chain.Eccentricity, island.narrow != nil)
+	}
+	sameAsCold(t, "chain", chain, g1, 0)
+	sameAsCold(t, "island", island, g1, 6)
+	if _, bytes := e1.cache.size(); bytes != entryBytes(chain.key, chain)+entryBytes(island.key, island)+int64(len(chain.distJSON)+len(island.distJSON)) || chain.vectorBytes() != 2*island.vectorBytes() {
+		t.Fatalf("cache charges %d bytes for a %d-byte and a %d-byte vector", bytes, chain.vectorBytes(), island.vectorBytes())
+	}
+
+	// The island joins the far end of the chain: its vector resumes past 2^32;
+	// the chain's gains three near vertices and stays exact elsewhere.
+	b := &mutate.Batch{Ops: []mutate.Op{{Op: mutate.OpInsert, U: 5, V: 6, W: 1}}}
+	g2, _, _ := mutate.Apply(g1, b)
+	e2 := engineOn(g2, 2, Config{CacheEntries: 8})
+	if exact, stale, dropped := e2.Inherit(e1, mutate.Changes(g1, g2, b)); exact != 0 || stale != 2 || dropped != 0 {
+		t.Fatalf("join: %d exact, %d stale, %d dropped", exact, stale, dropped)
+	}
+	_, before := e2.cache.size()
+	jsonBytes := 0
+	for _, src := range []int32{0, 6} {
+		res, via := ask(t, e2, src)
+		if via != ViaCache || res.wide == nil {
+			t.Fatalf("source %d after the join: via %v, wide %v", src, via, res.wide != nil)
+		}
+		sameAsCold(t, fmt.Sprint("joined, from ", src), res, g2, src)
+		jsonBytes += len(res.DistJSON())
+	}
+	if _, after := e2.cache.size(); after-before != 4*9+int64(jsonBytes) {
+		t.Fatalf("cache grew by %d bytes over two resolves, one of which widened a 9-vertex vector, and %d of JSON", after-before, jsonBytes)
+	}
+
+	// A heavy chain arc goes: tight in both wide vectors, so both are dropped.
+	b = &mutate.Batch{Ops: []mutate.Op{{Op: mutate.OpDelete, U: 2, V: 3}}}
+	g3, _, _ := mutate.Apply(g2, b)
+	e3 := engineOn(g3, 3, Config{CacheEntries: 8})
+	if exact, stale, dropped := e3.Inherit(e2, mutate.Changes(g2, g3, b)); exact+stale != 0 || dropped != 2 {
+		t.Fatalf("cut: %d exact, %d stale, %d dropped", exact, stale, dropped)
+	}
+	res, via := ask(t, e3, 0)
+	if via != ViaSolve || res.narrow == nil {
+		t.Fatalf("source 0 after the cut: via %v, narrow %v", via, res.narrow != nil)
+	}
+	sameAsCold(t, "cut", res, g3, 0)
+}
+
+// Inherit walks a cache that is being served: hits that mark entries asked for,
+// and resolve stale ones, run beside it. Whichever side gets to an entry first,
+// every answer on the child is the cold one.
+func TestInheritWhileParentServes(t *testing.T) {
+	g1 := testInstance(t, 300, 1200).G
+	b1 := &mutate.Batch{Ops: []mutate.Op{{Op: mutate.OpInsert, U: 0, V: 150, W: 1}, {Op: mutate.OpInsert, U: 40, V: 299, W: 1}}}
+	g2, _, _ := mutate.Apply(g1, b1)
+	b2 := &mutate.Batch{Ops: []mutate.Op{{Op: mutate.OpInsert, U: 7, V: 220, W: 1}}}
+	g3, _, _ := mutate.Apply(g2, b2)
+	sources := []int32{0, 40, 80, 120, 160, 200, 240, 280}
+	for round := 0; round < 20; round++ {
+		e1 := engineOn(g1, 1, Config{CacheEntries: 16})
+		for _, s := range sources {
+			ask(t, e1, s)
+		}
+		e2 := engineOn(g2, 2, Config{CacheEntries: 16})
+		if exact, stale, _ := e2.Inherit(e1, mutate.Changes(g1, g2, b1)); exact+stale != len(sources) || stale == 0 {
+			t.Fatalf("gen 2 inherited %d exact and %d stale", exact, stale)
+		}
+		e3 := engineOn(g3, 3, Config{CacheEntries: 16})
+		var wg sync.WaitGroup
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := range sources {
+					s := sources[(i+4*w)%len(sources)]
+					res, _, err := e2.Query(context.Background(), Request{Sources: []int32{s}})
+					if err != nil {
+						t.Errorf("gen 2 source %d during the swap: %v", s, err)
+					} else if res.At(int(s)) != 0 || res.Reached == 0 {
+						t.Errorf("gen 2 source %d during the swap: d[%d] = %d, reached %d", s, s, res.At(int(s)), res.Reached)
+					}
+				}
+			}(w)
+		}
+		e3.Inherit(e2, mutate.Changes(g2, g3, b2))
+		wg.Wait()
+		for _, s := range sources {
+			res, _ := ask(t, e3, s)
+			sameAsCold(t, fmt.Sprint("gen 3 from ", s), res, g3, s)
+			res, _ = ask(t, e2, s)
+			sameAsCold(t, fmt.Sprint("gen 2 from ", s), res, g2, s)
+		}
+	}
+}

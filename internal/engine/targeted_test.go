@@ -14,14 +14,6 @@ import (
 	"repro/internal/trace"
 )
 
-// distTo reads the i-th target t of the request res answered, partial or not.
-func distTo(res *Result, i int, t int32) int64 {
-	if res.Dist == nil {
-		return res.TargetDist[i]
-	}
-	return res.Dist[t]
-}
-
 // targetedQuery runs one request and checks every target's answer against the
 // full vector from Dijkstra, whichever plan answered.
 func targetedQuery(t *testing.T, e *Engine, ctx context.Context, req Request) (*Result, Via) {
@@ -32,7 +24,7 @@ func targetedQuery(t *testing.T, e *Engine, ctx context.Context, req Request) (*
 	}
 	want := dijkstra.SSSPFromSources(e.in.G, req.Sources)
 	for i, tgt := range req.Targets {
-		if got := distTo(res, i, tgt); got != want[tgt] {
+		if got := res.Target(i, tgt); got != want[tgt] {
 			t.Fatalf("%+v by %s: target %d = %d, want %d", req, res.Solver, tgt, got, want[tgt])
 		}
 	}
@@ -50,15 +42,15 @@ func TestTargetedSearchCachesNothing(t *testing.T) {
 
 	for touch := 1; touch <= 2; touch++ {
 		res, via := targetedQuery(t, e, ctx, req)
-		if res.Solver != "bidirectional" || via != ViaSolve || res.Dist != nil || len(res.TargetDist) != 4 {
-			t.Fatalf("touch %d: %s via %v, Dist %d, TargetDist %v", touch, res.Solver, via, len(res.Dist), res.TargetDist)
+		if res.Solver != "bidirectional" || via != ViaSolve || res.Len() != 0 || len(res.TargetDist) != 4 {
+			t.Fatalf("touch %d: %s via %v, Len %d, TargetDist %v", touch, res.Solver, via, res.Len(), res.TargetDist)
 		}
 	}
 	if entries, _ := e.cache.size(); entries != 0 {
 		t.Fatalf("a partial result was cached (%d entries)", entries)
 	}
-	if res, via := targetedQuery(t, e, ctx, Request{Sources: []int32{7}}); res.Solver != "delta" || via != ViaSolve || len(res.Dist) != 300 {
-		t.Fatalf("full-vector query after a partial answer: %s via %v, %d distances", res.Solver, via, len(res.Dist))
+	if res, via := targetedQuery(t, e, ctx, Request{Sources: []int32{7}}); res.Solver != "delta" || via != ViaSolve || res.Len() != 300 {
+		t.Fatalf("full-vector query after a partial answer: %s via %v, %d distances", res.Solver, via, res.Len())
 	}
 	if res, via := targetedQuery(t, e, ctx, req); res.Solver != "delta" || via != ViaCache || res.TargetDist != nil {
 		t.Fatalf("targeted query of a cached source: %s via %v", res.Solver, via)
@@ -79,7 +71,7 @@ func TestTargetedFallsThroughToFullSolve(t *testing.T) {
 		{Sources: []int32{4}, Targets: []int32{9}, Solver: "dijkstra"},
 		{Sources: []int32{4, 5}, Targets: []int32{9}},
 	} {
-		if res, via := targetedQuery(t, e, ctx, req); res.Dist == nil || via != ViaSolve || e.SolverRuns()["bidirectional"] != 0 {
+		if res, via := targetedQuery(t, e, ctx, req); res.Len() == 0 || via != ViaSolve || e.SolverRuns()["bidirectional"] != 0 {
 			t.Fatalf("%+v: %s via %v", req, res.Solver, via)
 		}
 	}
@@ -87,7 +79,7 @@ func TestTargetedFallsThroughToFullSolve(t *testing.T) {
 	e.SetTargetBudget(1)
 	tr := trace.New(trace.Config{SampleN: 1}).StartRequest("", "dist")
 	res, via := targetedQuery(t, e, trace.NewContext(ctx, tr), Request{Sources: []int32{6}, Targets: []int32{200, 100}})
-	if res.Solver != "delta" || via != ViaSolve || res.Dist == nil {
+	if res.Solver != "delta" || via != ViaSolve || res.Len() == 0 {
 		t.Fatalf("bailed query: %s via %v", res.Solver, via)
 	}
 	if e.Counter(cTargetedBailouts) != 1 || e.SolverRuns()["bidirectional"] != 1 {
@@ -246,7 +238,7 @@ func TestBatchCarriesTargets(t *testing.T) {
 		}
 		want := dijkstra.SSSP(e.in.G, reqs[i].Sources[0])
 		for j, tgt := range targets {
-			if got := distTo(br.Res, j, tgt); got != want[tgt] {
+			if got := br.Res.Target(j, tgt); got != want[tgt] {
 				t.Fatalf("row %d target %d = %d, want %d", i, tgt, got, want[tgt])
 			}
 		}

@@ -211,6 +211,38 @@ func Apply(g *graph.Graph, b *Batch) (g2 *graph.Graph, aliased bool, err error) 
 	return g2, aliased, nil
 }
 
+// Change is what a batch did to one undirected edge slot, as a shortest path
+// sees it: the weight of the lightest stored copy before and after, graph.Inf
+// where no copy is stored.
+type Change struct {
+	U, V          int32
+	Before, After int64
+}
+
+// Changes compares every slot b names between before and after = before + b,
+// and returns those whose lightest copy moved. (A parallel insert above the
+// lightest copy, or a set_weight of copies to their minimum, moves nothing.)
+func Changes(before, after *graph.Graph, b *Batch) []Change {
+	out := make([]Change, 0, len(b.Ops))
+	for _, op := range b.Ops {
+		if c := (Change{op.U, op.V, lightest(before, op.U, op.V), lightest(after, op.U, op.V)}); c.Before != c.After {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+func lightest(g *graph.Graph, u, v int32) int64 {
+	w := graph.Inf
+	ts, ws := g.Neighbors(u)
+	for i, t := range ts {
+		if t == v && int64(ws[i]) < w {
+			w = int64(ws[i])
+		}
+	}
+	return w
+}
+
 // ReferenceApply replays batches onto g's edge multiset naively — no overlay,
 // no repair, just list surgery and a from-scratch CSR build — and returns the
 // resulting graph. It is the independent reference the stress oracle and the

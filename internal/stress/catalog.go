@@ -82,9 +82,9 @@ func checkCatalog(cfg Config, name string, g *graph.Graph, sources []int32) *Fai
 			return
 		}
 		want := dijkstra.SSSP(gen.G, s)
-		if v := firstDiff(res.Dist, want); v >= 0 {
+		if v := vectorDiff(res, want); v >= 0 {
 			report(fail("catalog-query", "%s gen %d src %d: d[%d] = %d, want %d (stale or mixed generation)",
-				label, gen.Gen, s, v, res.Dist[v], want[v]))
+				label, gen.Gen, s, v, res.At(v), want[v]))
 		}
 	}
 

@@ -28,6 +28,12 @@
 //     component, a parallel arc and a pendant behind one very heavy arc, both
 //     where n/32 starves the searches and, padded, where it never does; the
 //     pooled search state alone at budgets of 1 and none (targeted.go).
+//   - mutate: random mutation sequences through the incremental machinery, on
+//     a lineage that repairs its hierarchy and one that has none, against a
+//     naive replay (mutate.go): edge multisets, the hierarchy at the end, and
+//     — an engine per generation, each incremental child inheriting its
+//     parent's answers beside queries in flight on the parent — every answer
+//     served for the same source sets on every generation.
 //   - catalog: the multi-graph catalog (internal/catalog) survives reloads,
 //     loads, and unloads racing beneath live queries without ever failing an
 //     acquire on a ready graph or serving a stale generation's distances

@@ -99,8 +99,8 @@ func checkEngine(cfg Config, name string, g *graph.Graph, sources []int32, in *s
 				report(fail("engine-mixed", "%s: %v", j.label, err))
 				return
 			}
-			if v := firstDiff(res.Dist, j.want); v >= 0 {
-				report(fail("engine-mixed", "%s: d[%d] = %d, want %d", j.label, v, res.Dist[v], j.want[v]))
+			if v := vectorDiff(res, j.want); v >= 0 {
+				report(fail("engine-mixed", "%s: d[%d] = %d, want %d", j.label, v, res.At(v), j.want[v]))
 			}
 		}(j)
 	}
@@ -120,9 +120,9 @@ func checkEngine(cfg Config, name string, g *graph.Graph, sources []int32, in *s
 				report(fail("engine-mixed", "batch %s: %v", jobs[i].label, br.Err))
 				continue
 			}
-			if v := firstDiff(br.Res.Dist, jobs[i].want); v >= 0 {
+			if v := vectorDiff(br.Res, jobs[i].want); v >= 0 {
 				report(fail("engine-mixed", "batch %s: d[%d] = %d, want %d",
-					jobs[i].label, v, br.Res.Dist[v], jobs[i].want[v]))
+					jobs[i].label, v, br.Res.At(v), jobs[i].want[v]))
 			}
 		}
 	}()
@@ -139,4 +139,14 @@ func checkEngine(cfg Config, name string, g *graph.Graph, sources []int32, in *s
 		return fail("engine-trace", "traces_started = %d, want %d", started, len(jobs)+1)
 	}
 	return first
+}
+
+// vectorDiff is firstDiff for an engine result, read through its accessor.
+func vectorDiff(res *engine.Result, want []int64) int {
+	for v := range want {
+		if res.At(v) != want[v] {
+			return v
+		}
+	}
+	return -1
 }

@@ -1,12 +1,16 @@
 package stress
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
 
 	"repro/internal/ch"
 	"repro/internal/dijkstra"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/mutate"
 	"repro/internal/par"
@@ -24,7 +28,11 @@ import (
 // state is differenced against an implementation-disjoint replay
 // (mutate.ReferenceApply) of the same batches onto a fresh copy of the base
 // graph: edge multisets must match exactly, and Thorup queries over the
-// lineage's hierarchy must agree with Dijkstra on the replayed graph.
+// lineage's hierarchy must agree with Dijkstra on the replayed graph. Beside
+// the graphs runs what serves them: an engine per generation, each child of an
+// incremental step inheriting its parent's answers as catalog.Mutate has it
+// (engine.Inherit), the same source sets asked again on every generation and
+// every answer held to Dijkstra on the replay so far.
 func checkMutate(cfg Config, rt *par.Runtime, name string, g *graph.Graph, sources []int32) *Failure {
 	if cfg.MutateRounds < 0 || g.NumVertices() < 2 || len(sources) == 0 {
 		return nil
@@ -34,8 +42,17 @@ func checkMutate(cfg Config, rt *par.Runtime, name string, g *graph.Graph, sourc
 	if len(batches) == 0 {
 		return nil
 	}
-	return checkMutationSequence(cfg, rt, name, g, sources, batches, cfg.MutateFault)
+	return checkMutationSequence(cfg, rt, name, g, sources, batches, faults{cfg.MutateFault, cfg.InheritFault})
 }
+
+// faults are the planted bugs the mutation oracle must catch: Repair is
+// mutate.Options.InjectFault on every incremental batch; Inherit hides from
+// engine.Inherit the slots that were removed or got heavier, which is Inherit
+// without its tightness test — no answer is ever dropped.
+type faults struct{ Repair, Inherit bool }
+
+// inheritTally sums, over a lineage's generations, what engine.Inherit did.
+type inheritTally struct{ Exact, Stale, Dropped, Resumed int64 }
 
 // genMutationSequence derives a valid batch sequence from the seed: each
 // batch is generated against (and validated on) the graph state left by its
@@ -107,80 +124,191 @@ func randomValidBatch(g *graph.Graph, r *rng.Xoshiro256) *mutate.Batch {
 // mutation machinery and diffs the result against the reference replay. A
 // sequence that fails validation mid-replay returns nil — that marks an
 // invalid shrink candidate, not a bug (the sweep only generates valid
-// sequences). fault plants the repair bug (mutate.Options.InjectFault) on
-// every incremental batch; the oracle must catch it.
-func checkMutationSequence(cfg Config, rt *par.Runtime, name string, base *graph.Graph, sources []int32, batches []*mutate.Batch, fault bool) *Failure {
-	fail := func(check, format string, args ...any) *Failure {
-		return &Failure{Check: check, Inst: name, Detail: fmt.Sprintf(format, args...),
-			G: base, Sources: sources, Mutations: batches, MutateFault: fault}
-	}
-	ref, err := mutate.ReferenceApply(base, batches...)
+// sequences). fault plants bugs the oracle must catch.
+func checkMutationSequence(cfg Config, rt *par.Runtime, name string, base *graph.Graph, sources []int32, batches []*mutate.Batch, fault faults) *Failure {
+	refs, err := referenceChain(base, batches)
 	if err != nil {
 		return nil // invalid candidate sequence
 	}
 	for _, lineage := range []string{"demanded", "undemanded"} {
-		cur := base
-		var h *ch.Hierarchy // stays nil on the lineage nothing has demanded one on
-		if lineage == "demanded" {
-			h = ch.BuildKruskal(base)
+		f, tally := replayLineage(cfg, rt, name, lineage, refs, sources, batches, fault)
+		if f != nil {
+			return f
 		}
-		for i, b := range batches {
-			threshold := 1.0
-			if i%3 == 2 {
-				threshold = -1 // periodically force the fallback full-rebuild path
-			}
-			res, err := mutate.Mutate(cur, h, b, mutate.Options{Threshold: threshold, InjectFault: fault})
+		cfg.Logf("stress: %s %s lineage: answers inherited %d exact + %d stale (%d resumed), %d dropped",
+			name, lineage, tally.Exact, tally.Stale, tally.Resumed, tally.Dropped)
+	}
+	return nil
+}
+
+// referenceChain replays the batches naively, one at a time: refs[i] is base +
+// batches[:i].
+func referenceChain(base *graph.Graph, batches []*mutate.Batch) ([]*graph.Graph, error) {
+	refs := []*graph.Graph{base}
+	for _, b := range batches {
+		ref, err := mutate.ReferenceApply(refs[len(refs)-1], b)
+		if err != nil {
+			return nil, err
+		}
+		refs = append(refs, ref)
+	}
+	return refs, nil
+}
+
+// replayLineage is checkMutationSequence on one lineage, with what its
+// engines inherited along the way.
+func replayLineage(cfg Config, rt *par.Runtime, name, lineage string, refs []*graph.Graph, sources []int32, batches []*mutate.Batch, fault faults) (*Failure, inheritTally) {
+	base, ref := refs[0], refs[len(refs)-1]
+	var tally inheritTally
+	fail := func(check, format string, args ...any) (*Failure, inheritTally) {
+		return &Failure{Check: check, Inst: name, Detail: fmt.Sprintf(format, args...),
+			G: base, Sources: sources, Mutations: batches, MutateFault: fault.Repair, InheritFault: fault.Inherit}, tally
+	}
+
+	// The serving side. sets[0] is asked of a generation as soon as it serves,
+	// the rest just before the next swap — or, every other generation unless
+	// NoRace wants one deterministic order, while that swap's Inherit walks the
+	// cache they are in: hits on entries inherited a swap ago and not yet resolved.
+	sets := [][]int32{sources[:1]}
+	if len(sources) > 1 {
+		sets = append(sets, sources, sources[1:2])
+	}
+	newEngine := func(g *graph.Graph, gen int) *engine.Engine {
+		return engine.New(solver.NewInstanceWithHierarchy(g, rt, nil), engine.Config{CacheEntries: 8, Graph: name, Gen: uint64(gen)})
+	}
+	ask := func(e *engine.Engine, gen int, sets [][]int32) string {
+		for _, srcs := range sets {
+			res, _, err := e.Query(context.Background(), engine.Request{Sources: srcs})
 			if err != nil {
+				return fmt.Sprintf("%s gen %d, sources %v: %v", lineage, gen, srcs, err)
+			}
+			if diff := answerDiff(res, dijkstra.SSSPFromSources(refs[gen-1], srcs)); diff != "" {
+				return fmt.Sprintf("%s gen %d, sources %v: %s", lineage, gen, srcs, diff)
+			}
+		}
+		return ""
+	}
+	eng := newEngine(base, 1)
+	if diff := ask(eng, 1, sets[:1]); diff != "" {
+		return fail("mutate-served", "%s", diff)
+	}
+
+	cur := base
+	var h *ch.Hierarchy // stays nil on the lineage nothing has demanded one on
+	if lineage == "demanded" {
+		h = ch.BuildKruskal(base)
+	}
+	for i, b := range batches {
+		threshold := 1.0
+		if i%3 == 2 {
+			threshold = -1 // periodically force the fallback full-rebuild path
+		}
+		res, err := mutate.Mutate(cur, h, b, mutate.Options{Threshold: threshold, InjectFault: fault.Repair})
+		if err != nil {
+			if errors.Is(err, mutate.ErrInvalid) {
+				return nil, tally
+			}
+			return fail("mutate-internal", "%s batch %d/%d: %v", lineage, i+1, len(batches), err)
+		}
+		switch {
+		case h == nil && (res.Fallback || res.H != nil):
+			return fail("mutate-undemanded", "batch %d/%d at threshold %v: fallback %v, hierarchy %p; want a bare overlay",
+				i+1, len(batches), threshold, res.Fallback, res.H)
+		case res.Fallback:
+			// What the background rebuild replays (source + delta log); the
+			// next solver=thorup builds over it.
+			if res.G, _, err = mutate.Apply(cur, b); err != nil {
 				if errors.Is(err, mutate.ErrInvalid) {
-					return nil
+					return nil, tally
 				}
-				return fail("mutate-internal", "%s batch %d/%d: %v", lineage, i+1, len(batches), err)
+				return fail("mutate-internal", "fallback batch %d/%d: %v", i+1, len(batches), err)
 			}
-			if h == nil {
-				if res.Fallback || res.H != nil {
-					return fail("mutate-undemanded", "batch %d/%d at threshold %v: fallback %v, hierarchy %p; want a bare overlay",
-						i+1, len(batches), threshold, res.Fallback, res.H)
-				}
-				cur = res.G
-				continue
-			}
-			if res.Fallback {
-				// What the background rebuild replays (source + delta log); the
-				// next solver=thorup builds over it.
-				g2, _, err := mutate.Apply(cur, b)
-				if err != nil {
-					if errors.Is(err, mutate.ErrInvalid) {
-						return nil
-					}
-					return fail("mutate-internal", "fallback batch %d/%d: %v", i+1, len(batches), err)
-				}
-				cur, h = g2, ch.BuildKruskal(g2)
-				continue
-			}
+			res.H = ch.BuildKruskal(res.G)
+		case h != nil:
 			if err := res.H.Validate(); err != nil {
 				return fail("mutate-ch-validate", "batch %d/%d: %v", i+1, len(batches), err)
 			}
-			cur, h = res.G, res.H
 		}
 
-		if err := cur.Validate(); err != nil {
-			return fail("mutate-graph-validate", "%s, after %d batches: %v", lineage, len(batches), err)
+		// Generation i+2 serves res.G. A rebuild starts with an empty cache; an
+		// incremental step inherits, beside queries in flight on the parent.
+		child := newEngine(res.G, i+2)
+		late := make(chan string, 1)
+		if cfg.NoRace || i%2 == 0 {
+			late <- ask(eng, i+1, sets[1:])
+		} else {
+			go func() { late <- ask(eng, i+1, sets[1:]) }()
 		}
-		if diff := edgeMultisetDiff(cur, ref); diff != "" {
-			return fail("mutate-oracle-edges", "%s, after %d batches: %s", lineage, len(batches), diff)
-		}
-		// Thorup queries over the repaired — or only now built — hierarchy vs
-		// Dijkstra on the independently replayed graph.
-		res := solver.NewInstanceWithHierarchy(cur, rt, h).Thorup().RunMany(sources)
-		for i, s := range sources {
-			want := dijkstra.SSSP(ref, s)
-			if v := firstDiff(res[i], want); v >= 0 {
-				return fail("mutate-oracle", "%s, after %d batches, src %d: d[%d] = %d, replayed reference %d",
-					lineage, len(batches), s, v, res[i][v], want[v])
+		if !res.Fallback {
+			changes := mutate.Changes(cur, res.G, b)
+			if fault.Inherit {
+				kept := changes[:0]
+				for _, c := range changes {
+					if c.After < c.Before {
+						kept = append(kept, c)
+					}
+				}
+				changes = kept
 			}
+			exact, stale, dropped := child.Inherit(eng, changes)
+			tally.Exact, tally.Stale, tally.Dropped = tally.Exact+int64(exact), tally.Stale+int64(stale), tally.Dropped+int64(dropped)
+		}
+		if diff := <-late; diff != "" {
+			return fail("mutate-served", "%s", diff)
+		}
+		tally.Resumed += eng.Counter("resumed")
+		if diff := ask(child, i+2, sets[:1]); diff != "" {
+			return fail("mutate-served", "%s", diff)
+		}
+		cur, h, eng = res.G, res.H, child
+	}
+	if diff := ask(eng, len(batches)+1, sets); diff != "" {
+		return fail("mutate-served", "%s", diff)
+	}
+	tally.Resumed += eng.Counter("resumed")
+
+	if err := cur.Validate(); err != nil {
+		return fail("mutate-graph-validate", "%s, after %d batches: %v", lineage, len(batches), err)
+	}
+	if diff := edgeMultisetDiff(cur, ref); diff != "" {
+		return fail("mutate-oracle-edges", "%s, after %d batches: %s", lineage, len(batches), diff)
+	}
+	// Thorup queries over the repaired — or only now built — hierarchy vs
+	// Dijkstra on the independently replayed graph.
+	many := solver.NewInstanceWithHierarchy(cur, rt, h).Thorup().RunMany(sources)
+	for i, s := range sources {
+		want := dijkstra.SSSP(ref, s)
+		if v := firstDiff(many[i], want); v >= 0 {
+			return fail("mutate-oracle", "%s, after %d batches, src %d: d[%d] = %d, replayed reference %d",
+				lineage, len(batches), s, v, many[i][v], want[v])
 		}
 	}
-	return nil
+	return nil, tally
+}
+
+// answerDiff holds every face of an engine answer — At, Len, Reached,
+// Eccentricity, DistJSON — to the reference vector; "" when they agree.
+func answerDiff(res *engine.Result, want []int64) string {
+	if res.Len() != len(want) {
+		return fmt.Sprintf("%d distances, reference has %d", res.Len(), len(want))
+	}
+	if v := vectorDiff(res, want); v >= 0 {
+		return fmt.Sprintf("d[%d] = %d, replayed reference %d", v, res.At(v), want[v])
+	}
+	reached, ecc := 0, int64(0)
+	js := make([]int64, len(want))
+	for v, d := range want {
+		if js[v] = -1; d < graph.Inf {
+			reached, ecc, js[v] = reached+1, max(ecc, d), d
+		}
+	}
+	if res.Reached != reached || res.Eccentricity != ecc {
+		return fmt.Sprintf("reached %d, eccentricity %d; reference %d and %d", res.Reached, res.Eccentricity, reached, ecc)
+	}
+	if wantJS, _ := json.Marshal(js); !bytes.Equal(res.DistJSON(), wantJS) {
+		return fmt.Sprintf("DistJSON %.80s, reference %.80s", res.DistJSON(), wantJS)
+	}
+	return ""
 }
 
 // edgeMultisetDiff compares two graphs' undirected edge multisets (endpoint
@@ -286,11 +414,11 @@ func ShrinkMutations(batches []*mutate.Batch, keep func([]*mutate.Batch) bool) [
 // (already graph-shrunk) witness instance.
 func shrinkMutationSequence(cfg Config, rt *par.Runtime, f *Failure) *Failure {
 	keep := func(cand []*mutate.Batch) bool {
-		f2 := checkMutationSequence(cfg, rt, "shrink-seq", f.G, f.Sources, cand, f.MutateFault)
+		f2 := checkMutationSequence(cfg, rt, "shrink-seq", f.G, f.Sources, cand, faults{f.MutateFault, f.InheritFault})
 		return f2 != nil && f2.Check == f.Check
 	}
 	shrunk := ShrinkMutations(f.Mutations, keep)
-	f2 := checkMutationSequence(cfg, rt, f.Inst, f.G, f.Sources, shrunk, f.MutateFault)
+	f2 := checkMutationSequence(cfg, rt, f.Inst, f.G, f.Sources, shrunk, faults{f.MutateFault, f.InheritFault})
 	if f2 == nil {
 		return f // never trade a real failure for a nil one
 	}

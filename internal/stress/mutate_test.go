@@ -81,8 +81,8 @@ func TestMutationOracleBothLineages(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if v := firstDiff(res.Dist, dijkstra.SSSP(g, src)); v >= 0 {
-				t.Fatalf("gen %d, solver=thorup from %d: d[%d] = %d, reference says otherwise", gn.Gen, src, v, res.Dist[v])
+			if v := vectorDiff(res, dijkstra.SSSP(g, src)); v >= 0 {
+				t.Fatalf("gen %d, solver=thorup from %d: d[%d] = %d, reference says otherwise", gn.Gen, src, v, res.At(v))
 			}
 		}
 		if h, state, _ := gn.Hierarchy(); h.Graph() != gn.G || h.Validate() != nil {
@@ -174,6 +174,90 @@ func TestMutationOracleBothLineages(t *testing.T) {
 				t.Fatalf("%d hierarchy builds, want %d", got, builds)
 			}
 		})
+	}
+}
+
+// TestServedAnswersExactAcrossHundredGenerations asks the same three source
+// sets — one source, three, one in the small component — of 120 generations in
+// a row, on a graph with a second component, parallel copies and self-loops.
+// The first batches are the cases by name: a set_weight that lowers one copy
+// and raises the other, a self-loop, a bridge into the other component and its
+// removal; the rest are random mixed batches. Every answer equals Dijkstra on
+// the naive replay, with the parent's remaining sets asked while Inherit walks
+// its cache (run under -race: make stress), and all three outcomes of Inherit
+// occur — on the undemanded lineage at every step, on the demanded one between
+// its forced rebuilds.
+func TestServedAnswersExactAcrossHundredGenerations(t *testing.T) {
+	edges := gen.Random(120, 480, 1<<10, gen.UWD, 31).Edges()
+	for _, e := range gen.Random(80, 240, 1<<10, gen.UWD, 32).Edges() {
+		edges = append(edges, graph.Edge{U: e.U + 120, V: e.V + 120, W: e.W})
+	}
+	edges = append(edges, graph.Edge{U: 0, V: 1, W: 2}, graph.Edge{U: 0, V: 1, W: 900},
+		graph.Edge{U: 130, V: 131, W: 5}, graph.Edge{U: 130, V: 131, W: 700}, graph.Edge{U: 9, V: 9, W: 4})
+	base := graph.FromEdges(200, edges)
+	batches := []*mutate.Batch{
+		{Ops: []mutate.Op{{Op: mutate.OpSetWeight, U: 0, V: 1, W: 400}, {Op: mutate.OpSetWeight, U: 131, V: 130, W: 1}}},
+		{Ops: []mutate.Op{{Op: mutate.OpInsert, U: 0, V: 0, W: 1}, {Op: mutate.OpInsert, U: 60, V: 150, W: 3}}},
+		{Ops: []mutate.Op{{Op: mutate.OpInsert, U: 61, V: 151, W: 2}}},
+		{Ops: []mutate.Op{{Op: mutate.OpDelete, U: 150, V: 60}, {Op: mutate.OpDelete, U: 9, V: 9}}},
+		{Ops: []mutate.Op{{Op: mutate.OpDelete, U: 61, V: 151}}},
+	}
+	cur, err := mutate.ReferenceApply(base, batches...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches = append(batches, genMutationSequence(cur, 115, 78)...)
+	refs, err := referenceChain(base, batches)
+	if err != nil || len(refs) != 121 {
+		t.Fatalf("%d generations, want 121: %v", len(refs), err)
+	}
+	cfg := Config{}.withDefaults()
+	for _, lineage := range []string{"undemanded", "demanded"} {
+		f, tally := replayLineage(cfg, par.NewExec(2), "hundred", lineage, refs, []int32{0, 150, 77}, batches, faults{})
+		if f != nil {
+			t.Fatalf("%s: %v", lineage, f)
+		}
+		t.Logf("%s: %+v", lineage, tally)
+		if tally.Exact == 0 || tally.Stale == 0 || tally.Dropped == 0 || tally.Resumed == 0 {
+			t.Fatalf("%s lineage: %+v; want entries inherited exact, stale and resumed, and dropped", lineage, tally)
+		}
+	}
+}
+
+// TestInheritFaultCaughtShrunkAndReplayed: with engine.Inherit's tightness test
+// planted out (an answer is never dropped, however the batch cut its shortest
+// paths), the sweep catches a wrong served answer, shrinks the sequence to the
+// batch that cut one, and the written repro reproduces it.
+func TestInheritFaultCaughtShrunkAndReplayed(t *testing.T) {
+	cfg := Config{Seed: 7, MaxN: 128, Workers: 2, InheritFault: true, NoRace: true}
+	f := Run(cfg)
+	if f == nil {
+		t.Fatal("planted inheritance fault not caught")
+	}
+	totalOps := 0
+	for _, b := range f.Mutations {
+		totalOps += len(b.Ops)
+	}
+	if f.Check != "mutate-served" || !f.InheritFault || f.G.NumVertices() > 64 || len(f.Mutations) > 2 || totalOps > 2 {
+		t.Fatalf("caught as %q (inherit fault %v) on n=%d with %d batches / %d ops; want mutate-served, near-minimal: %v",
+			f.Check, f.InheritFault, f.G.NumVertices(), len(f.Mutations), totalOps, f)
+	}
+	t.Logf("shrunk witness: n=%d m=%d batches=%d ops=%d: %v", f.G.NumVertices(), f.G.NumEdges(), len(f.Mutations), totalOps, f)
+	grPath, err := f.WriteRepro(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := par.NewExec(2)
+	if f2, err := ReplayFile(cfg, rt, grPath); err != nil || f2 == nil || f2.Check != f.Check {
+		t.Fatalf("replayed repro did not reproduce %q: %v, %v", f.Check, f2, err)
+	}
+	// The same sequence through the real Inherit is clean: the fault is the plant.
+	rep, err := LoadRepro(grPath)
+	if err != nil || !rep.InheritFault {
+		t.Fatalf("sidecar lost the fault flag: %+v, %v", rep, err)
+	}
+	if f3 := checkMutationSequence(cfg.withDefaults(), rt, "unplanted", rep.G, rep.Sources, rep.Mutations, faults{}); f3 != nil {
+		t.Fatalf("the shrunk sequence fails without the plant: %v", f3)
 	}
 }
 

@@ -15,11 +15,12 @@ import (
 )
 
 // mutSidecar is the JSON schema of the optional <slug>.mut file written next
-// to a repro's DIMACS pair: the failing mutation sequence plus whether the
-// planted repair fault was active when it tripped.
+// to a repro's DIMACS pair: the failing mutation sequence plus which planted
+// faults (repair, answer inheritance) were active when it tripped.
 type mutSidecar struct {
-	Fault   bool            `json:"fault,omitempty"`
-	Batches []*mutate.Batch `json:"batches"`
+	Fault        bool            `json:"fault,omitempty"`
+	InheritFault bool            `json:"inherit_fault,omitempty"`
+	Batches      []*mutate.Batch `json:"batches"`
 }
 
 // WriteRepro persists the failure's witness instance as a self-contained
@@ -58,7 +59,7 @@ func (f *Failure) WriteRepro(dir string) (string, error) {
 		return "", werr
 	}
 	if len(f.Mutations) > 0 {
-		data, err := json.MarshalIndent(mutSidecar{Fault: f.MutateFault, Batches: f.Mutations}, "", "  ")
+		data, err := json.MarshalIndent(mutSidecar{Fault: f.MutateFault, InheritFault: f.InheritFault, Batches: f.Mutations}, "", "  ")
 		if err != nil {
 			return "", err
 		}
@@ -113,25 +114,26 @@ func LoadRepro(grPath string) (*LoadedRepro, error) {
 		if err := json.Unmarshal(data, &sc); err != nil {
 			return nil, fmt.Errorf("%s: %v", mutPath, err)
 		}
-		rep.Mutations, rep.Fault = sc.Batches, sc.Fault
+		rep.Mutations, rep.Fault, rep.InheritFault = sc.Batches, sc.Fault, sc.InheritFault
 	}
 	return rep, nil
 }
 
 // LoadedRepro is one replayable instance from disk. Mutations is non-nil when
-// a .mut sidecar recorded a failing mutation sequence (Fault marks whether
-// the planted repair bug was active).
+// a .mut sidecar recorded a failing mutation sequence (Fault and InheritFault
+// mark which planted bugs were active).
 type LoadedRepro struct {
-	Name      string
-	G         *graph.Graph
-	Sources   []int32
-	Mutations []*mutate.Batch
-	Fault     bool
+	Name         string
+	G            *graph.Graph
+	Sources      []int32
+	Mutations    []*mutate.Batch
+	Fault        bool
+	InheritFault bool
 }
 
 // ReplayFile re-runs the full oracle stack on one repro file. A repro with a
 // .mut sidecar replays its recorded mutation sequence (under the recorded
-// fault flag, so planted-bug repros reproduce) before the standard checks.
+// fault flags, so planted-bug repros reproduce) before the standard checks.
 func ReplayFile(cfg Config, rt *par.Runtime, grPath string) (*Failure, error) {
 	rep, err := LoadRepro(grPath)
 	if err != nil {
@@ -139,7 +141,7 @@ func ReplayFile(cfg Config, rt *par.Runtime, grPath string) (*Failure, error) {
 	}
 	cfg = cfg.withDefaults()
 	if len(rep.Mutations) > 0 {
-		if f := checkMutationSequence(cfg, rt, rep.Name, rep.G, rep.Sources, rep.Mutations, rep.Fault); f != nil {
+		if f := checkMutationSequence(cfg, rt, rep.Name, rep.G, rep.Sources, rep.Mutations, faults{rep.Fault, rep.InheritFault}); f != nil {
 			f.Seed = cfg.Seed
 			return f, nil
 		}

@@ -30,6 +30,7 @@ type Config struct {
 
 	MutateRounds int  // mutation batches per instance for the dynamic-graph oracle (default 4; negative disables)
 	MutateFault  bool // plant the incremental-repair bug (mutate.Options.InjectFault); the oracle must catch it
+	InheritFault bool // plant the answer-inheritance bug (engine.Inherit without its tightness test); the oracle must catch it
 }
 
 func (cfg Config) withDefaults() Config {
@@ -68,10 +69,11 @@ type Failure struct {
 	Sources []int32
 
 	// Mutation-oracle failures additionally carry the (shrunk) batch
-	// sequence and whether the planted repair fault was active; WriteRepro
-	// persists both in a .mut sidecar next to the DIMACS pair.
-	Mutations   []*mutate.Batch
-	MutateFault bool
+	// sequence and which planted faults were active; WriteRepro persists
+	// them in a .mut sidecar next to the DIMACS pair.
+	Mutations    []*mutate.Batch
+	MutateFault  bool
+	InheritFault bool
 }
 
 func (f *Failure) Error() string {

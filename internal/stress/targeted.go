@@ -118,13 +118,7 @@ func checkTargeted(cfg Config, rt *par.Runtime, name string, g *graph.Graph, sou
 					return fail("%s graph, cache %d: st(%d,%v) answered by %s", tc.what, cacheEntries, q.src[0], q.targets, res.Solver)
 				}
 				for j, t := range q.targets {
-					var got int64
-					if res.Dist != nil {
-						got = res.Dist[t]
-					} else {
-						got = res.TargetDist[j]
-					}
-					if got != want[q.src[0]][t] {
+					if got := res.Target(j, t); got != want[q.src[0]][t] {
 						return fail("%s graph, cache %d: st(%d,%d) = %d by %s, reference %d",
 							tc.what, cacheEntries, q.src[0], t, got, res.Solver, want[q.src[0]][t])
 					}
