@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-build bench-kernels bench-p2p bench-engine bench-catalog bench-trace bench-serve bench-serve-smoke bench-router bench-mutate bench-costmodel check flake docs-check loc stress fuzz experiments sim-csv-check examples clean
+.PHONY: all build vet test race bench bench-build bench-kernels bench-p2p bench-engine bench-catalog bench-trace bench-serve bench-serve-smoke bench-router bench-mutate bench-mutate-width bench-costmodel check flake docs-check loc stress fuzz experiments sim-csv-check examples clean
 
 all: build vet test
 
@@ -100,8 +100,8 @@ bench-engine:
 		$(GO) test -run TestWriteEngineBenchJSON -count=1 -v ./cmd/ssspd
 
 # Catalog comparison benchmarks (the graph-activation ladder: text parse +
-# background CH build, snapshot copy load, cold and warm mmap loads; plus
-# warmed vs cold first query after a swap), written to BENCH_catalog.json.
+# CH build, snapshot copy load, cold and warm mmap loads), written to
+# BENCH_catalog.json.
 # Gates: copy load faster than a text activation's parse + build (>= 2x),
 # warm mmap >= 50x over the copy load.
 bench-catalog:
@@ -144,6 +144,30 @@ bench-router:
 bench-mutate:
 	BENCH_MUTATE_OUT=$(CURDIR)/BENCH_mutate.json \
 		$(GO) test -run TestWriteMutateBenchJSON -count=1 -v ./internal/mutate
+
+# A write priced by its width (DESIGN.md §5, decision 18): BenchmarkMutateWidth
+# of internal/mutate — Mutate (overlay + repair) against BuildKruskal of the
+# mutated graph, rand at logn 14 and 16, additive and general batches touching
+# 0.05% to 100% of the vertices. Three interleaved passes, three iterations a
+# cell each; a cell's row is the median, minimum and maximum ms of each arm and
+# the ratio of the medians. The parent-side rows (the arm is named after the
+# commit they were measured on) are kept as they are. ~1 minute.
+bench-mutate-width:
+	parent=$$(grep ',fallback@' results/mutate-width.csv 2>/dev/null); \
+	for pass in 1 2 3; do \
+		$(GO) test -run '^$$' -bench MutateWidth -benchtime 3x -cpu 1 -timeout 30m ./internal/mutate || exit 1; \
+	done \
+	| awk -F'[/ \t]+' '$$1 == "BenchmarkMutateWidth" { print substr($$2,6) "," $$3 "," substr($$4,9,length($$4)-9) "," int($$12) "," int($$10) "," substr($$5,5) "," $$7/1e6 }' \
+	| sort -t, -k1,1n -k2,2 -k3,3n -k6,6 -k7,7n \
+	| awk -F, 'BEGIN { print "logn,batch,touched_pct,touched,ops,arm,median_ms,min_ms,max_ms,ratio" } \
+		{ key = $$1 "," $$2 "," $$3 "," $$4 "," $$5 "," $$6; if (key != last) { flush(); last = key; n = 0 } v[++n] = $$7 } \
+		END { flush() } \
+		function flush() { if (!n) return; med = v[int((n+1)/2)]; split(last, k, ","); \
+			if (k[6] == "build") { build = med; printf "%s,%.3f,%.3f,%.3f,1\n", last, med, v[1], v[n] } \
+			else printf "%s,%.3f,%.3f,%.3f,%.2f\n", last, med, v[1], v[n], med / build }' \
+	> results/mutate-width.csv && \
+	if [ -n "$$parent" ]; then echo "$$parent" >> results/mutate-width.csv; fi
+	@cat results/mutate-width.csv
 
 # Cost-model selection benchmark: the stress generator sweep solved by
 # every applicable solver, a model fitted from those trace samples, and

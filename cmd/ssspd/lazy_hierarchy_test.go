@@ -204,8 +204,8 @@ func TestNoRouteBuildsHierarchy(t *testing.T) {
 	sameDist(t, "/batch item 0", batch.Results[0].Dist, wantDist(g, 11))
 	sameDist(t, "/batch item 1", batch.Results[1].Dist, wantDist(g, 11, 200, 407))
 
-	// Ten writes: re-weightings up and down, inserts, a delete, and a batch
-	// wide enough (> 5% of the vertices) that a repair would have fallen back.
+	// Ten writes: re-weightings up and down, inserts, a delete, and a wide
+	// batch of 40 spokes from one hub.
 	var wide mutate.Batch
 	for i := 0; i < 40; i++ {
 		wide.Ops = append(wide.Ops, mutate.Op{Op: mutate.OpInsert, U: 0, V: int32(100 + 10*i), W: 2})

@@ -123,7 +123,6 @@ func main() {
 		traceRing    = flag.Int("trace-ring", 256, "retained-trace ring buffer capacity for /debug/traces")
 		slowQuery    = flag.Duration("slow-query", 0, "log and always retain query traces at least this slow (0 disables the slow-query log)")
 		pprofAddr    = flag.String("pprof-addr", "", "serve net/http/pprof on this separate listener (empty disables profiling)")
-		mutateThresh = flag.Float64("mutate-threshold", 0, "max fraction of vertices a mutation batch may touch and still repair the hierarchy incrementally; larger deltas rebuild in the background (0 = default 0.05, negative = always rebuild); judges only graphs whose hierarchy a query has demanded")
 		costModel    = flag.String("cost-model", "", "learned cost-model coefficients file (cmd/costfit output) driving solver selection; empty, missing, or stale keeps the static policy")
 		admitHead    = flag.Float64("admit-headroom", 0, "predictive admission: shed queries whose model-predicted cost exceeds -timeout times this factor with 503 before they occupy a worker (0 disables)")
 		costSamples  = flag.Int("cost-samples", costmodel.DefaultSamples, "cost-model training-sample ring capacity exported by /debug/costmodel/dataset")
@@ -151,7 +150,6 @@ func main() {
 		buildWorkers: *buildWorkers,
 		mmap:         *useMmap,
 		mapping:      mapping,
-		mutateThresh: *mutateThresh,
 		trace:        trace.Config{SampleN: *traceSample, RingSize: *traceRing, SlowQuery: *slowQuery},
 		costModel:    *costModel,
 		admitHead:    *admitHead,
@@ -191,10 +189,7 @@ type serverOptions struct {
 	// its catalog generation).
 	mmap    bool
 	mapping *snapshot.Mapping
-	// mutateThresh is the incremental-repair threshold for POST
-	// /graphs/{name}/mutate (see catalog.Config.MutateThreshold).
-	mutateThresh float64
-	trace        trace.Config
+	trace   trace.Config
 	// costModel is the coefficients file loaded at startup (empty or
 	// unloadable keeps the static policy); admitHead is the predictive
 	// admission headroom factor (0 disables); costSamples sizes the
@@ -267,13 +262,12 @@ func newServer(g *graph.Graph, h *ch.Hierarchy, name string, src catalog.Source,
 	}
 	opts.engine.CostModel = costProv
 	cat := catalog.New(catalog.Config{
-		Workers:         opts.buildWorkers,
-		MemoryBudget:    opts.memBudget,
-		QueryWorkers:    opts.workers,
-		Engine:          opts.engine,
-		MMap:            opts.mmap,
-		MutateThreshold: opts.mutateThresh,
-		Logf:            log.Printf,
+		Workers:      opts.buildWorkers,
+		MemoryBudget: opts.memBudget,
+		QueryWorkers: opts.workers,
+		Engine:       opts.engine,
+		MMap:         opts.mmap,
+		Logf:         log.Printf,
 	})
 	if src.Loader == nil && src.Snapshot == "" && src.Spec == (cli.Spec{}) {
 		// No reloadable source (tests, programmatic construction): reloads
@@ -740,11 +734,11 @@ func (s *server) handleGraphUnload(w http.ResponseWriter, r *http.Request) {
 
 // handleGraphMutate applies a JSON batch of edge mutations (set_weight,
 // insert, delete) to the named graph and answers 200 with the new generation
-// already serving; where a query has demanded the hierarchy the batch repairs
-// it too, or answers 202 and rebuilds in the background past the threshold. A
-// malformed or invalid batch is 400, an unknown graph 404, and a graph
-// mid-build (or otherwise not ready) 409 — nothing is applied in that case,
-// so the client can simply retry after the build completes.
+// already serving, whatever the batch's width; where a query has demanded the
+// hierarchy the batch repairs it too. A malformed or invalid batch is 400, an
+// unknown graph 404, and a graph mid-build (or otherwise not ready) 409 —
+// nothing is applied in that case, so the client can simply retry after the
+// build completes.
 func (s *server) handleGraphMutate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	b, err := mutate.ParseRequest(r.Body)
@@ -759,13 +753,6 @@ func (s *server) handleGraphMutate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		adminError(w, err)
-		return
-	}
-	if res.Fallback {
-		httpx.WriteJSON(w, http.StatusAccepted, map[string]any{
-			"status": "rebuilding", "name": name, "gen": res.Gen,
-			"fallback": true, "touched": res.Touched,
-		})
 		return
 	}
 	httpx.WriteJSON(w, http.StatusOK, map[string]any{

@@ -68,10 +68,9 @@ func checkServedDistances(t *testing.T, base, graphName string, src int32, want 
 }
 
 // TestGraphMutateEndpoint drives the full HTTP mutation path on a graph whose
-// hierarchy a query has demanded: a small batch takes the incremental path
-// (200, generation already serving), an over-threshold batch falls back to a
-// background rebuild (202), and the served distances after each swap match
-// Dijkstra on a reference-applied graph.
+// hierarchy a query has demanded: a small batch and a wide one alike answer 200
+// with their generation already serving, and the served distances after each
+// swap match Dijkstra on a reference-applied graph.
 func TestGraphMutateEndpoint(t *testing.T) {
 	ts, srv, g := testServerOpts(t, 64, 30*time.Second)
 	if code := getJSON(t, ts.URL+"/sssp?src=1&solver=thorup", &map[string]any{}); code != 200 {
@@ -81,10 +80,10 @@ func TestGraphMutateEndpoint(t *testing.T) {
 	b1 := pickEdges(g, 4, 11)
 	var ok map[string]any
 	if code := postJSON(t, ts.URL+"/graphs/test-instance/mutate", mutateBody(t, b1), &ok); code != 200 {
-		t.Fatalf("incremental mutate: code %d (%v), want 200", code, ok)
+		t.Fatalf("small mutate: code %d (%v), want 200", code, ok)
 	}
 	if ok["status"] != "mutated" || ok["gen"].(float64) != 2 || ok["aliased"] != true {
-		t.Fatalf("incremental mutate response %v", ok)
+		t.Fatalf("small mutate response %v", ok)
 	}
 	want1, err := mutate.ReferenceApply(g, b1)
 	if err != nil {
@@ -109,21 +108,21 @@ func TestGraphMutateEndpoint(t *testing.T) {
 		t.Fatalf("lineage in listing: %+v", gs)
 	}
 
-	// A wide batch (insert spokes from one hub: > 5% of 500 vertices
-	// touched) validates but falls back to the background rebuild.
+	// A wide batch (insert spokes from one hub: 41 of 500 vertices touched)
+	// is repaired in the request like any other.
 	var wide mutate.Batch
 	for i := 0; i < 40; i++ {
 		wide.Ops = append(wide.Ops, mutate.Op{Op: mutate.OpInsert, U: 0, V: int32(100 + 10*i), W: 2})
 	}
-	var fb map[string]any
-	if code := postJSON(t, ts.URL+"/graphs/test-instance/mutate", mutateBody(t, &wide), &fb); code != http.StatusAccepted {
-		t.Fatalf("fallback mutate: code %d (%v), want 202", code, fb)
+	var wr map[string]any
+	if code := postJSON(t, ts.URL+"/graphs/test-instance/mutate", mutateBody(t, &wide), &wr); code != 200 {
+		t.Fatalf("wide mutate: code %d (%v), want 200", code, wr)
 	}
-	if fb["status"] != "rebuilding" || fb["fallback"] != true || fb["gen"].(float64) != 3 {
-		t.Fatalf("fallback mutate response %v", fb)
+	if wr["status"] != "mutated" || wr["gen"].(float64) != 3 || wr["touched"].(float64) != 41 {
+		t.Fatalf("wide mutate response %v", wr)
 	}
-	if err := srv.cat.WaitReady("test-instance", 30*time.Second); err != nil {
-		t.Fatal(err)
+	if st := srv.cat.Status()[0]; st.Gen != 3 || st.State != "ready" || st.Pending || st.Hierarchy != "carried" {
+		t.Fatalf("after the wide batch: %+v, want gen 3 serving with its hierarchy repaired", st)
 	}
 	want2, err := mutate.ReferenceApply(g, b1, &wide)
 	if err != nil {
@@ -139,9 +138,7 @@ func TestGraphMutateEndpoint(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/metrics", &metrics); code != 200 {
 		t.Fatal("metrics")
 	}
-	if metrics.Catalog["mutations"].(float64) != 2 ||
-		metrics.Catalog["mutate_incremental"].(float64) != 1 ||
-		metrics.Catalog["mutate_fallback"].(float64) != 1 {
+	if metrics.Catalog["mutations"].(float64) != 2 {
 		t.Fatalf("mutation counters: %v", metrics.Catalog)
 	}
 	if _, ok := metrics.Ends["graphs_mutate"]; !ok {

@@ -46,8 +46,8 @@ func walkRoutes(t *testing.T, base string, cases []routeCase) {
 }
 
 // Every route of both daemons answers typed JSON on its success path and on
-// an error path — including the three 202s, whose Content-Type used to be set
-// after the status line had gone out (and so arrived as text/plain).
+// an error path — including the 202s, whose Content-Type used to be set after
+// the status line had gone out (and so arrived as text/plain).
 func TestEveryRouteAnswersTypedJSON(t *testing.T) {
 	ts, srv, g := testServerOpts(t, 64, 30*time.Second)
 	// One spare graph per state-changing admin call, so no case meets
@@ -59,7 +59,7 @@ func TestEveryRouteAnswersTypedJSON(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var wide mutate.Batch // > 5% of 500 vertices touched: background rebuild, once a query has used the hierarchy
+	var wide mutate.Batch // 41 of 500 vertices touched, repaired once a query has used the hierarchy
 	for i := 0; i < 40; i++ {
 		wide.Ops = append(wide.Ops, mutate.Op{Op: mutate.OpInsert, U: 0, V: int32(100 + 10*i), W: 2})
 	}
@@ -79,7 +79,7 @@ func TestEveryRouteAnswersTypedJSON(t *testing.T) {
 		{"/graphs/reload", `{"name":"reload"}`, 202}, {"/graphs/reload", `{"name":"nope"}`, 404},
 		{"/graphs/unload", `{"name":"unload"}`, 200}, {"/graphs/unload", `{"name":"nope"}`, 404},
 		{"/graphs/small/mutate", mutateBody(t, pickEdges(g, 4, 11)), 200},
-		{"/sssp?src=1&solver=thorup&graph=wide", "", 200}, {"/graphs/wide/mutate", mutateBody(t, &wide), 202},
+		{"/sssp?src=1&solver=thorup&graph=wide", "", 200}, {"/graphs/wide/mutate", mutateBody(t, &wide), 200},
 		{"/graphs/small/mutate", `{"ops":[{"op":"nope"}]}`, 400}, {"/graphs/nope/mutate", mutateBody(t, &wide), 404},
 		{"/debug/traces", "", 200}, {"/debug/traces?limit=0", "", 400},
 		{"/debug/costmodel/dataset", "", 200},

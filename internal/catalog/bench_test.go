@@ -1,7 +1,6 @@
 package catalog
 
 import (
-	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -10,23 +9,18 @@ import (
 
 	"repro/internal/ch"
 	"repro/internal/dimacs"
-	"repro/internal/engine"
 	"repro/internal/gen"
-	"repro/internal/par"
 	"repro/internal/snapshot"
-	"repro/internal/solver"
 )
 
 // TestWriteCatalogBenchJSON emits BENCH_catalog.json when BENCH_CATALOG_OUT
 // is set (see `make bench-catalog`): the ladder of graph-activation costs a
 // catalog can pay — text parse plus hierarchy build, snapshot copy load,
 // cold mmap (first map of a file: full verification), warm mmap (re-map of a
-// verified file: O(1)) — and the first-query latency of a warmed versus a
-// cold engine, the cost the warming phase hides from the first client after
-// a swap. A text activation serves after the parse alone and builds a
-// hierarchy only when a query demands one; text_load_ns stays the sum of the
-// two, the work a snapshot saves. Gates: a snapshot copy load is faster than that sum
-// (>= 2x), and warm mmap >= 50x over the copy load.
+// verified file: O(1)). A text activation serves after the parse alone and
+// builds a hierarchy only when a query demands one; text_load_ns stays the sum
+// of the two, the work a snapshot saves. Gates: a snapshot copy load is faster
+// than that sum (>= 2x), and warm mmap >= 50x over the copy load.
 func TestWriteCatalogBenchJSON(t *testing.T) {
 	out := os.Getenv("BENCH_CATALOG_OUT")
 	if out == "" {
@@ -126,33 +120,6 @@ func TestWriteCatalogBenchJSON(t *testing.T) {
 		m.Close()
 	}
 
-	// First-query latency right after a swap: a cold engine pays core-solver
-	// and pool construction on the first request; a warmed one already did.
-	// Only the first post-swap query is timed — setup and warming run outside
-	// the clock, exactly as the catalog runs them off the request path.
-	firstQuery := func(warm bool) time.Duration {
-		var total time.Duration
-		const reps = 5
-		for i := 0; i < reps; i++ {
-			eng := engine.New(solver.NewInstanceWithHierarchy(g, par.NewExec(4), h), engine.Config{CacheEntries: 64})
-			if warm {
-				for _, src := range []int32{0, 1 << 13, 1 << 14, 3 << 13} {
-					if _, _, err := eng.Query(context.Background(), engine.Request{Sources: []int32{src}}); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			start := time.Now()
-			if _, _, err := eng.Query(context.Background(), engine.Request{Sources: []int32{int32(77 + i)}}); err != nil {
-				t.Fatal(err)
-			}
-			total += time.Since(start)
-		}
-		return total / reps
-	}
-	cold := firstQuery(false)
-	warmed := firstQuery(true)
-
 	grInfo, _ := os.Stat(grPath)
 	snapInfo, _ := os.Stat(snapPath)
 	speedup := float64(textLoad) / float64(snapLoad)
@@ -168,9 +135,6 @@ func TestWriteCatalogBenchJSON(t *testing.T) {
 		"mmap_first_load_ns":   mmapCold.Nanoseconds(),
 		"mmap_load_ns":         mmapWarm.Nanoseconds(),
 		"mmap_speedup_vs_copy": mmapSpeedup,
-		"cold_first_query_ns":  cold.Nanoseconds(),
-		"warm_first_query_ns":  warmed.Nanoseconds(),
-		"warm_speedup":         float64(cold) / float64(warmed),
 	}
 	buf, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -179,8 +143,8 @@ func TestWriteCatalogBenchJSON(t *testing.T) {
 	if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("wrote %s: loads text %s / copy %s / mmap cold %s / mmap warm %s (copy %.1fx vs text, mmap %.0fx vs copy); first query warm %s vs cold %s",
-		out, textLoad, snapLoad, mmapCold, mmapWarm, speedup, mmapSpeedup, warmed, cold)
+	t.Logf("wrote %s: loads text %s / copy %s / mmap cold %s / mmap warm %s (copy %.1fx vs text, mmap %.0fx vs copy)",
+		out, textLoad, snapLoad, mmapCold, mmapWarm, speedup, mmapSpeedup)
 	if speedup < 2 {
 		t.Errorf("snapshot load speedup %.1fx, want >= 2x over text parse + CH build", speedup)
 	}

@@ -105,9 +105,6 @@ type Config struct {
 	MemoryBudget int64
 	// QueryWorkers sizes each generation's parallel runtime (default 4).
 	QueryWorkers int
-	// WarmQueries is how many spread-out single-source queries prime a fresh
-	// engine before it goes ready (default 4; 0 disables warming).
-	WarmQueries int
 	// Engine is the template engine configuration; Graph and Gen are
 	// overwritten per generation.
 	Engine engine.Config
@@ -115,11 +112,6 @@ type Config struct {
 	// platform allows it (mmap-less and big-endian hosts fall back to the
 	// copy read).
 	MMap bool
-	// MutateThreshold is the maximum fraction of vertices a mutation batch
-	// may touch and still have the hierarchy repaired; larger deltas fall back
-	// to a background full rebuild. 0 means mutate.DefaultThreshold; a negative
-	// value forces the fallback. Only a batch that would repair is judged.
-	MutateThreshold float64
 	// Logf receives progress lines (default log.Printf).
 	Logf func(string, ...any)
 }
@@ -153,10 +145,10 @@ type entry struct {
 	err      error // most recent load failure
 	pending  bool  // a build job is queued or running
 	// deltas is the accepted-mutation replay log for this lineage: every
-	// batch that produced a generation (incrementally or via fallback
-	// rebuild), in acceptance order. A rebuild from source replays it so the
-	// rebuilt generation reproduces the mutated graph, not the base one.
-	// Load with a fresh source resets the log (new lineage).
+	// batch that produced a generation, in acceptance order. A reload replays
+	// it over the source so the rebuilt generation reproduces the mutated
+	// graph, not the base one. Load with a fresh source resets the log (new
+	// lineage).
 	deltas []*mutate.Batch
 }
 
@@ -171,20 +163,17 @@ func (e *entry) setState(next State) {
 
 // Counter names of Catalog counters, in snapshot order.
 const (
-	cLoads             = "loads"
-	cReloads           = "reloads"
-	cUnloads           = "unloads"
-	cBuilds            = "builds"
-	cSwaps             = "swaps"
-	cEvictions         = "evictions"
-	cLoadFailures      = "load_failures"
-	cAcquires          = "acquires"
-	cNotReady          = "acquire_not_ready"
-	cWarmQueries       = "warm_queries"
-	cMutations         = "mutations"
-	cMutateIncremental = "mutate_incremental"
-	cMutateFallback    = "mutate_fallback"
-	cHierarchyBuilds   = "hierarchy_builds"
+	cLoads           = "loads"
+	cReloads         = "reloads"
+	cUnloads         = "unloads"
+	cBuilds          = "builds"
+	cSwaps           = "swaps"
+	cEvictions       = "evictions"
+	cLoadFailures    = "load_failures"
+	cAcquires        = "acquires"
+	cNotReady        = "acquire_not_ready"
+	cMutations       = "mutations"
+	cHierarchyBuilds = "hierarchy_builds"
 )
 
 // New creates a catalog and starts its build workers. Call Close to stop
@@ -195,9 +184,6 @@ func New(cfg Config) *Catalog {
 	}
 	if cfg.QueryWorkers <= 0 {
 		cfg.QueryWorkers = 4
-	}
-	if cfg.WarmQueries == 0 {
-		cfg.WarmQueries = 4
 	}
 	logf := cfg.Logf
 	if logf == nil {
@@ -210,8 +196,7 @@ func New(cfg Config) *Catalog {
 		jobs:    make(chan string, 64),
 		done:    make(chan struct{}),
 		counters: obs.NewGroup(cLoads, cReloads, cUnloads, cBuilds, cSwaps,
-			cEvictions, cLoadFailures, cAcquires, cNotReady, cWarmQueries,
-			cMutations, cMutateIncremental, cMutateFallback, cHierarchyBuilds),
+			cEvictions, cLoadFailures, cAcquires, cNotReady, cMutations, cHierarchyBuilds),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		c.wg.Add(1)
@@ -414,12 +399,17 @@ func (c *Catalog) Unload(name string) error {
 	}
 }
 
-// retireLocked moves a ready entry to draining and arranges the
-// draining→evicted edge once the last in-flight query releases.
+// retireLocked moves a ready entry to draining and on to evicted: at once when
+// no query holds the generation (always so for evictLocked's victims), else
+// once the last in-flight query releases.
 func (c *Catalog) retireLocked(e *entry) {
 	e.setState(StateDraining)
 	gen := e.gen
-	gen.retire()
+	if gen.retire() {
+		e.setState(StateEvicted)
+		e.gen = nil
+		return
+	}
 	go func() {
 		<-gen.Drained()
 		c.mu.Lock()
@@ -478,10 +468,10 @@ func (c *Catalog) AcquireTraced(ctx context.Context, name string) (*Generation, 
 }
 
 // runJob executes one background build: load the source, replay the delta
-// log, construct and warm a fresh engine, then swap it in — with the source's
+// log, construct a fresh engine, then swap it in — with the source's
 // hierarchy if it carried one that still fits, else without.
-// Initial loads walk the entry through loading→building→warming→ready;
-// reloads leave the serving state alone.
+// Initial loads walk the entry through loading→building→ready; reloads leave
+// the serving state alone.
 func (c *Catalog) runJob(name string) {
 	c.mu.Lock()
 	e, ok := c.entries[name]
@@ -491,7 +481,7 @@ func (c *Catalog) runJob(name string) {
 	}
 	src := e.src
 	isReload := e.state == StateReady
-	genNum := e.genSeq // pre-assigned by Load/Reload/Mutate when the job was queued
+	genNum := e.genSeq // pre-assigned by Load/Reload when the job was queued
 	deltas := append([]*mutate.Batch(nil), e.deltas...)
 	c.mu.Unlock()
 
@@ -526,12 +516,10 @@ func (c *Catalog) runJob(name string) {
 	c.counters.C(cBuilds).Inc()
 
 	gen := c.newGeneration(name, genNum, g, h, m)
-	c.advance(name, StateWarming, isReload)
-	c.warm(gen.Engine, g)
 
 	c.mu.Lock()
 	e, ok = c.entries[name]
-	if !ok || (e.state != StateWarming && e.state != StateReady) {
+	if !ok || (e.state != StateBuilding && e.state != StateReady) {
 		// The entry vanished or changed under us (e.g. unloaded mid-build of
 		// a reload); discard the built generation.
 		c.mu.Unlock()
@@ -583,27 +571,6 @@ func (c *Catalog) failJob(name string, err error) {
 	e.err = err
 	if e.state != StateReady && validNext[e.state][StateFailed] {
 		e.setState(StateFailed)
-	}
-}
-
-// warm primes a fresh engine with spread-out single-source queries so the
-// state pool of the solver the policy picks (delta-stepping on weighted
-// graphs; no default query touches the hierarchy) and the result cache are
-// hot before the generation takes real traffic.
-func (c *Catalog) warm(eng *engine.Engine, g *graph.Graph) {
-	n := g.NumVertices()
-	k := c.cfg.WarmQueries
-	if n == 0 || k <= 0 {
-		return
-	}
-	if k > n {
-		k = n
-	}
-	for i := 0; i < k; i++ {
-		src := int32(i * n / k)
-		if _, _, err := eng.Query(context.Background(), engine.Request{Sources: []int32{src}}); err == nil {
-			c.counters.C(cWarmQueries).Inc()
-		}
 	}
 }
 

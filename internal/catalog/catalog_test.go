@@ -106,26 +106,37 @@ func TestAcquireErrors(t *testing.T) {
 }
 
 // Each generation's engine is told which generation of which graph it is, so
-// the cost-model samples of its solves (here: the warm queries of a load, then
-// of a reload) are tied to the exact graph version they were measured on.
+// the cost-model samples of its solves (here: two queries on a load, then two on
+// a reload) are tied to the exact graph version they were measured on.
 func TestGenerationStampsItsSamples(t *testing.T) {
 	p := costmodel.NewProvider(0)
-	c := testCatalog(t, Config{WarmQueries: 2, Engine: engine.Config{CostModel: p}})
+	c := testCatalog(t, Config{Engine: engine.Config{CostModel: p}})
 	if err := c.Load("g", Source{Loader: loaderFor(1)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.WaitReady("g", waitFor); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Reload("g"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.WaitReady("g", waitFor); err != nil {
-		t.Fatal(err)
+	for gen := uint64(1); gen <= 2; gen++ {
+		if gen > 1 {
+			if _, err := c.Reload("g"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.WaitReady("g", waitFor); err != nil {
+			t.Fatal(err)
+		}
+		gn, release, err := c.Acquire("g")
+		if err != nil || gn.Gen != gen {
+			t.Fatalf("acquired %+v, %v; want gen %d", gn, err, gen)
+		}
+		for _, src := range []int32{0, 200} {
+			if _, _, err := gn.Engine.Query(context.Background(), engine.Request{Sources: []int32{src}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		release()
 	}
 	got := p.Samples().Snapshot()
 	if len(got) != 4 {
-		t.Fatalf("%d samples for 2 generations x 2 warm solves: %+v", len(got), got)
+		t.Fatalf("%d samples for 2 generations x 2 solves: %+v", len(got), got)
 	}
 	for i, s := range got {
 		if want := uint64(1 + i/2); s.Graph != "g" || s.Gen != want || s.N != 400 || s.M != 1600 || s.MaxWeight == 0 || s.Sources != 1 {
@@ -446,15 +457,8 @@ func TestMemoryBudgetEvictsLRU(t *testing.T) {
 		t.Fatal("no eviction despite exceeding the budget")
 	}
 	// "a" was least recently used; it must be the one out of service.
-	deadline := time.Now().Add(waitFor)
-	for {
-		if _, _, err := c.Acquire("a"); err != nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("a never evicted")
-		}
-		time.Sleep(time.Millisecond)
+	if _, _, err := c.Acquire("a"); err == nil {
+		t.Fatal("a not evicted")
 	}
 	for _, name := range []string{"b", "c"} {
 		_, release, err := c.Acquire(name)
@@ -463,20 +467,43 @@ func TestMemoryBudgetEvictsLRU(t *testing.T) {
 		}
 		release()
 	}
-	// An evicted graph reloads on demand from its remembered source. Load
-	// refuses while the draining→evicted edge, which the catalog takes on its
-	// own goroutine, is still ahead; nothing else may fail here.
-	for deadline := time.Now().Add(waitFor); ; time.Sleep(time.Millisecond) {
-		err := c.Load("a", Source{Loader: loaderFor(1)})
-		if err == nil {
-			break
-		}
-		if !strings.Contains(err.Error(), "is draining") || time.Now().After(deadline) {
-			t.Fatal(err)
-		}
+	// An evicted graph reloads on demand from its remembered source: an idle
+	// victim is evicted, not draining, by the time the eviction returns.
+	if err := c.Load("a", Source{Loader: loaderFor(1)}); err != nil {
+		t.Fatal(err)
 	}
 	if err := c.WaitReady("a", waitFor); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Unloading a graph no query holds takes it all the way to evicted before
+// Unload returns, so loading it again straight away succeeds.
+func TestUnloadIdleThenLoadAgain(t *testing.T) {
+	c := testCatalog(t, Config{})
+	for gen := uint64(1); gen <= 3; gen++ {
+		if err := c.Load("g", Source{Loader: loaderFor(gen)}); err != nil {
+			t.Fatalf("load %d: %v", gen, err)
+		}
+		if err := c.WaitReady("g", waitFor); err != nil {
+			t.Fatal(err)
+		}
+		gn, release, err := c.Acquire("g")
+		if err != nil || gn.Gen != gen {
+			t.Fatalf("acquired %+v, %v; want gen %d", gn, err, gen)
+		}
+		release()
+		if err := c.Unload("g"); err != nil {
+			t.Fatal(err)
+		}
+		if st := c.Status()[0]; st.State != "evicted" {
+			t.Fatalf("idle unload left %+v, want evicted", st)
+		}
+		select {
+		case <-gn.Drained():
+		default:
+			t.Fatalf("gen %d not drained when Unload returned", gen)
+		}
 	}
 }
 

@@ -16,13 +16,14 @@ import (
 
 // State is a graph's position in the catalog lifecycle:
 //
-//	loading ──▶ building ──▶ warming ──▶ ready ──▶ draining ──▶ evicted
-//	   │            │            │                                 │
-//	   └────────────┴────────────┴──▶ failed ──────(load)──────────┘
+//	loading ──▶ building ──▶ ready ──▶ draining ──▶ evicted
+//	   │            │                                   │
+//	   └────────────┴──▶ failed ──────────(load)────────┘
 //
 // A reload does not leave ready: the new generation walks the
-// loading/building/warming phases off to the side while the old one keeps
-// serving, and the swap is a single pointer exchange.
+// loading/building phases off to the side while the old one keeps serving,
+// and the swap is a single pointer exchange. A mutation never leaves ready
+// either: its generation is built and installed inside the request.
 type State int32
 
 const (
@@ -33,9 +34,6 @@ const (
 	// Component Hierarchy is: one the source did not carry is built by the
 	// first query that names a solver which reads it.
 	StateBuilding
-	// StateWarming: the fresh engine is primed with a few queries so the
-	// first real request does not pay pool and cache cold-start costs.
-	StateWarming
 	// StateReady: serving queries.
 	StateReady
 	// StateDraining: removed from service; in-flight queries on the final
@@ -55,8 +53,6 @@ func (s State) String() string {
 		return "loading"
 	case StateBuilding:
 		return "building"
-	case StateWarming:
-		return "warming"
 	case StateReady:
 		return "ready"
 	case StateDraining:
@@ -75,8 +71,7 @@ func (s State) String() string {
 // than limping on with a corrupted lifecycle.
 var validNext = map[State]map[State]bool{
 	StateLoading:  {StateBuilding: true, StateFailed: true},
-	StateBuilding: {StateWarming: true, StateFailed: true},
-	StateWarming:  {StateReady: true, StateFailed: true},
+	StateBuilding: {StateReady: true, StateFailed: true},
 	StateReady:    {StateDraining: true},
 	StateDraining: {StateEvicted: true},
 	StateEvicted:  {StateLoading: true},
@@ -224,12 +219,16 @@ func (g *Generation) release() {
 
 // retire marks the generation as no longer current. In-flight queries keep
 // their references and finish normally; once the count reaches zero the
-// mapping is unmapped and the drained channel closes. Idempotent.
-func (g *Generation) retire() {
+// mapping is unmapped and the drained channel closes. Idempotent. It reports
+// whether the generation had drained by the time it returned: true when no
+// query held it.
+func (g *Generation) retire() bool {
 	g.retired.Store(true)
 	if g.refs.Load() == 0 {
 		g.finishDrain()
+		return true
 	}
+	return false
 }
 
 // Drained is closed once the generation is retired, its last in-flight

@@ -202,8 +202,7 @@ func TestConcurrentAdminOps(t *testing.T) {
 	for {
 		settled := true
 		for _, s := range c.Status() {
-			if s.Pending || s.State == "loading" || s.State == "building" ||
-				s.State == "warming" || s.State == "draining" {
+			if s.Pending || s.State == "loading" || s.State == "building" || s.State == "draining" {
 				settled = false
 			}
 		}

@@ -97,8 +97,8 @@ func demandOn(t *testing.T, gn *Generation) {
 	}
 }
 
-// A background load walks loading→building→warming→ready, warm-up queries
-// included, and no hierarchy is built on the way or by default queries after:
+// A background load walks loading→building→ready, and no hierarchy is built on
+// the way or by default queries after:
 // the generation answers correctly and is charged for the graph alone. The
 // first solver=thorup query builds one, in its own call, and the generation
 // grows by exactly the hierarchy's bytes; the second builds nothing.
@@ -109,9 +109,6 @@ func TestLoadReadyBeforeHierarchy(t *testing.T) {
 	}
 	if err := c.WaitReady("g", waitFor); err != nil {
 		t.Fatal(err)
-	}
-	if got := c.Counter(cWarmQueries); got != 4 {
-		t.Fatalf("%d warm queries ran before ready, want 4", got)
 	}
 	gn, rel, err := c.Acquire("g")
 	if err != nil {
@@ -239,10 +236,10 @@ func TestRetiredMidBuild(t *testing.T) {
 }
 
 // Who pays for a hierarchy on a write: nobody, on a lineage no query has
-// demanded one on — the child has none, whatever the batch touches and whatever
-// the threshold, and a hierarchy the parent carried unused is dropped; on a
-// demanded lineage every child comes with the repaired hierarchy and the
-// demand, and the threshold judges its batches.
+// demanded one on — the child has none, whatever the batch touches, and a
+// hierarchy the parent carried unused is dropped; on a demanded lineage every
+// child comes with the repaired hierarchy and the demand, whatever the batch
+// touches.
 func TestMutateRepairsOnlyDemandedLineage(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -250,7 +247,7 @@ func TestMutateRepairsOnlyDemandedLineage(t *testing.T) {
 		start  string
 	}{{"text", lazyLoader(6), "unbuilt"}, {"snapshot", loaderFor(6), "carried"}} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := testCatalog(t, Config{MutateThreshold: 0.05})
+			c := testCatalog(t, Config{})
 			base, _, _ := tc.loader()
 			if err := c.Load("g", Source{Loader: tc.loader}); err != nil {
 				t.Fatal(err)
@@ -264,8 +261,7 @@ func TestMutateRepairsOnlyDemandedLineage(t *testing.T) {
 			wide := weightBatch(base, 40, 2) // touches > 5% of 400 vertices
 			batches := []*mutate.Batch{weightBatch(base, 3, 1), {Ops: []mutate.Op{{Op: mutate.OpInsert, U: 1, V: 399, W: 2}}}, wide}
 			for i, b := range batches {
-				res, err := c.Mutate("g", b)
-				if err != nil || res.Fallback {
+				if res, err := c.Mutate("g", b); err != nil {
 					t.Fatalf("un-demanded batch %d: %+v, %v; want an overlay", i, res, err)
 				}
 				if st := row(t, c, "g"); st.Hierarchy != "unbuilt" || st.HeapBytes != st.Bytes || st.Gen != uint64(i+2) {
@@ -280,9 +276,11 @@ func TestMutateRepairsOnlyDemandedLineage(t *testing.T) {
 			if st := row(t, c, "g"); st.Hierarchy != "built" || c.Counter(cHierarchyBuilds) != 1 {
 				t.Fatalf("after the demand: %+v, %d builds", st, c.Counter(cHierarchyBuilds))
 			}
-			for i, b := range []*mutate.Batch{weightBatch(want, 3, 1), {Ops: []mutate.Op{{Op: mutate.OpDelete, U: 1, V: 399}}}} {
-				res, err := c.Mutate("g", b)
-				if err != nil || res.Fallback {
+			for i, b := range []*mutate.Batch{weightBatch(want, 3, 1), {Ops: []mutate.Op{{Op: mutate.OpDelete, U: 1, V: 399}}}, nil} {
+				if b == nil { // wide, and heavier: the general repair over > 5% of the vertices
+					b = weightBatch(want, 40, 2)
+				}
+				if res, err := c.Mutate("g", b); err != nil {
 					t.Fatalf("demanded batch %d: %+v, %v; want a repair", i, res, err)
 				}
 				gn, rel, err := c.Acquire("g")
@@ -305,15 +303,6 @@ func TestMutateRepairsOnlyDemandedLineage(t *testing.T) {
 			}
 			if n := c.Counter(cHierarchyBuilds); n != 1 {
 				t.Fatalf("%d builds on a lineage that repairs, want 1", n)
-			}
-			if res, err := c.Mutate("g", weightBatch(want, 40, 2)); err != nil || !res.Fallback {
-				t.Fatalf("wide batch on a demanded lineage: %+v, %v; want the fallback", res, err)
-			}
-			if err := c.WaitReady("g", waitFor); err != nil {
-				t.Fatal(err)
-			}
-			if st := row(t, c, "g"); st.Hierarchy != "unbuilt" { // a rebuild from source starts over
-				t.Fatalf("after the fallback rebuild: %+v", st)
 			}
 		})
 	}

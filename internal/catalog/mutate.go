@@ -8,36 +8,25 @@ import (
 	"repro/internal/mutate"
 )
 
-// MutateResult reports an accepted mutation. Gen is the generation the batch
-// produced: already serving when Fallback is false (the incremental path
-// installed it synchronously), or pre-assigned to a queued background
-// rebuild when Fallback is true (poll /graphs or WaitReady for readiness).
+// MutateResult reports an accepted mutation: the generation it produced is
+// already serving when Mutate returns.
 type MutateResult struct {
-	// Gen is the generation number the mutation produced (or will produce,
-	// on the fallback path).
+	// Gen is the generation number the mutation produced.
 	Gen uint64
-	// Fallback reports that the delta exceeded the repair threshold and a
-	// background full rebuild (source + delta replay) was queued instead.
-	Fallback bool
-	// Touched is the distinct mutated-endpoint count; Frac is it as a
-	// fraction of the vertex set — the number the threshold judged.
+	// Touched is the distinct mutated-endpoint count.
 	Touched int
-	Frac    float64
 	// Aliased reports that the new generation's CSR shares offset and target
-	// arrays with its parent (weight-only batch); meaningful only on the
-	// incremental path.
+	// arrays with its parent (weight-only batch).
 	Aliased bool
 }
 
 // Mutate applies a validated mutation batch to a ready graph and installs the
-// result as a new generation: a copy-on-write CSR overlay, swapped in
-// synchronously, its result cache seeded from the parent's. Only a lineage on
-// which a query has demanded the hierarchy pays for one: there the overlay
-// comes with a repair and the child inherits the demand — unless the delta is large (touched-vertex fraction over
-// Config.MutateThreshold), which falls back to a queued background rebuild
-// that replays the accepted-delta log on top of the source, like a reload,
-// while the old generation keeps serving. Anywhere else the child has no
-// hierarchy: one the parent carried unused is dropped, not repaired.
+// result as a new generation, synchronously and whatever the batch's width: a
+// copy-on-write CSR overlay, its result cache seeded from the parent's. Only a
+// lineage on which a query has demanded the hierarchy pays for one: there the
+// overlay comes with a repair and the child inherits the demand. Anywhere else
+// the child has no hierarchy: one the parent carried unused is dropped, not
+// repaired.
 //
 // Errors: validation failures wrap mutate.ErrInvalid (map to 400); unknown
 // names wrap ErrUnknownGraph (404); a graph mid-build or not ready is a
@@ -68,12 +57,11 @@ func (c *Catalog) Mutate(name string, b *mutate.Batch) (MutateResult, error) {
 	parent.acquire()       // pin the parent arrays across the off-lock compute
 	e.pending = true       // serialize: no reload/unload/mutation until we finish
 	res.Gen = e.genSeq + 1 // what this batch will produce; pending keeps genSeq ours
-	threshold := c.cfg.MutateThreshold
 	c.mu.Unlock()
 
 	start := time.Now()
 	// Without a hierarchy in use the batch is an overlay, whatever parent carries.
-	mres, err := mutate.Mutate(parent.G, parent.in.Demanded(), b, mutate.Options{Threshold: threshold})
+	mres, err := mutate.Mutate(parent.G, parent.in.Demanded(), b, mutate.Options{})
 	if err != nil {
 		c.mu.Lock()
 		e.pending = false
@@ -82,29 +70,11 @@ func (c *Catalog) Mutate(name string, b *mutate.Batch) (MutateResult, error) {
 		return MutateResult{}, err
 	}
 	c.counters.C(cMutations).Inc() // accepted batches only; a rejected delta changes nothing
-	res.Touched, res.Frac = mres.Touched, mres.Frac
+	res.Touched, res.Aliased = mres.Touched, mres.Aliased
 
-	if mres.Fallback {
-		// Too large for incremental repair: log the delta and queue a full
-		// rebuild, which replays the log on top of the source. The queued job
-		// owns the pending flag from here.
-		c.mu.Lock()
-		e.deltas = append(e.deltas, b)
-		e.genSeq = res.Gen // pre-assign the generation the rebuild will install
-		res.Fallback = true
-		c.counters.C(cMutateFallback).Inc()
-		c.mu.Unlock()
-		parent.release()
-		c.enqueue(name)
-		c.logf("catalog: %s mutation (%d ops, %d touched, frac %.3f) exceeds threshold; queued full rebuild as gen %d",
-			name, len(b.Ops), res.Touched, res.Frac, res.Gen)
-		return res, nil
-	}
-
-	// Incremental: build the generation and swap synchronously. No warming —
-	// the parent's arrays are hot, and the answers it was asked for come along:
-	// all but those the batch may have made longer (engine.Inherit). A reload
-	// and the rebuild above start with an empty result cache instead.
+	// No warming — the parent's arrays are hot, and the answers it was asked
+	// for come along: all but those the batch may have made longer
+	// (engine.Inherit). A reload starts with an empty result cache instead.
 	gen := c.newGeneration(name, res.Gen, mres.G, mres.H, nil)
 	exact, stale, dropped := gen.Engine.Inherit(parent.Engine, mutate.Changes(parent.G, mres.G, b))
 	if mres.H != nil {
@@ -126,7 +96,6 @@ func (c *Catalog) Mutate(name string, b *mutate.Batch) (MutateResult, error) {
 	e.genSeq = res.Gen
 	e.deltas = append(e.deltas, b)
 	old := c.installLocked(e, gen)
-	c.counters.C(cMutateIncremental).Inc()
 	c.mu.Unlock()
 	old.retire() // old == parent: our pin keeps it readable until released
 	if !needPin {
@@ -135,6 +104,5 @@ func (c *Catalog) Mutate(name string, b *mutate.Batch) (MutateResult, error) {
 	c.logf("catalog: %s gen %d mutated from gen %d (%d ops, %d touched, reused %d/%d nodes, aliased=%v, answers inherited %d exact + %d stale, %d dropped, %s)",
 		name, res.Gen, parent.Gen, len(b.Ops), res.Touched, mres.Stats.ReusedNodes,
 		mres.Stats.ReusedNodes+mres.Stats.NewNodes, mres.Aliased, exact, stale, dropped, time.Since(start).Round(time.Microsecond))
-	res.Aliased = mres.Aliased
 	return res, nil
 }

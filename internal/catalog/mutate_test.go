@@ -81,8 +81,8 @@ func TestMutateIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Fallback || res.Gen != 2 || !res.Aliased {
-		t.Fatalf("mutate result %+v, want incremental aliased gen 2", res)
+	if res.Gen != 2 || !res.Aliased {
+		t.Fatalf("mutate result %+v, want aliased gen 2", res)
 	}
 
 	g2, rel2, err := c.Acquire("g")
@@ -103,9 +103,8 @@ func TestMutateIncremental(t *testing.T) {
 	}
 	checkDistances(t, g2, want)
 
-	if c.Counter(cMutations) != 1 || c.Counter(cMutateIncremental) != 1 || c.Counter(cMutateFallback) != 0 {
-		t.Fatalf("counters: mutations=%d incr=%d fb=%d",
-			c.Counter(cMutations), c.Counter(cMutateIncremental), c.Counter(cMutateFallback))
+	if c.Counter(cMutations) != 1 {
+		t.Fatalf("counters: mutations=%d", c.Counter(cMutations))
 	}
 	st := c.Status()
 	if st[0].ParentGen != 1 || st[0].DeltaSize != len(b.Ops) || st[0].Deltas != 1 {
@@ -133,8 +132,8 @@ func TestMutateStructuralNotAliased(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Fallback || res.Aliased {
-		t.Fatalf("structural mutation result %+v, want incremental non-aliased", res)
+	if res.Aliased {
+		t.Fatalf("structural mutation result %+v, want non-aliased", res)
 	}
 	g2, rel2, err := c.Acquire("g")
 	if err != nil {
@@ -155,51 +154,64 @@ func TestMutateStructuralNotAliased(t *testing.T) {
 	}
 }
 
-func TestMutateFallbackRebuild(t *testing.T) {
-	c := testCatalog(t, Config{MutateThreshold: -1}) // force fallback
-	if err := c.Load("g", Source{Loader: loaderFor(9)}); err != nil {
+// A batch touching 40% of the vertices on a lineage that has demanded its
+// hierarchy is repaired like any other: the generation it makes is serving when
+// Mutate returns, carries a valid repaired hierarchy, answers as Dijkstra on
+// the reference replay does, and has the answers its parent was asked for.
+func TestWideMutationRepairsInPlace(t *testing.T) {
+	c := testCatalog(t, Config{Engine: engine.Config{CacheEntries: 16}})
+	if err := c.Load("g", Source{Loader: lazyLoader(9)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.WaitReady("g", waitFor); err != nil {
 		t.Fatal(err)
 	}
+	base, _, _ := lazyLoader(9)()
+	demand(t, c, "g")
 	g1, rel1, err := c.Acquire("g")
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := g1.G
+	for _, src := range []int32{0, 123} { // asked for on the parent
+		if _, _, err := g1.Engine.Query(context.Background(), engine.Request{Sources: []int32{src}}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	rel1()
-	demand(t, c, "g") // the threshold judges repairs: only a demanded lineage has any
 
-	b := weightBatch(base, 6, 5)
-	res, err := c.Mutate("g", b)
-	if err != nil {
-		t.Fatal(err)
+	// Inserts pairing up vertices 0..159: 160 of 400 touched.
+	wide := &mutate.Batch{}
+	for u := int32(0); u < 160; u += 2 {
+		wide.Ops = append(wide.Ops, mutate.Op{Op: mutate.OpInsert, U: u, V: u + 1, W: 3})
 	}
-	if !res.Fallback || res.Gen != 2 {
-		t.Fatalf("mutate result %+v, want fallback gen 2", res)
+	res, err := c.Mutate("g", wide)
+	if err != nil || res.Gen != 2 || res.Touched != 160 {
+		t.Fatalf("wide mutate: %+v, %v; want gen 2 with 160 touched", res, err)
 	}
-	if err := c.WaitReady("g", waitFor); err != nil {
-		t.Fatal(err)
+	st := row(t, c, "g")
+	if st.State != "ready" || st.Pending || st.Gen != 2 || st.ParentGen != 1 || st.Hierarchy != "carried" {
+		t.Fatalf("after the wide batch: %+v, want gen 2 serving with its hierarchy carried", st)
 	}
 	g2, rel2, err := c.Acquire("g")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rel2()
-	if g2.Gen != 2 {
-		t.Fatalf("gen %d after fallback rebuild, want 2", g2.Gen)
+	h, _, _ := g2.Hierarchy()
+	if err := h.Validate(); err != nil || h.Graph() != g2.G || g2.in.Demanded() != h {
+		t.Fatalf("repaired hierarchy over %p (gen 2 graph %p): %v", h.Graph(), g2.G, err)
 	}
-	if g2.ParentGen != 0 {
-		t.Fatalf("fallback rebuild should not record delta lineage, got parent %d", g2.ParentGen)
+	if n := g2.Engine.Counter("inherited_exact") + g2.Engine.Counter("inherited_stale"); n < 2 {
+		t.Fatalf("%d answers inherited, want the 2 asked for", n)
 	}
-	want, err := mutate.ReferenceApply(base, b)
+	want, err := mutate.ReferenceApply(base, wide)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkDistances(t, g2, want)
-	if c.Counter(cMutateFallback) != 1 || c.Counter(cMutateIncremental) != 0 {
-		t.Fatalf("counters: incr=%d fb=%d", c.Counter(cMutateIncremental), c.Counter(cMutateFallback))
+	demandOn(t, g2) // solver=thorup over the repaired hierarchy
+	if n := c.Counter(cHierarchyBuilds); n != 1 {
+		t.Fatalf("%d hierarchy builds, want the 1 the demand made", n)
 	}
 }
 
@@ -506,9 +518,9 @@ func TestMutateUnderLoad(t *testing.T) {
 	t.Logf("mutate under load: %d queries across 8 mutations", queries.Load())
 }
 
-// A mutation on the incremental path hands the child generation the answers its
-// parent was asked for — exact, stale or dropped by what the batch did to each —
-// and says so in its log line; a reload and a threshold fallback start empty.
+// A mutation hands the child generation the answers its parent was asked for —
+// exact, stale or dropped by what the batch did to each — and says so in its
+// log line; a reload starts empty.
 func TestMutateCarriesAnswersOnIncrementalPathOnly(t *testing.T) {
 	var mu sync.Mutex
 	var lines []string
@@ -558,7 +570,7 @@ func TestMutateCarriesAnswersOnIncrementalPathOnly(t *testing.T) {
 		return [3]int64{gn.Engine.Counter("inherited_exact"), gn.Engine.Counter("inherited_stale"), gn.Engine.Counter("inherit_dropped")}
 	}
 
-	c := testCatalog(t, Config{Engine: engine.Config{CacheEntries: 16}, WarmQueries: -1, Logf: logf})
+	c := testCatalog(t, Config{Engine: engine.Config{CacheEntries: 16}, Logf: logf})
 	if err := c.Load("g", Source{Loader: lazyLoader(5)}); err != nil {
 		t.Fatal(err)
 	}
@@ -618,26 +630,5 @@ func TestMutateCarriesAnswersOnIncrementalPathOnly(t *testing.T) {
 	waitRow(t, c, "g", "the reloaded generation", func(st GraphStatus) bool { return st.Gen == 4 && st.State == "ready" })
 	if g4, cached := ask(c, want); inherited(g4) != [3]int64{} || cached != 0 {
 		t.Fatalf("after a reload: inherited %v, %d answered from the cache", inherited(g4), cached)
-	}
-
-	// So does the rebuild a repair past the threshold falls back to.
-	fb := testCatalog(t, Config{Engine: engine.Config{CacheEntries: 16}, WarmQueries: -1, MutateThreshold: -1, Logf: logf})
-	if err := fb.Load("g", Source{Loader: lazyLoader(5)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := fb.WaitReady("g", waitFor); err != nil {
-		t.Fatal(err)
-	}
-	ask(fb, base)
-	demand(t, fb, "g")
-	if res, err := fb.Mutate("g", loop); err != nil || !res.Fallback {
-		t.Fatalf("forced fallback: %+v, %v", res, err)
-	}
-	if err := fb.WaitReady("g", waitFor); err != nil {
-		t.Fatal(err)
-	}
-	want, _ = mutate.ReferenceApply(base, loop)
-	if g2, cached := ask(fb, want); g2.Gen != 2 || inherited(g2) != [3]int64{} || cached != 0 {
-		t.Fatalf("after a fallback rebuild: gen %d inherited %v, %d answered from the cache", g2.Gen, inherited(g2), cached)
 	}
 }

@@ -3,6 +3,7 @@ package mutate_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"testing"
 	"time"
@@ -13,6 +14,8 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	. "repro/internal/mutate"
+	"repro/internal/rng"
+	"repro/internal/stress"
 )
 
 func pairKey(u, v int32) [2]int32 { return [2]int32{min(u, v), max(u, v)} }
@@ -90,12 +93,12 @@ func TestWriteMutateBenchJSON(t *testing.T) {
 	}
 
 	// One un-clocked run for the delta's shape numbers and sanity.
-	probe, err := Mutate(g, h, additive, Options{Threshold: 1.0})
+	probe, err := Mutate(g, h, additive, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if probe.Fallback || probe.H == nil {
-		t.Fatalf("small delta fell back (touched %d, frac %.4f)", probe.Touched, probe.Frac)
+	if probe.H == nil {
+		t.Fatalf("small delta not repaired (touched %d)", probe.Touched)
 	}
 	if !probe.Additive {
 		t.Fatal("additive delta missed the additive repair path")
@@ -112,12 +115,8 @@ func TestWriteMutateBenchJSON(t *testing.T) {
 	}
 	clockMutate := func(b *Batch) func() {
 		return func() {
-			res, err := Mutate(g, h, b, Options{Threshold: 1.0})
-			if err != nil {
+			if _, err := Mutate(g, h, b, Options{}); err != nil {
 				t.Fatal(err)
-			}
-			if res.Fallback {
-				t.Fatal("incremental rep fell back")
 			}
 		}
 	}
@@ -154,7 +153,7 @@ func TestWriteMutateBenchJSON(t *testing.T) {
 		var total time.Duration
 		const reps = 20
 		for i := 0; i < reps; i++ {
-			cat := catalog.New(catalog.Config{MutateThreshold: 1, Logf: func(string, ...any) {}})
+			cat := catalog.New(catalog.Config{Logf: func(string, ...any) {}})
 			gn, err := cat.AddPrebuilt("g", catalog.Source{}, g, h, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -167,7 +166,7 @@ func TestWriteMutateBenchJSON(t *testing.T) {
 			start := time.Now()
 			res, err := cat.Mutate("g", b)
 			total += time.Since(start)
-			if err != nil || res.Fallback {
+			if err != nil {
 				t.Fatalf("Catalog.Mutate: %+v, %v", res, err)
 			}
 			if got := cat.Status()[0].Hierarchy; (got == "carried") != demanded {
@@ -184,7 +183,6 @@ func TestWriteMutateBenchJSON(t *testing.T) {
 		"edges":                g.NumEdges(),
 		"delta_ops":            len(additive.Ops),
 		"touched":              probe.Touched,
-		"touched_frac":         probe.Frac,
 		"repair_ns":            repair.Nanoseconds(),
 		"rebuild_ns":           build.Nanoseconds(),
 		"speedup":              speedup,
@@ -213,5 +211,49 @@ func TestWriteMutateBenchJSON(t *testing.T) {
 		mixedInc, float64(applyBuild)/float64(mixedInc))
 	if speedup < 10 {
 		t.Errorf("incremental repair speedup %.1fx over full rebuild, want >= 10x", speedup)
+	}
+}
+
+// BenchmarkMutateWidth prices a write by its width (DESIGN.md §5, decision
+// 18): on the rand family (C = 2^14, ssspd's default) at logn 14 and 16, a
+// stress.WideBatch touching 0.05%, 1%, 5%, 25% or all of the vertices, either
+// additive (inserts and weight decreases: ch.RepairAdditive) or general (with
+// deletes: ch.Repair), through Mutate — the overlay plus the repair, what
+// Catalog.Mutate runs on a lineage that has demanded its hierarchy — against
+// ch.BuildKruskal of the same mutated graph. `make bench-mutate-width` writes
+// the table to results/mutate-width.csv.
+func BenchmarkMutateWidth(b *testing.B) {
+	for _, logn := range []int{14, 16} {
+		g := gen.Instance{Class: gen.Rand, LogN: logn, LogC: 14, Seed: 1}.Generate()
+		h := ch.BuildKruskal(g)
+		for _, kind := range []string{"additive", "general"} {
+			for _, pct := range []float64{0.05, 1, 5, 25, 100} {
+				batch := stress.WideBatch(g, rng.New(uint64(logn)*1000+uint64(pct*100)), pct/100, kind == "additive")
+				g2, _, err := Apply(g, batch)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res, err := Mutate(g, h, batch, Options{}); err != nil || res.Additive != (kind == "additive") {
+					b.Fatalf("logn=%d %s %g%%: additive=%v, %v", logn, kind, pct, res != nil && res.Additive, err)
+				}
+				name := fmt.Sprintf("logn=%d/%s/touched=%g%%", logn, kind, pct)
+				b.Run(name+"/arm=mutate", func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if _, err := Mutate(g, h, batch, Options{}); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(len(batch.Touched())), "touched")
+					b.ReportMetric(float64(len(batch.Ops)), "ops")
+				})
+				b.Run(name+"/arm=build", func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						ch.BuildKruskal(g2)
+					}
+					b.ReportMetric(float64(len(batch.Touched())), "touched")
+					b.ReportMetric(float64(len(batch.Ops)), "ops")
+				})
+			}
+		}
 	}
 }

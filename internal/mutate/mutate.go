@@ -6,7 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"repro/internal/ch"
 	"repro/internal/graph"
@@ -25,10 +25,6 @@ const (
 	MaxOps          = 65536
 	MaxRequestBytes = 4 << 20
 )
-
-// DefaultThreshold is the touched-vertex fraction above which Mutate
-// signals fallback to a full rebuild.
-const DefaultThreshold = 0.05
 
 // ErrInvalid marks a batch that fails validation — a malformed op, an
 // out-of-range endpoint, a reference to a missing edge, or conflicting ops on
@@ -161,18 +157,12 @@ func (b *Batch) Split() (set, ins, del []graph.Edge) {
 // Touched returns the sorted distinct endpoints of every op — the dirty leaf
 // set ch.Repair starts from.
 func (b *Batch) Touched() []int32 {
-	seen := make(map[int32]bool, 2*len(b.Ops))
 	out := make([]int32, 0, 2*len(b.Ops))
 	for _, op := range b.Ops {
-		for _, v := range [2]int32{op.U, op.V} {
-			if !seen[v] {
-				seen[v] = true
-				out = append(out, v)
-			}
-		}
+		out = append(out, op.U, op.V)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // EncodeDelta renders the batch in its canonical byte form: the form the
@@ -246,8 +236,8 @@ func lightest(g *graph.Graph, u, v int32) int64 {
 // ReferenceApply replays batches onto g's edge multiset naively — no overlay,
 // no repair, just list surgery and a from-scratch CSR build — and returns the
 // resulting graph. It is the independent reference the stress oracle and the
-// catalog's fallback path diff the incremental machinery against, so it must
-// stay implementation-disjoint from Apply.
+// tests diff the incremental machinery against, so it must stay
+// implementation-disjoint from Apply.
 func ReferenceApply(g *graph.Graph, batches ...*Batch) (*graph.Graph, error) {
 	edges := g.Edges()
 	for bi, b := range batches {
@@ -291,22 +281,15 @@ func ReferenceApply(g *graph.Graph, batches ...*Batch) (*graph.Graph, error) {
 
 // Options tunes Mutate.
 type Options struct {
-	// Threshold is the maximum fraction of vertices a batch may touch and
-	// still have the hierarchy repaired; larger deltas signal fallback. 0 means
-	// DefaultThreshold; a negative value forces fallback always (stress and
-	// operational escape hatch). Without a hierarchy it judges nothing.
-	Threshold float64
-	// InjectFault, for tests only, makes the incremental path mis-apply the
-	// first weighted op by one — the planted repair bug the stress harness
-	// proves its mutation oracle catches.
+	// InjectFault, for tests only, makes Mutate mis-apply the first weighted op
+	// by one — the planted repair bug the stress harness proves its mutation
+	// oracle catches.
 	InjectFault bool
 }
 
-// Result is an accepted mutation. With Fallback set, the batch validated but
-// exceeded the threshold: G/H are nil and the caller should rebuild in the
-// background from its source plus replay log. Otherwise G is the overlay
-// graph, H the incrementally repaired hierarchy (nil when Mutate was given
-// none), and Aliased reports whether G shares arrays with the parent graph.
+// Result is an accepted mutation: G is the overlay graph, H the incrementally
+// repaired hierarchy (nil when Mutate was given none), and Aliased reports
+// whether G shares arrays with the parent graph.
 type Result struct {
 	G       *graph.Graph
 	H       *ch.Hierarchy
@@ -316,36 +299,26 @@ type Result struct {
 	// deletes, no weight increases): structure replayed from the old
 	// hierarchy instead of re-sweeping the graph's edges.
 	Additive bool
-	// Touched is the distinct mutated-endpoint count; Frac is it as a
-	// fraction of the vertex set — the number the threshold judged.
-	Touched  int
-	Frac     float64
+	// Touched is the distinct mutated-endpoint count.
+	Touched int
+	// Fallback is always false: every batch is repaired, whatever its width —
+	// ch.Repair is the build's own sweep, run over the edges crossing kept
+	// subtrees (DESIGN.md §5, decision 18). The field stays because the
+	// benchmark module (bench/), which this module does not change, reads it.
 	Fallback bool
 }
 
-// Mutate validates the batch against g and either performs the incremental
-// path — copy-on-write overlay plus repair of h; the overlay alone, whatever
-// the threshold, when h is nil — or reports that the delta is too large to
-// repair and the caller should fall back to a full rebuild. Validation errors
-// wrap ErrInvalid; any other error means the incremental machinery itself
-// failed and a full rebuild is the safe recovery.
+// Mutate validates the batch against g and applies it: a copy-on-write
+// overlay, plus a repair of h when h is non-nil — the additive repair when the
+// batch only adds connectivity, the general one otherwise — whatever the
+// batch's width. Validation errors wrap ErrInvalid; any other error means the
+// incremental machinery itself failed.
 func Mutate(g *graph.Graph, h *ch.Hierarchy, b *Batch, opts Options) (*Result, error) {
 	if err := b.Validate(g); err != nil {
 		return nil, err
 	}
 	touched := b.Touched()
 	res := &Result{Touched: len(touched)}
-	if n := g.NumVertices(); n > 0 {
-		res.Frac = float64(len(touched)) / float64(n)
-	}
-	threshold := opts.Threshold
-	if threshold == 0 {
-		threshold = DefaultThreshold
-	}
-	if h != nil && res.Frac > threshold {
-		res.Fallback = true
-		return res, nil
-	}
 
 	applied := b
 	if opts.InjectFault {

@@ -165,55 +165,46 @@ func TestApplyMatchesReferenceApply(t *testing.T) {
 	sameEdgeMultiset(t, cur, ref)
 }
 
-func TestMutateIncrementalAndThreshold(t *testing.T) {
+// Every batch repairs, whatever its width: a one-op re-weighting and a batch
+// touching a fifth of the vertices alike come back with a valid hierarchy over
+// the graph ReferenceApply makes.
+func TestMutateRepairsAnyWidth(t *testing.T) {
 	g := testGraph()
 	h := ch.BuildKruskal(g)
 	e := g.Edges()[10]
-	b := &Batch{Ops: []Op{{Op: OpSetWeight, U: e.U, V: e.V, W: 3}}}
-
-	res, err := Mutate(g, h, b, Options{Threshold: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Fallback || res.G == nil || res.H == nil {
-		t.Fatalf("small delta fell back: %+v", res)
-	}
-	if !res.Aliased {
-		t.Fatal("weight-only mutation should alias parent arrays")
-	}
-	if err := res.H.Validate(); err != nil {
-		t.Fatalf("repaired hierarchy invalid: %v", err)
-	}
-	ref, err := ReferenceApply(g, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []int32{0, 57, 199} {
-		want := dijkstra.SSSP(ref, s)
-		got := dijkstra.SSSP(res.G, s)
-		for v := range want {
-			if want[v] != got[v] {
-				t.Fatalf("src %d: d[%d] = %d, want %d", s, v, got[v], want[v])
-			}
-		}
-	}
-
-	// Negative threshold forces fallback; tiny positive threshold trips on a
-	// wide batch.
-	res, err = Mutate(g, h, b, Options{Threshold: -1})
-	if err != nil || !res.Fallback {
-		t.Fatalf("forced fallback not taken: %+v err=%v", res, err)
-	}
+	small := &Batch{Ops: []Op{{Op: OpSetWeight, U: e.U, V: e.V, W: 3}}}
 	wide := &Batch{}
 	for i := int32(0); i < 40; i += 2 {
 		wide.Ops = append(wide.Ops, Op{Op: OpInsert, U: i, V: i + 1, W: 2})
 	}
-	res, err = Mutate(g, h, wide, Options{Threshold: 0.05})
-	if err != nil || !res.Fallback {
-		t.Fatalf("over-threshold batch did not fall back: %+v err=%v", res, err)
-	}
-	if res.Touched != 40 {
-		t.Fatalf("touched %d, want 40", res.Touched)
+	for _, tc := range []struct {
+		b       *Batch
+		touched int
+		aliased bool
+	}{{small, 2, true}, {wide, 40, false}} {
+		res, err := Mutate(g, h, tc.b, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Fallback || res.G == nil || res.H == nil || res.Touched != tc.touched || res.Aliased != tc.aliased {
+			t.Fatalf("%d-op batch: %+v, want a repair touching %d, aliased %v", len(tc.b.Ops), res, tc.touched, tc.aliased)
+		}
+		if err := res.H.Validate(); err != nil {
+			t.Fatalf("%d-op batch: repaired hierarchy invalid: %v", len(tc.b.Ops), err)
+		}
+		ref, err := ReferenceApply(g, tc.b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []int32{0, 57, 199} {
+			want := dijkstra.SSSP(ref, s)
+			got := dijkstra.SSSP(res.G, s)
+			for v := range want {
+				if want[v] != got[v] {
+					t.Fatalf("%d-op batch, src %d: d[%d] = %d, want %d", len(tc.b.Ops), s, v, got[v], want[v])
+				}
+			}
+		}
 	}
 }
 
@@ -221,7 +212,7 @@ func TestMutateStructuralNotAliased(t *testing.T) {
 	g := testGraph()
 	h := ch.BuildKruskal(g)
 	b := &Batch{Ops: []Op{{Op: OpInsert, U: 2, V: 180, W: 4}}}
-	res, err := Mutate(g, h, b, Options{Threshold: 1})
+	res, err := Mutate(g, h, b, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +229,7 @@ func TestInjectFaultIsVisibleToDistanceOracle(t *testing.T) {
 	h := ch.BuildKruskal(g)
 	e := g.Edges()[25]
 	b := &Batch{Ops: []Op{{Op: OpSetWeight, U: e.U, V: e.V, W: 100}}}
-	res, err := Mutate(g, h, b, Options{Threshold: 1, InjectFault: true})
+	res, err := Mutate(g, h, b, Options{InjectFault: true})
 	if err != nil {
 		t.Fatal(err)
 	}

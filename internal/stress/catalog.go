@@ -47,7 +47,6 @@ func checkCatalog(cfg Config, name string, g *graph.Graph, sources []int32) *Fai
 	cat := catalog.New(catalog.Config{
 		Workers:      2,
 		QueryWorkers: 2,
-		WarmQueries:  2,
 		Engine:       engine.Config{CacheEntries: 8, Solvers: cfg.Solvers},
 		Logf:         func(string, ...any) {},
 	})

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/ch"
@@ -19,20 +20,19 @@ import (
 )
 
 // checkMutate is the dynamic-graph oracle: a deterministic random mutation
-// sequence (weight changes, inserts, deletes) is driven through the
-// production incremental path on both lineages a served graph can be on —
-// one whose hierarchy a query has demanded (copy-on-write overlay plus
-// hierarchy repair, with the fallback full-rebuild path forced periodically)
-// and one where nothing has (overlay alone, whatever the threshold; the
+// sequence (weight changes, inserts, deletes; every third batch a wide one) is
+// driven through the production mutation path on both lineages a served graph
+// can be on — one whose hierarchy a query has demanded (copy-on-write overlay
+// plus hierarchy repair) and one where nothing has (overlay alone; the
 // hierarchy built at the end, as the first solver=thorup would) — and each end
 // state is differenced against an implementation-disjoint replay
 // (mutate.ReferenceApply) of the same batches onto a fresh copy of the base
 // graph: edge multisets must match exactly, and Thorup queries over the
 // lineage's hierarchy must agree with Dijkstra on the replayed graph. Beside
-// the graphs runs what serves them: an engine per generation, each child of an
-// incremental step inheriting its parent's answers as catalog.Mutate has it
-// (engine.Inherit), the same source sets asked again on every generation and
-// every answer held to Dijkstra on the replay so far.
+// the graphs runs what serves them: an engine per generation, each child
+// inheriting its parent's answers as catalog.Mutate has it (engine.Inherit),
+// the same source sets asked again on every generation and every answer held
+// to Dijkstra on the replay so far.
 func checkMutate(cfg Config, rt *par.Runtime, name string, g *graph.Graph, sources []int32) *Failure {
 	if cfg.MutateRounds < 0 || g.NumVertices() < 2 || len(sources) == 0 {
 		return nil
@@ -46,7 +46,7 @@ func checkMutate(cfg Config, rt *par.Runtime, name string, g *graph.Graph, sourc
 }
 
 // faults are the planted bugs the mutation oracle must catch: Repair is
-// mutate.Options.InjectFault on every incremental batch; Inherit hides from
+// mutate.Options.InjectFault on every batch; Inherit hides from
 // engine.Inherit the slots that were removed or got heavier, which is Inherit
 // without its tightness test — no answer is ever dropped.
 type faults struct{ Repair, Inherit bool }
@@ -56,13 +56,19 @@ type inheritTally struct{ Exact, Stale, Dropped, Resumed int64 }
 
 // genMutationSequence derives a valid batch sequence from the seed: each
 // batch is generated against (and validated on) the graph state left by its
-// predecessors.
+// predecessors. Every third batch is wide (WideBatch), alternately
+// all-additive and with deletes, so that both repairs meet wide deltas.
 func genMutationSequence(base *graph.Graph, rounds int, seed uint64) []*mutate.Batch {
 	r := rng.New(seed)
 	cur := base
 	var batches []*mutate.Batch
 	for i := 0; i < rounds; i++ {
-		b := randomValidBatch(cur, r)
+		var b *mutate.Batch
+		if i%3 == 2 {
+			b = WideBatch(cur, r, 0.25, i%6 == 2)
+		} else {
+			b = randomValidBatch(cur, r)
+		}
 		if b == nil {
 			break
 		}
@@ -118,6 +124,60 @@ func randomValidBatch(g *graph.Graph, r *rng.Xoshiro256) *mutate.Batch {
 		return nil
 	}
 	return b
+}
+
+// WideBatch builds a batch valid against g that touches at least frac of its
+// vertices: one op at each still untouched vertex u, in a random order — so
+// never two on a slot. additive batches hold inserts and set_weights below the lightest
+// copy of an edge at u — ch.RepairAdditive's input; the others delete at the
+// first u with an edge, then mix deletes, re-weightings either way and
+// inserts — ch.Repair's.
+// It is the oracle's wide arm and mutate.BenchmarkMutateWidth's input.
+func WideBatch(g *graph.Graph, r *rng.Xoshiro256, frac float64, additive bool) *mutate.Batch {
+	n := g.NumVertices()
+	want := int(math.Ceil(frac * float64(n)))
+	touched := make([]bool, n)
+	var ops []mutate.Op
+	deleted := false
+	for count, i, perm := 0, 0, r.Perm(n); count < want && i < n; i++ {
+		u := int32(perm[i])
+		if touched[u] {
+			continue
+		}
+		ts, ws := g.Neighbors(u)
+		kind := r.Intn(3)
+		if !additive && !deleted {
+			kind = 1
+		}
+		op := mutate.Op{Op: mutate.OpInsert, U: u, V: int32(r.Intn(n)), W: uint32(1 + r.Intn(1<<10))}
+		if kind > 0 && len(ts) > 0 {
+			j := r.Intn(len(ts))
+			switch {
+			case additive:
+				lightest := ws[j]
+				for k, t := range ts {
+					if t == ts[j] {
+						lightest = min(lightest, ws[k])
+					}
+				}
+				op = mutate.Op{Op: mutate.OpSetWeight, U: u, V: ts[j], W: uint32(1 + r.Intn(int(lightest)))}
+			case kind == 1:
+				op, deleted = mutate.Op{Op: mutate.OpDelete, U: u, V: ts[j]}, true
+			default:
+				op.Op, op.V = mutate.OpSetWeight, ts[j]
+			}
+		}
+		ops = append(ops, op)
+		for _, v := range [2]int32{op.U, op.V} {
+			if !touched[v] {
+				touched[v], count = true, count+1
+			}
+		}
+	}
+	if b := (&mutate.Batch{Ops: ops}); b.Validate(g) == nil {
+		return b
+	}
+	return nil
 }
 
 // checkMutationSequence replays the batch sequence through the production
@@ -199,11 +259,7 @@ func replayLineage(cfg Config, rt *par.Runtime, name, lineage string, refs []*gr
 		h = ch.BuildKruskal(base)
 	}
 	for i, b := range batches {
-		threshold := 1.0
-		if i%3 == 2 {
-			threshold = -1 // periodically force the fallback full-rebuild path
-		}
-		res, err := mutate.Mutate(cur, h, b, mutate.Options{Threshold: threshold, InjectFault: fault.Repair})
+		res, err := mutate.Mutate(cur, h, b, mutate.Options{InjectFault: fault.Repair})
 		if err != nil {
 			if errors.Is(err, mutate.ErrInvalid) {
 				return nil, tally
@@ -211,27 +267,16 @@ func replayLineage(cfg Config, rt *par.Runtime, name, lineage string, refs []*gr
 			return fail("mutate-internal", "%s batch %d/%d: %v", lineage, i+1, len(batches), err)
 		}
 		switch {
-		case h == nil && (res.Fallback || res.H != nil):
-			return fail("mutate-undemanded", "batch %d/%d at threshold %v: fallback %v, hierarchy %p; want a bare overlay",
-				i+1, len(batches), threshold, res.Fallback, res.H)
-		case res.Fallback:
-			// What the background rebuild replays (source + delta log); the
-			// next solver=thorup builds over it.
-			if res.G, _, err = mutate.Apply(cur, b); err != nil {
-				if errors.Is(err, mutate.ErrInvalid) {
-					return nil, tally
-				}
-				return fail("mutate-internal", "fallback batch %d/%d: %v", i+1, len(batches), err)
-			}
-			res.H = ch.BuildKruskal(res.G)
+		case h == nil && res.H != nil:
+			return fail("mutate-undemanded", "batch %d/%d: hierarchy %p; want a bare overlay", i+1, len(batches), res.H)
 		case h != nil:
 			if err := res.H.Validate(); err != nil {
-				return fail("mutate-ch-validate", "batch %d/%d: %v", i+1, len(batches), err)
+				return fail("mutate-ch-validate", "batch %d/%d (%d touched): %v", i+1, len(batches), res.Touched, err)
 			}
 		}
 
-		// Generation i+2 serves res.G. A rebuild starts with an empty cache; an
-		// incremental step inherits, beside queries in flight on the parent.
+		// Generation i+2 serves res.G and inherits, beside queries in flight on
+		// the parent.
 		child := newEngine(res.G, i+2)
 		late := make(chan string, 1)
 		if cfg.NoRace || i%2 == 0 {
@@ -239,20 +284,18 @@ func replayLineage(cfg Config, rt *par.Runtime, name, lineage string, refs []*gr
 		} else {
 			go func() { late <- ask(eng, i+1, sets[1:]) }()
 		}
-		if !res.Fallback {
-			changes := mutate.Changes(cur, res.G, b)
-			if fault.Inherit {
-				kept := changes[:0]
-				for _, c := range changes {
-					if c.After < c.Before {
-						kept = append(kept, c)
-					}
+		changes := mutate.Changes(cur, res.G, b)
+		if fault.Inherit {
+			kept := changes[:0]
+			for _, c := range changes {
+				if c.After < c.Before {
+					kept = append(kept, c)
 				}
-				changes = kept
 			}
-			exact, stale, dropped := child.Inherit(eng, changes)
-			tally.Exact, tally.Stale, tally.Dropped = tally.Exact+int64(exact), tally.Stale+int64(stale), tally.Dropped+int64(dropped)
+			changes = kept
 		}
+		exact, stale, dropped := child.Inherit(eng, changes)
+		tally.Exact, tally.Stale, tally.Dropped = tally.Exact+int64(exact), tally.Stale+int64(stale), tally.Dropped+int64(dropped)
 		if diff := <-late; diff != "" {
 			return fail("mutate-served", "%s", diff)
 		}

@@ -39,9 +39,30 @@ func TestMutationSequenceDeterministic(t *testing.T) {
 	}
 }
 
-// TestMutationOracleClean: on a correct tree the oracle must pass, with both
-// the incremental path and the forced-fallback path (every third batch)
-// exercised.
+// TestWideBatchesReachBothRepairs: every third batch of a sequence touches at
+// least a quarter of the vertices, and the wide ones alternate between the two
+// repairs — additive first, then general.
+func TestWideBatchesReachBothRepairs(t *testing.T) {
+	g := gen.Random(200, 800, 1<<10, gen.UWD, 11)
+	batches := genMutationSequence(g, 12, 99)
+	if len(batches) != 12 {
+		t.Fatalf("%d batches generated, want 12", len(batches))
+	}
+	cur, h := g, ch.BuildKruskal(g)
+	for i, b := range batches {
+		m, err := mutate.Mutate(cur, h, b, mutate.Options{})
+		if err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		if wide := i%3 == 2; wide != (m.Touched >= 50) || wide && m.Additive != (i%6 == 2) {
+			t.Fatalf("batch %d: %d of 200 vertices touched, additive %v", i, m.Touched, m.Additive)
+		}
+		cur, h = m.G, m.H
+	}
+}
+
+// TestMutationOracleClean: on a correct tree the oracle must pass, with
+// narrow and wide batches (every third one) exercised.
 func TestMutationOracleClean(t *testing.T) {
 	rt := par.NewExec(2)
 	g := gen.Random(150, 600, 1<<10, gen.UWD, 5)
@@ -51,14 +72,14 @@ func TestMutationOracleClean(t *testing.T) {
 	}
 }
 
-// TestMutationOracleBothLineages drives 100 batches through a live catalog on
-// both lineages, from each kind of start — a text source (no hierarchy), a
-// snapshot-like one (a hierarchy carried, never used) and a catalog whose
-// threshold forces every repair to fall back. Un-demanded, every batch is an
-// overlay, nothing builds, and the first solver=thorup — one build, over the
-// 100th generation — agrees with Dijkstra on the reference replay. Demanded,
-// each batch repairs (reusing nodes every time) or, past the threshold, falls
-// back to a rebuild that the next solver=thorup builds over; same answers.
+// TestMutationOracleBothLineages drives 100 batches — every third touching a
+// quarter of the vertices — through a live catalog on both lineages, from each
+// kind of start: a text source (no hierarchy) and a snapshot-like one (a
+// hierarchy carried, never used). Un-demanded, every batch is an overlay,
+// nothing builds, and the first solver=thorup — one build, over the 100th
+// generation — agrees with Dijkstra on the reference replay. Demanded, each
+// batch repairs, wide ones included, the generation it makes serving when
+// Mutate returns; same answers, and the one build is the first demand's.
 func TestMutationOracleBothLineages(t *testing.T) {
 	base := gen.Random(200, 800, 1<<10, gen.UWD, 21)
 	batches := genMutationSequence(base, 100, 77)
@@ -90,12 +111,11 @@ func TestMutationOracleBothLineages(t *testing.T) {
 		}
 	}
 	for _, start := range []struct {
-		name      string
-		carried   bool
-		threshold float64
-	}{{"text", false, 1}, {"snapshot-carried", true, 1}, {"forced-fallback", false, -1}} {
+		name    string
+		carried bool
+	}{{"text", false}, {"snapshot-carried", true}} {
 		load := func(t *testing.T) *catalog.Catalog {
-			cat := catalog.New(catalog.Config{QueryWorkers: 2, MutateThreshold: start.threshold, Logf: func(string, ...any) {}})
+			cat := catalog.New(catalog.Config{QueryWorkers: 2, Logf: func(string, ...any) {}})
 			t.Cleanup(cat.Close)
 			loader := func() (*graph.Graph, *ch.Hierarchy, error) {
 				if start.carried {
@@ -114,7 +134,7 @@ func TestMutationOracleBothLineages(t *testing.T) {
 		t.Run(start.name+"/undemanded", func(t *testing.T) {
 			cat := load(t)
 			for i, b := range batches {
-				if res, err := cat.Mutate("g", b); err != nil || res.Fallback || res.Gen != uint64(i+2) {
+				if res, err := cat.Mutate("g", b); err != nil || res.Gen != uint64(i+2) {
 					t.Fatalf("batch %d: %+v, %v; want an overlay as gen %d", i, res, err, i+2)
 				}
 				if st := cat.Status()[0]; st.Hierarchy != "unbuilt" {
@@ -132,46 +152,24 @@ func TestMutationOracleBothLineages(t *testing.T) {
 		t.Run(start.name+"/demanded", func(t *testing.T) {
 			cat := load(t)
 			cur, h := base, ch.BuildKruskal(base) // the same lineage at the mutate level, for its RepairStats
-			var builds int64
-			demanded := false
+			thorup(t, cat, cur)
 			for i, b := range batches {
-				// A fallback rebuild starts over without a hierarchy; ask again
-				// now and then, so that some batches meet a demanded generation.
-				if !demanded && i%10 == 0 {
-					if cat.Status()[0].Hierarchy == "unbuilt" {
-						builds++
-					}
-					thorup(t, cat, cur)
-					demanded = true
-				}
 				res, err := cat.Mutate("g", b)
-				if err != nil || res.Fallback != (demanded && start.threshold < 0) {
-					t.Fatalf("batch %d (demanded %v): %+v, %v", i, demanded, res, err)
+				if st := cat.Status()[0]; err != nil || st.Hierarchy != "carried" || st.Gen != uint64(i+2) || st.State != "ready" || st.Pending {
+					t.Fatalf("after batch %d (%d touched): %+v, %v; want gen %d serving, hierarchy carried", i, res.Touched, st, err, i+2)
 				}
-				if res.Fallback {
-					if err := cat.WaitReady("g", 30*time.Second); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if st, want := cat.Status()[0], map[bool]string{true: "carried", false: "unbuilt"}[demanded && !res.Fallback]; st.Hierarchy != want || st.Gen != uint64(i+2) {
-					t.Fatalf("after batch %d (demanded %v): %+v, want hierarchy %s", i, demanded, st, want)
-				}
-				m, err := mutate.Mutate(cur, h, b, mutate.Options{Threshold: 1})
-				if err != nil || m.Stats.ReusedNodes <= 0 {
-					t.Fatalf("batch %d: repair reused %d nodes, err %v", i, m.Stats.ReusedNodes, err)
+				m, err := mutate.Mutate(cur, h, b, mutate.Options{})
+				if err != nil || m.Stats.ReusedNodes <= 0 && m.Stats.DirtyNodes > 0 { // no dirty node: the structure is shared whole
+					t.Fatalf("batch %d (%d touched): repair reused %d nodes, err %v", i, m.Touched, m.Stats.ReusedNodes, err)
 				}
 				if err := m.H.Validate(); err != nil {
 					t.Fatalf("batch %d: repaired hierarchy: %v", i, err)
 				}
 				cur, h = m.G, m.H
-				demanded = demanded && !res.Fallback
-			}
-			if !demanded {
-				builds++
 			}
 			thorup(t, cat, ref)
-			if got := cat.Counter("hierarchy_builds"); got != builds {
-				t.Fatalf("%d hierarchy builds, want %d", got, builds)
+			if got, want := cat.Counter("hierarchy_builds"), map[bool]int64{true: 0, false: 1}[start.carried]; got != want {
+				t.Fatalf("%d hierarchy builds, want %d: the first demand's, unless the start carried one", got, want)
 			}
 		})
 	}
@@ -185,8 +183,7 @@ func TestMutationOracleBothLineages(t *testing.T) {
 // removal; the rest are random mixed batches. Every answer equals Dijkstra on
 // the naive replay, with the parent's remaining sets asked while Inherit walks
 // its cache (run under -race: make stress), and all three outcomes of Inherit
-// occur — on the undemanded lineage at every step, on the demanded one between
-// its forced rebuilds.
+// occur on both lineages.
 func TestServedAnswersExactAcrossHundredGenerations(t *testing.T) {
 	edges := gen.Random(120, 480, 1<<10, gen.UWD, 31).Edges()
 	for _, e := range gen.Random(80, 240, 1<<10, gen.UWD, 32).Edges() {

@@ -28,7 +28,7 @@ type Config struct {
 	NoRace  bool                             // skip the concurrent-query stage (the shrinker sets this for speed)
 	Logf    func(format string, args ...any) // optional progress sink
 
-	MutateRounds int  // mutation batches per instance for the dynamic-graph oracle (default 4; negative disables)
+	MutateRounds int  // mutation batches per instance for the dynamic-graph oracle (default 6: one wide batch of each kind; negative disables)
 	MutateFault  bool // plant the incremental-repair bug (mutate.Options.InjectFault); the oracle must catch it
 	InheritFault bool // plant the answer-inheritance bug (engine.Inherit without its tightness test); the oracle must catch it
 }
@@ -50,7 +50,7 @@ func (cfg Config) withDefaults() Config {
 		cfg.Solvers = solver.All()
 	}
 	if cfg.MutateRounds == 0 {
-		cfg.MutateRounds = 4
+		cfg.MutateRounds = 6
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
