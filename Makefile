@@ -71,7 +71,8 @@ bench-kernels:
 # The table behind the targeted-query budget (EXPERIMENTS.md, "Answer the
 # question that was asked"; DESIGN.md §5, decision 16): BenchmarkST of
 # internal/dijkstra on the seven families at logn 16 — the balanced
-# bidirectional search, the min-key alternation it replaced, a first-touch
+# bidirectional search, the same search on lazy binary heaps without pruning,
+# the min-key alternation that preceded both, a first-touch
 # targeted query (search under the n/32 budget, full delta-stepping solve if it
 # gives up) and the full solve alone, 400 random pairs a cell, one goroutine.
 # Three passes, interleaved like bench-kernels; a cell's row is the median,
@@ -241,6 +242,7 @@ fuzz:
 	$(GO) test -fuzz FuzzThorupVsDijkstra -fuzztime 10s ./internal/core
 	$(GO) test -fuzz FuzzDeltaStepVsDijkstra -fuzztime 10s ./internal/core
 	$(GO) test -fuzz FuzzMLBVsDijkstra -fuzztime 10s ./internal/core
+	$(GO) test -fuzz FuzzSTVsDijkstra -fuzztime 10s ./internal/core
 
 # Regenerate every table and figure of the paper at the default scale.
 experiments:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/ch"
@@ -129,6 +130,46 @@ func FuzzDeltaStepVsDijkstra(f *testing.F) {
 			if got[v] != want[v] {
 				t.Fatalf("delta=%d srcs=%v: d[%d]=%d, dijkstra %d (n=%d)", delta, srcs, v, got[v], want[v], n)
 			}
+		}
+	})
+}
+
+// FuzzSTVsDijkstra cross-checks the budgeted bidirectional s-t search the
+// engine answers a targeted miss with against Dijkstra on fuzz-decoded
+// multigraphs. pick names the query: five bits each for s and t, and the six
+// above them a budget of that many settled vertices minus one (0: none). A
+// search that finishes must be exact and one that gives up must have settled
+// exactly its budget; the same scratch then answers t to s without a budget,
+// so a run that gave up must also have put back everything it touched.
+func FuzzSTVsDijkstra(f *testing.F) {
+	f.Add([]byte{4, 0, 1, 1, 1, 2, 2, 2, 3, 4}, uint32(0b00011_00000))
+	f.Add([]byte{2, 0, 0, 200}, uint32(0b00001_00000))
+	f.Add([]byte{10}, uint32(0b00100_00011))
+	f.Add([]byte{7, 0, 1, 255, 1, 2, 1, 2, 0, 128, 3, 3, 3}, uint32(0b11_00010_00000))
+	f.Add([]byte{9, 0, 1, 9, 1, 2, 9, 4, 5, 1, 7, 8, 30, 2, 6, 8, 6}, uint32(0b10_01000_00000))
+	// PWD-like weights up to 2^30 around a 6-cycle with chords, both ways,
+	// with and without a budget.
+	f.Add([]byte{128 + 11, 0, 1, 1, 1, 2, 30, 2, 3, 2, 3, 4, 29, 4, 5, 3, 5, 0, 28, 0, 3, 15, 1, 4, 22}, uint32(0b00011_00000))
+	f.Add([]byte{128 + 11, 0, 1, 1, 1, 2, 30, 2, 3, 2, 3, 4, 29, 4, 5, 3, 5, 0, 28, 0, 3, 15, 1, 4, 22}, uint32(0b100_00000_00011))
+	f.Fuzz(func(t *testing.T, data []byte, pick uint32) {
+		if len(data) == 0 {
+			return
+		}
+		g, _ := decodeGraph(data)
+		n := int32(g.NumVertices())
+		s, tgt := int32(pick%32)%n, int32(pick>>5%32)%n
+		budget := math.MaxInt
+		if b := int(pick>>10) % 64; b > 0 {
+			budget = b - 1
+		}
+		sc := new(dijkstra.STScratch)
+		want := dijkstra.SSSP(g, s)[tgt]
+		got, settled, ok := sc.Distance(g, s, tgt, budget)
+		if ok && got != want || !ok && settled != budget || settled > budget {
+			t.Fatalf("st(%d,%d) budget %d = (%d, %d settled, %v), dijkstra %d (n=%d)", s, tgt, budget, got, settled, ok, want, n)
+		}
+		if got, _, _ := sc.Distance(g, tgt, s, math.MaxInt); got != want {
+			t.Fatalf("reused scratch: st(%d,%d) = %d, dijkstra %d (n=%d)", tgt, s, got, want, n)
 		}
 	})
 }

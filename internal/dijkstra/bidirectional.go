@@ -2,6 +2,7 @@ package dijkstra
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/graph"
 )
@@ -13,26 +14,26 @@ func STDistance(g *graph.Graph, s, t int32) int64 {
 	return d
 }
 
-// STScratch is reusable bidirectional-search state: both distance arrays stay
-// at graph.Inf between runs and a run puts back only what it touched, so a warm
+// STScratch is reusable bidirectional-search state: the distances stay at
+// graph.Inf between runs and a run puts back only what it touched, so a warm
 // query allocates nothing and costs what it searched, not n. The zero value is
 // ready and sizes itself to the graph it is handed. Not safe for concurrent use.
-type STScratch struct{ fwd, bwd stSide }
-
-// stSide is one direction's search.
-type stSide struct {
-	dist    []int64 // graph.Inf everywhere between runs
-	heap    lazyHeap
-	touched []int32 // the vertices whose dist this run lowered
+type STScratch struct {
+	d       [][2]int64 // d[v][k]: side k's distance to v (0 from s, 1 from t)
+	q       [2]radixQueue
+	touched []int32 // the vertices whose d this run lowered on either side
 }
 
 // Distance computes the shortest s-t distance: two searches grow from s and t
 // and stop once the sum of their frontier minima reaches the best meeting
-// distance found so far (the classical Nicholson/Pohl stopping rule, exact
+// distance μ found so far (the classical Nicholson/Pohl stopping rule, exact
 // under any alternation) — the point-to-point setting of the road-network
 // work the paper's §2 and §6 discuss. Each step expands the side that has
-// touched fewer vertices: alternating on the smaller frontier key instead
+// reached fewer vertices: alternating on the smaller frontier key instead
 // degenerates to a one-sided search whenever every arc at one end is heavy.
+// A label that cannot beat μ even if the other side's next key were its
+// distance to the far end is neither stored nor queued (DESIGN.md §5, decision
+// 16, has why that is exact).
 //
 // The search gives up, with ok false, rather than settle more than budget
 // vertices over both sides (the caller has a cheaper plan for a pair this far
@@ -42,69 +43,126 @@ func (sc *STScratch) Distance(g *graph.Graph, s, t int32, budget int) (dist int6
 	if s == t {
 		return 0, 0, true
 	}
-	fwd, bwd := &sc.fwd, &sc.bwd
-	fwd.start(g.NumVertices(), s)
-	bwd.start(g.NumVertices(), t)
-	defer fwd.finish()
-	defer bwd.finish()
-	dist = graph.Inf
-	// An empty heap reads as Inf: a side that exhausts its component ends it.
-	for fwd.top()+bwd.top() < dist {
-		side, other := fwd, bwd
-		if len(bwd.touched) < len(fwd.touched) {
-			side, other = bwd, fwd
+	if n := g.NumVertices(); len(sc.d) < n {
+		sc.d = make([][2]int64, n)
+		for i := range sc.d {
+			sc.d[i] = [2]int64{graph.Inf, graph.Inf}
 		}
-		top := side.heap.pop()
-		if top.d > side.dist[top.v] {
+	}
+	defer sc.reset()
+	d := sc.d
+	d[s][0], d[t][1] = 0, 0
+	sc.touched = append(sc.touched, s, t)
+	sc.q[0].push(entry{v: s})
+	sc.q[1].push(entry{v: t})
+	reached := [2]int{1, 1}
+	dist = graph.Inf
+	for {
+		// An empty queue reads as Inf: a side that exhausts its component ends it.
+		top := [2]int64{sc.q[0].top(), sc.q[1].top()}
+		if top[0]+top[1] >= dist {
+			return dist, settled, true
+		}
+		k := 0
+		if reached[1] < reached[0] {
+			k = 1
+		}
+		o := 1 - k
+		e := sc.q[k].pop()
+		if e.d > d[e.v][k] {
 			continue // stale entry
 		}
 		if settled == budget {
 			return dist, settled, false
 		}
 		settled++
-		ts, ws := g.Neighbors(top.v)
+		ts, ws := g.Neighbors(e.v)
 		for i, u := range ts {
-			nd := top.d + int64(ws[i])
-			if nd < side.dist[u] {
-				if side.dist[u] == graph.Inf {
-					side.touched = append(side.touched, u)
+			nd, du := e.d+int64(ws[i]), &d[u]
+			if nd >= du[k] {
+				continue
+			}
+			// Whichever side lowers u last sees the other's label, so counting
+			// candidates on improving relaxations alone finds every meeting.
+			dist = min(dist, nd+du[o])
+			if nd+top[o] >= dist {
+				continue // hopeless: no s-t path through this label beats dist
+			}
+			if du[k] == graph.Inf {
+				reached[k]++
+				if du[o] == graph.Inf {
+					sc.touched = append(sc.touched, u)
 				}
-				side.dist[u] = nd
-				side.heap.push(entry{v: u, d: nd})
 			}
-			// Any discovery on the other side makes (s..top.v)+(u..t) a
-			// candidate s-t path.
-			if cand := nd + other.dist[u]; cand < dist {
-				dist = cand
-			}
+			du[k] = nd
+			sc.q[k].push(entry{v: u, d: nd})
 		}
 	}
-	return dist, settled, true
 }
 
-func (sd *stSide) start(n int, src int32) {
-	if len(sd.dist) < n {
-		sd.dist = make([]int64, n)
-		for i := range sd.dist {
-			sd.dist[i] = graph.Inf
+// reset restores the between-runs state.
+func (sc *STScratch) reset() {
+	for _, v := range sc.touched {
+		sc.d[v] = [2]int64{graph.Inf, graph.Inf}
+	}
+	sc.touched = sc.touched[:0]
+	sc.q[0].reset()
+	sc.q[1].reset()
+}
+
+// radixQueue is a monotone integer priority queue, the radix heap of Ahuja,
+// Mehlhorn, Orlin & Tarjan (1990): an entry sits in bucket bits.Len64(d ^
+// last), where last is the least key when bucket 0 was last refilled, so a
+// push is O(1) and a refill redistributes only the least non-empty bucket,
+// each entry moving to a lower one. Every key pushed must be ≥ last, as a
+// Dijkstra relaxation's is of the key it popped.
+type radixQueue struct {
+	last    int64
+	buckets [65][]entry
+}
+
+func (q *radixQueue) push(e entry) {
+	b := bits.Len64(uint64(e.d ^ q.last))
+	q.buckets[b] = append(q.buckets[b], e)
+}
+
+// top is the least key queued, graph.Inf if none; it leaves that key's
+// entries in bucket 0.
+func (q *radixQueue) top() int64 {
+	if len(q.buckets[0]) == 0 {
+		i := 1
+		for i < len(q.buckets) && len(q.buckets[i]) == 0 {
+			i++
 		}
+		if i == len(q.buckets) {
+			return graph.Inf
+		}
+		b := q.buckets[i]
+		q.last = b[0].d
+		for _, e := range b[1:] {
+			q.last = min(q.last, e.d)
+		}
+		for _, e := range b {
+			j := bits.Len64(uint64(e.d ^ q.last))
+			q.buckets[j] = append(q.buckets[j], e)
+		}
+		q.buckets[i] = b[:0]
 	}
-	sd.dist[src] = 0
-	sd.touched = append(sd.touched, src)
-	sd.heap = append(sd.heap, entry{v: src})
+	return q.last
 }
 
-// finish restores the between-runs state.
-func (sd *stSide) finish() {
-	for _, v := range sd.touched {
-		sd.dist[v] = graph.Inf
-	}
-	sd.touched, sd.heap = sd.touched[:0], sd.heap[:0]
+// pop removes an entry with the least key; top must have found one since the
+// last pop.
+func (q *radixQueue) pop() entry {
+	b := q.buckets[0]
+	e := b[len(b)-1]
+	q.buckets[0] = b[:len(b)-1]
+	return e
 }
 
-func (sd *stSide) top() int64 {
-	if len(sd.heap) == 0 {
-		return graph.Inf
+func (q *radixQueue) reset() {
+	for i := range q.buckets {
+		q.buckets[i] = q.buckets[i][:0]
 	}
-	return sd.heap[0].d
+	q.last = 0
 }

@@ -43,17 +43,47 @@ func TestSTEmptyGraph(t *testing.T) {
 	}
 }
 
-func TestSTMatchesDijkstraOnFamilies(t *testing.T) {
-	gs := []*graph.Graph{
-		gen.Random(800, 3200, 1<<12, gen.UWD, 1),
-		gen.GridGraph(30, 30, 64, gen.UWD, 2),
-		gen.RMATGraph(512, 2048, 1<<8, gen.PWD, 3),
+// stDirty reports what of a scratch's between-runs state a run left behind:
+// queued entries, touched vertices, or a distance not at graph.Inf.
+func stDirty(sc *STScratch) error {
+	for k := range sc.q {
+		if sc.q[k].top() != graph.Inf {
+			return fmt.Errorf("side %d queue holds entries", k)
+		}
 	}
-	for gi, g := range gs {
-		d0 := SSSP(g, 0)
-		for _, tgt := range []int32{1, int32(g.NumVertices() / 2), int32(g.NumVertices() - 1)} {
-			if got := STDistance(g, 0, tgt); got != d0[tgt] {
-				t.Errorf("graph %d: st(0,%d)=%d, dijkstra %d", gi, tgt, got, d0[tgt])
+	if len(sc.touched) != 0 {
+		return fmt.Errorf("%d touched vertices", len(sc.touched))
+	}
+	if i := slices.IndexFunc(sc.d, func(d [2]int64) bool { return d != [2]int64{graph.Inf, graph.Inf} }); i >= 0 {
+		return fmt.Errorf("d[%d] = %v", i, sc.d[i])
+	}
+	return nil
+}
+
+// On every family, over random pairs and budgets of one vertex, the engine's
+// n/32 and none, one warm scratch answers exactly whenever it finishes, gives
+// up only at its budget, and is clean after every call; the lazy-heap arm
+// agrees without a budget.
+func TestSTMatchesDijkstraOnFamilies(t *testing.T) {
+	const logn, pairs = 10, 300
+	for _, fam := range stFamilies {
+		g := fam.make(logn)
+		n := g.NumVertices()
+		sc, lazy, r := new(STScratch), new(lazySTScratch), rng.New(30)
+		for i := 0; i < pairs; i++ {
+			s, tgt := int32(r.Intn(n)), int32(r.Intn(n))
+			want := SSSP(g, s)[tgt]
+			for _, budget := range []int{1, n / 32, math.MaxInt} {
+				got, settled, ok := sc.Distance(g, s, tgt, budget)
+				if err := stDirty(sc); err != nil {
+					t.Fatalf("%s st(%d,%d) budget %d: %v", fam.name, s, tgt, budget, err)
+				}
+				if ok && got != want || !ok && settled != budget {
+					t.Fatalf("%s st(%d,%d) budget %d = (%d, %d settled, %v), dijkstra %d", fam.name, s, tgt, budget, got, settled, ok, want)
+				}
+			}
+			if got, _, _ := lazySTDistance(lazy, g, s, tgt, math.MaxInt); got != want {
+				t.Fatalf("%s lazy-heap st(%d,%d) = %d, dijkstra %d", fam.name, s, tgt, got, want)
 			}
 		}
 	}
@@ -89,21 +119,15 @@ func TestSTScratchReuseMatchesFresh(t *testing.T) {
 	g := b.Build()               // 33..39 are isolated
 	n := int32(g.NumVertices())
 	sc := new(STScratch)
-	clean := func(what string) {
-		t.Helper()
-		for _, sd := range []*stSide{&sc.fwd, &sc.bwd} {
-			if len(sd.heap) != 0 || len(sd.touched) != 0 || slices.ContainsFunc(sd.dist, func(d int64) bool { return d != graph.Inf }) {
-				t.Fatalf("%s: scratch not restored (heap %d, touched %d)", what, len(sd.heap), len(sd.touched))
-			}
-		}
-	}
 	for s := int32(0); s < n; s += 3 {
 		want := SSSP(g, s)
 		for tgt := int32(0); tgt < n; tgt++ {
 			for _, budget := range []int{0, 1, 3, 8, math.MaxInt} {
 				what := fmt.Sprintf("st(%d,%d) budget %d", s, tgt, budget)
 				got, settled, ok := sc.Distance(g, s, tgt, budget)
-				clean(what)
+				if err := stDirty(sc); err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
 				fd, fsettled, fok := new(STScratch).Distance(g, s, tgt, budget)
 				if got != fd || settled != fsettled || ok != fok {
 					t.Fatalf("%s: reused (%d,%d,%v), fresh (%d,%d,%v)", what, got, settled, ok, fd, fsettled, fok)
@@ -127,12 +151,91 @@ func TestWarmSTScratchAllocatesNothing(t *testing.T) {
 	g := gen.Random(2048, 8192, 1<<11, gen.PWD, 9)
 	sc := new(STScratch)
 	for tgt := int32(1); tgt < 2048; tgt++ {
-		sc.Distance(g, 0, tgt, math.MaxInt) // grow the heaps and touched lists
+		sc.Distance(g, 0, tgt, math.MaxInt) // grow the buckets and touched list
 	}
 	tgt := int32(0)
 	if a := testing.AllocsPerRun(200, func() { tgt++; sc.Distance(g, 0, tgt, 64) }); a != 0 {
 		t.Fatalf("warm s-t query: %v allocs, want 0", a)
 	}
+}
+
+// lazySTScratch and lazySTDistance are STScratch.Distance as it was before the
+// radix queues and the pruning rule — a distance array, lazy binary heap and
+// touched list a side, every improving label queued — kept as BenchmarkST's
+// lazy-heap arm.
+type lazySTScratch struct{ fwd, bwd lazySTSide }
+
+type lazySTSide struct {
+	dist    []int64 // graph.Inf everywhere between runs
+	heap    lazyHeap
+	touched []int32
+}
+
+func lazySTDistance(sc *lazySTScratch, g *graph.Graph, s, t int32, budget int) (dist int64, settled int, ok bool) {
+	if s == t {
+		return 0, 0, true
+	}
+	fwd, bwd := &sc.fwd, &sc.bwd
+	fwd.start(g.NumVertices(), s)
+	bwd.start(g.NumVertices(), t)
+	defer fwd.finish()
+	defer bwd.finish()
+	dist = graph.Inf
+	for fwd.top()+bwd.top() < dist {
+		side, other := fwd, bwd
+		if len(bwd.touched) < len(fwd.touched) {
+			side, other = bwd, fwd
+		}
+		top := side.heap.pop()
+		if top.d > side.dist[top.v] {
+			continue
+		}
+		if settled == budget {
+			return dist, settled, false
+		}
+		settled++
+		ts, ws := g.Neighbors(top.v)
+		for i, u := range ts {
+			nd := top.d + int64(ws[i])
+			if nd < side.dist[u] {
+				if side.dist[u] == graph.Inf {
+					side.touched = append(side.touched, u)
+				}
+				side.dist[u] = nd
+				side.heap.push(entry{v: u, d: nd})
+			}
+			if cand := nd + other.dist[u]; cand < dist {
+				dist = cand
+			}
+		}
+	}
+	return dist, settled, true
+}
+
+func (sd *lazySTSide) start(n int, src int32) {
+	if len(sd.dist) < n {
+		sd.dist = make([]int64, n)
+		for i := range sd.dist {
+			sd.dist[i] = graph.Inf
+		}
+	}
+	sd.dist[src] = 0
+	sd.touched = append(sd.touched, src)
+	sd.heap = append(sd.heap, entry{v: src})
+}
+
+func (sd *lazySTSide) finish() {
+	for _, v := range sd.touched {
+		sd.dist[v] = graph.Inf
+	}
+	sd.touched, sd.heap = sd.touched[:0], sd.heap[:0]
+}
+
+func (sd *lazySTSide) top() int64 {
+	if len(sd.heap) == 0 {
+		return graph.Inf
+	}
+	return sd.heap[0].d
 }
 
 // minKeySTDistance is STDistance as it was before STScratch — two fresh
@@ -216,7 +319,8 @@ var stFamilies = []struct {
 // BenchmarkST is the table behind the engine's targeted-query budget of n/32
 // settled vertices (DESIGN.md §5, decision 16): on each family at logn 16,
 // over the same random pairs, a warm STScratch without a budget ("balanced"),
-// the min-key alternation it replaced ("min-key"), what a first-touch targeted
+// the same search on lazy binary heaps without pruning ("lazy-heap"), the
+// min-key alternation that preceded both ("min-key"), what a first-touch targeted
 // query costs — the search under the budget, then a full delta-stepping solve
 // if it gave up ("targeted") — and the full solve alone ("delta"). ns/op is
 // the mean per pair; the search arms also report the median and 95th
@@ -227,16 +331,17 @@ func BenchmarkST(b *testing.B) {
 	rt := par.NewExec(1)
 	for _, fam := range stFamilies {
 		var g *graph.Graph // built by the first arm that runs
-		for _, arm := range []string{"balanced", "min-key", "targeted", "delta"} {
+		for _, arm := range []string{"balanced", "lazy-heap", "min-key", "targeted", "delta"} {
 			b.Run(fmt.Sprintf("logn=%d/%s/k=1/%s", logn, fam.name, arm), func(b *testing.B) {
 				if g == nil {
 					g = fam.make(logn)
 				}
 				n := g.NumVertices()
 				budget, delta := n/32, deltastep.DefaultDelta(g)
-				sc, full := new(STScratch), deltastep.NewState()
+				sc, lazy, full := new(STScratch), new(lazySTScratch), deltastep.NewState()
 				full.RunFromSources(rt, g, []int32{0}, delta)
 				sc.Distance(g, 0, int32(n-1), math.MaxInt)
+				lazySTDistance(lazy, g, 0, int32(n-1), math.MaxInt)
 				r := rng.New(26)
 				settled := make([]int, 0, b.N)
 				b.ReportAllocs()
@@ -246,6 +351,9 @@ func BenchmarkST(b *testing.B) {
 					switch arm {
 					case "balanced":
 						_, k, _ := sc.Distance(g, s, t, math.MaxInt)
+						settled = append(settled, k)
+					case "lazy-heap":
+						_, k, _ := lazySTDistance(lazy, g, s, t, math.MaxInt)
 						settled = append(settled, k)
 					case "min-key":
 						_, k := minKeySTDistance(g, s, t)

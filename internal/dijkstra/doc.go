@@ -2,10 +2,10 @@
 // point for every solver in this repository and the correctness oracle of the
 // test suite.
 //
-// Two priority queues are provided: a lazy binary heap (entries are never
-// decreased, stale entries are skipped on pop) and an indexed 4-ary heap with
-// true decrease-key. Their outputs are identical; the bench suite compares
-// their constants.
+// Full-vector runs use a lazy binary heap (entries are never decreased, stale
+// entries are skipped on pop) or an indexed 4-ary heap with true decrease-key;
+// the budgeted s-t search (STScratch) pops from a radix heap per direction.
+// Their outputs are identical; the bench suite compares their constants.
 //
 // See DESIGN.md §3 ("System inventory") for how this package fits the system.
 package dijkstra

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -300,15 +300,8 @@ func (e *Engine) plan(req Request, record bool) (name string, srcs []int32, key 
 		}
 	}
 	srcs = append(make([]int32, 0, len(req.Sources)), req.Sources...)
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
-	w := 1
-	for i := 1; i < len(srcs); i++ {
-		if srcs[i] != srcs[i-1] {
-			srcs[w] = srcs[i]
-			w++
-		}
-	}
-	srcs = srcs[:w]
+	slices.Sort(srcs)
+	srcs = slices.Compact(srcs)
 
 	name, err = e.pickSolver(req.Solver, srcs, record)
 	if err != nil {
