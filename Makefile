@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-build bench-kernels bench-p2p bench-engine bench-catalog bench-trace bench-serve bench-serve-smoke bench-router bench-mutate bench-mutate-width bench-costmodel check flake docs-check loc stress fuzz experiments sim-csv-check examples clean
+.PHONY: all build vet test race bench bench-build bench-kernels bench-p2p bench-engine bench-catalog bench-trace bench-serve bench-serve-smoke bench-router bench-mutate bench-mutate-width check flake docs-check loc stress fuzz experiments sim-csv-check examples clean
 
 all: build vet test
 
@@ -27,7 +27,7 @@ RACE_PKGS = ./internal/dimacs ./internal/core ./internal/cc ./internal/deltastep
 	./internal/bfs ./internal/dijkstra ./internal/mlb ./internal/par ./internal/mta \
 	./internal/obs ./internal/engine ./internal/catalog ./internal/snapshot \
 	./internal/trace ./internal/loadgen ./internal/router ./internal/httpx \
-	./internal/mutate ./internal/costmodel ./internal/stress ./cmd/ssspd ./cmd/ssspr .
+	./internal/mutate ./internal/stress ./cmd/ssspd ./cmd/ssspr .
 
 race:
 	$(GO) test -race $(RACE_PKGS)
@@ -170,16 +170,6 @@ bench-mutate-width:
 	if [ -n "$$parent" ]; then echo "$$parent" >> results/mutate-width.csv; fi
 	@cat results/mutate-width.csv
 
-# Cost-model selection benchmark: the stress generator sweep solved by
-# every applicable solver, a model fitted from those trace samples, and
-# static-policy vs model-driven solver choices priced against the shared
-# per-family median table, written to BENCH_costmodel.json. FAILS if the
-# model's mean chosen-solver latency is worse than the static policy's, or
-# if its choice is >5% slower on any single family.
-bench-costmodel:
-	BENCH_COSTMODEL_OUT=$(CURDIR)/BENCH_costmodel.json \
-		$(GO) test -run TestWriteCostModelBenchJSON -count=1 -v ./cmd/ssspd
-
 # Shrunk always-on slice of bench-serve: every committed workload spec
 # parses, matches the bench catalog, and passes its SLO at smoke size.
 bench-serve-smoke:
@@ -238,7 +228,6 @@ fuzz:
 	$(GO) test -fuzz FuzzWorkloadSpec -fuzztime 10s ./internal/loadgen
 	$(GO) test -fuzz FuzzMutateRequest -fuzztime 10s ./internal/mutate
 	$(GO) test -fuzz FuzzRoutingTable -fuzztime 10s ./internal/router
-	$(GO) test -fuzz FuzzCoefficientsFile -fuzztime 10s ./internal/costmodel
 	$(GO) test -fuzz FuzzThorupVsDijkstra -fuzztime 10s ./internal/core
 	$(GO) test -fuzz FuzzDeltaStepVsDijkstra -fuzztime 10s ./internal/core
 	$(GO) test -fuzz FuzzMLBVsDijkstra -fuzztime 10s ./internal/core

@@ -26,10 +26,8 @@
 //	POST /graphs/unload            admin: drain a graph out of service
 //	POST /graphs/{name}/mutate     admin: apply a batch of edge mutations as a new generation
 //	GET  /stats                    instance, hierarchy, cache, and catalog statistics
-//	GET  /metrics                  per-endpoint + engine + catalog + tracing + cost-model + runtime metrics
+//	GET  /metrics                  per-endpoint + engine + catalog + tracing + runtime metrics
 //	GET  /debug/traces             retained request traces (span trees), filterable
-//	GET  /debug/costmodel/dataset  cost-model training samples (JSON lines, oldest first)
-//	POST /debug/costmodel/reload   admin: hot-reload the -cost-model coefficients file
 //	GET  /healthz                  liveness
 //
 // Graphs live in an internal/catalog: background workers load graphs off the
@@ -59,17 +57,6 @@
 // -trace-ring traces served by GET /debug/traces. Profiling via
 // net/http/pprof is opt-in on a separate -pprof-addr listener so a CPU
 // profile can never compete with query admission.
-//
-// A learned cost model (internal/costmodel) can replace the static solver
-// ladder: -cost-model points at a coefficients file fitted offline by
-// cmd/costfit from this daemon's own solves. Every executed solve adds one
-// row to a bounded ring of training samples (-cost-samples) exported as JSON
-// lines from GET /debug/costmodel/dataset; POST /debug/costmodel/reload swaps
-// in new coefficients without a restart, and a missing, corrupt, or stale
-// file degrades to the static policy rather than failing. With -admit-headroom
-// set, the model also gates admission: a query whose predicted cost exceeds
-// -timeout times the headroom factor is shed with 503 + Retry-After before
-// it ever occupies a worker.
 package main
 
 import (
@@ -91,7 +78,6 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/ch"
 	"repro/internal/cli"
-	"repro/internal/costmodel"
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/httpx"
@@ -123,9 +109,6 @@ func main() {
 		traceRing    = flag.Int("trace-ring", 256, "retained-trace ring buffer capacity for /debug/traces")
 		slowQuery    = flag.Duration("slow-query", 0, "log and always retain query traces at least this slow (0 disables the slow-query log)")
 		pprofAddr    = flag.String("pprof-addr", "", "serve net/http/pprof on this separate listener (empty disables profiling)")
-		costModel    = flag.String("cost-model", "", "learned cost-model coefficients file (cmd/costfit output) driving solver selection; empty, missing, or stale keeps the static policy")
-		admitHead    = flag.Float64("admit-headroom", 0, "predictive admission: shed queries whose model-predicted cost exceeds -timeout times this factor with 503 before they occupy a worker (0 disables)")
-		costSamples  = flag.Int("cost-samples", costmodel.DefaultSamples, "cost-model training-sample ring capacity exported by /debug/costmodel/dataset")
 	)
 	flag.Parse()
 
@@ -151,9 +134,6 @@ func main() {
 		mmap:         *useMmap,
 		mapping:      mapping,
 		trace:        trace.Config{SampleN: *traceSample, RingSize: *traceRing, SlowQuery: *slowQuery},
-		costModel:    *costModel,
-		admitHead:    *admitHead,
-		costSamples:  *costSamples,
 	})
 	defer srv.cat.Close()
 
@@ -190,13 +170,6 @@ type serverOptions struct {
 	mmap    bool
 	mapping *snapshot.Mapping
 	trace   trace.Config
-	// costModel is the coefficients file loaded at startup (empty or
-	// unloadable keeps the static policy); admitHead is the predictive
-	// admission headroom factor (0 disables); costSamples sizes the
-	// training-sample ring (<=0 = costmodel.DefaultSamples).
-	costModel   string
-	admitHead   float64
-	costSamples int
 }
 
 // servePprof serves net/http/pprof on its own listener, explicitly routed so
@@ -229,13 +202,6 @@ type server struct {
 	tracer  *trace.Tracer
 	sem     chan struct{} // admission: one token per in-flight query
 	timeout time.Duration
-
-	// costProv serves cost predictions to every generation's engine, is the
-	// hot-reload point for new coefficients, and holds the training samples
-	// those engines hand it, one per executed solve; admitHead > 0 turns on
-	// predictive admission against timeout*admitHead.
-	costProv  *costmodel.Provider
-	admitHead float64
 }
 
 // newServer starts a catalog serving (g, h) as name. h is nil when the source
@@ -247,20 +213,6 @@ func newServer(g *graph.Graph, h *ch.Hierarchy, name string, src catalog.Source,
 	if opts.engine.BatchWorkers == 0 {
 		opts.engine.BatchWorkers = opts.workers
 	}
-	// The provider is installed in the engine template before the catalog is
-	// built so every generation — the startup graph and every later load,
-	// reload, and mutation — prices solvers through the same hot-reloadable
-	// model. An unloadable file is a warning, not a fatal: the provider stays
-	// empty and the static policy serves.
-	costProv := costmodel.NewProvider(opts.costSamples)
-	if opts.costModel != "" {
-		if err := costProv.LoadFile(opts.costModel); err != nil {
-			log.Printf("ssspd: cost model %s not loaded (static policy stays): %v", opts.costModel, err)
-		} else {
-			log.Printf("ssspd: cost model %s loaded (%d solvers)", opts.costModel, len(costProv.Model().Solvers()))
-		}
-	}
-	opts.engine.CostModel = costProv
 	cat := catalog.New(catalog.Config{
 		Workers:      opts.buildWorkers,
 		MemoryBudget: opts.memBudget,
@@ -286,13 +238,10 @@ func newServer(g *graph.Graph, h *ch.Hierarchy, name string, src catalog.Source,
 		defaultGraph: name,
 		ecfg:         opts.engine,
 		metrics: obs.NewRegistry("healthz", "stats", "metrics", "sssp", "dist", "st", "table", "batch",
-			"graphs", "graphs_load", "graphs_reload", "graphs_unload", "graphs_mutate", "debug_traces",
-			"costmodel_dataset", "costmodel_reload"),
-		tracer:    trace.New(tcfg),
-		sem:       make(chan struct{}, opts.maxInflight),
-		timeout:   opts.timeout,
-		costProv:  costProv,
-		admitHead: opts.admitHead,
+			"graphs", "graphs_load", "graphs_reload", "graphs_unload", "graphs_mutate", "debug_traces"),
+		tracer:  trace.New(tcfg),
+		sem:     make(chan struct{}, opts.maxInflight),
+		timeout: opts.timeout,
 	}
 }
 
@@ -324,8 +273,6 @@ func (s *server) mux() *http.ServeMux {
 	plain("POST /graphs/unload", "graphs_unload", s.handleGraphUnload)
 	plain("POST /graphs/{name}/mutate", "graphs_mutate", s.handleGraphMutate)
 	plain("GET /debug/traces", "debug_traces", s.handleDebugTraces)
-	plain("GET /debug/costmodel/dataset", "costmodel_dataset", s.handleCostModelDataset)
-	plain("POST /debug/costmodel/reload", "costmodel_reload", s.handleCostModelReload)
 	return m
 }
 
@@ -450,50 +397,10 @@ func runWithDeadline(w http.ResponseWriter, r *http.Request, release func(), fn 
 	}
 }
 
-// admitPredicted is the predictive half of admission control: before a query
-// occupies a worker goroutine, ask the cost model what it will cost. A
-// prediction over timeout*admitHead is a query that will blow its deadline
-// anyway — shed it now with 503 + Retry-After so the worker slot goes to a
-// query that can finish. Returns false (response written, generation
-// released) when the request was rejected. Advisory only: no model, no
-// prediction, or headroom disabled all admit, and a malformed request is
-// admitted so the engine surfaces its usual 400.
-func (s *server) admitPredicted(w http.ResponseWriter, r *http.Request, gen *catalog.Generation, release func(),
-	reqs ...engine.Request) bool {
-	if s.admitHead <= 0 || s.timeout <= 0 {
-		return true
-	}
-	limit := time.Duration(float64(s.timeout) * s.admitHead)
-	for _, req := range reqs {
-		name, cost, ok, err := gen.Engine.PredictCost(req)
-		if err != nil || !ok {
-			continue
-		}
-		if cost > limit {
-			s.costProv.CountAdmissionRejected()
-			sp := trace.FromContext(r.Context()).StartSpan("predictive_admission")
-			sp.SetAttr("solver", name)
-			sp.SetAttr("predicted_us", cost.Microseconds())
-			sp.SetAttr("rejected", true)
-			sp.End()
-			release()
-			w.Header().Set("Retry-After", "1")
-			httpx.Error(w, http.StatusServiceUnavailable, fmt.Sprintf(
-				"predicted cost %s exceeds admission limit %s (solver %s): retry later or narrow the query",
-				cost.Round(time.Microsecond), limit.Round(time.Microsecond), name))
-			return false
-		}
-	}
-	return true
-}
-
 // query runs one engine query on the acquired generation under the request's
 // deadline and shapes the response with fn.
 func (s *server) query(w http.ResponseWriter, r *http.Request, gen *catalog.Generation, release func(),
 	req engine.Request, fn func(res *engine.Result, via engine.Via) any) {
-	if !s.admitPredicted(w, r, gen, release, req) {
-		return
-	}
 	runWithDeadline(w, r, release, func() any {
 		res, via, err := gen.Engine.Query(r.Context(), req)
 		if err != nil {
@@ -541,7 +448,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"catalog":        s.cat.StatsSnapshot(),
 		"tracing":        s.tracer.StatsSnapshot(),
 		"runtime":        obs.ReadRuntimeStats(),
-		"costmodel":      s.costModelSnapshot(),
 	}
 	// Engine and Thorup sections come from the default graph's current
 	// generation; while it is unavailable (draining, reloading after a
@@ -573,15 +479,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	httpx.WriteJSON(w, http.StatusOK, doc)
 }
 
-// costModelSnapshot is the /metrics cost-model section: provider state
-// (model identity, prediction counters and error histograms, the
-// training-sample ring's fill level) plus the admission setting.
-func (s *server) costModelSnapshot() map[string]any {
-	doc := s.costProv.StatsSnapshot()
-	doc["admission_headroom"] = s.admitHead
-	return doc
-}
-
 // handleDebugTraces serves the retained request traces, newest first:
 // httpx.TraceFilter's parameters plus ?solver= on the trace's resolved solver.
 func (s *server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
@@ -591,49 +488,6 @@ func (s *server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 	}
 	f.Solver = r.URL.Query().Get("solver")
 	httpx.WriteTraces(w, s.tracer, f)
-}
-
-// handleCostModelDataset streams the training-sample ring as JSON lines
-// (one costmodel.Sample per line, oldest first) — the dataset cmd/costfit
-// consumes. The ring keeps serving across reloads; the v field on each line
-// pins the dataset schema version.
-func (s *server) handleCostModelDataset(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Dataset-Version", strconv.Itoa(costmodel.DatasetVersion))
-	if _, err := s.costProv.Samples().WriteJSONL(w); err != nil {
-		log.Printf("ssspd: dataset write: %v", err)
-	}
-}
-
-// costModelReloadRequest optionally overrides the file to load; the default
-// is the -cost-model path (or the last successfully loaded path).
-type costModelReloadRequest struct {
-	Path string `json:"path,omitempty"`
-}
-
-// handleCostModelReload re-reads the coefficients file and swaps it in
-// atomically. A file that fails validation (corrupt, checksum mismatch,
-// stale version) is a 400 and the previous model keeps serving.
-func (s *server) handleCostModelReload(w http.ResponseWriter, r *http.Request) {
-	var req costModelReloadRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	path := req.Path
-	if path == "" {
-		path = s.costProv.Path()
-	}
-	if path == "" {
-		httpx.Error(w, http.StatusBadRequest, "no cost-model path: pass {\"path\": ...} or start with -cost-model")
-		return
-	}
-	if err := s.costProv.LoadFile(path); err != nil {
-		httpx.Error(w, http.StatusBadRequest, "cost model not reloaded (previous model keeps serving): "+err.Error())
-		return
-	}
-	m := s.costProv.Model()
-	log.Printf("ssspd: cost model reloaded from %s (%d solvers)", path, len(m.Solvers()))
-	httpx.WriteJSON(w, http.StatusOK, map[string]any{"status": "reloaded", "path": path, "solvers": m.Solvers()})
 }
 
 func (s *server) handleGraphs(w http.ResponseWriter, r *http.Request) {
@@ -862,9 +716,6 @@ func (s *server) handleTable(w http.ResponseWriter, r *http.Request) {
 	for i, src := range sources {
 		reqs[i] = engine.Request{Sources: []int32{src}, Solver: solverName, Targets: targets}
 	}
-	if !s.admitPredicted(w, r, gen, release, reqs...) {
-		return
-	}
 	runWithDeadline(w, r, release, func() any {
 		results := gen.Engine.Batch(r.Context(), reqs)
 		out := make([][]int64, len(results))
@@ -928,9 +779,6 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			name = breq.Solver
 		}
 		reqs[i] = engine.Request{Sources: srcs, Solver: name}
-	}
-	if !s.admitPredicted(w, r, gen, release, reqs...) {
-		return
 	}
 	// Every item inherits the request's trace ID: batch items are spans of
 	// the parent trace, not traces of their own, so one slow item is found

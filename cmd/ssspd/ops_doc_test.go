@@ -12,7 +12,8 @@ import (
 // OPERATIONS.md is the operator contract for this daemon. These tests keep it
 // honest mechanically: every flag the binary declares and every metric key
 // the live /metrics document emits must be mentioned there, so a flag or
-// counter added without documentation fails `go test`.
+// counter added without documentation fails `go test`; and every flag §1's
+// table documents must be declared, so one removed cannot linger there.
 
 func readOperationsMD(t *testing.T) string {
 	t.Helper()
@@ -23,8 +24,9 @@ func readOperationsMD(t *testing.T) string {
 	return string(data)
 }
 
-func TestOperationsDocCoversEveryFlag(t *testing.T) {
-	ops := readOperationsMD(t)
+// declaredFlags returns the name of every flag main.go declares.
+func declaredFlags(t *testing.T) map[string]bool {
+	t.Helper()
 	src, err := os.ReadFile("main.go")
 	if err != nil {
 		t.Fatal(err)
@@ -34,9 +36,38 @@ func TestOperationsDocCoversEveryFlag(t *testing.T) {
 	if len(matches) < 15 {
 		t.Fatalf("found only %d flag declarations in main.go; the regex has rotted", len(matches))
 	}
+	out := make(map[string]bool, len(matches))
 	for _, m := range matches {
-		if !strings.Contains(ops, "`-"+m[1]+"`") {
-			t.Errorf("flag -%s is not documented in OPERATIONS.md", m[1])
+		out[m[1]] = true
+	}
+	return out
+}
+
+func TestOperationsDocCoversEveryFlag(t *testing.T) {
+	ops := readOperationsMD(t)
+	for name := range declaredFlags(t) {
+		if !strings.Contains(ops, "`-"+name+"`") {
+			t.Errorf("flag -%s is not documented in OPERATIONS.md", name)
+		}
+	}
+}
+
+// The other direction: every row of §1's flag table names a flag the binary
+// declares, so a removed flag cannot stay documented.
+func TestOperationsDocFlagTableIsDeclared(t *testing.T) {
+	ops := readOperationsMD(t)
+	start, end := strings.Index(ops, "\n## 1. "), strings.Index(ops, "\n## 2. ")
+	if start < 0 || end < start {
+		t.Fatal("OPERATIONS.md has no §1 followed by §2")
+	}
+	rows := regexp.MustCompile("(?m)^\\| `-([a-z-]+)` \\|").FindAllStringSubmatch(ops[start:end], -1)
+	declared := declaredFlags(t)
+	if len(rows) < len(declared) {
+		t.Fatalf("found %d flag rows in §1 for %d declared flags; the regex has rotted", len(rows), len(declared))
+	}
+	for _, m := range rows {
+		if !declared[m[1]] {
+			t.Errorf("OPERATIONS.md §1 documents -%s, which main.go does not declare", m[1])
 		}
 	}
 }

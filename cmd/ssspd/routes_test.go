@@ -18,27 +18,30 @@ type routeCase struct {
 	status     int
 }
 
+// send issues one case against base and returns the answer, body closed.
+func send(t *testing.T, base string, c routeCase) *http.Response {
+	t.Helper()
+	var resp *http.Response
+	var err error
+	if c.body == "" {
+		resp, err = http.Get(base + c.path)
+	} else {
+		resp, err = http.Post(base+c.path, "application/json", strings.NewReader(c.body))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp
+}
+
 // walkRoutes issues every case against base and asserts the status and that
-// the answer is typed — application/json everywhere, ndjson for the
-// cost-model dataset export.
+// the answer is typed — application/json everywhere.
 func walkRoutes(t *testing.T, base string, cases []routeCase) {
 	t.Helper()
 	for _, c := range cases {
-		var resp *http.Response
-		var err error
-		if c.body == "" {
-			resp, err = http.Get(base + c.path)
-		} else {
-			resp, err = http.Post(base+c.path, "application/json", strings.NewReader(c.body))
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		want := "application/json"
-		if strings.HasPrefix(c.path, "/debug/costmodel/dataset") {
-			want = "application/x-ndjson"
-		}
+		resp := send(t, base, c)
+		const want = "application/json"
 		if resp.StatusCode != c.status || resp.Header.Get("Content-Type") != want {
 			t.Errorf("%s: %d %q, want %d %q", c.path, resp.StatusCode, resp.Header.Get("Content-Type"), c.status, want)
 		}
@@ -63,7 +66,6 @@ func TestEveryRouteAnswersTypedJSON(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		wide.Ops = append(wide.Ops, mutate.Op{Op: mutate.OpInsert, U: 0, V: int32(100 + 10*i), W: 2})
 	}
-	model := writeModelFile(t, map[string][]float64{"dijkstra": {100, 0, 0, 0, 0, 0.001, 0}})
 	walkRoutes(t, ts.URL, []routeCase{
 		{"/healthz", "", 200},
 		{"/stats", "", 200}, {"/stats?graph=nope", "", 404},
@@ -82,9 +84,14 @@ func TestEveryRouteAnswersTypedJSON(t *testing.T) {
 		{"/sssp?src=1&solver=thorup&graph=wide", "", 200}, {"/graphs/wide/mutate", mutateBody(t, &wide), 200},
 		{"/graphs/small/mutate", `{"ops":[{"op":"nope"}]}`, 400}, {"/graphs/nope/mutate", mutateBody(t, &wide), 404},
 		{"/debug/traces", "", 200}, {"/debug/traces?limit=0", "", 400},
-		{"/debug/costmodel/dataset", "", 200},
-		{"/debug/costmodel/reload", `{"path":"` + model + `"}`, 200}, {"/debug/costmodel/reload", `{"path":"/nope"}`, 400},
 	})
+	// The learned cost model's two routes are gone: the mux's own 404, in
+	// text/plain.
+	for _, c := range []routeCase{{"/debug/costmodel/dataset", "", 404}, {"/debug/costmodel/reload", `{}`, 404}} {
+		if resp := send(t, ts.URL, c); resp.StatusCode != c.status {
+			t.Errorf("%s: %d, want %d", c.path, resp.StatusCode, c.status)
+		}
+	}
 
 	queries := []routeCase{
 		{"/sssp?src=1", "", 0}, {"/dist?src=0&dst=1", "", 0}, {"/st?s=0&t=1", "", 0},

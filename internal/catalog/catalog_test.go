@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/ch"
 	"repro/internal/cli"
-	"repro/internal/costmodel"
 	"repro/internal/dijkstra"
 	"repro/internal/engine"
 	"repro/internal/gen"
@@ -102,46 +101,6 @@ func TestAcquireErrors(t *testing.T) {
 	close(unblock)
 	if err := c.WaitReady("slow", waitFor); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Each generation's engine is told which generation of which graph it is, so
-// the cost-model samples of its solves (here: two queries on a load, then two on
-// a reload) are tied to the exact graph version they were measured on.
-func TestGenerationStampsItsSamples(t *testing.T) {
-	p := costmodel.NewProvider(0)
-	c := testCatalog(t, Config{Engine: engine.Config{CostModel: p}})
-	if err := c.Load("g", Source{Loader: loaderFor(1)}); err != nil {
-		t.Fatal(err)
-	}
-	for gen := uint64(1); gen <= 2; gen++ {
-		if gen > 1 {
-			if _, err := c.Reload("g"); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := c.WaitReady("g", waitFor); err != nil {
-			t.Fatal(err)
-		}
-		gn, release, err := c.Acquire("g")
-		if err != nil || gn.Gen != gen {
-			t.Fatalf("acquired %+v, %v; want gen %d", gn, err, gen)
-		}
-		for _, src := range []int32{0, 200} {
-			if _, _, err := gn.Engine.Query(context.Background(), engine.Request{Sources: []int32{src}}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		release()
-	}
-	got := p.Samples().Snapshot()
-	if len(got) != 4 {
-		t.Fatalf("%d samples for 2 generations x 2 solves: %+v", len(got), got)
-	}
-	for i, s := range got {
-		if want := uint64(1 + i/2); s.Graph != "g" || s.Gen != want || s.N != 400 || s.M != 1600 || s.MaxWeight == 0 || s.Sources != 1 {
-			t.Fatalf("sample %d = %+v, want graph g gen %d", i, s, want)
-		}
 	}
 }
 

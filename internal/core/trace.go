@@ -41,10 +41,9 @@ func (t Trace) HopsPerRelaxation() float64 {
 }
 
 // AttrMap shapes the counters as named integers — span attributes for a
-// request-tracing layer, and the counters of a cost-model training sample:
-// the solver-phase breakdown (settled vertices, relaxations, upward minD
-// propagation, toVisit gathers, bucket expansions) of one traversal, keyed
-// like the /metrics "thorup" section.
+// request-tracing layer: the solver-phase breakdown (settled vertices,
+// relaxations, upward minD propagation, toVisit gathers, bucket expansions)
+// of one traversal, keyed like the /metrics "thorup" section.
 func (t Trace) AttrMap() map[string]int64 {
 	return map[string]int64{
 		"settled":          t.Settled,

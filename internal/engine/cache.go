@@ -67,15 +67,6 @@ func (c *lru) get(key string) (*Result, bool) {
 	return ent.res, true
 }
 
-// peek reports whether key is cached and changes nothing: an advisory read
-// neither refreshes the entry nor counts as having asked for it.
-func (c *lru) peek(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.index[key]
-	return ok
-}
-
 // add inserts (or refreshes) a result a query solved and evicts from the LRU
 // end until both budgets hold. An entry larger than the whole byte budget is
 // evicted immediately, leaving the cache empty rather than over budget.

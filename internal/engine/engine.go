@@ -7,10 +7,8 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/costmodel"
 	"repro/internal/deltastep"
 	"repro/internal/obs"
 	"repro/internal/solver"
@@ -38,20 +36,13 @@ type Config struct {
 	// Solvers overrides the solver pool (default solver.All()). Tests and
 	// harnesses may append instrumented or fault-injected variants.
 	Solvers []solver.Solver
-	// CostModel supplies learned per-solver latency predictions for solver
-	// selection (predicted-cost argmin) and admission pricing, and receives
-	// one training sample per executed solve. nil — or, for selection and
-	// pricing, a provider with no model loaded — keeps the static policy.
-	CostModel *costmodel.Provider
 	// Graph is the name this instance is served under (the catalog's graph
-	// name). It keys the cost model's per-graph calibration; empty means
-	// uncalibrated global predictions.
+	// name) and Gen which generation of it this is (set by the catalog, not a
+	// user option). Their only use is the prefix "Graph@Gen|" of every cache
+	// and singleflight key, so results can never alias across instances even
+	// if engines were ever to share storage.
 	Graph string
-	// Gen is which generation of Graph this instance is (set by the catalog,
-	// not a user option). Every cache/singleflight key starts "Graph@Gen|",
-	// so results can never alias across instances even if engines were ever
-	// to share storage, and every training sample is stamped with it.
-	Gen uint64
+	Gen   uint64
 }
 
 // Engine executes SSSP queries against one shared solver.Instance with
@@ -70,9 +61,6 @@ type Engine struct {
 	// one request's searches may settle between them.
 	p2p          solver.PointToPoint
 	targetBudget int
-
-	cost     *costmodel.Provider // may be nil (static policy only)
-	baseFeat costmodel.Features  // graph-level features; Sources set per query
 
 	counters *obs.Group
 
@@ -144,12 +132,6 @@ func New(in *solver.Instance, cfg Config) *Engine {
 		counters: obs.NewGroup(cSolves, cDedupHits, cCacheHits, cCacheMisses,
 			cCacheEvictions, cBatchRequests, cBatchItems, cFullJSONBuilt, cFullBytesFromCache,
 			cTargetedBailouts, cInheritedExact, cInheritedStale, cInheritDropped, cResumed, cResettled),
-		cost: cfg.CostModel,
-		baseFeat: costmodel.Features{
-			N:         in.G.NumVertices(),
-			M:         in.G.NumEdges(),
-			MaxWeight: in.G.MaxWeight(),
-		},
 		p2p:          solver.PointToPoints()[0],
 		targetBudget: in.G.NumVertices() / targetBudgetShare,
 	}
@@ -234,7 +216,7 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Result, Via, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, ViaSolve, err
 	}
-	name, srcs, key, err := e.plan(req, true)
+	name, srcs, key, err := e.plan(req)
 	if err != nil {
 		return nil, ViaSolve, err
 	}
@@ -282,9 +264,7 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Result, Via, error) {
 // plan validates the request, canonicalizes the source set (sorted, deduped
 // — multi-source distances are order-independent, so equivalent requests
 // share one cache key), resolves the solver by policy, and builds the key.
-// record is forwarded to pickSolver: true for real selections, false for
-// advisory ones (PredictCost).
-func (e *Engine) plan(req Request, record bool) (name string, srcs []int32, key string, err error) {
+func (e *Engine) plan(req Request) (name string, srcs []int32, key string, err error) {
 	n := e.in.G.NumVertices()
 	if len(req.Sources) == 0 {
 		return "", nil, "", fmt.Errorf("%w: no source vertices", ErrBadQuery)
@@ -303,7 +283,7 @@ func (e *Engine) plan(req Request, record bool) (name string, srcs []int32, key 
 	slices.Sort(srcs)
 	srcs = slices.Compact(srcs)
 
-	name, err = e.pickSolver(req.Solver, srcs, record)
+	name, err = e.pickSolver(req.Solver)
 	if err != nil {
 		return "", nil, "", err
 	}
@@ -318,89 +298,32 @@ func (e *Engine) plan(req Request, record bool) (name string, srcs []int32, key 
 	return name, srcs, string(kb), nil
 }
 
-// features projects the engine's graph plus a source-set size onto the cost
-// model's feature space.
-func (e *Engine) features(sources int) costmodel.Features {
-	f := e.baseFeat
-	f.Sources = sources
-	return f
-}
-
 // targeted reports whether req, already planned, is for the point-to-point
 // searches when it misses the cache: targets, one source, no solver named.
 func targeted(req Request, srcs []int32) bool {
 	return len(req.Targets) > 0 && len(srcs) == 1 && (req.Solver == "" || req.Solver == "auto")
 }
 
-// PredictCost resolves the plan Query would run for req right now and prices it
-// with the loaded cost model, without executing anything or touching the
-// selection counters: the serving layer calls it to decide predictive admission
-// before committing a worker. A cached vector costs nothing. A targeted request
-// is searches and then, if they give up, the full solve: several targets are
-// priced at that upper bound; one target at the search plus the solve's price
-// times the share of this engine's searches that have given up (counted with
-// one more that did not: a first bail alone closes no door). ok is false when
-// the model has no usable coefficients for the plan. err carries the ErrBadQuery
-// errors Query would return, so callers can let Query surface the 4xx.
-func (e *Engine) PredictCost(req Request) (solverName string, cost time.Duration, ok bool, err error) {
-	name, srcs, key, err := e.plan(req, false)
-	if err != nil {
-		return "", 0, false, err
-	}
-	if e.cache.peek(key) {
-		return name, 0, true, nil
-	}
-	cost, ok = e.cost.PredictFor(e.cfg.Graph, name, e.features(len(srcs)))
-	if !targeted(req, srcs) || len(req.Targets) > 1 {
-		return name, cost, ok, nil
-	}
-	bailed := float64(e.Counter(cTargetedBailouts)) / float64(e.exec[e.p2p.Name].runs.Value()+1)
-	fall := time.Duration(float64(cost) * bailed) // 0 while the solve has no price
-	cost, ok = e.cost.PredictFor(e.cfg.Graph, e.p2p.Name, e.features(1))
-	return e.p2p.Name, cost + fall, ok || fall > 0, nil
-}
-
-// execution is the books of one executed plan: its solver's pool, its "solve"
-// span, and the cost model's training sample beside the model's prediction.
-type execution struct {
-	p      *pooled
-	sp     *trace.Span
-	sample costmodel.Sample
-	pred   time.Duration
-	priced bool
-	start  time.Time
-}
-
-// begin opens an execution — counted, its span (nil when untraced) naming
-// solver, source count and prediction — and end closes it. Cache hits and
-// singleflight joiners never get here: the provider gets one Observe per
-// execution, labelled with this engine's own graph, generation and features.
-func (e *Engine) begin(parent *trace.Span, name string, sources int) execution {
-	x := execution{p: e.exec[name], sp: parent.StartChild("solve"), start: time.Now(),
-		sample: costmodel.Sample{Graph: e.cfg.Graph, Gen: e.cfg.Gen, Solver: name, Features: e.features(sources)}}
+// begin opens one executed plan: it counts the run and returns the solver's
+// pool and the "solve" span (nil when untraced) naming solver and source
+// count, which the caller ends. Cache hits and singleflight joiners never get
+// here.
+func (e *Engine) begin(parent *trace.Span, name string, sources int) (*pooled, *trace.Span) {
+	p, sp := e.exec[name], parent.StartChild("solve")
 	e.counters.C(cSolves).Inc()
-	x.p.runs.Inc()
-	x.sp.SetAttr("solver", name)
-	x.sp.SetAttr("sources", sources)
-	if x.pred, x.priced = e.cost.PredictFor(x.sample.Graph, name, x.sample.Features); x.priced {
-		x.sp.SetAttr("predicted_us", x.pred.Microseconds())
-	}
-	return x
-}
-
-func (x *execution) end(e *Engine) {
-	x.sp.End()
-	x.sample.DurUS = time.Since(x.start).Microseconds()
-	e.cost.Observe(x.sample, x.pred, x.priced)
+	p.runs.Inc()
+	sp.SetAttr("solver", name)
+	sp.SetAttr("sources", sources)
+	return p, sp
 }
 
 // search answers a targeted request with one point-to-point search per target
 // on one pooled state under one budget, or returns nil once a search outgrows
 // what is left. Either way one execution: its span says targets, settled, bailed.
 func (e *Engine) search(parent *trace.Span, src int32, targets []int32) *Result {
-	x := e.begin(parent, e.p2p.Name, 1)
-	defer x.end(e)
-	st := x.p.states.Get().(solver.PointSearch)
+	p, sp := e.begin(parent, e.p2p.Name, 1)
+	defer sp.End()
+	st := p.states.Get().(solver.PointSearch)
 	res := &Result{Solver: e.p2p.Name, TargetDist: make([]int64, len(targets))}
 	settled := 0
 	for i, t := range targets {
@@ -408,18 +331,15 @@ func (e *Engine) search(parent *trace.Span, src int32, targets []int32) *Result 
 		settled += k
 		if !ok {
 			e.counters.C(cTargetedBailouts).Inc()
-			if e.cost != nil { // tagged: the dearest search there is
-				x.sample.Counters = map[string]int64{"bailed": 1}
-			}
 			res = nil
 			break
 		}
 		res.TargetDist[i] = d
 	}
-	x.p.states.Put(st)
-	x.sp.SetAttr("targets", len(targets))
-	x.sp.SetAttr("settled", settled)
-	x.sp.SetAttr("bailed", res == nil)
+	p.states.Put(st)
+	sp.SetAttr("targets", len(targets))
+	sp.SetAttr("settled", settled)
+	sp.SetAttr("bailed", res == nil)
 	if res != nil {
 		parent.Trace().SetSolver(res.Solver)
 	}
@@ -430,14 +350,12 @@ func (e *Engine) search(parent *trace.Span, src int32, targets []int32) *Result 
 // one run, detach, Reset, put back, cache: the same steps for every solver in
 // the pool. parent is the singleflight leader's trace position: the execution
 // is begin's "solve" span with a nested "pool_checkout" and, for a tracer
-// state, the solver-phase counters of core.Trace, which the training sample
-// carries too.
+// state, the solver-phase counters of core.Trace.
 func (e *Engine) solve(parent *trace.Span, name string, srcs []int32, key string) *Result {
-	x := e.begin(parent, name, len(srcs))
-	defer x.end(e)
-	sp := x.sp
+	p, sp := e.begin(parent, name, len(srcs))
+	defer sp.End()
 	pc := sp.StartChild("pool_checkout")
-	st := x.p.states.Get().(solver.State)
+	st := p.states.Get().(solver.State)
 	pc.End()
 	res := &Result{Solver: name, e: e, key: key}
 	res.detach(st.RunFromSources(srcs))
@@ -445,9 +363,8 @@ func (e *Engine) solve(parent *trace.Span, name string, srcs []int32, key string
 		snap := t.Trace().Snapshot()
 		e.traceAgg.Merge(snap)
 		e.thorupRuns.Inc()
-		if sp != nil || e.cost != nil { // someone to show them to
-			x.sample.Counters = snap.AttrMap()
-			for k, v := range x.sample.Counters {
+		if sp != nil {
+			for k, v := range snap.AttrMap() {
 				sp.SetAttr(k, v)
 			}
 		}
@@ -463,7 +380,7 @@ func (e *Engine) solve(parent *trace.Span, name string, srcs []int32, key string
 		}
 	}
 	st.Reset()
-	x.p.states.Put(st)
+	p.states.Put(st)
 	e.cache.add(key, res)
 	return res
 }

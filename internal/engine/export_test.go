@@ -4,3 +4,12 @@ package engine
 // so that tests on small graphs have an always-bail and a never-bail arm; call
 // it before the engine serves.
 func (e *Engine) SetTargetBudget(settled int) { e.targetBudget = settled }
+
+// peek reports whether key is cached and changes nothing: it neither refreshes
+// the entry nor counts as having asked for it.
+func (c *lru) peek(key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.index[key]
+	return ok
+}

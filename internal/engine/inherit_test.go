@@ -50,7 +50,7 @@ func sameAsCold(t *testing.T, what string, res *Result, g *graph.Graph, srcs ...
 // keyOf is the cache key e plans for a query from srcs.
 func keyOf(t *testing.T, e *Engine, srcs ...int32) string {
 	t.Helper()
-	_, _, key, err := e.plan(Request{Sources: srcs}, false)
+	_, _, key, err := e.plan(Request{Sources: srcs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestInheritClassifies(t *testing.T) {
 }
 
 // Only what the parent was asked for crosses, so an entry inherited and never
-// read is gone a generation later; and an advisory read asks for nothing.
+// read is gone a generation later.
 func TestInheritOnlyWhatWasAskedFor(t *testing.T) {
 	g1 := testInstance(t, 200, 800).G
 	far := &mutate.Batch{Ops: []mutate.Op{{Op: mutate.OpInsert, U: 5, V: 5, W: 1}}} // changes no distance
@@ -154,14 +154,7 @@ func TestInheritOnlyWhatWasAskedFor(t *testing.T) {
 	e1 := engineOn(g1, 1, Config{CacheEntries: 2})
 	ask(t, e1, 10)
 	ask(t, e1, 11)
-	// PredictCost sees 10 cached, and must not make it the more recent one.
-	if _, cost, ok, err := e1.PredictCost(Request{Sources: []int32{10}}); err != nil || !ok || cost != 0 {
-		t.Fatalf("PredictCost on a cached key: cost %v ok %v err %v", cost, ok, err)
-	}
-	ask(t, e1, 12)
-	if e1.cache.peek(keyOf(t, e1, 10)) || !e1.cache.peek(keyOf(t, e1, 11)) {
-		t.Fatal("PredictCost refreshed the entry it looked at: 11 was evicted instead of 10")
-	}
+	ask(t, e1, 12) // evicts 10
 
 	e2 := engineOn(g2, 2, Config{CacheEntries: 2})
 	if exact, stale, dropped := e2.Inherit(e1, mutate.Changes(g1, g2, far)); exact != 2 || stale+dropped != 0 {
@@ -170,12 +163,9 @@ func TestInheritOnlyWhatWasAskedFor(t *testing.T) {
 	if _, via := ask(t, e2, 12); via != ViaCache {
 		t.Fatalf("12 answered via %v on gen 2", via)
 	}
-	if _, cost, ok, _ := e2.PredictCost(Request{Sources: []int32{11}}); !ok || cost != 0 {
-		t.Fatal("PredictCost does not see the inherited entry")
-	}
 	e3 := engineOn(g3, 3, Config{CacheEntries: 2})
 	if exact, _, _ := e3.Inherit(e2, mutate.Changes(g2, g3, far)); exact != 1 || !e3.cache.peek(keyOf(t, e3, 12)) {
-		t.Fatalf("gen 3 inherited %d entries; want 12 alone: 11 was only priced on gen 2, never read", exact)
+		t.Fatalf("gen 3 inherited %d entries; want 12 alone: 11 was inherited on gen 2, never read", exact)
 	}
 }
 

@@ -3,13 +3,12 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
 	"testing"
-	"time"
 
-	"repro/internal/costmodel"
 	"repro/internal/dijkstra"
 	"repro/internal/trace"
 )
@@ -160,70 +159,38 @@ func TestWarmTargetedQueryAllocatesNothingOfSizeN(t *testing.T) {
 	}
 }
 
-// PredictCost prices the plan Query would run — a search, plus the full solve
-// as often as this engine's searches have given up; a list of targets at the
-// full solve — and each executed plan is one training sample under its own
-// name: a bail is two, the first tagged.
-func TestPredictCostAndSamplesFollowThePlan(t *testing.T) {
-	in := testInstance(t, 300, 1200)
-	p := testModel(t, map[string][]float64{
-		"delta":         {9000, 0, 0, 0, 0, 0, 0},
-		"bidirectional": {200, 0, 0, 0, 0, 0, 0},
-	})
-	e := New(in, Config{CacheEntries: 8, CostModel: p})
+// Each executed plan is one "solve" span under its own name, saying what it
+// did: a finished search names its targets and what it settled, a bail is two
+// spans — the search, bailed, then the full solve — and a cached answer none.
+func TestSolveSpansFollowThePlan(t *testing.T) {
+	e := New(testInstance(t, 300, 1200), Config{CacheEntries: 8})
 	e.SetTargetBudget(math.MaxInt)
-	ctx := context.Background()
-	req := Request{Sources: []int32{7}, Targets: []int32{250}}
-	price := func(e *Engine, what string, req Request, solver string, want time.Duration) {
-		t.Helper()
-		if name, cost, ok, err := e.PredictCost(req); err != nil || !ok || name != solver || cost != want {
-			t.Fatalf("%s: PredictCost = %s %v ok=%v err=%v, want %s %v", what, name, cost, ok, err, solver, want)
-		}
-	}
-	price(e, "one target", req, "bidirectional", 200*time.Microsecond)
-	price(e, "named solver", Request{Sources: []int32{7}, Targets: []int32{250}, Solver: "delta"}, "delta", 9*time.Millisecond)
-	price(e, "full vector", Request{Sources: []int32{7}}, "delta", 9*time.Millisecond)
-	price(e, "a row of targets", Request{Sources: []int32{7}, Targets: []int32{250, 31, 4}}, "delta", 9*time.Millisecond)
-	targetedQuery(t, e, ctx, req)
-	price(e, "after a search that finished", req, "bidirectional", 200*time.Microsecond)
+	tr := trace.New(trace.Config{SampleN: 1}).StartRequest("", "dist")
+	ctx := trace.NewContext(context.Background(), tr)
+	targetedQuery(t, e, ctx, Request{Sources: []int32{7}, Targets: []int32{250}})
 	targetedQuery(t, e, ctx, Request{Sources: []int32{7}})
-	price(e, "cached", req, "delta", 0)
-
-	// Searches that give up: 1 of 2 (+1), then 2 of 3 (+1), of a 9 ms solve.
+	targetedQuery(t, e, ctx, Request{Sources: []int32{7}, Targets: []int32{250}}) // cached
 	e.SetTargetBudget(1)
-	other := Request{Sources: []int32{8}, Targets: []int32{250}}
-	targetedQuery(t, e, ctx, Request{Sources: []int32{9}, Targets: []int32{250}})
-	price(e, "after one bail", other, "bidirectional", 200*time.Microsecond+9*time.Millisecond/3)
-	targetedQuery(t, e, ctx, Request{Sources: []int32{10}, Targets: []int32{250}})
-	price(e, "after two bails", other, "bidirectional", 200*time.Microsecond+9*time.Millisecond/2)
+	targetedQuery(t, e, ctx, Request{Sources: []int32{9}, Targets: []int32{250, 31}})
 
 	var got []string
-	for _, s := range p.Samples().Snapshot() {
-		got = append(got, s.Solver)
-		if s.Features.Sources != 1 || s.DurUS < 0 || (s.Counters["bailed"] == 1) != (s.Solver == "bidirectional" && len(got) > 2) {
-			t.Fatalf("sample %d: %+v", len(got), s)
+	for _, sp := range tr.Export().Spans.Children {
+		if sp.Name != "solve" {
+			continue
+		}
+		a := sp.Attrs
+		got = append(got, fmt.Sprint(a["solver"], " ", a["bailed"]))
+		if a["sources"] != 1 {
+			t.Fatalf("solve span %v", a)
+		}
+		if a["solver"] == "bidirectional" && (a["targets"] == nil || a["settled"].(int) < 1) {
+			t.Fatalf("search span without targets and settled: %v", a)
 		}
 	}
-	if want := []string{"bidirectional", "delta", "bidirectional", "delta", "bidirectional", "delta"}; !slices.Equal(got, want) {
-		t.Fatalf("samples %v, want %v", got, want)
+	want := []string{"bidirectional false", "delta <nil>", "bidirectional true", "delta <nil>"}
+	if !slices.Equal(got, want) || e.Counter("solves") != int64(len(want)) {
+		t.Fatalf("solve spans %v (%d solves), want %v", got, e.Counter("solves"), want)
 	}
-	if n := p.Counters().Snapshot()[costmodel.CtrPredictions]; n != 6 {
-		t.Fatalf("predictions = %d, want 6", n)
-	}
-
-	// A model that does not price the search has no prediction for a single
-	// target until searches have given up; what is known of the plan then is
-	// the full solve's share.
-	e2 := New(in, Config{CacheEntries: 8, CostModel: testModel(t, map[string][]float64{"delta": {9000, 0, 0, 0, 0, 0, 0}})})
-	if name, _, ok, err := e2.PredictCost(req); err != nil || ok || name != "bidirectional" {
-		t.Fatalf("unpriced plan: %s ok=%v err=%v", name, ok, err)
-	}
-	price(e2, "a row of targets, search unpriced", Request{Sources: []int32{7}, Targets: []int32{250, 31}}, "delta", 9*time.Millisecond)
-	e2.SetTargetBudget(1)
-	for src := int32(20); src < 28; src++ {
-		targetedQuery(t, e2, ctx, Request{Sources: []int32{src}, Targets: []int32{250}})
-	}
-	price(e2, "search unpriced, 8 of 8 bailed", req, "bidirectional", 8*time.Millisecond)
 }
 
 // Batch rows carry their targets like single queries do (the /table path).
