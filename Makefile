@@ -81,7 +81,7 @@ bench-kernels:
 # search without a budget). ~2 minutes.
 bench-p2p:
 	for pass in 1 2 3; do \
-		$(GO) test -run '^$$' -bench 'ST/' -benchtime 400x -cpu 1 -timeout 30m ./internal/dijkstra || exit 1; \
+		$(GO) test -run '^$$' -bench 'ST$$/' -benchtime 400x -cpu 1 -timeout 30m ./internal/dijkstra || exit 1; \
 	done \
 	| awk -F'[/ \t]+' '$$1 == "BenchmarkST" { p50 = p95 = bail = ""; \
 		for (i = 7; i < NF; i++) { if ($$(i+1) == "settled_p50") p50 = $$i; if ($$(i+1) == "settled_p95") p95 = $$i; if ($$(i+1) == "bail_share@n") bail = $$i } \

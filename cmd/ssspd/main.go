@@ -68,6 +68,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"os"
 	"os/signal"
 	"strconv"
@@ -319,11 +320,12 @@ func truncate(s string, max int) string {
 }
 
 // graphFor resolves ?graph= (default: the startup graph) to an acquired
-// catalog generation. On failure the HTTP error is already written: 404 for
-// a name the catalog has never seen, 500 for a failed load, 503 +
-// Retry-After while loading/building/draining/evicted.
-func (s *server) graphFor(w http.ResponseWriter, r *http.Request) (*catalog.Generation, func(), bool) {
-	name := r.URL.Query().Get("graph")
+// catalog generation; q is the request's query string, parsed once by the
+// handler. On failure the HTTP error is already written: 404 for a name the
+// catalog has never seen, 500 for a failed load, 503 + Retry-After while
+// loading/building/draining/evicted.
+func (s *server) graphFor(w http.ResponseWriter, r *http.Request, q url.Values) (*catalog.Generation, func(), bool) {
+	name := q.Get("graph")
 	if name == "" {
 		name = s.defaultGraph
 	}
@@ -411,7 +413,7 @@ func (s *server) query(w http.ResponseWriter, r *http.Request, gen *catalog.Gene
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	gen, release, ok := s.graphFor(w, r)
+	gen, release, ok := s.graphFor(w, r, r.URL.Query())
 	if !ok {
 		return
 	}
@@ -435,6 +437,9 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		doc["chNodes"], doc["chHeight"], doc["chAvgChildren"], doc["chBytes"] = st.Components, st.Height, st.AvgChildren, st.CHBytes
 		// Arithmetic from the hierarchy's dimensions — no query allocation.
 		doc["instanceBytes"] = gen.Engine.InstanceBytes()
+	}
+	if x := gen.STIndex(); x != nil { // likewise only once a targeted query built it
+		doc["stIndexBytes"] = x.Bytes()
 	}
 	httpx.WriteJSON(w, http.StatusOK, doc)
 }
@@ -626,17 +631,18 @@ func summary(res *engine.Result, via engine.Via) map[string]any {
 }
 
 func (s *server) handleSSSP(w http.ResponseWriter, r *http.Request) {
-	gen, release, ok := s.graphFor(w, r)
+	q := r.URL.Query()
+	gen, release, ok := s.graphFor(w, r, q)
 	if !ok {
 		return
 	}
-	src, ok := vertexParam(w, r, "src", gen.G)
+	src, ok := vertexParam(w, q, "src", gen.G)
 	if !ok {
 		release()
 		return
 	}
-	full := r.URL.Query().Get("full") == "1"
-	req := engine.Request{Sources: []int32{src}, Solver: r.URL.Query().Get("solver")}
+	full := q.Get("full") == "1"
+	req := engine.Request{Sources: []int32{src}, Solver: q.Get("solver")}
 	s.query(w, r, gen, release, req, func(res *engine.Result, via engine.Via) any {
 		resp := summary(res, via)
 		resp["src"] = src
@@ -649,56 +655,78 @@ func (s *server) handleSSSP(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// distBody is the /dist response; its fields are in key order, so it encodes
+// to the same bytes a map of them would.
+type distBody struct {
+	Dist      int64  `json:"dist"`
+	Dst       int32  `json:"dst"`
+	Reachable bool   `json:"reachable"`
+	Solver    string `json:"solver"`
+	Src       int32  `json:"src"`
+	Via       string `json:"via"`
+}
+
+// stBody is the /st response, likewise in key order.
+type stBody struct {
+	Dist      int64 `json:"dist"`
+	Reachable bool  `json:"reachable"`
+	S         int32 `json:"s"`
+	T         int32 `json:"t"`
+}
+
 // handleDist answers GET /dist?src=&dst=: one distance and the plan behind it.
 func (s *server) handleDist(w http.ResponseWriter, r *http.Request) {
-	s.pointQuery(w, r, "src", "dst", true)
+	s.pointQuery(w, r, "src", "dst", func(src, dst int32, d int64, res *engine.Result, via engine.Via) any {
+		return distBody{Dist: jsonDist(d), Dst: dst, Reachable: d < graph.Inf, Solver: res.Solver, Src: src, Via: via.String()}
+	})
 }
 
 // handleST answers GET /st?s=&t=: /dist under the s-t names, without the plan.
 func (s *server) handleST(w http.ResponseWriter, r *http.Request) {
-	s.pointQuery(w, r, "s", "t", false)
+	s.pointQuery(w, r, "s", "t", func(src, dst int32, d int64, _ *engine.Result, _ engine.Via) any {
+		return stBody{Dist: jsonDist(d), Reachable: d < graph.Inf, S: src, T: dst}
+	})
 }
 
 // pointQuery is the one s-t query path. The engine is told which distance is
 // wanted and chooses how much to compute for it. from and to name the two
-// vertices in the query string and in the response.
-func (s *server) pointQuery(w http.ResponseWriter, r *http.Request, from, to string, withPlan bool) {
-	gen, release, ok := s.graphFor(w, r)
+// vertices in the query string; body shapes the response from them, the
+// distance (graph.Inf: unreachable) and the plan that found it.
+func (s *server) pointQuery(w http.ResponseWriter, r *http.Request, from, to string,
+	body func(src, dst int32, d int64, res *engine.Result, via engine.Via) any) {
+	q := r.URL.Query()
+	gen, release, ok := s.graphFor(w, r, q)
 	if !ok {
 		return
 	}
-	src, ok := vertexParam(w, r, from, gen.G)
-	if !ok {
-		release()
-		return
-	}
-	dst, ok := vertexParam(w, r, to, gen.G)
+	src, ok := vertexParam(w, q, from, gen.G)
 	if !ok {
 		release()
 		return
 	}
-	req := engine.Request{Sources: []int32{src}, Solver: r.URL.Query().Get("solver"), Targets: []int32{dst}}
+	dst, ok := vertexParam(w, q, to, gen.G)
+	if !ok {
+		release()
+		return
+	}
+	req := engine.Request{Sources: []int32{src}, Solver: q.Get("solver"), Targets: []int32{dst}}
 	s.query(w, r, gen, release, req, func(res *engine.Result, via engine.Via) any {
-		d := res.Target(0, dst)
-		resp := map[string]any{from: src, to: dst, "dist": jsonDist(d), "reachable": d < graph.Inf}
-		if withPlan {
-			resp["solver"], resp["via"] = res.Solver, via.String()
-		}
-		return resp
+		return body(src, dst, res.Target(0, dst), res, via)
 	})
 }
 
 func (s *server) handleTable(w http.ResponseWriter, r *http.Request) {
-	gen, release, ok := s.graphFor(w, r)
+	q := r.URL.Query()
+	gen, release, ok := s.graphFor(w, r, q)
 	if !ok {
 		return
 	}
-	sources, ok := vertexListParam(w, r, "src", gen.G)
+	sources, ok := vertexListParam(w, q, "src", gen.G)
 	if !ok {
 		release()
 		return
 	}
-	targets, ok := vertexListParam(w, r, "dst", gen.G)
+	targets, ok := vertexListParam(w, q, "dst", gen.G)
 	if !ok {
 		release()
 		return
@@ -711,7 +739,7 @@ func (s *server) handleTable(w http.ResponseWriter, r *http.Request) {
 	// One engine query per row: rows flow through the worker pool, the cache,
 	// and the deduplicator like any other query, so a hot row is free; each
 	// names the columns, so a row of few targets need not be a full solve.
-	solverName := r.URL.Query().Get("solver")
+	solverName := q.Get("solver")
 	reqs := make([]engine.Request, len(sources))
 	for i, src := range sources {
 		reqs[i] = engine.Request{Sources: []int32{src}, Solver: solverName, Targets: targets}
@@ -749,7 +777,7 @@ type batchRequest struct {
 }
 
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	gen, release, ok := s.graphFor(w, r)
+	gen, release, ok := s.graphFor(w, r, r.URL.Query())
 	if !ok {
 		return
 	}
@@ -805,8 +833,8 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func vertexParam(w http.ResponseWriter, r *http.Request, name string, g *graph.Graph) (int32, bool) {
-	raw := r.URL.Query().Get(name)
+func vertexParam(w http.ResponseWriter, q url.Values, name string, g *graph.Graph) (int32, bool) {
+	raw := q.Get(name)
 	v, err := strconv.ParseInt(raw, 10, 32)
 	if err != nil || v < 0 || int(v) >= g.NumVertices() {
 		httpx.Error(w, http.StatusBadRequest, fmt.Sprintf("parameter %q must be a vertex in [0,%d)", name, g.NumVertices()))
@@ -815,8 +843,8 @@ func vertexParam(w http.ResponseWriter, r *http.Request, name string, g *graph.G
 	return int32(v), true
 }
 
-func vertexListParam(w http.ResponseWriter, r *http.Request, name string, g *graph.Graph) ([]int32, bool) {
-	raw := r.URL.Query().Get(name)
+func vertexListParam(w http.ResponseWriter, q url.Values, name string, g *graph.Graph) ([]int32, bool) {
+	raw := q.Get(name)
 	if raw == "" {
 		httpx.Error(w, http.StatusBadRequest, fmt.Sprintf("parameter %q required (comma-separated vertices)", name))
 		return nil, false

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/ch"
 	"repro/internal/cli"
+	"repro/internal/dijkstra"
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/mutate"
@@ -289,6 +290,16 @@ func (c *Catalog) hierarchyBuilt(name string, gen uint64, h *ch.Hierarchy, ms fl
 	c.evictLocked(name)
 	c.mu.Unlock()
 	c.logf("catalog: hierarchy for %s gen %d built on demand: %d nodes in %.1f ms", name, gen, h.NumNodes(), ms)
+}
+
+// stIndexBuilt is every generation's solver.Instance.OnSTIndex: a targeted
+// query has just built name@gen's s-t search index. As with a hierarchy, the
+// bytes count from now and the budget is re-checked here.
+func (c *Catalog) stIndexBuilt(name string, gen uint64, x *dijkstra.STIndex, ms float64) {
+	c.mu.Lock()
+	c.evictLocked(name)
+	c.mu.Unlock()
+	c.logf("catalog: s-t index for %s gen %d built on demand: %d bytes in %.1f ms", name, gen, x.Bytes(), ms)
 }
 
 // Load brings a named graph into service in the background. Loading an

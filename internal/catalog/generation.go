@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/ch"
+	"repro/internal/dijkstra"
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/par"
@@ -132,7 +133,8 @@ type Generation struct {
 
 // newGeneration wraps g, the hierarchy that came with it (nil: none, and none
 // is built until a query demands it) and a fresh engine over them. A demand
-// build reports to hierarchyBuilt.
+// build reports to hierarchyBuilt, the first targeted query's s-t index build
+// to stIndexBuilt.
 func (c *Catalog) newGeneration(name string, gen uint64, g *graph.Graph, h *ch.Hierarchy, m *snapshot.Mapping) *Generation {
 	ecfg := c.cfg.Engine
 	ecfg.Graph, ecfg.Gen = name, gen // cache and singleflight keys: no result crosses generations
@@ -149,6 +151,7 @@ func (c *Catalog) newGeneration(name string, gen uint64, g *graph.Graph, h *ch.H
 	// Pooled solver states outlive a drained generation by up to two GC cycles
 	// (sync.Pool), and they hold in: the hook must not hold gn and its cache.
 	in.OnBuild = func(h *ch.Hierarchy, ms float64) { c.hierarchyBuilt(name, gen, h, ms) }
+	in.OnSTIndex = func(x *dijkstra.STIndex, ms float64) { c.stIndexBuilt(name, gen, x, ms) }
 	if m != nil {
 		gn.MappedBytes = m.Bytes()
 	} else if gn.heap = g.MemoryBytes(); h != nil {
@@ -161,14 +164,22 @@ func (c *Catalog) newGeneration(name string, gen uint64, g *graph.Graph, h *ch.H
 // state ("unbuilt", "carried", "built") and build ms; it never builds or waits.
 func (g *Generation) Hierarchy() (*ch.Hierarchy, string, float64) { return g.in.HierarchyState() }
 
-// HeapBytes is what the generation costs in process heap right now: the CSR
-// and hierarchy arrays that do not alias a file mapping. A hierarchy built on
-// demand counts from the moment the build lands.
+// STIndex is the s-t search index if a targeted query has built one, else
+// nil; it never builds or waits.
+func (g *Generation) STIndex() *dijkstra.STIndex { return g.in.BuiltSTIndex() }
+
+// HeapBytes is what the generation costs in process heap right now: the CSR,
+// hierarchy and s-t index arrays that do not alias a file mapping. A
+// hierarchy or index built on demand counts from the moment the build lands.
 func (g *Generation) HeapBytes() int64 {
+	b := g.heap
 	if h, state, _ := g.Hierarchy(); state == "built" {
-		return g.heap + h.Bytes()
+		b += h.Bytes()
 	}
-	return g.heap
+	if x := g.STIndex(); x != nil {
+		b += x.Bytes()
+	}
+	return b
 }
 
 // Bytes is what the memory budget is charged: HeapBytes + MappedBytes.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -163,6 +164,49 @@ func TestBudgetRecheckedWhenHierarchyLands(t *testing.T) {
 	waitRow(t, c, "a", "evicted", func(st GraphStatus) bool { return st.State == "evicted" })
 	if st := row(t, c, "b"); st.State != "ready" || st.Hierarchy != "built" {
 		t.Fatalf("b should have survived: %+v", st)
+	}
+}
+
+// The s-t index a generation's first targeted query builds is charged the
+// same way: b fits the budget until a /dist-shaped query on it lands 8 bytes
+// an arc, and the build's own request evicts the idle a.
+func TestBudgetRecheckedWhenSTIndexLands(t *testing.T) {
+	ga, ha, _ := loaderFor(1)()
+	gb, _, _ := lazyLoader(2)()
+	xb := dijkstra.NewSTIndex(gb, nil).Bytes()
+	c := testCatalog(t, Config{MemoryBudget: ga.MemoryBytes() + ha.Bytes() + gb.MemoryBytes() + xb/2})
+	for i, load := range []func() (*graph.Graph, *ch.Hierarchy, error){loaderFor(1), lazyLoader(2)} {
+		name := []string{"a", "b"}[i]
+		if err := c.Load(name, Source{Loader: load}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.WaitReady(name, waitFor); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gn, rel, err := c.Acquire("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := gn.Engine.Query(context.Background(), engine.Request{Sources: []int32{7}}); err != nil {
+		t.Fatal(err)
+	}
+	if n := c.Counter(cEvictions); n != 0 || gn.STIndex() != nil {
+		t.Fatalf("%d evictions, index %p, after a full-vector query on b", n, gn.STIndex())
+	}
+	ts, ws := gb.Neighbors(3)
+	near := ts[slices.Index(ws, slices.Min(ws))] // inside the search budget
+	res, _, err := gn.Engine.Query(context.Background(), engine.Request{Sources: []int32{3}, Targets: []int32{near}})
+	rel()
+	if err != nil || res.Solver != "bidirectional" || res.Target(0, near) != dijkstra.SSSP(gb, 3)[near] {
+		t.Fatalf("targeted query on b: %+v, %v", res, err)
+	}
+	if n := c.Counter(cEvictions); n != 1 {
+		t.Fatalf("%d evictions after b's s-t index landed, want 1", n)
+	}
+	waitRow(t, c, "a", "evicted", func(st GraphStatus) bool { return st.State == "evicted" })
+	if st := row(t, c, "b"); st.State != "ready" || st.HeapBytes != gb.MemoryBytes()+xb {
+		t.Fatalf("b should have survived, charged %d + %d: %+v", gb.MemoryBytes(), xb, st)
 	}
 }
 

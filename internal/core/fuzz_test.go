@@ -162,13 +162,13 @@ func FuzzSTVsDijkstra(f *testing.F) {
 		if b := int(pick>>10) % 64; b > 0 {
 			budget = b - 1
 		}
-		sc := new(dijkstra.STScratch)
+		x, sc := dijkstra.NewSTIndex(g, nil), new(dijkstra.STScratch)
 		want := dijkstra.SSSP(g, s)[tgt]
-		got, settled, ok := sc.Distance(g, s, tgt, budget)
+		got, settled, ok := sc.Distance(x, s, tgt, budget)
 		if ok && got != want || !ok && settled != budget || settled > budget {
 			t.Fatalf("st(%d,%d) budget %d = (%d, %d settled, %v), dijkstra %d (n=%d)", s, tgt, budget, got, settled, ok, want, n)
 		}
-		if got, _, _ := sc.Distance(g, tgt, s, math.MaxInt); got != want {
+		if got, _, _ := sc.Distance(x, tgt, s, math.MaxInt); got != want {
 			t.Fatalf("reused scratch: st(%d,%d) = %d, dijkstra %d (n=%d)", tgt, s, got, want, n)
 		}
 	})

@@ -69,12 +69,12 @@ func TestSTMatchesDijkstraOnFamilies(t *testing.T) {
 	for _, fam := range stFamilies {
 		g := fam.make(logn)
 		n := g.NumVertices()
-		sc, lazy, r := new(STScratch), new(lazySTScratch), rng.New(30)
+		x, sc, lazy, r := NewSTIndex(g, nil), new(STScratch), new(lazySTScratch), rng.New(30)
 		for i := 0; i < pairs; i++ {
 			s, tgt := int32(r.Intn(n)), int32(r.Intn(n))
 			want := SSSP(g, s)[tgt]
 			for _, budget := range []int{1, n / 32, math.MaxInt} {
-				got, settled, ok := sc.Distance(g, s, tgt, budget)
+				got, settled, ok := sc.Distance(x, s, tgt, budget)
 				if err := stDirty(sc); err != nil {
 					t.Fatalf("%s st(%d,%d) budget %d: %v", fam.name, s, tgt, budget, err)
 				}
@@ -85,6 +85,43 @@ func TestSTMatchesDijkstraOnFamilies(t *testing.T) {
 			if got, _, _ := lazySTDistance(lazy, g, s, tgt, math.MaxInt); got != want {
 				t.Fatalf("%s lazy-heap st(%d,%d) = %d, dijkstra %d", fam.name, s, tgt, got, want)
 			}
+		}
+	}
+}
+
+// The index holds each row's arcs, parallel ones included, in weight order,
+// and the far end of a path of graph.MaxWeight arcs, past 2^32 from five
+// vertices on, is exact.
+func TestSTIndex(t *testing.T) {
+	b := graph.NewBuilder(6)
+	for _, e := range [][3]int32{{0, 1, 5}, {0, 2, 5}, {0, 1, 5}, {0, 3, 1}, {0, 1, 2}, {0, 4, 5}, {2, 3, 7}, {0, 5, 3}} {
+		b.MustAddEdge(e[0], e[1], uint32(e[2]))
+	}
+	hub := stFamilies[3].make(10) // R-MAT: rows past smallRow take the comparison sort
+	for _, g := range []*graph.Graph{b.Build(), hub} {
+		x := NewSTIndex(g, nil)
+		if x.Bytes() != 8*g.NumArcs() || x.NumVertices() != g.NumVertices() {
+			t.Fatalf("%d bytes, %d vertices", x.Bytes(), x.NumVertices())
+		}
+		for v := int32(0); v < int32(g.NumVertices()); v++ {
+			ts, ws := g.Neighbors(v)
+			var want []uint64
+			for i, u := range ts {
+				want = append(want, uint64(ws[i])<<32|uint64(u))
+			}
+			slices.Sort(want)
+			if row := x.arcs[x.offsets[v]:x.offsets[v+1]]; !slices.Equal(row, want) {
+				t.Fatalf("row %d = %x, want %x", v, row, want)
+			}
+		}
+	}
+	if hub.Degrees().Max <= smallRow {
+		t.Fatalf("no row longer than %d", smallRow)
+	}
+	for n := 2; n <= 6; n++ {
+		x := NewSTIndex(gen.Path(n, graph.MaxWeight), nil)
+		if d, _, _ := new(STScratch).Distance(x, 0, int32(n-1), math.MaxInt); d != int64(n-1)*int64(graph.MaxWeight) {
+			t.Fatalf("path of %d: %d", n, d)
 		}
 	}
 }
@@ -118,17 +155,17 @@ func TestSTScratchReuseMatchesFresh(t *testing.T) {
 	b.MustAddEdge(12, 32, 1<<20) // a pendant behind one very heavy arc
 	g := b.Build()               // 33..39 are isolated
 	n := int32(g.NumVertices())
-	sc := new(STScratch)
+	x, sc := NewSTIndex(g, nil), new(STScratch)
 	for s := int32(0); s < n; s += 3 {
 		want := SSSP(g, s)
 		for tgt := int32(0); tgt < n; tgt++ {
 			for _, budget := range []int{0, 1, 3, 8, math.MaxInt} {
 				what := fmt.Sprintf("st(%d,%d) budget %d", s, tgt, budget)
-				got, settled, ok := sc.Distance(g, s, tgt, budget)
+				got, settled, ok := sc.Distance(x, s, tgt, budget)
 				if err := stDirty(sc); err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
-				fd, fsettled, fok := new(STScratch).Distance(g, s, tgt, budget)
+				fd, fsettled, fok := new(STScratch).Distance(x, s, tgt, budget)
 				if got != fd || settled != fsettled || ok != fok {
 					t.Fatalf("%s: reused (%d,%d,%v), fresh (%d,%d,%v)", what, got, settled, ok, fd, fsettled, fok)
 				}
@@ -149,12 +186,12 @@ func TestSTScratchReuseMatchesFresh(t *testing.T) {
 // A warm scratch allocates nothing, whatever the outcome.
 func TestWarmSTScratchAllocatesNothing(t *testing.T) {
 	g := gen.Random(2048, 8192, 1<<11, gen.PWD, 9)
-	sc := new(STScratch)
+	x, sc := NewSTIndex(g, nil), new(STScratch)
 	for tgt := int32(1); tgt < 2048; tgt++ {
-		sc.Distance(g, 0, tgt, math.MaxInt) // grow the buckets and touched list
+		sc.Distance(x, 0, tgt, math.MaxInt) // grow the buckets and touched list
 	}
 	tgt := int32(0)
-	if a := testing.AllocsPerRun(200, func() { tgt++; sc.Distance(g, 0, tgt, 64) }); a != 0 {
+	if a := testing.AllocsPerRun(200, func() { tgt++; sc.Distance(x, 0, tgt, 64) }); a != 0 {
 		t.Fatalf("warm s-t query: %v allocs, want 0", a)
 	}
 }
@@ -338,9 +375,9 @@ func BenchmarkST(b *testing.B) {
 				}
 				n := g.NumVertices()
 				budget, delta := n/32, deltastep.DefaultDelta(g)
-				sc, lazy, full := new(STScratch), new(lazySTScratch), deltastep.NewState()
+				x, sc, lazy, full := NewSTIndex(g, nil), new(STScratch), new(lazySTScratch), deltastep.NewState()
 				full.RunFromSources(rt, g, []int32{0}, delta)
-				sc.Distance(g, 0, int32(n-1), math.MaxInt)
+				sc.Distance(x, 0, int32(n-1), math.MaxInt)
 				lazySTDistance(lazy, g, 0, int32(n-1), math.MaxInt)
 				r := rng.New(26)
 				settled := make([]int, 0, b.N)
@@ -350,7 +387,7 @@ func BenchmarkST(b *testing.B) {
 					s, t := int32(r.Intn(n)), int32(r.Intn(n))
 					switch arm {
 					case "balanced":
-						_, k, _ := sc.Distance(g, s, t, math.MaxInt)
+						_, k, _ := sc.Distance(x, s, t, math.MaxInt)
 						settled = append(settled, k)
 					case "lazy-heap":
 						_, k, _ := lazySTDistance(lazy, g, s, t, math.MaxInt)
@@ -359,7 +396,7 @@ func BenchmarkST(b *testing.B) {
 						_, k := minKeySTDistance(g, s, t)
 						settled = append(settled, k)
 					case "targeted":
-						if _, _, ok := sc.Distance(g, s, t, budget); !ok {
+						if _, _, ok := sc.Distance(x, s, t, budget); !ok {
 							full.RunFromSources(rt, g, []int32{s}, delta)
 						}
 					case "delta":
@@ -378,4 +415,50 @@ func BenchmarkST(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkSTIndex is what a generation's first targeted request pays before
+// it searches: NewSTIndex on each family at logn 16, on the caller alone and
+// on a two-worker runtime (EXPERIMENTS.md's dijkstra.st_index_ms). The
+// sort-rows arm is the same fill on the caller with slices.Sort on every row.
+func BenchmarkSTIndex(b *testing.B) {
+	const logn = 16
+	for _, fam := range stFamilies {
+		var g *graph.Graph
+		for _, arm := range []string{"workers=0", "workers=2", "sort-rows"} {
+			b.Run(fmt.Sprintf("logn=%d/%s/%s", logn, fam.name, arm), func(b *testing.B) {
+				if g == nil {
+					g = fam.make(logn)
+				}
+				var rt *par.Runtime
+				if arm == "workers=2" {
+					rt = par.NewExec(2)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if arm == "sort-rows" {
+						sortRows(g)
+					} else {
+						NewSTIndex(g, rt)
+					}
+				}
+			})
+		}
+	}
+}
+
+// sortRows is NewSTIndex's arc array made the plain way: fill each row, then
+// slices.Sort it.
+func sortRows(g *graph.Graph) []uint64 {
+	off, ts, ws := g.AdjOffsets(), g.Targets(), g.Weights()
+	arcs := make([]uint64, len(ts))
+	for v := 0; v < g.NumVertices(); v++ {
+		row := arcs[off[v]:off[v+1]]
+		for i, u := range ts[off[v]:off[v+1]] {
+			row[i] = uint64(ws[off[v]+int64(i)])<<32 | uint64(uint32(u))
+		}
+		slices.Sort(row)
+	}
+	return arcs
 }

@@ -4,7 +4,8 @@
 //
 // Full-vector runs use a lazy binary heap (entries are never decreased, stale
 // entries are skipped on pop) or an indexed 4-ary heap with true decrease-key;
-// the budgeted s-t search (STScratch) pops from a radix heap per direction.
+// the budgeted s-t search (STScratch) pops from a radix heap per direction
+// and reads a graph through an STIndex, its rows as weight-sorted words.
 // Their outputs are identical; the bench suite compares their constants.
 //
 // See DESIGN.md §3 ("System inventory") for how this package fits the system.

@@ -5,9 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -460,10 +462,18 @@ func TestSingleflightExactlyOneSolve(t *testing.T) {
 		}(i)
 	}
 	<-gs.started
-	// Each caller counts a cache miss before entering the flight group; once
-	// all N misses are visible, every caller has passed the cache and joined
-	// the held flight, so releasing now proves true concurrent coalescing.
-	for e.Counter("cache_misses") < N {
+	// The leader is held inside its solve; once the other N-1 callers have
+	// joined its flight, releasing it proves true concurrent coalescing.
+	// (Counting cache misses is not enough: a caller that has missed may not
+	// reach the flight group until the leader is done.)
+	_, _, key, err := e.plan(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); e.flight.joined(key) < N-1; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d callers joined the held flight", e.flight.joined(key), N-1)
+		}
 	}
 	close(gs.release)
 	wg.Wait()

@@ -21,6 +21,7 @@ type flightGroup struct {
 type flightCall struct {
 	done chan struct{}
 	res  *Result
+	dups int // callers that joined this execution; guarded by the group's mu
 }
 
 // do returns fn's result for key, executing it at most once across all
@@ -29,6 +30,7 @@ type flightCall struct {
 func (g *flightGroup) do(ctx context.Context, key string, fn func() *Result) (res *Result, shared bool, err error) {
 	g.mu.Lock()
 	if c, ok := g.calls[key]; ok {
+		c.dups++
 		g.mu.Unlock()
 		select {
 		case <-c.done:
@@ -51,4 +53,15 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() *Result) (re
 	}()
 	c.res = fn()
 	return c.res, false, nil
+}
+
+// joined is how many callers have joined the execution in flight for key; 0
+// if none is in flight.
+func (g *flightGroup) joined(key string) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if c, ok := g.calls[key]; ok {
+		return c.dups
+	}
+	return 0
 }

@@ -17,8 +17,9 @@ import (
 )
 
 // Instance bundles a graph with the runtime and the per-graph values its
-// solvers share: the Component Hierarchy (with the Thorup solver over it),
-// built only by a solver that needs one, and the delta-stepping bucket width.
+// solvers share: the Component Hierarchy (with the Thorup solver over it) and
+// the s-t search index, each built only by a solver that needs it, and the
+// delta-stepping bucket width.
 // Build one per graph and run any number of solvers on it, from any number of
 // goroutines.
 type Instance struct {
@@ -31,12 +32,17 @@ type Instance struct {
 	// OnBuild, set before the first run, is told of the instance's one
 	// hierarchy build once it has landed, on the goroutine that ran it.
 	OnBuild func(h *ch.Hierarchy, ms float64)
+	// OnSTIndex is OnBuild for the instance's one s-t search index.
+	OnSTIndex func(x *dijkstra.STIndex, ms float64)
 
 	carried  *ch.Hierarchy // what the instance was made with; never written after
 	once     sync.Once
 	buildMS  float64
 	thorup   *core.Solver
 	demanded atomic.Pointer[ch.Hierarchy] // thorup's, once the first Thorup call is done
+
+	stOnce  sync.Once
+	stIndex atomic.Pointer[dijkstra.STIndex] // once the first STIndex call is done
 }
 
 // NewInstance wraps a graph for the registry's solvers.
@@ -93,6 +99,28 @@ func (in *Instance) HierarchyState() (h *ch.Hierarchy, state string, buildMS flo
 	}
 	return nil, "unbuilt", 0
 }
+
+// STIndex returns the instance's s-t search index. The first call builds it,
+// on the instance's runtime; concurrent first callers block until that build
+// is done. Only a point-to-point search state asks for it, so an instance that
+// never answers a targeted query never holds one.
+func (in *Instance) STIndex() *dijkstra.STIndex {
+	built, ms := false, 0.0
+	in.stOnce.Do(func() {
+		start := time.Now()
+		in.stIndex.Store(dijkstra.NewSTIndex(in.G, in.RT))
+		built, ms = true, time.Since(start).Seconds()*1e3
+	})
+	x := in.stIndex.Load()
+	if built && in.OnSTIndex != nil { // the builder alone, and not under the once
+		in.OnSTIndex(x, ms)
+	}
+	return x
+}
+
+// BuiltSTIndex returns the s-t search index if a STIndex call has built it,
+// and nil otherwise, a build in progress included; it never builds or waits.
+func (in *Instance) BuiltSTIndex() *dijkstra.STIndex { return in.stIndex.Load() }
 
 // State is one solver's reusable per-query state, bound to an Instance. It is
 // not safe for concurrent use; concurrency is across states.
@@ -250,8 +278,8 @@ func PointToPoints() []PointToPoint {
 		{
 			Name: "bidirectional",
 			NewState: func(in *Instance) PointSearch {
-				sc := new(dijkstra.STScratch)
-				return func(s, t int32, budget int) (int64, int, bool) { return sc.Distance(in.G, s, t, budget) }
+				x, sc := in.STIndex(), new(dijkstra.STScratch)
+				return func(s, t int32, budget int) (int64, int, bool) { return sc.Distance(x, s, t, budget) }
 			},
 		},
 	}

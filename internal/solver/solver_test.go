@@ -201,6 +201,56 @@ func TestOnlyHierarchySolversBuild(t *testing.T) {
 	}
 }
 
+// Eight goroutines' first point-to-point searches on one fresh instance share
+// one s-t index build — counted through OnSTIndex, which only the build calls
+// — and answer identically; no full solver builds one, and BuiltSTIndex
+// reports without building (run under -race by make race).
+func TestSTIndexConcurrentFirstUse(t *testing.T) {
+	g := gen.Random(1024, 4096, 1<<10, gen.UWD, 5)
+	in := NewInstance(g, par.NewExec(2))
+	var builds atomic.Int32
+	in.OnSTIndex = func(x *dijkstra.STIndex, ms float64) {
+		builds.Add(1)
+		if in.BuiltSTIndex() != x || x.Bytes() != 8*g.NumArcs() || ms < 0 {
+			t.Errorf("OnSTIndex(%p, %v): built %p", x, ms, in.BuiltSTIndex())
+		}
+	}
+	for _, s := range All() {
+		if s.Applicable(g) {
+			s.Solve(in, []int32{3})
+		}
+	}
+	if in.BuiltSTIndex() != nil || builds.Load() != 0 {
+		t.Fatal("a full solver built the s-t index")
+	}
+	targets := []int32{0, 17, 500, 1023}
+	want := dijkstra.SSSP(g, 3)
+	got := make([][]int64, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			search := PointToPoints()[0].NewState(in)
+			for _, tgt := range targets {
+				d, _, _ := search(3, tgt, math.MaxInt)
+				got[i] = append(got[i], d)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := builds.Load(); n != 1 || in.BuiltSTIndex() != in.STIndex() {
+		t.Fatalf("%d s-t index builds for one instance, want 1", n)
+	}
+	for i := range got {
+		for j, tgt := range targets {
+			if got[i][j] != want[tgt] {
+				t.Fatalf("goroutine %d: st(3,%d) = %d, want %d", i, tgt, got[i][j], want[tgt])
+			}
+		}
+	}
+}
+
 // conformanceGraphs are the instance shapes every registered solver must
 // agree on; the unit-weight ones are where BFS joins.
 func conformanceGraphs() map[string]*graph.Graph {
