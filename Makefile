@@ -232,6 +232,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDeltaStepVsDijkstra -fuzztime 10s ./internal/core
 	$(GO) test -fuzz FuzzMLBVsDijkstra -fuzztime 10s ./internal/core
 	$(GO) test -fuzz FuzzSTVsDijkstra -fuzztime 10s ./internal/core
+	$(GO) test -fuzz FuzzRadix -fuzztime 10s ./internal/pq
 
 # Regenerate every table and figure of the paper at the default scale.
 experiments:

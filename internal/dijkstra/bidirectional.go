@@ -2,9 +2,9 @@ package dijkstra
 
 import (
 	"math"
-	"math/bits"
 
 	"repro/internal/graph"
+	"repro/internal/pq"
 )
 
 // STDistance is the shortest s-t distance (graph.Inf if t is unreachable from
@@ -22,7 +22,7 @@ func STDistance(g *graph.Graph, s, t int32) int64 {
 // use.
 type STScratch struct {
 	d       [][2]int64 // d[v][k]: side k's distance to v (0 from s, 1 from t)
-	q       [2]radixQueue
+	q       [2]pq.Radix
 	touched []int32 // the vertices whose d this run lowered on either side
 }
 
@@ -56,19 +56,19 @@ func (sc *STScratch) Distance(x *STIndex, s, t int32, budget int) (dist int64, s
 	d, off, arcs := sc.d, x.offsets, x.arcs
 	d[s][0], d[t][1] = 0, 0
 	sc.touched = append(sc.touched, s, t)
-	sc.q[0].push(entry{v: s})
-	sc.q[1].push(entry{v: t})
+	sc.q[0].Push(pq.Item{V: s})
+	sc.q[1].Push(pq.Item{V: t})
 	reached := [2]int{1, 1}
 	dist = graph.Inf
 	// An empty queue's top reads as Inf: a side that exhausts its component
 	// ends the search. Only the side that moved has a new top.
-	top := [2]int64{sc.q[0].top(), sc.q[1].top()}
+	top := [2]int64{sc.q[0].Top(), sc.q[1].Top()}
 	for top[0]+top[1] < dist {
 		k := 0
 		if reached[1] < reached[0] {
 			k = 1
 		}
-		if e := sc.q[k].pop(); e.d <= d[e.v][k] { // else a stale entry
+		if e := sc.q[k].Pop(); e.D <= d[e.V][k] { // else a stale entry
 			if settled == budget {
 				return dist, settled, false
 			}
@@ -77,13 +77,13 @@ func (sc *STScratch) Distance(x *STIndex, s, t int32, budget int) (dist int64, s
 			// An arc of weight ≥ lim gives a label that cannot beat μ: nd +
 			// top[o] ≥ μ. The row is sorted by weight, so so does every arc
 			// after it.
-			lim := dist - top[o] - e.d
-			for _, a := range arcs[off[e.v]:off[e.v+1]] {
+			lim := dist - top[o] - e.D
+			for _, a := range arcs[off[e.V]:off[e.V+1]] {
 				w := int64(a >> 32)
 				if w >= lim {
 					break
 				}
-				u, nd := int32(uint32(a)), e.d+w
+				u, nd := int32(uint32(a)), e.D+w
 				du := &d[u]
 				if nd >= du[k] {
 					continue
@@ -93,7 +93,7 @@ func (sc *STScratch) Distance(x *STIndex, s, t int32, budget int) (dist int64, s
 				// every meeting.
 				if m := nd + du[o]; m < dist {
 					dist = m
-					if lim = dist - top[o] - e.d; w >= lim {
+					if lim = dist - top[o] - e.D; w >= lim {
 						break // hopeless now, and so is the rest of the row
 					}
 				}
@@ -104,10 +104,10 @@ func (sc *STScratch) Distance(x *STIndex, s, t int32, budget int) (dist int64, s
 					}
 				}
 				du[k] = nd
-				sc.q[k].push(entry{v: u, d: nd})
+				sc.q[k].Push(pq.Item{V: u, D: nd})
 			}
 		}
-		top[k] = sc.q[k].top()
+		top[k] = sc.q[k].Top()
 	}
 	return dist, settled, true
 }
@@ -118,63 +118,6 @@ func (sc *STScratch) reset() {
 		sc.d[v] = [2]int64{graph.Inf, graph.Inf}
 	}
 	sc.touched = sc.touched[:0]
-	sc.q[0].reset()
-	sc.q[1].reset()
-}
-
-// radixQueue is a monotone integer priority queue, the radix heap of Ahuja,
-// Mehlhorn, Orlin & Tarjan (1990): an entry sits in bucket bits.Len64(d ^
-// last), where last is the least key when bucket 0 was last refilled, so a
-// push is O(1) and a refill redistributes only the least non-empty bucket,
-// each entry moving to a lower one. Every key pushed must be ≥ last, as a
-// Dijkstra relaxation's is of the key it popped.
-type radixQueue struct {
-	last    int64
-	buckets [65][]entry
-}
-
-func (q *radixQueue) push(e entry) {
-	b := bits.Len64(uint64(e.d ^ q.last))
-	q.buckets[b] = append(q.buckets[b], e)
-}
-
-// top is the least key queued, graph.Inf if none; it leaves that key's
-// entries in bucket 0.
-func (q *radixQueue) top() int64 {
-	if len(q.buckets[0]) == 0 {
-		i := 1
-		for i < len(q.buckets) && len(q.buckets[i]) == 0 {
-			i++
-		}
-		if i == len(q.buckets) {
-			return graph.Inf
-		}
-		b := q.buckets[i]
-		q.last = b[0].d
-		for _, e := range b[1:] {
-			q.last = min(q.last, e.d)
-		}
-		for _, e := range b {
-			j := bits.Len64(uint64(e.d ^ q.last))
-			q.buckets[j] = append(q.buckets[j], e)
-		}
-		q.buckets[i] = b[:0]
-	}
-	return q.last
-}
-
-// pop removes an entry with the least key; top must have found one since the
-// last pop.
-func (q *radixQueue) pop() entry {
-	b := q.buckets[0]
-	e := b[len(b)-1]
-	q.buckets[0] = b[:len(b)-1]
-	return e
-}
-
-func (q *radixQueue) reset() {
-	for i := range q.buckets {
-		q.buckets[i] = q.buckets[i][:0]
-	}
-	q.last = 0
+	sc.q[0].Reset()
+	sc.q[1].Reset()
 }

@@ -47,7 +47,7 @@ func TestSTEmptyGraph(t *testing.T) {
 // queued entries, touched vertices, or a distance not at graph.Inf.
 func stDirty(sc *STScratch) error {
 	for k := range sc.q {
-		if sc.q[k].top() != graph.Inf {
+		if sc.q[k].Top() != graph.Inf {
 			return fmt.Errorf("side %d queue holds entries", k)
 		}
 	}

@@ -99,122 +99,3 @@ func (h *lazyHeap) pop() entry {
 	}
 	return top
 }
-
-// SSSPIndexed computes the same distances with an indexed 4-ary heap and true
-// decrease-key (one heap entry per vertex).
-func SSSPIndexed(g *graph.Graph, src int32) []int64 {
-	n := g.NumVertices()
-	dist := make([]int64, n)
-	for i := range dist {
-		dist[i] = graph.Inf
-	}
-	if n == 0 {
-		return dist
-	}
-	h := newIndexedHeap(n)
-	dist[src] = 0
-	h.insertOrDecrease(src, 0)
-	for h.size > 0 {
-		v, d := h.popMin()
-		ts, ws := g.Neighbors(v)
-		for i, u := range ts {
-			nd := d + int64(ws[i])
-			if nd < dist[u] {
-				dist[u] = nd
-				h.insertOrDecrease(u, nd)
-			}
-		}
-	}
-	return dist
-}
-
-// indexedHeap is a 4-ary min-heap keyed by distance with a position index per
-// vertex, supporting decrease-key.
-type indexedHeap struct {
-	verts []int32 // heap array of vertex ids
-	keys  []int64 // parallel keys
-	pos   []int32 // vertex -> heap index, -1 if absent
-	size  int
-}
-
-func newIndexedHeap(n int) *indexedHeap {
-	pos := make([]int32, n)
-	for i := range pos {
-		pos[i] = -1
-	}
-	return &indexedHeap{
-		verts: make([]int32, 0, 64),
-		keys:  make([]int64, 0, 64),
-		pos:   pos,
-	}
-}
-
-func (h *indexedHeap) insertOrDecrease(v int32, key int64) {
-	if p := h.pos[v]; p >= 0 {
-		if key < h.keys[p] {
-			h.keys[p] = key
-			h.siftUp(int(p))
-		}
-		return
-	}
-	h.verts = append(h.verts[:h.size], v)
-	h.keys = append(h.keys[:h.size], key)
-	h.pos[v] = int32(h.size)
-	h.size++
-	h.siftUp(h.size - 1)
-}
-
-func (h *indexedHeap) popMin() (int32, int64) {
-	v, k := h.verts[0], h.keys[0]
-	h.pos[v] = -1
-	h.size--
-	if h.size > 0 {
-		h.verts[0] = h.verts[h.size]
-		h.keys[0] = h.keys[h.size]
-		h.pos[h.verts[0]] = 0
-		h.siftDown(0)
-	}
-	return v, k
-}
-
-func (h *indexedHeap) siftUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 4
-		if h.keys[p] <= h.keys[i] {
-			break
-		}
-		h.swap(i, p)
-		i = p
-	}
-}
-
-func (h *indexedHeap) siftDown(i int) {
-	for {
-		first := 4*i + 1
-		if first >= h.size {
-			return
-		}
-		min := i
-		last := first + 4
-		if last > h.size {
-			last = h.size
-		}
-		for c := first; c < last; c++ {
-			if h.keys[c] < h.keys[min] {
-				min = c
-			}
-		}
-		if min == i {
-			return
-		}
-		h.swap(i, min)
-		i = min
-	}
-}
-
-func (h *indexedHeap) swap(i, j int) {
-	h.verts[i], h.verts[j] = h.verts[j], h.verts[i]
-	h.keys[i], h.keys[j] = h.keys[j], h.keys[i]
-	h.pos[h.verts[i]] = int32(i)
-	h.pos[h.verts[j]] = int32(j)
-}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/pq"
 )
 
 // bellmanFord is an independent O(nm) oracle for the oracle.
@@ -141,9 +142,6 @@ func TestAgainstBellmanFordOnFamilies(t *testing.T) {
 		if got := SSSP(g, 0); !sameDists(got, want) {
 			t.Errorf("graph %d: SSSP != Bellman-Ford", gi)
 		}
-		if got := SSSPIndexed(g, 0); !sameDists(got, want) {
-			t.Errorf("graph %d: SSSPIndexed != Bellman-Ford", gi)
-		}
 	}
 }
 
@@ -200,7 +198,34 @@ func TestQuickTriangleInequality(t *testing.T) {
 	}
 }
 
-// Property: the two heaps agree on every instance and source.
+// radixSSSP is Dijkstra over the queue the s-t search pops from, pq.Radix,
+// with the lazy heap's stale-entry rule.
+func radixSSSP(g *graph.Graph, src int32) []int64 {
+	dist := make([]int64, g.NumVertices())
+	for i := range dist {
+		dist[i] = graph.Inf
+	}
+	var q pq.Radix
+	dist[src] = 0
+	q.Push(pq.Item{V: src})
+	for q.Top() != graph.Inf {
+		it := q.Pop()
+		if it.D > dist[it.V] {
+			continue
+		}
+		ts, ws := g.Neighbors(it.V)
+		for i, u := range ts {
+			if nd := it.D + int64(ws[i]); nd < dist[u] {
+				dist[u] = nd
+				q.Push(pq.Item{V: u, D: nd})
+			}
+		}
+	}
+	return dist
+}
+
+// Property: the package's two queues, the lazy binary heap and pq.Radix, give
+// the same distances on every instance and source.
 func TestQuickHeapsAgree(t *testing.T) {
 	f := func(seed uint32, pwd bool) bool {
 		n := int(seed%150) + 1
@@ -210,7 +235,7 @@ func TestQuickHeapsAgree(t *testing.T) {
 		}
 		g := gen.Random(n, 4*n, 1<<10, dist, uint64(seed))
 		src := int32(seed % uint32(n))
-		return sameDists(SSSP(g, src), SSSPIndexed(g, src))
+		return sameDists(SSSP(g, src), radixSSSP(g, src))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -222,13 +247,5 @@ func BenchmarkDijkstraLazy(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		SSSP(g, 0)
-	}
-}
-
-func BenchmarkDijkstraIndexed(b *testing.B) {
-	g := gen.Random(1<<14, 1<<16, 1<<14, gen.UWD, 42)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SSSPIndexed(g, 0)
 	}
 }

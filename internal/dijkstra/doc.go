@@ -3,10 +3,9 @@
 // test suite.
 //
 // Full-vector runs use a lazy binary heap (entries are never decreased, stale
-// entries are skipped on pop) or an indexed 4-ary heap with true decrease-key;
-// the budgeted s-t search (STScratch) pops from a radix heap per direction
-// and reads a graph through an STIndex, its rows as weight-sorted words.
-// Their outputs are identical; the bench suite compares their constants.
+// entries are skipped on pop); the budgeted s-t search (STScratch) pops from a
+// pq.Radix per direction and reads a graph through an STIndex, its rows as
+// weight-sorted words. Their outputs are identical.
 //
 // See DESIGN.md §3 ("System inventory") for how this package fits the system.
 package dijkstra

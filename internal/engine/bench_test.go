@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/mutate"
 	"repro/internal/par"
 	"repro/internal/solver"
 )
@@ -58,6 +59,36 @@ func BenchmarkEngineCacheMiss(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// Resume: what the first hit on a stale inherited answer pays, resolve alone,
+// on benchInstance's logn-12 random graph after one weight-1 shortcut from the
+// source to vertex n/2, which brings 2,561 of its 4,096 vertices nearer.
+// resettled is the vertices a resolve settles again.
+func BenchmarkResume(b *testing.B) {
+	g1 := benchInstance(b).G
+	e1 := engineOn(g1, 1, Config{CacheEntries: 4})
+	old, _, err := e1.Query(context.Background(), Request{Sources: []int32{0}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	batch := &mutate.Batch{Ops: []mutate.Op{{Op: mutate.OpInsert, U: 0, V: int32(g1.NumVertices() / 2), W: 1}}}
+	g2, _, err := mutate.Apply(g1, batch)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e2 := engineOn(g2, 2, Config{CacheEntries: 4})
+	if _, stale, _ := e2.Inherit(e1, mutate.Changes(g1, g2, batch)); stale != 1 {
+		b.Fatalf("%d stale entries, want 1", stale)
+	}
+	seeds := e2.cache.index[e2.keyPrefix+old.key[len(e1.keyPrefix):]].Value.(*cacheEntry).res.stale.seeds
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := &Result{narrow: old.narrow, wide: old.wide, e: e2, stale: &staleness{seeds: seeds}}
+		r.resolve(nil)
+	}
+	b.ReportMetric(float64(e2.Counter(cResettled))/float64(b.N), "resettled")
 }
 
 // Hit: one hot source answered from the result cache.

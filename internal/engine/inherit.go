@@ -1,10 +1,9 @@
 package engine
 
 import (
-	"container/heap"
-
 	"repro/internal/graph"
 	"repro/internal/mutate"
+	"repro/internal/pq"
 	"repro/internal/trace"
 )
 
@@ -93,47 +92,27 @@ func (r *Result) resolve(lk *trace.Span) {
 // but the seed slots, is lowered from them outward, nearest first, until it is
 // feasible everywhere. It returns how many vertices it settled again.
 func (r *Result) relax(g *graph.Graph, seeds []mutate.Change) (resettled int) {
-	var q labelHeap
+	var q pq.Radix
 	lower := func(v int32, d int64) {
 		if d < r.At(int(v)) {
 			r.set(v, d)
-			heap.Push(&q, label{v, d})
+			q.Push(pq.Item{V: v, D: d})
 		}
 	}
 	for _, c := range seeds {
 		lower(c.V, r.At(int(c.U))+c.After)
 		lower(c.U, r.At(int(c.V))+c.After)
 	}
-	for q.Len() > 0 {
-		l := heap.Pop(&q).(label)
-		if l.d > r.At(int(l.v)) {
+	for q.Top() != graph.Inf {
+		l := q.Pop()
+		if l.D > r.At(int(l.V)) {
 			continue // lowered again since
 		}
 		resettled++
-		ts, ws := g.Neighbors(l.v)
+		ts, ws := g.Neighbors(l.V)
 		for i, t := range ts {
-			lower(t, l.d+int64(ws[i]))
+			lower(t, l.D+int64(ws[i]))
 		}
 	}
 	return resettled
-}
-
-// label is a vertex and the distance it was lowered to; labelHeap orders them
-// nearest first.
-type label struct {
-	v int32
-	d int64
-}
-
-type labelHeap []label
-
-func (h labelHeap) Len() int           { return len(h) }
-func (h labelHeap) Less(i, j int) bool { return h[i].d < h[j].d }
-func (h labelHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *labelHeap) Push(x any)        { *h = append(*h, x.(label)) }
-func (h *labelHeap) Pop() any {
-	old := *h
-	l := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return l
 }

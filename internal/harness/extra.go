@@ -156,14 +156,14 @@ func (c Config) AblationDelta() (*Table, error) {
 }
 
 // Portfolio compares every sequential solver in the repository wall-clock on
-// each family: the modern-workstation view complementing Table 1 (Dijkstra
-// with four queue implementations, Goldberg MLB with and without the caliber
-// heuristic, and serial Thorup after CH preprocessing).
+// each family: the modern-workstation view complementing Table 1 (Dijkstra on
+// a lazy binary heap, Goldberg MLB — Dijkstra on the radix heap pq.Radix — with
+// and without the caliber heuristic, and serial Thorup after CH preprocessing).
 func (c Config) Portfolio() (*Table, error) {
 	t := &Table{
 		Title:  "Portfolio: sequential solver wall-clock comparison",
 		Note:   c.scaleNote(),
-		Header: []string{"Family", "Dijkstra", "4-ary", "Pairing", "MLB", "MLB-nocal", "Thorup", "(CH build)"},
+		Header: []string{"Family", "Dijkstra", "MLB", "MLB-nocal", "Thorup", "(CH build)"},
 	}
 	for _, in := range c.Families() {
 		g := in.Generate()
@@ -172,8 +172,6 @@ func (c Config) Portfolio() (*Table, error) {
 		row := []any{in.Name()}
 		for _, f := range []func(){
 			func() { dijkstra.SSSP(g, 0) },
-			func() { dijkstra.SSSPIndexed(g, 0) },
-			func() { dijkstra.SSSPPairing(g, 0) },
 			func() { mlb.SSSP(g, 0) },
 			func() { mlb.SSSPNoCaliber(g, 0) },
 			func() { core.SerialSSSP(h, 0) },

@@ -2,6 +2,7 @@ package mlb
 
 import (
 	"repro/internal/graph"
+	"repro/internal/pq"
 )
 
 // SSSP computes single-source shortest path distances from src using
@@ -48,8 +49,9 @@ func run(g *graph.Graph, sources []int32, useCaliber bool) []int64 {
 		}
 	}
 
-	h := newRadixHeap(n)
+	var q pq.Radix
 	settled := make([]bool, n)
+	var mu int64 // the key of the last valid pop: no unsettled vertex is nearer
 
 	// exact holds vertices proven settled but not yet scanned.
 	exact := make([]int32, 0, 64)
@@ -74,15 +76,15 @@ func run(g *graph.Graph, sources []int32, useCaliber bool) []int64 {
 				continue
 			}
 			dist[u] = nd
-			if useCaliber && nd <= h.mu+int64(caliber[u]) {
+			if useCaliber && nd <= mu+int64(caliber[u]) {
 				// Caliber rule: no unsettled vertex can have distance below
 				// mu, and every path into u pays at least caliber(u) more,
-				// so nd is already exact.
-				h.removeIfPresent(u)
+				// so nd is already exact. A copy of u still queued is skipped
+				// when it pops: u is settled by then.
 				exact = append(exact, u)
 				continue
 			}
-			h.insertOrDecrease(u, nd)
+			q.Push(pq.Item{V: u, D: nd})
 		}
 	}
 
@@ -92,150 +94,12 @@ func run(g *graph.Graph, sources []int32, useCaliber bool) []int64 {
 			exact = exact[:len(exact)-1]
 			scan(v)
 		}
-		v, ok := h.popMin()
-		if !ok {
+		if q.Top() == graph.Inf {
 			return dist
 		}
-		scan(v)
-	}
-}
-
-// maxBuckets covers keys up to n*C <= 2^51 comfortably: bucket widths grow as
-// 1, 1, 2, 4, ..., so 54 buckets span more than 2^52.
-const maxBuckets = 54
-
-// radixHeap is a monotone priority queue over vertex ids keyed by tentative
-// distance — the Ahuja–Mehlhorn–Orlin–Tarjan formulation of multi-level
-// buckets. Bucket i holds keys in (bound[i-1], bound[i]]; the bounds are
-// absolute and only tighten when the lowest non-empty bucket is redistributed
-// around its minimum, which keeps every placement permanently valid. One
-// entry per vertex; positions are tracked for removal/decrease.
-type radixHeap struct {
-	buckets [maxBuckets][]int32
-	bound   [maxBuckets]int64 // bound[i] = largest key admitted to bucket i
-	bucket  []int8            // vertex -> bucket id, -1 if absent
-	pos     []int32           // vertex -> index within its bucket
-	key     []int64           // vertex -> current key
-	mu      int64             // largest extracted key (lower bound on live keys)
-	size    int
-}
-
-func newRadixHeap(n int) *radixHeap {
-	h := &radixHeap{
-		bucket: make([]int8, n),
-		pos:    make([]int32, n),
-		key:    make([]int64, n),
-	}
-	for i := range h.bucket {
-		h.bucket[i] = -1
-	}
-	h.bound[0] = 0
-	for i := 1; i < maxBuckets; i++ {
-		h.bound[i] = saturatingAdd(h.bound[i-1], int64(1)<<uint(i-1))
-	}
-	h.bound[maxBuckets-1] = graph.Inf // top bucket is open-ended
-	return h
-}
-
-func saturatingAdd(a, b int64) int64 {
-	if a > graph.Inf-b {
-		return graph.Inf
-	}
-	return a + b
-}
-
-func (h *radixHeap) bucketFor(key int64) int8 {
-	// Binary search over the 54 monotone bounds.
-	lo, hi := 0, maxBuckets-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if key <= h.bound[mid] {
-			hi = mid
-		} else {
-			lo = mid + 1
+		if it := q.Pop(); !settled[it.V] && it.D <= dist[it.V] { // else outgrown
+			mu = it.D
+			scan(it.V)
 		}
 	}
-	return int8(lo)
-}
-
-func (h *radixHeap) place(v int32, b int8) {
-	h.bucket[v] = b
-	h.pos[v] = int32(len(h.buckets[b]))
-	h.buckets[b] = append(h.buckets[b], v)
-}
-
-func (h *radixHeap) removeIfPresent(v int32) {
-	b := h.bucket[v]
-	if b < 0 {
-		return
-	}
-	lst := h.buckets[b]
-	i := h.pos[v]
-	last := int32(len(lst)) - 1
-	if i != last {
-		moved := lst[last]
-		lst[i] = moved
-		h.pos[moved] = i
-	}
-	h.buckets[b] = lst[:last]
-	h.bucket[v] = -1
-	h.size--
-}
-
-// insertOrDecrease sets v's key (which must be >= mu and, if v is present,
-// <= its current key) and places it in the right bucket.
-func (h *radixHeap) insertOrDecrease(v int32, key int64) {
-	if h.bucket[v] >= 0 {
-		if key >= h.key[v] {
-			return
-		}
-		h.removeIfPresent(v)
-	}
-	h.key[v] = key
-	h.place(v, h.bucketFor(key))
-	h.size++
-}
-
-// popMin extracts a vertex with the minimum key and advances mu to it.
-func (h *radixHeap) popMin() (int32, bool) {
-	if h.size == 0 {
-		return -1, false
-	}
-	if len(h.buckets[0]) == 0 {
-		// Find the lowest non-empty bucket, tighten the bounds of everything
-		// below it around that bucket's minimum key, and redistribute its
-		// entries. The geometric widths guarantee buckets 0..j-1 can absorb
-		// bucket j's whole range.
-		j := 1
-		for len(h.buckets[j]) == 0 {
-			j++
-		}
-		min := h.key[h.buckets[j][0]]
-		for _, v := range h.buckets[j][1:] {
-			if h.key[v] < min {
-				min = h.key[v]
-			}
-		}
-		h.bound[0] = min
-		for i := 1; i < j; i++ {
-			b := saturatingAdd(h.bound[i-1], int64(1)<<uint(i-1))
-			if b > h.bound[j] {
-				b = h.bound[j]
-			}
-			h.bound[i] = b
-		}
-		moved := h.buckets[j]
-		h.buckets[j] = nil
-		for _, v := range moved {
-			h.place(v, h.bucketFor(h.key[v]))
-		}
-	}
-	// Pop from bucket 0 (all keys there equal bound[0], the current minimum).
-	lst := h.buckets[0]
-	v := lst[len(lst)-1]
-	h.buckets[0] = lst[:len(lst)-1]
-	h.bucket[v] = -1
-	h.size--
-	h.mu = h.key[v]
-	return v, true
 }

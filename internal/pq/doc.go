@@ -1,13 +1,14 @@
-// Package pq provides the monotone priority queues used and compared by the
-// sequential shortest-path solvers: a pairing heap (comparison-based,
-// decrease-key in O(1) amortised) and Dial's bucket queue (one bucket per
-// distance value, the degenerate single-level version of the multi-level
-// buckets in internal/mlb).
+// Package pq provides the monotone priority queue every label-setting loop of
+// the serving path pops from: Radix, the radix heap of Ahuja, Mehlhorn, Orlin &
+// Tarjan, with 65 buckets indexed by the highest bit in which a key differs
+// from the last minimum. The budgeted s-t search (internal/dijkstra), the
+// resume of a stale inherited answer (internal/engine) and Goldberg's
+// multi-level buckets (internal/mlb) share it; the lazy binary heap inside
+// internal/dijkstra, the reference every test compares against, is the only
+// other priority queue in the tree.
 //
-// Both implement the same vertex-keyed interface as the heaps embedded in
-// internal/dijkstra, so the bench suite can attribute constant factors to the
-// queue choice — the axis along which the paper's Table 1 comparison
-// (Thorup vs bucket-based reference solver) differs.
+// A Radix holds (vertex, key) items and never decreases a key: consumers push
+// a vertex again when its distance drops and skip the outgrown copies on pop.
 //
 // See DESIGN.md §3 ("System inventory") for how this package fits the system.
 package pq
