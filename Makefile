@@ -33,13 +33,15 @@ race:
 	$(GO) test -race $(RACE_PKGS)
 
 # Flake hunt over the lifecycle/concurrency set (ROADMAP 8a): many plain
-# repetitions, then fewer under the race detector. Run before merging a change
-# to any of these packages.
+# repetitions, then the same set contended — GOMAXPROCS 1 and 4, below and
+# above a two-vCPU host — then fewer under the race detector. Run before
+# merging a change to any of these packages.
 FLAKE_PKGS = ./internal/catalog ./internal/engine ./internal/stress \
 	./internal/router ./internal/httpx ./cmd/ssspd ./cmd/ssspr
 
 flake:
 	$(GO) test -count=25 $(FLAKE_PKGS)
+	$(GO) test -cpu 1,4 -count=10 $(FLAKE_PKGS)
 	$(GO) test -race -count=5 $(FLAKE_PKGS)
 
 bench:

@@ -21,8 +21,8 @@
 //	GET  /table?src=1,2&dst=3,4    many-to-many distance table
 //	POST /batch                    many queries in one request (JSON body)
 //	GET  /graphs                   catalog listing: every graph's lifecycle state
-//	POST /graphs/load              admin: load a graph (snapshot, file, or generator)
-//	POST /graphs/reload            admin: rebuild a graph and hot-swap it in
+//	POST /graphs/load              admin: load a graph (snapshot, file, or generator); 200 once it serves
+//	POST /graphs/reload            admin: rebuild a graph and hot-swap it in; 200 once the new generation serves
 //	POST /graphs/unload            admin: drain a graph out of service
 //	POST /graphs/{name}/mutate     admin: apply a batch of edge mutations as a new generation
 //	GET  /stats                    instance, hierarchy, cache, and catalog statistics
@@ -30,9 +30,10 @@
 //	GET  /debug/traces             retained request traces (span trees), filterable
 //	GET  /healthz                  liveness
 //
-// Graphs live in an internal/catalog: background workers load graphs off the
-// request path, swaps are atomic (in-flight queries finish on the
-// generation they acquired), and a -mem-budget evicts idle graphs LRU-first.
+// Graphs live in an internal/catalog: a load or reload builds inside its own
+// admin request, off the query path, swaps are atomic (in-flight queries
+// finish on the generation they acquired), and a -mem-budget evicts idle
+// graphs LRU-first.
 // Snapshots (gengraph -snap, from a generator or a DIMACS file) are served
 // zero-copy straight from an mmap of the file (-mmap, default on); mmap-less
 // and big-endian hosts fall back to the copy read, and an unmap happens only
@@ -104,7 +105,6 @@ func main() {
 		cacheEntries = flag.Int("cache-entries", 256, "result cache capacity in distance vectors per graph (0 disables)")
 		cacheBytes   = flag.Int64("cache-bytes", 64<<20, "result cache byte budget per graph (0 = entry-bounded only)")
 		memBudget    = flag.Int64("mem-budget", 0, "memory budget in bytes for ready graphs; idle graphs are evicted LRU-first beyond it (0 = unlimited)")
-		buildWorkers = flag.Int("build-workers", 2, "background graph build workers")
 		useMmap      = flag.Bool("mmap", true, "serve snapshots zero-copy via mmap (mmap-less and big-endian hosts fall back to the copy read)")
 		traceSample  = flag.Int("trace-sample", 100, "tail-sample 1 in N finished query traces into /debug/traces (0 disables tracing)")
 		traceRing    = flag.Int("trace-ring", 256, "retained-trace ring buffer capacity for /debug/traces")
@@ -126,15 +126,14 @@ func main() {
 	}
 	loadMS := time.Since(start).Seconds() * 1e3
 	srv := newServer(g, h, name, src, serverOptions{
-		workers:      *workers,
-		maxInflight:  *maxInflight,
-		timeout:      *timeout,
-		engine:       engine.Config{CacheEntries: *cacheEntries, CacheBytes: *cacheBytes},
-		memBudget:    *memBudget,
-		buildWorkers: *buildWorkers,
-		mmap:         *useMmap,
-		mapping:      mapping,
-		trace:        trace.Config{SampleN: *traceSample, RingSize: *traceRing, SlowQuery: *slowQuery},
+		workers:     *workers,
+		maxInflight: *maxInflight,
+		timeout:     *timeout,
+		engine:      engine.Config{CacheEntries: *cacheEntries, CacheBytes: *cacheBytes},
+		memBudget:   *memBudget,
+		mmap:        *useMmap,
+		mapping:     mapping,
+		trace:       trace.Config{SampleN: *traceSample, RingSize: *traceRing, SlowQuery: *slowQuery},
 	})
 	defer srv.cat.Close()
 
@@ -159,12 +158,11 @@ const maxBatchItems = 4096
 
 // serverOptions bundles the daemon's tunables.
 type serverOptions struct {
-	workers      int
-	maxInflight  int
-	timeout      time.Duration
-	engine       engine.Config
-	memBudget    int64
-	buildWorkers int
+	workers     int
+	maxInflight int
+	timeout     time.Duration
+	engine      engine.Config
+	memBudget   int64
 	// mmap turns on zero-copy snapshot serving for catalog loads; mapping,
 	// when non-nil, is the startup graph's own mapping (ownership passes to
 	// its catalog generation).
@@ -215,7 +213,6 @@ func newServer(g *graph.Graph, h *ch.Hierarchy, name string, src catalog.Source,
 		opts.engine.BatchWorkers = opts.workers
 	}
 	cat := catalog.New(catalog.Config{
-		Workers:      opts.buildWorkers,
 		MemoryBudget: opts.memBudget,
 		QueryWorkers: opts.workers,
 		Engine:       opts.engine,
@@ -323,7 +320,7 @@ func truncate(s string, max int) string {
 // catalog generation; q is the request's query string, parsed once by the
 // handler. On failure the HTTP error is already written: 404 for a name the
 // catalog has never seen, 500 for a failed load, 503 + Retry-After while
-// loading/building/draining/evicted.
+// loading/draining/evicted.
 func (s *server) graphFor(w http.ResponseWriter, r *http.Request, q url.Values) (*catalog.Generation, func(), bool) {
 	name := q.Get("graph")
 	if name == "" {
@@ -528,14 +525,31 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// adminError maps a catalog admin error: unknown names are 404, lifecycle
-// conflicts (already loaded, mid-build, draining) are 409.
+// adminError maps a catalog admin error: unknown names are 404, a failed
+// load 500 (as a query on a failed graph is), and lifecycle conflicts (already
+// loaded, not ready) 409 — with Retry-After when the same request can succeed
+// once the call in flight or the drain is over.
 func adminError(w http.ResponseWriter, err error) {
-	if errors.Is(err, catalog.ErrUnknownGraph) {
+	switch {
+	case errors.Is(err, catalog.ErrUnknownGraph):
 		httpx.Error(w, http.StatusNotFound, err.Error())
-		return
+	case errors.Is(err, catalog.ErrLoadFailed):
+		httpx.Error(w, http.StatusInternalServerError, err.Error())
+	default:
+		if errors.Is(err, catalog.ErrBusy) {
+			w.Header().Set("Retry-After", "1")
+		}
+		httpx.Error(w, http.StatusConflict, err.Error())
 	}
-	httpx.Error(w, http.StatusConflict, err.Error())
+}
+
+// noWriteDeadline lifts the server's write timeout for an admin request that
+// builds a graph: the build may take longer than any query, and its answer
+// must not be lost.
+func noWriteDeadline(w http.ResponseWriter) {
+	if err := http.NewResponseController(w).SetWriteDeadline(time.Time{}); err != nil {
+		log.Printf("ssspd: clear write deadline: %v", err)
+	}
 }
 
 func (s *server) handleGraphLoad(w http.ResponseWriter, r *http.Request) {
@@ -555,11 +569,13 @@ func (s *server) handleGraphLoad(w http.ResponseWriter, r *http.Request) {
 		Snapshot: req.Snapshot,
 		Spec:     cli.Spec{File: req.File, Class: req.Class, LogN: req.LogN, LogC: req.LogC, PWD: req.PWD, Seed: req.Seed},
 	}
-	if err := s.cat.Load(req.Name, src); err != nil {
+	noWriteDeadline(w)
+	gen, err := s.cat.Load(req.Name, src)
+	if err != nil {
 		adminError(w, err)
 		return
 	}
-	httpx.WriteJSON(w, http.StatusAccepted, map[string]string{"status": "loading", "name": req.Name})
+	httpx.WriteJSON(w, http.StatusOK, map[string]any{"status": "ready", "name": req.Name, "gen": gen})
 }
 
 type nameRequest struct {
@@ -571,12 +587,13 @@ func (s *server) handleGraphReload(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
+	noWriteDeadline(w)
 	gen, err := s.cat.Reload(req.Name)
 	if err != nil {
 		adminError(w, err)
 		return
 	}
-	httpx.WriteJSON(w, http.StatusAccepted, map[string]any{"status": "reloading", "name": req.Name, "gen": gen})
+	httpx.WriteJSON(w, http.StatusOK, map[string]any{"status": "ready", "name": req.Name, "gen": gen})
 }
 
 func (s *server) handleGraphUnload(w http.ResponseWriter, r *http.Request) {
@@ -595,9 +612,9 @@ func (s *server) handleGraphUnload(w http.ResponseWriter, r *http.Request) {
 // insert, delete) to the named graph and answers 200 with the new generation
 // already serving, whatever the batch's width; where a query has demanded the
 // hierarchy the batch repairs it too. A malformed or invalid batch is 400, an
-// unknown graph 404, and a graph mid-build (or otherwise not ready) 409 —
-// nothing is applied in that case, so the client can simply retry after the
-// build completes.
+// unknown graph 404, and a graph with a load, reload or mutation in flight 409
+// with Retry-After (otherwise not ready: 409) — nothing is applied in that
+// case, so the client can simply retry.
 func (s *server) handleGraphMutate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	b, err := mutate.ParseRequest(r.Body)

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -468,8 +469,9 @@ func TestConcurrentQueries(t *testing.T) {
 }
 
 // A second graph loaded through the admin API serves under ?graph= with
-// correct answers, independent of the default graph; reload advances its
-// generation and unload takes it back out of service.
+// correct answers, independent of the default graph, as soon as the load
+// answers; reload advances its generation and unload takes it back out of
+// service.
 func TestMultiGraphServing(t *testing.T) {
 	ts, srv, _ := testServerOpts(t, 64, 30*time.Second)
 
@@ -487,13 +489,10 @@ func TestMultiGraphServing(t *testing.T) {
 	if err := snapshot.WriteFile(snap, g2, h2); err != nil {
 		t.Fatal(err)
 	}
-	var loadResp map[string]string
+	var loadResp map[string]any
 	body := fmt.Sprintf(`{"name":"g2","snapshot":%q}`, snap)
-	if code := postJSON(t, ts.URL+"/graphs/load", body, &loadResp); code != http.StatusAccepted {
-		t.Fatalf("load: code %d (%v), want 202", code, loadResp)
-	}
-	if err := srv.cat.WaitReady("g2", 30*time.Second); err != nil {
-		t.Fatal(err)
+	if code := postJSON(t, ts.URL+"/graphs/load", body, &loadResp); code != http.StatusOK || loadResp["status"] != "ready" || loadResp["gen"] != 1.0 {
+		t.Fatalf("load: code %d (%v), want 200, ready, gen 1", code, loadResp)
 	}
 
 	// The second graph answers under its own name, exactly per Dijkstra on it.
@@ -550,11 +549,9 @@ func TestMultiGraphServing(t *testing.T) {
 	}
 
 	// Reload hot-swaps in a new generation.
-	if code := postJSON(t, ts.URL+"/graphs/reload", `{"name":"g2"}`, &map[string]any{}); code != http.StatusAccepted {
-		t.Fatalf("reload: code %d, want 202", code)
-	}
-	if err := srv.cat.WaitReady("g2", 30*time.Second); err != nil {
-		t.Fatal(err)
+	var reloadResp map[string]any
+	if code := postJSON(t, ts.URL+"/graphs/reload", `{"name":"g2"}`, &reloadResp); code != http.StatusOK || reloadResp["gen"] != 2.0 {
+		t.Fatalf("reload: code %d (%v), want 200 with gen 2", code, reloadResp)
 	}
 	gen2, release, err := srv.cat.Acquire("g2")
 	if err != nil {
@@ -565,25 +562,143 @@ func TestMultiGraphServing(t *testing.T) {
 	}
 	release()
 
-	// Unload drains it out of service: queries stop with 503 (evicted), the
-	// default graph is untouched.
+	// Unload drains it out of service: queries stop with 503 (evicted) from
+	// the moment it answers, the default graph is untouched.
 	if code := postJSON(t, ts.URL+"/graphs/unload", `{"name":"g2"}`, &map[string]string{}); code != 200 {
 		t.Fatalf("unload: code %d, want 200", code)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		var e map[string]string
-		code := getJSON(t, ts.URL+"/sssp?src=0&graph=g2", &e)
-		if code == http.StatusServiceUnavailable {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("g2 still answering %d after unload", code)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if code := getJSON(t, ts.URL+"/sssp?src=0&graph=g2", &e); code != http.StatusServiceUnavailable {
+		t.Fatalf("g2 answers %d after unload, want 503", code)
 	}
 	if code := getJSON(t, ts.URL+"/sssp?src=3", &def); code != 200 {
 		t.Fatalf("default graph after unload: code %d", code)
+	}
+}
+
+// blockedLoad starts cat loading g as name on a goroutine, with a loader that
+// blocks until finish is called, and returns once that load is in flight.
+// finish lets the loader go and returns Load's result.
+func blockedLoad(t *testing.T, cat *catalog.Catalog, name string, g *graph.Graph) (finish func() (uint64, error)) {
+	t.Helper()
+	started, unblock := make(chan struct{}), make(chan struct{})
+	type result struct {
+		gen uint64
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		gen, err := cat.Load(name, catalog.Source{Loader: func() (*graph.Graph, *ch.Hierarchy, error) {
+			close(started)
+			<-unblock
+			return g, nil, nil
+		}})
+		done <- result{gen, err}
+	}()
+	<-started
+	return func() (uint64, error) {
+		close(unblock)
+		r := <-done
+		return r.gen, r.err
+	}
+}
+
+// wantBusy posts body to path and expects the busy answer: 409 with
+// Retry-After: 1.
+func wantBusy(t *testing.T, base, path, body string) {
+	t.Helper()
+	if resp := send(t, base, routeCase{path: path, body: body}); resp.StatusCode != http.StatusConflict || resp.Header.Get("Retry-After") != "1" {
+		t.Fatalf("%s %s: %d Retry-After %q, want 409 with Retry-After 1", path, body, resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+}
+
+// A load that fails answers its error and leaves the entry failed; a retry
+// with a good source serves.
+func TestGraphLoadFailureThenRetry(t *testing.T) {
+	ts, _, _ := testServerOpts(t, 64, 30*time.Second)
+	missing := filepath.Join(t.TempDir(), "missing.gr")
+	var e map[string]any
+	if code := postJSON(t, ts.URL+"/graphs/load", fmt.Sprintf(`{"name":"g2","file":%q}`, missing), &e); code != http.StatusInternalServerError {
+		t.Fatalf("load of a missing file: code %d (%v), want 500", code, e)
+	}
+	if msg, _ := e["error"].(string); !strings.Contains(msg, "load failed") || !strings.Contains(msg, "missing.gr") {
+		t.Fatalf("failed load error %q", msg)
+	}
+	row := func() map[string]any {
+		var listing struct {
+			Graphs []map[string]any `json:"graphs"`
+		}
+		getJSON(t, ts.URL+"/graphs", &listing)
+		for _, gs := range listing.Graphs {
+			if gs["name"] == "g2" {
+				return gs
+			}
+		}
+		t.Fatalf("g2 not listed: %+v", listing)
+		return nil
+	}
+	if gs := row(); gs["state"] != "failed" || gs["error"] == nil {
+		t.Fatalf("after the failed load: %+v, want failed with its error", gs)
+	}
+	if code := getJSON(t, ts.URL+"/sssp?src=0&graph=g2", &e); code != http.StatusInternalServerError {
+		t.Fatalf("query on the failed graph: code %d, want 500", code)
+	}
+	var resp map[string]any
+	if code := postJSON(t, ts.URL+"/graphs/load", `{"name":"g2","class":"rand","logn":8,"logc":8,"seed":3}`, &resp); code != http.StatusOK || resp["gen"] != 1.0 {
+		t.Fatalf("retry: code %d (%v), want 200 with gen 1", code, resp)
+	}
+	if gs := row(); gs["state"] != "ready" || gs["error"] != nil {
+		t.Fatalf("after the retry: %+v, want ready without an error", gs)
+	}
+	if code := getJSON(t, ts.URL+"/sssp?src=0&graph=g2", &resp); code != http.StatusOK {
+		t.Fatalf("query after the retry: code %d, want 200", code)
+	}
+}
+
+// A name whose last generation is draining cannot be loaded again (409 with
+// Retry-After) until the drain is over; once Drained() closes, the next load
+// serves. No polling: the drain is the only thing waited for.
+func TestGraphLoadWhileDraining(t *testing.T) {
+	ts, srv, _ := testServerOpts(t, 64, 30*time.Second)
+	const load = `{"name":"g2","class":"rand","logn":8,"logc":8,"seed":3}`
+	if code := postJSON(t, ts.URL+"/graphs/load", load, &map[string]any{}); code != http.StatusOK {
+		t.Fatalf("load: code %d", code)
+	}
+	held, release, err := srv.cat.Acquire("g2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := postJSON(t, ts.URL+"/graphs/unload", `{"name":"g2"}`, &map[string]any{}); code != http.StatusOK {
+		t.Fatalf("unload: code %d", code)
+	}
+	wantBusy(t, ts.URL, "/graphs/load", load)
+	release()
+	<-held.Drained()
+	var resp map[string]any
+	if code := postJSON(t, ts.URL+"/graphs/load", load, &resp); code != http.StatusOK || resp["gen"] != 2.0 {
+		t.Fatalf("load after the drain: code %d (%v), want 200 with gen 2", code, resp)
+	}
+}
+
+// A load or reload may outlast the server's write timeout: the two handlers
+// lift their own write deadline, so the answer still arrives. Here the
+// timeout has expired before any handler writes, which a handler that does
+// not lift it (/healthz) shows by losing its answer.
+func TestGraphLoadOutlivesWriteTimeout(t *testing.T) {
+	_, srv, _ := testServerOpts(t, 64, 30*time.Second)
+	ts := httptest.NewUnstartedServer(srv.mux())
+	ts.Config.WriteTimeout = time.Nanosecond
+	ts.Start()
+	t.Cleanup(ts.Close)
+	if resp, err := http.Get(ts.URL + "/healthz"); err == nil {
+		resp.Body.Close()
+		t.Fatalf("/healthz answered %d past the write timeout; the test cannot tell a lifted deadline", resp.StatusCode)
+	}
+	var resp map[string]any
+	if code := postJSON(t, ts.URL+"/graphs/load", `{"name":"g2","class":"rand","logn":6,"logc":4,"seed":1}`, &resp); code != http.StatusOK || resp["gen"] != 1.0 {
+		t.Fatalf("load: code %d (%v), want 200 with gen 1", code, resp)
+	}
+	if code := postJSON(t, ts.URL+"/graphs/reload", `{"name":"g2"}`, &resp); code != http.StatusOK || resp["gen"] != 2.0 {
+		t.Fatalf("reload: code %d (%v), want 200 with gen 2", code, resp)
 	}
 }
 
@@ -615,13 +730,10 @@ func TestGraphAdminValidation(t *testing.T) {
 		t.Errorf("a 400 load still registered the graph: Acquire = %v", err)
 	}
 
-	// A generator-described source loads in the background and serves.
+	// A generator-described source loads inside the request and serves.
 	body := `{"name":"little","class":"rand","logn":8,"logc":8,"seed":3}`
-	if code := postJSON(t, ts.URL+"/graphs/load", body, &map[string]string{}); code != http.StatusAccepted {
-		t.Fatalf("generator load: code %d, want 202", code)
-	}
-	if err := srv.cat.WaitReady("little", 30*time.Second); err != nil {
-		t.Fatal(err)
+	if code := postJSON(t, ts.URL+"/graphs/load", body, &map[string]any{}); code != http.StatusOK {
+		t.Fatalf("generator load: code %d, want 200", code)
 	}
 	var resp struct {
 		Reached int `json:"reached"`

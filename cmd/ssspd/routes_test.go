@@ -49,12 +49,12 @@ func walkRoutes(t *testing.T, base string, cases []routeCase) {
 }
 
 // Every route of both daemons answers typed JSON on its success path and on
-// an error path — including the 202s, whose Content-Type used to be set after
-// the status line had gone out (and so arrived as text/plain).
+// an error path — including the non-200s, whose Content-Type used to be set
+// after the status line had gone out (and so arrived as text/plain).
 func TestEveryRouteAnswersTypedJSON(t *testing.T) {
 	ts, srv, g := testServerOpts(t, 64, 30*time.Second)
 	// One spare graph per state-changing admin call, so no case meets
-	// another's background rebuild (409).
+	// another's lifecycle change.
 	h := ch.BuildKruskal(g)
 	src := catalog.Source{Loader: func() (*graph.Graph, *ch.Hierarchy, error) { return g, h, nil }}
 	for _, name := range []string{"small", "wide", "reload", "unload"} {
@@ -76,9 +76,9 @@ func TestEveryRouteAnswersTypedJSON(t *testing.T) {
 		{"/table?src=0,1&dst=2", "", 200}, {"/table?src=0", "", 400},
 		{"/batch", `{"queries":[{"src":1}]}`, 200}, {"/batch", `{"nope":1}`, 400},
 		{"/graphs", "", 200},
-		{"/graphs/load", `{"name":"loaded","class":"rand","logn":6,"logc":4,"seed":1}`, 202},
+		{"/graphs/load", `{"name":"loaded","class":"rand","logn":6,"logc":4,"seed":1}`, 200},
 		{"/graphs/load", `{}`, 400}, {"/graphs/load", `{"name":"small","class":"rand"}`, 409},
-		{"/graphs/reload", `{"name":"reload"}`, 202}, {"/graphs/reload", `{"name":"nope"}`, 404},
+		{"/graphs/reload", `{"name":"reload"}`, 200}, {"/graphs/reload", `{"name":"nope"}`, 404},
 		{"/graphs/unload", `{"name":"unload"}`, 200}, {"/graphs/unload", `{"name":"nope"}`, 404},
 		{"/graphs/small/mutate", mutateBody(t, pickEdges(g, 4, 11)), 200},
 		{"/sssp?src=1&solver=thorup&graph=wide", "", 200}, {"/graphs/wide/mutate", mutateBody(t, &wide), 200},

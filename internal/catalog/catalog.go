@@ -24,8 +24,21 @@ import (
 // heard of; a serving layer should map it to 404.
 var ErrUnknownGraph = errors.New("unknown graph")
 
+// ErrBusy marks an admin call on a name that has a load, reload or mutation in
+// flight, or whose last generation is still draining: nothing was done, and
+// the same call can succeed once that finishes. A serving layer should map it
+// to 409 with Retry-After.
+var ErrBusy = errors.New("busy")
+
+// ErrLoadFailed marks a Load or Reload whose source could not be loaded or
+// whose delta log could not be replayed; a serving layer should map it to 500,
+// as it does a query on a failed graph.
+var ErrLoadFailed = errors.New("load failed")
+
+var errClosed = errors.New("catalog: closed")
+
 // NotReadyError marks queries against a graph that exists but is not
-// currently serving (still building, draining, evicted, or failed); a
+// currently serving (still loading, draining, evicted, or failed); a
 // serving layer should map it to 503 (retryable) or 500 (failed).
 type NotReadyError struct {
 	Name  string
@@ -66,7 +79,7 @@ func (s Source) String() string {
 	}
 }
 
-// Load resolves the source — the one loader behind background builds and a
+// Load resolves the source — the one loader behind Catalog.Load, Reload and a
 // daemon's startup graph alike. The hierarchy is nil when the source carries
 // none (Spec sources). With mmap
 // set, snapshot sources are mapped zero-copy when the platform allows it,
@@ -99,8 +112,6 @@ func (s Source) Load(mmap bool, logf func(string, ...any)) (g *graph.Graph, h *c
 
 // Config parameterizes a Catalog.
 type Config struct {
-	// Workers is the number of background build workers (default 2).
-	Workers int
 	// MemoryBudget bounds the summed Bytes of ready graphs; exceeding it
 	// evicts least-recently-used idle graphs. 0 means unlimited.
 	MemoryBudget int64
@@ -128,9 +139,6 @@ type Catalog struct {
 	clock   int64 // logical time for LRU ordering
 	closed  bool
 
-	jobs     chan string
-	done     chan struct{}
-	wg       sync.WaitGroup
 	counters *obs.Group
 }
 
@@ -141,10 +149,10 @@ type entry struct {
 	state    State
 	src      Source
 	gen      *Generation
-	genSeq   uint64
+	genSeq   uint64 // the last installed generation's number
 	lastUsed int64
 	err      error // most recent load failure
-	pending  bool  // a build job is queued or running
+	pending  bool  // a load, reload or mutation is in flight
 	// deltas is the accepted-mutation replay log for this lineage: every
 	// batch that produced a generation, in acceptance order. A reload replays
 	// it over the source so the rebuilt generation reproduces the mutated
@@ -162,6 +170,29 @@ func (e *entry) setState(next State) {
 	e.state = next
 }
 
+// settle takes a draining entry to evicted once its generation has drained.
+// Callers hold the catalog lock; every locked read of an entry's state goes
+// through it, so after <-gen.Drained() the next Load finds the name evicted.
+func (e *entry) settle() {
+	if e.state != StateDraining {
+		return
+	}
+	select {
+	case <-e.gen.Drained():
+		e.setState(StateEvicted)
+		e.gen = nil
+	default:
+	}
+}
+
+// busy is ErrBusy for e: a call in flight, or a generation still draining.
+func (e *entry) busy() error {
+	if e.pending {
+		return fmt.Errorf("catalog: %w: graph %q has a load, reload or mutation in flight", ErrBusy, e.name)
+	}
+	return fmt.Errorf("catalog: %w: graph %q is draining", ErrBusy, e.name)
+}
+
 // Counter names of Catalog counters, in snapshot order.
 const (
 	cLoads           = "loads"
@@ -177,12 +208,9 @@ const (
 	cHierarchyBuilds = "hierarchy_builds"
 )
 
-// New creates a catalog and starts its build workers. Call Close to stop
-// them.
+// New creates a catalog. It starts no goroutine: every load, reload and
+// mutation runs on its caller's.
 func New(cfg Config) *Catalog {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 2
-	}
 	if cfg.QueryWorkers <= 0 {
 		cfg.QueryWorkers = 4
 	}
@@ -190,56 +218,32 @@ func New(cfg Config) *Catalog {
 	if logf == nil {
 		logf = log.Printf
 	}
-	c := &Catalog{
+	return &Catalog{
 		cfg:     cfg,
 		logf:    logf,
 		entries: make(map[string]*entry),
-		jobs:    make(chan string, 64),
-		done:    make(chan struct{}),
 		counters: obs.NewGroup(cLoads, cReloads, cUnloads, cBuilds, cSwaps,
 			cEvictions, cLoadFailures, cAcquires, cNotReady, cMutations, cHierarchyBuilds),
 	}
-	for i := 0; i < cfg.Workers; i++ {
-		c.wg.Add(1)
-		go c.worker()
-	}
-	return c
 }
 
-// Close stops the build workers. Pending jobs are abandoned; graphs already
-// ready keep serving (Acquire still works) so a server can drain on its own
+// Close refuses further loads, reloads and mutations. Graphs already ready
+// keep serving (Acquire still works), so a server can drain on its own
 // schedule.
 func (c *Catalog) Close() {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
 	c.closed = true
 	c.mu.Unlock()
-	close(c.done)
-	c.wg.Wait()
 }
 
-func (c *Catalog) worker() {
-	defer c.wg.Done()
-	for {
-		select {
-		case <-c.done:
-			return
-		case name := <-c.jobs:
-			c.runJob(name)
-		}
+// entryLocked looks name up, settling a drained entry first. Callers hold the
+// catalog lock.
+func (c *Catalog) entryLocked(name string) (*entry, bool) {
+	e, ok := c.entries[name]
+	if ok {
+		e.settle()
 	}
-}
-
-// enqueue hands a name to the workers without racing Close: a closed catalog
-// drops the job (the entry was already marked, but no worker will come).
-func (c *Catalog) enqueue(name string) {
-	select {
-	case c.jobs <- name:
-	case <-c.done:
-	}
+	return e, ok
 }
 
 // AddPrebuilt installs an already-loaded instance synchronously as generation
@@ -258,20 +262,21 @@ func (c *Catalog) AddPrebuilt(name string, src Source, g *graph.Graph, h *ch.Hie
 		gen.retire()
 		return nil, fmt.Errorf("catalog: graph %q already exists", name)
 	}
-	e := &entry{name: name, state: StateReady, src: src, genSeq: 1}
+	e := &entry{name: name, state: StateReady, src: src}
 	c.entries[name] = e
 	c.installLocked(e, gen)
 	return gen, nil
 }
 
-// installLocked is the swap: gen becomes e's serving generation, the pending
-// build (if any) is over, the name counts as just used, and the memory
+// installLocked is the swap: gen becomes e's serving generation, the call in
+// flight (if any) is over, the name counts as just used, and the memory
 // budget is re-checked with this name exempt. It returns the generation gen
 // replaced (nil for a first install), which the caller retires once it has
 // dropped the lock.
 func (c *Catalog) installLocked(e *entry, gen *Generation) (old *Generation) {
 	old = e.gen
 	e.gen = gen
+	e.genSeq = gen.Gen
 	e.err = nil
 	e.pending = false
 	c.clock++
@@ -302,134 +307,186 @@ func (c *Catalog) stIndexBuilt(name string, gen uint64, x *dijkstra.STIndex, ms 
 	c.logf("catalog: s-t index for %s gen %d built on demand: %d bytes in %.1f ms", name, gen, x.Bytes(), ms)
 }
 
-// Load brings a named graph into service in the background. Loading an
-// already-pending name is a no-op; loading a ready name is an error (use
-// Reload); loading a failed or evicted name retries with the new source.
-func (c *Catalog) Load(name string, src Source) error {
+// Load brings a named graph into service: it loads src, makes the engine and
+// installs the generation on the caller's goroutine, and returns the
+// generation's number once it serves, or the load error (wrapping
+// ErrLoadFailed) with the entry left failed. Loading a ready name is an error
+// (use Reload); a name with a call in flight or a generation still draining is
+// ErrBusy; a failed or evicted name is retried with src.
+func (c *Catalog) Load(name string, src Source) (uint64, error) {
 	if name == "" {
-		return errors.New("catalog: empty graph name")
+		return 0, errors.New("catalog: empty graph name")
 	}
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return errors.New("catalog: closed")
-	}
-	e, ok := c.entries[name]
+	e, ok := c.entryLocked(name)
+	var err error
 	switch {
+	case c.closed:
+		err = errClosed
 	case !ok:
-		e = &entry{name: name, state: StateLoading, src: src, pending: true}
+		e = &entry{name: name, state: StateLoading}
 		c.entries[name] = e
-	case e.pending:
-		c.mu.Unlock()
-		return nil // idempotent: a build for this name is already queued
+	case e.pending || e.state == StateDraining:
+		err = e.busy()
 	case e.state == StateReady:
-		c.mu.Unlock()
-		return fmt.Errorf("catalog: graph %q already loaded (use reload)", name)
-	case e.state == StateDraining:
-		c.mu.Unlock()
-		return fmt.Errorf("catalog: graph %q is draining; retry when evicted", name)
+		err = fmt.Errorf("catalog: graph %q already loaded (use reload)", name)
 	default: // failed or evicted: retry with the (possibly new) source
 		e.setState(StateLoading)
-		e.src = src
-		e.err = nil
-		e.pending = true
 		e.deltas = nil // fresh lineage: the old replay log no longer applies
 	}
-	e.genSeq++ // pre-assign the generation this load will install
+	if err != nil {
+		c.mu.Unlock()
+		return 0, err
+	}
+	e.src = src
 	c.counters.C(cLoads).Inc()
-	c.mu.Unlock()
-	c.enqueue(name)
-	return nil
+	return c.build(e)
 }
 
 // Reload rebuilds a graph from its remembered source — replaying any accepted
 // mutation deltas on top, so the rebuilt generation reproduces the graph's
-// current logical state — and swaps the result in atomically. The old
-// generation keeps serving until the swap, then drains. Returns the
-// generation number the rebuild will install; reloading while a build is
-// already pending returns that build's generation without queueing another.
+// current logical state — and swaps the result in atomically, on the caller's
+// goroutine. The old generation keeps serving until the swap, then drains; if
+// the rebuild fails it keeps serving and the error (wrapping ErrLoadFailed) is
+// returned. It returns the new generation's number once it serves.
 func (c *Catalog) Reload(name string) (uint64, error) {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return 0, errors.New("catalog: closed")
-	}
-	e, ok := c.entries[name]
-	if !ok {
-		c.mu.Unlock()
-		return 0, fmt.Errorf("catalog: %w: %q", ErrUnknownGraph, name)
-	}
-	if e.pending {
-		gen := e.genSeq
-		c.mu.Unlock()
-		return gen, nil
-	}
-	switch e.state {
-	case StateReady:
-		// Stay ready: the new generation builds off to the side.
-	case StateFailed, StateEvicted:
+	e, ok := c.entryLocked(name)
+	var err error
+	switch {
+	case c.closed:
+		err = errClosed
+	case !ok:
+		err = fmt.Errorf("catalog: %w: %q", ErrUnknownGraph, name)
+	case e.pending || e.state == StateDraining:
+		err = e.busy()
+	case e.state != StateReady: // failed or evicted
 		e.setState(StateLoading)
-		e.err = nil
-	default:
-		c.mu.Unlock()
-		return 0, fmt.Errorf("catalog: graph %q is %s; cannot reload", name, e.state)
 	}
-	e.pending = true
-	e.genSeq++ // pre-assign the generation this rebuild will install
-	gen := e.genSeq
+	if err != nil {
+		c.mu.Unlock()
+		return 0, err
+	}
+	// A ready entry stays ready: the new generation builds off to the side.
 	c.counters.C(cReloads).Inc()
+	return c.build(e)
+}
+
+// build is the rest of a Load or Reload, entered with the catalog lock held:
+// mark e pending, then — unlocked, on the caller's goroutine — load the
+// source, replay the delta log and make a fresh engine, and install the
+// result with the source's hierarchy if it carried one that still fits, else
+// without. A first load (e loading) ends ready or failed; a reload of a ready
+// entry swaps, or keeps the old generation serving when it fails.
+func (c *Catalog) build(e *entry) (uint64, error) {
+	e.pending, e.err = true, nil // no other load, reload, mutation or unload until we finish
+	src, deltas, num := e.src, e.deltas, e.genSeq+1
 	c.mu.Unlock()
-	c.enqueue(name)
-	return gen, nil
+
+	start := time.Now()
+	g, h, m, _, err := src.Load(c.cfg.MMap, c.logf)
+	if err != nil {
+		return 0, c.failBuild(e, fmt.Errorf("%w: %s: %w", ErrLoadFailed, src, err))
+	}
+	loaded := time.Now()
+	if len(deltas) > 0 {
+		// Replay the accepted-mutation log so the rebuilt generation carries
+		// the graph's logical state, not the base source. A snapshot-carried
+		// hierarchy matches the base graph and is dropped.
+		base := g
+		for i, b := range deltas {
+			g2, _, aerr := mutate.Apply(g, b)
+			if aerr != nil {
+				m.Close()
+				return 0, c.failBuild(e, fmt.Errorf("%w: replay delta %d/%d on %s: %w", ErrLoadFailed, i+1, len(deltas), src, aerr))
+			}
+			g = g2
+		}
+		h = nil
+		if m != nil && !g.AliasesArrays(base) {
+			// The replay produced fresh arrays; the mapping backs nothing.
+			m.Close()
+			m = nil
+		}
+	}
+	c.counters.C(cBuilds).Inc()
+	gen := c.newGeneration(e.name, num, g, h, m)
+
+	c.mu.Lock()
+	if e.state != StateLoading && e.state != StateReady {
+		// A reload whose entry the memory budget evicted mid-build: the name
+		// no longer serves, so the rebuilt generation is discarded.
+		e.pending = false
+		state := e.state
+		c.mu.Unlock()
+		gen.retire()
+		return 0, fmt.Errorf("catalog: graph %q was evicted during its reload (now %s); generation %d discarded", e.name, state, num)
+	}
+	if e.state == StateLoading {
+		e.setState(StateReady)
+	}
+	old := c.installLocked(e, gen)
+	c.mu.Unlock()
+	if old != nil {
+		old.retire()
+	}
+	residence := "heap"
+	if gen.Mapped() {
+		residence = "mmap"
+	}
+	c.logf("catalog: %s gen %d ready from %s (n=%d m=%d, %d bytes %s, load_ms=%.1f, %s)",
+		e.name, num, src, g.NumVertices(), g.NumEdges(), gen.Bytes(), residence,
+		loaded.Sub(start).Seconds()*1e3, time.Since(start).Round(time.Millisecond))
+	return num, nil
+}
+
+// failBuild records a failed Load or Reload and returns its error. A first
+// load lands in failed; a failed reload leaves the serving generation alone
+// and only records the error.
+func (c *Catalog) failBuild(e *entry, err error) error {
+	c.counters.C(cLoadFailures).Inc()
+	c.logf("catalog: %s %v", e.name, err)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e.pending = false
+	e.err = err
+	if e.state == StateLoading {
+		e.setState(StateFailed)
+	}
+	return err
 }
 
 // Unload takes a graph out of service: ready graphs drain their in-flight
 // queries and become evicted; failed or evicted graphs are forgotten
-// entirely. A graph mid-build cannot be unloaded.
+// entirely. A graph with a call in flight, or still draining, is ErrBusy.
 func (c *Catalog) Unload(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[name]
+	e, ok := c.entryLocked(name)
 	if !ok {
 		return fmt.Errorf("catalog: %w: %q", ErrUnknownGraph, name)
 	}
-	if e.pending {
-		return fmt.Errorf("catalog: graph %q has a build in progress; retry after it completes", name)
-	}
-	switch e.state {
-	case StateReady:
+	switch {
+	case e.pending || e.state == StateDraining:
+		return e.busy()
+	case e.state == StateReady:
 		c.counters.C(cUnloads).Inc()
 		c.retireLocked(e)
-		return nil
-	case StateFailed, StateEvicted:
+	default: // failed or evicted
 		c.counters.C(cUnloads).Inc()
 		delete(c.entries, name)
-		return nil
-	default:
-		return fmt.Errorf("catalog: graph %q is %s; cannot unload", name, e.state)
 	}
+	return nil
 }
 
-// retireLocked moves a ready entry to draining and on to evicted: at once when
-// no query holds the generation (always so for evictLocked's victims), else
-// once the last in-flight query releases.
+// retireLocked moves a ready entry to draining, and on to evicted at once when
+// no query holds the generation (always so for evictLocked's victims);
+// otherwise the first locked read after the last release takes that edge
+// (settle).
 func (c *Catalog) retireLocked(e *entry) {
 	e.setState(StateDraining)
-	gen := e.gen
-	if gen.retire() {
-		e.setState(StateEvicted)
-		e.gen = nil
-		return
-	}
-	go func() {
-		<-gen.Drained()
-		c.mu.Lock()
-		if e.state == StateDraining && e.gen == gen {
-			e.setState(StateEvicted)
-			e.gen = nil
-		}
-		c.mu.Unlock()
-	}()
+	e.gen.retire()
+	e.settle()
 }
 
 // Acquire returns the current generation of a ready graph with a reference
@@ -439,7 +496,7 @@ func (c *Catalog) retireLocked(e *entry) {
 func (c *Catalog) Acquire(name string) (*Generation, func(), error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[name]
+	e, ok := c.entryLocked(name)
 	if !ok {
 		c.counters.C(cNotReady).Inc()
 		return nil, nil, fmt.Errorf("catalog: %w: %q", ErrUnknownGraph, name)
@@ -478,113 +535,6 @@ func (c *Catalog) AcquireTraced(ctx context.Context, name string) (*Generation, 
 	return gen, release, err
 }
 
-// runJob executes one background build: load the source, replay the delta
-// log, construct a fresh engine, then swap it in — with the source's
-// hierarchy if it carried one that still fits, else without.
-// Initial loads walk the entry through loading→building→ready; reloads leave
-// the serving state alone.
-func (c *Catalog) runJob(name string) {
-	c.mu.Lock()
-	e, ok := c.entries[name]
-	if !ok {
-		c.mu.Unlock()
-		return
-	}
-	src := e.src
-	isReload := e.state == StateReady
-	genNum := e.genSeq // pre-assigned by Load/Reload when the job was queued
-	deltas := append([]*mutate.Batch(nil), e.deltas...)
-	c.mu.Unlock()
-
-	start := time.Now()
-	g, h, m, _, err := src.Load(c.cfg.MMap, c.logf)
-	if err != nil {
-		c.failJob(name, fmt.Errorf("load %s: %w", src, err))
-		return
-	}
-	loaded := time.Now()
-	c.advance(name, StateBuilding, isReload)
-	if len(deltas) > 0 {
-		// Replay the accepted-mutation log so the rebuilt generation carries
-		// the graph's logical state, not the base source. A snapshot-carried
-		// hierarchy matches the base graph and is dropped.
-		base := g
-		for i, b := range deltas {
-			g2, _, aerr := mutate.Apply(g, b)
-			if aerr != nil {
-				c.failJob(name, fmt.Errorf("replay delta %d/%d on %s: %w", i+1, len(deltas), src, aerr))
-				return
-			}
-			g = g2
-		}
-		h = nil
-		if m != nil && !g.AliasesArrays(base) {
-			// The replay produced fresh arrays; the mapping backs nothing.
-			m.Close()
-			m = nil
-		}
-	}
-	c.counters.C(cBuilds).Inc()
-
-	gen := c.newGeneration(name, genNum, g, h, m)
-
-	c.mu.Lock()
-	e, ok = c.entries[name]
-	if !ok || (e.state != StateBuilding && e.state != StateReady) {
-		// The entry vanished or changed under us (e.g. unloaded mid-build of
-		// a reload); discard the built generation.
-		c.mu.Unlock()
-		gen.retire()
-		return
-	}
-	if e.state != StateReady {
-		e.setState(StateReady)
-	}
-	old := c.installLocked(e, gen)
-	c.mu.Unlock()
-	if old != nil {
-		old.retire()
-	}
-	residence := "heap"
-	if gen.Mapped() {
-		residence = "mmap"
-	}
-	c.logf("catalog: %s gen %d ready from %s (n=%d m=%d, %d bytes %s, load_ms=%.1f, %s)",
-		name, genNum, src, g.NumVertices(), g.NumEdges(), gen.Bytes(), residence,
-		loaded.Sub(start).Seconds()*1e3, time.Since(start).Round(time.Millisecond))
-}
-
-// advance moves an initial load to its next lifecycle phase; reloads keep
-// serving in ready and skip the walk.
-func (c *Catalog) advance(name string, next State, isReload bool) {
-	if isReload {
-		return
-	}
-	c.mu.Lock()
-	if e, ok := c.entries[name]; ok && validNext[e.state][next] {
-		e.setState(next)
-	}
-	c.mu.Unlock()
-}
-
-// failJob records a build failure. An initial load lands in failed; a failed
-// reload keeps the old generation serving and only records the error.
-func (c *Catalog) failJob(name string, err error) {
-	c.counters.C(cLoadFailures).Inc()
-	c.logf("catalog: %s load failed: %v", name, err)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[name]
-	if !ok {
-		return
-	}
-	e.pending = false
-	e.err = err
-	if e.state != StateReady && validNext[e.state][StateFailed] {
-		e.setState(StateFailed)
-	}
-}
-
 // evictLocked enforces the memory budget: while ready graphs exceed it, the
 // least-recently-used idle (no in-flight queries) ready graph other than
 // except is drained out. Busy graphs are never evicted — the budget is a
@@ -615,36 +565,6 @@ func (c *Catalog) evictLocked(except string) {
 		c.logf("catalog: evicting %s (LRU, %d bytes; ready total %d > budget %d)",
 			victim.name, victim.gen.Bytes(), total, c.cfg.MemoryBudget)
 		c.retireLocked(victim)
-	}
-}
-
-// WaitReady blocks until the named graph is ready with no build pending, the
-// load fails, or the timeout expires. A polling helper for startup paths and
-// tests; the serving path uses Acquire directly.
-func (c *Catalog) WaitReady(name string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		c.mu.Lock()
-		e, ok := c.entries[name]
-		var state State
-		var pending bool
-		var lastErr error
-		if ok {
-			state, pending, lastErr = e.state, e.pending, e.err
-		}
-		c.mu.Unlock()
-		switch {
-		case !ok:
-			return fmt.Errorf("catalog: %w: %q", ErrUnknownGraph, name)
-		case state == StateReady && !pending:
-			return nil
-		case state == StateFailed && !pending:
-			return lastErr
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("catalog: graph %q not ready after %s (state %s)", name, timeout, state)
-		}
-		time.Sleep(2 * time.Millisecond)
 	}
 }
 
@@ -688,6 +608,7 @@ func (c *Catalog) Status() []GraphStatus {
 	defer c.mu.Unlock()
 	out := make([]GraphStatus, 0, len(c.entries))
 	for _, e := range c.entries {
+		e.settle()
 		gs := GraphStatus{
 			Name:    e.name,
 			State:   e.state.String(),
@@ -734,6 +655,7 @@ func (c *Catalog) StatsSnapshot() map[string]any {
 	var heapBytes, mappedBytes int64
 	states := make([]obs.GraphState, 0, len(c.entries))
 	for _, e := range c.entries {
+		e.settle()
 		gs := obs.GraphState{Name: e.name, State: e.state.String()}
 		if e.gen != nil {
 			_, gs.Hierarchy, gs.HierarchyBuildMS = e.gen.Hierarchy()
@@ -754,6 +676,5 @@ func (c *Catalog) StatsSnapshot() map[string]any {
 	out["ready_mapped_bytes"] = mappedBytes
 	c.mu.Unlock()
 	out["memory_budget"] = c.cfg.MemoryBudget
-	out["build_workers"] = c.cfg.Workers
 	return out
 }

@@ -41,13 +41,41 @@ func loaderFor(seed uint64) func() (*graph.Graph, *ch.Hierarchy, error) {
 	}
 }
 
+// blockedLoad starts Load(name) on a goroutine with a loader that blocks until
+// finish is called, and returns once that load is in flight. finish lets the
+// loader go and returns Load's result.
+func blockedLoad(t *testing.T, c *Catalog, name string) (finish func() (uint64, error)) {
+	t.Helper()
+	started, unblock := make(chan struct{}), make(chan struct{})
+	type result struct {
+		gen uint64
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		gen, err := c.Load(name, Source{Loader: func() (*graph.Graph, *ch.Hierarchy, error) {
+			close(started)
+			<-unblock
+			return loaderFor(1)()
+		}})
+		done <- result{gen, err}
+	}()
+	<-started
+	return func() (uint64, error) {
+		close(unblock)
+		r := <-done
+		return r.gen, r.err
+	}
+}
+
 func TestInitialLoadLifecycle(t *testing.T) {
 	c := testCatalog(t, Config{})
-	if err := c.Load("g", Source{Loader: loaderFor(1)}); err != nil {
+	gen, err := c.Load("g", Source{Loader: loaderFor(1)})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.WaitReady("g", waitFor); err != nil {
-		t.Fatal(err)
+	if gen != 1 {
+		t.Fatalf("Load returned gen %d, want 1", gen)
 	}
 	gen1, release, err := c.Acquire("g")
 	if err != nil {
@@ -82,49 +110,49 @@ func TestAcquireErrors(t *testing.T) {
 		t.Fatalf("want ErrUnknownGraph, got %v", err)
 	}
 	// A slow loader keeps the entry in a not-ready phase.
-	started := make(chan struct{})
-	unblock := make(chan struct{})
-	src := Source{Loader: func() (*graph.Graph, *ch.Hierarchy, error) {
-		close(started)
-		<-unblock
-		return loaderFor(1)()
-	}}
-	if err := c.Load("slow", src); err != nil {
-		t.Fatal(err)
-	}
-	<-started
+	finish := blockedLoad(t, c, "slow")
 	_, _, err := c.Acquire("slow")
 	var nr *NotReadyError
-	if !errors.As(err, &nr) || nr.State == StateReady {
-		t.Fatalf("want NotReadyError mid-build, got %v", err)
+	if !errors.As(err, &nr) || nr.State != StateLoading {
+		t.Fatalf("want NotReadyError (loading) mid-build, got %v", err)
 	}
-	close(unblock)
-	if err := c.WaitReady("slow", waitFor); err != nil {
+	if _, err := finish(); err != nil {
 		t.Fatal(err)
 	}
+	_, release, err := c.Acquire("slow")
+	if err != nil {
+		t.Fatalf("acquire after Load returned: %v", err)
+	}
+	release()
 }
 
 func TestLoadIdempotentWhilePendingAndErrorsWhenReady(t *testing.T) {
 	c := testCatalog(t, Config{})
-	unblock := make(chan struct{})
-	src := Source{Loader: func() (*graph.Graph, *ch.Hierarchy, error) {
-		<-unblock
-		return loaderFor(1)()
-	}}
-	if err := c.Load("g", src); err != nil {
-		t.Fatal(err)
+	finish := blockedLoad(t, c, "g")
+	// While the load is in flight, every other call on the name is refused
+	// and changes nothing.
+	src := Source{Loader: loaderFor(2)}
+	if _, err := c.Load("g", src); !errors.Is(err, ErrBusy) {
+		t.Fatalf("second Load while pending: %v, want ErrBusy", err)
 	}
-	if err := c.Load("g", src); err != nil {
-		t.Fatalf("pending load not idempotent: %v", err)
+	if _, err := c.Reload("g"); !errors.Is(err, ErrBusy) {
+		t.Fatalf("Reload while pending: %v, want ErrBusy", err)
 	}
-	close(unblock)
-	if err := c.WaitReady("g", waitFor); err != nil {
-		t.Fatal(err)
+	b := &mutate.Batch{Ops: []mutate.Op{{Op: mutate.OpInsert, U: 0, V: 1, W: 1}}}
+	if _, err := c.Mutate("g", b); !errors.Is(err, ErrBusy) {
+		t.Fatalf("Mutate while pending: %v, want ErrBusy", err)
 	}
-	if c.Counter(cLoads) != 1 {
-		t.Fatalf("loads=%d, want 1", c.Counter(cLoads))
+	if err := c.Unload("g"); !errors.Is(err, ErrBusy) {
+		t.Fatalf("Unload while pending: %v, want ErrBusy", err)
 	}
-	if err := c.Load("g", src); err == nil || !strings.Contains(err.Error(), "already loaded") {
+	if gen, err := finish(); err != nil || gen != 1 {
+		t.Fatalf("the pending load: gen %d, %v; want gen 1", gen, err)
+	}
+	if c.Counter(cLoads) != 1 || c.Counter(cReloads) != 0 || c.Counter(cMutations) != 0 {
+		t.Fatalf("loads=%d reloads=%d mutations=%d, want 1, 0, 0",
+			c.Counter(cLoads), c.Counter(cReloads), c.Counter(cMutations))
+	}
+	if _, err := c.Load("g", src); err == nil || !strings.Contains(err.Error(), "already loaded") {
 		t.Fatalf("loading a ready graph: %v", err)
 	}
 }
@@ -132,14 +160,14 @@ func TestLoadIdempotentWhilePendingAndErrorsWhenReady(t *testing.T) {
 func TestLoadFailureAndRetry(t *testing.T) {
 	c := testCatalog(t, Config{})
 	boom := errors.New("disk on fire")
-	if err := c.Load("g", Source{Loader: func() (*graph.Graph, *ch.Hierarchy, error) {
+	_, err := c.Load("g", Source{Loader: func() (*graph.Graph, *ch.Hierarchy, error) {
 		return nil, nil, boom
-	}}); err != nil {
-		t.Fatal(err)
+	}})
+	if !errors.Is(err, boom) || !errors.Is(err, ErrLoadFailed) {
+		t.Fatalf("want the load failure returned, got %v", err)
 	}
-	err := c.WaitReady("g", waitFor)
-	if err == nil || !errors.Is(err, boom) {
-		t.Fatalf("want load failure surfaced, got %v", err)
+	if st := c.Status()[0]; st.State != "failed" || st.Pending || !strings.Contains(st.Error, boom.Error()) {
+		t.Fatalf("status after a failed load: %+v", st)
 	}
 	_, _, err = c.Acquire("g")
 	var nr *NotReadyError
@@ -150,11 +178,11 @@ func TestLoadFailureAndRetry(t *testing.T) {
 		t.Fatalf("load_failures=%d", c.Counter(cLoadFailures))
 	}
 	// Retrying with a working source recovers.
-	if err := c.Load("g", Source{Loader: loaderFor(2)}); err != nil {
+	if _, err := c.Load("g", Source{Loader: loaderFor(2)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.WaitReady("g", waitFor); err != nil {
-		t.Fatal(err)
+	if st := c.Status()[0]; st.State != "ready" || st.Error != "" {
+		t.Fatalf("status after the retry: %+v", st)
 	}
 }
 
@@ -163,10 +191,7 @@ func TestLoadFailureAndRetry(t *testing.T) {
 func TestDrainStartsCollection(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // no cycle but a requested one
 	c := testCatalog(t, Config{})
-	if err := c.Load("g", Source{Loader: loaderFor(1)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.WaitReady("g", waitFor); err != nil {
+	if _, err := c.Load("g", Source{Loader: loaderFor(1)}); err != nil {
 		t.Fatal(err)
 	}
 	g1, release, err := c.Acquire("g")
@@ -251,10 +276,7 @@ func TestGenerationIsGarbageInOneCollection(t *testing.T) {
 
 func TestUnloadDrainsInFlight(t *testing.T) {
 	c := testCatalog(t, Config{})
-	if err := c.Load("g", Source{Loader: loaderFor(1)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.WaitReady("g", waitFor); err != nil {
+	if _, err := c.Load("g", Source{Loader: loaderFor(1)}); err != nil {
 		t.Fatal(err)
 	}
 	g1, release, err := c.Acquire("g")
@@ -264,9 +286,13 @@ func TestUnloadDrainsInFlight(t *testing.T) {
 	if err := c.Unload("g"); err != nil {
 		t.Fatal(err)
 	}
-	// Out of service for new queries immediately...
+	// Out of service for new queries immediately, and not loadable again
+	// until the drain is over...
 	if _, _, err := c.Acquire("g"); err == nil {
 		t.Fatal("acquired a draining graph")
+	}
+	if _, err := c.Load("g", Source{Loader: loaderFor(3)}); !errors.Is(err, ErrBusy) {
+		t.Fatalf("load while draining: %v, want ErrBusy", err)
 	}
 	// ...but the held generation still answers, and is not drained yet.
 	if _, _, err := g1.Engine.Query(context.Background(), engine.Request{Sources: []int32{3}}); err != nil {
@@ -278,27 +304,12 @@ func TestUnloadDrainsInFlight(t *testing.T) {
 	default:
 	}
 	release()
-	select {
-	case <-g1.Drained():
-	case <-time.After(waitFor):
-		t.Fatal("never drained after release")
+	<-g1.Drained()
+	// ...after which the entry reads evicted and loads again.
+	if st := c.Status(); len(st) != 1 || st[0].State != "evicted" {
+		t.Fatalf("status after the drain: %+v", st)
 	}
-	// The entry settles in evicted and can be loaded again.
-	deadline := time.Now().Add(waitFor)
-	for {
-		st := c.Status()
-		if len(st) == 1 && st[0].State == "evicted" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("stuck: %+v", st)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := c.Load("g", Source{Loader: loaderFor(3)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.WaitReady("g", waitFor); err != nil {
+	if _, err := c.Load("g", Source{Loader: loaderFor(3)}); err != nil {
 		t.Fatal(err)
 	}
 	g2, release2, err := c.Acquire("g")
@@ -313,10 +324,7 @@ func TestUnloadDrainsInFlight(t *testing.T) {
 
 func TestReleaseIdempotent(t *testing.T) {
 	c := testCatalog(t, Config{})
-	if err := c.Load("g", Source{Loader: loaderFor(1)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.WaitReady("g", waitFor); err != nil {
+	if _, err := c.Load("g", Source{Loader: loaderFor(1)}); err != nil {
 		t.Fatal(err)
 	}
 	gen1, release, err := c.Acquire("g")
@@ -332,10 +340,7 @@ func TestReleaseIdempotent(t *testing.T) {
 
 func TestReloadKeepsServingAndFailedReloadKeepsOldGeneration(t *testing.T) {
 	c := testCatalog(t, Config{})
-	if err := c.Load("g", Source{Loader: loaderFor(1)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.WaitReady("g", waitFor); err != nil {
+	if _, err := c.Load("g", Source{Loader: loaderFor(1)}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -345,15 +350,8 @@ func TestReloadKeepsServingAndFailedReloadKeepsOldGeneration(t *testing.T) {
 		return nil, nil, errors.New("flaky source")
 	}}
 	c.mu.Unlock()
-	if _, err := c.Reload("g"); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(waitFor)
-	for c.Counter(cLoadFailures) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("reload never failed")
-		}
-		time.Sleep(time.Millisecond)
+	if _, err := c.Reload("g"); !errors.Is(err, ErrLoadFailed) {
+		t.Fatalf("failed reload returned %v, want ErrLoadFailed", err)
 	}
 	g1, release, err := c.Acquire("g")
 	if err != nil {
@@ -373,9 +371,6 @@ func TestReloadKeepsServingAndFailedReloadKeepsOldGeneration(t *testing.T) {
 	c.entries["g"].src = Source{Loader: loaderFor(9)}
 	c.mu.Unlock()
 	if _, err := c.Reload("g"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.WaitReady("g", waitFor); err != nil {
 		t.Fatal(err)
 	}
 	g3, release3, err := c.Acquire("g")
@@ -399,10 +394,7 @@ func TestMemoryBudgetEvictsLRU(t *testing.T) {
 	one := probe.MemoryBytes() + ch.BuildKruskal(probe).ComputeStats().CHBytes
 	c := testCatalog(t, Config{MemoryBudget: 2*one + one/2})
 	for i, name := range []string{"a", "b", "c"} {
-		if err := c.Load(name, Source{Loader: loaderFor(uint64(i + 1))}); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.WaitReady(name, waitFor); err != nil {
+		if _, err := c.Load(name, Source{Loader: loaderFor(uint64(i + 1))}); err != nil {
 			t.Fatal(err)
 		}
 		// Touch so LRU order is load order: a oldest.
@@ -428,11 +420,54 @@ func TestMemoryBudgetEvictsLRU(t *testing.T) {
 	}
 	// An evicted graph reloads on demand from its remembered source: an idle
 	// victim is evicted, not draining, by the time the eviction returns.
-	if err := c.Load("a", Source{Loader: loaderFor(1)}); err != nil {
+	if _, err := c.Load("a", Source{Loader: loaderFor(1)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.WaitReady("a", waitFor); err != nil {
+}
+
+// A reload whose entry the memory budget evicts while it builds installs
+// nothing: its generation is discarded, the name stays evicted, and a later
+// load brings it back.
+func TestReloadEvictedMidBuildDiscards(t *testing.T) {
+	probe := gen.Random(400, 1600, 1<<10, gen.UWD, 1)
+	one := probe.MemoryBytes() + ch.BuildKruskal(probe).ComputeStats().CHBytes
+	c := testCatalog(t, Config{MemoryBudget: one + one/2})
+	if _, err := c.Load("a", Source{Loader: loaderFor(1)}); err != nil {
 		t.Fatal(err)
+	}
+	started, unblock := make(chan struct{}), make(chan struct{})
+	c.mu.Lock()
+	c.entries["a"].src = Source{Loader: func() (*graph.Graph, *ch.Hierarchy, error) {
+		close(started)
+		<-unblock
+		return loaderFor(2)()
+	}}
+	c.mu.Unlock()
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Reload("a")
+		done <- err
+	}()
+	<-started
+	// b does not fit beside a, and a is idle: installing b evicts a mid-reload.
+	if _, err := c.Load("b", Source{Loader: loaderFor(3)}); err != nil {
+		t.Fatal(err)
+	}
+	close(unblock)
+	if err := <-done; err == nil || !strings.Contains(err.Error(), "evicted during its reload") {
+		t.Fatalf("reload of an entry evicted mid-build: %v", err)
+	}
+	if st := row(t, c, "a"); st.State != "evicted" || st.Pending || st.Gen != 0 {
+		t.Fatalf("after the discarded reload: %+v, want evicted and idle", st)
+	}
+	if _, _, err := c.Acquire("a"); err == nil {
+		t.Fatal("the discarded generation serves")
+	}
+	if n := c.Counter(cSwaps); n != 2 {
+		t.Fatalf("%d swaps, want 2 (a's load and b's): the discarded generation was installed", n)
+	}
+	if gen, err := c.Load("a", Source{Loader: loaderFor(1)}); err != nil || gen != 2 {
+		t.Fatalf("load after the discard: gen %d, %v; want gen 2", gen, err)
 	}
 }
 
@@ -441,11 +476,8 @@ func TestMemoryBudgetEvictsLRU(t *testing.T) {
 func TestUnloadIdleThenLoadAgain(t *testing.T) {
 	c := testCatalog(t, Config{})
 	for gen := uint64(1); gen <= 3; gen++ {
-		if err := c.Load("g", Source{Loader: loaderFor(gen)}); err != nil {
+		if _, err := c.Load("g", Source{Loader: loaderFor(gen)}); err != nil {
 			t.Fatalf("load %d: %v", gen, err)
-		}
-		if err := c.WaitReady("g", waitFor); err != nil {
-			t.Fatal(err)
 		}
 		gn, release, err := c.Acquire("g")
 		if err != nil || gn.Gen != gen {
@@ -475,17 +507,15 @@ func TestSnapshotAndSpecSources(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := testCatalog(t, Config{})
-	if err := c.Load("snap", Source{Snapshot: snap}); err != nil {
+	if _, err := c.Load("snap", Source{Snapshot: snap}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Load("spec", Source{Spec: cli.Spec{Class: "rand", LogN: 8, LogC: 8, Seed: 5}}); err != nil {
+	if _, err := c.Load("spec", Source{Spec: cli.Spec{Class: "rand", LogN: 8, LogC: 8, Seed: 5}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Load("empty", Source{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.WaitReady("snap", waitFor); err != nil {
-		t.Fatal(err)
+	// The empty source must fail with a clear error, not hang or panic.
+	if _, err := c.Load("empty", Source{}); err == nil || !strings.Contains(err.Error(), "empty source") {
+		t.Fatalf("empty source: %v", err)
 	}
 	gs, release, err := c.Acquire("snap")
 	if err != nil {
@@ -495,26 +525,15 @@ func TestSnapshotAndSpecSources(t *testing.T) {
 		t.Fatal("snapshot source loaded a different graph")
 	}
 	release()
-	if err := c.WaitReady("spec", waitFor); err != nil {
-		t.Fatal(err)
-	}
-	// The empty source must fail with a clear error, not hang or panic.
-	err = c.WaitReady("empty", waitFor)
-	if err == nil || !strings.Contains(err.Error(), "empty source") {
-		t.Fatalf("empty source: %v", err)
-	}
 }
 
 func TestStatsSnapshotShape(t *testing.T) {
 	c := testCatalog(t, Config{MemoryBudget: 1 << 30})
-	if err := c.Load("g", Source{Loader: loaderFor(1)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.WaitReady("g", waitFor); err != nil {
+	if _, err := c.Load("g", Source{Loader: loaderFor(1)}); err != nil {
 		t.Fatal(err)
 	}
 	st := c.StatsSnapshot()
-	for _, key := range []string{cLoads, cSwaps, cEvictions, "graphs", "ready", "ready_bytes", "memory_budget", "build_workers"} {
+	for _, key := range []string{cLoads, cSwaps, cEvictions, "graphs", "ready", "ready_bytes", "memory_budget"} {
 		if _, ok := st[key]; !ok {
 			t.Errorf("stats missing %q", key)
 		}

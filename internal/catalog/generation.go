@@ -17,24 +17,24 @@ import (
 
 // State is a graph's position in the catalog lifecycle:
 //
-//	loading ──▶ building ──▶ ready ──▶ draining ──▶ evicted
-//	   │            │                                   │
-//	   └────────────┴──▶ failed ──────────(load)────────┘
+//	loading ──▶ ready ──▶ draining ──▶ evicted
+//	   │                                  │
+//	   └──▶ failed ─────────(load)────────┘
 //
-// A reload does not leave ready: the new generation walks the
-// loading/building phases off to the side while the old one keeps serving,
-// and the swap is a single pointer exchange. A mutation never leaves ready
-// either: its generation is built and installed inside the request.
+// Load and Reload take an entry through loading inside the call. A reload of
+// a ready graph does not leave ready: the new generation is built off to the
+// side while the old one keeps serving, and the swap is a single pointer
+// exchange. A mutation never leaves ready either. Draining becomes evicted
+// under the catalog lock: at once when no query holds the generation, else at
+// the first read of the entry after its last release.
 type State int32
 
 const (
 	// StateLoading: the graph source (snapshot, DIMACS file, or generator) is
-	// being read.
+	// being read, its delta log replayed and its engine made. No Component
+	// Hierarchy is built: one the source did not carry is built by the first
+	// query that names a solver which reads it.
 	StateLoading State = iota
-	// StateBuilding: the delta log is replayed and the engine constructed. No
-	// Component Hierarchy is: one the source did not carry is built by the
-	// first query that names a solver which reads it.
-	StateBuilding
 	// StateReady: serving queries.
 	StateReady
 	// StateDraining: removed from service; in-flight queries on the final
@@ -52,8 +52,6 @@ func (s State) String() string {
 	switch s {
 	case StateLoading:
 		return "loading"
-	case StateBuilding:
-		return "building"
 	case StateReady:
 		return "ready"
 	case StateDraining:
@@ -71,8 +69,7 @@ func (s State) String() string {
 // the package, so an invalid one is a programming error and panics rather
 // than limping on with a corrupted lifecycle.
 var validNext = map[State]map[State]bool{
-	StateLoading:  {StateBuilding: true, StateFailed: true},
-	StateBuilding: {StateReady: true, StateFailed: true},
+	StateLoading:  {StateReady: true, StateFailed: true},
 	StateReady:    {StateDraining: true},
 	StateDraining: {StateEvicted: true},
 	StateEvicted:  {StateLoading: true},

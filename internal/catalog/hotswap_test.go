@@ -16,7 +16,8 @@ import (
 )
 
 // TestHotSwapZeroFailedQueries hammers one catalog name with concurrent
-// queries while the main goroutine reloads it repeatedly. Every reload
+// queries while the main goroutine reloads it repeatedly, each reload paced
+// on answered queries. Every reload
 // produces a graph with different weights, so any cross-generation staleness
 // — a query mixing one generation's engine with another's graph, or a cache
 // entry leaking across the swap — shows up as a distance that disagrees with
@@ -43,10 +44,7 @@ func TestHotSwapZeroFailedQueries(t *testing.T) {
 		return g, ch.BuildKruskal(g), nil
 	}
 	c := testCatalog(t, Config{Engine: engine.Config{CacheEntries: 64}})
-	if err := c.Load("hot", Source{Loader: loader}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.WaitReady("hot", waitFor); err != nil {
+	if _, err := c.Load("hot", Source{Loader: loader}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -54,6 +52,8 @@ func TestHotSwapZeroFailedQueries(t *testing.T) {
 		stop     = make(chan struct{})
 		wg       sync.WaitGroup
 		queries  atomic.Int64
+		progress = make(chan struct{}, queriers) // a token per answered query, while there is room
+		failed   = make(chan struct{})
 		mu       sync.Mutex
 		firstErr error
 	)
@@ -61,6 +61,7 @@ func TestHotSwapZeroFailedQueries(t *testing.T) {
 		mu.Lock()
 		if firstErr == nil {
 			firstErr = err
+			close(failed)
 		}
 		mu.Unlock()
 	}
@@ -101,39 +102,40 @@ func TestHotSwapZeroFailedQueries(t *testing.T) {
 				}
 				release()
 				queries.Add(1)
+				select {
+				case progress <- struct{}{}:
+				default:
+				}
 				src = (src + int32(queriers)) % n
 			}
 		}(q)
 	}
 
 	// Swap generations under load, holding on to each retired generation so
-	// its drain can be verified.
+	// its drain can be verified. Each swap first takes queriers tokens, one
+	// per answered query, so the swaps cannot outrun the queriers.
 	var retired []*Generation
+swaps:
 	for r := 0; r < reloads; r++ {
+		for k := 0; k < queriers; k++ {
+			select {
+			case <-progress:
+			case <-failed:
+				break swaps
+			}
+		}
 		g, release, err := c.Acquire("hot")
 		if err != nil {
 			t.Fatal(err)
 		}
 		retired = append(retired, g)
 		release()
-		if _, err := c.Reload("hot"); err != nil {
+		gen, err := c.Reload("hot")
+		if err != nil {
 			t.Fatal(err)
 		}
-		deadline := time.Now().Add(waitFor)
-		for {
-			cur, rel, err := c.Acquire("hot")
-			if err != nil {
-				t.Fatalf("acquire during reload %d: %v", r, err)
-			}
-			gn := cur.Gen
-			rel()
-			if gn > g.Gen {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("reload %d never swapped", r)
-			}
-			time.Sleep(time.Millisecond)
+		if gen != g.Gen+1 {
+			t.Fatalf("reload %d installed gen %d, want %d", r, gen, g.Gen+1)
 		}
 	}
 	close(stop)
@@ -167,10 +169,10 @@ func TestHotSwapZeroFailedQueries(t *testing.T) {
 
 // TestConcurrentAdminOps drives load/unload/reload of several names from
 // many goroutines at once; the catalog must stay internally consistent (no
-// panics from invalid lifecycle transitions, no deadlocks) and end with
-// every name either ready, failed, or evicted.
+// panics from invalid lifecycle transitions, no deadlocks) and, once every
+// call has returned, hold every name ready, failed, or evicted.
 func TestConcurrentAdminOps(t *testing.T) {
-	c := testCatalog(t, Config{Workers: 3})
+	c := testCatalog(t, Config{})
 	names := []string{"a", "b", "c", "d"}
 	var wg sync.WaitGroup
 	for i := 0; i < 12; i++ {
@@ -197,26 +199,11 @@ func TestConcurrentAdminOps(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	// Let in-flight builds settle, then check terminal states.
-	deadline := time.Now().Add(waitFor)
-	for {
-		settled := true
-		for _, s := range c.Status() {
-			if s.Pending || s.State == "loading" || s.State == "building" || s.State == "draining" {
-				settled = false
-			}
-		}
-		if settled {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("catalog never settled: %+v", c.Status())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	// Every call has returned and every acquired generation been released:
+	// nothing is in flight and nothing is still draining.
 	for _, s := range c.Status() {
-		if s.State != "ready" && s.State != "evicted" && s.State != "failed" {
-			t.Fatalf("non-terminal state after settle: %+v", s)
+		if s.Pending || (s.State != "ready" && s.State != "evicted" && s.State != "failed") {
+			t.Fatalf("non-terminal state after every call returned: %+v", s)
 		}
 	}
 }

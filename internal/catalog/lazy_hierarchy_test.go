@@ -26,25 +26,16 @@ func lazyLoader(seed uint64) func() (*graph.Graph, *ch.Hierarchy, error) {
 	}
 }
 
-// waitRow polls name's Status row until ok accepts it.
-func waitRow(t *testing.T, c *Catalog, name, what string, ok func(GraphStatus) bool) GraphStatus {
-	t.Helper()
-	for deadline := time.Now().Add(waitFor); ; time.Sleep(time.Millisecond) {
-		for _, st := range c.Status() {
-			if st.Name == name && ok(st) {
-				return st
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%s: never saw %s; status %+v", name, what, c.Status())
-		}
-	}
-}
-
 // row is name's Status row as it stands.
 func row(t *testing.T, c *Catalog, name string) GraphStatus {
 	t.Helper()
-	return waitRow(t, c, name, "a row", func(GraphStatus) bool { return true })
+	for _, st := range c.Status() {
+		if st.Name == name {
+			return st
+		}
+	}
+	t.Fatalf("%s: no status row; status %+v", name, c.Status())
+	return GraphStatus{}
 }
 
 // logSink collects a catalog's log lines.
@@ -98,17 +89,14 @@ func demandOn(t *testing.T, gn *Generation) {
 	}
 }
 
-// A background load walks loading→building→ready, and no hierarchy is built on
+// A load returns ready, and no hierarchy is built on
 // the way or by default queries after:
 // the generation answers correctly and is charged for the graph alone. The
 // first solver=thorup query builds one, in its own call, and the generation
 // grows by exactly the hierarchy's bytes; the second builds nothing.
 func TestLoadReadyBeforeHierarchy(t *testing.T) {
 	c := testCatalog(t, Config{})
-	if err := c.Load("g", Source{Loader: lazyLoader(3)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.WaitReady("g", waitFor); err != nil {
+	if _, err := c.Load("g", Source{Loader: lazyLoader(3)}); err != nil {
 		t.Fatal(err)
 	}
 	gn, rel, err := c.Acquire("g")
@@ -141,16 +129,10 @@ func TestBudgetRecheckedWhenHierarchyLands(t *testing.T) {
 	gb, _, _ := lazyLoader(2)()
 	hb := ch.BuildKruskal(gb).Bytes()
 	c := testCatalog(t, Config{MemoryBudget: ga.MemoryBytes() + ha.Bytes() + gb.MemoryBytes() + hb/2})
-	if err := c.Load("a", Source{Loader: loaderFor(1)}); err != nil {
+	if _, err := c.Load("a", Source{Loader: loaderFor(1)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.WaitReady("a", waitFor); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Load("b", Source{Loader: lazyLoader(2)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.WaitReady("b", waitFor); err != nil {
+	if _, err := c.Load("b", Source{Loader: lazyLoader(2)}); err != nil {
 		t.Fatal(err)
 	}
 	if n := c.Counter(cEvictions); n != 0 {
@@ -161,7 +143,9 @@ func TestBudgetRecheckedWhenHierarchyLands(t *testing.T) {
 	if n := c.Counter(cEvictions); n != 1 {
 		t.Fatalf("%d evictions after b's hierarchy landed, want 1", n)
 	}
-	waitRow(t, c, "a", "evicted", func(st GraphStatus) bool { return st.State == "evicted" })
+	if st := row(t, c, "a"); st.State != "evicted" {
+		t.Fatalf("a not evicted: %+v", st)
+	}
 	if st := row(t, c, "b"); st.State != "ready" || st.Hierarchy != "built" {
 		t.Fatalf("b should have survived: %+v", st)
 	}
@@ -177,10 +161,7 @@ func TestBudgetRecheckedWhenSTIndexLands(t *testing.T) {
 	c := testCatalog(t, Config{MemoryBudget: ga.MemoryBytes() + ha.Bytes() + gb.MemoryBytes() + xb/2})
 	for i, load := range []func() (*graph.Graph, *ch.Hierarchy, error){loaderFor(1), lazyLoader(2)} {
 		name := []string{"a", "b"}[i]
-		if err := c.Load(name, Source{Loader: load}); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.WaitReady(name, waitFor); err != nil {
+		if _, err := c.Load(name, Source{Loader: load}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -204,7 +185,9 @@ func TestBudgetRecheckedWhenSTIndexLands(t *testing.T) {
 	if n := c.Counter(cEvictions); n != 1 {
 		t.Fatalf("%d evictions after b's s-t index landed, want 1", n)
 	}
-	waitRow(t, c, "a", "evicted", func(st GraphStatus) bool { return st.State == "evicted" })
+	if st := row(t, c, "a"); st.State != "evicted" {
+		t.Fatalf("a not evicted: %+v", st)
+	}
 	if st := row(t, c, "b"); st.State != "ready" || st.HeapBytes != gb.MemoryBytes()+xb {
 		t.Fatalf("b should have survived, charged %d + %d: %+v", gb.MemoryBytes(), xb, st)
 	}
@@ -221,10 +204,7 @@ func TestRetiredMidBuild(t *testing.T) {
 	requireCatalogMmap(t, path)
 	var sink logSink
 	c := testCatalog(t, Config{MMap: true, Logf: sink.logf})
-	if err := c.Load("g", Source{Snapshot: path}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.WaitReady("g", waitFor); err != nil {
+	if _, err := c.Load("g", Source{Snapshot: path}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Mutate("g", weightBatch(base, 4, 3)); err != nil {
@@ -236,9 +216,6 @@ func TestRetiredMidBuild(t *testing.T) {
 		// Each reload maps the file again, replays the delta over it, drops
 		// the carried hierarchy and installs a generation without one.
 		if _, err := c.Reload("g"); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.WaitReady("g", waitFor); err != nil {
 			t.Fatal(err)
 		}
 		gn, rel, err := c.Acquire("g") // the request that will demand, admitted before the swap
@@ -273,7 +250,9 @@ func TestRetiredMidBuild(t *testing.T) {
 			t.Fatalf("gen %d: hierarchy %s, want one built over %d vertices", gn.Gen, state, base.NumVertices())
 		}
 	}
-	waitRow(t, c, "g", "evicted", func(st GraphStatus) bool { return st.State == "evicted" })
+	if st := row(t, c, "g"); st.State != "evicted" {
+		t.Fatalf("g not evicted: %+v", st)
+	}
 	if n, lines := c.Counter(cHierarchyBuilds), sink.count("catalog: hierarchy for g gen"); n != 2 || lines != 2 {
 		t.Fatalf("%d hierarchy builds, %d log lines, want 2 and 2", n, lines)
 	}
@@ -293,10 +272,7 @@ func TestMutateRepairsOnlyDemandedLineage(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := testCatalog(t, Config{})
 			base, _, _ := tc.loader()
-			if err := c.Load("g", Source{Loader: tc.loader}); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.WaitReady("g", waitFor); err != nil {
+			if _, err := c.Load("g", Source{Loader: tc.loader}); err != nil {
 				t.Fatal(err)
 			}
 			if st := row(t, c, "g"); st.Hierarchy != tc.start {

@@ -66,10 +66,7 @@ func TestMmapHotSwapChurn(t *testing.T) {
 	requireCatalogMmap(t, path)
 
 	c := testCatalog(t, Config{MMap: true, Engine: engine.Config{CacheEntries: 64}})
-	if err := c.Load("m", Source{Snapshot: path}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.WaitReady("m", waitFor); err != nil {
+	if _, err := c.Load("m", Source{Snapshot: path}); err != nil {
 		t.Fatal(err)
 	}
 	g0, release, err := c.Acquire("m")
@@ -86,6 +83,8 @@ func TestMmapHotSwapChurn(t *testing.T) {
 		stop     = make(chan struct{})
 		wg       sync.WaitGroup
 		queries  atomic.Int64
+		progress = make(chan struct{}, queriers) // a token per answered query, while there is room
+		failed   = make(chan struct{})
 		mu       sync.Mutex
 		firstErr error
 	)
@@ -93,6 +92,7 @@ func TestMmapHotSwapChurn(t *testing.T) {
 		mu.Lock()
 		if firstErr == nil {
 			firstErr = err
+			close(failed)
 		}
 		mu.Unlock()
 	}
@@ -133,13 +133,27 @@ func TestMmapHotSwapChurn(t *testing.T) {
 				}
 				release()
 				queries.Add(1)
+				select {
+				case progress <- struct{}{}:
+				default:
+				}
 				src = (src + int32(queriers)) % n
 			}
 		}(q)
 	}
 
+	// Each swap first takes queriers tokens, one per answered query, so the
+	// swaps cannot outrun the queriers.
 	var retired []*Generation
+swaps:
 	for r := 0; r < reloads; r++ {
+		for k := 0; k < queriers; k++ {
+			select {
+			case <-progress:
+			case <-failed:
+				break swaps
+			}
+		}
 		g, rel, err := c.Acquire("m")
 		if err != nil {
 			t.Fatal(err)
@@ -149,24 +163,8 @@ func TestMmapHotSwapChurn(t *testing.T) {
 		// New snapshot contents → new inode → the next generation maps and
 		// fully re-verifies a different file.
 		writeMappedSnap(t, path, n, uint64(r+2))
-		if _, err := c.Reload("m"); err != nil {
-			t.Fatal(err)
-		}
-		deadline := time.Now().Add(waitFor)
-		for {
-			cur, rel, err := c.Acquire("m")
-			if err != nil {
-				t.Fatalf("acquire during reload %d: %v", r, err)
-			}
-			gn := cur.Gen
-			rel()
-			if gn > g.Gen {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("reload %d never swapped", r)
-			}
-			time.Sleep(time.Millisecond)
+		if gen, err := c.Reload("m"); err != nil || gen != g.Gen+1 {
+			t.Fatalf("reload %d: gen %d, %v; want gen %d", r, gen, err, g.Gen+1)
 		}
 	}
 	close(stop)
@@ -216,10 +214,7 @@ func TestMmapEvictionUnmaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := testCatalog(t, Config{MMap: true, MemoryBudget: fi.Size() + fi.Size()/2})
-	if err := c.Load("a", Source{Snapshot: pathA}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.WaitReady("a", waitFor); err != nil {
+	if _, err := c.Load("a", Source{Snapshot: pathA}); err != nil {
 		t.Fatal(err)
 	}
 	genA, relA, err := c.Acquire("a")
@@ -234,10 +229,7 @@ func TestMmapEvictionUnmaps(t *testing.T) {
 		t.Fatalf("mapped generation charges %d bytes, file is %d", genA.Bytes(), fi.Size())
 	}
 	// Loading b must push a out (a is idle, LRU-first).
-	if err := c.Load("b", Source{Snapshot: pathB}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.WaitReady("b", waitFor); err != nil {
+	if _, err := c.Load("b", Source{Snapshot: pathB}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(waitFor)

@@ -1,7 +1,6 @@
 package catalog
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -29,29 +28,31 @@ type MutateResult struct {
 // repaired.
 //
 // Errors: validation failures wrap mutate.ErrInvalid (map to 400); unknown
-// names wrap ErrUnknownGraph (404); a graph mid-build or not ready is a
-// conflict (409/503). Exactly one mutation or build is in flight per name at
-// a time — the pending flag serializes mutations against loads, reloads,
-// unloads, and each other.
+// names wrap ErrUnknownGraph (404); a name with a load, reload or mutation in
+// flight is ErrBusy, and one not ready a NotReadyError (both 409). Exactly one
+// of those calls is in flight per name at a time — the pending flag
+// serializes mutations against loads, reloads, unloads, and each other.
 func (c *Catalog) Mutate(name string, b *mutate.Batch) (MutateResult, error) {
 	var res MutateResult
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return res, errors.New("catalog: closed")
+		return res, errClosed
 	}
-	e, ok := c.entries[name]
+	e, ok := c.entryLocked(name)
 	if !ok {
 		c.mu.Unlock()
 		return res, fmt.Errorf("catalog: %w: %q", ErrUnknownGraph, name)
 	}
 	if e.pending {
+		err := e.busy()
 		c.mu.Unlock()
-		return res, fmt.Errorf("catalog: graph %q has a build in progress; retry after it completes", name)
+		return res, err
 	}
 	if e.state != StateReady || e.gen == nil {
+		err := &NotReadyError{Name: name, State: e.state, Err: e.err}
 		c.mu.Unlock()
-		return res, &NotReadyError{Name: name, State: e.state, Err: e.err}
+		return res, err
 	}
 	parent := e.gen
 	parent.acquire()       // pin the parent arrays across the off-lock compute
@@ -93,7 +94,6 @@ func (c *Catalog) Mutate(name string, b *mutate.Batch) (MutateResult, error) {
 	}
 
 	c.mu.Lock()
-	e.genSeq = res.Gen
 	e.deltas = append(e.deltas, b)
 	old := c.installLocked(e, gen)
 	c.mu.Unlock()

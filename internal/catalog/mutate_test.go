@@ -63,10 +63,7 @@ func checkDistances(t *testing.T, gn *Generation, want *graph.Graph) {
 
 func TestMutateIncremental(t *testing.T) {
 	c := testCatalog(t, Config{})
-	if err := c.Load("g", Source{Loader: loaderFor(7)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.WaitReady("g", waitFor); err != nil {
+	if _, err := c.Load("g", Source{Loader: loaderFor(7)}); err != nil {
 		t.Fatal(err)
 	}
 	g1, rel1, err := c.Acquire("g")
@@ -114,10 +111,7 @@ func TestMutateIncremental(t *testing.T) {
 
 func TestMutateStructuralNotAliased(t *testing.T) {
 	c := testCatalog(t, Config{})
-	if err := c.Load("g", Source{Loader: loaderFor(8)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.WaitReady("g", waitFor); err != nil {
+	if _, err := c.Load("g", Source{Loader: loaderFor(8)}); err != nil {
 		t.Fatal(err)
 	}
 	g1, rel1, err := c.Acquire("g")
@@ -160,10 +154,7 @@ func TestMutateStructuralNotAliased(t *testing.T) {
 // the reference replay does, and has the answers its parent was asked for.
 func TestWideMutationRepairsInPlace(t *testing.T) {
 	c := testCatalog(t, Config{Engine: engine.Config{CacheEntries: 16}})
-	if err := c.Load("g", Source{Loader: lazyLoader(9)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.WaitReady("g", waitFor); err != nil {
+	if _, err := c.Load("g", Source{Loader: lazyLoader(9)}); err != nil {
 		t.Fatal(err)
 	}
 	base, _, _ := lazyLoader(9)()
@@ -217,10 +208,7 @@ func TestWideMutationRepairsInPlace(t *testing.T) {
 
 func TestReloadReplaysDeltaLog(t *testing.T) {
 	c := testCatalog(t, Config{})
-	if err := c.Load("g", Source{Loader: loaderFor(10)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.WaitReady("g", waitFor); err != nil {
+	if _, err := c.Load("g", Source{Loader: loaderFor(10)}); err != nil {
 		t.Fatal(err)
 	}
 	g1, rel1, err := c.Acquire("g")
@@ -252,10 +240,7 @@ func TestReloadReplaysDeltaLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	if gen != 4 {
-		t.Fatalf("reload pre-assigned gen %d, want 4", gen)
-	}
-	if err := c.WaitReady("g", waitFor); err != nil {
-		t.Fatal(err)
+		t.Fatalf("reload installed gen %d, want 4", gen)
 	}
 	g4, rel4, err := c.Acquire("g")
 	if err != nil {
@@ -284,10 +269,12 @@ func TestMutateErrors(t *testing.T) {
 		t.Fatalf("want ErrUnknownGraph, got %v", err)
 	}
 
-	if err := c.Load("g", Source{Loader: loaderFor(11)}); err != nil {
-		t.Fatal(err)
+	// A load in flight conflicts.
+	finish := blockedLoad(t, c, "g")
+	if _, err := c.Mutate("g", ok); !errors.Is(err, ErrBusy) {
+		t.Fatalf("want ErrBusy mid-load, got %v", err)
 	}
-	if err := c.WaitReady("g", waitFor); err != nil {
+	if _, err := finish(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -302,32 +289,12 @@ func TestMutateErrors(t *testing.T) {
 		rel()
 	}
 
-	// A pending build conflicts.
-	c.mu.Lock()
-	c.entries["g"].pending = true
-	c.mu.Unlock()
-	_, err := c.Mutate("g", ok)
-	if err == nil || !strings.Contains(err.Error(), "build in progress") {
-		t.Fatalf("want pending conflict, got %v", err)
-	}
-	c.mu.Lock()
-	c.entries["g"].pending = false
-	c.mu.Unlock()
-
 	// Not-ready graphs conflict with NotReadyError.
 	if err := c.Unload("g"); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(waitFor)
-	for {
-		st := c.Status()
-		if st[0].State == "evicted" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("graph never evicted: %+v", st[0])
-		}
-		time.Sleep(time.Millisecond)
+	if st := c.Status()[0]; st.State != "evicted" {
+		t.Fatalf("idle unload left %+v, want evicted", st)
 	}
 	var nre *NotReadyError
 	if _, err := c.Mutate("g", ok); !errors.As(err, &nre) {
@@ -346,10 +313,7 @@ func TestMutateAliasedMmapChain(t *testing.T) {
 	requireCatalogMmap(t, path)
 
 	c := testCatalog(t, Config{MMap: true})
-	if err := c.Load("m", Source{Snapshot: path}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.WaitReady("m", waitFor); err != nil {
+	if _, err := c.Load("m", Source{Snapshot: path}); err != nil {
 		t.Fatal(err)
 	}
 	g1, rel1, err := c.Acquire("m")
@@ -405,9 +369,6 @@ func TestMutateAliasedMmapChain(t *testing.T) {
 	if _, err := c.Reload("m"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.WaitReady("m", waitFor); err != nil {
-		t.Fatal(err)
-	}
 	for i, gn := range []*Generation{g3, g2, g1} {
 		select {
 		case <-gn.Drained():
@@ -428,10 +389,7 @@ func TestMutateAliasedMmapChain(t *testing.T) {
 // that served it, and every retired generation must drain.
 func TestMutateUnderLoad(t *testing.T) {
 	c := testCatalog(t, Config{})
-	if err := c.Load("g", Source{Loader: loaderFor(12)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.WaitReady("g", waitFor); err != nil {
+	if _, err := c.Load("g", Source{Loader: loaderFor(12)}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -571,10 +529,7 @@ func TestMutateCarriesAnswersOnIncrementalPathOnly(t *testing.T) {
 	}
 
 	c := testCatalog(t, Config{Engine: engine.Config{CacheEntries: 16}, Logf: logf})
-	if err := c.Load("g", Source{Loader: lazyLoader(5)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.WaitReady("g", waitFor); err != nil {
+	if _, err := c.Load("g", Source{Loader: lazyLoader(5)}); err != nil {
 		t.Fatal(err)
 	}
 	base, _, _ := lazyLoader(5)()
@@ -624,10 +579,9 @@ func TestMutateCarriesAnswersOnIncrementalPathOnly(t *testing.T) {
 	}
 
 	// A reload replays the log over the source and starts with an empty cache.
-	if _, err := c.Reload("g"); err != nil {
-		t.Fatal(err)
+	if gen, err := c.Reload("g"); err != nil || gen != 4 {
+		t.Fatalf("reload: gen %d, %v; want gen 4", gen, err)
 	}
-	waitRow(t, c, "g", "the reloaded generation", func(st GraphStatus) bool { return st.Gen == 4 && st.State == "ready" })
 	if g4, cached := ask(c, want); inherited(g4) != [3]int64{} || cached != 0 {
 		t.Fatalf("after a reload: inherited %v, %d answered from the cache", inherited(g4), cached)
 	}

@@ -206,23 +206,6 @@ func abs(x int) int {
 	return x
 }
 
-func TestDistanceTable(t *testing.T) {
-	g := gen.Random(400, 1600, 1<<10, gen.UWD, 13)
-	h := ch.BuildKruskal(g)
-	s := NewSolver(h, par.NewExec(4))
-	sources := []int32{0, 100, 399}
-	targets := []int32{5, 200, 300}
-	table := s.DistanceTable(sources, targets)
-	for i, src := range sources {
-		want := dijkstra.SSSP(g, src)
-		for j, tgt := range targets {
-			if table[i][j] != want[tgt] {
-				t.Fatalf("table[%d][%d]=%d, want %d", i, j, table[i][j], want[tgt])
-			}
-		}
-	}
-}
-
 func TestEccentricityAndReached(t *testing.T) {
 	g := gen.Path(5, 3) // distances 0,3,6,9,12 from vertex 0
 	h := ch.BuildKruskal(g)

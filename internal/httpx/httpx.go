@@ -56,6 +56,10 @@ func (w *Recorder) Status() int {
 // Bytes is the number of body bytes written so far.
 func (w *Recorder) Bytes() int64 { return w.bytes }
 
+// Unwrap lets http.ResponseController reach the connection under the
+// Recorder (a handler's write deadline, for one).
+func (w *Recorder) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
 // WriteJSON answers with v as a JSON body. The content type is set before the
 // status line goes out, so non-200 answers are typed too.
 func WriteJSON(w http.ResponseWriter, status int, v any) {

@@ -16,11 +16,12 @@
 //   - Acct: work/span accounting for parallel regions executed serially,
 //     with makespan estimated by Brent's bound
 //     T_p = fork + work/lanes + span.
-//   - FECell: the MTA's full/empty-bit synchronized memory word, implemented
-//     with mutex+condvar, for the real-execution mode.
 //
-// The accounting side is driven by internal/par's simulation runtime; the
-// algorithms themselves never import this package directly.
+// The MTA's full/empty-bit synchronization is not modeled as a memory word:
+// the one place the algorithms need it, the relaxation's read-modify-write,
+// is par.CASMin's CAS loop. The accounting is driven by internal/par's
+// simulation runtime; the algorithms themselves never import this package
+// directly.
 //
 // See DESIGN.md §3 ("System inventory") for how this package fits the system.
 package mta

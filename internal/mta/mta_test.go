@@ -1,7 +1,6 @@
 package mta
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -117,76 +116,6 @@ func TestQuickMakespanBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestFECellHandoff(t *testing.T) {
-	c := &FECell{} // empty
-	done := make(chan int64)
-	go func() { done <- c.ReadFE() }()
-	c.WriteEF(42)
-	if v := <-done; v != 42 {
-		t.Fatalf("handoff got %d", v)
-	}
-	// Cell is now empty again; WriteEF must succeed immediately.
-	c.WriteEF(7)
-	if v := c.ReadFF(); v != 7 {
-		t.Fatalf("ReadFF got %d", v)
-	}
-	if v := c.ReadFF(); v != 7 {
-		t.Fatalf("ReadFF should leave full; second read got %d", v)
-	}
-}
-
-func TestFECellNewFull(t *testing.T) {
-	c := NewFull(9)
-	if v := c.ReadFE(); v != 9 {
-		t.Fatalf("got %d", v)
-	}
-	// Now empty: WriteXF forces full regardless.
-	c.WriteXF(11)
-	if v := c.ReadFF(); v != 11 {
-		t.Fatalf("got %d", v)
-	}
-}
-
-func TestIntFetchAddConcurrent(t *testing.T) {
-	c := NewFull(0)
-	const workers, perWorker = 8, 500
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				c.IntFetchAdd(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if v := c.ReadFF(); v != workers*perWorker {
-		t.Fatalf("counter = %d, want %d", v, workers*perWorker)
-	}
-}
-
-func TestFECellPingPong(t *testing.T) {
-	// Producer/consumer strict alternation through full/empty bits.
-	c := &FECell{}
-	const rounds = 200
-	var sum int64
-	done := make(chan struct{})
-	go func() {
-		for i := 0; i < rounds; i++ {
-			sum += c.ReadFE()
-		}
-		close(done)
-	}()
-	for i := 1; i <= rounds; i++ {
-		c.WriteEF(int64(i))
-	}
-	<-done
-	if want := int64(rounds * (rounds + 1) / 2); sum != want {
-		t.Fatalf("sum = %d, want %d", sum, want)
 	}
 }
 

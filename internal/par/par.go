@@ -312,20 +312,6 @@ func (rt *Runtime) execFor(workerCap, n int, body func(i int)) {
 
 type panicValue struct{ v any }
 
-// Reduce computes a parallel sum-style reduction: it runs body(i) for i in
-// [0, n) and adds the returned values. In sim mode the reduction itself is
-// charged one unit per iteration (already covered by the base charge).
-func (rt *Runtime) Reduce(n int, body func(i int) int64) int64 {
-	var total int64
-	rt.For(n, func(i int) {
-		v := body(i)
-		if v != 0 {
-			atomic.AddInt64(&total, v)
-		}
-	})
-	return total
-}
-
 // CASMin atomically lowers *addr to v if v is smaller. It reports whether the
 // stored value was lowered. This is the relaxation primitive: on the MTA-2 it
 // would be a readfe/writeef pair, here it is a CAS loop.
@@ -333,19 +319,6 @@ func CASMin(addr *int64, v int64) bool {
 	for {
 		cur := atomic.LoadInt64(addr)
 		if v >= cur {
-			return false
-		}
-		if atomic.CompareAndSwapInt64(addr, cur, v) {
-			return true
-		}
-	}
-}
-
-// CASMax atomically raises *addr to v if v is larger; reports whether it did.
-func CASMax(addr *int64, v int64) bool {
-	for {
-		cur := atomic.LoadInt64(addr)
-		if v <= cur {
 			return false
 		}
 		if atomic.CompareAndSwapInt64(addr, cur, v) {

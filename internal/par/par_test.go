@@ -192,15 +192,6 @@ func TestNestedSimAccounting(t *testing.T) {
 	}
 }
 
-func TestReduce(t *testing.T) {
-	for _, rt := range []*Runtime{NewExec(4), NewSim(mta.MTA2(8))} {
-		got := rt.Reduce(1000, func(i int) int64 { return int64(i) })
-		if got != 499500 {
-			t.Fatalf("Reduce = %d", got)
-		}
-	}
-}
-
 func TestCASMin(t *testing.T) {
 	v := int64(100)
 	if !CASMin(&v, 50) || v != 50 {
@@ -211,16 +202,6 @@ func TestCASMin(t *testing.T) {
 	}
 	if CASMin(&v, 80) || v != 50 {
 		t.Fatalf("CASMin raised the value: %d", v)
-	}
-}
-
-func TestCASMax(t *testing.T) {
-	v := int64(10)
-	if !CASMax(&v, 50) || v != 50 {
-		t.Fatalf("CASMax failed to raise: %d", v)
-	}
-	if CASMax(&v, 20) || v != 50 {
-		t.Fatalf("CASMax lowered the value: %d", v)
 	}
 }
 

@@ -48,7 +48,7 @@ func (b *backendState) graphState(graph string) string {
 
 // eligible reports whether the router may send a query for graph to this
 // backend: the backend's last health scrape succeeded AND that scrape showed
-// the graph ready. A draining, building, failed, or absent graph excludes
+// the graph ready. A loading, draining, failed, or absent graph excludes
 // the backend for that graph only — its other graphs keep serving.
 func (b *backendState) eligible(graph string) bool {
 	return b.healthy.Load() && b.graphState(graph) == catalogStateReady

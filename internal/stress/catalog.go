@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/ch"
@@ -45,18 +44,14 @@ func checkCatalog(cfg Config, name string, g *graph.Graph, sources []int32) *Fai
 		return gg, ch.BuildKruskal(gg), nil
 	}
 	cat := catalog.New(catalog.Config{
-		Workers:      2,
 		QueryWorkers: 2,
 		Engine:       engine.Config{CacheEntries: 8, Solvers: cfg.Solvers},
 		Logf:         func(string, ...any) {},
 	})
 	defer cat.Close()
 	src := catalog.Source{Loader: loader}
-	if err := cat.Load("main", src); err != nil {
+	if _, err := cat.Load("main", src); err != nil {
 		return fail("catalog-lifecycle", "load main: %v", err)
-	}
-	if err := cat.WaitReady("main", 30*time.Second); err != nil {
-		return fail("catalog-lifecycle", "main never ready: %v", err)
 	}
 
 	var (
@@ -113,19 +108,14 @@ func checkCatalog(cfg Config, name string, g *graph.Graph, sources []int32) *Fai
 	}
 
 	// Admin churn on a second name, concurrent with the queriers: load,
-	// acquire-and-verify when ready, unload, repeat. Lifecycle rejections
-	// (mid-build unload, not-yet-ready acquire) are expected; anything else is
-	// a failure.
+	// acquire-and-verify, unload, wait out the drain, repeat. Every call must
+	// succeed: nothing else touches the name.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 4; i++ {
-			if err := cat.Load("aux", src); err != nil {
+			if _, err := cat.Load("aux", src); err != nil {
 				report(fail("catalog-lifecycle", "load aux: %v", err))
-				return
-			}
-			if err := cat.WaitReady("aux", 30*time.Second); err != nil {
-				report(fail("catalog-lifecycle", "aux never ready: %v", err))
 				return
 			}
 			gen, release, err := cat.Acquire("aux")
@@ -139,46 +129,21 @@ func checkCatalog(cfg Config, name string, g *graph.Graph, sources []int32) *Fai
 				report(fail("catalog-lifecycle", "unload aux: %v", err))
 				return
 			}
-			// Wait out the drain so the next Load retries from evicted.
-			if err := waitState(cat, "aux", "evicted", 30*time.Second); err != nil {
-				report(fail("catalog-lifecycle", "%v", err))
-				return
-			}
+			<-gen.Drained() // the next Load retries from evicted
 		}
 	}()
 
-	// Drive the swaps: each reload must advance the generation while the
-	// queriers above keep acquiring without a single failure.
-	currentGen := func() (uint64, bool) {
-		gen, release, err := cat.Acquire("main")
-		if err != nil {
-			report(fail("catalog-acquire", "main acquire failed during swap wait: %v", err))
-			return 0, false
-		}
-		cur := gen.Gen
-		release()
-		return cur, true
-	}
+	// Drive the swaps: each reload must install the next generation while
+	// the queriers above keep acquiring without a single failure.
 	for i := 0; i < 3 && !failed(&mu, &first); i++ {
-		before, ok := currentGen()
-		if !ok {
-			break
-		}
-		if _, err := cat.Reload("main"); err != nil {
+		gen, err := cat.Reload("main")
+		if err != nil {
 			report(fail("catalog-lifecycle", "reload main: %v", err))
 			break
 		}
-		deadline := time.Now().Add(30 * time.Second)
-		for {
-			cur, ok := currentGen()
-			if !ok || cur > before {
-				break
-			}
-			if time.Now().After(deadline) {
-				report(fail("catalog-lifecycle", "reload %d never swapped (still gen %d)", i+1, cur))
-				break
-			}
-			time.Sleep(time.Millisecond)
+		if want := uint64(i + 2); gen != want {
+			report(fail("catalog-lifecycle", "reload %d installed gen %d, want %d", i+1, gen, want))
+			break
 		}
 	}
 	close(stop)
@@ -190,26 +155,6 @@ func failed(mu *sync.Mutex, first **Failure) bool {
 	mu.Lock()
 	defer mu.Unlock()
 	return *first != nil
-}
-
-// waitState polls until the named graph reports the wanted lifecycle state.
-func waitState(cat *catalog.Catalog, name, want string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		state := ""
-		for _, gs := range cat.Status() {
-			if gs.Name == name {
-				state = gs.State
-			}
-		}
-		if state == want {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("graph %q stuck in %q, want %q", name, state, want)
-		}
-		time.Sleep(time.Millisecond)
-	}
 }
 
 // doubledWeights copies the graph with every weight doubled (capped at

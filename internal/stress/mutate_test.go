@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/ch"
@@ -123,10 +122,7 @@ func TestMutationOracleBothLineages(t *testing.T) {
 				}
 				return base, nil, nil
 			}
-			if err := cat.Load("g", catalog.Source{Loader: loader}); err != nil {
-				t.Fatal(err)
-			}
-			if err := cat.WaitReady("g", 30*time.Second); err != nil {
+			if _, err := cat.Load("g", catalog.Source{Loader: loader}); err != nil {
 				t.Fatal(err)
 			}
 			return cat
