@@ -185,11 +185,16 @@ bench-build:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test -short ./...
 
-# Fast pre-merge gate: static checks, the documentation linter, the
-# out-of-module benchmark's build, the race detector over RACE_PKGS, the
-# serving smoke slice, and the seeded stress sweep.
+# Fast pre-merge gate: static checks — also for a platform without mmap
+# (windows: the snapshot package's mmap_stub.go) and a big-endian one (s390x:
+# the copy read's byte swap), which no test on a little-endian unix host
+# compiles — the documentation linter, the out-of-module benchmark's build,
+# the race detector over RACE_PKGS, the serving smoke slice, and the seeded
+# stress sweep.
 check:
 	$(GO) vet ./...
+	GOOS=windows $(GO) vet ./...
+	GOARCH=s390x $(GO) vet ./...
 	$(MAKE) docs-check
 	$(MAKE) bench-build
 	$(GO) test -race $(RACE_PKGS)

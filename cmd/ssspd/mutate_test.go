@@ -16,7 +16,11 @@ import (
 // mutateBody renders a batch as the endpoint's JSON request body.
 func mutateBody(t *testing.T, b *mutate.Batch) string {
 	t.Helper()
-	return string(mutate.EncodeDelta(b))
+	data, err := json.Marshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
 }
 
 // pickEdges returns k ops re-weighting distinct edge slots of g.

@@ -2,6 +2,7 @@ package mutate
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -27,7 +28,7 @@ var fuzzGraph = func() *graph.Graph {
 // FuzzMutateRequest holds the whole request path to its contract: parsing
 // never panics, and an accepted batch validates structurally, applies through
 // the overlay to a graph that passes Validate, agrees with the naive
-// reference replay, and round-trips exactly through the delta encoder.
+// reference replay, and round-trips exactly through its JSON encoding.
 func FuzzMutateRequest(f *testing.F) {
 	f.Add([]byte(`{"ops":[{"op":"set_weight","u":5,"v":9,"w":11}]}`))
 	f.Add([]byte(`{"ops":[{"op":"insert","u":0,"v":31,"w":1},{"op":"delete","u":3,"v":3}]}`))
@@ -40,10 +41,14 @@ func FuzzMutateRequest(f *testing.F) {
 		if err != nil {
 			return // rejected inputs only need to not panic
 		}
-		// Accepted ⇒ the delta encoder round-trips it exactly.
-		b2, err := DecodeDelta(EncodeDelta(b))
+		// Accepted ⇒ its JSON encoding parses back to the same batch.
+		enc, err := json.Marshal(b)
 		if err != nil {
-			t.Fatalf("canonical delta does not re-parse: %v", err)
+			t.Fatal(err)
+		}
+		b2, err := ParseRequest(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatalf("encoded batch does not re-parse: %v", err)
 		}
 		if !reflect.DeepEqual(b, b2) {
 			t.Fatalf("delta round trip mismatch: %+v vs %+v", b, b2)

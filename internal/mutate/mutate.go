@@ -1,7 +1,6 @@
 package mutate
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -163,24 +162,6 @@ func (b *Batch) Touched() []int32 {
 	}
 	slices.Sort(out)
 	return slices.Compact(out)
-}
-
-// EncodeDelta renders the batch in its canonical byte form: the form the
-// catalog's replay log stores and repro files embed. DecodeDelta inverts it
-// exactly (the fuzz target holds ParseRequest-accepted batches to the same
-// round-trip).
-func EncodeDelta(b *Batch) []byte {
-	data, err := json.Marshal(b)
-	if err != nil {
-		// Batch is plain data; Marshal cannot fail on it.
-		panic(fmt.Sprintf("mutate: encode delta: %v", err))
-	}
-	return data
-}
-
-// DecodeDelta parses a canonical delta produced by EncodeDelta.
-func DecodeDelta(data []byte) (*Batch, error) {
-	return ParseRequest(bytes.NewReader(data))
 }
 
 // Apply validates the batch and produces the mutated graph through the

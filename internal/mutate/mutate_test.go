@@ -1,6 +1,8 @@
 package mutate
 
 import (
+	"bytes"
+	"encoding/json"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -77,7 +79,11 @@ func TestDeltaRoundTrip(t *testing.T) {
 		{Op: OpDelete, U: 4, V: 4},
 		{Op: OpInsert, U: 0, V: 1, W: 1},
 	}}
-	got, err := DecodeDelta(EncodeDelta(b))
+	data, err := json.Marshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ParseRequest(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}

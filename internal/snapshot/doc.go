@@ -50,34 +50,43 @@
 //
 // followed by level, parent, vertexCount (each [nodes]int32), childStart
 // [nodes-leaves+1]int32, children [childLen]int32. The file ends exactly at
-// chieOff+chieLen; readers with access to the file size reject any mismatch.
+// chieOff+chieLen; every reader rejects any other length.
 //
 // # Read paths
 //
-// Map mmaps the file and hands out graph/hierarchy arrays aliasing
-// the mapping via unsafe.Slice. The first Map of a file verifies everything —
-// header CRC and geometry, zero padding, both section CRCs, the O(n+m) CSR
-// validation scan, structural hierarchy checks — then records the file's
-// identity (device, inode, size, mtime) in a small registry; re-mapping the
-// same unchanged file skips straight to O(1) shape checks. The returned
-// Mapping owns the mapped bytes and must outlive the graph.
+// One decoder serves all three readers; they differ only in where the bytes
+// of the whole file come from, so they accept exactly the same files. The
+// decoder checks the prefix and header, the section geometry against the
+// file's length, then — unless the header is trusted — the zero padding, both
+// section CRCs, the O(n+m) CSR validation scan and the hierarchy's structural
+// checks, and hands out graph/hierarchy arrays that alias the bytes via
+// unsafe.Slice. Nothing is allocated from a declared length, and a header
+// vertex count above MaxInt32 is rejected outright.
 //
-// Read/ReadFile decode into fresh heap arrays (the fallback for platforms
-// without mmap and big-endian hosts). Declared section lengths are bounded by
-// the remaining file size — or read chunk-by-chunk when the size is unknown —
-// so a corrupt header cannot force a giant allocation, and a header vertex
-// count above MaxInt32 is rejected outright.
+// Map mmaps the file. The first Map of a file verifies everything, then
+// records the file's identity (device, inode, size, mtime) in a small
+// registry; re-mapping the same unchanged file trusts its header and skips to
+// O(1) shape checks. The returned Mapping owns the mapped bytes and must
+// outlive the graph.
+//
+// ReadFile reads the file into one heap buffer allocated as []uint64, so the
+// views are aligned as over a mapping, and Read does the same with a whole
+// stream: a stream is read before it is judged. Both always verify
+// everything. The buffer is the instance's storage — a copy-read instance
+// keeps its buffer alive as a mapped one keeps its file. This is the path for
+// platforms without mmap and for big-endian hosts, where the decoder
+// byte-swaps the verified arrays of its own buffer in place (Map answers
+// ErrNotMappable there).
 //
 // Both sections are independently checksummed, so corruption is localized in
 // error reports and detected before any derived structure is built. The
-// leading fingerprint identifies the instance without reading the arrays
-// (ReadFingerprint) and is cross-checked against the decoded graph.
+// leading fingerprint is cross-checked against the decoded graph.
 //
 // # Format v1 (removed)
 //
 // v1 was a tagged stream sharing the first 32 header bytes (version 1, no
 // fields past fpCRC). Every entry point refuses it with ErrV1 on the strength
-// of that prefix alone, before reading or allocating anything else.
+// of that prefix alone.
 //
 // See DESIGN.md §9 ("Graph catalog & snapshots") for how this package fits the system.
 package snapshot

@@ -5,18 +5,21 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"testing"
 
 	"repro/internal/ch"
 	"repro/internal/gen"
+	"repro/internal/graph"
 )
 
-// FuzzSnapshotRead feeds arbitrary bytes through both decode paths — the
-// copy reader and the mmap reader. The invariants under fuzzing: never
-// panic, never allocate from a declared length beyond the bytes actually
-// present (the chunked reads in readCapped), and anything accepted must come
-// back as a coherent instance that re-serializes.
+// FuzzSnapshotRead feeds arbitrary bytes through all three readers — Read
+// from a stream, ReadFile and Map of the same bytes on disk. The invariants
+// under fuzzing: never panic, never allocate beyond the bytes actually
+// present, the readers all accept or all refuse, and what they accept is one
+// coherent instance (same fingerprint, same hierarchy arrays) that
+// re-serializes.
 func FuzzSnapshotRead(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
@@ -35,31 +38,37 @@ func FuzzSnapshotRead(f *testing.F) {
 				t.Fatalf("accepted instance fails to re-serialize: %v", err)
 			}
 		}
-		if !mmapSupported || !isLittleEndian {
-			return
+		same := func(reader string, g2 *graph.Graph, h2 *ch.Hierarchy, err2 error) {
+			t.Helper()
+			if (err == nil) != (err2 == nil) {
+				t.Fatalf("Read error %v, %s error %v", err, reader, err2)
+			}
+			if err == nil && (g2.Fingerprint() != g.Fingerprint() || !reflect.DeepEqual(h2.Raw(), h.Raw())) {
+				t.Fatalf("%s returned a different instance than Read", reader)
+			}
 		}
 		path := filepath.Join(t.TempDir(), "fuzz.snap")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		mg, mh, m, err := Map(path)
-		if err == nil {
-			if mg == nil || mh == nil || mh.Graph() != mg {
-				t.Fatal("Map returned an incoherent instance without error")
-			}
-			_ = mg.Fingerprint()
-			if err := m.Close(); err != nil {
-				t.Fatal(err)
-			}
+		fg, fh, ferr := ReadFile(path)
+		same("ReadFile", fg, fh, ferr)
+		if !mmapSupported || !isLittleEndian {
+			return
+		}
+		mg, mh, m, merr := Map(path)
+		same("Map", mg, mh, merr)
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
 		}
 	})
 }
 
 // fuzzSeeds builds the structured starting points: valid files, a v1 header
-// prefix with a tail (refused with ErrV1), their truncations, and degenerate
-// prefixes. The committed corpus under testdata/fuzz/FuzzSnapshotRead was
-// generated from this list (see TestSeedFuzzCorpus) while it still held
-// complete v1 files, which stay there as rejection seeds; plain `go test`
+// prefix with a tail (refused with ErrV1), their truncations, degenerate
+// prefixes, and a valid file with one trailing byte. New seeds go at the end
+// so the committed corpus under testdata/fuzz/FuzzSnapshotRead, generated
+// from this list (see TestSeedFuzzCorpus), keeps its names; plain `go test`
 // replays it even without -fuzz.
 func fuzzSeeds() [][]byte {
 	var seeds [][]byte
@@ -80,6 +89,7 @@ func fuzzSeeds() [][]byte {
 	}
 	add(nil)
 	add(magic[:])
+	add(append(append([]byte(nil), seeds[0]...), 0))
 	return seeds
 }
 

@@ -3,7 +3,6 @@ package snapshot
 import (
 	"errors"
 	"fmt"
-	"hash/crc64"
 	"os"
 	"sync"
 	"unsafe"
@@ -93,7 +92,7 @@ func verifiedLookup(k vkey) (uint64, bool) {
 func verifiedStore(k vkey, crc uint64) {
 	verifiedMu.Lock()
 	defer verifiedMu.Unlock()
-	if len(verified) >= verifiedCap {
+	if _, ok := verified[k]; !ok && len(verified) >= verifiedCap {
 		for old := range verified {
 			delete(verified, old)
 			break
@@ -104,8 +103,9 @@ func verifiedStore(k vkey, crc uint64) {
 
 // Map opens a snapshot zero-copy: the file is mmap'd and the returned
 // graph and hierarchy arrays alias the mapping directly, so load cost is a
-// page mapping plus validation instead of a full decode-and-copy, and the
-// arrays are backed by page cache rather than heap.
+// page mapping plus validation instead of a read of the whole file, and the
+// arrays are backed by page cache rather than heap. Map and ReadFile share
+// one decoder, so they accept exactly the same files.
 //
 // The first Map of a given file pays full verification: header checksum and
 // geometry, padding, both section CRCs, the O(n+m) CSR validation scan, and
@@ -140,102 +140,32 @@ func Map(path string) (*graph.Graph, *ch.Hierarchy, *Mapping, error) {
 	if size != int64(int(size)) {
 		return nil, nil, nil, fmt.Errorf("%w: file size %d exceeds address space", ErrNotMappable, size)
 	}
-	var hbuf [headerSize]byte
-	head := hbuf[:min(size, headerSize)]
-	if _, err := f.ReadAt(head, 0); err != nil {
-		return nil, nil, nil, fmt.Errorf("snapshot: read header: %w", err)
-	}
-	// The prefix is judged before the size: a v1 file can be shorter than a
-	// v2 header and must still get ErrV1.
-	if len(head) >= prefixSize {
-		if _, err := decodePrefix(head[:prefixSize]); err != nil {
-			return nil, nil, nil, err
+	// An empty file cannot be mapped, but it is a malformed snapshot, not an
+	// unmappable one: decode refuses it.
+	var data []byte
+	if size > 0 {
+		if data, err = mmapFile(f, size); err != nil {
+			return nil, nil, nil, fmt.Errorf("%w: mmap %s: %v", ErrNotMappable, path, err)
 		}
 	}
-	if len(head) < headerSize {
-		return nil, nil, nil, fmt.Errorf("snapshot: %s: file too small to be a snapshot (%d bytes)", path, size)
+	key, keyOK := fileID(fi)
+	trusted := func(headerCRC uint64) bool {
+		crc, ok := verifiedLookup(key)
+		return keyOK && ok && crc == headerCRC
 	}
-	hd, err := decodeV2Header(hbuf[:])
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if err := hd.validateGeometry(size); err != nil {
-		return nil, nil, nil, err
-	}
-	data, err := mmapFile(f, size)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("%w: mmap %s: %v", ErrNotMappable, path, err)
-	}
-	g, h, err := buildFromMapping(data, hd, fi)
+	g, h, headerCRC, err := decode(data, trusted, false)
 	if err != nil {
 		munmap(data)
 		return nil, nil, nil, err
 	}
+	if keyOK {
+		verifiedStore(key, headerCRC)
+	}
 	return g, h, &Mapping{data: data, size: size, path: path}, nil
 }
 
-func buildFromMapping(data []byte, hd *v2Header, fi os.FileInfo) (*graph.Graph, *ch.Hierarchy, error) {
-	key, keyOK := fileID(fi)
-	deep := true
-	if keyOK {
-		if crc, ok := verifiedLookup(key); ok && crc == hd.headerCRC {
-			deep = false
-		}
-	}
-
-	grph := data[hd.grphOff:hd.chieOff]
-	chie := data[hd.chieOff:]
-	if deep {
-		for _, b := range data[headerSize:hd.grphOff] {
-			if b != 0 {
-				return nil, nil, errors.New("snapshot: nonzero byte in header padding (corrupted file)")
-			}
-		}
-		if crc64.Checksum(grph, crcTab) != hd.fp.CRC {
-			return nil, nil, errors.New("snapshot: graph section checksum mismatch (corrupted file)")
-		}
-		if crc64.Checksum(chie, crcTab) != hd.chieCRC {
-			return nil, nil, errors.New("snapshot: hierarchy section checksum mismatch (corrupted file)")
-		}
-	}
-
-	// Alias the CSR arrays straight out of the mapping. validateGeometry
-	// proved the section holds exactly these lengths; grphOff is
-	// page-aligned and each array's byte offset is a multiple of its element
-	// size, so the views are correctly aligned.
-	n := int(hd.fp.N)
-	arcs := int(hd.arcs)
-	offsets := i64view(grph, n+1)
-	targets := i32view(grph[(n+1)*8:], arcs)
-	weights := u32view(grph[(n+1)*8+arcs*4:], arcs)
-
-	var g *graph.Graph
-	var err error
-	if deep {
-		g, err = graph.FromCSRWithFingerprint(offsets, targets, weights, hd.fp)
-		if err == nil && (g.MinWeight() != hd.minW || g.MaxWeight() != hd.maxW) {
-			err = fmt.Errorf("header weight range [%d,%d] does not match arrays [%d,%d]",
-				hd.minW, hd.maxW, g.MinWeight(), g.MaxWeight())
-		}
-	} else {
-		g, err = graph.FromCSRTrusted(offsets, targets, weights, hd.fp, hd.minW, hd.maxW)
-	}
-	if err != nil {
-		return nil, nil, fmt.Errorf("snapshot: %w", err)
-	}
-
-	h, err := decodeChieView(chie, g, deep)
-	if err != nil {
-		return nil, nil, err
-	}
-	if deep && keyOK {
-		verifiedStore(key, hd.headerCRC)
-	}
-	return g, h, nil
-}
-
-// decodeChieView reconstructs the hierarchy with arrays aliasing the mapped
-// payload (the zero-copy analogue of decodeChie).
+// decodeChieView reconstructs the hierarchy with arrays aliasing the
+// section's bytes.
 func decodeChieView(payload []byte, g *graph.Graph, deep bool) (*ch.Hierarchy, error) {
 	hd, err := parseChieHeader(payload, g)
 	if err != nil {
@@ -258,7 +188,7 @@ func decodeChieView(payload []byte, g *graph.Graph, deep bool) (*ch.Hierarchy, e
 	return h, nil
 }
 
-// The view helpers reinterpret mapped bytes as typed slices. Callers
+// The view helpers reinterpret file bytes as typed slices. Callers
 // guarantee b starts at an offset aligned for the element type and holds at
 // least n elements; n == 0 returns nil because &b[0] on an empty tail slice
 // would panic.

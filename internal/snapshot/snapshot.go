@@ -2,7 +2,6 @@ package snapshot
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,6 +10,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"unsafe"
 
 	"repro/internal/ch"
 	"repro/internal/graph"
@@ -27,17 +28,17 @@ const (
 	pageAlign      = 4096
 	chieHeaderSize = 40
 
-	// maxSectionLen is a plausibility cap on declared payload lengths. The
-	// binding bound on allocation is the remaining file size when the total
-	// is known, and chunked reading when it is not (readCapped).
+	// maxSectionLen is a plausibility cap on declared payload lengths, so
+	// the geometry arithmetic cannot overflow. Nothing is allocated from a
+	// declared length: every reader holds the whole file before decoding.
 	maxSectionLen = 1 << 40
 )
 
 var crcTab = crc64.MakeTable(crc64.ECMA)
 
-// ErrV1 is returned by every entry point (Read, ReadFile, Map,
-// ReadFingerprint) for a file whose header declares the removed v1 stream
-// format, before any section is read or allocated.
+// ErrV1 is returned by every entry point (Read, ReadFile, Map) for a file
+// whose header declares the removed v1 stream format, on the strength of the
+// 32-byte prefix alone.
 var ErrV1 = errors.New("snapshot: format v1 is no longer supported; regenerate with gengraph -snap")
 
 // v2Header is the decoded fixed-size v2 file header. The graph section's
@@ -102,11 +103,10 @@ func decodeV2Header(b []byte) (*v2Header, error) {
 }
 
 // validateGeometry checks that the header's offsets and lengths are mutually
-// consistent, implied by n and arcs, and (when the file size is known) match
-// the file exactly. Every downstream slice bound derives from fields proved
-// here, so a hostile header cannot drive a large allocation or a
-// past-the-mapping read.
-func (hd *v2Header) validateGeometry(fileSize int64) error {
+// consistent, implied by n and arcs, and match the file size exactly. Every
+// downstream slice bound derives from fields proved here, so a hostile header
+// cannot drive a past-the-file read.
+func (hd *v2Header) validateGeometry(fileSize uint64) error {
 	if hd.grphOff != pageAlign {
 		return fmt.Errorf("snapshot: graph section offset %d, want %d", hd.grphOff, pageAlign)
 	}
@@ -124,7 +124,7 @@ func (hd *v2Header) validateGeometry(fileSize int64) error {
 	if hd.chieLen < chieHeaderSize || hd.chieLen > maxSectionLen {
 		return fmt.Errorf("snapshot: implausible hierarchy section length %d", hd.chieLen)
 	}
-	if fileSize >= 0 && uint64(fileSize) != hd.chieOff+hd.chieLen {
+	if fileSize != hd.chieOff+hd.chieLen {
 		return fmt.Errorf("snapshot: file size %d does not match declared sections (want %d)",
 			fileSize, hd.chieOff+hd.chieLen)
 	}
@@ -253,105 +253,81 @@ func decodePrefix(b []byte) (graph.Fingerprint, error) {
 	return graph.Fingerprint{N: int32(n), M: int64(fm), CRC: le.Uint64(b[24:])}, nil
 }
 
-// ReadFingerprint decodes only the header prefix, identifying the stored
-// instance without loading the arrays.
-func ReadFingerprint(r io.Reader) (graph.Fingerprint, error) {
-	var prefix [prefixSize]byte
-	if _, err := io.ReadFull(r, prefix[:]); err != nil {
-		return graph.Fingerprint{}, fmt.Errorf("snapshot: read header: %w", err)
-	}
-	return decodePrefix(prefix[:])
-}
-
-// Read decodes a snapshot into freshly allocated arrays. Both section
-// checksums are verified before any structure is built, the header
-// fingerprint's counts must match the decoded arrays, and the hierarchy is
-// validated against the decoded graph — so a corrupted or truncated file, or
-// sections spliced from two different snapshots, is refused rather than
-// served. For mapped, zero-copy loading use Map instead.
-func Read(r io.Reader) (*graph.Graph, *ch.Hierarchy, error) {
-	return readWithSize(r, -1)
-}
-
-func readWithSize(r io.Reader, fileSize int64) (*graph.Graph, *ch.Hierarchy, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	var hbuf [headerSize]byte
-	if _, err := io.ReadFull(br, hbuf[:prefixSize]); err != nil {
-		return nil, nil, fmt.Errorf("snapshot: read header: %w", err)
-	}
-	if _, err := decodePrefix(hbuf[:prefixSize]); err != nil {
-		return nil, nil, err
-	}
-	if _, err := io.ReadFull(br, hbuf[prefixSize:]); err != nil {
-		return nil, nil, fmt.Errorf("snapshot: read header: %w", err)
-	}
-	hd, err := decodeV2Header(hbuf[:])
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := hd.validateGeometry(fileSize); err != nil {
-		return nil, nil, err
-	}
-	if err := readZeros(br, int64(hd.grphOff)-headerSize); err != nil {
-		return nil, nil, err
-	}
-
-	rem := int64(-1)
-	if fileSize >= 0 {
-		rem = fileSize - int64(hd.grphOff)
-	}
-	gp, err := readCapped(br, hd.grphLen, rem, "graph")
-	if err != nil {
-		return nil, nil, err
-	}
-	if crc64.Checksum(gp, crcTab) != hd.fp.CRC {
-		return nil, nil, errors.New("snapshot: graph section checksum mismatch (corrupted file)")
-	}
-	g, err := decodeGraphV2(gp, hd)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	if rem >= 0 {
-		rem -= int64(hd.grphLen)
-	}
-	cp, err := readCapped(br, hd.chieLen, rem, "hierarchy")
-	if err != nil {
-		return nil, nil, err
-	}
-	if crc64.Checksum(cp, crcTab) != hd.chieCRC {
-		return nil, nil, errors.New("snapshot: hierarchy section checksum mismatch (corrupted file)")
-	}
-	h, err := decodeChie(cp, g, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	return g, h, nil
-}
-
-// decodeGraphV2 copies the verified graph payload into fresh CSR arrays. The
-// payload length was already proved equal to (n+1)*8 + arcs*8 by
-// validateGeometry, so the allocations below are bounded by bytes actually
-// read from the file.
-func decodeGraphV2(payload []byte, hd *v2Header) (*graph.Graph, error) {
-	offsets := make([]int64, int(hd.fp.N)+1)
-	targets := make([]int32, hd.arcs)
-	weights := make([]uint32, hd.arcs)
-	r := bytes.NewReader(payload)
-	for _, v := range []any{offsets, targets, weights} {
-		if err := binary.Read(r, binary.LittleEndian, v); err != nil {
-			return nil, fmt.Errorf("snapshot: graph section arrays: %w", err)
+// decode is the one snapshot decoder behind Map, ReadFile and Read: data is a
+// whole file, starting at an 8-byte-aligned address, and the returned graph
+// and hierarchy arrays alias it. trusted reports whether a header CRC belongs
+// to bytes that already passed full verification (nil: never); an untrusted
+// file has its padding, both section checksums, the O(n+m) CSR scan and the
+// hierarchy's structural checks verified before anything is built. swap
+// byte-swaps the verified arrays in place to host order (big-endian hosts;
+// data must then be the caller's own buffer). The header CRC is returned for
+// the caller's verification registry.
+func decode(data []byte, trusted func(headerCRC uint64) bool, swap bool) (*graph.Graph, *ch.Hierarchy, uint64, error) {
+	// The prefix is judged before the size: a v1 file can be shorter than a
+	// v2 header and must still get ErrV1.
+	if len(data) >= prefixSize {
+		if _, err := decodePrefix(data[:prefixSize]); err != nil {
+			return nil, nil, 0, err
 		}
 	}
-	g, err := graph.FromCSRWithFingerprint(offsets, targets, weights, hd.fp)
+	if len(data) < headerSize {
+		return nil, nil, 0, fmt.Errorf("snapshot: file too small to be a snapshot (%d bytes)", len(data))
+	}
+	hd, err := decodeV2Header(data[:headerSize])
 	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
+		return nil, nil, 0, err
 	}
-	if g.MinWeight() != hd.minW || g.MaxWeight() != hd.maxW {
-		return nil, fmt.Errorf("snapshot: header weight range [%d,%d] does not match arrays [%d,%d]",
-			hd.minW, hd.maxW, g.MinWeight(), g.MaxWeight())
+	if err := hd.validateGeometry(uint64(len(data))); err != nil {
+		return nil, nil, 0, err
 	}
-	return g, nil
+	deep := trusted == nil || !trusted(hd.headerCRC)
+	grph := data[hd.grphOff:hd.chieOff]
+	chie := data[hd.chieOff:]
+	if deep {
+		for _, b := range data[headerSize:hd.grphOff] {
+			if b != 0 {
+				return nil, nil, 0, errors.New("snapshot: nonzero byte in header padding (corrupted file)")
+			}
+		}
+		if crc64.Checksum(grph, crcTab) != hd.fp.CRC {
+			return nil, nil, 0, errors.New("snapshot: graph section checksum mismatch (corrupted file)")
+		}
+		if crc64.Checksum(chie, crcTab) != hd.chieCRC {
+			return nil, nil, 0, errors.New("snapshot: hierarchy section checksum mismatch (corrupted file)")
+		}
+	}
+
+	// validateGeometry proved the section holds exactly these lengths;
+	// grphOff is page-aligned and each array's byte offset is a multiple of
+	// its element size, so the views are correctly aligned.
+	n := int(hd.fp.N)
+	arcs := int(hd.arcs)
+	if swap {
+		swapToHost(grph[:(n+1)*8], 8)
+		swapToHost(grph[(n+1)*8:], 4)
+		swapToHost(chie[chieHeaderSize:], 4)
+	}
+	offsets := i64view(grph, n+1)
+	targets := i32view(grph[(n+1)*8:], arcs)
+	weights := u32view(grph[(n+1)*8+arcs*4:], arcs)
+	var g *graph.Graph
+	if deep {
+		g, err = graph.FromCSRWithFingerprint(offsets, targets, weights, hd.fp)
+		if err == nil && (g.MinWeight() != hd.minW || g.MaxWeight() != hd.maxW) {
+			err = fmt.Errorf("header weight range [%d,%d] does not match arrays [%d,%d]",
+				hd.minW, hd.maxW, g.MinWeight(), g.MaxWeight())
+		}
+	} else {
+		g, err = graph.FromCSRTrusted(offsets, targets, weights, hd.fp, hd.minW, hd.maxW)
+	}
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("snapshot: %w", err)
+	}
+	h, err := decodeChieView(chie, g, deep)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return g, h, hd.headerCRC, nil
 }
 
 // chieHeader is the decoded fixed part of the hierarchy section.
@@ -404,92 +380,69 @@ func parseChieHeader(payload []byte, g *graph.Graph) (chieHeader, error) {
 	}, nil
 }
 
-// decodeChie copies the verified hierarchy payload into fresh arrays and
-// reconstructs the hierarchy over g.
-func decodeChie(payload []byte, g *graph.Graph, deep bool) (*ch.Hierarchy, error) {
-	hd, err := parseChieHeader(payload, g)
-	if err != nil {
-		return nil, err
+// swapToHost reverses every size-byte word of b in place: the little-endian
+// file arrays become big-endian host words. The section headers are decoded
+// byte-wise and are not swapped.
+func swapToHost(b []byte, size int) {
+	for i := 0; i+size <= len(b); i += size {
+		slices.Reverse(b[i : i+size])
 	}
-	level := make([]int32, hd.nodes)
-	parent := make([]int32, hd.nodes)
-	vertexCount := make([]int32, hd.nodes)
-	childStart := make([]int32, hd.nodes-hd.leaves+1)
-	children := make([]int32, hd.childLen)
-	r := bytes.NewReader(payload[chieHeaderSize:])
-	for _, v := range []any{level, parent, vertexCount, childStart, children} {
-		if err := binary.Read(r, binary.LittleEndian, v); err != nil {
-			return nil, fmt.Errorf("snapshot: hierarchy section arrays: %w", err)
-		}
-	}
-	h, err := ch.FromRaw(g, ch.Raw{
-		Level: level, Parent: parent, VertexCount: vertexCount,
-		ChildStart: childStart, Children: children,
-		Root: hd.root, MaxLevel: hd.maxLevel, VirtualRoot: hd.virtualRoot,
-	}, deep)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: hierarchy section: %w", err)
-	}
-	return h, nil
 }
 
-// readZeros consumes n bytes that must all be zero — the header padding sits
-// outside both section checksums, so it is verified explicitly.
-func readZeros(r io.Reader, n int64) error {
-	var buf [4096]byte
-	for n > 0 {
-		c := int64(len(buf))
-		if c > n {
-			c = n
-		}
-		if _, err := io.ReadFull(r, buf[:c]); err != nil {
-			return fmt.Errorf("snapshot: header padding truncated: %w", err)
-		}
-		for _, b := range buf[:c] {
-			if b != 0 {
-				return errors.New("snapshot: nonzero byte in header padding (corrupted file)")
-			}
-		}
-		n -= c
-	}
-	return nil
+// Read decodes a snapshot from a stream. The whole stream is read into one
+// 8-byte-aligned heap buffer before it is judged, then decoded exactly as a
+// mapped file — every check Map makes on a first mapping — with the arrays
+// aliasing the buffer, which the returned graph and hierarchy keep alive.
+func Read(r io.Reader) (*graph.Graph, *ch.Hierarchy, error) {
+	return readAll(r, 0)
 }
 
-// readCapped reads a declared-length payload without trusting the
-// declaration. When the remaining file size is known (remaining >= 0) a
-// length exceeding it is refused before any allocation. When it is not — a
-// plain io.Reader — the buffer grows in 4 MiB steps as bytes actually
-// arrive, so a lying length on a short stream costs at most one spare chunk,
-// not the declared gigabytes.
-func readCapped(r io.Reader, length uint64, remaining int64, what string) ([]byte, error) {
-	if length > maxSectionLen {
-		return nil, fmt.Errorf("snapshot: %s section declares implausible length %d", what, length)
+// ReadFile loads a snapshot from disk into one heap buffer (the copy path;
+// see Map for zero-copy). The platform and byte order do not matter here.
+func ReadFile(path string) (*graph.Graph, *ch.Hierarchy, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
 	}
-	if remaining >= 0 {
-		if length > uint64(remaining) {
-			return nil, fmt.Errorf("snapshot: %s section declares %d bytes but only %d remain in file",
-				what, length, remaining)
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return nil, fmt.Errorf("snapshot: %s section truncated: %w", what, err)
-		}
-		return payload, nil
+	defer f.Close()
+	size := 0
+	if fi, err := f.Stat(); err == nil && fi.Size() == int64(int(fi.Size())) {
+		size = int(fi.Size())
 	}
-	const chunk = 4 << 20
-	var payload []byte
-	for uint64(len(payload)) < length {
-		c := length - uint64(len(payload))
-		if c > chunk {
-			c = chunk
+	return readAll(f, size)
+}
+
+// readAll reads r to EOF into a buffer allocated as []uint64 — so the
+// decoder's views are aligned as over a page-aligned mapping — and decodes
+// it. size is the expected length: one allocation holds a stream of that
+// size, and a longer one grows the buffer by doubling. A buffer is only ever
+// as large as the bytes that actually arrived (times two), so a lying header
+// cannot drive an allocation.
+func readAll(r io.Reader, size int) (*graph.Graph, *ch.Hierarchy, error) {
+	buf := alignedBuf(max(size+1, 4096))[:0]
+	for {
+		if len(buf) == cap(buf) {
+			grown := alignedBuf(2 * cap(buf))
+			copy(grown, buf)
+			buf = grown[:len(buf)]
 		}
-		start := len(payload)
-		payload = append(payload, make([]byte, c)...)
-		if _, err := io.ReadFull(r, payload[start:]); err != nil {
-			return nil, fmt.Errorf("snapshot: %s section truncated: %w", what, err)
+		k, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+k]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("snapshot: read: %w", err)
 		}
 	}
-	return payload, nil
+	g, h, _, err := decode(buf, nil, !isLittleEndian)
+	return g, h, err
+}
+
+// alignedBuf returns n bytes backed by a []uint64.
+func alignedBuf(n int) []byte {
+	w := make([]uint64, (n+7)/8)
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(w))), n)
 }
 
 // syncFile flushes a snapshot to stable storage before it is renamed into
@@ -545,20 +498,4 @@ func syncDir(dir string) error {
 		return fmt.Errorf("snapshot: sync directory %s: %w", dir, err)
 	}
 	return nil
-}
-
-// ReadFile loads a snapshot from disk into fresh arrays (the copy path; see
-// Map for zero-copy). The file size bounds every declared section length, so
-// a corrupt header cannot force a large allocation.
-func ReadFile(path string) (*graph.Graph, *ch.Hierarchy, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	size := int64(-1)
-	if fi, err := f.Stat(); err == nil {
-		size = fi.Size()
-	}
-	return readWithSize(f, size)
 }

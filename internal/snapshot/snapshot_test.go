@@ -7,6 +7,7 @@ import (
 	"hash/crc64"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -164,9 +165,6 @@ func v1Files() map[string][]byte {
 // alone — whatever follows it. (Map: TestMapRefusesV1.)
 func TestReadRefusesV1(t *testing.T) {
 	for name, data := range v1Files() {
-		if _, err := ReadFingerprint(bytes.NewReader(data)); !errors.Is(err, ErrV1) {
-			t.Errorf("%s: ReadFingerprint = %v, want ErrV1", name, err)
-		}
 		if _, _, err := Read(bytes.NewReader(data)); !errors.Is(err, ErrV1) {
 			t.Errorf("%s: Read = %v, want ErrV1", name, err)
 		}
@@ -198,22 +196,21 @@ func TestRejectsVertexCountOverflow(t *testing.T) {
 	le.PutUint32(raw[12:], 1<<31) // fpN = MaxInt32+1
 	le.PutUint64(raw[88:], crc64.Checksum(raw[:88], crcTab))
 
-	if _, err := ReadFingerprint(bytes.NewReader(raw[:32])); err == nil {
-		t.Error("ReadFingerprint accepted n > MaxInt32")
-	} else if !strings.Contains(err.Error(), "int32") {
-		t.Errorf("ReadFingerprint error %q does not name the overflow", err)
-	}
 	if _, _, err := Read(bytes.NewReader(raw)); err == nil {
 		t.Error("Read accepted n > MaxInt32")
+	} else if !strings.Contains(err.Error(), "int32") {
+		t.Errorf("Read error %q does not name the overflow", err)
 	}
 	path := filepath.Join(t.TempDir(), "overflow.snap")
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	if _, _, err := ReadFile(path); err == nil || !strings.Contains(err.Error(), "int32") {
+		t.Errorf("ReadFile = %v, want the overflow refused", err)
+	}
 	if _, _, _, err := Map(path); err == nil {
 		t.Error("Map accepted n > MaxInt32")
 	}
-
 }
 
 func TestWriteFileAtomicAndReadFile(t *testing.T) {
@@ -286,18 +283,78 @@ func TestWriteFileSyncFailure(t *testing.T) {
 	}
 }
 
-func TestReadFingerprintHeaderOnly(t *testing.T) {
-	g, h := buildPair(t, gen.Random(100, 400, 16, gen.UWD, 9))
+// Regression: Read used to accept a valid file with bytes after its last
+// section, which ReadFile and Map refuse. All three readers share one decoder,
+// so one byte too many or too few is refused by each of them.
+func TestReadersRefuseWrongLength(t *testing.T) {
+	g, h := buildPair(t, gen.Random(100, 400, 16, gen.UWD, 4))
 	var buf bytes.Buffer
 	if _, err := Write(&buf, g, h); err != nil {
 		t.Fatal(err)
 	}
-	// Only the 32-byte header is needed.
-	fp, err := ReadFingerprint(bytes.NewReader(buf.Bytes()[:32]))
+	raw := buf.Bytes()
+	for name, data := range map[string][]byte{
+		"trailing byte": append(append([]byte(nil), raw...), 0),
+		"missing byte":  raw[:len(raw)-1],
+	} {
+		if _, _, err := Read(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: Read accepted", name)
+		}
+		path := filepath.Join(t.TempDir(), "g.snap")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ReadFile(path); err == nil {
+			t.Errorf("%s: ReadFile accepted", name)
+		}
+		if !mmapSupported || !isLittleEndian {
+			continue
+		}
+		if _, _, m, err := Map(path); err == nil {
+			m.Close()
+			t.Errorf("%s: Map accepted", name)
+		}
+	}
+}
+
+// The copy read holds the file in one heap buffer that the arrays alias: its
+// allocation is the file size plus small change, not a buffer and then a
+// second copy of every array. Not parallel: TotalAlloc is process-wide.
+func TestReadFileAllocatesOnce(t *testing.T) {
+	g, h := buildPair(t, gen.Random(1<<14, 1<<16, 1<<10, gen.UWD, 5))
+	path := writeSnap(t, t.TempDir(), "g.snap", g, h)
+	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fp != g.Fingerprint() {
-		t.Fatalf("header fingerprint %v, want %v", fp, g.Fingerprint())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g2, _, err := ReadFile(path)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g2.Fingerprint() != g.Fingerprint() {
+		t.Fatal("ReadFile returned a different instance")
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("ReadFile of a %d-byte file allocated %d bytes (%.2fx)", fi.Size(), alloc, float64(alloc)/float64(fi.Size()))
+	if limit := uint64(fi.Size()) * 5 / 4; alloc > limit {
+		t.Fatalf("ReadFile of a %d-byte file allocated %d bytes (%.2fx), want <= 1.25x",
+			fi.Size(), alloc, float64(alloc)/float64(fi.Size()))
+	}
+}
+
+// swapToHost turns little-endian words into big-endian ones in place — what a
+// big-endian host reads as the stored values. (On a little-endian host only
+// this function, not the decode path through it, can be run.)
+func TestSwapToHost(t *testing.T) {
+	le, be := binary.LittleEndian, binary.BigEndian
+	b := le.AppendUint64(nil, 0x0102030405060708)
+	b = le.AppendUint32(b, 0x0a0b0c0d)
+	swapToHost(b[:8], 8)
+	swapToHost(b[8:], 4)
+	if be.Uint64(b) != 0x0102030405060708 || be.Uint32(b[8:]) != 0x0a0b0c0d {
+		t.Fatalf("swapped bytes % x", b)
 	}
 }

@@ -1,10 +1,10 @@
 package stress
 
 import (
-	"bytes"
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -28,12 +28,12 @@ func TestMutationSequenceDeterministic(t *testing.T) {
 		t.Fatalf("sequence lengths: %d vs %d", len(a), len(b))
 	}
 	for i := range a {
-		if !bytes.Equal(mutate.EncodeDelta(a[i]), mutate.EncodeDelta(b[i])) {
+		if !reflect.DeepEqual(a[i], b[i]) {
 			t.Fatalf("batch %d differs between identical seeds", i)
 		}
 	}
 	if c := genMutationSequence(g, 6, 100); len(c) > 0 &&
-		bytes.Equal(mutate.EncodeDelta(a[0]), mutate.EncodeDelta(c[0])) {
+		reflect.DeepEqual(a[0], c[0]) {
 		t.Fatal("different seeds produced the same first batch")
 	}
 }
