@@ -189,7 +189,9 @@ bench-build:
 # (windows: the snapshot package's mmap_stub.go) and a big-endian one (s390x:
 # the copy read's byte swap), which no test on a little-endian unix host
 # compiles — the documentation linter, the out-of-module benchmark's build,
-# the race detector over RACE_PKGS, the serving smoke slice, and the seeded
+# the race detector over RACE_PKGS, ssspd's GC memory-limit hook shaken
+# twenty times under it (the hook runs on the runtime's finalizer goroutine,
+# beside swaps and /metrics scrapes), the serving smoke slice, and the seeded
 # stress sweep.
 check:
 	$(GO) vet ./...
@@ -198,6 +200,7 @@ check:
 	$(MAKE) docs-check
 	$(MAKE) bench-build
 	$(GO) test -race $(RACE_PKGS)
+	$(GO) test -race -count=20 -run 'MemoryLimit' ./cmd/ssspd
 	$(MAKE) bench-serve-smoke
 	$(MAKE) stress
 

@@ -91,10 +91,11 @@ type Generation struct {
 	// Name@Gen, so results can never alias across generations).
 	G      *graph.Graph
 	Engine *engine.Engine
-	// MappedBytes is the size of the mmap'd snapshot backing the instance
-	// (zero for copy-loaded generations). Mapped pages are reclaimable page
-	// cache, not heap, but still count against the budget: they are the
-	// working set a query touches.
+	// MappedBytes is the size of the mmap'd snapshot backing the instance:
+	// its own, or the one a weight-only child pins through its parent (zero
+	// for copy-loaded generations). Mapped pages are reclaimable page cache,
+	// not heap, but still count against the budget: they are the working set
+	// a query touches.
 	MappedBytes int64
 	// ParentGen and DeltaSize record delta lineage: a generation produced by
 	// a mutation names the generation it was derived from and how many ops

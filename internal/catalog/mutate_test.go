@@ -586,3 +586,53 @@ func TestMutateCarriesAnswersOnIncrementalPathOnly(t *testing.T) {
 		t.Fatalf("after a reload: inherited %v, %d answered from the cache", inherited(g4), cached)
 	}
 }
+
+// A weight-only child of a mapped generation reads offsets and targets from
+// the mapping it pins: they are charged as mapped bytes, and only the weights
+// the overlay allocated count as heap — in HeapBytes, /graphs and the budget.
+func TestMappedChildChargesOnlyNewWeightsAsHeap(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "child.snap")
+	writeMappedSnap(t, path, 1000, 7)
+	requireCatalogMmap(t, path)
+
+	c := testCatalog(t, Config{MMap: true, Engine: engine.Config{CacheEntries: 4}})
+	if _, err := c.Load("m", Source{Snapshot: path}); err != nil {
+		t.Fatal(err)
+	}
+	parent, rel, err := c.Acquire("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel()
+	if !parent.Mapped() || parent.HeapBytes() != 0 {
+		t.Fatalf("parent: mapped=%v heap=%d, want a mapped generation with no heap", parent.Mapped(), parent.HeapBytes())
+	}
+	res, err := c.Mutate("m", weightBatch(parent.G, 1, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Aliased {
+		t.Fatal("a set_weight batch should alias the parent's offsets and targets")
+	}
+	child, rel, err := c.Acquire("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rel()
+	if _, _, err := child.Engine.Query(context.Background(), engine.Request{Sources: []int32{0}}); err != nil {
+		t.Fatal(err)
+	}
+	wantHeap := 4 * int64(len(child.G.Weights()))
+	if child.HeapBytes() != wantHeap || child.MappedBytes != parent.MappedBytes {
+		t.Fatalf("child heap=%d mapped=%d, want heap=%d (its weights) mapped=%d (the pinned file)",
+			child.HeapBytes(), child.MappedBytes, wantHeap, parent.MappedBytes)
+	}
+	st := c.Status()[0]
+	cache := child.Engine.CacheBytes()
+	if st.HeapBytes != wantHeap || st.MappedBytes != parent.MappedBytes || st.Bytes != wantHeap+parent.MappedBytes || st.CacheBytes != cache || cache == 0 {
+		t.Fatalf("/graphs row heap=%d mapped=%d bytes=%d cache=%d (engine %d)", st.HeapBytes, st.MappedBytes, st.Bytes, st.CacheBytes, cache)
+	}
+	if got := c.AccountedBytes(); got != wantHeap+cache {
+		t.Fatalf("AccountedBytes %d, want the child's heap %d + cache %d", got, wantHeap, cache)
+	}
+}

@@ -424,6 +424,13 @@ func (e *Engine) ThorupTrace() (core.Trace, int64) {
 	return e.traceAgg.Snapshot(), e.thorupRuns.Value()
 }
 
+// CacheBytes is what the result cache holds now: its vectors, keys and
+// materialised JSON, as charged against Config.CacheBytes.
+func (e *Engine) CacheBytes() int64 {
+	_, bytes := e.cache.size()
+	return bytes
+}
+
 // StatsSnapshot returns the engine's observable state, shaped for a JSON
 // /metrics endpoint: every counter, the cache's current and maximum sizes,
 // and per-solver run counts.

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"runtime"
+	"runtime/debug"
 	"time"
 )
 
@@ -24,6 +25,9 @@ type RuntimeStats struct {
 	HeapObjects uint64 `json:"heap_objects"`
 	// NextGCBytes is the heap size that triggers the next collection.
 	NextGCBytes uint64 `json:"next_gc_bytes"`
+	// MemoryLimitBytes is the runtime's soft memory limit (math.MaxInt64:
+	// none; GOMEMLIMIT, or what the process derived itself).
+	MemoryLimitBytes int64 `json:"memory_limit_bytes"`
 	// NumGC is the completed collection count.
 	NumGC uint32 `json:"num_gc"`
 	// GCPauseTotalMs is cumulative stop-the-world pause time.
@@ -43,15 +47,16 @@ func ReadRuntimeStats() RuntimeStats {
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
 	s := RuntimeStats{
-		Goroutines:     runtime.NumGoroutine(),
-		CPUs:           runtime.GOMAXPROCS(0),
-		HeapAllocBytes: m.HeapAlloc,
-		HeapSysBytes:   m.HeapSys,
-		HeapObjects:    m.HeapObjects,
-		NextGCBytes:    m.NextGC,
-		NumGC:          m.NumGC,
-		GCPauseTotalMs: float64(m.PauseTotalNs) / 1e6,
-		GCCPUFraction:  m.GCCPUFraction,
+		Goroutines:       runtime.NumGoroutine(),
+		CPUs:             runtime.GOMAXPROCS(0),
+		HeapAllocBytes:   m.HeapAlloc,
+		HeapSysBytes:     m.HeapSys,
+		HeapObjects:      m.HeapObjects,
+		NextGCBytes:      m.NextGC,
+		MemoryLimitBytes: debug.SetMemoryLimit(-1),
+		NumGC:            m.NumGC,
+		GCPauseTotalMs:   float64(m.PauseTotalNs) / 1e6,
+		GCCPUFraction:    m.GCCPUFraction,
 	}
 	if m.NumGC > 0 {
 		s.LastGCPauseMs = float64(m.PauseNs[(m.NumGC+255)%256]) / 1e6
