@@ -449,5 +449,11 @@ func (g *Graph) Degrees() DegreeStats {
 // MemoryBytes estimates the resident size of the CSR arrays, used for the
 // Table 2 "instance memory" column.
 func (g *Graph) MemoryBytes() int64 {
-	return int64(len(g.offsets))*8 + int64(len(g.targets))*4 + int64(len(g.weights))*4
+	return g.TopologyBytes() + int64(len(g.weights))*4
+}
+
+// TopologyBytes is the part of MemoryBytes in the offsets and targets arrays:
+// what a weight-only Overlay shares with the graph it was made from.
+func (g *Graph) TopologyBytes() int64 {
+	return int64(len(g.offsets))*8 + int64(len(g.targets))*4
 }
