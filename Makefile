@@ -191,8 +191,9 @@ bench-build:
 # compiles — the documentation linter, the out-of-module benchmark's build,
 # the race detector over RACE_PKGS, ssspd's GC memory-limit hook shaken
 # twenty times under it (the hook runs on the runtime's finalizer goroutine,
-# beside swaps and /metrics scrapes), the serving smoke slice, and the seeded
-# stress sweep.
+# beside swaps and /metrics scrapes), the request-lifetime tests likewise (a
+# deadline that stops a solve, a singleflight its last waiter cancels), the
+# serving smoke slice, and the seeded stress sweep.
 check:
 	$(GO) vet ./...
 	GOOS=windows $(GO) vet ./...
@@ -201,6 +202,7 @@ check:
 	$(MAKE) bench-build
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -count=20 -run 'MemoryLimit' ./cmd/ssspd
+	$(GO) test -race -count=20 -run 'Cancel|Deadline' ./internal/engine ./cmd/ssspd
 	$(MAKE) bench-serve-smoke
 	$(MAKE) stress
 

@@ -91,6 +91,34 @@ func TestBatchPerItemError(t *testing.T) {
 	}
 }
 
+// Every JSON body — /batch and the load, reload and unload requests — is one
+// value: anything after it is a 400, and nothing is done.
+func TestBodiesRefuseTrailingData(t *testing.T) {
+	ts, _ := testServer(t)
+	for path, body := range map[string]string{
+		"/batch":         `{"queries":[{"src":1}]}{}`,
+		"/graphs/load":   `{"name":"g2","class":"rand","logn":6}{}`,
+		"/graphs/reload": `{"name":"test-instance"} x`,
+		"/graphs/unload": `{"name":"test-instance"}[]`,
+	} {
+		var e map[string]any
+		if code := postJSON(t, ts.URL+path, body, &e); code != http.StatusBadRequest {
+			t.Fatalf("%s %s: code %d (%v), want 400", path, body, code, e)
+		}
+	}
+	var graphs struct {
+		Graphs []struct {
+			Name  string `json:"name"`
+			State string `json:"state"`
+			Gen   uint64 `json:"gen"`
+		} `json:"graphs"`
+	}
+	getJSON(t, ts.URL+"/graphs", &graphs)
+	if len(graphs.Graphs) != 1 || graphs.Graphs[0].State != "ready" || graphs.Graphs[0].Gen != 1 {
+		t.Fatalf("a refused body changed the catalog: %+v", graphs.Graphs)
+	}
+}
+
 // Malformed, empty, and oversized batches are rejected up front with 400.
 func TestBatchValidation(t *testing.T) {
 	ts, _ := testServer(t)

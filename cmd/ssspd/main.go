@@ -46,9 +46,11 @@
 // policy-driven solver choice overridable with ?solver=.
 //
 // Query endpoints sit behind an admission controller: at most -max-inflight
-// queries execute at once and excess load is shed with 503 + Retry-After.
-// Each request carries a -timeout context deadline (exceeded queries answer
-// 504). SIGINT/SIGTERM drain in-flight requests before exiting.
+// queries execute at once, each on its request's goroutine until its work has
+// ended, and excess load is shed with 503 + Retry-After. The -timeout deadline
+// stops a query's solve (504) unless a concurrent identical query still waits
+// on it; the reference solvers (dijkstra, mlb, thorup-serial) run to
+// completion. SIGINT/SIGTERM drain in-flight requests before exiting.
 //
 // Every query request is traced (internal/trace): the X-Trace-Id request
 // header is honoured (or an ID generated and echoed back), spans record
@@ -61,6 +63,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -258,17 +261,17 @@ func (s *server) mux() *http.ServeMux {
 	plain := func(pattern, name string, h http.HandlerFunc) {
 		m.HandleFunc(pattern, mw.Wrap(name, false, h))
 	}
-	query := func(pattern, name string, h http.HandlerFunc) {
-		m.HandleFunc(pattern, mw.Wrap(name, true, s.admit(name, h)))
+	query := func(pattern, name string, h graphHandler) {
+		m.HandleFunc(pattern, mw.Wrap(name, true, s.admit(name, s.withGraph(h))))
 	}
 	plain("GET /healthz", "healthz", func(w http.ResponseWriter, r *http.Request) {
 		httpx.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
-	plain("GET /stats", "stats", s.handleStats)
+	plain("GET /stats", "stats", s.withGraph(s.handleStats))
 	plain("GET /metrics", "metrics", s.handleMetrics)
 	query("GET /sssp", "sssp", s.handleSSSP)
-	query("GET /dist", "dist", s.handleDist)
-	query("GET /st", "st", s.handleST)
+	query("GET /dist", "dist", s.pointQuery("src", "dst", true))
+	query("GET /st", "st", s.pointQuery("s", "t", false))
 	query("GET /table", "table", s.handleTable)
 	query("POST /batch", "batch", s.handleBatch)
 	plain("GET /graphs", "graphs", s.handleGraphs)
@@ -322,105 +325,56 @@ func truncate(s string, max int) string {
 	return s[:max] + fmt.Sprintf("...(%d bytes)", len(s))
 }
 
-// graphFor resolves ?graph= (default: the startup graph) to an acquired
-// catalog generation; q is the request's query string, parsed once by the
-// handler. On failure the HTTP error is already written: 404 for a name the
-// catalog has never seen, 500 for a failed load, 503 + Retry-After while
-// loading/draining/evicted.
-func (s *server) graphFor(w http.ResponseWriter, r *http.Request, q url.Values) (*catalog.Generation, func(), bool) {
-	name := q.Get("graph")
-	if name == "" {
-		name = s.defaultGraph
+// graphHandler serves a request on the catalog generation ?graph= resolved
+// to; q is the request's query string, parsed once.
+type graphHandler func(w http.ResponseWriter, r *http.Request, q url.Values, gen *catalog.Generation)
+
+// withGraph resolves ?graph= (default: the startup graph) to an acquired
+// catalog generation and runs h on it, holding the generation until h has
+// returned. On failure it answers 404 for a name the catalog has never seen,
+// 500 for a failed load, 503 + Retry-After while loading/draining/evicted.
+func (s *server) withGraph(h graphHandler) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		q := r.URL.Query()
+		gen, release, err := s.cat.AcquireTraced(r.Context(), cmp.Or(q.Get("graph"), s.defaultGraph))
+		var nr *catalog.NotReadyError
+		switch {
+		case err == nil:
+			defer release()
+			h(w, r, q, gen)
+		case errors.Is(err, catalog.ErrUnknownGraph):
+			httpx.Error(w, http.StatusNotFound, err.Error())
+		case errors.As(err, &nr) && nr.State == catalog.StateFailed:
+			httpx.Error(w, http.StatusInternalServerError, err.Error())
+		case errors.As(err, &nr):
+			w.Header().Set("Retry-After", "1")
+			httpx.Error(w, http.StatusServiceUnavailable, err.Error())
+		default:
+			httpx.Error(w, http.StatusInternalServerError, err.Error())
+		}
 	}
-	gen, release, err := s.cat.AcquireTraced(r.Context(), name)
-	if err == nil {
-		return gen, release, true
-	}
-	var nr *catalog.NotReadyError
-	switch {
-	case errors.Is(err, catalog.ErrUnknownGraph):
-		httpx.Error(w, http.StatusNotFound, err.Error())
-	case errors.As(err, &nr) && nr.State == catalog.StateFailed:
-		httpx.Error(w, http.StatusInternalServerError, err.Error())
-	case errors.As(err, &nr):
-		w.Header().Set("Retry-After", "1")
-		httpx.Error(w, http.StatusServiceUnavailable, err.Error())
-	default:
-		httpx.Error(w, http.StatusInternalServerError, err.Error())
-	}
-	return nil, nil, false
 }
 
-// queryError is a handler result that should be written as an HTTP error
-// instead of a 200 body.
-type queryError struct {
-	code int
-	msg  string
+// engineError writes an engine error in its HTTP form.
+func engineError(w http.ResponseWriter, err error) {
+	code, msg := errStatus(err)
+	httpx.Error(w, code, msg)
 }
 
-// errResp maps an engine error to its HTTP form: request mistakes are the
-// client's fault (400), expired contexts are a timeout (504).
-func errResp(err error) any {
+// errStatus maps an engine error to a status and message: request mistakes
+// are the client's fault (400), an ended request context is a timeout (504).
+func errStatus(err error) (int, string) {
 	switch {
 	case errors.Is(err, engine.ErrBadQuery):
-		return queryError{http.StatusBadRequest, err.Error()}
+		return http.StatusBadRequest, err.Error()
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return queryError{http.StatusGatewayTimeout, "query deadline exceeded"}
+		return http.StatusGatewayTimeout, "query deadline exceeded"
 	default:
-		return queryError{http.StatusInternalServerError, err.Error()}
+		return http.StatusInternalServerError, err.Error()
 	}
 }
 
-// runWithDeadline executes fn and writes its result as JSON (or as an HTTP
-// error for a queryError result), answering 504 if the request's deadline
-// expires first. A traversal cannot be cancelled mid-flight, so on timeout
-// fn keeps running in the background — its result still lands in the engine
-// cache — while the client is unblocked immediately. release (idempotent) is
-// invoked when fn completes, not when the client is answered: a query that
-// outlives its deadline keeps its generation reference until it finishes, so
-// a concurrent swap's drain waits for it.
-func runWithDeadline(w http.ResponseWriter, r *http.Request, release func(), fn func() any) {
-	if err := r.Context().Err(); err != nil {
-		release()
-		httpx.Error(w, http.StatusGatewayTimeout, "deadline exceeded before query start")
-		return
-	}
-	done := make(chan any, 1)
-	go func() {
-		defer release()
-		done <- fn()
-	}()
-	select {
-	case resp := <-done:
-		if qe, ok := resp.(queryError); ok {
-			httpx.Error(w, qe.code, qe.msg)
-			return
-		}
-		httpx.WriteJSON(w, http.StatusOK, resp)
-	case <-r.Context().Done():
-		httpx.Error(w, http.StatusGatewayTimeout, "query deadline exceeded")
-	}
-}
-
-// query runs one engine query on the acquired generation under the request's
-// deadline and shapes the response with fn.
-func (s *server) query(w http.ResponseWriter, r *http.Request, gen *catalog.Generation, release func(),
-	req engine.Request, fn func(res *engine.Result, via engine.Via) any) {
-	runWithDeadline(w, r, release, func() any {
-		res, via, err := gen.Engine.Query(r.Context(), req)
-		if err != nil {
-			return errResp(err)
-		}
-		return fn(res, via)
-	})
-}
-
-func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	gen, release, ok := s.graphFor(w, r, r.URL.Query())
-	if !ok {
-		return
-	}
-	defer release()
+func (s *server) handleStats(w http.ResponseWriter, r *http.Request, _ url.Values, gen *catalog.Generation) {
 	h, state, _ := gen.Hierarchy()
 	doc := map[string]any{
 		"instance":        gen.Name,
@@ -464,18 +418,11 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		agg, runs := gen.Engine.ThorupTrace()
 		doc["generation"] = gen.Gen
 		doc["engine"] = gen.Engine.StatsSnapshot()
-		doc["thorup"] = map[string]any{
-			"queries":             runs,
-			"settled":             agg.Settled,
-			"relaxations":         agg.Relaxations,
-			"propagation_hops":    agg.PropagationHops,
-			"hops_per_relaxation": agg.HopsPerRelaxation(),
-			"gathers":             agg.Gathers,
-			"gather_scanned":      agg.GatherScanned,
-			"gather_taken":        agg.GatherTaken,
-			"bucket_advances":     agg.BucketAdvances,
-			"max_tovisit":         agg.MaxTovisit,
+		thorup := map[string]any{"queries": runs, "hops_per_relaxation": agg.HopsPerRelaxation()}
+		for k, v := range agg.AttrMap() {
+			thorup[k] = v
 		}
+		doc["thorup"] = thorup
 		refills, scanned := gen.Engine.DeltaRing()
 		doc["deltastep"] = map[string]any{
 			"delta":            gen.Engine.Delta(),
@@ -520,11 +467,10 @@ type loadRequest struct {
 }
 
 // decodeBody decodes a POST body (admin requests and /batch): at most 1 MiB,
-// unknown fields refused. On failure the 400 is already written.
+// one JSON value, unknown fields refused. On failure the 400 is already
+// written.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := httpx.DecodeStrict(http.MaxBytesReader(w, r.Body, 1<<20), v); err != nil {
 		httpx.Error(w, http.StatusBadRequest, "bad body: "+err.Error())
 		return false
 	}
@@ -653,29 +599,24 @@ func summary(res *engine.Result, via engine.Via) map[string]any {
 	}
 }
 
-func (s *server) handleSSSP(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	gen, release, ok := s.graphFor(w, r, q)
-	if !ok {
-		return
-	}
+func (s *server) handleSSSP(w http.ResponseWriter, r *http.Request, q url.Values, gen *catalog.Generation) {
 	src, ok := vertexParam(w, q, "src", gen.G)
 	if !ok {
-		release()
 		return
 	}
-	full := q.Get("full") == "1"
-	req := engine.Request{Sources: []int32{src}, Solver: q.Get("solver")}
-	s.query(w, r, gen, release, req, func(res *engine.Result, via engine.Via) any {
-		resp := summary(res, via)
-		resp["src"] = src
-		if full {
-			// The serialized vector (Inf as -1) is built once per result and
-			// streamed verbatim on every later hit — no re-marshal.
-			resp["dist"] = json.RawMessage(res.DistJSON())
-		}
-		return resp
-	})
+	res, via, err := gen.Engine.Query(r.Context(), engine.Request{Sources: []int32{src}, Solver: q.Get("solver")})
+	if err != nil {
+		engineError(w, err)
+		return
+	}
+	resp := summary(res, via)
+	resp["src"] = src
+	if q.Get("full") == "1" {
+		// The serialized vector (Inf as -1) is built once per result and
+		// streamed verbatim on every later hit — no re-marshal.
+		resp["dist"] = json.RawMessage(res.DistJSON())
+	}
+	httpx.WriteJSON(w, http.StatusOK, resp)
 }
 
 // distBody is the /dist response; its fields are in key order, so it encodes
@@ -697,65 +638,44 @@ type stBody struct {
 	T         int32 `json:"t"`
 }
 
-// handleDist answers GET /dist?src=&dst=: one distance and the plan behind it.
-func (s *server) handleDist(w http.ResponseWriter, r *http.Request) {
-	s.pointQuery(w, r, "src", "dst", func(src, dst int32, d int64, res *engine.Result, via engine.Via) any {
-		return distBody{Dist: jsonDist(d), Dst: dst, Reachable: d < graph.Inf, Solver: res.Solver, Src: src, Via: via.String()}
-	})
+// pointQuery is the one s-t query path: GET /dist?src=&dst= answers one
+// distance and, with plan, how it was found; GET /st?s=&t= the distance alone.
+// The engine is told which distance is wanted and chooses how much to compute
+// for it.
+func (s *server) pointQuery(from, to string, plan bool) graphHandler {
+	return func(w http.ResponseWriter, r *http.Request, q url.Values, gen *catalog.Generation) {
+		src, ok := vertexParam(w, q, from, gen.G)
+		if !ok {
+			return
+		}
+		dst, ok := vertexParam(w, q, to, gen.G)
+		if !ok {
+			return
+		}
+		req := engine.Request{Sources: []int32{src}, Solver: q.Get("solver"), Targets: []int32{dst}}
+		res, via, err := gen.Engine.Query(r.Context(), req)
+		if err != nil {
+			engineError(w, err)
+			return
+		}
+		if d := res.Target(0, dst); plan {
+			httpx.WriteJSON(w, http.StatusOK, distBody{Dist: jsonDist(d), Dst: dst, Reachable: d < graph.Inf, Solver: res.Solver, Src: src, Via: via.String()})
+		} else {
+			httpx.WriteJSON(w, http.StatusOK, stBody{Dist: jsonDist(d), Reachable: d < graph.Inf, S: src, T: dst})
+		}
+	}
 }
 
-// handleST answers GET /st?s=&t=: /dist under the s-t names, without the plan.
-func (s *server) handleST(w http.ResponseWriter, r *http.Request) {
-	s.pointQuery(w, r, "s", "t", func(src, dst int32, d int64, _ *engine.Result, _ engine.Via) any {
-		return stBody{Dist: jsonDist(d), Reachable: d < graph.Inf, S: src, T: dst}
-	})
-}
-
-// pointQuery is the one s-t query path. The engine is told which distance is
-// wanted and chooses how much to compute for it. from and to name the two
-// vertices in the query string; body shapes the response from them, the
-// distance (graph.Inf: unreachable) and the plan that found it.
-func (s *server) pointQuery(w http.ResponseWriter, r *http.Request, from, to string,
-	body func(src, dst int32, d int64, res *engine.Result, via engine.Via) any) {
-	q := r.URL.Query()
-	gen, release, ok := s.graphFor(w, r, q)
-	if !ok {
-		return
-	}
-	src, ok := vertexParam(w, q, from, gen.G)
-	if !ok {
-		release()
-		return
-	}
-	dst, ok := vertexParam(w, q, to, gen.G)
-	if !ok {
-		release()
-		return
-	}
-	req := engine.Request{Sources: []int32{src}, Solver: q.Get("solver"), Targets: []int32{dst}}
-	s.query(w, r, gen, release, req, func(res *engine.Result, via engine.Via) any {
-		return body(src, dst, res.Target(0, dst), res, via)
-	})
-}
-
-func (s *server) handleTable(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	gen, release, ok := s.graphFor(w, r, q)
-	if !ok {
-		return
-	}
+func (s *server) handleTable(w http.ResponseWriter, r *http.Request, q url.Values, gen *catalog.Generation) {
 	sources, ok := vertexListParam(w, q, "src", gen.G)
 	if !ok {
-		release()
 		return
 	}
 	targets, ok := vertexListParam(w, q, "dst", gen.G)
 	if !ok {
-		release()
 		return
 	}
 	if len(sources)*len(targets) > 1<<20 {
-		release()
 		httpx.Error(w, http.StatusBadRequest, "table too large")
 		return
 	}
@@ -767,20 +687,19 @@ func (s *server) handleTable(w http.ResponseWriter, r *http.Request) {
 	for i, src := range sources {
 		reqs[i] = engine.Request{Sources: []int32{src}, Solver: solverName, Targets: targets}
 	}
-	runWithDeadline(w, r, release, func() any {
-		results := gen.Engine.Batch(r.Context(), reqs)
-		out := make([][]int64, len(results))
-		for i, br := range results {
-			if br.Err != nil {
-				return errResp(br.Err)
-			}
-			out[i] = make([]int64, len(targets))
-			for j, t := range targets {
-				out[i][j] = jsonDist(br.Res.Target(j, t))
-			}
+	results := gen.Engine.Batch(r.Context(), reqs)
+	out := make([][]int64, len(results))
+	for i, br := range results {
+		if br.Err != nil {
+			engineError(w, br.Err)
+			return
 		}
-		return map[string]any{"src": sources, "dst": targets, "dist": out}
-	})
+		out[i] = make([]int64, len(targets))
+		for j, t := range targets {
+			out[i][j] = jsonDist(br.Res.Target(j, t))
+		}
+	}
+	httpx.WriteJSON(w, http.StatusOK, map[string]any{"src": sources, "dst": targets, "dist": out})
 }
 
 // batchItem is one query of a /batch request: src or srcs (multi-source),
@@ -799,23 +718,16 @@ type batchRequest struct {
 	Full    bool        `json:"full,omitempty"`
 }
 
-func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	gen, release, ok := s.graphFor(w, r, r.URL.Query())
-	if !ok {
-		return
-	}
+func (s *server) handleBatch(w http.ResponseWriter, r *http.Request, _ url.Values, gen *catalog.Generation) {
 	var breq batchRequest
 	if !decodeBody(w, r, &breq) {
-		release()
 		return
 	}
 	if len(breq.Queries) == 0 {
-		release()
 		httpx.Error(w, http.StatusBadRequest, "batch has no queries")
 		return
 	}
 	if len(breq.Queries) > maxBatchItems {
-		release()
 		httpx.Error(w, http.StatusBadRequest, fmt.Sprintf("batch too large: %d queries (max %d)", len(breq.Queries), maxBatchItems))
 		return
 	}
@@ -825,35 +737,36 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if it.Src != nil {
 			srcs = append(srcs, *it.Src)
 		}
-		name := it.Solver
-		if name == "" {
-			name = breq.Solver
-		}
-		reqs[i] = engine.Request{Sources: srcs, Solver: name}
+		reqs[i] = engine.Request{Sources: srcs, Solver: cmp.Or(it.Solver, breq.Solver)}
 	}
 	// Every item inherits the request's trace ID: batch items are spans of
 	// the parent trace, not traces of their own, so one slow item is found
 	// by the one ID the client already holds.
 	traceID := trace.FromContext(r.Context()).ID()
-	runWithDeadline(w, r, release, func() any {
-		results := gen.Engine.Batch(r.Context(), reqs)
-		out := make([]map[string]any, len(results))
-		for i, br := range results {
-			if br.Err != nil {
-				qe := errResp(br.Err).(queryError)
-				out[i] = map[string]any{"error": qe.msg, "status": qe.code}
-			} else {
-				out[i] = summary(br.Res, br.Via)
-				if breq.Full {
-					out[i]["dist"] = json.RawMessage(br.Res.DistJSON())
-				}
-			}
-			if traceID != "" {
-				out[i]["trace_id"] = traceID
+	// A batch whose deadline has passed before it starts is a timeout as a
+	// whole; one whose deadline passes midway answers each item it did not
+	// finish with that item's own 504.
+	if err := r.Context().Err(); err != nil {
+		engineError(w, err)
+		return
+	}
+	results := gen.Engine.Batch(r.Context(), reqs)
+	out := make([]map[string]any, len(results))
+	for i, br := range results {
+		if br.Err != nil {
+			code, msg := errStatus(br.Err)
+			out[i] = map[string]any{"error": msg, "status": code}
+		} else {
+			out[i] = summary(br.Res, br.Via)
+			if breq.Full {
+				out[i]["dist"] = json.RawMessage(br.Res.DistJSON())
 			}
 		}
-		return map[string]any{"results": out}
-	})
+		if traceID != "" {
+			out[i]["trace_id"] = traceID
+		}
+	}
+	httpx.WriteJSON(w, http.StatusOK, map[string]any{"results": out})
 }
 
 func vertexParam(w http.ResponseWriter, q url.Values, name string, g *graph.Graph) (int32, bool) {

@@ -1,6 +1,7 @@
 package bfs
 
 import (
+	"context"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -55,15 +56,19 @@ func SerialFromSources(g *graph.Graph, sources []int32) []int32 {
 // Parallel computes the same levels with level-synchronous parallel frontier
 // expansion on the given runtime.
 func Parallel(rt *par.Runtime, g *graph.Graph, src int32) []int32 {
-	return ParallelFromSources(rt, g, []int32{src})
+	return ParallelFromSources(context.Background(), rt, g, []int32{src})
 }
 
 // ParallelFromSources is SerialFromSources with level-synchronous parallel
-// frontier expansion on the given runtime.
-func ParallelFromSources(rt *par.Runtime, g *graph.Graph, sources []int32) []int32 {
+// frontier expansion on the given runtime. It looks at ctx before every level
+// and, once it is done, stops and returns nil.
+func ParallelFromSources(ctx context.Context, rt *par.Runtime, g *graph.Graph, sources []int32) []int32 {
 	level, frontier := seed(g, sources)
 	var next []int32
 	for depth := int32(1); len(frontier) > 0; depth++ {
+		if ctx.Err() != nil {
+			return nil
+		}
 		// Size the output by the frontier's total degree, then compact with
 		// an atomic cursor.
 		total := 0

@@ -1,6 +1,7 @@
 package bfs
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -87,7 +88,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 			t.Errorf("graph %d: multi-source serial BFS is not the min of single-source runs", gi)
 		}
 		for name, rt := range rts {
-			if got := ParallelFromSources(rt, g, srcs); !sameLevels(got, want) {
+			if got := ParallelFromSources(context.Background(), rt, g, srcs); !sameLevels(got, want) {
 				t.Errorf("graph %d %s: multi-source parallel BFS differs", gi, name)
 			}
 		}
@@ -148,4 +149,14 @@ func BenchmarkBFS(b *testing.B) {
 			Parallel(rt, g, 0)
 		}
 	})
+}
+
+// A run whose context has ended stops before its next level and returns nil.
+func TestParallelStopsWhenCancelled(t *testing.T) {
+	g := gen.Random(500, 2000, 1, gen.UWD, 3)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if level := ParallelFromSources(ctx, par.NewExec(2), g, []int32{0}); level != nil {
+		t.Fatal("a cancelled run returned levels")
+	}
 }

@@ -217,9 +217,7 @@ func (g *Generation) finishDrain() {
 func (g *Generation) acquire() { g.refs.Add(1) }
 
 // release drops a reference; the last release of a retired generation unmaps
-// its backing file and closes the drained channel. Safe after the query
-// outlives its HTTP deadline — the generation (and its mapping) stays valid
-// until this returns.
+// its backing file and closes the drained channel.
 func (g *Generation) release() {
 	if g.refs.Add(-1) == 0 && g.retired.Load() {
 		g.finishDrain()

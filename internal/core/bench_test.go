@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -86,11 +87,11 @@ func BenchmarkKernel(b *testing.B) {
 					b.Run(prefix+arm.name, func(b *testing.B) {
 						setup()
 						delta, st := arm.delta(g), deltastep.NewState()
-						st.RunFromSources(rt, g, srcs(0), delta)
+						st.RunFromSources(context.Background(), rt, g, srcs(0), delta)
 						b.ReportAllocs()
 						b.ResetTimer()
 						for i := 0; i < b.N; i++ {
-							st.RunFromSources(rt, g, srcs(i), delta)
+							st.RunFromSources(context.Background(), rt, g, srcs(i), delta)
 						}
 					})
 				}

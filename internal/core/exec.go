@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"repro/internal/ch"
 	"repro/internal/graph"
 )
@@ -52,7 +54,13 @@ type execState struct {
 	act  []int32    // per child link: the active lists
 
 	tr Trace // this run's counters, plain words
+
+	ctx     context.Context // the run's, looked at every checkEvery settles
+	stopped bool            // ctx had ended: the traversal unwinds
 }
+
+// checkEvery is how many settles a run makes between looks at its context.
+const checkEvery = 4096
 
 func newExecState(h *ch.Hierarchy) *execState {
 	raw, g := h.Raw(), h.Graph()
@@ -89,8 +97,9 @@ func (st *execState) reset() {
 	st.tr = Trace{}
 }
 
-// run is the traversal from validated sources on a non-empty hierarchy.
-func (st *execState) run(sources []int32) []int64 {
+// run is the traversal from validated sources on a non-empty hierarchy, or nil
+// once it finds ctx ended.
+func (st *execState) run(ctx context.Context, sources []int32) []int64 {
 	for i := range st.minD {
 		st.minD[i] = graph.Inf
 	}
@@ -98,6 +107,7 @@ func (st *execState) run(sources []int32) []int64 {
 		st.node[i] = execNode{live: st.childStart[i+1] - st.childStart[i]}
 	}
 	st.tr = Trace{}
+	st.ctx, st.stopped = ctx, false
 	for _, src := range sources {
 		// Every word on the path is Inf or, above where an earlier source's
 		// path joined it, already 0.
@@ -112,6 +122,9 @@ func (st *execState) run(sources []int32) []int64 {
 		st.settle(root) // a single vertex
 	} else {
 		st.visit(root, graph.Inf)
+	}
+	if st.stopped {
+		return nil
 	}
 	return st.dist()
 }
@@ -142,7 +155,7 @@ func (st *execState) visit(c int32, bound int64) {
 	nd := &st.node[ci]
 	off := st.childStart[ci]
 	shift := st.h.Shift(c)
-	for nd.live > 0 {
+	for nd.live > 0 && !st.stopped {
 		m := st.minD[c]
 		if m >= bound {
 			return
@@ -154,7 +167,7 @@ func (st *execState) visit(c int32, bound int64) {
 		end := (m>>shift + 1) << shift
 		nd.next = graph.Inf
 		var scanned, taken int64
-		for i := int32(0); i < nd.cnt; scanned++ {
+		for i := int32(0); i < nd.cnt && !st.stopped; scanned++ {
 			k := st.act[off+i]
 			mk := st.minD[k]
 			if mk < end {
@@ -195,6 +208,10 @@ func (st *execState) visit(c int32, bound int64) {
 // settle relaxes the edges of vertex v, whose distance is final.
 func (st *execState) settle(v int32) {
 	st.tr.Settled++
+	if st.tr.Settled%checkEvery == 0 && st.ctx.Err() != nil {
+		st.stopped = true
+		return
+	}
 	minD, tgts, wts := st.minD, st.tgts, st.wts
 	dv := minD[v]
 	for e, end := st.offs[v], st.offs[v+1]; e < end; e++ {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/ch"
@@ -185,4 +186,23 @@ func TestRunManyBoundedWorkers(t *testing.T) {
 		}
 	}()
 	s.RunMany([]int32{0, 800})
+}
+
+// A run whose context has ended unwinds within checkEvery settles and returns
+// nil; the query then answers the next run exactly.
+func TestExecRunStopsWhenCancelled(t *testing.T) {
+	g := gen.Random(3*checkEvery, 12*checkEvery, 1<<10, gen.UWD, 9)
+	q := NewSolver(ch.BuildKruskal(g), par.NewExec(2)).Query()
+	tr := q.EnableTrace()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if d := q.RunFromSourcesContext(ctx, []int32{0, 7}); d != nil {
+		t.Fatal("a cancelled exec run returned a vector")
+	}
+	if tr.Settled != checkEvery {
+		t.Fatalf("the cancelled run settled %d vertices, want %d", tr.Settled, checkEvery)
+	}
+	if got := q.RunFromSources([]int32{0, 7}); !sameDists(got, nearest(g, []int32{0, 7})) {
+		t.Fatal("the run after a cancelled one differs from Dijkstra")
+	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -125,7 +126,7 @@ func FuzzDeltaStepVsDijkstra(f *testing.F) {
 			srcs[i] = int32(pick>>(2+5*i)%32) % int32(n)
 		}
 		want := nearest(g, srcs)
-		got, _ := deltastep.NewState().RunFromSources(par.NewExec(2), g, srcs, delta)
+		got, _ := deltastep.NewState().RunFromSources(context.Background(), par.NewExec(2), g, srcs, delta)
 		for v := range want {
 			if got[v] != want[v] {
 				t.Fatalf("delta=%d srcs=%v: d[%d]=%d, dijkstra %d (n=%d)", delta, srcs, v, got[v], want[v], n)

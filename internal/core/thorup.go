@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/ch"
@@ -164,6 +165,13 @@ func (q *Query) Run(src int32) []int64 {
 // by several distance-zero leaves. The returned slice aliases the query's
 // internal state and is valid until the next Run.
 func (q *Query) RunFromSources(sources []int32) []int64 {
+	return q.RunFromSourcesContext(context.Background(), sources)
+}
+
+// RunFromSourcesContext is RunFromSources under ctx. The exec kernel looks at
+// ctx every few thousand settled vertices and, once it is done, stops and
+// returns nil; the sim kernel runs to completion.
+func (q *Query) RunFromSourcesContext(ctx context.Context, sources []int32) []int64 {
 	if q.s.h.NumLeaves() == 0 {
 		return q.Dist()
 	}
@@ -171,7 +179,7 @@ func (q *Query) RunFromSources(sources []int32) []int64 {
 	if q.sim != nil {
 		return q.sim.run(sources)
 	}
-	d := q.exec.run(sources)
+	d := q.exec.run(ctx, sources)
 	if q.trace != nil {
 		*q.trace = q.exec.tr
 	}

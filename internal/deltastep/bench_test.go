@@ -1,6 +1,7 @@
 package deltastep
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -51,11 +52,11 @@ func BenchmarkKernel(b *testing.B) {
 							return srcs
 						}
 						st := NewState()
-						st.RunFromSources(rt, g, set(0), delta)
+						st.RunFromSources(context.Background(), rt, g, set(0), delta)
 						b.ReportAllocs()
 						b.ResetTimer()
 						for i := 0; i < b.N; i++ {
-							st.RunFromSources(rt, g, set(i), delta)
+							st.RunFromSources(context.Background(), rt, g, set(i), delta)
 						}
 					})
 				}

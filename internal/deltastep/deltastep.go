@@ -1,6 +1,7 @@
 package deltastep
 
 import (
+	"context"
 	"math/bits"
 
 	"repro/internal/graph"
@@ -131,7 +132,7 @@ func (st *State) Reset() {
 // width delta, reusing the state's buffers. The returned slice aliases the
 // state and is valid until the next run.
 func (st *State) Run(rt *par.Runtime, g *graph.Graph, src int32, delta int64) ([]int64, Stats) {
-	return st.RunFromSources(rt, g, []int32{src}, delta)
+	return st.RunFromSources(context.Background(), rt, g, []int32{src}, delta)
 }
 
 // RunFromSources computes, for every vertex, the distance to the nearest of
@@ -141,8 +142,10 @@ func (st *State) Run(rt *par.Runtime, g *graph.Graph, src int32, delta int64) ([
 // and is valid until the next run.
 //
 // A simulated runtime takes the cost-model kernel (sim.go), a real one the
-// exec kernel (exec.go); both return the same distances.
-func (st *State) RunFromSources(rt *par.Runtime, g *graph.Graph, srcs []int32, delta int64) ([]int64, Stats) {
+// exec kernel (exec.go); both return the same distances. The exec kernel
+// looks at ctx before every bucket phase and, once it is done, stops and
+// returns a nil vector; the sim kernel runs to completion.
+func (st *State) RunFromSources(ctx context.Context, rt *par.Runtime, g *graph.Graph, srcs []int32, delta int64) ([]int64, Stats) {
 	if delta < 1 {
 		panic("deltastep: delta must be >= 1")
 	}
@@ -160,5 +163,5 @@ func (st *State) RunFromSources(rt *par.Runtime, g *graph.Graph, srcs []int32, d
 	if rt.IsSim() {
 		return st.runSim(rt, g, srcs, delta)
 	}
-	return st.runExec(g, srcs, delta)
+	return st.runExec(ctx.Done(), g, srcs, delta)
 }

@@ -45,8 +45,9 @@ func ringSize(maxW uint32, delta int64) int {
 // vertices go straight into their bins. It does not use the runtime's
 // workers: a parallel phase was measured and costs more CPU than it saves
 // wall time at every size the daemon serves (EXPERIMENTS.md, "Exec-mode
-// delta-stepping").
-func (st *State) runExec(g *graph.Graph, srcs []int32, delta int64) ([]int64, Stats) {
+// delta-stepping"). Once done is closed the next phase does not start, and
+// the run returns a nil vector.
+func (st *State) runExec(done <-chan struct{}, g *graph.Graph, srcs []int32, delta int64) ([]int64, Stats) {
 	size := ringSize(g.MaxWeight(), delta)
 	if cap(st.bins) < size {
 		grown := make([][]entry, size)
@@ -77,6 +78,12 @@ func (st *State) runExec(g *graph.Graph, srcs []int32, delta int64) ([]int64, St
 	frontier := st.frontier
 	cur, counted := int64(0), false
 	for {
+		select {
+		case <-done:
+			st.frontier = frontier
+			return nil, stats
+		default:
+		}
 		// One phase relaxes what the current bucket holds now; what the phase
 		// puts back into it is the next phase.
 		slot := cur & mask

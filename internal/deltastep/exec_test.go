@@ -1,6 +1,7 @@
 package deltastep
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -51,11 +52,11 @@ func TestExecMatchesSimAndDijkstra(t *testing.T) {
 		for _, delta := range []int64{1, d0, 4 * d0, far} {
 			for _, srcs := range sourceSets {
 				want := nearest(g, srcs)
-				sim, _ := NewState().RunFromSources(par.NewSim(mta.MTA2(40)), g, srcs, delta)
+				sim, _ := NewState().RunFromSources(context.Background(), par.NewSim(mta.MTA2(40)), g, srcs, delta)
 				if !sameDists(sim, want) {
 					t.Errorf("%s delta=%d srcs=%v: sim kernel differs from Dijkstra", gname, delta, srcs)
 				}
-				got, stats := NewState().RunFromSources(par.NewExec(4), g, srcs, delta)
+				got, stats := NewState().RunFromSources(context.Background(), par.NewExec(4), g, srcs, delta)
 				if !sameDists(got, want) {
 					t.Errorf("%s delta=%d srcs=%v: exec kernel differs from Dijkstra", gname, delta, srcs)
 				}
@@ -90,11 +91,11 @@ func TestSourceSetEdgeCases(t *testing.T) {
 	}
 	for _, c := range cases {
 		want := nearest(c.g, c.srcs)
-		got, _ := NewState().RunFromSources(par.NewExec(4), c.g, c.srcs, 4)
+		got, _ := NewState().RunFromSources(context.Background(), par.NewExec(4), c.g, c.srcs, 4)
 		if !sameDists(got, want) {
 			t.Errorf("%s: got %v, want %v", c.name, got, want)
 		}
-		sim, _ := NewState().RunFromSources(par.NewSim(mta.MTA2(4)), c.g, c.srcs, 4)
+		sim, _ := NewState().RunFromSources(context.Background(), par.NewSim(mta.MTA2(4)), c.g, c.srcs, 4)
 		if !sameDists(sim, want) {
 			t.Errorf("%s sim: got %v, want %v", c.name, sim, want)
 		}
@@ -192,7 +193,7 @@ func TestOverflowUnderAdversarialWeights(t *testing.T) {
 			for _, srcs := range [][]int32{{0}, {last}, {5, last / 2, last - 1, 5}} {
 				want := nearest(g, srcs)
 				st := NewState()
-				got, stats := st.RunFromSources(rt, g, srcs, delta)
+				got, stats := st.RunFromSources(context.Background(), rt, g, srcs, delta)
 				if !sameDists(got, want) {
 					t.Fatalf("%s delta=%d srcs=%v: differs from Dijkstra", gname, delta, srcs)
 				}
@@ -211,7 +212,7 @@ func TestOverflowUnderAdversarialWeights(t *testing.T) {
 				if cap(st.bins) > ringBins {
 					t.Errorf("%s delta=%d: %d bins", gname, delta, cap(st.bins))
 				}
-				if a := testing.AllocsPerRun(3, func() { st.RunFromSources(rt, g, srcs, delta) }); a > 0 {
+				if a := testing.AllocsPerRun(3, func() { st.RunFromSources(context.Background(), rt, g, srcs, delta) }); a > 0 {
 					t.Errorf("%s delta=%d srcs=%v: %.1f allocations per warm run", gname, delta, srcs, a)
 				}
 			}
@@ -281,5 +282,25 @@ func TestResetScrubs(t *testing.T) {
 				t.Fatalf("queued entry %+v survives Reset", en)
 			}
 		}
+	}
+}
+
+// A run whose context has ended stops before its next bucket phase and
+// returns nil; the state then answers the next run exactly. The sim kernel
+// does not look at the context.
+func TestExecRunStopsWhenCancelled(t *testing.T) {
+	g := gen.Random(2000, 8000, 1<<10, gen.UWD, 9)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	st, delta := NewState(), DefaultDelta(g)
+	if d, _ := st.RunFromSources(ctx, par.NewExec(2), g, []int32{0, 7}, delta); d != nil {
+		t.Fatal("a cancelled exec run returned a vector")
+	}
+	got, _ := st.RunFromSources(context.Background(), par.NewExec(2), g, []int32{0, 7}, delta)
+	if want := nearest(g, []int32{0, 7}); !sameDists(got, want) {
+		t.Fatal("the run after a cancelled one differs from Dijkstra")
+	}
+	if d, _ := NewState().RunFromSources(ctx, par.NewSim(mta.MTA2(4)), g, []int32{0}, delta); d == nil {
+		t.Fatal("the sim kernel stopped on its context")
 	}
 }

@@ -1,6 +1,7 @@
 package dijkstra
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -376,7 +377,7 @@ func BenchmarkST(b *testing.B) {
 				n := g.NumVertices()
 				budget, delta := n/32, deltastep.DefaultDelta(g)
 				x, sc, lazy, full := NewSTIndex(g, nil), new(STScratch), new(lazySTScratch), deltastep.NewState()
-				full.RunFromSources(rt, g, []int32{0}, delta)
+				full.RunFromSources(context.Background(), rt, g, []int32{0}, delta)
 				sc.Distance(x, 0, int32(n-1), math.MaxInt)
 				lazySTDistance(lazy, g, 0, int32(n-1), math.MaxInt)
 				r := rng.New(26)
@@ -397,10 +398,10 @@ func BenchmarkST(b *testing.B) {
 						settled = append(settled, k)
 					case "targeted":
 						if _, _, ok := sc.Distance(x, s, t, budget); !ok {
-							full.RunFromSources(rt, g, []int32{s}, delta)
+							full.RunFromSources(context.Background(), rt, g, []int32{s}, delta)
 						}
 					case "delta":
-						full.RunFromSources(rt, g, []int32{s}, delta)
+						full.RunFromSources(context.Background(), rt, g, []int32{s}, delta)
 					}
 				}
 				b.StopTimer()

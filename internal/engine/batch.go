@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/trace"
 )
@@ -22,35 +23,25 @@ type BatchResult struct {
 // through the cache and singleflight individually, so duplicate sources
 // within a batch — or across a batch and live queries — solve once.
 //
-// The returned slice maps 1:1 to queries. Once ctx is cancelled, items not
-// yet picked up fail with ctx.Err(); items already solving run to completion.
-// Every item is always accounted for — the call never blocks on a cancelled
-// remainder.
+// The returned slice maps 1:1 to queries. Once ctx is cancelled every item
+// not yet answered fails with ctx.Err(): those not yet picked up at once, and
+// those solving when their execution stops (see Query). Every item is always
+// accounted for — the call never blocks on a cancelled remainder.
 func (e *Engine) Batch(ctx context.Context, queries []Request) []BatchResult {
 	e.counters.C(cBatchRequests).Inc()
 	e.counters.C(cBatchItems).Add(int64(len(queries)))
 	out := make([]BatchResult, len(queries))
-	if len(queries) == 0 {
-		return out
-	}
-	workers := e.cfg.BatchWorkers
-	if workers > len(queries) {
-		workers = len(queries)
-	}
 	// When the batch request is traced, each item records an "item" span
 	// under the batch's current span, so the parent trace ID reaches every
 	// item; the per-trace span cap bounds what a 4096-item batch can attach.
 	parent := trace.SpanFromContext(ctx)
-	idx := make(chan int)
+	var next atomic.Int64 // the next item a worker takes
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	for range min(e.cfg.BatchWorkers, len(queries)) {
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				// Workers always drain the channel; cancellation is observed
-				// per item (Query checks ctx up front), so the feeder below
-				// never blocks forever.
+			for i := int(next.Add(1)) - 1; i < len(queries); i = int(next.Add(1)) - 1 {
 				ictx := ctx
 				var isp *trace.Span
 				if parent != nil {
@@ -64,10 +55,6 @@ func (e *Engine) Batch(ctx context.Context, queries []Request) []BatchResult {
 			}
 		}()
 	}
-	for i := range queries {
-		idx <- i
-	}
-	close(idx)
 	wg.Wait()
 	return out
 }

@@ -111,6 +111,7 @@ const (
 	cInheritDropped     = "inherit_dropped"
 	cResumed            = "resumed"
 	cResettled          = "resettled"
+	cCancelled          = "cancelled"
 )
 
 // New creates an engine over the instance. The hierarchy is built on first
@@ -131,7 +132,7 @@ func New(in *solver.Instance, cfg Config) *Engine {
 		exec:      make(map[string]*pooled, len(solvers)),
 		counters: obs.NewGroup(cSolves, cDedupHits, cCacheHits, cCacheMisses,
 			cCacheEvictions, cBatchRequests, cBatchItems, cFullJSONBuilt, cFullBytesFromCache,
-			cTargetedBailouts, cInheritedExact, cInheritedStale, cInheritDropped, cResumed, cResettled),
+			cTargetedBailouts, cInheritedExact, cInheritedStale, cInheritDropped, cResumed, cResettled, cCancelled),
 		p2p:          solver.PointToPoints()[0],
 		targetBudget: in.G.NumVertices() / targetBudgetShare,
 	}
@@ -197,9 +198,10 @@ func (v Via) String() string {
 }
 
 // Query answers one request: cache lookup, then singleflight coalescing,
-// then a pooled solver execution. Waiters honour ctx; the execution itself
-// is not cancellable (a Thorup traversal cannot stop mid-flight), so the
-// leader always completes and caches its result even if its own ctx expires.
+// then a pooled solver execution on the caller's goroutine. The execution
+// runs while the context of any caller it answers lives, and stops once the
+// last has ended (see flightGroup); a stopped execution caches nothing. A
+// caller whose ctx has ended gets ctx's error.
 //
 // A request with Targets, one source and no solver override that misses the
 // cache is answered by point-to-point searches instead (a partial Result by
@@ -235,15 +237,18 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Result, Via, error) {
 	}
 	e.counters.C(cCacheMisses).Inc()
 	if targeted(req, srcs) {
-		if res := e.search(parent, srcs[0], req.Targets); res != nil {
+		if res := e.search(ctx, parent, srcs[0], req.Targets); res != nil {
 			return res, ViaSolve, nil
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, ViaSolve, err
 		}
 	}
 	// The wait span is only attached when this caller actually waited on
 	// another's execution; a leader's time is the solve span instead.
 	wait := parent.StartChild("singleflight_wait")
-	res, shared, err := e.flight.do(ctx, key, func() *Result {
-		return e.solve(parent, name, srcs, key)
+	res, shared, err := e.flight.do(ctx, key, func(ectx context.Context) *Result {
+		return e.solve(ectx, parent, name, srcs, key)
 	})
 	if shared {
 		wait.End()
@@ -319,14 +324,19 @@ func (e *Engine) begin(parent *trace.Span, name string, sources int) (*pooled, *
 
 // search answers a targeted request with one point-to-point search per target
 // on one pooled state under one budget, or returns nil once a search outgrows
-// what is left. Either way one execution: its span says targets, settled, bailed.
-func (e *Engine) search(parent *trace.Span, src int32, targets []int32) *Result {
+// what is left or ctx has ended between two searches. Either way one
+// execution: its span says targets, settled, bailed.
+func (e *Engine) search(ctx context.Context, parent *trace.Span, src int32, targets []int32) *Result {
 	p, sp := e.begin(parent, e.p2p.Name, 1)
 	defer sp.End()
 	st := p.states.Get().(solver.PointSearch)
 	res := &Result{Solver: e.p2p.Name, TargetDist: make([]int64, len(targets))}
 	settled := 0
 	for i, t := range targets {
+		if ctx.Err() != nil {
+			res = nil
+			break
+		}
 		d, k, ok := st(src, t, e.targetBudget-settled)
 		settled += k
 		if !ok {
@@ -350,15 +360,24 @@ func (e *Engine) search(parent *trace.Span, src int32, targets []int32) *Result 
 // one run, detach, Reset, put back, cache: the same steps for every solver in
 // the pool. parent is the singleflight leader's trace position: the execution
 // is begin's "solve" span with a nested "pool_checkout" and, for a tracer
-// state, the solver-phase counters of core.Trace.
-func (e *Engine) solve(parent *trace.Span, name string, srcs []int32, key string) *Result {
+// state, the solver-phase counters of core.Trace. A run ctx stopped (nil) is
+// counted, put back and not cached; solve then returns nil.
+func (e *Engine) solve(ctx context.Context, parent *trace.Span, name string, srcs []int32, key string) *Result {
 	p, sp := e.begin(parent, name, len(srcs))
 	defer sp.End()
 	pc := sp.StartChild("pool_checkout")
 	st := p.states.Get().(solver.State)
 	pc.End()
+	d := st.RunFromSources(ctx, srcs)
+	if d == nil {
+		e.counters.C(cCancelled).Inc()
+		sp.SetAttr("cancelled", true)
+		st.Reset()
+		p.states.Put(st)
+		return nil
+	}
 	res := &Result{Solver: name, e: e, key: key}
-	res.detach(st.RunFromSources(srcs))
+	res.detach(d)
 	if t, ok := st.(tracer); ok {
 		snap := t.Trace().Snapshot()
 		e.traceAgg.Merge(snap)

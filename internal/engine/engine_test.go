@@ -37,7 +37,7 @@ func (s *gatedSolver) register() solver.Solver {
 	return solver.Solver{
 		Name: "gated",
 		NewState: func(in *solver.Instance) solver.State {
-			return solver.StateFunc(func(sources []int32) []int64 {
+			return solver.StateFunc(func(_ context.Context, sources []int32) []int64 {
 				s.once.Do(func() { close(s.started) })
 				<-s.release
 				out := make([]int64, in.G.NumVertices())
@@ -93,9 +93,9 @@ type countingState struct {
 	runs, resets *atomic.Int64
 }
 
-func (c countingState) RunFromSources(sources []int32) []int64 {
+func (c countingState) RunFromSources(ctx context.Context, sources []int32) []int64 {
 	c.runs.Add(1)
-	return c.State.RunFromSources(sources)
+	return c.State.RunFromSources(ctx, sources)
 }
 
 func (c countingState) Reset() {
@@ -540,6 +540,157 @@ func TestSingleflightWaiterCancellation(t *testing.T) {
 	}
 }
 
+// stoppableSolver is a gated solver that honours its context, as the exec
+// kernels do: a run ends when released (a full answer) or when its context
+// ends (nil, cancelled). It counts the Resets of its states.
+type stoppableSolver struct {
+	started   chan struct{} // one send per run start; buffered for the two runs a test makes
+	release   chan struct{}
+	cancelled atomic.Int64 // runs that ended on their context
+	resets    atomic.Int64
+}
+
+type stoppableState struct {
+	s *stoppableSolver
+	n int
+}
+
+func (st stoppableState) RunFromSources(ctx context.Context, sources []int32) []int64 {
+	st.s.started <- struct{}{}
+	select {
+	case <-st.s.release:
+		out := make([]int64, st.n)
+		for i := range out {
+			out[i] = graph.Inf
+		}
+		for _, src := range sources {
+			out[src] = 0
+		}
+		return out
+	case <-ctx.Done():
+		st.s.cancelled.Add(1)
+		return nil
+	}
+}
+
+func (st stoppableState) Reset() { st.s.resets.Add(1) }
+
+func newStoppable(t *testing.T) (*stoppableSolver, *Engine) {
+	s := &stoppableSolver{started: make(chan struct{}, 2), release: make(chan struct{})}
+	e := New(testInstance(t, 100, 400), Config{CacheEntries: 8, Solvers: append(solver.All(), solver.Solver{
+		Name:     "stoppable",
+		NewState: func(in *solver.Instance) solver.State { return stoppableState{s, in.G.NumVertices()} },
+	})})
+	return s, e
+}
+
+// joinedBy waits until n callers have joined the flight in progress for req.
+func joinedBy(t *testing.T, e *Engine, req Request, n int) {
+	t.Helper()
+	_, _, key, err := e.plan(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); e.flight.joined(key) < n; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d callers joined the flight", e.flight.joined(key), n)
+		}
+	}
+}
+
+// The leader's deadline passes while a joiner still waits: the solve goes on
+// (on the leader's goroutine), the joiner gets the answer, the leader its
+// context's error, and the answer is cached.
+func TestSingleflightCancelLeaderJoinerLives(t *testing.T) {
+	s, e := newStoppable(t)
+	req := Request{Sources: []int32{7}, Solver: "stoppable"}
+	lctx, cancelLeader := context.WithCancel(context.Background())
+	leader := make(chan error, 1)
+	go func() {
+		_, _, err := e.Query(lctx, req)
+		leader <- err
+	}()
+	<-s.started
+	joiner := make(chan error, 1)
+	go func() {
+		res, via, err := e.Query(context.Background(), req)
+		if err == nil && (via != ViaDedup || res.At(7) != 0) {
+			err = fmt.Errorf("via %v, d[7] = %d", via, res.At(7))
+		}
+		joiner <- err
+	}()
+	joinedBy(t, e, req, 1)
+	cancelLeader()
+	select {
+	case err := <-leader:
+		t.Fatalf("the leader returned (%v) while its solve was held", err)
+	case <-time.After(50 * time.Millisecond): // a wrong cancellation would have reached the run by now
+	}
+	close(s.release)
+	if err := <-leader; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader err = %v, want context.Canceled", err)
+	}
+	if err := <-joiner; err != nil {
+		t.Fatalf("joiner: %v", err)
+	}
+	if n := s.cancelled.Load(); n != 0 {
+		t.Fatalf("%d runs cancelled while a caller still waited", n)
+	}
+	if _, via, err := e.Query(context.Background(), req); err != nil || via != ViaCache {
+		t.Fatalf("after the flight: via=%v err=%v, want a cache hit", via, err)
+	}
+	if n := e.Counter("cancelled"); n != 0 {
+		t.Fatalf("cancelled = %d, want 0", n)
+	}
+}
+
+// Both callers' deadlines pass: the last to leave cancels the solve, which
+// stops, is Reset and goes back to its pool, and caches nothing — the next
+// caller solves afresh.
+func TestSingleflightCancelAllWaitersGone(t *testing.T) {
+	s, e := newStoppable(t)
+	req := Request{Sources: []int32{7}, Solver: "stoppable"}
+	lctx, cancelLeader := context.WithCancel(context.Background())
+	jctx, cancelJoiner := context.WithCancel(context.Background())
+	errs := make(chan error, 2)
+	go func() {
+		_, _, err := e.Query(lctx, req)
+		errs <- err
+	}()
+	<-s.started
+	go func() {
+		_, _, err := e.Query(jctx, req)
+		errs <- err
+	}()
+	joinedBy(t, e, req, 1)
+	cancelJoiner()
+	if err := <-errs; !errors.Is(err, context.Canceled) {
+		t.Fatalf("joiner err = %v, want context.Canceled", err)
+	}
+	if n := s.cancelled.Load(); n != 0 {
+		t.Fatalf("the solve was cancelled while its leader waited")
+	}
+	cancelLeader()
+	if err := <-errs; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader err = %v, want context.Canceled", err)
+	}
+	if c, r := s.cancelled.Load(), s.resets.Load(); c != 1 || r != 1 {
+		t.Fatalf("%d runs cancelled, %d states Reset; want 1 and 1", c, r)
+	}
+	if n := e.Counter("cancelled"); n != 1 {
+		t.Fatalf("cancelled = %d, want 1", n)
+	}
+	close(s.release)
+	res, via, err := e.Query(context.Background(), req)
+	if err != nil || via != ViaSolve || res.At(7) != 0 {
+		t.Fatalf("after the cancelled flight: via=%v err=%v, want a fresh solve", via, err)
+	}
+	<-s.started
+	if r := s.resets.Load(); r != 2 {
+		t.Fatalf("%d states Reset after two runs, want 2", r)
+	}
+}
+
 // --- batch -----------------------------------------------------------------
 
 func TestBatchMatchesIndividualQueries(t *testing.T) {
@@ -588,8 +739,9 @@ func TestBatchPerItemErrors(t *testing.T) {
 	}
 }
 
-// Cancelling mid-batch fails the queued items with ctx.Err() while the item
-// already solving runs to completion; nothing deadlocks or goes unaccounted.
+// Cancelling mid-batch fails every item with ctx.Err(): the queued ones
+// without running, and the one solving once its execution returns, because
+// the batch was its only waiter; nothing deadlocks or goes unaccounted.
 func TestBatchCancellationMidFlight(t *testing.T) {
 	in := testInstance(t, 50, 200)
 	gs := newGated()
@@ -609,12 +761,9 @@ func TestBatchCancellationMidFlight(t *testing.T) {
 	close(gs.release)
 	out := <-done
 
-	if out[0].Err != nil {
-		t.Fatalf("in-flight item err = %v, want completion", out[0].Err)
-	}
-	for i := 1; i < 3; i++ {
+	for i := 0; i < 3; i++ {
 		if !errors.Is(out[i].Err, context.Canceled) {
-			t.Fatalf("queued item %d err = %v, want context.Canceled", i, out[i].Err)
+			t.Fatalf("item %d err = %v, want context.Canceled", i, out[i].Err)
 		}
 	}
 	if solves := e.Counter("solves"); solves != 1 {

@@ -13,3 +13,14 @@ func (c *lru) peek(key string) bool {
 	_, ok := c.index[key]
 	return ok
 }
+
+// joined is how many callers beside its leader wait on the execution in
+// flight for key; 0 if none is in flight.
+func (g *flightGroup) joined(key string) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if c, ok := g.calls[key]; ok {
+		return c.waiting - 1
+	}
+	return 0
+}

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"strconv"
@@ -73,6 +74,20 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 // Error answers with the daemons' common error body, {"error": msg}.
 func Error(w http.ResponseWriter, status int, msg string) {
 	WriteJSON(w, status, map[string]string{"error": msg})
+}
+
+// DecodeStrict decodes a request body holding exactly one JSON value into v:
+// an unknown field, or anything but white space after the value, is an error.
+func DecodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
 }
 
 // Middleware is the per-request skeleton around every endpoint of a daemon.

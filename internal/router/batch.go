@@ -78,9 +78,7 @@ func readBatch(w http.ResponseWriter, r *http.Request) ([]byte, *batchEnvelope, 
 		return nil, nil, fmt.Errorf("reading body: %v", err)
 	}
 	var env batchEnvelope
-	dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&env); err != nil {
+	if err := httpx.DecodeStrict(bytes.NewReader(buf.Bytes()), &env); err != nil {
 		return nil, nil, fmt.Errorf("decoding batch: %v", err)
 	}
 	if len(env.Queries) == 0 {

@@ -527,6 +527,24 @@ func TestBatchSmallStaysSingle(t *testing.T) {
 	}
 }
 
+// A body with anything after its one JSON value is refused with 400 before
+// any backend sees it, as ssspd and the mutation parser refuse it.
+func TestBatchRefusesTrailingData(t *testing.T) {
+	a := newFakeBackend(t, "a", "g")
+	a.setQuery(echoBatch("a"))
+	rt := newTestRouter(t, Config{}, a)
+	for _, body := range []string{`{"queries":[{"src":1}]}{}`, `{"queries":[{"src":1}]} x`} {
+		w := httptest.NewRecorder()
+		rt.Mux().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/batch?graph=g", bytes.NewReader([]byte(body))))
+		if w.Code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400: %s", body, w.Code, w.Body)
+		}
+	}
+	if n := a.hits.Load(); n != 0 {
+		t.Fatalf("backend saw %d refused batches", n)
+	}
+}
+
 // A failed shard fails only its own items: the batch still answers 200 and
 // the failed shard's items carry per-item error placeholders in place.
 func TestBatchShardFailureIsPartial(t *testing.T) {

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -128,8 +129,10 @@ type State interface {
 	// RunFromSources returns the distance from the nearest source for every
 	// vertex (graph.Inf where unreachable). Sources must be in range and may
 	// repeat; an empty set leaves every vertex at graph.Inf. The result may
-	// alias the state and is valid until the next run or Reset.
-	RunFromSources(sources []int32) []int64
+	// alias the state and is valid until the next run or Reset. A kernel that
+	// looks at ctx (delta, bfs, thorup) stops once it is done and returns nil;
+	// the reference solvers (dijkstra, mlb, thorup-serial) run to completion.
+	RunFromSources(ctx context.Context, sources []int32) []int64
 	// Reset scrubs the state so nothing of the last run leaks to the next
 	// user across a pool boundary. Not required between runs.
 	Reset()
@@ -137,10 +140,12 @@ type State interface {
 
 // StateFunc adapts a kernel that allocates everything per run to State: it
 // keeps nothing between runs, so Reset has nothing to scrub.
-type StateFunc func(sources []int32) []int64
+type StateFunc func(ctx context.Context, sources []int32) []int64
 
-func (f StateFunc) RunFromSources(sources []int32) []int64 { return f(sources) }
-func (StateFunc) Reset()                                   {}
+func (f StateFunc) RunFromSources(ctx context.Context, sources []int32) []int64 {
+	return f(ctx, sources)
+}
+func (StateFunc) Reset() {}
 
 // Solver is one registered full-distance-vector SSSP implementation.
 type Solver struct {
@@ -149,9 +154,6 @@ type Solver struct {
 	// UnitWeightsOnly marks solvers whose output equals shortest-path
 	// distances only when every edge weighs 1 (BFS).
 	UnitWeightsOnly bool
-	// Parallel marks solvers that run goroutines on the instance runtime,
-	// i.e. the ones worth exercising under the race detector.
-	Parallel bool
 	// NeedsCH marks solvers that consume the Component Hierarchy.
 	NeedsCH bool
 	// NewState allocates per-query state over the instance: the one
@@ -163,7 +165,7 @@ type Solver struct {
 // Solve is a fresh state, one run, and a copy of the result that nothing
 // else references.
 func (s Solver) Solve(in *Instance, sources []int32) []int64 {
-	return append([]int64(nil), s.NewState(in).RunFromSources(sources)...)
+	return append([]int64(nil), s.NewState(in).RunFromSources(context.Background(), sources)...)
 }
 
 // PointSearch is one point-to-point solver's reusable per-query state, bound
@@ -189,9 +191,9 @@ func (p PointToPoint) Dist(in *Instance, s, t int32) int64 {
 // rejects, the way every other solver does.
 type thorupState struct{ *core.Query }
 
-func (q thorupState) RunFromSources(sources []int32) []int64 {
+func (q thorupState) RunFromSources(ctx context.Context, sources []int32) []int64 {
 	if len(sources) > 0 {
-		return q.Query.RunFromSources(sources)
+		return q.Query.RunFromSourcesContext(ctx, sources)
 	}
 	d := q.Dist()
 	for i := range d {
@@ -206,7 +208,7 @@ type dijkstraState struct {
 	g *graph.Graph
 }
 
-func (s dijkstraState) RunFromSources(sources []int32) []int64 {
+func (s dijkstraState) RunFromSources(_ context.Context, sources []int32) []int64 {
 	return s.SSSPFromSources(s.g, sources)
 }
 
@@ -218,8 +220,8 @@ type deltaState struct {
 	last deltastep.Stats
 }
 
-func (s *deltaState) RunFromSources(sources []int32) (d []int64) {
-	d, s.last = s.State.RunFromSources(s.in.RT, s.in.G, sources, s.in.Delta)
+func (s *deltaState) RunFromSources(ctx context.Context, sources []int32) (d []int64) {
+	d, s.last = s.State.RunFromSources(ctx, s.in.RT, s.in.G, sources, s.in.Delta)
 	return d
 }
 
@@ -232,7 +234,6 @@ func All() []Solver {
 	return []Solver{
 		{
 			Name:     "thorup",
-			Parallel: true,
 			NeedsCH:  true,
 			NewState: func(in *Instance) State { return thorupState{in.Thorup().Query()} },
 		},
@@ -241,7 +242,7 @@ func All() []Solver {
 			NeedsCH: true,
 			NewState: func(in *Instance) State {
 				h := in.Hierarchy()
-				return StateFunc(func(srcs []int32) []int64 { return core.SerialSSSPFromSources(h, srcs) })
+				return StateFunc(func(_ context.Context, srcs []int32) []int64 { return core.SerialSSSPFromSources(h, srcs) })
 			},
 		},
 		{
@@ -250,22 +251,23 @@ func All() []Solver {
 		},
 		{
 			Name:     "delta",
-			Parallel: true,
 			NewState: func(in *Instance) State { return &deltaState{State: deltastep.NewState(), in: in} },
 		},
 		{
 			Name: "mlb",
 			NewState: func(in *Instance) State {
-				return StateFunc(func(srcs []int32) []int64 { return mlb.SSSPFromSources(in.G, srcs) })
+				return StateFunc(func(_ context.Context, srcs []int32) []int64 { return mlb.SSSPFromSources(in.G, srcs) })
 			},
 		},
 		{
 			Name:            "bfs",
 			UnitWeightsOnly: true,
-			Parallel:        true,
 			NewState: func(in *Instance) State {
-				return StateFunc(func(srcs []int32) []int64 {
-					return bfs.Distances(bfs.ParallelFromSources(in.RT, in.G, srcs))
+				return StateFunc(func(ctx context.Context, srcs []int32) []int64 {
+					if level := bfs.ParallelFromSources(ctx, in.RT, in.G, srcs); level != nil {
+						return bfs.Distances(level)
+					}
+					return nil
 				})
 			},
 		},

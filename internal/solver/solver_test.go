@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"math"
 	"slices"
 	"sync"
@@ -315,7 +316,7 @@ func TestConformance(t *testing.T) {
 			}
 			reused := s.NewState(in)
 			check("empty source set", s.Solve(in, nil), unreached)
-			check("empty source set, reused state", reused.RunFromSources(nil), unreached)
+			check("empty source set, reused state", reused.RunFromSources(context.Background(), nil), unreached)
 			for i, srcs := range sourceSets(n) {
 				want := dijkstra.SSSPFromSources(g, srcs)
 				singles := slices.Clone(unreached)
@@ -327,7 +328,7 @@ func TestConformance(t *testing.T) {
 				check("min of single-source runs", singles, want)
 				check("fresh state", s.Solve(in, srcs), want)
 				// reused has by now answered every earlier, different set.
-				check("reused state", reused.RunFromSources(srcs), want)
+				check("reused state", reused.RunFromSources(context.Background(), srcs), want)
 				if i%2 == 1 {
 					reused.Reset()
 				}
@@ -363,8 +364,34 @@ func TestWarmDijkstraStateAllocatesNothing(t *testing.T) {
 	s, _ := ByName("dijkstra")
 	st := s.NewState(NewInstance(g, par.NewExec(1)))
 	srcs := []int32{3, 77, 140, 255}
-	st.RunFromSources(srcs) // grow the buffers
-	if a := testing.AllocsPerRun(20, func() { st.RunFromSources(srcs) }); a != 0 {
+	st.RunFromSources(context.Background(), srcs) // grow the buffers
+	if a := testing.AllocsPerRun(20, func() { st.RunFromSources(context.Background(), srcs) }); a != 0 {
 		t.Fatalf("warm 4-source dijkstra run: %v allocs, want 0", a)
+	}
+}
+
+// Under a context that has ended, the kernels that look at it (delta, bfs,
+// thorup) return nil, and the reference solvers (dijkstra, mlb,
+// thorup-serial) run to completion: the contract State documents.
+func TestStatesUnderCancelledContext(t *testing.T) {
+	const n = 3 * 4096 // past exec Thorup's first check
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	checks := map[string]bool{"delta": true, "bfs": true, "thorup": true}
+	for _, c := range []uint32{1 << 10, 1} {
+		in := NewInstance(gen.Random(n, 4*n, c, gen.UWD, 5), par.NewExec(2))
+		want := dijkstra.SSSP(in.G, 3)
+		for _, s := range All() {
+			if !s.Applicable(in.G) || (s.UnitWeightsOnly != (c == 1)) {
+				continue
+			}
+			got := s.NewState(in).RunFromSources(ctx, []int32{3})
+			switch {
+			case checks[s.Name] && got != nil:
+				t.Errorf("%s ran to completion under a cancelled context", s.Name)
+			case !checks[s.Name] && !slices.Equal(got, want):
+				t.Errorf("%s, a reference solver, did not complete under a cancelled context", s.Name)
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package stress
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/dijkstra"
 	"repro/internal/engine"
 	"repro/internal/graph"
+	"repro/internal/rng"
 	"repro/internal/solver"
 	"repro/internal/trace"
 )
@@ -16,11 +18,13 @@ import (
 // checkEngine drives the query-execution engine (internal/engine) with a
 // concurrent mixed workload over one shared instance — duplicate queries
 // racing into the singleflight, repeats hitting the LRU cache, explicit
-// per-solver requests exercising every pooled fast path, and a batch running
-// beside the live queries — and verifies every answer against Dijkstra.
-// Meaningful under -race, like the other concurrency stages; it runs after
-// the differential stage, so a deliberately broken injected solver trips
-// that oracle first.
+// per-solver requests exercising every pooled fast path, a batch running
+// beside the live queries, and half the queries under a deadline of at most
+// 200 µs, which ends some before, during or after their solve — and verifies
+// every answer against Dijkstra, also that of a query asked again after its
+// deadline: no stopped solve cached a partial vector. Meaningful under
+// -race, like the other concurrency stages; it runs after the differential
+// stage, so a deliberately broken injected solver trips that oracle first.
 func checkEngine(cfg Config, name string, g *graph.Graph, sources []int32, in *solver.Instance) *Failure {
 	n := g.NumVertices()
 	e := engine.New(in, engine.Config{CacheEntries: 8, BatchWorkers: 2, Solvers: cfg.Solvers})
@@ -46,13 +50,19 @@ func checkEngine(cfg Config, name string, g *graph.Graph, sources []int32, in *s
 	}
 
 	type job struct {
-		label string
-		req   engine.Request
-		want  []int64
+		label    string
+		req      engine.Request
+		want     []int64
+		deadline time.Duration
 	}
 	var jobs []job
+	r := rng.New(uint64(sources[0]) ^ 0xdead11e)
 	add := func(label string, req engine.Request) {
-		jobs = append(jobs, job{label: label, req: req, want: oracle(req.Sources)})
+		j := job{label: label, req: req, want: oracle(req.Sources), deadline: time.Hour}
+		if r.Intn(2) == 0 {
+			j.deadline = time.Duration(1+r.Intn(200)) * time.Microsecond
+		}
+		jobs = append(jobs, j)
 	}
 	srcs := raceSources(sources[0], n)
 	for _, s := range srcs {
@@ -93,8 +103,14 @@ func checkEngine(cfg Config, name string, g *graph.Graph, sources []int32, in *s
 		go func(j job) {
 			defer wg.Done()
 			tr := tracer.StartRequest("", "stress")
-			res, _, err := e.Query(trace.NewContext(ctx, tr), j.req)
+			qctx, cancel := context.WithTimeout(trace.NewContext(ctx, tr), j.deadline)
+			defer cancel()
+			res, _, err := e.Query(qctx, j.req)
 			tracer.Finish(tr, 200)
+			if errors.Is(err, context.DeadlineExceeded) {
+				j.label += ", asked again after its deadline"
+				res, _, err = e.Query(ctx, j.req)
+			}
 			if err != nil {
 				report(fail("engine-mixed", "%s: %v", j.label, err))
 				return

@@ -1,6 +1,7 @@
 package stress
 
 import (
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -54,7 +55,7 @@ func brokenDijkstra() solver.Solver {
 	return solver.Solver{
 		Name: "broken",
 		NewState: func(in *solver.Instance) solver.State {
-			return solver.StateFunc(func(sources []int32) []int64 {
+			return solver.StateFunc(func(_ context.Context, sources []int32) []int64 {
 				d := dijkstra.SSSPFromSources(in.G, sources)
 				for v := len(d) - 1; v >= 0; v-- {
 					if d[v] != 0 && d[v] != graph.Inf {

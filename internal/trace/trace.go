@@ -155,8 +155,7 @@ func (s *Span) Trace() *Trace {
 }
 
 // End stamps the span's duration and attaches it to its parent. Spans ending
-// after the trace is finished (a query that outlived its HTTP deadline keeps
-// solving in the background) or beyond the per-trace span cap are counted as
+// after the trace is finished or beyond the per-trace span cap are counted as
 // dropped rather than attached, which keeps finished traces immutable.
 func (s *Span) End() {
 	if s == nil || s.ended {
