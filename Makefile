@@ -193,7 +193,8 @@ bench-build:
 # twenty times under it (the hook runs on the runtime's finalizer goroutine,
 # beside swaps and /metrics scrapes), the request-lifetime tests likewise (a
 # deadline that stops a solve, a singleflight its last waiter cancels), the
-# serving smoke slice, and the seeded stress sweep.
+# packed result vector's tests likewise (inheritance and resumes beside hits,
+# widening), the serving smoke slice, and the seeded stress sweep.
 check:
 	$(GO) vet ./...
 	GOOS=windows $(GO) vet ./...
@@ -203,6 +204,7 @@ check:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -count=20 -run 'MemoryLimit' ./cmd/ssspd
 	$(GO) test -race -count=20 -run 'Cancel|Deadline' ./internal/engine ./cmd/ssspd
+	$(GO) test -race -count=20 -run 'Inherit|Resume|Wide|Vector' ./internal/engine
 	$(MAKE) bench-serve-smoke
 	$(MAKE) stress
 
@@ -231,8 +233,8 @@ stress:
 	$(GO) test -race -count=1 ./internal/stress ./internal/solver
 	$(GO) run -race ./cmd/stress -seed $(STRESS_SEED) -rounds 2 -max-n 192 -quiet
 
-# Short fuzzing passes over the format parsers and the solver cross-checks
-# (~10s per target).
+# Short fuzzing passes over the format parsers, the solver cross-checks and
+# the packed result vector (~10s per target).
 fuzz:
 	$(GO) test -fuzz FuzzReadGraph -fuzztime 10s ./internal/dimacs
 	$(GO) test -fuzz FuzzReadSources -fuzztime 10s ./internal/dimacs
@@ -245,6 +247,7 @@ fuzz:
 	$(GO) test -fuzz FuzzMLBVsDijkstra -fuzztime 10s ./internal/core
 	$(GO) test -fuzz FuzzSTVsDijkstra -fuzztime 10s ./internal/core
 	$(GO) test -fuzz FuzzRadix -fuzztime 10s ./internal/pq
+	$(GO) test -fuzz FuzzResultVector -fuzztime 10s ./internal/engine
 
 # Regenerate every table and figure of the paper at the default scale.
 experiments:

@@ -3,7 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
+	"strings"
 	"testing"
 
 	"repro/internal/dijkstra"
@@ -191,4 +194,106 @@ func TestSSSPCachedFullServing(t *testing.T) {
 	if m.Engine.CacheHits != 1 || m.Engine.FullJSONBuilt != 1 || m.Engine.FullBytesFromCache <= 0 {
 		t.Fatalf("cached serving counters: %+v", m.Engine)
 	}
+}
+
+// /sssp, /batch and /table answer with the bytes encoding/json gives the maps
+// of their fields: keys sorted, the vector as its JSON array with -1 for
+// unreachable, trace_id on every batch item of a traced request — for a miss,
+// a hit, full=1 on each, and a batch holding an error item.
+func TestVectorBodiesMatchMapEncoding(t *testing.T) {
+	ts, _, _ := tracedServer(t, 1, 0)
+	g, _ := testGraph()
+	do := func(method, path, body string) []byte {
+		t.Helper()
+		req, _ := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+		req.Header.Set("X-Trace-Id", "bodies-1")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		got, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != 200 {
+			t.Fatalf("%s %s: %d %.200s %v", method, path, resp.StatusCode, got, err)
+		}
+		return got
+	}
+	same := func(what string, got []byte, old any) {
+		t.Helper()
+		want, err := json.Marshal(old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want = append(want, '\n'); !bytes.Equal(got, want) {
+			t.Fatalf("%s: body %.300q, the map encodes to %.300q", what, got, want)
+		}
+	}
+	// answer is the map an answered query from srcs was encoded from, with the
+	// plan fields the response reports.
+	answer := func(got []byte, srcs ...int32) (map[string]any, []int64) {
+		t.Helper()
+		var plan struct{ Solver, Via string }
+		if err := json.Unmarshal(got, &plan); err != nil {
+			t.Fatal(err)
+		}
+		d := dijkstra.SSSPFromSources(g, srcs)
+		reached, ecc := 0, int64(0)
+		for v := range d {
+			if d[v] < graph.Inf {
+				reached, ecc = reached+1, max(ecc, d[v])
+			}
+			d[v] = jsonDist(d[v])
+		}
+		return map[string]any{"solver": plan.Solver, "via": plan.Via, "reached": reached, "eccentricity": ecc}, d
+	}
+
+	for _, q := range []struct {
+		src  int32
+		full bool
+	}{{3, false}, {3, false}, {3, true}, {8, true}, {8, true}} { // miss, hit, hit; miss, hit
+		path := fmt.Sprintf("/sssp?src=%d", q.src)
+		if q.full {
+			path += "&full=1"
+		}
+		got := do("GET", path, "")
+		old, dist := answer(got, q.src)
+		old["src"] = q.src
+		if q.full {
+			old["dist"] = dist
+		}
+		same(path, got, old)
+	}
+
+	for _, full := range []bool{false, true} {
+		body := fmt.Sprintf(`{"full":%v,"queries":[{"src":3},{"src":-9},{"srcs":[5,11]},{"src":12}]}`, full)
+		got := do("POST", "/batch", body)
+		var items struct{ Results []json.RawMessage }
+		if err := json.Unmarshal(got, &items); err != nil || len(items.Results) != 4 {
+			t.Fatalf("batch: %s %v", got, err)
+		}
+		var old []map[string]any
+		for i, srcs := range [][]int32{{3}, nil, {5, 11}, {12}} {
+			if srcs == nil {
+				var e struct{ Error string }
+				json.Unmarshal(items.Results[i], &e)
+				old = append(old, map[string]any{"error": e.Error, "status": 400, "trace_id": "bodies-1"})
+				continue
+			}
+			item, dist := answer(items.Results[i], srcs...)
+			item["trace_id"] = "bodies-1"
+			if full {
+				item["dist"] = dist
+			}
+			old = append(old, item)
+		}
+		same(body, got, map[string]any{"results": old})
+	}
+
+	got := do("GET", "/table?src=3,5&dst=1,2,3", "")
+	var rows [][]int64
+	for _, src := range []int32{3, 5} {
+		d := dijkstra.SSSP(g, src)
+		rows = append(rows, []int64{jsonDist(d[1]), jsonDist(d[2]), jsonDist(d[3])})
+	}
+	same("/table", got, map[string]any{"src": []int32{3, 5}, "dst": []int32{1, 2, 3}, "dist": rows})
 }

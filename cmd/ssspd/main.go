@@ -69,6 +69,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/http/pprof"
@@ -589,14 +590,34 @@ func (s *server) handleGraphMutate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// summary is the common response shape of one answered query.
-func summary(res *engine.Result, via engine.Via) map[string]any {
-	return map[string]any{
-		"solver":       res.Solver,
-		"via":          via.String(),
-		"reached":      res.Reached,
-		"eccentricity": res.Eccentricity,
+// ssspBody is the /sssp response without its vector; its fields are in key
+// order, so it encodes to the same bytes a map of them would.
+type ssspBody struct {
+	Eccentricity int64  `json:"eccentricity"`
+	Reached      int    `json:"reached"`
+	Solver       string `json:"solver"`
+	Src          int32  `json:"src"`
+	Via          string `json:"via"`
+}
+
+// writeWithDist writes body, a struct whose JSON object has at least one
+// member and none that sorts before "dist", with "dist": dist first when dist
+// is non-nil. dist is written verbatim: as a json.RawMessage, encoding/json
+// would compact the whole array again on every response.
+func writeWithDist(w io.Writer, body any, dist []byte) {
+	obj, _ := json.Marshal(body) // ints and strings only: cannot fail
+	if dist != nil {
+		io.WriteString(w, `{"dist":`)
+		w.Write(dist)
+		obj[0] = ','
 	}
+	w.Write(obj)
+}
+
+// startJSON begins a 200 response whose body the handler writes itself.
+func startJSON(w http.ResponseWriter) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
 }
 
 func (s *server) handleSSSP(w http.ResponseWriter, r *http.Request, q url.Values, gen *catalog.Generation) {
@@ -609,14 +630,15 @@ func (s *server) handleSSSP(w http.ResponseWriter, r *http.Request, q url.Values
 		engineError(w, err)
 		return
 	}
-	resp := summary(res, via)
-	resp["src"] = src
+	var dist []byte
 	if q.Get("full") == "1" {
 		// The serialized vector (Inf as -1) is built once per result and
-		// streamed verbatim on every later hit — no re-marshal.
-		resp["dist"] = json.RawMessage(res.DistJSON())
+		// written verbatim on every later hit — no re-marshal.
+		dist = res.DistJSON()
 	}
-	httpx.WriteJSON(w, http.StatusOK, resp)
+	startJSON(w)
+	writeWithDist(w, ssspBody{Eccentricity: res.Eccentricity, Reached: res.Reached, Solver: res.Solver, Src: src, Via: via.String()}, dist)
+	io.WriteString(w, "\n")
 }
 
 // distBody is the /dist response; its fields are in key order, so it encodes
@@ -699,7 +721,14 @@ func (s *server) handleTable(w http.ResponseWriter, r *http.Request, q url.Value
 			out[i][j] = jsonDist(br.Res.Target(j, t))
 		}
 	}
-	httpx.WriteJSON(w, http.StatusOK, map[string]any{"src": sources, "dst": targets, "dist": out})
+	httpx.WriteJSON(w, http.StatusOK, tableBody{Dist: out, Dst: targets, Src: sources})
+}
+
+// tableBody is the /table response, in key order.
+type tableBody struct {
+	Dist [][]int64 `json:"dist"`
+	Dst  []int32   `json:"dst"`
+	Src  []int32   `json:"src"`
 }
 
 // batchItem is one query of a /batch request: src or srcs (multi-source),
@@ -751,22 +780,41 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request, _ url.Value
 		return
 	}
 	results := gen.Engine.Batch(r.Context(), reqs)
-	out := make([]map[string]any, len(results))
+	startJSON(w)
+	io.WriteString(w, `{"results":[`)
 	for i, br := range results {
+		if i > 0 {
+			io.WriteString(w, ",")
+		}
 		if br.Err != nil {
 			code, msg := errStatus(br.Err)
-			out[i] = map[string]any{"error": msg, "status": code}
-		} else {
-			out[i] = summary(br.Res, br.Via)
-			if breq.Full {
-				out[i]["dist"] = json.RawMessage(br.Res.DistJSON())
-			}
+			writeWithDist(w, batchError{Error: msg, Status: code, TraceID: traceID}, nil)
+			continue
 		}
-		if traceID != "" {
-			out[i]["trace_id"] = traceID
+		var dist []byte
+		if breq.Full {
+			dist = br.Res.DistJSON()
 		}
+		writeWithDist(w, batchAnswer{Eccentricity: br.Res.Eccentricity, Reached: br.Res.Reached,
+			Solver: br.Res.Solver, TraceID: traceID, Via: br.Via.String()}, dist)
 	}
-	httpx.WriteJSON(w, http.StatusOK, map[string]any{"results": out})
+	io.WriteString(w, "]}\n")
+}
+
+// batchAnswer is one answered /batch item without its vector, and batchError
+// one that failed; both in key order.
+type batchAnswer struct {
+	Eccentricity int64  `json:"eccentricity"`
+	Reached      int    `json:"reached"`
+	Solver       string `json:"solver"`
+	TraceID      string `json:"trace_id,omitempty"`
+	Via          string `json:"via"`
+}
+
+type batchError struct {
+	Error   string `json:"error"`
+	Status  int    `json:"status"`
+	TraceID string `json:"trace_id,omitempty"`
 }
 
 func vertexParam(w http.ResponseWriter, q url.Values, name string, g *graph.Graph) (int32, bool) {

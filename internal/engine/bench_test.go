@@ -85,7 +85,7 @@ func BenchmarkResume(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := &Result{narrow: old.narrow, wide: old.wide, e: e2, stale: &staleness{seeds: seeds}}
+		r := &Result{vec: old.vec, e: e2, stale: &staleness{seeds: seeds}}
 		r.resolve(nil)
 	}
 	b.ReportMetric(float64(e2.Counter(cResettled))/float64(b.N), "resettled")

@@ -374,7 +374,7 @@ func TestMultiSourceRouting(t *testing.T) {
 // --- LRU cache -------------------------------------------------------------
 
 func cacheRes(key string, n int) *Result {
-	return &Result{key: key, wide: make([]int64, n)}
+	return &Result{key: key, vec: pack(make([]int64, n), 32)}
 }
 
 func TestLRUEvictionOrder(t *testing.T) {
@@ -835,6 +835,22 @@ func TestDistJSONCachedServing(t *testing.T) {
 	if _, bytes := e.cache.size(); bytes <= entryBytes(res.key, res) {
 		t.Fatalf("cache bytes %d not charged for JSON (entry alone is %d)",
 			bytes, entryBytes(res.key, res))
+	}
+}
+
+// The cache is charged what the serialized vector holds — its capacity, not
+// its length — for a vector of multi-digit distances, which overflow any
+// guess of a few bytes a vertex.
+func TestDistJSONChargedWhatItHolds(t *testing.T) {
+	e := New(testInstance(t, 2000, 8000), Config{CacheEntries: 4})
+	res, _, err := e.Query(context.Background(), Request{Sources: []int32{0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, before := e.cache.size()
+	js := res.DistJSON()
+	if _, after := e.cache.size(); after-before != int64(cap(js)) {
+		t.Fatalf("charged %d bytes for a %d-byte array in a %d-byte buffer", after-before, len(js), cap(js))
 	}
 }
 

@@ -43,7 +43,7 @@ entries:
 				seeds = append(seeds, c)
 			}
 		}
-		res := &Result{Solver: old.Solver, narrow: old.narrow, wide: old.wide,
+		res := &Result{Solver: old.Solver, vec: old.vec,
 			e: e, key: e.keyPrefix + old.key[len(parent.keyPrefix):]}
 		if seeds == nil {
 			res.Reached, res.Eccentricity = old.Reached, old.Eccentricity
@@ -60,10 +60,12 @@ entries:
 	return exact, stale, dropped
 }
 
-// resolve makes a stale inherited entry exact, once: copy the parent's vector,
-// relax outward from the seed slots over this generation's graph until nothing
-// improves, recount. Every path to a Result's vector runs through here first. lk
-// is the caller's "cache_lookup" span; the resume is recorded under it.
+// resolve makes a stale inherited entry exact, once: unpack the parent's
+// vector, relax outward from the seed slots over this generation's graph until
+// nothing improves, and detach the result as a solve does — recounted, at the
+// width its new eccentricity needs. Every path to a Result's vector runs
+// through here first. lk is the caller's "cache_lookup" span; the resume is
+// recorded under it.
 func (r *Result) resolve(lk *trace.Span) {
 	if r.stale == nil {
 		return
@@ -73,13 +75,10 @@ func (r *Result) resolve(lk *trace.Span) {
 		seeds := r.stale.seeds
 		r.stale.seeds = nil
 		shared := r.vectorBytes()
-		r.narrow = append([]uint32(nil), r.narrow...)
-		r.wide = append([]int64(nil), r.wide...)
-		resettled := r.relax(r.e.in.G, seeds)
-		for v, n := 0, r.Len(); v < n; v++ {
-			r.count(r.At(v))
-		}
-		r.e.cache.grow(r, r.vectorBytes()-shared) // 0 unless the vector had to widen
+		d := r.vec.unpack()
+		resettled := relax(r.e.in.G, d, seeds)
+		r.detach(d)
+		r.e.cache.grow(r, r.vectorBytes()-shared) // 0 unless the width changed
 		r.e.counters.C(cResumed).Inc()
 		r.e.counters.C(cResettled).Add(int64(resettled))
 		sp.SetAttr("seeds", len(seeds))
@@ -88,24 +87,24 @@ func (r *Result) resolve(lk *trace.Span) {
 	})
 }
 
-// relax is the label-correcting loop: r's vector, feasible on every arc of g
-// but the seed slots, is lowered from them outward, nearest first, until it is
+// relax is the label-correcting loop: d, feasible on every arc of g but the
+// seed slots, is lowered from them outward, nearest first, until it is
 // feasible everywhere. It returns how many vertices it settled again.
-func (r *Result) relax(g *graph.Graph, seeds []mutate.Change) (resettled int) {
+func relax(g *graph.Graph, d []int64, seeds []mutate.Change) (resettled int) {
 	var q pq.Radix
-	lower := func(v int32, d int64) {
-		if d < r.At(int(v)) {
-			r.set(v, d)
-			q.Push(pq.Item{V: v, D: d})
+	lower := func(v int32, dv int64) {
+		if dv < d[v] {
+			d[v] = dv
+			q.Push(pq.Item{V: v, D: dv})
 		}
 	}
 	for _, c := range seeds {
-		lower(c.V, r.At(int(c.U))+c.After)
-		lower(c.U, r.At(int(c.V))+c.After)
+		lower(c.V, d[c.U]+c.After)
+		lower(c.U, d[c.V]+c.After)
 	}
 	for q.Top() != graph.Inf {
 		l := q.Pop()
-		if l.D > r.At(int(l.V)) {
+		if l.D > d[l.V] {
 			continue // lowered again since
 		}
 		resettled++

@@ -30,11 +30,11 @@ func sameAsCold(t *testing.T, what string, res *Result, g *graph.Graph, srcs ...
 		t.Fatalf("%s: Len %d, want %d", what, res.Len(), len(want))
 	}
 	cold := &Result{}
+	cold.detach(want)
 	for v, d := range want {
 		if res.At(v) != d {
 			t.Fatalf("%s: d[%d] = %d, Dijkstra %d", what, v, res.At(v), d)
 		}
-		cold.count(d)
 		if d == graph.Inf {
 			want[v] = -1
 		}
@@ -169,9 +169,14 @@ func TestInheritOnlyWhatWasAskedFor(t *testing.T) {
 	}
 }
 
-// A stale entry is charged as the vector it will own from the moment it is
-// inserted; resolving it, and serializing it, charge nothing twice. The hit that
-// resolves records the resume under its cache_lookup span.
+// vectorSize is the bytes a vector of n distances at width bits occupies: the
+// words the codes fill, and the pad word.
+func vectorSize(n int, width uint) int64 { return 8 * int64((n*int(width)+63)/64+1) }
+
+// A stale entry is charged as the vector it shares from the moment it is
+// inserted; resolving it charges only the change of width, and serializing it
+// the bytes the JSON holds. The hit that resolves records the resume under its
+// cache_lookup span.
 func TestStaleEntryAccountingAndSpan(t *testing.T) {
 	g1 := testInstance(t, 300, 1200).G
 	b := &mutate.Batch{Ops: []mutate.Op{{Op: mutate.OpInsert, U: 0, V: 299, W: 1}}}
@@ -183,7 +188,7 @@ func TestStaleEntryAccountingAndSpan(t *testing.T) {
 		t.Fatalf("%d stale entries, want 1", stale)
 	}
 	_, charged := e2.cache.size()
-	if want := entryBytes(keyOf(t, e2, 0), cold); charged != want || want != 4*300+int64(len("g@2|delta|0"))+64 {
+	if want := entryBytes(keyOf(t, e2, 0), cold); charged != want || want != vectorSize(300, widthFor(cold.Eccentricity))+int64(len("g@2|delta|0"))+64 {
 		t.Fatalf("stale entry charged %d bytes, a solved one %d", charged, want)
 	}
 
@@ -195,10 +200,11 @@ func TestStaleEntryAccountingAndSpan(t *testing.T) {
 		t.Fatalf("via %v, err %v", via, err)
 	}
 	sameAsCold(t, "resumed", res, g2, 0)
-	if _, now := e2.cache.size(); now != charged+int64(len(res.DistJSON())) {
-		t.Fatalf("cache holds %d bytes after the resolve and the JSON, want %d + %d", now, charged, len(res.DistJSON()))
+	resized := vectorSize(300, widthFor(res.Eccentricity)) - vectorSize(300, widthFor(cold.Eccentricity))
+	if _, now := e2.cache.size(); now != charged+resized+int64(cap(res.DistJSON())) {
+		t.Fatalf("cache holds %d bytes after the resolve and the JSON, want %d %+d + %d", now, charged, resized, cap(res.DistJSON()))
 	}
-	if &res.narrow[0] == &cold.narrow[0] || cold.At(299) == res.At(299) {
+	if &res.vec.words[0] == &cold.vec.words[0] || cold.At(299) == res.At(299) {
 		t.Fatal("the resume wrote into the vector the parent generation still serves")
 	}
 	lk := tr.Export().Spans.Children[0]
@@ -214,9 +220,9 @@ func TestStaleEntryAccountingAndSpan(t *testing.T) {
 	}
 }
 
-// Past 2^32 a vector is stored wide and read the same way — solved, inherited
-// exact, dropped — and a narrow one that a resume pushes past 2^32 widens (and
-// is charged for it).
+// A vector is stored at the bits its eccentricity needs, past 32 as below, and
+// read the same way — solved, inherited exact, dropped; a resume that pushes
+// the eccentricity past its width widens the vector (and is charged for it).
 func TestWideVectors(t *testing.T) {
 	const heavy = graph.MaxWeight // 2^30: five arcs pass 2^32
 	edges := []graph.Edge{{U: 6, V: 7, W: 3}, {U: 7, V: 8, W: 4}}
@@ -227,12 +233,15 @@ func TestWideVectors(t *testing.T) {
 	e1 := engineOn(g1, 1, Config{CacheEntries: 8})
 	chain, _ := ask(t, e1, 0)
 	island, _ := ask(t, e1, 6)
-	if chain.wide == nil || island.narrow == nil || chain.Eccentricity != 5<<30 {
-		t.Fatalf("widths: chain wide %v (eccentricity %d), island narrow %v", chain.wide != nil, chain.Eccentricity, island.narrow != nil)
+	if chain.Eccentricity != 5<<30 || chain.vec.width != 33 || island.vec.width != widthFor(7) {
+		t.Fatalf("widths: chain %d bits (eccentricity %d), island %d bits", chain.vec.width, chain.Eccentricity, island.vec.width)
 	}
 	sameAsCold(t, "chain", chain, g1, 0)
 	sameAsCold(t, "island", island, g1, 6)
-	if _, bytes := e1.cache.size(); bytes != entryBytes(chain.key, chain)+entryBytes(island.key, island)+int64(len(chain.distJSON)+len(island.distJSON)) || chain.vectorBytes() != 2*island.vectorBytes() {
+	if chain.vectorBytes() != vectorSize(9, 33) || island.vectorBytes() != vectorSize(9, widthFor(7)) {
+		t.Fatalf("vectors of %d and %d bytes", chain.vectorBytes(), island.vectorBytes())
+	}
+	if _, bytes := e1.cache.size(); bytes != entryBytes(chain.key, chain)+entryBytes(island.key, island)+int64(cap(chain.distJSON)+cap(island.distJSON)) {
 		t.Fatalf("cache charges %d bytes for a %d-byte and a %d-byte vector", bytes, chain.vectorBytes(), island.vectorBytes())
 	}
 
@@ -248,17 +257,17 @@ func TestWideVectors(t *testing.T) {
 	jsonBytes := 0
 	for _, src := range []int32{0, 6} {
 		res, via := ask(t, e2, src)
-		if via != ViaCache || res.wide == nil {
-			t.Fatalf("source %d after the join: via %v, wide %v", src, via, res.wide != nil)
+		if via != ViaCache || res.vec.width != 33 {
+			t.Fatalf("source %d after the join: via %v, %d bits", src, via, res.vec.width)
 		}
 		sameAsCold(t, fmt.Sprint("joined, from ", src), res, g2, src)
-		jsonBytes += len(res.DistJSON())
+		jsonBytes += cap(res.DistJSON())
 	}
-	if _, after := e2.cache.size(); after-before != 4*9+int64(jsonBytes) {
+	if _, after := e2.cache.size(); after-before != vectorSize(9, 33)-vectorSize(9, widthFor(7))+int64(jsonBytes) {
 		t.Fatalf("cache grew by %d bytes over two resolves, one of which widened a 9-vertex vector, and %d of JSON", after-before, jsonBytes)
 	}
 
-	// A heavy chain arc goes: tight in both wide vectors, so both are dropped.
+	// A heavy chain arc goes: tight in both vectors, so both are dropped.
 	b = &mutate.Batch{Ops: []mutate.Op{{Op: mutate.OpDelete, U: 2, V: 3}}}
 	g3, _, _ := mutate.Apply(g2, b)
 	e3 := engineOn(g3, 3, Config{CacheEntries: 8})
@@ -266,10 +275,32 @@ func TestWideVectors(t *testing.T) {
 		t.Fatalf("cut: %d exact, %d stale, %d dropped", exact, stale, dropped)
 	}
 	res, via := ask(t, e3, 0)
-	if via != ViaSolve || res.narrow == nil {
-		t.Fatalf("source 0 after the cut: via %v, narrow %v", via, res.narrow != nil)
+	if via != ViaSolve || res.vec.width != widthFor(2<<30) {
+		t.Fatalf("source 0 after the cut: via %v, %d bits", via, res.vec.width)
 	}
 	sameAsCold(t, "cut", res, g3, 0)
+}
+
+// The all-ones code is unreachable, so a resume that lowers an unreachable
+// vertex to exactly 2^width − 1 must widen the vector by a bit.
+func TestResumeToAllOnesWidens(t *testing.T) {
+	g1 := graph.FromEdges(3, []graph.Edge{{U: 0, V: 1, W: 6}})
+	e1 := engineOn(g1, 1, Config{CacheEntries: 4})
+	old, _ := ask(t, e1, 0)
+	if old.vec.width != 3 || old.At(2) != graph.Inf {
+		t.Fatalf("from 0: %d bits, d[2] = %d", old.vec.width, old.At(2))
+	}
+	b := &mutate.Batch{Ops: []mutate.Op{{Op: mutate.OpInsert, U: 1, V: 2, W: 1}}}
+	g2, _, _ := mutate.Apply(g1, b)
+	e2 := engineOn(g2, 2, Config{CacheEntries: 4})
+	if _, stale, _ := e2.Inherit(e1, mutate.Changes(g1, g2, b)); stale != 1 {
+		t.Fatalf("%d stale entries, want 1", stale)
+	}
+	res, via := ask(t, e2, 0)
+	if via != ViaCache || res.vec.width != 4 || res.At(2) != 7 {
+		t.Fatalf("resumed via %v: %d bits, d[2] = %d", via, res.vec.width, res.At(2))
+	}
+	sameAsCold(t, "resumed", res, g2, 0)
 }
 
 // Inherit walks a cache that is being served: hits that mark entries asked for,

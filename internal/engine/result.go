@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"math"
+	"math/bits"
 	"strconv"
 	"sync"
 
@@ -22,11 +22,7 @@ type Result struct {
 	// each of the request's Targets, in request order. Never cached or shared.
 	TargetDist []int64
 
-	// The vector, at one of two widths: 32 bits a distance whenever the largest
-	// finite one fits under the unreachable mark (half the bytes a cached
-	// answer holds), 64 otherwise. At most one is non-nil.
-	narrow []uint32 // unreachable32 where there is no path
-	wide   []int64  // graph.Inf where there is no path
+	vec vector
 
 	e   *Engine
 	key string
@@ -39,7 +35,82 @@ type Result struct {
 	distJSON []byte
 }
 
-const unreachable32 = math.MaxUint32
+// vector is a distance vector at the bits its largest finite distance needs:
+// n codes of width bits each, packed low bits first into words, the all-ones
+// code where there is no path. A pad word past the last code lets At read two
+// words unconditionally. graph.Inf keeps every finite distance below 2^61 − 1,
+// so width is at most 61.
+type vector struct {
+	words []uint64
+	n     int
+	width uint
+}
+
+// widthFor is the code width of a vector whose largest finite distance is ecc:
+// ecc itself must stay below the all-ones code.
+func widthFor(ecc int64) uint { return uint(bits.Len64(uint64(ecc) + 1)) }
+
+func (v *vector) mask() uint64 { return 1<<v.width - 1 }
+
+// pack streams d into a vector of the given width through a shift register:
+// codes fill acc from its low end, and each full word is stored once. (Every
+// shift count below is under 64; the & 63 says so to the compiler.)
+func pack(d []int64, width uint) vector {
+	v := vector{words: make([]uint64, (len(d)*int(width)+63)/64+1), n: len(d), width: width}
+	words, mask := v.words, v.mask()
+	var acc uint64
+	used, j := uint(0), 0
+	for _, x := range d {
+		c := mask
+		if x < graph.Inf {
+			c = uint64(x)
+		}
+		acc |= c << (used & 63)
+		if used += width; used >= 64 {
+			words[j] = acc
+			j++
+			used -= 64
+			acc = c >> ((width - used) & 63) // the bits of c that did not fit
+		}
+	}
+	words[j] = acc
+	return v
+}
+
+// code is the code that starts at bit: the word it starts in, and the pad or
+// next word for the bits that spill over.
+func code(words []uint64, bit uint, mask uint64) uint64 {
+	i, s := bit/64, bit%64
+	return (words[i]>>s | words[i+1]<<1<<(63-s)) & mask
+}
+
+// unpack is the vector as plain distances (graph.Inf: unreachable), read
+// through a shift register as pack wrote it.
+func (v *vector) unpack() []int64 {
+	d := make([]int64, v.n)
+	words, width, mask := v.words, v.width, v.mask()
+	var acc uint64
+	avail, j := uint(0), 0 // avail: the bits of acc not yet read
+	for i := range d {
+		c := acc
+		if avail < width {
+			w := words[j]
+			j++
+			c |= w << (avail & 63)
+			acc = w >> ((width - avail) & 63)
+			avail += 64 - width
+		} else {
+			acc >>= width & 63
+			avail -= width
+		}
+		if c &= mask; c != mask {
+			d[i] = int64(c)
+		} else {
+			d[i] = graph.Inf
+		}
+	}
+	return d
+}
 
 // staleness is what an inherited entry still owes: the edge slots that got
 // cheaper and improve an endpoint of its vector.
@@ -50,20 +121,13 @@ type staleness struct {
 
 // Len is the length of the distance vector: the vertex count, or 0 on a partial
 // result.
-func (r *Result) Len() int {
-	if r.wide != nil {
-		return len(r.wide)
-	}
-	return len(r.narrow)
-}
+func (r *Result) Len() int { return r.vec.n }
 
 // At is the distance to v (graph.Inf: unreachable).
 func (r *Result) At(v int) int64 {
-	if r.wide != nil {
-		return r.wide[v]
-	}
-	if d := r.narrow[v]; d != unreachable32 {
-		return int64(d)
+	mask := r.vec.mask()
+	if c := code(r.vec.words, uint(v)*r.vec.width, mask); c != mask {
+		return int64(c)
 	}
 	return graph.Inf
 }
@@ -77,52 +141,22 @@ func (r *Result) Target(i int, t int32) int64 {
 	return r.At(int(t))
 }
 
-// set lowers v's distance in a vector this Result owns, widening it if d does
-// not fit.
-func (r *Result) set(v int32, d int64) {
-	if r.wide == nil && d >= unreachable32 {
-		wide := make([]int64, len(r.narrow))
-		for i := range wide {
-			wide[i] = r.At(i)
-		}
-		r.narrow, r.wide = nil, wide
-	}
-	if r.wide != nil {
-		r.wide[v] = d
-	} else {
-		r.narrow[v] = uint32(d)
-	}
-}
-
 // vectorBytes is what the vector occupies.
-func (r *Result) vectorBytes() int64 { return 4*int64(len(r.narrow)) + 8*int64(len(r.wide)) }
+func (r *Result) vectorBytes() int64 { return 8 * int64(len(r.vec.words)) }
 
-// detach copies a pooled state's distance vector into the result, tallying
-// Reached and Eccentricity — and with it the width — in the same pass.
-func (r *Result) detach(pooled []int64) {
-	narrow := make([]uint32, len(pooled))
-	for v, d := range pooled {
-		if d >= graph.Inf {
-			narrow[v] = unreachable32
-		} else {
-			narrow[v] = uint32(d) // meaningless past the mark: the vector is then wide
-		}
-		r.count(d)
-	}
-	if r.Eccentricity < unreachable32 {
-		r.narrow = narrow
-	} else {
-		r.wide = append([]int64(nil), pooled...)
-	}
-}
-
-func (r *Result) count(d int64) {
-	if d < graph.Inf {
-		r.Reached++
-		if d > r.Eccentricity {
-			r.Eccentricity = d
+// detach packs a distance vector — a pooled state's, or a resumed one — into
+// the result: one pass tallies Reached and Eccentricity, and with them the
+// width, a second packs.
+func (r *Result) detach(d []int64) {
+	reached, ecc := 0, int64(0)
+	for _, x := range d {
+		if x < graph.Inf {
+			reached++
+			ecc = max(ecc, x)
 		}
 	}
+	r.Reached, r.Eccentricity = reached, ecc
+	r.vec = pack(d, widthFor(ecc))
 }
 
 // DistJSON returns the JSON array form of the distance vector, with
@@ -133,30 +167,39 @@ func (r *Result) DistJSON() []byte {
 	first := false
 	r.jsonOnce.Do(func() {
 		first = true
-		n := r.Len()
-		buf := make([]byte, 0, 4*n+2)
-		buf = append(buf, '[')
-		for i := 0; i < n; i++ {
-			if i > 0 {
-				buf = append(buf, ',')
-			}
-			if d := r.At(i); d >= graph.Inf {
-				buf = append(buf, '-', '1')
-			} else {
-				buf = strconv.AppendInt(buf, d, 10)
-			}
-		}
-		buf = append(buf, ']')
-		r.distJSON = buf
+		r.distJSON = r.encodeJSON()
 		if r.e != nil {
 			r.e.counters.C(cFullJSONBuilt).Inc()
 			// The serialized form now lives alongside the vector; charge it
 			// against the cache's byte budget.
-			r.e.cache.grow(r, int64(len(buf)))
+			r.e.cache.grow(r, int64(cap(r.distJSON)))
 		}
 	})
 	if !first && r.e != nil {
 		r.e.counters.C(cFullBytesFromCache).Add(int64(len(r.distJSON)))
 	}
 	return r.distJSON
+}
+
+// encodeJSON writes the array in one pass over the codes, into a buffer
+// allocated once at the longest the array can be: every element as wide as the
+// eccentricity's digits, or as "-1", with its comma.
+func (r *Result) encodeJSON() []byte {
+	n := r.vec.n
+	var ecc [20]byte
+	digits := len(strconv.AppendInt(ecc[:0], r.Eccentricity, 10))
+	buf := make([]byte, 0, 2+n*(max(digits, 2)+1))
+	buf = append(buf, '[')
+	words, width, mask := r.vec.words, r.vec.width, r.vec.mask()
+	for i, bit := 0, uint(0); i < n; i, bit = i+1, bit+width {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		if c := code(words, bit, mask); c != mask {
+			buf = strconv.AppendUint(buf, c, 10)
+		} else {
+			buf = append(buf, '-', '1')
+		}
+	}
+	return append(buf, ']')
 }

@@ -11,7 +11,7 @@ import (
 // Spec describes one generated stress instance. Specs are plain values so a
 // failure can always be re-derived from its textual form plus the seed.
 type Spec struct {
-	Family string // rand | rmat | grid | geom | smallworld | star | disconnected
+	Family string // rand | rmat | grid | geom | smallworld | star | disconnected | heavy
 	N      int
 	C      uint32 // maximum edge weight; 1 means unit weights (BFS joins the pool)
 	PWD    bool
@@ -64,17 +64,17 @@ func (sp Spec) Generate() *graph.Graph {
 		if n-k < 2 {
 			n = k + 2
 		}
-		ga := gen.Random(k, 4*k, sp.C, sp.dist(), sp.Seed)
-		gb := gen.Random(n-k, 4*(n-k), sp.C, sp.dist(), sp.Seed+1)
-		b := graph.NewBuilder(n)
-		for _, e := range ga.Edges() {
-			b.MustAddEdge(e.U, e.V, e.W)
+		return twoBlocks(gen.Random(k, 4*k, sp.C, sp.dist(), sp.Seed), gen.Random(n-k, 4*(n-k), sp.C, sp.dist(), sp.Seed+1), 0)
+	case "heavy":
+		// Two grids of side at least 6 whose every arc weighs within C of
+		// graph.MaxWeight: every vertex has one five arcs away, past 2^32, so
+		// every served vector needs more than 32 bits a distance, and an
+		// inserted bridge from one grid into the other widens a resume.
+		side := 6
+		for (side+1)*(side+1) <= n/2 {
+			side++
 		}
-		off := int32(k)
-		for _, e := range gb.Edges() {
-			b.MustAddEdge(e.U+off, e.V+off, e.W)
-		}
-		return b.Build()
+		return twoBlocks(gen.GridGraph(side, side, sp.C, sp.dist(), sp.Seed), gen.GridGraph(side, side, sp.C, sp.dist(), sp.Seed+1), graph.MaxWeight-sp.C)
 	default:
 		panic("stress: unknown family " + sp.Family)
 	}
@@ -103,5 +103,20 @@ func Sweep(seed uint64, maxN int) []Spec {
 		{Family: "star", N: size(), C: 9, Seed: sub()},                       // hub contention
 		{Family: "disconnected", N: size(), C: 1 << 6, Seed: sub()},          // Inf handling
 		{Family: "rand", N: 2 + r.Intn(6), C: 4, Seed: sub()},                // tiny degenerate
+		{Family: "heavy", N: size(), C: 16, Seed: sub()},                     // vectors past 32 bits a distance
+		{Family: "disconnected", N: size(), C: 2, Seed: sub()},               // vectors of 8 bits or fewer
 	}
+}
+
+// twoBlocks is a beside b with no crossing edges, every weight raised by add.
+func twoBlocks(a, b *graph.Graph, add uint32) *graph.Graph {
+	bld := graph.NewBuilder(a.NumVertices() + b.NumVertices())
+	for _, e := range a.Edges() {
+		bld.MustAddEdge(e.U, e.V, e.W+add)
+	}
+	off := int32(a.NumVertices())
+	for _, e := range b.Edges() {
+		bld.MustAddEdge(e.U+off, e.V+off, e.W+add)
+	}
+	return bld.Build()
 }

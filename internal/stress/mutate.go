@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/ch"
@@ -52,7 +53,10 @@ func checkMutate(cfg Config, rt *par.Runtime, name string, g *graph.Graph, sourc
 type faults struct{ Repair, Inherit bool }
 
 // inheritTally sums, over a lineage's generations, what engine.Inherit did.
-type inheritTally struct{ Exact, Stale, Dropped, Resumed int64 }
+// Widened counts the inherited answers whose eccentricity needed more bits
+// than the same source set's answer a generation before: a resume that
+// reached vertices the parent's vector held unreachable, past its width.
+type inheritTally struct{ Exact, Stale, Dropped, Resumed, Widened int64 }
 
 // genMutationSequence derives a valid batch sequence from the seed: each
 // batch is generated against (and validated on) the graph state left by its
@@ -195,8 +199,8 @@ func checkMutationSequence(cfg Config, rt *par.Runtime, name string, base *graph
 		if f != nil {
 			return f
 		}
-		cfg.Logf("stress: %s %s lineage: answers inherited %d exact + %d stale (%d resumed), %d dropped",
-			name, lineage, tally.Exact, tally.Stale, tally.Resumed, tally.Dropped)
+		cfg.Logf("stress: %s %s lineage: answers inherited %d exact + %d stale (%d resumed, %d widened), %d dropped",
+			name, lineage, tally.Exact, tally.Stale, tally.Resumed, tally.Widened, tally.Dropped)
 	}
 	return nil
 }
@@ -236,15 +240,21 @@ func replayLineage(cfg Config, rt *par.Runtime, name, lineage string, refs []*gr
 	newEngine := func(g *graph.Graph, gen int) *engine.Engine {
 		return engine.New(solver.NewInstanceWithHierarchy(g, rt, nil), engine.Config{CacheEntries: 8, Graph: name, Gen: uint64(gen)})
 	}
+	width := make(map[string]int) // per source set: the bits its latest answer's eccentricity needs
 	ask := func(e *engine.Engine, gen int, sets [][]int32) string {
 		for _, srcs := range sets {
-			res, _, err := e.Query(context.Background(), engine.Request{Sources: srcs})
+			res, via, err := e.Query(context.Background(), engine.Request{Sources: srcs})
 			if err != nil {
 				return fmt.Sprintf("%s gen %d, sources %v: %v", lineage, gen, srcs, err)
 			}
 			if diff := answerDiff(res, dijkstra.SSSPFromSources(refs[gen-1], srcs)); diff != "" {
 				return fmt.Sprintf("%s gen %d, sources %v: %s", lineage, gen, srcs, diff)
 			}
+			key, w := fmt.Sprint(srcs), bits.Len64(uint64(res.Eccentricity)+1)
+			if via == engine.ViaCache && w > width[key] && width[key] > 0 {
+				tally.Widened++
+			}
+			width[key] = w
 		}
 		return ""
 	}

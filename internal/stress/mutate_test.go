@@ -2,6 +2,7 @@ package stress
 
 import (
 	"context"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -364,5 +365,67 @@ func TestMutationSmokeCorpusEntry(t *testing.T) {
 	}
 	if f != nil {
 		t.Fatalf("smoke entry failed: %v", f)
+	}
+}
+
+// The sweep's last two families hold the served vectors to both ends of their
+// width: "heavy" needs more than 32 bits a distance from every source, the
+// low-weight "disconnected" one 8 bits or fewer. On both, answers stay exact on
+// every generation of both lineages while resumes widen them — an insert
+// bridges the two blocks, and an inherited vector reaches the far one — and
+// the planted inheritance fault is still caught and shrunk.
+func TestMutateServedAtBothWidths(t *testing.T) {
+	rt := par.NewExec(2)
+	sweep := Sweep(5, 192)
+	for _, tc := range []struct {
+		sp   Spec
+		fits func(width int) bool
+	}{
+		{sweep[len(sweep)-2], func(width int) bool { return width > 32 }},
+		{sweep[len(sweep)-1], func(width int) bool { return width <= 8 }},
+	} {
+		t.Run(tc.sp.Family, func(t *testing.T) {
+			g := tc.sp.Generate()
+			sources := pickSources(tc.sp.Seed, g.NumVertices())
+			for v := int32(0); v < int32(g.NumVertices()); v += 7 {
+				ecc := int64(0)
+				for _, d := range dijkstra.SSSP(g, v) {
+					if d < graph.Inf {
+						ecc = max(ecc, d)
+					}
+				}
+				if w := bits.Len64(uint64(ecc) + 1); !tc.fits(w) {
+					t.Fatalf("%s: from %d the eccentricity %d needs %d bits", tc.sp.Name(), v, ecc, w)
+				}
+			}
+			var widened int64
+			for k := uint64(0); k < 4; k++ { // four sequences: a bridge need not come in one
+				batches := genMutationSequence(g, 30, tc.sp.Seed+k)
+				refs, err := referenceChain(g, batches)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, lineage := range []string{"undemanded", "demanded"} {
+					f, tally := replayLineage(Config{}.withDefaults(), rt, tc.sp.Name(), lineage, refs, sources, batches, faults{})
+					if f != nil {
+						t.Fatalf("sequence %d, %s: %v", k, lineage, f)
+					}
+					widened += tally.Widened
+				}
+			}
+			if widened == 0 {
+				t.Fatal("no resume widened a vector")
+			}
+			t.Logf("%s: %d resumes widened a vector", tc.sp.Name(), widened)
+
+			cfg := Config{Seed: 5, InheritFault: true, NoRace: true}.withDefaults()
+			f := CheckInstance(cfg, rt, tc.sp.Name(), g, sources)
+			if f == nil || f.Check != "mutate-served" {
+				t.Fatalf("planted inheritance fault caught as %v", f)
+			}
+			if f = shrinkFailure(cfg, rt, f); f.Check != "mutate-served" || len(f.Mutations) > 2 {
+				t.Fatalf("shrunk to %q on n=%d with %d batches: %v", f.Check, f.G.NumVertices(), len(f.Mutations), f)
+			}
+		})
 	}
 }
