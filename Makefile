@@ -141,9 +141,9 @@ bench-router:
 # Mutation benchmark: a small additive delta's incremental hierarchy repair
 # vs a from-scratch rebuild on the same mutated graph, plus the end-to-end
 # generation step, a delete-bearing (general-repair) delta, and Catalog.Mutate
-# for both deltas on a lineage that has demanded its hierarchy and on one that
-# has not (catalog_mutate_*), written to BENCH_mutate.json. FAILS if the
-# additive repair is not >= 10x faster than the rebuild.
+# — the overlay alone, the write the daemon performs — for both deltas
+# (catalog_mutate_*), written to BENCH_mutate.json. FAILS if the additive
+# repair is not >= 10x faster than the rebuild.
 bench-mutate:
 	BENCH_MUTATE_OUT=$(CURDIR)/BENCH_mutate.json \
 		$(GO) test -run TestWriteMutateBenchJSON -count=1 -v ./internal/mutate
@@ -194,7 +194,9 @@ bench-build:
 # beside swaps and /metrics scrapes), the request-lifetime tests likewise (a
 # deadline that stops a solve, a singleflight its last waiter cancels), the
 # packed result vector's tests likewise (inheritance and resumes beside hits,
-# widening), the serving smoke slice, and the seeded stress sweep.
+# widening), the values a generation derives on demand likewise (one build
+# for concurrent first callers, its report, writes that derive nothing), the
+# serving smoke slice, and the seeded stress sweep.
 check:
 	$(GO) vet ./...
 	GOOS=windows $(GO) vet ./...
@@ -205,6 +207,7 @@ check:
 	$(GO) test -race -count=20 -run 'MemoryLimit' ./cmd/ssspd
 	$(GO) test -race -count=20 -run 'Cancel|Deadline' ./internal/engine ./cmd/ssspd
 	$(GO) test -race -count=20 -run 'Inherit|Resume|Wide|Vector' ./internal/engine
+	$(GO) test -race -count=20 -run 'Hierarchy|STIndex|Derived|Mutate' ./internal/solver ./internal/catalog ./cmd/ssspd
 	$(MAKE) bench-serve-smoke
 	$(MAKE) stress
 

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -251,10 +252,12 @@ func TestNoRouteBuildsHierarchy(t *testing.T) {
 
 // What does need the hierarchy gets it, in its own request and once: eight
 // concurrent first solver=thorup / thorup-serial queries on a generation that
-// an un-demanded mutation made share one build — over the mutated graph — and
-// from then on a mutation repairs it and hands it to its child.
+// an un-demanded mutation made share one build — over the mutated graph. A
+// write after that derives nothing: its child is unbuilt and charged for its
+// graph alone, and its first solver=thorup adds one build and one log line.
 func TestAnswersBeforeHierarchy(t *testing.T) {
-	ts, _, g := lazyServer(t, false)
+	logged := captureLog(t)
+	ts, srv, g := lazyServer(t, false)
 	b1 := pickEdges(g, 4, 11)
 	var mutated map[string]any
 	if code := postJSON(t, ts.URL+"/graphs/lazy/mutate", mutateBody(t, b1), &mutated); code != 200 || mutated["gen"].(float64) != 2 {
@@ -301,15 +304,54 @@ func TestAnswersBeforeHierarchy(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkServedDistances(t, ts.URL, "lazy", 3, g3)
+	viewHierarchy(t, ts.URL).check(t, "after a write on the demanded lineage", "unbuilt", 1)
+	gn, release, err := srv.cat.Acquire("lazy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.cat.Status()[0]; st.HeapBytes != gn.G.MemoryBytes() || st.Bytes != st.HeapBytes {
+		t.Fatalf("gen 3 charged %d heap, %d in all; the graph alone is %d", st.HeapBytes, st.Bytes, gn.G.MemoryBytes())
+	}
+	release()
+	buildLine := "catalog: hierarchy for lazy gen 3 built on demand: "
+	if n := strings.Count(logged(), buildLine); n != 0 {
+		t.Fatalf("%d gen 3 build log lines before any solver=thorup on it", n)
+	}
 	var thorup struct {
 		Dist []int64 `json:"dist"`
 	}
 	if code := getJSON(t, ts.URL+"/sssp?src=1&solver=thorup&full=1", &thorup); code != 200 {
-		t.Fatalf("solver=thorup over the repaired hierarchy: %d", code)
+		t.Fatalf("solver=thorup after the write: %d", code)
 	}
-	sameDist(t, "solver=thorup over the repaired hierarchy", thorup.Dist, wantDist(g3, 1))
-	viewHierarchy(t, ts.URL).check(t, "after the repair", "carried", 1)
+	sameDist(t, "solver=thorup after the write", thorup.Dist, wantDist(g3, 1))
+	viewHierarchy(t, ts.URL).check(t, "after solver=thorup on the write's child", "built", 2)
+	if n := strings.Count(logged(), buildLine); n != 1 {
+		t.Fatalf("%d gen 3 build log lines after its first solver=thorup, want 1", n)
+	}
 }
+
+// captureLog sends the standard logger — the daemon's catalog and access log
+// — to a buffer until the test ends, and returns what it has so far.
+func captureLog(t *testing.T) func() string {
+	var mu sync.Mutex
+	var buf strings.Builder
+	old := log.Writer()
+	log.SetOutput(writerFunc(func(p []byte) (int, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		return buf.Write(p)
+	}))
+	t.Cleanup(func() { log.SetOutput(old) })
+	return func() string {
+		mu.Lock()
+		defer mu.Unlock()
+		return buf.String()
+	}
+}
+
+type writerFunc func(p []byte) (int, error)
+
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
 // GET /graphs, /metrics and /stats say where a graph's hierarchy is: unbuilt,
 // then built with what the demand build took; a reload of a source-less server

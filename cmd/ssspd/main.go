@@ -91,6 +91,7 @@ import (
 	"repro/internal/mutate"
 	"repro/internal/obs"
 	"repro/internal/snapshot"
+	"repro/internal/solver"
 	"repro/internal/trace"
 )
 
@@ -396,8 +397,8 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request, _ url.Value
 		// Arithmetic from the hierarchy's dimensions — no query allocation.
 		doc["instanceBytes"] = gen.Engine.InstanceBytes()
 	}
-	if x := gen.STIndex(); x != nil { // likewise only once a targeted query built it
-		doc["stIndexBytes"] = x.Bytes()
+	if b, ok := gen.Built()[solver.KindSTIndex]; ok { // likewise only once a targeted query built it
+		doc["stIndexBytes"] = b
 	}
 	httpx.WriteJSON(w, http.StatusOK, doc)
 }
@@ -563,11 +564,11 @@ func (s *server) handleGraphUnload(w http.ResponseWriter, r *http.Request) {
 
 // handleGraphMutate applies a JSON batch of edge mutations (set_weight,
 // insert, delete) to the named graph and answers 200 with the new generation
-// already serving, whatever the batch's width; where a query has demanded the
-// hierarchy the batch repairs it too. A malformed or invalid batch is 400, an
-// unknown graph 404, and a graph with a load, reload or mutation in flight 409
-// with Retry-After (otherwise not ready: 409) — nothing is applied in that
-// case, so the client can simply retry.
+// already serving, whatever the batch's width. The write builds no hierarchy:
+// the new generation's first solver=thorup does. A malformed or invalid batch
+// is 400, an unknown graph 404, and a graph with a load, reload or mutation in
+// flight 409 with Retry-After (otherwise not ready: 409) — nothing is applied
+// in that case, so the client can simply retry.
 func (s *server) handleGraphMutate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	b, err := mutate.ParseRequest(r.Body)

@@ -72,8 +72,8 @@ func checkServedDistances(t *testing.T, base, graphName string, src int32, want 
 
 // TestGraphMutateEndpoint drives the full HTTP mutation path on a graph whose
 // hierarchy a query has demanded: a small batch and a wide one alike answer 200
-// with their generation already serving, and the served distances after each
-// swap match Dijkstra on a reference-applied graph.
+// with their generation already serving, without a hierarchy, and the served
+// distances after each swap match Dijkstra on a reference-applied graph.
 func TestGraphMutateEndpoint(t *testing.T) {
 	ts, srv, g := testServerOpts(t, 64, 30*time.Second)
 	if code := getJSON(t, ts.URL+"/sssp?src=1&solver=thorup", &map[string]any{}); code != 200 {
@@ -112,7 +112,7 @@ func TestGraphMutateEndpoint(t *testing.T) {
 	}
 
 	// A wide batch (insert spokes from one hub: 41 of 500 vertices touched)
-	// is repaired in the request like any other.
+	// is an overlay like any other.
 	var wide mutate.Batch
 	for i := 0; i < 40; i++ {
 		wide.Ops = append(wide.Ops, mutate.Op{Op: mutate.OpInsert, U: 0, V: int32(100 + 10*i), W: 2})
@@ -124,8 +124,8 @@ func TestGraphMutateEndpoint(t *testing.T) {
 	if wr["status"] != "mutated" || wr["gen"].(float64) != 3 || wr["touched"].(float64) != 41 {
 		t.Fatalf("wide mutate response %v", wr)
 	}
-	if st := srv.cat.Status()[0]; st.Gen != 3 || st.State != "ready" || st.Pending || st.Hierarchy != "carried" {
-		t.Fatalf("after the wide batch: %+v, want gen 3 serving with its hierarchy repaired", st)
+	if st := srv.cat.Status()[0]; st.Gen != 3 || st.State != "ready" || st.Pending || st.Hierarchy != "unbuilt" {
+		t.Fatalf("after the wide batch: %+v, want gen 3 serving, its hierarchy unbuilt", st)
 	}
 	want2, err := mutate.ReferenceApply(g, b1, &wide)
 	if err != nil {

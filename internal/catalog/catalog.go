@@ -11,12 +11,12 @@ import (
 
 	"repro/internal/ch"
 	"repro/internal/cli"
-	"repro/internal/dijkstra"
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/mutate"
 	"repro/internal/obs"
 	"repro/internal/snapshot"
+	"repro/internal/solver"
 	"repro/internal/trace"
 )
 
@@ -286,25 +286,17 @@ func (c *Catalog) installLocked(e *entry, gen *Generation) (old *Generation) {
 	return old
 }
 
-// hierarchyBuilt is every generation's solver.Instance.OnBuild: a query that
-// named a hierarchy solver has just built name@gen's, in its own request. The
-// bytes count from now (Bytes reads them live): the budget is re-checked here.
-func (c *Catalog) hierarchyBuilt(name string, gen uint64, h *ch.Hierarchy, ms float64) {
-	c.counters.C(cHierarchyBuilds).Inc()
+// builtOnDemand is every generation's solver.Instance.OnDerived: a query has
+// just built name@gen's hierarchy or s-t index, in its own request. The bytes
+// count from now (HeapBytes reads them live): the budget is re-checked here.
+func (c *Catalog) builtOnDemand(name string, gen uint64, kind string, bytes int64, ms float64) {
+	if kind == solver.KindHierarchy {
+		c.counters.C(cHierarchyBuilds).Inc()
+	}
 	c.mu.Lock()
 	c.evictLocked(name)
 	c.mu.Unlock()
-	c.logf("catalog: hierarchy for %s gen %d built on demand: %d nodes in %.1f ms", name, gen, h.NumNodes(), ms)
-}
-
-// stIndexBuilt is every generation's solver.Instance.OnSTIndex: a targeted
-// query has just built name@gen's s-t search index. As with a hierarchy, the
-// bytes count from now and the budget is re-checked here.
-func (c *Catalog) stIndexBuilt(name string, gen uint64, x *dijkstra.STIndex, ms float64) {
-	c.mu.Lock()
-	c.evictLocked(name)
-	c.mu.Unlock()
-	c.logf("catalog: s-t index for %s gen %d built on demand: %d bytes in %.1f ms", name, gen, x.Bytes(), ms)
+	c.logf("catalog: %s for %s gen %d built on demand: %d bytes in %.1f ms", kind, name, gen, bytes, ms)
 }
 
 // Load brings a named graph into service: it loads src, makes the engine and
@@ -600,7 +592,7 @@ type GraphStatus struct {
 	Error     string `json:"error,omitempty"`
 	// Hierarchy is "unbuilt" until a query names a solver that reads one, then
 	// "built" in HierarchyBuildMS; "carried" when the serving generation came
-	// with one (snapshot, repair on a lineage that has demanded it).
+	// with one (a snapshot). A mutation's generation starts unbuilt.
 	Hierarchy        string  `json:"hierarchy,omitempty"`
 	HierarchyBuildMS float64 `json:"hierarchy_build_ms,omitempty"`
 }

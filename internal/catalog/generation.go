@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/ch"
-	"repro/internal/dijkstra"
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/par"
@@ -130,9 +129,8 @@ type Generation struct {
 }
 
 // newGeneration wraps g, the hierarchy that came with it (nil: none, and none
-// is built until a query demands it) and a fresh engine over them. A demand
-// build reports to hierarchyBuilt, the first targeted query's s-t index build
-// to stIndexBuilt.
+// is built until a query demands it) and a fresh engine over them. What the
+// instance builds on demand reports to builtOnDemand.
 func (c *Catalog) newGeneration(name string, gen uint64, g *graph.Graph, h *ch.Hierarchy, m *snapshot.Mapping) *Generation {
 	ecfg := c.cfg.Engine
 	ecfg.Graph, ecfg.Gen = name, gen // cache and singleflight keys: no result crosses generations
@@ -148,8 +146,7 @@ func (c *Catalog) newGeneration(name string, gen uint64, g *graph.Graph, h *ch.H
 	}
 	// Pooled solver states outlive a drained generation by up to two GC cycles
 	// (sync.Pool), and they hold in: the hook must not hold gn and its cache.
-	in.OnBuild = func(h *ch.Hierarchy, ms float64) { c.hierarchyBuilt(name, gen, h, ms) }
-	in.OnSTIndex = func(x *dijkstra.STIndex, ms float64) { c.stIndexBuilt(name, gen, x, ms) }
+	in.OnDerived = func(kind string, bytes int64, ms float64) { c.builtOnDemand(name, gen, kind, bytes, ms) }
 	if m != nil {
 		gn.MappedBytes = m.Bytes()
 	} else if gn.heap = g.MemoryBytes(); h != nil {
@@ -162,20 +159,17 @@ func (c *Catalog) newGeneration(name string, gen uint64, g *graph.Graph, h *ch.H
 // state ("unbuilt", "carried", "built") and build ms; it never builds or waits.
 func (g *Generation) Hierarchy() (*ch.Hierarchy, string, float64) { return g.in.HierarchyState() }
 
-// STIndex is the s-t search index if a targeted query has built one, else
-// nil; it never builds or waits.
-func (g *Generation) STIndex() *dijkstra.STIndex { return g.in.BuiltSTIndex() }
+// Built is solver.Instance.Built: what a query has built on demand on this
+// generation so far; it never builds or waits.
+func (g *Generation) Built() map[string]int64 { return g.in.Built() }
 
-// HeapBytes is what the generation costs in process heap right now: the CSR,
-// hierarchy and s-t index arrays that do not alias a file mapping. A
-// hierarchy or index built on demand counts from the moment the build lands.
+// HeapBytes is what the generation costs in process heap right now: what it
+// was made with that does not alias a file mapping, plus whatever a query has
+// built on demand, counted from the moment the build lands.
 func (g *Generation) HeapBytes() int64 {
 	b := g.heap
-	if h, state, _ := g.Hierarchy(); state == "built" {
-		b += h.Bytes()
-	}
-	if x := g.STIndex(); x != nil {
-		b += x.Bytes()
+	for _, bytes := range g.Built() {
+		b += bytes
 	}
 	return b
 }

@@ -116,7 +116,7 @@ func TestLoadReadyBeforeHierarchy(t *testing.T) {
 		t.Fatalf("after the demand: %+v, want %d + %d bytes", built, st.Bytes, hb)
 	}
 	demandOn(t, gn)
-	if h, _, _ := gn.Hierarchy(); h.Bytes() != hb || gn.in.Demanded() != h || c.Counter(cHierarchyBuilds) != 1 {
+	if h, _, _ := gn.Hierarchy(); h.Bytes() != hb || gn.in.Hierarchy() != h || c.Counter(cHierarchyBuilds) != 1 {
 		t.Fatalf("hierarchy of %d bytes (want %d), %d builds (want 1)", h.Bytes(), hb, c.Counter(cHierarchyBuilds))
 	}
 }
@@ -139,7 +139,7 @@ func TestBudgetRecheckedWhenHierarchyLands(t *testing.T) {
 		t.Fatalf("%d evictions with b's hierarchy unbuilt", n)
 	}
 	demand(t, c, "b")
-	// hierarchyBuilt evicts before the query that built returns.
+	// builtOnDemand evicts before the query that built returns.
 	if n := c.Counter(cEvictions); n != 1 {
 		t.Fatalf("%d evictions after b's hierarchy landed, want 1", n)
 	}
@@ -172,8 +172,8 @@ func TestBudgetRecheckedWhenSTIndexLands(t *testing.T) {
 	if _, _, err := gn.Engine.Query(context.Background(), engine.Request{Sources: []int32{7}}); err != nil {
 		t.Fatal(err)
 	}
-	if n := c.Counter(cEvictions); n != 0 || gn.STIndex() != nil {
-		t.Fatalf("%d evictions, index %p, after a full-vector query on b", n, gn.STIndex())
+	if n := c.Counter(cEvictions); n != 0 || len(gn.Built()) != 0 {
+		t.Fatalf("%d evictions, built %v, after a full-vector query on b", n, gn.Built())
 	}
 	ts, ws := gb.Neighbors(3)
 	near := ts[slices.Index(ws, slices.Min(ws))] // inside the search budget
@@ -258,19 +258,20 @@ func TestRetiredMidBuild(t *testing.T) {
 	}
 }
 
-// Who pays for a hierarchy on a write: nobody, on a lineage no query has
-// demanded one on — the child has none, whatever the batch touches, and a
-// hierarchy the parent carried unused is dropped; on a demanded lineage every
-// child comes with the repaired hierarchy and the demand, whatever the batch
-// touches.
-func TestMutateRepairsOnlyDemandedLineage(t *testing.T) {
+// A write derives nothing: on a lineage no query has demanded a hierarchy on,
+// the child has none, whatever the batch touches, and a hierarchy the parent
+// carried unused is dropped; on a demanded lineage every child is unbuilt as
+// well and charged for its graph alone, answers as Dijkstra on the reference
+// replay, and its first solver=thorup adds exactly one build and one log line.
+func TestMutateDerivesNothing(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		loader func() (*graph.Graph, *ch.Hierarchy, error)
 		start  string
 	}{{"text", lazyLoader(6), "unbuilt"}, {"snapshot", loaderFor(6), "carried"}} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := testCatalog(t, Config{})
+			var sink logSink
+			c := testCatalog(t, Config{Logf: sink.logf})
 			base, _, _ := tc.loader()
 			if _, err := c.Load("g", Source{Loader: tc.loader}); err != nil {
 				t.Fatal(err)
@@ -297,32 +298,36 @@ func TestMutateRepairsOnlyDemandedLineage(t *testing.T) {
 				t.Fatalf("after the demand: %+v, %d builds", st, c.Counter(cHierarchyBuilds))
 			}
 			for i, b := range []*mutate.Batch{weightBatch(want, 3, 1), {Ops: []mutate.Op{{Op: mutate.OpDelete, U: 1, V: 399}}}, nil} {
-				if b == nil { // wide, and heavier: the general repair over > 5% of the vertices
+				if b == nil { // wide, and heavier
 					b = weightBatch(want, 40, 2)
 				}
 				if res, err := c.Mutate("g", b); err != nil {
-					t.Fatalf("demanded batch %d: %+v, %v; want a repair", i, res, err)
+					t.Fatalf("demanded batch %d: %+v, %v", i, res, err)
 				}
 				gn, rel, err := c.Acquire("g")
 				if err != nil {
 					t.Fatal(err)
 				}
-				h, state, _ := gn.Hierarchy()
-				if state != "carried" || gn.in.Demanded() != h || h.Graph() != gn.G {
-					t.Fatalf("child %d of a demanded lineage: %s %p over %p, demanded %p", i, state, h, h.Graph(), gn.in.Demanded())
-				}
-				if err := h.Validate(); err != nil {
-					t.Fatalf("child %d: repaired hierarchy: %v", i, err)
+				st := row(t, c, "g")
+				if h, state, _ := gn.Hierarchy(); state != "unbuilt" || h != nil || st.Hierarchy != "unbuilt" || st.HierarchyBuildMS != 0 ||
+					st.HeapBytes != gn.G.MemoryBytes() || st.Bytes != st.HeapBytes {
+					t.Fatalf("child %d of a demanded lineage: %s %p, %+v; want unbuilt, charged %d bytes", i, state, h, st, gn.G.MemoryBytes())
 				}
 				if want, err = mutate.ReferenceApply(want, b); err != nil {
 					t.Fatal(err)
 				}
 				checkDistances(t, gn, want)
+				builds, lines := c.Counter(cHierarchyBuilds), sink.count("catalog: hierarchy for g gen")
 				demandOn(t, gn)
+				if c.Counter(cHierarchyBuilds) != builds+1 || sink.count("catalog: hierarchy for g gen") != lines+1 ||
+					sink.count(fmt.Sprintf("catalog: hierarchy for g gen %d built on demand", gn.Gen)) != 1 {
+					t.Fatalf("child %d's first solver=thorup: %d builds, %d log lines, from %d and %d; want one more of each",
+						i, c.Counter(cHierarchyBuilds), sink.count("catalog: hierarchy for g gen"), builds, lines)
+				}
 				rel()
 			}
-			if n := c.Counter(cHierarchyBuilds); n != 1 {
-				t.Fatalf("%d builds on a lineage that repairs, want 1", n)
+			if n := c.Counter(cHierarchyBuilds); n != 4 {
+				t.Fatalf("%d builds, want 4: one per generation that a solver=thorup ran on", n)
 			}
 		})
 	}

@@ -21,11 +21,10 @@ type MutateResult struct {
 
 // Mutate applies a validated mutation batch to a ready graph and installs the
 // result as a new generation, synchronously and whatever the batch's width: a
-// copy-on-write CSR overlay, its result cache seeded from the parent's. Only a
-// lineage on which a query has demanded the hierarchy pays for one: there the
-// overlay comes with a repair and the child inherits the demand. Anywhere else
-// the child has no hierarchy: one the parent carried unused is dropped, not
-// repaired.
+// copy-on-write CSR overlay, its result cache seeded from the parent's. A
+// write derives nothing: the child has no hierarchy and no s-t index, whatever
+// its parent held or built, and its first query that needs one builds it
+// (solver.Instance).
 //
 // Errors: validation failures wrap mutate.ErrInvalid (map to 400); unknown
 // names wrap ErrUnknownGraph (404); a name with a load, reload or mutation in
@@ -61,8 +60,7 @@ func (c *Catalog) Mutate(name string, b *mutate.Batch) (MutateResult, error) {
 	c.mu.Unlock()
 
 	start := time.Now()
-	// Without a hierarchy in use the batch is an overlay, whatever parent carries.
-	mres, err := mutate.Mutate(parent.G, parent.in.Demanded(), b, mutate.Options{})
+	g, aliased, err := mutate.Apply(parent.G, b)
 	if err != nil {
 		c.mu.Lock()
 		e.pending = false
@@ -71,16 +69,13 @@ func (c *Catalog) Mutate(name string, b *mutate.Batch) (MutateResult, error) {
 		return MutateResult{}, err
 	}
 	c.counters.C(cMutations).Inc() // accepted batches only; a rejected delta changes nothing
-	res.Touched, res.Aliased = mres.Touched, mres.Aliased
+	res.Touched, res.Aliased = len(b.Touched()), aliased
 
 	// No warming — the parent's arrays are hot, and the answers it was asked
 	// for come along: all but those the batch may have made longer
 	// (engine.Inherit). A reload starts with an empty result cache instead.
-	gen := c.newGeneration(name, res.Gen, mres.G, mres.H, nil)
-	exact, stale, dropped := gen.Engine.Inherit(parent.Engine, mutate.Changes(parent.G, mres.G, b))
-	if mres.H != nil {
-		gen.in.Thorup() // over the repaired hierarchy: the child inherits the demand
-	}
+	gen := c.newGeneration(name, res.Gen, g, nil, nil)
+	exact, stale, dropped := gen.Engine.Inherit(parent.Engine, mutate.Changes(parent.G, g, b))
 	gen.ParentGen = parent.Gen
 	gen.DeltaSize = len(b.Ops)
 	// When the overlay shares offset/target arrays with a parent whose
@@ -88,13 +83,13 @@ func (c *Catalog) Mutate(name string, b *mutate.Batch) (MutateResult, error) {
 	// releases it on drain, so the mapping stays valid while any descendant
 	// can still read it. Heap-backed parents need no pin — the overlay's
 	// slices keep the shared arrays alive through the garbage collector.
-	needPin := mres.Aliased && (parent.mapping != nil || parent.parent != nil)
+	needPin := aliased && (parent.mapping != nil || parent.parent != nil)
 	if needPin {
 		gen.parent = parent
 		// Offsets and targets stay in the pinned mapping: they are charged
 		// as mapped, and only the weights the overlay allocated as heap.
 		gen.MappedBytes = parent.MappedBytes
-		gen.heap -= mres.G.TopologyBytes()
+		gen.heap -= g.TopologyBytes()
 	}
 
 	c.mu.Lock()
@@ -105,8 +100,7 @@ func (c *Catalog) Mutate(name string, b *mutate.Batch) (MutateResult, error) {
 	if !needPin {
 		parent.release() // the parent pin has no further use
 	}
-	c.logf("catalog: %s gen %d mutated from gen %d (%d ops, %d touched, reused %d/%d nodes, aliased=%v, answers inherited %d exact + %d stale, %d dropped, %s)",
-		name, res.Gen, parent.Gen, len(b.Ops), res.Touched, mres.Stats.ReusedNodes,
-		mres.Stats.ReusedNodes+mres.Stats.NewNodes, mres.Aliased, exact, stale, dropped, time.Since(start).Round(time.Microsecond))
+	c.logf("catalog: %s gen %d mutated from gen %d (%d ops, %d touched, aliased=%v, answers inherited %d exact + %d stale, %d dropped, %s)",
+		name, res.Gen, parent.Gen, len(b.Ops), res.Touched, aliased, exact, stale, dropped, time.Since(start).Round(time.Microsecond))
 	return res, nil
 }

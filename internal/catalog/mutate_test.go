@@ -149,11 +149,13 @@ func TestMutateStructuralNotAliased(t *testing.T) {
 }
 
 // A batch touching 40% of the vertices on a lineage that has demanded its
-// hierarchy is repaired like any other: the generation it makes is serving when
-// Mutate returns, carries a valid repaired hierarchy, answers as Dijkstra on
-// the reference replay does, and has the answers its parent was asked for.
-func TestWideMutationRepairsInPlace(t *testing.T) {
-	c := testCatalog(t, Config{Engine: engine.Config{CacheEntries: 16}})
+// hierarchy is an overlay like any other: the generation it makes is serving
+// when Mutate returns, has no hierarchy and is charged for its graph alone,
+// answers as Dijkstra on the reference replay does, and has the answers its
+// parent was asked for; its first solver=thorup adds one build and one log line.
+func TestWideMutationOnDemandedLineage(t *testing.T) {
+	var sink logSink
+	c := testCatalog(t, Config{Engine: engine.Config{CacheEntries: 16}, Logf: sink.logf})
 	if _, err := c.Load("g", Source{Loader: lazyLoader(9)}); err != nil {
 		t.Fatal(err)
 	}
@@ -179,18 +181,14 @@ func TestWideMutationRepairsInPlace(t *testing.T) {
 	if err != nil || res.Gen != 2 || res.Touched != 160 {
 		t.Fatalf("wide mutate: %+v, %v; want gen 2 with 160 touched", res, err)
 	}
-	st := row(t, c, "g")
-	if st.State != "ready" || st.Pending || st.Gen != 2 || st.ParentGen != 1 || st.Hierarchy != "carried" {
-		t.Fatalf("after the wide batch: %+v, want gen 2 serving with its hierarchy carried", st)
-	}
 	g2, rel2, err := c.Acquire("g")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rel2()
-	h, _, _ := g2.Hierarchy()
-	if err := h.Validate(); err != nil || h.Graph() != g2.G || g2.in.Demanded() != h {
-		t.Fatalf("repaired hierarchy over %p (gen 2 graph %p): %v", h.Graph(), g2.G, err)
+	st := row(t, c, "g")
+	if st.State != "ready" || st.Pending || st.Gen != 2 || st.ParentGen != 1 || st.Hierarchy != "unbuilt" || st.Bytes != g2.G.MemoryBytes() {
+		t.Fatalf("after the wide batch: %+v, want gen 2 serving without a hierarchy, charged %d bytes", st, g2.G.MemoryBytes())
 	}
 	if n := g2.Engine.Counter("inherited_exact") + g2.Engine.Counter("inherited_stale"); n < 2 {
 		t.Fatalf("%d answers inherited, want the 2 asked for", n)
@@ -200,9 +198,22 @@ func TestWideMutationRepairsInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkDistances(t, g2, want)
-	demandOn(t, g2) // solver=thorup over the repaired hierarchy
-	if n := c.Counter(cHierarchyBuilds); n != 1 {
-		t.Fatalf("%d hierarchy builds, want the 1 the demand made", n)
+	// solver=thorup from a source the cache does not hold (7's answer came
+	// along), over a hierarchy built for gen 2
+	res2, _, err := g2.Engine.Query(context.Background(), engine.Request{Sources: []int32{11}, Solver: "thorup"})
+	if err != nil || res2.Solver != "thorup" {
+		t.Fatalf("solver=thorup on gen 2: %+v, %v", res2, err)
+	}
+	for v, d := range dijkstra.SSSP(want, 11) {
+		if res2.At(v) != d {
+			t.Fatalf("solver=thorup on gen 2: d[%d] = %d, want %d", v, res2.At(v), d)
+		}
+	}
+	if n, lines := c.Counter(cHierarchyBuilds), sink.count("catalog: hierarchy for g gen 2 built on demand"); n != 2 || lines != 1 {
+		t.Fatalf("%d hierarchy builds, %d gen 2 log lines; want 2 (one a generation) and 1", n, lines)
+	}
+	if h, state, _ := g2.Hierarchy(); state != "built" || h.Graph() != g2.G || h.Validate() != nil {
+		t.Fatalf("gen 2 after solver=thorup: hierarchy %s over %p (graph %p)", state, h.Graph(), g2.G)
 	}
 }
 

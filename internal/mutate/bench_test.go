@@ -1,7 +1,6 @@
 package mutate_test
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -10,7 +9,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/ch"
-	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	. "repro/internal/mutate"
@@ -36,10 +34,9 @@ func pairKey(u, v int32) [2]int32 { return [2]int32{min(u, v), max(u, v)} }
 // (mixed_*): deletes can split components, so they take the general repair,
 // whose level re-sweep is near O(m) on this family's high-fanout hierarchy.
 //
-// The catalog_mutate_* row is the whole write as the daemon performs it —
-// Catalog.Mutate: overlay, repair if any, a new generation's engine, the swap —
-// for both deltas on a lineage no query has demanded a hierarchy on (overlay
-// only) and on one where a solver=thorup query has (overlay plus repair).
+// The catalog_mutate_* rows are the whole write as the daemon performs it —
+// Catalog.Mutate: the overlay, a new generation's engine, the swap — for both
+// deltas, from a generation that carries a hierarchy its child drops.
 func TestWriteMutateBenchJSON(t *testing.T) {
 	out := os.Getenv("BENCH_MUTATE_OUT")
 	if out == "" {
@@ -149,19 +146,13 @@ func TestWriteMutateBenchJSON(t *testing.T) {
 	})
 
 	// Catalog.Mutate, one fresh single-generation catalog per timed call.
-	catalogMutate := func(b *Batch, demanded bool) time.Duration {
+	catalogMutate := func(b *Batch) time.Duration {
 		var total time.Duration
 		const reps = 20
 		for i := 0; i < reps; i++ {
 			cat := catalog.New(catalog.Config{Logf: func(string, ...any) {}})
-			gn, err := cat.AddPrebuilt("g", catalog.Source{}, g, h, nil)
-			if err != nil {
+			if _, err := cat.AddPrebuilt("g", catalog.Source{}, g, h, nil); err != nil {
 				t.Fatal(err)
-			}
-			if demanded {
-				if _, _, err := gn.Engine.Query(context.Background(), engine.Request{Sources: []int32{1}, Solver: "thorup"}); err != nil {
-					t.Fatal(err)
-				}
 			}
 			start := time.Now()
 			res, err := cat.Mutate("g", b)
@@ -169,8 +160,8 @@ func TestWriteMutateBenchJSON(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Catalog.Mutate: %+v, %v", res, err)
 			}
-			if got := cat.Status()[0].Hierarchy; (got == "carried") != demanded {
-				t.Fatalf("child of a lineage demanded=%v has its hierarchy %s", demanded, got)
+			if got := cat.Status()[0].Hierarchy; got != "unbuilt" {
+				t.Fatalf("a write's child has its hierarchy %s, want unbuilt", got)
 			}
 			cat.Close()
 		}
@@ -193,10 +184,8 @@ func TestWriteMutateBenchJSON(t *testing.T) {
 		"mixed_incremental_ns": mixedInc.Nanoseconds(),
 		"mixed_speedup":        float64(applyBuild) / float64(mixedInc),
 
-		"catalog_mutate_undemanded_additive_ns": catalogMutate(additive, false).Nanoseconds(),
-		"catalog_mutate_demanded_additive_ns":   catalogMutate(additive, true).Nanoseconds(),
-		"catalog_mutate_undemanded_general_ns":  catalogMutate(mixed, false).Nanoseconds(),
-		"catalog_mutate_demanded_general_ns":    catalogMutate(mixed, true).Nanoseconds(),
+		"catalog_mutate_additive_ns": catalogMutate(additive).Nanoseconds(),
+		"catalog_mutate_general_ns":  catalogMutate(mixed).Nanoseconds(),
 	}
 	buf, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -218,8 +207,8 @@ func TestWriteMutateBenchJSON(t *testing.T) {
 // 18): on the rand family (C = 2^14, ssspd's default) at logn 14 and 16, a
 // stress.WideBatch touching 0.05%, 1%, 5%, 25% or all of the vertices, either
 // additive (inserts and weight decreases: ch.RepairAdditive) or general (with
-// deletes: ch.Repair), through Mutate — the overlay plus the repair, what
-// Catalog.Mutate runs on a lineage that has demanded its hierarchy — against
+// deletes: ch.Repair), through Mutate — the overlay plus the repair, which no
+// serving path runs (Catalog.Mutate is the overlay alone) — against
 // ch.BuildKruskal of the same mutated graph. `make bench-mutate-width` writes
 // the table to results/mutate-width.csv.
 func BenchmarkMutateWidth(b *testing.B) {

@@ -18,9 +18,9 @@ import (
 )
 
 // Instance bundles a graph with the runtime and the per-graph values its
-// solvers share: the Component Hierarchy (with the Thorup solver over it) and
-// the s-t search index, each built only by a solver that needs it, and the
-// delta-stepping bucket width.
+// solvers share: the delta-stepping bucket width, and what the first solver
+// that needs it derives from the graph — the Component Hierarchy (the Thorup
+// solvers) and the s-t search index (the point-to-point search).
 // Build one per graph and run any number of solvers on it, from any number of
 // goroutines.
 type Instance struct {
@@ -30,20 +30,58 @@ type Instance struct {
 	// (deltastep.DefaultDelta) unless the caller overrides it before the
 	// first run.
 	Delta int64
-	// OnBuild, set before the first run, is told of the instance's one
-	// hierarchy build once it has landed, on the goroutine that ran it.
-	OnBuild func(h *ch.Hierarchy, ms float64)
-	// OnSTIndex is OnBuild for the instance's one s-t search index.
-	OnSTIndex func(x *dijkstra.STIndex, ms float64)
+	// OnDerived, set before the first run, is told of each value the instance
+	// builds — its kind, bytes and build ms — once it has landed, on the
+	// goroutine that built it.
+	OnDerived func(kind string, bytes int64, ms float64)
 
-	carried  *ch.Hierarchy // what the instance was made with; never written after
-	once     sync.Once
-	buildMS  float64
-	thorup   *core.Solver
-	demanded atomic.Pointer[ch.Hierarchy] // thorup's, once the first Thorup call is done
+	hierarchy derived[*ch.Hierarchy]
+	stIndex   derived[*dijkstra.STIndex]
+}
 
-	stOnce  sync.Once
-	stIndex atomic.Pointer[dijkstra.STIndex] // once the first STIndex call is done
+// The kinds of value an Instance derives.
+const (
+	KindHierarchy = "hierarchy"
+	KindSTIndex   = "s-t index"
+)
+
+// derived is a value an Instance derives from its graph on demand: the first
+// get builds it on the caller's goroutine, concurrent first callers wait for
+// that build, and nothing builds it in the background. A carried value came
+// with the instance and is never built or reported.
+type derived[T interface{ Bytes() int64 }] struct {
+	kind    string
+	build   func(*Instance) T
+	carried bool
+	once    sync.Once
+	done    atomic.Bool // v and ms are written
+	v       T
+	ms      float64
+}
+
+// get returns the value, building it on the first call. The builder alone
+// reports the build to in.OnDerived, once it has landed and outside the once.
+func (d *derived[T]) get(in *Instance) T {
+	built := false
+	d.once.Do(func() {
+		start := time.Now()
+		d.v, built = d.build(in), true
+		d.ms = time.Since(start).Seconds() * 1e3
+		d.done.Store(true)
+	})
+	if built && in.OnDerived != nil {
+		in.OnDerived(d.kind, d.v.Bytes(), d.ms)
+	}
+	return d.v
+}
+
+// peek returns the value once it is there, and ok false before, a build in
+// progress included; it never builds or waits.
+func (d *derived[T]) peek() (v T, ok bool) {
+	if ok = d.done.Load(); ok {
+		v = d.v
+	}
+	return v, ok
 }
 
 // NewInstance wraps a graph for the registry's solvers.
@@ -52,76 +90,56 @@ func NewInstance(g *graph.Graph, rt *par.Runtime) *Instance {
 }
 
 // NewInstanceWithHierarchy wraps a graph together with an already-built
-// hierarchy (e.g. loaded from a snapshot), which the instance then never
-// builds.
+// hierarchy (e.g. loaded from a snapshot), which the instance then carries
+// and never builds.
 func NewInstanceWithHierarchy(g *graph.Graph, rt *par.Runtime, h *ch.Hierarchy) *Instance {
-	return &Instance{G: g, RT: rt, Delta: deltastep.DefaultDelta(g), carried: h}
-}
-
-// Thorup returns the instance's shared Thorup solver. The first call makes it,
-// building the hierarchy there and then (Kruskal; all constructions yield the
-// same one) unless the instance carries one; concurrent first callers block
-// until that build is done. Nothing else builds a hierarchy.
-func (in *Instance) Thorup() *core.Solver {
-	built := false
-	in.once.Do(func() {
-		h := in.carried
-		if h == nil {
-			start := time.Now()
-			h, built = ch.BuildKruskal(in.G), true
-			in.buildMS = time.Since(start).Seconds() * 1e3
-		}
-		in.thorup = core.NewSolver(h, in.RT)
-		in.demanded.Store(h)
-	})
-	if built && in.OnBuild != nil { // the builder alone, and not under the once
-		in.OnBuild(in.thorup.Hierarchy(), in.buildMS)
+	in := &Instance{G: g, RT: rt, Delta: deltastep.DefaultDelta(g)}
+	in.hierarchy.kind, in.hierarchy.build = KindHierarchy, func(in *Instance) *ch.Hierarchy { return ch.BuildKruskal(in.G) }
+	in.stIndex.kind, in.stIndex.build = KindSTIndex, func(in *Instance) *dijkstra.STIndex { return dijkstra.NewSTIndex(in.G, in.RT) }
+	if h != nil {
+		in.hierarchy.once.Do(func() { in.hierarchy.v, in.hierarchy.carried = h, true; in.hierarchy.done.Store(true) })
 	}
-	return in.thorup
+	return in
 }
 
-// Hierarchy returns the instance's Component Hierarchy (see Thorup).
-func (in *Instance) Hierarchy() *ch.Hierarchy { return in.Thorup().Hierarchy() }
+// Hierarchy returns the instance's Component Hierarchy, built by the first
+// call (Kruskal; all constructions yield the same one) unless the instance
+// carries one. Only the solvers that read a hierarchy ask for it.
+func (in *Instance) Hierarchy() *ch.Hierarchy { return in.hierarchy.get(in) }
 
-// Demanded returns the hierarchy if a Thorup solver has been made over it —
-// something asked for it — and nil otherwise, a build in progress included:
-// what a mutation asks, without building or waiting, before it repairs one.
-func (in *Instance) Demanded() *ch.Hierarchy { return in.demanded.Load() }
+// Thorup returns a Thorup solver over the instance's hierarchy (see Hierarchy).
+func (in *Instance) Thorup() *core.Solver { return core.NewSolver(in.Hierarchy(), in.RT) }
 
-// HierarchyState reports, like Demanded without building or waiting, what the
-// instance holds: "unbuilt" (nil), "carried" (what it was made with, used or
-// not) or "built" (by the first Thorup call, in buildMS).
+// STIndex returns the instance's s-t search index, built by the first call on
+// the instance's runtime. Only a point-to-point search state asks for it, so
+// an instance that never answers a targeted query never holds one.
+func (in *Instance) STIndex() *dijkstra.STIndex { return in.stIndex.get(in) }
+
+// HierarchyState reports, without building or waiting, what the instance
+// holds: "unbuilt" (nil, a build in progress included), "carried" (what it was
+// made with, used or not) or "built" (by the first Hierarchy call, in buildMS).
 func (in *Instance) HierarchyState() (h *ch.Hierarchy, state string, buildMS float64) {
-	switch h := in.Demanded(); {
-	case in.carried != nil:
-		return in.carried, "carried", 0
-	case h != nil:
-		return h, "built", in.buildMS
+	switch h, ok := in.hierarchy.peek(); {
+	case in.hierarchy.carried:
+		return h, "carried", 0
+	case ok:
+		return h, "built", in.hierarchy.ms
 	}
 	return nil, "unbuilt", 0
 }
 
-// STIndex returns the instance's s-t search index. The first call builds it,
-// on the instance's runtime; concurrent first callers block until that build
-// is done. Only a point-to-point search state asks for it, so an instance that
-// never answers a targeted query never holds one.
-func (in *Instance) STIndex() *dijkstra.STIndex {
-	built, ms := false, 0.0
-	in.stOnce.Do(func() {
-		start := time.Now()
-		in.stIndex.Store(dijkstra.NewSTIndex(in.G, in.RT))
-		built, ms = true, time.Since(start).Seconds()*1e3
-	})
-	x := in.stIndex.Load()
-	if built && in.OnSTIndex != nil { // the builder alone, and not under the once
-		in.OnSTIndex(x, ms)
+// Built is the bytes of what the instance has built so far, by kind; a
+// carried hierarchy is not among it. It never builds or waits.
+func (in *Instance) Built() map[string]int64 {
+	out := make(map[string]int64, 2)
+	if h, ok := in.hierarchy.peek(); ok && !in.hierarchy.carried {
+		out[KindHierarchy] = h.Bytes()
 	}
-	return x
+	if x, ok := in.stIndex.peek(); ok {
+		out[KindSTIndex] = x.Bytes()
+	}
+	return out
 }
-
-// BuiltSTIndex returns the s-t search index if a STIndex call has built it,
-// and nil otherwise, a build in progress included; it never builds or waits.
-func (in *Instance) BuiltSTIndex() *dijkstra.STIndex { return in.stIndex.Load() }
 
 // State is one solver's reusable per-query state, bound to an Instance. It is
 // not safe for concurrent use; concurrency is across states.

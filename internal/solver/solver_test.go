@@ -2,11 +2,12 @@ package solver
 
 import (
 	"context"
+	"maps"
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/ch"
 	"repro/internal/dijkstra"
@@ -144,23 +145,13 @@ func TestInstanceHierarchyConcurrentFirstUse(t *testing.T) {
 }
 
 // Only a solver that reads the hierarchy builds one: every other solver
-// answers and leaves the instance unbuilt; the ones that do need it, first used
-// concurrently, share one build — counted through OnBuild, which only a build
-// calls — and HierarchyState and Demanded report each stage without ever
-// building. An instance given a hierarchy never builds, and is demanded only
-// once a Thorup solver has been made over it.
+// answers and leaves the instance unbuilt, with nothing built on demand; the
+// ones that do need it, first used concurrently, answer over the one hierarchy
+// HierarchyState and Built then report. TestDerivedValue has the build itself.
 func TestOnlyHierarchySolversBuild(t *testing.T) {
 	g := gen.Random(128, 512, 64, gen.UWD, 4)
 	want := dijkstra.SSSP(g, 9)
-	var builds atomic.Int32
 	in := NewInstance(g, par.NewExec(2))
-	in.OnBuild = func(h *ch.Hierarchy, ms float64) {
-		builds.Add(1)
-		if got, state, gotMS := in.HierarchyState(); got != h || state != "built" || gotMS != ms || in.Demanded() != h {
-			t.Errorf("OnBuild(%p, %v) with state %p %s %v, demanded %p", h, ms, got, state, gotMS, in.Demanded())
-		}
-	}
-	var wg sync.WaitGroup
 	for _, s := range All() {
 		if !s.Applicable(g) || s.NeedsCH {
 			continue
@@ -169,9 +160,10 @@ func TestOnlyHierarchySolversBuild(t *testing.T) {
 			t.Fatalf("%s: wrong distances with the hierarchy unbuilt", s.Name)
 		}
 	}
-	if h, state, ms := in.HierarchyState(); h != nil || state != "unbuilt" || ms != 0 || in.Demanded() != nil || builds.Load() != 0 {
-		t.Fatalf("after every solver that needs no hierarchy: %p %s %v, %d builds", h, state, ms, builds.Load())
+	if h, state, ms := in.HierarchyState(); h != nil || state != "unbuilt" || ms != 0 || len(in.Built()) != 0 {
+		t.Fatalf("after every solver that needs no hierarchy: %p %s %v, built %v", h, state, ms, in.Built())
 	}
+	var wg sync.WaitGroup
 	for _, s := range All() {
 		if !s.NeedsCH {
 			continue
@@ -181,48 +173,31 @@ func TestOnlyHierarchySolversBuild(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				if got := s.Solve(in, []int32{9}); !slices.Equal(got, want) {
-					t.Errorf("%s: wrong distances over the demanded hierarchy", s.Name)
+					t.Errorf("%s: wrong distances over the built hierarchy", s.Name)
 				}
 			}()
 		}
 	}
 	wg.Wait()
 	h, state, ms := in.HierarchyState()
-	if n := builds.Load(); n != 1 || state != "built" || h != in.Hierarchy() || in.Demanded() != h || ms <= 0 {
-		t.Fatalf("%d builds for one instance (want 1), state %p %s %v", n, h, state, ms)
-	}
-
-	carried := NewInstanceWithHierarchy(g, par.NewExec(1), h)
-	carried.OnBuild = func(*ch.Hierarchy, float64) { t.Error("an instance that came with its hierarchy built another") }
-	if got, state, ms := carried.HierarchyState(); got != h || state != "carried" || ms != 0 || carried.Demanded() != nil {
-		t.Fatalf("carried, unused: %p %s %v, demanded %p", got, state, ms, carried.Demanded())
-	}
-	if _, state, _ := carried.HierarchyState(); carried.Hierarchy() != h || carried.Demanded() != h || state != "carried" {
-		t.Fatalf("carried, used: Hierarchy() %p, demanded %p, want %p; state %s", carried.Hierarchy(), carried.Demanded(), h, state)
+	if state != "built" || h != in.Hierarchy() || ms <= 0 || !maps.Equal(in.Built(), map[string]int64{KindHierarchy: h.Bytes()}) {
+		t.Fatalf("state %p %s %v, built %v", h, state, ms, in.Built())
 	}
 }
 
-// Eight goroutines' first point-to-point searches on one fresh instance share
-// one s-t index build — counted through OnSTIndex, which only the build calls
-// — and answer identically; no full solver builds one, and BuiltSTIndex
-// reports without building (run under -race by make race).
+// Eight goroutines' first point-to-point searches on one fresh instance answer
+// as Dijkstra does, over the one s-t index they leave built; no full solver
+// builds one.
 func TestSTIndexConcurrentFirstUse(t *testing.T) {
 	g := gen.Random(1024, 4096, 1<<10, gen.UWD, 5)
 	in := NewInstance(g, par.NewExec(2))
-	var builds atomic.Int32
-	in.OnSTIndex = func(x *dijkstra.STIndex, ms float64) {
-		builds.Add(1)
-		if in.BuiltSTIndex() != x || x.Bytes() != 8*g.NumArcs() || ms < 0 {
-			t.Errorf("OnSTIndex(%p, %v): built %p", x, ms, in.BuiltSTIndex())
-		}
-	}
 	for _, s := range All() {
 		if s.Applicable(g) {
 			s.Solve(in, []int32{3})
 		}
 	}
-	if in.BuiltSTIndex() != nil || builds.Load() != 0 {
-		t.Fatal("a full solver built the s-t index")
+	if _, ok := in.Built()[KindSTIndex]; ok {
+		t.Fatalf("a full solver built the s-t index: %v", in.Built())
 	}
 	targets := []int32{0, 17, 500, 1023}
 	want := dijkstra.SSSP(g, 3)
@@ -240,8 +215,8 @@ func TestSTIndexConcurrentFirstUse(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := builds.Load(); n != 1 || in.BuiltSTIndex() != in.STIndex() {
-		t.Fatalf("%d s-t index builds for one instance, want 1", n)
+	if b, ok := in.Built()[KindSTIndex]; !ok || b != 8*g.NumArcs() {
+		t.Fatalf("built %v, want the s-t index of %d bytes", in.Built(), 8*g.NumArcs())
 	}
 	for i := range got {
 		for j, tgt := range targets {
@@ -249,6 +224,139 @@ func TestSTIndexConcurrentFirstUse(t *testing.T) {
 				t.Fatalf("goroutine %d: st(3,%d) = %d, want %d", i, tgt, got[i][j], want[tgt])
 			}
 		}
+	}
+}
+
+// sized is what every value an Instance derives has.
+type sized = interface{ Bytes() int64 }
+
+// Each value an Instance derives on demand — the hierarchy and the s-t index —
+// is built by its first caller: eight concurrent first callers share one build
+// and get the same value; the build reports once, with its kind, bytes equal
+// to the value's Bytes() and ms > 0; the peek (and Built) see nothing before
+// the build and return at once while it is held open. A carried hierarchy is
+// never built or reported, used or not, and stays carried.
+func TestDerivedValue(t *testing.T) {
+	g := gen.Random(1024, 4096, 1<<10, gen.UWD, 6)
+	for _, tc := range []struct {
+		kind string
+		get  func(in *Instance) sized
+		peek func(in *Instance) sized
+		// hold makes the instance's build close started, then wait for open.
+		hold func(in *Instance, started chan<- struct{}, open <-chan struct{})
+	}{
+		{
+			kind: KindHierarchy,
+			get:  func(in *Instance) sized { return in.Hierarchy() },
+			peek: func(in *Instance) sized {
+				if h, ok := in.hierarchy.peek(); ok {
+					return h
+				}
+				return nil
+			},
+			hold: func(in *Instance, started chan<- struct{}, open <-chan struct{}) {
+				build := in.hierarchy.build
+				in.hierarchy.build = func(in *Instance) *ch.Hierarchy { close(started); <-open; return build(in) }
+			},
+		},
+		{
+			kind: KindSTIndex,
+			get:  func(in *Instance) sized { return in.STIndex() },
+			peek: func(in *Instance) sized {
+				if x, ok := in.stIndex.peek(); ok {
+					return x
+				}
+				return nil
+			},
+			hold: func(in *Instance, started chan<- struct{}, open <-chan struct{}) {
+				build := in.stIndex.build
+				in.stIndex.build = func(in *Instance) *dijkstra.STIndex { close(started); <-open; return build(in) }
+			},
+		},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
+			in := NewInstance(g, par.NewExec(2))
+			var mu sync.Mutex
+			type report struct {
+				kind  string
+				bytes int64
+				ms    float64
+			}
+			var reports []report
+			in.OnDerived = func(kind string, bytes int64, ms float64) {
+				mu.Lock()
+				reports = append(reports, report{kind, bytes, ms})
+				mu.Unlock()
+				if tc.peek(in) == nil {
+					t.Errorf("%s reported before it landed", kind)
+				}
+			}
+			if _, ok := in.Built()[tc.kind]; ok || tc.peek(in) != nil {
+				t.Fatalf("before any caller: peek %v, built %v", tc.peek(in), in.Built())
+			}
+
+			started, open := make(chan struct{}), make(chan struct{})
+			tc.hold(in, started, open)
+			got := make([]sized, 8)
+			var wg sync.WaitGroup
+			for i := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[i] = tc.get(in)
+				}()
+			}
+			<-started
+			peeked := make(chan bool, 1)
+			go func() {
+				_, ok := in.Built()[tc.kind]
+				peeked <- !ok && tc.peek(in) == nil
+			}()
+			select {
+			case empty := <-peeked:
+				if !empty {
+					t.Fatal("the peek saw a value while its build was held open")
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("the peek waited for the build")
+			}
+			close(open)
+			wg.Wait()
+
+			v := got[0]
+			for i := range got {
+				if got[i] == nil || got[i] != v {
+					t.Fatalf("caller %d got %v, caller 0 %v: want one shared value", i, got[i], v)
+				}
+			}
+			tc.get(in) // a later caller builds and reports nothing
+			mu.Lock()
+			defer mu.Unlock()
+			if len(reports) != 1 || reports[0].kind != tc.kind || reports[0].bytes != v.Bytes() || reports[0].ms <= 0 {
+				t.Fatalf("reports %v, want one %s of %d bytes in > 0 ms", reports, tc.kind, v.Bytes())
+			}
+			if tc.peek(in) != v || in.Built()[tc.kind] != v.Bytes() {
+				t.Fatalf("after the build: peek %v, built %v; want %v of %d bytes", tc.peek(in), in.Built(), v, v.Bytes())
+			}
+		})
+	}
+
+	h := ch.BuildKruskal(g)
+	carried := NewInstanceWithHierarchy(g, par.NewExec(2), h)
+	carried.OnDerived = func(kind string, _ int64, _ float64) {
+		if kind == KindHierarchy {
+			t.Error("an instance that came with its hierarchy reported a build")
+		}
+	}
+	if got, state, ms := carried.HierarchyState(); got != h || state != "carried" || ms != 0 || len(carried.Built()) != 0 {
+		t.Fatalf("carried, unused: %p %s %v, built %v", got, state, ms, carried.Built())
+	}
+	s, _ := ByName("thorup")
+	if d := s.Solve(carried, []int32{3}); !slices.Equal(d, dijkstra.SSSP(g, 3)) || carried.Hierarchy() != h {
+		t.Fatal("solver=thorup over a carried hierarchy: wrong distances or another hierarchy")
+	}
+	if _, state, _ := carried.HierarchyState(); state != "carried" || len(carried.Built()) != 0 {
+		t.Fatalf("carried, used: %s, built %v", state, carried.Built())
 	}
 }
 

@@ -22,11 +22,11 @@ import (
 
 // checkMutate is the dynamic-graph oracle: a deterministic random mutation
 // sequence (weight changes, inserts, deletes; every third batch a wide one) is
-// driven through the production mutation path on both lineages a served graph
-// can be on — one whose hierarchy a query has demanded (copy-on-write overlay
-// plus hierarchy repair) and one where nothing has (overlay alone; the
-// hierarchy built at the end, as the first solver=thorup would) — and each end
-// state is differenced against an implementation-disjoint replay
+// driven through mutate.Mutate on two lineages — "undemanded", the serving path
+// (the overlay alone, as catalog.Mutate has it; the hierarchy built at the end,
+// as the first solver=thorup after a write would), and "demanded" (plus the
+// hierarchy repair, which no serving path takes; kept until it is deleted) —
+// and each end state is differenced against an implementation-disjoint replay
 // (mutate.ReferenceApply) of the same batches onto a fresh copy of the base
 // graph: edge multisets must match exactly, and Thorup queries over the
 // lineage's hierarchy must agree with Dijkstra on the replayed graph. Beside

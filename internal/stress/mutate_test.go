@@ -2,11 +2,13 @@ package stress
 
 import (
 	"context"
+	"fmt"
 	"math/bits"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/catalog"
@@ -77,9 +79,12 @@ func TestMutationOracleClean(t *testing.T) {
 // kind of start: a text source (no hierarchy) and a snapshot-like one (a
 // hierarchy carried, never used). Un-demanded, every batch is an overlay,
 // nothing builds, and the first solver=thorup — one build, over the 100th
-// generation — agrees with Dijkstra on the reference replay. Demanded, each
-// batch repairs, wide ones included, the generation it makes serving when
-// Mutate returns; same answers, and the one build is the first demand's.
+// generation — agrees with Dijkstra on the reference replay. Demanded — a
+// solver=thorup before the first batch and after every tenth — every batch is
+// an overlay as well, wide ones included: the generation it makes is serving
+// when Mutate returns, unbuilt and charged for its graph alone, and each
+// solver=thorup after a write adds exactly one build and one log line; same
+// answers.
 func TestMutationOracleBothLineages(t *testing.T) {
 	base := gen.Random(200, 800, 1<<10, gen.UWD, 21)
 	batches := genMutationSequence(base, 100, 77)
@@ -90,14 +95,20 @@ func TestMutationOracleBothLineages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	thorup := func(t *testing.T, cat *catalog.Catalog, g *graph.Graph) {
+	refs, err := referenceChain(base, batches)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// thorup asks solver=thorup from srcs; a source whose answer the
+	// generation holds (inherited, or asked before) builds nothing.
+	thorup := func(t *testing.T, cat *catalog.Catalog, g *graph.Graph, srcs ...int32) {
 		t.Helper()
 		gn, release, err := cat.Acquire("g")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer release()
-		for _, src := range []int32{0, 50, 199} {
+		for _, src := range srcs {
 			res, _, err := gn.Engine.Query(context.Background(), engine.Request{Sources: []int32{src}, Solver: "thorup"})
 			if err != nil {
 				t.Fatal(err)
@@ -114,8 +125,8 @@ func TestMutationOracleBothLineages(t *testing.T) {
 		name    string
 		carried bool
 	}{{"text", false}, {"snapshot-carried", true}} {
-		load := func(t *testing.T) *catalog.Catalog {
-			cat := catalog.New(catalog.Config{QueryWorkers: 2, Logf: func(string, ...any) {}})
+		load := func(t *testing.T, logf func(string, ...any)) *catalog.Catalog {
+			cat := catalog.New(catalog.Config{QueryWorkers: 2, Logf: logf})
 			t.Cleanup(cat.Close)
 			loader := func() (*graph.Graph, *ch.Hierarchy, error) {
 				if start.carried {
@@ -129,7 +140,7 @@ func TestMutationOracleBothLineages(t *testing.T) {
 			return cat
 		}
 		t.Run(start.name+"/undemanded", func(t *testing.T) {
-			cat := load(t)
+			cat := load(t, func(string, ...any) {})
 			for i, b := range batches {
 				if res, err := cat.Mutate("g", b); err != nil || res.Gen != uint64(i+2) {
 					t.Fatalf("batch %d: %+v, %v; want an overlay as gen %d", i, res, err, i+2)
@@ -141,32 +152,53 @@ func TestMutationOracleBothLineages(t *testing.T) {
 			if n := cat.Counter("hierarchy_builds"); n != 0 {
 				t.Fatalf("%d hierarchy builds over 100 un-demanded mutations", n)
 			}
-			thorup(t, cat, ref)
+			thorup(t, cat, ref, 0, 50, 199)
 			if n := cat.Counter("hierarchy_builds"); n != 1 {
 				t.Fatalf("%d hierarchy builds after the first solver=thorup, want 1", n)
 			}
 		})
 		t.Run(start.name+"/demanded", func(t *testing.T) {
-			cat := load(t)
-			cur, h := base, ch.BuildKruskal(base) // the same lineage at the mutate level, for its RepairStats
-			thorup(t, cat, cur)
+			var mu sync.Mutex
+			lines := 0
+			cat := load(t, func(format string, args ...any) {
+				if strings.HasPrefix(fmt.Sprintf(format, args...), "catalog: hierarchy for g gen ") {
+					mu.Lock()
+					lines++
+					mu.Unlock()
+				}
+			})
+			demands := func() (builds int64, n int) {
+				mu.Lock()
+				defer mu.Unlock()
+				return cat.Counter("hierarchy_builds"), lines
+			}
+			thorup(t, cat, base, 0, 50, 199)
 			for i, b := range batches {
 				res, err := cat.Mutate("g", b)
-				if st := cat.Status()[0]; err != nil || st.Hierarchy != "carried" || st.Gen != uint64(i+2) || st.State != "ready" || st.Pending {
-					t.Fatalf("after batch %d (%d touched): %+v, %v; want gen %d serving, hierarchy carried", i, res.Touched, st, err, i+2)
+				st := cat.Status()[0]
+				if err != nil || st.Hierarchy != "unbuilt" || st.Gen != uint64(i+2) || st.State != "ready" || st.Pending || st.HeapBytes != st.Bytes {
+					t.Fatalf("after batch %d (%d touched): %+v, %v; want gen %d serving, hierarchy unbuilt", i, res.Touched, st, err, i+2)
 				}
-				m, err := mutate.Mutate(cur, h, b, mutate.Options{})
-				if err != nil || m.Stats.ReusedNodes <= 0 && m.Stats.DirtyNodes > 0 { // no dirty node: the structure is shared whole
-					t.Fatalf("batch %d (%d touched): repair reused %d nodes, err %v", i, m.Touched, m.Stats.ReusedNodes, err)
+				if i%10 != 9 {
+					continue
 				}
-				if err := m.H.Validate(); err != nil {
-					t.Fatalf("batch %d: repaired hierarchy: %v", i, err)
+				gn, release, err := cat.Acquire("g")
+				if err != nil {
+					t.Fatal(err)
 				}
-				cur, h = m.G, m.H
+				if st.HeapBytes != gn.G.MemoryBytes() {
+					t.Fatalf("after batch %d: charged %d bytes, the graph alone is %d", i, st.HeapBytes, gn.G.MemoryBytes())
+				}
+				release()
+				builds, n := demands()
+				k := int32(i / 10)
+				thorup(t, cat, refs[i+1], 1+k, 70+k, 140+k) // none asked before
+				if b2, n2 := demands(); b2 != builds+1 || n2 != n+1 {
+					t.Fatalf("solver=thorup after batch %d: %d builds and %d log lines, from %d and %d; want one more of each", i, b2, n2, builds, n)
+				}
 			}
-			thorup(t, cat, ref)
-			if got, want := cat.Counter("hierarchy_builds"), map[bool]int64{true: 0, false: 1}[start.carried]; got != want {
-				t.Fatalf("%d hierarchy builds, want %d: the first demand's, unless the start carried one", got, want)
+			if got, want := cat.Counter("hierarchy_builds"), int64(len(batches)/10)+map[bool]int64{true: 0, false: 1}[start.carried]; got != want {
+				t.Fatalf("%d hierarchy builds, want %d: one a demanded generation, the first one's only unless the start carried it", got, want)
 			}
 		})
 	}
