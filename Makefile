@@ -196,7 +196,9 @@ bench-build:
 # packed result vector's tests likewise (inheritance and resumes beside hits,
 # widening), the values a generation derives on demand likewise (one build
 # for concurrent first callers, its report, writes that derive nothing), the
-# serving smoke slice, and the seeded stress sweep.
+# DIMACS readers five times at 1, 2 and 4 CPUs (the same arrays at every
+# worker count, and the allocation budget), the serving smoke slice, and the
+# seeded stress sweep.
 check:
 	$(GO) vet ./...
 	GOOS=windows $(GO) vet ./...
@@ -208,6 +210,7 @@ check:
 	$(GO) test -race -count=20 -run 'Cancel|Deadline' ./internal/engine ./cmd/ssspd
 	$(GO) test -race -count=20 -run 'Inherit|Resume|Wide|Vector' ./internal/engine
 	$(GO) test -race -count=20 -run 'Hierarchy|STIndex|Derived|Mutate' ./internal/solver ./internal/catalog ./cmd/ssspd
+	$(GO) test -race -count=5 -cpu 1,2,4 -run 'ReadGraph|ReadSources' ./internal/dimacs
 	$(MAKE) bench-serve-smoke
 	$(MAKE) stress
 

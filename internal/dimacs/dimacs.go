@@ -2,8 +2,10 @@ package dimacs
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -53,31 +55,33 @@ func WriteGraph(w io.Writer, g *graph.Graph, comment string) error {
 	return nil
 }
 
-// ReadSources parses a .ss auxiliary file listing SSSP source vertices.
+// ReadSources parses a .ss auxiliary file listing SSSP source vertices. It
+// reads lines by the rules ReadGraph does: no length limit, ASCII white
+// space, and an error that names the line and quotes at most 64 bytes of it.
 func ReadSources(r io.Reader) ([]int32, error) {
-	sc := bufio.NewScanner(r)
+	br := bufio.NewReader(r)
 	var out []int32
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || text[0] == 'c' || text[0] == 'p' {
-			continue
+	for line := 1; ; line++ {
+		text, err := br.ReadBytes('\n')
+		var f [4][]byte
+		switch nf := fields(text, &f); {
+		case nf == 0 || f[0][0] == 'c' || f[0][0] == 'p':
+		case nf != 2 || string(f[0]) != "s":
+			return nil, fmt.Errorf("dimacs: line %d: malformed source line %s", line, quote(bytes.TrimSpace(text)))
+		default:
+			v, ok := atoi(f[1])
+			if !ok || v < 1 || v > math.MaxInt32 {
+				return nil, fmt.Errorf("dimacs: line %d: bad source %s", line, quote(f[1]))
+			}
+			out = append(out, int32(v-1))
 		}
-		fields := strings.Fields(text)
-		if fields[0] != "s" || len(fields) != 2 {
-			return nil, fmt.Errorf("dimacs: line %d: malformed source line %q", line, text)
+		if err == io.EOF {
+			return out, nil
 		}
-		v, err := strconv.ParseInt(fields[1], 10, 32)
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("dimacs: line %d: bad source %q", line, fields[1])
+		if err != nil {
+			return nil, fmt.Errorf("dimacs: read: %v", err)
 		}
-		out = append(out, int32(v-1))
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // WriteSources emits a .ss file.

@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"testing/iotest"
 
@@ -309,7 +311,8 @@ func arcText(g *graph.Graph, rng *rand.Rand, both bool, drop float64) string {
 
 // TestReadGraphMatchesReference is the seeded half of the oracle check
 // (FuzzReadGraph is the other): every generator family, as WriteGraph emits
-// it and rearranged every way the pairing rule is sensitive to.
+// it and rearranged every way the pairing rule is sensitive to, read whole
+// and in 512-byte blocks on 2, 3 and 8 goroutines.
 func TestReadGraphMatchesReference(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"rand-uwd":   gen.Random(300, 1200, 1<<10, gen.UWD, 1),
@@ -341,14 +344,31 @@ func TestReadGraphMatchesReference(t *testing.T) {
 			"single arc":          arcText(g, rng, false, 0),
 			"single arc, dropped": arcText(g, rng, false, 0.3),
 		} {
-			t.Run(name+"/"+variant, func(t *testing.T) { checkAgainstReference(t, in, ReadGraph) })
+			t.Run(name+"/"+variant, func(t *testing.T) {
+				checkAgainstReference(t, in, ReadGraph)
+				for _, workers := range []int{2, 3, 8} {
+					checkAgainstReference(t, in, func(r io.Reader) (*graph.Graph, error) {
+						return readGraph(r, 512, workers)
+					})
+				}
+			})
 		}
+	}
+	// The hubs of the R-MAT family put 32 or more arcs in one pairing group,
+	// which the pairing sorts rather than scans.
+	group, big := map[int32]int{}, 0
+	for _, e := range graphs["rmat"].Edges() {
+		group[min(e.U, e.V)] += 2
+		big = max(big, group[min(e.U, e.V)])
+	}
+	if big < 32 {
+		t.Errorf("the largest R-MAT pairing group has %d arcs, want >= 32", big)
 	}
 }
 
 // TestReadGraphBlockBoundaries: where the text is cut into blocks, how many
-// goroutines parse them, and how the reader hands bytes over change nothing,
-// for accepted files and for the line an error blames.
+// goroutines parse them and sort the arcs, and how the reader hands bytes
+// over change nothing, for accepted files and for the line an error blames.
 func TestReadGraphBlockBoundaries(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	good := "c header\r\n\np sp 300 0\n" + strings.SplitN(arcText(gen.Random(300, 1500, 1<<20, gen.UWD, 9), rng, true, 0.2), "\n", 2)[1]
@@ -364,7 +384,7 @@ func TestReadGraphBlockBoundaries(t *testing.T) {
 	}
 	for name, in := range inputs {
 		for _, block := range []int{1, 7, 64, 4096} {
-			for _, workers := range []int{1, 4} {
+			for _, workers := range []int{1, 2, 3, 8} {
 				checkAgainstReference(t, in, func(r io.Reader) (*graph.Graph, error) {
 					return readGraph(r, block, workers)
 				})
@@ -399,19 +419,101 @@ func TestReadGraphReadError(t *testing.T) {
 	}
 }
 
-// BenchmarkReadGraph parses a generated Rand-UWD 2^16 instance (the bench
-// ladder's rand16 shape: m = 4n, 10 MB of text). allocs/op must stay
-// proportional to the number of 1 MiB blocks, not to the number of lines.
-func BenchmarkReadGraph(b *testing.B) {
+// fastPathLines are arc lines that must leave the fast path, each for one
+// reason, and decline marks those it turns down for their spelling alone.
+// Read in a file with three vertices, each must give the reference's graph or
+// its error on its line.
+var fastPathLines = []struct {
+	name, line string
+	decline    bool
+}{
+	{"crlf", "a 1 2 3\r\n", true},
+	{"tab", "a 1\t2 3\n", true},
+	{"two spaces", "a 1  2 3\n", true},
+	{"leading space", " a 1 2 3\n", true},
+	{"trailing space", "a 1 2 3 \n", true},
+	{"plus sign", "a 1 2 +3\n", true},
+	{"leading zeros", "a 01 2 003\n", true},
+	{"19 digits", "a 1 2 0000000000000000003\n", true},
+	{"19-digit weight", "a 1 2 1000000000000000000\n", true},
+	{"weight 0", "a 1 2 0\n", true},
+	{"weight 2^30 + 1", "a 1 2 1073741825\n", false},
+	{"weight 2^30", "a 1 2 1073741824\n", false},
+	{"vertex 0", "a 0 2 3\n", true},
+	{"vertex n + 1", "a 1 4 3\n", false},
+	{"beyond int32", "a 1 4294967298 3\n", false},
+	{"four numbers", "a 1 2 3 4\n", true},
+	{"two numbers", "a 1 2\n", true},
+}
+
+// TestReadGraphFastPathDeclines: a line the fast path does not take is read
+// the way every line was before it, in the middle of a file, as its last
+// line with no LF, and before the problem line.
+func TestReadGraphFastPathDeclines(t *testing.T) {
+	if _, _, _, size := arcLine([]byte("a 12 3 456\na")); size != 11 {
+		t.Fatalf("the fast path takes %d bytes of a Challenge arc line, want 11", size)
+	}
+	for _, c := range fastPathLines {
+		if _, _, _, size := arcLine([]byte(c.line)); c.decline && size != 0 {
+			t.Errorf("%s: the fast path took %q", c.name, c.line)
+		}
+		last := strings.TrimSuffix(c.line, "\n")
+		for where, in := range map[string]string{
+			"middle":      "c x\np sp 3 0\na 2 1 3\n" + c.line + "a 3 1 5\n",
+			"last, no LF": "p sp 3 0\na 2 1 3\n" + last,
+			"before p":    "c x\n" + c.line + "p sp 3 0\n",
+		} {
+			for _, workers := range []int{1, 3} {
+				checkAgainstReference(t, in, func(r io.Reader) (*graph.Graph, error) {
+					return readGraph(r, 8, workers)
+				})
+				if t.Failed() {
+					t.Fatalf("%s, %s, %d workers", c.name, where, workers)
+				}
+			}
+		}
+	}
+}
+
+var rand16 = sync.OnceValue(func() []byte {
 	var buf bytes.Buffer
 	if err := WriteGraph(&buf, gen.Random(1<<16, 4<<16, 1<<16, gen.UWD, 1), ""); err != nil {
-		b.Fatal(err)
+		panic(err)
 	}
-	b.SetBytes(int64(buf.Len()))
+	return buf.Bytes()
+})
+
+// TestReadGraphAllocationBudget: reading the bench's rand16 shape allocates
+// what the graph keeps and little more: a few blocks of text, the arcs, the
+// pairing keys and a cursor array a worker. It was 31.0 MB when the arcs
+// were concatenated before pairing and compacted after it. The text buffers
+// and cursor arrays grow with the worker count, so it counts up to four.
+func TestReadGraphAllocationBudget(t *testing.T) {
+	const budget = 22e6
+	text := rand16()
+	workers := min(runtime.GOMAXPROCS(0), 4)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g, err := readGraph(bytes.NewReader(text), readBlock, workers)
+	runtime.ReadMemStats(&after)
+	if err != nil || g.NumEdges() != 4<<16 {
+		t.Fatalf("g=%v err=%v", g, err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Errorf("reading rand16 on %d workers allocated %.1f MB, budget %.0f MB", workers, float64(got)/1e6, budget/1e6)
+	}
+}
+
+// BenchmarkReadGraph parses a generated Rand-UWD 2^16 instance (the bench
+// ladder's rand16 shape: m = 4n, 10 MB of text). allocs/op must stay
+// proportional to the number of blocks, not to the number of lines.
+func BenchmarkReadGraph(b *testing.B) {
+	text := rand16()
+	b.SetBytes(int64(len(text)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ReadGraph(bytes.NewReader(buf.Bytes())); err != nil {
+		if _, err := ReadGraph(bytes.NewReader(text)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -468,6 +570,30 @@ func TestReadSourcesErrors(t *testing.T) {
 		if _, err := ReadSources(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// readSourcesCases are the .ss files that ReadSources read by other rules
+// than ReadGraph's: a comment longer than a bufio.Scanner line, and a
+// non-ASCII space between the fields. The first must load, and the second
+// fail on its line like any malformed line.
+var readSourcesCases = []string{
+	"c " + strings.Repeat("x", 70<<10) + "\ns 3\n",
+	"s 1\ns\u00a02\n",
+}
+
+func TestReadSourcesLineRules(t *testing.T) {
+	if got, err := ReadSources(strings.NewReader(readSourcesCases[0])); err != nil || !slices.Equal(got, []int32{2}) {
+		t.Errorf("70 KiB comment line: got %v, %v", got, err)
+	}
+	if _, err := ReadSources(strings.NewReader(readSourcesCases[1])); err == nil ||
+		!strings.HasPrefix(err.Error(), "dimacs: line 2: malformed source line") {
+		t.Errorf("non-ASCII space: got %v", err)
+	}
+	long := "s " + strings.Repeat("9", 100<<10) + "\n"
+	if _, err := ReadSources(strings.NewReader("c\n" + long)); err == nil ||
+		!strings.HasPrefix(err.Error(), "dimacs: line 2: bad source") || len(err.Error()) > 200 {
+		t.Errorf("100 KiB source: got %.300v", err)
 	}
 }
 

@@ -11,10 +11,11 @@
 // the same undirected key (min(u,v), max(u,v), w) every second one in file
 // order is dropped — whichever way it points — and the others become edges,
 // so k parallel edges written as 2k arcs stay k edges and an unmatched arc
-// stays an edge. Self-loops are always kept. White space is ASCII, a line has
-// no length limit, at most 2^28 vertices are accepted, and an error quotes at
-// most 64 bytes of the line it blames. DESIGN.md §5 decision 10 has what a
-// text start costs.
+// stays an edge. Self-loops are always kept, and at most 2^28 vertices are
+// accepted. In both formats white space is ASCII, a line has no length limit,
+// and an error names its line and quotes at most 64 bytes of it. DESIGN.md §5
+// decision 13 has how a .gr file is read, and decision 10 what a text start
+// costs.
 //
 // See DESIGN.md §3 ("System inventory") for how this package fits the system.
 package dimacs

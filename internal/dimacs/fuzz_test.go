@@ -2,9 +2,12 @@ package dimacs
 
 import (
 	"bytes"
+	"io"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/graph"
 )
 
 // declaredVertices is the vertex count the first well-formed problem line of
@@ -21,8 +24,8 @@ func declaredVertices(in string) int64 {
 
 // FuzzReadGraph checks that the reader never panics on arbitrary input, that
 // it agrees with the reader it replaced (same verdict, same blamed line, same
-// CSR arrays), and that anything it accepts is a structurally valid graph
-// that survives a write/read round trip.
+// CSR arrays) whole and cut into small blocks, and that anything it accepts
+// is a structurally valid graph that survives a write/read round trip.
 func FuzzReadGraph(f *testing.F) {
 	f.Add("p sp 3 4\na 1 2 5\na 2 1 5\na 2 3 7\na 3 2 7\n")
 	f.Add("c comment\np sp 1 1\na 1 1 9\n")
@@ -43,11 +46,21 @@ func FuzzReadGraph(f *testing.F) {
 	f.Add("p sp 2000000000 1\n")
 	f.Add("p sp 2 2000000000\na 1 2 3\n")
 	f.Add("p sp 3 0\r\n\n c x\na +1 02 5\na 2 1 5\na 1 2 5\na 3 3 1\na 3 3 1")
+	// Lines that must leave the per-line fast path, after and before a
+	// line that takes it, and last with no LF.
+	for _, c := range fastPathLines {
+		f.Add("p sp 3 0\na 2 1 3\n" + c.line + "a 3 1 5\n")
+		f.Add("p sp 3 0\na 2 1 3\n" + strings.TrimSuffix(c.line, "\n"))
+	}
+	f.Add("a 1 2 3\np sp 3 1\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		// A graph costs memory in proportion to its declared vertex count,
 		// isolated vertices included; keep a fuzzing run small.
 		if n := declaredVertices(in); n <= 1<<16 {
 			checkAgainstReference(t, in, ReadGraph)
+			checkAgainstReference(t, in, func(r io.Reader) (*graph.Graph, error) {
+				return readGraph(r, 64, 3) // many blocks, sorted in several runs
+			})
 		} else if n <= maxVertices {
 			t.Skip()
 		}
@@ -72,14 +85,21 @@ func FuzzReadGraph(f *testing.F) {
 	})
 }
 
-// FuzzReadSources checks the .ss parser never panics and bounds its output.
+// FuzzReadSources checks the .ss parser never panics, bounds its output, and
+// reports every error as the package's, in bounded text.
 func FuzzReadSources(f *testing.F) {
 	f.Add("p aux sp ss 2\ns 1\ns 7\n")
 	f.Add("s 0\n")
 	f.Add("c\n\n\ns 1\n")
+	for _, in := range readSourcesCases {
+		f.Add(in)
+	}
 	f.Fuzz(func(t *testing.T, in string) {
 		sources, err := ReadSources(strings.NewReader(in))
 		if err != nil {
+			if !strings.HasPrefix(err.Error(), "dimacs: ") || len(err.Error()) > 200 {
+				t.Fatalf("error %.300q from %q", err, in)
+			}
 			return
 		}
 		for _, s := range sources {

@@ -261,53 +261,11 @@ func filterEdges(edges []Edge, dropLoops, dropParallel bool) []Edge {
 
 // FromEdges builds a CSR graph directly from an undirected edge list. Each
 // edge {U,V,W} produces arcs in both adjacency lists (one arc for a
-// self-loop). Weights must be positive; FromEdges panics otherwise, since the
-// Builder and DIMACS reader validate weights at the boundary.
+// self-loop), in list order. Weights must be positive; FromEdges panics
+// otherwise, since the Builder and DIMACS reader validate weights at the
+// boundary. It is FromBlocks on one block.
 func FromEdges(n int, edges []Edge) *Graph {
-	g := &Graph{n: int32(n)}
-	g.offsets = make([]int64, n+1)
-	// Counting pass.
-	for _, e := range edges {
-		if e.W == 0 {
-			panic(fmt.Sprintf("graph: zero-weight edge (%d,%d)", e.U, e.V))
-		}
-		g.offsets[e.U+1]++
-		if e.U != e.V {
-			g.offsets[e.V+1]++
-		}
-	}
-	for v := 0; v < n; v++ {
-		g.offsets[v+1] += g.offsets[v]
-	}
-	total := g.offsets[n]
-	g.targets = make([]int32, total)
-	g.weights = make([]uint32, total)
-	next := make([]int64, n)
-	copy(next, g.offsets[:n])
-	g.minW = math.MaxUint32
-	for _, e := range edges {
-		i := next[e.U]
-		next[e.U]++
-		g.targets[i] = e.V
-		g.weights[i] = e.W
-		if e.U != e.V {
-			j := next[e.V]
-			next[e.V]++
-			g.targets[j] = e.U
-			g.weights[j] = e.W
-		}
-		g.m++
-		if e.W > g.maxW {
-			g.maxW = e.W
-		}
-		if e.W < g.minW {
-			g.minW = e.W
-		}
-	}
-	if g.m == 0 {
-		g.minW = 0
-	}
-	return g
+	return FromBlocks(n, [][]Edge{edges}, nil, 1)
 }
 
 // InducedSubgraph returns the subgraph induced by the given vertices together
