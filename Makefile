@@ -209,6 +209,7 @@ check:
 	$(GO) test -race -count=20 -run 'MemoryLimit' ./cmd/ssspd
 	$(GO) test -race -count=20 -run 'Cancel|Deadline' ./internal/engine ./cmd/ssspd
 	$(GO) test -race -count=20 -run 'Inherit|Resume|Wide|Vector' ./internal/engine
+	$(GO) test -race -count=20 -run 'Inherit|Resume|Repair|Carry|SLRU' ./internal/engine ./internal/stress
 	$(GO) test -race -count=20 -run 'Hierarchy|STIndex|Derived|Mutate' ./internal/solver ./internal/catalog ./cmd/ssspd
 	$(GO) test -race -count=5 -cpu 1,2,4 -run 'ReadGraph|ReadSources' ./internal/dimacs
 	$(MAKE) bench-serve-smoke
@@ -240,7 +241,7 @@ stress:
 	$(GO) run -race ./cmd/stress -seed $(STRESS_SEED) -rounds 2 -max-n 192 -quiet
 
 # Short fuzzing passes over the format parsers, the solver cross-checks and
-# the packed result vector (~10s per target).
+# the packed result vector and its repair (~10s per target).
 fuzz:
 	$(GO) test -fuzz FuzzReadGraph -fuzztime 10s ./internal/dimacs
 	$(GO) test -fuzz FuzzReadSources -fuzztime 10s ./internal/dimacs
@@ -254,6 +255,7 @@ fuzz:
 	$(GO) test -fuzz FuzzSTVsDijkstra -fuzztime 10s ./internal/core
 	$(GO) test -fuzz FuzzRadix -fuzztime 10s ./internal/pq
 	$(GO) test -fuzz FuzzResultVector -fuzztime 10s ./internal/engine
+	$(GO) test -fuzz FuzzRepair -fuzztime 10s ./internal/engine
 
 # Regenerate every table and figure of the paper at the default scale.
 experiments:

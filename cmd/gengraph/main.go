@@ -75,6 +75,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err := writeText(*out, stdout, g, name); err != nil {
 			return err
 		}
+		dest := *out
+		if dest == "" {
+			dest = "stdout"
+		}
+		fmt.Fprintf(stderr, "gengraph: wrote %s to %s: n=%d m=%d weights [%d,%d]\n",
+			name, dest, g.NumVertices(), g.NumEdges(), g.MinWeight(), g.MaxWeight())
 	}
 	if *snap != "" {
 		h := ch.BuildKruskal(g)
@@ -84,8 +90,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "gengraph: snapshot %s: CH %d nodes, fingerprint %s\n",
 			*snap, h.NumNodes(), g.Fingerprint())
 	}
-	fmt.Fprintf(stderr, "gengraph: wrote %s: n=%d m=%d weights [%d,%d]\n",
-		name, g.NumVertices(), g.NumEdges(), g.MinWeight(), g.MaxWeight())
 	return nil
 }
 

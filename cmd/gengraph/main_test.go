@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/dimacs"
@@ -77,5 +78,38 @@ func TestConvertDIMACSToSnapshot(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatal("two conversions of the same input differ")
+	}
+}
+
+// The "wrote" line names where text went — the -o file or stdout — and is
+// absent when none was written; the snapshot line is printed either way.
+func TestWroteLineNamesWhereTextWent(t *testing.T) {
+	dir := t.TempDir()
+	gr := filepath.Join(dir, "g.gr")
+	for _, tc := range []struct {
+		name  string
+		args  []string
+		wrote string // "" when no text may be reported
+		snap  bool
+	}{
+		{"to a file", []string{"-logn", "4", "-o", gr}, "to " + gr + ":", false},
+		{"to stdout", []string{"-logn", "4"}, "to stdout:", false},
+		{"snapshot only", []string{"-logn", "4", "-snap", filepath.Join(dir, "a.snap")}, "", true},
+		{"converted", []string{"-in", gr, "-snap", filepath.Join(dir, "b.snap")}, "", true},
+		{"both", []string{"-logn", "4", "-o", filepath.Join(dir, "c.gr"), "-snap", filepath.Join(dir, "c.snap")}, "to " + filepath.Join(dir, "c.gr") + ":", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stderr bytes.Buffer
+			if err := run(tc.args, io.Discard, &stderr); err != nil {
+				t.Fatal(err)
+			}
+			log := stderr.String()
+			if got := strings.Contains(log, "gengraph: wrote "); got != (tc.wrote != "") || !strings.Contains(log, tc.wrote) {
+				t.Fatalf("stderr %q, want a wrote line %q", log, tc.wrote)
+			}
+			if strings.Contains(log, "gengraph: snapshot ") != tc.snap {
+				t.Fatalf("stderr %q: snapshot line present %v, want %v", log, !tc.snap, tc.snap)
+			}
+		})
 	}
 }

@@ -290,7 +290,7 @@ func BenchmarkFirstAnswer(b *testing.B) {
 		loadMS += time.Since(start).Seconds() * 1e3
 		srv := newServer(g, h, name, src, serverOptions{
 			workers: 4, maxInflight: 64, timeout: 30 * time.Second, mapping: m,
-			engine: engine.Config{CacheEntries: 256, CacheBytes: 64 << 20},
+			engine: engine.Config{CacheEntries: 144, CacheBytes: 64 << 20},
 		})
 		rec := httptest.NewRecorder()
 		srv.mux().ServeHTTP(rec, httptest.NewRequest("GET", fmt.Sprintf("/dist?src=%d&dst=9", i%g.NumVertices()), nil))

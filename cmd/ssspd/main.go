@@ -42,7 +42,7 @@
 // names a solver that reads it (solver=thorup); that request builds it, once.
 // Query execution runs through the internal/engine query plane: pooled
 // solver state, singleflight deduplication of concurrent identical queries,
-// a bounded LRU result cache (-cache-entries / -cache-bytes), and a
+// a bounded segmented-LRU result cache (-cache-entries / -cache-bytes), and a
 // policy-driven solver choice overridable with ?solver=.
 //
 // Query endpoints sit behind an admission controller: at most -max-inflight
@@ -108,7 +108,7 @@ func main() {
 		timeout      = flag.Duration("timeout", 30*time.Second, "per-request deadline for query endpoints (0 disables)")
 		maxInflight  = flag.Int("max-inflight", 64, "concurrent query admission limit; excess load is shed with 503")
 		drain        = flag.Duration("drain", 15*time.Second, "graceful shutdown drain budget")
-		cacheEntries = flag.Int("cache-entries", 256, "result cache capacity in distance vectors per graph (0 disables)")
+		cacheEntries = flag.Int("cache-entries", 144, "result cache capacity in distance vectors per graph (0 disables)")
 		cacheBytes   = flag.Int64("cache-bytes", 64<<20, "result cache byte budget per graph (0 = entry-bounded only)")
 		memBudget    = flag.Int64("mem-budget", 0, "memory budget in bytes for ready graphs; idle graphs are evicted LRU-first beyond it (0 = unlimited)")
 		useMmap      = flag.Bool("mmap", true, "serve snapshots zero-copy via mmap (mmap-less and big-endian hosts fall back to the copy read)")

@@ -183,7 +183,8 @@ func (g *Generation) Mapped() bool { return g.mapping != nil }
 
 // finishDrain runs the end-of-life sequence exactly once: unmap the backing
 // file (no query can hold the arrays anymore — the last reference is gone
-// and the generation is retired), then announce drained.
+// and the generation is retired), empty the engine's state pools, then
+// announce drained.
 func (g *Generation) finishDrain() {
 	g.drainedOnce.Do(func() {
 		if g.mapping != nil {
@@ -192,6 +193,7 @@ func (g *Generation) finishDrain() {
 		if g.parent != nil {
 			g.parent.release()
 		}
+		g.Engine.Release() // or its pooled states outlive it by up to two collections
 		close(g.drained)
 		// A drained generation takes its engine with it (and often a CSR and
 		// hierarchy copy) — the cached vectors a mutation's child did not

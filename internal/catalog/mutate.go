@@ -71,11 +71,11 @@ func (c *Catalog) Mutate(name string, b *mutate.Batch) (MutateResult, error) {
 	c.counters.C(cMutations).Inc() // accepted batches only; a rejected delta changes nothing
 	res.Touched, res.Aliased = len(b.Touched()), aliased
 
-	// No warming — the parent's arrays are hot, and the answers it was asked
-	// for come along: all but those the batch may have made longer
+	// No warming — the parent's arrays are hot, and every answer its cache
+	// holds comes along, exact or owing what the batch changed
 	// (engine.Inherit). A reload starts with an empty result cache instead.
 	gen := c.newGeneration(name, res.Gen, g, nil, nil)
-	exact, stale, dropped := gen.Engine.Inherit(parent.Engine, mutate.Changes(parent.G, g, b))
+	exact, pending, unread := gen.Engine.Inherit(parent.Engine, mutate.Changes(parent.G, g, b))
 	gen.ParentGen = parent.Gen
 	gen.DeltaSize = len(b.Ops)
 	// When the overlay shares offset/target arrays with a parent whose
@@ -100,7 +100,7 @@ func (c *Catalog) Mutate(name string, b *mutate.Batch) (MutateResult, error) {
 	if !needPin {
 		parent.release() // the parent pin has no further use
 	}
-	c.logf("catalog: %s gen %d mutated from gen %d (%d ops, %d touched, aliased=%v, answers inherited %d exact + %d stale, %d dropped, %s)",
-		name, res.Gen, parent.Gen, len(b.Ops), res.Touched, aliased, exact, stale, dropped, time.Since(start).Round(time.Microsecond))
+	c.logf("catalog: %s gen %d mutated from gen %d (%d ops, %d touched, aliased=%v, answers inherited %d exact + %d pending, %d unread, %s)",
+		name, res.Gen, parent.Gen, len(b.Ops), res.Touched, aliased, exact, pending, unread, time.Since(start).Round(time.Microsecond))
 	return res, nil
 }

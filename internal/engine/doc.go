@@ -9,8 +9,9 @@
 //     instances are scrubbed with their Reset methods when returned;
 //   - singleflight deduplication coalesces concurrent identical queries into
 //     one solver execution whose result every caller shares;
-//   - a bounded LRU cache (entry- and byte-budgeted) keeps recent distance
-//     vectors, together with their serialized JSON form, so repeated sources
+//   - a bounded segmented-LRU cache (entry- and byte-budgeted) keeps the
+//     distance vectors of sources read more than once ahead of those read
+//     once, together with their serialized JSON form, so repeated sources
 //     are answered without solving or re-marshaling;
 //   - a batch executor fans many sources of one request across a worker pool
 //     that shares the hierarchy, amortizing per-request overhead;

@@ -54,13 +54,16 @@ type Engine struct {
 	solvers   []solver.Solver
 	exec      map[string]*pooled // per solver: its state pool and run count
 
-	cache  *lru
+	cache  *slru
 	flight flightGroup
 
 	// Targeted requests (Query): the point-to-point entry, and the vertices
 	// one request's searches may settle between them.
 	p2p          solver.PointToPoint
 	targetBudget int
+	// The vertices the repair of a pending inherited answer may settle
+	// before its hit becomes a full solve (see Inherit).
+	repairBudget int
 
 	counters *obs.Group
 
@@ -96,22 +99,24 @@ type bucketed interface{ LastStats() deltastep.Stats }
 
 // Counter names of Engine.Counters, in snapshot order.
 const (
-	cSolves             = "solves"
-	cDedupHits          = "dedup_hits"
-	cCacheHits          = "cache_hits"
-	cCacheMisses        = "cache_misses"
-	cCacheEvictions     = "cache_evictions"
-	cBatchRequests      = "batch_requests"
-	cBatchItems         = "batch_items"
-	cFullJSONBuilt      = "full_json_built"
-	cFullBytesFromCache = "full_bytes_from_cache"
-	cTargetedBailouts   = "targeted_bailouts"
-	cInheritedExact     = "inherited_exact"
-	cInheritedStale     = "inherited_stale"
-	cInheritDropped     = "inherit_dropped"
-	cResumed            = "resumed"
-	cResettled          = "resettled"
-	cCancelled          = "cancelled"
+	cSolves               = "solves"
+	cDedupHits            = "dedup_hits"
+	cCacheHits            = "cache_hits"
+	cCacheMisses          = "cache_misses"
+	cCacheEvictions       = "cache_evictions"
+	cBatchRequests        = "batch_requests"
+	cBatchItems           = "batch_items"
+	cFullJSONBuilt        = "full_json_built"
+	cFullBytesFromCache   = "full_bytes_from_cache"
+	cTargetedBailouts     = "targeted_bailouts"
+	cInheritedExact       = "inherited_exact"
+	cInheritedStale       = "inherited_stale"
+	cInheritedUnread      = "inherited_unread"
+	cResumed              = "resumed"
+	cRepaired             = "repaired"
+	cRepairBudgetExceeded = "repair_budget_exceeded"
+	cResettled            = "resettled"
+	cCancelled            = "cancelled"
 )
 
 // New creates an engine over the instance. The hierarchy is built on first
@@ -132,9 +137,11 @@ func New(in *solver.Instance, cfg Config) *Engine {
 		exec:      make(map[string]*pooled, len(solvers)),
 		counters: obs.NewGroup(cSolves, cDedupHits, cCacheHits, cCacheMisses,
 			cCacheEvictions, cBatchRequests, cBatchItems, cFullJSONBuilt, cFullBytesFromCache,
-			cTargetedBailouts, cInheritedExact, cInheritedStale, cInheritDropped, cResumed, cResettled, cCancelled),
+			cTargetedBailouts, cInheritedExact, cInheritedStale, cInheritedUnread, cResumed, cRepaired,
+			cRepairBudgetExceeded, cResettled, cCancelled),
 		p2p:          solver.PointToPoints()[0],
 		targetBudget: in.G.NumVertices() / targetBudgetShare,
+		repairBudget: max(in.G.NumVertices()/repairBudgetShare, minRepairBudget),
 	}
 	e.exec[e.p2p.Name] = &pooled{states: sync.Pool{New: func() any { return e.p2p.NewState(in) }}}
 	for _, s := range solvers {
@@ -148,7 +155,7 @@ func New(in *solver.Instance, cfg Config) *Engine {
 		}
 		e.exec[s.Name] = p
 	}
-	e.cache = newLRU(cfg.CacheEntries, cfg.CacheBytes, e.counters.C(cCacheEvictions))
+	e.cache = newSLRU(cfg.CacheEntries, cfg.CacheBytes, e.counters.C(cCacheEvictions))
 	e.flight.calls = make(map[string]*flightCall)
 	return e
 }
@@ -210,8 +217,9 @@ func (v Via) String() string {
 //
 // When the context carries a request trace (internal/trace), the stages are
 // recorded as spans under the context's current span: "cache_lookup" (with a
-// hit attribute; a hit on a stale inherited entry nests its "resume" there,
-// see Inherit), then either "solve" (this caller was the singleflight
+// hit attribute; a hit on a pending inherited entry nests its "resume" there,
+// see Inherit, and one whose repair outgrew its budget is a miss), then either
+// "solve" (this caller was the singleflight
 // leader; pool checkout and solver-phase counters nest under it) or
 // "singleflight_wait" (this caller joined a leader's execution).
 func (e *Engine) Query(ctx context.Context, req Request) (*Result, Via, error) {
@@ -226,10 +234,11 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Result, Via, error) {
 	parent.Trace().SetSolver(name)
 	lk := parent.StartChild("cache_lookup")
 	res, ok := e.cache.get(key)
-	lk.SetAttr("hit", ok)
-	if ok {
-		res.resolve(lk)
+	if ok && !res.resolve(lk) {
+		e.cache.remove(res)
+		ok = false
 	}
+	lk.SetAttr("hit", ok)
 	lk.End()
 	if ok {
 		e.counters.C(cCacheHits).Inc()
@@ -402,6 +411,19 @@ func (e *Engine) solve(ctx context.Context, parent *trace.Span, name string, src
 	p.states.Put(st)
 	e.cache.add(key, res)
 	return res
+}
+
+// Release drops the states the engine's pools hold; the catalog calls it once
+// a retired generation has drained. A sync.Pool keeps what it cached for up
+// to two collections after its last use, and each state is a solver's
+// working arrays (≈0.5 MB for delta-stepping at 2^14), while a write every
+// few hundred reads makes a generation every few collections. A query after
+// Release still runs, on a state made for it. Release must not run beside a
+// query.
+func (e *Engine) Release() {
+	for _, p := range e.exec {
+		p.states = sync.Pool{New: p.states.New}
+	}
 }
 
 // InstanceBytes is the memory footprint of one Thorup query instance over the

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -281,6 +282,33 @@ func TestQueryCanonicalSourceSet(t *testing.T) {
 	}
 }
 
+// Release empties the state pools: a pooled state is garbage at the next
+// collection, not two collections later as a pool victim, and the engine
+// still answers, on a state made for the query.
+func TestReleaseDropsPooledStates(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // no cycle but the one below
+	e := New(testInstance(t, 200, 800), Config{})
+	if _, _, err := e.Query(context.Background(), Request{Sources: []int32{3}}); err != nil {
+		t.Fatal(err)
+	}
+	p := e.exec["delta"]
+	st := p.states.Get() // the state the query put back
+	freed := make(chan struct{})
+	runtime.SetFinalizer(st, func(any) { close(freed) })
+	p.states.Put(st)
+	st = nil
+	e.Release()
+	runtime.GC()
+	select {
+	case <-freed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a released engine's pooled state survived a collection")
+	}
+	if res, _, err := e.Query(context.Background(), Request{Sources: []int32{5}}); err != nil || res.At(5) != 0 {
+		t.Fatalf("after Release: %v", err)
+	}
+}
+
 // --- policy ----------------------------------------------------------------
 
 func TestPolicySelection(t *testing.T) {
@@ -371,7 +399,7 @@ func TestMultiSourceRouting(t *testing.T) {
 	}
 }
 
-// --- LRU cache -------------------------------------------------------------
+// --- segmented LRU cache ---------------------------------------------------
 
 func cacheRes(key string, n int) *Result {
 	return &Result{key: key, vec: pack(make([]int64, n), 32)}
@@ -379,7 +407,7 @@ func cacheRes(key string, n int) *Result {
 
 func TestLRUEvictionOrder(t *testing.T) {
 	var ev obs.Counter
-	c := newLRU(2, 0, &ev)
+	c := newSLRU(2, 0, &ev)
 	c.add("A", cacheRes("A", 4))
 	c.add("B", cacheRes("B", 4))
 	if _, ok := c.get("A"); !ok { // touch A: B becomes least recently used
@@ -402,7 +430,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 func TestLRUByteBudget(t *testing.T) {
 	var ev obs.Counter
 	per := entryBytes("K1", cacheRes("K1", 100)) // all keys same length/size
-	c := newLRU(100, 3*per, &ev)
+	c := newSLRU(100, 3*per, &ev)
 	for i := 1; i <= 4; i++ {
 		k := fmt.Sprintf("K%d", i)
 		c.add(k, cacheRes(k, 100))
@@ -430,7 +458,7 @@ func TestLRUByteBudget(t *testing.T) {
 }
 
 func TestLRUDisabled(t *testing.T) {
-	c := newLRU(0, 0, &obs.Counter{})
+	c := newSLRU(0, 0, &obs.Counter{})
 	c.add("A", cacheRes("A", 4))
 	if _, ok := c.get("A"); ok {
 		t.Fatal("disabled cache returned a hit")

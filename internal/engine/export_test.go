@@ -5,9 +5,14 @@ package engine
 // it before the engine serves.
 func (e *Engine) SetTargetBudget(settled int) { e.targetBudget = settled }
 
+// SetRepairBudget replaces the settles a pending entry's repair may spend
+// (n/8, at least 64), so that tests reach the budget on small graphs; call it
+// before the engine serves.
+func (e *Engine) SetRepairBudget(settled int) { e.repairBudget = settled }
+
 // peek reports whether key is cached and changes nothing: it neither refreshes
 // the entry nor counts as having asked for it.
-func (c *lru) peek(key string) bool {
+func (c *slru) peek(key string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	_, ok := c.index[key]

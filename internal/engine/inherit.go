@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/graph"
 	"repro/internal/mutate"
 	"repro/internal/pq"
@@ -8,110 +11,366 @@ import (
 )
 
 // Inherit hands e, the engine of a generation made from parent's by one
-// mutation batch and not serving yet, the answers parent was asked for while it
-// served (DESIGN.md §5, decision 17). changes is what the batch did per edge
-// slot. Each such vector is a shortest-path vector of the parent graph, and one
-// of three things on the child's:
+// mutation batch and not serving yet, every answer parent's cache holds, read
+// or not, in its segment and recency order (DESIGN.md §5, decision 17).
+// changes is what the batch did per edge slot. Each entry is one of two
+// things on the child:
 //
-//   - dropped, if a slot that was removed or got heavier was tight in it
-//     (|d[u] − d[v]| = the old weight): a shortest path may have used it. An
-//     untight slot is on none, so losing it changes no distance from that
-//     source set;
-//   - exact, if beyond that no slot that is new or got lighter improves either
-//     endpoint: the entry is re-keyed into e sharing the parent's vector;
-//   - stale otherwise: the vector is an upper bound everywhere, and the first
-//     hit relaxes outward from those slots (resolve) before answering.
+//   - exact, if it was exact on the parent and the batch touches nothing of
+//     it: no slot that was removed or got heavier was tight in its vector
+//     (|d[u] − d[v]| = the old weight), and no slot that is new or got
+//     lighter improves either endpoint. It is re-keyed into e sharing the
+//     parent's vector;
+//   - pending otherwise: it keeps the vector of the last generation it was
+//     exact on and one net change a slot since then (compose), and its first
+//     hit repairs it (resolve).
 //
-// The walk is O(entries × changes) comparisons and copies nothing. An entry
-// holds the parent's vector, never its Result, engine or generation. It returns
-// how many entries went each way.
-func (e *Engine) Inherit(parent *Engine, changes []mutate.Change) (exact, stale, dropped int) {
+// An entry that would owe more than n/owedShare slots (at least
+// minRepairBudget) is dropped instead, and counted as a repair over budget:
+// its list would cost more than its packed vector, and its repair, which may
+// settle n/8 vertices, would seldom get through so many. The walk sorts
+// changes once and is O(entries × changes) after that; it reads and copies no
+// vector: the test of an exact entry reads two codes a change. An entry holds
+// a vector, never a Result, engine or generation of the parent. It returns
+// how many entries went each way, and how many of them no query read while
+// parent served.
+func (e *Engine) Inherit(parent *Engine, changes []mutate.Change) (exact, pending, unread int) {
 	if e.cache.maxEntries == 0 {
 		return 0, 0, 0
 	}
-entries:
-	for _, old := range parent.cache.askedFor() { // least recent first: the order is kept
-		old.resolve(nil) // asked for, so whoever asked is resolving it or has
-		var seeds []mutate.Change
-		for _, c := range changes {
-			du, dv := old.At(int(c.U)), old.At(int(c.V))
-			switch {
-			case c.After > c.Before && (du-dv == c.Before || dv-du == c.Before):
-				dropped++
-				continue entries
-			case du+c.After < dv || dv+c.After < du: // only a lighter slot can
-				seeds = append(seeds, c)
-			}
+	changes = bySlot(changes)
+	limit, over := max(e.in.G.NumVertices()/owedShare, minRepairBudget), 0
+	for _, old := range parent.cache.entries() {
+		res := &Result{Solver: old.res.Solver, e: e, key: e.keyPrefix + old.res.key[len(parent.keyPrefix):]}
+		if !old.res.carry(res, changes, limit) {
+			over++
+			continue // the next query solves
 		}
-		res := &Result{Solver: old.Solver, vec: old.vec,
-			e: e, key: e.keyPrefix + old.key[len(parent.keyPrefix):]}
-		if seeds == nil {
-			res.Reached, res.Eccentricity = old.Reached, old.Eccentricity
+		if res.pending == nil {
 			exact++
 		} else {
-			res.stale = &staleness{seeds: seeds}
-			stale++
+			pending++
 		}
-		e.cache.insert(res.key, res, false)
+		if !old.read {
+			unread++
+		}
+		e.cache.insert(res.key, res, old.protected, false)
 	}
 	e.counters.C(cInheritedExact).Add(int64(exact))
-	e.counters.C(cInheritedStale).Add(int64(stale))
-	e.counters.C(cInheritDropped).Add(int64(dropped))
-	return exact, stale, dropped
+	e.counters.C(cInheritedStale).Add(int64(pending))
+	e.counters.C(cInheritedUnread).Add(int64(unread))
+	e.counters.C(cRepairBudgetExceeded).Add(int64(over))
+	return exact, pending, unread
 }
 
-// resolve makes a stale inherited entry exact, once: unpack the parent's
-// vector, relax outward from the seed slots over this generation's graph until
-// nothing improves, and detach the result as a solve does — recounted, at the
-// width its new eccentricity needs. Every path to a Result's vector runs
-// through here first. lk is the caller's "cache_lookup" span; the resume is
-// recorded under it.
-func (r *Result) resolve(lk *trace.Span) {
-	if r.stale == nil {
-		return
-	}
-	r.stale.once.Do(func() {
-		sp := lk.StartChild("resume")
-		seeds := r.stale.seeds
-		r.stale.seeds = nil
-		shared := r.vectorBytes()
-		d := r.vec.unpack()
-		resettled := relax(r.e.in.G, d, seeds)
-		r.detach(d)
-		r.e.cache.grow(r, r.vectorBytes()-shared) // 0 unless the width changed
-		r.e.counters.C(cResumed).Inc()
-		r.e.counters.C(cResettled).Add(int64(resettled))
-		sp.SetAttr("seeds", len(seeds))
-		sp.SetAttr("resettled", resettled)
-		sp.End()
-	})
-}
-
-// relax is the label-correcting loop: d, feasible on every arc of g but the
-// seed slots, is lowered from them outward, nearest first, until it is
-// feasible everywhere. It returns how many vertices it settled again.
-func relax(g *graph.Graph, d []int64, seeds []mutate.Change) (resettled int) {
-	var q pq.Radix
-	lower := func(v int32, dv int64) {
-		if dv < d[v] {
-			d[v] = dv
-			q.Push(pq.Item{V: v, D: dv})
+// carry makes next what r is on the generation changes (in slot order) lead
+// to: r's vector, Reached and Eccentricity, and, unless r is exact and changes
+// touch nothing of it, the net changes next owes. It reports false for an
+// entry whose repair failed, or that would owe more than limit slots. r may be
+// resolving on its own generation meanwhile: what it reads, it reads under
+// r's lock.
+func (r *Result) carry(next *Result, changes []mutate.Change, limit int) bool {
+	var owed []mutate.Change
+	if p := r.pending; p != nil {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		if p.failed {
+			return false
+		}
+		if !p.done {
+			owed = p.changes
 		}
 	}
-	for _, c := range seeds {
-		lower(c.V, d[c.U]+c.After)
-		lower(c.U, d[c.V]+c.After)
+	next.vec, next.Reached, next.Eccentricity = r.vec, r.Reached, r.Eccentricity
+	if owed != nil || r.touchedBy(changes) {
+		if len(changes)-len(owed) > limit { // at most len(owed) of them net out
+			return false
+		}
+		if owed = compose(owed, changes); len(owed) > limit {
+			return false
+		}
+		if len(owed) > 0 {
+			next.pending = &pending{changes: owed}
+		}
 	}
+	return true
+}
+
+// touchedBy reports whether changes may move a distance of r's exact vector:
+// a removed or heavier slot was tight in it, or a new or lighter one improves
+// an endpoint. An untight slot is on no shortest path, and a lighter one that
+// improves neither endpoint shortens none.
+func (r *Result) touchedBy(changes []mutate.Change) bool {
+	for _, c := range changes {
+		du, dv := r.vec.at(int(c.U)), r.vec.at(int(c.V))
+		if c.After > c.Before && (du-dv == c.Before || dv-du == c.Before) || du+c.After < dv || dv+c.After < du {
+			return true
+		}
+	}
+	return false
+}
+
+// slotOf is the key of the undirected edge slot {u, v}; slot order is the
+// order of these keys.
+func slotOf(u, v int32) uint64 { return uint64(min(u, v))<<32 | uint64(max(u, v)) }
+
+func changeSlot(c mutate.Change) uint64 { return slotOf(c.U, c.V) }
+
+// bySlot is changes in slot order, one a slot. (mutate.Changes lists a slot
+// once for each op that names it, every time with the batch's net Before and
+// After.)
+func bySlot(changes []mutate.Change) []mutate.Change {
+	out := slices.Clone(changes)
+	slices.SortFunc(out, func(a, b mutate.Change) int { return cmp.Compare(changeSlot(a), changeSlot(b)) })
+	return slices.CompactFunc(out, func(a, b mutate.Change) bool { return changeSlot(a) == changeSlot(b) })
+}
+
+// compose is owed followed by later, both in slot order with one change a
+// slot: one net change a slot, its first Before and its last After, in slot
+// order. A slot back at its first weight owes nothing. It is one merge,
+// O(len(owed) + len(later)).
+func compose(owed, later []mutate.Change) []mutate.Change {
+	out := make([]mutate.Change, 0, len(owed)+len(later))
+	for len(owed) > 0 && len(later) > 0 {
+		switch a, b := changeSlot(owed[0]), changeSlot(later[0]); {
+		case a < b:
+			out, owed = append(out, owed[0]), owed[1:]
+		case b < a:
+			out, later = append(out, later[0]), later[1:]
+		default:
+			if c := owed[0]; c.Before != later[0].After {
+				c.After = later[0].After
+				out = append(out, c)
+			}
+			owed, later = owed[1:], later[1:]
+		}
+	}
+	return append(append(out, owed...), later...)
+}
+
+// resolve makes a pending inherited entry exact, once, and reports whether it
+// is: the first call repairs the vector under the entry's lock, within the
+// engine's budget of settles. A repair that outgrows it fails the entry for
+// good; the caller drops it and solves instead. Every path to a Result's
+// vector runs through here first. lk is the caller's "cache_lookup" span; the
+// resume is recorded under it.
+func (r *Result) resolve(lk *trace.Span) bool {
+	p := r.pending
+	if p == nil {
+		return true
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.done {
+		return !p.failed
+	}
+	sp := lk.StartChild("resume")
+	held := r.heldBytes()
+	rp := repair{g: r.e.in.G, changes: p.changes, left: r.e.repairBudget}
+	p.done, p.failed, p.changes = true, !rp.run(r), nil
+	c := r.e.counters
+	if p.failed {
+		c.C(cRepairBudgetExceeded).Inc()
+	} else {
+		r.e.cache.grow(r, r.heldBytes()-held) // the list goes; the vector is a copy
+		c.C(cResumed).Inc()
+	}
+	if rp.cut {
+		c.C(cRepaired).Inc()
+	}
+	c.C(cResettled).Add(int64(rp.resettled))
+	sp.SetAttr("seeds", len(rp.changes))
+	sp.SetAttr("marked", rp.marked)
+	sp.SetAttr("resettled", rp.resettled)
+	sp.SetAttr("budget_exceeded", p.failed)
+	sp.End()
+	return !p.failed
+}
+
+// A repair may settle n/repairBudgetShare vertices over both its phases, and
+// at least minRepairBudget, before the hit becomes a full solve. (Below 512
+// vertices a solve costs no more than the floor's settles.) An entry may owe
+// n/owedShare slots, and at least minRepairBudget: 6 bytes a vertex.
+const (
+	repairBudgetShare = 8
+	owedShare         = 4
+	minRepairBudget   = 64
+)
+
+// repair makes a vector exact on g from the graph H it is exact on, where H
+// and g differ on the changed slots alone (Before: the lightest copy on H,
+// After: on g). DESIGN.md §5 decision 17 has the argument.
+type repair struct {
+	g       *graph.Graph
+	changes []mutate.Change // in slot order, one a slot
+	left    int             // settles the budget has left
+
+	cut               bool // a removed or heavier slot was tight
+	marked, resettled int
+}
+
+// run repairs a copy of r's codes in place and, if the budget held, makes it
+// r's vector with Reached and Eccentricity recounted from the codes (or
+// detaches the plain distances, once a label outgrew the width).
+func (rp *repair) run(r *Result) bool {
+	l := labels{vec: r.vec}
+	l.vec.words = slices.Clone(r.vec.words)
+	var q pq.Radix
+	if !rp.mark(&l, &q) {
+		return false
+	}
+	for _, c := range rp.changes {
+		if c.After < c.Before { // a lighter or new slot: phase 2 starts there too
+			rp.lower(&l, &q, c.V, l.at(c.U)+c.After)
+			rp.lower(&l, &q, c.U, l.at(c.V)+c.After)
+		}
+	}
+	if !rp.relax(&l, &q) {
+		return false
+	}
+	if l.wide != nil {
+		r.detach(l.wide)
+	} else {
+		r.vec = l.vec
+		r.Reached, r.Eccentricity = l.vec.tally()
+	}
+	return true
+}
+
+// mark is phase 1, the decremental half of Ramalingam & Reps (1996): starting
+// at the far endpoint of every removed or heavier slot that was tight, it
+// visits vertices in increasing distance and marks each none of whose tight
+// in-arcs on H' (H with only the heavier and removed slots applied) comes from
+// an unmarked vertex, queueing the tight out-arcs of every vertex it marks.
+// The marked vertices are exactly those whose distance H' lengthened. Each is
+// then reset to its best unmarked neighbour over g and queued in q for phase 2.
+func (rp *repair) mark(l *labels, q *pq.Radix) bool {
+	for _, c := range rp.changes {
+		if c.After > c.Before {
+			du, dv := l.at(c.U), l.at(c.V)
+			if du+c.Before == dv {
+				q.Push(pq.Item{V: c.V, D: dv})
+			}
+			if dv+c.Before == du {
+				q.Push(pq.Item{V: c.U, D: du})
+			}
+		}
+	}
+	if q.Top() == graph.Inf {
+		return true
+	}
+	rp.cut = true
+	decided := make(map[int32]bool) // true: marked
+	var marked []int32
 	for q.Top() != graph.Inf {
-		l := q.Pop()
-		if l.D > d[l.V] {
+		it := q.Pop()
+		if _, ok := decided[it.V]; ok {
+			continue
+		}
+		if rp.left--; rp.left < 0 {
+			return false
+		}
+		ts, ws := rp.g.Neighbors(it.V)
+		keep := false
+		for i, u := range ts {
+			if !decided[u] && l.at(u)+rp.tight(it.V, u, ws[i]) == it.D {
+				keep = true
+				break
+			}
+		}
+		if decided[it.V] = !keep; keep {
+			continue
+		}
+		marked = append(marked, it.V)
+		for i, t := range ts {
+			if dt := l.at(t); dt < graph.Inf && it.D+rp.tight(it.V, t, ws[i]) == dt {
+				q.Push(pq.Item{V: t, D: dt})
+			}
+		}
+	}
+	rp.marked = len(marked)
+	q.Reset() // phase 2 keys may be below phase 1's last
+	for _, v := range marked {
+		best := graph.Inf
+		ts, ws := rp.g.Neighbors(v)
+		for i, u := range ts {
+			if !decided[u] {
+				best = min(best, l.at(u)+int64(ws[i]))
+			}
+		}
+		l.set(v, best)
+		if best < graph.Inf {
+			q.Push(pq.Item{V: v, D: best})
+		}
+	}
+	return true
+}
+
+// tight is the weight arc (v, t) of g, one copy at w, has on H' for a
+// tightness test: a lighter slot's Before (graph.Inf for a new one), and
+// graph.Inf for a heavier one, which no distance of H is tight on over H'.
+// The changes are in slot order: a lookup is a binary search.
+func (rp *repair) tight(v, t int32, w uint32) int64 {
+	i, ok := slices.BinarySearchFunc(rp.changes, slotOf(v, t), func(c mutate.Change, k uint64) int {
+		return cmp.Compare(changeSlot(c), k)
+	})
+	switch {
+	case !ok:
+		return int64(w)
+	case rp.changes[i].After < rp.changes[i].Before:
+		return rp.changes[i].Before
+	}
+	return graph.Inf
+}
+
+func (rp *repair) lower(l *labels, q *pq.Radix, v int32, dv int64) {
+	if dv < l.at(v) {
+		l.set(v, dv)
+		q.Push(pq.Item{V: v, D: dv})
+	}
+}
+
+// relax is phase 2, the label-correcting loop: the labels, upper bounds
+// feasible on every arc of g but those out of the queued vertices, are lowered
+// from them outward, nearest first, until they are feasible everywhere.
+func (rp *repair) relax(l *labels, q *pq.Radix) bool {
+	for q.Top() != graph.Inf {
+		it := q.Pop()
+		if it.D > l.at(it.V) {
 			continue // lowered again since
 		}
-		resettled++
-		ts, ws := g.Neighbors(l.V)
+		if rp.left--; rp.left < 0 {
+			return false
+		}
+		rp.resettled++
+		ts, ws := rp.g.Neighbors(it.V)
 		for i, t := range ts {
-			lower(t, l.D+int64(ws[i]))
+			rp.lower(l, q, t, it.D+int64(ws[i]))
 		}
 	}
-	return resettled
+	return true
+}
+
+// labels is a vector under repair: codes read and written in place, until a
+// label needs a wider code than the vector has; plain distances from then on.
+type labels struct {
+	vec  vector
+	wide []int64
+}
+
+func (l *labels) at(v int32) int64 {
+	if l.wide != nil {
+		return l.wide[v]
+	}
+	return l.vec.at(int(v))
+}
+
+func (l *labels) set(v int32, x int64) {
+	if l.wide == nil {
+		if l.vec.put(int(v), x) {
+			return
+		}
+		l.wide = l.vec.unpack()
+	}
+	l.wide[v] = x
 }

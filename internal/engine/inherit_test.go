@@ -66,9 +66,11 @@ func ask(t *testing.T, e *Engine, srcs ...int32) (*Result, Via) {
 	return res, via
 }
 
-// The three rules of Inherit on a graph small enough to read: from 0 the
+// The two rules of Inherit on a graph small enough to read: from 0 the
 // distances are [0 2 4 7 ∞ ∞]; 0–2 (10 and 30) is on no shortest path, 1–2 and
-// the lighter 2–3 copy are on one, 4–5 is out of reach.
+// the lighter 2–3 copy are on one, 4–5 is out of reach. A pending entry is
+// repaired on its first hit: "cut" says phase 1 found a tight slot removed or
+// raised.
 func TestInheritClassifies(t *testing.T) {
 	base := graph.FromEdges(6, []graph.Edge{
 		{U: 0, V: 1, W: 2}, {U: 1, V: 2, W: 2}, {U: 0, V: 2, W: 10}, {U: 0, V: 2, W: 30},
@@ -83,19 +85,19 @@ func TestInheritClassifies(t *testing.T) {
 	}{
 		{"delete untight", []mutate.Op{{Op: del, U: 0, V: 2}}, "exact", 0},
 		{"raise untight", []mutate.Op{{Op: set, U: 2, V: 0, W: 40}}, "exact", 0},
-		{"delete tight", []mutate.Op{{Op: del, U: 1, V: 2}}, "dropped", 0},
-		{"raise tight", []mutate.Op{{Op: set, U: 0, V: 1, W: 3}}, "dropped", 0},
-		{"lower one copy and raise the other, tight", []mutate.Op{{Op: set, U: 2, V: 3, W: 5}}, "dropped", 0},
+		{"delete tight", []mutate.Op{{Op: del, U: 1, V: 2}}, "cut", 2},
+		{"raise tight", []mutate.Op{{Op: set, U: 0, V: 1, W: 3}}, "cut", 3},
+		{"lower one copy and raise the other, tight", []mutate.Op{{Op: set, U: 2, V: 3, W: 5}}, "cut", 1},
 		{"lower one copy and raise the other, untight", []mutate.Op{{Op: set, U: 0, V: 2, W: 20}}, "exact", 0},
 		{"cheaper, improving nothing", []mutate.Op{{Op: set, U: 0, V: 2, W: 4}}, "exact", 0},
-		{"cheaper, improving", []mutate.Op{{Op: set, U: 0, V: 2, W: 3}}, "stale", 2},
-		{"lighter parallel copy", []mutate.Op{{Op: ins, U: 1, V: 0, W: 1}}, "stale", 3},
+		{"cheaper, improving", []mutate.Op{{Op: set, U: 0, V: 2, W: 3}}, "pending", 2},
+		{"lighter parallel copy", []mutate.Op{{Op: ins, U: 1, V: 0, W: 1}}, "pending", 3},
 		{"heavier parallel copy", []mutate.Op{{Op: ins, U: 0, V: 1, W: 7}}, "exact", 0},
 		{"self-loop", []mutate.Op{{Op: ins, U: 2, V: 2, W: 1}}, "exact", 0},
-		{"into another component", []mutate.Op{{Op: ins, U: 3, V: 4, W: 1}}, "stale", 2},
+		{"into another component", []mutate.Op{{Op: ins, U: 3, V: 4, W: 1}}, "pending", 2},
 		{"inside the other component", []mutate.Op{{Op: set, U: 4, V: 5, W: 9}}, "exact", 0},
-		{"raise untight beside an improvement", []mutate.Op{{Op: del, U: 0, V: 2}, {Op: ins, U: 0, V: 3, W: 1}}, "stale", 1},
-		{"raise tight beside an improvement", []mutate.Op{{Op: del, U: 2, V: 3}, {Op: ins, U: 0, V: 3, W: 1}}, "dropped", 0},
+		{"raise untight beside an improvement", []mutate.Op{{Op: del, U: 0, V: 2}, {Op: ins, U: 0, V: 3, W: 1}}, "pending", 1},
+		{"raise tight beside an improvement", []mutate.Op{{Op: del, U: 2, V: 3}, {Op: ins, U: 0, V: 3, W: 1}}, "cut", 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			parent := engineOn(base, 1, Config{CacheEntries: 8})
@@ -108,48 +110,63 @@ func TestInheritClassifies(t *testing.T) {
 				t.Fatal(err)
 			}
 			child := engineOn(g, 2, Config{CacheEntries: 8})
-			exact, stale, dropped := child.Inherit(parent, mutate.Changes(base, g, b))
-			if exact+stale+dropped != 3 {
-				t.Fatalf("%d exact + %d stale + %d dropped, want 3 entries accounted for", exact, stale, dropped)
+			exact, pending, unread := child.Inherit(parent, mutate.Changes(base, g, b))
+			if exact+pending != 3 || unread != 0 {
+				t.Fatalf("%d exact + %d pending (%d unread), want the 3 entries read on the parent", exact, pending, unread)
 			}
-			if s := child.StatsSnapshot(); s["inherited_exact"] != int64(exact) || s["inherited_stale"] != int64(stale) || s["inherit_dropped"] != int64(dropped) {
-				t.Fatalf("counters %v, returned %d/%d/%d", s, exact, stale, dropped)
+			if s := child.StatsSnapshot(); s["inherited_exact"] != int64(exact) || s["inherited_stale"] != int64(pending) || s["inherited_unread"] != int64(unread) {
+				t.Fatalf("counters %v, returned %d/%d/%d", s, exact, pending, unread)
 			}
 			ent, held := child.cache.index[keyOf(t, child, 0)]
-			got := "dropped"
-			if held && ent.Value.(*cacheEntry).res.stale != nil {
-				got = "stale"
-			} else if held {
-				got = "exact"
+			got := "exact"
+			if !held {
+				t.Fatal("source 0's entry did not cross")
+			} else if ent.Value.(*cacheEntry).res.pending != nil {
+				got = "pending"
 			}
-			if got != tc.want {
+			if want := map[string]string{"cut": "pending"}[tc.want]; got != tc.want && got != want {
 				t.Fatalf("source 0's entry is %s, want %s", got, tc.want)
 			}
-			for _, srcs := range [][]int32{{0}, {1, 5}, {4}} {
-				held := child.cache.peek(keyOf(t, child, srcs...))
+			for i, srcs := range [][]int32{{0}, {1, 5}, {4}} {
 				res, via := ask(t, child, srcs...)
-				if held != (via == ViaCache) {
-					t.Fatalf("sources %v: inherited %v, answered via %v", srcs, held, via)
+				if via != ViaCache {
+					t.Fatalf("sources %v: answered via %v", srcs, via)
 				}
 				sameAsCold(t, fmt.Sprint("sources ", srcs), res, g, srcs...)
+				if n := child.Counter(cResettled); i == 0 && n < tc.resettled {
+					t.Fatalf("resettled %d vertices, want at least %d", n, tc.resettled)
+				}
+				if n := child.Counter(cRepaired); i == 0 && (tc.want == "cut") != (n == 1) {
+					t.Fatalf("source 0's resume: %d cut", n)
+				}
 			}
-			if n := child.Counter(cResettled); tc.want == "stale" && n < tc.resettled {
-				t.Fatalf("resettled %d vertices, want at least source 0's %d", n, tc.resettled)
-			}
-			if child.Counter(cResumed) != int64(stale) {
-				t.Fatalf("%d resumes for %d stale entries", child.Counter(cResumed), stale)
+			if child.Counter(cResumed) != int64(pending) {
+				t.Fatalf("%d resumes for %d pending entries", child.Counter(cResumed), pending)
 			}
 		})
 	}
 }
 
-// Only what the parent was asked for crosses, so an entry inherited and never
-// read is gone a generation later.
-func TestInheritOnlyWhatWasAskedFor(t *testing.T) {
+// Every entry crosses a write whether or not it was read: one inherited and
+// never read crosses the next write too, still answers exactly, and a cut
+// slot met on the way is repaired when it is finally read.
+func TestInheritCarriesUnreadEntries(t *testing.T) {
 	g1 := testInstance(t, 200, 800).G
 	far := &mutate.Batch{Ops: []mutate.Op{{Op: mutate.OpInsert, U: 5, V: 5, W: 1}}} // changes no distance
 	g2, _, _ := mutate.Apply(g1, far)
-	g3, _, _ := mutate.Apply(g2, far)
+	d := dijkstra.SSSP(g2, 11)
+	var cut mutate.Op // the first tight arc into a vertex away from 11
+	for v := int32(0); v < 200 && cut.Op == ""; v++ {
+		ts, ws := g2.Neighbors(v)
+		for i, u := range ts {
+			if u != 11 && d[v]+int64(ws[i]) == d[u] {
+				cut = mutate.Op{Op: mutate.OpDelete, U: v, V: u}
+				break
+			}
+		}
+	}
+	b3 := &mutate.Batch{Ops: []mutate.Op{cut}}
+	g3, _, _ := mutate.Apply(g2, b3)
 
 	e1 := engineOn(g1, 1, Config{CacheEntries: 2})
 	ask(t, e1, 10)
@@ -157,25 +174,30 @@ func TestInheritOnlyWhatWasAskedFor(t *testing.T) {
 	ask(t, e1, 12) // evicts 10
 
 	e2 := engineOn(g2, 2, Config{CacheEntries: 2})
-	if exact, stale, dropped := e2.Inherit(e1, mutate.Changes(g1, g2, far)); exact != 2 || stale+dropped != 0 {
-		t.Fatalf("gen 2 inherited %d exact, %d stale, dropped %d; want 11 and 12", exact, stale, dropped)
+	if exact, pending, unread := e2.Inherit(e1, mutate.Changes(g1, g2, far)); exact != 2 || pending+unread != 0 {
+		t.Fatalf("gen 2 inherited %d exact, %d pending, %d unread; want 11 and 12, both read", exact, pending, unread)
 	}
 	if _, via := ask(t, e2, 12); via != ViaCache {
 		t.Fatalf("12 answered via %v on gen 2", via)
 	}
 	e3 := engineOn(g3, 3, Config{CacheEntries: 2})
-	if exact, _, _ := e3.Inherit(e2, mutate.Changes(g2, g3, far)); exact != 1 || !e3.cache.peek(keyOf(t, e3, 12)) {
-		t.Fatalf("gen 3 inherited %d entries; want 12 alone: 11 was inherited on gen 2, never read", exact)
+	if exact, pending, unread := e3.Inherit(e2, mutate.Changes(g2, g3, b3)); exact+pending != 2 || unread != 1 || !e3.cache.peek(keyOf(t, e3, 11)) {
+		t.Fatalf("gen 3 inherited %d exact + %d pending, %d unread; want 11 (never read on gen 2) and 12", exact, pending, unread)
 	}
+	res, via := ask(t, e3, 11)
+	if via != ViaCache || e3.Counter(cRepaired) != 1 {
+		t.Fatalf("11 answered via %v on gen 3, %d repaired; want the cut repaired on its first read", via, e3.Counter(cRepaired))
+	}
+	sameAsCold(t, "11 two writes on", res, g3, 11)
 }
 
 // vectorSize is the bytes a vector of n distances at width bits occupies: the
 // words the codes fill, and the pad word.
 func vectorSize(n int, width uint) int64 { return 8 * int64((n*int(width)+63)/64+1) }
 
-// A stale entry is charged as the vector it shares from the moment it is
-// inserted; resolving it charges only the change of width, and serializing it
-// the bytes the JSON holds. The hit that resolves records the resume under its
+// A stale entry is charged as the vector it shares and the changes it owes
+// from the moment it is inserted; resolving it charges the change of width and
+// releases the list, and serializing it charges the bytes the JSON holds. The hit that resolves records the resume under its
 // cache_lookup span.
 func TestStaleEntryAccountingAndSpan(t *testing.T) {
 	g1 := testInstance(t, 300, 1200).G
@@ -184,12 +206,13 @@ func TestStaleEntryAccountingAndSpan(t *testing.T) {
 	e1 := engineOn(g1, 1, Config{CacheEntries: 4})
 	cold, _ := ask(t, e1, 0)
 	e2 := engineOn(g2, 2, Config{CacheEntries: 4})
+	e2.SetRepairBudget(300) // the shortcut re-settles past 64 vertices
 	if _, stale, _ := e2.Inherit(e1, mutate.Changes(g1, g2, b)); stale != 1 {
 		t.Fatalf("%d stale entries, want 1", stale)
 	}
 	_, charged := e2.cache.size()
-	if want := entryBytes(keyOf(t, e2, 0), cold); charged != want || want != vectorSize(300, widthFor(cold.Eccentricity))+int64(len("g@2|delta|0"))+64 {
-		t.Fatalf("stale entry charged %d bytes, a solved one %d", charged, want)
+	if want := entryBytes(keyOf(t, e2, 0), cold) + changeBytes; charged != want || want != vectorSize(300, widthFor(cold.Eccentricity))+int64(len("g@2|delta|0"))+64+changeBytes {
+		t.Fatalf("stale entry charged %d bytes, a solved one and the change it owes %d", charged, want)
 	}
 
 	tracer := trace.New(trace.Config{SampleN: 1})
@@ -201,8 +224,8 @@ func TestStaleEntryAccountingAndSpan(t *testing.T) {
 	}
 	sameAsCold(t, "resumed", res, g2, 0)
 	resized := vectorSize(300, widthFor(res.Eccentricity)) - vectorSize(300, widthFor(cold.Eccentricity))
-	if _, now := e2.cache.size(); now != charged+resized+int64(cap(res.DistJSON())) {
-		t.Fatalf("cache holds %d bytes after the resolve and the JSON, want %d %+d + %d", now, charged, resized, cap(res.DistJSON()))
+	if _, now := e2.cache.size(); now != charged+resized-changeBytes+int64(cap(res.DistJSON())) {
+		t.Fatalf("cache holds %d bytes after the resolve and the JSON, want %d %+d − %d + %d", now, charged, resized, changeBytes, cap(res.DistJSON()))
 	}
 	if &res.vec.words[0] == &cold.vec.words[0] || cold.At(299) == res.At(299) {
 		t.Fatal("the resume wrote into the vector the parent generation still serves")
@@ -250,8 +273,8 @@ func TestWideVectors(t *testing.T) {
 	b := &mutate.Batch{Ops: []mutate.Op{{Op: mutate.OpInsert, U: 5, V: 6, W: 1}}}
 	g2, _, _ := mutate.Apply(g1, b)
 	e2 := engineOn(g2, 2, Config{CacheEntries: 8})
-	if exact, stale, dropped := e2.Inherit(e1, mutate.Changes(g1, g2, b)); exact != 0 || stale != 2 || dropped != 0 {
-		t.Fatalf("join: %d exact, %d stale, %d dropped", exact, stale, dropped)
+	if exact, stale, unread := e2.Inherit(e1, mutate.Changes(g1, g2, b)); exact != 0 || stale != 2 || unread != 0 {
+		t.Fatalf("join: %d exact, %d stale, %d unread", exact, stale, unread)
 	}
 	_, before := e2.cache.size()
 	jsonBytes := 0
@@ -263,22 +286,35 @@ func TestWideVectors(t *testing.T) {
 		sameAsCold(t, fmt.Sprint("joined, from ", src), res, g2, src)
 		jsonBytes += cap(res.DistJSON())
 	}
-	if _, after := e2.cache.size(); after-before != vectorSize(9, 33)-vectorSize(9, widthFor(7))+int64(jsonBytes) {
-		t.Fatalf("cache grew by %d bytes over two resolves, one of which widened a 9-vertex vector, and %d of JSON", after-before, jsonBytes)
+	if _, after := e2.cache.size(); after-before != vectorSize(9, 33)-vectorSize(9, widthFor(7))-2*changeBytes+int64(jsonBytes) {
+		t.Fatalf("cache grew by %d bytes over two resolves, one of which widened a 9-vertex vector, each dropping a change it owed, and %d of JSON", after-before, jsonBytes)
 	}
 
-	// A heavy chain arc goes: tight in both vectors, so both are dropped.
+	// A heavy chain arc goes: tight in both vectors, so both are pending, and
+	// each first hit repairs its codes in place. Their eccentricities now fit
+	// 32 bits, but an in-place repair never narrows: they stay at 33.
 	b = &mutate.Batch{Ops: []mutate.Op{{Op: mutate.OpDelete, U: 2, V: 3}}}
 	g3, _, _ := mutate.Apply(g2, b)
 	e3 := engineOn(g3, 3, Config{CacheEntries: 8})
-	if exact, stale, dropped := e3.Inherit(e2, mutate.Changes(g2, g3, b)); exact+stale != 0 || dropped != 2 {
-		t.Fatalf("cut: %d exact, %d stale, %d dropped", exact, stale, dropped)
+	if exact, pending, _ := e3.Inherit(e2, mutate.Changes(g2, g3, b)); exact != 0 || pending != 2 {
+		t.Fatalf("cut: %d exact, %d pending", exact, pending)
 	}
-	res, via := ask(t, e3, 0)
-	if via != ViaSolve || res.vec.width != widthFor(2<<30) {
-		t.Fatalf("source 0 after the cut: via %v, %d bits", via, res.vec.width)
+	_, before = e3.cache.size()
+	jsonBytes = 0
+	for _, src := range []int32{0, 6} {
+		res, via := ask(t, e3, src)
+		if via != ViaCache || res.vec.width != 33 || widthFor(res.Eccentricity) != 32 {
+			t.Fatalf("source %d after the cut: via %v, %d bits for eccentricity %d", src, via, res.vec.width, res.Eccentricity)
+		}
+		sameAsCold(t, fmt.Sprint("cut, from ", src), res, g3, src)
+		jsonBytes += cap(res.DistJSON())
 	}
-	sameAsCold(t, "cut", res, g3, 0)
+	if e3.Counter(cRepaired) != 2 {
+		t.Fatalf("%d repairs, want 2", e3.Counter(cRepaired))
+	}
+	if _, after := e3.cache.size(); after-before != int64(jsonBytes)-2*changeBytes {
+		t.Fatalf("cache grew by %d bytes over two in-place repairs, each dropping a change it owed, and %d of JSON", after-before, jsonBytes)
+	}
 }
 
 // The all-ones code is unreachable, so a resume that lowers an unreachable

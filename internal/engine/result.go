@@ -26,11 +26,12 @@ type Result struct {
 
 	e   *Engine
 	key string
-	// stale is non-nil on an entry inherited across a mutation that made some
-	// distances shorter: until resolve has run, the vector is the parent
-	// generation's (shared with it, an upper bound) and Reached and Eccentricity
-	// are unset. Query resolves before it hands a Result out.
-	stale    *staleness
+	// pending is non-nil on an entry inherited across a mutation that may have
+	// moved some of its distances: until resolve has run, the vector, Reached
+	// and Eccentricity are those of the last generation it was exact on
+	// (shared with that generation's cache), and only pending's lock guards
+	// them. Query resolves before it hands a Result out.
+	pending  *pending
 	jsonOnce sync.Once
 	distJSON []byte
 }
@@ -112,11 +113,16 @@ func (v *vector) unpack() []int64 {
 	return d
 }
 
-// staleness is what an inherited entry still owes: the edge slots that got
-// cheaper and improve an endpoint of its vector.
-type staleness struct {
-	once  sync.Once
-	seeds []mutate.Change
+// pending is what an inherited entry still owes: one net change a slot, in
+// slot order, from the graph its vector is exact on to this generation's (see
+// Inherit), and what became of the repair once one ran. mu guards the
+// Result's vector, Reached and Eccentricity while they may change: the first
+// hit repairs under it, and a later write's Inherit reads under it.
+type pending struct {
+	mu      sync.Mutex
+	changes []mutate.Change
+	done    bool // resolve ran; the vector is exact unless failed
+	failed  bool // the repair outgrew its budget; the entry answers nothing
 }
 
 // Len is the length of the distance vector: the vertex count, or 0 on a partial
@@ -124,12 +130,46 @@ type staleness struct {
 func (r *Result) Len() int { return r.vec.n }
 
 // At is the distance to v (graph.Inf: unreachable).
-func (r *Result) At(v int) int64 {
-	mask := r.vec.mask()
-	if c := code(r.vec.words, uint(v)*r.vec.width, mask); c != mask {
+func (r *Result) At(v int) int64 { return r.vec.at(v) }
+
+func (v *vector) at(i int) int64 {
+	mask := v.mask()
+	if c := code(v.words, uint(i)*v.width, mask); c != mask {
 		return int64(c)
 	}
 	return graph.Inf
+}
+
+// put writes x as the code of i in place, unless x is finite and needs more
+// bits than the vector has; it reports whether it wrote.
+func (v *vector) put(i int, x int64) bool {
+	mask := v.mask()
+	c := mask
+	if x < graph.Inf {
+		if uint64(x) >= mask {
+			return false
+		}
+		c = uint64(x)
+	}
+	bit := uint(i) * v.width
+	w, s := bit/64, bit%64
+	v.words[w] = v.words[w]&^(mask<<s) | c<<s
+	if s+v.width > 64 { // the code spills into the next word (or the pad)
+		v.words[w+1] = v.words[w+1]&^(mask>>(64-s)) | c>>(64-s)
+	}
+	return true
+}
+
+// tally is how many codes are finite, and the largest of them.
+func (v *vector) tally() (reached int, ecc int64) {
+	words, width, mask := v.words, v.width, v.mask()
+	for i, bit := 0, uint(0); i < v.n; i, bit = i+1, bit+width {
+		if c := code(words, bit, mask); c != mask {
+			reached++
+			ecc = max(ecc, int64(c))
+		}
+	}
+	return reached, ecc
 }
 
 // Target is the distance to t, the request's i'th target: out of the vector, or
@@ -143,6 +183,18 @@ func (r *Result) Target(i int, t int32) int64 {
 
 // vectorBytes is what the vector occupies.
 func (r *Result) vectorBytes() int64 { return 8 * int64(len(r.vec.words)) }
+
+// heldBytes is the vector and, on a pending entry, the changes it owes. It is
+// read while nothing else holds r, or under its pending lock.
+func (r *Result) heldBytes() int64 {
+	if r.pending == nil {
+		return r.vectorBytes()
+	}
+	return r.vectorBytes() + int64(len(r.pending.changes))*changeBytes
+}
+
+// changeBytes is what one mutate.Change occupies: two int32 and two int64.
+const changeBytes = 24
 
 // detach packs a distance vector — a pooled state's, or a resumed one — into
 // the result: one pass tallies Reached and Eccentricity, and with them the

@@ -110,9 +110,11 @@ func verifiedStore(k vkey, crc uint64) {
 // The first Map of a given file pays full verification: header checksum and
 // geometry, padding, both section CRCs, the O(n+m) CSR validation scan, and
 // the hierarchy's structural checks. A successful verification is recorded
-// against the file's identity (device, inode, size, mtime), so re-mapping
-// the same unchanged file — the common case across catalog reloads and
-// process restarts within one run — is O(1) validation on top of the mmap.
+// against the file's identity (device, inode, size, mtime) in a registry
+// that lives as long as the process, so re-mapping the same unchanged file
+// within one process — a catalog reload, or an evicted graph loaded again —
+// is O(1) validation on top of the mmap. Nothing persists it: every process
+// start verifies the file in full again.
 //
 // Hosts the zero-copy path cannot serve (platforms without mmap, big-endian
 // byte order) fail with an error matching ErrNotMappable; callers then fall

@@ -49,14 +49,17 @@ func checkMutate(cfg Config, rt *par.Runtime, name string, g *graph.Graph, sourc
 // faults are the planted bugs the mutation oracle must catch: Repair is
 // mutate.Options.InjectFault on every batch; Inherit hides from
 // engine.Inherit the slots that were removed or got heavier, which is Inherit
-// without its tightness test — no answer is ever dropped.
+// without its tightness test and the repair without its decremental phase —
+// no distance a batch lengthened is ever corrected.
 type faults struct{ Repair, Inherit bool }
 
-// inheritTally sums, over a lineage's generations, what engine.Inherit did.
-// Widened counts the inherited answers whose eccentricity needed more bits
-// than the same source set's answer a generation before: a resume that
-// reached vertices the parent's vector held unreachable, past its width.
-type inheritTally struct{ Exact, Stale, Dropped, Resumed, Widened int64 }
+// inheritTally sums, over a lineage's generations, what engine.Inherit did:
+// entries carried exact, pending, and unread on the parent; resumes, and of
+// those the repairs that met a removed or heavier tight slot. Widened counts
+// the inherited answers whose eccentricity needed more bits than the same
+// source set's answer a generation before: a resume that reached vertices the
+// parent's vector held unreachable, past its width.
+type inheritTally struct{ Exact, Pending, Unread, Resumed, Repaired, Widened int64 }
 
 // genMutationSequence derives a valid batch sequence from the seed: each
 // batch is generated against (and validated on) the graph state left by its
@@ -199,8 +202,8 @@ func checkMutationSequence(cfg Config, rt *par.Runtime, name string, base *graph
 		if f != nil {
 			return f
 		}
-		cfg.Logf("stress: %s %s lineage: answers inherited %d exact + %d stale (%d resumed, %d widened), %d dropped",
-			name, lineage, tally.Exact, tally.Stale, tally.Resumed, tally.Widened, tally.Dropped)
+		cfg.Logf("stress: %s %s lineage: answers inherited %d exact + %d pending (%d resumed, %d repaired, %d widened), %d unread",
+			name, lineage, tally.Exact, tally.Pending, tally.Resumed, tally.Repaired, tally.Widened, tally.Unread)
 	}
 	return nil
 }
@@ -219,6 +222,10 @@ func referenceChain(base *graph.Graph, batches []*mutate.Batch) ([]*graph.Graph,
 	return refs, nil
 }
 
+// rareEvery is how often replayLineage asks its rare source set: every fourth
+// generation, so that an entry crosses three writes unread.
+const rareEvery = 4
+
 // replayLineage is checkMutationSequence on one lineage, with what its
 // engines inherited along the way.
 func replayLineage(cfg Config, rt *par.Runtime, name, lineage string, refs []*graph.Graph, sources []int32, batches []*mutate.Batch, fault faults) (*Failure, inheritTally) {
@@ -232,10 +239,23 @@ func replayLineage(cfg Config, rt *par.Runtime, name, lineage string, refs []*gr
 	// The serving side. sets[0] is asked of a generation as soon as it serves,
 	// the rest just before the next swap — or, every other generation unless
 	// NoRace wants one deterministic order, while that swap's Inherit walks the
-	// cache they are in: hits on entries inherited a swap ago and not yet resolved.
+	// cache they are in: hits on entries inherited a swap ago and not yet
+	// resolved. rare is asked as soon as generations 1, 1+rareEvery, …
+	// serve, and of the last: its entry crosses rareEvery−1 generations unread,
+	// owing what every batch between did.
 	sets := [][]int32{sources[:1]}
 	if len(sources) > 1 {
 		sets = append(sets, sources, sources[1:2])
+	}
+	var rare [][]int32
+	if len(sources) > 2 {
+		rare = [][]int32{sources[2:3]}
+	}
+	first := func(gen int) [][]int32 {
+		if gen%rareEvery == 1 {
+			return append(sets[:1:1], rare...)
+		}
+		return sets[:1]
 	}
 	newEngine := func(g *graph.Graph, gen int) *engine.Engine {
 		return engine.New(solver.NewInstanceWithHierarchy(g, rt, nil), engine.Config{CacheEntries: 8, Graph: name, Gen: uint64(gen)})
@@ -259,7 +279,7 @@ func replayLineage(cfg Config, rt *par.Runtime, name, lineage string, refs []*gr
 		return ""
 	}
 	eng := newEngine(base, 1)
-	if diff := ask(eng, 1, sets[:1]); diff != "" {
+	if diff := ask(eng, 1, first(1)); diff != "" {
 		return fail("mutate-served", "%s", diff)
 	}
 
@@ -304,21 +324,23 @@ func replayLineage(cfg Config, rt *par.Runtime, name, lineage string, refs []*gr
 			}
 			changes = kept
 		}
-		exact, stale, dropped := child.Inherit(eng, changes)
-		tally.Exact, tally.Stale, tally.Dropped = tally.Exact+int64(exact), tally.Stale+int64(stale), tally.Dropped+int64(dropped)
+		exact, pending, unread := child.Inherit(eng, changes)
+		tally.Exact, tally.Pending, tally.Unread = tally.Exact+int64(exact), tally.Pending+int64(pending), tally.Unread+int64(unread)
 		if diff := <-late; diff != "" {
 			return fail("mutate-served", "%s", diff)
 		}
 		tally.Resumed += eng.Counter("resumed")
-		if diff := ask(child, i+2, sets[:1]); diff != "" {
+		tally.Repaired += eng.Counter("repaired")
+		if diff := ask(child, i+2, first(i+2)); diff != "" {
 			return fail("mutate-served", "%s", diff)
 		}
 		cur, h, eng = res.G, res.H, child
 	}
-	if diff := ask(eng, len(batches)+1, sets); diff != "" {
+	if diff := ask(eng, len(batches)+1, append(sets, rare...)); diff != "" {
 		return fail("mutate-served", "%s", diff)
 	}
 	tally.Resumed += eng.Counter("resumed")
+	tally.Repaired += eng.Counter("repaired")
 
 	if err := cur.Validate(); err != nil {
 		return fail("mutate-graph-validate", "%s, after %d batches: %v", lineage, len(batches), err)

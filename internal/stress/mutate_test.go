@@ -19,6 +19,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mutate"
 	"repro/internal/par"
+	"repro/internal/solver"
 )
 
 // TestMutationSequenceDeterministic: the oracle's sequence is a pure function
@@ -211,8 +212,9 @@ func TestMutationOracleBothLineages(t *testing.T) {
 // and raises the other, a self-loop, a bridge into the other component and its
 // removal; the rest are random mixed batches. Every answer equals Dijkstra on
 // the naive replay, with the parent's remaining sets asked while Inherit walks
-// its cache (run under -race: make stress), and all three outcomes of Inherit
-// occur on both lineages.
+// its cache (run under -race: make stress) and the small-component source read
+// every fourth generation only; entries cross exact, pending and unread on
+// both lineages, and pending ones are resumed and repaired.
 func TestServedAnswersExactAcrossHundredGenerations(t *testing.T) {
 	edges := gen.Random(120, 480, 1<<10, gen.UWD, 31).Edges()
 	for _, e := range gen.Random(80, 240, 1<<10, gen.UWD, 32).Edges() {
@@ -244,15 +246,81 @@ func TestServedAnswersExactAcrossHundredGenerations(t *testing.T) {
 			t.Fatalf("%s: %v", lineage, f)
 		}
 		t.Logf("%s: %+v", lineage, tally)
-		if tally.Exact == 0 || tally.Stale == 0 || tally.Dropped == 0 || tally.Resumed == 0 {
-			t.Fatalf("%s lineage: %+v; want entries inherited exact, stale and resumed, and dropped", lineage, tally)
+		if tally.Exact == 0 || tally.Pending == 0 || tally.Unread == 0 || tally.Resumed == 0 || tally.Repaired == 0 {
+			t.Fatalf("%s lineage: %+v; want entries inherited exact, pending and unread, resumed and repaired", lineage, tally)
 		}
 	}
 }
 
+// TestCarryUnreadAnswerAcrossGeneralBatches: a source read on generation 1
+// and not again until generation 5 — four writes on, two of them general, one
+// deleting an arc of its shortest-path tree — is answered from the cache
+// there, repaired once, and equal to Dijkstra on the naive replay; so is the
+// source read on every generation beside it.
+func TestCarryUnreadAnswerAcrossGeneralBatches(t *testing.T) {
+	base := gen.Random(300, 1200, 1<<10, gen.UWD, 41)
+	const hot, cold = 0, 150
+	d := dijkstra.SSSP(base, cold)
+	var cut mutate.Op // a tight arc of cold's tree, not at cold itself
+	for v := int32(0); v < 300 && cut.Op == ""; v++ {
+		ts, ws := base.Neighbors(v)
+		for i, u := range ts {
+			if v != cold && d[v] < graph.Inf && d[v]+int64(ws[i]) == d[u] {
+				cut = mutate.Op{Op: mutate.OpDelete, U: v, V: u}
+				break
+			}
+		}
+	}
+	e0 := base.Edges()[7]
+	batches := []*mutate.Batch{
+		{Ops: []mutate.Op{{Op: mutate.OpInsert, U: 3, V: 200, W: 5}}},
+		{Ops: []mutate.Op{cut, {Op: mutate.OpSetWeight, U: e0.U, V: e0.V, W: e0.W + 400}}},
+		{Ops: []mutate.Op{{Op: mutate.OpInsert, U: 17, V: 250, W: 2}}},
+		{Ops: []mutate.Op{{Op: mutate.OpSetWeight, U: e0.U, V: e0.V, W: e0.W}, {Op: mutate.OpInsert, U: 40, V: 41, W: 1}}},
+	}
+	refs, err := referenceChain(base, batches)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := par.NewExec(2)
+	newEngine := func(g *graph.Graph, gen int) *engine.Engine {
+		return engine.New(solver.NewInstanceWithHierarchy(g, rt, nil), engine.Config{CacheEntries: 8, Graph: "unread", Gen: uint64(gen)})
+	}
+	ask := func(e *engine.Engine, gen int, src int32) engine.Via {
+		t.Helper()
+		res, via, err := e.Query(context.Background(), engine.Request{Sources: []int32{src}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := answerDiff(res, dijkstra.SSSP(refs[gen-1], src)); diff != "" {
+			t.Fatalf("gen %d, source %d (via %v): %s", gen, src, via, diff)
+		}
+		return via
+	}
+	eng, cur := newEngine(base, 1), base
+	ask(eng, 1, hot)
+	ask(eng, 1, cold)
+	for i, b := range batches {
+		g, _, err := mutate.Apply(cur, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		child := newEngine(g, i+2)
+		_, _, unread := child.Inherit(eng, mutate.Changes(cur, g, b))
+		if i > 0 && unread != 1 {
+			t.Fatalf("gen %d inherited %d unread entries, want cold's", i+2, unread)
+		}
+		eng, cur = child, g
+		ask(eng, i+2, hot)
+	}
+	if via := ask(eng, 5, cold); via != engine.ViaCache || eng.Counter("repaired") != 1 {
+		t.Fatalf("cold on gen 5: via %v, %d repaired; want a repaired cache hit", via, eng.Counter("repaired"))
+	}
+}
+
 // TestInheritFaultCaughtShrunkAndReplayed: with engine.Inherit's tightness test
-// planted out (an answer is never dropped, however the batch cut its shortest
-// paths), the sweep catches a wrong served answer, shrinks the sequence to the
+// and the repair's decremental phase planted out (no distance a batch
+// lengthened is corrected), the sweep catches a wrong served answer, shrinks the sequence to the
 // batch that cut one, and the written repro reproduces it.
 func TestInheritFaultCaughtShrunkAndReplayed(t *testing.T) {
 	cfg := Config{Seed: 7, MaxN: 128, Workers: 2, InheritFault: true, NoRace: true}

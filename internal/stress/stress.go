@@ -30,7 +30,7 @@ type Config struct {
 
 	MutateRounds int  // mutation batches per instance for the dynamic-graph oracle (default 6: one wide batch of each kind; negative disables)
 	MutateFault  bool // plant the incremental-repair bug (mutate.Options.InjectFault); the oracle must catch it
-	InheritFault bool // plant the answer-inheritance bug (engine.Inherit without its tightness test); the oracle must catch it
+	InheritFault bool // plant the answer-inheritance bug (engine.Inherit without its tightness test, the repair without its decremental phase); the oracle must catch it
 }
 
 func (cfg Config) withDefaults() Config {
