@@ -197,12 +197,15 @@ bench-build:
 # widening), the values a generation derives on demand likewise (one build
 # for concurrent first callers, its report, writes that derive nothing), the
 # DIMACS readers five times at 1, 2 and 4 CPUs (the same arrays at every
-# worker count, and the allocation budget), the serving smoke slice, and the
-# seeded stress sweep.
+# worker count, and the allocation budget), the serving smoke slice, the
+# seeded stress sweep, and the examples run end to end. It also fails if
+# either daemon links the simulated machine (internal/mta).
 check:
 	$(GO) vet ./...
 	GOOS=windows $(GO) vet ./...
 	GOARCH=s390x $(GO) vet ./...
+	@if $(GO) list -deps ./cmd/ssspd ./cmd/ssspr | grep -qx 'repro/internal/mta'; then \
+		echo 'check: cmd/ssspd or cmd/ssspr links repro/internal/mta'; exit 1; fi
 	$(MAKE) docs-check
 	$(MAKE) bench-build
 	$(GO) test -race $(RACE_PKGS)
@@ -214,6 +217,7 @@ check:
 	$(GO) test -race -count=5 -cpu 1,2,4 -run 'ReadGraph|ReadSources' ./internal/dimacs
 	$(MAKE) bench-serve-smoke
 	$(MAKE) stress
+	$(MAKE) examples
 
 # Documentation lint: every intra-repo markdown link must resolve and every
 # internal/* package must carry a package comment (see cmd/docscheck).

@@ -18,6 +18,7 @@ import (
 	"repro/internal/dijkstra"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/harness"
 	"repro/internal/mlb"
 	"repro/internal/mta"
 	"repro/internal/par"
@@ -93,7 +94,7 @@ func BenchmarkTable3(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/p=%d", in.Name(), p), func(b *testing.B) {
 				var cycles int64
 				for i := 0; i < b.N; i++ {
-					rt := par.NewSim(mta.MTA2(p))
+					rt := mta.NewSim(mta.MTA2(p))
 					ch.BuildNaive(rt, g, cc.Bully)
 					cycles = rt.SimCost().Span
 				}
@@ -111,11 +112,11 @@ func BenchmarkTable4(b *testing.B) {
 		h := ch.BuildKruskal(g)
 		for _, p := range []int{1, 40} {
 			m := mta.MTA2(p)
-			th := core.TuneThresholds(m)
+			th := harness.TuneThresholds(m)
 			b.Run(fmt.Sprintf("%s/p=%d", in.Name(), p), func(b *testing.B) {
 				var cycles int64
 				for i := 0; i < b.N; i++ {
-					rt := par.NewSim(m)
+					rt := mta.NewSim(m)
 					core.NewSolver(h, rt, core.WithThresholds(th)).SSSP(0)
 					cycles = rt.SimCost().Span
 				}
@@ -135,7 +136,7 @@ func BenchmarkTable5(b *testing.B) {
 		b.Run("DeltaStepping/"+in.Name(), func(b *testing.B) {
 			var cycles int64
 			for i := 0; i < b.N; i++ {
-				rt := par.NewSim(m)
+				rt := mta.NewSim(m)
 				deltastep.SSSP(rt, g, 0, deltastep.PaperDelta(g))
 				cycles = rt.SimCost().Span
 			}
@@ -144,7 +145,7 @@ func BenchmarkTable5(b *testing.B) {
 		b.Run("Thorup/"+in.Name(), func(b *testing.B) {
 			var cycles int64
 			for i := 0; i < b.N; i++ {
-				rt := par.NewSim(m)
+				rt := mta.NewSim(m)
 				core.NewSolver(h, rt).SSSP(0)
 				cycles = rt.SimCost().Span
 			}
@@ -153,7 +154,7 @@ func BenchmarkTable5(b *testing.B) {
 		b.Run("CH/"+in.Name(), func(b *testing.B) {
 			var cycles int64
 			for i := 0; i < b.N; i++ {
-				rt := par.NewSim(m)
+				rt := mta.NewSim(m)
 				ch.BuildNaive(rt, g, cc.Bully)
 				cycles = rt.SimCost().Span
 			}
@@ -166,7 +167,7 @@ func BenchmarkTable5(b *testing.B) {
 // (selective parallelization) on the simulated 40-processor machine.
 func BenchmarkTable6(b *testing.B) {
 	m := mta.MTA2(40)
-	th := core.TuneThresholds(m)
+	th := harness.TuneThresholds(m)
 	for _, in := range benchFamilies() {
 		g := in.Generate()
 		h := ch.BuildKruskal(g)
@@ -177,7 +178,7 @@ func BenchmarkTable6(b *testing.B) {
 			b.Run(v.name+"/"+in.Name(), func(b *testing.B) {
 				var cycles int64
 				for i := 0; i < b.N; i++ {
-					rt := par.NewSim(m)
+					rt := mta.NewSim(m)
 					core.NewSolver(h, rt, core.WithStrategy(v.st), core.WithThresholds(th)).SSSP(0)
 					cycles = rt.SimCost().Span
 				}
@@ -199,7 +200,7 @@ func BenchmarkFigure4(b *testing.B) {
 		b.Run(fmt.Sprintf("CH/%s/p=%d", in.Name(), p), func(b *testing.B) {
 			var cycles int64
 			for i := 0; i < b.N; i++ {
-				rt := par.NewSim(m)
+				rt := mta.NewSim(m)
 				ch.BuildNaive(rt, g, cc.Bully)
 				cycles = rt.SimCost().Span
 			}
@@ -208,7 +209,7 @@ func BenchmarkFigure4(b *testing.B) {
 		b.Run(fmt.Sprintf("Thorup/%s/p=%d", in.Name(), p), func(b *testing.B) {
 			var cycles int64
 			for i := 0; i < b.N; i++ {
-				rt := par.NewSim(m)
+				rt := mta.NewSim(m)
 				core.NewSolver(h, rt).SSSP(0)
 				cycles = rt.SimCost().Span
 			}
@@ -233,7 +234,7 @@ func BenchmarkFigure5(b *testing.B) {
 		b.Run(fmt.Sprintf("SimulThorup/k=%d", k), func(b *testing.B) {
 			var cycles int64
 			for i := 0; i < b.N; i++ {
-				cycles, _ = core.SimultaneousCost(h, m, sources)
+				cycles, _ = harness.SimultaneousCost(h, m, sources)
 			}
 			b.ReportMetric(float64(cycles), "simCycles")
 		})
@@ -242,7 +243,7 @@ func BenchmarkFigure5(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cycles = 0
 				for range sources {
-					rt := par.NewSim(m)
+					rt := mta.NewSim(m)
 					deltastep.SSSP(rt, g, 0, deltastep.PaperDelta(g))
 					cycles += rt.SimCost().Span
 				}

@@ -118,7 +118,7 @@ func TestStatsInstanceBytesMatchesQuery(t *testing.T) {
 	}
 	// The daemon runs the exec kernel, so it must not report the (larger)
 	// instance of the sim kernel that Table 2 prints.
-	if sim := core.NewSolver(h, par.NewSim(mta.MTA2(1))).InstanceBytes(); stats.InstanceBytes >= sim {
+	if sim := core.NewSolver(h, mta.NewSim(mta.MTA2(1))).InstanceBytes(); stats.InstanceBytes >= sim {
 		t.Fatalf("instanceBytes %d is not below the sim kernel's %d", stats.InstanceBytes, sim)
 	}
 }

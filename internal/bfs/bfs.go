@@ -55,14 +55,14 @@ func SerialFromSources(g *graph.Graph, sources []int32) []int32 {
 
 // Parallel computes the same levels with level-synchronous parallel frontier
 // expansion on the given runtime.
-func Parallel(rt *par.Runtime, g *graph.Graph, src int32) []int32 {
+func Parallel(rt par.Runtime, g *graph.Graph, src int32) []int32 {
 	return ParallelFromSources(context.Background(), rt, g, []int32{src})
 }
 
 // ParallelFromSources is SerialFromSources with level-synchronous parallel
 // frontier expansion on the given runtime. It looks at ctx before every level
 // and, once it is done, stops and returns nil.
-func ParallelFromSources(ctx context.Context, rt *par.Runtime, g *graph.Graph, sources []int32) []int32 {
+func ParallelFromSources(ctx context.Context, rt par.Runtime, g *graph.Graph, sources []int32) []int32 {
 	level, frontier := seed(g, sources)
 	var next []int32
 	for depth := int32(1); len(frontier) > 0; depth++ {
@@ -75,7 +75,7 @@ func ParallelFromSources(ctx context.Context, rt *par.Runtime, g *graph.Graph, s
 		for _, v := range frontier {
 			total += g.Degree(v)
 		}
-		rt.ChargeLoop(rt.ModeFor(par.DefaultThresholds, len(frontier)), len(frontier), 1)
+		rt.ChargeLoop(par.DefaultThresholds.Mode(len(frontier)), len(frontier), 1)
 		if cap(next) < total {
 			next = make([]int32, total)
 		}

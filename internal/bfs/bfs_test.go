@@ -61,10 +61,10 @@ func TestParallelMatchesSerial(t *testing.T) {
 		gen.Star(500, 1),
 		gen.Path(300, 5),
 	}
-	rts := map[string]*par.Runtime{
+	rts := map[string]par.Runtime{
 		"exec1": par.NewExec(1),
 		"exec4": par.NewExec(4),
-		"sim":   par.NewSim(mta.MTA2(40)),
+		"sim":   mta.NewSim(mta.MTA2(40)),
 	}
 	for gi, g := range gs {
 		want := Serial(g, 0)
@@ -115,7 +115,7 @@ func TestDistancesInf(t *testing.T) {
 
 func TestSimCostRecorded(t *testing.T) {
 	g := gen.Random(1000, 4000, 16, gen.UWD, 5)
-	rt := par.NewSim(mta.MTA2(40))
+	rt := mta.NewSim(mta.MTA2(40))
 	Parallel(rt, g, 0)
 	if rt.SimCost().Work < int64(g.NumEdges()) {
 		t.Fatalf("sim work %d too low", rt.SimCost().Work)

@@ -15,6 +15,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mutate"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/snapshot"
 	"repro/internal/solver"
 	"repro/internal/trace"
@@ -115,7 +116,8 @@ type Config struct {
 	// MemoryBudget bounds the summed Bytes of ready graphs; exceeding it
 	// evicts least-recently-used idle graphs. 0 means unlimited.
 	MemoryBudget int64
-	// QueryWorkers sizes each generation's parallel runtime (default 4).
+	// QueryWorkers sizes the one parallel runtime every generation of every
+	// graph runs its loops on (default 4).
 	QueryWorkers int
 	// Engine is the template engine configuration; Graph and Gen are
 	// overwritten per generation.
@@ -133,6 +135,7 @@ type Config struct {
 type Catalog struct {
 	cfg  Config
 	logf func(string, ...any)
+	rt   *par.Exec // shared by every generation: one token bucket per process
 
 	mu      sync.Mutex
 	entries map[string]*entry
@@ -221,6 +224,7 @@ func New(cfg Config) *Catalog {
 	return &Catalog{
 		cfg:     cfg,
 		logf:    logf,
+		rt:      par.NewExec(cfg.QueryWorkers),
 		entries: make(map[string]*entry),
 		counters: obs.NewGroup(cLoads, cReloads, cUnloads, cBuilds, cSwaps,
 			cEvictions, cLoadFailures, cAcquires, cNotReady, cMutations, cHierarchyBuilds),

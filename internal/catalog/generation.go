@@ -9,7 +9,6 @@ import (
 	"repro/internal/ch"
 	"repro/internal/engine"
 	"repro/internal/graph"
-	"repro/internal/par"
 	"repro/internal/snapshot"
 	"repro/internal/solver"
 )
@@ -134,7 +133,7 @@ type Generation struct {
 func (c *Catalog) newGeneration(name string, gen uint64, g *graph.Graph, h *ch.Hierarchy, m *snapshot.Mapping) *Generation {
 	ecfg := c.cfg.Engine
 	ecfg.Graph, ecfg.Gen = name, gen // cache and singleflight keys: no result crosses generations
-	in := solver.NewInstanceWithHierarchy(g, par.NewExec(c.cfg.QueryWorkers), h)
+	in := solver.NewInstanceWithHierarchy(g, c.rt, h)
 	gn := &Generation{
 		Name:    name,
 		Gen:     gen,

@@ -712,3 +712,46 @@ func TestWideBatchOnFullCache(t *testing.T) {
 		}
 	}
 }
+
+// Every generation runs its loops on one exec runtime: a load, its reload, a
+// mutation's child and a second graph all share the token bucket that
+// Config.QueryWorkers sizes.
+func TestGenerationsShareOneRuntime(t *testing.T) {
+	c := testCatalog(t, Config{})
+	runtimeOf := func(name string) any {
+		t.Helper()
+		gn, release, err := c.Acquire(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer release()
+		return gn.in.RT
+	}
+	if _, err := c.Load("g", Source{Loader: loaderFor(7)}); err != nil {
+		t.Fatal(err)
+	}
+	first := runtimeOf("g")
+	if _, err := c.Reload("g"); err != nil {
+		t.Fatal(err)
+	}
+	reloaded := runtimeOf("g")
+	gn, release, err := c.Acquire("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := weightBatch(gn.G, 2, 1)
+	release()
+	if _, err := c.Mutate("g", b); err != nil {
+		t.Fatal(err)
+	}
+	mutated := runtimeOf("g")
+	if _, err := c.Load("h", Source{Loader: loaderFor(8)}); err != nil {
+		t.Fatal(err)
+	}
+	second := runtimeOf("h")
+	for what, rt := range map[string]any{"reload": reloaded, "mutation": mutated, "second graph": second} {
+		if rt != first {
+			t.Errorf("%s runs on its own runtime", what)
+		}
+	}
+}

@@ -88,7 +88,7 @@ func UnionFind(g *graph.Graph, below uint32) ([]int32, int) {
 // alternate hooking of roots onto smaller-labelled neighbours with pointer
 // jumping, running on the given runtime. Only edges with weight < below
 // participate.
-func ShiloachVishkin(rt *par.Runtime, g *graph.Graph, below uint32) ([]int32, int) {
+func ShiloachVishkin(rt par.Runtime, g *graph.Graph, below uint32) ([]int32, int) {
 	n := g.NumVertices()
 	parent := make([]int32, n)
 	for i := range parent {
@@ -133,9 +133,9 @@ func ShiloachVishkin(rt *par.Runtime, g *graph.Graph, below uint32) ([]int32, in
 
 // lightEdges extracts the undirected edges below the weight bound as a flat
 // array — the edge-centric layout the parallel kernels iterate over.
-func lightEdges(rt *par.Runtime, g *graph.Graph, below uint32) []graph.Edge {
+func lightEdges(rt par.Runtime, g *graph.Graph, below uint32) []graph.Edge {
 	all := g.Edges()
-	rt.ChargeLoop(rt.ModeFor(par.DefaultThresholds, int(g.NumArcs())), int(g.NumArcs()), 1)
+	rt.ChargeLoop(par.DefaultThresholds.Mode(int(g.NumArcs())), int(g.NumArcs()), 1)
 	out := all[:0]
 	for _, e := range all {
 		if e.W < below && e.U != e.V {
@@ -150,7 +150,7 @@ func lightEdges(rt *par.Runtime, g *graph.Graph, below uint32) []graph.Edge {
 // grandparent of each endpoint toward the other side's grandparent, so
 // updates diffuse through the tree instead of converging on root words.
 // Only edges with weight < below participate.
-func Bully(rt *par.Runtime, g *graph.Graph, below uint32) ([]int32, int) {
+func Bully(rt par.Runtime, g *graph.Graph, below uint32) ([]int32, int) {
 	n := g.NumVertices()
 	parent := make([]int32, n)
 	for i := range parent {
@@ -215,7 +215,7 @@ func casMin32(addr *int32, v int32) bool {
 }
 
 // pointerJump flattens the parent forest completely.
-func pointerJump(rt *par.Runtime, parent []int32) {
+func pointerJump(rt par.Runtime, parent []int32) {
 	for {
 		var changed int32
 		rt.ForAuto(par.DefaultThresholds, len(parent), func(vi int) {
@@ -254,8 +254,8 @@ func densify(parent []int32) ([]int32, int) {
 
 // densifyAtomic is densify with its two linear renumbering passes accounted
 // as parallel sweeps on the modelled machine.
-func densifyAtomic(rt *par.Runtime, parent []int32) ([]int32, int) {
-	mode := rt.ModeFor(par.DefaultThresholds, len(parent))
+func densifyAtomic(rt par.Runtime, parent []int32) ([]int32, int) {
+	mode := par.DefaultThresholds.Mode(len(parent))
 	rt.ChargeLoop(mode, len(parent), 1)
 	rt.ChargeLoop(mode, len(parent), 1)
 	return densify(parent)

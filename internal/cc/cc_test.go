@@ -18,7 +18,7 @@ type kernel struct {
 
 func kernels() []kernel {
 	exec := par.NewExec(4)
-	sim := par.NewSim(mta.MTA2(8))
+	sim := mta.NewSim(mta.MTA2(8))
 	return []kernel{
 		{"SerialBFS", SerialBFS},
 		{"UnionFind", UnionFind},
@@ -162,7 +162,7 @@ func TestParallelKernelsManyWorkers(t *testing.T) {
 	want, wantCount := SerialBFS(g, 100)
 	for _, workers := range []int{1, 2, 8} {
 		rt := par.NewExec(workers)
-		for name, f := range map[string]func(*par.Runtime, *graph.Graph, uint32) ([]int32, int){
+		for name, f := range map[string]func(par.Runtime, *graph.Graph, uint32) ([]int32, int){
 			"SV": ShiloachVishkin, "Bully": Bully,
 		} {
 			label, count := f(rt, g, 100)
@@ -175,10 +175,10 @@ func TestParallelKernelsManyWorkers(t *testing.T) {
 
 func TestSimCostsRecorded(t *testing.T) {
 	g := gen.Random(1000, 4000, 100, gen.UWD, 5)
-	for name, f := range map[string]func(*par.Runtime, *graph.Graph, uint32) ([]int32, int){
+	for name, f := range map[string]func(par.Runtime, *graph.Graph, uint32) ([]int32, int){
 		"SV": ShiloachVishkin, "Bully": Bully,
 	} {
-		rt := par.NewSim(mta.MTA2(40))
+		rt := mta.NewSim(mta.MTA2(40))
 		f(rt, g, All)
 		c := rt.SimCost()
 		if c.Work <= int64(g.NumArcs()) {
@@ -194,7 +194,7 @@ func TestSimCostsRecorded(t *testing.T) {
 // with the BFS oracle.
 func TestQuickKernelsMatchOracle(t *testing.T) {
 	exec := par.NewExec(4)
-	sim := par.NewSim(mta.MTA2(4))
+	sim := mta.NewSim(mta.MTA2(4))
 	r := rng.New(1234)
 	f := func(seed uint32, belowRaw uint16) bool {
 		n := int(seed%200) + 2

@@ -205,7 +205,7 @@ func (b *builder) finish(tops []int32, topLevel int32) *Hierarchy {
 // CCKernel is a parallel connected-components kernel as used by BuildNaive;
 // cc.Bully and cc.ShiloachVishkin have this shape once curried with a
 // runtime.
-type CCKernel func(rt *par.Runtime, g *graph.Graph, below uint32) ([]int32, int)
+type CCKernel func(rt par.Runtime, g *graph.Graph, below uint32) ([]int32, int)
 
 // BuildNaive constructs the hierarchy with the paper's Algorithm 1: for each
 // level i = 1..log C, find the connected components of the contracted graph
@@ -214,7 +214,7 @@ type CCKernel func(rt *par.Runtime, g *graph.Graph, below uint32) ([]int32, int)
 // components, and contract. The runtime is used for the CC kernel and the
 // contraction bookkeeping, so sim-mode accounting covers the whole
 // construction (Tables 3 and 5).
-func BuildNaive(rt *par.Runtime, g *graph.Graph, kernel CCKernel) *Hierarchy {
+func BuildNaive(rt par.Runtime, g *graph.Graph, kernel CCKernel) *Hierarchy {
 	b := newBuilder(g)
 	n := g.NumVertices()
 	if n == 0 {
@@ -233,7 +233,7 @@ func BuildNaive(rt *par.Runtime, g *graph.Graph, kernel CCKernel) *Hierarchy {
 		}
 		// Count members per component to distinguish merges from singletons.
 		size := make([]int32, count)
-		rt.ChargeLoop(rt.ModeFor(par.DefaultThresholds, cur.NumVertices()), cur.NumVertices(), 1)
+		rt.ChargeLoop(par.DefaultThresholds.Mode(cur.NumVertices()), cur.NumVertices(), 1)
 		for v := 0; v < cur.NumVertices(); v++ {
 			size[label[v]]++
 		}
@@ -250,7 +250,7 @@ func BuildNaive(rt *par.Runtime, g *graph.Graph, kernel CCKernel) *Hierarchy {
 				members[c] = append(members[c], curNodes[v])
 			}
 		}
-		rt.ChargeLoop(rt.ModeFor(par.DefaultThresholds, cur.NumVertices()), cur.NumVertices(), 1)
+		rt.ChargeLoop(par.DefaultThresholds.Mode(cur.NumVertices()), cur.NumVertices(), 1)
 		for c := 0; c < count; c++ {
 			if newNodes[c] < 0 {
 				newNodes[c] = b.addNode(i, members[c])
@@ -258,7 +258,7 @@ func BuildNaive(rt *par.Runtime, g *graph.Graph, kernel CCKernel) *Hierarchy {
 		}
 		// Contract: this is the paper's G'' construction (multiplicity of
 		// remaining edges preserved, intra-component edges dropped).
-		rt.ChargeLoop(rt.ModeFor(par.DefaultThresholds, int(cur.NumEdges())), int(cur.NumEdges()), 2)
+		rt.ChargeLoop(par.DefaultThresholds.Mode(int(cur.NumEdges())), int(cur.NumEdges()), 2)
 		cur = cur.Contract(label, count)
 		curNodes = newNodes
 	}
@@ -279,7 +279,7 @@ func BuildKruskal(g *graph.Graph) *Hierarchy {
 // its minimum spanning forest restricted to the same edges, so the sweep only
 // needs the forest's n-1 edges. The forest is computed with parallel Borůvka
 // on the given runtime.
-func BuildMST(rt *par.Runtime, g *graph.Graph) *Hierarchy {
+func BuildMST(rt par.Runtime, g *graph.Graph) *Hierarchy {
 	forest := mst.Boruvka(rt, g)
 	rt.Charge(int64(len(forest)))
 	return buildFromEdges(g, forest)

@@ -15,7 +15,7 @@ import (
 
 func builds() map[string]func(g *graph.Graph) *Hierarchy {
 	exec := par.NewExec(4)
-	sim := par.NewSim(mta.MTA2(8))
+	sim := mta.NewSim(mta.MTA2(8))
 	return map[string]func(g *graph.Graph) *Hierarchy{
 		"naive-bully-exec": func(g *graph.Graph) *Hierarchy { return BuildNaive(exec, g, cc.Bully) },
 		"naive-sv-exec":    func(g *graph.Graph) *Hierarchy { return BuildNaive(exec, g, cc.ShiloachVishkin) },
@@ -283,7 +283,7 @@ func TestPartitionAtLevelMatchesCC(t *testing.T) {
 
 func TestSimCostRecorded(t *testing.T) {
 	g := gen.Random(1000, 4000, 1<<10, gen.UWD, 17)
-	rt := par.NewSim(mta.MTA2(40))
+	rt := mta.NewSim(mta.MTA2(40))
 	BuildNaive(rt, g, cc.Bully)
 	if rt.SimCost().Work < int64(g.NumEdges()) {
 		t.Fatalf("simulated work %d too low", rt.SimCost().Work)

@@ -21,15 +21,17 @@
 // A Solver wraps one Component Hierarchy and hands out independent Query
 // objects. Query.RunFromSources seeds a set of sources at distance 0 and
 // returns the distance to the nearest one; Run is its one-source wrapper.
-// One of two kernels does the work, chosen once by the runtime's mode, and
-// a Query holds the state of that kernel only:
+// One of two kernels does the work, chosen once by the runtime — a par.Exec
+// takes the exec kernel, any other runtime (mta.Sim) the sim kernel — and a
+// Query holds the state of that kernel only:
 //
-//   - Sim mode (sim.go) is the paper's parallel formulation (§3.2, §3.3) on
-//     the MTA-2 cost model. d and minD are maintained with atomic CAS-min; a
-//     successful relaxation propagates its value from the leaf toward the
-//     root, stopping early at the first ancestor that is already low enough
-//     (the paper locks minD and observes values are "not propagated very far
-//     up the CH in practice" — the early stop is the same phenomenon).
+//   - The sim kernel (sim.go) is the paper's parallel formulation (§3.2,
+//     §3.3) on the MTA-2 cost model. d and minD are maintained with atomic
+//     CAS-min; a successful relaxation propagates its value from the leaf
+//     toward the root, stopping early at the first ancestor that is already
+//     low enough (the paper locks minD and observes values are "not
+//     propagated very far up the CH in practice" — the early stop is the same
+//     phenomenon).
 //     Buckets are virtual: no bucket lists exist, a node's current bucket is
 //     minD >> shift and membership is discovered by scanning its children —
 //     the paper's Figure 3 loop — so insertion is a single store and needs no
@@ -43,17 +45,16 @@
 //     the tables under results/csv are reproduced on it, so it is frozen.
 //     WithStrategy and WithThresholds configure this kernel only.
 //
-//   - Exec mode (exec.go) is what ssspd serves, shaped for a cache machine:
-//     one goroutine per query running a plain recursive traversal over flat
-//     per-query arrays, with no closures, no atomics and no runtime calls,
-//     and no allocation on a warm Query. A leaf has one word (its distance
-//     is its minD); liveness is counted in children, where a settled child is
-//     found; and each node lists its reached, unsettled children, so one
-//     pass over that list empties a bucket and finds the next, where virtual
-//     buckets scan every child twice. Trace counters are plain words copied
-//     out when a run ends. The runtime's workers are used across queries
-//     (RunMany, the engine's pool), never inside one: DESIGN.md §5,
-//     decision 11.
+//   - The exec kernel (exec.go) is what ssspd serves, shaped for a cache
+//     machine: one goroutine per query running a plain recursive traversal over
+//     flat per-query arrays, with no closures, no atomics and no runtime calls,
+//     and no allocation on a warm Query. A leaf has one word (its distance is
+//     its minD); liveness is counted in children, where a settled child is
+//     found; and each node lists its reached, unsettled children, so one pass
+//     over that list empties a bucket and finds the next, where virtual buckets
+//     scan every child twice. Trace counters are plain words copied out when a
+//     run ends. The runtime's workers are used across queries (RunMany, the
+//     engine's pool), never inside one: DESIGN.md §5, decision 11.
 //
 // serial.go is neither: it is the paper-faithful serial traversal and its
 // physical-bucket ablation partner, timed by Table 1 and ablation-buckets

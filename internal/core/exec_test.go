@@ -33,7 +33,7 @@ func nearest(g *graph.Graph, srcs []int32) []int64 {
 func checkKernels(t *testing.T, name string, g *graph.Graph, h *ch.Hierarchy, srcs []int32) {
 	t.Helper()
 	want := nearest(g, srcs)
-	for kernel, rt := range map[string]*par.Runtime{"exec": par.NewExec(2), "sim": par.NewSim(mta.MTA2(8))} {
+	for kernel, rt := range map[string]par.Runtime{"exec": par.NewExec(2), "sim": mta.NewSim(mta.MTA2(8))} {
 		q := NewSolver(h, rt).Query()
 		if got := q.RunFromSources(srcs); !sameDists(got, want) {
 			t.Errorf("%s srcs=%v: %s kernel differs from Dijkstra", name, srcs, kernel)

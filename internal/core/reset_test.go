@@ -47,7 +47,7 @@ func TestQueryResetReuseMatchesFresh(t *testing.T) {
 func TestQueryResetRestoresPristineState(t *testing.T) {
 	g := gen.Random(200, 800, 1<<8, gen.UWD, 5)
 	h := ch.BuildKruskal(g)
-	for name, rt := range map[string]*par.Runtime{"exec": par.NewExec(2), "sim": par.NewSim(mta.MTA2(4))} {
+	for name, rt := range map[string]par.Runtime{"exec": par.NewExec(2), "sim": mta.NewSim(mta.MTA2(4))} {
 		s := NewSolver(h, rt)
 		q := s.Query()
 		tr := q.EnableTrace()

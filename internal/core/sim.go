@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/ch"
 	"repro/internal/graph"
-	"repro/internal/mta"
 	"repro/internal/par"
 )
 
@@ -126,7 +125,7 @@ func (q *simState) visit(c int32, bound int64) {
 		// Child visits are spawned as lightweight threads (MTA futures), not
 		// team-forked loops: the set is often tiny but the bodies are whole
 		// subtree traversals.
-		q.s.rt.ForMode(mta.Futures, len(toVisit), func(i int) {
+		q.s.rt.ForMode(par.Futures, len(toVisit), func(i int) {
 			q.visit(toVisit[i], childBound)
 		})
 	}
@@ -222,7 +221,7 @@ func (q *simState) gather(c int32, children []int32, j int64, shift uint) []int3
 func (q *simState) forStrategy(n int, body func(i int)) {
 	switch q.s.strategy {
 	case Naive:
-		q.s.rt.ForMode(mta.MultiPar, n, body)
+		q.s.rt.ForMode(par.MultiPar, n, body)
 	default:
 		q.s.rt.ForAuto(q.s.thresholds, n, body)
 	}

@@ -32,12 +32,13 @@ func (s Strategy) String() string {
 }
 
 // Solver runs Thorup SSSP queries over a shared Component Hierarchy. The
-// runtime's mode picks the kernel once, for every query the solver hands out:
-// a simulated runtime gets the cost-model kernel (sim.go), a real one the
-// serving kernel (exec.go). Both return the same distances.
+// runtime picks the kernel once, for every query the solver hands out: a
+// par.Exec gets the serving kernel (exec.go), any other runtime — the
+// simulated machine — the cost-model kernel (sim.go). Both return the same
+// distances.
 type Solver struct {
 	h          *ch.Hierarchy
-	rt         *par.Runtime
+	rt         par.Runtime
 	strategy   Strategy
 	thresholds par.Thresholds
 }
@@ -58,12 +59,18 @@ func WithThresholds(t par.Thresholds) Option {
 }
 
 // NewSolver creates a solver over the hierarchy, executing on rt.
-func NewSolver(h *ch.Hierarchy, rt *par.Runtime, opts ...Option) *Solver {
+func NewSolver(h *ch.Hierarchy, rt par.Runtime, opts ...Option) *Solver {
 	s := &Solver{h: h, rt: rt, strategy: Selective, thresholds: par.DefaultThresholds}
 	for _, o := range opts {
 		o(s)
 	}
 	return s
+}
+
+// simulated reports whether queries take the cost-model kernel.
+func (s *Solver) simulated() bool {
+	_, exec := s.rt.(*par.Exec)
+	return !exec
 }
 
 // Hierarchy returns the shared Component Hierarchy.
@@ -85,7 +92,7 @@ type Query struct {
 // kernel its runtime takes, and only that.
 func (s *Solver) Query() *Query {
 	q := &Query{s: s}
-	if s.rt.IsSim() {
+	if s.simulated() {
 		q.sim = newSimState(s)
 	} else {
 		q.exec = newExecState(s.h)
@@ -98,7 +105,7 @@ func (s *Solver) Query() *Query {
 // column. It is a pure function of the hierarchy's dimensions, so callers
 // reporting it need not allocate a Query.
 func (s *Solver) InstanceBytes() int64 {
-	if s.rt.IsSim() {
+	if s.simulated() {
 		return simBytes(s.h)
 	}
 	return execBytes(s.h)

@@ -37,14 +37,14 @@ func solverVariants(h *ch.Hierarchy) map[string]func(src int32) []int64 {
 	}
 	for _, cfg := range []struct {
 		name string
-		rt   *par.Runtime
+		rt   par.Runtime
 		st   Strategy
 	}{
 		{"exec1-selective", par.NewExec(1), Selective},
 		{"exec4-selective", par.NewExec(4), Selective},
 		{"exec4-naive", par.NewExec(4), Naive},
-		{"sim-selective", par.NewSim(mta.MTA2(40)), Selective},
-		{"sim-naive", par.NewSim(mta.MTA2(40)), Naive},
+		{"sim-selective", mta.NewSim(mta.MTA2(40)), Selective},
+		{"sim-naive", mta.NewSim(mta.MTA2(40)), Naive},
 	} {
 		s := NewSolver(h, cfg.rt, WithStrategy(cfg.st))
 		variants[cfg.name] = s.SSSP
@@ -191,47 +191,12 @@ func TestRunManyExec(t *testing.T) {
 func TestRunManySim(t *testing.T) {
 	g := gen.Random(200, 800, 1<<8, gen.UWD, 9)
 	h := ch.BuildKruskal(g)
-	s := NewSolver(h, par.NewSim(mta.MTA2(8)))
+	s := NewSolver(h, mta.NewSim(mta.MTA2(8)))
 	res := s.RunMany([]int32{0, 50})
 	for i, src := range []int32{0, 50} {
 		if !sameDists(res[i], dijkstra.SSSP(g, src)) {
 			t.Errorf("sim simultaneous query %d wrong", i)
 		}
-	}
-}
-
-func TestSimultaneousCostScalesSublinearly(t *testing.T) {
-	g := gen.Random(1<<10, 1<<12, 1<<10, gen.UWD, 10)
-	h := ch.BuildKruskal(g)
-	m := mta.MTA2(40)
-	one, _ := SimultaneousCost(h, m, []int32{0})
-	sources := make([]int32, 8)
-	for i := range sources {
-		sources[i] = int32(i * 100)
-	}
-	eight, _ := SimultaneousCost(h, m, sources)
-	if eight >= 8*one {
-		t.Fatalf("8 simultaneous queries cost %d, not below 8x single %d", eight, 8*one)
-	}
-	if eight < one {
-		t.Fatalf("8 queries cheaper than 1: %d < %d", eight, one)
-	}
-}
-
-func TestTuneThresholds(t *testing.T) {
-	th := TuneThresholds(mta.MTA2(40))
-	if th.Single < 2 {
-		t.Errorf("single threshold %d too low: trivial loops must stay serial", th.Single)
-	}
-	if th.Multi < th.Single {
-		t.Errorf("thresholds out of order: %+v", th)
-	}
-	// On a single-processor machine, multi-processor loops have the same
-	// lane count but a higher fork cost than single-processor ones, so the
-	// tuner should effectively never choose them.
-	th1 := TuneThresholds(mta.MTA2(1))
-	if th1.Multi <= th1.Single {
-		t.Errorf("1-proc machine: multi threshold %d should exceed single %d", th1.Multi, th1.Single)
 	}
 }
 
@@ -243,7 +208,7 @@ func TestSelectiveCheaperThanNaiveSim(t *testing.T) {
 	m := mta.MTA2(40)
 
 	span := func(st Strategy) int64 {
-		rt := par.NewSim(m)
+		rt := mta.NewSim(m)
 		NewSolver(h, rt, WithStrategy(st)).SSSP(0)
 		return rt.SimCost().Span
 	}
@@ -307,7 +272,7 @@ func BenchmarkThorupParallelExec(b *testing.B) {
 func TestInstanceBytesArithmetic(t *testing.T) {
 	g := gen.Random(700, 2800, 1<<10, gen.UWD, 17)
 	h := ch.BuildKruskal(g)
-	exec, sim := NewSolver(h, par.NewExec(2)), NewSolver(h, par.NewSim(mta.MTA2(2)))
+	exec, sim := NewSolver(h, par.NewExec(2)), NewSolver(h, mta.NewSim(mta.MTA2(2)))
 	for name, s := range map[string]*Solver{"exec": exec, "sim": sim} {
 		if got, want := s.InstanceBytes(), s.Query().InstanceBytes(); got != want {
 			t.Errorf("%s: Solver.InstanceBytes=%d, Query.InstanceBytes=%d", name, got, want)

@@ -83,14 +83,14 @@ func PaperDelta(g *graph.Graph) int64 {
 
 // SSSP computes single-source shortest path distances from src with bucket
 // width delta (use DefaultDelta for the standard choice).
-func SSSP(rt *par.Runtime, g *graph.Graph, src int32, delta int64) []int64 {
+func SSSP(rt par.Runtime, g *graph.Graph, src int32, delta int64) []int64 {
 	d, _ := Run(rt, g, src, delta)
 	return d
 }
 
 // Run is SSSP returning phase statistics as well. It allocates fresh state;
 // callers running many queries should hold a State and call its Run instead.
-func Run(rt *par.Runtime, g *graph.Graph, src int32, delta int64) ([]int64, Stats) {
+func Run(rt par.Runtime, g *graph.Graph, src int32, delta int64) ([]int64, Stats) {
 	return NewState().Run(rt, g, src, delta)
 }
 
@@ -131,7 +131,7 @@ func (st *State) Reset() {
 // Run computes single-source shortest path distances from src with bucket
 // width delta, reusing the state's buffers. The returned slice aliases the
 // state and is valid until the next run.
-func (st *State) Run(rt *par.Runtime, g *graph.Graph, src int32, delta int64) ([]int64, Stats) {
+func (st *State) Run(rt par.Runtime, g *graph.Graph, src int32, delta int64) ([]int64, Stats) {
 	return st.RunFromSources(context.Background(), rt, g, []int32{src}, delta)
 }
 
@@ -141,11 +141,11 @@ func (st *State) Run(rt *par.Runtime, g *graph.Graph, src int32, delta int64) ([
 // graph.Inf. Sources must be in range. The returned slice aliases the state
 // and is valid until the next run.
 //
-// A simulated runtime takes the cost-model kernel (sim.go), a real one the
-// exec kernel (exec.go); both return the same distances. The exec kernel
+// A par.Exec takes the exec kernel (exec.go), any other runtime the
+// cost-model kernel (sim.go); both return the same distances. The exec kernel
 // looks at ctx before every bucket phase and, once it is done, stops and
 // returns a nil vector; the sim kernel runs to completion.
-func (st *State) RunFromSources(ctx context.Context, rt *par.Runtime, g *graph.Graph, srcs []int32, delta int64) ([]int64, Stats) {
+func (st *State) RunFromSources(ctx context.Context, rt par.Runtime, g *graph.Graph, srcs []int32, delta int64) ([]int64, Stats) {
 	if delta < 1 {
 		panic("deltastep: delta must be >= 1")
 	}
@@ -160,8 +160,8 @@ func (st *State) RunFromSources(ctx context.Context, rt *par.Runtime, g *graph.G
 	if n == 0 {
 		return st.dist, Stats{}
 	}
-	if rt.IsSim() {
-		return st.runSim(rt, g, srcs, delta)
+	if _, exec := rt.(*par.Exec); exec {
+		return st.runExec(ctx.Done(), g, srcs, delta)
 	}
-	return st.runExec(ctx.Done(), g, srcs, delta)
+	return st.runSim(rt, g, srcs, delta)
 }

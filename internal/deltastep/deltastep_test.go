@@ -124,8 +124,8 @@ func TestMatchesDijkstraAcrossDeltas(t *testing.T) {
 	g := gen.Random(800, 3200, 1<<10, gen.UWD, 3)
 	want := dijkstra.SSSP(g, 0)
 	for _, delta := range []int64{1, 2, 7, 64, 1 << 10, 1 << 20} {
-		for name, rt := range map[string]*par.Runtime{
-			"exec1": par.NewExec(1), "exec4": par.NewExec(4), "sim": par.NewSim(mta.MTA2(40)),
+		for name, rt := range map[string]par.Runtime{
+			"exec1": par.NewExec(1), "exec4": par.NewExec(4), "sim": mta.NewSim(mta.MTA2(40)),
 		} {
 			if got := SSSP(rt, g, 0, delta); !sameDists(got, want) {
 				t.Errorf("delta=%d %s: mismatch vs Dijkstra", delta, name)
@@ -184,7 +184,7 @@ func TestStatsPhaseCounts(t *testing.T) {
 
 func TestSimCostRecorded(t *testing.T) {
 	g := gen.Random(1000, 4000, 1<<10, gen.UWD, 13)
-	rt := par.NewSim(mta.MTA2(40))
+	rt := mta.NewSim(mta.MTA2(40))
 	SSSP(rt, g, 0, DefaultDelta(g))
 	if rt.SimCost().Work < int64(g.NumEdges()) {
 		t.Fatalf("sim work %d too low", rt.SimCost().Work)

@@ -52,7 +52,7 @@ func TestExecMatchesSimAndDijkstra(t *testing.T) {
 		for _, delta := range []int64{1, d0, 4 * d0, far} {
 			for _, srcs := range sourceSets {
 				want := nearest(g, srcs)
-				sim, _ := NewState().RunFromSources(context.Background(), par.NewSim(mta.MTA2(40)), g, srcs, delta)
+				sim, _ := NewState().RunFromSources(context.Background(), mta.NewSim(mta.MTA2(40)), g, srcs, delta)
 				if !sameDists(sim, want) {
 					t.Errorf("%s delta=%d srcs=%v: sim kernel differs from Dijkstra", gname, delta, srcs)
 				}
@@ -95,7 +95,7 @@ func TestSourceSetEdgeCases(t *testing.T) {
 		if !sameDists(got, want) {
 			t.Errorf("%s: got %v, want %v", c.name, got, want)
 		}
-		sim, _ := NewState().RunFromSources(context.Background(), par.NewSim(mta.MTA2(4)), c.g, c.srcs, 4)
+		sim, _ := NewState().RunFromSources(context.Background(), mta.NewSim(mta.MTA2(4)), c.g, c.srcs, 4)
 		if !sameDists(sim, want) {
 			t.Errorf("%s sim: got %v, want %v", c.name, sim, want)
 		}
@@ -300,7 +300,7 @@ func TestExecRunStopsWhenCancelled(t *testing.T) {
 	if want := nearest(g, []int32{0, 7}); !sameDists(got, want) {
 		t.Fatal("the run after a cancelled one differs from Dijkstra")
 	}
-	if d, _ := NewState().RunFromSources(ctx, par.NewSim(mta.MTA2(4)), g, []int32{0}, delta); d == nil {
+	if d, _ := NewState().RunFromSources(ctx, mta.NewSim(mta.MTA2(4)), g, []int32{0}, delta); d == nil {
 		t.Fatal("the sim kernel stopped on its context")
 	}
 }

@@ -24,7 +24,7 @@ type simState struct {
 // int_fetch_add cursor and distributed afterwards. results/csv (Table 5,
 // Figure 5, ablation-delta, road, portfolio) reproduce its accounting, so
 // its loop structure and charges are frozen; only the seeding is a loop.
-func (st *State) runSim(rt *par.Runtime, g *graph.Graph, srcs []int32, delta int64) ([]int64, Stats) {
+func (st *State) runSim(rt par.Runtime, g *graph.Graph, srcs []int32, delta int64) ([]int64, Stats) {
 	if st.sim == nil {
 		st.sim = &simState{}
 	}
@@ -115,7 +115,7 @@ func (st *State) runSim(rt *par.Runtime, g *graph.Graph, srcs []int32, delta int
 		// sources have distance >= i*delta and weights are positive), so
 		// idx >= i: light requests may re-enter bucket i, heavy ones always
 		// land strictly above it.
-		rt.ChargeLoop(rt.ModeFor(par.DefaultThresholds, int(cnt)), int(cnt), 2)
+		rt.ChargeLoop(par.DefaultThresholds.Mode(int(cnt)), int(cnt), 2)
 		for _, u := range touched[:cnt] {
 			addBucket(u, dist[u]/delta)
 		}
@@ -134,7 +134,7 @@ func (st *State) runSim(rt *par.Runtime, g *graph.Graph, srcs []int32, delta int
 			cand := buckets[i]
 			buckets[i] = nil
 			frontier = frontier[:0]
-			rt.ChargeLoop(rt.ModeFor(par.DefaultThresholds, len(cand)), len(cand), 2)
+			rt.ChargeLoop(par.DefaultThresholds.Mode(len(cand)), len(cand), 2)
 			for _, v := range cand {
 				if dist[v]/delta != i {
 					continue // stale entry

@@ -431,7 +431,7 @@ func BenchmarkSTIndex(b *testing.B) {
 				if g == nil {
 					g = fam.make(logn)
 				}
-				var rt *par.Runtime
+				var rt par.Runtime
 				if arm == "workers=2" {
 					rt = par.NewExec(2)
 				}

@@ -22,7 +22,7 @@ type STIndex struct {
 // row's words into sorted place as it reads them, allocating the arc
 // array and nothing per row. The rows are split into blocks that rt's workers
 // build side by side; a nil rt builds them on the caller.
-func NewSTIndex(g *graph.Graph, rt *par.Runtime) *STIndex {
+func NewSTIndex(g *graph.Graph, rt par.Runtime) *STIndex {
 	off, ts, ws := g.AdjOffsets(), g.Targets(), g.Weights()
 	n := g.NumVertices()
 	arcs := make([]uint64, len(ts))

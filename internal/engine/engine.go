@@ -30,8 +30,10 @@ type Config struct {
 	// any materialized JSON form); 0 means entry-count-bounded only.
 	CacheBytes int64
 	// BatchWorkers is the concurrency of Batch (default 4). Each worker
-	// drives whole queries; the solvers parallelize internally on the
-	// instance runtime as well.
+	// drives whole queries, and a query runs on that one goroutine: exec
+	// delta-stepping and exec Thorup use no parallel loop (DESIGN.md §5,
+	// decisions 9 and 11). Only BFS and the one-off s-t index build run
+	// loops on the instance's runtime.
 	BatchWorkers int
 	// Solvers overrides the solver pool (default solver.All()). Tests and
 	// harnesses may append instrumented or fault-injected variants.

@@ -132,7 +132,7 @@ func (c Config) Table2() (*Table, error) {
 		st := h.ComputeStats()
 		// The instance of the paper's formulation, which is the sim kernel's;
 		// the serving kernel's differs (DESIGN.md §5, decision 11).
-		instance := core.NewSolver(h, par.NewSim(mta.MTA2(c.Procs))).InstanceBytes()
+		instance := core.NewSolver(h, mta.NewSim(mta.MTA2(c.Procs))).InstanceBytes()
 		t.AddRow(in.Name(),
 			st.Components,
 			fmt.Sprintf("%.2f", st.AvgChildren),
@@ -165,7 +165,7 @@ func fmtBytes(b int64) string {
 // chCycles builds the hierarchy with the paper's Algorithm 1 (bully CC) on a
 // p-processor simulated machine and returns the modelled cycles.
 func chCycles(g *graph.Graph, p int) int64 {
-	rt := par.NewSim(mta.MTA2(p))
+	rt := mta.NewSim(mta.MTA2(p))
 	ch.BuildNaive(rt, g, cc.Bully)
 	return rt.SimCost().Span
 }
@@ -173,8 +173,8 @@ func chCycles(g *graph.Graph, p int) int64 {
 // thorupCycles runs one Thorup query on a p-processor simulated machine.
 func thorupCycles(h *ch.Hierarchy, p int, strategy core.Strategy) int64 {
 	m := mta.MTA2(p)
-	rt := par.NewSim(m)
-	s := core.NewSolver(h, rt, core.WithStrategy(strategy), core.WithThresholds(core.TuneThresholds(m)))
+	rt := mta.NewSim(m)
+	s := core.NewSolver(h, rt, core.WithStrategy(strategy), core.WithThresholds(TuneThresholds(m)))
 	s.SSSP(0)
 	return rt.SimCost().Span
 }
@@ -182,7 +182,7 @@ func thorupCycles(h *ch.Hierarchy, p int, strategy core.Strategy) int64 {
 // deltaCycles runs one delta-stepping query on a p-processor simulated
 // machine.
 func deltaCycles(g *graph.Graph, p int) int64 {
-	rt := par.NewSim(mta.MTA2(p))
+	rt := mta.NewSim(mta.MTA2(p))
 	deltastep.SSSP(rt, g, 0, deltastep.PaperDelta(g))
 	return rt.SimCost().Span
 }
@@ -311,7 +311,7 @@ func (c Config) Figure5() (*Table, error) {
 		Header: []string{"Instance", "Sources", "baseline-thorup", "baseline-deltastep", "simul-thorup"},
 	}
 	m := mta.MTA2(c.Procs)
-	th := core.TuneThresholds(m)
+	th := TuneThresholds(m)
 	for _, logN := range []int{c.LogN - 2, c.LogN} {
 		in := gen.Instance{Class: gen.Rand, Dist: gen.UWD, LogN: logN, LogC: logN, Seed: c.Seed}
 		g := in.Generate()
@@ -326,7 +326,7 @@ func (c Config) Figure5() (*Table, error) {
 		}
 		allSources := spreadSources(g.NumVertices(), maxK)
 		for _, k := range c.SourceCounts {
-			simul, _ := core.SimultaneousCost(h, m, allSources[:k], core.WithThresholds(th))
+			simul, _ := SimultaneousCost(h, m, allSources[:k], core.WithThresholds(th))
 			t.AddRow(in.Name(), k,
 				fmtSecs(m.Seconds(int64(k)*oneThorup)),
 				fmtSecs(m.Seconds(int64(k)*oneDelta)),
@@ -357,7 +357,7 @@ func (c Config) AblationCH() (*Table, error) {
 	for _, in := range c.Families()[:3] {
 		g := in.Generate()
 		naive := chCycles(g, c.Procs)
-		rtMST := par.NewSim(m)
+		rtMST := mta.NewSim(m)
 		ch.BuildMST(rtMST, g)
 		mst := rtMST.SimCost().Span
 		kru := wall(func() { ch.BuildKruskal(g) })
@@ -381,10 +381,10 @@ func (c Config) AblationCC() (*Table, error) {
 	m := mta.MTA2(c.Procs)
 	for _, in := range c.Families()[:3] {
 		g := in.Generate()
-		rtB := par.NewSim(m)
+		rtB := mta.NewSim(m)
 		ch.BuildNaive(rtB, g, cc.Bully)
 		b := rtB.SimCost().Span
-		rtS := par.NewSim(m)
+		rtS := mta.NewSim(m)
 		ch.BuildNaive(rtS, g, cc.ShiloachVishkin)
 		s := rtS.SimCost().Span
 		t.AddRow(in.Name(),
@@ -426,7 +426,7 @@ func (c Config) RoadNetwork() (*Table, error) {
 	in := gen.Instance{Class: gen.Grid, Dist: gen.UWD, LogN: c.LogN, LogC: 6, Seed: c.Seed}
 	g := in.Generate()
 	h := ch.BuildKruskal(g)
-	rtD := par.NewSim(m)
+	rtD := mta.NewSim(m)
 	_, st := deltastep.Run(rtD, g, 0, deltastep.PaperDelta(g))
 	t.AddRow(in.Name(),
 		fmtSecs(m.Seconds(rtD.SimCost().Span)),

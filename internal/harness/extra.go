@@ -27,7 +27,7 @@ func (c Config) Propagation() (*Table, error) {
 	for _, in := range c.Families() {
 		g := in.Generate()
 		h := ch.BuildKruskal(g)
-		rt := par.NewSim(m)
+		rt := mta.NewSim(m)
 		q := core.NewSolver(h, rt).Query()
 		tr := q.EnableTrace()
 		q.Run(0)
@@ -59,11 +59,11 @@ func (c Config) AblationThresholds() (*Table, error) {
 	h := ch.BuildKruskal(g)
 
 	run := func(th par.Thresholds) int64 {
-		rt := par.NewSim(m)
+		rt := mta.NewSim(m)
 		core.NewSolver(h, rt, core.WithThresholds(th)).SSSP(0)
 		return rt.SimCost().Span
 	}
-	tuned := core.TuneThresholds(m)
+	tuned := TuneThresholds(m)
 	base := run(tuned)
 	t.AddRow(fmt.Sprintf("tuned %d/%d", tuned.Single, tuned.Multi),
 		fmtSecs(m.Seconds(base)), "1.00")
@@ -98,8 +98,8 @@ func (c Config) Anomaly() (*Table, error) {
 	g := in.Generate()
 	h := ch.BuildKruskal(g)
 	span := func(m mta.Machine) int64 {
-		rt := par.NewSim(m)
-		core.NewSolver(h, rt, core.WithThresholds(core.TuneThresholds(m))).SSSP(0)
+		rt := mta.NewSim(m)
+		core.NewSolver(h, rt, core.WithThresholds(TuneThresholds(m))).SSSP(0)
 		return rt.SimCost().Span
 	}
 	many := span(mta.MTA2(c.Procs))
@@ -124,7 +124,7 @@ func (c Config) AblationDelta() (*Table, error) {
 	g := in.Generate()
 	d0 := deltastep.PaperDelta(g)
 	run := func(delta int64) (int64, deltastep.Stats) {
-		rt := par.NewSim(m)
+		rt := mta.NewSim(m)
 		_, st := deltastep.Run(rt, g, 0, delta)
 		return rt.SimCost().Span, st
 	}
@@ -182,4 +182,62 @@ func (c Config) Portfolio() (*Table, error) {
 		t.AddRow(row...)
 	}
 	return t, nil
+}
+
+// SimultaneousCost simulates len(sources) Thorup queries sharing one
+// Component Hierarchy, co-scheduled on the given machine: each query's
+// (work, span) is measured on its own simulation runtime and the combined
+// makespan follows the machine's co-schedule bound. It returns the makespan
+// in cycles together with the per-query distances.
+//
+// This is the model behind the Figure 5 reproduction: k shared-CH Thorup
+// queries fill the machine with work from independent traversals, while the
+// delta-stepping baseline must run its k queries back to back.
+func SimultaneousCost(h *ch.Hierarchy, machine mta.Machine, sources []int32, opts ...core.Option) (int64, [][]int64) {
+	costs := make([]mta.Cost, len(sources))
+	out := make([][]int64, len(sources))
+	for i, src := range sources {
+		rt := mta.NewSim(machine)
+		s := core.NewSolver(h, rt, opts...)
+		out[i] = s.SSSP(src)
+		costs[i] = rt.SimCost()
+	}
+	return machine.CoSchedule(costs), out
+}
+
+// TuneThresholds determines selective-parallelization thresholds for a
+// machine by simulating the toVisit computation, as the paper did ("we
+// determined the thresholds experimentally by simulating the tovisit
+// computation", §3.3): for growing loop lengths it evaluates the modelled
+// makespan of the scan loop in each regime and returns the crossover points.
+func TuneThresholds(machine mta.Machine) par.Thresholds {
+	const iterCost = 3 // base iteration + the two charged references of a scan
+	span := func(mode par.LoopMode, n int) int64 {
+		c := machine.ParallelLoop(mode, int64(n)*iterCost, int64(n)*iterCost, iterCost)
+		return c.Span
+	}
+	crossover := func(a, b par.LoopMode) int {
+		// Smallest n (power-of-two probe, then linear refinement) where mode
+		// b beats mode a.
+		n := 1
+		for n < 1<<22 && span(b, n) >= span(a, n) {
+			n *= 2
+		}
+		if n == 1 || n >= 1<<22 {
+			return n
+		}
+		lo := n / 2
+		for lo < n && span(b, lo) >= span(a, lo) {
+			lo++
+		}
+		return lo
+	}
+	th := par.Thresholds{
+		Single: crossover(par.Serial, par.SinglePar),
+		Multi:  crossover(par.SinglePar, par.MultiPar),
+	}
+	if th.Multi < th.Single {
+		th.Multi = th.Single
+	}
+	return th
 }

@@ -58,7 +58,7 @@ const noCandidate int64 = int64(^uint64(0) >> 1) // MaxInt64
 // minimum outgoing edge concurrently (atomic CAS-min of packed candidates),
 // the chosen edges merge components, and labels are flattened by pointer
 // jumping. The result is the same forest weight as Kruskal.
-func Boruvka(rt *par.Runtime, g *graph.Graph) []graph.Edge {
+func Boruvka(rt par.Runtime, g *graph.Graph) []graph.Edge {
 	n := g.NumVertices()
 	edges := g.Edges()
 	label := make([]int32, n)
@@ -125,7 +125,7 @@ func root(label []int32, v int32) int32 {
 	return v
 }
 
-func flatten(rt *par.Runtime, label []int32) {
+func flatten(rt par.Runtime, label []int32) {
 	for {
 		var changed int32
 		rt.For(len(label), func(vi int) {

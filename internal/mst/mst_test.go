@@ -111,10 +111,10 @@ func TestEqualWeightsAcyclic(t *testing.T) {
 }
 
 func TestBoruvkaMatchesKruskalOnFamilies(t *testing.T) {
-	rts := map[string]*par.Runtime{
+	rts := map[string]par.Runtime{
 		"exec1": par.NewExec(1),
 		"exec4": par.NewExec(4),
-		"sim":   par.NewSim(mta.MTA2(40)),
+		"sim":   mta.NewSim(mta.MTA2(40)),
 	}
 	gs := []*graph.Graph{
 		gen.Random(500, 2000, 1<<10, gen.UWD, 1),
@@ -138,7 +138,7 @@ func TestBoruvkaMatchesKruskalOnFamilies(t *testing.T) {
 
 func TestSimCostRecorded(t *testing.T) {
 	g := gen.Random(1000, 4000, 256, gen.UWD, 9)
-	rt := par.NewSim(mta.MTA2(40))
+	rt := mta.NewSim(mta.MTA2(40))
 	Boruvka(rt, g)
 	if rt.SimCost().Work < int64(g.NumEdges()) {
 		t.Fatalf("simulated work %d too low", rt.SimCost().Work)

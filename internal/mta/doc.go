@@ -10,18 +10,14 @@
 // dominating small toVisit loops (Table 6), throughput saturation for
 // simultaneous queries (Figure 5) — are all consequences of this model.
 //
-// Package mta provides:
-//
-//   - Machine: the cost parameters of a simulated MTA-2 configuration.
-//   - Acct: work/span accounting for parallel regions executed serially,
-//     with makespan estimated by Brent's bound
-//     T_p = fork + work/lanes + span.
-//
-// The MTA's full/empty-bit synchronization is not modeled as a memory word:
-// the one place the algorithms need it, the relaxation's read-modify-write,
-// is par.CASMin's CAS loop. The accounting is driven by internal/par's
-// simulation runtime; the algorithms themselves never import this package
-// directly.
+// Machine holds the cost parameters of one configuration and prices a loop
+// in each par.LoopMode by Brent's bound T_p = fork + work/lanes + span. Sim
+// is the par.Runtime that runs every loop serially and charges it to a
+// Machine; SimCost().Span is the modelled makespan. The algorithms are
+// written against par.Runtime and never import this package; its drivers
+// (the root facade, internal/harness, the stress harness) hand them a Sim.
+// Full/empty-bit synchronization is not modeled as a memory word: the one
+// place the algorithms need it is par.CASMin's CAS loop.
 //
 // See DESIGN.md §3 ("System inventory") for how this package fits the system.
 package mta

@@ -1,41 +1,10 @@
 package mta
 
-import "fmt"
+import (
+	"fmt"
 
-// LoopMode is the degree of parallelism requested for a loop. The MTA-2
-// programming environment exposed exactly these three choices (paper §3.3,
-// §5.4): serial, parallel on a single processor, or parallel on all
-// processors.
-type LoopMode int
-
-const (
-	// Serial runs the loop on the issuing stream.
-	Serial LoopMode = iota
-	// SinglePar forks the loop across the streams of one processor.
-	SinglePar
-	// MultiPar forks the loop across all processors.
-	MultiPar
-	// Futures spawns one lightweight thread per iteration (the MTA "future"
-	// mechanism): the whole machine is available and the per-spawn cost is
-	// tiny compared to a processor-team loop fork. Thorup's recursive child
-	// visits run this way.
-	Futures
+	"repro/internal/par"
 )
-
-func (m LoopMode) String() string {
-	switch m {
-	case Serial:
-		return "serial"
-	case SinglePar:
-		return "single-proc"
-	case MultiPar:
-		return "multi-proc"
-	case Futures:
-		return "futures"
-	default:
-		return fmt.Sprintf("LoopMode(%d)", int(m))
-	}
-}
 
 // Machine holds the cost parameters of a simulated MTA-2 configuration. All
 // costs are in clock cycles; one unit of charged work is one cycle (one
@@ -94,13 +63,13 @@ func MTA2(p int) Machine {
 
 // Lanes returns how many iterations can proceed concurrently in the given
 // loop mode.
-func (m Machine) Lanes(mode LoopMode) int64 {
+func (m Machine) Lanes(mode par.LoopMode) int64 {
 	switch mode {
-	case Serial:
+	case par.Serial:
 		return 1
-	case SinglePar:
+	case par.SinglePar:
 		return int64(m.StreamsPerProc)
-	case MultiPar, Futures:
+	case par.MultiPar, par.Futures:
 		lanes := int64(m.Procs) * int64(m.StreamsPerProc)
 		if m.SingleProcAnomaly && m.Procs == 1 {
 			lanes /= 8 // starved team loops (paper §5.3)
@@ -115,15 +84,15 @@ func (m Machine) Lanes(mode LoopMode) int64 {
 }
 
 // ForkCost returns the loop setup cost for the given mode.
-func (m Machine) ForkCost(mode LoopMode) int64 {
+func (m Machine) ForkCost(mode par.LoopMode) int64 {
 	switch mode {
-	case Serial:
+	case par.Serial:
 		return 0
-	case SinglePar:
+	case par.SinglePar:
 		return m.ForkSingle
-	case MultiPar:
+	case par.MultiPar:
 		return m.ForkMulti
-	case Futures:
+	case par.Futures:
 		return m.ForkFutures
 	default:
 		panic("mta: unknown loop mode")
@@ -167,8 +136,8 @@ func (c Cost) Makespan(lanes int64) int64 {
 // spans. In a parallel mode the iterations run concurrently: the fork
 // overhead is paid on both axes and the span follows the greedy-schedule
 // (Brent) bound fork + sumWork/lanes + maxSpan.
-func (m Machine) ParallelLoop(mode LoopMode, sumWork, sumSpan, maxSpan int64) Cost {
-	if mode == Serial {
+func (m Machine) ParallelLoop(mode par.LoopMode, sumWork, sumSpan, maxSpan int64) Cost {
+	if mode == par.Serial {
 		return Cost{Work: sumWork, Span: sumSpan}
 	}
 	fork := m.ForkCost(mode)
@@ -188,7 +157,7 @@ func MTA2Anomalous(p int) Machine {
 
 // CoSchedule estimates the makespan of k independent jobs running
 // concurrently on the whole machine (Figure 5's simultaneous SSSP runs): the
-// machine retires at most Lanes(MultiPar) cycles of work per cycle, and no
+// machine retires at most Lanes(par.MultiPar) cycles of work per cycle, and no
 // job finishes before its own span.
 func (m Machine) CoSchedule(jobs []Cost) int64 {
 	var totalWork, maxSpan int64
@@ -198,7 +167,7 @@ func (m Machine) CoSchedule(jobs []Cost) int64 {
 			maxSpan = j.Span
 		}
 	}
-	t := totalWork / m.Lanes(MultiPar)
+	t := totalWork / m.Lanes(par.MultiPar)
 	if maxSpan > t {
 		return maxSpan
 	}

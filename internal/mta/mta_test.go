@@ -3,26 +3,28 @@ package mta
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/par"
 )
 
 func TestLanes(t *testing.T) {
 	m := MTA2(40)
-	if m.Lanes(Serial) != 1 {
-		t.Errorf("serial lanes = %d", m.Lanes(Serial))
+	if m.Lanes(par.Serial) != 1 {
+		t.Errorf("serial lanes = %d", m.Lanes(par.Serial))
 	}
-	if m.Lanes(SinglePar) != 100 {
-		t.Errorf("single-proc lanes = %d", m.Lanes(SinglePar))
+	if m.Lanes(par.SinglePar) != 100 {
+		t.Errorf("single-proc lanes = %d", m.Lanes(par.SinglePar))
 	}
-	if m.Lanes(MultiPar) != 4000 {
-		t.Errorf("multi-proc lanes = %d", m.Lanes(MultiPar))
+	if m.Lanes(par.MultiPar) != 4000 {
+		t.Errorf("multi-proc lanes = %d", m.Lanes(par.MultiPar))
 	}
 }
 
 func TestForkCostOrdering(t *testing.T) {
 	m := MTA2(4)
-	if !(m.ForkCost(Serial) < m.ForkCost(SinglePar) && m.ForkCost(SinglePar) < m.ForkCost(MultiPar)) {
+	if !(m.ForkCost(par.Serial) < m.ForkCost(par.SinglePar) && m.ForkCost(par.SinglePar) < m.ForkCost(par.MultiPar)) {
 		t.Fatalf("fork costs not ordered: %d %d %d",
-			m.ForkCost(Serial), m.ForkCost(SinglePar), m.ForkCost(MultiPar))
+			m.ForkCost(par.Serial), m.ForkCost(par.SinglePar), m.ForkCost(par.MultiPar))
 	}
 }
 
@@ -57,7 +59,7 @@ func TestMakespanBrent(t *testing.T) {
 
 func TestParallelLoopSerialHasNoFork(t *testing.T) {
 	m := MTA2(40)
-	c := m.ParallelLoop(Serial, 100, 100, 5)
+	c := m.ParallelLoop(par.Serial, 100, 100, 5)
 	if c.Work != 100 {
 		t.Errorf("serial loop work = %d", c.Work)
 	}
@@ -68,14 +70,14 @@ func TestParallelLoopSerialHasNoFork(t *testing.T) {
 
 func TestParallelLoopMultiSpeedsUp(t *testing.T) {
 	m := MTA2(40)
-	big := m.ParallelLoop(MultiPar, 1e9, 1e9, 100)
-	ser := m.ParallelLoop(Serial, 1e9, 1e9, 100)
+	big := m.ParallelLoop(par.MultiPar, 1e9, 1e9, 100)
+	ser := m.ParallelLoop(par.Serial, 1e9, 1e9, 100)
 	if big.Span >= ser.Span {
 		t.Fatalf("multi-proc span %d not below serial span %d for large loop", big.Span, ser.Span)
 	}
-	// For a tiny loop the fork cost must dominate, making MultiPar worse.
-	smallM := m.ParallelLoop(MultiPar, 10, 10, 5)
-	smallS := m.ParallelLoop(Serial, 10, 10, 5)
+	// For a tiny loop the fork cost must dominate, making par.MultiPar worse.
+	smallM := m.ParallelLoop(par.MultiPar, 10, 10, 5)
+	smallS := m.ParallelLoop(par.Serial, 10, 10, 5)
 	if smallM.Span <= smallS.Span {
 		t.Fatalf("multi-proc span %d not above serial span %d for tiny loop", smallM.Span, smallS.Span)
 	}
@@ -120,10 +122,10 @@ func TestQuickMakespanBounds(t *testing.T) {
 }
 
 func TestLoopModeString(t *testing.T) {
-	if Serial.String() != "serial" || SinglePar.String() != "single-proc" || MultiPar.String() != "multi-proc" {
-		t.Fatal("LoopMode strings wrong")
+	if par.Serial.String() != "serial" || par.SinglePar.String() != "single-proc" || par.MultiPar.String() != "multi-proc" {
+		t.Fatal("par.LoopMode strings wrong")
 	}
-	if LoopMode(9).String() == "" {
+	if par.LoopMode(9).String() == "" {
 		t.Fatal("unknown mode should still format")
 	}
 }
@@ -131,16 +133,16 @@ func TestLoopModeString(t *testing.T) {
 func TestSingleProcAnomaly(t *testing.T) {
 	plain := MTA2(1)
 	anom := MTA2Anomalous(1)
-	if anom.Lanes(MultiPar) >= plain.Lanes(MultiPar) {
+	if anom.Lanes(par.MultiPar) >= plain.Lanes(par.MultiPar) {
 		t.Fatalf("anomaly did not starve team loops: %d vs %d",
-			anom.Lanes(MultiPar), plain.Lanes(MultiPar))
+			anom.Lanes(par.MultiPar), plain.Lanes(par.MultiPar))
 	}
 	// Only p=1 is affected.
-	if MTA2Anomalous(2).Lanes(MultiPar) != MTA2(2).Lanes(MultiPar) {
+	if MTA2Anomalous(2).Lanes(par.MultiPar) != MTA2(2).Lanes(par.MultiPar) {
 		t.Fatal("anomaly leaked to p=2")
 	}
-	// SinglePar loops unaffected (they are not team-forked).
-	if anom.Lanes(SinglePar) != plain.Lanes(SinglePar) {
+	// par.SinglePar loops unaffected (they are not team-forked).
+	if anom.Lanes(par.SinglePar) != plain.Lanes(par.SinglePar) {
 		t.Fatal("anomaly affected single-processor loops")
 	}
 }
@@ -153,13 +155,13 @@ func TestCoScheduleEmpty(t *testing.T) {
 
 func TestFuturesLanesAndCost(t *testing.T) {
 	m := MTA2(40)
-	if m.Lanes(Futures) != m.Lanes(MultiPar) {
+	if m.Lanes(par.Futures) != m.Lanes(par.MultiPar) {
 		t.Fatal("futures should span the whole machine")
 	}
-	if m.ForkCost(Futures) >= m.ForkCost(SinglePar) {
+	if m.ForkCost(par.Futures) >= m.ForkCost(par.SinglePar) {
 		t.Fatal("futures spawn should be cheaper than a team fork")
 	}
-	if Futures.String() != "futures" {
+	if par.Futures.String() != "futures" {
 		t.Fatal("string")
 	}
 }

@@ -4,15 +4,48 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/mta"
 )
+
+// LoopMode is the degree of parallelism requested for a loop. The MTA-2
+// programming environment exposed exactly these three choices (paper §3.3,
+// §5.4): serial, parallel on a single processor, or parallel on all
+// processors.
+type LoopMode int
+
+const (
+	// Serial runs the loop on the issuing stream.
+	Serial LoopMode = iota
+	// SinglePar forks the loop across the streams of one processor.
+	SinglePar
+	// MultiPar forks the loop across all processors.
+	MultiPar
+	// Futures spawns one lightweight thread per iteration (the MTA "future"
+	// mechanism): the whole machine is available and the per-spawn cost is
+	// tiny compared to a processor-team loop fork. Thorup's recursive child
+	// visits run this way.
+	Futures
+)
+
+func (m LoopMode) String() string {
+	switch m {
+	case Serial:
+		return "serial"
+	case SinglePar:
+		return "single-proc"
+	case MultiPar:
+		return "multi-proc"
+	case Futures:
+		return "futures"
+	default:
+		return fmt.Sprintf("LoopMode(%d)", int(m))
+	}
+}
 
 // Thresholds controls selective parallelization (paper §3.3): loops shorter
 // than Single run serially, loops shorter than Multi run single-processor
 // parallel, and longer loops run on all processors. The paper determined
 // these experimentally by simulating the toVisit computation; see
-// core.TuneThresholds for the equivalent tuner.
+// harness.TuneThresholds for the equivalent tuner.
 type Thresholds struct {
 	Single int // minimum iterations for single-processor parallelism
 	Multi  int // minimum iterations for all-processor parallelism
@@ -22,222 +55,86 @@ type Thresholds struct {
 // model; the tuner usually lands near these values.
 var DefaultThresholds = Thresholds{Single: 64, Multi: 2048}
 
-type frame struct {
-	work int64
-	span int64
+// Mode returns the loop mode selective parallelization picks for n
+// iterations.
+func (th Thresholds) Mode(n int) LoopMode {
+	switch {
+	case n >= th.Multi:
+		return MultiPar
+	case n >= th.Single:
+		return SinglePar
+	default:
+		return Serial
+	}
 }
 
-// Runtime executes and accounts parallel loops. A Runtime is not safe for
-// concurrent use in sim mode (sim execution is serial by design); in exec
-// mode all methods are safe for concurrent use.
-type Runtime struct {
-	machine mta.Machine
+// Runtime is what a kernel is written against: loops with a requested mode,
+// and the cost units a simulated machine charges for them. Exec runs the loops
+// on goroutines and charges nothing; mta.Sim runs them serially and charges
+// everything.
+type Runtime interface {
+	For(n int, body func(i int))                    // all-processor loop over [0, n)
+	ForMode(mode LoopMode, n int, body func(i int)) // loop in the requested mode
+	ForAuto(th Thresholds, n int, body func(i int)) // loop in the mode th picks from n
+	// Charge adds units of serial cost to the current loop iteration.
+	Charge(units int64)
+	// ChargeLoop charges a loop that the host runs as plain serial Go (a
+	// counting pass, a contraction) as n iterations of perIter+1 units in mode.
+	ChargeLoop(mode LoopMode, n int, perIter int64)
+	// ChargeContended charges a synchronized operation on the word named by
+	// key; see mta.Sim.ChargeContended.
+	ChargeContended(key uint64)
+}
 
-	// Sim-mode state.
-	sim      bool
-	frames   []frame
-	hotStack []map[uint64]int64 // per-active-parallel-loop contention tallies
-	hotTotal int64              // accumulated serialization cycles from hot spots
-
-	// Exec-mode state.
-	workers   int           // total concurrent workers (MultiPar cap)
-	singleCap int           // worker cap for SinglePar loops
-	tokens    chan struct{} // workers-1 spawn tokens
+// Exec runs loops on goroutines, bounded by a token bucket so that nested
+// parallel loops degrade gracefully to inline execution instead of
+// deadlocking or oversubscribing: however many goroutines call into one Exec,
+// at most workers-1 helpers run beside them. All methods are safe for
+// concurrent use.
+type Exec struct {
+	workers int           // total concurrent workers of one loop
+	tokens  chan struct{} // workers-1 spawn tokens
 }
 
 // NewExec returns a runtime that really runs loops on up to workers
 // goroutines. workers < 1 panics.
-func NewExec(workers int) *Runtime {
+func NewExec(workers int) *Exec {
 	if workers < 1 {
 		panic(fmt.Sprintf("par: invalid worker count %d", workers))
 	}
-	singleCap := 4
-	if singleCap > workers {
-		singleCap = workers
-	}
-	rt := &Runtime{
-		machine:   mta.MTA2(1),
-		workers:   workers,
-		singleCap: singleCap,
-		tokens:    make(chan struct{}, workers-1),
-	}
+	rt := &Exec{workers: workers, tokens: make(chan struct{}, workers-1)}
 	for i := 0; i < workers-1; i++ {
 		rt.tokens <- struct{}{}
 	}
 	return rt
 }
 
-// NewSim returns a runtime that executes serially and accounts costs against
-// the given machine model.
-func NewSim(m mta.Machine) *Runtime {
-	return &Runtime{machine: m, sim: true, workers: 1, singleCap: 1, frames: make([]frame, 1, 8)}
+// Workers returns the concurrency cap of one loop.
+func (rt *Exec) Workers() int { return rt.workers }
+
+// For runs body(i) for i in [0, n) on up to Workers goroutines.
+func (rt *Exec) For(n int, body func(i int)) { rt.execFor(rt.workers, n, body) }
+
+// ForMode runs a Serial loop in order on the calling goroutine and any other
+// mode like For.
+func (rt *Exec) ForMode(mode LoopMode, n int, body func(i int)) {
+	workers := rt.workers
+	if mode == Serial {
+		workers = 1
+	}
+	rt.execFor(workers, n, body)
 }
 
-// IsSim reports whether this runtime is in simulation mode.
-func (rt *Runtime) IsSim() bool { return rt.sim }
+// ForAuto runs the loop in the mode th picks from n.
+func (rt *Exec) ForAuto(th Thresholds, n int, body func(i int)) { rt.ForMode(th.Mode(n), n, body) }
 
-// Machine returns the cost model (meaningful in sim mode).
-func (rt *Runtime) Machine() mta.Machine { return rt.machine }
+// Charge, ChargeLoop and ChargeContended are no-ops: a goroutine runner has
+// no cost model.
+func (*Exec) Charge(int64)                    {}
+func (*Exec) ChargeLoop(LoopMode, int, int64) {}
+func (*Exec) ChargeContended(uint64)          {}
 
-// Workers returns the exec-mode concurrency cap (1 in sim mode).
-func (rt *Runtime) Workers() int { return rt.workers }
-
-// ChargeContended records one synchronized memory operation on the word
-// identified by key (a vertex or node id). On the MTA-2, synchronized
-// operations on the same word serialize at the memory bank. In sim mode the
-// op costs one unit like Charge(1), and the enclosing parallel loop
-// additionally pays span equal to the longest per-word chain of its
-// contended ops. No-op in exec mode.
-//
-// The model is sound only where the set of touched words does not depend on
-// the interleaving (sim mode replays one serial interleaving): Thorup's minD
-// propagation qualifies (the leaf-to-root path is fixed by the tree), so the
-// paper's §3.2 locking claim can be quantified; read-steered kernels like the
-// connected-components hooks do not, and are left unannotated.
-func (rt *Runtime) ChargeContended(key uint64) {
-	if !rt.sim {
-		return
-	}
-	rt.Charge(1)
-	if len(rt.hotStack) == 0 {
-		return // not inside a parallel loop: no concurrent contenders
-	}
-	rt.hotStack[len(rt.hotStack)-1][key]++
-}
-
-// HotSerialization returns the total span (cycles) attributed to hot-spot
-// serialization so far — the quantitative form of the paper's contention
-// arguments (§3.1 for connected components, §3.2 for minD locking).
-func (rt *Runtime) HotSerialization() int64 { return rt.hotTotal }
-
-// Charge adds units of serial cost (work and span) to the current region.
-// No-op in exec mode.
-func (rt *Runtime) Charge(units int64) {
-	if !rt.sim {
-		return
-	}
-	f := &rt.frames[len(rt.frames)-1]
-	f.work += units
-	f.span += units
-}
-
-// SimCost returns the accumulated (work, span) of the root region. The
-// simulated elapsed time of everything run so far is SimCost().Span.
-func (rt *Runtime) SimCost() mta.Cost {
-	f := rt.frames[0]
-	return mta.Cost{Work: f.work, Span: f.span}
-}
-
-// ResetCost zeroes the accounting (sim mode); used between timed phases.
-func (rt *Runtime) ResetCost() {
-	if rt.sim {
-		rt.frames = rt.frames[:1]
-		rt.frames[0] = frame{}
-		rt.hotTotal = 0
-	}
-}
-
-// For runs body(i) for i in [0, n) with all-processor parallelism.
-func (rt *Runtime) For(n int, body func(i int)) {
-	rt.ForMode(mta.MultiPar, n, body)
-}
-
-// ForSerial runs body(i) for i in [0, n) serially (still accounted in sim
-// mode).
-func (rt *Runtime) ForSerial(n int, body func(i int)) {
-	rt.ForMode(mta.Serial, n, body)
-}
-
-// ForAuto runs the loop with the parallelism regime selected from n by the
-// thresholds — the paper's selective parallelization.
-func (rt *Runtime) ForAuto(th Thresholds, n int, body func(i int)) {
-	rt.ForMode(rt.ModeFor(th, n), n, body)
-}
-
-// ModeFor returns the loop mode ForAuto would select for n iterations.
-func (rt *Runtime) ModeFor(th Thresholds, n int) mta.LoopMode {
-	switch {
-	case n >= th.Multi:
-		return mta.MultiPar
-	case n >= th.Single:
-		return mta.SinglePar
-	default:
-		return mta.Serial
-	}
-}
-
-// ForMode runs body(i) for i in [0, n) with the requested loop mode.
-func (rt *Runtime) ForMode(mode mta.LoopMode, n int, body func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if rt.sim {
-		rt.simFor(mode, n, body)
-		return
-	}
-	cap := 1
-	switch mode {
-	case mta.Serial:
-		cap = 1
-	case mta.SinglePar:
-		cap = rt.singleCap
-	case mta.MultiPar, mta.Futures:
-		cap = rt.workers
-	}
-	rt.execFor(cap, n, body)
-}
-
-// ChargeLoop accounts for a loop that the host code runs as plain serial Go
-// but that the modelled machine would execute as a parallel loop (bookkeeping
-// sweeps such as counting passes, contraction, bucket distribution). Each of
-// the n iterations costs perIter+1 units. No-op in exec mode.
-func (rt *Runtime) ChargeLoop(mode mta.LoopMode, n int, perIter int64) {
-	if !rt.sim || n <= 0 {
-		return
-	}
-	iter := perIter + 1
-	c := rt.machine.ParallelLoop(mode, int64(n)*iter, int64(n)*iter, iter)
-	top := &rt.frames[len(rt.frames)-1]
-	top.work += c.Work
-	top.span += c.Span
-}
-
-func (rt *Runtime) simFor(mode mta.LoopMode, n int, body func(i int)) {
-	parallel := mode != mta.Serial
-	if parallel {
-		rt.hotStack = append(rt.hotStack, make(map[uint64]int64))
-	}
-	var sumW, sumS, maxS int64
-	for i := 0; i < n; i++ {
-		rt.frames = append(rt.frames, frame{})
-		rt.Charge(1) // base per-iteration cost
-		body(i)
-		f := rt.frames[len(rt.frames)-1]
-		rt.frames = rt.frames[:len(rt.frames)-1]
-		sumW += f.work
-		sumS += f.span
-		if f.span > maxS {
-			maxS = f.span
-		}
-	}
-	var contended int64
-	if parallel {
-		tally := rt.hotStack[len(rt.hotStack)-1]
-		rt.hotStack = rt.hotStack[:len(rt.hotStack)-1]
-		for _, c := range tally {
-			if c > contended {
-				contended = c
-			}
-		}
-		rt.hotTotal += contended
-	}
-	c := rt.machine.ParallelLoop(mode, sumW, sumS, maxS)
-	top := &rt.frames[len(rt.frames)-1]
-	top.work += c.Work
-	top.span += c.Span + contended
-}
-
-func (rt *Runtime) execFor(workerCap, n int, body func(i int)) {
+func (rt *Exec) execFor(workerCap, n int, body func(i int)) {
 	if workerCap > n {
 		workerCap = n
 	}

@@ -25,7 +25,7 @@ import (
 // goroutines.
 type Instance struct {
 	G  *graph.Graph
-	RT *par.Runtime
+	RT par.Runtime
 	// Delta is the delta-stepping bucket width, measured from G's weights
 	// (deltastep.DefaultDelta) unless the caller overrides it before the
 	// first run.
@@ -85,14 +85,14 @@ func (d *derived[T]) peek() (v T, ok bool) {
 }
 
 // NewInstance wraps a graph for the registry's solvers.
-func NewInstance(g *graph.Graph, rt *par.Runtime) *Instance {
+func NewInstance(g *graph.Graph, rt par.Runtime) *Instance {
 	return NewInstanceWithHierarchy(g, rt, nil)
 }
 
 // NewInstanceWithHierarchy wraps a graph together with an already-built
 // hierarchy (e.g. loaded from a snapshot), which the instance then carries
 // and never builds.
-func NewInstanceWithHierarchy(g *graph.Graph, rt *par.Runtime, h *ch.Hierarchy) *Instance {
+func NewInstanceWithHierarchy(g *graph.Graph, rt par.Runtime, h *ch.Hierarchy) *Instance {
 	in := &Instance{G: g, RT: rt, Delta: deltastep.DefaultDelta(g)}
 	in.hierarchy.kind, in.hierarchy.build = KindHierarchy, func(in *Instance) *ch.Hierarchy { return ch.BuildKruskal(in.G) }
 	in.stIndex.kind, in.stIndex.build = KindSTIndex, func(in *Instance) *dijkstra.STIndex { return dijkstra.NewSTIndex(in.G, in.RT) }

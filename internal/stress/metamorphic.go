@@ -24,7 +24,7 @@ type transform struct {
 // checkMetamorphic builds the transformations of (g, sources) and asserts
 // every applicable solver reproduces the predicted distances. base is the
 // already-cross-checked distance vector from sources[0].
-func checkMetamorphic(cfg Config, rt *par.Runtime, name string, g *graph.Graph, sources []int32, base []int64) *Failure {
+func checkMetamorphic(cfg Config, rt par.Runtime, name string, g *graph.Graph, sources []int32, base []int64) *Failure {
 	for _, tr := range metamorphs(g, sources[0], base) {
 		in := solver.NewInstance(tr.g, rt)
 		for _, s := range cfg.Solvers {

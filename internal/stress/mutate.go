@@ -34,7 +34,7 @@ import (
 // inheriting its parent's answers as catalog.Mutate has it (engine.Inherit),
 // the same source sets asked again on every generation and every answer held
 // to Dijkstra on the replay so far.
-func checkMutate(cfg Config, rt *par.Runtime, name string, g *graph.Graph, sources []int32) *Failure {
+func checkMutate(cfg Config, rt par.Runtime, name string, g *graph.Graph, sources []int32) *Failure {
 	if cfg.MutateRounds < 0 || g.NumVertices() < 2 || len(sources) == 0 {
 		return nil
 	}
@@ -192,7 +192,7 @@ func WideBatch(g *graph.Graph, r *rng.Xoshiro256, frac float64, additive bool) *
 // sequence that fails validation mid-replay returns nil — that marks an
 // invalid shrink candidate, not a bug (the sweep only generates valid
 // sequences). fault plants bugs the oracle must catch.
-func checkMutationSequence(cfg Config, rt *par.Runtime, name string, base *graph.Graph, sources []int32, batches []*mutate.Batch, fault faults) *Failure {
+func checkMutationSequence(cfg Config, rt par.Runtime, name string, base *graph.Graph, sources []int32, batches []*mutate.Batch, fault faults) *Failure {
 	refs, err := referenceChain(base, batches)
 	if err != nil {
 		return nil // invalid candidate sequence
@@ -228,7 +228,7 @@ const rareEvery = 4
 
 // replayLineage is checkMutationSequence on one lineage, with what its
 // engines inherited along the way.
-func replayLineage(cfg Config, rt *par.Runtime, name, lineage string, refs []*graph.Graph, sources []int32, batches []*mutate.Batch, fault faults) (*Failure, inheritTally) {
+func replayLineage(cfg Config, rt par.Runtime, name, lineage string, refs []*graph.Graph, sources []int32, batches []*mutate.Batch, fault faults) (*Failure, inheritTally) {
 	base, ref := refs[0], refs[len(refs)-1]
 	var tally inheritTally
 	fail := func(check, format string, args ...any) (*Failure, inheritTally) {
@@ -487,7 +487,7 @@ func ShrinkMutations(batches []*mutate.Batch, keep func([]*mutate.Batch) bool) [
 
 // shrinkMutationSequence minimizes a mutation failure's batch sequence on its
 // (already graph-shrunk) witness instance.
-func shrinkMutationSequence(cfg Config, rt *par.Runtime, f *Failure) *Failure {
+func shrinkMutationSequence(cfg Config, rt par.Runtime, f *Failure) *Failure {
 	keep := func(cand []*mutate.Batch) bool {
 		f2 := checkMutationSequence(cfg, rt, "shrink-seq", f.G, f.Sources, cand, faults{f.MutateFault, f.InheritFault})
 		return f2 != nil && f2.Check == f.Check

@@ -134,7 +134,7 @@ type LoadedRepro struct {
 // ReplayFile re-runs the full oracle stack on one repro file. A repro with a
 // .mut sidecar replays its recorded mutation sequence (under the recorded
 // fault flags, so planted-bug repros reproduce) before the standard checks.
-func ReplayFile(cfg Config, rt *par.Runtime, grPath string) (*Failure, error) {
+func ReplayFile(cfg Config, rt par.Runtime, grPath string) (*Failure, error) {
 	rep, err := LoadRepro(grPath)
 	if err != nil {
 		return nil, err
@@ -152,7 +152,7 @@ func ReplayFile(cfg Config, rt *par.Runtime, grPath string) (*Failure, error) {
 
 // ReplayDir replays every .gr file in dir (sorted, so runs are
 // deterministic) and returns the first failure.
-func ReplayDir(cfg Config, rt *par.Runtime, dir string) (*Failure, error) {
+func ReplayDir(cfg Config, rt par.Runtime, dir string) (*Failure, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err

@@ -103,7 +103,7 @@ func Run(cfg Config) *Failure {
 
 // shrinkFailure minimizes a failing instance while the same oracle keeps
 // tripping, then re-describes the failure on the shrunk witness.
-func shrinkFailure(cfg Config, rt *par.Runtime, f *Failure) *Failure {
+func shrinkFailure(cfg Config, rt par.Runtime, f *Failure) *Failure {
 	cfg.Logf("stress: FAILURE %s — shrinking (n=%d m=%d)", f.Check, f.G.NumVertices(), f.G.NumEdges())
 	sub := cfg
 	sub.NoRace = true
@@ -156,7 +156,7 @@ func pickSources(seed uint64, n int) []int32 {
 // first discrepancy (without shrinking), or nil. It is exported so that
 // repro replay (cmd/stress -replay, the regression corpus test) applies
 // exactly the checks the sweep applies.
-func CheckInstance(cfg Config, rt *par.Runtime, name string, g *graph.Graph, sources []int32) *Failure {
+func CheckInstance(cfg Config, rt par.Runtime, name string, g *graph.Graph, sources []int32) *Failure {
 	cfg = cfg.withDefaults()
 	n := g.NumVertices()
 	if n == 0 || len(sources) == 0 {
@@ -223,11 +223,11 @@ func CheckInstance(cfg Config, rt *par.Runtime, name string, g *graph.Graph, sou
 	// (active lists, child-count liveness) and the cost-model kernel's
 	// (per-vertex unsettled counts) alike; the two must also agree.
 	var exec []int64
-	for _, krt := range []*par.Runtime{rt, par.NewSim(mta.MTA2(8))} {
+	for _, krt := range []par.Runtime{rt, mta.NewSim(mta.MTA2(8))} {
 		q := core.NewSolver(h, krt).Query()
 		d := q.RunFromSources(sources)
 		if err := q.CheckInvariants(); err != nil {
-			return fail("ch-traversal-invariant", "sources %v (sim=%v): %v", sources, krt.IsSim(), err)
+			return fail("ch-traversal-invariant", "sources %v (sim=%v): %v", sources, krt != rt, err)
 		}
 		if exec == nil {
 			exec = d

@@ -35,7 +35,7 @@ import (
 // between goroutines under the race detector. The pooled state itself is then
 // run at budgets of one settled vertex and none, in turn on one state: a
 // search that gave up leaves nothing behind for the next.
-func checkTargeted(cfg Config, rt *par.Runtime, name string, g *graph.Graph, sources []int32) *Failure {
+func checkTargeted(cfg Config, rt par.Runtime, name string, g *graph.Graph, sources []int32) *Failure {
 	fail := func(format string, args ...any) *Failure {
 		return &Failure{Check: "targeted", Inst: name, Detail: fmt.Sprintf(format, args...), G: g, Sources: sources}
 	}

@@ -79,7 +79,7 @@ func checkVertex(g *graph.Graph, isSource []bool, dist []int64, v int32) *Error 
 // Distances certifies that dist is the exact shortest-path distance labelling
 // of g from the given source set. It returns nil on success and a *Error
 // describing the first violation found otherwise. The sweep runs on rt.
-func Distances(rt *par.Runtime, g *graph.Graph, sources []int32, dist []int64) error {
+func Distances(rt par.Runtime, g *graph.Graph, sources []int32, dist []int64) error {
 	isSource, perr := precheck(g, sources, dist)
 	if perr != nil {
 		return perr

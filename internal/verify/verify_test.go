@@ -12,7 +12,7 @@ import (
 	"repro/internal/par"
 )
 
-func rt() *par.Runtime { return par.NewExec(4) }
+func rt() par.Runtime { return par.NewExec(4) }
 
 func TestAcceptsCorrectDistances(t *testing.T) {
 	gs := []*graph.Graph{
@@ -108,7 +108,7 @@ func TestRejectsShapeAndSourceErrors(t *testing.T) {
 func TestWorksInSimMode(t *testing.T) {
 	g := gen.Random(200, 800, 64, gen.UWD, 5)
 	d := dijkstra.SSSP(g, 0)
-	srt := par.NewSim(mta.MTA2(8))
+	srt := mta.NewSim(mta.MTA2(8))
 	if err := Distances(srt, g, []int32{0}, d); err != nil {
 		t.Fatal(err)
 	}

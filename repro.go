@@ -45,6 +45,7 @@ import (
 	"repro/internal/dimacs"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/harness"
 	"repro/internal/mlb"
 	"repro/internal/mta"
 	"repro/internal/par"
@@ -65,9 +66,14 @@ type (
 	Hierarchy = ch.Hierarchy
 	// HierarchyStats carries the paper's Table 2 statistics.
 	HierarchyStats = ch.Stats
-	// Runtime executes parallel loops, either on real goroutines or on the
-	// simulated MTA-2 cost model.
+	// Runtime is what the algorithms run their parallel loops on: an
+	// ExecRuntime or a SimRuntime.
 	Runtime = par.Runtime
+	// ExecRuntime runs loops on real goroutines.
+	ExecRuntime = par.Exec
+	// SimRuntime runs loops serially while it accounts their cost on the
+	// simulated MTA-2.
+	SimRuntime = mta.Sim
 	// Machine is a simulated MTA-2 configuration.
 	Machine = mta.Machine
 	// Solver runs Thorup SSSP queries over a shared Hierarchy.
@@ -128,11 +134,11 @@ func ContractZeroEdges(n int, edges []Edge) (*Graph, []int32) {
 
 // NewExecRuntime returns a runtime that executes loops on up to workers
 // goroutines.
-func NewExecRuntime(workers int) *Runtime { return par.NewExec(workers) }
+func NewExecRuntime(workers int) *ExecRuntime { return par.NewExec(workers) }
 
 // NewSimRuntime returns a runtime that executes serially while modelling the
 // given machine; rt.SimCost().Span is the simulated makespan in cycles.
-func NewSimRuntime(m Machine) *Runtime { return par.NewSim(m) }
+func NewSimRuntime(m Machine) *SimRuntime { return mta.NewSim(m) }
 
 // MTA2 returns the cost model of a p-processor Cray MTA-2.
 func MTA2(p int) Machine { return mta.MTA2(p) }
@@ -144,18 +150,18 @@ func BuildHierarchy(g *Graph) *Hierarchy { return ch.BuildKruskal(g) }
 // BuildHierarchyParallel constructs the Component Hierarchy with the paper's
 // Algorithm 1: log C rounds of parallel connected components (MTGL-style
 // bully kernel) and contraction, on the given runtime.
-func BuildHierarchyParallel(rt *Runtime, g *Graph) *Hierarchy {
+func BuildHierarchyParallel(rt Runtime, g *Graph) *Hierarchy {
 	return ch.BuildNaive(rt, g, cc.Bully)
 }
 
 // ConnectedComponents labels the connected components of g (MTGL-style bully
 // kernel); it returns a dense labelling and the component count.
-func ConnectedComponents(rt *Runtime, g *Graph) ([]int32, int) {
+func ConnectedComponents(rt Runtime, g *Graph) ([]int32, int) {
 	return cc.Bully(rt, g, cc.All)
 }
 
 // NewSolver creates a Thorup SSSP solver over a shared hierarchy.
-func NewSolver(h *Hierarchy, rt *Runtime, opts ...SolverOption) *Solver {
+func NewSolver(h *Hierarchy, rt Runtime, opts ...SolverOption) *Solver {
 	return core.NewSolver(h, rt, opts...)
 }
 
@@ -167,14 +173,14 @@ func WithThresholds(t Thresholds) SolverOption { return core.WithThresholds(t) }
 
 // TuneThresholds derives selective-parallelization thresholds for a machine
 // by simulating the toVisit loop, as the paper did.
-func TuneThresholds(m Machine) Thresholds { return core.TuneThresholds(m) }
+func TuneThresholds(m Machine) Thresholds { return harness.TuneThresholds(m) }
 
 // SimultaneousCost simulates len(sources) Thorup SSSP queries sharing one
 // Component Hierarchy, co-scheduled on the machine (the paper's Figure 5
 // experiment). It returns the modelled makespan in cycles plus the per-query
 // distances.
 func SimultaneousCost(h *Hierarchy, m Machine, sources []int32, opts ...SolverOption) (int64, [][]int64) {
-	return core.SimultaneousCost(h, m, sources, opts...)
+	return harness.SimultaneousCost(h, m, sources, opts...)
 }
 
 // ThorupSerial runs the plain single-threaded Thorup solver (the paper's
@@ -192,7 +198,7 @@ func DijkstraTree(g *Graph, src int32) ([]int64, []int32) {
 // DeltaStepping computes SSSP with parallel delta-stepping (Meyer–Sanders),
 // the paper's comparison algorithm. Delta <= 0 selects the bucket width
 // measured from the graph's weights (about one arc per vertex below it).
-func DeltaStepping(rt *Runtime, g *Graph, src int32, delta int64) []int64 {
+func DeltaStepping(rt Runtime, g *Graph, src int32, delta int64) []int64 {
 	if delta <= 0 {
 		delta = deltastep.DefaultDelta(g)
 	}
@@ -200,7 +206,7 @@ func DeltaStepping(rt *Runtime, g *Graph, src int32, delta int64) []int64 {
 }
 
 // DeltaSteppingStats is DeltaStepping returning phase statistics.
-func DeltaSteppingStats(rt *Runtime, g *Graph, src int32, delta int64) ([]int64, DeltaStats) {
+func DeltaSteppingStats(rt Runtime, g *Graph, src int32, delta int64) ([]int64, DeltaStats) {
 	if delta <= 0 {
 		delta = deltastep.DefaultDelta(g)
 	}
@@ -239,7 +245,7 @@ func WriteDIMACS(w io.Writer, g *Graph, comment string) error {
 
 // BFSLevels computes breadth-first levels from src with the parallel
 // level-synchronous kernel (-1 for unreachable vertices).
-func BFSLevels(rt *Runtime, g *Graph, src int32) []int32 {
+func BFSLevels(rt Runtime, g *Graph, src int32) []int32 {
 	return bfs.Parallel(rt, g, src)
 }
 
@@ -252,7 +258,7 @@ func STDistance(g *Graph, s, t int32) int64 {
 // CertifyDistances verifies in linear time that dist is the exact
 // shortest-path labelling of g from the source set (feasibility + tightness +
 // exact zero set); it is as strong as re-running Dijkstra.
-func CertifyDistances(rt *Runtime, g *Graph, sources []int32, dist []int64) error {
+func CertifyDistances(rt Runtime, g *Graph, sources []int32, dist []int64) error {
 	return verify.Distances(rt, g, sources, dist)
 }
 
