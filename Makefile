@@ -194,7 +194,8 @@ bench-build:
 # beside swaps and /metrics scrapes), the request-lifetime tests likewise (a
 # deadline that stops a solve, a singleflight its last waiter cancels), the
 # packed result vector's tests likewise (inheritance and resumes beside hits,
-# widening), the values a generation derives on demand likewise (one build
+# widening, one engine's swaps, pooled states and counters across
+# generations), the values a generation derives on demand likewise (one build
 # for concurrent first callers, its report, writes that derive nothing), the
 # DIMACS readers five times at 1, 2 and 4 CPUs (the same arrays at every
 # worker count, and the allocation budget), the serving smoke slice, the
@@ -211,8 +212,7 @@ check:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -count=20 -run 'MemoryLimit' ./cmd/ssspd
 	$(GO) test -race -count=20 -run 'Cancel|Deadline' ./internal/engine ./cmd/ssspd
-	$(GO) test -race -count=20 -run 'Inherit|Resume|Wide|Vector' ./internal/engine
-	$(GO) test -race -count=20 -run 'Inherit|Resume|Repair|Carry|SLRU' ./internal/engine ./internal/stress
+	$(GO) test -race -count=20 -run 'Inherit|Resume|Wide|Vector|Repair|Carry|SLRU|SwapKeeps|PooledStates|EveryGraph' ./internal/engine ./internal/stress ./cmd/ssspd
 	$(GO) test -race -count=20 -run 'Hierarchy|STIndex|Derived|Mutate' ./internal/solver ./internal/catalog ./cmd/ssspd
 	$(GO) test -race -count=5 -cpu 1,2,4 -run 'ReadGraph|ReadSources' ./internal/dimacs
 	$(MAKE) bench-serve-smoke

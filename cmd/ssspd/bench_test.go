@@ -143,7 +143,7 @@ func TestWriteEngineBenchJSON(t *testing.T) {
 	g := gen.Random(1<<12, 1<<14, 1<<10, gen.UWD, 42)
 	in := solver.NewInstance(g, par.NewExec(2))
 	in.Hierarchy()
-	query := func(e *engine.Engine, src int32, name string) {
+	query := func(e *engine.Gen, src int32, name string) {
 		if _, _, err := e.Query(context.Background(), engine.Request{Sources: []int32{src}, Solver: name}); err != nil {
 			t.Fatal(err)
 		}

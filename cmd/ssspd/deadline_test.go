@@ -34,8 +34,8 @@ func newSlowSolver(interval time.Duration) *slowSolver {
 }
 
 func (s *slowSolver) register() solver.Solver {
-	return solver.Solver{Name: "slow", NewState: func(*solver.Instance) solver.State {
-		return solver.StateFunc(func(ctx context.Context, _ []int32) []int64 {
+	return solver.Solver{Name: "slow", NewState: func() solver.State {
+		return solver.StateFunc(func(ctx context.Context, _ *solver.Instance, _ []int32) []int64 {
 			s.runs.Add(1)
 			stop := context.AfterFunc(ctx, func() { s.cancelled <- struct{}{} })
 			defer stop()

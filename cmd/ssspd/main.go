@@ -71,6 +71,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"maps"
 	"net/http"
 	"net/http/pprof"
 	"net/url"
@@ -413,27 +414,41 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"tracing":        s.tracer.StatsSnapshot(),
 		"runtime":        obs.ReadRuntimeStats(),
 	}
-	// Engine and Thorup sections come from the default graph's current
-	// generation; while it is unavailable (draining, reloading after a
-	// failure) the catalog-level metrics above still serve.
-	if gen, release, err := s.cat.Acquire(s.defaultGraph); err == nil {
-		agg, runs := gen.Engine.ThorupTrace()
-		doc["generation"] = gen.Gen
-		doc["engine"] = gen.Engine.StatsSnapshot()
-		thorup := map[string]any{"queries": runs, "hops_per_relaxation": agg.HopsPerRelaxation()}
-		for k, v := range agg.AttrMap() {
-			thorup[k] = v
+	// The engine, thorup and deltastep sections of every ready graph, and
+	// the default graph's at the top level too; while it is unavailable
+	// (draining, reloading after a failure) the catalog-level metrics above
+	// still serve. A graph's engine counts across all its generations.
+	graphs := []map[string]any{}
+	for _, gen := range s.cat.Serving() {
+		sections := engineSections(gen)
+		if gen.Name == s.defaultGraph {
+			maps.Copy(doc, sections)
+			doc["generation"] = gen.Gen
 		}
-		doc["thorup"] = thorup
-		refills, scanned := gen.Engine.DeltaRing()
-		doc["deltastep"] = map[string]any{
+		sections["name"] = gen.Name
+		graphs = append(graphs, sections)
+	}
+	doc["per_graph"] = graphs
+	httpx.WriteJSON(w, http.StatusOK, doc)
+}
+
+// engineSections is what /metrics reports of gen's engine.
+func engineSections(gen *catalog.Generation) map[string]any {
+	agg, runs := gen.Engine.ThorupTrace()
+	thorup := map[string]any{"queries": runs, "hops_per_relaxation": agg.HopsPerRelaxation()}
+	for k, v := range agg.AttrMap() {
+		thorup[k] = v
+	}
+	refills, scanned := gen.Engine.DeltaRing()
+	return map[string]any{
+		"engine": gen.Engine.StatsSnapshot(),
+		"thorup": thorup,
+		"deltastep": map[string]any{
 			"delta":            gen.Engine.Delta(),
 			"refills":          refills,
 			"overflow_scanned": scanned,
-		}
-		release()
+		},
 	}
-	httpx.WriteJSON(w, http.StatusOK, doc)
 }
 
 // handleDebugTraces serves the retained request traces, newest first:

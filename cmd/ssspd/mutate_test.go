@@ -291,9 +291,71 @@ func TestAnswersSurviveMutation(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/metrics", &m); code != 200 {
 		t.Fatalf("/metrics: %d", code)
 	}
-	e := m.Engine
+	e := m.Engine // the graph's, counting since its first generation
 	if e["inherited_stale"].(float64) < 1 || e["inherited_exact"].(float64)+e["inherited_stale"].(float64) < 2 ||
-		e["resumed"].(float64) < 1 || e["resettled"].(float64) < 1 || e["solves"] != 0.0 {
+		e["resumed"].(float64) < 1 || e["resettled"].(float64) < 1 || e["solves"] != 2.0 { // both before the write
 		t.Fatalf("engine counters after the write: %v", e)
+	}
+}
+
+// /metrics sees every graph, and a graph's engine counts across its writes:
+// a second graph, queried and written to, has its own per_graph entry with
+// non-zero counters, and its cache_hits never fall across the write (the
+// write's child answers from the same cache). The default graph, never
+// queried here, counts nothing of it.
+func TestMetricsSeeEveryGraphAcrossWrites(t *testing.T) {
+	ts, _, _ := testServerOpts(t, 64, 30*time.Second)
+	if code := postJSON(t, ts.URL+"/graphs/load", `{"name":"g2","class":"rand","logn":8,"logc":8,"seed":3}`, &map[string]any{}); code != http.StatusOK {
+		t.Fatalf("load: %d", code)
+	}
+	ask := func(query string) {
+		t.Helper()
+		if code := getJSON(t, ts.URL+query+"&graph=g2", &map[string]any{}); code != 200 {
+			t.Fatalf("%s: %d", query, code)
+		}
+	}
+	type sections struct {
+		Name   string             `json:"name"`
+		Engine map[string]any     `json:"engine"`
+		Thorup map[string]float64 `json:"thorup"`
+	}
+	metrics := func() (def map[string]any, g2 sections) {
+		t.Helper()
+		var m struct {
+			Engine   map[string]any `json:"engine"`
+			PerGraph []sections     `json:"per_graph"`
+		}
+		if code := getJSON(t, ts.URL+"/metrics", &m); code != 200 {
+			t.Fatalf("/metrics: %d", code)
+		}
+		for _, s := range m.PerGraph {
+			if s.Name == "g2" {
+				return m.Engine, s
+			}
+		}
+		t.Fatalf("no per_graph entry for g2 in %+v", m.PerGraph)
+		return nil, g2
+	}
+	for _, q := range []string{"/sssp?src=1", "/sssp?src=1", "/sssp?src=2&solver=thorup"} {
+		ask(q)
+	}
+	def, before := metrics()
+	if before.Engine["solves"] != 2.0 || before.Engine["cache_hits"] != 1.0 || before.Thorup["queries"] != 1 || def["solves"] != 0.0 {
+		t.Fatalf("g2 engine %v, thorup %v; default engine %v", before.Engine, before.Thorup, def)
+	}
+
+	b := &mutate.Batch{Ops: []mutate.Op{{Op: mutate.OpInsert, U: 7, V: 7, W: 1}}} // changes no distance
+	if code := postJSON(t, ts.URL+"/graphs/g2/mutate", mutateBody(t, b), &map[string]any{}); code != 200 {
+		t.Fatalf("mutate: %d", code)
+	}
+	ask("/sssp?src=1")
+	_, after := metrics()
+	for _, k := range []string{"solves", "cache_hits", "inherited_exact"} {
+		if after.Engine[k].(float64) < before.Engine[k].(float64) {
+			t.Fatalf("%s fell across the write: %v, then %v", k, before.Engine[k], after.Engine[k])
+		}
+	}
+	if after.Engine["cache_hits"] != 2.0 || after.Engine["inherited_exact"] != 2.0 || after.Thorup["queries"] != 1 {
+		t.Fatalf("after the write: engine %v, thorup %v", after.Engine, after.Thorup)
 	}
 }

@@ -119,8 +119,8 @@ type Config struct {
 	// QueryWorkers sizes the one parallel runtime every generation of every
 	// graph runs its loops on (default 4).
 	QueryWorkers int
-	// Engine is the template engine configuration; Graph and Gen are
-	// overwritten per generation.
+	// Engine configures each graph's engine, which serves all its
+	// generations.
 	Engine engine.Config
 	// MMap serves snapshot sources zero-copy from mmap'd files when the
 	// platform allows it (mmap-less and big-endian hosts fall back to the
@@ -257,7 +257,7 @@ func (c *Catalog) entryLocked(name string) (*entry, bool) {
 // via snapshot.Map, pass its mapping (nil otherwise): the generation takes
 // ownership and unmaps it after its last query drains.
 func (c *Catalog) AddPrebuilt(name string, src Source, g *graph.Graph, h *ch.Hierarchy, m *snapshot.Mapping) (*Generation, error) {
-	gen := c.newGeneration(name, 1, g, h, m)
+	gen := c.newGeneration(name, 1, nil, g, h, m)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -370,13 +370,13 @@ func (c *Catalog) Reload(name string) (uint64, error) {
 
 // build is the rest of a Load or Reload, entered with the catalog lock held:
 // mark e pending, then — unlocked, on the caller's goroutine — load the
-// source, replay the delta log and make a fresh engine, and install the
-// result with the source's hierarchy if it carried one that still fits, else
-// without. A first load (e loading) ends ready or failed; a reload of a ready
-// entry swaps, or keeps the old generation serving when it fails.
+// source, replay the delta log and make a generation of the graph's engine (a
+// new one unless e serves), and install it with the source's hierarchy if it
+// carried one that still fits, else without, and an empty result cache. A first load (e loading) ends ready or failed; a reload of a
+// ready entry swaps, or keeps the old generation serving when it fails.
 func (c *Catalog) build(e *entry) (uint64, error) {
 	e.pending, e.err = true, nil // no other load, reload, mutation or unload until we finish
-	src, deltas, num := e.src, e.deltas, e.genSeq+1
+	src, deltas, num, serving := e.src, e.deltas, e.genSeq+1, e.gen
 	c.mu.Unlock()
 
 	start := time.Now()
@@ -406,7 +406,7 @@ func (c *Catalog) build(e *entry) (uint64, error) {
 		}
 	}
 	c.counters.C(cBuilds).Inc()
-	gen := c.newGeneration(e.name, num, g, h, m)
+	gen := c.newGeneration(e.name, num, serving, g, h, m)
 
 	c.mu.Lock()
 	if e.state != StateLoading && e.state != StateReady {
@@ -421,6 +421,7 @@ func (c *Catalog) build(e *entry) (uint64, error) {
 	if e.state == StateLoading {
 		e.setState(StateReady)
 	}
+	gen.Engine.Swap(nil)
 	old := c.installLocked(e, gen)
 	c.mu.Unlock()
 	if old != nil {
@@ -478,9 +479,10 @@ func (c *Catalog) Unload(name string) error {
 // retireLocked moves a ready entry to draining, and on to evicted at once when
 // no query holds the generation (always so for evictLocked's victims);
 // otherwise the first locked read after the last release takes that edge
-// (settle).
+// (settle). Its engine's cached answers go at once.
 func (c *Catalog) retireLocked(e *entry) {
 	e.setState(StateDraining)
+	e.gen.Engine.Drop()
 	e.gen.retire()
 	e.settle()
 }
@@ -634,6 +636,22 @@ func (c *Catalog) Status() []GraphStatus {
 			gs.Error = e.err.Error()
 		}
 		out = append(out, gs)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
+
+// Serving lists the serving generation of every ready graph, sorted by name,
+// without acquiring any: for reading what their engines count, not for
+// queries.
+func (c *Catalog) Serving() []*Generation {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []*Generation
+	for _, e := range c.entries {
+		if e.settle(); e.state == StateReady {
+			out = append(out, e.gen)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out

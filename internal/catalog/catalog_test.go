@@ -215,26 +215,24 @@ func TestDrainStartsCollection(t *testing.T) {
 }
 
 // A generation nothing refers to any more is garbage in the very next
-// collection, result cache and all — although the solver states its engine
-// pooled outlive it by up to two (sync.Pool keeps them as victims), and those
-// hold the solver instance: the instance's build hook must not lead back to the
-// generation. (It once did: churn's peak RSS rose by a quarter.) Nor must the
-// child a mutation made of it: the answers the child inherited, exact ones and
-// a stale one nothing has resolved yet, are the parent's vectors and nothing
-// else of it.
+// collection, although the engine and its pooled solver states live on with
+// the child a mutation made of it: a pooled state holds no instance, the
+// instance's build hook must not lead back to the generation (it once did:
+// churn's peak RSS rose by a quarter), and the answers the child inherited,
+// exact ones and a stale one nothing has resolved yet, are the parent's
+// vectors and nothing else of it. Its graph goes once no pooled Thorup state
+// holds the hierarchy over it.
 func TestGenerationIsGarbageInOneCollection(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // no cycle but the one below
 	c := testCatalog(t, Config{Engine: engine.Config{CacheEntries: 16}})
-	collected, engineCollected := make(chan struct{}), make(chan struct{})
+	collected, graphCollected := make(chan struct{}), make(chan struct{})
 	child := func() *Generation {
 		g, _, _ := lazyLoader(4)()
-		gn := c.newGeneration("g", 1, g, nil, nil)
+		gn := c.newGeneration("g", 1, nil, g, nil, nil)
 		checkDistances(t, gn, g) // default queries: delta-stepping states go to the pool
 		demandOn(t, gn)          // and a Thorup one, over a hierarchy built on demand
 		runtime.SetFinalizer(gn, func(*Generation) { close(collected) })
-		// The engine is on a cycle with its cached results, and a finalizer there
-		// never runs; the graph under it is not, and goes when the engine has.
-		runtime.SetFinalizer(g, func(*graph.Graph) { close(engineCollected) })
+		runtime.SetFinalizer(g, func(*graph.Graph) { close(graphCollected) })
 
 		// An arc from 0 to the vertex furthest from it, one shorter than the
 		// path there: 0's answer goes stale, and hardly another.
@@ -249,8 +247,8 @@ func TestGenerationIsGarbageInOneCollection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		child := c.newGeneration("g", 2, g2, nil, nil)
-		if exact, stale, _ := child.Engine.Inherit(gn.Engine, mutate.Changes(g, g2, b)); exact == 0 || stale == 0 {
+		child := c.newGeneration("g", 2, gn, g2, nil, nil)
+		if exact, stale, _ := child.Engine.Swap(child.Engine.Inherit(mutate.Changes(g, g2, b))); exact == 0 || stale == 0 {
 			t.Fatalf("the child inherited %d exact and %d stale answers, want some of each", exact, stale)
 		}
 		return child
@@ -261,12 +259,12 @@ func TestGenerationIsGarbageInOneCollection(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("an unreferenced generation survived a collection: something its pooled solver states reach holds it")
 	}
-	runtime.GC() // the pooled states, which hold the instance and its graph,
-	runtime.GC() // are pool victims for one cycle more
+	runtime.GC() // the pooled Thorup state holds the hierarchy it last ran on,
+	runtime.GC() // and that its graph, until a pool victim for one cycle more
 	select {
-	case <-engineCollected:
+	case <-graphCollected:
 	case <-time.After(10 * time.Second):
-		t.Fatal("the parent's engine outlives its pooled states: an answer its child inherited holds more than the vector")
+		t.Fatal("the parent's graph survived a collection: a pooled state, or an answer the child inherited, holds more than the vector")
 	}
 	checkDistances(t, child, child.G) // resolving the stale answer needs nothing of the parent
 	if child.Engine.Counter("resumed") == 0 {
@@ -541,4 +539,79 @@ func TestStatsSnapshotShape(t *testing.T) {
 	if st["ready"].(int) != 1 || st["ready_bytes"].(int64) <= 0 {
 		t.Fatalf("stats %+v", st)
 	}
+}
+
+// A graph's cached answers live and die with its service. A reload starts with
+// an empty cache while the graph's engine keeps counting; an unload drops the
+// cache at once, though a query still holds the last generation, and so does
+// an eviction: neither AccountedBytes nor Status counts a vector of the graph.
+func TestGraphCacheLivesAndDiesWithItsService(t *testing.T) {
+	probe := gen.Random(400, 1600, 1<<10, gen.UWD, 1)
+	one := probe.MemoryBytes() + ch.BuildKruskal(probe).ComputeStats().CHBytes
+	c := testCatalog(t, Config{MemoryBudget: 2*one + one/2, Engine: engine.Config{CacheEntries: 16}})
+	serve := func(name string, seed uint64) *Generation {
+		t.Helper()
+		if _, err := c.Load(name, Source{Loader: loaderFor(seed)}); err != nil {
+			t.Fatal(err)
+		}
+		gn, release, err := c.Acquire(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer release()
+		checkDistances(t, gn, gn.G)
+		if row(t, c, name).CacheBytes == 0 {
+			t.Fatalf("%s: nothing cached after three solves", name)
+		}
+		return gn
+	}
+	// accounted is what AccountedBytes must be: the heap of every generation
+	// held, and the cache of the serving graphs alone.
+	accounted := func(held ...*Generation) {
+		t.Helper()
+		var want int64
+		for _, gn := range held {
+			want += gn.HeapBytes()
+		}
+		for _, gn := range c.Serving() {
+			want += gn.Engine.CacheBytes()
+		}
+		if got := c.AccountedBytes(); got != want {
+			t.Fatalf("AccountedBytes %d, want %d", got, want)
+		}
+	}
+
+	a1 := serve("a", 1)
+	solves := a1.Engine.Counter("solves")
+	if _, err := c.Reload("a"); err != nil {
+		t.Fatal(err)
+	}
+	a2, release, err := c.Acquire("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row(t, c, "a").CacheBytes != 0 || a2.Engine.CacheBytes() != 0 || a2.Engine.Counter("solves") != solves {
+		t.Fatalf("after a reload: %d bytes cached, %d solves (%d before)", row(t, c, "a").CacheBytes, a2.Engine.Counter("solves"), solves)
+	}
+	checkDistances(t, a2, a2.G)
+	if a2.Engine.Counter("solves") != solves+3 {
+		t.Fatalf("%d solves after three on the reloaded graph, %d before", a2.Engine.Counter("solves"), solves)
+	}
+
+	b := serve("b", 2)
+	if err := c.Unload("a"); err != nil { // a2 is still held
+		t.Fatal(err)
+	}
+	if st := row(t, c, "a"); st.State != "draining" || st.CacheBytes != 0 || a2.Engine.CacheBytes() != 0 {
+		t.Fatalf("unloaded while held: %+v, engine holds %d bytes", st, a2.Engine.CacheBytes())
+	}
+	accounted(a2, b)
+	release()
+
+	serve("c", 3)
+	serve("d", 4) // evicts b, the least recently used
+	if st := row(t, c, "b"); st.State != "evicted" || st.CacheBytes != 0 || b.Engine.CacheBytes() != 0 {
+		t.Fatalf("evicted: %+v, engine holds %d bytes", st, b.Engine.CacheBytes())
+	}
+	accounted(c.Serving()...)
 }

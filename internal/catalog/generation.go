@@ -74,21 +74,24 @@ var validNext = map[State]map[State]bool{
 	StateFailed:   {StateLoading: true},
 }
 
-// Generation is one immutable (graph, engine) pair installed under a name,
-// with the Component Hierarchy its source carried or a query has built, if any.
-// Queries acquire a generation, run against it, and release it; a swap
-// retires the old generation, which stays fully usable until its last
-// in-flight query releases, then reports itself drained. Nothing is ever
-// mutated in place — a reload installs a new Generation.
+// Generation is one immutable graph installed under a name, with the
+// Component Hierarchy its source carried or a query has built, if any, and
+// its generation of the name's engine. Queries acquire a generation, run
+// against it, and release it; a swap retires the old generation, which stays
+// fully usable until its last in-flight query releases, then reports itself
+// drained. No graph is ever mutated in place — a write or reload installs a
+// new Generation; the engine, its counters, pooled solver states and result
+// cache, is the name's and outlives the swap.
 type Generation struct {
 	// Name is the catalog name this generation serves.
 	Name string
 	// Gen is the monotonically increasing generation number within the name.
 	Gen uint64
-	// G is the graph; Engine is its private query plane (its cache keys carry
-	// Name@Gen, so results can never alias across generations).
+	// G is the graph. Engine runs queries on this generation (Query, Batch);
+	// what it counts, pools and caches is the engine's, shared by every
+	// generation of the name, and its cache answers for the serving one only.
 	G      *graph.Graph
-	Engine *engine.Engine
+	Engine *engine.Gen
 	// MappedBytes is the size of the mmap'd snapshot backing the instance:
 	// its own, or the one a weight-only child pins through its parent (zero
 	// for copy-loaded generations). Mapped pages are reclaimable page cache,
@@ -128,23 +131,25 @@ type Generation struct {
 }
 
 // newGeneration wraps g, the hierarchy that came with it (nil: none, and none
-// is built until a query demands it) and a fresh engine over them. What the
-// instance builds on demand reports to builtOnDemand.
-func (c *Catalog) newGeneration(name string, gen uint64, g *graph.Graph, h *ch.Hierarchy, m *snapshot.Mapping) *Generation {
-	ecfg := c.cfg.Engine
-	ecfg.Graph, ecfg.Gen = name, gen // cache and singleflight keys: no result crosses generations
+// is built until a query demands it) and a generation over them of from's
+// engine, which serves it from its Swap (from nil: of a new engine, which
+// serves it). What the instance builds on demand reports to builtOnDemand.
+func (c *Catalog) newGeneration(name string, gen uint64, from *Generation, g *graph.Graph, h *ch.Hierarchy, m *snapshot.Mapping) *Generation {
 	in := solver.NewInstanceWithHierarchy(g, c.rt, h)
 	gn := &Generation{
 		Name:    name,
 		Gen:     gen,
 		G:       g,
-		Engine:  engine.New(in, ecfg),
 		mapping: m,
 		in:      in,
 		drained: make(chan struct{}),
 	}
-	// Pooled solver states outlive a drained generation by up to two GC cycles
-	// (sync.Pool), and they hold in: the hook must not hold gn and its cache.
+	if from == nil {
+		gn.Engine = engine.New(in, c.cfg.Engine)
+	} else {
+		gn.Engine = from.Engine.Next(in)
+	}
+	// The hook must not hold gn: a drained generation is garbage at once.
 	in.OnDerived = func(kind string, bytes int64, ms float64) { c.builtOnDemand(name, gen, kind, bytes, ms) }
 	if m != nil {
 		gn.MappedBytes = m.Bytes()
@@ -182,8 +187,7 @@ func (g *Generation) Mapped() bool { return g.mapping != nil }
 
 // finishDrain runs the end-of-life sequence exactly once: unmap the backing
 // file (no query can hold the arrays anymore — the last reference is gone
-// and the generation is retired), empty the engine's state pools, then
-// announce drained.
+// and the generation is retired), then announce drained.
 func (g *Generation) finishDrain() {
 	g.drainedOnce.Do(func() {
 		if g.mapping != nil {
@@ -192,14 +196,13 @@ func (g *Generation) finishDrain() {
 		if g.parent != nil {
 			g.parent.release()
 		}
-		g.Engine.Release() // or its pooled states outlive it by up to two collections
 		close(g.drained)
-		// A drained generation takes its engine with it (and often a CSR and
-		// hierarchy copy) — the cached vectors a mutation's child did not
-		// inherit, the pooled solver states: commonly most of the live heap —
-		// but the pacer keeps its goal at twice the live heap of the previous
-		// cycle, so without a collection here the heap may grow as if the
-		// dead generation were still in use. Concurrent callers of runtime.GC
+		// A drained generation takes its CSR and hierarchy with it, and the
+		// last one of a name its engine — the cached vectors, the pooled
+		// solver states: commonly most of the live heap — but the pacer
+		// keeps its goal at twice the live heap of the previous cycle, so
+		// without a collection here the heap may grow as if the dead
+		// generation were still in use. Concurrent callers of runtime.GC
 		// share a cycle, so a burst of drains costs one or two. DESIGN.md §9
 		// has the measurements.
 		go runtime.GC()

@@ -21,7 +21,7 @@ type MutateResult struct {
 
 // Mutate applies a validated mutation batch to a ready graph and installs the
 // result as a new generation, synchronously and whatever the batch's width: a
-// copy-on-write CSR overlay, its result cache seeded from the parent's. A
+// copy-on-write CSR overlay, the graph's result cache advanced to it. A
 // write derives nothing: the child has no hierarchy and no s-t index, whatever
 // its parent held or built, and its first query that needs one builds it
 // (solver.Instance).
@@ -71,11 +71,12 @@ func (c *Catalog) Mutate(name string, b *mutate.Batch) (MutateResult, error) {
 	c.counters.C(cMutations).Inc() // accepted batches only; a rejected delta changes nothing
 	res.Touched, res.Aliased = len(b.Touched()), aliased
 
-	// No warming — the parent's arrays are hot, and every answer its cache
+	// No warming — the parent's arrays are hot, and every answer the cache
 	// holds comes along, exact or owing what the batch changed
-	// (engine.Inherit). A reload starts with an empty result cache instead.
-	gen := c.newGeneration(name, res.Gen, g, nil, nil)
-	exact, pending, unread := gen.Engine.Inherit(parent.Engine, mutate.Changes(parent.G, g, b))
+	// (engine.Gen.Inherit), in place at the swap. A reload starts with an
+	// empty result cache instead.
+	gen := c.newGeneration(name, res.Gen, parent, g, nil, nil)
+	inh := gen.Engine.Inherit(mutate.Changes(parent.G, g, b))
 	gen.ParentGen = parent.Gen
 	gen.DeltaSize = len(b.Ops)
 	// When the overlay shares offset/target arrays with a parent whose
@@ -94,6 +95,7 @@ func (c *Catalog) Mutate(name string, b *mutate.Batch) (MutateResult, error) {
 
 	c.mu.Lock()
 	e.deltas = append(e.deltas, b)
+	exact, pending, unread := gen.Engine.Swap(inh)
 	old := c.installLocked(e, gen)
 	c.mu.Unlock()
 	old.retire() // old == parent: our pin keeps it readable until released

@@ -27,9 +27,9 @@ type BatchResult struct {
 // not yet answered fails with ctx.Err(): those not yet picked up at once, and
 // those solving when their execution stops (see Query). Every item is always
 // accounted for — the call never blocks on a cancelled remainder.
-func (e *Engine) Batch(ctx context.Context, queries []Request) []BatchResult {
-	e.counters.C(cBatchRequests).Inc()
-	e.counters.C(cBatchItems).Add(int64(len(queries)))
+func (g *Gen) Batch(ctx context.Context, queries []Request) []BatchResult {
+	g.counters.C(cBatchRequests).Inc()
+	g.counters.C(cBatchItems).Add(int64(len(queries)))
 	out := make([]BatchResult, len(queries))
 	// When the batch request is traced, each item records an "item" span
 	// under the batch's current span, so the parent trace ID reaches every
@@ -37,7 +37,7 @@ func (e *Engine) Batch(ctx context.Context, queries []Request) []BatchResult {
 	parent := trace.SpanFromContext(ctx)
 	var next atomic.Int64 // the next item a worker takes
 	var wg sync.WaitGroup
-	for range min(e.cfg.BatchWorkers, len(queries)) {
+	for range min(g.cfg.BatchWorkers, len(queries)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -49,7 +49,7 @@ func (e *Engine) Batch(ctx context.Context, queries []Request) []BatchResult {
 					isp.SetAttr("index", i)
 					ictx = trace.WithSpan(ctx, isp)
 				}
-				res, via, err := e.Query(ictx, queries[i])
+				res, via, err := g.Query(ictx, queries[i])
 				isp.End()
 				out[i] = BatchResult{Res: res, Via: via, Err: err}
 			}

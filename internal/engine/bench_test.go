@@ -71,8 +71,7 @@ func BenchmarkEngineCacheMiss(b *testing.B) {
 // resolve settles again.
 func BenchmarkResume(b *testing.B) {
 	g1 := benchInstance(b).G
-	e1 := engineOn(g1, 1, Config{CacheEntries: 4})
-	old, _, err := e1.Query(context.Background(), Request{Sources: []int32{0}})
+	old, _, err := engineOn(g1, Config{CacheEntries: 4}).Query(context.Background(), Request{Sources: []int32{0}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -102,16 +101,20 @@ func BenchmarkResume(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			e2 := engineOn(g2, 2, Config{CacheEntries: 4})
-			e2.SetRepairBudget(g2.NumVertices())
-			if _, pending, _ := e2.Inherit(e1, mutate.Changes(g1, g2, batch)); pending != 1 {
-				b.Fatalf("%d pending entries, want 1", pending)
+			e1 := engineOn(g1, Config{CacheEntries: 4})
+			if _, _, err := e1.Query(context.Background(), Request{Sources: []int32{0}}); err != nil {
+				b.Fatal(err)
 			}
-			owed := e2.cache.index[e2.keyPrefix+old.key[len(e1.keyPrefix):]].Value.(*cacheEntry).res.pending.changes
+			e2, _, stale, _ := inherit(e1, g2, mutate.Changes(g1, g2, batch))
+			if stale != 1 {
+				b.Fatalf("%d pending entries, want 1", stale)
+			}
+			e2.SetRepairBudget(g2.NumVertices())
+			owed := e2.cache.index[old.key].Value.(*cacheEntry).res.pending.changes
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r := &Result{vec: old.vec, e: e2, pending: &pending{changes: owed}}
+				r := &Result{vec: old.vec, g: e2, pending: &pending{changes: owed}}
 				if !r.resolve(nil) {
 					b.Fatal("the repair outgrew its budget")
 				}

@@ -3,6 +3,7 @@ package engine
 import (
 	"container/list"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/obs"
 )
@@ -14,7 +15,11 @@ import (
 // back to probation's recent end when it overflows. Eviction takes
 // probation's least recent entry first and protected's only once probation is
 // empty, so a source read twice outlives any number of sources read once.
-// Segment membership crosses a mutation with the entry (Engine.Inherit).
+//
+// Its entries answer for one generation of the graph, gen: only a query on
+// gen reads or fills the cache. A write advances it in place (Gen.Inherit,
+// Gen.Swap): each entry takes its Result on the next generation in its own
+// slot, so segment membership and recency cross with it.
 //
 // It enforces two budgets: a maximum entry count and a maximum byte total
 // (each entry charged its distance vector, key, lazily-materialized JSON form,
@@ -22,6 +27,7 @@ import (
 // maxEntries == 0 disables the cache entirely.
 type slru struct {
 	mu         sync.Mutex
+	gen        atomic.Pointer[Gen] // written under mu
 	maxEntries int
 	maxBytes   int64
 	bytes      int64
@@ -35,12 +41,12 @@ type slru struct {
 const protectedShare = 4
 
 type cacheEntry struct {
-	key       string
-	res       *Result
+	res       *Result // its key is the entry's
 	bytes     int64
 	protected bool
-	// read: a query was answered with this entry, or solved it, while this
-	// cache served. Inherit carries every entry and counts those without.
+	// read: a query was answered with this entry, or solved it, on the
+	// generation the cache serves. Swap carries every entry and counts those
+	// without.
 	read bool
 }
 
@@ -60,8 +66,8 @@ func newSLRU(maxEntries int, maxBytes int64, evictions *obs.Counter) *slru {
 // pending inherited entry owes, the key, and bookkeeping. A pending entry is
 // charged the vector it shares with an earlier generation's cache: resolving
 // it swaps that and its list for a copy of the vector.
-func entryBytes(key string, res *Result) int64 {
-	return res.heldBytes() + int64(len(key)) + 64
+func entryBytes(res *Result) int64 {
+	return res.heldBytes() + int64(len(res.key)) + 64
 }
 
 func (c *slru) segment(ent *cacheEntry) *list.List {
@@ -71,16 +77,14 @@ func (c *slru) segment(ent *cacheEntry) *list.List {
 	return c.probation
 }
 
-// get returns the cached result, marks it read and moves it to the front of
-// the protected segment.
-func (c *slru) get(key string) (*Result, bool) {
-	if c.maxEntries == 0 {
-		return nil, false
-	}
+// get returns the result cached for key on g, marks it read and moves it to
+// the front of the protected segment. On any generation but the one the cache
+// serves it is a miss.
+func (c *slru) get(g *Gen, key string) (*Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.index[key]
-	if !ok {
+	if !ok || c.gen.Load() != g {
 		return nil, false
 	}
 	ent := el.Value.(*cacheEntry)
@@ -97,57 +101,93 @@ func (c *slru) get(key string) (*Result, bool) {
 }
 
 // add inserts (or refreshes) a result a query solved, on probation, and
-// evicts until both budgets hold. An entry larger than the whole byte budget
-// is evicted immediately, leaving the cache empty rather than over budget.
-func (c *slru) add(key string, res *Result) { c.insert(key, res, false, true) }
-
-// insert is add for any entry: Engine.Inherit carries one over unread, in
-// the segment it held.
-func (c *slru) insert(key string, res *Result, protected, read bool) {
+// evicts until both budgets hold; a result solved on any generation but the
+// one the cache serves is not cached. An entry larger than the whole byte
+// budget is evicted immediately, leaving the cache empty rather than over
+// budget.
+func (c *slru) add(res *Result) {
 	if c.maxEntries == 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.index[key]; ok {
+	if c.gen.Load() != res.g {
+		return
+	}
+	if el, ok := c.index[res.key]; ok {
 		// A dedup race can complete two solves for one key (leader finished,
 		// cache evicted, second solve started). Keep the newer result.
 		c.removeLocked(el, false)
 	}
-	ent := &cacheEntry{key: key, res: res, bytes: entryBytes(key, res), protected: protected, read: read}
-	c.index[key] = c.segment(ent).PushFront(ent)
+	ent := &cacheEntry{res: res, bytes: entryBytes(res), read: true}
+	c.index[res.key] = c.probation.PushFront(ent)
 	c.bytes += ent.bytes
 	c.demoteLocked()
 	c.evictLocked()
 }
 
-// carried is one entry as Engine.Inherit finds it.
-type carried struct {
-	res             *Result
-	protected, read bool
+// heir is one entry as Gen.Inherit lists it — its slot and the Result it
+// held — and that Result's successor on the next generation (nil: dropped).
+type heir struct {
+	ent       *cacheEntry
+	old, next *Result
 }
 
-// entries returns every entry, each segment least recently used first, so
-// that inserting them in order rebuilds both recency orders.
-func (c *slru) entries() []carried {
+// heirs lists every entry, and the generation they answer for.
+func (c *slru) heirs() (*Gen, []heir) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]carried, 0, len(c.index))
-	for _, l := range []*list.List{c.probation, c.protected} {
-		for el := l.Back(); el != nil; el = el.Prev() {
-			ent := el.Value.(*cacheEntry)
-			out = append(out, carried{ent.res, ent.protected, ent.read})
+	out := make([]heir, 0, len(c.index))
+	for _, el := range c.index {
+		ent := el.Value.(*cacheEntry)
+		out = append(out, heir{ent: ent, old: ent.res})
+	}
+	return c.gen.Load(), out
+}
+
+// advance makes to the generation the cache serves. If it served from, each
+// entry that still holds the Result heirs listed takes its successor in
+// place, unread; every other entry goes, uncounted: one Inherit dropped, one
+// cached after it listed them, or, with no heirs, all. It returns how many
+// entries crossed exact and pending, and how many of them no query had read.
+func (c *slru) advance(from, to *Gen, heirs []heir) (exact, pending, unread int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, h := range heirs {
+		if c.gen.Load() == from && h.next != nil && h.ent.res == h.old {
+			h.ent.res = h.next
 		}
 	}
-	return out
+	var after *list.Element
+	for _, l := range []*list.List{c.probation, c.protected} {
+		for el := l.Front(); el != nil; el = after {
+			after = el.Next()
+			ent := el.Value.(*cacheEntry)
+			if ent.res.g != to {
+				c.removeLocked(el, false)
+				continue
+			}
+			if ent.res.pending == nil {
+				exact++
+			} else {
+				pending++
+			}
+			if !ent.read {
+				unread++
+			}
+			b := entryBytes(ent.res)
+			c.bytes += b - ent.bytes
+			ent.bytes, ent.read = b, false
+		}
+	}
+	c.gen.Store(to)
+	c.evictLocked()
+	return exact, pending, unread
 }
 
 // remove drops res if it is still the entry for its key (a resolve that
 // outgrew its budget: the query solves instead).
 func (c *slru) remove(res *Result) {
-	if c.maxEntries == 0 {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.index[res.key]; ok && el.Value.(*cacheEntry).res == res {
@@ -159,7 +199,7 @@ func (c *slru) remove(res *Result) {
 // re-evicts. The grown entry itself is only evicted if it exceeds the whole
 // budget on its own. No-op for results no longer (or never) cached.
 func (c *slru) grow(res *Result, delta int64) {
-	if c.maxEntries == 0 || delta == 0 {
+	if delta == 0 {
 		return
 	}
 	c.mu.Lock()
@@ -183,7 +223,7 @@ func (c *slru) demoteLocked() {
 		ent := el.Value.(*cacheEntry)
 		c.protected.Remove(el)
 		ent.protected = false
-		c.index[ent.key] = c.probation.PushFront(ent)
+		c.index[ent.res.key] = c.probation.PushFront(ent)
 	}
 }
 
@@ -204,7 +244,7 @@ func (c *slru) len() int { return c.probation.Len() + c.protected.Len() }
 func (c *slru) removeLocked(el *list.Element, counted bool) {
 	ent := el.Value.(*cacheEntry)
 	c.segment(ent).Remove(el)
-	delete(c.index, ent.key)
+	delete(c.index, ent.res.key)
 	c.bytes -= ent.bytes
 	if counted && c.evictions != nil {
 		c.evictions.Inc()
@@ -213,9 +253,6 @@ func (c *slru) removeLocked(el *list.Element, counted bool) {
 
 // size returns the current entry count and byte total.
 func (c *slru) size() (entries int, bytes int64) {
-	if c.maxEntries == 0 {
-		return 0, 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.len(), c.bytes

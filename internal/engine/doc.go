@@ -19,9 +19,11 @@
 //     query (BFS on unit weights, delta-stepping vs Thorup by instance
 //     shape), overridable per request.
 //
+// One engine serves every generation of a graph (Gen): a write swaps the
+// instance the queries run on, and the counters, pools and cache carry on.
 // Results are immutable and shared between the cache and all callers — and,
-// after a mutation, between a generation's cache and its parent's
-// (Engine.Inherit): the vector is read through Result.At and Result.Len only.
+// after a mutation, between an entry and the answer it replaced
+// (Gen.Inherit): the vector is read through Result.At and Result.Len only.
 //
 // See DESIGN.md §8 ("Query engine") for how this package fits the system.
 package engine

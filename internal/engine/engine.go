@@ -38,34 +38,18 @@ type Config struct {
 	// Solvers overrides the solver pool (default solver.All()). Tests and
 	// harnesses may append instrumented or fault-injected variants.
 	Solvers []solver.Solver
-	// Graph is the name this instance is served under (the catalog's graph
-	// name) and Gen which generation of it this is (set by the catalog, not a
-	// user option). Their only use is the prefix "Graph@Gen|" of every cache
-	// and singleflight key, so results can never alias across instances even
-	// if engines were ever to share storage.
-	Graph string
-	Gen   uint64
 }
 
-// Engine executes SSSP queries against one shared solver.Instance with
-// pooling, deduplication, caching, and batching. Safe for concurrent use.
+// Engine executes SSSP queries on every generation of one graph with
+// pooling, deduplication, caching, and batching: its counters, pools of
+// (graph-free) solver states and result cache outlive a swap. Safe for
+// concurrent use.
 type Engine struct {
-	in        *solver.Instance
-	cfg       Config
-	keyPrefix string // "Graph@Gen|"
-	solvers   []solver.Solver
-	exec      map[string]*pooled // per solver: its state pool and run count
-
-	cache  *slru
-	flight flightGroup
-
-	// Targeted requests (Query): the point-to-point entry, and the vertices
-	// one request's searches may settle between them.
-	p2p          solver.PointToPoint
-	targetBudget int
-	// The vertices the repair of a pending inherited answer may settle
-	// before its hit becomes a full solve (see Inherit).
-	repairBudget int
+	cfg     Config
+	solvers []solver.Solver
+	exec    map[string]*pooled // per solver: its state pool and run count
+	cache   *slru
+	p2p     solver.PointToPoint // what answers a targeted request (Query)
 
 	counters *obs.Group
 
@@ -74,6 +58,19 @@ type Engine struct {
 
 	// Bucket-ring activity summed over the delta-stepping runs.
 	deltaRefills, deltaOverflowScanned obs.Counter
+}
+
+// Gen is one generation of an engine's graph: the instance Query and Batch
+// on it run on, whatever the engine has swapped to since, and the executions
+// in flight there. Only a query on the generation the engine serves reads or
+// fills the cache.
+type Gen struct {
+	*Engine
+	in     *solver.Instance
+	flight flightGroup
+	// The settles one targeted request's searches may spend between them, and
+	// the repair of a pending inherited answer before its hit solves instead.
+	targetBudget, repairBudget int
 }
 
 // pooled is how the engine executes one solver: a pool of the states its
@@ -90,10 +87,7 @@ const targetBudgetShare = 32
 // tracer is what a pooled state that keeps core.Trace phase counters (a
 // Thorup query) has beyond solver.State; the engine asks by type assertion,
 // so execution names no solver (DESIGN.md §5, decision 12).
-type tracer interface {
-	EnableTrace() *core.Trace
-	Trace() *core.Trace
-}
+type tracer interface{ Trace() *core.Trace }
 
 // bucketed is what a pooled delta-stepping state has beyond solver.State: the
 // phase statistics of its last run.
@@ -121,9 +115,10 @@ const (
 	cCancelled            = "cancelled"
 )
 
-// New creates an engine over the instance. The hierarchy is built on first
-// use if a Thorup query runs (or was already built by the caller).
-func New(in *solver.Instance, cfg Config) *Engine {
+// New creates an engine and returns its first generation, over in, which it
+// serves. The hierarchy is built on first use if a Thorup query runs (or was
+// already built).
+func New(in *solver.Instance, cfg Config) *Gen {
 	if cfg.BatchWorkers <= 0 {
 		cfg.BatchWorkers = 4
 	}
@@ -132,35 +127,57 @@ func New(in *solver.Instance, cfg Config) *Engine {
 		solvers = solver.All()
 	}
 	e := &Engine{
-		in:        in,
-		cfg:       cfg,
-		keyPrefix: cfg.Graph + "@" + strconv.FormatUint(cfg.Gen, 10) + "|",
-		solvers:   solvers,
-		exec:      make(map[string]*pooled, len(solvers)),
+		cfg:     cfg,
+		solvers: solvers,
+		exec:    make(map[string]*pooled, len(solvers)),
+		p2p:     solver.PointToPoints()[0],
 		counters: obs.NewGroup(cSolves, cDedupHits, cCacheHits, cCacheMisses,
 			cCacheEvictions, cBatchRequests, cBatchItems, cFullJSONBuilt, cFullBytesFromCache,
 			cTargetedBailouts, cInheritedExact, cInheritedStale, cInheritedUnread, cResumed, cRepaired,
 			cRepairBudgetExceeded, cResettled, cCancelled),
-		p2p:          solver.PointToPoints()[0],
-		targetBudget: in.G.NumVertices() / targetBudgetShare,
-		repairBudget: max(in.G.NumVertices()/repairBudgetShare, minRepairBudget),
 	}
-	e.exec[e.p2p.Name] = &pooled{states: sync.Pool{New: func() any { return e.p2p.NewState(in) }}}
+	e.exec[e.p2p.Name] = &pooled{states: sync.Pool{New: func() any { return e.p2p.NewState() }}}
 	for _, s := range solvers {
-		p := &pooled{}
-		p.states.New = func() any {
-			st := s.NewState(in)
-			if t, ok := st.(tracer); ok {
-				t.EnableTrace()
-			}
-			return st
-		}
-		e.exec[s.Name] = p
+		e.exec[s.Name] = &pooled{states: sync.Pool{New: func() any { return s.NewState() }}}
 	}
 	e.cache = newSLRU(cfg.CacheEntries, cfg.CacheBytes, e.counters.C(cCacheEvictions))
-	e.flight.calls = make(map[string]*flightCall)
-	return e
+	g := e.Next(in)
+	g.Swap(nil)
+	return g
 }
+
+// Next makes a generation of the graph over in, a reload's or a write's; it
+// serves from its Swap.
+func (e *Engine) Next(in *solver.Instance) *Gen {
+	n := in.G.NumVertices()
+	return &Gen{
+		Engine:       e,
+		in:           in,
+		flight:       flightGroup{calls: make(map[string]*flightCall)},
+		targetBudget: n / targetBudgetShare,
+		repairBudget: max(n/repairBudgetShare, minRepairBudget),
+	}
+}
+
+// Swap makes g the generation the engine serves. With inh, g's Inherit,
+// every answer the cache holds crosses in its slot; without (a reload), the
+// cache empties. It returns how many answers crossed exact and pending, and
+// how many of them no query had read.
+func (g *Gen) Swap(inh *Inheritance) (exact, pending, unread int) {
+	if inh == nil {
+		inh = &Inheritance{}
+	}
+	exact, pending, unread = g.cache.advance(inh.from, g, inh.heirs)
+	g.counters.C(cInheritedExact).Add(int64(exact))
+	g.counters.C(cInheritedStale).Add(int64(pending))
+	g.counters.C(cInheritedUnread).Add(int64(unread))
+	g.counters.C(cRepairBudgetExceeded).Add(int64(inh.over))
+	return exact, pending, unread
+}
+
+// Drop empties the cache and serves no generation: the graph is out of
+// service, and a query still in flight on it caches nothing.
+func (e *Engine) Drop() { e.cache.advance(nil, nil, nil) }
 
 func (e *Engine) byName(name string) (solver.Solver, bool) {
 	for _, s := range e.solvers {
@@ -224,31 +241,31 @@ func (v Via) String() string {
 // "solve" (this caller was the singleflight
 // leader; pool checkout and solver-phase counters nest under it) or
 // "singleflight_wait" (this caller joined a leader's execution).
-func (e *Engine) Query(ctx context.Context, req Request) (*Result, Via, error) {
+func (g *Gen) Query(ctx context.Context, req Request) (*Result, Via, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, ViaSolve, err
 	}
-	name, srcs, key, err := e.plan(req)
+	name, srcs, key, err := g.plan(req)
 	if err != nil {
 		return nil, ViaSolve, err
 	}
 	parent := trace.SpanFromContext(ctx)
 	parent.Trace().SetSolver(name)
 	lk := parent.StartChild("cache_lookup")
-	res, ok := e.cache.get(key)
+	res, ok := g.cache.get(g, key)
 	if ok && !res.resolve(lk) {
-		e.cache.remove(res)
+		g.cache.remove(res)
 		ok = false
 	}
 	lk.SetAttr("hit", ok)
 	lk.End()
 	if ok {
-		e.counters.C(cCacheHits).Inc()
+		g.counters.C(cCacheHits).Inc()
 		return res, ViaCache, nil
 	}
-	e.counters.C(cCacheMisses).Inc()
+	g.counters.C(cCacheMisses).Inc()
 	if targeted(req, srcs) {
-		if res := e.search(ctx, parent, srcs[0], req.Targets); res != nil {
+		if res := g.search(ctx, parent, srcs[0], req.Targets); res != nil {
 			return res, ViaSolve, nil
 		}
 		if err := ctx.Err(); err != nil {
@@ -258,8 +275,8 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Result, Via, error) {
 	// The wait span is only attached when this caller actually waited on
 	// another's execution; a leader's time is the solve span instead.
 	wait := parent.StartChild("singleflight_wait")
-	res, shared, err := e.flight.do(ctx, key, func(ectx context.Context) *Result {
-		return e.solve(ectx, parent, name, srcs, key)
+	res, shared, err := g.flight.do(ctx, key, func(ectx context.Context) *Result {
+		return g.solve(ectx, parent, name, srcs, key)
 	})
 	if shared {
 		wait.End()
@@ -271,7 +288,7 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Result, Via, error) {
 		return nil, ViaDedup, fmt.Errorf("engine: solver %s failed", name)
 	}
 	if shared {
-		e.counters.C(cDedupHits).Inc()
+		g.counters.C(cDedupHits).Inc()
 		return res, ViaDedup, nil
 	}
 	return res, ViaSolve, nil
@@ -280,8 +297,8 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Result, Via, error) {
 // plan validates the request, canonicalizes the source set (sorted, deduped
 // — multi-source distances are order-independent, so equivalent requests
 // share one cache key), resolves the solver by policy, and builds the key.
-func (e *Engine) plan(req Request) (name string, srcs []int32, key string, err error) {
-	n := e.in.G.NumVertices()
+func (g *Gen) plan(req Request) (name string, srcs []int32, key string, err error) {
+	n := g.in.G.NumVertices()
 	if len(req.Sources) == 0 {
 		return "", nil, "", fmt.Errorf("%w: no source vertices", ErrBadQuery)
 	}
@@ -299,13 +316,12 @@ func (e *Engine) plan(req Request) (name string, srcs []int32, key string, err e
 	slices.Sort(srcs)
 	srcs = slices.Compact(srcs)
 
-	name, err = e.pickSolver(req.Solver)
+	name, err = g.pickSolver(req.Solver)
 	if err != nil {
 		return "", nil, "", err
 	}
 
-	kb := make([]byte, 0, len(e.keyPrefix)+len(name)+8*len(srcs))
-	kb = append(kb, e.keyPrefix...)
+	kb := make([]byte, 0, len(name)+8*len(srcs))
 	kb = append(kb, name...)
 	for _, s := range srcs {
 		kb = append(kb, '|')
@@ -337,21 +353,21 @@ func (e *Engine) begin(parent *trace.Span, name string, sources int) (*pooled, *
 // on one pooled state under one budget, or returns nil once a search outgrows
 // what is left or ctx has ended between two searches. Either way one
 // execution: its span says targets, settled, bailed.
-func (e *Engine) search(ctx context.Context, parent *trace.Span, src int32, targets []int32) *Result {
-	p, sp := e.begin(parent, e.p2p.Name, 1)
+func (g *Gen) search(ctx context.Context, parent *trace.Span, src int32, targets []int32) *Result {
+	p, sp := g.begin(parent, g.p2p.Name, 1)
 	defer sp.End()
 	st := p.states.Get().(solver.PointSearch)
-	res := &Result{Solver: e.p2p.Name, TargetDist: make([]int64, len(targets))}
+	res := &Result{Solver: g.p2p.Name, TargetDist: make([]int64, len(targets))}
 	settled := 0
 	for i, t := range targets {
 		if ctx.Err() != nil {
 			res = nil
 			break
 		}
-		d, k, ok := st(src, t, e.targetBudget-settled)
+		d, k, ok := st(g.in, src, t, g.targetBudget-settled)
 		settled += k
 		if !ok {
-			e.counters.C(cTargetedBailouts).Inc()
+			g.counters.C(cTargetedBailouts).Inc()
 			res = nil
 			break
 		}
@@ -368,31 +384,31 @@ func (e *Engine) search(ctx context.Context, parent *trace.Span, src int32, targ
 }
 
 // solve runs the named solver on the canonical source set — state checkout,
-// one run, detach, Reset, put back, cache: the same steps for every solver in
-// the pool. parent is the singleflight leader's trace position: the execution
+// one run on g's instance, detach, Reset, put back, cache: the same steps for
+// every solver in the pool. parent is the singleflight leader's trace position: the execution
 // is begin's "solve" span with a nested "pool_checkout" and, for a tracer
 // state, the solver-phase counters of core.Trace. A run ctx stopped (nil) is
 // counted, put back and not cached; solve then returns nil.
-func (e *Engine) solve(ctx context.Context, parent *trace.Span, name string, srcs []int32, key string) *Result {
-	p, sp := e.begin(parent, name, len(srcs))
+func (g *Gen) solve(ctx context.Context, parent *trace.Span, name string, srcs []int32, key string) *Result {
+	p, sp := g.begin(parent, name, len(srcs))
 	defer sp.End()
 	pc := sp.StartChild("pool_checkout")
 	st := p.states.Get().(solver.State)
 	pc.End()
-	d := st.RunFromSources(ctx, srcs)
+	d := st.RunFromSources(ctx, g.in, srcs)
 	if d == nil {
-		e.counters.C(cCancelled).Inc()
+		g.counters.C(cCancelled).Inc()
 		sp.SetAttr("cancelled", true)
 		st.Reset()
 		p.states.Put(st)
 		return nil
 	}
-	res := &Result{Solver: name, e: e, key: key}
+	res := &Result{Solver: name, g: g, key: key}
 	res.detach(d)
 	if t, ok := st.(tracer); ok {
 		snap := t.Trace().Snapshot()
-		e.traceAgg.Merge(snap)
-		e.thorupRuns.Inc()
+		g.traceAgg.Merge(snap)
+		g.thorupRuns.Inc()
 		if sp != nil {
 			for k, v := range snap.AttrMap() {
 				sp.SetAttr(k, v)
@@ -401,44 +417,32 @@ func (e *Engine) solve(ctx context.Context, parent *trace.Span, name string, src
 	}
 	if b, ok := st.(bucketed); ok {
 		stats := b.LastStats()
-		e.deltaRefills.Add(int64(stats.Refills))
-		e.deltaOverflowScanned.Add(stats.OverflowScanned)
+		g.deltaRefills.Add(int64(stats.Refills))
+		g.deltaOverflowScanned.Add(stats.OverflowScanned)
 		if sp != nil {
-			sp.SetAttr("delta", e.in.Delta)
+			sp.SetAttr("delta", g.in.Delta)
 			sp.SetAttr("refills", stats.Refills)
 			sp.SetAttr("overflow_scanned", stats.OverflowScanned)
 		}
 	}
 	st.Reset()
 	p.states.Put(st)
-	e.cache.add(key, res)
+	g.cache.add(res)
 	return res
 }
 
-// Release drops the states the engine's pools hold; the catalog calls it once
-// a retired generation has drained. A sync.Pool keeps what it cached for up
-// to two collections after its last use, and each state is a solver's
-// working arrays (≈0.5 MB for delta-stepping at 2^14), while a write every
-// few hundred reads makes a generation every few collections. A query after
-// Release still runs, on a state made for it. Release must not run beside a
-// query.
-func (e *Engine) Release() {
-	for _, p := range e.exec {
-		p.states = sync.Pool{New: p.states.New}
-	}
-}
-
 // InstanceBytes is the memory footprint of one Thorup query instance over the
-// hierarchy held (arithmetic on its dimensions), 0 with none: nothing is built.
-func (e *Engine) InstanceBytes() int64 {
-	if h, _, _ := e.in.HierarchyState(); h != nil {
-		return core.NewSolver(h, e.in.RT).InstanceBytes()
+// hierarchy g holds (arithmetic on its dimensions), 0 with none: nothing is
+// built.
+func (g *Gen) InstanceBytes() int64 {
+	if h, _, _ := g.in.HierarchyState(); h != nil {
+		return core.NewSolver(h, g.in.RT).InstanceBytes()
 	}
 	return 0
 }
 
-// Delta is the bucket width delta-stepping runs with on this instance.
-func (e *Engine) Delta() int64 { return e.in.Delta }
+// Delta is the bucket width delta-stepping runs with on g.
+func (g *Gen) Delta() int64 { return g.in.Delta }
 
 // DeltaRing returns how often the delta-stepping runs so far refilled their
 // bucket ring from the overflow list, and how many overflow entries that

@@ -5,15 +5,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/dijkstra"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/mutate"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/solver"
@@ -37,8 +39,8 @@ type gatedSolver struct {
 func (s *gatedSolver) register() solver.Solver {
 	return solver.Solver{
 		Name: "gated",
-		NewState: func(in *solver.Instance) solver.State {
-			return solver.StateFunc(func(_ context.Context, sources []int32) []int64 {
+		NewState: func() solver.State {
+			return solver.StateFunc(func(_ context.Context, in *solver.Instance, sources []int32) []int64 {
 				s.once.Do(func() { close(s.started) })
 				<-s.release
 				out := make([]int64, in.G.NumVertices())
@@ -94,9 +96,9 @@ type countingState struct {
 	runs, resets *atomic.Int64
 }
 
-func (c countingState) RunFromSources(ctx context.Context, sources []int32) []int64 {
+func (c countingState) RunFromSources(ctx context.Context, in *solver.Instance, sources []int32) []int64 {
 	c.runs.Add(1)
-	return c.State.RunFromSources(ctx, sources)
+	return c.State.RunFromSources(ctx, in, sources)
 }
 
 func (c countingState) Reset() {
@@ -128,8 +130,8 @@ func TestOneRunPerQueryThroughPool(t *testing.T) {
 		pool := solver.All()
 		for i, s := range pool {
 			if s.Name == tc.ran {
-				pool[i].NewState = func(in *solver.Instance) solver.State {
-					return countingState{s.NewState(in), &runs, &resets}
+				pool[i].NewState = func() solver.State {
+					return countingState{s.NewState(), &runs, &resets}
 				}
 			}
 		}
@@ -282,30 +284,98 @@ func TestQueryCanonicalSourceSet(t *testing.T) {
 	}
 }
 
-// Release empties the state pools: a pooled state is garbage at the next
-// collection, not two collections later as a pool victim, and the engine
-// still answers, on a state made for the query.
-func TestReleaseDropsPooledStates(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // no cycle but the one below
-	e := New(testInstance(t, 200, 800), Config{})
-	if _, _, err := e.Query(context.Background(), Request{Sources: []int32{3}}); err != nil {
+// A pooled state holds no generation. Here every checkout gets the same
+// Thorup state and the same s-t search; they answer on the parent, then on the
+// child of a write that shortens the path from 0 to far, whose hierarchy and
+// s-t index are its own, and each answer is Dijkstra's on the graph of the
+// generation it ran on.
+func TestPooledStatesFollowTheGeneration(t *testing.T) {
+	g1 := testInstance(t, 300, 1200).G
+	parent := engineOn(g1, Config{}) // no cache: every query runs a state
+	for _, name := range []string{"thorup", parent.p2p.Name} {
+		p := parent.exec[name]
+		shared := p.states.New()
+		p.states = sync.Pool{New: func() any { return shared }}
+	}
+	d, far := dijkstra.SSSP(g1, 0), int32(0)
+	for v, dv := range d {
+		if dv < graph.Inf && dv > d[far] {
+			far = int32(v)
+		}
+	}
+	b := &mutate.Batch{Ops: []mutate.Op{{Op: mutate.OpInsert, U: 0, V: far, W: 1}}}
+	g2, _, err := mutate.Apply(g1, b)
+	if err != nil {
 		t.Fatal(err)
 	}
-	p := e.exec["delta"]
-	st := p.states.Get() // the state the query put back
-	freed := make(chan struct{})
-	runtime.SetFinalizer(st, func(any) { close(freed) })
-	p.states.Put(st)
-	st = nil
-	e.Release()
-	runtime.GC()
-	select {
-	case <-freed:
-	case <-time.After(10 * time.Second):
-		t.Fatal("a released engine's pooled state survived a collection")
+	child, _, _, _ := inherit(parent, g2, mutate.Changes(g1, g2, b))
+	ctx := context.Background()
+	for _, gen := range []struct {
+		e *Gen
+		g *graph.Graph
+	}{{parent, g1}, {child, g2}} {
+		want := dijkstra.SSSP(gen.g, 0)
+		res, _, err := gen.e.Query(ctx, Request{Sources: []int32{0}, Solver: "thorup"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v, dv := range want {
+			if res.At(v) != dv {
+				t.Fatalf("thorup on the generation of %d arcs: d[%d] = %d, want %d", gen.g.NumEdges(), v, res.At(v), dv)
+			}
+		}
+		gen.e.SetTargetBudget(math.MaxInt)
+		res, _, err = gen.e.Query(ctx, Request{Sources: []int32{0}, Targets: []int32{far}})
+		if err != nil || res.Solver != parent.p2p.Name || res.Target(0, far) != want[far] {
+			t.Fatalf("targeted 0→%d: %v by %s, want %d (%v)", far, res.TargetDist, res.Solver, want[far], err)
+		}
 	}
-	if res, _, err := e.Query(context.Background(), Request{Sources: []int32{5}}); err != nil || res.At(5) != 0 {
-		t.Fatalf("after Release: %v", err)
+	if runs := child.SolverRuns(); runs["thorup"] != 2 || runs[parent.p2p.Name] != 2 {
+		t.Fatalf("runs %v: want both generations' in one engine", runs)
+	}
+}
+
+// One engine serves a graph's generations. A write's Swap carries the cache
+// and the counters keep counting; from then on a query on the parent misses
+// and caches nothing. A reload's Swap empties the cache, and after Drop no
+// generation reads or fills it.
+func TestSwapKeepsCountersAndMovesTheCache(t *testing.T) {
+	g1 := testInstance(t, 200, 800).G
+	e1 := engineOn(g1, Config{CacheEntries: 8})
+	ask(t, e1, 3)
+	ask(t, e1, 3)
+	loop := &mutate.Batch{Ops: []mutate.Op{{Op: mutate.OpInsert, U: 9, V: 9, W: 1}}}
+	g2, _, _ := mutate.Apply(g1, loop)
+	e2, exact, _, _ := inherit(e1, g2, mutate.Changes(g1, g2, loop))
+	if exact != 1 || e2.Engine != e1.Engine || e1.cache.gen.Load() != e2 {
+		t.Fatalf("%d exact; engine shared %v; serving the child %v", exact, e2.Engine == e1.Engine, e1.cache.gen.Load() == e2)
+	}
+	if _, via := ask(t, e2, 3); via != ViaCache || e2.Counter(cCacheHits) != 2 || e2.Counter(cSolves) != 1 {
+		t.Fatalf("child: via %v, %d hits, %d solves; want the parent's counted on", via, e2.Counter(cCacheHits), e2.Counter(cSolves))
+	}
+	for _, src := range []int32{3, 4, 4} {
+		if _, via := ask(t, e1, src); via != ViaSolve {
+			t.Fatalf("parent, source %d after the swap: via %v", src, via)
+		}
+	}
+	if e2.cache.peek(keyOf(t, e2, 4)) {
+		t.Fatal("a parent's solve after the swap was cached")
+	}
+
+	e3 := nextOn(e2, g2) // a reload
+	e3.Swap(nil)
+	if entries, bytes := e3.cache.size(); entries != 0 || bytes != 0 {
+		t.Fatalf("a reload kept %d entries (%d bytes)", entries, bytes)
+	}
+	if _, via := ask(t, e3, 3); via != ViaSolve || e3.Counter(cSolves) != 5 {
+		t.Fatalf("after the reload: via %v, %d solves", via, e3.Counter(cSolves))
+	}
+	e3.Drop()
+	if _, via := ask(t, e3, 3); via != ViaSolve || e3.cache.gen.Load() != nil {
+		t.Fatalf("after Drop: via %v, serving %p", via, e3.cache.gen.Load())
+	}
+	if entries, _ := e3.cache.size(); entries != 0 {
+		t.Fatalf("%d entries after Drop", entries)
 	}
 }
 
@@ -314,7 +384,7 @@ func TestReleaseDropsPooledStates(t *testing.T) {
 func TestPolicySelection(t *testing.T) {
 	weighted := testInstance(t, 200, 800) // maxW 1024
 	e := New(weighted, Config{})
-	pick := func(e *Engine, name string) string {
+	pick := func(e *Gen, name string) string {
 		t.Helper()
 		got, err := e.pickSolver(name)
 		if err != nil {
@@ -408,17 +478,17 @@ func cacheRes(key string, n int) *Result {
 func TestLRUEvictionOrder(t *testing.T) {
 	var ev obs.Counter
 	c := newSLRU(2, 0, &ev)
-	c.add("A", cacheRes("A", 4))
-	c.add("B", cacheRes("B", 4))
-	if _, ok := c.get("A"); !ok { // touch A: B becomes least recently used
+	c.add(cacheRes("A", 4))
+	c.add(cacheRes("B", 4))
+	if _, ok := c.get(nil, "A"); !ok { // touch A: B becomes least recently used
 		t.Fatal("A missing")
 	}
-	c.add("C", cacheRes("C", 4))
-	if _, ok := c.get("B"); ok {
+	c.add(cacheRes("C", 4))
+	if _, ok := c.get(nil, "B"); ok {
 		t.Fatal("B should have been evicted (least recently used)")
 	}
 	for _, k := range []string{"A", "C"} {
-		if _, ok := c.get(k); !ok {
+		if _, ok := c.get(nil, k); !ok {
 			t.Fatalf("%s should have survived", k)
 		}
 	}
@@ -429,17 +499,17 @@ func TestLRUEvictionOrder(t *testing.T) {
 
 func TestLRUByteBudget(t *testing.T) {
 	var ev obs.Counter
-	per := entryBytes("K1", cacheRes("K1", 100)) // all keys same length/size
+	per := entryBytes(cacheRes("K1", 100)) // all keys same length/size
 	c := newSLRU(100, 3*per, &ev)
 	for i := 1; i <= 4; i++ {
 		k := fmt.Sprintf("K%d", i)
-		c.add(k, cacheRes(k, 100))
+		c.add(cacheRes(k, 100))
 	}
 	entries, bytes := c.size()
 	if entries != 3 || bytes != 3*per {
 		t.Fatalf("size = (%d, %d), want (3, %d)", entries, bytes, 3*per)
 	}
-	if _, ok := c.get("K1"); ok {
+	if _, ok := c.get(nil, "K1"); ok {
 		t.Fatal("K1 (oldest) should have been evicted by the byte budget")
 	}
 	if ev.Value() != 1 {
@@ -449,7 +519,7 @@ func TestLRUByteBudget(t *testing.T) {
 	// Growing an entry (JSON materialization) re-enforces the budget, evicting
 	// older entries but keeping the grown one.
 	c.grow(c.index["K3"].Value.(*cacheEntry).res, 2*per)
-	if _, ok := c.get("K3"); !ok {
+	if _, ok := c.get(nil, "K3"); !ok {
 		t.Fatal("grown entry K3 should survive its own growth")
 	}
 	if entries, _ := c.size(); entries != 1 {
@@ -459,8 +529,8 @@ func TestLRUByteBudget(t *testing.T) {
 
 func TestLRUDisabled(t *testing.T) {
 	c := newSLRU(0, 0, &obs.Counter{})
-	c.add("A", cacheRes("A", 4))
-	if _, ok := c.get("A"); ok {
+	c.add(cacheRes("A", 4))
+	if _, ok := c.get(nil, "A"); ok {
 		t.Fatal("disabled cache returned a hit")
 	}
 	if entries, bytes := c.size(); entries != 0 || bytes != 0 {
@@ -578,16 +648,13 @@ type stoppableSolver struct {
 	resets    atomic.Int64
 }
 
-type stoppableState struct {
-	s *stoppableSolver
-	n int
-}
+type stoppableState struct{ s *stoppableSolver }
 
-func (st stoppableState) RunFromSources(ctx context.Context, sources []int32) []int64 {
+func (st stoppableState) RunFromSources(ctx context.Context, in *solver.Instance, sources []int32) []int64 {
 	st.s.started <- struct{}{}
 	select {
 	case <-st.s.release:
-		out := make([]int64, st.n)
+		out := make([]int64, in.G.NumVertices())
 		for i := range out {
 			out[i] = graph.Inf
 		}
@@ -603,17 +670,17 @@ func (st stoppableState) RunFromSources(ctx context.Context, sources []int32) []
 
 func (st stoppableState) Reset() { st.s.resets.Add(1) }
 
-func newStoppable(t *testing.T) (*stoppableSolver, *Engine) {
+func newStoppable(t *testing.T) (*stoppableSolver, *Gen) {
 	s := &stoppableSolver{started: make(chan struct{}, 2), release: make(chan struct{})}
 	e := New(testInstance(t, 100, 400), Config{CacheEntries: 8, Solvers: append(solver.All(), solver.Solver{
 		Name:     "stoppable",
-		NewState: func(in *solver.Instance) solver.State { return stoppableState{s, in.G.NumVertices()} },
+		NewState: func() solver.State { return stoppableState{s} },
 	})})
 	return s, e
 }
 
 // joinedBy waits until n callers have joined the flight in progress for req.
-func joinedBy(t *testing.T, e *Engine, req Request, n int) {
+func joinedBy(t *testing.T, e *Gen, req Request, n int) {
 	t.Helper()
 	_, _, key, err := e.plan(req)
 	if err != nil {
@@ -860,9 +927,9 @@ func TestDistJSONCachedServing(t *testing.T) {
 	}
 
 	// The materialized JSON is charged to the cache's byte budget.
-	if _, bytes := e.cache.size(); bytes <= entryBytes(res.key, res) {
+	if _, bytes := e.cache.size(); bytes <= entryBytes(res) {
 		t.Fatalf("cache bytes %d not charged for JSON (entry alone is %d)",
-			bytes, entryBytes(res.key, res))
+			bytes, entryBytes(res))
 	}
 }
 

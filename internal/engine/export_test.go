@@ -2,13 +2,13 @@ package engine
 
 // SetTargetBudget replaces the targeted-request budget (n/32 settled vertices)
 // so that tests on small graphs have an always-bail and a never-bail arm; call
-// it before the engine serves.
-func (e *Engine) SetTargetBudget(settled int) { e.targetBudget = settled }
+// it before g serves.
+func (g *Gen) SetTargetBudget(settled int) { g.targetBudget = settled }
 
 // SetRepairBudget replaces the settles a pending entry's repair may spend
 // (n/8, at least 64), so that tests reach the budget on small graphs; call it
-// before the engine serves.
-func (e *Engine) SetRepairBudget(settled int) { e.repairBudget = settled }
+// before g serves.
+func (g *Gen) SetRepairBudget(settled int) { g.repairBudget = settled }
 
 // peek reports whether key is cached and changes nothing: it neither refreshes
 // the entry nor counts as having asked for it.

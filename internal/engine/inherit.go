@@ -10,17 +10,15 @@ import (
 	"repro/internal/trace"
 )
 
-// Inherit hands e, the engine of a generation made from parent's by one
-// mutation batch and not serving yet, every answer parent's cache holds, read
-// or not, in its segment and recency order (DESIGN.md §5, decision 17).
-// changes is what the batch did per edge slot. Each entry is one of two
-// things on the child:
+// Inherit works out what every answer the cache holds becomes on g, a
+// generation made from the one the cache serves by one mutation batch and not
+// serving yet, read or not (DESIGN.md §5, decision 17). changes is what the
+// batch did per edge slot. Each entry is one of two things on g:
 //
 //   - exact, if it was exact on the parent and the batch touches nothing of
 //     it: no slot that was removed or got heavier was tight in its vector
 //     (|d[u] − d[v]| = the old weight), and no slot that is new or got
-//     lighter improves either endpoint. It is re-keyed into e sharing the
-//     parent's vector;
+//     lighter improves either endpoint. It shares the parent's vector;
 //   - pending otherwise: it keeps the vector of the last generation it was
 //     exact on and one net change a slot since then (compose), and its first
 //     hit repairs it (resolve).
@@ -30,37 +28,33 @@ import (
 // its list would cost more than its packed vector, and its repair, which may
 // settle n/8 vertices, would seldom get through so many. The walk sorts
 // changes once and is O(entries × changes) after that; it reads and copies no
-// vector: the test of an exact entry reads two codes a change. An entry holds
-// a vector, never a Result, engine or generation of the parent. It returns
-// how many entries went each way, and how many of them no query read while
-// parent served.
-func (e *Engine) Inherit(parent *Engine, changes []mutate.Change) (exact, pending, unread int) {
-	if e.cache.maxEntries == 0 {
-		return 0, 0, 0
-	}
+// vector: the test of an exact entry reads two codes a change. It takes the
+// cache lock only to list the entries, and changes no entry: g.Swap puts each
+// answer in its entry's slot, and the parent keeps its hits until then. An
+// entry holds a vector, never a Result or generation of the parent.
+func (g *Gen) Inherit(changes []mutate.Change) *Inheritance {
 	changes = bySlot(changes)
-	limit, over := max(e.in.G.NumVertices()/owedShare, minRepairBudget), 0
-	for _, old := range parent.cache.entries() {
-		res := &Result{Solver: old.res.Solver, e: e, key: e.keyPrefix + old.res.key[len(parent.keyPrefix):]}
-		if !old.res.carry(res, changes, limit) {
-			over++
-			continue // the next query solves
-		}
-		if res.pending == nil {
-			exact++
+	limit := max(g.in.G.NumVertices()/owedShare, minRepairBudget)
+	inh := &Inheritance{}
+	inh.from, inh.heirs = g.cache.heirs()
+	for i := range inh.heirs {
+		h := &inh.heirs[i]
+		next := &Result{Solver: h.old.Solver, g: g, key: h.old.key}
+		if h.old.carry(next, changes, limit) {
+			h.next = next
 		} else {
-			pending++
+			inh.over++ // the next query solves
 		}
-		if !old.read {
-			unread++
-		}
-		e.cache.insert(res.key, res, old.protected, false)
 	}
-	e.counters.C(cInheritedExact).Add(int64(exact))
-	e.counters.C(cInheritedStale).Add(int64(pending))
-	e.counters.C(cInheritedUnread).Add(int64(unread))
-	e.counters.C(cRepairBudgetExceeded).Add(int64(over))
-	return exact, pending, unread
+	return inh
+}
+
+// Inheritance is what a write makes of the cached answers (Gen.Inherit),
+// until Gen.Swap puts it in place.
+type Inheritance struct {
+	from  *Gen // the generation the answers were listed on
+	heirs []heir
+	over  int // entries dropped: they would owe too much
 }
 
 // carry makes next what r is on the generation changes (in slot order) lead
@@ -149,8 +143,8 @@ func compose(owed, later []mutate.Change) []mutate.Change {
 }
 
 // resolve makes a pending inherited entry exact, once, and reports whether it
-// is: the first call repairs the vector under the entry's lock, within the
-// engine's budget of settles. A repair that outgrows it fails the entry for
+// is: the first call repairs the vector under the entry's lock, within its
+// generation's budget of settles. A repair that outgrows it fails the entry for
 // good; the caller drops it and solves instead. Every path to a Result's
 // vector runs through here first. lk is the caller's "cache_lookup" span; the
 // resume is recorded under it.
@@ -166,13 +160,13 @@ func (r *Result) resolve(lk *trace.Span) bool {
 	}
 	sp := lk.StartChild("resume")
 	held := r.heldBytes()
-	rp := repair{g: r.e.in.G, changes: p.changes, left: r.e.repairBudget}
+	rp := repair{g: r.g.in.G, changes: p.changes, left: r.g.repairBudget}
 	p.done, p.failed, p.changes = true, !rp.run(r), nil
-	c := r.e.counters
+	c := r.g.counters
 	if p.failed {
 		c.C(cRepairBudgetExceeded).Inc()
 	} else {
-		r.e.cache.grow(r, r.heldBytes()-held) // the list goes; the vector is a copy
+		r.g.cache.grow(r, r.heldBytes()-held) // the list goes; the vector is a copy
 		c.C(cResumed).Inc()
 	}
 	if rp.cut {

@@ -16,9 +16,23 @@ import (
 	"repro/internal/trace"
 )
 
-func engineOn(g *graph.Graph, gen uint64, cfg Config) *Engine {
-	cfg.Graph, cfg.Gen = "g", gen
-	return New(solver.NewInstanceWithHierarchy(g, par.NewExec(2), nil), cfg)
+// engineOn is the first generation of a new engine, over g.
+func engineOn(g *graph.Graph, cfg Config) *Gen {
+	return New(solver.NewInstance(g, par.NewExec(2)), cfg)
+}
+
+// nextOn is the generation over g of parent's engine: what a write makes, not
+// served until its Swap.
+func nextOn(parent *Gen, g *graph.Graph) *Gen {
+	return parent.Next(solver.NewInstance(g, par.NewExec(2)))
+}
+
+// inherit is the write from parent to next: the generation over next, its
+// answers inherited across changes and swapped in.
+func inherit(parent *Gen, next *graph.Graph, changes []mutate.Change) (child *Gen, exact, pending, unread int) {
+	child = nextOn(parent, next)
+	exact, pending, unread = child.Swap(child.Inherit(changes))
+	return child, exact, pending, unread
 }
 
 // sameAsCold holds every face of an answer — At, Len, Reached, Eccentricity,
@@ -48,7 +62,7 @@ func sameAsCold(t *testing.T, what string, res *Result, g *graph.Graph, srcs ...
 }
 
 // keyOf is the cache key e plans for a query from srcs.
-func keyOf(t *testing.T, e *Engine, srcs ...int32) string {
+func keyOf(t *testing.T, e *Gen, srcs ...int32) string {
 	t.Helper()
 	_, _, key, err := e.plan(Request{Sources: srcs})
 	if err != nil {
@@ -57,7 +71,7 @@ func keyOf(t *testing.T, e *Engine, srcs ...int32) string {
 	return key
 }
 
-func ask(t *testing.T, e *Engine, srcs ...int32) (*Result, Via) {
+func ask(t *testing.T, e *Gen, srcs ...int32) (*Result, Via) {
 	t.Helper()
 	res, via, err := e.Query(context.Background(), Request{Sources: srcs})
 	if err != nil {
@@ -100,7 +114,7 @@ func TestInheritClassifies(t *testing.T) {
 		{"raise tight beside an improvement", []mutate.Op{{Op: del, U: 2, V: 3}, {Op: ins, U: 0, V: 3, W: 1}}, "cut", 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			parent := engineOn(base, 1, Config{CacheEntries: 8})
+			parent := engineOn(base, Config{CacheEntries: 8})
 			for _, srcs := range [][]int32{{0}, {1, 5}, {4}} {
 				ask(t, parent, srcs...)
 			}
@@ -109,8 +123,7 @@ func TestInheritClassifies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			child := engineOn(g, 2, Config{CacheEntries: 8})
-			exact, pending, unread := child.Inherit(parent, mutate.Changes(base, g, b))
+			child, exact, pending, unread := inherit(parent, g, mutate.Changes(base, g, b))
 			if exact+pending != 3 || unread != 0 {
 				t.Fatalf("%d exact + %d pending (%d unread), want the 3 entries read on the parent", exact, pending, unread)
 			}
@@ -168,20 +181,20 @@ func TestInheritCarriesUnreadEntries(t *testing.T) {
 	b3 := &mutate.Batch{Ops: []mutate.Op{cut}}
 	g3, _, _ := mutate.Apply(g2, b3)
 
-	e1 := engineOn(g1, 1, Config{CacheEntries: 2})
+	e1 := engineOn(g1, Config{CacheEntries: 2})
 	ask(t, e1, 10)
 	ask(t, e1, 11)
 	ask(t, e1, 12) // evicts 10
 
-	e2 := engineOn(g2, 2, Config{CacheEntries: 2})
-	if exact, pending, unread := e2.Inherit(e1, mutate.Changes(g1, g2, far)); exact != 2 || pending+unread != 0 {
+	e2, exact, pending, unread := inherit(e1, g2, mutate.Changes(g1, g2, far))
+	if exact != 2 || pending+unread != 0 {
 		t.Fatalf("gen 2 inherited %d exact, %d pending, %d unread; want 11 and 12, both read", exact, pending, unread)
 	}
 	if _, via := ask(t, e2, 12); via != ViaCache {
 		t.Fatalf("12 answered via %v on gen 2", via)
 	}
-	e3 := engineOn(g3, 3, Config{CacheEntries: 2})
-	if exact, pending, unread := e3.Inherit(e2, mutate.Changes(g2, g3, b3)); exact+pending != 2 || unread != 1 || !e3.cache.peek(keyOf(t, e3, 11)) {
+	e3, exact, pending, unread := inherit(e2, g3, mutate.Changes(g2, g3, b3))
+	if exact+pending != 2 || unread != 1 || !e3.cache.peek(keyOf(t, e3, 11)) {
 		t.Fatalf("gen 3 inherited %d exact + %d pending, %d unread; want 11 (never read on gen 2) and 12", exact, pending, unread)
 	}
 	res, via := ask(t, e3, 11)
@@ -203,15 +216,15 @@ func TestStaleEntryAccountingAndSpan(t *testing.T) {
 	g1 := testInstance(t, 300, 1200).G
 	b := &mutate.Batch{Ops: []mutate.Op{{Op: mutate.OpInsert, U: 0, V: 299, W: 1}}}
 	g2, _, _ := mutate.Apply(g1, b)
-	e1 := engineOn(g1, 1, Config{CacheEntries: 4})
+	e1 := engineOn(g1, Config{CacheEntries: 4})
 	cold, _ := ask(t, e1, 0)
-	e2 := engineOn(g2, 2, Config{CacheEntries: 4})
-	e2.SetRepairBudget(300) // the shortcut re-settles past 64 vertices
-	if _, stale, _ := e2.Inherit(e1, mutate.Changes(g1, g2, b)); stale != 1 {
+	e2, _, stale, _ := inherit(e1, g2, mutate.Changes(g1, g2, b))
+	if stale != 1 {
 		t.Fatalf("%d stale entries, want 1", stale)
 	}
+	e2.SetRepairBudget(300) // the shortcut re-settles past 64 vertices
 	_, charged := e2.cache.size()
-	if want := entryBytes(keyOf(t, e2, 0), cold) + changeBytes; charged != want || want != vectorSize(300, widthFor(cold.Eccentricity))+int64(len("g@2|delta|0"))+64+changeBytes {
+	if want := entryBytes(cold) + changeBytes; charged != want || want != vectorSize(300, widthFor(cold.Eccentricity))+int64(len("delta|0"))+64+changeBytes {
 		t.Fatalf("stale entry charged %d bytes, a solved one and the change it owes %d", charged, want)
 	}
 
@@ -253,7 +266,7 @@ func TestWideVectors(t *testing.T) {
 		edges = append(edges, graph.Edge{U: v, V: v + 1, W: heavy})
 	}
 	g1 := graph.FromEdges(9, edges)
-	e1 := engineOn(g1, 1, Config{CacheEntries: 8})
+	e1 := engineOn(g1, Config{CacheEntries: 8})
 	chain, _ := ask(t, e1, 0)
 	island, _ := ask(t, e1, 6)
 	if chain.Eccentricity != 5<<30 || chain.vec.width != 33 || island.vec.width != widthFor(7) {
@@ -264,7 +277,7 @@ func TestWideVectors(t *testing.T) {
 	if chain.vectorBytes() != vectorSize(9, 33) || island.vectorBytes() != vectorSize(9, widthFor(7)) {
 		t.Fatalf("vectors of %d and %d bytes", chain.vectorBytes(), island.vectorBytes())
 	}
-	if _, bytes := e1.cache.size(); bytes != entryBytes(chain.key, chain)+entryBytes(island.key, island)+int64(cap(chain.distJSON)+cap(island.distJSON)) {
+	if _, bytes := e1.cache.size(); bytes != entryBytes(chain)+entryBytes(island)+int64(cap(chain.distJSON)+cap(island.distJSON)) {
 		t.Fatalf("cache charges %d bytes for a %d-byte and a %d-byte vector", bytes, chain.vectorBytes(), island.vectorBytes())
 	}
 
@@ -272,8 +285,8 @@ func TestWideVectors(t *testing.T) {
 	// the chain's gains three near vertices and stays exact elsewhere.
 	b := &mutate.Batch{Ops: []mutate.Op{{Op: mutate.OpInsert, U: 5, V: 6, W: 1}}}
 	g2, _, _ := mutate.Apply(g1, b)
-	e2 := engineOn(g2, 2, Config{CacheEntries: 8})
-	if exact, stale, unread := e2.Inherit(e1, mutate.Changes(g1, g2, b)); exact != 0 || stale != 2 || unread != 0 {
+	e2, exact, stale, unread := inherit(e1, g2, mutate.Changes(g1, g2, b))
+	if exact != 0 || stale != 2 || unread != 0 {
 		t.Fatalf("join: %d exact, %d stale, %d unread", exact, stale, unread)
 	}
 	_, before := e2.cache.size()
@@ -295,8 +308,8 @@ func TestWideVectors(t *testing.T) {
 	// 32 bits, but an in-place repair never narrows: they stay at 33.
 	b = &mutate.Batch{Ops: []mutate.Op{{Op: mutate.OpDelete, U: 2, V: 3}}}
 	g3, _, _ := mutate.Apply(g2, b)
-	e3 := engineOn(g3, 3, Config{CacheEntries: 8})
-	if exact, pending, _ := e3.Inherit(e2, mutate.Changes(g2, g3, b)); exact != 0 || pending != 2 {
+	e3, exact, pending, _ := inherit(e2, g3, mutate.Changes(g2, g3, b))
+	if exact != 0 || pending != 2 {
 		t.Fatalf("cut: %d exact, %d pending", exact, pending)
 	}
 	_, before = e3.cache.size()
@@ -321,15 +334,15 @@ func TestWideVectors(t *testing.T) {
 // vertex to exactly 2^width − 1 must widen the vector by a bit.
 func TestResumeToAllOnesWidens(t *testing.T) {
 	g1 := graph.FromEdges(3, []graph.Edge{{U: 0, V: 1, W: 6}})
-	e1 := engineOn(g1, 1, Config{CacheEntries: 4})
+	e1 := engineOn(g1, Config{CacheEntries: 4})
 	old, _ := ask(t, e1, 0)
 	if old.vec.width != 3 || old.At(2) != graph.Inf {
 		t.Fatalf("from 0: %d bits, d[2] = %d", old.vec.width, old.At(2))
 	}
 	b := &mutate.Batch{Ops: []mutate.Op{{Op: mutate.OpInsert, U: 1, V: 2, W: 1}}}
 	g2, _, _ := mutate.Apply(g1, b)
-	e2 := engineOn(g2, 2, Config{CacheEntries: 4})
-	if _, stale, _ := e2.Inherit(e1, mutate.Changes(g1, g2, b)); stale != 1 {
+	e2, _, stale, _ := inherit(e1, g2, mutate.Changes(g1, g2, b))
+	if stale != 1 {
 		t.Fatalf("%d stale entries, want 1", stale)
 	}
 	res, via := ask(t, e2, 0)
@@ -340,8 +353,9 @@ func TestResumeToAllOnesWidens(t *testing.T) {
 }
 
 // Inherit walks a cache that is being served: hits that mark entries asked for,
-// and resolve stale ones, run beside it. Whichever side gets to an entry first,
-// every answer on the child is the cold one.
+// and resolve stale ones, run beside it and beside the Swap, after which the
+// parent's queries miss and solve on the parent. Whichever side gets to an
+// entry first, every answer on either generation is the cold one.
 func TestInheritWhileParentServes(t *testing.T) {
 	g1 := testInstance(t, 300, 1200).G
 	b1 := &mutate.Batch{Ops: []mutate.Op{{Op: mutate.OpInsert, U: 0, V: 150, W: 1}, {Op: mutate.OpInsert, U: 40, V: 299, W: 1}}}
@@ -350,15 +364,15 @@ func TestInheritWhileParentServes(t *testing.T) {
 	g3, _, _ := mutate.Apply(g2, b2)
 	sources := []int32{0, 40, 80, 120, 160, 200, 240, 280}
 	for round := 0; round < 20; round++ {
-		e1 := engineOn(g1, 1, Config{CacheEntries: 16})
+		e1 := engineOn(g1, Config{CacheEntries: 16})
 		for _, s := range sources {
 			ask(t, e1, s)
 		}
-		e2 := engineOn(g2, 2, Config{CacheEntries: 16})
-		if exact, stale, _ := e2.Inherit(e1, mutate.Changes(g1, g2, b1)); exact+stale != len(sources) || stale == 0 {
+		e2, exact, stale, _ := inherit(e1, g2, mutate.Changes(g1, g2, b1))
+		if exact+stale != len(sources) || stale == 0 {
 			t.Fatalf("gen 2 inherited %d exact and %d stale", exact, stale)
 		}
-		e3 := engineOn(g3, 3, Config{CacheEntries: 16})
+		e3 := nextOn(e2, g3)
 		var wg sync.WaitGroup
 		for w := 0; w < 2; w++ {
 			wg.Add(1)
@@ -375,7 +389,7 @@ func TestInheritWhileParentServes(t *testing.T) {
 				}
 			}(w)
 		}
-		e3.Inherit(e2, mutate.Changes(g2, g3, b2))
+		e3.Swap(e3.Inherit(mutate.Changes(g2, g3, b2)))
 		wg.Wait()
 		for _, s := range sources {
 			res, _ := ask(t, e3, s)

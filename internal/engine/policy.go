@@ -22,26 +22,26 @@ import (
 //     reachable by name.
 //
 // The rule consults only precomputed instance stats, so selection is O(1).
-func (e *Engine) pickSolver(name string) (string, error) {
+func (g *Gen) pickSolver(name string) (string, error) {
 	if name == "" || name == "auto" {
-		return e.staticPick(), nil
+		return g.staticPick(), nil
 	}
-	s, ok := e.byName(name)
+	s, ok := g.byName(name)
 	if !ok {
-		return "", fmt.Errorf("%w: unknown solver %q (have %s)", ErrBadQuery, name, strings.Join(e.names(), ", "))
+		return "", fmt.Errorf("%w: unknown solver %q (have %s)", ErrBadQuery, name, strings.Join(g.names(), ", "))
 	}
-	if !s.Applicable(e.in.G) {
+	if !s.Applicable(g.in.G) {
 		return "", fmt.Errorf("%w: solver %q requires unit edge weights", ErrBadQuery, name)
 	}
 	return name, nil
 }
 
 // staticPick is the static rule documented on pickSolver.
-func (e *Engine) staticPick() string {
-	if s, ok := e.byName("bfs"); ok && s.Applicable(e.in.G) {
+func (g *Gen) staticPick() string {
+	if s, ok := g.byName("bfs"); ok && s.Applicable(g.in.G) {
 		return "bfs"
 	}
-	if _, ok := e.byName("delta"); ok {
+	if _, ok := g.byName("delta"); ok {
 		return "delta"
 	}
 	return "thorup"

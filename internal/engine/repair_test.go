@@ -62,7 +62,7 @@ func FuzzRepair(f *testing.F) {
 		r := rng.New(seed)
 		g := gen.Random(nv, 2*nv, maxW, gen.UWD, seed)
 		sets := [][]int32{{0}, {int32(nv - 1)}, {int32(r.Intn(nv)), int32(r.Intn(nv))}}
-		e := engineOn(g, 1, Config{CacheEntries: 8})
+		e := engineOn(g, Config{CacheEntries: 8})
 		for _, s := range sets {
 			ask(t, e, s...)
 		}
@@ -76,10 +76,9 @@ func FuzzRepair(f *testing.F) {
 			if ref, err = mutate.ReferenceApply(ref, b); err != nil {
 				t.Fatal(err)
 			}
-			child := engineOn(next, uint64(k+2), Config{CacheEntries: 8})
-			child.SetRepairBudget(int(budget))
-			child.Inherit(e, mutate.Changes(g, next, b))
-			g, e = next, child
+			e, _, _, _ = inherit(e, next, mutate.Changes(g, next, b))
+			e.SetRepairBudget(int(budget))
+			g = next
 			res, _ := ask(t, e, sets[0]...)
 			sameAsCold(t, "first set", res, ref, sets[0]...)
 		}
@@ -98,7 +97,7 @@ func FuzzRepair(f *testing.F) {
 func segment(l *list.List) []string {
 	var out []string
 	for el := l.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*cacheEntry).key)
+		out = append(out, el.Value.(*cacheEntry).res.key)
 	}
 	return out
 }
@@ -111,10 +110,10 @@ func TestSLRUSegments(t *testing.T) {
 	var ev obs.Counter
 	c := newSLRU(5, 0, &ev)
 	for _, k := range []string{"A", "B", "C", "D", "E"} {
-		c.add(k, cacheRes(k, 4))
+		c.add(cacheRes(k, 4))
 	}
 	for _, k := range []string{"A", "B", "C", "D", "E"} {
-		if _, ok := c.get(k); !ok {
+		if _, ok := c.get(nil, k); !ok {
 			t.Fatalf("%s missing", k)
 		}
 	}
@@ -122,12 +121,12 @@ func TestSLRUSegments(t *testing.T) {
 		t.Fatalf("protected %v, probation %v; want 4 of 5 protected, A demoted", p, q)
 	}
 	for _, k := range []string{"F", "G", "H"} {
-		c.add(k, cacheRes(k, 4))
+		c.add(cacheRes(k, 4))
 	}
 	if p, q := segment(c.protected), segment(c.probation); !slices.Equal(p, []string{"E", "D", "C", "B"}) || !slices.Equal(q, []string{"H"}) || ev.Value() != 3 {
 		t.Fatalf("protected %v, probation %v after three one-time entries, %d evictions", p, q, ev.Value())
 	}
-	c.get("H") // promoted; B, protected's least recent, goes back on probation
+	c.get(nil, "H") // promoted; B, protected's least recent, goes back on probation
 	if p, q := segment(c.protected), segment(c.probation); !slices.Equal(p, []string{"H", "E", "D", "C"}) || !slices.Equal(q, []string{"B"}) {
 		t.Fatalf("protected %v, probation %v after a second read of H", p, q)
 	}
@@ -136,7 +135,7 @@ func TestSLRUSegments(t *testing.T) {
 // Segment membership and recency cross a write with each entry, read or not.
 func TestSLRUMembershipCrossesInherit(t *testing.T) {
 	g1 := testInstance(t, 100, 400).G
-	e1 := engineOn(g1, 1, Config{CacheEntries: 5})
+	e1 := engineOn(g1, Config{CacheEntries: 5})
 	for _, s := range []int32{1, 2, 3, 4, 5} {
 		ask(t, e1, s)
 	}
@@ -144,11 +143,11 @@ func TestSLRUMembershipCrossesInherit(t *testing.T) {
 	ask(t, e1, 4) // protected: 4 2; probation: 5 3 1
 	loop := &mutate.Batch{Ops: []mutate.Op{{Op: mutate.OpInsert, U: 9, V: 9, W: 1}}}
 	g2, _, _ := mutate.Apply(g1, loop)
-	e2 := engineOn(g2, 2, Config{CacheEntries: 5})
-	if exact, _, unread := e2.Inherit(e1, mutate.Changes(g1, g2, loop)); exact != 5 || unread != 0 {
+	e2, exact, _, unread := inherit(e1, g2, mutate.Changes(g1, g2, loop))
+	if exact != 5 || unread != 0 {
 		t.Fatalf("%d exact, %d unread", exact, unread)
 	}
-	want := func(e *Engine, protected, probation []int32) {
+	want := func(e *Gen, protected, probation []int32) {
 		t.Helper()
 		keys := func(srcs []int32) []string {
 			var out []string
@@ -158,7 +157,7 @@ func TestSLRUMembershipCrossesInherit(t *testing.T) {
 			return out
 		}
 		if p, q := segment(e.cache.protected), segment(e.cache.probation); !slices.Equal(p, keys(protected)) || !slices.Equal(q, keys(probation)) {
-			t.Fatalf("gen %d: protected %v, probation %v; want %v and %v", e.cfg.Gen, p, q, keys(protected), keys(probation))
+			t.Fatalf("protected %v, probation %v; want %v and %v", p, q, keys(protected), keys(probation))
 		}
 	}
 	want(e2, []int32{4, 2}, []int32{5, 3, 1})
@@ -166,8 +165,8 @@ func TestSLRUMembershipCrossesInherit(t *testing.T) {
 	ask(t, e2, 7)
 	want(e2, []int32{4, 2}, []int32{7, 6, 5})
 	g3, _, _ := mutate.Apply(g2, loop)
-	e3 := engineOn(g3, 3, Config{CacheEntries: 5})
-	if _, _, unread := e3.Inherit(e2, mutate.Changes(g2, g3, loop)); unread != 3 {
+	e3, _, _, unread := inherit(e2, g3, mutate.Changes(g2, g3, loop))
+	if unread != 3 {
 		t.Fatalf("%d unread on gen 2, want 4, 2 and 5", unread)
 	}
 	want(e3, []int32{4, 2}, []int32{7, 6, 5})
@@ -266,7 +265,7 @@ func TestChurnReplaySolvesFewer(t *testing.T) {
 	zipf := rand.NewZipf(r, 1.5, 1, n-1)
 	perm := rand.New(rand.NewSource(6)).Perm(n)
 	old := &askedForRule{cap: 256, asked: map[int32]bool{}}
-	e := engineOn(g, 1, Config{CacheEntries: 144})
+	e := engineOn(g, Config{CacheEntries: 144})
 	solved := 0
 	for w := 1; w <= writes; w++ {
 		for range reads {
@@ -283,9 +282,8 @@ func TestChurnReplaySolvesFewer(t *testing.T) {
 		}
 		changes := mutate.Changes(g, next, b)
 		old.write(g, changes)
-		child := engineOn(next, uint64(w+1), Config{CacheEntries: 144})
-		child.Inherit(e, changes)
-		g, e = next, child
+		e, _, _, _ = inherit(e, next, changes)
+		g = next
 	}
 	t.Logf("%d reads: %d solves, %d under the asked-for rule at 256", writes*reads, solved, old.solves)
 	if solved > old.solves*7/10 {
@@ -329,47 +327,46 @@ func TestComposeMergesInSlotOrder(t *testing.T) {
 // longest list it may owe, n/owedShare slots (here the floor, 64); the write
 // that would make it owe more drops it and counts a repair over budget.
 func TestOwedListChargedAndCapped(t *testing.T) {
-	g := testInstance(t, 200, 800).G
-	e := engineOn(g, 1, Config{CacheEntries: 4})
-	first, _ := ask(t, e, 0)
-	ref, owed := g, 0
-	for w := int32(1); ; w++ {
-		b := &mutate.Batch{Ops: []mutate.Op{{Op: mutate.OpInsert, U: 0, V: w, W: 1}}}
-		next, _, err := mutate.Apply(g, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref, err = mutate.ReferenceApply(ref, b); err != nil {
-			t.Fatal(err)
-		}
-		changes := mutate.Changes(g, next, b)
-		owed += len(changes)
-		if owed == minRepairBudget { // the longest list: a fork of the lineage repairs it
-			fork := engineOn(next, uint64(w+1), Config{CacheEntries: 4})
-			fork.SetRepairBudget(200)
-			fork.Inherit(e, changes)
-			res, via := ask(t, fork, 0)
-			if via != ViaCache {
-				t.Fatalf("owing %d slots: via %v", owed, via)
+	g0 := testInstance(t, 200, 800).G
+	// lineage is k writes from g0, each an insert from 0 that changes one slot,
+	// with only the first generation read; it returns the last generation and
+	// the naive replay's graph.
+	lineage := func(k int) (*Gen, *graph.Graph) {
+		g, e := g0, engineOn(g0, Config{CacheEntries: 4})
+		first, _ := ask(t, e, 0)
+		ref := g
+		for w := int32(1); w <= int32(k); w++ {
+			b := &mutate.Batch{Ops: []mutate.Op{{Op: mutate.OpInsert, U: 0, V: w, W: 1}}}
+			next, _, err := mutate.Apply(g, b)
+			if err != nil {
+				t.Fatal(err)
 			}
-			sameAsCold(t, "repaired across 64 writes", res, ref, 0)
-		}
-		child := engineOn(next, uint64(w+1), Config{CacheEntries: 4})
-		child.Inherit(e, changes)
-		g, e = next, child
-		_, charged := e.cache.size()
-		if owed > minRepairBudget {
-			if charged != 0 || e.Counter(cRepairBudgetExceeded) != 1 {
-				t.Fatalf("owing %d slots: %d bytes cached, %d repairs over budget", owed, charged, e.Counter(cRepairBudgetExceeded))
+			if ref, err = mutate.ReferenceApply(ref, b); err != nil {
+				t.Fatal(err)
 			}
-			break
+			e, _, _, _ = inherit(e, next, mutate.Changes(g, next, b))
+			g = next
+			_, charged := e.cache.size()
+			if owed := int(w); owed > minRepairBudget {
+				if charged != 0 || e.Counter(cRepairBudgetExceeded) != 1 {
+					t.Fatalf("owing %d slots: %d bytes cached, %d repairs over budget", owed, charged, e.Counter(cRepairBudgetExceeded))
+				}
+			} else if want := first.vectorBytes() + int64(len(keyOf(t, e, 0))) + 64 + int64(owed)*changeBytes; charged != want {
+				t.Fatalf("owing %d slots: %d bytes charged, want %d", owed, charged, want)
+			}
 		}
-		if want := first.vectorBytes() + int64(len(keyOf(t, e, 0))) + 64 + int64(owed)*changeBytes; charged != want {
-			t.Fatalf("owing %d slots: %d bytes charged, want %d", owed, charged, want)
-		}
+		return e, ref
 	}
+	e, ref := lineage(minRepairBudget) // the longest list
+	e.SetRepairBudget(200)
 	res, via := ask(t, e, 0)
-	if via != ViaSolve {
+	if via != ViaCache {
+		t.Fatalf("owing %d slots: via %v", minRepairBudget, via)
+	}
+	sameAsCold(t, "repaired across 64 writes", res, ref, 0)
+
+	e, ref = lineage(minRepairBudget + 1)
+	if res, via = ask(t, e, 0); via != ViaSolve {
 		t.Fatalf("after the drop: via %v", via)
 	}
 	sameAsCold(t, "solved after the drop", res, ref, 0)

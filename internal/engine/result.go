@@ -24,7 +24,7 @@ type Result struct {
 
 	vec vector
 
-	e   *Engine
+	g   *Gen // the generation the answer is for
 	key string
 	// pending is non-nil on an entry inherited across a mutation that may have
 	// moved some of its distances: until resolve has run, the vector, Reached
@@ -220,15 +220,15 @@ func (r *Result) DistJSON() []byte {
 	r.jsonOnce.Do(func() {
 		first = true
 		r.distJSON = r.encodeJSON()
-		if r.e != nil {
-			r.e.counters.C(cFullJSONBuilt).Inc()
+		if r.g != nil {
+			r.g.counters.C(cFullJSONBuilt).Inc()
 			// The serialized form now lives alongside the vector; charge it
 			// against the cache's byte budget.
-			r.e.cache.grow(r, int64(cap(r.distJSON)))
+			r.g.cache.grow(r, int64(cap(r.distJSON)))
 		}
 	})
-	if !first && r.e != nil {
-		r.e.counters.C(cFullBytesFromCache).Add(int64(len(r.distJSON)))
+	if !first && r.g != nil {
+		r.g.counters.C(cFullBytesFromCache).Add(int64(len(r.distJSON)))
 	}
 	return r.distJSON
 }

@@ -15,7 +15,7 @@ import (
 
 // targetedQuery runs one request and checks every target's answer against the
 // full vector from Dijkstra, whichever plan answered.
-func targetedQuery(t *testing.T, e *Engine, ctx context.Context, req Request) (*Result, Via) {
+func targetedQuery(t *testing.T, e *Gen, ctx context.Context, req Request) (*Result, Via) {
 	t.Helper()
 	res, via, err := e.Query(ctx, req)
 	if err != nil {

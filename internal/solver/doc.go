@@ -11,10 +11,12 @@
 // distance, not a distance vector; its NewState gives a reusable PointSearch
 // that the engine pools like any State and runs under a settle budget).
 //
-// An entry's NewState constructs reusable per-query State over an Instance.
-// The contract is State's: a whole source set in one run (every solver seeds
-// each source at distance 0), a result that may alias the state until the
-// next run or Reset, any number of runs per state, no concurrent use.
+// An entry's NewState constructs reusable per-query State that holds no
+// graph: each run names its Instance, so a pool of states serves every
+// generation of a graph. The contract is State's: a whole source set in one
+// run on the Instance it names (every solver seeds each source at distance
+// 0), a result that may alias the state until the next run or Reset, any
+// number of runs per state, no concurrent use.
 // Solver.Solve is defined on top of it as fresh state, one run, detached copy.
 //
 // See DESIGN.md §3 ("System inventory") and §5 decision 12 for how this

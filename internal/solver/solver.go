@@ -141,16 +141,18 @@ func (in *Instance) Built() map[string]int64 {
 	return out
 }
 
-// State is one solver's reusable per-query state, bound to an Instance. It is
-// not safe for concurrent use; concurrency is across states.
+// State is one solver's reusable per-query state. It holds no graph: each
+// run names the Instance it runs on, so one pooled state serves every
+// generation of a graph (and resizes its arrays to the run's vertex count). It
+// is not safe for concurrent use; concurrency is across states.
 type State interface {
-	// RunFromSources returns the distance from the nearest source for every
-	// vertex (graph.Inf where unreachable). Sources must be in range and may
-	// repeat; an empty set leaves every vertex at graph.Inf. The result may
+	// RunFromSources returns the distance on in from the nearest source for
+	// every vertex (graph.Inf where unreachable). Sources must be in range and
+	// may repeat; an empty set leaves every vertex at graph.Inf. The result may
 	// alias the state and is valid until the next run or Reset. A kernel that
 	// looks at ctx (delta, bfs, thorup) stops once it is done and returns nil;
 	// the reference solvers (dijkstra, mlb, thorup-serial) run to completion.
-	RunFromSources(ctx context.Context, sources []int32) []int64
+	RunFromSources(ctx context.Context, in *Instance, sources []int32) []int64
 	// Reset scrubs the state so nothing of the last run leaks to the next
 	// user across a pool boundary. Not required between runs.
 	Reset()
@@ -158,10 +160,10 @@ type State interface {
 
 // StateFunc adapts a kernel that allocates everything per run to State: it
 // keeps nothing between runs, so Reset has nothing to scrub.
-type StateFunc func(ctx context.Context, sources []int32) []int64
+type StateFunc func(ctx context.Context, in *Instance, sources []int32) []int64
 
-func (f StateFunc) RunFromSources(ctx context.Context, sources []int32) []int64 {
-	return f(ctx, sources)
+func (f StateFunc) RunFromSources(ctx context.Context, in *Instance, sources []int32) []int64 {
+	return f(ctx, in, sources)
 }
 func (StateFunc) Reset() {}
 
@@ -174,72 +176,78 @@ type Solver struct {
 	UnitWeightsOnly bool
 	// NeedsCH marks solvers that consume the Component Hierarchy.
 	NeedsCH bool
-	// NewState allocates per-query state over the instance: the one
-	// description of how the solver executes. A serving layer pools the
-	// states; everything else goes through Solve.
-	NewState func(in *Instance) State
+	// NewState allocates per-query state: the one description of how the
+	// solver executes. A serving layer pools the states; everything else goes
+	// through Solve.
+	NewState func() State
 }
 
 // Solve is a fresh state, one run, and a copy of the result that nothing
 // else references.
 func (s Solver) Solve(in *Instance, sources []int32) []int64 {
-	return append([]int64(nil), s.NewState(in).RunFromSources(context.Background(), sources)...)
+	return append([]int64(nil), s.NewState().RunFromSources(context.Background(), in, sources)...)
 }
 
-// PointSearch is one point-to-point solver's reusable per-query state, bound
-// to an Instance like a State, but keeping nothing of a run (no Reset). It
-// returns the s-t distance (graph.Inf: unreachable), or ok false once that
-// would take settling more than budget vertices. Not safe for concurrent use.
-type PointSearch func(s, t int32, budget int) (dist int64, settled int, ok bool)
+// PointSearch is one point-to-point solver's reusable per-query state, run on
+// the Instance it is given like a State, but keeping nothing of a run (no
+// Reset). It returns the s-t distance (graph.Inf: unreachable), or ok false
+// once that would take settling more than budget vertices. Not safe for
+// concurrent use.
+type PointSearch func(in *Instance, s, t int32, budget int) (dist int64, settled int, ok bool)
 
 // PointToPoint is a solver that answers a single s-t distance query.
 type PointToPoint struct {
 	Name string
-	// NewState allocates per-query state over the instance, as Solver's does.
-	NewState func(in *Instance) PointSearch
+	// NewState allocates per-query state, as Solver's does.
+	NewState func() PointSearch
 }
 
 // Dist is a fresh state and one search without a budget.
 func (p PointToPoint) Dist(in *Instance, s, t int32) int64 {
-	d, _, _ := p.NewState(in)(s, t, math.MaxInt)
+	d, _, _ := p.NewState()(in, s, t, math.MaxInt)
 	return d
 }
 
-// thorupState is a core.Query answering the empty source set, which core
-// rejects, the way every other solver does.
-type thorupState struct{ *core.Query }
+// thorupState is a traced core.Query over the hierarchy h of the instance it
+// last ran on: a run on another hierarchy (another generation's) makes a new
+// query first. It answers the empty source set, which core rejects, the way
+// every other solver does.
+type thorupState struct {
+	*core.Query
+	h *ch.Hierarchy
+}
 
-func (q thorupState) RunFromSources(ctx context.Context, sources []int32) []int64 {
-	if len(sources) > 0 {
-		return q.Query.RunFromSourcesContext(ctx, sources)
+func (s *thorupState) RunFromSources(ctx context.Context, in *Instance, sources []int32) []int64 {
+	if h := in.Hierarchy(); h != s.h {
+		s.Query, s.h = core.NewSolver(h, in.RT).Query(), h
+		s.EnableTrace()
 	}
-	d := q.Dist()
+	if len(sources) > 0 {
+		return s.RunFromSourcesContext(ctx, sources)
+	}
+	d := s.Dist()
 	for i := range d {
 		d[i] = graph.Inf
 	}
 	return d
 }
 
-// dijkstraState binds a dijkstra.Scratch to the instance's graph.
-type dijkstraState struct {
-	*dijkstra.Scratch
-	g *graph.Graph
+// dijkstraState runs a dijkstra.Scratch on the instance's graph.
+type dijkstraState struct{ *dijkstra.Scratch }
+
+func (s dijkstraState) RunFromSources(_ context.Context, in *Instance, sources []int32) []int64 {
+	return s.SSSPFromSources(in.G, sources)
 }
 
-func (s dijkstraState) RunFromSources(_ context.Context, sources []int32) []int64 {
-	return s.SSSPFromSources(s.g, sources)
-}
-
-// deltaState binds a deltastep.State to the instance's runtime, graph and
+// deltaState runs a deltastep.State on the instance's runtime, graph and
 // bucket width, and keeps the phase statistics of its last run.
 type deltaState struct {
 	*deltastep.State
-	in   *Instance
 	last deltastep.Stats
 }
 
-func (s *deltaState) RunFromSources(ctx context.Context, sources []int32) (d []int64) {
-	d, s.last = s.State.RunFromSources(ctx, s.in.RT, s.in.G, sources, s.in.Delta)
+func (s *deltaState) RunFromSources(ctx context.Context, in *Instance, sources []int32) (d []int64) {
+	d, s.last = s.State.RunFromSources(ctx, in.RT, in.G, sources, in.Delta)
 	return d
 }
 
@@ -253,35 +261,36 @@ func All() []Solver {
 		{
 			Name:     "thorup",
 			NeedsCH:  true,
-			NewState: func(in *Instance) State { return thorupState{in.Thorup().Query()} },
+			NewState: func() State { return new(thorupState) },
 		},
 		{
 			Name:    "thorup-serial",
 			NeedsCH: true,
-			NewState: func(in *Instance) State {
-				h := in.Hierarchy()
-				return StateFunc(func(_ context.Context, srcs []int32) []int64 { return core.SerialSSSPFromSources(h, srcs) })
+			NewState: func() State {
+				return StateFunc(func(_ context.Context, in *Instance, srcs []int32) []int64 {
+					return core.SerialSSSPFromSources(in.Hierarchy(), srcs)
+				})
 			},
 		},
 		{
 			Name:     "dijkstra",
-			NewState: func(in *Instance) State { return dijkstraState{dijkstra.NewScratch(), in.G} },
+			NewState: func() State { return dijkstraState{dijkstra.NewScratch()} },
 		},
 		{
 			Name:     "delta",
-			NewState: func(in *Instance) State { return &deltaState{State: deltastep.NewState(), in: in} },
+			NewState: func() State { return &deltaState{State: deltastep.NewState()} },
 		},
 		{
 			Name: "mlb",
-			NewState: func(in *Instance) State {
-				return StateFunc(func(_ context.Context, srcs []int32) []int64 { return mlb.SSSPFromSources(in.G, srcs) })
+			NewState: func() State {
+				return StateFunc(func(_ context.Context, in *Instance, srcs []int32) []int64 { return mlb.SSSPFromSources(in.G, srcs) })
 			},
 		},
 		{
 			Name:            "bfs",
 			UnitWeightsOnly: true,
-			NewState: func(in *Instance) State {
-				return StateFunc(func(ctx context.Context, srcs []int32) []int64 {
+			NewState: func() State {
+				return StateFunc(func(ctx context.Context, in *Instance, srcs []int32) []int64 {
 					if level := bfs.ParallelFromSources(ctx, in.RT, in.G, srcs); level != nil {
 						return bfs.Distances(level)
 					}
@@ -297,9 +306,11 @@ func PointToPoints() []PointToPoint {
 	return []PointToPoint{
 		{
 			Name: "bidirectional",
-			NewState: func(in *Instance) PointSearch {
-				x, sc := in.STIndex(), new(dijkstra.STScratch)
-				return func(s, t int32, budget int) (int64, int, bool) { return sc.Distance(x, s, t, budget) }
+			NewState: func() PointSearch {
+				sc := new(dijkstra.STScratch)
+				return func(in *Instance, s, t int32, budget int) (int64, int, bool) {
+					return sc.Distance(in.STIndex(), s, t, budget)
+				}
 			},
 		},
 	}

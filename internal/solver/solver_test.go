@@ -207,9 +207,9 @@ func TestSTIndexConcurrentFirstUse(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			search := PointToPoints()[0].NewState(in)
+			search := PointToPoints()[0].NewState()
 			for _, tgt := range targets {
-				d, _, _ := search(3, tgt, math.MaxInt)
+				d, _, _ := search(in, 3, tgt, math.MaxInt)
 				got[i] = append(got[i], d)
 			}
 		}()
@@ -398,13 +398,22 @@ func sourceSets(n int) [][]int32 {
 // applicable solver, graph shape and source set: a k-source run equals the
 // elementwise minimum of that solver's own single-source runs and Dijkstra's
 // answer; an empty source set (and an empty graph) reaches nothing; and one
-// state answers different source sets, before and after a Reset, exactly as
-// a fresh state does. For each point-to-point solver and pair of vertices: one
-// state, reused across pairs and budgets, answers as a fresh one does; never
+// state answers different source sets on every graph, before and after a
+// Reset, exactly as a fresh state does. For each point-to-point solver and
+// pair of vertices: one state, reused across graphs, pairs and budgets,
+// answers as a fresh one does; never
 // settles more than its budget; without one never gives up; and an answer it
 // does give is Dijkstra's.
 func TestConformance(t *testing.T) {
 	rt := par.NewExec(2)
+	reused := make(map[string]State) // one state a solver, for every graph
+	for _, s := range All() {
+		reused[s.Name] = s.NewState()
+	}
+	searches := make(map[string]PointSearch)
+	for _, pp := range PointToPoints() {
+		searches[pp.Name] = pp.NewState()
+	}
 	for gname, g := range conformanceGraphs() {
 		in := NewInstance(g, rt)
 		n := g.NumVertices()
@@ -422,9 +431,9 @@ func TestConformance(t *testing.T) {
 			for i := range unreached {
 				unreached[i] = graph.Inf
 			}
-			reused := s.NewState(in)
+			reused := reused[s.Name]
 			check("empty source set", s.Solve(in, nil), unreached)
-			check("empty source set, reused state", reused.RunFromSources(context.Background(), nil), unreached)
+			check("empty source set, reused state", reused.RunFromSources(context.Background(), in, nil), unreached)
 			for i, srcs := range sourceSets(n) {
 				want := dijkstra.SSSPFromSources(g, srcs)
 				singles := slices.Clone(unreached)
@@ -436,20 +445,19 @@ func TestConformance(t *testing.T) {
 				check("min of single-source runs", singles, want)
 				check("fresh state", s.Solve(in, srcs), want)
 				// reused has by now answered every earlier, different set.
-				check("reused state", reused.RunFromSources(context.Background(), srcs), want)
+				check("reused state", reused.RunFromSources(context.Background(), in, srcs), want)
 				if i%2 == 1 {
 					reused.Reset()
 				}
 			}
 		}
 		for _, pp := range PointToPoints() {
-			reused := pp.NewState(in)
 			for src := int32(0); int(src) < n; src += 5 {
 				want := dijkstra.SSSP(g, src)
 				for dst := int32(0); int(dst) < n; dst += 3 {
 					for _, budget := range []int{0, 2, 9, math.MaxInt} {
-						d, settled, ok := reused(src, dst, budget)
-						fd, fsettled, fok := pp.NewState(in)(src, dst, budget)
+						d, settled, ok := searches[pp.Name](in, src, dst, budget)
+						fd, fsettled, fok := pp.NewState()(in, src, dst, budget)
 						if d != fd || settled != fsettled || ok != fok {
 							t.Fatalf("%s/%s st(%d,%d) budget %d: reused (%d,%d,%v), fresh (%d,%d,%v)",
 								gname, pp.Name, src, dst, budget, d, settled, ok, fd, fsettled, fok)
@@ -470,10 +478,10 @@ func TestConformance(t *testing.T) {
 func TestWarmDijkstraStateAllocatesNothing(t *testing.T) {
 	g := gen.Random(256, 1024, 1<<10, gen.UWD, 21)
 	s, _ := ByName("dijkstra")
-	st := s.NewState(NewInstance(g, par.NewExec(1)))
+	st, in := s.NewState(), NewInstance(g, par.NewExec(1))
 	srcs := []int32{3, 77, 140, 255}
-	st.RunFromSources(context.Background(), srcs) // grow the buffers
-	if a := testing.AllocsPerRun(20, func() { st.RunFromSources(context.Background(), srcs) }); a != 0 {
+	st.RunFromSources(context.Background(), in, srcs) // grow the buffers
+	if a := testing.AllocsPerRun(20, func() { st.RunFromSources(context.Background(), in, srcs) }); a != 0 {
 		t.Fatalf("warm 4-source dijkstra run: %v allocs, want 0", a)
 	}
 }
@@ -493,7 +501,7 @@ func TestStatesUnderCancelledContext(t *testing.T) {
 			if !s.Applicable(in.G) || (s.UnitWeightsOnly != (c == 1)) {
 				continue
 			}
-			got := s.NewState(in).RunFromSources(ctx, []int32{3})
+			got := s.NewState().RunFromSources(ctx, in, []int32{3})
 			switch {
 			case checks[s.Name] && got != nil:
 				t.Errorf("%s ran to completion under a cancelled context", s.Name)

@@ -257,11 +257,8 @@ func replayLineage(cfg Config, rt par.Runtime, name, lineage string, refs []*gra
 		}
 		return sets[:1]
 	}
-	newEngine := func(g *graph.Graph, gen int) *engine.Engine {
-		return engine.New(solver.NewInstanceWithHierarchy(g, rt, nil), engine.Config{CacheEntries: 8, Graph: name, Gen: uint64(gen)})
-	}
 	width := make(map[string]int) // per source set: the bits its latest answer's eccentricity needs
-	ask := func(e *engine.Engine, gen int, sets [][]int32) string {
+	ask := func(e *engine.Gen, gen int, sets [][]int32) string {
 		for _, srcs := range sets {
 			res, via, err := e.Query(context.Background(), engine.Request{Sources: srcs})
 			if err != nil {
@@ -278,7 +275,8 @@ func replayLineage(cfg Config, rt par.Runtime, name, lineage string, refs []*gra
 		}
 		return ""
 	}
-	eng := newEngine(base, 1)
+	// One engine serves the lineage; eng is its newest generation.
+	eng := engine.New(solver.NewInstance(base, rt), engine.Config{CacheEntries: 8})
 	if diff := ask(eng, 1, first(1)); diff != "" {
 		return fail("mutate-served", "%s", diff)
 	}
@@ -306,8 +304,8 @@ func replayLineage(cfg Config, rt par.Runtime, name, lineage string, refs []*gra
 		}
 
 		// Generation i+2 serves res.G and inherits, beside queries in flight on
-		// the parent.
-		child := newEngine(res.G, i+2)
+		// the parent, which miss once the swap is done.
+		child := eng.Next(solver.NewInstance(res.G, rt))
 		late := make(chan string, 1)
 		if cfg.NoRace || i%2 == 0 {
 			late <- ask(eng, i+1, sets[1:])
@@ -324,13 +322,11 @@ func replayLineage(cfg Config, rt par.Runtime, name, lineage string, refs []*gra
 			}
 			changes = kept
 		}
-		exact, pending, unread := child.Inherit(eng, changes)
+		exact, pending, unread := child.Swap(child.Inherit(changes))
 		tally.Exact, tally.Pending, tally.Unread = tally.Exact+int64(exact), tally.Pending+int64(pending), tally.Unread+int64(unread)
 		if diff := <-late; diff != "" {
 			return fail("mutate-served", "%s", diff)
 		}
-		tally.Resumed += eng.Counter("resumed")
-		tally.Repaired += eng.Counter("repaired")
 		if diff := ask(child, i+2, first(i+2)); diff != "" {
 			return fail("mutate-served", "%s", diff)
 		}
@@ -339,8 +335,7 @@ func replayLineage(cfg Config, rt par.Runtime, name, lineage string, refs []*gra
 	if diff := ask(eng, len(batches)+1, append(sets, rare...)); diff != "" {
 		return fail("mutate-served", "%s", diff)
 	}
-	tally.Resumed += eng.Counter("resumed")
-	tally.Repaired += eng.Counter("repaired")
+	tally.Resumed, tally.Repaired = eng.Counter("resumed"), eng.Counter("repaired") // the engine's, over every generation
 
 	if err := cur.Validate(); err != nil {
 		return fail("mutate-graph-validate", "%s, after %d batches: %v", lineage, len(batches), err)

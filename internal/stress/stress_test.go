@@ -54,8 +54,8 @@ func TestSweepDeterministic(t *testing.T) {
 func brokenDijkstra() solver.Solver {
 	return solver.Solver{
 		Name: "broken",
-		NewState: func(in *solver.Instance) solver.State {
-			return solver.StateFunc(func(_ context.Context, sources []int32) []int64 {
+		NewState: func() solver.State {
+			return solver.StateFunc(func(_ context.Context, in *solver.Instance, sources []int32) []int64 {
 				d := dijkstra.SSSPFromSources(in.G, sources)
 				for v := len(d) - 1; v >= 0; v-- {
 					if d[v] != 0 && d[v] != graph.Inf {
