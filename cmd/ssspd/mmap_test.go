@@ -76,7 +76,7 @@ func TestServeFromMmapSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !gen1.Mapped() || gen1.MappedBytes == 0 || gen1.HeapBytes() != 0 {
+	if !gen1.Mapped() || gen1.MappedBytes() == 0 || gen1.HeapBytes() != 0 {
 		t.Fatalf("startup generation not mapped: %+v", gen1)
 	}
 	release()
@@ -143,7 +143,7 @@ func TestServeFromMmapSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer relC()
-	if genC.Mapped() || genC.HeapBytes() == 0 || genC.MappedBytes != 0 {
+	if genC.Mapped() || genC.HeapBytes() == 0 || genC.MappedBytes() != 0 {
 		t.Fatalf("copy-loaded generation claims mmap residency: %+v", genC)
 	}
 }

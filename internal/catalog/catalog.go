@@ -623,7 +623,7 @@ func (c *Catalog) Status() []GraphStatus {
 			gs.MaxWeight = e.gen.G.MaxWeight()
 			gs.Delta = e.gen.Engine.Delta()
 			gs.HeapBytes = e.gen.HeapBytes()
-			gs.MappedBytes = e.gen.MappedBytes
+			gs.MappedBytes = e.gen.MappedBytes()
 			gs.Bytes = gs.HeapBytes + gs.MappedBytes
 			gs.CacheBytes = e.gen.Engine.CacheBytes()
 			gs.ParentGen = e.gen.ParentGen
@@ -682,7 +682,7 @@ func (c *Catalog) StatsSnapshot() map[string]any {
 		if e.state == StateReady && e.gen != nil {
 			ready++
 			heapBytes += e.gen.HeapBytes()
-			mappedBytes += e.gen.MappedBytes
+			mappedBytes += e.gen.MappedBytes()
 		}
 	}
 	sort.Slice(states, func(i, j int) bool { return states[i].Name < states[j].Name })

@@ -186,34 +186,6 @@ func TestLoadFailureAndRetry(t *testing.T) {
 	}
 }
 
-// A drained generation's memory is most of the live heap; the catalog asks
-// for a collection when one drains instead of leaving the pacer to find out.
-func TestDrainStartsCollection(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // no cycle but a requested one
-	c := testCatalog(t, Config{})
-	if _, err := c.Load("g", Source{Loader: loaderFor(1)}); err != nil {
-		t.Fatal(err)
-	}
-	g1, release, err := c.Acquire("g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Unload("g"); err != nil {
-		t.Fatal(err)
-	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	before := ms.NumGC
-	release()
-	<-g1.Drained()
-	for deadline := time.Now().Add(waitFor); ms.NumGC == before; runtime.ReadMemStats(&ms) {
-		if time.Now().After(deadline) {
-			t.Fatal("no collection followed the drain")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // A generation nothing refers to any more is garbage in the very next
 // collection, although the engine and its pooled solver states live on with
 // the child a mutation made of it: a pooled state holds no instance, the

@@ -2,7 +2,6 @@ package catalog
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -92,31 +91,18 @@ type Generation struct {
 	// generation of the name, and its cache answers for the serving one only.
 	G      *graph.Graph
 	Engine *engine.Gen
-	// MappedBytes is the size of the mmap'd snapshot backing the instance:
-	// its own, or the one a weight-only child pins through its parent (zero
-	// for copy-loaded generations). Mapped pages are reclaimable page cache,
-	// not heap, but still count against the budget: they are the working set
-	// a query touches.
-	MappedBytes int64
 	// ParentGen and DeltaSize record delta lineage: a generation produced by
 	// a mutation names the generation it was derived from and how many ops
 	// the delta carried. Both are zero for generations built from source.
 	ParentGen uint64
 	DeltaSize int
 
-	// mapping, when non-nil, owns the mmap'd file the arrays alias. It is
-	// closed exactly once, after the generation is retired and the last
-	// in-flight query has released — never while a query can still read the
-	// arrays.
+	// mapping, when non-nil, owns the mmap'd file the arrays alias. Only the
+	// generation that mapped it reads it (a write's child copies what it
+	// would share, Catalog.Mutate), and it is closed exactly once, after the
+	// generation is retired and the last in-flight query has released —
+	// never while a query can still read the arrays.
 	mapping *snapshot.Mapping
-
-	// parent, when non-nil, holds a reference on the generation whose CSR
-	// arrays this one aliases (a weight-only mutation overlay shares offsets
-	// and targets with its parent). Set only when the parent's storage chain
-	// reaches an mmap — heap arrays survive through the garbage collector,
-	// but mapped ones must not be unmapped while a descendant can read them.
-	// The reference is released in finishDrain, chaining transitively.
-	parent *Generation
 
 	// in is the solver instance under Engine: it alone knows whether a
 	// hierarchy exists. heap is what the generation was made with on the
@@ -151,10 +137,11 @@ func (c *Catalog) newGeneration(name string, gen uint64, from *Generation, g *gr
 	}
 	// The hook must not hold gn: a drained generation is garbage at once.
 	in.OnDerived = func(kind string, bytes int64, ms float64) { c.builtOnDemand(name, gen, kind, bytes, ms) }
-	if m != nil {
-		gn.MappedBytes = m.Bytes()
-	} else if gn.heap = g.MemoryBytes(); h != nil {
-		gn.heap += h.Bytes()
+	if m == nil {
+		gn.heap = g.MemoryBytes()
+		if h != nil {
+			gn.heap += h.Bytes()
+		}
 	}
 	return gn
 }
@@ -178,8 +165,14 @@ func (g *Generation) HeapBytes() int64 {
 	return b
 }
 
+// MappedBytes is the size of the snapshot file the generation serves from
+// (zero for a heap-backed one). Mapped pages are reclaimable page cache, not
+// heap, but still count against the budget: they are the working set a query
+// touches.
+func (g *Generation) MappedBytes() int64 { return g.mapping.Bytes() }
+
 // Bytes is what the memory budget is charged: HeapBytes + MappedBytes.
-func (g *Generation) Bytes() int64 { return g.HeapBytes() + g.MappedBytes }
+func (g *Generation) Bytes() int64 { return g.HeapBytes() + g.MappedBytes() }
 
 // Mapped reports whether this generation serves straight from an mmap'd
 // snapshot.
@@ -187,25 +180,13 @@ func (g *Generation) Mapped() bool { return g.mapping != nil }
 
 // finishDrain runs the end-of-life sequence exactly once: unmap the backing
 // file (no query can hold the arrays anymore — the last reference is gone
-// and the generation is retired), then announce drained.
+// and the generation is retired), then announce drained. What the generation
+// holds on the heap, its graph and what its queries derived, is garbage from
+// here, and the collector's own pacing reclaims it (DESIGN.md §9).
 func (g *Generation) finishDrain() {
 	g.drainedOnce.Do(func() {
-		if g.mapping != nil {
-			g.mapping.Close()
-		}
-		if g.parent != nil {
-			g.parent.release()
-		}
+		g.mapping.Close()
 		close(g.drained)
-		// A drained generation takes its CSR and hierarchy with it, and the
-		// last one of a name its engine — the cached vectors, the pooled
-		// solver states: commonly most of the live heap — but the pacer
-		// keeps its goal at twice the live heap of the previous cycle, so
-		// without a collection here the heap may grow as if the dead
-		// generation were still in use. Concurrent callers of runtime.GC
-		// share a cycle, so a burst of drains costs one or two. DESIGN.md §9
-		// has the measurements.
-		go runtime.GC()
 	})
 }
 

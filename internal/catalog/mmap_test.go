@@ -73,9 +73,9 @@ func TestMmapHotSwapChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g0.Mapped() || g0.MappedBytes == 0 || g0.HeapBytes() != 0 {
+	if !g0.Mapped() || g0.MappedBytes() == 0 || g0.HeapBytes() != 0 {
 		t.Fatalf("generation not served from mmap: mapped=%v mappedBytes=%d heapBytes=%d",
-			g0.Mapped(), g0.MappedBytes, g0.HeapBytes())
+			g0.Mapped(), g0.MappedBytes(), g0.HeapBytes())
 	}
 	release()
 

@@ -14,8 +14,9 @@ type MutateResult struct {
 	Gen uint64
 	// Touched is the distinct mutated-endpoint count.
 	Touched int
-	// Aliased reports that the new generation's CSR shares offset and target
-	// arrays with its parent (weight-only batch).
+	// Aliased reports a weight-only batch: the new generation's CSR shares
+	// offset and target arrays with its parent, or holds its own copy of
+	// them when the parent served them from a mapped snapshot.
 	Aliased bool
 }
 
@@ -70,6 +71,14 @@ func (c *Catalog) Mutate(name string, b *mutate.Batch) (MutateResult, error) {
 	}
 	c.counters.C(cMutations).Inc() // accepted batches only; a rejected delta changes nothing
 	res.Touched, res.Aliased = len(b.Touched()), aliased
+	if aliased && parent.Mapped() {
+		// The overlay would read its offsets and targets out of the parent's
+		// mapping, which the parent unmaps when it drains: copy them, the
+		// O(n+m) a structural batch pays anyway. Every generation holds its
+		// own storage, so none keeps another from draining; a weight-only
+		// child of a heap parent shares its arrays through the collector.
+		g = g.OwnTopology()
+	}
 
 	// No warming — the parent's arrays are hot, and every answer the cache
 	// holds comes along, exact or owing what the batch changed
@@ -79,19 +88,6 @@ func (c *Catalog) Mutate(name string, b *mutate.Batch) (MutateResult, error) {
 	inh := gen.Engine.Inherit(mutate.Changes(parent.G, g, b))
 	gen.ParentGen = parent.Gen
 	gen.DeltaSize = len(b.Ops)
-	// When the overlay shares offset/target arrays with a parent whose
-	// storage chain reaches an mmap, hand our pin to the new generation; it
-	// releases it on drain, so the mapping stays valid while any descendant
-	// can still read it. Heap-backed parents need no pin — the overlay's
-	// slices keep the shared arrays alive through the garbage collector.
-	needPin := aliased && (parent.mapping != nil || parent.parent != nil)
-	if needPin {
-		gen.parent = parent
-		// Offsets and targets stay in the pinned mapping: they are charged
-		// as mapped, and only the weights the overlay allocated as heap.
-		gen.MappedBytes = parent.MappedBytes
-		gen.heap -= g.TopologyBytes()
-	}
 
 	c.mu.Lock()
 	e.deltas = append(e.deltas, b)
@@ -99,9 +95,7 @@ func (c *Catalog) Mutate(name string, b *mutate.Batch) (MutateResult, error) {
 	old := c.installLocked(e, gen)
 	c.mu.Unlock()
 	old.retire() // old == parent: our pin keeps it readable until released
-	if !needPin {
-		parent.release() // the parent pin has no further use
-	}
+	parent.release()
 	c.logf("catalog: %s gen %d mutated from gen %d (%d ops, %d touched, aliased=%v, answers inherited %d exact + %d pending, %d unread, %s)",
 		name, res.Gen, parent.Gen, len(b.Ops), res.Touched, aliased, exact, pending, unread, time.Since(start).Round(time.Microsecond))
 	return res, nil

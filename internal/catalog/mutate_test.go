@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,6 +19,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mutate"
+	"repro/internal/solver"
 )
 
 // weightBatch builds a weight-only batch over the first k distinct edge slots
@@ -316,13 +319,14 @@ func TestMutateErrors(t *testing.T) {
 }
 
 // TestMutateAliasedMmapChain chains weight-only mutations on top of an
-// mmap-served snapshot. Each overlay aliases the mapped offset/target arrays,
-// so every ancestor must stay mapped (not drained) while the chain head
-// serves, then the whole chain must unwind — drain and unmap — once a reload
-// swaps in a generation with its own storage.
+// mmap-served snapshot. The first child copies the offsets and targets it
+// would read out of the mapping, so the mapped root drains (and unmaps) the
+// moment the write retires it; the next child shares the heap arrays of its
+// parent, which drains at once as well. The chain head answers as Dijkstra on
+// the reference replay, and so does a reload that maps the file again.
 func TestMutateAliasedMmapChain(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "chain.snap")
-	writeMappedSnap(t, path, 300, 42)
+	base := writeMappedSnap(t, path, 300, 42) // a heap copy: the mapping goes with g1
 	requireCatalogMmap(t, path)
 
 	c := testCatalog(t, Config{MMap: true})
@@ -333,16 +337,15 @@ func TestMutateAliasedMmapChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g1.Mapped() {
-		rel1()
-		t.Skip("snapshot did not map; aliasing chain not exercised")
-	}
-	base := g1.G
 	rel1()
+	if !g1.Mapped() {
+		t.Fatal("the snapshot did not map")
+	}
+	mapped := g1.G
 
 	b1 := weightBatch(base, 3, 2)
-	if _, err := c.Mutate("m", b1); err != nil {
-		t.Fatal(err)
+	if res, err := c.Mutate("m", b1); err != nil || !res.Aliased {
+		t.Fatalf("weight-only write: %+v, %v; want aliased", res, err)
 	}
 	g2, rel2, err := c.Acquire("m")
 	if err != nil {
@@ -353,22 +356,22 @@ func TestMutateAliasedMmapChain(t *testing.T) {
 	if _, err := c.Mutate("m", b2); err != nil {
 		t.Fatal(err)
 	}
-
 	g3, rel3, err := c.Acquire("m")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g3.G.AliasesArrays(base) {
-		t.Fatal("overlay chain should still alias the mapped arrays")
+	for i, gn := range []*Generation{g1, g2} {
+		select {
+		case <-gn.Drained():
+		default:
+			t.Fatalf("ancestor %d (gen %d) still undrained under a serving descendant", i, gn.Gen)
+		}
 	}
-	// The retired ancestors must NOT have drained: the chain head reads
-	// their mapped storage.
-	select {
-	case <-g1.Drained():
-		t.Fatal("mapped root drained while an aliasing descendant serves")
-	case <-g2.Drained():
-		t.Fatal("intermediate overlay drained while an aliasing descendant serves")
-	default:
+	if g2.Mapped() || g2.G.AliasesArrays(mapped) || g3.G.AliasesArrays(mapped) {
+		t.Fatal("a child still reads its topology out of the mapped root")
+	}
+	if !g3.G.AliasesArrays(g2.G) {
+		t.Fatal("a weight-only child of a heap parent should share its arrays")
 	}
 	want, err := mutate.ReferenceApply(base, b1, b2)
 	if err != nil {
@@ -377,17 +380,14 @@ func TestMutateAliasedMmapChain(t *testing.T) {
 	checkDistances(t, g3, want)
 	rel3()
 
-	// A reload rebuilds with fresh storage (replaying the deltas); the old
-	// chain unwinds: head drains, releasing each ancestor in turn.
+	// A reload maps the file again and replays the log over it.
 	if _, err := c.Reload("m"); err != nil {
 		t.Fatal(err)
 	}
-	for i, gn := range []*Generation{g3, g2, g1} {
-		select {
-		case <-gn.Drained():
-		case <-time.After(waitFor):
-			t.Fatalf("chain generation %d (gen %d) never drained", i, gn.Gen)
-		}
+	select {
+	case <-g3.Drained():
+	case <-time.After(waitFor):
+		t.Fatalf("chain head (gen %d) never drained", g3.Gen)
 	}
 	g4, rel4, err := c.Acquire("m")
 	if err != nil {
@@ -395,6 +395,85 @@ func TestMutateAliasedMmapChain(t *testing.T) {
 	}
 	defer rel4()
 	checkDistances(t, g4, want)
+}
+
+// Two hundred weight-only writes off a mapped snapshot, each generation
+// answering a targeted query (so it builds its s-t index too): every retired
+// generation drains as its write installs the next, and the lineage holds one
+// generation's storage, not one per write. (When each child read its topology
+// out of the mapping, it pinned its parent, and that parent its own: every
+// generation stayed, with its weights and index, and the heap grew by some
+// 300 MB that no budget counted.)
+func TestMappedLineageDrainsEveryGeneration(t *testing.T) {
+	const writes = 200
+	path := filepath.Join(t.TempDir(), "lineage.snap")
+	base := writeMappedSnap(t, path, 1<<14, 3)
+	requireCatalogMmap(t, path)
+	c := testCatalog(t, Config{MMap: true, Logf: func(string, ...any) {}})
+	if _, err := c.Load("m", Source{Snapshot: path}); err != nil {
+		t.Fatal(err)
+	}
+	// Each write reweighs three edges of vertex 0, and each generation is
+	// asked for the distance to its lightest neighbour.
+	ts, ws := base.Neighbors(0)
+	near := ts[slices.Index(ws, slices.Min(ws))]
+	reweigh := func(i int) *mutate.Batch {
+		b := &mutate.Batch{}
+		for j, v := range ts[:3] {
+			b.Ops = append(b.Ops, mutate.Op{Op: mutate.OpSetWeight, U: 0, V: v, W: ws[j] + uint32((i+j)%7)})
+		}
+		return b
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+
+	var batches []*mutate.Batch
+	for i := range writes {
+		gn, rel, err := c.Acquire("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _, err := gn.Engine.Query(context.Background(), engine.Request{Sources: []int32{0}, Targets: []int32{near}})
+		if err != nil || i%40 == 0 && res.Target(0, near) != dijkstra.SSSP(gn.G, 0)[near] {
+			t.Fatalf("gen %d: targeted answer %+v, %v", gn.Gen, res, err)
+		}
+		if _, ok := gn.Built()[solver.KindSTIndex]; !ok {
+			t.Fatalf("gen %d built %v, want its s-t index", gn.Gen, gn.Built())
+		}
+		rel()
+		b := reweigh(i)
+		if _, err := c.Mutate("m", b); err != nil {
+			t.Fatal(err)
+		}
+		batches = append(batches, b)
+		select {
+		case <-gn.Drained():
+		case <-time.After(waitFor):
+			t.Fatalf("write %d: gen %d never drained", i, gn.Gen)
+		}
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("%d writes grew the heap by %d KiB", writes, grew>>10)
+	if grew >= 16<<20 {
+		t.Fatalf("%d writes grew the heap by %d MiB", writes, grew>>20)
+	}
+	if st := row(t, c, "m"); st.MappedBytes != 0 || st.HeapBytes == 0 {
+		t.Fatalf("head of a heap lineage: %+v", st)
+	}
+	gn, rel, err := c.Acquire("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rel()
+	want, err := mutate.ReferenceApply(base, batches...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDistances(t, gn, want)
 }
 
 // TestMutateUnderLoad streams queries while a chain of mutations swaps
@@ -613,12 +692,13 @@ func TestMutateCarriesAnswersOnIncrementalPathOnly(t *testing.T) {
 	}
 }
 
-// A weight-only child of a mapped generation reads offsets and targets from
-// the mapping it pins: they are charged as mapped bytes, and only the weights
-// the overlay allocated count as heap — in HeapBytes, /graphs and the budget.
-func TestMappedChildChargesOnlyNewWeightsAsHeap(t *testing.T) {
+// A weight-only child of a mapped generation holds its own copy of the
+// offsets and targets: it is charged its whole graph as heap and nothing as
+// mapped, in HeapBytes, /graphs and the budget, and its parent, with the
+// mapping, is gone at once.
+func TestMappedChildChargesItsWholeGraphAsHeap(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "child.snap")
-	writeMappedSnap(t, path, 1000, 7)
+	base := writeMappedSnap(t, path, 1000, 7)
 	requireCatalogMmap(t, path)
 
 	c := testCatalog(t, Config{MMap: true, Engine: engine.Config{CacheEntries: 4}})
@@ -630,32 +710,43 @@ func TestMappedChildChargesOnlyNewWeightsAsHeap(t *testing.T) {
 		t.Fatal(err)
 	}
 	rel()
-	if !parent.Mapped() || parent.HeapBytes() != 0 {
+	if !parent.Mapped() || parent.HeapBytes() != 0 || parent.MappedBytes() == 0 {
 		t.Fatalf("parent: mapped=%v heap=%d, want a mapped generation with no heap", parent.Mapped(), parent.HeapBytes())
 	}
-	res, err := c.Mutate("m", weightBatch(parent.G, 1, 3))
+	mapped := parent.G
+	b := weightBatch(base, 1, 3)
+	res, err := c.Mutate("m", b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Aliased {
-		t.Fatal("a set_weight batch should alias the parent's offsets and targets")
+		t.Fatal("a set_weight batch should report aliased")
+	}
+	select {
+	case <-parent.Drained():
+	default:
+		t.Fatal("the mapped parent is still undrained under its child")
 	}
 	child, rel, err := c.Acquire("m")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rel()
-	if _, _, err := child.Engine.Query(context.Background(), engine.Request{Sources: []int32{0}}); err != nil {
+	if child.Mapped() || child.G.AliasesArrays(mapped) {
+		t.Fatal("the child reads its topology out of its parent's mapping")
+	}
+	want, err := mutate.ReferenceApply(base, b)
+	if err != nil {
 		t.Fatal(err)
 	}
-	wantHeap := 4 * int64(len(child.G.Weights()))
-	if child.HeapBytes() != wantHeap || child.MappedBytes != parent.MappedBytes {
-		t.Fatalf("child heap=%d mapped=%d, want heap=%d (its weights) mapped=%d (the pinned file)",
-			child.HeapBytes(), child.MappedBytes, wantHeap, parent.MappedBytes)
+	checkDistances(t, child, want)
+	wantHeap := child.G.MemoryBytes()
+	if child.HeapBytes() != wantHeap || child.MappedBytes() != 0 {
+		t.Fatalf("child heap=%d mapped=%d, want heap=%d (its graph) mapped=0", child.HeapBytes(), child.MappedBytes(), wantHeap)
 	}
 	st := c.Status()[0]
 	cache := child.Engine.CacheBytes()
-	if st.HeapBytes != wantHeap || st.MappedBytes != parent.MappedBytes || st.Bytes != wantHeap+parent.MappedBytes || st.CacheBytes != cache || cache == 0 {
+	if st.HeapBytes != wantHeap || st.MappedBytes != 0 || st.Bytes != wantHeap || st.CacheBytes != cache || cache == 0 {
 		t.Fatalf("/graphs row heap=%d mapped=%d bytes=%d cache=%d (engine %d)", st.HeapBytes, st.MappedBytes, st.Bytes, st.CacheBytes, cache)
 	}
 	if got := c.AccountedBytes(); got != wantHeap+cache {

@@ -407,11 +407,5 @@ func (g *Graph) Degrees() DegreeStats {
 // MemoryBytes estimates the resident size of the CSR arrays, used for the
 // Table 2 "instance memory" column.
 func (g *Graph) MemoryBytes() int64 {
-	return g.TopologyBytes() + int64(len(g.weights))*4
-}
-
-// TopologyBytes is the part of MemoryBytes in the offsets and targets arrays:
-// what a weight-only Overlay shares with the graph it was made from.
-func (g *Graph) TopologyBytes() int64 {
-	return int64(len(g.offsets))*8 + int64(len(g.targets))*4
+	return int64(len(g.offsets))*8 + int64(len(g.targets)+len(g.weights))*4
 }

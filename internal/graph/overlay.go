@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -18,10 +19,10 @@ import (
 //
 // The returned aliased flag reports the copy-on-write shape: a weight-only
 // batch (ins and del empty) shares g's offsets and targets arrays wholesale
-// and allocates only a patched weights array, so a caller serving g from an
-// mmap'd snapshot must keep that mapping alive for the overlay's lifetime.
-// Structural batches rebuild all three arrays, bulk-copying the contiguous
-// adjacency runs of unmutated vertices, and alias nothing.
+// and allocates only a patched weights array, so a caller that will unmap
+// the storage g lives in copies them first (OwnTopology). Structural batches
+// rebuild all three arrays, bulk-copying the contiguous adjacency runs of
+// unmutated vertices, and alias nothing.
 //
 // Overlay re-checks endpoints, weights, and edge existence and reports
 // violations as errors rather than corrupting the CSR; callers that already
@@ -82,6 +83,14 @@ func (g *Graph) patchArcs(weights []uint32, u, v int32, w, minW, maxW uint32) (i
 		}
 	}
 	return patched, onBound
+}
+
+// OwnTopology returns g with its offsets and targets copied to the heap and
+// its weights shared: a weight-only Overlay that holds nothing of the
+// storage its parent's topology lives in.
+func (g *Graph) OwnTopology() *Graph {
+	return &Graph{n: g.n, m: g.m, offsets: slices.Clone(g.offsets), targets: slices.Clone(g.targets),
+		weights: g.weights, maxW: g.maxW, minW: g.minW}
 }
 
 // overlayWeights is the zero-copy path: offsets and targets are shared with
@@ -317,9 +326,7 @@ func (g *Graph) recomputeWeightBounds() {
 }
 
 // AliasesArrays reports whether other shares CSR array storage with g — the
-// observable property of a weight-only Overlay, which generation lifetime
-// management uses to decide whether a parent's backing mapping must outlive
-// the child.
+// observable property of a weight-only Overlay.
 func (g *Graph) AliasesArrays(other *Graph) bool {
 	if other == nil || len(g.offsets) == 0 || len(other.offsets) == 0 {
 		return false

@@ -34,10 +34,10 @@
 //     — an engine per generation, each incremental child inheriting its
 //     parent's answers beside queries in flight on the parent — every answer
 //     served for the same source sets on every generation.
-//   - catalog: the multi-graph catalog (internal/catalog) survives reloads,
-//     loads, and unloads racing beneath live queries without ever failing an
-//     acquire on a ready graph or serving a stale generation's distances
-//     (catalog.go).
+//   - catalog: the multi-graph catalog (internal/catalog), a mapped snapshot
+//     among its sources, survives reloads, loads, writes and unloads racing
+//     beneath live queries without failing an acquire on a ready graph,
+//     serving a stale generation's distances or keeping one undrained (catalog.go).
 //
 // Failures are minimized by a built-in shrinker (shrink.go) and emitted as
 // self-contained DIMACS repro files (repro.go) that cmd/stress can replay.
