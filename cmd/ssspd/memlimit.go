@@ -76,8 +76,8 @@ func (l *memLimiter) update() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if !l.stopped {
+		l.arm() // first: a cycle that begins once set returns finds one dead
 		l.set(limit)
-		l.arm()
 	}
 }
 

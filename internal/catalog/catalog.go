@@ -160,8 +160,10 @@ type entry struct {
 	// batch that produced a generation, in acceptance order. A reload replays
 	// it over the source so the rebuilt generation reproduces the mutated
 	// graph, not the base one. Load with a fresh source resets the log (new
-	// lineage).
-	deltas []*mutate.Batch
+	// lineage). logBytes, its ops at their size, counts in AccountedBytes but
+	// not in the memory budget: evicting a generation frees none of it.
+	deltas   []*mutate.Batch
+	logBytes int64
 }
 
 // setState validates the lifecycle edge; an invalid transition is an
@@ -328,7 +330,7 @@ func (c *Catalog) Load(name string, src Source) (uint64, error) {
 		err = fmt.Errorf("catalog: graph %q already loaded (use reload)", name)
 	default: // failed or evicted: retry with the (possibly new) source
 		e.setState(StateLoading)
-		e.deltas = nil // fresh lineage: the old replay log no longer applies
+		e.deltas, e.logBytes = nil, 0 // fresh lineage: the old replay log no longer applies
 	}
 	if err != nil {
 		c.mu.Unlock()
@@ -371,9 +373,10 @@ func (c *Catalog) Reload(name string) (uint64, error) {
 // build is the rest of a Load or Reload, entered with the catalog lock held:
 // mark e pending, then — unlocked, on the caller's goroutine — load the
 // source, replay the delta log and make a generation of the graph's engine (a
-// new one unless e serves), and install it with the source's hierarchy if it
-// carried one that still fits, else without, and an empty result cache. A first load (e loading) ends ready or failed; a reload of a
-// ready entry swaps, or keeps the old generation serving when it fails.
+// new one unless e serves), and install it with an empty result cache and
+// the source's hierarchy, if it carried one and no delta was replayed. A
+// first load (e loading) ends ready or failed; a reload of a ready entry
+// swaps, or keeps the old generation serving when it fails.
 func (c *Catalog) build(e *entry) (uint64, error) {
 	e.pending, e.err = true, nil // no other load, reload, mutation or unload until we finish
 	src, deltas, num, serving := e.src, e.deltas, e.genSeq+1, e.gen
@@ -386,24 +389,17 @@ func (c *Catalog) build(e *entry) (uint64, error) {
 	}
 	loaded := time.Now()
 	if len(deltas) > 0 {
-		// Replay the accepted-mutation log so the rebuilt generation carries
-		// the graph's logical state, not the base source. A snapshot-carried
-		// hierarchy matches the base graph and is dropped.
-		base := g
+		// Replay the accepted-mutation log under the write's storage rule: the
+		// rebuilt generation carries the graph's logical state on its own heap.
+		// A snapshot-carried hierarchy matches the base graph and is dropped.
 		for i, b := range deltas {
-			g2, _, aerr := mutate.Apply(g, b)
-			if aerr != nil {
+			if g, _, err = apply(g, m != nil && i == 0, b); err != nil {
 				m.Close()
-				return 0, c.failBuild(e, fmt.Errorf("%w: replay delta %d/%d on %s: %w", ErrLoadFailed, i+1, len(deltas), src, aerr))
+				return 0, c.failBuild(e, fmt.Errorf("%w: replay delta %d/%d on %s: %w", ErrLoadFailed, i+1, len(deltas), src, err))
 			}
-			g = g2
 		}
-		h = nil
-		if m != nil && !g.AliasesArrays(base) {
-			// The replay produced fresh arrays; the mapping backs nothing.
-			m.Close()
-			m = nil
-		}
+		m.Close()
+		h, m = nil, nil
 	}
 	c.counters.C(cBuilds).Inc()
 	gen := c.newGeneration(e.name, num, serving, g, h, m)
@@ -698,16 +694,17 @@ func (c *Catalog) StatsSnapshot() map[string]any {
 	return out
 }
 
-// AccountedBytes is the heap the catalog accounts for: the HeapBytes and
-// result cache of every generation it holds, serving or draining (a draining
-// one's bytes stay live until its last reader returns). Both are long-lived
-// and bounded by budgets; a daemon may pace its garbage collector on the rest.
+// AccountedBytes is the heap the catalog accounts for, all of it long-lived:
+// the HeapBytes and result cache of every generation it holds, serving or
+// draining (a draining one's bytes stay live until its last reader returns),
+// and every name's delta log. A daemon may pace its collector on the rest.
 func (c *Catalog) AccountedBytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var b int64
 	for _, e := range c.entries {
 		e.settle()
+		b += e.logBytes
 		if e.gen != nil {
 			b += e.gen.HeapBytes() + e.gen.Engine.CacheBytes()
 		}

@@ -9,10 +9,9 @@
 // the batch's width (DESIGN.md §5, decision 18). A hierarchy the source did
 // not carry is not built here at all: the first query that names a solver
 // which reads one builds it, in its own request (DESIGN.md §5, decision 15).
-// In-flight
-// queries keep the generation they acquired until they release it, so a
-// reload never fails a running query and never lets a query observe a mix of
-// old and new state.
+// In-flight queries keep the generation they acquired until they release it,
+// so a reload never fails a running query and never lets a query observe a
+// mix of old and new state.
 //
 // Each graph moves through an explicit lifecycle (see State), and the
 // catalog enforces a memory budget by evicting the least-recently-used idle

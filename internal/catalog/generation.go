@@ -97,11 +97,11 @@ type Generation struct {
 	ParentGen uint64
 	DeltaSize int
 
-	// mapping, when non-nil, owns the mmap'd file the arrays alias. Only the
-	// generation that mapped it reads it (a write's child copies what it
-	// would share, Catalog.Mutate), and it is closed exactly once, after the
-	// generation is retired and the last in-flight query has released —
-	// never while a query can still read the arrays.
+	// mapping, when non-nil, owns the mmap'd file the arrays alias: the
+	// generation is a snapshot as loaded. Only it reads the file (a write or
+	// a reload's replay copies what it would share: apply), and it is closed
+	// exactly once, after the generation is retired and the last in-flight
+	// query has released — never while a query can still read the arrays.
 	mapping *snapshot.Mapping
 
 	// in is the solver instance under Engine: it alone knows whether a
@@ -205,16 +205,12 @@ func (g *Generation) release() {
 
 // retire marks the generation as no longer current. In-flight queries keep
 // their references and finish normally; once the count reaches zero the
-// mapping is unmapped and the drained channel closes. Idempotent. It reports
-// whether the generation had drained by the time it returned: true when no
-// query held it.
-func (g *Generation) retire() bool {
+// mapping is unmapped and the drained channel closes. Idempotent.
+func (g *Generation) retire() {
 	g.retired.Store(true)
 	if g.refs.Load() == 0 {
 		g.finishDrain()
-		return true
 	}
-	return false
 }
 
 // Drained is closed once the generation is retired, its last in-flight

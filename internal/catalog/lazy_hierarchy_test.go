@@ -16,6 +16,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mutate"
+	"repro/internal/solver"
 )
 
 // lazyLoader yields loaderFor's graph without a hierarchy, the way a text or
@@ -195,9 +196,11 @@ func TestBudgetRecheckedWhenSTIndexLands(t *testing.T) {
 
 // A demand build on a generation that has been retired — replaced by a reload,
 // then unloaded — needs nothing but the demanding request's own reference: the
-// generation stays readable until that is released, then drains. The instance
-// is a mapped snapshot carrying a weight-only delta, so the graph the build
-// reads aliases the mapping: unmapping it early would fault.
+// generation stays readable, and mapped, until that is released, then drains
+// and unmaps. What the request demands is the s-t index, the one value a
+// generation derives by reading its mapping (a snapshot carries its
+// hierarchy, and a replay makes a heap generation): unmapping early would
+// fault.
 func TestRetiredMidBuild(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "g.snap")
 	base := writeMappedSnap(t, path, 300, 5)
@@ -207,38 +210,44 @@ func TestRetiredMidBuild(t *testing.T) {
 	if _, err := c.Load("g", Source{Snapshot: path}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Mutate("g", weightBatch(base, 4, 3)); err != nil {
-		t.Fatal(err)
-	}
 	var gens []*Generation
 	var rels []func()
-	for want := uint64(3); want <= 4; want++ {
-		// Each reload maps the file again, replays the delta over it, drops
-		// the carried hierarchy and installs a generation without one.
-		if _, err := c.Reload("g"); err != nil {
-			t.Fatal(err)
-		}
-		gn, rel, err := c.Acquire("g") // the request that will demand, admitted before the swap
+	for want := uint64(1); want <= 2; want++ {
+		gn, rel, err := c.Acquire("g") // the request that will demand, admitted before gn retires
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, state, _ := gn.Hierarchy(); gn.Gen != want || !gn.Mapped() || state != "unbuilt" {
-			t.Fatalf("reload installed gen %d (mapped %v, hierarchy %s), want mapped gen %d without one", gn.Gen, gn.Mapped(), state, want)
+		if gn.Gen != want || !gn.Mapped() || len(gn.Built()) != 0 {
+			t.Fatalf("gen %d (mapped %v, built %v), want mapped gen %d with nothing built", gn.Gen, gn.Mapped(), gn.Built(), want)
 		}
 		gens, rels = append(gens, gn), append(rels, rel)
+		if want == 1 {
+			if _, err := c.Reload("g"); err != nil { // maps the file again
+				t.Fatal(err)
+			}
+		}
 	}
 	if err := c.Unload("g"); err != nil {
 		t.Fatal(err)
 	}
-	if st := row(t, c, "g"); st.State != "draining" || st.Hierarchy != "unbuilt" {
+	if st := row(t, c, "g"); st.State != "draining" {
 		t.Fatalf("unloaded with a request in flight: %+v", st)
 	}
+	ts, ws := base.Neighbors(3)
+	near := ts[slices.Index(ws, slices.Min(ws))] // inside the search budget
+	wantD := dijkstra.SSSP(base, 3)[near]
 	for i, gn := range gens {
-		demandOn(t, gn)
+		res, _, err := gn.Engine.Query(context.Background(), engine.Request{Sources: []int32{3}, Targets: []int32{near}})
+		if err != nil || res.Solver != "bidirectional" || res.Target(0, near) != wantD {
+			t.Fatalf("gen %d: targeted query %+v, %v; want the search's %d", gn.Gen, res, err, wantD)
+		}
 		select {
 		case <-gn.Drained():
 			t.Fatalf("gen %d drained (and unmapped) under its request's reference", gn.Gen)
 		default:
+		}
+		if n, ok := mappingsOf(path); ok && n != len(gens)-i {
+			t.Fatalf("gen %d in flight: %d mappings of the snapshot, want %d", gn.Gen, n, len(gens)-i)
 		}
 		rels[i]()
 		select {
@@ -246,15 +255,18 @@ func TestRetiredMidBuild(t *testing.T) {
 		case <-time.After(waitFor):
 			t.Fatalf("gen %d never drained after its request released", gn.Gen)
 		}
-		if h, state, _ := gn.Hierarchy(); state != "built" || h.NumLeaves() != base.NumVertices() { // the graph itself is unmapped by now
-			t.Fatalf("gen %d: hierarchy %s, want one built over %d vertices", gn.Gen, state, base.NumVertices())
+		if n, ok := mappingsOf(path); ok && n != len(gens)-i-1 {
+			t.Fatalf("gen %d drained: %d mappings of the snapshot, want %d", gn.Gen, n, len(gens)-i-1)
+		}
+		if gn.Built()[solver.KindSTIndex] == 0 {
+			t.Fatalf("gen %d: built %v, want its s-t index", gn.Gen, gn.Built())
 		}
 	}
 	if st := row(t, c, "g"); st.State != "evicted" {
 		t.Fatalf("g not evicted: %+v", st)
 	}
-	if n, lines := c.Counter(cHierarchyBuilds), sink.count("catalog: hierarchy for g gen"); n != 2 || lines != 2 {
-		t.Fatalf("%d hierarchy builds, %d log lines, want 2 and 2", n, lines)
+	if n := sink.count("catalog: s-t index for g gen"); n != 2 {
+		t.Fatalf("%d s-t index log lines, want 2", n)
 	}
 }
 

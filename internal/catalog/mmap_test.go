@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -44,6 +45,21 @@ func requireCatalogMmap(t *testing.T, path string) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// mappingsOf counts the process's mappings of path in /proc/self/maps; ok is
+// false where that file cannot be read.
+func mappingsOf(path string) (n int, ok bool) {
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		return 0, false
+	}
+	for _, line := range strings.Split(string(maps), "\n") {
+		if strings.HasSuffix(line, " "+path) {
+			n++
+		}
+	}
+	return n, true
 }
 
 // TestMmapHotSwapChurn is the mmap analogue of TestHotSwapZeroFailedQueries:

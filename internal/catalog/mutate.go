@@ -3,7 +3,9 @@ package catalog
 import (
 	"fmt"
 	"time"
+	"unsafe"
 
+	"repro/internal/graph"
 	"repro/internal/mutate"
 )
 
@@ -61,7 +63,7 @@ func (c *Catalog) Mutate(name string, b *mutate.Batch) (MutateResult, error) {
 	c.mu.Unlock()
 
 	start := time.Now()
-	g, aliased, err := mutate.Apply(parent.G, b)
+	g, aliased, err := apply(parent.G, parent.Mapped(), b)
 	if err != nil {
 		c.mu.Lock()
 		e.pending = false
@@ -71,14 +73,6 @@ func (c *Catalog) Mutate(name string, b *mutate.Batch) (MutateResult, error) {
 	}
 	c.counters.C(cMutations).Inc() // accepted batches only; a rejected delta changes nothing
 	res.Touched, res.Aliased = len(b.Touched()), aliased
-	if aliased && parent.Mapped() {
-		// The overlay would read its offsets and targets out of the parent's
-		// mapping, which the parent unmaps when it drains: copy them, the
-		// O(n+m) a structural batch pays anyway. Every generation holds its
-		// own storage, so none keeps another from draining; a weight-only
-		// child of a heap parent shares its arrays through the collector.
-		g = g.OwnTopology()
-	}
 
 	// No warming — the parent's arrays are hot, and every answer the cache
 	// holds comes along, exact or owing what the batch changed
@@ -91,6 +85,7 @@ func (c *Catalog) Mutate(name string, b *mutate.Batch) (MutateResult, error) {
 
 	c.mu.Lock()
 	e.deltas = append(e.deltas, b)
+	e.logBytes += int64(len(b.Ops)) * opBytes
 	exact, pending, unread := gen.Engine.Swap(inh)
 	old := c.installLocked(e, gen)
 	c.mu.Unlock()
@@ -99,4 +94,20 @@ func (c *Catalog) Mutate(name string, b *mutate.Batch) (MutateResult, error) {
 	c.logf("catalog: %s gen %d mutated from gen %d (%d ops, %d touched, aliased=%v, answers inherited %d exact + %d pending, %d unread, %s)",
 		name, res.Gen, parent.Gen, len(b.Ops), res.Touched, aliased, exact, pending, unread, time.Since(start).Round(time.Microsecond))
 	return res, nil
+}
+
+// opBytes is what one op of the replay log holds in memory.
+const opBytes = int64(unsafe.Sizeof(mutate.Op{}))
+
+// apply is the write's storage rule, shared by Mutate and a reload's replay:
+// b's overlay on g, with its own copy of the offsets and targets it would
+// read out of a mapping (mapped: g is a mapping's), the O(n+m) a structural
+// batch pays anyway. So no generation keeps another's mapping; a weight-only
+// child of a heap graph shares its arrays through the collector.
+func apply(g *graph.Graph, mapped bool, b *mutate.Batch) (*graph.Graph, bool, error) {
+	g2, aliased, err := mutate.Apply(g, b)
+	if aliased && mapped {
+		g2 = g2.OwnTopology()
+	}
+	return g2, aliased, err
 }

@@ -48,6 +48,10 @@ func weightBatch(g *graph.Graph, k int, delta uint32) *mutate.Batch {
 	return &mutate.Batch{Ops: ops}
 }
 
+// sharesTopology reports whether a and b share CSR offsets storage, the mark
+// of a weight-only overlay.
+func sharesTopology(a, b *graph.Graph) bool { return &a.AdjOffsets()[0] == &b.AdjOffsets()[0] }
+
 // checkDistances verifies the serving generation's engine agrees with a
 // Dijkstra run on want for a few sources.
 func checkDistances(t *testing.T, gn *Generation, want *graph.Graph) {
@@ -96,7 +100,7 @@ func TestMutateIncremental(t *testing.T) {
 		t.Fatalf("generation lineage gen=%d parent=%d delta=%d, want 2/1/%d",
 			g2.Gen, g2.ParentGen, g2.DeltaSize, len(b.Ops))
 	}
-	if !g2.G.AliasesArrays(base) {
+	if !sharesTopology(g2.G, base) {
 		t.Fatal("weight-only mutation should alias the parent's structure arrays")
 	}
 	want, err := mutate.ReferenceApply(base, b)
@@ -367,10 +371,10 @@ func TestMutateAliasedMmapChain(t *testing.T) {
 			t.Fatalf("ancestor %d (gen %d) still undrained under a serving descendant", i, gn.Gen)
 		}
 	}
-	if g2.Mapped() || g2.G.AliasesArrays(mapped) || g3.G.AliasesArrays(mapped) {
+	if g2.Mapped() || sharesTopology(g2.G, mapped) || sharesTopology(g3.G, mapped) {
 		t.Fatal("a child still reads its topology out of the mapped root")
 	}
-	if !g3.G.AliasesArrays(g2.G) {
+	if !sharesTopology(g3.G, g2.G) {
 		t.Fatal("a weight-only child of a heap parent should share its arrays")
 	}
 	want, err := mutate.ReferenceApply(base, b1, b2)
@@ -694,8 +698,8 @@ func TestMutateCarriesAnswersOnIncrementalPathOnly(t *testing.T) {
 
 // A weight-only child of a mapped generation holds its own copy of the
 // offsets and targets: it is charged its whole graph as heap and nothing as
-// mapped, in HeapBytes, /graphs and the budget, and its parent, with the
-// mapping, is gone at once.
+// mapped, in HeapBytes, /graphs and the budget (AccountedBytes adds the
+// write's delta log), and its parent, with the mapping, is gone at once.
 func TestMappedChildChargesItsWholeGraphAsHeap(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "child.snap")
 	base := writeMappedSnap(t, path, 1000, 7)
@@ -732,7 +736,7 @@ func TestMappedChildChargesItsWholeGraphAsHeap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rel()
-	if child.Mapped() || child.G.AliasesArrays(mapped) {
+	if child.Mapped() || sharesTopology(child.G, mapped) {
 		t.Fatal("the child reads its topology out of its parent's mapping")
 	}
 	want, err := mutate.ReferenceApply(base, b)
@@ -749,8 +753,8 @@ func TestMappedChildChargesItsWholeGraphAsHeap(t *testing.T) {
 	if st.HeapBytes != wantHeap || st.MappedBytes != 0 || st.Bytes != wantHeap || st.CacheBytes != cache || cache == 0 {
 		t.Fatalf("/graphs row heap=%d mapped=%d bytes=%d cache=%d (engine %d)", st.HeapBytes, st.MappedBytes, st.Bytes, st.CacheBytes, cache)
 	}
-	if got := c.AccountedBytes(); got != wantHeap+cache {
-		t.Fatalf("AccountedBytes %d, want the child's heap %d + cache %d", got, wantHeap, cache)
+	if got, log := c.AccountedBytes(), int64(len(b.Ops))*opBytes; got != wantHeap+cache+log {
+		t.Fatalf("AccountedBytes %d, want the child's heap %d + cache %d + delta log %d", got, wantHeap, cache, log)
 	}
 }
 
@@ -854,5 +858,115 @@ func TestGenerationsShareOneRuntime(t *testing.T) {
 		if rt != first {
 			t.Errorf("%s runs on its own runtime", what)
 		}
+	}
+}
+
+// A reload of a lineage that took a weight-only write over a mapped snapshot
+// replays it under the write's storage rule: the generation it installs is a
+// heap one, charged its whole graph and nothing mapped, the reload's own
+// mapping is closed before the install (nothing maps the file while it
+// serves), and it answers as Dijkstra on the reference replay. (It once kept
+// the mapping and served the replayed weights beside it, charged nothing.)
+func TestReloadOfMappedLineageServesFromTheHeap(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "replay.snap")
+	base := writeMappedSnap(t, path, 1000, 9)
+	requireCatalogMmap(t, path)
+
+	c := testCatalog(t, Config{MMap: true})
+	if _, err := c.Load("m", Source{Snapshot: path}); err != nil {
+		t.Fatal(err)
+	}
+	b := weightBatch(base, 3, 2)
+	if res, err := c.Mutate("m", b); err != nil || !res.Aliased {
+		t.Fatalf("weight-only write: %+v, %v; want aliased", res, err)
+	}
+	if gen, err := c.Reload("m"); err != nil || gen != 3 {
+		t.Fatalf("reload: gen %d, %v; want 3", gen, err)
+	}
+	gn, rel, err := c.Acquire("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rel()
+	if gn.Mapped() || gn.MappedBytes() != 0 || gn.HeapBytes() != gn.G.MemoryBytes() {
+		t.Fatalf("reloaded gen: mapped=%v mapped_bytes=%d heap=%d, want a heap generation charged its graph %d",
+			gn.Mapped(), gn.MappedBytes(), gn.HeapBytes(), gn.G.MemoryBytes())
+	}
+	if n, ok := mappingsOf(path); ok && n != 0 {
+		t.Fatalf("%d mappings of the snapshot while the reloaded generation serves, want 0", n)
+	}
+	if st := row(t, c, "m"); st.MappedBytes != 0 || st.HeapBytes != gn.G.MemoryBytes() || st.Deltas != 1 {
+		t.Fatalf("/graphs row after the reload: %+v", st)
+	}
+	want, err := mutate.ReferenceApply(base, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDistances(t, gn, want)
+}
+
+// The delta log counts in AccountedBytes, the input of a daemon's
+// memory-limit rule, at its ops' in-memory size: each accepted batch raises
+// catalog.accounted_bytes by its charge, a rejected one by nothing. The
+// memory budget's Bytes leave it out (evicting a generation frees none of
+// it), an unload keeps it (a later reload replays it), and a Load of the
+// name, a new lineage, drops it.
+func TestDeltaLogIsAccounted(t *testing.T) {
+	c := testCatalog(t, Config{})
+	if _, err := c.Load("g", Source{Loader: loaderFor(10)}); err != nil {
+		t.Fatal(err)
+	}
+	accounted := func() int64 { return c.StatsSnapshot()["accounted_bytes"].(int64) }
+	logged := func() int64 { // accounted_bytes beyond what the serving generation holds
+		t.Helper()
+		gn, rel, err := c.Acquire("g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rel()
+		if st := row(t, c, "g"); st.Bytes != gn.Bytes() {
+			t.Fatalf("/graphs bytes %d, want the generation's %d alone", st.Bytes, gn.Bytes())
+		}
+		return accounted() - gn.HeapBytes() - gn.Engine.CacheBytes()
+	}
+	if got := logged(); got != 0 {
+		t.Fatalf("a fresh lineage accounts %d log bytes", got)
+	}
+	gn, rel, err := c.Acquire("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := gn.G
+	rel()
+	var want int64
+	for i, b := range []*mutate.Batch{
+		weightBatch(base, 3, 1),
+		{Ops: []mutate.Op{{Op: mutate.OpInsert, U: 0, V: 250, W: 1}}},
+		{Ops: []mutate.Op{{Op: "bogus", U: 1, V: 2}}}, // rejected
+		weightBatch(base, 7, 2),
+	} {
+		if _, err := c.Mutate("g", b); err == nil {
+			want += int64(len(b.Ops)) * opBytes
+		} else if !errors.Is(err, mutate.ErrInvalid) {
+			t.Fatal(err)
+		}
+		if got := logged(); got != want {
+			t.Fatalf("after batch %d: %d log bytes accounted, want %d", i, got, want)
+		}
+	}
+	if want != 11*opBytes {
+		t.Fatalf("%d bytes charged, want 11 ops' worth", want)
+	}
+	if err := c.Unload("g"); err != nil {
+		t.Fatal(err)
+	}
+	if got := accounted(); got != want {
+		t.Fatalf("unloaded: accounted_bytes %d, want the log's %d", got, want)
+	}
+	if _, err := c.Load("g", Source{Loader: loaderFor(10)}); err != nil {
+		t.Fatal(err)
+	}
+	if got := logged(); got != 0 {
+		t.Fatalf("a Load of the name accounts %d log bytes, want 0", got)
 	}
 }

@@ -3,6 +3,7 @@ package ch
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/mst"
@@ -178,11 +179,12 @@ func (b *builder) finish(tops []int32, topLevel int32) *Hierarchy {
 		root = b.addNode(topLevel+1, tops)
 		virtual = true
 	}
+	// Keep of the arrays sized for 2n+1 nodes what is used, as Bytes counts.
 	h := &Hierarchy{
 		g:           b.g,
-		level:       b.level,
-		parent:      b.parent,
-		vertexCount: b.vertexCount,
+		level:       slices.Clone(b.level),
+		parent:      slices.Clone(b.parent),
+		vertexCount: slices.Clone(b.vertexCount),
 		root:        root,
 		virtualRoot: virtual,
 	}

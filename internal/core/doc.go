@@ -52,8 +52,8 @@
 //     its minD); liveness is counted in children, where a settled child is
 //     found; and each node lists its reached, unsettled children, so one pass
 //     over that list empties a bucket and finds the next, where virtual buckets
-//     scan every child twice. Trace counters are plain words copied out when a
-//     run ends. The runtime's workers are used across queries (RunMany, the
+//     scan every child twice. Trace counters are plain words the state hands
+//     out. The runtime's workers are used across queries (RunMany, the
 //     engine's pool), never inside one: DESIGN.md §5, decision 11.
 //
 // serial.go is neither: it is the paper-faithful serial traversal and its

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/ch"
 	"repro/internal/graph"
@@ -20,7 +21,7 @@ type execNode struct {
 
 const execNodeBytes = 16 // size of an execNode
 
-// execState is the per-query state of the kernel a real runtime takes: one
+// State is the per-query state of the kernel a real runtime takes: one
 // goroutine, plain loads and stores on flat arrays, no closures, no runtime
 // calls, nothing allocated once it exists. It differs from the paper's
 // formulation (sim.go) in three places, each the cache-machine side of a
@@ -38,11 +39,14 @@ const execNodeBytes = 16 // size of an execNode
 //     settle. One pass over that list empties the current bucket and yields
 //     the next bucket's start, where §3.2's virtual buckets scan every child
 //     once to find the bucket's members and again to advance.
-type execState struct {
-	h          *ch.Hierarchy
-	n          int32   // leaves; node x >= n is internal, with state node[x-n]
-	parent     []int32 // per CH node
-	childStart []int32 // per internal node, into act
+//
+// A State binds the hierarchy each run names into the arrays it keeps, and
+// Reset drops it. The zero value is ready. Not safe for concurrent use.
+type State struct {
+	h          *ch.Hierarchy // the bound hierarchy, nil after reset
+	n          int32         // leaves; node x >= n is internal, with state node[x-n]
+	parent     []int32       // per CH node
+	childStart []int32       // per internal node, into act
 
 	// The graph's CSR.
 	offs []int64
@@ -62,44 +66,58 @@ type execState struct {
 // checkEvery is how many settles a run makes between looks at its context.
 const checkEvery = 4096
 
-func newExecState(h *ch.Hierarchy) *execState {
-	raw, g := h.Raw(), h.Graph()
-	return &execState{
-		h:          h,
-		n:          int32(h.NumLeaves()),
-		parent:     raw.Parent,
-		childStart: raw.ChildStart,
-		offs:       g.AdjOffsets(),
-		tgts:       g.Targets(),
-		wts:        g.Weights(),
-		minD:       make([]int64, h.NumNodes()),
-		node:       make([]execNode, h.NumInternal()),
-		act:        make([]int32, h.NumChildLinks()),
+// bind points the state at h and its graph and sizes the per-query arrays to
+// h, in the storage they have when it is large enough.
+func (st *State) bind(h *ch.Hierarchy) {
+	if st.h == h {
+		return
 	}
+	raw, g := h.Raw(), h.Graph()
+	st.h, st.n, st.parent, st.childStart = h, int32(h.NumLeaves()), raw.Parent, raw.ChildStart
+	st.offs, st.tgts, st.wts = g.AdjOffsets(), g.Targets(), g.Weights()
+	st.minD = slices.Grow(st.minD[:0], h.NumNodes())[:h.NumNodes()]
+	st.node = slices.Grow(st.node[:0], h.NumInternal())[:h.NumInternal()]
+	st.act = slices.Grow(st.act[:0], h.NumChildLinks())[:h.NumChildLinks()]
 }
 
-// execBytes is the footprint of an execState's per-query arrays over h.
+// execBytes is the footprint of a State's per-query arrays over h.
 func execBytes(h *ch.Hierarchy) int64 {
 	return int64(h.NumNodes())*8 + int64(h.NumInternal())*execNodeBytes + int64(h.NumChildLinks())*4
 }
 
 // bytes is the same footprint counted from the arrays held.
-func (st *execState) bytes() int64 {
+func (st *State) bytes() int64 {
 	return int64(len(st.minD))*8 + int64(len(st.node))*execNodeBytes + int64(len(st.act))*4
 }
 
-func (st *execState) dist() []int64 { return st.minD[:st.n:st.n] }
+func (st *State) dist() []int64 { return st.minD[:st.n:st.n] }
 
-func (st *execState) reset() {
-	clear(st.minD)
-	clear(st.node)
-	clear(st.act)
+// Reset zeroes the arrays (spare capacity too) and the trace, and drops the
+// hierarchy, its graph and the last run's context. Not required between runs.
+func (st *State) Reset() {
+	clear(st.minD[:cap(st.minD)])
+	clear(st.node[:cap(st.node)])
+	clear(st.act[:cap(st.act)])
 	st.tr = Trace{}
+	st.h, st.parent, st.childStart, st.offs, st.tgts, st.wts, st.ctx = nil, nil, nil, nil, nil, nil, nil
 }
 
-// run is the traversal from validated sources on a non-empty hierarchy, or nil
-// once it finds ctx ended.
-func (st *execState) run(ctx context.Context, sources []int32) []int64 {
+// RunFromSources is Query.RunFromSourcesContext on h, but no sources reach
+// nothing. The result aliases the state until the next run or Reset.
+func (st *State) RunFromSources(ctx context.Context, h *ch.Hierarchy, sources []int32) []int64 {
+	if st.bind(h); h.NumLeaves() == 0 {
+		return st.dist()
+	}
+	checkSources(h, sources)
+	return st.run(ctx, sources)
+}
+
+// Trace is the counters of the last run.
+func (st *State) Trace() *Trace { return &st.tr }
+
+// run is the traversal from validated sources (none reach nothing) on a
+// non-empty hierarchy, or nil once it finds ctx ended.
+func (st *State) run(ctx context.Context, sources []int32) []int64 {
 	for i := range st.minD {
 		st.minD[i] = graph.Inf
 	}
@@ -131,7 +149,7 @@ func (st *execState) run(ctx context.Context, sources []int32) []int64 {
 
 // push appends child k, whose minD has just become finite, to p's active
 // list.
-func (st *execState) push(p, k int32) {
+func (st *State) push(p, k int32) {
 	i := p - st.n
 	nd := &st.node[i]
 	st.act[st.childStart[i]+nd.cnt] = k
@@ -150,7 +168,7 @@ func (st *execState) push(p, k int32) {
 // one, and what it leaves there in next is exactly the news that ancestor's
 // scan cannot see for itself: a child already scanned, or not yet listed,
 // has come nearer.
-func (st *execState) visit(c int32, bound int64) {
+func (st *State) visit(c int32, bound int64) {
 	ci := c - st.n
 	nd := &st.node[ci]
 	off := st.childStart[ci]
@@ -206,7 +224,7 @@ func (st *execState) visit(c int32, bound int64) {
 }
 
 // settle relaxes the edges of vertex v, whose distance is final.
-func (st *execState) settle(v int32) {
+func (st *State) settle(v int32) {
 	st.tr.Settled++
 	if st.tr.Settled%checkEvery == 0 && st.ctx.Err() != nil {
 		st.stopped = true
@@ -228,7 +246,7 @@ func (st *execState) settle(v int32) {
 // with a nearer vertex beneath it, or the node being visited that holds both
 // ends of the edge (see visit), where d goes into next. That ancestor is
 // never above the root, which is being visited for the whole run.
-func (st *execState) lower(u int32, d int64) {
+func (st *State) lower(u int32, d int64) {
 	x := u
 	minD, parent := st.minD, st.parent
 	hops := int64(0)

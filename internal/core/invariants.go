@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/ch"
 	"repro/internal/graph"
 )
 
@@ -49,11 +50,10 @@ func (q *Query) CheckInvariants() error {
 	if q.sim != nil {
 		return q.sim.checkInvariants()
 	}
-	return q.exec.checkInvariants()
+	return q.exec.checkInvariants(q.s.h)
 }
 
-func (st *execState) checkInvariants() error {
-	h := st.h
+func (st *State) checkInvariants(h *ch.Hierarchy) error {
 	for v, d := range st.dist() {
 		if d < 0 || d > graph.Inf {
 			return fmt.Errorf("core: invariant: dist[%d] = %d out of [0, Inf]", v, d)

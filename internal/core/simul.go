@@ -22,7 +22,7 @@ func (s *Solver) RunMany(sources []int32) [][]int64 {
 	if len(sources) == 0 || s.h.NumLeaves() == 0 {
 		return out
 	}
-	s.checkSources(sources) // on the caller's goroutine, where a panic can be recovered
+	checkSources(s.h, sources) // on the caller's goroutine, where a panic can be recovered
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	workers := 1

@@ -83,9 +83,9 @@ func (s *Solver) Hierarchy() *ch.Hierarchy { return s.h }
 // use; concurrency is across queries, each on its own goroutine.
 type Query struct {
 	s     *Solver
-	trace *Trace     // optional event counters, nil unless EnableTrace
-	exec  *execState // a real runtime's state, else nil
-	sim   *simState  // a simulated runtime's state, else nil
+	trace *Trace    // optional event counters, nil unless EnableTrace
+	exec  *State    // a real runtime's state, else nil
+	sim   *simState // a simulated runtime's state, else nil
 }
 
 // Query allocates per-query state bound to this solver: the state of the
@@ -95,7 +95,8 @@ func (s *Solver) Query() *Query {
 	if s.simulated() {
 		q.sim = newSimState(s)
 	} else {
-		q.exec = newExecState(s.h)
+		q.exec = new(State)
+		q.exec.bind(s.h)
 	}
 	return q
 }
@@ -127,11 +128,13 @@ func (s *Solver) SSSP(src int32) []int64 {
 
 // EnableTrace turns on event counting for this query and returns the counter
 // block (reset on every Run). The exec kernel always counts in plain
-// per-query words and copies them here when a run ends, so tracing costs it
-// nothing; the sim kernel pays a few atomic increments per event.
+// per-query words, which it hands out, so tracing costs it nothing; the sim
+// kernel pays a few atomic increments per event.
 func (q *Query) EnableTrace() *Trace {
-	q.trace = &Trace{}
-	if q.sim != nil {
+	if q.exec != nil {
+		q.trace = &q.exec.tr
+	} else {
+		q.trace = &Trace{}
 		q.sim.trace = q.trace
 	}
 	return q.trace
@@ -153,7 +156,7 @@ func (q *Query) Reset() {
 	if q.sim != nil {
 		q.sim.reset()
 	} else {
-		q.exec.reset()
+		q.exec.Reset()
 	}
 	if q.trace != nil {
 		*q.trace = Trace{}
@@ -182,23 +185,19 @@ func (q *Query) RunFromSourcesContext(ctx context.Context, sources []int32) []in
 	if q.s.h.NumLeaves() == 0 {
 		return q.Dist()
 	}
-	q.s.checkSources(sources)
-	if q.sim != nil {
-		return q.sim.run(sources)
-	}
-	d := q.exec.run(ctx, sources)
-	if q.trace != nil {
-		*q.trace = q.exec.tr
-	}
-	return d
-}
-
-// checkSources panics unless sources is a non-empty set of vertex ids.
-func (s *Solver) checkSources(sources []int32) {
 	if len(sources) == 0 {
 		panic("core: no source vertices")
 	}
-	n := s.h.NumLeaves()
+	if q.sim != nil {
+		checkSources(q.s.h, sources)
+		return q.sim.run(sources)
+	}
+	return q.exec.RunFromSources(ctx, q.s.h, sources)
+}
+
+// checkSources panics unless every source is one of h's vertex ids.
+func checkSources(h *ch.Hierarchy, sources []int32) {
+	n := h.NumLeaves()
 	for _, src := range sources {
 		if src < 0 || int(src) >= n {
 			panic(fmt.Sprintf("core: source %d out of range [0,%d)", src, n))

@@ -324,12 +324,3 @@ func (g *Graph) recomputeWeightBounds() {
 		}
 	}
 }
-
-// AliasesArrays reports whether other shares CSR array storage with g — the
-// observable property of a weight-only Overlay.
-func (g *Graph) AliasesArrays(other *Graph) bool {
-	if other == nil || len(g.offsets) == 0 || len(other.offsets) == 0 {
-		return false
-	}
-	return &g.offsets[0] == &other.offsets[0]
-}

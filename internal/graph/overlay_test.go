@@ -27,7 +27,7 @@ func TestOverlayWeightOnlyAliasesArrays(t *testing.T) {
 	if !aliased {
 		t.Fatal("weight-only overlay must report aliased")
 	}
-	if !g.AliasesArrays(g2) {
+	if &g.offsets[0] != &g2.offsets[0] || &g.targets[0] != &g2.targets[0] {
 		t.Fatal("weight-only overlay must share offsets/targets storage")
 	}
 	if err := g2.Validate(); err != nil {

@@ -4,8 +4,8 @@
 // oracles — is a client of one description and cannot disagree about what
 // that means.
 //
-// Six full solvers are registered — the Thorup core (internal/core's kernel
-// for the instance's runtime), the serial Thorup reference, Dijkstra,
+// Six full solvers are registered — the Thorup core (internal/core's exec
+// kernel, a core.State), the serial Thorup reference, Dijkstra,
 // delta-stepping, Goldberg's multi-level buckets and BFS — plus
 // bidirectional Dijkstra as a point-to-point solver (it computes one s-t
 // distance, not a distance vector; its NewState gives a reusable PointSearch

@@ -24,7 +24,9 @@ import (
 // Build one per graph and run any number of solvers on it, from any number of
 // goroutines.
 type Instance struct {
-	G  *graph.Graph
+	G *graph.Graph
+	// RT runs the parallel kernels. The registry's "thorup" runs core's exec
+	// kernel whatever RT is; the simulated one is core.NewSolver's on an mta.Sim.
 	RT par.Runtime
 	// Delta is the delta-stepping bucket width, measured from G's weights
 	// (deltastep.DefaultDelta) unless the caller overrides it before the
@@ -208,28 +210,13 @@ func (p PointToPoint) Dist(in *Instance, s, t int32) int64 {
 	return d
 }
 
-// thorupState is a traced core.Query over the hierarchy h of the instance it
-// last ran on: a run on another hierarchy (another generation's) makes a new
-// query first. It answers the empty source set, which core rejects, the way
-// every other solver does.
-type thorupState struct {
-	*core.Query
-	h *ch.Hierarchy
-}
+// thorupState runs a core.State, the exec kernel's arrays alone, on the
+// instance's hierarchy (whatever its runtime: the simulated machine's kernel
+// is core.Solver's), and Reset lets go of that hierarchy.
+type thorupState struct{ core.State }
 
 func (s *thorupState) RunFromSources(ctx context.Context, in *Instance, sources []int32) []int64 {
-	if h := in.Hierarchy(); h != s.h {
-		s.Query, s.h = core.NewSolver(h, in.RT).Query(), h
-		s.EnableTrace()
-	}
-	if len(sources) > 0 {
-		return s.RunFromSourcesContext(ctx, sources)
-	}
-	d := s.Dist()
-	for i := range d {
-		d[i] = graph.Inf
-	}
-	return d
+	return s.State.RunFromSources(ctx, in.Hierarchy(), sources)
 }
 
 // dijkstraState runs a dijkstra.Scratch on the instance's graph.

@@ -486,6 +486,28 @@ func TestWarmDijkstraStateAllocatesNothing(t *testing.T) {
 	}
 }
 
+// A warm Thorup state allocates nothing on its second run on the same
+// instance, though the Reset between them, as a pool does, let go of the
+// hierarchy: the run binds it again into the arrays it kept.
+func TestWarmThorupStateAllocatesNothing(t *testing.T) {
+	g := gen.Random(256, 1024, 1<<10, gen.UWD, 21)
+	s, _ := ByName("thorup")
+	st, in := s.NewState(), NewInstance(g, par.NewExec(1))
+	srcs := []int32{3, 77, 140, 255}
+	want := dijkstra.SSSPFromSources(g, srcs)
+	st.RunFromSources(context.Background(), in, srcs) // grow the arrays, build the hierarchy
+	st.Reset()
+	if a := testing.AllocsPerRun(20, func() {
+		st.RunFromSources(context.Background(), in, srcs)
+		st.Reset()
+	}); a != 0 {
+		t.Fatalf("warm thorup run: %v allocs, want 0", a)
+	}
+	if got := st.RunFromSources(context.Background(), in, srcs); !slices.Equal(got, want) {
+		t.Fatalf("warm thorup run: got %v, want %v", got, want)
+	}
+}
+
 // Under a context that has ended, the kernels that look at it (delta, bfs,
 // thorup) return nil, and the reference solvers (dijkstra, mlb,
 // thorup-serial) run to completion: the contract State documents.

@@ -124,12 +124,12 @@ func checkCatalog(cfg Config, name string, g *graph.Graph, sources []int32) *Fai
 
 	// Admin churn on a second name, served from a snapshot of the instance
 	// (mapped where the platform allows), concurrent with the queriers: load,
-	// then a weight-only write, a reload (which maps the file again and
-	// replays the log), another weight-only write and a structural one, then
-	// unload and wait out the drain; repeat. Each generation must answer as
-	// Dijkstra on mutate.ReferenceApply of the writes so far, and each one a
-	// step retires must drain: no generation keeps another. Every call must
-	// succeed: nothing else touches the name.
+	// then a weight-only write, a reload (which maps the file again, replays
+	// the log onto the heap and unmaps it), another weight-only write and a
+	// structural one, then unload and wait out the drain; repeat. Each
+	// generation must answer as Dijkstra on mutate.ReferenceApply of the
+	// writes so far, and each one a step retires must drain: no generation
+	// keeps another. Every call must succeed: nothing else touches the name.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
