@@ -2,6 +2,8 @@ package engine
 
 import (
 	"container/list"
+	"hash/maphash"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -9,22 +11,27 @@ import (
 )
 
 // slru is the bounded result cache keyed by the canonical (solver,
-// source-set) string: a segmented LRU. An entry a query solved enters the
-// probationary segment; a hit moves it to the protected segment, which holds
-// at most protectedShare of the entry cap and demotes its least recent entry
-// back to probation's recent end when it overflows. Eviction takes
-// probation's least recent entry first and protected's only once probation is
-// empty, so a source read twice outlives any number of sources read once.
+// source-set) string: a segmented LRU with 2Q's admission rule (Johnson and
+// Shasha, VLDB 1994). An entry a query solved enters the probationary
+// segment, which holds at most a fifth of the entry cap; a hit moves it to the
+// protected segment, which holds the rest and demotes its least recent entry
+// back to probation's recent end when it overflows. Eviction takes probation's
+// least recent entry first and protected's only once probation is empty, so a
+// source read twice outlives any number read once. The hash of each key
+// evicted from probation goes into a FIFO history of at most maxEntries keys,
+// and a result solved for a key it holds (a second read) enters protected at
+// its least recent end.
 //
 // Its entries answer for one generation of the graph, gen: only a query on
 // gen reads or fills the cache. A write advances it in place (Gen.Inherit,
 // Gen.Swap): each entry takes its Result on the next generation in its own
-// slot, so segment membership and recency cross with it.
+// slot, so segment membership and recency cross with it, as does the history.
 //
 // It enforces two budgets: a maximum entry count and a maximum byte total
 // (each entry charged its distance vector, key, lazily-materialized JSON form,
 // and a fixed overhead). Either budget at zero disables that bound;
-// maxEntries == 0 disables the cache entirely.
+// maxEntries == 0 disables the cache entirely. The history, 8 bytes a key,
+// is held but not charged against the byte budget.
 type slru struct {
 	mu         sync.Mutex
 	gen        atomic.Pointer[Gen] // written under mu
@@ -32,9 +39,11 @@ type slru struct {
 	maxBytes   int64
 	bytes      int64
 	// probation and protected: front = most recently used.
-	probation, protected *list.List
-	index                map[string]*list.Element // value: *cacheEntry
-	evictions            *obs.Counter
+	probation, protected   *list.List
+	index                  map[string]*list.Element // value: *cacheEntry
+	history                []uint64                 // oldest first; made at cap maxEntries
+	seed                   maphash.Seed
+	evictions, secondReads *obs.Counter
 }
 
 // protectedShare is the protected segment's cap, in fifths of the entry cap.
@@ -50,16 +59,22 @@ type cacheEntry struct {
 	read bool
 }
 
-func newSLRU(maxEntries int, maxBytes int64, evictions *obs.Counter) *slru {
+// newSLRU makes a cache that counts evictions and second reads in the
+// counters given (nil: not counted).
+func newSLRU(maxEntries int, maxBytes int64, evictions, secondReads *obs.Counter) *slru {
 	return &slru{
-		maxEntries: maxEntries,
-		maxBytes:   maxBytes,
-		probation:  list.New(),
-		protected:  list.New(),
-		index:      make(map[string]*list.Element),
-		evictions:  evictions,
+		maxEntries:  maxEntries,
+		maxBytes:    maxBytes,
+		probation:   list.New(),
+		protected:   list.New(),
+		index:       make(map[string]*list.Element),
+		seed:        maphash.MakeSeed(),
+		evictions:   evictions,
+		secondReads: secondReads,
 	}
 }
+
+func (c *slru) protectedCap() int { return c.maxEntries * protectedShare / 5 }
 
 // entryBytes is the byte charge for a result at insertion time (before any
 // JSON materialization): the distance vector at its width, the changes a
@@ -100,8 +115,9 @@ func (c *slru) get(g *Gen, key string) (*Result, bool) {
 	return ent.res, true
 }
 
-// add inserts (or refreshes) a result a query solved, on probation, and
-// evicts until both budgets hold; a result solved on any generation but the
+// add inserts (or refreshes) a result a query solved — on probation, or at
+// protected's least recent end if the history holds its key — and evicts
+// until both budgets hold; a result solved on any generation but the
 // one the cache serves is not cached. An entry larger than the whole byte
 // budget is evicted immediately, leaving the cache empty rather than over
 // budget.
@@ -120,7 +136,16 @@ func (c *slru) add(res *Result) {
 		c.removeLocked(el, false)
 	}
 	ent := &cacheEntry{res: res, bytes: entryBytes(res), read: true}
-	c.index[res.key] = c.probation.PushFront(ent)
+	if i := slices.Index(c.history, maphash.String(c.seed, res.key)); i >= 0 {
+		c.history = slices.Delete(c.history, i, i+1)
+		ent.protected = true
+		c.index[res.key] = c.protected.PushBack(ent)
+		if c.secondReads != nil {
+			c.secondReads.Inc()
+		}
+	} else {
+		c.index[res.key] = c.probation.PushFront(ent)
+	}
 	c.bytes += ent.bytes
 	c.demoteLocked()
 	c.evictLocked()
@@ -147,12 +172,16 @@ func (c *slru) heirs() (*Gen, []heir) {
 
 // advance makes to the generation the cache serves. If it served from, each
 // entry that still holds the Result heirs listed takes its successor in
-// place, unread; every other entry goes, uncounted: one Inherit dropped, one
-// cached after it listed them, or, with no heirs, all. It returns how many
-// entries crossed exact and pending, and how many of them no query had read.
+// place, unread, and the history stays; every other entry goes, uncounted:
+// one Inherit dropped, one cached after it listed them, or, with no heirs,
+// all (and the history). It returns how many entries crossed exact and
+// pending, and how many of them no query had read.
 func (c *slru) advance(from, to *Gen, heirs []heir) (exact, pending, unread int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if from == nil || c.gen.Load() != from {
+		c.history = nil
+	}
 	for _, h := range heirs {
 		if c.gen.Load() == from && h.next != nil && h.ent.res == h.old {
 			h.ent.res = h.next
@@ -218,7 +247,7 @@ func (c *slru) grow(res *Result, delta int64) {
 // demoteLocked moves protected's least recent entries to probation's front
 // until protected is within its share.
 func (c *slru) demoteLocked() {
-	for c.protected.Len() > c.maxEntries*protectedShare/5 {
+	for c.protected.Len() > c.protectedCap() {
 		el := c.protected.Back()
 		ent := el.Value.(*cacheEntry)
 		c.protected.Remove(el)
@@ -227,14 +256,23 @@ func (c *slru) demoteLocked() {
 	}
 }
 
-// evictLocked drops entries, probation's least recent first, until both
-// budgets hold.
+// evictLocked drops entries, probation's least recent first, until probation
+// is within its share (so the entry cap holds) and the byte budget holds. The
+// hash of each key it drops from probation joins the history, pushing out
+// the oldest there once it is full.
 func (c *slru) evictLocked() {
-	for n := c.len(); n > c.maxEntries || (c.maxBytes > 0 && c.bytes > c.maxBytes && n > 0); n-- {
+	for n := c.len(); c.probation.Len() > c.maxEntries-c.protectedCap() || (c.maxBytes > 0 && c.bytes > c.maxBytes && n > 0); n-- {
 		victim := c.probation.Back()
 		if victim == nil {
-			victim = c.protected.Back()
+			c.removeLocked(c.protected.Back(), true)
+			continue
 		}
+		if c.history == nil {
+			c.history = make([]uint64, 0, c.maxEntries)
+		} else if len(c.history) == c.maxEntries {
+			c.history = c.history[:copy(c.history, c.history[1:])]
+		}
+		c.history = append(c.history, maphash.String(c.seed, victim.Value.(*cacheEntry).res.key))
 		c.removeLocked(victim, true)
 	}
 }
@@ -251,9 +289,17 @@ func (c *slru) removeLocked(el *list.Element, counted bool) {
 	}
 }
 
-// size returns the current entry count and byte total.
+// size returns the current entry count and the byte total charged against
+// the budget.
 func (c *slru) size() (entries int, bytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.len(), c.bytes
+}
+
+// held is what the cache holds: its entries' charge and the history's array.
+func (c *slru) held() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.bytes + 8*int64(cap(c.history))
 }

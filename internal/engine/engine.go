@@ -100,6 +100,7 @@ const (
 	cCacheHits            = "cache_hits"
 	cCacheMisses          = "cache_misses"
 	cCacheEvictions       = "cache_evictions"
+	cCacheSecondReads     = "cache_second_reads"
 	cBatchRequests        = "batch_requests"
 	cBatchItems           = "batch_items"
 	cFullJSONBuilt        = "full_json_built"
@@ -132,7 +133,7 @@ func New(in *solver.Instance, cfg Config) *Gen {
 		exec:    make(map[string]*pooled, len(solvers)),
 		p2p:     solver.PointToPoints()[0],
 		counters: obs.NewGroup(cSolves, cDedupHits, cCacheHits, cCacheMisses,
-			cCacheEvictions, cBatchRequests, cBatchItems, cFullJSONBuilt, cFullBytesFromCache,
+			cCacheEvictions, cCacheSecondReads, cBatchRequests, cBatchItems, cFullJSONBuilt, cFullBytesFromCache,
 			cTargetedBailouts, cInheritedExact, cInheritedStale, cInheritedUnread, cResumed, cRepaired,
 			cRepairBudgetExceeded, cResettled, cCancelled),
 	}
@@ -140,7 +141,7 @@ func New(in *solver.Instance, cfg Config) *Gen {
 	for _, s := range solvers {
 		e.exec[s.Name] = &pooled{states: sync.Pool{New: func() any { return s.NewState() }}}
 	}
-	e.cache = newSLRU(cfg.CacheEntries, cfg.CacheBytes, e.counters.C(cCacheEvictions))
+	e.cache = newSLRU(cfg.CacheEntries, cfg.CacheBytes, e.counters.C(cCacheEvictions), e.counters.C(cCacheSecondReads))
 	g := e.Next(in)
 	g.Swap(nil)
 	return g
@@ -472,11 +473,9 @@ func (e *Engine) ThorupTrace() (core.Trace, int64) {
 }
 
 // CacheBytes is what the result cache holds now: its vectors, keys and
-// materialised JSON, as charged against Config.CacheBytes.
-func (e *Engine) CacheBytes() int64 {
-	_, bytes := e.cache.size()
-	return bytes
-}
+// materialised JSON, as charged against Config.CacheBytes, and the history
+// of keys it evicted.
+func (e *Engine) CacheBytes() int64 { return e.cache.held() }
 
 // StatsSnapshot returns the engine's observable state, shaped for a JSON
 // /metrics endpoint: every counter, the cache's current and maximum sizes,
@@ -486,9 +485,9 @@ func (e *Engine) StatsSnapshot() map[string]any {
 	for k, v := range e.counters.Snapshot() {
 		out[k] = v
 	}
-	entries, bytes := e.cache.size()
+	entries, _ := e.cache.size()
 	out["cache_entries"] = entries
-	out["cache_bytes"] = bytes
+	out["cache_bytes"] = e.CacheBytes()
 	out["cache_max_entries"] = e.cfg.CacheEntries
 	out["cache_max_bytes"] = e.cfg.CacheBytes
 	out["solver_runs"] = e.SolverRuns()

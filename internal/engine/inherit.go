@@ -208,7 +208,7 @@ type repair struct {
 // detaches the plain distances, once a label outgrew the width).
 func (rp *repair) run(r *Result) bool {
 	l := labels{vec: r.vec}
-	l.vec.words = slices.Clone(r.vec.words)
+	l.vec.words = append(make([]uint64, 0, cap(r.vec.words)), r.vec.words...)
 	var q pq.Radix
 	if !rp.mark(&l, &q) {
 		return false

@@ -117,6 +117,7 @@ func TestInheritClassifies(t *testing.T) {
 			parent := engineOn(base, Config{CacheEntries: 8})
 			for _, srcs := range [][]int32{{0}, {1, 5}, {4}} {
 				ask(t, parent, srcs...)
+				ask(t, parent, srcs...) // read twice: protected
 			}
 			b := &mutate.Batch{Ops: tc.ops}
 			g, _, err := mutate.Apply(base, b)
@@ -183,8 +184,9 @@ func TestInheritCarriesUnreadEntries(t *testing.T) {
 
 	e1 := engineOn(g1, Config{CacheEntries: 2})
 	ask(t, e1, 10)
-	ask(t, e1, 11)
-	ask(t, e1, 12) // evicts 10
+	ask(t, e1, 11) // evicts 10
+	ask(t, e1, 11) // read twice: protected
+	ask(t, e1, 12)
 
 	e2, exact, pending, unread := inherit(e1, g2, mutate.Changes(g1, g2, far))
 	if exact != 2 || pending+unread != 0 {
@@ -205,8 +207,10 @@ func TestInheritCarriesUnreadEntries(t *testing.T) {
 }
 
 // vectorSize is the bytes a vector of n distances at width bits occupies: the
-// words the codes fill, and the pad word.
-func vectorSize(n int, width uint) int64 { return 8 * int64((n*int(width)+63)/64+1) }
+// words the codes fill and the pad word, at the capacity they are allocated.
+func vectorSize(n int, width uint) int64 {
+	return int64(allocBytes(8 * ((n*int(width)+63)/64 + 1)))
+}
 
 // A stale entry is charged as the vector it shares and the changes it owes
 // from the moment it is inserted; resolving it charges the change of width and
@@ -367,6 +371,7 @@ func TestInheritWhileParentServes(t *testing.T) {
 		e1 := engineOn(g1, Config{CacheEntries: 16})
 		for _, s := range sources {
 			ask(t, e1, s)
+			ask(t, e1, s) // read twice: protected
 		}
 		e2, exact, stale, _ := inherit(e1, g2, mutate.Changes(g1, g2, b1))
 		if exact+stale != len(sources) || stale == 0 {

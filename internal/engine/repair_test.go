@@ -105,14 +105,12 @@ func segment(l *list.List) []string {
 // The protected segment holds at most 4/5 of the entries: a hit promotes an
 // entry there and demotes protected's least recent one when it is full.
 // Eviction takes probation's least recent entry first, so sources read twice
-// outlive any number read once.
+// outlive any number read once, and each key it takes is remembered.
 func TestSLRUSegments(t *testing.T) {
 	var ev obs.Counter
-	c := newSLRU(5, 0, &ev)
+	c := newSLRU(5, 0, &ev, nil)
 	for _, k := range []string{"A", "B", "C", "D", "E"} {
 		c.add(cacheRes(k, 4))
-	}
-	for _, k := range []string{"A", "B", "C", "D", "E"} {
 		if _, ok := c.get(nil, k); !ok {
 			t.Fatalf("%s missing", k)
 		}
@@ -126,21 +124,23 @@ func TestSLRUSegments(t *testing.T) {
 	if p, q := segment(c.protected), segment(c.probation); !slices.Equal(p, []string{"E", "D", "C", "B"}) || !slices.Equal(q, []string{"H"}) || ev.Value() != 3 {
 		t.Fatalf("protected %v, probation %v after three one-time entries, %d evictions", p, q, ev.Value())
 	}
+	if !slices.Equal(c.history, hashes(c, "A", "F", "G")) {
+		t.Fatal("the history does not hold A, F and G, oldest first")
+	}
 	c.get(nil, "H") // promoted; B, protected's least recent, goes back on probation
 	if p, q := segment(c.protected), segment(c.probation); !slices.Equal(p, []string{"H", "E", "D", "C"}) || !slices.Equal(q, []string{"B"}) {
 		t.Fatalf("protected %v, probation %v after a second read of H", p, q)
 	}
 }
 
-// Segment membership and recency cross a write with each entry, read or not.
+// Segment membership and recency cross a write with each entry, read or not,
+// and so does the history of keys evicted from probation.
 func TestSLRUMembershipCrossesInherit(t *testing.T) {
 	g1 := testInstance(t, 100, 400).G
 	e1 := engineOn(g1, Config{CacheEntries: 5})
-	for _, s := range []int32{1, 2, 3, 4, 5} {
+	for _, s := range []int32{1, 1, 2, 2, 3, 3, 4, 4, 5, 2} {
 		ask(t, e1, s)
-	}
-	ask(t, e1, 2)
-	ask(t, e1, 4) // protected: 4 2; probation: 5 3 1
+	} // protected: 2 4 3 1; probation: 5
 	loop := &mutate.Batch{Ops: []mutate.Op{{Op: mutate.OpInsert, U: 9, V: 9, W: 1}}}
 	g2, _, _ := mutate.Apply(g1, loop)
 	e2, exact, _, unread := inherit(e1, g2, mutate.Changes(g1, g2, loop))
@@ -160,16 +160,24 @@ func TestSLRUMembershipCrossesInherit(t *testing.T) {
 			t.Fatalf("protected %v, probation %v; want %v and %v", p, q, keys(protected), keys(probation))
 		}
 	}
-	want(e2, []int32{4, 2}, []int32{5, 3, 1})
+	want(e2, []int32{2, 4, 3, 1}, []int32{5})
 	ask(t, e2, 6) // a one-time source evicts probation's least recent
 	ask(t, e2, 7)
-	want(e2, []int32{4, 2}, []int32{7, 6, 5})
+	want(e2, []int32{2, 4, 3, 1}, []int32{7})
 	g3, _, _ := mutate.Apply(g2, loop)
 	e3, _, _, unread := inherit(e2, g3, mutate.Changes(g2, g3, loop))
-	if unread != 3 {
-		t.Fatalf("%d unread on gen 2, want 4, 2 and 5", unread)
+	if unread != 4 {
+		t.Fatalf("%d unread on gen 2, want 2, 4, 3 and 1", unread)
 	}
-	want(e3, []int32{4, 2}, []int32{7, 6, 5})
+	want(e3, []int32{2, 4, 3, 1}, []int32{7})
+	// 5, evicted on gen 2, is read a second time on gen 3: it enters
+	// protected's least recent end, and with protected full goes straight
+	// to probation's front, pushing 7 out.
+	ask(t, e3, 5)
+	want(e3, []int32{2, 4, 3, 1}, []int32{5})
+	if n := e3.Counter(cCacheSecondReads); n != 1 {
+		t.Fatalf("%d second reads, want 1", n)
+	}
 }
 
 // churnBatch is the shape of a benchmark write on g: two lighter slots and two

@@ -57,7 +57,8 @@ func (v *vector) mask() uint64 { return 1<<v.width - 1 }
 // codes fill acc from its low end, and each full word is stored once. (Every
 // shift count below is under 64; the & 63 says so to the compiler.)
 func pack(d []int64, width uint) vector {
-	v := vector{words: make([]uint64, (len(d)*int(width)+63)/64+1), n: len(d), width: width}
+	k := (len(d)*int(width)+63)/64 + 1
+	v := vector{words: make([]uint64, k, allocBytes(8*k)/8), n: len(d), width: width}
 	words, mask := v.words, v.mask()
 	var acc uint64
 	used, j := uint(0), 0
@@ -181,8 +182,19 @@ func (r *Result) Target(i int, t int32) int64 {
 	return r.At(int(t))
 }
 
+// allocBytes is what the allocator takes for n bytes past its largest size
+// class, 32 KiB: whole 8 KiB pages. A vector or JSON buffer is allocated at
+// that capacity, so a charge of its capacity is what it holds. (A size class
+// rounds a smaller one up by at most an eighth, which the charge leaves out.)
+func allocBytes(n int) int {
+	if n <= 32<<10 {
+		return n
+	}
+	return (n + 8<<10 - 1) &^ (8<<10 - 1)
+}
+
 // vectorBytes is what the vector occupies.
-func (r *Result) vectorBytes() int64 { return 8 * int64(len(r.vec.words)) }
+func (r *Result) vectorBytes() int64 { return 8 * int64(cap(r.vec.words)) }
 
 // heldBytes is the vector and, on a pending entry, the changes it owes. It is
 // read while nothing else holds r, or under its pending lock.
@@ -240,7 +252,7 @@ func (r *Result) encodeJSON() []byte {
 	n := r.vec.n
 	var ecc [20]byte
 	digits := len(strconv.AppendInt(ecc[:0], r.Eccentricity, 10))
-	buf := make([]byte, 0, 2+n*(max(digits, 2)+1))
+	buf := make([]byte, 0, allocBytes(2+n*(max(digits, 2)+1)))
 	buf = append(buf, '[')
 	words, width, mask := r.vec.words, r.vec.width, r.vec.mask()
 	for i, bit := 0, uint(0); i < n; i, bit = i+1, bit+width {

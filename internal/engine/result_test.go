@@ -47,7 +47,7 @@ func FuzzResultVector(f *testing.F) {
 		if res.Reached == 0 {
 			wantWidth = 1
 		}
-		if res.vec.width != wantWidth || res.vectorBytes() != 8*int64((len(d)*int(wantWidth)+63)/64+1) || res.Len() != len(d) {
+		if res.vec.width != wantWidth || len(res.vec.words) != (len(d)*int(wantWidth)+63)/64+1 || res.vectorBytes() != vectorSize(len(d), wantWidth) || res.Len() != len(d) {
 			t.Fatalf("n %d: %d bits in %d bytes, want %d bits", len(d), res.vec.width, res.vectorBytes(), wantWidth)
 		}
 		for i, x := range d {
