@@ -210,7 +210,7 @@ check:
 	$(MAKE) docs-check
 	$(MAKE) bench-build
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race -count=20 -run 'MemoryLimit' ./cmd/ssspd
+	$(GO) test -race -count=20 -run 'MemoryLimit|AccountedHeap' ./cmd/ssspd
 	$(GO) test -race -count=20 -run 'Cancel|Deadline' ./internal/engine ./cmd/ssspd
 	$(GO) test -race -count=20 -run 'Inherit|Resume|Wide|Vector|Repair|Carry|SLRU|SwapKeeps|PooledStates|EveryGraph|CacheBytesAgainstTheHeap' ./internal/engine ./internal/stress ./cmd/ssspd
 	$(GO) test -race -count=20 -run 'Hierarchy|STIndex|Derived|Mutate|Mapped|AgainstTheHeap|DeltaLog|RetiredMidBuild|WarmThorup|GarbageInOne' ./internal/solver ./internal/catalog ./cmd/ssspd

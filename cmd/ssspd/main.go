@@ -153,10 +153,10 @@ func main() {
 
 	log.Printf("ssspd: serving %s (n=%d m=%d, load_ms=%.1f) on %s (workers=%d max-inflight=%d timeout=%s cache=%d/%dB mem-budget=%d)",
 		name, g.NumVertices(), g.NumEdges(), loadMS, *addr, *workers, *maxInflight, *timeout, *cacheEntries, *cacheBytes, *memBudget)
-	if limitMemory(srv.cat.AccountedBytes, debug.SetMemoryLimit) != nil {
-		log.Printf("ssspd: GC memory limit set after every cycle for a heap goal of accounted + 2*max(live - accounted, 16 MiB)")
+	if paceHeap(srv.cat.AccountedBytes, debug.SetGCPercent) != nil {
+		log.Printf("ssspd: GC percent set after every cycle for a heap goal of accounted + 2*max(live - accounted, 4 MiB)")
 	} else {
-		log.Printf("ssspd: GC memory limit left to GOGC=%q GOMEMLIMIT=%q", os.Getenv("GOGC"), os.Getenv("GOMEMLIMIT"))
+		log.Printf("ssspd: GC pacing left to GOGC=%q GOMEMLIMIT=%q", os.Getenv("GOGC"), os.Getenv("GOMEMLIMIT"))
 	}
 	if err := httpx.Serve(ctx, *addr, srv.mux(), *timeout, *drain, "ssspd"); err != nil {
 		log.Fatalf("ssspd: %v", err)

@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -19,62 +18,54 @@ import (
 	"repro/internal/gen"
 )
 
-// pacedGoal is the heap goal the runtime's pacer sets under a memory limit
-// when overhead bytes of it are not heap (memoryLimitHeapGoal in the
-// runtime's mgcpacer.go): the rest less 3% of it, at least 1 MiB, and never
-// below the live heap.
-func pacedGoal(limit, overhead, live int64) int64 {
-	goal := limit - overhead
-	headroom := max(goal/100*3, 1<<20)
-	if goal < 2*headroom {
-		goal = headroom
-	} else {
-		goal -= headroom
-	}
-	return max(goal, live)
-}
-
 func TestMemoryLimitRule(t *testing.T) {
 	const mib = 1 << 20
 	for _, tc := range []struct {
 		name            string
 		live, accounted int64
 		want            int64 // the heap goal
+		percent         int
 	}{
-		{"accounted below live", 200 * mib, 100 * mib, 300 * mib},
-		{"accounted above live", 50 * mib, 80 * mib, 112 * mib},
-		{"other below the floor", 70 * mib, 64 * mib, 96 * mib},
-		{"nothing accounted", 40 * mib, 0, 80 * mib},
-		{"empty heap", 0, 0, 32 * mib},
-		{"large catalog", 4<<30 + 8*mib, 4 << 30, 4<<30 + 32*mib},
-		{"large catalog, large other", 6 << 30, 4 << 30, 8 << 30},
+		{"accounted below live", 200 * mib, 100 * mib, 300 * mib, 50},
+		{"accounted above live", 50 * mib, 80 * mib, 88 * mib, 76},
+		{"other below the floor", 70 * mib, 67 * mib, 75 * mib, 8},
+		{"graph and s-t index, no cache", 12 * mib, 9 * mib, 17 * mib, 42},
+		{"nothing accounted", 40 * mib, 0, 80 * mib, 100},
+		{"small heap", 2 * mib, 0, 8 * mib, 100},
+		{"empty heap", 0, 0, 8 * mib, 100},
+		{"large catalog", 4<<30 + 8*mib, 4 << 30, 4<<30 + 16*mib, 1},
+		{"large catalog, large other", 6 << 30, 4 << 30, 8 << 30, 34},
 	} {
 		if got := heapGoal(tc.live, tc.accounted); got != tc.want {
 			t.Errorf("%s: heapGoal(%d MiB, %d MiB) = %d MiB, want %d MiB", tc.name, tc.live/mib, tc.accounted/mib, got/mib, tc.want/mib)
 		}
-		for _, overhead := range []int64{0, 8 * mib, tc.live / 20, 512 * mib} {
-			limit := memoryLimit(tc.live, tc.accounted, overhead)
-			goal := pacedGoal(limit, overhead, tc.live)
-			if goal < tc.live+memFloor || goal < tc.want || goal > tc.want+tc.want/256+mib {
-				t.Errorf("%s, overhead %d MiB: limit %d MiB paces the heap at %.1f MiB over live %d MiB, want %d MiB",
-					tc.name, overhead/mib, limit/mib, float64(goal)/mib, tc.live/mib, tc.want/mib)
-			}
+		p := gcPercent(tc.live, tc.accounted)
+		if p != tc.percent {
+			t.Errorf("%s: gcPercent = %d, want %d", tc.name, p, tc.percent)
+		}
+		// The runtime paces at live·(1 + p/100): on the rule's goal, over it by
+		// at most 1% of live where p rounds up, and under it where 100 caps p.
+		paced := tc.live + tc.live*int64(p)/100
+		if p < 100 && (paced < tc.want || paced > tc.want+tc.live/100) || p == 100 && paced > tc.want {
+			t.Errorf("%s: GOGC=%d paces live %d MiB at %.1f MiB, want %d MiB", tc.name, p, tc.live/mib, float64(paced)/mib, tc.want/mib)
 		}
 	}
 }
 
-// hookLimit installs the memory-limit hook over accounted as main does, and
-// returns a channel that receives every limit it sets. The hook is stopped and
-// the limit lifted when the test ends.
-func hookLimit(t *testing.T, accounted func() int64) <-chan int64 {
+// hookPercent installs the pacing hook over accounted as main does, and
+// returns a channel that receives every percent it sets. The hook is stopped
+// and the percent it found restored when the test ends.
+func hookPercent(t *testing.T, accounted func() int64) <-chan int {
 	t.Helper()
 	t.Setenv("GOGC", "")
 	t.Setenv("GOMEMLIMIT", "")
-	set := make(chan int64, 1)
-	stop := limitMemory(accounted, func(limit int64) int64 {
-		old := debug.SetMemoryLimit(limit)
+	found := debug.SetGCPercent(100)
+	debug.SetGCPercent(found)
+	set := make(chan int, 1)
+	stop := paceHeap(accounted, func(percent int) int {
+		old := debug.SetGCPercent(percent)
 		select {
-		case set <- limit:
+		case set <- percent:
 		default:
 		}
 		return old
@@ -84,21 +75,25 @@ func hookLimit(t *testing.T, accounted func() int64) <-chan int64 {
 	}
 	t.Cleanup(func() {
 		stop()
-		debug.SetMemoryLimit(math.MaxInt64)
+		debug.SetGCPercent(found)
 	})
 	return set
 }
 
-// forceLimit runs a GC cycle and waits for the hook's run after it, until the
-// limit in force is the rule for the live heap that cycle measured, what
-// accounted says now and the runtime's overhead give or take drift (the
-// overhead moves by a few spans between the hook's sample and this one). A
-// second round happens only when an earlier cycle's run was still queued when
-// this one began; none waits on a clock.
-func forceLimit(t *testing.T, set <-chan int64, accounted func() int64) (limit, live, acc int64) {
+// gcPercentInForce is the GOGC percent the runtime paces at now.
+func gcPercentInForce() int {
+	s := []metrics.Sample{{Name: "/gc/gogc:percent"}}
+	metrics.Read(s)
+	return int(int64(s[0].Value.Uint64()))
+}
+
+// forcePercent runs a GC cycle and waits for the hook's run after it, until
+// the percent in force is the rule's for the live heap that cycle marked and
+// what accounted says now. A second round happens only when an earlier cycle's
+// run was still queued when this one began, or a cycle the runtime started
+// itself came between; none waits on a clock.
+func forcePercent(t *testing.T, set <-chan int, accounted func() int64) (percent int, live, acc int64) {
 	t.Helper()
-	const drift = 1 << 20
-	var overhead int64
 	for round := 0; round < 5; round++ {
 		select {
 		case <-set:
@@ -110,38 +105,35 @@ func forceLimit(t *testing.T, set <-chan int64, accounted func() int64) (limit, 
 		case <-time.After(time.Minute):
 			t.Fatal("the hook did not run after a forced GC cycle")
 		}
-		live, overhead = memSample()
-		acc, limit = accounted(), debug.SetMemoryLimit(-1)
-		if d := limit - memoryLimit(live, acc, overhead); -drift <= d && d <= drift {
-			return limit, live, acc
+		live, acc, percent = liveHeap(), accounted(), gcPercentInForce()
+		if percent == gcPercent(live, acc) {
+			return percent, live, acc
 		}
 	}
-	t.Fatalf("limit %d, want memoryLimit(live %d, accounted %d, overhead %d) = %d", limit, live, acc, overhead, memoryLimit(live, acc, overhead))
+	t.Fatalf("GOGC=%d, want gcPercent(live %d, accounted %d) = %d", percent, live, acc, gcPercent(live, acc))
 	return
 }
 
 func TestMemoryLimitHook(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // only forced cycles: each run follows one
 	_, srv, _ := testServerOpts(t, 8, time.Minute)
 
 	var stray atomic.Int64
 	for _, env := range []string{"GOGC", "GOMEMLIMIT"} {
 		t.Run(env, func(t *testing.T) {
 			t.Setenv(env, map[string]string{"GOGC": "100", "GOMEMLIMIT": "1GiB"}[env])
-			if stop := limitMemory(srv.cat.AccountedBytes, func(int64) int64 { stray.Add(1); return 0 }); stop != nil {
+			if stop := paceHeap(srv.cat.AccountedBytes, func(int) int { stray.Add(1); return 0 }); stop != nil {
 				stop()
 				t.Fatalf("%s set: a hook was installed", env)
 			}
 		})
 	}
 
-	set := hookLimit(t, srv.cat.AccountedBytes)
-	limit, live, acc := forceLimit(t, set, srv.cat.AccountedBytes)
-	if acc <= 0 || limit < live+memFloor+(1<<20) {
-		t.Fatalf("accounted %d, limit %d for live %d", acc, limit, live)
+	set := hookPercent(t, srv.cat.AccountedBytes)
+	if _, _, acc := forcePercent(t, set, srv.cat.AccountedBytes); acc <= 0 {
+		t.Fatalf("accounted %d", acc)
 	}
 	if n := stray.Load(); n != 0 {
-		t.Fatalf("a hook refused by the environment set the limit %d times", n)
+		t.Fatalf("a hook refused by the environment set the percent %d times", n)
 	}
 }
 
@@ -149,7 +141,9 @@ func TestMemoryLimitHook(t *testing.T) {
 // swaps and /metrics scrapes read and change what it sums.
 func TestMemoryLimitHookUnderSwaps(t *testing.T) {
 	ts, srv, g := testServerOpts(t, 8, time.Minute)
-	set := hookLimit(t, srv.cat.AccountedBytes)
+	old := debug.SetGCPercent(250) // the hook sets 1–100: a percent /metrics shows in that range is its
+	t.Cleanup(func() { debug.SetGCPercent(old) })
+	set := hookPercent(t, srv.cat.AccountedBytes)
 
 	const rounds = 8
 	var wg sync.WaitGroup
@@ -189,79 +183,109 @@ func TestMemoryLimitHookUnderSwaps(t *testing.T) {
 	wg.Wait()
 	var m struct {
 		Runtime struct {
-			MemoryLimit int64 `json:"memory_limit_bytes"`
+			GCPercent int `json:"gc_percent"`
 		} `json:"runtime"`
 		Catalog struct {
 			Accounted int64 `json:"accounted_bytes"`
 		} `json:"catalog"`
 	}
 	getJSON(t, ts.URL+"/metrics", &m)
-	if m.Runtime.MemoryLimit == math.MaxInt64 || m.Catalog.Accounted <= 0 {
-		t.Fatalf("/metrics after the hook ran: runtime.memory_limit_bytes %d, catalog.accounted_bytes %d",
-			m.Runtime.MemoryLimit, m.Catalog.Accounted)
+	if m.Runtime.GCPercent < 1 || m.Runtime.GCPercent > 100 || m.Catalog.Accounted <= 0 {
+		t.Fatalf("/metrics after the hook ran: runtime.gc_percent %d, catalog.accounted_bytes %d",
+			m.Runtime.GCPercent, m.Catalog.Accounted)
 	}
 }
 
-// A full result cache is paced at its size, not twice it: with the hook, the
-// heap goal after a cycle sits below the 2 x live heap GOGC=100 alone would
-// give, and at the rule's heap goal, which leaves at least memFloor over live.
+// What the catalog accounts for is paced at its size, not twice it: with the
+// hook, the heap goal after a cycle is the rule's, within 1 MiB, and below the
+// 2 x live heap GOGC=100 alone would give — for a full result cache, and for
+// a 2^16-vertex graph whose CSR and s-t index are accounted and whose engine
+// caches nothing, as the benchmark's daemons serve between their caches'
+// fills.
 func TestAccountedHeapIsNotDoubled(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(100))
-	g := gen.Random(1<<12, 4<<12, 1<<10, gen.UWD, 3)
-	srv := newServer(g, nil, "rand12", catalog.Source{}, serverOptions{
-		workers: 2, maxInflight: 4, timeout: time.Minute,
-		engine: engine.Config{CacheEntries: 1 << 20, CacheBytes: 32 << 20},
+	t.Run("full cache", func(t *testing.T) {
+		g := gen.Random(1<<12, 4<<12, 1<<10, gen.UWD, 3)
+		srv := newServer(g, nil, "rand12", catalog.Source{}, serverOptions{
+			workers: 2, maxInflight: 4, timeout: time.Minute,
+			engine: engine.Config{CacheEntries: 1 << 20, CacheBytes: 32 << 20},
+		})
+		t.Cleanup(srv.cat.Close)
+		mux := srv.mux()
+		set := hookPercent(t, srv.cat.AccountedBytes)
+
+		// solve answers srcs in one /batch with the vectors: each item is its
+		// own cache entry, JSON included, as a /sssp?full=1 is.
+		solve := func(srcs ...int) {
+			items := make([]string, len(srcs))
+			for i, src := range srcs {
+				items[i] = fmt.Sprintf(`{"src":%d}`, src)
+			}
+			body := `{"full":true,"queries":[` + strings.Join(items, ",") + `]}`
+			w := httptest.NewRecorder()
+			mux.ServeHTTP(w, httptest.NewRequest("POST", "/batch", strings.NewReader(body)))
+			if w.Code != 200 {
+				t.Fatalf("batch of %d from %d: %d", len(srcs), srcs[0], w.Code)
+			}
+		}
+		solve(0)
+		gn, release, err := srv.cat.Acquire("rand12")
+		if err != nil {
+			t.Fatal(err)
+		}
+		perEntry := gn.Engine.CacheBytes()
+		release()
+		sources := 3 * int(32<<20/perEntry)
+		if sources > g.NumVertices() {
+			t.Fatalf("%d sources of %d bytes each do not fit a %d-vertex graph", sources, perEntry, g.NumVertices())
+		}
+		for src := 1; src < sources; src += 64 {
+			batch := make([]int, 0, 64)
+			for v := src; v < min(src+64, sources); v++ {
+				batch = append(batch, v)
+			}
+			solve(batch...)
+		}
+		if _, acc := pacedAtTheRule(t, set, srv.cat.AccountedBytes); acc < 24<<20 {
+			t.Fatalf("accounted %d bytes: the cache did not fill", acc)
+		}
 	})
-	t.Cleanup(srv.cat.Close)
-	mux := srv.mux()
-	set := hookLimit(t, srv.cat.AccountedBytes)
-
-	// solve answers srcs in one /batch with the vectors: each item is its own
-	// cache entry, JSON included, as a /sssp?full=1 is.
-	solve := func(srcs ...int) {
-		items := make([]string, len(srcs))
-		for i, src := range srcs {
-			items[i] = fmt.Sprintf(`{"src":%d}`, src)
-		}
-		body := `{"full":true,"queries":[` + strings.Join(items, ",") + `]}`
+	t.Run("graph and s-t index, no cache", func(t *testing.T) {
+		const n = 1 << 16
+		g := gen.Random(n, 4*n, n, gen.UWD, 1)
+		srv := newServer(g, nil, "rand16", catalog.Source{}, serverOptions{
+			workers: 2, maxInflight: 4, timeout: time.Minute,
+		})
+		t.Cleanup(srv.cat.Close)
 		w := httptest.NewRecorder()
-		mux.ServeHTTP(w, httptest.NewRequest("POST", "/batch", strings.NewReader(body)))
+		srv.mux().ServeHTTP(w, httptest.NewRequest("GET", fmt.Sprintf("/dist?src=3&dst=%d", nearest(g, 3)), nil))
 		if w.Code != 200 {
-			t.Fatalf("batch of %d from %d: %d", len(srcs), srcs[0], w.Code)
+			t.Fatalf("/dist: %d %s", w.Code, w.Body)
 		}
-	}
-	solve(0)
-	gn, release, err := srv.cat.Acquire("rand12")
-	if err != nil {
-		t.Fatal(err)
-	}
-	perEntry := gn.Engine.CacheBytes()
-	release()
-	sources := 3 * int(32<<20/perEntry)
-	if sources > g.NumVertices() {
-		t.Fatalf("%d sources of %d bytes each do not fit a %d-vertex graph", sources, perEntry, g.NumVertices())
-	}
-	for src := 1; src < sources; src += 64 {
-		batch := make([]int, 0, 64)
-		for v := src; v < min(src+64, sources); v++ {
-			batch = append(batch, v)
+		set := hookPercent(t, srv.cat.AccountedBytes)
+		live, acc := pacedAtTheRule(t, set, srv.cat.AccountedBytes)
+		if acc < int64(8*g.NumArcs()) {
+			t.Fatalf("accounted %d bytes: no s-t index beside the CSR", acc)
 		}
-		solve(batch...)
-	}
+		if live >= acc+16<<20 { // where a 16 MiB floor never bound
+			t.Fatalf("live %d bytes: more than 16 MiB of it is not the graph's", live)
+		}
+	})
+}
 
-	limit, live, acc := forceLimit(t, set, srv.cat.AccountedBytes)
+// pacedAtTheRule forces a cycle and checks the heap goal the runtime then
+// paces at against the rule's: within 1 MiB, and below 2 x live. It returns
+// the live heap and the accounted bytes the rule was applied to.
+func pacedAtTheRule(t *testing.T, set <-chan int, accounted func() int64) (live, acc int64) {
+	t.Helper()
+	var percent int
+	percent, live, acc = forcePercent(t, set, accounted)
 	s := []metrics.Sample{{Name: "/gc/heap/goal:bytes"}}
 	metrics.Read(s)
 	goal := int64(s[0].Value.Uint64())
-	t.Logf("live %d MiB, accounted %d MiB, limit %d MiB, heap goal %d MiB", live>>20, acc>>20, limit>>20, goal>>20)
-	if acc < 24<<20 {
-		t.Fatalf("accounted %d bytes: the cache did not fill", acc)
-	}
-	const slack = 4 << 20
+	t.Logf("live %.1f MiB, accounted %.1f MiB, GOGC=%d, heap goal %.1f MiB", float64(live)/(1<<20), float64(acc)/(1<<20), percent, float64(goal)/(1<<20))
+	const slack = 1 << 20
 	if want := heapGoal(live, acc); goal >= 2*live || goal < want-slack || goal > want+slack {
 		t.Fatalf("heap goal %d, want below 2 x live (%d) and the rule's %d ± %d", goal, 2*live, want, slack)
 	}
-	if goal < live+memFloor-slack {
-		t.Fatalf("heap goal %d leaves %d bytes over live %d", goal, goal-live, live)
-	}
+	return live, acc
 }

@@ -11,6 +11,8 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/graph"
+	"repro/internal/mutate"
 	"repro/internal/obs"
 )
 
@@ -376,4 +378,104 @@ func TestCacheBytesAgainstTheHeap(t *testing.T) {
 		t.Fatalf("the live heap grew %d bytes past the charge for a %d-byte key evicted", extra, len(long))
 	}
 	runtime.KeepAlive(g)
+}
+
+// settledHeap is liveHeap once two readings in a row agree: the first after a
+// write finds its garbage, and a goroutine an earlier test left may still
+// allocate or free.
+func settledHeap() int64 {
+	h := liveHeap()
+	for range 10 {
+		next := liveHeap()
+		if next == h {
+			break
+		}
+		h = next
+	}
+	return h
+}
+
+// What a pending entry is charged for the changes it owes is what its owed
+// list holds: changeBytes a change is within 5% of the live heap the lists
+// add, capacity included — after one write of 4, 100 or 200 new slots, and
+// after a second write that changes half of 100 slots again.
+func TestOwedListsAgainstTheHeap(t *testing.T) {
+	// Enough entries that 4-slot lists hold 300 KB: the live heap drifts by a
+	// few KB while a test runs beside what earlier ones left.
+	const n, entries = 1 << 10, 4096
+	g1 := testInstance(t, n, 4*n).G
+	r := rand.New(rand.NewSource(1))
+	// inserts is k new slots of weight 1 between distinct random pairs.
+	inserts := func(k int) *mutate.Batch {
+		b, seen := &mutate.Batch{}, map[[2]int32]bool{}
+		for len(b.Ops) < k {
+			u, v := int32(r.Intn(n)), int32(r.Intn(n))
+			if u == v || seen[[2]int32{min(u, v), max(u, v)}] {
+				continue
+			}
+			seen[[2]int32{min(u, v), max(u, v)}] = true
+			b.Ops = append(b.Ops, mutate.Op{Op: mutate.OpInsert, U: u, V: v, W: 1})
+		}
+		return b
+	}
+	write := func(e *Gen, g *graph.Graph, b *mutate.Batch) (*Gen, *graph.Graph) {
+		next, _, err := mutate.Apply(g, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		child, _, _, _ := inherit(e, next, mutate.Changes(g, next, b))
+		return child, next
+	}
+	// within fills a cache on g1 with answers read twice (their distances
+	// random: only what they owe is measured), applies the writes to it, and
+	// checks what the last generation charges for its owed lists against the
+	// heap they hold, by dropping them.
+	within := func(what string, writes ...*mutate.Batch) {
+		t.Helper()
+		e, g := engineOn(g1, Config{CacheEntries: entries}), g1
+		for i := range entries {
+			d := make([]int64, n)
+			for v := range d {
+				d[v] = r.Int63n(n)
+			}
+			res := &Result{Solver: "delta", g: e, key: fmt.Sprint("delta|", i)}
+			res.detach(d)
+			e.cache.add(res)
+			e.cache.get(e, res.key)
+		}
+		for _, b := range writes {
+			e, g = write(e, g, b)
+		}
+		var owed []*pending
+		var charged int64
+		for el := e.cache.protected.Front(); el != nil; el = el.Next() {
+			if res := el.Value.(*cacheEntry).res; res.pending != nil {
+				owed = append(owed, res.pending)
+				charged += res.heldBytes() - res.vectorBytes()
+			}
+		}
+		if len(owed) < entries/2 {
+			t.Fatalf("%s: %d of %d entries owe changes", what, len(owed), entries)
+		}
+		with := settledHeap()
+		for _, p := range owed {
+			p.changes = nil
+		}
+		grown := with - settledHeap()
+		runtime.KeepAlive(owed)
+		runtime.KeepAlive(e)
+		if diff := charged - grown; diff*20 > grown || -diff*20 > grown {
+			t.Fatalf("%s: %d lists charged %d bytes, hold %d: off by %+.1f%%", what, len(owed), charged, grown, 100*float64(diff)/float64(grown))
+		}
+		t.Logf("%s: %d lists charged %d bytes, hold %d", what, len(owed), charged, grown)
+	}
+	for _, k := range []int{4, 100, 200} {
+		within(fmt.Sprint(k, " slots"), inserts(k))
+	}
+	b := inserts(100)
+	again := &mutate.Batch{}
+	for _, op := range b.Ops[:50] {
+		again.Ops = append(again.Ops, mutate.Op{Op: mutate.OpSetWeight, U: op.U, V: op.V, W: 2})
+	}
+	within("100 slots, then 50 of them", b, again)
 }

@@ -122,9 +122,10 @@ func bySlot(changes []mutate.Change) []mutate.Change {
 // compose is owed followed by later, both in slot order with one change a
 // slot: one net change a slot, its first Before and its last After, in slot
 // order. A slot back at its first weight owes nothing. It is one merge,
-// O(len(owed) + len(later)).
+// O(len(owed) + len(later)), into a list allocated once at the capacity its
+// size class holds, which is what the entry is charged (heldBytes).
 func compose(owed, later []mutate.Change) []mutate.Change {
-	out := make([]mutate.Change, 0, len(owed)+len(later))
+	out := slices.Grow([]mutate.Change(nil), len(owed)+len(later))
 	for len(owed) > 0 && len(later) > 0 {
 		switch a, b := changeSlot(owed[0]), changeSlot(later[0]); {
 		case a < b:

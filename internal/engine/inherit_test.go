@@ -207,9 +207,9 @@ func TestInheritCarriesUnreadEntries(t *testing.T) {
 }
 
 // vectorSize is the bytes a vector of n distances at width bits occupies: the
-// words the codes fill and the pad word, at the capacity they are allocated.
+// words the codes fill, at the capacity they are allocated.
 func vectorSize(n int, width uint) int64 {
-	return int64(allocBytes(8 * ((n*int(width)+63)/64 + 1)))
+	return int64(allocBytes(8 * ((n*int(width) + 63) / 64)))
 }
 
 // A stale entry is charged as the vector it shares and the changes it owes

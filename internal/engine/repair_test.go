@@ -331,7 +331,8 @@ func TestComposeMergesInSlotOrder(t *testing.T) {
 }
 
 // An entry nobody reads owes one more slot with every write that changes one,
-// and the cache charges each (changeBytes apiece). A repair gets through the
+// and the cache charges each (changeBytes apiece, for the list's capacity at
+// its size class). A repair gets through the
 // longest list it may owe, n/owedShare slots (here the floor, 64); the write
 // that would make it owe more drops it and counts a repair over budget.
 func TestOwedListChargedAndCapped(t *testing.T) {
@@ -359,7 +360,7 @@ func TestOwedListChargedAndCapped(t *testing.T) {
 				if charged != 0 || e.Counter(cRepairBudgetExceeded) != 1 {
 					t.Fatalf("owing %d slots: %d bytes cached, %d repairs over budget", owed, charged, e.Counter(cRepairBudgetExceeded))
 				}
-			} else if want := first.vectorBytes() + int64(len(keyOf(t, e, 0))) + 64 + int64(owed)*changeBytes; charged != want {
+			} else if want := first.vectorBytes() + int64(len(keyOf(t, e, 0))) + 64 + int64(cap(slices.Grow([]mutate.Change(nil), owed)))*changeBytes; charged != want {
 				t.Fatalf("owing %d slots: %d bytes charged, want %d", owed, charged, want)
 			}
 		}

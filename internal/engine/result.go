@@ -37,10 +37,9 @@ type Result struct {
 }
 
 // vector is a distance vector at the bits its largest finite distance needs:
-// n codes of width bits each, packed low bits first into words, the all-ones
-// code where there is no path. A pad word past the last code lets At read two
-// words unconditionally. graph.Inf keeps every finite distance below 2^61 − 1,
-// so width is at most 61.
+// n codes of width bits each, packed low bits first into ⌈n·width/64⌉ words,
+// the all-ones code where there is no path. graph.Inf keeps every finite
+// distance below 2^61 − 1, so width is at most 61.
 type vector struct {
 	words []uint64
 	n     int
@@ -57,7 +56,7 @@ func (v *vector) mask() uint64 { return 1<<v.width - 1 }
 // codes fill acc from its low end, and each full word is stored once. (Every
 // shift count below is under 64; the & 63 says so to the compiler.)
 func pack(d []int64, width uint) vector {
-	k := (len(d)*int(width)+63)/64 + 1
+	k := (len(d)*int(width) + 63) / 64
 	v := vector{words: make([]uint64, k, allocBytes(8*k)/8), n: len(d), width: width}
 	words, mask := v.words, v.mask()
 	var acc uint64
@@ -75,15 +74,18 @@ func pack(d []int64, width uint) vector {
 			acc = c >> ((width - used) & 63) // the bits of c that did not fit
 		}
 	}
-	words[j] = acc
+	if j < len(words) { // the last word's codes, unless they filled it
+		words[j] = acc
+	}
 	return v
 }
 
-// code is the code that starts at bit: the word it starts in, and the pad or
-// next word for the bits that spill over.
+// code is the code that starts at bit: the word it starts in, and the next
+// word for the bits that spill over. A code that fits its word masks off what
+// it reads of the next one, which is the same word again for the last.
 func code(words []uint64, bit uint, mask uint64) uint64 {
 	i, s := bit/64, bit%64
-	return (words[i]>>s | words[i+1]<<1<<(63-s)) & mask
+	return (words[i]>>s | words[min(i+1, uint(len(words)-1))]<<1<<(63-s)) & mask
 }
 
 // unpack is the vector as plain distances (graph.Inf: unreachable), read
@@ -155,7 +157,7 @@ func (v *vector) put(i int, x int64) bool {
 	bit := uint(i) * v.width
 	w, s := bit/64, bit%64
 	v.words[w] = v.words[w]&^(mask<<s) | c<<s
-	if s+v.width > 64 { // the code spills into the next word (or the pad)
+	if s+v.width > 64 { // the code spills into the next word
 		v.words[w+1] = v.words[w+1]&^(mask>>(64-s)) | c>>(64-s)
 	}
 	return true
@@ -196,13 +198,14 @@ func allocBytes(n int) int {
 // vectorBytes is what the vector occupies.
 func (r *Result) vectorBytes() int64 { return 8 * int64(cap(r.vec.words)) }
 
-// heldBytes is the vector and, on a pending entry, the changes it owes. It is
-// read while nothing else holds r, or under its pending lock.
+// heldBytes is the vector and, on a pending entry, the list of changes it
+// owes, at its capacity. It is read while nothing else holds r, or under its
+// pending lock.
 func (r *Result) heldBytes() int64 {
 	if r.pending == nil {
 		return r.vectorBytes()
 	}
-	return r.vectorBytes() + int64(len(r.pending.changes))*changeBytes
+	return r.vectorBytes() + int64(cap(r.pending.changes))*changeBytes
 }
 
 // changeBytes is what one mutate.Change occupies: two int32 and two int64.

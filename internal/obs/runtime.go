@@ -3,6 +3,7 @@ package obs
 import (
 	"runtime"
 	"runtime/debug"
+	"runtime/metrics"
 	"time"
 )
 
@@ -25,8 +26,11 @@ type RuntimeStats struct {
 	HeapObjects uint64 `json:"heap_objects"`
 	// NextGCBytes is the heap size that triggers the next collection.
 	NextGCBytes uint64 `json:"next_gc_bytes"`
+	// GCPercent is the GOGC percent in force (-1: off; GOGC, or what the
+	// process derived itself).
+	GCPercent int64 `json:"gc_percent"`
 	// MemoryLimitBytes is the runtime's soft memory limit (math.MaxInt64:
-	// none; GOMEMLIMIT, or what the process derived itself).
+	// none, unless GOMEMLIMIT sets one).
 	MemoryLimitBytes int64 `json:"memory_limit_bytes"`
 	// NumGC is the completed collection count.
 	NumGC uint32 `json:"num_gc"`
@@ -46,6 +50,8 @@ type RuntimeStats struct {
 func ReadRuntimeStats() RuntimeStats {
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
+	gogc := []metrics.Sample{{Name: "/gc/gogc:percent"}}
+	metrics.Read(gogc)
 	s := RuntimeStats{
 		Goroutines:       runtime.NumGoroutine(),
 		CPUs:             runtime.GOMAXPROCS(0),
@@ -53,6 +59,7 @@ func ReadRuntimeStats() RuntimeStats {
 		HeapSysBytes:     m.HeapSys,
 		HeapObjects:      m.HeapObjects,
 		NextGCBytes:      m.NextGC,
+		GCPercent:        int64(gogc[0].Value.Uint64()),
 		MemoryLimitBytes: debug.SetMemoryLimit(-1),
 		NumGC:            m.NumGC,
 		GCPauseTotalMs:   float64(m.PauseTotalNs) / 1e6,
