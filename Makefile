@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-build bench-kernels bench-p2p bench-engine bench-catalog bench-trace bench-serve bench-serve-smoke bench-router bench-mutate bench-mutate-width check flake docs-check loc stress fuzz experiments sim-csv-check examples clean
+.PHONY: all build vet test race bench bench-build bench-kernels bench-p2p bench-engine bench-catalog bench-trace bench-serve bench-serve-smoke bench-router bench-mutate bench-mutate-width check flake docs-check loc stress fuzz experiments sim-csv-check clean
 
 all: build vet test
 
@@ -198,9 +198,9 @@ bench-build:
 # generations), the values a generation derives on demand likewise (one build
 # for concurrent first callers, its report, writes that derive nothing), the
 # DIMACS readers five times at 1, 2 and 4 CPUs (the same arrays at every
-# worker count, and the allocation budget), the serving smoke slice, the
-# seeded stress sweep, and the examples run end to end. It also fails if
-# either daemon links the simulated machine (internal/mta).
+# worker count, and the allocation budget), the serving smoke slice and the
+# seeded stress sweep. It also fails if either daemon links the simulated
+# machine (internal/mta).
 check:
 	$(GO) vet ./...
 	GOOS=windows $(GO) vet ./...
@@ -217,7 +217,6 @@ check:
 	$(GO) test -race -count=5 -cpu 1,2,4 -run 'ReadGraph|ReadSources' ./internal/dimacs
 	$(MAKE) bench-serve-smoke
 	$(MAKE) stress
-	$(MAKE) examples
 
 # Documentation lint: every intra-repo markdown link must resolve and every
 # internal/* package must carry a package comment (see cmd/docscheck).
@@ -276,13 +275,6 @@ sim-csv-check:
 	$(GO) run ./cmd/experiments -all -csv "$$tmp" >/dev/null && \
 	diff -r -x table1.csv -x ablation-buckets.csv -x ablation-ch.csv -x portfolio.csv results/csv "$$tmp" && \
 	echo "sim-csv-check: results/csv regenerates byte-identical"
-
-examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/socialnetwork
-	$(GO) run ./examples/roadnetwork
-	$(GO) run ./examples/manysources
-	$(GO) run ./examples/facilities
 
 clean:
 	$(GO) clean ./...

@@ -51,13 +51,23 @@ func ExampleCertifyDistances() {
 	// true
 }
 
-// Multi-source queries answer nearest-facility questions in one traversal.
+// Multi-source queries answer nearest-facility questions in one traversal,
+// and the shortest-path tree says which facility serves each vertex.
 func ExampleQuery_runFromSources() {
 	g := repro.GridGraph(5, 5, 1, repro.UWD, 1) // unit weights
 	q := repro.NewSolver(repro.BuildHierarchy(g), repro.NewExecRuntime(1)).Query()
-	dist := q.RunFromSources([]int32{0, 24}) // opposite corners
+	facilities := []int32{0, 24} // opposite corners
+	dist := q.RunFromSources(facilities)
 	fmt.Println(dist[0], dist[24], dist[12])
-	// Output: 0 0 4
+
+	parent := q.Parents()
+	fmt.Println(repro.CertifyTree(g, facilities, dist, parent))
+	path := repro.ShortestPath(dist, parent, 23)
+	fmt.Println(path[0], len(path)-1)
+	// Output:
+	// 0 0 4
+	// <nil>
+	// 24 1
 }
 
 // Zero-weight edges are contracted away before building the hierarchy.

@@ -26,6 +26,20 @@ func liveHeap() int64 {
 	return int64(s[0].Value.Uint64())
 }
 
+// settledHeap is liveHeap once two readings in a row agree: a goroutine an
+// earlier test left may still allocate or free.
+func settledHeap() int64 {
+	h := liveHeap()
+	for range 10 {
+		next := liveHeap()
+		if next == h {
+			break
+		}
+		h = next
+	}
+	return h
+}
+
 // What the catalog charges as heap is what the collector finds live: for each
 // kind of storage it charges, made at 2^14 vertices in an empty catalog, the
 // growth in its generations' HeapBytes is within 5% of the growth in the live
@@ -100,7 +114,7 @@ func TestHeapBytesAgainstTheHeap(t *testing.T) {
 				requireCatalogMmap(t, snap)
 			}
 			c := New(Config{MMap: tc.mmap, Logf: func(string, ...any) {}})
-			before := liveHeap()
+			before := settledHeap()
 			if _, err := c.Load("g", tc.src); err != nil {
 				t.Fatal(err)
 			}
@@ -111,7 +125,7 @@ func TestHeapBytesAgainstTheHeap(t *testing.T) {
 			for _, gn := range c.Serving() {
 				charged += gn.HeapBytes()
 			}
-			grown := liveHeap() - before
+			grown := settledHeap() - before
 			if diff := charged - grown; diff*20 > grown || -diff*20 > grown {
 				t.Fatalf("HeapBytes %d, live heap grew %d: off by %+.1f%%", charged, grown, 100*float64(diff)/float64(grown))
 			}

@@ -260,35 +260,3 @@ func densifyAtomic(rt par.Runtime, parent []int32) ([]int32, int) {
 	rt.ChargeLoop(mode, len(parent), 1)
 	return densify(parent)
 }
-
-// LargestComponent returns the induced subgraph of g's largest connected
-// component together with the mapping from new vertex ids to original ones —
-// the standard preprocessing for analytics over real-world datasets whose
-// giant component carries the structure.
-func LargestComponent(g *graph.Graph) (*graph.Graph, []int32) {
-	label, count := SerialBFS(g, All)
-	if count <= 1 {
-		ids := make([]int32, g.NumVertices())
-		for i := range ids {
-			ids[i] = int32(i)
-		}
-		return g, ids
-	}
-	sizes := make([]int64, count)
-	for _, l := range label {
-		sizes[l]++
-	}
-	best := int32(0)
-	for c := int32(1); c < int32(count); c++ {
-		if sizes[c] > sizes[best] {
-			best = c
-		}
-	}
-	var members []int32
-	for v, l := range label {
-		if l == best {
-			members = append(members, int32(v))
-		}
-	}
-	return g.InducedSubgraph(members)
-}

@@ -246,29 +246,3 @@ func BenchmarkCCKernels(b *testing.B) {
 		}
 	})
 }
-
-func TestLargestComponent(t *testing.T) {
-	b := graph.NewBuilder(7)
-	// component A: 0-1-2 (3 vertices), component B: 3-4-5-6 (4 vertices)
-	b.MustAddEdge(0, 1, 1)
-	b.MustAddEdge(1, 2, 1)
-	b.MustAddEdge(3, 4, 2)
-	b.MustAddEdge(4, 5, 2)
-	b.MustAddEdge(5, 6, 2)
-	g := b.Build()
-	sub, ids := LargestComponent(g)
-	if sub.NumVertices() != 4 || sub.NumEdges() != 3 {
-		t.Fatalf("largest component: %v", sub)
-	}
-	for _, old := range ids {
-		if old < 3 {
-			t.Fatalf("wrong component member %d", old)
-		}
-	}
-	// Connected graph: returned unchanged.
-	conn := gen.Path(5, 1)
-	same, ids2 := LargestComponent(conn)
-	if same.NumVertices() != 5 || ids2[3] != 3 {
-		t.Fatalf("connected graph altered")
-	}
-}

@@ -73,9 +73,6 @@ func (s *Solver) simulated() bool {
 	return !exec
 }
 
-// Hierarchy returns the shared Component Hierarchy.
-func (s *Solver) Hierarchy() *ch.Hierarchy { return s.h }
-
 // Query holds the per-query state of one SSSP computation. Queries are cheap
 // relative to the graph ("it is more memory efficient to allocate a new
 // instance of the CH than to create a copy of the entire graph", paper §5.2)

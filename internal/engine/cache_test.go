@@ -343,7 +343,7 @@ func TestCacheBytesAgainstTheHeap(t *testing.T) {
 		}
 		t.Logf("%s: CacheBytes %d, live heap grew %d", what, charged, grown)
 	}
-	before := liveHeap()
+	before := settledHeap()
 	for i := range max * 4 / 5 {
 		k := fmt.Sprint("delta|", i)
 		g.cache.add(result(k))
@@ -357,7 +357,7 @@ func TestCacheBytesAgainstTheHeap(t *testing.T) {
 	if g.cache.probation.Len() != max-max*4/5 || len(g.cache.history) != max {
 		t.Fatalf("%d on probation, %d in the history", g.cache.probation.Len(), len(g.cache.history))
 	}
-	full, charged := liveHeap(), g.CacheBytes()
+	full, charged := settledHeap(), g.CacheBytes()
 	within("full", charged, full-before)
 
 	srcs := make([]int32, 4096)
@@ -372,7 +372,7 @@ func TestCacheBytesAgainstTheHeap(t *testing.T) {
 	if g.cache.peek(long) || g.cache.history[max-1] != maphash.String(g.cache.seed, long) {
 		t.Fatal("the long key is not in the history")
 	}
-	after, now := liveHeap(), g.CacheBytes()
+	after, now := settledHeap(), g.CacheBytes()
 	within("long key evicted", now, after-before)
 	if extra := (after - full) - (now - charged); extra > int64(len(long))/4 {
 		t.Fatalf("the live heap grew %d bytes past the charge for a %d-byte key evicted", extra, len(long))

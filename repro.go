@@ -35,7 +35,6 @@ package repro
 import (
 	"io"
 
-	"repro/internal/analytics"
 	"repro/internal/bfs"
 	"repro/internal/cc"
 	"repro/internal/ch"
@@ -299,41 +298,3 @@ func GeometricGraph(n int, radius float64, c uint32, seed uint64) *Graph {
 func SmallWorldGraph(n, k int, p float64, c uint32, dist WeightDist, seed uint64) *Graph {
 	return gen.SmallWorld(n, k, p, c, dist, seed)
 }
-
-// Closeness computes closeness centrality for the given vertices with one
-// batched shared-CH query per vertex (the paper's social-network workload).
-func Closeness(s *Solver, vertices []int32) []float64 {
-	return analytics.Closeness(s, vertices)
-}
-
-// Harmonic computes harmonic centrality (robust to disconnection).
-func Harmonic(s *Solver, vertices []int32) []float64 {
-	return analytics.Harmonic(s, vertices)
-}
-
-// DiameterEstimate lower-bounds the weighted diameter with double sweeps.
-func DiameterEstimate(s *Solver, start int32, sweeps int) int64 {
-	return analytics.DiameterEstimate(s, start, sweeps)
-}
-
-// TopKCloseness returns the k most central of the candidate vertices.
-func TopKCloseness(s *Solver, candidates []int32, k int) []int32 {
-	return analytics.TopKCloseness(s, candidates, k)
-}
-
-// LargestComponent extracts the giant connected component (and the mapping
-// back to original vertex ids) — standard preprocessing for analytics.
-func LargestComponent(g *Graph) (*Graph, []int32) {
-	return cc.LargestComponent(g)
-}
-
-// Betweenness estimates betweenness centrality by Brandes' accumulation over
-// shortest-path DAGs from the sampled sources (exact with AllSources).
-// Scores use the directed-pair convention (each unordered pair counted
-// twice).
-func Betweenness(s *Solver, sources []int32) []float64 {
-	return analytics.Betweenness(s, sources)
-}
-
-// AllSources returns [0, n), for exact analytics runs.
-func AllSources(n int) []int32 { return analytics.AllSources(n) }

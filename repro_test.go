@@ -59,6 +59,20 @@ func TestPublicAPISimMode(t *testing.T) {
 	if rt.SimCost().Span <= 0 {
 		t.Fatal("no query cost recorded")
 	}
+	// Figure 5: co-scheduled queries on one hierarchy, exact per source.
+	sources := []int32{0, 500, 999}
+	span, dists := SimultaneousCost(h, MTA2(40), sources)
+	if span <= 0 || len(dists) != len(sources) {
+		t.Fatalf("simultaneous cost %d for %d results", span, len(dists))
+	}
+	for i, src := range sources {
+		want := Dijkstra(g, src)
+		for v := range want {
+			if dists[i][v] != want[v] {
+				t.Fatalf("simultaneous query %d wrong at %d", i, v)
+			}
+		}
+	}
 }
 
 func TestPublicAPISharedHierarchy(t *testing.T) {
@@ -100,10 +114,13 @@ func TestPublicAPIZeroWeightPreprocessing(t *testing.T) {
 	if g.NumVertices() != 2 {
 		t.Fatalf("n=%d", g.NumVertices())
 	}
-	h := BuildHierarchy(g)
-	d := ThorupSerial(h, label[0])
-	if d[label[2]] != 5 {
-		t.Fatalf("d=%v", d)
+	// The same graph built directly from the merged edge list.
+	direct := FromEdges(2, []Edge{{U: label[1], V: label[2], W: 5}})
+	for _, built := range []*Graph{g, direct} {
+		d := ThorupSerial(BuildHierarchy(built), label[0])
+		if d[label[2]] != 5 {
+			t.Fatalf("d=%v", d)
+		}
 	}
 }
 
@@ -200,29 +217,5 @@ func TestPublicAPINewGenerators(t *testing.T) {
 		if err := CertifyDistances(NewExecRuntime(2), g, []int32{0}, d); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-func TestPublicAPIAnalytics(t *testing.T) {
-	g := RMATGraph(512, 2048, 64, UWD, 11)
-	giant, ids := LargestComponent(g)
-	if giant.NumVertices() == 0 || len(ids) != giant.NumVertices() {
-		t.Fatalf("giant component: %v", giant)
-	}
-	s := NewSolver(BuildHierarchy(giant), NewExecRuntime(4))
-	verts := []int32{0, 1, 2, 3}
-	cl := Closeness(s, verts)
-	ha := Harmonic(s, verts)
-	for i := range verts {
-		if cl[i] < 0 || ha[i] < 0 {
-			t.Fatalf("negative centrality at %d", i)
-		}
-	}
-	if d := DiameterEstimate(s, 0, 3); d <= 0 {
-		t.Fatalf("diameter estimate %d", d)
-	}
-	top := TopKCloseness(s, verts, 2)
-	if len(top) != 2 {
-		t.Fatalf("top-k %v", top)
 	}
 }
