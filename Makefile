@@ -194,8 +194,9 @@ bench-build:
 # beside swaps and /metrics scrapes), the request-lifetime tests likewise (a
 # deadline that stops a solve, a singleflight its last waiter cancels), the
 # packed result vector's tests likewise (inheritance and resumes beside hits,
-# widening, one engine's swaps, pooled states and counters across
-# generations), the values a generation derives on demand likewise (one build
+# widening, one engine's swaps, slot states and counters across
+# generations; at most GOMAXPROCS states a solver, a queued solve's deadline,
+# a search beside held solves), the values a generation derives on demand likewise (one build
 # for concurrent first callers, its report, writes that derive nothing), the
 # DIMACS readers five times at 1, 2 and 4 CPUs (the same arrays at every
 # worker count, and the allocation budget), the serving smoke slice and the
@@ -212,7 +213,7 @@ check:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -count=20 -run 'MemoryLimit|AccountedHeap' ./cmd/ssspd
 	$(GO) test -race -count=20 -run 'Cancel|Deadline' ./internal/engine ./cmd/ssspd
-	$(GO) test -race -count=20 -run 'Inherit|Resume|Wide|Vector|Repair|Carry|SLRU|SwapKeeps|PooledStates|EveryGraph|CacheBytesAgainstTheHeap' ./internal/engine ./internal/stress ./cmd/ssspd
+	$(GO) test -race -count=20 -run 'Inherit|Resume|Wide|Vector|Repair|Carry|SLRU|SwapKeeps|PooledStates|Slots|SlotWait|DeltaSlot|EveryGraph|CacheBytesAgainstTheHeap' ./internal/engine ./internal/stress ./cmd/ssspd
 	$(GO) test -race -count=20 -run 'Hierarchy|STIndex|Derived|Mutate|Mapped|AgainstTheHeap|DeltaLog|RetiredMidBuild|WarmThorup|GarbageInOne' ./internal/solver ./internal/catalog ./cmd/ssspd
 	$(GO) test -race -count=5 -cpu 1,2,4 -run 'ReadGraph|ReadSources' ./internal/dimacs
 	$(MAKE) bench-serve-smoke

@@ -90,6 +90,12 @@ func (st *State) bytes() int64 {
 	return int64(len(st.minD))*8 + int64(len(st.node))*execNodeBytes + int64(len(st.act))*4
 }
 
+// Bytes is what the state keeps between runs: its per-query arrays counted at
+// their capacity. The hierarchy and graph a run binds are not its own.
+func (st *State) Bytes() int64 {
+	return int64(cap(st.minD))*8 + int64(cap(st.node))*execNodeBytes + int64(cap(st.act))*4
+}
+
 func (st *State) dist() []int64 { return st.minD[:st.n:st.n] }
 
 // Reset zeroes the arrays (spare capacity too) and the trace, and drops the

@@ -144,8 +144,8 @@ func (q *Query) Trace() *Trace { return q.trace }
 // Reset scrubs the query back to the state of a freshly allocated instance:
 // every word of per-query state zeroed, and any enabled trace cleared
 // (tracing itself stays on). Run resets everything it reads, so Reset is not
-// required between runs; it exists so pooled instances (sync.Pool reuse in a
-// serving layer) carry no residue of the previous query across requests, and
+// required between runs; it exists so reused instances (the states a
+// serving layer keeps) carry no residue of the previous query across requests, and
 // so tests can prove reuse is indistinguishable from a fresh allocation. It
 // runs serially and charges nothing to the runtime, making it safe to call
 // outside any parallel region.

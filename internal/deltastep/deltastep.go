@@ -115,6 +115,18 @@ type State struct {
 // NewState returns an empty State; buffers are grown on first use.
 func NewState() *State { return &State{} }
 
+// Bytes is what the exec kernel's buffers hold, counted at their capacity:
+// the distances, the bins of the bucket ring, the frontier and the overflow
+// list. (The simulated machine's scratch is not counted; Reset drops it.)
+func (st *State) Bytes() int64 {
+	const entryBytes, sliceBytes = 8, 24
+	b := 8*int64(cap(st.dist)) + entryBytes*int64(cap(st.frontier)+cap(st.overflow)) + sliceBytes*int64(cap(st.bins))
+	for _, bin := range st.bins[:cap(st.bins)] {
+		b += entryBytes * int64(cap(bin))
+	}
+	return b
+}
+
 // Reset scrubs the state so nothing leaks to the next user across a pool
 // boundary. Not required between runs — a run reinitialises everything it
 // reads.

@@ -112,6 +112,12 @@ func (sc *STScratch) Distance(x *STIndex, s, t int32, budget int) (dist int64, s
 	return dist, settled, true
 }
 
+// Bytes is what the scratch keeps between runs: both sides' distances, the
+// touched list and the two queues, counted at their capacity.
+func (sc *STScratch) Bytes() int64 {
+	return 16*int64(cap(sc.d)) + 4*int64(cap(sc.touched)) + sc.q[0].Bytes() + sc.q[1].Bytes()
+}
+
 // reset restores the between-runs state.
 func (sc *STScratch) reset() {
 	for _, v := range sc.touched {

@@ -65,6 +65,10 @@ func (sc *Scratch) SSSPFromSources(g *graph.Graph, sources []int32) []int64 {
 	return dist
 }
 
+// Bytes is what the scratch keeps between runs: the distances and the heap's
+// backing array, counted at their capacity.
+func (sc *Scratch) Bytes() int64 { return 8*int64(cap(sc.dist)) + 16*int64(cap(sc.heap)) }
+
 // Reset scrubs the scratch so no distances leak to the next user across a
 // pool boundary. Not required between calls — a run reinitialises everything
 // it reads.

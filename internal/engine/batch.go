@@ -19,9 +19,10 @@ type BatchResult struct {
 
 // Batch answers many queries over the shared instance with a bounded worker
 // pool (Config.BatchWorkers), amortizing per-request overhead: one admission,
-// one response, one hierarchy, pooled state per worker. Items still flow
-// through the cache and singleflight individually, so duplicate sources
-// within a batch — or across a batch and live queries — solve once.
+// one response, one hierarchy. Items still flow through the cache,
+// singleflight and the solvers' slots individually, so duplicate sources
+// within a batch — or across a batch and live queries — solve once, and
+// workers beyond a solver's slots wait for one.
 //
 // The returned slice maps 1:1 to queries. Once ctx is cancelled every item
 // not yet answered fails with ctx.Err(): those not yet picked up at once, and

@@ -4,9 +4,11 @@
 // throughput-bound by per-query setup once traffic is heavy, so the engine
 // amortizes or eliminates every per-query cost it can:
 //
-//   - a query-state pool (sync.Pool) reuses Thorup query instances, Dijkstra
-//     scratch, and delta-stepping state instead of allocating per request;
-//     instances are scrubbed with their Reset methods when returned;
+//   - each solver runs in one of runtime.GOMAXPROCS(0) slots, each keeping
+//     the state (Thorup query arrays, Dijkstra scratch, delta-stepping state)
+//     it was made with on first use instead of allocating per request, and
+//     scrubbing it with Reset when freed; a solve that finds every slot held
+//     waits for one, so no more states exist than processors to run them;
 //   - singleflight deduplication coalesces concurrent identical queries into
 //     one solver execution whose result every caller shares;
 //   - a bounded segmented-LRU cache (entry- and byte-budgeted) keeps the
@@ -20,7 +22,7 @@
 //     shape), overridable per request.
 //
 // One engine serves every generation of a graph (Gen): a write swaps the
-// instance the queries run on, and the counters, pools and cache carry on.
+// instance the queries run on, and the counters, slots and cache carry on.
 // Results are immutable and shared between the cache and all callers — and,
 // after a mutation, between an entry and the answer it replaced
 // (Gen.Inherit): the vector is read through Result.At and Result.Len only.

@@ -4,9 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"strconv"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/deltastep"
@@ -20,8 +21,8 @@ import (
 // as opposed to context cancellation.
 var ErrBadQuery = errors.New("bad query")
 
-// Config parameterizes an Engine. The zero value is usable: pooling on,
-// cache disabled, 4 batch workers, the full solver registry.
+// Config parameterizes an Engine. The zero value is usable: cache disabled,
+// 4 batch workers, the full solver registry.
 type Config struct {
 	// CacheEntries bounds the number of cached result vectors; 0 disables
 	// the cache entirely.
@@ -33,7 +34,8 @@ type Config struct {
 	// drives whole queries, and a query runs on that one goroutine: exec
 	// delta-stepping and exec Thorup use no parallel loop (DESIGN.md §5,
 	// decisions 9 and 11). Only BFS and the one-off s-t index build run
-	// loops on the instance's runtime.
+	// loops on the instance's runtime. It does not decide how many solves run
+	// at once: a solver's slots do (see Engine).
 	BatchWorkers int
 	// Solvers overrides the solver pool (default solver.All()). Tests and
 	// harnesses may append instrumented or fault-injected variants.
@@ -41,19 +43,19 @@ type Config struct {
 }
 
 // Engine executes SSSP queries on every generation of one graph with
-// pooling, deduplication, caching, and batching: its counters, pools of
-// (graph-free) solver states and result cache outlive a swap. Safe for
-// concurrent use.
+// deduplication, caching, and batching, each solve in one of its solver's
+// runtime.GOMAXPROCS(0) slots: its counters, slots of (graph-free) solver
+// states and result cache outlive a swap. Safe for concurrent use.
 type Engine struct {
 	cfg     Config
 	solvers []solver.Solver
-	exec    map[string]*pooled // per solver: its state pool and run count
+	exec    map[string]*slots // per solver: its slots and run count
 	cache   *slru
 	p2p     solver.PointToPoint // what answers a targeted request (Query)
 
 	counters *obs.Group
 
-	traceAgg   core.Trace  // aggregate of pooled Thorup query traces
+	traceAgg   core.Trace  // aggregate of the Thorup runs' traces
 	thorupRuns obs.Counter // Thorup runs folded into traceAgg
 
 	// Bucket-ring activity summed over the delta-stepping runs.
@@ -73,23 +75,79 @@ type Gen struct {
 	targetBudget, repairBudget int
 }
 
-// pooled is how the engine executes one solver: a pool of the states its
-// registry entry constructs, and how many runs they have served.
-type pooled struct {
-	states sync.Pool // solver.State; solver.PointSearch for the point-to-point entry
-	runs   obs.Counter
+// slots is how the engine executes one solver: at most cap(free) slots, one
+// a processor, each holding a state its registry entry constructs, made when
+// no slot is free and then kept; and how many runs they have served. A solve
+// holds one slot while it runs, so no more solves of the solver run at once
+// than there are processors: a solve runs on one goroutine, and more in
+// flight than cores add no throughput, only states.
+type slots struct {
+	free     chan *slot   // the slots made that no solve holds
+	made     atomic.Int32 // slots made so far
+	newState func() any   // solver.State; solver.PointSearch for the point-to-point entry
+	runs     obs.Counter
+	bytes    atomic.Int64 // what the slots' states hold, summed over their slot.bytes
+}
+
+// slot is one of a solver's slots: its state and the bytes that state held
+// when it was last freed (see sized).
+type slot struct {
+	st    any
+	bytes int64
+}
+
+func newSlots(newState func() any) *slots {
+	return &slots{free: make(chan *slot, runtime.GOMAXPROCS(0)), newState: newState}
+}
+
+// take returns a free slot, a new one if every slot made is held and fewer
+// than cap(free) are, or else waits for one, counting the wait in waits; nil
+// once ctx ends first.
+func (p *slots) take(ctx context.Context, waits *obs.Counter) *slot {
+	select {
+	case s := <-p.free:
+		return s
+	default:
+	}
+	for n := p.made.Load(); n < int32(cap(p.free)); n = p.made.Load() {
+		if p.made.CompareAndSwap(n, n+1) {
+			return &slot{st: p.newState()}
+		}
+	}
+	waits.Inc()
+	select {
+	case s := <-p.free:
+		return s
+	case <-ctx.Done():
+		return nil
+	}
+}
+
+// put frees s, whose state the caller has scrubbed, and counts what that
+// state holds now.
+func (p *slots) put(s *slot) {
+	if b, ok := s.st.(sized); ok {
+		n := b.Bytes()
+		p.bytes.Add(n - s.bytes)
+		s.bytes = n
+	}
+	p.free <- s
 }
 
 // A targeted request's searches may settle n/targetBudgetShare vertices
 // between them before it becomes a full solve (DESIGN.md §5, decision 16).
 const targetBudgetShare = 32
 
-// tracer is what a pooled state that keeps core.Trace phase counters (a
+// sized is what a state that keeps buffers between runs has beyond its
+// solver's interface: what they hold.
+type sized interface{ Bytes() int64 }
+
+// tracer is what a state that keeps core.Trace phase counters (a
 // Thorup query) has beyond solver.State; the engine asks by type assertion,
 // so execution names no solver (DESIGN.md §5, decision 12).
 type tracer interface{ Trace() *core.Trace }
 
-// bucketed is what a pooled delta-stepping state has beyond solver.State: the
+// bucketed is what a delta-stepping state has beyond solver.State: the
 // phase statistics of its last run.
 type bucketed interface{ LastStats() deltastep.Stats }
 
@@ -114,6 +172,7 @@ const (
 	cRepairBudgetExceeded = "repair_budget_exceeded"
 	cResettled            = "resettled"
 	cCancelled            = "cancelled"
+	cSlotWaits            = "slot_waits"
 )
 
 // New creates an engine and returns its first generation, over in, which it
@@ -130,16 +189,16 @@ func New(in *solver.Instance, cfg Config) *Gen {
 	e := &Engine{
 		cfg:     cfg,
 		solvers: solvers,
-		exec:    make(map[string]*pooled, len(solvers)),
+		exec:    make(map[string]*slots, len(solvers)+1),
 		p2p:     solver.PointToPoints()[0],
 		counters: obs.NewGroup(cSolves, cDedupHits, cCacheHits, cCacheMisses,
 			cCacheEvictions, cCacheSecondReads, cBatchRequests, cBatchItems, cFullJSONBuilt, cFullBytesFromCache,
 			cTargetedBailouts, cInheritedExact, cInheritedStale, cInheritedUnread, cResumed, cRepaired,
-			cRepairBudgetExceeded, cResettled, cCancelled),
+			cRepairBudgetExceeded, cResettled, cCancelled, cSlotWaits),
 	}
-	e.exec[e.p2p.Name] = &pooled{states: sync.Pool{New: func() any { return e.p2p.NewState() }}}
+	e.exec[e.p2p.Name] = newSlots(func() any { return e.p2p.NewState() })
 	for _, s := range solvers {
-		e.exec[s.Name] = &pooled{states: sync.Pool{New: func() any { return s.NewState() }}}
+		e.exec[s.Name] = newSlots(func() any { return s.NewState() })
 	}
 	e.cache = newSLRU(cfg.CacheEntries, cfg.CacheBytes, e.counters.C(cCacheEvictions), e.counters.C(cCacheSecondReads))
 	g := e.Next(in)
@@ -225,10 +284,10 @@ func (v Via) String() string {
 }
 
 // Query answers one request: cache lookup, then singleflight coalescing,
-// then a pooled solver execution on the caller's goroutine. The execution
-// runs while the context of any caller it answers lives, and stops once the
-// last has ended (see flightGroup); a stopped execution caches nothing. A
-// caller whose ctx has ended gets ctx's error.
+// then a solver execution in one of the solver's slots, on the caller's
+// goroutine. The execution runs while the context of any caller it answers
+// lives, and stops once the last has ended (see flightGroup); a stopped
+// execution caches nothing. A caller whose ctx has ended gets ctx's error.
 //
 // A request with Targets, one source and no solver override that misses the
 // cache is answered by point-to-point searches instead (a partial Result by
@@ -240,7 +299,7 @@ func (v Via) String() string {
 // hit attribute; a hit on a pending inherited entry nests its "resume" there,
 // see Inherit, and one whose repair outgrew its budget is a miss), then either
 // "solve" (this caller was the singleflight
-// leader; pool checkout and solver-phase counters nest under it) or
+// leader; the wait for a slot and solver-phase counters nest under it) or
 // "singleflight_wait" (this caller joined a leader's execution).
 func (g *Gen) Query(ctx context.Context, req Request) (*Result, Via, error) {
 	if err := ctx.Err(); err != nil {
@@ -337,27 +396,41 @@ func targeted(req Request, srcs []int32) bool {
 	return len(req.Targets) > 0 && len(srcs) == 1 && (req.Solver == "" || req.Solver == "auto")
 }
 
-// begin opens one executed plan: it counts the run and returns the solver's
-// pool and the "solve" span (nil when untraced) naming solver and source
-// count, which the caller ends. Cache hits and singleflight joiners never get
-// here.
-func (e *Engine) begin(parent *trace.Span, name string, sources int) (*pooled, *trace.Span) {
+// begin opens one executed plan: the "solve" span (nil when untraced) naming
+// solver and source count, which the caller ends, and under it
+// "pool_checkout", the wait for one of the solver's slots. It counts the run
+// once it holds the slot and returns the solver's slots and the one held, or a
+// nil slot — counted as cancelled, never started — once ctx ended first. Cache
+// hits and singleflight joiners never get here.
+func (e *Engine) begin(ctx context.Context, parent *trace.Span, name string, sources int) (*slots, *slot, *trace.Span) {
 	p, sp := e.exec[name], parent.StartChild("solve")
-	e.counters.C(cSolves).Inc()
-	p.runs.Inc()
 	sp.SetAttr("solver", name)
 	sp.SetAttr("sources", sources)
-	return p, sp
+	pc := sp.StartChild("pool_checkout")
+	s := p.take(ctx, e.counters.C(cSlotWaits))
+	pc.End()
+	if s == nil {
+		e.counters.C(cCancelled).Inc()
+		sp.SetAttr("cancelled", true)
+		return p, nil, sp
+	}
+	e.counters.C(cSolves).Inc()
+	p.runs.Inc()
+	return p, s, sp
 }
 
 // search answers a targeted request with one point-to-point search per target
-// on one pooled state under one budget, or returns nil once a search outgrows
+// on one slot's state under one budget, or returns nil once a search outgrows
 // what is left or ctx has ended between two searches. Either way one
 // execution: its span says targets, settled, bailed.
 func (g *Gen) search(ctx context.Context, parent *trace.Span, src int32, targets []int32) *Result {
-	p, sp := g.begin(parent, g.p2p.Name, 1)
+	p, s, sp := g.begin(ctx, parent, g.p2p.Name, 1)
 	defer sp.End()
-	st := p.states.Get().(solver.PointSearch)
+	if s == nil {
+		return nil
+	}
+	defer p.put(s)
+	st := s.st.(solver.PointSearch)
 	res := &Result{Solver: g.p2p.Name, TargetDist: make([]int64, len(targets))}
 	settled := 0
 	for i, t := range targets {
@@ -365,7 +438,7 @@ func (g *Gen) search(ctx context.Context, parent *trace.Span, src int32, targets
 			res = nil
 			break
 		}
-		d, k, ok := st(g.in, src, t, g.targetBudget-settled)
+		d, k, ok := st.Distance(g.in, src, t, g.targetBudget-settled)
 		settled += k
 		if !ok {
 			g.counters.C(cTargetedBailouts).Inc()
@@ -374,7 +447,6 @@ func (g *Gen) search(ctx context.Context, parent *trace.Span, src int32, targets
 		}
 		res.TargetDist[i] = d
 	}
-	p.states.Put(st)
 	sp.SetAttr("targets", len(targets))
 	sp.SetAttr("settled", settled)
 	sp.SetAttr("bailed", res == nil)
@@ -384,24 +456,26 @@ func (g *Gen) search(ctx context.Context, parent *trace.Span, src int32, targets
 	return res
 }
 
-// solve runs the named solver on the canonical source set — state checkout,
-// one run on g's instance, detach, Reset, put back, cache: the same steps for
-// every solver in the pool. parent is the singleflight leader's trace position: the execution
-// is begin's "solve" span with a nested "pool_checkout" and, for a tracer
-// state, the solver-phase counters of core.Trace. A run ctx stopped (nil) is
-// counted, put back and not cached; solve then returns nil.
+// solve runs the named solver on the canonical source set — slot, one run on
+// g's instance, detach, Reset, slot freed, cache: the same steps for every
+// solver in the registry. parent is the singleflight leader's trace position:
+// the execution is begin's "solve" span with its "pool_checkout" and, for a
+// tracer state, the solver-phase counters of core.Trace. A run ctx stopped
+// (nil), or one ctx ended before it got a slot, is counted as cancelled and
+// not cached; solve then returns nil.
 func (g *Gen) solve(ctx context.Context, parent *trace.Span, name string, srcs []int32, key string) *Result {
-	p, sp := g.begin(parent, name, len(srcs))
+	p, s, sp := g.begin(ctx, parent, name, len(srcs))
 	defer sp.End()
-	pc := sp.StartChild("pool_checkout")
-	st := p.states.Get().(solver.State)
-	pc.End()
+	if s == nil {
+		return nil
+	}
+	st := s.st.(solver.State)
+	defer p.put(s)
+	defer st.Reset()
 	d := st.RunFromSources(ctx, g.in, srcs)
 	if d == nil {
 		g.counters.C(cCancelled).Inc()
 		sp.SetAttr("cancelled", true)
-		st.Reset()
-		p.states.Put(st)
 		return nil
 	}
 	res := &Result{Solver: name, g: g, key: key}
@@ -426,8 +500,6 @@ func (g *Gen) solve(ctx context.Context, parent *trace.Span, name string, srcs [
 			sp.SetAttr("overflow_scanned", stats.OverflowScanned)
 		}
 	}
-	st.Reset()
-	p.states.Put(st)
 	g.cache.add(res)
 	return res
 }
@@ -466,7 +538,7 @@ func (e *Engine) SolverRuns() map[string]int64 {
 	return out
 }
 
-// ThorupTrace returns the aggregate trace of all pooled Thorup executions
+// ThorupTrace returns the aggregate trace of all Thorup executions
 // and how many runs it covers.
 func (e *Engine) ThorupTrace() (core.Trace, int64) {
 	return e.traceAgg.Snapshot(), e.thorupRuns.Value()
@@ -476,6 +548,16 @@ func (e *Engine) ThorupTrace() (core.Trace, int64) {
 // materialised JSON, as charged against Config.CacheBytes, and the history
 // of keys it evicted.
 func (e *Engine) CacheBytes() int64 { return e.cache.held() }
+
+// SlotBytes is what the solver states kept in the engine's slots hold, as of
+// when each was last freed.
+func (e *Engine) SlotBytes() int64 {
+	var b int64
+	for _, p := range e.exec {
+		b += p.bytes.Load()
+	}
+	return b
+}
 
 // StatsSnapshot returns the engine's observable state, shaped for a JSON
 // /metrics endpoint: every counter, the cache's current and maximum sizes,
@@ -490,6 +572,7 @@ func (e *Engine) StatsSnapshot() map[string]any {
 	out["cache_bytes"] = e.CacheBytes()
 	out["cache_max_entries"] = e.cfg.CacheEntries
 	out["cache_max_bytes"] = e.cfg.CacheBytes
+	out["slot_bytes"] = e.SlotBytes()
 	out["solver_runs"] = e.SolverRuns()
 	return out
 }

@@ -287,19 +287,14 @@ func TestQueryCanonicalSourceSet(t *testing.T) {
 	}
 }
 
-// A pooled state holds no generation. Here every checkout gets the same
-// Thorup state and the same s-t search; they answer on the parent, then on the
-// child of a write that shortens the path from 0 to far, whose hierarchy and
-// s-t index are its own, and each answer is Dijkstra's on the graph of the
-// generation it ran on.
+// A state kept in a slot holds no generation. Here queries one at a time make
+// one slot a kind, so every solve of a kind runs the same state: the Thorup
+// state and the s-t search answer on the parent, then on the child of a write
+// that shortens the path from 0 to far, whose hierarchy and s-t index are its
+// own, and each answer is Dijkstra's on the graph of the generation it ran on.
 func TestPooledStatesFollowTheGeneration(t *testing.T) {
 	g1 := testInstance(t, 300, 1200).G
 	parent := engineOn(g1, Config{}) // no cache: every query runs a state
-	for _, name := range []string{"thorup", parent.p2p.Name} {
-		p := parent.exec[name]
-		shared := p.states.New()
-		p.states = sync.Pool{New: func() any { return shared }}
-	}
 	d, far := dijkstra.SSSP(g1, 0), int32(0)
 	for v, dv := range d {
 		if dv < graph.Inf && dv > d[far] {
@@ -335,6 +330,11 @@ func TestPooledStatesFollowTheGeneration(t *testing.T) {
 	}
 	if runs := child.SolverRuns(); runs["thorup"] != 2 || runs[parent.p2p.Name] != 2 {
 		t.Fatalf("runs %v: want both generations' in one engine", runs)
+	}
+	for _, name := range []string{"thorup", parent.p2p.Name} {
+		if n := child.exec[name].made.Load(); n != 1 {
+			t.Fatalf("%d %s states made, want the one both generations ran on", n, name)
+		}
 	}
 }
 
@@ -645,7 +645,7 @@ func TestSingleflightWaiterCancellation(t *testing.T) {
 // kernels do: a run ends when released (a full answer) or when its context
 // ends (nil, cancelled). It counts the Resets of its states.
 type stoppableSolver struct {
-	started   chan struct{} // one send per run start; buffered for the two runs a test makes
+	started   chan struct{} // one send per run start; buffered for the runs a test holds at once
 	release   chan struct{}
 	cancelled atomic.Int64 // runs that ended on their context
 	resets    atomic.Int64
@@ -674,7 +674,7 @@ func (st stoppableState) RunFromSources(ctx context.Context, in *solver.Instance
 func (st stoppableState) Reset() { st.s.resets.Add(1) }
 
 func newStoppable(t *testing.T) (*stoppableSolver, *Gen) {
-	s := &stoppableSolver{started: make(chan struct{}, 2), release: make(chan struct{})}
+	s := &stoppableSolver{started: make(chan struct{}, max(2, runtime.GOMAXPROCS(0))), release: make(chan struct{})}
 	e := New(testInstance(t, 100, 400), Config{CacheEntries: 8, Solvers: append(solver.All(), solver.Solver{
 		Name:     "stoppable",
 		NewState: func() solver.State { return stoppableState{s} },
@@ -887,6 +887,145 @@ func TestBatchPreCancelled(t *testing.T) {
 	}
 }
 
+// --- slots -----------------------------------------------------------------
+
+// However many goroutines drive a batch, a solver has no more states than
+// processors: 8 workers over 64 distinct sources, each run long enough that
+// every worker is solving or waiting at once, make at most GOMAXPROCS states,
+// and the workers beyond the slots wait for one.
+func TestSlotsBoundTheStatesABatchMakes(t *testing.T) {
+	in := testInstance(t, 200, 800)
+	var made atomic.Int64
+	e := New(in, Config{BatchWorkers: 8, Solvers: append(solver.All(), solver.Solver{
+		Name: "counting",
+		NewState: func() solver.State {
+			made.Add(1)
+			return solver.StateFunc(func(_ context.Context, in *solver.Instance, srcs []int32) []int64 {
+				time.Sleep(time.Millisecond)
+				return dijkstra.SSSPFromSources(in.G, srcs)
+			})
+		},
+	})})
+	reqs := make([]Request, 64)
+	for i := range reqs {
+		reqs[i] = Request{Sources: []int32{int32(i)}, Solver: "counting"}
+	}
+	for i, br := range e.Batch(context.Background(), reqs) {
+		if br.Err != nil || br.Via != ViaSolve || br.Res.At(i) != 0 {
+			t.Fatalf("item %d: via %v, err %v", i, br.Via, br.Err)
+		}
+	}
+	procs := runtime.GOMAXPROCS(0)
+	if n := made.Load(); n > int64(procs) {
+		t.Fatalf("%d states made for 8 workers at GOMAXPROCS %d", n, procs)
+	}
+	if runs, waits := e.SolverRuns()["counting"], e.Counter(cSlotWaits); runs != 64 || (procs < 8 && waits == 0) {
+		t.Fatalf("%d runs, %d slot waits; want 64 runs and some waits", runs, waits)
+	}
+}
+
+// A solve that finds every slot of its solver held waits, and a deadline that
+// passes while it waits ends it there: the caller gets the context's error,
+// the solver never runs, and the wait counts in slot_waits and cancelled but
+// not in solves. Once the slots are free the same query solves.
+func TestSlotWaitPastItsDeadlineNeverRuns(t *testing.T) {
+	s, e := newStoppable(t)
+	procs := runtime.GOMAXPROCS(0)
+	var held sync.WaitGroup
+	for i := range procs {
+		held.Add(1)
+		go func() {
+			defer held.Done()
+			if _, _, err := e.Query(context.Background(), Request{Sources: []int32{int32(i)}, Solver: "stoppable"}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	for range procs {
+		<-s.started
+	}
+	req := Request{Sources: []int32{50}, Solver: "stoppable"}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, _, err := e.Query(ctx, req); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("queued solve: err = %v, want context.DeadlineExceeded", err)
+	}
+	select {
+	case <-s.started:
+		t.Fatal("the queued solve ran")
+	default:
+	}
+	if w, c, n := e.Counter(cSlotWaits), e.Counter(cCancelled), e.Counter(cSolves); w != 1 || c != 1 || n != int64(procs) {
+		t.Fatalf("slot_waits %d, cancelled %d, solves %d; want 1, 1, %d", w, c, n, procs)
+	}
+	close(s.release)
+	held.Wait()
+	if _, via, err := e.Query(context.Background(), req); err != nil || via != ViaSolve {
+		t.Fatalf("after the slots were freed: via %v, err %v", via, err)
+	}
+}
+
+// heldState blocks a run until released, then runs the state it wraps.
+type heldState struct {
+	solver.State
+	started, release chan struct{}
+}
+
+func (h heldState) RunFromSources(ctx context.Context, in *solver.Instance, srcs []int32) []int64 {
+	h.started <- struct{}{}
+	<-h.release
+	return h.State.RunFromSources(ctx, in, srcs)
+}
+
+// Searches have slots of their own: with every delta-stepping slot held, a
+// targeted request is still answered by the s-t search. Afterwards slot_bytes
+// is what the states kept in the slots hold.
+func TestSearchAnswersWhileEveryDeltaSlotIsHeld(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	started, release := make(chan struct{}, procs), make(chan struct{})
+	pool := solver.All()
+	for i, s := range pool {
+		if s.Name == "delta" {
+			pool[i].NewState = func() solver.State { return heldState{s.NewState(), started, release} }
+		}
+	}
+	e := New(testInstance(t, 300, 1200), Config{Solvers: pool})
+	e.SetTargetBudget(math.MaxInt)
+	var held sync.WaitGroup
+	for i := range procs {
+		held.Add(1)
+		go func() {
+			defer held.Done()
+			if _, _, err := e.Query(context.Background(), Request{Sources: []int32{int32(i)}, Solver: "delta"}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	for range procs {
+		<-started
+	}
+	want := dijkstra.SSSP(e.in.G, 7)[250]
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	res, _, err := e.Query(ctx, Request{Sources: []int32{7}, Targets: []int32{250}})
+	if err != nil || res.Solver != e.p2p.Name || res.Target(0, 250) != want {
+		t.Fatalf("search with every delta slot held: %v (%v), want %d by %s", res, err, want, e.p2p.Name)
+	}
+	close(release)
+	held.Wait()
+	var kept int64
+	for _, p := range e.exec { // every slot is free now; take them all
+		for range p.made.Load() {
+			if b, ok := (<-p.free).st.(sized); ok {
+				kept += b.Bytes()
+			}
+		}
+	}
+	if got := e.SlotBytes(); got != kept || kept < 8*300 {
+		t.Fatalf("slot_bytes %d, the kept states hold %d", got, kept)
+	}
+}
+
 // --- JSON streaming --------------------------------------------------------
 
 // DistJSON must encode distances with Inf as -1, build the bytes exactly
@@ -964,7 +1103,7 @@ func TestStatsSnapshotShape(t *testing.T) {
 	for _, k := range []string{"solves", "dedup_hits", "cache_hits", "cache_misses",
 		"cache_evictions", "batch_requests", "batch_items", "full_json_built",
 		"full_bytes_from_cache", "cache_entries", "cache_bytes", "cache_max_entries",
-		"cache_max_bytes", "solver_runs"} {
+		"cache_max_bytes", "solver_runs", "slot_waits", "slot_bytes"} {
 		if _, ok := s[k]; !ok {
 			t.Fatalf("StatsSnapshot missing %q", k)
 		}
@@ -974,6 +1113,9 @@ func TestStatsSnapshotShape(t *testing.T) {
 	}
 	if runs := s["solver_runs"].(map[string]int64); runs["thorup"] != 1 {
 		t.Fatalf("solver_runs[thorup] = %d, want 1", runs["thorup"])
+	}
+	if s["slot_bytes"].(int64) <= 0 {
+		t.Fatalf("slot_bytes = %v after a Thorup solve, want its kept state's arrays", s["slot_bytes"])
 	}
 	tr, n := e.ThorupTrace()
 	if n != 1 || tr.Settled == 0 {

@@ -211,7 +211,7 @@ func (r *Result) heldBytes() int64 {
 // changeBytes is what one mutate.Change occupies: two int32 and two int64.
 const changeBytes = 24
 
-// detach packs a distance vector — a pooled state's, or a resumed one — into
+// detach packs a distance vector — a slot state's, or a resumed one — into
 // the result: one pass tallies Reached and Eccentricity, and with them the
 // width, a second packs.
 func (r *Result) detach(d []int64) {

@@ -128,13 +128,10 @@ func TestTargetedBudgetIsSharedByTheTargets(t *testing.T) {
 
 // Bound: a warm targeted query allocates the request's bookkeeping — the
 // canonical source set, the cache key, the Result and its per-target answers:
-// at most 8 objects, and 4 KB in the mean with the odd growth of a pooled heap
+// at most 8 objects, and 4 KB in the mean with the odd growth of a kept heap
 // — and nothing that grows with n; a full solve's detached vector alone would
 // be 8n = 64 KB.
 func TestWarmTargetedQueryAllocatesNothingOfSizeN(t *testing.T) {
-	if raceDetector {
-		t.Skip("under the race detector sync.Pool drops a quarter of what is put back: no warm path to measure")
-	}
 	e := New(testInstance(t, 8192, 32768), Config{})
 	e.SetTargetBudget(math.MaxInt)
 	ctx := context.Background()
@@ -146,7 +143,7 @@ func TestWarmTargetedQueryAllocatesNothingOfSizeN(t *testing.T) {
 			t.Fatalf("%v by %s", err, res.Solver)
 		}
 	}
-	for i := 0; i < 500; i++ { // grow the pooled state's heaps
+	for i := 0; i < 500; i++ { // grow the kept state's heaps
 		query()
 	}
 	const runs = 200

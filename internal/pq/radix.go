@@ -66,6 +66,15 @@ func (q *Radix) Pop() Item {
 	return it
 }
 
+// Bytes is what the buckets' backing arrays hold, counted at their capacity.
+func (q *Radix) Bytes() int64 {
+	var b int64
+	for _, bk := range q.buckets {
+		b += 16 * int64(cap(bk))
+	}
+	return b
+}
+
 // Reset empties the queue, keeping its buckets' capacity for the next run.
 func (q *Radix) Reset() {
 	for i := range q.buckets {

@@ -9,10 +9,10 @@
 // delta-stepping, Goldberg's multi-level buckets and BFS — plus
 // bidirectional Dijkstra as a point-to-point solver (it computes one s-t
 // distance, not a distance vector; its NewState gives a reusable PointSearch
-// that the engine pools like any State and runs under a settle budget).
+// that the engine keeps in slots like any State and runs under a settle budget).
 //
 // An entry's NewState constructs reusable per-query State that holds no
-// graph: each run names its Instance, so a pool of states serves every
+// graph: each run names its Instance, so a set of kept states serves every
 // generation of a graph. The contract is State's: a whole source set in one
 // run on the Instance it names (every solver seeds each source at distance
 // 0), a result that may alias the state until the next run or Reset, any

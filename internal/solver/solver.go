@@ -144,7 +144,7 @@ func (in *Instance) Built() map[string]int64 {
 }
 
 // State is one solver's reusable per-query state. It holds no graph: each
-// run names the Instance it runs on, so one pooled state serves every
+// run names the Instance it runs on, so one kept state serves every
 // generation of a graph (and resizes its arrays to the run's vertex count). It
 // is not safe for concurrent use; concurrency is across states.
 type State interface {
@@ -156,7 +156,7 @@ type State interface {
 	// the reference solvers (dijkstra, mlb, thorup-serial) run to completion.
 	RunFromSources(ctx context.Context, in *Instance, sources []int32) []int64
 	// Reset scrubs the state so nothing of the last run leaks to the next
-	// user across a pool boundary. Not required between runs.
+	// user of a kept state. Not required between runs.
 	Reset()
 }
 
@@ -179,7 +179,7 @@ type Solver struct {
 	// NeedsCH marks solvers that consume the Component Hierarchy.
 	NeedsCH bool
 	// NewState allocates per-query state: the one description of how the
-	// solver executes. A serving layer pools the states; everything else goes
+	// solver executes. A serving layer keeps the states; everything else goes
 	// through Solve.
 	NewState func() State
 }
@@ -192,10 +192,12 @@ func (s Solver) Solve(in *Instance, sources []int32) []int64 {
 
 // PointSearch is one point-to-point solver's reusable per-query state, run on
 // the Instance it is given like a State, but keeping nothing of a run (no
-// Reset). It returns the s-t distance (graph.Inf: unreachable), or ok false
-// once that would take settling more than budget vertices. Not safe for
-// concurrent use.
-type PointSearch func(in *Instance, s, t int32, budget int) (dist int64, settled int, ok bool)
+// Reset). Not safe for concurrent use.
+type PointSearch interface {
+	// Distance returns the s-t distance (graph.Inf: unreachable), or ok false
+	// once that would take settling more than budget vertices.
+	Distance(in *Instance, s, t int32, budget int) (dist int64, settled int, ok bool)
+}
 
 // PointToPoint is a solver that answers a single s-t distance query.
 type PointToPoint struct {
@@ -206,7 +208,7 @@ type PointToPoint struct {
 
 // Dist is a fresh state and one search without a budget.
 func (p PointToPoint) Dist(in *Instance, s, t int32) int64 {
-	d, _, _ := p.NewState()(in, s, t, math.MaxInt)
+	d, _, _ := p.NewState().Distance(in, s, t, math.MaxInt)
 	return d
 }
 
@@ -224,6 +226,13 @@ type dijkstraState struct{ *dijkstra.Scratch }
 
 func (s dijkstraState) RunFromSources(_ context.Context, in *Instance, sources []int32) []int64 {
 	return s.SSSPFromSources(in.G, sources)
+}
+
+// stSearch runs a dijkstra.STScratch on the instance's s-t index.
+type stSearch struct{ *dijkstra.STScratch }
+
+func (s stSearch) Distance(in *Instance, src, t int32, budget int) (int64, int, bool) {
+	return s.STScratch.Distance(in.STIndex(), src, t, budget)
 }
 
 // deltaState runs a deltastep.State on the instance's runtime, graph and
@@ -292,13 +301,8 @@ func All() []Solver {
 func PointToPoints() []PointToPoint {
 	return []PointToPoint{
 		{
-			Name: "bidirectional",
-			NewState: func() PointSearch {
-				sc := new(dijkstra.STScratch)
-				return func(in *Instance, s, t int32, budget int) (int64, int, bool) {
-					return sc.Distance(in.STIndex(), s, t, budget)
-				}
-			},
+			Name:     "bidirectional",
+			NewState: func() PointSearch { return stSearch{new(dijkstra.STScratch)} },
 		},
 	}
 }

@@ -209,7 +209,7 @@ func TestSTIndexConcurrentFirstUse(t *testing.T) {
 			defer wg.Done()
 			search := PointToPoints()[0].NewState()
 			for _, tgt := range targets {
-				d, _, _ := search(in, 3, tgt, math.MaxInt)
+				d, _, _ := search.Distance(in, 3, tgt, math.MaxInt)
 				got[i] = append(got[i], d)
 			}
 		}()
@@ -456,8 +456,8 @@ func TestConformance(t *testing.T) {
 				want := dijkstra.SSSP(g, src)
 				for dst := int32(0); int(dst) < n; dst += 3 {
 					for _, budget := range []int{0, 2, 9, math.MaxInt} {
-						d, settled, ok := searches[pp.Name](in, src, dst, budget)
-						fd, fsettled, fok := pp.NewState()(in, src, dst, budget)
+						d, settled, ok := searches[pp.Name].Distance(in, src, dst, budget)
+						fd, fsettled, fok := pp.NewState().Distance(in, src, dst, budget)
 						if d != fd || settled != fsettled || ok != fok {
 							t.Fatalf("%s/%s st(%d,%d) budget %d: reused (%d,%d,%v), fresh (%d,%d,%v)",
 								gname, pp.Name, src, dst, budget, d, settled, ok, fd, fsettled, fok)

@@ -130,7 +130,7 @@ func checkTargeted(cfg Config, rt par.Runtime, name string, g *graph.Graph, sour
 		for _, q := range reqs {
 			for _, budget := range []int{1, math.MaxInt} {
 				t := q.targets[0]
-				d, settled, ok := search(in, q.src[0], t, budget)
+				d, settled, ok := search.Distance(in, q.src[0], t, budget)
 				if settled > budget || (!ok && budget != 1) || (ok && d != want[q.src[0]][t]) {
 					return fail("%s graph, search state at budget %d: st(%d,%d) = %d (settled %d, ok %v), reference %d",
 						tc.what, budget, q.src[0], t, d, settled, ok, want[q.src[0]][t])
